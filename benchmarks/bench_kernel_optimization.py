@@ -11,8 +11,8 @@ three rungs (:mod:`repro.particles.kernels`):
   the unbuffered ``np.add.at``;
 * ``tiled`` — the fast path: histogram/segmented-reduction scatters, the
   minimal Esirkepov window, and the shared shape-weight cache;
-* ``compiled`` — the native tier (numba ``@njit`` or generated C via
-  ctypes), when a backend is usable in this environment: the per-particle
+* ``compiled`` — the native tier (generated C via ctypes), when a C
+  compiler is present in this environment: the per-particle
   scalar loops the paper actually runs, minus the interpreter.
 
 The *direction and mechanism* match the paper; the reference-to-vectorized

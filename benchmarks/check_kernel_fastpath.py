@@ -16,15 +16,21 @@ cell granularity):
    ``np.add.at`` hurts most) and the field gather for both variants, and
    fails (exit 1) if the tiled deposition is not measurably faster than
    the ``np.add.at`` baseline;
-4. when the compiled tier is registered (numba or a C compiler found),
+4. when the compiled tier is registered (a C compiler was found),
    times it on the same workload and fails if it does not beat the tiled
    fast path by :data:`REQUIRED_COMPILED_SPEEDUP`; when no backend is
    usable the tier is reported with its reason and the gate still passes
-   (exit 0) — the numpy tiers remain the contract.
+   (exit 0) — the numpy tiers remain the contract;
+5. with the compiled tier, times the fused particle pass against the
+   same kernels driven through gather -> push -> deposit
+   (``advance_particles`` with the ``advance`` slot stripped) on the
+   96^2, 16-per-cell, order-3 deck of the repo benchmark, and fails if
+   fusing does not pay :data:`REQUIRED_FUSED_SPEEDUP`.
 
 Run:  PYTHONPATH=src python benchmarks/check_kernel_fastpath.py
 """
 
+import dataclasses
 import sys
 import time
 
@@ -35,6 +41,7 @@ from repro.particles.deposit import (
     deposit_current_esirkepov,
     deposit_current_esirkepov_tiled,
 )
+from repro.particles.advance import advance_particles
 from repro.particles.gather import gather_fields, gather_fields_tiled
 from repro.particles.kernels import (
     available_kernel_variants,
@@ -52,7 +59,12 @@ REQUIRED_DEPOSIT_SPEEDUP = 1.05
 #: required margin of the compiled tier over tiled when it is available
 #: (measured ~12x with the C backend; 3x keeps slack for loaded CI boxes)
 REQUIRED_COMPILED_SPEEDUP = 3.0
+#: required margin of the fused compiled pass over the three-phase pass
+#: on the same kernels (measured ~1.7x here)
+REQUIRED_FUSED_SPEEDUP = 1.4
 ORDER = 3
+FUSED_WORKLOAD = dict(n_cells=(96, 96), ppc=(4, 4), shape_order=ORDER,
+                      kernels="compiled")
 WORKLOAD = dict(n_cells=(24, 24), ppc=4, shape_order=ORDER, temperature_uth=0.05)
 
 
@@ -64,6 +76,30 @@ def best_of(fn, rounds: int = 7) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def fused_speedup() -> float:
+    """Three-phase over fused time of one particle pass, both compiled."""
+    sim, electrons = build_uniform_plasma(**FUSED_WORKLOAD)
+    sim.step(3)  # self-consistent fields and a thermalised cloud
+    fused = sim.kernel_set
+    three_phase = dataclasses.replace(fused, advance=None)
+    start = electrons.positions, electrons.momenta
+
+    def one_pass(kernel_set):
+        # both routes return new arrays, so rewinding is two assignments
+        electrons.positions, electrons.momenta = start
+        sim.grid.zero_sources()
+        advance_particles(sim.grid, electrons, kernel_set, "boris", sim.dt,
+                          ORDER)
+
+    t_fused = best_of(lambda: one_pass(fused))
+    t_three = best_of(lambda: one_pass(three_phase))
+    print(f"\nfused vs three-phase compiled pass ({electrons.n} particles, "
+          f"order {ORDER}):")
+    print(f"  {t_three * 1e3:8.3f} ms -> {t_fused * 1e3:8.3f} ms  "
+          f"({t_three / t_fused:.2f}x)")
+    return t_three / t_fused
 
 
 def main() -> int:
@@ -120,7 +156,7 @@ def main() -> int:
     print(f"  gather:     {g_vec * 1e3:8.3f} ms -> {g_tiled * 1e3:8.3f} ms  "
           f"({gather_speedup:.2f}x, informational)")
 
-    compiled_speedup = None
+    compiled_speedup = fused = None
     if "compiled" in available_kernel_variants():
         ks = get_kernel_set("compiled")
         c_dep = best_of(lambda: ks.deposit_current(
@@ -132,9 +168,10 @@ def main() -> int:
               f"({compiled_speedup:.2f}x)")
         print(f"  gather:     {g_tiled * 1e3:8.3f} ms -> {c_gath * 1e3:8.3f} ms  "
               f"({g_tiled / c_gath:.2f}x, informational)")
+        fused = fused_speedup()
     else:
         reason = kernel_tier_status().get("compiled", "not registered")
-        print(f"\ncompiled tier unavailable, skipping its timing gate "
+        print(f"\ncompiled tier unavailable, skipping its timing gates "
               f"({reason})")
 
     if failures:
@@ -148,6 +185,10 @@ def main() -> int:
     if compiled_speedup is not None and compiled_speedup < REQUIRED_COMPILED_SPEEDUP:
         print(f"FAIL: compiled deposition speedup {compiled_speedup:.2f}x over "
               f"tiled is under the required {REQUIRED_COMPILED_SPEEDUP:.2f}x")
+        return 1
+    if fused is not None and fused < REQUIRED_FUSED_SPEEDUP:
+        print(f"FAIL: the fused compiled pass is {fused:.2f}x the three-phase "
+              f"pass, under the required {REQUIRED_FUSED_SPEEDUP:.2f}x")
         return 1
     print(f"OK: tiled deposition beats np.add.at by {dep_speedup:.2f}x "
           f"(>= {REQUIRED_DEPOSIT_SPEEDUP:.2f}x) at machine precision")

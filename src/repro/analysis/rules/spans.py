@@ -6,9 +6,11 @@ call that runs outside a ``timers.timer(...)``/``stopwatch()``/
 breakdown, the load balancer's measured-cost mode *and* the trace — an
 untimed hot path.  This rule walks the step-driver methods of the
 simulation modules (``_single_step``/``_step_body``/``_finish_step``/
-``_advance_subcycled_patches``) and flags any call to a known
-kernel-phase entry point that is not lexically inside a timed ``with``
-block.
+``_advance_species``/``_advance_subcycled_patches``) and flags any call
+to a known kernel-phase entry point that is not lexically inside a timed
+``with`` block.  A call that is handed the driver's phase factory
+(``advance_particles(..., phase=self._phase)``) opens its own phases and
+counts as timed.
 
 Kernel *hook* methods themselves (``_gather``, ``_deposit``, ...) are
 exempt: the contract is that their call sites in the drivers are timed,
@@ -28,7 +30,10 @@ DRIVER_MODULE_BASENAMES = ("simulation.py", "mr_simulation.py", "distributed.py"
 
 #: the step-driver methods whose bodies are checked
 DRIVER_METHODS = frozenset(
-    {"_single_step", "_step_body", "_finish_step", "_advance_subcycled_patches"}
+    {
+        "_single_step", "_step_body", "_finish_step", "_advance_species",
+        "_advance_subcycled_patches",
+    }
 )
 
 #: kernel-phase entry points (free functions and simulation hooks) whose
@@ -39,6 +44,7 @@ KERNEL_CALLS = frozenset(
         "_gather", "_deposit", "_finalize_deposits", "_advance_fields",
         "_push_and_deposit_box", "_run_sanitizers",
         # particle kernels
+        "advance_particles",
         "gather_fields", "push_boris", "push_vay", "push_positions",
         "deposit_current_esirkepov", "deposit_current_direct",
         "sort_species_by_bin", "smooth_binomial",
@@ -74,7 +80,11 @@ def _with_is_timed(node: ast.With) -> bool:
 
 def _kernel_calls_in_expr(node: ast.AST) -> Iterator[ast.Call]:
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) and _call_name(sub) in KERNEL_CALLS:
+        if (
+            isinstance(sub, ast.Call)
+            and _call_name(sub) in KERNEL_CALLS
+            and not any(kw.arg == "phase" for kw in sub.keywords)
+        ):
             yield sub
 
 

@@ -1,7 +1,12 @@
 """Mesh-refined PIC simulation: :class:`Simulation` plus MR patches.
 
-Overrides the gather/deposit/field-advance hooks of the single-level PIC
-cycle with the level-aware versions of the paper's Sec. V.B:
+Overrides the particle-advance and field-advance hooks of the
+single-level PIC cycle with the level-aware versions of the paper's
+Sec. V.B (while a patch is active the particle pass takes the
+three-phase route of :func:`repro.particles.advance.advance_particles`
+with the level-aware gather and deposit below; once the last patch is
+removed it is the plain single-level — on the compiled tier, fused —
+pass again):
 
 * particles well inside a patch gather the substituted auxiliary field;
   particles in the transition zone or outside gather the parent field;
@@ -34,11 +39,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.constants import c
 from repro.core.mr_level import MRPatch
 from repro.core.simulation import Simulation, smooth_binomial
 from repro.exceptions import ConfigurationError
-from repro.particles.pusher import lorentz_factor, push_positions
+from repro.particles.advance import advance_particles
 from repro.particles.species import Species
 
 
@@ -93,6 +97,14 @@ class MRSimulation(Simulation):
         return patch
 
     # -- level-aware hooks ---------------------------------------------------
+    def _advance_species(self, species: Species) -> None:
+        # level-aware routing only while there is a level to route to
+        hooks = (
+            dict(gather=self._gather, deposit=self._deposit)
+            if self.patches else {}
+        )
+        super()._advance_species(species, **hooks)
+
     def _gather(self, species: Species):
         gather = self.kernel_set.gather
         e_f, b_f = gather(self.grid, species.positions, self.shape_order)
@@ -134,18 +146,17 @@ class MRSimulation(Simulation):
                 remaining &= ~mask
         if np.any(remaining):
             if np.all(remaining):
-                super()._deposit(species, x_old, x_new, velocities)
-            else:
-                self.kernel_set.deposit_current(
-                    self.grid,
-                    x_old[remaining],
-                    x_new[remaining],
-                    velocities[remaining],
-                    species.weights[remaining],
-                    species.charge,
-                    self.dt,
-                    self.shape_order,
-                )
+                remaining = slice(None)  # views, not masked copies
+            self.kernel_set.deposit_current(
+                self.grid,
+                x_old[remaining],
+                x_new[remaining],
+                velocities[remaining],
+                species.weights[remaining],
+                species.charge,
+                self.dt,
+                self.shape_order,
+            )
 
     def _smooth_fine(self, patch: MRPatch) -> None:
         if self.smoothing_passes > 0:
@@ -193,6 +204,13 @@ class MRSimulation(Simulation):
                 name: np.sort(holder.ids.copy())
                 for name, holder in holders.items()
             }
+
+            def deposit_fine(sp, x_old, x_new, vel):
+                self.kernel_set.deposit_current(
+                    patch.fine, x_old, x_new, vel, sp.weights, sp.charge,
+                    dt_sub, self.shape_order,
+                )
+
             with self._phase(
                 "mr_subcycle", level=1, patch=patch_index, ratio=patch.ratio
             ):
@@ -213,32 +231,14 @@ class MRSimulation(Simulation):
                     patch.assemble_aux_with_external(ext_k)
                     patch.fine.zero_sources()
                     for holder in holders.values():
-                        if holder.n == 0:
-                            continue
-                        e_f, b_f = self.kernel_set.gather(
-                            patch.aux, holder.positions, self.shape_order
-                        )
-                        holder.momenta = self._push_momenta(
-                            holder.momenta, e_f, b_f, holder.charge,
-                            holder.mass, dt_sub,
-                        )
-                        x_old = holder.positions
-                        holder.positions = push_positions(
-                            x_old, holder.momenta, dt_sub, holder.ndim
-                        )
-                        vel = holder.momenta * (
-                            c / lorentz_factor(holder.momenta)
-                        )[:, None]
-                        self.kernel_set.deposit_current(
-                            patch.fine,
-                            x_old,
-                            holder.positions,
-                            vel,
-                            holder.weights,
-                            holder.charge,
-                            dt_sub,
-                            self.shape_order,
-                        )
+                        if holder.n:
+                            # gather the auxiliary field, deposit on the
+                            # fine grid
+                            advance_particles(
+                                patch.aux, holder, self.kernel_set,
+                                self.pusher, dt_sub, self.shape_order,
+                                deposit=deposit_fine,
+                            )
                     self._smooth_fine(patch)
                     patch.accumulate_restricted_currents(1.0 / patch.ratio)
                     patch.substep_fields()

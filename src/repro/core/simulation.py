@@ -11,8 +11,11 @@ standard leapfrog ordering:
 5. Maxwell field advance (E, B: n -> n+1),
 6. field and particle boundaries, moving window shift.
 
-Mesh refinement is layered on top by :class:`repro.core.mr_simulation.
-MRSimulation`, which overrides the gather/deposit/field-advance hooks.
+Steps 1-3 are one call to :func:`repro.particles.advance.
+advance_particles` per species (fused into a single native pass on the
+``compiled`` kernel tier).  Mesh refinement is layered on top by
+:class:`repro.core.mr_simulation.MRSimulation`, which overrides the
+particle-advance and field-advance hooks.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.sanitize import Sanitizer
-from repro.constants import c
 from repro.diagnostics.timers import Timers
 from repro.exceptions import ConfigurationError
 from repro.grid.boundary import (
@@ -37,8 +39,9 @@ from repro.core.moving_window import MovingWindow
 from repro.observability.tracer import NULL_TRACER, phase_span
 from repro.laser.antenna import LaserAntenna
 from repro.particles.injection import DensityProfile, inject_plasma
+from repro.particles.advance import DEPOSITIONS, advance_particles
 from repro.particles.kernels import resolve_kernel_set
-from repro.particles.pusher import lorentz_factor, push_boris, push_positions, push_vay
+from repro.particles.pusher import PUSHERS
 from repro.particles.shapes import required_guards
 from repro.particles.sorting import sort_species_by_bin
 from repro.particles.species import Species
@@ -103,12 +106,12 @@ class Simulation:
     kernels:
         Gather/deposit kernel variant from :mod:`repro.particles.kernels`
         (``"vectorized"`` default, ``"tiled"`` for the sort-aware fast
-        path, ``"compiled"`` for the native numba/C tier, ``"reference"``
-        for the scalar baseline).  All variants compute identical
-        physics; the active name is recorded on the gather/deposit
-        tracer spans.  Requesting a tier whose backend is unavailable on
-        this machine (e.g. ``"compiled"`` without numba or a C compiler)
-        falls back to ``"tiled"``; ``self.kernels`` always names the
+        path, ``"compiled"`` for the native generated-C tier with its
+        fused particle pass, ``"reference"`` for the scalar baseline).
+        All variants compute identical physics; the active name is
+        recorded on the particle-phase tracer spans.  Requesting a tier
+        whose backend is unavailable on this machine (e.g.
+        ``"compiled"`` without a C compiler) falls back to ``"tiled"``; ``self.kernels`` always names the
         variant actually running and ``self.kernel_fallback_reason``
         says why, if a fallback happened.
     precision:
@@ -179,10 +182,10 @@ class Simulation:
                 f"shape order {shape_order} needs at least "
                 f"{required_guards(self.shape_order) + 1} guard cells"
             )
-        if pusher not in ("boris", "vay"):
+        if pusher not in PUSHERS:
             raise ConfigurationError(f"unknown pusher {pusher!r}")
-        self._push_momenta = push_boris if pusher == "boris" else push_vay
-        if deposition not in ("esirkepov", "direct"):
+        self.pusher = pusher
+        if deposition not in DEPOSITIONS:
             raise ConfigurationError(f"unknown deposition {deposition!r}")
         self.deposition = deposition
         #: gather/deposit kernel variant, resolved against the registry;
@@ -302,38 +305,19 @@ class Simulation:
             self._deferred_window_state = None
 
     # -- hooks overridden by the MR simulation ------------------------------
-    def _gather(self, species: Species) -> Tuple[np.ndarray, np.ndarray]:
-        return self.kernel_set.gather(
-            self.grid, species.positions, self.shape_order
+    def _advance_species(self, species: Species, **level_hooks) -> None:
+        """Gather, push and deposit one species (it times itself);
+        ``level_hooks`` are ``advance_particles``' gather=/deposit=."""
+        dispatched = advance_particles(
+            self.grid, species, self.kernel_set, self.pusher, self.dt,
+            self.shape_order, self.deposition, phase=self._phase,
+            **level_hooks,
         )
-
-    def _deposit(
-        self,
-        species: Species,
-        x_old: np.ndarray,
-        x_new: np.ndarray,
-        velocities: np.ndarray,
-    ) -> None:
-        if self.deposition == "esirkepov":
-            self.kernel_set.deposit_current(
-                self.grid,
-                x_old,
-                x_new,
-                velocities,
-                species.weights,
-                species.charge,
-                self.dt,
-                self.shape_order,
-            )
-        else:
-            self.kernel_set.deposit_current_direct(
-                self.grid,
-                0.5 * (x_old + x_new),
-                velocities,
-                species.weights,
-                species.charge,
-                self.shape_order,
-            )
+        if self.metrics is not None:
+            for name in dispatched:
+                self.metrics.counter(
+                    "kernel.dispatch", variant=self.kernels, phase=name
+                ).add(1)
 
     def _finalize_deposits(self) -> None:
         """Hook: combine per-level deposits (used by the MR simulation)."""
@@ -377,28 +361,8 @@ class Simulation:
             g.zero_sources()
 
         for entry in self.entries.values():
-            sp = entry.species
-            if sp.n == 0:
-                continue
-            with self._phase("gather", species=sp.name, kernel=self.kernels):
-                e_f, b_f = self._gather(sp)
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "kernel.dispatch", variant=self.kernels, phase="gather"
-                ).add(1)
-            with self._phase("push", species=sp.name):
-                sp.momenta = self._push_momenta(
-                    sp.momenta, e_f, b_f, sp.charge, sp.mass, self.dt
-                )
-                x_old = sp.positions
-                sp.positions = push_positions(x_old, sp.momenta, self.dt, g.ndim)
-            with self._phase("deposit", species=sp.name, kernel=self.kernels):
-                vel = sp.momenta * (c / lorentz_factor(sp.momenta))[:, None]
-                self._deposit(sp, x_old, sp.positions, vel)
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "kernel.dispatch", variant=self.kernels, phase="deposit"
-                ).add(1)
+            if entry.species.n:
+                self._advance_species(entry.species)
 
         with self._phase("finalize_deposits"):
             self._finalize_deposits()

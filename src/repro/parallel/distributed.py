@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set
 import numpy as np
 
 from repro.analysis.sanitize import Sanitizer
-from repro.constants import c
 from repro.core.costs import CostModel
 from repro.core.simulation import smooth_binomial
 from repro.diagnostics.timers import Timers
@@ -48,10 +47,9 @@ from repro.parallel.redistribute import (
     redistribute_particles,
     wrap_positions_periodic,
 )
-from repro.particles.deposit import deposit_current_esirkepov
-from repro.particles.gather import gather_fields
+from repro.particles.advance import advance_particles
 from repro.particles.injection import DensityProfile, inject_plasma
-from repro.particles.pusher import lorentz_factor, push_boris, push_positions
+from repro.particles.kernels import resolve_kernel_set
 from repro.particles.shapes import required_guards
 from repro.particles.species import Species
 
@@ -90,7 +88,12 @@ class DistributedSpecies:
 
 
 class DistributedSimulation:
-    """Periodic uniform-plasma PIC on an AMReX-style box decomposition."""
+    """Periodic uniform-plasma PIC on an AMReX-style box decomposition.
+
+    ``kernels`` names the particle kernel tier every box advances its
+    particles with (:mod:`repro.particles.kernels`; ``"compiled"`` takes
+    the fused native pass), resolved exactly as in ``Simulation``.
+    """
 
     def __init__(
         self,
@@ -118,12 +121,19 @@ class DistributedSimulation:
         maxwell_solver: str = "yee",
         psatd_guards: Optional[int] = None,
         v_galilean=None,
+        kernels: str = "vectorized",
     ) -> None:
         if maxwell_solver not in ("yee", "psatd"):
             raise ConfigurationError(
                 f"unknown Maxwell solver {maxwell_solver!r}"
             )
         self.maxwell_solver = maxwell_solver
+        #: per-box particle kernels, resolved as in ``Simulation``: an
+        #: unavailable tier degrades to ``tiled`` and records why
+        self.kernel_set, self.kernel_fallback_reason = resolve_kernel_set(
+            kernels
+        )
+        self.kernels = self.kernel_set.name
         if maxwell_solver != "psatd":
             if psatd_guards is not None:
                 raise ConfigurationError(
@@ -362,29 +372,15 @@ class DistributedSimulation:
             self._finish_step()
 
     def _push_and_deposit_box(self, i: int, bg: YeeGrid) -> None:
-        """Gather/push/deposit every species' particles of box ``i``."""
-        ndim = self.domain.ndim
+        """Advance every species' particles of box ``i`` (timed by the
+        caller's ``particles`` phase and ``box`` span)."""
         for dsp in self.species.values():
             sp = dsp.per_box[i]
-            if sp.n == 0:
-                continue
-            e_f, b_f = gather_fields(bg, sp.positions, self.shape_order)
-            sp.momenta = push_boris(
-                sp.momenta, e_f, b_f, sp.charge, sp.mass, self.dt
-            )
-            x_old = sp.positions
-            sp.positions = push_positions(x_old, sp.momenta, self.dt, ndim)
-            vel = sp.momenta * (c / lorentz_factor(sp.momenta))[:, None]
-            deposit_current_esirkepov(
-                bg,
-                x_old,
-                sp.positions,
-                vel,
-                sp.weights,
-                sp.charge,
-                self.dt,
-                self.shape_order,
-            )
+            if sp.n:
+                advance_particles(
+                    bg, sp, self.kernel_set, "boris", self.dt,
+                    self.shape_order,
+                )
 
     def _lb_costs(self) -> np.ndarray:
         """Per-box cost vector driving the rebalance decision.

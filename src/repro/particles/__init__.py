@@ -11,6 +11,7 @@ from repro.particles.shapes import (
     required_guards,
 )
 from repro.particles.pusher import push_boris, push_vay, push_positions, lorentz_factor
+from repro.particles.advance import advance_particles
 from repro.particles.gather import (
     gather_fields,
     gather_fields_reference,
@@ -58,6 +59,7 @@ __all__ = [
     "push_boris",
     "push_vay",
     "push_positions",
+    "advance_particles",
     "lorentz_factor",
     "gather_fields",
     "gather_fields_reference",

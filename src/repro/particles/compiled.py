@@ -1,350 +1,80 @@
-"""The compiled kernel tier: numba ``@njit`` or generated-C + ctypes.
+"""The compiled kernel tier: generated C driven through ctypes.
 
 The paper's headline FOM comes from hand-tuned gather/deposit inner
 loops; the WarpX GPU port (arXiv:2101.12149) showed that the winning
 recipe is *same kernel semantics, new backend behind a dispatch seam,
-cross-validated against the reference*.  This module is that recipe for
-the Python reproduction: a fourth registry tier (``kernels="compiled"``)
-whose per-particle inner loops run as native code.
+cross-validated against the reference* — and that the largest single
+win is one streamed pass that keeps a particle's fields and momentum in
+registers.  This module is that recipe for the Python reproduction: a
+fourth registry tier (``kernels="compiled"``) whose per-particle inner
+loops run as native code.
 
-Backend selection (probed once at import, re-runnable for tests):
+There is one backend.  When a C compiler (``cc``/``gcc``/``clang``) is
+on ``PATH`` the kernels below are compiled into a shared library cached
+by source hash and driven through ctypes; without one (or with
+``REPRO_COMPILED_BACKEND=none``) the tier is *not* registered, the
+registry reports why (:func:`repro.particles.kernels.
+kernel_tier_status`) and dispatch falls through to ``tiled``.
 
-1. **numba** — the scalar twins below are ``@njit``-compiled when numba
-   is importable.  The twins are plain Python functions first, so their
-   logic is unit-testable even on machines without numba.
-2. **generated C + ctypes** — when numba is missing but a C compiler
-   (``cc``/``gcc``/``clang``) is on ``PATH``, a small C translation of
-   the same kernels is generated, compiled into a cached shared library
-   keyed by source hash, and driven through ctypes.
-3. **graceful skip** — with neither available (or with
-   ``REPRO_COMPILED_BACKEND=none``), the tier is *not* registered; the
-   registry reports why (:func:`repro.particles.kernels.
-   kernel_tier_status`) and dispatch falls through to ``tiled``.
+Entry points (each emitted twice over a ``real`` typedef, for float64
+and float32 field storage):
 
-Both backends emit a float64 and a float32 variant of every kernel
-(the C source is instantiated twice over a ``real`` typedef; numba
-specializes per dtype), so the mixed-precision policy — SP fields +
-deposition, DP particle quantities and stencil arithmetic — costs no
-extra code.  Field reads/accumulates happen in the grid dtype; shape
-weights and coordinates stay double, matching the paper's Table III
-"MP mode" (SP fields, DP particle ops).
+``advance``
+    the fused particle pass: per particle, the nodal and half-shifted
+    shape weights once per axis, all six field components gathered into
+    locals, the Boris or Vay momentum update, the position advance — new
+    positions, momenta, velocities and the per-axis maximum displacement
+    come back, and the displacement sizes the ``deposit_esirkepov`` call
+    that follows on the same buffers.  No NumPy temporaries in between.
+``gather`` / ``deposit_nodal`` / ``deposit_esirkepov``
+    the unfused slots (mesh-refined runs, diagnostics, cross-validation).
 
-Numerics contract: on float64 grids the compiled gather and deposits
-match the ``vectorized`` kernels to machine precision (identical weight
-formulas, per-particle accumulation in the same stencil order), and the
-float32 variants stay within the documented error budget of
-:data:`repro.particles.kernels.FLOAT32_ERROR_BUDGET` — both enforced by
-``validate_kernel_set`` and the ``check_kernel_fastpath.py`` CI gate.
+Field reads/accumulates happen in the grid dtype; shape weights,
+coordinates and every particle quantity stay double, matching the
+paper's Table III "MP mode" (SP fields, DP particle ops).
+
+Memory safety: every kernel compares each particle's stencil
+``[base, base + K)`` against the array extent *as a float, before the
+integer cast* (so NaN, inf and 1e9 are caught too), stops at the first
+offender and the wrapper raises ``SanitizerError("SAN005 ...")`` — a
+stray particle is an error, never a segfault or a silent write outside
+``J``, with or without ``REPRO_SANITIZE``.
+
+Numerics contract: no ``-ffast-math`` and no FMA contraction, same
+operation order as the NumPy kernels and pushers.  On float64 grids the
+compiled kernels match ``vectorized`` to machine precision (the fused
+pass reproduces positions bit-identically), and the float32 variants
+stay within :data:`repro.particles.kernels.FLOAT32_ERROR_BUDGET` — both
+enforced by ``validate_kernel_set`` and ``check_kernel_fastpath.py``.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
-import math
 import os
 import shutil
 import subprocess
 import tempfile
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.sanitize import Sanitizer
-from repro.exceptions import ConfigurationError
+from repro.constants import c
+from repro.exceptions import ConfigurationError, SanitizerError
 from repro.grid.yee import FIELD_COMPONENTS, STAGGER, YeeGrid
 from repro.particles.deposit import deposit_current_esirkepov_tiled, esirkepov_window
-from repro.particles.shapes import shape_weights
+from repro.particles.pusher import PUSHERS
 
 #: widest Esirkepov window the compiled kernels handle on-stack; larger
 #: displacements (deep-MR subcycling) fall back to the numpy tiled kernel
 KMAX = 8
 
-#: environment override: "numba", "c", "auto" (default) or "none"
+#: environment override: "c", "auto" (default, same as "c") or "none"
 BACKEND_ENV = "REPRO_COMPILED_BACKEND"
 
-
 # =========================================================================
-# scalar twins: the kernel logic, written once in plain Python
-# -------------------------------------------------------------------------
-# These are the functions numba compiles.  They are also the executable
-# specification of the generated C below — the tests drive them directly
-# (interpreted) on small workloads, so the code a numba machine JITs is
-# verified even on machines without numba.  Layouts are flat and
-# njit-friendly: coords/x0/x1 are (ndim, n) float64, fields are raveled
-# views, strides are element strides.
-# =========================================================================
-
-def _bspline_scalar(order: int, s: float) -> float:
-    s = abs(s)
-    if order == 1:
-        return 1.0 - s if s < 1.0 else 0.0
-    if order == 2:
-        if s <= 0.5:
-            return 0.75 - s * s
-        if s < 1.5:
-            t = 1.5 - s
-            return 0.5 * t * t
-        return 0.0
-    if s <= 1.0:
-        return (4.0 - 6.0 * s * s + 3.0 * s * s * s) / 6.0
-    if s < 2.0:
-        t = 2.0 - s
-        return t * t * t / 6.0
-    return 0.0
-
-
-def _shape_weights_scalar(x: float, order: int, w: np.ndarray) -> int:
-    """Scalar :func:`repro.particles.shapes.shape_weights`: fill ``w``,
-    return the stencil base index (identical formulas, double math)."""
-    if order == 1:
-        fl = math.floor(x)
-        f = x - fl
-        w[0] = 1.0 - f
-        w[1] = f
-        return int(fl)
-    if order == 2:
-        nearest = math.floor(x + 0.5)
-        d = x - nearest
-        w[0] = 0.5 * (0.5 - d) * (0.5 - d)
-        w[1] = 0.75 - d * d
-        w[2] = 0.5 * (0.5 + d) * (0.5 + d)
-        return int(nearest) - 1
-    cell = math.floor(x)
-    f = x - cell
-    omf = 1.0 - f
-    w[0] = omf * omf * omf / 6.0
-    w[1] = (3.0 * f * f * f - 6.0 * f * f + 4.0) / 6.0
-    w[2] = (-3.0 * f * f * f + 3.0 * f * f + 3.0 * f + 1.0) / 6.0
-    w[3] = f * f * f / 6.0
-    return int(cell) - 1
-
-
-def _gather_comp_py(  # repro: allow(PIC007)
-    field: np.ndarray,
-    strides: np.ndarray,
-    ndim: int,
-    order: int,
-    coords: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """Gather one component at (ndim, n) staggered lattice ``coords``."""
-    n = coords.shape[1]
-    K = order + 1
-    i0 = np.zeros(3, dtype=np.int64)
-    w = np.zeros((3, 4), dtype=np.float64)
-    for p in range(n):
-        for d in range(ndim):
-            i0[d] = _shape_weights_scalar(coords[d, p], order, w[d])
-        acc = 0.0
-        if ndim == 3:
-            for a in range(K):
-                base_a = (i0[0] + a) * strides[0]
-                for b in range(K):
-                    base_b = base_a + (i0[1] + b) * strides[1]
-                    wab = w[0, a] * w[1, b]
-                    for cc in range(K):
-                        acc += wab * w[2, cc] * field[
-                            base_b + (i0[2] + cc) * strides[2]
-                        ]
-        elif ndim == 2:
-            for a in range(K):
-                base_a = (i0[0] + a) * strides[0]
-                for b in range(K):
-                    acc += w[0, a] * w[1, b] * field[
-                        base_a + (i0[1] + b) * strides[1]
-                    ]
-        else:
-            for a in range(K):
-                acc += w[0, a] * field[(i0[0] + a) * strides[0]]
-        out[p] = acc
-
-
-def _deposit_nodal_py(  # repro: allow(PIC007)
-    field: np.ndarray,
-    strides: np.ndarray,
-    ndim: int,
-    order: int,
-    coords: np.ndarray,
-    vals: np.ndarray,
-) -> None:
-    """Scatter per-particle ``vals`` through an order-``order`` stencil."""
-    n = coords.shape[1]
-    K = order + 1
-    i0 = np.zeros(3, dtype=np.int64)
-    w = np.zeros((3, 4), dtype=np.float64)
-    for p in range(n):
-        for d in range(ndim):
-            i0[d] = _shape_weights_scalar(coords[d, p], order, w[d])
-        v = vals[p]
-        if ndim == 3:
-            for a in range(K):
-                base_a = (i0[0] + a) * strides[0]
-                for b in range(K):
-                    base_b = base_a + (i0[1] + b) * strides[1]
-                    vab = v * w[0, a] * w[1, b]
-                    for cc in range(K):
-                        field[base_b + (i0[2] + cc) * strides[2]] += (
-                            vab * w[2, cc]
-                        )
-        elif ndim == 2:
-            for a in range(K):
-                base_a = (i0[0] + a) * strides[0]
-                va = v * w[0, a]
-                for b in range(K):
-                    field[base_a + (i0[1] + b) * strides[1]] += va * w[1, b]
-        else:
-            for a in range(K):
-                field[(i0[0] + a) * strides[0]] += v * w[0, a]
-
-
-def _deposit_esirkepov_py(  # repro: allow(PIC007)
-    jx: np.ndarray,
-    jy: np.ndarray,
-    jz: np.ndarray,
-    strides: np.ndarray,
-    ndim: int,
-    order: int,
-    K: int,
-    tight: int,
-    x0: np.ndarray,
-    x1: np.ndarray,
-    vel: np.ndarray,
-    qw: np.ndarray,
-    dt: float,
-    dx: np.ndarray,
-) -> None:
-    """Per-particle Esirkepov deposition over a K-point window.
-
-    Identical decomposition to :func:`repro.particles.deposit.
-    _deposit_current_esirkepov_impl` (including the tight odd-order
-    window re-centering), with the vectorized cumsums unrolled into
-    per-particle running sums.
-    """
-    n = qw.shape[0]
-    half = (K - 1) // 2
-    base = np.zeros(3, dtype=np.int64)
-    s0 = np.zeros((3, KMAX), dtype=np.float64)
-    ds = np.zeros((3, KMAX), dtype=np.float64)
-    t_a = np.zeros((KMAX, KMAX), dtype=np.float64)
-    t_b = np.zeros((KMAX, KMAX), dtype=np.float64)
-    t_c = np.zeros((KMAX, KMAX), dtype=np.float64)
-    for p in range(n):
-        for d in range(ndim):
-            a = x0[d, p]
-            b = x1[d, p]
-            xm = 0.5 * (a + b)
-            if tight != 0 and order % 2 == 1:
-                bb = math.floor(xm + 0.5)
-            else:
-                bb = math.floor(xm)
-            bi = int(bb) - half
-            base[d] = bi
-            for k in range(K):
-                pt = float(bi + k)
-                s0v = _bspline_scalar(order, pt - a)
-                s0[d, k] = s0v
-                ds[d, k] = _bspline_scalar(order, pt - b) - s0v
-        q = qw[p]
-        if ndim == 3:
-            cx = -q / (dt * dx[1] * dx[2])
-            cy = -q / (dt * dx[0] * dx[2])
-            cz = -q / (dt * dx[0] * dx[1])
-            for j in range(K):
-                for k in range(K):
-                    t_a[j, k] = (
-                        s0[1, j] * s0[2, k]
-                        + 0.5 * ds[1, j] * s0[2, k]
-                        + 0.5 * s0[1, j] * ds[2, k]
-                        + ds[1, j] * ds[2, k] / 3.0
-                    )
-            for i in range(K):
-                for k in range(K):
-                    t_b[i, k] = (
-                        s0[0, i] * s0[2, k]
-                        + 0.5 * ds[0, i] * s0[2, k]
-                        + 0.5 * s0[0, i] * ds[2, k]
-                        + ds[0, i] * ds[2, k] / 3.0
-                    )
-            for i in range(K):
-                for j in range(K):
-                    t_c[i, j] = (
-                        s0[0, i] * s0[1, j]
-                        + 0.5 * ds[0, i] * s0[1, j]
-                        + 0.5 * s0[0, i] * ds[1, j]
-                        + ds[0, i] * ds[1, j] / 3.0
-                    )
-            for j in range(K):
-                for k in range(K):
-                    addr_jk = (base[1] + j) * strides[1] + (
-                        base[2] + k
-                    ) * strides[2]
-                    acc = 0.0
-                    for i in range(K):
-                        acc += ds[0, i] * t_a[j, k]
-                        jx[(base[0] + i) * strides[0] + addr_jk] += cx * acc
-            for i in range(K):
-                for k in range(K):
-                    addr_ik = (base[0] + i) * strides[0] + (
-                        base[2] + k
-                    ) * strides[2]
-                    acc = 0.0
-                    for j in range(K):
-                        acc += ds[1, j] * t_b[i, k]
-                        jy[addr_ik + (base[1] + j) * strides[1]] += cy * acc
-            for i in range(K):
-                for j in range(K):
-                    addr_ij = (base[0] + i) * strides[0] + (
-                        base[1] + j
-                    ) * strides[1]
-                    acc = 0.0
-                    for k in range(K):
-                        acc += ds[2, k] * t_c[i, j]
-                        jz[addr_ij + (base[2] + k) * strides[2]] += cz * acc
-        elif ndim == 2:
-            cx = -q / (dt * dx[1])
-            cy = -q / (dt * dx[0])
-            cz = q * vel[p, 2] / (dx[0] * dx[1])
-            for j in range(K):
-                addr_j = (base[1] + j) * strides[1]
-                ty = s0[1, j] + 0.5 * ds[1, j]
-                acc = 0.0
-                for i in range(K):
-                    acc += ds[0, i] * ty
-                    jx[(base[0] + i) * strides[0] + addr_j] += cx * acc
-            for i in range(K):
-                addr_i = (base[0] + i) * strides[0]
-                tx = s0[0, i] + 0.5 * ds[0, i]
-                acc = 0.0
-                for j in range(K):
-                    acc += ds[1, j] * tx
-                    jy[addr_i + (base[1] + j) * strides[1]] += cy * acc
-            for i in range(K):
-                addr_i = (base[0] + i) * strides[0]
-                for j in range(K):
-                    wz = (
-                        s0[0, i] * s0[1, j]
-                        + 0.5 * ds[0, i] * s0[1, j]
-                        + 0.5 * s0[0, i] * ds[1, j]
-                        + ds[0, i] * ds[1, j] / 3.0
-                    )
-                    jz[addr_i + (base[1] + j) * strides[1]] += cz * wz
-        else:
-            cx = -q / dt
-            cy = q * vel[p, 1] / dx[0]
-            cz = q * vel[p, 2] / dx[0]
-            acc = 0.0
-            for i in range(K):
-                addr = (base[0] + i) * strides[0]
-                acc += ds[0, i]
-                jx[addr] += cx * acc
-                tx = s0[0, i] + 0.5 * ds[0, i]
-                jy[addr] += cy * tx
-                jz[addr] += cz * tx
-
-
-# =========================================================================
-# generated C: the same kernels over a `real` typedef, compiled once
+# generated C: the kernels over a `real` typedef, compiled once
 # =========================================================================
 
 _C_HEADER = r"""
@@ -354,6 +84,9 @@ _C_HEADER = r"""
 typedef int64_t i64;
 
 #define REPRO_KMAX 8
+
+/* stagger of Ex, Ey, Ez, Bx, By, Bz (generated from repro.grid.yee) */
+static const int repro_stagger[6][3] = {@STAGGER@};
 
 static double repro_bspline(int order, double s) {
     s = fabs(s);
@@ -368,79 +101,159 @@ static double repro_bspline(int order, double s) {
     return 0.0;
 }
 
-static i64 repro_shape_weights(double x, int order, double *w) {
+/* geom = {lo[3], dx[3], guards}: nodal lattice coordinate along axis d */
+static inline double repro_lattice(double x, const double *geom, int d) {
+    return (x - geom[d]) / geom[3 + d] + geom[6];
+}
+
+/* Does [base, base + width) fit in [0, extent)?  `base` is still a float:
+   NaN, inf and values beyond the integer range all answer no. */
+static inline int repro_in_range(double base, int width, i64 extent) {
+    return base >= 0.0 && base <= (double)(extent - width);
+}
+
+/* floor(x) without libm: for 0 <= x < extent the truncating cast is an
+   exact floor.  Every stencil that fits the array lies in that range;
+   outside it (NaN included) nothing is cast and 0 is returned. */
+static inline int repro_floor(double x, i64 extent, double *fl) {
+    if (!(x >= 0.0 && x < (double)extent)) return 0;
+    *fl = (double)(i64)x;
+    return 1;
+}
+
+/* Weights and first point of the order+1 stencil around lattice
+   coordinate x; returns 0 (nothing cast, *base untouched) when the
+   stencil leaves the array. */
+static inline int repro_shape_weights(double x, int order, i64 extent,
+                                      i64 *base, double *w) {
+    double b;
     if (order == 1) {
-        double fl = floor(x);
-        double f = x - fl;
+        if (!repro_floor(x, extent, &b)) return 0;
+        double f = x - b;
         w[0] = 1.0 - f; w[1] = f;
-        return (i64)fl;
-    }
-    if (order == 2) {
-        double nearest = floor(x + 0.5);
+    } else if (order == 2) {
+        double nearest;
+        if (!repro_floor(x + 0.5, extent, &nearest)) return 0;
         double d = x - nearest;
         w[0] = 0.5 * (0.5 - d) * (0.5 - d);
         w[1] = 0.75 - d * d;
         w[2] = 0.5 * (0.5 + d) * (0.5 + d);
-        return (i64)nearest - 1;
-    }
-    {
-        double cell = floor(x);
+        b = nearest - 1.0;
+    } else {
+        double cell;
+        if (!repro_floor(x, extent, &cell)) return 0;
         double f = x - cell;
         double omf = 1.0 - f;
         w[0] = omf * omf * omf / 6.0;
         w[1] = (3.0 * f * f * f - 6.0 * f * f + 4.0) / 6.0;
         w[2] = (-3.0 * f * f * f + 3.0 * f * f + 3.0 * f + 1.0) / 6.0;
         w[3] = f * f * f / 6.0;
-        return (i64)cell - 1;
+        b = cell - 1.0;
     }
+    if (!repro_in_range(b, order + 1, extent)) return 0;
+    *base = (i64)b;
+    return 1;
 }
 """
 
+# Every kernel returns -1, or the index of the first particle whose
+# stencil leaves the array with the offending axis in *bad_axis.
 _C_KERNELS = r"""
-void gather_comp_@SUF@(const @REAL@ *field, const i64 *strides, int ndim,
-                       int order, i64 n, const double *coords, double *out) {
-    int K = order + 1;
-    for (i64 p = 0; p < n; ++p) {
-        i64 i0[3] = {0, 0, 0};
-        double w[3][4];
-        for (int d = 0; d < ndim; ++d)
-            i0[d] = repro_shape_weights(coords[(i64)d * n + p], order, w[d]);
-        double acc = 0.0;
-        if (ndim == 3) {
-            for (int a = 0; a < K; ++a) {
-                i64 base_a = (i0[0] + a) * strides[0];
-                for (int b = 0; b < K; ++b) {
-                    i64 base_b = base_a + (i0[1] + b) * strides[1];
-                    double wab = w[0][a] * w[1][b];
-                    for (int c = 0; c < K; ++c)
-                        acc += wab * w[2][c]
-                             * (double)field[base_b + (i0[2] + c) * strides[2]];
-                }
+static inline double stencil_sum_@SUF@(const @REAL@ *field,
+    const i64 *strides, int ndim, int K, const i64 *i0,
+    const double *const *w) {
+    double acc = 0.0;
+    if (ndim == 3) {
+        for (int a = 0; a < K; ++a) {
+            i64 base_a = (i0[0] + a) * strides[0];
+            for (int b = 0; b < K; ++b) {
+                i64 base_b = base_a + (i0[1] + b) * strides[1];
+                double wab = w[0][a] * w[1][b];
+                for (int c = 0; c < K; ++c)
+                    acc += wab * w[2][c]
+                         * (double)field[base_b + (i0[2] + c) * strides[2]];
             }
-        } else if (ndim == 2) {
-            for (int a = 0; a < K; ++a) {
-                i64 base_a = (i0[0] + a) * strides[0];
-                for (int b = 0; b < K; ++b)
-                    acc += w[0][a] * w[1][b]
-                         * (double)field[base_a + (i0[1] + b) * strides[1]];
-            }
-        } else {
-            for (int a = 0; a < K; ++a)
-                acc += w[0][a] * (double)field[(i0[0] + a) * strides[0]];
         }
-        out[p] = acc;
+    } else if (ndim == 2) {
+        for (int a = 0; a < K; ++a) {
+            i64 base_a = (i0[0] + a) * strides[0];
+            for (int b = 0; b < K; ++b)
+                acc += w[0][a] * w[1][b]
+                     * (double)field[base_a + (i0[1] + b) * strides[1]];
+        }
+    } else {
+        for (int a = 0; a < K; ++a)
+            acc += w[0][a] * (double)field[(i0[0] + a) * strides[0]];
     }
+    return acc;
 }
 
-void deposit_nodal_@SUF@(@REAL@ *field, const i64 *strides, int ndim,
-                         int order, i64 n, const double *coords,
-                         const double *vals) {
+/* All six field components at one particle: the nodal and the
+   half-cell-shifted shape weights are evaluated once per axis and each
+   component picks per axis by its stagger.  f = {Ex, Ey, Ez, Bx, By, Bz};
+   returns the offending axis, or -1. */
+static inline int gather6_@SUF@(const @REAL@ *const *fields,
+    const i64 *strides, const i64 *shape, int ndim, int order,
+    const double *x, const double *geom, double *f) {
+    /* [0]: nodal stencil, [1]: half-cell-shifted stencil */
+    i64 i0[2][3] = {{0, 0, 0}, {0, 0, 0}};
+    double w[2][3][4];
+    for (int d = 0; d < ndim; ++d) {
+        double xl = repro_lattice(x[d], geom, d);
+        if (!repro_shape_weights(xl, order, shape[d], &i0[0][d], w[0][d])
+            || !repro_shape_weights(xl - 0.5, order, shape[d],
+                                    &i0[1][d], w[1][d]))
+            return d;
+    }
+    for (int c = 0; c < 6; ++c) {
+        i64 ic[3] = {0, 0, 0};
+        const double *wc[3] = {0, 0, 0};
+        for (int d = 0; d < ndim; ++d) {
+            int s = repro_stagger[c][d];
+            ic[d] = i0[s][d];
+            wc[d] = w[s][d];
+        }
+        f[c] = stencil_sum_@SUF@(fields[c], strides, ndim, order + 1, ic, wc);
+    }
+    return -1;
+}
+
+/* e_out, b_out: (n, 3) */
+i64 gather_@SUF@(const @REAL@ *ex, const @REAL@ *ey, const @REAL@ *ez,
+    const @REAL@ *bx, const @REAL@ *by, const @REAL@ *bz,
+    const i64 *strides, const i64 *shape, const double *geom, int ndim,
+    int order, i64 n, const double *pos, double *e_out, double *b_out,
+    int *bad_axis) {
+    const @REAL@ *fields[6] = {ex, ey, ez, bx, by, bz};
+    for (i64 p = 0; p < n; ++p) {
+        double f[6];
+        *bad_axis = gather6_@SUF@(fields, strides, shape, ndim, order,
+                                  pos + p * ndim, geom, f);
+        if (*bad_axis >= 0) return p;
+        for (int j = 0; j < 3; ++j) {
+            e_out[3 * p + j] = f[j];
+            b_out[3 * p + j] = f[3 + j];
+        }
+    }
+    return -1;
+}
+
+/* `shift`: the component's half-cell stagger per axis (0.0 or 0.5) */
+i64 deposit_nodal_@SUF@(@REAL@ *field, const i64 *strides,
+    const i64 *shape, const double *geom, int ndim, int order, i64 n,
+    const double *pos, const double *shift, const double *vals,
+    int *bad_axis) {
     int K = order + 1;
     for (i64 p = 0; p < n; ++p) {
         i64 i0[3] = {0, 0, 0};
         double w[3][4];
-        for (int d = 0; d < ndim; ++d)
-            i0[d] = repro_shape_weights(coords[(i64)d * n + p], order, w[d]);
+        for (int d = 0; d < ndim; ++d) {
+            double x = repro_lattice(pos[p * ndim + d], geom, d) - shift[d];
+            if (!repro_shape_weights(x, order, shape[d], &i0[d], w[d])) {
+                *bad_axis = d;
+                return p;
+            }
+        }
         double v = vals[p];
         if (ndim == 3) {
             for (int a = 0; a < K; ++a) {
@@ -466,12 +279,90 @@ void deposit_nodal_@SUF@(@REAL@ *field, const i64 *strides, int ndim,
                 field[(i0[0] + a) * strides[0]] += (@REAL@)(v * w[0][a]);
         }
     }
+    return -1;
 }
 
-void deposit_esirkepov_@SUF@(@REAL@ *jx, @REAL@ *jy, @REAL@ *jz,
-    const i64 *strides, int ndim, int order, int K, int tight, i64 n,
-    const double *x0, const double *x1, const double *vel,
-    const double *qw, double dt, const double *dx) {
+/* The gather -> momentum -> position stage of the fused particle pass.
+   Operation order follows push_boris / push_vay / push_positions term by
+   term; kq = q dt / (2 m c), hq = q dt / (2 m), cdt = c dt. */
+i64 advance_@SUF@(const @REAL@ *ex, const @REAL@ *ey, const @REAL@ *ez,
+    const @REAL@ *bx, const @REAL@ *by, const @REAL@ *bz,
+    const i64 *strides, const i64 *shape, const double *geom, int ndim,
+    int order, i64 n, int vay, const double *pos, const double *mom,
+    double kq, double hq, double clight, double cdt,
+    double *pos_new, double *mom_new, double *vel, double *max_disp,
+    int *bad_axis) {
+    const @REAL@ *fields[6] = {ex, ey, ez, bx, by, bz};
+    for (i64 p = 0; p < n; ++p) {
+        double f[6];
+        *bad_axis = gather6_@SUF@(fields, strides, shape, ndim, order,
+                                  pos + p * ndim, geom, f);
+        if (*bad_axis >= 0) return p;
+        const double *e = f, *b = f + 3, *u = mom + 3 * p;
+        double un[3];
+        if (!vay) {
+            double um[3], t[3], s[3], up[3];
+            for (int j = 0; j < 3; ++j) um[j] = u[j] + kq * e[j];
+            double gm = sqrt(1.0 + (um[0] * um[0] + um[1] * um[1]
+                                    + um[2] * um[2]));
+            for (int j = 0; j < 3; ++j) t[j] = hq * b[j] / gm;
+            double t2 = t[0] * t[0] + t[1] * t[1] + t[2] * t[2];
+            for (int j = 0; j < 3; ++j) s[j] = 2.0 * t[j] / (1.0 + t2);
+            up[0] = um[0] + (um[1] * t[2] - um[2] * t[1]);
+            up[1] = um[1] + (um[2] * t[0] - um[0] * t[2]);
+            up[2] = um[2] + (um[0] * t[1] - um[1] * t[0]);
+            un[0] = um[0] + (up[1] * s[2] - up[2] * s[1]) + kq * e[0];
+            un[1] = um[1] + (up[2] * s[0] - up[0] * s[2]) + kq * e[1];
+            un[2] = um[2] + (up[0] * s[1] - up[1] * s[0]) + kq * e[2];
+        } else {
+            double v[3], up[3], tau[3], tv[3];
+            double gn = sqrt(1.0 + (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]));
+            for (int j = 0; j < 3; ++j) v[j] = u[j] * (clight / gn);
+            up[0] = u[0] + kq * (e[0] + (v[1] * b[2] - v[2] * b[1])) + kq * e[0];
+            up[1] = u[1] + kq * (e[1] + (v[2] * b[0] - v[0] * b[2])) + kq * e[1];
+            up[2] = u[2] + kq * (e[2] + (v[0] * b[1] - v[1] * b[0])) + kq * e[2];
+            for (int j = 0; j < 3; ++j) tau[j] = hq * b[j];
+            double tau2 = tau[0] * tau[0] + tau[1] * tau[1] + tau[2] * tau[2];
+            double ustar = up[0] * tau[0] + up[1] * tau[1] + up[2] * tau[2];
+            double gp2 = 1.0 + (up[0] * up[0] + up[1] * up[1] + up[2] * up[2]);
+            double sigma = gp2 - tau2;
+            double gnew = sqrt(0.5 * (sigma + sqrt(sigma * sigma
+                               + 4.0 * (tau2 + ustar * ustar))));
+            for (int j = 0; j < 3; ++j) tv[j] = tau[j] / gnew;
+            double sfac = 1.0 / (1.0 + (tv[0] * tv[0] + tv[1] * tv[1]
+                                        + tv[2] * tv[2]));
+            double dot = up[0] * tv[0] + up[1] * tv[1] + up[2] * tv[2];
+            un[0] = sfac * (up[0] + dot * tv[0] + (up[1] * tv[2] - up[2] * tv[1]));
+            un[1] = sfac * (up[1] + dot * tv[1] + (up[2] * tv[0] - up[0] * tv[2]));
+            un[2] = sfac * (up[2] + dot * tv[2] + (up[0] * tv[1] - up[1] * tv[0]));
+        }
+        double gamma = sqrt(1.0 + (un[0] * un[0] + un[1] * un[1]
+                                   + un[2] * un[2]));
+        for (int j = 0; j < 3; ++j) {
+            mom_new[3 * p + j] = un[j];
+            vel[3 * p + j] = un[j] * (clight / gamma);
+        }
+        for (int d = 0; d < ndim; ++d) {
+            double x_old = pos[p * ndim + d];
+            double x_new = x_old + (un[d] / gamma) * cdt;
+            pos_new[p * ndim + d] = x_new;
+            double disp = fabs(x_new - x_old);
+            if (disp > max_disp[d]) max_disp[d] = disp;
+        }
+    }
+    return -1;
+}
+
+/* Per-particle Esirkepov deposition over a K-point window: identical
+   decomposition to repro.particles.deposit._deposit_current_esirkepov_impl
+   (including the tight odd-order window re-centering), the vectorized
+   cumsums unrolled into per-particle running sums. */
+i64 deposit_esirkepov_@SUF@(@REAL@ *jx, @REAL@ *jy, @REAL@ *jz,
+    const i64 *strides, const i64 *shape, const double *geom, int ndim,
+    int order, i64 n, int K, int tight, const double *pos_old,
+    const double *pos_new, const double *vel, const double *weights,
+    double charge, double dt, int *bad_axis) {
+    const double *dx = geom + 3;
     i64 base[3] = {0, 0, 0};
     double s0[3][REPRO_KMAX], ds[3][REPRO_KMAX];
     double t_a[REPRO_KMAX][REPRO_KMAX];
@@ -480,9 +371,16 @@ void deposit_esirkepov_@SUF@(@REAL@ *jx, @REAL@ *jy, @REAL@ *jz,
     int half = (K - 1) / 2;
     for (i64 p = 0; p < n; ++p) {
         for (int d = 0; d < ndim; ++d) {
-            double a = x0[(i64)d * n + p], b = x1[(i64)d * n + p];
+            double a = repro_lattice(pos_old[p * ndim + d], geom, d);
+            double b = repro_lattice(pos_new[p * ndim + d], geom, d);
             double xm = 0.5 * (a + b);
-            double bb = (tight && (order & 1)) ? floor(xm + 0.5) : floor(xm);
+            double bb;
+            if (!repro_floor((tight && (order & 1)) ? xm + 0.5 : xm,
+                             shape[d], &bb)
+                || !repro_in_range(bb - half, K, shape[d])) {
+                *bad_axis = d;
+                return p;
+            }
             i64 bi = (i64)bb - half;
             base[d] = bi;
             for (int k = 0; k < K; ++k) {
@@ -492,7 +390,7 @@ void deposit_esirkepov_@SUF@(@REAL@ *jx, @REAL@ *jy, @REAL@ *jz,
                 ds[d][k] = repro_bspline(order, pt - b) - s0v;
             }
         }
-        double q = qw[p];
+        double q = charge * weights[p];
         if (ndim == 3) {
             double cx = -q / (dt * dx[1] * dx[2]);
             double cy = -q / (dt * dx[0] * dx[2]);
@@ -598,13 +496,17 @@ void deposit_esirkepov_@SUF@(@REAL@ *jx, @REAL@ *jy, @REAL@ *jz,
             }
         }
     }
+    return -1;
 }
 """
 
 
 def c_source() -> str:
     """The full generated C translation unit (double + float variants)."""
-    parts = [_C_HEADER]
+    stagger = ", ".join(
+        "{%d, %d, %d}" % STAGGER[comp] for comp in FIELD_COMPONENTS
+    )
+    parts = [_C_HEADER.replace("@STAGGER@", stagger)]
     for real, suf in (("double", "f64"), ("float", "f32")):
         parts.append(_C_KERNELS.replace("@REAL@", real).replace("@SUF@", suf))
     return "".join(parts)
@@ -624,10 +526,17 @@ def _cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-kernels-{uid}")
 
 
+#: -ffp-contract=off: on targets with FMA in the baseline ISA the compiler
+#: would otherwise fuse a*b+c and break the same-rounding-as-NumPy contract
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+
 def compile_c_library(compiler: str) -> ctypes.CDLL:
     """Compile (or reuse a cached build of) the generated kernels."""
     src = c_source()
-    digest = hashlib.sha256(src.encode("utf8")).hexdigest()[:16]
+    digest = hashlib.sha256(
+        (src + " ".join(_CFLAGS)).encode("utf8")
+    ).hexdigest()[:16]
     cache = _cache_dir()
     os.makedirs(cache, exist_ok=True)
     lib_path = os.path.join(cache, f"kernels-{digest}.so")
@@ -636,7 +545,7 @@ def compile_c_library(compiler: str) -> ctypes.CDLL:
         with open(src_path, "w", encoding="utf8") as fh:
             fh.write(src)
         tmp_path = f"{lib_path}.{os.getpid()}.tmp"
-        cmd = [compiler, "-O3", "-fPIC", "-shared", "-o", tmp_path, src_path]
+        cmd = [compiler, *_CFLAGS, "-o", tmp_path, src_path]
         proc = subprocess.run(
             cmd, capture_output=True, text=True, timeout=120
         )
@@ -649,122 +558,75 @@ def compile_c_library(compiler: str) -> ctypes.CDLL:
     return ctypes.CDLL(lib_path)
 
 
+def _ptr(arr: np.ndarray) -> ctypes.c_void_p:
+    return arr.ctypes.data_as(ctypes.c_void_p)
+
+
+def _f64(arr: np.ndarray) -> np.ndarray:  # repro: allow(PIC007)
+    """Particle-side arrays cross the ctypes boundary as contiguous DP."""
+    return np.ascontiguousarray(arr, dtype=np.float64)
+
+
 class CBackend:
     """ctypes driver of the generated-C kernels (f64 + f32 symbols)."""
 
     name = "c"
 
     def __init__(self, lib: ctypes.CDLL) -> None:
-        self._gather = {}
-        self._nodal = {}
-        self._esirkepov = {}
-        vp, ci, c64 = ctypes.c_void_p, ctypes.c_int, ctypes.c_int64
-        for suf, itemsize in (("f64", 8), ("f32", 4)):
-            g = getattr(lib, f"gather_comp_{suf}")
-            g.argtypes = [vp, vp, ci, ci, c64, vp, vp]
-            g.restype = None
-            self._gather[itemsize] = g
-            d = getattr(lib, f"deposit_nodal_{suf}")
-            d.argtypes = [vp, vp, ci, ci, c64, vp, vp]
-            d.restype = None
-            self._nodal[itemsize] = d
-            e = getattr(lib, f"deposit_esirkepov_{suf}")
-            e.argtypes = [vp, vp, vp, vp, ci, ci, ci, ci, c64, vp, vp, vp,
-                          vp, ctypes.c_double, vp]
-            e.restype = None
-            self._esirkepov[itemsize] = e
-
-    @staticmethod
-    def _p(arr: np.ndarray) -> ctypes.c_void_p:
-        return arr.ctypes.data_as(ctypes.c_void_p)
-
-    def gather_comp(self, field, strides, ndim, order, coords, out) -> None:
-        fn = self._gather[field.dtype.itemsize]
-        fn(self._p(field), self._p(strides), ndim, order,
-           coords.shape[1], self._p(coords), self._p(out))
-
-    def deposit_nodal(self, field, strides, ndim, order, coords, vals) -> None:
-        fn = self._nodal[field.dtype.itemsize]
-        fn(self._p(field), self._p(strides), ndim, order,
-           coords.shape[1], self._p(coords), self._p(vals))
-
-    def deposit_esirkepov(
-        self, jx, jy, jz, strides, ndim, order, K, tight, x0, x1, vel, qw,
-        dt, dx,
-    ) -> None:
-        fn = self._esirkepov[jx.dtype.itemsize]
-        fn(self._p(jx), self._p(jy), self._p(jz), self._p(strides),
-           ndim, order, K, int(tight), qw.shape[0], self._p(x0),
-           self._p(x1), self._p(vel), self._p(qw), float(dt), self._p(dx))
-
-
-class NumbaBackend:
-    """``@njit``-compiled scalar twins behind the same driver interface."""
-
-    name = "numba"
-
-    def __init__(self, gather_fn, nodal_fn, esirkepov_fn) -> None:
-        self._gather_fn = gather_fn
-        self._nodal_fn = nodal_fn
-        self._esirkepov_fn = esirkepov_fn
-
-    def gather_comp(self, field, strides, ndim, order, coords, out) -> None:
-        self._gather_fn(field.ravel(), strides, ndim, order, coords, out)
-
-    def deposit_nodal(self, field, strides, ndim, order, coords, vals) -> None:
-        self._nodal_fn(field.ravel(), strides, ndim, order, coords, vals)
-
-    def deposit_esirkepov(
-        self, jx, jy, jz, strides, ndim, order, K, tight, x0, x1, vel, qw,
-        dt, dx,
-    ) -> None:
-        # fields are C-contiguous so ravel() is a writable view
-        self._esirkepov_fn(
-            jx.ravel(), jy.ravel(), jz.ravel(), strides, ndim, order, K,
-            int(tight), x0, x1, vel, qw, float(dt), dx,
+        vp, ci, c64, cd = (
+            ctypes.c_void_p, ctypes.c_int, ctypes.c_int64, ctypes.c_double,
         )
+        # every kernel: field arrays, then (strides, shape, geom, ndim,
+        # order, n), its own arguments, and the bad_axis out-parameter
+        common = [vp, vp, vp, ci, ci, c64]
+        signatures = {
+            "gather": [vp] * 6 + common + [vp, vp, vp, vp],
+            "deposit_nodal": [vp] + common + [vp, vp, vp, vp],
+            "advance": [vp] * 6 + common
+            + [ci, vp, vp, cd, cd, cd, cd, vp, vp, vp, vp, vp],
+            "deposit_esirkepov": [vp] * 3 + common
+            + [ci, ci, vp, vp, vp, vp, cd, cd, vp],
+        }
+        self._fn = {}
+        for kernel, argtypes in signatures.items():
+            for suf, itemsize in (("f64", 8), ("f32", 4)):
+                fn = getattr(lib, f"{kernel}_{suf}")
+                fn.argtypes = argtypes
+                fn.restype = c64
+                self._fn[kernel, itemsize] = fn
 
+    def call(self, kernel: str, grid: YeeGrid, components, order: int,  # repro: allow(PIC007)
+             n: int, *args) -> None:
+        """Run ``kernel`` over ``n`` particles on ``grid``'s ``components``.
 
-class PythonBackend(NumbaBackend):
-    """The un-jitted twins — far too slow to register as a tier, but the
-    exact logic numba compiles; used by tests to validate that logic."""
-
-    name = "python"
-
-    def __init__(self) -> None:
-        super().__init__(_gather_comp_py, _deposit_nodal_py,
-                         _deposit_esirkepov_py)
-
-
-def _import_numba():
-    try:
-        import numba  # type: ignore
-    except Exception:
-        return None
-    return numba
-
-
-def build_numba_backend() -> Tuple[Optional[NumbaBackend], str]:
-    """(backend, detail): ``@njit`` the scalar twins if numba imports."""
-    numba = _import_numba()
-    if numba is None:
-        return None, "numba not importable"
-    try:
-        njit = numba.njit(cache=False, fastmath=False, nogil=True)
-        # the twins call the scalar helpers through module globals, so
-        # the helpers must be jitted first (numba resolves globals at
-        # first compile)
-        global _bspline_scalar, _shape_weights_scalar
-        if not hasattr(_bspline_scalar, "py_func"):
-            _bspline_scalar = njit(_bspline_scalar)
-            _shape_weights_scalar = njit(_shape_weights_scalar)
-        backend = NumbaBackend(
-            njit(_gather_comp_py), njit(_deposit_nodal_py),
-            njit(_deposit_esirkepov_py),
+        The kernels index the arrays through element strides and check
+        every stencil against the extents; an out-of-range one comes
+        back as a particle index and is raised as SAN005.
+        """
+        arrays = [grid.fields[comp] for comp in components]
+        sample = arrays[0]
+        strides = np.array(
+            [s // sample.itemsize for s in sample.strides], dtype=np.int64
         )
-    except Exception as exc:  # pragma: no cover - depends on numba install
-        return None, f"numba backend failed to build: {exc}"
-    return backend, f"numba {getattr(numba, '__version__', '?')}"
+        extents = np.array(sample.shape, dtype=np.int64)
+        # {lo[3], dx[3], guards}: particle position -> lattice coordinate
+        geom = np.ones(7, dtype=np.float64)
+        geom[: grid.ndim] = grid.lo
+        geom[3 : 3 + grid.ndim] = grid.dx
+        geom[6] = grid.guards
+        bad_axis = ctypes.c_int(-1)
+        p = self._fn[kernel, sample.dtype.itemsize](
+            *map(_ptr, arrays), _ptr(strides), _ptr(extents), _ptr(geom),
+            grid.ndim, order, n, *args, ctypes.byref(bad_axis),
+        )
+        if p >= 0:
+            axis = bad_axis.value
+            raise SanitizerError(
+                f"SAN005: stencil of particle {p} out of range in compiled "
+                f"{kernel} for {'/'.join(components)} on axis {axis} (array "
+                f"extent {sample.shape[axis]}); the kernel stopped before "
+                "addressing memory outside the padded field array"
+            )
 
 
 def build_c_backend() -> Tuple[Optional[CBackend], str]:
@@ -780,84 +642,33 @@ def build_c_backend() -> Tuple[Optional[CBackend], str]:
 
 
 # =========================================================================
-# the compiled KernelSet: python wrappers around a backend
+# the compiled KernelSet: python wrappers around the backend
 # =========================================================================
 
-def _element_strides(arr: np.ndarray) -> np.ndarray:
-    return np.array(
-        [s // arr.itemsize for s in arr.strides], dtype=np.int64
-    )
-
-
-def _nodal_coords_matrix(grid: YeeGrid, positions: np.ndarray) -> np.ndarray:  # repro: allow(PIC007)
-    """(ndim, n) float64 nodal lattice coordinates, C-contiguous."""
-    ndim = grid.ndim
-    coords = np.empty((ndim, positions.shape[0]), dtype=np.float64)
-    for d in range(ndim):
-        coords[d] = (positions[:, d] - grid.lo[d]) / grid.dx[d] + grid.guards
-    return coords
-
-
-def _staggered(nodal: np.ndarray, stagger) -> np.ndarray:  # repro: allow(PIC007)
-    ndim = nodal.shape[0]
-    shift = np.array(stagger[:ndim], dtype=np.float64)
-    if not shift.any():
-        return nodal
-    return np.ascontiguousarray(nodal - 0.5 * shift[:, None])
-
-
-def make_compiled_kernel_set(backend):
+def make_compiled_kernel_set(backend: CBackend):
     """Bundle ``backend`` into a registry-ready compiled KernelSet."""
     from repro.particles.kernels import KernelSet
 
     def gather(grid: YeeGrid, positions: np.ndarray, order: int = 1):  # repro: allow(PIC007)
-        ndim = grid.ndim
-        n = positions.shape[0]
-        san = Sanitizer.from_env()
-        sample = grid.fields["Ex"]
-        strides = _element_strides(sample)
-        nodal = _nodal_coords_matrix(grid, positions)
+        pos = _f64(positions)
+        n = pos.shape[0]
         # gather output is always double — particle-side quantities stay
         # DP under the mixed-precision policy even when the field storage
         # being read is float32
         e_out = np.empty((n, 3), dtype=np.float64)
         b_out = np.empty((n, 3), dtype=np.float64)
-        buf = np.empty(n, dtype=np.float64)
-        cache = {}
-        for i, comp in enumerate(FIELD_COMPONENTS):
-            key = STAGGER[comp][:ndim]
-            coords = cache.get(key)
-            if coords is None:
-                coords = _staggered(nodal, key)
-                cache[key] = coords
-            if san is not None:
-                idx0 = [
-                    shape_weights(coords[d], order)[0] for d in range(ndim)
-                ]
-                san.check_stencil_bounds(
-                    "gather_fields_compiled", comp, idx0, order + 1,
-                    sample.shape,
-                )
-            backend.gather_comp(
-                grid.fields[comp], strides, ndim, order, coords, buf
-            )
-            out = e_out if i < 3 else b_out
-            out[:, i % 3] = buf
+        backend.call(
+            "gather", grid, FIELD_COMPONENTS, order, n,
+            _ptr(pos), _ptr(e_out), _ptr(b_out),
+        )
         return e_out, b_out
 
-    def _deposit_nodal(grid, positions, vals, order, target, kernel):  # repro: allow(PIC007)
-        arr = grid.fields[target]
-        ndim = grid.ndim
-        coords = _staggered(
-            _nodal_coords_matrix(grid, positions), STAGGER[target]
-        )
-        san = Sanitizer.from_env()
-        if san is not None:
-            idx0 = [shape_weights(coords[d], order)[0] for d in range(ndim)]
-            san.check_stencil_bounds(kernel, target, idx0, order + 1, arr.shape)
-        backend.deposit_nodal(
-            arr, _element_strides(arr), ndim, order, coords,
-            np.ascontiguousarray(vals, dtype=np.float64),
+    def _deposit_nodal(grid, positions, vals, order, target):  # repro: allow(PIC007)
+        pos, vals = _f64(positions), _f64(vals)
+        shift = 0.5 * np.array(STAGGER[target], dtype=np.float64)
+        backend.call(
+            "deposit_nodal", grid, (target,), order, pos.shape[0],
+            _ptr(pos), _ptr(shift), _ptr(vals),
         )
 
     def deposit_charge(
@@ -869,9 +680,7 @@ def make_compiled_kernel_set(backend):
         target: str = "rho",
     ) -> None:
         qw = charge * weights / float(np.prod(grid.dx))
-        _deposit_nodal(
-            grid, positions, qw, order, target, "deposit_charge_compiled"
-        )
+        _deposit_nodal(grid, positions, qw, order, target)
 
     def deposit_current_direct(
         grid: YeeGrid,
@@ -884,12 +693,35 @@ def make_compiled_kernel_set(backend):
         cell_volume = float(np.prod(grid.dx))
         for ci, comp in enumerate(("Jx", "Jy", "Jz")):
             qwv = charge * weights * velocities[:, ci] / cell_volume
-            _deposit_nodal(
-                grid, positions_mid, qwv, order, comp,
-                "deposit_current_direct_compiled",
-            )
+            _deposit_nodal(grid, positions_mid, qwv, order, comp)
 
-    def deposit_current(  # repro: allow(PIC007)
+    def _esirkepov(grid, pos_old, pos_new, vel, weights, charge, dt, order,
+                   max_disp):
+        """Size the window from the actual displacement [cells] and
+        deposit; the particle arrays are contiguous float64 already."""
+        K = esirkepov_window(order, max_disp, tight=True)
+        if K > KMAX:
+            # windows this wide (deep-MR subcycled displacements) are not
+            # worth native stack buffers; the numpy tiled kernel handles
+            # them with identical mathematics
+            deposit_current_esirkepov_tiled(
+                grid, pos_old, pos_new, vel, weights, charge, dt, order,
+            )
+            return
+        if (K + 1) // 2 > grid.guards:
+            raise ConfigurationError(
+                f"particle displacement of {max_disp:.2f} cells needs a "
+                f"{K}-point deposition window but only {grid.guards} guard "
+                f"cells are available"
+            )
+        weights = _f64(weights)
+        backend.call(
+            "deposit_esirkepov", grid, ("Jx", "Jy", "Jz"), order,
+            pos_old.shape[0], K, int(K == order + 2), _ptr(pos_old),
+            _ptr(pos_new), _ptr(vel), _ptr(weights), charge, float(dt),
+        )
+
+    def deposit_current(
         grid: YeeGrid,
         positions_old: np.ndarray,
         positions_new: np.ndarray,
@@ -899,56 +731,56 @@ def make_compiled_kernel_set(backend):
         dt: float,
         order: int = 1,
     ) -> None:
-        ndim = grid.ndim
-        n = positions_old.shape[0]
-        if n == 0:
+        if positions_old.shape[0] == 0:
             return
         max_disp = max(
             float(
                 np.max(np.abs(positions_new[:, d] - positions_old[:, d]))
             ) / grid.dx[d]
-            for d in range(ndim)
+            for d in range(grid.ndim)
         )
-        K = esirkepov_window(order, max_disp, tight=True)
-        if K > KMAX:
-            # windows this wide (deep-MR subcycled displacements) are not
-            # worth native stack buffers; the numpy tiled kernel handles
-            # them with identical mathematics
-            deposit_current_esirkepov_tiled(
-                grid, positions_old, positions_new, velocities, weights,
-                charge, dt, order,
-            )
-            return
-        tight = K == order + 2
-        if (K + 1) // 2 > grid.guards:
-            raise ConfigurationError(
-                f"particle displacement of {max_disp:.2f} cells needs a "
-                f"{K}-point deposition window but only {grid.guards} guard "
-                f"cells are available"
-            )
-        x0 = _nodal_coords_matrix(grid, positions_old)
-        x1 = _nodal_coords_matrix(grid, positions_new)
-        san = Sanitizer.from_env()
-        j_arr = grid.fields["Jx"]
-        if san is not None:
-            xm = 0.5 * (x0 + x1)
-            if tight and order % 2:
-                base = np.floor(xm + 0.5).astype(np.intp) - (K - 1) // 2
-            else:
-                base = np.floor(xm).astype(np.intp) - (K - 1) // 2
-            san.check_stencil_bounds(
-                "deposit_current_esirkepov_compiled", "J", list(base), K,
-                j_arr.shape,
-            )
-        dx = np.zeros(3, dtype=np.float64)
-        dx[:ndim] = grid.dx
-        backend.deposit_esirkepov(
-            grid.fields["Jx"], grid.fields["Jy"], grid.fields["Jz"],
-            _element_strides(j_arr), ndim, order, K, tight, x0, x1,
-            np.ascontiguousarray(velocities, dtype=np.float64),
-            np.ascontiguousarray(charge * weights, dtype=np.float64),
-            dt, dx,
+        _esirkepov(
+            grid, _f64(positions_old), _f64(positions_new), _f64(velocities),
+            weights, charge, dt, order, max_disp,
         )
+
+    def advance(  # repro: allow(PIC007)
+        grid: YeeGrid,
+        positions: np.ndarray,
+        momenta: np.ndarray,
+        weights: np.ndarray,
+        charge: float,
+        mass: float,
+        dt: float,
+        order: int = 1,
+        pusher: str = "boris",
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Fused gather -> Boris/Vay -> position -> Esirkepov deposit.
+
+        Returns the new ``(positions, momenta)``; the current lands in
+        ``grid``'s ``J``.  The inputs are not modified.
+        """
+        if pusher not in PUSHERS:
+            raise ConfigurationError(f"unknown pusher {pusher!r}")
+        pos, mom = _f64(positions), _f64(momenta)
+        n = pos.shape[0]
+        pos_new = np.empty_like(pos)
+        mom_new = np.empty_like(mom)
+        vel = np.empty_like(mom)
+        max_disp = np.zeros(3, dtype=np.float64)
+        backend.call(
+            "advance", grid, FIELD_COMPONENTS, order, n,
+            int(pusher == "vay"), _ptr(pos), _ptr(mom),
+            charge * dt / (2.0 * mass * c), charge * dt / (2.0 * mass),
+            c, c * dt,
+            _ptr(pos_new), _ptr(mom_new), _ptr(vel), _ptr(max_disp),
+        )
+        if n:
+            _esirkepov(
+                grid, pos, pos_new, vel, weights, charge, dt, order,
+                max(max_disp[d] / grid.dx[d] for d in range(grid.ndim)),
+            )
+        return pos_new, mom_new
 
     return KernelSet(
         name="compiled",
@@ -956,40 +788,32 @@ def make_compiled_kernel_set(backend):
         deposit_charge=deposit_charge,
         deposit_current=deposit_current,
         deposit_current_direct=deposit_current_direct,
-        sort_aware=False,
+        advance=advance,
         backend=backend.name,
     )
 
 
 def build_kernel_tier(choice: Optional[str] = None):
-    """Probe backends and build the compiled tier.
+    """Probe for a compiler and build the compiled tier.
 
-    Returns ``(kernel_set, detail)``; ``kernel_set`` is None when no
-    backend is usable, with ``detail`` explaining why (the string the
+    Returns ``(kernel_set, detail)``; ``kernel_set`` is None when the
+    backend is unusable, with ``detail`` explaining why (the string the
     registry surfaces for the unavailable tier).  ``choice`` overrides
     the ``REPRO_COMPILED_BACKEND`` environment selection.
     """
     if choice is None:
         choice = os.environ.get(BACKEND_ENV, "auto").strip().lower() or "auto"
-    if choice not in ("auto", "numba", "c", "none"):
+    if choice not in ("auto", "c", "none"):
         raise ConfigurationError(
             f"unknown {BACKEND_ENV} value {choice!r}; "
-            "expected auto, numba, c or none"
+            "expected auto, c or none (generated C is the only backend)"
         )
     if choice == "none":
         return None, f"disabled via {BACKEND_ENV}=none"
-    reasons = []
-    if choice in ("auto", "numba"):
-        backend, detail = build_numba_backend()
-        if backend is not None:
-            return make_compiled_kernel_set(backend), detail
-        reasons.append(detail)
-    if choice in ("auto", "c"):
-        backend, detail = build_c_backend()
-        if backend is not None:
-            return make_compiled_kernel_set(backend), detail
-        reasons.append(detail)
-    return None, "; ".join(reasons)
+    backend, detail = build_c_backend()
+    if backend is None:
+        return None, detail
+    return make_compiled_kernel_set(backend), detail
 
 
 def install_compiled_tier() -> None:

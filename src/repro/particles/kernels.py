@@ -19,11 +19,13 @@ variant  implementation
                 scatters (``np.add.reduceat`` over per-tile contiguous
                 runs + one ``np.bincount`` histogram pass) and a
                 shape-weight cache shared across the six gathers
-``compiled``    native per-particle loops — numba ``@njit`` when
-                importable, generated C via ctypes when a compiler is
-                present (:mod:`repro.particles.compiled`).  Registered
-                only when a backend builds; otherwise the registry
-                reports *why* (:func:`kernel_tier_status`) and
+``compiled``    native per-particle loops: generated C built with the
+                system compiler and driven through ctypes
+                (:mod:`repro.particles.compiled`), plus the fused
+                ``advance`` pass (gather -> push -> position ->
+                Esirkepov in one call).  Registered only when the
+                library builds; otherwise the registry reports *why*
+                (:func:`kernel_tier_status`) and
                 :func:`resolve_kernel_set` falls back to ``tiled``
 ======  ==================================================================
 
@@ -47,6 +49,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.constants import c, m_e, q_e
 from repro.exceptions import ConfigurationError, PrecisionError
 from repro.grid.yee import YeeGrid
 from repro.particles.deposit import (
@@ -63,6 +66,7 @@ from repro.particles.gather import (
     gather_fields_reference,
     gather_fields_tiled,
 )
+from repro.particles.pusher import PUSHERS, lorentz_factor, push_positions
 
 
 @dataclass(frozen=True)
@@ -71,10 +75,13 @@ class KernelSet:
 
     ``gather`` maps ``(grid, positions, order) -> (E, B)``; the deposits
     share the signatures of their :mod:`repro.particles.deposit`
-    namesakes.  ``sort_aware`` marks variants whose scatter gets faster
-    when the species is kept in Morton-bin order (``sort_interval``);
-    ``backend`` names what executes the inner loops (``numpy``,
-    ``numba``, ``c``).
+    namesakes.  ``advance`` is the optional fused particle pass,
+    ``(grid, positions, momenta, weights, charge, mass, dt, order,
+    pusher) -> (positions_new, momenta_new)`` with the Esirkepov current
+    deposited into ``grid`` on the way; variants without one are driven
+    through gather -> push -> deposit by
+    :func:`repro.particles.advance.advance_particles`.  ``backend`` names
+    what executes the inner loops (``numpy`` or ``c``).
     """
 
     name: str
@@ -82,7 +89,7 @@ class KernelSet:
     deposit_charge: Callable[..., None]
     deposit_current: Callable[..., None]
     deposit_current_direct: Callable[..., None]
-    sort_aware: bool = False
+    advance: Optional[Callable[..., Tuple[np.ndarray, np.ndarray]]] = None
     backend: str = "numpy"
 
 
@@ -129,6 +136,10 @@ def register_kernel_set(*kernel_sets: KernelSet) -> Tuple[KernelSet, ...]:
                 raise ConfigurationError(
                     f"kernel variant {name!r} field {field!r} is not callable"
                 )
+        if kernel_set.advance is not None and not callable(kernel_set.advance):
+            raise ConfigurationError(
+                f"kernel variant {name!r} field 'advance' is not callable"
+            )
         staged[name] = kernel_set
     # validation done; installation cannot fail partway
     _REGISTRY.update(staged)
@@ -168,8 +179,7 @@ def resolve_kernel_set(name: str) -> Tuple[KernelSet, Optional[str]]:
 
     Returns ``(kernel_set, fallback_reason)``: ``(set, None)`` for a
     registered name; ``(tiled, reason)`` for a tier that probed for a
-    backend and found none (e.g. ``compiled`` without numba or a C
-    compiler).  Unknown names still raise :class:`ConfigurationError` —
+    backend and found none (e.g. ``compiled`` without a C compiler).  Unknown names still raise :class:`ConfigurationError` —
     only *known-but-unbuildable* tiers degrade gracefully.
     """
     kernel_set = _REGISTRY.get(name)
@@ -193,8 +203,8 @@ def kernel_tier_status() -> Dict[str, str]:
     """Every known tier and its availability on this machine.
 
     Registered variants report ``"available (<backend>)"``; tiers whose
-    backend probe failed report the reason (e.g. ``"numba not
-    importable; no C compiler (cc/gcc/clang) on PATH"``).
+    backend probe failed report the reason (e.g. ``"no C compiler
+    (cc/gcc/clang) on PATH"``).
     """
     status = {
         name: f"available ({ks.backend})" for name, ks in _REGISTRY.items()
@@ -224,7 +234,6 @@ register_kernel_set(
         deposit_charge=deposit_charge_tiled,
         deposit_current=deposit_current_esirkepov_tiled,
         deposit_current_direct=deposit_current_direct_tiled,
-        sort_aware=True,
     ),
 )
 
@@ -240,6 +249,7 @@ FLOAT32_ERROR_BUDGET: Dict[str, float] = {
     "deposit_charge": 2.0e-6,
     "deposit_current": 4.0e-6,
     "deposit_current_direct": 2.0e-6,
+    "advance": 4.0e-6,
 }
 
 
@@ -263,7 +273,11 @@ def validate_kernel_set(
     """Cross-validate one variant against ``vectorized`` numerically.
 
     Runs gather, charge, Esirkepov and direct deposits of both variants
-    on an identical randomized workload.  With ``precision="float64"``
+    on an identical randomized workload; a variant with a fused
+    ``advance`` slot additionally gets an ``"advance"`` entry: the fused
+    pass against ``vectorized`` gather -> ``push_boris``/``push_vay`` ->
+    ``push_positions`` -> ``vectorized`` Esirkepov, worst deviation over
+    new positions, new momenta and ``J`` and over both pushers.  With ``precision="float64"``
     (the default) both run in double and the returned dict holds the
     worst relative deviation per kernel — the test suite pins every
     entry at machine precision, the contract that lets a run switch
@@ -339,9 +353,31 @@ def validate_kernel_set(
         err = max(err, _rel(grid_c.fields[comp], grid_b.fields[comp]))
     errors["deposit_current_direct"] = err
 
+    if candidate.advance is not None:
+        # electrons with u ~ 1 and c dt = 0.3 dx: every move stays sub-cell
+        mom = rng.normal(size=(n_particles, 3))
+        err = 0.0
+        for pusher, push_momenta in PUSHERS.items():
+            grid_c.zero_sources()
+            grid_b.zero_sources()
+            x_c, u_c = candidate.advance(
+                grid_c, pos0, mom, w, -q_e, m_e, dt, order, pusher
+            )
+            e_b, b_b = baseline.gather(grid_b, pos0, order)
+            u_b = push_momenta(mom, e_b, b_b, -q_e, m_e, dt)
+            x_b = push_positions(pos0, u_b, dt, ndim)
+            vel_b = u_b * (c / lorentz_factor(u_b))[:, None]
+            baseline.deposit_current(
+                grid_b, pos0, x_b, vel_b, w, -q_e, dt, order
+            )
+            err = max(err, _rel(x_c, x_b), _rel(u_c, u_b))
+            for comp in ("Jx", "Jy", "Jz"):
+                err = max(err, _rel(grid_c.fields[comp], grid_b.fields[comp]))
+        errors["advance"] = err
+
     if mixed:
         for kernel, budget in FLOAT32_ERROR_BUDGET.items():
-            if errors[kernel] > budget:
+            if kernel in errors and errors[kernel] > budget:
                 raise PrecisionError(
                     f"float32 {name!r} kernel {kernel!r} relative L2 error "
                     f"{errors[kernel]:.3e} exceeds the documented budget "

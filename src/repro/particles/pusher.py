@@ -85,6 +85,10 @@ def push_vay(
     )
 
 
+#: momentum update by the ``pusher=`` name every driver accepts
+PUSHERS = {"boris": push_boris, "vay": push_vay}
+
+
 def push_positions(
     positions: np.ndarray, u: np.ndarray, dt: float, ndim: int
 ) -> np.ndarray:

@@ -345,6 +345,33 @@ def test_pic006_ignores_hook_bodies_and_other_modules(tmp_path):
     assert findings == []
 
 
+def test_pic006_advance_particles_is_a_kernel_phase_call(tmp_path):
+    # the box-level particle pass must be timed: by an enclosing context ...
+    untimed = lint_snippet(
+        tmp_path,
+        "distributed.py",
+        "class Sim:\n"
+        "    def _advance_species(self, sp):\n"
+        "        advance_particles(self.grid, sp, self.kernel_set)\n",
+        select=["PIC006"],
+    )
+    assert rule_ids(untimed) == ["PIC006"]
+    assert "advance_particles()" in untimed[0].message
+    # ... or by itself, when it is handed the driver's phase factory
+    self_timed = lint_snippet(
+        tmp_path,
+        "simulation.py",
+        "class Sim:\n"
+        "    def _advance_species(self, sp):\n"
+        "        advance_particles(self.grid, sp, phase=self._phase)\n"
+        "    def _finish_step(self):\n"
+        "        with self._phase('particles'):\n"
+        "            advance_particles(self.grid, self.sp)\n",
+        select=["PIC006"],
+    )
+    assert self_timed == []
+
+
 def test_pic006_pragma_suppresses(tmp_path):
     findings = lint_snippet(
         tmp_path,

@@ -1,0 +1,396 @@
+"""The box-level particle advance and the fused compiled pass behind it:
+fused vs three-phase agreement, the Esirkepov window contract (tiled
+fallback, guard shortfall), bounds safety of every native kernel (run in
+subprocesses: a regression here is a segfault, not an exception), routing
+in the three step drivers, phases and dispatch counters."""
+
+import dataclasses
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from tests.conftest import assert_runs_equal, make_langmuir_build
+from repro.constants import c, m_e, plasma_wavelength, q_e
+from repro.core.mr_simulation import MRSimulation
+from repro.diagnostics import gauss_law_residual
+from repro.diagnostics.io import load_checkpoint, save_checkpoint
+from repro.exceptions import ConfigurationError, PrecisionError, SanitizerError
+from repro.grid.maxwell import cfl_dt
+from repro.grid.yee import YeeGrid
+from repro.observability import attach_observability
+from repro.parallel.distributed import DistributedSimulation
+from repro.parallel.mp_transport import run_distributed_local, run_distributed_mp
+from repro.particles import kernels
+from repro.particles.advance import advance_particles
+from repro.particles.compiled import KMAX
+from repro.particles.deposit import esirkepov_window
+from repro.particles.injection import UniformProfile
+from repro.particles.kernels import (
+    FLOAT32_ERROR_BUDGET,
+    available_kernel_variants,
+    get_kernel_set,
+    kernel_tier_status,
+    validate_kernel_set,
+)
+from repro.particles.species import Species
+from repro.scenarios import build_uniform_plasma
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+needs_compiled = pytest.mark.skipif(
+    "compiled" not in available_kernel_variants(),
+    reason=kernel_tier_status().get("compiled", ""),
+)
+
+
+def unfused(kernel_set):
+    """The same kernels without the fused slot: the three-phase route."""
+    return dataclasses.replace(kernel_set, advance=None)
+
+
+def langmuir(kernels="compiled", n=24, **kwargs):
+    sim, electrons = build_uniform_plasma(
+        (n, n), ppc=(2, 2), shape_order=3, temperature_uth=0.0,
+        kernels=kernels, **kwargs,
+    )
+    k = 2 * np.pi / (sim.grid.hi[0] - sim.grid.lo[0])
+    electrons.momenta[:, 0] = 1e-2 * np.sin(k * electrons.positions[:, 0])
+    return sim, electrons
+
+
+def rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+# -- (a) cross-validation through the registry --------------------------------
+
+@needs_compiled
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_validate_kernel_set_covers_the_fused_advance(ndim, order):
+    # both pushers run inside; positions, momenta and J all count
+    errors = validate_kernel_set("compiled", ndim=ndim, order=order)
+    assert errors["advance"] < 1e-12, errors
+    mixed = validate_kernel_set(
+        "compiled", ndim=ndim, order=order, precision="float32"
+    )
+    assert 0.0 < mixed["advance"] <= FLOAT32_ERROR_BUDGET["advance"]
+
+
+@needs_compiled
+def test_float32_advance_budget_is_enforced(monkeypatch):
+    monkeypatch.setitem(FLOAT32_ERROR_BUDGET, "advance", 1e-12)
+    with pytest.raises(PrecisionError, match="advance"):
+        validate_kernel_set("compiled", precision="float32")
+
+
+def test_validate_skips_advance_for_unfused_variants():
+    assert "advance" not in validate_kernel_set("tiled")
+
+
+# -- (b) a physics run on the fused path --------------------------------------
+
+@needs_compiled
+@pytest.mark.parametrize("pusher", ["boris", "vay"])
+def test_fused_langmuir_matches_vectorized(pusher):
+    fused, e_f = langmuir("compiled", pusher=pusher)
+    ref, e_r = langmuir("vectorized", pusher=pusher)
+    g0 = gauss_law_residual(fused.grid, [e_f], order=3)
+    fused.step(20)
+    ref.step(20)
+    # one scale per family: Ey and Bz are round-off of an x-directed wave
+    e_scale = np.max(np.abs(ref.grid.fields["Ex"]))
+    for comp, scale in (("Ex", e_scale), ("Ey", e_scale), ("Bz", e_scale / c)):
+        diff = fused.grid.fields[comp] - ref.grid.fields[comp]
+        assert np.max(np.abs(diff)) < 1e-11 * scale, comp
+    assert rel(fused.grid.fields["Jx"], ref.grid.fields["Jx"]) < 1e-11
+    assert rel(e_f.momenta, e_r.momenta) < 1e-11
+    assert rel(e_f.positions, e_r.positions) < 1e-13
+    # charge conservation: the Gauss residual is frozen at round-off
+    g1 = gauss_law_residual(fused.grid, [e_f], order=3)
+    assert np.max(np.abs(g1 - g0)) / np.max(np.abs(g0)) < 1e-12
+    assert "particles" in fused.timers.totals
+    assert "gather" not in fused.timers.totals
+
+
+@needs_compiled
+def test_fused_checkpoint_restart_is_bit_identical(tmp_path):
+    straight, e_s = langmuir()
+    straight.step(20)
+    first, _ = langmuir()
+    first.step(10)
+    path = str(tmp_path / "half.npz")
+    save_checkpoint(first, path)
+    resumed, e_r = langmuir()
+    load_checkpoint(resumed, path)
+    resumed.step(10)
+    for comp, arr in straight.grid.fields.items():
+        assert np.array_equal(resumed.grid.fields[comp], arr), comp
+    assert np.array_equal(e_r.positions, e_s.positions)
+    assert np.array_equal(e_r.momenta, e_s.momenta)
+
+
+@needs_compiled
+def test_fused_and_three_phase_routes_agree():
+    fused, e_f = langmuir()
+    split, e_s = langmuir()
+    split.kernel_set = unfused(split.kernel_set)
+    fused.step(5)
+    split.step(5)
+    # same C gather and deposit either way; only NumPy's einsum rounding
+    # in the pushers separates the two
+    assert rel(e_f.momenta, e_s.momenta) < 1e-13
+    assert rel(fused.grid.fields["Jx"], split.grid.fields["Jx"]) < 1e-13
+    assert {"gather", "push", "deposit"} <= set(split.timers.totals)
+    assert "particles" not in split.timers.totals
+
+
+@needs_compiled
+def test_direct_deposition_takes_the_three_phase_route():
+    sim, _ = langmuir(deposition="direct")
+    sim.step(2)
+    assert {"gather", "push", "deposit"} <= set(sim.timers.totals)
+    assert "particles" not in sim.timers.totals
+
+
+def test_advance_particles_rejects_unknown_names():
+    grid = YeeGrid((8,), (0.0,), (8.0,), guards=4)
+    sp = Species("e", ndim=1)
+    ks = get_kernel_set("vectorized")
+    with pytest.raises(ConfigurationError, match="pusher"):
+        advance_particles(grid, sp, ks, "euler", 0.1, 1)
+    with pytest.raises(ConfigurationError, match="deposition"):
+        advance_particles(grid, sp, ks, "boris", 0.1, 1, deposition="cic")
+
+
+# -- (c) the Esirkepov window contract through advance_particles ---------------
+
+def streaming_species(grid, displacement_cells, n=20, seed=3):
+    """Ultra-relativistic +x streamers and the dt that moves them
+    ``displacement_cells`` in one step (fields are zero: u is constant)."""
+    rng = np.random.default_rng(seed)
+    sp = Species("beam", charge=-q_e, mass=m_e, ndim=grid.ndim)
+    mid = 0.5 * (np.asarray(grid.lo) + np.asarray(grid.hi))
+    sp.add_particles(
+        mid + rng.random((n, grid.ndim)) * grid.dx[0],
+        momenta=np.tile([1e4, 0.0, 0.0], (n, 1)),
+        weights=1.0 + rng.random(n),
+    )
+    return sp, displacement_cells * grid.dx[0] / c
+
+
+@needs_compiled
+def test_wide_displacement_takes_the_tiled_fallback():
+    grid_f = YeeGrid((24, 24), (0.0, 0.0), (24.0, 24.0), guards=10)
+    grid_r = grid_f.copy()
+    assert esirkepov_window(3, 3.2, tight=True) > KMAX
+    sp_f, dt = streaming_species(grid_f, 3.2)
+    sp_r, _ = streaming_species(grid_r, 3.2)
+    assert advance_particles(
+        grid_f, sp_f, get_kernel_set("compiled"), "boris", dt, 3
+    ) == ("advance",)
+    assert advance_particles(
+        grid_r, sp_r, get_kernel_set("tiled"), "boris", dt, 3
+    ) == ("gather", "deposit")
+    assert np.max(np.abs(grid_r.fields["Jx"])) > 0
+    for comp in ("Jx", "Jy", "Jz"):
+        np.testing.assert_allclose(
+            grid_f.fields[comp], grid_r.fields[comp], rtol=0,
+            atol=1e-12 * np.max(np.abs(grid_r.fields["Jx"])),
+        )
+    np.testing.assert_allclose(sp_f.positions, sp_r.positions, rtol=1e-15)
+
+
+@needs_compiled
+def test_guard_shortfall_raises_through_advance_particles():
+    grid = YeeGrid((16, 16), (0.0, 0.0), (16.0, 16.0), guards=3)
+    # 1.5 cells at order 3: an 8-point window, four guard cells needed
+    assert esirkepov_window(3, 1.5, tight=True) == KMAX
+    sp, dt = streaming_species(grid, 1.5)
+    with pytest.raises(ConfigurationError, match="guard"):
+        advance_particles(grid, sp, get_kernel_set("compiled"), "boris", dt, 3)
+
+
+# -- bounds safety of the native kernels (satellite bugfix) -------------------
+
+_STRAY_PARTICLE_SCRIPT = """
+import sys
+import numpy as np
+from repro.exceptions import SanitizerError
+from repro.grid.yee import YeeGrid
+from repro.particles.kernels import get_kernel_set
+
+bad = float(sys.argv[1])
+ks = get_kernel_set("compiled")
+grid = YeeGrid((16, 16), (0.0, 0.0), (16.0, 16.0), guards=4)
+pos = np.array([[8.0, 8.0], [bad, 8.0]])
+vel = np.zeros((2, 3))
+w = np.ones(2)
+calls = {
+    "gather": lambda: ks.gather(grid, pos, 3),
+    "deposit_charge": lambda: ks.deposit_charge(grid, pos, w, -1.0, 3),
+    "deposit_current_direct":
+        lambda: ks.deposit_current_direct(grid, pos, vel, w, -1.0, 3),
+    # a sub-cell move far outside the grid: only the kernel can object
+    "deposit_current":
+        lambda: ks.deposit_current(grid, pos, pos + 0.25, vel, w, -1.0, 0.1, 3),
+    "advance": lambda: ks.advance(grid, pos, vel, w, -1.0, 1.0, 0.1, 3),
+}
+for name, call in calls.items():
+    print("trying", name, flush=True)
+    try:
+        call()
+    except SanitizerError as exc:
+        assert "SAN005" in str(exc) and "particle 1" in str(exc), exc
+        assert "axis 0" in str(exc), exc
+    except ValueError as exc:
+        # a NaN displacement is refused while sizing the window, before
+        # the kernel runs
+        assert name == "deposit_current" and not np.isfinite(bad), (name, exc)
+    else:
+        raise SystemExit(f"{name}: no error for x = {bad}")
+print("all clean")
+"""
+
+
+@needs_compiled
+@pytest.mark.parametrize("bad", ["1e9", "-500", "nan", "inf"])
+def test_stray_particle_raises_san005_not_a_signal(bad):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("REPRO_SANITIZE", None)
+    done = subprocess.run(
+        [sys.executable, "-c", _STRAY_PARTICLE_SCRIPT, bad],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, (done.returncode, done.stdout, done.stderr)
+    assert done.stdout.strip().endswith("all clean")
+
+
+@needs_compiled
+def test_stray_particle_error_names_kernel_component_particle_axis():
+    ks = get_kernel_set("compiled")
+    grid = YeeGrid((16, 16), (0.0, 0.0), (16.0, 16.0), guards=4)
+    pos = np.array([[8.0, 8.0], [8.0, 8.0], [8.0, -500.0]])
+    with pytest.raises(SanitizerError) as err:
+        ks.deposit_charge(grid, pos, np.ones(3), -1.0, 2)
+    msg = str(err.value)
+    assert "SAN005" in msg and "deposit_nodal" in msg and "rho" in msg
+    assert "particle 2" in msg and "axis 1" in msg
+    # a stencil that merely touches the last guard point is still legal
+    edge = np.array([[-3.0, 19.9]])
+    ks.deposit_charge(grid, edge, np.ones(1), -1.0, 1)
+    ks.gather(grid, edge, 1)
+
+
+@needs_compiled
+def test_sanitized_fused_step_reports_san005(monkeypatch):
+    # (d) under REPRO_SANITIZE=1 a particle planted outside the padded
+    # domain trips SAN005 in the fused pass, before anything is written
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    sim, electrons = langmuir()
+    assert sim.sanitizer is not None
+    before = electrons.momenta.copy()
+    electrons.positions[7, 0] = sim.grid.hi[0] + 40 * sim.grid.dx[0]
+    with pytest.raises(SanitizerError, match="SAN005.*particle 7 .*advance"):
+        sim.step()
+    assert np.array_equal(electrons.momenta, before)
+    assert not np.any(sim.grid.fields["Jx"])
+
+
+# -- (e) mesh refinement routes by level, then fuses ---------------------------
+
+@needs_compiled
+def test_mr_routes_through_level_hooks_until_patch_removal(monkeypatch):
+    n0 = 1e24
+    length = plasma_wavelength(n0)
+    grid = YeeGrid((32,), (0.0,), (length,), guards=4)
+    dt = cfl_dt((length / 32 / 2,), 0.9)
+    sim = MRSimulation(grid, dt=dt, shape_order=2, smoothing_passes=0,
+                       kernels="compiled")
+    sim.add_species(Species("electrons", charge=-q_e, mass=m_e, ndim=1),
+                    profile=UniformProfile(n0), ppc=4)
+    sim.add_patch((8,), (24,), ratio=2, remove_time=2.5 * dt)
+    calls = {"gather": 0, "deposit": 0}
+    gather, deposit = sim._gather, sim._deposit
+
+    def spy_gather(sp):
+        calls["gather"] += 1
+        return gather(sp)
+
+    def spy_deposit(*args):
+        calls["deposit"] += 1
+        return deposit(*args)
+
+    monkeypatch.setattr(sim, "_gather", spy_gather)
+    monkeypatch.setattr(sim, "_deposit", spy_deposit)
+    sim.step(3)
+    assert not sim.patches and len(sim.removal_log) == 1
+    assert calls == {"gather": 3, "deposit": 3}
+    assert sim.timers.counts["gather"] == 3
+    assert "particles" not in sim.timers.counts
+    sim.step(2)  # no patch left: the plain fused pass
+    assert calls == {"gather": 3, "deposit": 3}
+    assert sim.timers.counts["particles"] == 2
+    assert sim.timers.counts["gather"] == 3
+
+
+# -- (f) phases and dispatch counters ------------------------------------------
+
+@needs_compiled
+def test_fused_step_counts_one_advance_dispatch_per_species():
+    sim, _ = langmuir(n=8)
+    tracer, metrics = attach_observability(sim)
+    sim.step(3)
+    snap = metrics.snapshot()
+    assert snap["kernel.dispatch{phase=advance,variant=compiled}"] == 3.0
+    assert not any("phase=gather" in key or "phase=deposit" in key
+                   for key in snap)
+    spans = [r for r in tracer.records if r.name == "particles"]
+    assert len(spans) == 3
+    assert spans[0].attrs["kernel"] == "compiled"
+    assert spans[0].attrs["species"] == "electrons"
+
+
+# -- the decomposed driver runs the same pass ----------------------------------
+
+@needs_compiled
+def test_distributed_compiled_matches_default_and_is_transport_exact():
+    compiled_build = make_langmuir_build(n_ranks=2, kernels="compiled")
+    default_build = make_langmuir_build(n_ranks=2)
+    assert compiled_build().kernels == "compiled"
+    assert default_build().kernels == "vectorized"
+    got = run_distributed_local(compiled_build, 20)
+    want = run_distributed_local(default_build, 20)
+    for i, comps in want.fields.items():
+        for comp in ("Ex", "Ey", "Bz"):
+            scale = max(np.max(np.abs(f[comp])) for f in want.fields.values())
+            assert np.max(np.abs(got.fields[i][comp] - comps[comp])) <= (
+                1e-12 * scale
+            ), (i, comp)
+    for i, arrs in want.species["electrons"].items():
+        mine = got.species["electrons"][i]
+        assert np.array_equal(mine["ids"], arrs["ids"])
+        assert rel(mine["positions"], arrs["positions"]) <= 1e-12
+        assert np.max(np.abs(mine["momenta"] - arrs["momenta"])) <= 1e-12 * 1e-3
+    over_mp = run_distributed_mp(compiled_build, 20, 2, run_timeout=120.0)
+    assert_runs_equal(over_mp, got)
+
+
+def test_distributed_surfaces_kernel_fallback_reason(monkeypatch):
+    monkeypatch.setattr(kernels, "_REGISTRY", {
+        name: ks for name, ks in kernels._REGISTRY.items()
+        if name != "compiled"
+    })
+    monkeypatch.setattr(kernels, "_UNAVAILABLE", {"compiled": "probe failed"})
+    sim = DistributedSimulation(
+        (8, 8), (0.0, 0.0), (8.0, 8.0), n_ranks=1, kernels="compiled"
+    )
+    assert sim.kernels == "tiled"
+    assert sim.kernel_fallback_reason == "probe failed"
+    with pytest.raises(ConfigurationError, match="unknown kernel variant"):
+        DistributedSimulation(
+            (8, 8), (0.0, 0.0), (8.0, 8.0), n_ranks=1, kernels="simd"
+        )

@@ -1,8 +1,9 @@
-"""Compiled kernel tier: python-twin equivalence against the numpy
-kernels, native-backend validation when a backend is live, the
-environment/backend selection logic, graceful registry fallback when no
-backend is usable, atomicity of batch registration, wide-window and
-guard-shortage handling, and the per-tier dispatch counters."""
+"""Compiled kernel tier: generated-C kernels against the numpy kernels
+(skipped without a C compiler), the environment/backend selection logic,
+graceful registry fallback when no backend is usable, atomicity of batch
+registration, wide-window and guard-shortage handling, and the per-tier
+dispatch counters.  The fused ``advance`` path has its own file,
+``test_particles_advance.py``."""
 
 import numpy as np
 import pytest
@@ -16,10 +17,8 @@ from repro.particles import kernels
 from repro.particles.compiled import (
     BACKEND_ENV,
     KMAX,
-    PythonBackend,
     build_c_backend,
     build_kernel_tier,
-    build_numba_backend,
     c_source,
     find_c_compiler,
     install_compiled_tier,
@@ -71,21 +70,26 @@ def particle_cloud(grid, n=60, seed=1, spread=0.25):
 
 
 @pytest.fixture
-def python_set():
-    """The compiled tier running on the un-jitted scalar twins."""
-    return make_compiled_kernel_set(PythonBackend())
+def c_set():
+    """A compiled kernel set built here, straight from the C backend."""
+    backend, detail = build_c_backend()
+    if backend is None:
+        pytest.skip(detail)
+    return make_compiled_kernel_set(backend)
 
 
-# -- python-twin equivalence -------------------------------------------------
+# -- C kernels vs the numpy kernels --------------------------------------------
+# (the test ids date from when these ran on the interpreted scalar twins of
+# the C source; the twins are gone, the checks now run on the C itself)
 
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_python_twin_gather_matches_numpy(python_set, ndim, order):
+def test_python_twin_gather_matches_numpy(c_set, ndim, order):
     grid = make_grid(ndim)
     seed_fields(grid)
     pos, _, _ = particle_cloud(grid, n=40)
     e_ref, b_ref = gather_fields(grid, pos, order=order)
-    e_twin, b_twin = python_set.gather(grid, pos, order=order)
+    e_twin, b_twin = c_set.gather(grid, pos, order=order)
     np.testing.assert_allclose(e_twin, e_ref, rtol=0, atol=1e-13)
     np.testing.assert_allclose(b_twin, b_ref, rtol=0, atol=1e-13)
     assert e_twin.dtype == np.float64 and b_twin.dtype == np.float64
@@ -93,7 +97,7 @@ def test_python_twin_gather_matches_numpy(python_set, ndim, order):
 
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_python_twin_deposits_match_numpy(python_set, ndim, order):
+def test_python_twin_deposits_match_numpy(c_set, ndim, order):
     grid_a = make_grid(ndim)
     grid_b = make_grid(ndim)
     pos, vel, wts = particle_cloud(grid_a, n=40)
@@ -102,7 +106,7 @@ def test_python_twin_deposits_match_numpy(python_set, ndim, order):
     pos_new = pos + disp
 
     deposit_charge(grid_a, pos, wts, charge=-2.0, order=order)
-    python_set.deposit_charge(grid_b, pos, wts, charge=-2.0, order=order)
+    c_set.deposit_charge(grid_b, pos, wts, charge=-2.0, order=order)
     np.testing.assert_allclose(
         grid_b.fields["rho"], grid_a.fields["rho"], rtol=0, atol=1e-12
     )
@@ -112,7 +116,7 @@ def test_python_twin_deposits_match_numpy(python_set, ndim, order):
     deposit_current_esirkepov_tiled(
         grid_a, pos, pos_new, vel, wts, charge=-2.0, dt=dt, order=order
     )
-    python_set.deposit_current(
+    c_set.deposit_current(
         grid_b, pos, pos_new, vel, wts, charge=-2.0, dt=dt, order=order
     )
     for comp in ("Jx", "Jy", "Jz"):
@@ -122,14 +126,14 @@ def test_python_twin_deposits_match_numpy(python_set, ndim, order):
         )
 
 
-def test_python_twin_direct_current_matches_numpy(python_set):
+def test_python_twin_direct_current_matches_numpy(c_set):
     from repro.particles.deposit import deposit_current_direct
 
     grid_a = make_grid(2)
     grid_b = make_grid(2)
     pos, vel, wts = particle_cloud(grid_a, n=40)
     deposit_current_direct(grid_a, pos, vel, wts, charge=1.5, order=2)
-    python_set.deposit_current_direct(grid_b, pos, vel, wts, charge=1.5,
+    c_set.deposit_current_direct(grid_b, pos, vel, wts, charge=1.5,
                                       order=2)
     for comp in ("Jx", "Jy", "Jz"):
         np.testing.assert_allclose(
@@ -156,19 +160,20 @@ def test_native_compiled_tier_machine_precision(ndim):
                     reason=kernel_tier_status().get("compiled", ""))
 def test_native_tier_reports_backend():
     ks = get_kernel_set("compiled")
-    assert ks.backend in ("numba", "c")
+    assert ks.backend == "c"
     assert kernel_tier_status()["compiled"] == f"available ({ks.backend})"
 
 
 def test_c_source_emits_both_precisions():
     src = c_source()
-    assert "gather_comp_f64" in src and "gather_comp_f32" in src
+    for kernel in ("gather", "deposit_nodal", "deposit_esirkepov", "advance"):
+        assert f" {kernel}_f64(" in src and f" {kernel}_f32(" in src
     assert "@REAL@" not in src and "@SUF@" not in src
 
 
 # -- wide windows and guard shortage -----------------------------------------
 
-def test_wide_window_falls_back_to_tiled(python_set):
+def test_wide_window_falls_back_to_tiled(c_set):
     grid_a = make_grid(2, n=24, guards=10)
     grid_b = make_grid(2, n=24, guards=10)
     rng = np.random.default_rng(3)
@@ -182,7 +187,7 @@ def test_wide_window_falls_back_to_tiled(python_set):
     disp = 3.2
     assert esirkepov_window(3, disp, tight=True) > KMAX
     pos_new = pos + np.array([disp, 0.5])
-    python_set.deposit_current(grid_a, pos, pos_new, vel, wts, charge=1.0,
+    c_set.deposit_current(grid_a, pos, pos_new, vel, wts, charge=1.0,
                                dt=0.2, order=3)
     deposit_current_esirkepov_tiled(grid_b, pos, pos_new, vel, wts,
                                     charge=1.0, dt=0.2, order=3)
@@ -192,13 +197,13 @@ def test_wide_window_falls_back_to_tiled(python_set):
         )
 
 
-def test_guard_shortage_raises(python_set):
+def test_guard_shortage_raises(c_set):
     grid = make_grid(2, n=16, guards=2)
     pos = np.full((4, 2), 8.0)
     pos_new = pos + 3.5  # window needs more than 2 guard cells
     vel = np.zeros((4, 3))
     with pytest.raises(ConfigurationError, match="guard"):
-        python_set.deposit_current(grid, pos, pos_new, vel, np.ones(4),
+        c_set.deposit_current(grid, pos, pos_new, vel, np.ones(4),
                                    charge=1.0, dt=0.1, order=3)
 
 
@@ -217,20 +222,18 @@ def test_backend_env_none_disables(monkeypatch):
     assert "disabled" in detail
 
 
-def test_no_backend_reports_both_reasons(monkeypatch):
-    monkeypatch.setattr(compiled, "_import_numba", lambda: None)
+def test_no_backend_reports_reason(monkeypatch):
     monkeypatch.setattr(compiled, "find_c_compiler", lambda: None)
     ks, detail = build_kernel_tier("auto")
     assert ks is None
-    assert "numba not importable" in detail
     assert "no C compiler" in detail
 
 
-def test_numba_only_choice_without_numba(monkeypatch):
-    monkeypatch.setattr(compiled, "_import_numba", lambda: None)
-    ks, detail = build_kernel_tier("numba")
-    assert ks is None
-    assert "numba" in detail
+def test_numba_choice_is_rejected():
+    # the numba backend was removed; asking for it is a configuration
+    # error, not a silent fall-through to C
+    with pytest.raises(ConfigurationError, match="auto, c or none"):
+        build_kernel_tier("numba")
 
 
 def test_c_only_choice_without_compiler(monkeypatch):
@@ -246,13 +249,11 @@ def test_unavailable_tier_resolves_to_tiled(monkeypatch):
         if name != "compiled"
     })
     monkeypatch.setattr(kernels, "_UNAVAILABLE",
-                        {"compiled": "numba not importable; no C compiler"})
+                        {"compiled": "no C compiler"})
     ks, reason = resolve_kernel_set("compiled")
     assert ks.name == FALLBACK_VARIANT
     assert "no C compiler" in reason
-    assert kernel_tier_status()["compiled"] == (
-        "numba not importable; no C compiler"
-    )
+    assert kernel_tier_status()["compiled"] == "no C compiler"
 
 
 def test_unavailable_tier_simulation_falls_back(monkeypatch):
@@ -292,24 +293,19 @@ def test_install_marks_unavailable_when_probes_fail(monkeypatch):
         if name != "compiled"
     })
     monkeypatch.setattr(kernels, "_UNAVAILABLE", {})
-    monkeypatch.setattr(compiled, "_import_numba", lambda: None)
     monkeypatch.setattr(compiled, "find_c_compiler", lambda: None)
     install_compiled_tier()
     assert "compiled" not in available_kernel_variants()
-    assert "numba not importable" in kernel_tier_status()["compiled"]
+    assert "no C compiler" in kernel_tier_status()["compiled"]
 
 
 def test_probe_builders_agree_with_environment():
-    # whichever probes the import-time environment selection allowed to
-    # succeed, the registry state must match
+    # if the import-time environment selection allowed the probe to run,
+    # the registry state must match its outcome
     import os
 
     choice = os.environ.get(BACKEND_ENV, "auto").strip().lower() or "auto"
-    expected = False
-    if choice in ("auto", "numba"):
-        expected = expected or build_numba_backend()[0] is not None
-    if choice in ("auto", "c"):
-        expected = expected or build_c_backend()[0] is not None
+    expected = choice != "none" and build_c_backend()[0] is not None
     assert ("compiled" in available_kernel_variants()) == expected
     assert find_c_compiler() is None or isinstance(find_c_compiler(), str)
 

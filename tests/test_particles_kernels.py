@@ -68,11 +68,6 @@ def test_duplicate_registration_raises():
         ))
 
 
-def test_tiled_is_sort_aware():
-    assert get_kernel_set("tiled").sort_aware
-    assert not get_kernel_set("vectorized").sort_aware
-
-
 @pytest.mark.parametrize("name", ["reference", "tiled"])
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 def test_validate_kernel_set_machine_precision(name, ndim):
