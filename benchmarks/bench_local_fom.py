@@ -34,7 +34,7 @@ def test_local_fom(benchmark, table):
         ["cells", f"{n_c:.0f}"],
         ["macroparticles", f"{n_p:.0f}"],
         ["avg time/step [s]", f"{avg:.4f}"],
-        ["FOM (tiled, float64)", f"{fom:.3e}"],
+        ["FOM (vectorized, float64)", f"{fom:.3e}"],
     ]
     if "compiled" in available_kernel_variants():
         # the engine's own Table-III-style rows: native kernels, then

@@ -105,15 +105,15 @@ class Simulation:
         ``"esirkepov"`` (charge-conserving, default) or ``"direct"``.
     kernels:
         Gather/deposit kernel variant from :mod:`repro.particles.kernels`
-        (``"vectorized"`` default, ``"tiled"`` for the sort-aware fast
-        path, ``"compiled"`` for the native generated-C tier with its
-        fused particle pass, ``"reference"`` for the scalar baseline).
-        All variants compute identical physics; the active name is
-        recorded on the particle-phase tracer spans.  Requesting a tier
-        whose backend is unavailable on this machine (e.g.
-        ``"compiled"`` without a C compiler) falls back to ``"tiled"``; ``self.kernels`` always names the
-        variant actually running and ``self.kernel_fallback_reason``
-        says why, if a fallback happened.
+        (``"vectorized"``, the NumPy path, is the default;
+        ``"compiled"`` for the native generated-C tier with its fused
+        particle pass, ``"reference"`` for the scalar baseline).  All
+        variants compute identical physics; the active name is recorded
+        on the particle-phase tracer spans.  Requesting a tier whose
+        backend is unavailable on this machine (e.g. ``"compiled"``
+        without a C compiler) falls back to ``"vectorized"``;
+        ``self.kernels`` always names the variant actually running and
+        ``self.kernel_fallback_reason`` says why, if a fallback happened.
     precision:
         ``"float64"`` (default) or ``"mixed"`` (alias ``"float32"``):
         the paper's MP mode — field storage, deposition and the Maxwell
@@ -190,7 +190,7 @@ class Simulation:
         self.deposition = deposition
         #: gather/deposit kernel variant, resolved against the registry;
         #: a requested-but-unavailable tier (e.g. "compiled" with no
-        #: backend) degrades to the tiled fast path and records why
+        #: backend) degrades to the vectorized path and records why
         self.kernel_set, self.kernel_fallback_reason = resolve_kernel_set(
             kernels
         )

@@ -92,7 +92,9 @@ class DistributedSimulation:
 
     ``kernels`` names the particle kernel tier every box advances its
     particles with (:mod:`repro.particles.kernels`; ``"compiled"`` takes
-    the fused native pass), resolved exactly as in ``Simulation``.
+    the fused native pass), resolved exactly as in ``Simulation``: an
+    unavailable tier falls back to ``"vectorized"`` and
+    ``kernel_fallback_reason`` says why.
     """
 
     def __init__(
@@ -128,8 +130,7 @@ class DistributedSimulation:
                 f"unknown Maxwell solver {maxwell_solver!r}"
             )
         self.maxwell_solver = maxwell_solver
-        #: per-box particle kernels, resolved as in ``Simulation``: an
-        #: unavailable tier degrades to ``tiled`` and records why
+        #: per-box particle kernels, resolved as in ``Simulation``
         self.kernel_set, self.kernel_fallback_reason = resolve_kernel_set(
             kernels
         )
@@ -377,10 +378,15 @@ class DistributedSimulation:
         for dsp in self.species.values():
             sp = dsp.per_box[i]
             if sp.n:
-                advance_particles(
+                dispatched = advance_particles(
                     bg, sp, self.kernel_set, "boris", self.dt,
                     self.shape_order,
                 )
+                if self.metrics is not None:
+                    for name in dispatched:
+                        self.metrics.counter(
+                            "kernel.dispatch", variant=self.kernels, phase=name
+                        ).add(1)
 
     def _lb_costs(self) -> np.ndarray:
         """Per-box cost vector driving the rebalance decision.

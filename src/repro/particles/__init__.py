@@ -12,18 +12,13 @@ from repro.particles.shapes import (
 )
 from repro.particles.pusher import push_boris, push_vay, push_positions, lorentz_factor
 from repro.particles.advance import advance_particles
-from repro.particles.gather import (
-    gather_fields,
-    gather_fields_reference,
-    gather_fields_tiled,
-)
+from repro.particles.gather import gather_fields, gather_fields_reference
 from repro.particles.deposit import (
     deposit_current_esirkepov,
-    deposit_current_esirkepov_tiled,
     deposit_current_direct,
-    deposit_current_direct_tiled,
+    deposit_current_direct_reference,
     deposit_charge,
-    deposit_charge_tiled,
+    deposit_charge_reference,
     deposit_current_reference,
 )
 from repro.particles.kernels import (
@@ -63,13 +58,11 @@ __all__ = [
     "lorentz_factor",
     "gather_fields",
     "gather_fields_reference",
-    "gather_fields_tiled",
     "deposit_current_esirkepov",
-    "deposit_current_esirkepov_tiled",
     "deposit_current_direct",
-    "deposit_current_direct_tiled",
+    "deposit_current_direct_reference",
     "deposit_charge",
-    "deposit_charge_tiled",
+    "deposit_charge_reference",
     "deposit_current_reference",
     "FLOAT32_ERROR_BUDGET",
     "KernelSet",

@@ -5,8 +5,8 @@ loops; the WarpX GPU port (arXiv:2101.12149) showed that the winning
 recipe is *same kernel semantics, new backend behind a dispatch seam,
 cross-validated against the reference* — and that the largest single
 win is one streamed pass that keeps a particle's fields and momentum in
-registers.  This module is that recipe for the Python reproduction: a
-fourth registry tier (``kernels="compiled"``) whose per-particle inner
+registers.  This module is that recipe for the Python reproduction: the
+native registry tier (``kernels="compiled"``) whose per-particle inner
 loops run as native code.
 
 There is one backend.  When a C compiler (``cc``/``gcc``/``clang``) is
@@ -14,7 +14,7 @@ on ``PATH`` the kernels below are compiled into a shared library cached
 by source hash and driven through ctypes; without one (or with
 ``REPRO_COMPILED_BACKEND=none``) the tier is *not* registered, the
 registry reports why (:func:`repro.particles.kernels.
-kernel_tier_status`) and dispatch falls through to ``tiled``.
+kernel_tier_status`) and dispatch falls through to ``vectorized``.
 
 Entry points (each emitted twice over a ``real`` typedef, for float64
 and float32 field storage):
@@ -63,11 +63,11 @@ import numpy as np
 from repro.constants import c
 from repro.exceptions import ConfigurationError, SanitizerError
 from repro.grid.yee import FIELD_COMPONENTS, STAGGER, YeeGrid
-from repro.particles.deposit import deposit_current_esirkepov_tiled, esirkepov_window
+from repro.particles.deposit import deposit_current_esirkepov, esirkepov_window
 from repro.particles.pusher import PUSHERS
 
 #: widest Esirkepov window the compiled kernels handle on-stack; larger
-#: displacements (deep-MR subcycling) fall back to the numpy tiled kernel
+#: displacements (deep-MR subcycling) fall back to the vectorized kernel
 KMAX = 8
 
 #: environment override: "c", "auto" (default, same as "c") or "none"
@@ -702,9 +702,9 @@ def make_compiled_kernel_set(backend: CBackend):
         K = esirkepov_window(order, max_disp, tight=True)
         if K > KMAX:
             # windows this wide (deep-MR subcycled displacements) are not
-            # worth native stack buffers; the numpy tiled kernel handles
+            # worth native stack buffers; the vectorized kernel handles
             # them with identical mathematics
-            deposit_current_esirkepov_tiled(
+            deposit_current_esirkepov(
                 grid, pos_old, pos_new, vel, weights, charge, dt, order,
             )
             return

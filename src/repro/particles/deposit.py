@@ -8,32 +8,38 @@ discrete continuity equation
 
 to machine precision, so no Poisson clean-up is ever needed — the property
 the paper relies on for long laser-propagation runs.  A simpler direct
-(momentum-conserving, *not* charge-conserving) deposition and a scalar
-reference implementation are provided for benchmarking and validation.
+(momentum-conserving, *not* charge-conserving) deposition and the
+``reference`` tier's deposits are provided for benchmarking and validation.
 
 All deposits are *added* into the grid arrays (callers zero the sources at
 the start of the step), and all routines process particles in chunks to
 bound the size of the (n, K, K, K) intermediate weight products.
 
-Two scatter strategies back every deposit (see
-:mod:`repro.particles.kernels` for the dispatch registry):
+How the ``vectorized`` deposits scatter (the Python analog of the
+conflict-free tiled scatter the paper credits for its biggest node-level
+win, Sec. V.A.1):
 
-* the ``vectorized`` kernels scatter with ``np.add.at`` — correct for
-  repeated indices but unbuffered and notoriously slow;
-* the ``tiled`` kernels (``*_tiled``) replace it with segmented
-  reductions: contiguous runs of equal addresses (which
-  :func:`~repro.particles.sorting.sort_species_by_bin` ordering makes
-  long) are pre-summed with ``np.add.reduceat``, and the per-run totals
-  are accumulated in one ``np.bincount`` histogram pass.  The result
-  matches the vectorized kernels to machine precision (the additions are
-  reassociated, never dropped) and is several times faster — the Python
-  analog of the conflict-free tiled scatter the paper credits for its
-  biggest node-level win (Sec. V.A.1).
+* one buffered ``np.bincount`` histogram pass per scatter instead of the
+  per-element read-modify-write of ``np.add.at``, taken over the span of
+  flat addresses the chunk touches, so a compact beam on a large grid
+  costs O(stencil points + span), not O(array);
+* the nodal (charge, direct) deposits first collapse contiguous runs of
+  equal addresses with ``np.add.reduceat`` — runs that
+  :func:`~repro.particles.sorting.sort_species_by_bin` ordering makes long;
+* Esirkepov uses the minimal ``order + 2``-point window for sub-cell moves
+  (:func:`esirkepov_window`), shrinking every weight tensor.
 
-Under ``REPRO_SANITIZE=1`` every deposit verifies (SAN005) that no
-particle's stencil leaves the padded field array; the flat-address
-arithmetic would otherwise wrap negative indices to the far end of the
-array and silently corrupt fields.
+The ``reference`` tier keeps the textbook scatter — ``np.add.at`` and the
+standard ``order + 3`` window — so every kernel above has an independently
+scattered twin to be validated against; the additions are reassociated,
+never dropped, and the two agree to machine precision.
+
+Every scatter checks the flat-address span it is about to touch and raises
+``SanitizerError`` (SAN005) when a particle has escaped the padded array.
+Under ``REPRO_SANITIZE=1`` every deposit additionally verifies per axis
+that no stencil leaves the array; the flat-address arithmetic would
+otherwise wrap an index on an inner axis into the neighbouring row and
+silently corrupt fields.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.sanitize import Sanitizer
+from repro.exceptions import ConfigurationError, SanitizerError
 from repro.grid.yee import STAGGER, YeeGrid
 from repro.particles.shapes import bspline, shape_weights
 
@@ -53,10 +60,11 @@ _CHUNK = 4096
 #: prefix length sampled to decide whether address runs are worth scanning
 _RUN_PROBE = 1024
 
-#: chunk size of the tiled nodal deposits, whose temporaries are n-sized
+#: chunk size of the nodal deposits, whose temporaries are only n-sized:
+#: fewer scatter calls, and address runs that span the whole sorted species
 _CHUNK_NODAL = 65536
 
-#: scatter_add(flat, addr, vals) accumulates vals into flat at addr
+#: scatter_add(span, addr, vals) accumulates vals into span at addr
 ScatterAdd = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
@@ -68,9 +76,40 @@ def _flat_strides(arr: np.ndarray) -> Sequence[int]:
     return [int(s) for s in np.array(arr.strides) // arr.itemsize]
 
 
-def _scatter_add_at(flat: np.ndarray, addr: np.ndarray, vals: np.ndarray) -> None:
-    """Baseline scatter: unbuffered ``np.add.at`` (correct, slow)."""
-    np.add.at(flat, addr, vals)
+def _address_span(
+    base: Sequence[np.ndarray],
+    strides: Sequence[int],
+    width: int,
+    size: int,
+    kernel: str,
+    component: str,
+) -> Tuple[np.ndarray, int, int]:
+    """Flat addresses a chunk of ``width``-point stencils touches.
+
+    Returns ``(first, lo, hi)``: each particle's first stencil address
+    relative to ``lo``, and the span ``[lo, hi)`` holding every address of
+    every stencil.  A span outside the ``size``-element array means a
+    particle escaped the padded grid; that is SAN005 here, always, because
+    a histogram over such addresses fails opaquely or allocates by the
+    escaped coordinate.
+    """
+    first = base[0] * strides[0]
+    for d in range(1, len(base)):
+        first = first + base[d] * strides[d]
+    lo = int(first.min())
+    hi = int(first.max()) + (width - 1) * sum(strides) + 1
+    if lo < 0 or hi > size:
+        raise SanitizerError(
+            f"SAN005: particle stencil out of range in {kernel} for "
+            f"{component}: flat addresses [{lo}, {hi}) vs array size "
+            f"{size}; a particle has left the padded field array"
+        )
+    return first - lo, lo, hi
+
+
+def _scatter_add_at(span: np.ndarray, addr: np.ndarray, vals: np.ndarray) -> None:
+    """The ``reference`` tier's scatter: unbuffered ``np.add.at``."""
+    np.add.at(span, addr, vals)
 
 
 def _run_starts(addr: np.ndarray) -> np.ndarray:
@@ -82,7 +121,7 @@ def _run_starts(addr: np.ndarray) -> np.ndarray:
 
 
 def _scatter_add_segmented(
-    flat: np.ndarray, addr: np.ndarray, vals: np.ndarray
+    span: np.ndarray, addr: np.ndarray, vals: np.ndarray
 ) -> None:
     """Sort-aware scatter: reduceat over address runs + one histogram pass.
 
@@ -91,33 +130,22 @@ def _scatter_add_segmented(
     points, so ``addr`` is dominated by runs of equal values:
     ``np.add.reduceat`` collapses each run to a single (address, sum)
     pair first.  The surviving pairs — and, for unsorted input, the raw
-    (address, value) pairs — are accumulated with ``np.bincount``, a
-    single buffered histogram pass that replaces the per-element
-    read-modify-write of ``np.add.at``.
+    (address, value) pairs — go through :func:`_scatter_add_histogram`.
     """
-    addr = addr.ravel()
-    vals = vals.ravel()
-    if addr.size == 0:
-        return
     # cheap prefix probe: when the head of the address stream shows no
     # runs (unsorted species, or sorting at multi-cell granularity), skip
     # the full run scan and take the histogram pass directly
     head = addr[:_RUN_PROBE]
-    if (
-        head.size < 2
-        or np.count_nonzero(head[1:] != head[:-1]) * 2 > head.size
-    ):
-        flat += np.bincount(addr, weights=vals, minlength=flat.size)
-        return
-    starts = _run_starts(addr)
-    if starts.size <= addr.size // 2:
-        vals = np.add.reduceat(vals, starts)
-        addr = addr[starts]
-    flat += np.bincount(addr, weights=vals, minlength=flat.size)
+    if head.size >= 2 and np.count_nonzero(head[1:] != head[:-1]) * 2 <= head.size:
+        starts = _run_starts(addr)
+        if starts.size <= addr.size // 2:
+            vals = np.add.reduceat(vals, starts)
+            addr = addr[starts]
+    _scatter_add_histogram(span, addr, vals)
 
 
 def _scatter_add_histogram(
-    flat: np.ndarray, addr: np.ndarray, vals: np.ndarray
+    span: np.ndarray, addr: np.ndarray, vals: np.ndarray
 ) -> None:
     """Buffered histogram scatter without run detection.
 
@@ -125,43 +153,36 @@ def _scatter_add_histogram(
     tensors at once; along the last window axis consecutive flat
     addresses differ by one, so equal-address runs cannot occur and the
     run scan of :func:`_scatter_add_segmented` would be pure overhead.
-    One ``np.bincount`` pass still beats ``np.add.at`` severalfold.
+    One ``np.bincount`` pass replaces the per-element read-modify-write
+    of ``np.add.at``.
     """
-    if addr.size == 0:
-        return
-    flat += np.bincount(
-        addr.ravel(), weights=vals.ravel(), minlength=flat.size
-    )
+    span += np.bincount(addr.ravel(), weights=vals.ravel(), minlength=span.size)
 
 
-def _deposit_nodal_scatter(
+def _deposit_nodal(
     grid: YeeGrid,
     positions: np.ndarray,
     values: np.ndarray,
     order: int,
     target: str,
-    stagger: Tuple[int, int, int],
     scatter_add: ScatterAdd,
     kernel: str,
-    chunk: int = _CHUNK,
 ) -> None:
     """Scatter per-particle ``values`` through an order-``order`` stencil.
 
     Shared body of the charge and direct-current deposits: per-axis shape
     weights on the (possibly staggered) sample lattice of ``target``,
-    then one scatter per stencil offset.  The temporaries here are only
-    ``chunk`` floats per axis (no (n, K, .., K) tensor as in Esirkepov),
-    so the tiled callers pass a larger chunk: fewer scatter calls, and
-    per-tile address runs that span the whole sorted species.
+    then one scatter per stencil offset.
     """
     arr = grid.fields[target]
     flat = arr.ravel()
     strides = _flat_strides(arr)
+    stagger = STAGGER[target]
     ndim = grid.ndim
     n = positions.shape[0]
     san = Sanitizer.from_env()
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
+    for start in range(0, n, _CHUNK_NODAL):
+        sl = slice(start, min(start + _CHUNK_NODAL, n))
         idx0 = []
         wts = []
         for d in range(ndim):
@@ -173,14 +194,17 @@ def _deposit_nodal_scatter(
             wts.append(w)
         if san is not None:
             san.check_stencil_bounds(kernel, target, idx0, order + 1, arr.shape)
+        first, lo, hi = _address_span(
+            idx0, strides, order + 1, flat.size, kernel, target
+        )
+        span = flat[lo:hi]
         vals = values[sl]
         for offsets in itertools.product(range(order + 1), repeat=ndim):
             wprod = vals * wts[0][:, offsets[0]]
-            addr = (idx0[0] + offsets[0]) * strides[0]
             for d in range(1, ndim):
                 wprod = wprod * wts[d][:, offsets[d]]
-                addr = addr + (idx0[d] + offsets[d]) * strides[d]
-            scatter_add(flat, addr, wprod)
+            shift = sum(offsets[d] * strides[d] for d in range(ndim))
+            scatter_add(span, first + shift, wprod)
 
 
 def deposit_charge(
@@ -193,13 +217,13 @@ def deposit_charge(
 ) -> None:
     """Deposit ``q * w`` onto the nodal charge-density array ``target``."""
     qw = charge * weights / float(np.prod(grid.dx))
-    _deposit_nodal_scatter(
-        grid, positions, qw, order, target, (0, 0, 0),
-        _scatter_add_at, "deposit_charge",
+    _deposit_nodal(
+        grid, positions, qw, order, target,
+        _scatter_add_segmented, "deposit_charge",
     )
 
 
-def deposit_charge_tiled(
+def deposit_charge_reference(
     grid: YeeGrid,
     positions: np.ndarray,
     weights: np.ndarray,
@@ -207,11 +231,11 @@ def deposit_charge_tiled(
     order: int = 1,
     target: str = "rho",
 ) -> None:
-    """:func:`deposit_charge` with the segmented-reduction scatter."""
+    """:func:`deposit_charge` scattered with ``np.add.at``."""
     qw = charge * weights / float(np.prod(grid.dx))
-    _deposit_nodal_scatter(
-        grid, positions, qw, order, target, (0, 0, 0),
-        _scatter_add_segmented, "deposit_charge_tiled", chunk=_CHUNK_NODAL,
+    _deposit_nodal(
+        grid, positions, qw, order, target,
+        _scatter_add_at, "deposit_charge_reference",
     )
 
 
@@ -229,10 +253,10 @@ def esirkepov_window(
     moves: the union of the supports of the old and new shapes spans at
     most ``order + 2`` lattice points when the displacement stays under
     one cell, so the extra ``order + 3``-window point only ever carries an
-    exactly-zero weight.  The tiled kernels use it — every window point
-    dropped shrinks the (n, K, .., K) weight tensors, where the kernel
-    spends most of its time.  Displacements of a cell or more fall back
-    to the standard width.
+    exactly-zero weight.  The ``vectorized`` and ``compiled`` kernels use
+    it — every window point dropped shrinks the (n, K, .., K) weight
+    tensors, where the kernel spends most of its time.  Displacements of
+    a cell or more fall back to the standard width.
     """
     extra = max(int(np.ceil(max_displacement)) - 1, 0)
     if tight and extra == 0:
@@ -274,7 +298,7 @@ def _deposit_current_esirkepov_impl(
     order: int,
     scatter_add: ScatterAdd,
     kernel: str,
-    tight_window: bool = False,
+    tight_window: bool,
 ) -> None:
     ndim = grid.ndim
     n = positions_old.shape[0]
@@ -292,14 +316,17 @@ def _deposit_current_esirkepov_impl(
     K = esirkepov_window(order, max_disp, tight=tight_window)
     tight = tight_window and K == order + 2
     if (K + 1) // 2 > grid.guards:
-        from repro.exceptions import ConfigurationError
-
         raise ConfigurationError(
             f"particle displacement of {max_disp:.2f} cells needs a "
             f"{K}-point deposition window but only {grid.guards} guard "
             f"cells are available"
         )
-    offs = np.arange(K)
+    # flat offset of every window point from a particle's first one
+    stencil = np.zeros((K,) * ndim, dtype=np.intp)
+    for d in range(ndim):
+        stencil += (np.arange(K) * strides[d]).reshape(
+            (K,) + (1,) * (ndim - 1 - d)
+        )
     san = Sanitizer.from_env()
 
     for start in range(0, n, _CHUNK):
@@ -320,6 +347,11 @@ def _deposit_current_esirkepov_impl(
             ds.append(s1d - s0d)
         if san is not None:
             san.check_stencil_bounds(kernel, "J", base, K, j_arrays[0].shape)
+        first, lo, hi = _address_span(
+            base, strides, K, flats[0].size, kernel, "J"
+        )
+        addr = first.reshape((-1,) + (1,) * ndim) + stencil
+        spans = [flat[lo:hi] for flat in flats]
         qw = charge * weights[sl]
 
         if ndim == 3:
@@ -341,39 +373,30 @@ def _deposit_current_esirkepov_impl(
                 + 0.5 * s0[0][:, :, None] * ds[1][:, None, :]
                 + ds[0][:, :, None] * ds[1][:, None, :] / 3.0
             )
-            addr = (
-                (base[0][:, None, None, None] + offs[None, :, None, None]) * strides[0]
-                + (base[1][:, None, None, None] + offs[None, None, :, None]) * strides[1]
-                + (base[2][:, None, None, None] + offs[None, None, None, :]) * strides[2]
-            )
             w_x = ds[0][:, :, None, None] * t_yz[:, None, :, :]
             coeff = -qw / (dt * dx[1] * dx[2])
             scatter_add(
-                flats[0], addr, coeff[:, None, None, None] * np.cumsum(w_x, axis=1)
+                spans[0], addr, coeff[:, None, None, None] * np.cumsum(w_x, axis=1)
             )
             w_y = ds[1][:, None, :, None] * t_xz[:, :, None, :]
             coeff = -qw / (dt * dx[0] * dx[2])
             scatter_add(
-                flats[1], addr, coeff[:, None, None, None] * np.cumsum(w_y, axis=2)
+                spans[1], addr, coeff[:, None, None, None] * np.cumsum(w_y, axis=2)
             )
             w_z = ds[2][:, None, None, :] * t_xy[:, :, :, None]
             coeff = -qw / (dt * dx[0] * dx[1])
             scatter_add(
-                flats[2], addr, coeff[:, None, None, None] * np.cumsum(w_z, axis=3)
+                spans[2], addr, coeff[:, None, None, None] * np.cumsum(w_z, axis=3)
             )
         elif ndim == 2:
-            addr = (
-                (base[0][:, None, None] + offs[None, :, None]) * strides[0]
-                + (base[1][:, None, None] + offs[None, None, :]) * strides[1]
-            )
             t_y = s0[1] + 0.5 * ds[1]
             w_x = ds[0][:, :, None] * t_y[:, None, :]
             coeff = -qw / (dt * dx[1])
-            scatter_add(flats[0], addr, coeff[:, None, None] * np.cumsum(w_x, axis=1))
+            scatter_add(spans[0], addr, coeff[:, None, None] * np.cumsum(w_x, axis=1))
             t_x = s0[0] + 0.5 * ds[0]
             w_y = t_x[:, :, None] * ds[1][:, None, :]
             coeff = -qw / (dt * dx[0])
-            scatter_add(flats[1], addr, coeff[:, None, None] * np.cumsum(w_y, axis=2))
+            scatter_add(spans[1], addr, coeff[:, None, None] * np.cumsum(w_y, axis=2))
             # the invariant-axis current: time-averaged shape product
             w_z = (
                 s0[0][:, :, None] * s0[1][:, None, :]
@@ -382,15 +405,14 @@ def _deposit_current_esirkepov_impl(
                 + ds[0][:, :, None] * ds[1][:, None, :] / 3.0
             )
             coeff = qw * velocities[sl, 2] / (dx[0] * dx[1])
-            scatter_add(flats[2], addr, coeff[:, None, None] * w_z)
+            scatter_add(spans[2], addr, coeff[:, None, None] * w_z)
         else:  # 1D
-            addr = (base[0][:, None] + offs[None, :]) * strides[0]
             coeff = -qw / dt
-            scatter_add(flats[0], addr, coeff[:, None] * np.cumsum(ds[0], axis=1))
+            scatter_add(spans[0], addr, coeff[:, None] * np.cumsum(ds[0], axis=1))
             t_x = s0[0] + 0.5 * ds[0]
-            for comp, flat in ((1, flats[1]), (2, flats[2])):
+            for comp in (1, 2):
                 coeff = qw * velocities[sl, comp] / dx[0]
-                scatter_add(flat, addr, coeff[:, None] * t_x)
+                scatter_add(spans[comp], addr, coeff[:, None] * t_x)
 
 
 def deposit_current_esirkepov(
@@ -413,31 +435,8 @@ def deposit_current_esirkepov(
     """
     _deposit_current_esirkepov_impl(
         grid, positions_old, positions_new, velocities, weights,
-        charge, dt, order, _scatter_add_at, "deposit_current_esirkepov",
-    )
-
-
-def deposit_current_esirkepov_tiled(
-    grid: YeeGrid,
-    positions_old: np.ndarray,
-    positions_new: np.ndarray,
-    velocities: np.ndarray,
-    weights: np.ndarray,
-    charge: float,
-    dt: float,
-    order: int = 1,
-) -> None:
-    """:func:`deposit_current_esirkepov` on the fast path: the unbuffered
-    ``np.add.at`` scatter is replaced by one buffered ``np.bincount``
-    histogram pass per component, and sub-cell moves use the minimal
-    ``order + 2``-point window (see :func:`esirkepov_window`), shrinking
-    every intermediate weight tensor.  Identical Esirkepov decomposition;
-    matches the vectorized kernel to machine precision.
-    """
-    _deposit_current_esirkepov_impl(
-        grid, positions_old, positions_new, velocities, weights,
         charge, dt, order, _scatter_add_histogram,
-        "deposit_current_esirkepov_tiled", tight_window=True,
+        "deposit_current_esirkepov", tight_window=True,
     )
 
 
@@ -450,14 +449,12 @@ def _deposit_current_direct_impl(
     order: int,
     scatter_add: ScatterAdd,
     kernel: str,
-    chunk: int = _CHUNK,
 ) -> None:
     cell_volume = float(np.prod(grid.dx))
     for ci, comp in enumerate(("Jx", "Jy", "Jz")):
         qwv = charge * weights * velocities[:, ci] / cell_volume
-        _deposit_nodal_scatter(
-            grid, positions_mid, qwv, order, comp, STAGGER[comp],
-            scatter_add, kernel, chunk=chunk,
+        _deposit_nodal(
+            grid, positions_mid, qwv, order, comp, scatter_add, kernel
         )
 
 
@@ -478,11 +475,11 @@ def deposit_current_direct(
     """
     _deposit_current_direct_impl(
         grid, positions_mid, velocities, weights, charge, order,
-        _scatter_add_at, "deposit_current_direct",
+        _scatter_add_segmented, "deposit_current_direct",
     )
 
 
-def deposit_current_direct_tiled(
+def deposit_current_direct_reference(
     grid: YeeGrid,
     positions_mid: np.ndarray,
     velocities: np.ndarray,
@@ -490,11 +487,10 @@ def deposit_current_direct_tiled(
     charge: float,
     order: int = 1,
 ) -> None:
-    """:func:`deposit_current_direct` with the segmented-reduction scatter."""
+    """:func:`deposit_current_direct` scattered with ``np.add.at``."""
     _deposit_current_direct_impl(
         grid, positions_mid, velocities, weights, charge, order,
-        _scatter_add_segmented, "deposit_current_direct_tiled",
-        chunk=_CHUNK_NODAL,
+        _scatter_add_at, "deposit_current_direct_reference",
     )
 
 
@@ -510,12 +506,13 @@ def deposit_current_reference(  # repro: allow(PIC001)
 ) -> None:
     """Scalar per-particle Esirkepov deposition (Sec. V.A.1 baseline).
 
-    Mathematically identical to :func:`deposit_current_esirkepov`; used to
-    cross-validate the vectorized kernel and as the reference side of the
-    kernel-optimization benchmark.
+    The Esirkepov decomposition of :func:`deposit_current_esirkepov`, one
+    particle at a time on the standard ``order + 3`` window and scattered
+    with ``np.add.at``; used to cross-validate the vectorized kernel and
+    as the reference side of the kernel-optimization benchmark.
     """
     for p in range(positions_old.shape[0]):
-        deposit_current_esirkepov(
+        _deposit_current_esirkepov_impl(
             grid,
             positions_old[p : p + 1],
             positions_new[p : p + 1],
@@ -524,4 +521,7 @@ def deposit_current_reference(  # repro: allow(PIC001)
             charge,
             dt,
             order,
+            _scatter_add_at,
+            "deposit_current_reference",
+            tight_window=False,
         )

@@ -1,24 +1,22 @@
 """Field gathering: grid -> particle interpolation.
 
-Three implementations of the same kernel are provided on purpose (see
+Two implementations of the same kernel are provided on purpose (see
 :mod:`repro.particles.kernels` for the dispatch registry):
 
 * :func:`gather_fields` — vectorized over particles with the stencil point
   fixed, exactly the strategy the paper found optimal on A64FX
   ("vectorizing the computation of the coefficient ijk for multiple
-  particles"); in NumPy this is the only fast formulation.
-* :func:`gather_fields_tiled` — the fast-path variant: identical stencil
-  arithmetic, but the per-axis shape weights are computed once per
-  distinct stagger offset (a :class:`~repro.particles.shapes.
-  ShapeWeightCache`) instead of once per component, cutting the weight
-  evaluations from ``6 * ndim`` to at most ``2 * ndim``.  Bit-identical
-  to :func:`gather_fields`.
+  particles"); in NumPy this is the only fast formulation.  The per-axis
+  shape weights are computed once per distinct stagger offset (a
+  :class:`~repro.particles.shapes.ShapeWeightCache`) instead of once per
+  component: at most ``2 * ndim`` weight evaluations for the six
+  components, not ``6 * ndim``.
 * :func:`gather_fields_reference` — a scalar per-particle loop, the
   "reference" baseline of the paper's Sec. V.A.1 tuning table.  It is used
   to cross-validate the vectorized kernel and in the kernel-optimization
   benchmark.
 
-Under ``REPRO_SANITIZE=1`` every variant verifies (SAN005) that no
+Under ``REPRO_SANITIZE=1`` the vectorized gather verifies (SAN005) that no
 particle's stencil leaves the padded field array: the flat-address
 arithmetic would otherwise wrap a negative base index to the far end of
 the array and silently read garbage.
@@ -27,13 +25,13 @@ the array and silently read garbage.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.sanitize import Sanitizer
 from repro.grid.yee import FIELD_COMPONENTS, STAGGER, YeeGrid
-from repro.particles.shapes import ShapeWeightCache, bspline, shape_weights
+from repro.particles.shapes import ShapeWeightCache, shape_weights
 
 
 def lattice_coords(
@@ -72,69 +70,20 @@ def _stencil_accumulate(  # repro: allow(PIC007)
     return out
 
 
-def _gather_component(
-    arr: np.ndarray,
-    coords: Sequence[np.ndarray],
-    order: int,
-    sanitizer: Optional[Sanitizer] = None,
-    component: str = "?",
-) -> np.ndarray:
-    """Gather one field component at particle lattice coordinates."""
-    ndim = arr.ndim
-    idx0 = []
-    wts = []
-    for d in range(ndim):
-        i0, w = shape_weights(coords[d], order)
-        idx0.append(i0)
-        wts.append(w)
-    if sanitizer is not None:
-        sanitizer.check_stencil_bounds(
-            "gather_fields", component, idx0, order + 1, arr.shape
-        )
-    strides = [int(s) for s in np.array(arr.strides) // arr.itemsize]
-    return _stencil_accumulate(arr.ravel(), strides, idx0, wts, order)
-
-
 def gather_fields(  # repro: allow(PIC007)
     grid: YeeGrid, positions: np.ndarray, order: int = 1
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Interpolate (E, B) to particle positions.
 
     Returns two (n, 3) arrays.  Every component is gathered on its own
-    staggered lattice with an order-``order`` B-spline.
-    """
-    n = positions.shape[0]
-    san = Sanitizer.from_env()
-    e_out = np.empty((n, 3), dtype=np.float64)
-    b_out = np.empty((n, 3), dtype=np.float64)
-    for i, comp in enumerate(("Ex", "Ey", "Ez")):
-        coords = lattice_coords(grid, positions, comp)
-        e_out[:, i] = _gather_component(grid.fields[comp], coords, order, san, comp)
-    for i, comp in enumerate(("Bx", "By", "Bz")):
-        coords = lattice_coords(grid, positions, comp)
-        b_out[:, i] = _gather_component(grid.fields[comp], coords, order, san, comp)
-    return e_out, b_out
-
-
-def gather_fields_tiled(  # repro: allow(PIC007)
-    grid: YeeGrid, positions: np.ndarray, order: int = 1
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fast-path (E, B) gather sharing shape weights across components.
-
-    Same stencil arithmetic as :func:`gather_fields`, but the per-axis
+    staggered lattice with an order-``order`` B-spline.  The per-axis
     ``(i0, w)`` tables are memoized per stagger offset: a Yee lattice has
-    only two distinct sample lattices per axis, so the six components
-    need at most ``2 * ndim`` weight evaluations instead of ``6 * ndim``.
-    The result is bit-identical to :func:`gather_fields`.
+    only two distinct sample lattices per axis.
     """
     ndim = grid.ndim
     n = positions.shape[0]
     san = Sanitizer.from_env()
-    nodal = [
-        (positions[:, d] - grid.lo[d]) / grid.dx[d] + grid.guards
-        for d in range(ndim)
-    ]
-    cache = ShapeWeightCache(nodal, order)
+    cache = ShapeWeightCache(lattice_coords(grid, positions, "rho"), order)
     sample = grid.fields["Ex"]
     strides = [int(s) for s in np.array(sample.strides) // sample.itemsize]
     e_out = np.empty((n, 3), dtype=np.float64)
@@ -150,7 +99,7 @@ def gather_fields_tiled(  # repro: allow(PIC007)
         arr = grid.fields[comp]
         if san is not None:
             san.check_stencil_bounds(
-                "gather_fields_tiled", comp, idx0, order + 1, arr.shape
+                "gather_fields", comp, idx0, order + 1, arr.shape
             )
         out = e_out if i < 3 else b_out
         out[:, i % 3] = _stencil_accumulate(

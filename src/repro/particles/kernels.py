@@ -5,20 +5,24 @@ restructuring the gather and deposition kernels around memory locality
 while keeping their mathematics fixed.  This module reproduces that
 experiment as a first-class abstraction: each *kernel variant* bundles a
 gather and the three deposits behind one name, and simulations select a
-variant by name (``Simulation(..., kernels="tiled")``).
+variant by name (``Simulation(..., kernels="compiled")``).  The registry
+holds the paper's scalar baseline, one NumPy path and one native path.
 
 ======  ==================================================================
 variant  implementation
 ======  ==================================================================
-``reference``   scalar per-particle loops (the Sec. V.A.1 baseline);
-                charge/direct deposits fall back to the vectorized
-                kernels, which only diagnostics exercise
-``vectorized``  NumPy-vectorized over particles, scatters through the
-                unbuffered ``np.add.at``
-``tiled``       the numpy fast path: sort-aware segmented-reduction
-                scatters (``np.add.reduceat`` over per-tile contiguous
-                runs + one ``np.bincount`` histogram pass) and a
-                shape-weight cache shared across the six gathers
+``reference``   the Sec. V.A.1 baseline: scalar per-particle gather and
+                Esirkepov loops, and every deposit scattered with the
+                unbuffered ``np.add.at`` on the standard ``order + 3``
+                window — the independently scattered twin the other
+                tiers are validated against
+``vectorized``  the NumPy path, vectorized over particles: buffered
+                ``np.bincount`` histogram scatters over the touched
+                address span (after ``np.add.reduceat`` over contiguous
+                runs for the nodal deposits), the minimal ``order + 2``
+                Esirkepov window, and a shape-weight cache shared across
+                the six gathers (:mod:`repro.particles.deposit`,
+                :mod:`repro.particles.gather`)
 ``compiled``    native per-particle loops: generated C built with the
                 system compiler and driven through ctypes
                 (:mod:`repro.particles.compiled`), plus the fused
@@ -26,7 +30,7 @@ variant  implementation
                 Esirkepov in one call).  Registered only when the
                 library builds; otherwise the registry reports *why*
                 (:func:`kernel_tier_status`) and
-                :func:`resolve_kernel_set` falls back to ``tiled``
+                :func:`resolve_kernel_set` falls back to ``vectorized``
 ======  ==================================================================
 
 Every variant computes the same physics; :func:`validate_kernel_set`
@@ -54,18 +58,13 @@ from repro.exceptions import ConfigurationError, PrecisionError
 from repro.grid.yee import YeeGrid
 from repro.particles.deposit import (
     deposit_charge,
-    deposit_charge_tiled,
+    deposit_charge_reference,
     deposit_current_direct,
-    deposit_current_direct_tiled,
+    deposit_current_direct_reference,
     deposit_current_esirkepov,
-    deposit_current_esirkepov_tiled,
     deposit_current_reference,
 )
-from repro.particles.gather import (
-    gather_fields,
-    gather_fields_reference,
-    gather_fields_tiled,
-)
+from repro.particles.gather import gather_fields, gather_fields_reference
 from repro.particles.pusher import PUSHERS, lorentz_factor, push_positions
 
 
@@ -97,10 +96,6 @@ _REGISTRY: Dict[str, KernelSet] = {}
 
 #: tiers that probed for a backend and found none: name -> human reason
 _UNAVAILABLE: Dict[str, str] = {}
-
-#: the variant :func:`resolve_kernel_set` falls back to when a known
-#: tier is unavailable on this machine
-FALLBACK_VARIANT = "tiled"
 
 _KERNEL_FIELDS = (
     "gather", "deposit_charge", "deposit_current", "deposit_current_direct",
@@ -153,7 +148,7 @@ def mark_tier_unavailable(name: str, reason: str) -> None:
 
     The tier stays out of :func:`available_kernel_variants`, but
     :func:`kernel_tier_status` surfaces the reason and
-    :func:`resolve_kernel_set` maps the name to ``tiled`` instead of
+    :func:`resolve_kernel_set` maps the name to ``vectorized`` instead of
     raising.
     """
     if name in _REGISTRY:
@@ -178,20 +173,15 @@ def resolve_kernel_set(name: str) -> Tuple[KernelSet, Optional[str]]:
     """Resolve a variant name, falling back when the tier is unavailable.
 
     Returns ``(kernel_set, fallback_reason)``: ``(set, None)`` for a
-    registered name; ``(tiled, reason)`` for a tier that probed for a
-    backend and found none (e.g. ``compiled`` without a C compiler).  Unknown names still raise :class:`ConfigurationError` —
-    only *known-but-unbuildable* tiers degrade gracefully.
+    registered name; ``(vectorized, reason)`` for a tier that probed for
+    a backend and found none (e.g. ``compiled`` without a C compiler).
+    Unknown names still raise :class:`ConfigurationError` — only
+    *known-but-unbuildable* tiers degrade gracefully.
     """
-    kernel_set = _REGISTRY.get(name)
-    if kernel_set is not None:
-        return kernel_set, None
     reason = _UNAVAILABLE.get(name)
     if reason is not None:
-        return get_kernel_set(FALLBACK_VARIANT), reason
-    raise ConfigurationError(
-        f"unknown kernel variant {name!r}; "
-        f"available: {available_kernel_variants()}"
-    )
+        return _REGISTRY["vectorized"], reason
+    return get_kernel_set(name), None
 
 
 def available_kernel_variants() -> Tuple[str, ...]:
@@ -217,9 +207,9 @@ register_kernel_set(
     KernelSet(
         name="reference",
         gather=gather_fields_reference,
-        deposit_charge=deposit_charge,
+        deposit_charge=deposit_charge_reference,
         deposit_current=deposit_current_reference,
-        deposit_current_direct=deposit_current_direct,
+        deposit_current_direct=deposit_current_direct_reference,
     ),
     KernelSet(
         name="vectorized",
@@ -227,13 +217,6 @@ register_kernel_set(
         deposit_charge=deposit_charge,
         deposit_current=deposit_current_esirkepov,
         deposit_current_direct=deposit_current_direct,
-    ),
-    KernelSet(
-        name="tiled",
-        gather=gather_fields_tiled,
-        deposit_charge=deposit_charge_tiled,
-        deposit_current=deposit_current_esirkepov_tiled,
-        deposit_current_direct=deposit_current_direct_tiled,
     ),
 )
 

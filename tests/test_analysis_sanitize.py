@@ -232,14 +232,20 @@ def test_san005_trips_on_gather_outside_padding(monkeypatch):
 
 def test_san005_trips_on_deposit_outside_padding(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    from repro.particles.deposit import deposit_charge, deposit_charge_tiled
+    from repro.particles.deposit import (
+        deposit_charge,
+        deposit_charge_reference,
+    )
 
-    g = YeeGrid((8,), (0.0,), (8.0,), guards=1)
-    pos = np.array([[11.5]])
-    with pytest.raises(SanitizerError, match="SAN005"):
+    # out of range on the inner axis only: the flat addresses stay inside
+    # the array (they wrap into the next row), so only the per-axis
+    # sanitizer check can see it
+    g = YeeGrid((8, 8), (0.0, 0.0), (8.0, 8.0), guards=1)
+    pos = np.array([[4.0, 11.5]])
+    with pytest.raises(SanitizerError, match="SAN005.*axis 1"):
         deposit_charge(g, pos, np.ones(1), -q_e, order=3)
-    with pytest.raises(SanitizerError, match="SAN005"):
-        deposit_charge_tiled(g, pos, np.ones(1), -q_e, order=3)
+    with pytest.raises(SanitizerError, match="SAN005.*axis 1"):
+        deposit_charge_reference(g, pos, np.ones(1), -q_e, order=3)
 
 
 def test_san005_silent_without_env(monkeypatch):

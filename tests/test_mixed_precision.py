@@ -120,7 +120,7 @@ def test_maxwell_fdtd_preserves_float32():
 # -- float32 error budget ----------------------------------------------------
 
 def budget_variants():
-    names = ["reference", "vectorized", "tiled"]
+    names = ["reference", "vectorized"]
     if "compiled" in available_kernel_variants():
         names.append("compiled")
     return names
@@ -139,18 +139,18 @@ def test_budget_breach_raises_precision_error(monkeypatch):
     tight = {k: 1.0e-12 for k in FLOAT32_ERROR_BUDGET}
     monkeypatch.setattr(kernels_mod, "FLOAT32_ERROR_BUDGET", tight)
     with pytest.raises(PrecisionError):
-        validate_kernel_set("tiled", ndim=2, order=2, precision="float32")
+        validate_kernel_set("vectorized", ndim=2, order=2, precision="float32")
 
 
 def test_float64_validation_unchanged_by_precision_param():
-    a = validate_kernel_set("tiled", ndim=2, order=2)
-    b = validate_kernel_set("tiled", ndim=2, order=2, precision="float64")
+    a = validate_kernel_set("reference", ndim=2, order=2)
+    b = validate_kernel_set("reference", ndim=2, order=2, precision="float64")
     assert a == b
 
 
 def test_validate_rejects_unknown_precision():
     with pytest.raises(ConfigurationError, match="precision"):
-        validate_kernel_set("tiled", precision="float16")
+        validate_kernel_set("vectorized", precision="float16")
 
 
 # -- PSATD explicit dtype threading ------------------------------------------

@@ -1,5 +1,5 @@
 """The box-level particle advance and the fused compiled pass behind it:
-fused vs three-phase agreement, the Esirkepov window contract (tiled
+fused vs three-phase agreement, the Esirkepov window contract (NumPy
 fallback, guard shortfall), bounds safety of every native kernel (run in
 subprocesses: a regression here is a segfault, not an exception), routing
 in the three step drivers, phases and dispatch counters."""
@@ -88,7 +88,7 @@ def test_float32_advance_budget_is_enforced(monkeypatch):
 
 
 def test_validate_skips_advance_for_unfused_variants():
-    assert "advance" not in validate_kernel_set("tiled")
+    assert "advance" not in validate_kernel_set("reference")
 
 
 # -- (b) a physics run on the fused path --------------------------------------
@@ -184,6 +184,8 @@ def streaming_species(grid, displacement_cells, n=20, seed=3):
 
 @needs_compiled
 def test_wide_displacement_takes_the_tiled_fallback():
+    """K > KMAX inside the fused pass lands on the NumPy Esirkepov kernel
+    (``tiled`` when this test got its id, ``vectorized`` now)."""
     grid_f = YeeGrid((24, 24), (0.0, 0.0), (24.0, 24.0), guards=10)
     grid_r = grid_f.copy()
     assert esirkepov_window(3, 3.2, tight=True) > KMAX
@@ -193,7 +195,7 @@ def test_wide_displacement_takes_the_tiled_fallback():
         grid_f, sp_f, get_kernel_set("compiled"), "boris", dt, 3
     ) == ("advance",)
     assert advance_particles(
-        grid_r, sp_r, get_kernel_set("tiled"), "boris", dt, 3
+        grid_r, sp_r, get_kernel_set("vectorized"), "boris", dt, 3
     ) == ("gather", "deposit")
     assert np.max(np.abs(grid_r.fields["Jx"])) > 0
     for comp in ("Jx", "Jy", "Jz"):
@@ -388,9 +390,29 @@ def test_distributed_surfaces_kernel_fallback_reason(monkeypatch):
     sim = DistributedSimulation(
         (8, 8), (0.0, 0.0), (8.0, 8.0), n_ranks=1, kernels="compiled"
     )
-    assert sim.kernels == "tiled"
+    assert sim.kernels == "vectorized"
     assert sim.kernel_fallback_reason == "probe failed"
     with pytest.raises(ConfigurationError, match="unknown kernel variant"):
         DistributedSimulation(
             (8, 8), (0.0, 0.0), (8.0, 8.0), n_ranks=1, kernels="simd"
         )
+
+
+@pytest.mark.parametrize("variant", ["vectorized", "compiled"])
+def test_distributed_counts_kernel_dispatches(variant):
+    """One ``kernel.dispatch`` bump per phase, box and step, as in
+    ``Simulation`` (the decomposed driver used to drop them)."""
+    if variant not in available_kernel_variants():
+        pytest.skip(f"{variant} tier unavailable on this machine")
+    sim = make_langmuir_build(n_ranks=2, kernels=variant)()
+    _, metrics = attach_observability(sim)
+    sim.step(3)
+    snap = metrics.snapshot()
+    phases = ("advance",) if variant == "compiled" else ("gather", "deposit")
+    dispatched = {
+        key: val for key, val in snap.items() if key.startswith("kernel.dispatch")
+    }
+    assert dispatched == {
+        f"kernel.dispatch{{phase={phase},variant={variant}}}": 3.0 * len(sim.boxes)
+        for phase in phases
+    }

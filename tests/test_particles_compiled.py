@@ -26,12 +26,11 @@ from repro.particles.compiled import (
 )
 from repro.particles.deposit import (
     deposit_charge,
-    deposit_current_esirkepov_tiled,
+    deposit_current_esirkepov,
 )
 from repro.particles.gather import gather_fields
 from repro.particles.injection import UniformProfile
 from repro.particles.kernels import (
-    FALLBACK_VARIANT,
     KernelSet,
     available_kernel_variants,
     get_kernel_set,
@@ -113,7 +112,7 @@ def test_python_twin_deposits_match_numpy(c_set, ndim, order):
 
     for g in (grid_a, grid_b):
         g.zero_sources()
-    deposit_current_esirkepov_tiled(
+    deposit_current_esirkepov(
         grid_a, pos, pos_new, vel, wts, charge=-2.0, dt=dt, order=order
     )
     c_set.deposit_current(
@@ -174,6 +173,8 @@ def test_c_source_emits_both_precisions():
 # -- wide windows and guard shortage -----------------------------------------
 
 def test_wide_window_falls_back_to_tiled(c_set):
+    """K > KMAX goes to the NumPy Esirkepov kernel (the ``tiled`` one when
+    this test got its id, ``vectorized`` now)."""
     grid_a = make_grid(2, n=24, guards=10)
     grid_b = make_grid(2, n=24, guards=10)
     rng = np.random.default_rng(3)
@@ -181,7 +182,7 @@ def test_wide_window_falls_back_to_tiled(c_set):
     vel = rng.standard_normal((20, 3))
     wts = np.ones(20)
     # displacement wide enough that K > KMAX, yet small enough that the
-    # tiled fallback still fits in the guard layer
+    # NumPy fallback still fits in the guard layer
     from repro.particles.deposit import esirkepov_window
 
     disp = 3.2
@@ -189,8 +190,8 @@ def test_wide_window_falls_back_to_tiled(c_set):
     pos_new = pos + np.array([disp, 0.5])
     c_set.deposit_current(grid_a, pos, pos_new, vel, wts, charge=1.0,
                                dt=0.2, order=3)
-    deposit_current_esirkepov_tiled(grid_b, pos, pos_new, vel, wts,
-                                    charge=1.0, dt=0.2, order=3)
+    deposit_current_esirkepov(grid_b, pos, pos_new, vel, wts,
+                              charge=1.0, dt=0.2, order=3)
     for comp in ("Jx", "Jy", "Jz"):
         np.testing.assert_allclose(
             grid_a.fields[comp], grid_b.fields[comp], rtol=0, atol=1e-12
@@ -244,6 +245,8 @@ def test_c_only_choice_without_compiler(monkeypatch):
 
 
 def test_unavailable_tier_resolves_to_tiled(monkeypatch):
+    """The fallback is the one NumPy path, ``vectorized`` (``tiled`` when
+    this test got its id)."""
     monkeypatch.setattr(kernels, "_REGISTRY", {
         name: ks for name, ks in kernels._REGISTRY.items()
         if name != "compiled"
@@ -251,7 +254,7 @@ def test_unavailable_tier_resolves_to_tiled(monkeypatch):
     monkeypatch.setattr(kernels, "_UNAVAILABLE",
                         {"compiled": "no C compiler"})
     ks, reason = resolve_kernel_set("compiled")
-    assert ks.name == FALLBACK_VARIANT
+    assert ks.name == "vectorized"
     assert "no C compiler" in reason
     assert kernel_tier_status()["compiled"] == "no C compiler"
 
@@ -264,13 +267,13 @@ def test_unavailable_tier_simulation_falls_back(monkeypatch):
     monkeypatch.setattr(kernels, "_UNAVAILABLE", {"compiled": "probe failed"})
     grid = YeeGrid((12, 12), (0.0, 0.0), (12.0e-6, 12.0e-6), guards=4)
     sim = Simulation(grid, dt=2.0e-15, kernels="compiled")
-    assert sim.kernels == FALLBACK_VARIANT
+    assert sim.kernels == "vectorized"
     assert sim.kernel_fallback_reason == "probe failed"
 
 
 def test_available_variant_has_no_fallback_reason():
-    ks, reason = resolve_kernel_set("tiled")
-    assert ks.name == "tiled" and reason is None
+    ks, reason = resolve_kernel_set("reference")
+    assert ks.name == "reference" and reason is None
 
 
 def test_unknown_variant_still_raises_through_resolve():
@@ -299,6 +302,24 @@ def test_install_marks_unavailable_when_probes_fail(monkeypatch):
     assert "no C compiler" in kernel_tier_status()["compiled"]
 
 
+def test_backend_none_leaves_two_tiers_and_compiled_lands_on_vectorized(
+    monkeypatch,
+):
+    monkeypatch.setenv(BACKEND_ENV, "none")
+    monkeypatch.setattr(kernels, "_REGISTRY", {
+        name: ks for name, ks in kernels._REGISTRY.items()
+        if name != "compiled"
+    })
+    monkeypatch.setattr(kernels, "_UNAVAILABLE", {})
+    install_compiled_tier()
+    assert available_kernel_variants() == ("reference", "vectorized")
+    grid = YeeGrid((12, 12), (0.0, 0.0), (12.0e-6, 12.0e-6), guards=4)
+    sim = Simulation(grid, dt=2.0e-15, kernels="compiled")
+    assert sim.kernels == "vectorized"
+    assert sim.kernel_set is get_kernel_set("vectorized")
+    assert sim.kernel_fallback_reason == f"disabled via {BACKEND_ENV}=none"
+
+
 def test_probe_builders_agree_with_environment():
     # if the import-time environment selection allowed the probe to run,
     # the registry state must match its outcome
@@ -314,20 +335,20 @@ def test_probe_builders_agree_with_environment():
 
 def test_failed_batch_registration_installs_nothing(monkeypatch):
     monkeypatch.setattr(kernels, "_REGISTRY", dict(kernels._REGISTRY))
-    tiled = get_kernel_set("tiled")
+    vec = get_kernel_set("vectorized")
 
     def clone(name):
         return KernelSet(
             name=name,
-            gather=tiled.gather,
-            deposit_charge=tiled.deposit_charge,
-            deposit_current=tiled.deposit_current,
-            deposit_current_direct=tiled.deposit_current_direct,
+            gather=vec.gather,
+            deposit_charge=vec.deposit_charge,
+            deposit_current=vec.deposit_current,
+            deposit_current_direct=vec.deposit_current_direct,
         )
 
     before = available_kernel_variants()
     with pytest.raises(ConfigurationError, match="duplicate"):
-        register_kernel_set(clone("fresh_a"), clone("tiled"))
+        register_kernel_set(clone("fresh_a"), clone("vectorized"))
     assert available_kernel_variants() == before  # fresh_a NOT installed
 
     with pytest.raises(ConfigurationError, match="duplicate"):
@@ -337,9 +358,9 @@ def test_failed_batch_registration_installs_nothing(monkeypatch):
     bad = KernelSet(
         name="fresh_c",
         gather="not callable",
-        deposit_charge=tiled.deposit_charge,
-        deposit_current=tiled.deposit_current,
-        deposit_current_direct=tiled.deposit_current_direct,
+        deposit_charge=vec.deposit_charge,
+        deposit_current=vec.deposit_current,
+        deposit_current_direct=vec.deposit_current_direct,
     )
     with pytest.raises(ConfigurationError, match="callable"):
         register_kernel_set(clone("fresh_d"), bad)
@@ -349,13 +370,13 @@ def test_failed_batch_registration_installs_nothing(monkeypatch):
 def test_successful_batch_registers_all_and_clears_unavailable(monkeypatch):
     monkeypatch.setattr(kernels, "_REGISTRY", dict(kernels._REGISTRY))
     monkeypatch.setattr(kernels, "_UNAVAILABLE", {"fresh_e": "was broken"})
-    tiled = get_kernel_set("tiled")
+    vec = get_kernel_set("vectorized")
     register_kernel_set(KernelSet(
         name="fresh_e",
-        gather=tiled.gather,
-        deposit_charge=tiled.deposit_charge,
-        deposit_current=tiled.deposit_current,
-        deposit_current_direct=tiled.deposit_current_direct,
+        gather=vec.gather,
+        deposit_charge=vec.deposit_charge,
+        deposit_current=vec.deposit_current,
+        deposit_current_direct=vec.deposit_current_direct,
     ))
     assert "fresh_e" in available_kernel_variants()
     assert "fresh_e" not in kernels._UNAVAILABLE
@@ -363,7 +384,7 @@ def test_successful_batch_registers_all_and_clears_unavailable(monkeypatch):
 
 def test_mark_tier_unavailable_rejects_registered_name():
     with pytest.raises(ConfigurationError, match="registered"):
-        mark_tier_unavailable("tiled", "nope")
+        mark_tier_unavailable("vectorized", "nope")
 
 
 # -- dispatch counters --------------------------------------------------------
@@ -376,11 +397,11 @@ def test_dispatch_counters_label_actual_variant():
     length = plasma_wavelength(n0)
     grid = YeeGrid((16,), (0.0,), (length,), guards=4)
     sim = Simulation(grid, dt=cfl_dt((length / 16,), 0.9), shape_order=2,
-                     smoothing_passes=0, kernels="tiled")
+                     smoothing_passes=0, kernels="reference")
     sim.add_species(Species("e", charge=-q_e, mass=m_e, ndim=1),
                     profile=UniformProfile(n0), ppc=2)
     _, metrics = attach_observability(sim)
     sim.step(3)
     snap = metrics.snapshot()
-    assert snap["kernel.dispatch{phase=deposit,variant=tiled}"] == 3.0
-    assert snap["kernel.dispatch{phase=gather,variant=tiled}"] == 3.0
+    assert snap["kernel.dispatch{phase=deposit,variant=reference}"] == 3.0
+    assert snap["kernel.dispatch{phase=gather,variant=reference}"] == 3.0

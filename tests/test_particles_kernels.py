@@ -1,27 +1,31 @@
-"""Kernel dispatch registry and tiled fast-path tests: registry lookup
-and registration errors, machine-precision cross-validation of the tiled
-kernels against the vectorized ones (sorted and unsorted), charge
-conservation of the tiled Esirkepov deposit, the shape-weight cache, and
-the kernel-variant plumbing through ``Simulation``."""
+"""Kernel dispatch registry and the NumPy path's scatter techniques:
+registry lookup and registration errors, machine-precision
+cross-validation of the vectorized kernels against the ``reference``
+tier's independent ``np.add.at`` scatter (sorted and unsorted), charge
+conservation of the Esirkepov deposit on the tight window, the
+touched-span histogram and its always-on bounds check, the shape-weight
+cache, and the kernel-variant plumbing through ``Simulation``."""
 
 import numpy as np
 import pytest
 
 from repro.constants import c, m_e, plasma_wavelength, q_e
 from repro.core.simulation import Simulation
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SanitizerError
 from repro.grid.maxwell import cfl_dt
 from repro.grid.stencils import diff_backward
 from repro.grid.yee import YeeGrid
 from repro.observability import attach_observability
 from repro.observability.tracer import build_tree
+from repro.particles import deposit as deposit_mod
 from repro.particles.deposit import (
     deposit_charge,
-    deposit_current_esirkepov_tiled,
+    deposit_current_direct,
+    deposit_current_esirkepov,
     deposit_current_reference,
     esirkepov_window,
 )
-from repro.particles.gather import gather_fields, gather_fields_tiled
+from repro.particles.gather import gather_fields, gather_fields_reference
 from repro.particles.injection import UniformProfile
 from repro.particles.kernels import (
     KernelSet,
@@ -48,7 +52,15 @@ def divergence_j(grid):
 # -- registry ----------------------------------------------------------------
 
 def test_builtin_variants_registered():
-    assert {"reference", "vectorized", "tiled"} <= set(available_kernel_variants())
+    names = available_kernel_variants()
+    assert names[:2] == ("reference", "vectorized")
+    assert names[2:] in ((), ("compiled",))
+
+
+def test_retired_tiled_name_is_an_ordinary_unknown_variant():
+    with pytest.raises(ConfigurationError, match="unknown kernel variant") as exc:
+        get_kernel_set("tiled")
+    assert str(available_kernel_variants()) in str(exc.value)
 
 
 def test_unknown_variant_raises():
@@ -57,33 +69,37 @@ def test_unknown_variant_raises():
 
 
 def test_duplicate_registration_raises():
-    tiled = get_kernel_set("tiled")
+    vec = get_kernel_set("vectorized")
     with pytest.raises(ConfigurationError, match="duplicate"):
         register_kernel_set(KernelSet(
-            name="tiled",
-            gather=tiled.gather,
-            deposit_charge=tiled.deposit_charge,
-            deposit_current=tiled.deposit_current,
-            deposit_current_direct=tiled.deposit_current_direct,
+            name="vectorized",
+            gather=vec.gather,
+            deposit_charge=vec.deposit_charge,
+            deposit_current=vec.deposit_current,
+            deposit_current_direct=vec.deposit_current_direct,
         ))
 
 
-@pytest.mark.parametrize("name", ["reference", "tiled"])
+@pytest.mark.parametrize("name", ["reference", "compiled"])
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 def test_validate_kernel_set_machine_precision(name, ndim):
+    if name not in available_kernel_variants():
+        pytest.skip(f"{name} tier unavailable on this machine")
     errors = validate_kernel_set(name, ndim=ndim, order=3)
     assert max(errors.values()) < 1e-12, errors
 
 
-# -- tiled deposition: conservation + match to the scalar reference ----------
+# -- Esirkepov on the tight window: conservation + match to the reference ----
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 @pytest.mark.parametrize("sort", [False, True])
 def test_tiled_esirkepov_matches_reference_and_conserves(order, ndim, sort):
-    """The fast path must agree with the per-particle scalar kernel to
-    machine precision and keep (rho1 - rho0)/dt + div J = 0, whether or
-    not the species was sorted (sorting only changes summation order)."""
+    """The histogram-scattered tight-window kernel (once the ``tiled``
+    tier, whence the test id) must agree with the per-particle
+    ``np.add.at`` kernel on the standard window to machine precision and
+    keep (rho1 - rho0)/dt + div J = 0, whether or not the species was
+    sorted (sorting only changes summation order)."""
     rng = np.random.default_rng(100 * ndim + order)
     n = 25
     pos0 = rng.uniform(3.0, 7.0, size=(n, ndim))
@@ -97,7 +113,7 @@ def test_tiled_esirkepov_matches_reference_and_conserves(order, ndim, sort):
 
     g_tiled = make_grid(ndim)
     g_ref = make_grid(ndim)
-    deposit_current_esirkepov_tiled(g_tiled, pos0, pos1, vel, w, charge, dt, order)
+    deposit_current_esirkepov(g_tiled, pos0, pos1, vel, w, charge, dt, order)
     deposit_current_reference(g_ref, pos0, pos1, vel, w, charge, dt, order)
     for comp in ("Jx", "Jy", "Jz"):
         scale = np.max(np.abs(g_ref.fields[comp])) + 1e-300
@@ -120,17 +136,91 @@ def test_tight_window_is_minimal_for_subcell_moves():
         assert esirkepov_window(order, 1.7, tight=True) == order + 5
 
 
-# -- gather fast path --------------------------------------------------------
+# -- histogram over the touched span + always-on bounds check ----------------
 
-def test_gather_tiled_bit_identical():
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_span_histogram_bit_identical_to_whole_array(monkeypatch, ndim):
+    """A compact beam on a larger grid: scattering into flat[lo:hi] must
+    give the very same bits as histogramming over the whole array."""
+    rng = np.random.default_rng(7 + ndim)
+    n, cells = 300, 24
+    pos0 = rng.uniform(9.0, 13.0, size=(n, ndim))
+    pos1 = pos0 + rng.uniform(-0.9, 0.9, size=(n, ndim))
+    w = rng.uniform(0.5, 2.0, size=n)
+    vel = rng.uniform(-0.5, 0.5, size=(n, 3)) * c
+
+    def deposit_all(grid):
+        deposit_charge(grid, pos0, w, -q_e, 3)
+        deposit_current_esirkepov(grid, pos0, pos1, vel, w, -q_e, 1e-9, 3)
+        return {k: grid.fields[k].copy() for k in ("rho", "Jx", "Jy", "Jz")}
+
+    span = deposit_all(make_grid(ndim, n=cells))
+    real = deposit_mod._address_span
+
+    def whole_array_span(base, strides, width, size, kernel, component):
+        first, lo, _ = real(base, strides, width, size, kernel, component)
+        return first + lo, 0, size
+
+    monkeypatch.setattr(deposit_mod, "_address_span", whole_array_span)
+    whole = deposit_all(make_grid(ndim, n=cells))
+    for comp in span:
+        assert np.max(np.abs(span[comp])) > 0
+        assert np.array_equal(span[comp], whole[comp]), comp
+
+
+@pytest.mark.parametrize("x", [-500.0, 1.0e6])
+@pytest.mark.parametrize("kernel", ["charge", "esirkepov", "direct"])
+def test_escaped_particle_is_san005_not_a_giant_histogram(monkeypatch, kernel, x):
+    """Always on (no REPRO_SANITIZE): an escaped particle used to be an
+    opaque ``ValueError`` from ``np.bincount`` — after a 200 MB histogram
+    for x = 1e6 — or a ``MemoryError``."""
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    monkeypatch.setattr(
+        np, "bincount",
+        lambda *a, **k: pytest.fail("histogram allocated before the check"),
+    )
+    g = YeeGrid((16, 16), (0.0, 0.0), (16.0, 16.0), guards=4)
+    pos = np.array([[8.0, 8.0], [x, 8.0]])
+    w, vel = np.ones(2), np.zeros((2, 3))
+    named = {
+        "charge": "deposit_charge for rho",
+        "esirkepov": "deposit_current_esirkepov for J",
+        "direct": "deposit_current_direct for Jx",
+    }[kernel]
+    with pytest.raises(SanitizerError, match=f"SAN005.* in {named}:"):
+        if kernel == "charge":
+            deposit_charge(g, pos, w, -q_e, 3)
+        elif kernel == "esirkepov":
+            deposit_current_esirkepov(g, pos, pos + 0.25, vel, w, -q_e, 1e-9, 3)
+        else:
+            deposit_current_direct(g, pos, vel, w, -q_e, 3)
+    for comp in ("rho", "Jx", "Jy", "Jz"):
+        assert not g.fields[comp].any()
+
+
+# -- gather: shared shape weights --------------------------------------------
+
+def test_gather_shares_weights_and_matches_reference(monkeypatch):
+    """Six components, two sample lattices per axis: a 2D gather evaluates
+    ``shape_weights`` 4 times, not 12, and still equals the scalar loop."""
+    from repro.particles import shapes
+
     g = make_grid(2)
     rng = np.random.default_rng(3)
     for comp in ("Ex", "Ey", "Ez", "Bx", "By", "Bz"):
         g.fields[comp][...] = rng.normal(size=g.shape)
-    pos = rng.uniform(1.0, 9.0, size=(400, 2))
-    e0, b0 = gather_fields(g, pos, order=3)
-    e1, b1 = gather_fields_tiled(g, pos, order=3)
-    assert np.array_equal(e0, e1) and np.array_equal(b0, b1)
+    pos = rng.uniform(1.0, 9.0, size=(40, 2))
+    e_r, b_r = gather_fields_reference(g, pos, order=3)
+    calls = []
+    real = shapes.shape_weights
+    monkeypatch.setattr(
+        shapes, "shape_weights",
+        lambda x, order: calls.append(order) or real(x, order),
+    )
+    e_v, b_v = gather_fields(g, pos, order=3)
+    assert len(calls) == 4
+    np.testing.assert_allclose(e_v, e_r, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(b_v, b_r, rtol=0, atol=1e-13)
 
 
 def test_shape_weight_cache_shares_stagger_lattices():
@@ -171,9 +261,17 @@ def test_simulation_rejects_unknown_variant():
         Simulation(g, kernels="simd")
 
 
+def test_simulation_rejects_retired_tiled_variant():
+    g = YeeGrid((8,), (0.0,), (1.0,), guards=4)
+    with pytest.raises(ConfigurationError, match="unknown kernel variant"):
+        Simulation(g, kernels="tiled")
+
+
 def test_simulation_tiled_matches_vectorized_trajectory():
-    sim_v = build_sim("vectorized")
-    sim_t = build_sim("tiled")
+    """``vectorized`` (which absorbed the ``tiled`` tier; the test id is
+    from then) against the independently scattered ``reference`` tier."""
+    sim_v = build_sim("reference")
+    sim_t = build_sim("vectorized")
     sim_v.step(5)
     sim_t.step(5)
     pv = sim_v.species["electrons"].positions
@@ -186,11 +284,11 @@ def test_simulation_tiled_matches_vectorized_trajectory():
 
 
 def test_gather_and_deposit_spans_carry_kernel_attribute():
-    sim = build_sim("tiled")
+    sim = build_sim("reference")
     tracer, _ = attach_observability(sim)
     sim.step(1)
     children = build_tree(tracer.records)
     step = children[-1][0]
     phases = {c.name: c for c in children[step.sid]}
-    assert phases["gather"].attrs["kernel"] == "tiled"
-    assert phases["deposit"].attrs["kernel"] == "tiled"
+    assert phases["gather"].attrs["kernel"] == "reference"
+    assert phases["deposit"].attrs["kernel"] == "reference"
