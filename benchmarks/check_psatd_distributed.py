@@ -7,9 +7,10 @@ so the contract this gate enforces is the documented one (DESIGN.md,
 
 1. **guard-width tolerance** — the decomposed boosted-frame LWFA on two
    ranks matches the monolithic Galilean-PSATD run within a per-guard-
-   depth tolerance on every recorded field component and on the total
-   kinetic energy, and the error *shrinks monotonically* as the guard
-   region deepens (the property that justifies guard width being a
+   depth tolerance (``repro.scenarios.boosted_lwfa.GUARD_TOLERANCES``,
+   the table the test imports too) on every recorded field component
+   and on the total kinetic energy, and the deep probe beats the
+   shallow one (the property that justifies guard width being a
    solver-declared constant rather than a grid default).
 2. **cross-transport bitwise** — across *transports* the computation is
    identical arithmetic, so the loopback and multiprocessing runs of the
@@ -31,6 +32,7 @@ from repro.parallel.mp_transport import (
     run_distributed_mp,
 )
 from repro.scenarios.boosted_lwfa import (
+    GUARD_TOLERANCES,
     BoostedLWFASetup,
     build_monolithic,
     make_distributed_build,
@@ -41,10 +43,6 @@ N_RANKS = 2
 TOLERANCE_STEPS = 30
 PARITY_STEPS = 6
 COMPONENTS = ("Ex", "Ey", "Bz")
-#: guard depth -> (max relative field error, relative kinetic-energy
-#: error) of the 30-step scenario; must mirror GUARD_TOLERANCES in
-#: tests/test_psatd_distributed.py
-GUARD_TOLERANCES = {6: (3e-2, 2e-2), 12: (8e-3, 3e-3)}
 RESULTS_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)),
     "results",
@@ -102,7 +100,7 @@ def check_guard_tolerances(results) -> int:
         print(
             f"OK: {TOLERANCE_STEPS}-step decomposed run within tolerance at "
             f"guard depths {depths} (worst field error {worst:.2e}), "
-            "monotonically improving"
+            "improving with depth"
         )
     return bad
 

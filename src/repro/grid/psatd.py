@@ -42,18 +42,33 @@ transverse-E, longitudinal-E and B source coefficients computed by
 :func:`galilean_coefficients`; all three reduce bitwise to the standard
 coefficients as ``v_gal -> 0``.
 
+Transform layout
+----------------
+The fields are real, so the transforms are real-to-complex (``rfftn`` /
+``irfftn``): along the last grid axis only the ``n // 2 + 1`` non-negative
+wavenumbers are stored, and every coefficient table (``k_hat``, ``cos``,
+``sin``, the source coefficients, the staggering phases) is built on
+that half spectrum.  For an even transform length the last-axis Nyquist
+wavenumber carries the sign ``fftfreq`` gives it (negative), which is
+what fixes the staggering phase of that one self-conjugate mode.
+
 Distributed operation (``region="full"``)
 -----------------------------------------
 The analytic propagator kernel in real space is quasi-local: it has
 support ~``c dt`` plus tails decaying with distance.  A box with wide
-guard regions can therefore FFT its *entire* guard-padded array as if it
-were periodic and still produce a correct interior update — errors enter
+guard regions can therefore FFT its guard-padded array as if it were
+periodic and still produce a correct interior update — errors enter
 only through the fake wrap-around at the box edge and decay with guard
-depth.  ``region="full"`` enables this mode: the FFT covers the padded
-array, the solver skips the periodic wrap, and the caller (the
-distributed driver) refreshes guards from neighbors every step.  This is
-exactly how WarpX runs PSATD under domain decomposition (11-32 guard
-cells in the paper's runs vs. the 1-cell FDTD stencil halo).
+depth.  ``region="full"`` enables this mode.  The window is WarpX's
+local-FFT layout: the cell-centred box of ``n + 2g`` samples per axis,
+i.e. the first ``n + 2g`` of the ``n + 1 + 2g`` array planes.  The last
+plane is a guard the solver neither reads nor writes; the caller (the
+distributed driver) refreshes all guards from neighbors right after the
+solve, that plane included.  Dropping it keeps the transform length
+even for even ``n`` (``n + 1 + 2g`` is odd, and prime for common box
+sizes — 89 for a 64-cell box at 12 guards, 3-4x the FFT cost of 88).  The solver skips the periodic wrap in this mode.  This is how
+WarpX runs PSATD under domain decomposition (11-32 guard cells in the
+paper's runs vs. the 1-cell FDTD stencil halo).
 """
 
 from __future__ import annotations
@@ -152,9 +167,10 @@ class PSATDMaxwellSolver:
     region:
         ``"valid"`` (default) FFTs the n unique periodic samples of the
         valid region and wraps the guards periodically afterwards — the
-        monolithic mode.  ``"full"`` FFTs the entire guard-padded array
-        and leaves guard filling to the caller — the per-box mode of the
-        distributed driver (see module docstring).
+        monolithic mode.  ``"full"`` FFTs the ``n + 2g`` cell-centred
+        window of the guard-padded array and leaves guard filling to the
+        caller — the per-box mode of the distributed driver (see module
+        docstring).
     """
 
     #: PSATD advances E and B together; the leapfrog half-pushes collapse.
@@ -189,61 +205,84 @@ class PSATDMaxwellSolver:
         # promoting every full-grid product to complex128
         self.rdtype = grid.dtype
         self.cdtype = np.result_type(self.rdtype, np.complex64)
-        n_fft = grid.shape if region == "full" else grid.n_cells
-        self._n_fft = tuple(n_fft)
-        # angular wavenumbers of the FFT samples
-        ks = [
-            2.0 * np.pi * np.fft.fftfreq(self._n_fft[d], d=grid.dx[d])
-            for d in range(grid.ndim)
-        ]
-        mesh = np.meshgrid(*ks, indexing="ij")
-        # embed into 3 components (missing axes carry k = 0: invariance)
-        self.kvec = [
-            mesh[d] if d < grid.ndim else np.zeros_like(mesh[0])
-            for d in range(3)
-        ]
-        self.k_mag = np.sqrt(sum(k**2 for k in self.kvec))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            self.k_hat = [
-                np.where(self.k_mag > 0, k / np.where(self.k_mag > 0, self.k_mag, 1.0), 0.0)
-                for k in self.kvec
-            ]
+        g0 = 0 if region == "full" else grid.guards
+        #: the window of the field arrays the transform covers
+        self._window = tuple(slice(g0, g0 + n) for n in self.fft_shape)
+        self._axes = tuple(range(grid.ndim))
+        # angular wavenumbers of the FFT samples, one open-mesh vector
+        # per axis; the last axis keeps the rfft half spectrum, with the
+        # Nyquist sign of fftfreq (not rfftfreq)
+        kvec = []
+        for d, n in enumerate(self.fft_shape):
+            k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx[d])
+            if d == grid.ndim - 1:
+                k = k[: n // 2 + 1]
+            shape = [1] * grid.ndim
+            shape[d] = k.size
+            kvec.append(k.reshape(shape))
+        self.k_mag = np.sqrt(sum(k**2 for k in kvec))
+        nz = self.k_mag > 0
+        inv_k = np.where(nz, 1.0 / np.where(nz, self.k_mag, 1.0), 0.0)
+        #: unit wavevector along the grid axes; it vanishes identically
+        #: along the invariant axes of a 1D/2D grid, which carry no entry
+        self.k_hat = [k * inv_k for k in kvec]
         theta = c * self.k_mag * self.dt
         self.cos = np.cos(theta)
         self.sin = np.sin(theta)
         # S / (eps0 c k), with the k -> 0 limit dt/eps0
-        self.j_coeff = np.where(
-            self.k_mag > 0,
-            self.sin / (eps0 * c * np.where(self.k_mag > 0, self.k_mag, 1.0)),
-            self.dt / eps0,
-        )
-        # hot-loop tables, hoisted out of step(): the longitudinal-J
-        # correction (S/(eps0 c k) - dt/eps0, -> 0 as k -> 0) and the
-        # B-push source coefficient (1-C)/(eps0 c k)
+        self.j_coeff = np.where(nz, self.sin * inv_k / (eps0 * c), self.dt / eps0)
+        # the longitudinal-J correction (S/(eps0 c k) - dt/eps0, -> 0 as
+        # k -> 0) and the B-push source coefficient (1-C)/(eps0 c k)
         self.long_corr = self.j_coeff - self.dt / eps0
-        inv_k = np.where(
-            self.k_mag > 0, 1.0 / np.where(self.k_mag > 0, self.k_mag, 1.0), 0.0
-        )
         self.b_j_coeff = (1.0 - self.cos) * inv_k / (eps0 * c)
+        # source coefficients of the update (galilean_coefficients'
+        # notation); the standard closure is their v_gal -> 0 limit
         if self.galilean:
-            omega_gal = sum(
-                self.kvec[d] * self.v_galilean[d] for d in range(3)
-            )
-            xe_t, xe_lmt, xb = galilean_coefficients(
-                self.k_mag, omega_gal, self.dt
-            )
+            # Omega = k . v_gal, and its alias: +k_N and -k_N of an
+            # even-length axis are one Nyquist mode advected in opposite
+            # directions.  Averaging the coefficients over the two keeps
+            # the update a real operator (what taking the real part of a
+            # complex transform does implicitly)
+            omega = np.zeros_like(self.k_mag)
+            mirror = np.zeros_like(self.k_mag)
+            for k, v, n in zip(kvec, self.v_galilean, self.fft_shape):
+                k_alias = k.copy()
+                if n % 2 == 0:
+                    k_alias.flat[n // 2] *= -1.0
+                omega += k * v
+                mirror += k_alias * v
+            xe_t, xe_lmt, xb = galilean_coefficients(self.k_mag, omega, self.dt)
+            nyquist = mirror != omega
+            if nyquist.any():
+                aliased = galilean_coefficients(
+                    self.k_mag[nyquist], mirror[nyquist], self.dt
+                )
+                for table, alias in zip((xe_t, xe_lmt, xb), aliased):
+                    table[nyquist] = 0.5 * (table[nyquist] + alias)
             self.xe_t = xe_t.astype(self.cdtype)
             self.xe_lmt = xe_lmt.astype(self.cdtype)
-            self.xb = xb.astype(self.cdtype)
-        # per-component staggering phases exp(-i k . s dx / 2)
+        else:
+            self.xe_t = (-self.j_coeff).astype(self.rdtype)
+            self.xe_lmt = self.long_corr.astype(self.rdtype)
+            xb = 1j * self.b_j_coeff
+        self.xb = xb.astype(self.cdtype)
+        # per-component staggering phases exp(-i k . s dx / 2); B carries
+        # the factor c of the update's (E, cB) variables.  |phase| = 1, so
+        # undoing it is a multiplication by the conjugate
         self._phase: Dict[str, np.ndarray] = {}
+        self._unphase: Dict[str, np.ndarray] = {}
         for comp in FIELD_COMPONENTS + ("Jx", "Jy", "Jz"):
-            s = STAGGER[comp]
-            phase = np.zeros_like(self.k_mag)
-            for d in range(grid.ndim):
-                phase = phase + self.kvec[d] * (0.5 * s[d] * grid.dx[d])
-            self._phase[comp] = np.exp(-1j * phase).astype(self.cdtype)
+            arg = np.zeros_like(self.k_mag)
+            for d, s in enumerate(STAGGER[comp][: grid.ndim]):
+                arg = arg + kvec[d] * (0.5 * s * grid.dx[d])
+            phase = np.exp(-1j * arg)
+            scale = c if comp[0] == "B" else 1.0
+            self._phase[comp] = (scale * phase).astype(self.cdtype)
+            if comp in FIELD_COMPONENTS:
+                self._unphase[comp] = (phase.conj() / scale).astype(self.cdtype)
         # demote the double-built tables to the working precision
+        self._isin = (1j * self.sin).astype(self.cdtype)
+        self._one_minus_cos = (1.0 - self.cos).astype(self.rdtype)
         self.k_mag = self.k_mag.astype(self.rdtype)
         self.k_hat = [k.astype(self.rdtype) for k in self.k_hat]
         self.cos = self.cos.astype(self.rdtype)
@@ -251,6 +290,13 @@ class PSATDMaxwellSolver:
         self.j_coeff = self.j_coeff.astype(self.rdtype)
         self.long_corr = self.long_corr.astype(self.rdtype)
         self.b_j_coeff = self.b_j_coeff.astype(self.rdtype)
+
+    @property
+    def fft_shape(self) -> Tuple[int, ...]:
+        """Samples per axis the transform covers: n (``valid``) or the
+        cell-centred n + 2g of the guard-padded box (``full``)."""
+        pad = 2 * self.grid.guards if self.region == "full" else 0
+        return tuple(n + pad for n in self.grid.n_cells)
 
     @staticmethod
     def _normalize_velocity(
@@ -280,110 +326,73 @@ class PSATDMaxwellSolver:
         return v
 
     # -- real <-> spectral ---------------------------------------------------
-    def _fft_slices(self) -> Tuple[slice, ...]:
-        """The window of the field arrays the FFT covers.
-
-        ``valid`` mode: the n (not n+1) unique periodic samples.
-        ``full`` mode: the whole guard-padded array.
-        """
-        if self.region == "full":
-            return tuple(slice(0, s) for s in self.grid.shape)
-        g = self.grid.guards
-        return tuple(slice(g, g + n) for n in self.grid.n_cells)
-
     def _to_spectral(self, component: str) -> np.ndarray:
-        arr = self.grid.fields[component][self._fft_slices()]
-        # fftn(float32) already yields complex64; the astype is a no-op
-        # there and only guards against a caller handing in mixed dtypes
-        spec = np.fft.fftn(arr).astype(self.cdtype, copy=False)
+        arr = self.grid.fields[component][self._window]
+        # NumPy >= 2 transforms float32 in single precision; NumPy 1.x
+        # returns complex128 whatever the input, hence the cast
+        spec = np.fft.rfftn(arr, axes=self._axes).astype(self.cdtype, copy=False)
         return spec * self._phase[component]
 
     def _from_spectral(self, component: str, spec: np.ndarray) -> None:
-        arr = np.fft.ifftn(spec / self._phase[component]).real
-        fields = self.grid.fields[component]
-        fields[self._fft_slices()] = arr
+        self.grid.fields[component][self._window] = np.fft.irfftn(
+            spec * self._unphase[component], s=self.fft_shape, axes=self._axes
+        )
         if self.region == "valid":
             # the n-sample window skips the duplicated nodal plane
             # (arr[g+n] is the same physical point as arr[g] on a
-            # periodic axis) — restore it per the component's staggering
-            g = self.grid.guards
-            stag = STAGGER[component]
-            nd = fields.ndim
-            for d, n in enumerate(self.grid.n_cells):
-                if stag[d] == 0:
-                    dst = [slice(None)] * nd
-                    src = [slice(None)] * nd
-                    dst[d] = slice(g + n, g + n + 1)
-                    src[d] = slice(g, g + 1)
-                    fields[tuple(dst)] = fields[tuple(src)]
+            # periodic axis): the periodic wrap restores it per the
+            # component's staggering, then fills the guards
+            for axis in self._axes:
+                apply_periodic(self.grid, axis, components=(component,))
 
     # -- the update ------------------------------------------------------------
-    @staticmethod
-    def _cross(a, b):
-        return [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
+    def _k_dot(self, a):
+        """``k_hat . a`` (grid axes only: k_hat is zero along the others)."""
+        out = self.k_hat[0] * a[0]
+        for d in range(1, len(self.k_hat)):
+            out += self.k_hat[d] * a[d]
+        return out
 
-    @staticmethod
-    def _dot(a, b):
-        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    def _k_cross(self, a):
+        """``k_hat x a``, skipping the identically-zero k_hat components."""
+        nd = len(self.k_hat)
+        out = []
+        for i in range(3):
+            j, l = (i + 1) % 3, (i + 2) % 3
+            term = 0.0
+            if j < nd:
+                term = self.k_hat[j] * a[l]
+            if l < nd:
+                term = term - self.k_hat[l] * a[j]
+            out.append(term)
+        return out
 
     def step(self) -> None:
         """Advance E and B by dt (J constant — or advected, if Galilean)."""
         e_hat = [self._to_spectral(comp) for comp in ("Ex", "Ey", "Ez")]
-        cb_hat = [c * self._to_spectral(comp) for comp in ("Bx", "By", "Bz")]
+        cb_hat = [self._to_spectral(comp) for comp in ("Bx", "By", "Bz")]
         j_hat = [self._to_spectral(comp) for comp in ("Jx", "Jy", "Jz")]
 
-        khat = self.k_hat
-        cos, sin = self.cos, self.sin
-        k_dot_e = self._dot(khat, e_hat)
-        k_dot_j = self._dot(khat, j_hat)
-        k_x_cb = self._cross(khat, cb_hat)
-        k_x_e = self._cross(khat, e_hat)
-        k_x_j = self._cross(khat, j_hat)
-
-        new_e = []
-        new_cb = []
-        if self.galilean:
-            xe_t, xe_lmt, xb = self.xe_t, self.xe_lmt, self.xb
-            for i in range(3):
-                new_e.append(
-                    cos * e_hat[i]
-                    + 1j * sin * k_x_cb[i]
-                    + xe_t * j_hat[i]
-                    + (1.0 - cos) * khat[i] * k_dot_e
-                    + khat[i] * k_dot_j * xe_lmt
-                )
-                new_cb.append(
-                    cos * cb_hat[i]
-                    - 1j * sin * k_x_e[i]
-                    + xb * k_x_j[i]
-                )
-        else:
-            jc, long_corr, b_j_coeff = self.j_coeff, self.long_corr, self.b_j_coeff
-            for i in range(3):
-                new_e.append(
-                    cos * e_hat[i]
-                    + 1j * sin * k_x_cb[i]
-                    - jc * j_hat[i]
-                    + (1.0 - cos) * khat[i] * k_dot_e
-                    + khat[i] * k_dot_j * long_corr
-                )
-                new_cb.append(
-                    cos * cb_hat[i]
-                    - 1j * sin * k_x_e[i]
-                    + 1j * b_j_coeff * k_x_j[i]
-                )
-
-        for i, comp in enumerate(("Ex", "Ey", "Ez")):
-            self._from_spectral(comp, new_e[i])
-        for i, comp in enumerate(("Bx", "By", "Bz")):
-            self._from_spectral(comp, new_cb[i] / c)
-        if self.region == "valid":
-            for axis in range(self.grid.ndim):
-                apply_periodic(self.grid, axis)
+        cos, isin, xe_t, xb = self.cos, self._isin, self.xe_t, self.xb
+        k_x_cb = self._k_cross(cb_hat)
+        # the longitudinal terms share the direction k_hat ...
+        longitudinal = (
+            self._one_minus_cos * self._k_dot(e_hat)
+            + self.xe_lmt * self._k_dot(j_hat)
+        )
+        # ... and the two B sources one curl:
+        # -i S k_hat x E + xb k_hat x J = k_hat x (xb J - i S E)
+        k_x_src = self._k_cross(
+            [xb * j - isin * e for e, j in zip(e_hat, j_hat)]
+        )
+        for i, (e_comp, b_comp) in enumerate(
+            zip(("Ex", "Ey", "Ez"), ("Bx", "By", "Bz"))
+        ):
+            new_e = cos * e_hat[i] + isin * k_x_cb[i] + xe_t * j_hat[i]
+            if i < len(self.k_hat):
+                new_e += self.k_hat[i] * longitudinal
+            self._from_spectral(e_comp, new_e)
+            self._from_spectral(b_comp, cos * cb_hat[i] + k_x_src[i])
 
     # drop-in leapfrog-interface compatibility: PSATD advances E and B
     # together, so the half-B pushes collapse into one full step

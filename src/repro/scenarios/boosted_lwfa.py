@@ -35,6 +35,17 @@ from repro.parallel.distributed import DistributedSimulation
 from repro.particles.injection import UniformProfile
 from repro.particles.species import Species
 
+#: Documented decomposed-vs-monolithic contract of the 30-step,
+#: ``n_cells=64, ppc=2`` run of this scenario on two ranks: PSATD guard
+#: depth -> (max relative field error, relative kinetic-energy error).
+#: A local-FFT box is not bit-identical to the monolithic transform; its
+#: error shrinks with guard depth (not monotonically between neighboring
+#: depths — the truncation error oscillates), so the shallow probe sits
+#: where the curve is clear of its 6-guard bump.  The one table shared by
+#: ``tests/test_psatd_distributed.py`` and
+#: ``benchmarks/check_psatd_distributed.py``.
+GUARD_TOLERANCES = {7: (3e-2, 2e-2), 12: (8e-3, 3e-3)}
+
 
 @dataclass(frozen=True)
 class BoostedLWFASetup:

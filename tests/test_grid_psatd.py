@@ -388,3 +388,169 @@ def test_boosted_frame_galilean_velocity():
     g = YeeGrid((16,), (0.0,), (1.0,), guards=2)
     solver = PSATDMaxwellSolver(g, dt=1e-10, v_galilean=v)
     assert solver.galilean
+
+
+# -- real-to-complex transform layer vs a complex-FFT oracle -----------------
+
+
+def reference_step(grid, dt, v_gal, region):
+    """One PSATD step spelled with full complex transforms in float64:
+    the module docstring's update, nothing hoisted, merged or halved.
+    Returns the transform window and the new E/B samples inside it."""
+    g = grid.guards
+    pad, first = (2 * g, 0) if region == "full" else (0, g)
+    shape = tuple(n + pad for n in grid.n_cells)
+    window = tuple(slice(first, first + n) for n in shape)
+    kvec = list(np.meshgrid(
+        *[2 * np.pi * np.fft.fftfreq(n, d=dx) for n, dx in zip(shape, grid.dx)],
+        indexing="ij",
+    )) + [np.zeros(shape)] * (3 - grid.ndim)
+    k_mag = np.sqrt(sum(k**2 for k in kvec))
+    k_hat = [np.divide(k, k_mag, out=np.zeros(shape), where=k_mag > 0)
+             for k in kvec]
+    cos, sin = np.cos(c * k_mag * dt), np.sin(c * k_mag * dt)
+    xe_t, xe_lmt, xb = galilean_coefficients(
+        k_mag, sum(k * v for k, v in zip(kvec, v_gal)), dt
+    )
+    phase = {
+        comp: np.exp(-0.5j * sum(
+            kvec[d] * STAGGER[comp][d] * grid.dx[d] for d in range(grid.ndim)
+        ))
+        for comp in FIELD_COMPONENTS + ("Jx", "Jy", "Jz")
+    }
+
+    def hat(prefix, scale=1.0):
+        return [
+            scale * phase[prefix + x] * np.fft.fftn(
+                grid.fields[prefix + x][window].astype(np.float64)
+            )
+            for x in "xyz"
+        ]
+
+    def cross(a, b):
+        return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                a[0] * b[1] - a[1] * b[0]]
+
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+    e, cb, j = hat("E"), hat("B", c), hat("J")
+    k_x_cb, k_x_e, k_x_j = cross(k_hat, cb), cross(k_hat, e), cross(k_hat, j)
+    out = {}
+    for i, x in enumerate("xyz"):
+        new_e = (cos * e[i] + 1j * sin * k_x_cb[i] + xe_t * j[i]
+                 + (1.0 - cos) * k_hat[i] * dot(k_hat, e)
+                 + xe_lmt * k_hat[i] * dot(k_hat, j))
+        new_cb = cos * cb[i] - 1j * sin * k_x_e[i] + xb * k_x_j[i]
+        out["E" + x] = np.fft.ifftn(new_e / phase["E" + x]).real
+        out["B" + x] = np.fft.ifftn(new_cb / phase["B" + x]).real / c
+    return window, out
+
+
+def oracle_mismatch(n_cells, galilean, region, dtype=np.float64):
+    """Worst relative deviation of one production step from the oracle on
+    white-noise E, B and J (full Nyquist content on every axis)."""
+    rng = np.random.default_rng(11)
+    nd = len(n_cells)
+    grid = YeeGrid(n_cells, (0.0,) * nd, tuple(1e-6 * n for n in n_cells),
+                   guards=3, dtype=dtype)
+    scales = {"E": 1e9, "B": 1e9 / c, "J": 1e9 * eps0 * c / 1e-6, "r": 1.0}
+    for name, arr in grid.fields.items():
+        arr[...] = scales[name[0]] * rng.standard_normal(arr.shape)
+    dt = 2.3e-6 / c  # 2.3 cells per step: far beyond the FDTD limit
+    v_gal = (-0.6 * c, 0.3 * c, 0.2 * c)[:nd] if galilean else (0.0,) * nd
+    window, want = reference_step(grid, dt, v_gal, region)
+    solver = PSATDMaxwellSolver(
+        grid, dt, v_galilean=v_gal if galilean else None, region=region
+    )
+    solver.step()
+    for comp in FIELD_COMPONENTS:
+        assert grid.fields[comp].dtype == dtype
+    return max(
+        np.max(np.abs(grid.fields[comp][window] - ref)) / np.max(np.abs(ref))
+        for comp, ref in want.items()
+    )
+
+
+#: {1D, 2D, 3D} x {even, odd, mixed} transform lengths (n, and n + 2g in
+#: the full region, share their parity)
+ORACLE_SHAPES = [(16,), (15,), (12, 10), (11, 9), (12, 9), (11, 10),
+                 (8, 6, 6), (7, 5, 5), (8, 6, 5), (7, 6, 6)]
+
+
+@pytest.mark.parametrize("region", ["valid", "full"])
+@pytest.mark.parametrize("galilean", [False, True], ids=["standard", "galilean"])
+@pytest.mark.parametrize("n_cells", ORACLE_SHAPES, ids=str)
+def test_step_matches_complex_fft_oracle(n_cells, galilean, region):
+    """The half-spectrum tables, the Nyquist sign convention and the
+    merged/hoisted terms of step() reproduce the textbook complex-FFT
+    update to rounding."""
+    assert oracle_mismatch(n_cells, galilean, region) < 1e-12
+
+
+@pytest.mark.parametrize("numpy1_fft", [False, True])
+def test_float32_step_matches_oracle_within_single_precision(
+    monkeypatch, numpy1_fft
+):
+    """complex64 tables in, float32 fields out, within a few ulp of the
+    float64 oracle — also when ``np.fft`` hands back double precision
+    whatever its input, as NumPy 1.x does."""
+    if numpy1_fft:
+        rfftn, irfftn = np.fft.rfftn, np.fft.irfftn
+        monkeypatch.setattr(
+            np.fft, "rfftn",
+            lambda a, **kw: rfftn(a, **kw).astype(np.complex128),
+        )
+        monkeypatch.setattr(
+            np.fft, "irfftn",
+            lambda a, **kw: irfftn(a, **kw).astype(np.float64),
+        )
+    budget = 32 * np.finfo(np.float32).eps
+    for region in ("valid", "full"):
+        assert oracle_mismatch((12, 10), True, region, np.float32) < budget
+
+
+def test_full_region_transforms_the_cell_centred_window():
+    """region="full": the transform covers the first n + 2g of the
+    n + 1 + 2g planes per axis, and the plane left out is neither read
+    nor written."""
+    rng = np.random.default_rng(5)
+    grids = []
+    for _ in range(2):
+        g = YeeGrid((10, 8), (0.0, 0.0), (1e-5, 8e-6), guards=4)
+        for arr in g.fields.values():
+            arr[...] = rng.standard_normal(arr.shape)
+        grids.append(g)
+    for name, arr in grids[1].fields.items():
+        arr[...] = grids[0].fields[name]
+        arr[-1, :] = 1e30
+        arr[:, -1] = -1e30
+    for g in grids:
+        solver = PSATDMaxwellSolver(g, dt=2e-6 / c, region="full")
+        assert solver.fft_shape == (18, 16)
+        assert g.shape == (19, 17)
+        solver.step()
+    for comp in FIELD_COMPONENTS:
+        poisoned = grids[1].fields[comp]
+        assert np.all(poisoned[-1, :-1] == 1e30)
+        assert np.all(poisoned[:, -1] == -1e30)
+        np.testing.assert_array_equal(
+            poisoned[:-1, :-1], grids[0].fields[comp][:-1, :-1]
+        )
+    valid = PSATDMaxwellSolver(grids[0], dt=2e-6 / c)
+    assert valid.fft_shape == grids[0].n_cells
+
+
+@pytest.mark.parametrize("region", ["valid", "full"])
+def test_field_solve_leaves_sources_untouched(region):
+    """step() advances E and B only: J and rho — guards included — are
+    inputs.  The valid-region periodic wrap used to run over every array
+    of the grid and rewrote the source guards."""
+    rng = np.random.default_rng(3)
+    g = YeeGrid((12, 8), (0.0, 0.0), (1.2e-5, 8e-6), guards=3)
+    for arr in g.fields.values():
+        arr[...] = rng.standard_normal(arr.shape)
+    sources = {name: g.fields[name].copy() for name in ("Jx", "Jy", "Jz", "rho")}
+    PSATDMaxwellSolver(g, dt=2e-6 / c, region=region).step()
+    for name, before in sources.items():
+        np.testing.assert_array_equal(g.fields[name], before, err_msg=name)
