@@ -11,7 +11,7 @@ on the wall, loopback as the serial baseline.
 On a single-core container the multi-process runs are *slower* than
 loopback (fork + queue overhead with nothing to parallelize) — the
 table records that honestly; the speedup expectation only arms with at
-least 4 usable cores, mirroring ``benchmarks/check_mp_transport.py``.
+least 4 usable cores.
 """
 
 import os

@@ -25,9 +25,10 @@ COMM007  cross-phase tag collision: two distinct exchange phases declare
 COMM008  recv-before-send: a phase posts its (blocking) receive before
          any send of the same tag — the cyclic wait-for pattern that
          deadlocks a blocking multiprocessing transport outright.
-COMM010  send-buffer mutation: an array payload is mutated (directly or
-         through an alias) after the send and before the phase's last
-         receive — the message is corrupted while in flight.
+COMM010  send-buffer mutation: an array payload — sent bare or as a
+         buffer of a ``Message(...)`` — is mutated (directly or through
+         an alias) after the send and before the phase's last receive —
+         the message is corrupted while in flight.
 ======   =================================================================
 
 Approximations (documented, deliberate): matching is function-local
@@ -50,7 +51,12 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.dataflow import ModuleAnalysis, fold_expr
+from repro.analysis.dataflow import (
+    ArrayValue,
+    MessageValue,
+    ModuleAnalysis,
+    fold_expr,
+)
 from repro.analysis.findings import Finding, Severity, sort_findings
 from repro.analysis.linter import iter_python_files
 
@@ -469,33 +475,34 @@ def _check_buffer_mutation(ws: _Workspace) -> List[Finding]:
         sends = [s for s in group if s.kind == "send" and s.fn is not None]
         for site in sends:
             payload = _call_arg(site.call, "payload", _PAYLOAD_ARG_INDEX)
-            if not isinstance(payload, ast.Name):
+            if payload is None:
                 continue
             analysis = site.module.analysis.function_analysis(site.fn)
-            state = analysis.state_before(site.call)
-            value = state.get(payload.id)
-            if not _is_array_value(value):
-                continue
+            label = (
+                payload.id if isinstance(payload, ast.Name) else "Message(...)"
+            )
             recv_lines = [
                 s.line
                 for s in group
                 if s.kind == "recv" and (s.tags & site.tags or not site.tags)
             ]
             in_flight_until = max(recv_lines) if recv_lines else float("inf")
-            mutation = _find_mutation(
-                site.fn, analysis, value, site.line, in_flight_until
-            )
-            if mutation is not None:
+            for value in _buffers_in_flight(analysis.value_of(payload)):
+                mutation = _find_mutation(
+                    site.fn, analysis, value, site.line, in_flight_until
+                )
+                if mutation is None:
+                    continue
                 line, name = mutation
                 via = (
-                    f"via alias {name!r}" if name != payload.id
+                    f"via alias {name!r}" if name != label
                     else f"through {name!r}"
                 )
                 findings.append(
                     Finding(
                         rule="COMM010",
                         message=(
-                            f"send buffer {payload.id!r} (sent at line "
+                            f"send buffer {label!r} (sent at line "
                             f"{site.line} in {func!r}) is mutated {via} "
                             "while the message is in flight — the payload "
                             "is corrupted before it is received"
@@ -507,10 +514,14 @@ def _check_buffer_mutation(ws: _Workspace) -> List[Finding]:
     return findings
 
 
-def _is_array_value(value: object) -> bool:
-    from repro.analysis.dataflow import ArrayValue
-
-    return isinstance(value, ArrayValue)
+def _buffers_in_flight(value: object) -> Sequence[object]:
+    """The abstract arrays a sent value puts on the wire: a bare array is
+    itself, a ``Message(...)`` is every buffer it was built from."""
+    if isinstance(value, ArrayValue):
+        return [value]
+    if isinstance(value, MessageValue):
+        return list(value.buffers)
+    return []
 
 
 def _find_mutation(

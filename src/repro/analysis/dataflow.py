@@ -16,7 +16,10 @@ them (and the static communication-schedule verifier,
   calls produce an :class:`ArrayValue` carrying the allocation site and
   its dtype expression; plain-name assignment propagates the *same*
   value, so ``alias = buf`` is visible to checks that care whether two
-  names denote one buffer (the send-buffer mutation race, COMM010).
+  names denote one buffer (the send-buffer mutation race, COMM010); a
+  ``Message(header, [buf, ...])`` construction produces a
+  :class:`MessageValue` naming those same values, so the race check sees
+  through the wire-format wrapper.
 
 The engine is deliberately modest: intraprocedural, immutable values
 only (strings, numbers, tuples, ``None``), and a conservative join —
@@ -62,6 +65,16 @@ class ArrayValue:
 
     site: int
     dtype: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class MessageValue:
+    """An abstract wire message: the arrays its ``Message(header,
+    [buffers...])`` constructor call names.  The message holds those
+    buffers by reference, so sending it puts every one of them in flight.
+    """
+
+    buffers: Tuple[ArrayValue, ...]
 
 
 #: numpy allocator names that produce an :class:`ArrayValue`
@@ -452,7 +465,35 @@ class FunctionAnalysis:
         allocation = self._array_allocation(expr)
         if allocation is not None:
             return allocation
+        message = self._message_construction(expr, state)
+        if message is not None:
+            return message
         return NONCONST
+
+    def _message_construction(
+        self, expr: ast.expr, state: _State
+    ) -> Optional[MessageValue]:
+        """A :class:`MessageValue` when ``expr`` is ``Message(header,
+        [a, b, ...])`` with the buffer list spelled as a literal."""
+        if not (
+            isinstance(expr, ast.Call)
+            and isinstance(expr.func, ast.Name)
+            and expr.func.id == "Message"
+        ):
+            return None
+        buffers = expr.args[1] if len(expr.args) > 1 else None
+        for kw in expr.keywords:
+            if kw.arg == "buffers":
+                buffers = kw.value
+        if not isinstance(buffers, (ast.List, ast.Tuple)):
+            return None
+        values = [
+            state.get(elt.id) for elt in buffers.elts
+            if isinstance(elt, ast.Name)
+        ]
+        return MessageValue(
+            tuple(v for v in values if isinstance(v, ArrayValue))
+        )
 
     def _array_allocation(self, expr: ast.expr) -> Optional[ArrayValue]:
         """An :class:`ArrayValue` when ``expr`` is a numpy allocator call."""
@@ -499,6 +540,11 @@ class FunctionAnalysis:
         """Fold ``expr`` in the state reaching its enclosing statement."""
         state = self.state_before(expr)
         return fold_expr(expr, _state_lookup(state, self.env))
+
+    def value_of(self, expr: ast.expr) -> Any:
+        """The abstract value of ``expr`` where it sits: a constant, an
+        :class:`ArrayValue`, a :class:`MessageValue` or :data:`NONCONST`."""
+        return self._rhs_value(expr, self.state_before(expr))
 
 
 def _state_lookup(state: _State, env: ModuleEnv) -> Callable[[str], Any]:

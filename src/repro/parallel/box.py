@@ -86,7 +86,7 @@ def chop_domain(
     per_axis = []
     for n in n_cells:
         n_seg = -(-n // max_grid_size)  # ceil division
-        edges = np.linspace(0, n, n_seg + 1).astype(int)
+        edges = np.linspace(0, n, n_seg + 1).astype(int).tolist()
         per_axis.append(list(zip(edges[:-1], edges[1:])))
     boxes = []
     for combo in product(*per_axis):

@@ -14,16 +14,16 @@ messages, tag mismatches, self-sends and collective divergence.
 
 from __future__ import annotations
 
-import zlib
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.diagnostics.timers import now
 from repro.exceptions import CommunicationError, ResilienceError
 from repro.parallel.transport import LoopbackTransport, Transport
+from repro.parallel.wire import Message, as_message
+from repro.parallel.wire import payload_nbytes  # noqa: F401  (re-export)
 
 #: fault events a :class:`FaultInjector <repro.resilience.faults.
 #: FaultInjector>` can leave in the log
@@ -53,9 +53,9 @@ SCHEDULE_EVENT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class CommEvent:
-    """One recorded communicator operation.
+class CommEvent(NamedTuple):
+    """One recorded communicator operation (a tuple: the log holds
+    hundreds of these per step, so no per-instance ``__dict__``).
 
     ``kind`` is one of ``"send"``, ``"recv"``, ``"recv_missing"`` (a recv
     that found no matching message, recorded before the error is raised),
@@ -132,7 +132,8 @@ class SimComm:
                 "(the receiver cannot release a remote sender's buffer)"
             )
         # the local landing store: the loopback wire itself, or the
-        # drained inbox of a multi-process endpoint
+        # drained inbox of a multi-process endpoint; every entry is
+        # (message, msg_id, checksum)
         self._queues: Dict[Tuple[int, int, str], List[Any]] = (
             self.transport.queues
         )
@@ -151,17 +152,17 @@ class SimComm:
         self.spilled_messages = 0
         self.spilled_bytes = 0
         # -- resilient transport (both None unless attach_resilience) ------
-        #: duck-typed fault source: .on_send(src, dst, tag, payload)
+        #: duck-typed fault source: .on_send(src, dst, tag, message)
         self.fault_injector = None
         #: duck-typed recovery policy: .max_retries, .note_retry(), ...
         self.recovery = None
         self._msg_id = 0
-        # sender-side retransmission buffer: originals of dropped/corrupted
-        # messages, keyed like the queues
-        self._lost: Dict[Tuple[int, int, str], List[Tuple[int, int, Any]]] = (
+        # sender-side retransmission buffer: (msg_id, original message) of
+        # dropped/corrupted messages, keyed like the queues
+        self._lost: Dict[Tuple[int, int, str], List[Tuple[int, Message]]] = (
             defaultdict(list)
         )
-        # in-flight delayed messages: [countdown, msg_id, nbytes, payload]
+        # in-flight delayed messages: [countdown, msg_id, message]
         self._delayed: Dict[Tuple[int, int, str], List[List[Any]]] = (
             defaultdict(list)
         )
@@ -184,35 +185,50 @@ class SimComm:
         )
         self._seq += 1
 
-    def _account_buffer(self, src: int, nbytes: int) -> None:
-        if self.device_buffer_bytes is not None:
-            if self._buffer_in_use[src] + nbytes > self.device_buffer_bytes:
-                self.spilled_messages += 1
-                self.spilled_bytes += nbytes
-            else:
-                self._buffer_in_use[src] += nbytes
+    def _next_msg_id(self) -> int:
+        msg_id = self._msg_id
+        self._msg_id += 1
+        return msg_id
 
     def _enqueue(
         self,
-        src: int,
-        dst: int,
-        tag: str,
-        payload: Any,
-        nbytes: int,
+        key: Tuple[int, int, str],
+        msg: Message,
         msg_id: int,
         checksum: Optional[int],
+        event: str = "send",
     ) -> None:
-        self._account_buffer(src, nbytes)
-        self._record("send", src, dst, tag, nbytes)
-        self.transport.deliver(
-            (src, dst, tag), (src, nbytes, payload, msg_id, checksum)
-        )
+        """Put ``msg`` on the wire: the one spelling of buffer accounting,
+        log record and delivery.  ``event`` names a recovery action when
+        this is a retransmission; it is logged ahead of the ``send``."""
+        src, dst, tag = key
+        if event != "send":
+            self._record(event, src, dst, tag, msg.nbytes)
+        if self.device_buffer_bytes is not None:
+            if self._buffer_in_use[src] + msg.nbytes > self.device_buffer_bytes:
+                self.spilled_messages += 1
+                self.spilled_bytes += msg.nbytes
+            else:
+                self._buffer_in_use[src] += msg.nbytes
+        self._record("send", src, dst, tag, msg.nbytes)
+        self.transport.deliver(key, (msg, msg_id, checksum))
+
+    def _dequeue(self, key: Tuple[int, int, str], queue: List[Any]):
+        """Pop the oldest entry of ``queue`` and release its buffer space."""
+        entry = queue.pop(0)
+        if self.device_buffer_bytes is not None:
+            self._buffer_in_use[key[0]] = max(
+                self._buffer_in_use[key[0]] - entry[0].nbytes, 0
+            )
+        return entry
 
     def send(self, src: int, dst: int, payload: Any, tag: str = "") -> None:
         """Enqueue ``payload`` from ``src`` to ``dst`` and account its size.
 
-        With a finite device buffer, the payload occupies buffer space on
-        the sender until received; overflow spills to pinned memory.
+        ``payload`` is a :class:`~repro.parallel.wire.Message` or one bare
+        ndarray; anything else raises :class:`CommunicationError`.  With
+        a finite device buffer, the payload occupies buffer space on the
+        sender until received; overflow spills to pinned memory.
 
         When a fault injector is attached (:meth:`attach_resilience`) the
         message may instead be dropped, duplicated, corrupted in transit
@@ -221,64 +237,51 @@ class SimComm:
         """
         self._check_rank(src, "src", "send")
         self._check_rank(dst, "dst", "send")
-        nbytes = payload_nbytes(payload)
-        self.bytes_sent[src] += nbytes
+        msg = as_message(payload)
+        self.bytes_sent[src] += msg.nbytes
         self.messages_sent[src] += 1
-        self.pair_bytes[(src, dst)] += nbytes
-        msg_id = self._msg_id
-        self._msg_id += 1
-        if self.fault_injector is not None:
-            checksum = payload_checksum(payload)
-            action = self.fault_injector.on_send(src, dst, tag, payload)
-            if action is not None:
-                kind, extra = action
-                key = (src, dst, tag)
-                if kind == "drop":
-                    # lost on the wire; original kept in the sender-side
-                    # retransmission buffer for a recovery retry
-                    self._record("fault_drop", src, dst, tag, nbytes)
-                    self._lost[key].append((msg_id, nbytes, payload))
-                    return
-                if kind == "delay":
-                    self._record("fault_delay", src, dst, tag, nbytes)
-                    self._delayed[key].append(
-                        [int(extra), msg_id, nbytes, payload]
-                    )
-                    return
-                if kind == "corrupt":
-                    # checksum of the *original* travels with the mangled
-                    # payload (the sender computed it before the bit flip)
-                    self._enqueue(src, dst, tag, extra, nbytes, msg_id, checksum)
-                    self._record("fault_corrupt", src, dst, tag, nbytes)
-                    self._lost[key].append((msg_id, nbytes, payload))
-                    return
-                if kind == "duplicate":
-                    self._enqueue(
-                        src, dst, tag, payload, nbytes, msg_id, checksum
-                    )
-                    self._record("fault_duplicate", src, dst, tag, nbytes)
-                    self.transport.deliver(
-                        key, (src, nbytes, payload, msg_id, checksum)
-                    )
-                    return
-                raise CommunicationError(
-                    f"fault injector returned unknown action {kind!r}"
-                )
-            self._enqueue(src, dst, tag, payload, nbytes, msg_id, checksum)
-            return
-        self._account_buffer(src, nbytes)
-        self._record("send", src, dst, tag, nbytes)
+        self.pair_bytes[(src, dst)] += msg.nbytes
+        key = (src, dst, tag)
+        msg_id = self._next_msg_id()
+        kind = extra = checksum = None
         # remote endpoints always checksum: the wire is a real process
         # boundary there, so integrity must not depend on fault injection
-        checksum = (
-            payload_checksum(payload) if self.transport.blocking else None
-        )
-        self.transport.deliver(
-            (src, dst, tag), (src, nbytes, payload, msg_id, checksum)
-        )
+        if self.fault_injector is not None or self.transport.blocking:
+            checksum = msg.crc
+        if self.fault_injector is not None:
+            kind, extra = self.fault_injector.on_send(src, dst, tag, msg) or (
+                None, None,
+            )
+        if kind == "drop":
+            # lost on the wire; original kept in the sender-side
+            # retransmission buffer for a recovery retry
+            self._record("fault_drop", src, dst, tag, msg.nbytes)
+            self._lost[key].append((msg_id, msg))
+        elif kind == "delay":
+            self._record("fault_delay", src, dst, tag, msg.nbytes)
+            self._delayed[key].append([int(extra), msg_id, msg])
+        elif kind == "corrupt":
+            # checksum of the *original* travels with the mangled copy
+            # (the sender computed it before the bit flip)
+            self._enqueue(key, extra, msg_id, checksum)
+            self._record("fault_corrupt", src, dst, tag, msg.nbytes)
+            self._lost[key].append((msg_id, msg))
+        elif kind == "duplicate":
+            self._enqueue(key, msg, msg_id, checksum)
+            self._record("fault_duplicate", src, dst, tag, msg.nbytes)
+            self.transport.deliver(key, (msg, msg_id, checksum))
+        elif kind is None:
+            self._enqueue(key, msg, msg_id, checksum)
+        else:
+            raise CommunicationError(
+                f"fault injector returned unknown action {kind!r}"
+            )
 
     def recv(self, src: int, dst: int, tag: str = "") -> Any:
         """Dequeue the oldest matching message (releases its buffer space).
+
+        Returns what was sent: the :class:`~repro.parallel.wire.Message`,
+        or the ndarray of a bare-array send.
 
         Under an attached fault injector this is the resilient receive:
         duplicate copies are filtered by message id, corrupted payloads
@@ -292,50 +295,37 @@ class SimComm:
         self._check_rank(dst, "dst", "recv")
         key = (src, dst, tag)
         if self.fault_injector is not None:
-            return self._recv_resilient(key)
+            return self._recv_resilient(key).unwrap()
         self.transport.drain()
-        queue = self._queues.get(key)
-        while not queue:
+        while not self._queues.get(key):
             if not self.transport.wait(key):
-                break
+                self._raise_no_message(src, dst, tag)
             self.transport.drain()
-            queue = self._queues.get(key)
-        if not queue:
-            if self.transport.blocking:
-                self._raise_timeout(src, dst, tag)
-            self._raise_missing(src, dst, tag)
-        sender, nbytes, payload, _msg_id, checksum = queue.pop(0)
-        if self.device_buffer_bytes is not None:
-            self._buffer_in_use[sender] = max(
-                self._buffer_in_use[sender] - nbytes, 0
-            )
-        if checksum is not None and payload_checksum(payload) != checksum:
-            self._record("recv", src, dst, tag, nbytes)
+        msg, _msg_id, checksum = self._dequeue(key, self._queues[key])
+        self._record("recv", src, dst, tag, msg.nbytes)
+        if checksum is not None and msg.crc != checksum:
             raise ResilienceError(
                 "corrupted message detected "
                 f"({_msg_context('recv', src, dst, tag)}) with no fault "
                 "injector attached: the transport itself mangled the payload"
             )
-        self._record("recv", src, dst, tag, nbytes)
-        return payload
+        return msg.unwrap()
 
-    def _raise_timeout(self, src: int, dst: int, tag: str) -> None:
-        """A blocking recv ran out of patience: the peer is likely dead.
-
-        Recorded as ``recv_missing`` (the audit trail shows where the
-        run stalled) and raised as :class:`ResilienceError` with full
-        message context, never a silent hang.
-        """
+    def _raise_no_message(self, src: int, dst: int, tag: str) -> None:
+        """Nothing to receive: recorded as ``recv_missing`` (the audit
+        trail shows where the run stalled) and raised with full message
+        context, never a silent hang.  On a blocking transport the recv
+        ran out of patience, so the peer is likely dead
+        (:class:`ResilienceError`); on loopback the message was never
+        sent (:class:`CommunicationError`)."""
         self._record("recv_missing", src, dst, tag, 0)
-        timeout = getattr(self.transport, "recv_timeout", None)
-        raise ResilienceError(
-            f"no message ({_msg_context('recv', src, dst, tag)}) after "
-            f"{timeout}s on the {self.transport.kind} transport; the "
-            f"worker process for rank {src} may have died mid-phase"
-        )
-
-    def _raise_missing(self, src: int, dst: int, tag: str) -> None:
-        self._record("recv_missing", src, dst, tag, 0)
+        if self.transport.blocking:
+            timeout = getattr(self.transport, "recv_timeout", None)
+            raise ResilienceError(
+                f"no message ({_msg_context('recv', src, dst, tag)}) after "
+                f"{timeout}s on the {self.transport.kind} transport; the "
+                f"worker process for rank {src} may have died mid-phase"
+            )
         pending_tags = sorted(
             t for (s, d, t), q in self._queues.items()
             if s == src and d == dst and q
@@ -349,7 +339,19 @@ class SimComm:
             f"no message {_msg_context('recv', src, dst, tag)}{hint}"
         )
 
-    def _recv_resilient(self, key: Tuple[int, int, str]) -> Any:
+    def _is_duplicate(
+        self, key: Tuple[int, int, str], msg: Message, msg_id: int
+    ) -> bool:
+        """The receiver-side sequence filter: a copy of an already
+        delivered message is discarded (and logged as ``recover_dedup``)."""
+        if msg_id not in self._delivered[key]:
+            return False
+        self._record("recover_dedup", key[0], key[1], key[2], msg.nbytes)
+        if self.recovery is not None:
+            self.recovery.note_dedup()
+        return True
+
+    def _recv_resilient(self, key: Tuple[int, int, str]) -> Message:
         """The receive loop of the resilient transport (injector attached)."""
         src, dst, tag = key
         policy = self.recovery
@@ -359,94 +361,35 @@ class SimComm:
             self.transport.drain()
             queue = self._queues.get(key)
             while queue:
-                sender, nbytes, payload, msg_id, checksum = queue.pop(0)
-                if self.device_buffer_bytes is not None:
-                    self._buffer_in_use[sender] = max(
-                        self._buffer_in_use[sender] - nbytes, 0
-                    )
-                if msg_id in self._delivered[key]:
-                    # a duplicate copy of an already-delivered message:
-                    # the sequence filter discards it
-                    self._record("recover_dedup", src, dst, tag, nbytes)
-                    if policy is not None:
-                        policy.note_dedup()
+                msg, msg_id, checksum = self._dequeue(key, queue)
+                if self._is_duplicate(key, msg, msg_id):
                     continue
-                if checksum is not None and payload_checksum(payload) != checksum:
-                    self._record("recv", src, dst, tag, nbytes)
-                    if self.transport.blocking:
-                        # the original lives in the *sender's* process:
-                        # NACK it and wait for the retransmission (the
-                        # sender records the recover_retry, pairing the
-                        # fault on its own log)
-                        if policy is None:
-                            raise ResilienceError(
-                                "corrupted message detected "
-                                f"({_msg_context('recv', src, dst, tag)}) "
-                                "and no recovery policy is attached to "
-                                "retransmit it"
-                            )
-                        self.transport.request_retransmit(key, msg_id)
-                        queue = self._queues.get(key)
-                        continue
-                    original = self._take_lost(key, msg_id)
-                    if policy is None or original is None:
-                        raise ResilienceError(
-                            "corrupted message detected "
-                            f"({_msg_context('recv', src, dst, tag)}) and no "
-                            "recovery policy is attached to retransmit it"
-                        )
-                    self._record("recover_retry", src, dst, tag, nbytes)
-                    policy.note_retry(attempts)
-                    self._enqueue(
-                        src, dst, tag, original[2], original[1],
-                        self._next_msg_id(), payload_checksum(original[2]),
-                    )
-                    queue = self._queues.get(key)
-                    continue
-                self._delivered[key].add(msg_id)
-                self._record("recv", src, dst, tag, nbytes)
-                return payload
-            # nothing deliverable: service delayed messages (one backoff
-            # tick per attempt) and retransmit anything known lost
-            progressed = False
-            delayed = self._delayed.get(key)
-            if delayed:
-                for entry in delayed:
-                    entry[0] -= 1
-                ready = [e for e in delayed if e[0] <= 0]
-                if ready:
-                    if policy is None:
-                        raise ResilienceError(
-                            "delayed message "
-                            f"({_msg_context('recv', src, dst, tag)}) with no "
-                            "recovery policy attached to wait for it"
-                        )
-                    for _countdown, msg_id, nbytes, payload in ready:
-                        self._record("recover_redeliver", src, dst, tag, nbytes)
-                        policy.note_redeliver()
-                        self._enqueue(
-                            src, dst, tag, payload, nbytes, msg_id,
-                            payload_checksum(payload),
-                        )
-                    self._delayed[key] = [e for e in delayed if e[0] > 0]
-                    progressed = True
-            lost = self._lost.get(key)
-            if not progressed and lost:
+                self._record("recv", src, dst, tag, msg.nbytes)
+                if checksum is None or msg.crc == checksum:
+                    self._delivered[key].add(msg_id)
+                    return msg
+                # corrupted in transit.  On a blocking transport the
+                # original lives in the *sender's* process: NACK it and
+                # wait for the retransmission (the sender records the
+                # recover_retry, pairing the fault on its own log);
+                # on loopback the sender-side buffer is right here
                 if policy is None:
+                    resent = False
+                elif self.transport.blocking:
+                    self.transport.request_retransmit(key, msg_id)
+                    resent = True
+                else:
+                    resent = self.service_nack(key, msg_id, attempts)
+                if not resent:
                     raise ResilienceError(
-                        "message lost in transit "
+                        "corrupted message detected "
                         f"({_msg_context('recv', src, dst, tag)}) and no "
                         "recovery policy is attached to retransmit it"
                     )
-                msg_id, nbytes, payload = lost.pop(0)
-                self._record("recover_retry", src, dst, tag, nbytes)
-                policy.note_retry(attempts)
-                self._enqueue(
-                    src, dst, tag, payload, nbytes, msg_id,
-                    payload_checksum(payload),
-                )
-                progressed = True
-            if progressed:
+                queue = self._queues.get(key)
+            # nothing deliverable: service delayed messages (one backoff
+            # tick per attempt) and retransmit anything known lost
+            if self.service_probe(key, attempts, strict=True):
                 continue
             if self.transport.blocking:
                 # nothing recoverable receiver-side: the sender holds the
@@ -454,7 +397,8 @@ class SimComm:
                 # traffic instead of giving up
                 if self.transport.wait(key):
                     continue
-                self._raise_timeout(src, dst, tag)
+                self._raise_no_message(src, dst, tag)
+            delayed = self._delayed.get(key)
             if delayed and policy is not None and attempts < max_retries:
                 attempts += 1
                 policy.note_backoff(attempts)
@@ -464,86 +408,72 @@ class SimComm:
                     f"delayed message ({_msg_context('recv', src, dst, tag)}) "
                     f"did not arrive within {max_retries} retries"
                 )
-            self._raise_missing(src, dst, tag)
+            self._raise_no_message(src, dst, tag)
 
-    def _next_msg_id(self) -> int:
-        msg_id = self._msg_id
-        self._msg_id += 1
-        return msg_id
+    # -- retransmission servicing (receiver-side on loopback, sender-side
+    # -- for the probe/NACK control messages of a blocking transport) ------
+    def service_nack(
+        self, key: Tuple[int, int, str], msg_id: int, attempt: int = 0
+    ) -> bool:
+        """Retransmit the buffered original of a corrupted message.
 
-    def _take_lost(
-        self, key: Tuple[int, int, str], msg_id: int
-    ) -> Optional[Tuple[int, int, Any]]:
-        """Pop the retransmission-buffer entry for ``msg_id`` (None if gone)."""
-        for i, entry in enumerate(self._lost.get(key, ())):
-            if entry[0] == msg_id:
-                return self._lost[key].pop(i)
-        return None
-
-    # -- sender-side control servicing (blocking transports) ---------------
-    def service_nack(self, key: Tuple[int, int, str], msg_id: int) -> bool:
-        """Retransmit the buffered original of a NACKed message.
-
-        A remote receiver detected a checksum mismatch and asked for
-        ``msg_id`` again; the original sits in this endpoint's
-        retransmission buffer.  Mirrors the loopback corrupt-recovery
-        path: new message id, fresh checksum, ``recover_retry`` recorded
-        on the *sender's* log (where the ``fault_corrupt`` it pairs with
-        also lives).
+        A receiver detected a checksum mismatch on ``msg_id``; the
+        original sits in the sender's retransmission buffer.  It goes
+        out again under a new message id with its own checksum, and the
+        ``recover_retry`` is recorded on the *sender's* log (where the
+        ``fault_corrupt`` it pairs with also lives).  False when the
+        buffer no longer holds that message.
         """
-        src, dst, tag = key
-        original = self._take_lost(key, msg_id)
-        if original is None:
-            return False
-        self._record("recover_retry", src, dst, tag, original[1])
-        if self.recovery is not None:
-            self.recovery.note_retry(0)
-        self._enqueue(
-            src, dst, tag, original[2], original[1],
-            self._next_msg_id(), payload_checksum(original[2]),
-        )
-        return True
+        for i, (lost_id, msg) in enumerate(self._lost.get(key, ())):
+            if lost_id == msg_id:
+                del self._lost[key][i]
+                if self.recovery is not None:
+                    self.recovery.note_retry(attempt)
+                self._enqueue(
+                    key, msg, self._next_msg_id(), msg.crc, "recover_retry"
+                )
+                return True
+        return False
 
-    def service_probe(self, key: Tuple[int, int, str]) -> bool:
-        """Service a remote receiver's nothing-arrived probe for ``key``.
+    def service_probe(
+        self, key: Tuple[int, int, str], attempt: int = 0,
+        strict: bool = False,
+    ) -> bool:
+        """One backoff tick for ``key``: did anything get (re)sent?
 
-        One probe is one backoff tick: delayed messages count down (and
-        redeliver at zero), then any known-lost message is retransmitted.
-        This is the sender-side half of the loopback no-progress branch
-        of :meth:`_recv_resilient`, relocated to the process that
-        actually holds the ``_delayed``/``_lost`` buffers.
+        Delayed messages count down (and redeliver at zero); failing
+        that, the oldest known-lost message is retransmitted.  A remote
+        receiver that saw nothing arrive triggers this with a probe —
+        the buffers live in the sending process — and the loopback
+        receive loop calls it directly with ``strict`` set, where having
+        something to recover but no recovery policy is an error.
         """
-        src, dst, tag = key
         policy = self.recovery
-        progressed = False
-        delayed = self._delayed.get(key)
-        if delayed:
-            for entry in delayed:
-                entry[0] -= 1
-            ready = [e for e in delayed if e[0] <= 0]
-            if ready:
-                for _countdown, msg_id, nbytes, payload in ready:
-                    self._record("recover_redeliver", src, dst, tag, nbytes)
-                    if policy is not None:
-                        policy.note_redeliver()
-                    self._enqueue(
-                        src, dst, tag, payload, nbytes, msg_id,
-                        payload_checksum(payload),
-                    )
-                self._delayed[key] = [e for e in delayed if e[0] > 0]
-                progressed = True
+        delayed = self._delayed.get(key, ())
+        for entry in delayed:
+            entry[0] -= 1
+        ready = [e for e in delayed if e[0] <= 0]
         lost = self._lost.get(key)
-        if not progressed and lost:
-            msg_id, nbytes, payload = lost.pop(0)
-            self._record("recover_retry", src, dst, tag, nbytes)
-            if policy is not None:
-                policy.note_retry(0)
-            self._enqueue(
-                src, dst, tag, payload, nbytes, msg_id,
-                payload_checksum(payload),
+        if not (ready or lost):
+            return False
+        if strict and policy is None:
+            what = "delayed message" if ready else "message lost in transit"
+            raise ResilienceError(
+                f"{what} ({_msg_context('recv', *key)}) and no recovery "
+                "policy is attached to recover it"
             )
-            progressed = True
-        return progressed
+        for _countdown, msg_id, msg in ready:
+            if policy is not None:
+                policy.note_redeliver()
+            self._enqueue(key, msg, msg_id, msg.crc, "recover_redeliver")
+        if ready:
+            self._delayed[key] = [e for e in delayed if e[0] > 0]
+        else:
+            msg_id, msg = lost.pop(0)
+            if policy is not None:
+                policy.note_retry(attempt)
+            self._enqueue(key, msg, msg_id, msg.crc, "recover_retry")
+        return True
 
     # -- resilience hooks --------------------------------------------------
     def attach_resilience(self, injector, recovery=None) -> None:
@@ -569,17 +499,9 @@ class SimComm:
         if self.fault_injector is None:
             return
         for key, queue in self._queues.items():
-            kept = []
-            for entry in queue:
-                if entry[3] in self._delivered[key]:
-                    self._record(
-                        "recover_dedup", key[0], key[1], key[2], entry[1]
-                    )
-                    if self.recovery is not None:
-                        self.recovery.note_dedup()
-                else:
-                    kept.append(entry)
-            queue[:] = kept
+            queue[:] = [
+                e for e in queue if not self._is_duplicate(key, e[0], e[1])
+            ]
         leftovers = self._fault_leftovers()
         if leftovers and self.transport.blocking:
             # remote receivers recover through probe/NACK control
@@ -667,7 +589,7 @@ class SimComm:
                 )
             values = self.transport.allreduce(values)
         self.collective_calls += 1
-        nbytes = payload_nbytes(values)
+        nbytes = int(np.asarray(values).nbytes)
         rounds = max(int(np.ceil(np.log2(max(self.n_ranks, 2)))), 1)
         if rank is None:
             self.bytes_sent += nbytes * rounds
@@ -732,41 +654,3 @@ class SimComm:
     def clear_log(self) -> None:
         """Drop the recorded event history (e.g. between benchmark phases)."""
         self.log.clear()
-
-
-def payload_checksum(payload: Any) -> int:
-    """CRC32 over a payload's bytes (arrays, nested tuples, scalars).
-
-    The integrity check of the resilient transport: computed at send
-    time, carried with the message, and re-verified at receive time so a
-    corrupted-in-transit payload is detected instead of deposited into
-    the physics.  Cheap (one pass) and fully deterministic.
-    """
-    crc = 0
-    if isinstance(payload, np.ndarray):
-        return zlib.crc32(np.ascontiguousarray(payload).tobytes())
-    if isinstance(payload, (tuple, list)):
-        for p in payload:
-            crc = zlib.crc32(payload_checksum(p).to_bytes(4, "little"), crc)
-        return crc
-    if isinstance(payload, dict):
-        for k in sorted(payload, key=str):
-            crc = zlib.crc32(bytes(str(k), "utf8"), crc)
-            crc = zlib.crc32(
-                payload_checksum(payload[k]).to_bytes(4, "little"), crc
-            )
-        return crc
-    return zlib.crc32(bytes(repr(payload), "utf8"))
-
-
-def payload_nbytes(payload: Any) -> int:
-    """Size of a payload in bytes (arrays by buffer size, tuples summed)."""
-    if isinstance(payload, np.ndarray):
-        return int(payload.nbytes)
-    if isinstance(payload, (tuple, list)):
-        return sum(payload_nbytes(p) for p in payload)
-    if isinstance(payload, dict):
-        return sum(payload_nbytes(v) for v in payload.values())
-    if isinstance(payload, (int, float, np.integer, np.floating)):
-        return 8
-    return len(bytes(str(payload), "utf8"))

@@ -36,6 +36,7 @@ from repro.parallel.distribution import DistributionMapping
 from repro.grid.psatd import PSATDMaxwellSolver
 from repro.parallel.halo import (
     HALO_TAG_PREFIX,
+    HaloExchangeStats,
     assemble_global,
     exchange_halos,
     fold_sources_pairwise,
@@ -219,11 +220,9 @@ class DistributedSimulation:
         self.fill_overlaps = neighbor_overlaps(
             self.boxes, n_cells, guards, periodic_axes, kind="fill"
         )
-        # honest halo/LB traffic counters, accumulated from the per-phase
-        # exchange stats (observability mirrors these as per-step deltas)
-        self.halo_samples = 0
-        self.halo_payload_bytes = 0
-        self.halo_messages = 0
+        #: cumulative stats of every fold / halo exchange of the run
+        #: (observability mirrors them as per-step deltas)
+        self.halo_stats = HaloExchangeStats()
         self.lb_moved_bytes = 0
         self.species: Dict[str, DistributedSpecies] = {}
         self.dynamic_lb = bool(dynamic_lb)
@@ -432,11 +431,20 @@ class DistributedSimulation:
             )
         return costs
 
-    def _note_halo(self, stats) -> None:
-        """Fold one exchange's stats into the cumulative halo counters."""
-        self.halo_samples += stats.samples
-        self.halo_payload_bytes += stats.payload_bytes
-        self.halo_messages += stats.messages
+    @property
+    def halo_samples(self) -> int:
+        """Array samples applied by all exchanges, local copies included."""
+        return self.halo_stats.samples
+
+    @property
+    def halo_payload_bytes(self) -> int:
+        """Bytes of all cross-rank fold / halo messages received."""
+        return self.halo_stats.payload_bytes
+
+    @property
+    def halo_messages(self) -> int:
+        """Cross-rank fold / halo messages received."""
+        return self.halo_stats.messages
 
     def _finish_step(self) -> None:
         """Everything after the per-box particle work: fold sources,
@@ -459,7 +467,7 @@ class DistributedSimulation:
                             smooth_binomial(
                                 bg.fields[comp], axis, self.smoothing_passes
                             )
-            self._note_halo(fold_sources_pairwise(
+            self.halo_stats.merge(fold_sources_pairwise(
                 self.comm,
                 self.box_grids,
                 self.boxes,
@@ -476,7 +484,7 @@ class DistributedSimulation:
             # a distinct phase tag keeps the schedule verifier's
             # per-phase accounting exact
             with self._phase("halo_sources"):
-                self._note_halo(exchange_halos(
+                self.halo_stats.merge(exchange_halos(
                     self.comm,
                     self.box_grids,
                     self.boxes,
@@ -494,7 +502,7 @@ class DistributedSimulation:
                     solver.step()
 
         with self._phase("halo_fields"):
-            self._note_halo(exchange_halos(
+            self.halo_stats.merge(exchange_halos(
                 self.comm,
                 self.box_grids,
                 self.boxes,

@@ -5,9 +5,11 @@ exact index regions where one box's data is needed by another (periodic
 images included), and :func:`exchange_halos` / :func:`fold_sources_pairwise`
 slice those regions out of the source box and route them through
 :class:`SimComm` as real payloads.  All regions travelling between the
-same pair of ranks are coalesced into a single message per exchange phase
-— the paper's message-aggregation optimization — and overlaps between
-boxes on the same rank short-circuit to local copies, which is why a
+same pair of ranks are coalesced into a single
+:class:`~repro.parallel.wire.Message` per exchange phase — the paper's
+message-aggregation optimization: one header row ``(order, dst_box,
+comp, *dst_lo)`` and one buffer per region — and overlaps between boxes
+on the same rank short-circuit to local copies, which is why a
 locality-aware distribution (SFC) sends fewer bytes for the same physics.
 
 Two overlap kinds cover the PIC cycle:
@@ -45,7 +47,8 @@ from repro.grid.boundary import (
 )
 from repro.grid.yee import FIELD_COMPONENTS, SOURCE_COMPONENTS, STAGGER, YeeGrid
 from repro.parallel.box import Box
-from repro.parallel.comm import SimComm, payload_nbytes
+from repro.parallel.comm import SimComm
+from repro.parallel.wire import Message
 
 #: tags of the two halo phases; commcheck and the byte-reconciliation
 #: tests filter the event log on this prefix
@@ -235,10 +238,10 @@ def _overlap_slices(
 class HaloExchangeStats:
     """Honest accounting of one exchange phase.
 
-    ``payload_bytes`` is the byte count of the aggregated cross-rank
-    message payloads exactly as :func:`~repro.parallel.comm.payload_nbytes`
-    sees them, so it reconciles with the communicator's ``pair_bytes`` and
-    event log.  ``samples`` counts every applied array sample, local
+    ``payload_bytes`` sums the ``nbytes`` of the aggregated cross-rank
+    messages — the very number the communicator accounted at ``send`` —
+    so it reconciles with ``pair_bytes`` and the event log by
+    construction.  ``samples`` counts every applied array sample, local
     copies included (the guard-cell work is the same wherever the
     neighbor lives).
     """
@@ -257,10 +260,12 @@ class HaloExchangeStats:
 
 def _apply_entries(
     box_grids: Sequence[YeeGrid],
-    entries: Sequence[Tuple[int, str, Tuple[int, ...], np.ndarray]],
+    entries: Sequence[Tuple[Tuple, np.ndarray]],
     accumulate: bool,
 ) -> None:
-    for dst_box, comp, dst_lo, data in entries:
+    """Write each ``(row, data)`` entry at ``dst_lo`` of its box component
+    (row: ``(order, dst_box, comp, *dst_lo)``)."""
+    for (_order, dst_box, comp, *dst_lo), data in entries:
         arr = box_grids[dst_box].fields[comp]
         sl = tuple(slice(lo, lo + s) for lo, s in zip(dst_lo, data.shape))
         if accumulate:
@@ -286,10 +291,11 @@ def _run_exchange(
     All source regions are sliced (and copied) *before* anything is
     applied, so the exchange has snapshot semantics — a destination
     update can never leak into a source read.  One ``comm.send`` carries
-    every region travelling between a given (src_rank, dst_rank) pair;
-    same-rank regions never touch the communicator.
+    every region travelling between a given (src_rank, dst_rank) pair as
+    one message: a header row and a buffer per region; same-rank regions
+    never touch the communicator.
 
-    Entries carry their position in the overlap enumeration and are
+    Rows carry their position in the overlap enumeration and are
     applied in that canonical order after all messages arrive, so the
     floating-point summation order of the fold depends only on the box
     array — never on the distribution mapping.  A run whose boxes were
@@ -309,9 +315,9 @@ def _run_exchange(
     ``payload_bytes`` by the receiver.
     """
     stats = HaloExchangeStats()
-    pair_payloads: Dict[Tuple[int, int], List] = {}
+    outgoing: Dict[Tuple[int, int], List] = {}
     cross_pairs: set = set()
-    entries: List[Tuple[int, int, str, Tuple[int, ...], np.ndarray]] = []
+    entries: List[Tuple[Tuple, np.ndarray]] = []
     order = 0
     for ov in overlaps:
         src_rank = int(rank_of_box[ov.src])
@@ -330,17 +336,14 @@ def _run_exchange(
             if pack:
                 data = src_fields[comp][src_sl].copy()
                 entry = (
-                    order, ov.dst, comp,
-                    tuple(s.start for s in dst_sl), data,
+                    (order, ov.dst, comp, *(s.start for s in dst_sl)), data,
                 )
                 stats.samples += data.size
                 if src_rank == dst_rank:
                     entries.append(entry)
                     stats.local_copies += 1
                 else:
-                    pair_payloads.setdefault(
-                        (src_rank, dst_rank), []
-                    ).append(entry)
+                    outgoing.setdefault((src_rank, dst_rank), []).append(entry)
             order += 1
     send_pairs = sorted(
         p for p in cross_pairs if local_rank is None or p[0] == local_rank
@@ -350,16 +353,17 @@ def _run_exchange(
     )
     comm.begin_phase(tag, n_messages=len(send_pairs))
     for pair in send_pairs:
-        comm.send(pair[0], pair[1], pair_payloads[pair], tag=tag)
+        rows, buffers = zip(*outgoing[pair])
+        comm.send(pair[0], pair[1], Message(rows, buffers), tag=tag)
     for pair in recv_pairs:
-        payload = comm.recv(pair[0], pair[1], tag=tag)
+        msg = comm.recv(pair[0], pair[1], tag=tag)
         stats.messages += 1
-        stats.payload_bytes += payload_nbytes(payload)
-        entries.extend(payload)
-    entries.sort(key=lambda e: e[0])
-    for e in entries:
-        comm.record_apply(tag, e[0], nbytes=int(e[4].nbytes))
-    _apply_entries(box_grids, [e[1:] for e in entries], accumulate)
+        stats.payload_bytes += msg.nbytes
+        entries.extend(zip(msg.header, msg.buffers))
+    entries.sort(key=lambda e: e[0][0])
+    for row, data in entries:
+        comm.record_apply(tag, row[0], nbytes=int(data.nbytes))
+    _apply_entries(box_grids, entries, accumulate)
     comm.end_phase(tag)
     return stats
 

@@ -3,9 +3,10 @@
 :class:`MultiprocessingTransport` is the blocking counterpart of the
 in-process loopback: every rank runs in its own forked worker, each with
 one ``multiprocessing.Queue`` inbox, and messages — the same
-``(src, nbytes, payload, msg_id, checksum)`` wire entries the pairwise
-halo protocol produces — cross a real process boundary.  Large arrays
-hop through POSIX shared memory instead of the queue pipe.
+``(message, msg_id, checksum)`` entries the loopback queues hold — cross
+a real process boundary, laid out by :mod:`repro.parallel.wire` (one
+block per message: in the pipe when small, in one run-scoped
+shared-memory segment when large, swept here when the workers are gone).
 
 The resilience layer stays load-bearing across the boundary: CRC32
 checksums are always computed (the wire is real here), a receiver that
@@ -34,17 +35,19 @@ tests compare bit-for-bit.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import queue as queue_mod
 import traceback
 from collections import defaultdict
 from dataclasses import dataclass, field
-from multiprocessing import resource_tracker, shared_memory
+from itertools import count
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.diagnostics.timers import now
 from repro.exceptions import CommunicationError, ResilienceError
+from repro.parallel import wire
 from repro.parallel.transport import (
     ChannelKey,
     CommCounters,
@@ -53,60 +56,8 @@ from repro.parallel.transport import (
     merge_rank_logs,
 )
 
-#: payloads at or above this many bytes ride in shared memory
-DEFAULT_SHM_THRESHOLD = 1 << 16
-
-#: marker tuple head for a shared-memory array reference on the wire
-_SHM_MARKER = "__shm_ndarray__"
-
-
-def _shm_encode(obj: Any, threshold: int) -> Any:
-    """Replace large arrays in ``obj`` with shared-memory references.
-
-    Each reference is single-use: the receiver attaches, copies the data
-    out, closes and unlinks the segment.  Structure and small values
-    still travel (pickled) through the queue pipe.
-    """
-    if isinstance(obj, np.ndarray):
-        if obj.nbytes >= threshold:
-            seg = shared_memory.SharedMemory(create=True, size=obj.nbytes)
-            view = np.ndarray(obj.shape, dtype=obj.dtype, buffer=seg.buf)
-            view[...] = obj
-            ref = (_SHM_MARKER, seg.name, obj.shape, obj.dtype.str)
-            seg.close()
-            # ownership passes to the receiver (who attaches and then
-            # unlinks); keep the local resource tracker out of it
-            resource_tracker.unregister(seg._name, "shared_memory")
-            return ref
-        return obj
-    if isinstance(obj, tuple):
-        return tuple(_shm_encode(o, threshold) for o in obj)
-    if isinstance(obj, list):
-        return [_shm_encode(o, threshold) for o in obj]
-    if isinstance(obj, dict):
-        return {k: _shm_encode(v, threshold) for k, v in obj.items()}
-    return obj
-
-
-def _shm_decode(obj: Any) -> Any:
-    """Resolve shared-memory references back into owned arrays."""
-    if isinstance(obj, tuple):
-        if len(obj) == 4 and isinstance(obj[0], str) and obj[0] == _SHM_MARKER:
-            _, name, shape, dtype = obj
-            seg = shared_memory.SharedMemory(name=name)
-            try:
-                view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf)
-                out = np.array(view, copy=True)
-            finally:
-                seg.close()
-                seg.unlink()
-            return out
-        return tuple(_shm_decode(o) for o in obj)
-    if isinstance(obj, list):
-        return [_shm_decode(o) for o in obj]
-    if isinstance(obj, dict):
-        return {k: _shm_decode(v) for k, v in obj.items()}
-    return obj
+#: inbox poll period in seconds; also the probe cadence while starved
+POLL_INTERVAL = 0.02
 
 
 class MultiprocessingTransport(Transport):
@@ -128,8 +79,6 @@ class MultiprocessingTransport(Transport):
         n_ranks: int,
         inboxes: Sequence[Any],
         recv_timeout: float = 30.0,
-        poll_interval: float = 0.02,
-        shm_threshold: int = DEFAULT_SHM_THRESHOLD,
     ) -> None:
         if not (0 <= local_rank < n_ranks):
             raise CommunicationError(
@@ -145,10 +94,11 @@ class MultiprocessingTransport(Transport):
         self._inbox = self._inboxes[self.local_rank]
         #: seconds a blocking recv waits before declaring the peer dead
         self.recv_timeout = float(recv_timeout)
-        #: inbox poll period; also the probe cadence while starved
-        self.poll_interval = float(poll_interval)
-        self.shm_threshold = int(shm_threshold)
         self.queues: Dict[ChannelKey, List[Any]] = defaultdict(list)
+        # segment names: <run prefix><rank>-<sequence>.  Workers are
+        # forked by run_spmd, whose pid scopes the run (and its sweep)
+        stem = f"{wire.segment_prefix(os.getppid())}{self.local_rank}-"
+        self._segment_names = (f"{stem}{n}" for n in count())
         self._sync_seq = 0
         self._sync_seen: Dict[int, set] = {}
         self._reduce_seq = 0
@@ -168,11 +118,9 @@ class MultiprocessingTransport(Transport):
                 f"SPMD endpoint of rank {self.local_rank} cannot send as "
                 f"rank {src}: each worker only speaks for itself"
             )
-        sender, nbytes, payload, msg_id, checksum = entry
-        payload = _shm_encode(payload, self.shm_threshold)
-        self._inboxes[dst].put(
-            ("data", key, (sender, nbytes, payload, msg_id, checksum))
-        )
+        msg, msg_id, checksum = entry
+        encoded = wire.encode(msg, next(self._segment_names))
+        self._inboxes[dst].put(("data", key, encoded, msg_id, checksum))
 
     def request_retransmit(self, key: ChannelKey, msg_id: Optional[int]) -> None:
         self._inboxes[key[0]].put(("nack", key, msg_id))
@@ -181,11 +129,8 @@ class MultiprocessingTransport(Transport):
     def _dispatch(self, msg: Tuple) -> int:
         kind = msg[0]
         if kind == "data":
-            _, key, entry = msg
-            sender, nbytes, payload, msg_id, checksum = entry
-            self.queues[key].append(
-                (sender, nbytes, _shm_decode(payload), msg_id, checksum)
-            )
+            _, key, encoded, msg_id, checksum = msg
+            self.queues[key].append((wire.decode(encoded), msg_id, checksum))
             return 1
         if kind == "nack":
             self.comm.service_nack(msg[1], msg[2])
@@ -218,7 +163,7 @@ class MultiprocessingTransport(Transport):
     def pump(self) -> int:
         """One short blocking poll of the inbox (plus a full drain)."""
         try:
-            msg = self._inbox.get(timeout=self.poll_interval)
+            msg = self._inbox.get(timeout=POLL_INTERVAL)
         except queue_mod.Empty:
             return 0
         return self._dispatch(msg) + self.drain()
@@ -240,7 +185,7 @@ class MultiprocessingTransport(Transport):
                 return False
             try:
                 msg = self._inbox.get(
-                    timeout=min(self.poll_interval, remaining)
+                    timeout=min(POLL_INTERVAL, remaining)
                 )
             except queue_mod.Empty:
                 if src != self.local_rank:
@@ -282,7 +227,7 @@ class MultiprocessingTransport(Transport):
                 )
             try:
                 msg = self._inbox.get(
-                    timeout=min(self.poll_interval, remaining)
+                    timeout=min(POLL_INTERVAL, remaining)
                 )
             except queue_mod.Empty:
                 continue
@@ -315,7 +260,7 @@ class MultiprocessingTransport(Transport):
                     )
                 try:
                     msg = self._inbox.get(
-                        timeout=min(self.poll_interval, remaining)
+                        timeout=min(POLL_INTERVAL, remaining)
                     )
                 except queue_mod.Empty:
                     continue
@@ -338,13 +283,34 @@ class MultiprocessingTransport(Transport):
         pump_until(lambda: seq in self._reduce_results, "the result")
         return self._reduce_results.pop(seq)
 
+    def flush(self) -> None:
+        """Block until everything this rank sent has left the process:
+        queue feeder threads die with it, and a barrier token still
+        buffered there leaves a slower peer waiting until its timeout.
+        Only safe while every peer is alive and reading, i.e. right
+        after a successful :meth:`sync`."""
+        for r, q in enumerate(self._inboxes):
+            if r != self.local_rank:
+                q.close()
+                q.join_thread()
+
     def close(self) -> None:
         """Detach from the inbox queues without blocking on flush.
 
-        Called after the final :meth:`sync`, when all traffic is proven
-        delivered; cancelling the feeder join keeps an error-path exit
-        from hanging on messages nobody will ever read.
+        After the final :meth:`sync` all traffic is proven delivered and
+        the inbox is empty; on an error path it may still hold encoded
+        messages nobody will read; those are decoded and dropped, which
+        is what frees a shared-memory carrier (control messages are
+        dropped unserviced).  Cancelling the feeder join keeps that exit
+        from hanging on messages this rank sent to a dead peer.
         """
+        while True:
+            try:
+                msg = self._inbox.get_nowait()
+            except queue_mod.Empty:
+                break
+            if msg[0] == "data":
+                wire.decode(msg[2])
         for q in self._inboxes:
             q.cancel_join_thread()
 
@@ -364,15 +330,14 @@ def _spmd_worker_main(
     inboxes: List[Any],
     worker_fn: Callable,
     result_q: Any,
-    transport_kwargs: Dict[str, Any],
+    recv_timeout: float,
 ) -> None:
-    transport = MultiprocessingTransport(
-        rank, n_ranks, inboxes, **transport_kwargs
-    )
+    transport = MultiprocessingTransport(rank, n_ranks, inboxes, recv_timeout)
     try:
         out = worker_fn(rank, transport)
         # all traffic proven delivered before anyone tears down
         transport.sync()
+        transport.flush()
         result_q.put((rank, "ok", out))
     except BaseException:
         result_q.put((rank, "error", traceback.format_exc()))
@@ -386,8 +351,6 @@ def run_spmd(
     n_ranks: int,
     worker_fn: Callable[[int, MultiprocessingTransport], Any],
     recv_timeout: float = 30.0,
-    poll_interval: float = 0.02,
-    shm_threshold: int = DEFAULT_SHM_THRESHOLD,
     run_timeout: float = 300.0,
 ) -> List[Any]:
     """Run ``worker_fn(rank, transport)`` in one forked process per rank.
@@ -397,26 +360,28 @@ def run_spmd(
     on a dead peer — or dies outright turns into one aggregated
     :class:`ResilienceError` carrying every failed rank's traceback, and
     every surviving worker is terminated; the parent never hangs past
-    ``run_timeout``.
+    ``run_timeout``.  However the run ends, no shared-memory segment of
+    it survives: once the workers are gone, whatever a dead or failed
+    receiver left behind is swept by the run's name prefix.  That prefix
+    is this process's pid, so one process runs one ``run_spmd`` at a
+    time: it is not re-entrant (two overlapping calls, say from threads,
+    would share segment names and sweep each other's messages).
     """
     if n_ranks < 1:
         raise CommunicationError(f"need at least one rank, got {n_ranks}")
     ctx = mp.get_context("fork")
     inboxes = [ctx.Queue() for _ in range(n_ranks)]
     result_q = ctx.Queue()
-    transport_kwargs = {
-        "recv_timeout": recv_timeout,
-        "poll_interval": poll_interval,
-        "shm_threshold": shm_threshold,
-    }
     procs = [
         ctx.Process(
             target=_spmd_worker_main,
-            args=(r, n_ranks, inboxes, worker_fn, result_q, transport_kwargs),
+            args=(r, n_ranks, inboxes, worker_fn, result_q, recv_timeout),
             daemon=True,
         )
         for r in range(n_ranks)
     ]
+    segments = wire.segment_prefix(os.getpid())
+    wire.sweep_segments(segments)  # a killed earlier run with this pid
     for p in procs:
         p.start()
     results: Dict[int, Any] = {}
@@ -458,6 +423,7 @@ def run_spmd(
         for q in inboxes:
             q.cancel_join_thread()
         result_q.cancel_join_thread()
+        wire.sweep_segments(segments)
     if errors:
         report = "\n".join(
             f"--- rank {r} ---\n{errors[r]}" for r in sorted(errors)
@@ -595,8 +561,6 @@ def run_distributed_mp(
     n_steps: int,
     n_ranks: int,
     recv_timeout: float = 30.0,
-    poll_interval: float = 0.02,
-    shm_threshold: int = DEFAULT_SHM_THRESHOLD,
     run_timeout: float = 300.0,
     merge_logs: bool = True,
 ) -> MPRunResult:
@@ -633,8 +597,6 @@ def run_distributed_mp(
         n_ranks,
         worker,
         recv_timeout=recv_timeout,
-        poll_interval=poll_interval,
-        shm_threshold=shm_threshold,
         run_timeout=run_timeout,
     )
     wall_time = now() - t0

@@ -5,18 +5,25 @@ them (after periodic wrapping), and boxes reassigned by the dynamic load
 balancer ship their full field + particle state to the new owner.
 Messages go through the simulated communicator when source and
 destination live on different ranks, so both kinds of traffic show up in
-the accounting like everything else.
+the accounting like everything else.  A particle
+:class:`~repro.parallel.wire.Message` holds a header row ``(src_box,
+dst_box)`` and four buffers (positions, momenta, weights, ids) per
+batch; a migration message a row ``(box,)`` per box, then its field
+arrays in sorted component order and four particle buffers per species
+in sorted name order — both ends share the names, so none travels.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import DecompositionError
 from repro.parallel.box import Box
-from repro.parallel.comm import SimComm, payload_nbytes
+from repro.parallel.comm import SimComm
+from repro.parallel.wire import Message
 from repro.particles.species import Species
 
 
@@ -61,15 +68,19 @@ def wrap_positions_periodic(
         x += domain_lo[d]
 
 
-def _batch_from_arrays(proto: Species, arrays: Tuple) -> Species:
-    """A particle batch rebuilt from a received array payload."""
-    pos, mom, wgt, ids = arrays
-    batch = Species(proto.name, proto.charge, proto.mass, proto.ndim, proto.dtype)
-    batch.positions = np.asarray(pos, dtype=proto.dtype)
-    batch.momenta = np.asarray(mom, dtype=proto.dtype)
-    batch.weights = np.asarray(wgt, dtype=proto.dtype)
-    batch.ids = np.asarray(ids, dtype=np.int64)
-    return batch
+def _particle_buffers(sp: Species) -> Tuple[np.ndarray, ...]:
+    """The four arrays a particle container travels as."""
+    return (sp.positions, sp.momenta, sp.weights, sp.ids)
+
+
+def _adopt_buffers(sp: Species, buffers: Iterable[np.ndarray]) -> Species:
+    """Make four received buffers the contents of ``sp``."""
+    pos, mom, wgt, ids = buffers
+    sp.positions = np.asarray(pos, dtype=sp.dtype)
+    sp.momenta = np.asarray(mom, dtype=sp.dtype)
+    sp.weights = np.asarray(wgt, dtype=sp.dtype)
+    sp.ids = np.asarray(ids, dtype=np.int64)
+    return sp
 
 
 def redistribute_particles(
@@ -86,7 +97,8 @@ def redistribute_particles(
 
     ``species_per_box`` holds one container per box (same species).  When
     ``comm``/``rank_of_box`` are given, cross-rank moves travel as
-    messages carrying the particles' position+momentum+weight+id arrays.
+    messages: a ``(src_box, dst_box)`` header row and the batch's
+    position, momentum, weight and id buffers per move.
 
     The wire protocol is deterministic: exactly one message per ordered
     pair of distinct active ranks (derived from ``rank_of_box`` alone),
@@ -128,27 +140,31 @@ def redistribute_particles(
     per_pair: Dict[Tuple[int, int], List] = {p: [] for p in pairs}
     pending: List[Tuple[int, int, Species]] = []
     for i, j, batch in batches:
-        src = int(rank_of_box[i])
-        dst = int(rank_of_box[j])
-        if src == dst:
-            pending.append((i, j, batch))
-        else:
-            # the received payload IS the batch: the comm path is
-            # load-bearing, so injected message faults would alter the
-            # physics unless the resilient transport recovers
-            per_pair[(src, dst)].append(
-                (i, j, (batch.positions, batch.momenta, batch.weights,
-                        batch.ids))
-            )
+        src, dst = int(rank_of_box[i]), int(rank_of_box[j])
+        bound_for = pending if src == dst else per_pair[(src, dst)]
+        bound_for.append((i, j, batch))
     send_pairs = [p for p in pairs if local_rank is None or p[0] == local_rank]
     recv_pairs = [p for p in pairs if local_rank is None or p[1] == local_rank]
     comm.begin_phase("particles", n_messages=len(send_pairs))
     for p in send_pairs:
-        comm.send(p[0], p[1], per_pair[p], tag="particles")
+        msg = Message(
+            [(i, j) for i, j, _batch in per_pair[p]],
+            [b for _i, _j, batch in per_pair[p]
+             for b in _particle_buffers(batch)],
+        )
+        comm.send(p[0], p[1], msg, tag="particles")
     for p in recv_pairs:
-        payload = comm.recv(p[0], p[1], tag="particles")
-        for i, j, arrays in payload:
-            pending.append((i, j, _batch_from_arrays(species_per_box[j], arrays)))
+        # the received buffers ARE the batch: the comm path is
+        # load-bearing, so injected message faults would alter the
+        # physics unless the resilient transport recovers
+        msg = comm.recv(p[0], p[1], tag="particles")
+        buffers = iter(msg.buffers)
+        for i, j in msg.header:
+            proto = species_per_box[j]
+            batch = Species(
+                proto.name, proto.charge, proto.mass, proto.ndim, proto.dtype
+            )
+            pending.append((i, j, _adopt_buffers(batch, islice(buffers, 4))))
     for _i, j, batch in sorted(pending, key=lambda b: (b[0], b[1])):
         species_per_box[j].extend(batch)
     comm.end_phase("particles")
@@ -171,7 +187,7 @@ def migrate_boxes(
     fall-back absorbs during large LB steps.  All boxes moving between
     the same (old_rank, new_rank) pair travel in one aggregated message,
     and the comm path is load-bearing: the receiving side writes the
-    *received* payload back into the box state, so an unrecovered message
+    *received* buffers back into the box state, so an unrecovered message
     fault would alter the physics.  ``species`` maps name -> holder with
     a ``per_box`` list of particle containers (duck-typed to avoid a
     dependency on the distributed driver).  Returns ``(n_messages,
@@ -184,26 +200,17 @@ def migrate_boxes(
     ``payload_bytes`` is counted at the receiver, so per-rank totals sum
     to the loopback value.
     """
-    per_pair: Dict[Tuple[int, int], List] = {}
+    comps = sorted(box_grids[0].fields)
+    names = sorted(species)
+    moving: Dict[Tuple[int, int], List[int]] = {}
     move_pairs: set = set()
     for i, (old, new) in enumerate(zip(old_assignment, new_assignment)):
         old, new = int(old), int(new)
         if old == new:
             continue
         move_pairs.add((old, new))
-        if local_rank is not None and old != local_rank:
-            continue
-        fields = {
-            comp: arr.copy() for comp, arr in box_grids[i].fields.items()
-        }
-        parts = {}
-        for name, holder in species.items():
-            sp = holder.per_box[i]
-            parts[name] = (
-                sp.positions.copy(), sp.momenta.copy(),
-                sp.weights.copy(), sp.ids.copy(),
-            )
-        per_pair.setdefault((old, new), []).append((i, fields, parts))
+        if local_rank is None or old == local_rank:
+            moving.setdefault((old, new), []).append(i)
     send_pairs = sorted(
         p for p in move_pairs if local_rank is None or p[0] == local_rank
     )
@@ -212,20 +219,24 @@ def migrate_boxes(
     )
     comm.begin_phase(tag, n_messages=len(send_pairs))
     for pair in send_pairs:
-        comm.send(pair[0], pair[1], per_pair[pair], tag=tag)
+        buffers = []
+        for i in moving[pair]:
+            buffers += [box_grids[i].fields[comp] for comp in comps]
+            for name in names:
+                buffers += _particle_buffers(species[name].per_box[i])
+        msg = Message(
+            [(i,) for i in moving[pair]], [b.copy() for b in buffers]
+        )
+        comm.send(pair[0], pair[1], msg, tag=tag)
     moved_bytes = 0
     for pair in recv_pairs:
-        payload = comm.recv(pair[0], pair[1], tag=tag)
-        moved_bytes += payload_nbytes(payload)
-        for i, fields, parts in payload:
-            for comp, arr in fields.items():
-                box_grids[i].fields[comp][...] = arr
-            for name, (pos, mom, wgt, ids) in parts.items():
-                sp = species[name].per_box[i]
-                sp.positions = np.asarray(pos, dtype=sp.dtype)
-                sp.momenta = np.asarray(mom, dtype=sp.dtype)
-                sp.weights = np.asarray(wgt, dtype=sp.dtype)
-                sp.ids = np.asarray(ids, dtype=np.int64)
+        msg = comm.recv(pair[0], pair[1], tag=tag)
+        moved_bytes += msg.nbytes
+        buffers = iter(msg.buffers)
+        for (i,) in msg.header:
+            for comp in comps:
+                box_grids[i].fields[comp][...] = next(buffers)
+            for name in names:
+                _adopt_buffers(species[name].per_box[i], islice(buffers, 4))
     comm.end_phase(tag)
     return len(send_pairs), moved_bytes
-

@@ -11,9 +11,9 @@ buffers).  Two implementations exist:
   ``SimComm`` and stays bit-identical to it.
 * :class:`~repro.parallel.mp_transport.MultiprocessingTransport` — one
   worker process per rank; messages cross real process boundaries
-  through per-rank inboxes (optionally via shared memory), and the
-  resilience layer's retransmissions travel as explicit control
-  messages.
+  through per-rank inboxes in the one-block layout of
+  :mod:`repro.parallel.wire`, and the resilience layer's
+  retransmissions travel as explicit control messages.
 
 The cross-transport equivalence contract — same sends, same per-rank
 counters, same physics — is what the differential test matrix in
@@ -59,7 +59,8 @@ class Transport:
         self.comm = comm
 
     def deliver(self, key: ChannelKey, entry: Tuple) -> None:
-        """Move one wire message toward its destination rank."""
+        """Move one ``(message, msg_id, checksum)`` entry toward its
+        destination rank."""
         raise NotImplementedError
 
     def drain(self) -> int:

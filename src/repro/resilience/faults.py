@@ -36,7 +36,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.parallel.comm import payload_nbytes
+from repro.parallel.wire import Message, as_message, payload_nbytes
 
 #: every fault kind a schedule may contain
 FAULT_KINDS = ("drop", "duplicate", "corrupt", "delay", "rank_failure")
@@ -159,36 +159,25 @@ class FaultSchedule:
         return cls(specs, seed=seed)
 
 
-def corrupt_payload(payload: Any, rng: np.random.Generator) -> Any:
-    """A structurally identical copy of ``payload`` with one byte flipped.
+def corrupt_payload(payload: Any, rng: np.random.Generator) -> Message:
+    """The same message with one byte of one buffer flipped.
 
-    Arrays are deep-copied (the sender's retransmission buffer keeps the
-    pristine original); one byte of one randomly chosen non-empty array
-    is XOR-mangled, the smallest corruption a checksum must still catch.
+    Only the randomly chosen (non-empty) buffer is copied before the
+    XOR — the sender's retransmission buffer keeps the pristine original
+    and the untouched buffers are shared — the smallest corruption a
+    checksum must still catch.
     """
-    arrays: List[np.ndarray] = []
-
-    def _copy(obj: Any) -> Any:
-        if isinstance(obj, np.ndarray):
-            out = np.array(obj, copy=True)
-            arrays.append(out)
-            return out
-        if isinstance(obj, tuple):
-            return tuple(_copy(o) for o in obj)
-        if isinstance(obj, list):
-            return [_copy(o) for o in obj]
-        if isinstance(obj, dict):
-            return {k: _copy(v) for k, v in obj.items()}
-        return obj
-
-    out = _copy(payload)
-    targets = [a for a in arrays if a.nbytes > 0]
+    msg = as_message(payload)
+    targets = [k for k, b in enumerate(msg.buffers) if b.nbytes > 0]
     if not targets:
         raise ConfigurationError("cannot corrupt a payload with no bytes")
-    arr = targets[int(rng.integers(0, len(targets)))]
-    flat = arr.reshape(-1).view(np.uint8)
+    k = targets[int(rng.integers(0, len(targets)))]
+    mangled = np.array(msg.buffers[k], copy=True, order="C")
+    flat = mangled.reshape(-1).view(np.uint8)
     flat[int(rng.integers(0, flat.size))] ^= np.uint8(0x40)
-    return out
+    return Message(
+        msg.header, msg.buffers[:k] + (mangled,) + msg.buffers[k + 1:]
+    )
 
 
 class FaultInjector:
@@ -213,7 +202,7 @@ class FaultInjector:
     ) -> Optional[Tuple[str, Any]]:
         """The action for this send: ``None`` (deliver) or (kind, extra).
 
-        ``extra`` is the corrupted payload for ``corrupt`` and the
+        ``extra`` is the corrupted message for ``corrupt`` and the
         arrival countdown for ``delay``; unused otherwise.
         """
         for spec in self.schedule.specs:

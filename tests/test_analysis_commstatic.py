@@ -137,6 +137,44 @@ def test_non_comm_receivers_are_ignored(tmp_path):
     assert check_schedule([str(src)]) == []
 
 
+@pytest.mark.parametrize(
+    "send, mutation, named",
+    [
+        # bound to a name first, buffer scribbled on directly
+        ("msg = Message([(0,)], [buf, other])\n"
+         "    comm.send(0, 1, msg, tag='t')", "buf[0] = 1.0", "'buf'"),
+        # built inline, scribbled on through an alias, buffers= keyword
+        ("comm.send(0, 1, Message([(0,)], buffers=(other, buf)), tag='t')",
+         "scratch.fill(2.0)", "alias 'scratch'"),
+    ],
+)
+def test_comm010_sees_through_message_construction(
+    tmp_path, send, mutation, named
+):
+    """A buffer handed to ``Message(...)`` is in flight once the message
+    is sent: the alias tracking follows it through the wrapper."""
+    src = tmp_path / "wrapped.py"
+    src.write_text(
+        "import numpy as np\n"
+        "def f(comm):\n"
+        "    buf = np.zeros(8, dtype=np.float64)\n"
+        "    other = np.ones(8, dtype=np.float64)\n"
+        "    scratch = buf\n"
+        f"    {send}\n"
+        f"    {mutation}\n"
+        "    return comm.recv(0, 1, tag='t')\n"
+    )
+    findings = check_schedule([str(src)])
+    assert rule_ids(findings) == ["COMM010"]
+    assert named in findings[0].message
+    # the same code with the mutation after the receive is clean
+    src.write_text(src.read_text().replace(
+        f"    {mutation}\n    return comm.recv(0, 1, tag='t')\n",
+        f"    got = comm.recv(0, 1, tag='t')\n    {mutation}\n    return got\n",
+    ))
+    assert check_schedule([str(src)]) == []
+
+
 def test_syntax_errors_are_skipped_not_fatal(tmp_path):
     (tmp_path / "broken.py").write_text("def f(:\n")
     (tmp_path / "ok.py").write_text(

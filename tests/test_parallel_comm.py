@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import CommunicationError
 from repro.parallel.comm import SimComm, payload_nbytes
+from repro.parallel.wire import Message
 
 
 def test_send_recv_roundtrip():
@@ -60,10 +61,14 @@ def test_allreduce_accounting():
 
 
 def test_payload_nbytes():
+    """The accounting rule: 8 B per header number, UTF-8 length per
+    header string, nbytes per buffer.  (Nested tuples, dicts and scalars
+    are no longer payloads: tests/test_parallel_wire.py checks that
+    ``send`` refuses them.)"""
     assert payload_nbytes(np.zeros(5)) == 40
-    assert payload_nbytes((np.zeros(2), np.zeros(3))) == 40
-    assert payload_nbytes({"a": np.zeros(1)}) == 8
-    assert payload_nbytes(3.5) == 8
+    assert payload_nbytes(Message((), (np.zeros(2), np.zeros(3)))) == 40
+    assert payload_nbytes(Message([(7, "Jx", 0, 12)], [np.zeros(1)])) == 34
+    assert payload_nbytes(Message([("é",)])) == 2
 
 
 def test_pinned_memory_spill_accounting():

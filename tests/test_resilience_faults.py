@@ -252,17 +252,28 @@ def test_san004_detects_undrained_comm():
 
 
 def test_corrupt_payload_is_detectable_and_structural():
-    rng = np.random.default_rng(0)
-    payload = (np.arange(12, dtype=np.float64).reshape(4, 3), np.ones(4))
-    mangled = corrupt_payload(payload, rng)
-    from repro.parallel.comm import payload_checksum
+    """A message keeps its header, buffer count, dtypes and shapes under
+    corruption; only the checksum moves.  (The nested-tuple structure
+    this used to walk is gone: tests/test_parallel_wire.py fuzzes the
+    flat format.)"""
+    from repro.parallel.wire import Message, payload_checksum
 
+    rng = np.random.default_rng(0)
+    payload = Message(
+        [(0, 1)], [np.arange(12, dtype=np.float64).reshape(4, 3), np.ones(4)]
+    )
+    mangled = corrupt_payload(payload, rng)
     assert payload_checksum(mangled) != payload_checksum(payload)
-    assert mangled[0].shape == payload[0].shape
+    assert mangled.header == payload.header
+    assert mangled.nbytes == payload.nbytes
+    assert [(b.dtype, b.shape) for b in mangled.buffers] == [
+        (b.dtype, b.shape) for b in payload.buffers
+    ]
     # the original is untouched (the retransmission buffer keeps it)
     np.testing.assert_array_equal(
-        payload[0], np.arange(12, dtype=np.float64).reshape(4, 3)
+        payload.buffers[0], np.arange(12, dtype=np.float64).reshape(4, 3)
     )
+    np.testing.assert_array_equal(payload.buffers[1], np.ones(4))
 
 
 def test_fault_spec_validation():
