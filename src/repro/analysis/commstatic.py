@@ -2,14 +2,22 @@
 
 Walks python sources (normally ``src/repro``, in particular
 ``parallel/``) for calls on a communicator object — any receiver whose
-name contains ``comm`` calling ``send`` / ``recv`` / ``begin_phase`` /
-``end_phase`` / ``record_apply`` / ``allreduce_sum`` / ``barrier`` —
-and rebuilds the *schedule* those sites imply: per-phase message flows
-with statically inferred ``(src, dst, tag)`` components, resolved by
-the constant-propagation engine of :mod:`repro.analysis.dataflow` plus
-a one-level call-graph propagation for tags passed down through
-parameters (how ``_run_exchange``'s bare ``tag`` parameter resolves to
-``"halo:fold"`` and ``"halo:fields"`` from its two wrappers).
+name contains ``comm`` calling ``exchange`` / ``send`` / ``recv`` /
+``begin_phase`` / ``end_phase`` / ``record_apply`` / ``allreduce_sum`` /
+``barrier`` — and rebuilds the *schedule* those sites imply: per-phase
+message flows with statically inferred ``(src, dst, tag)`` components,
+resolved by the constant-propagation engine of
+:mod:`repro.analysis.dataflow` plus a call-graph propagation for tags
+passed down through parameters (how ``_run_exchange``'s bare ``tag``
+parameter resolves to ``"halo:fold"`` and ``"halo:fields"`` from its
+two wrappers, and to ``"halo:sources"`` from the driver that passes
+that tag explicitly over ``exchange_halos``'s default).
+
+A ``comm.exchange(tag, pairs, outgoing)`` call is the whole protocol of
+one phase (:meth:`SimComm.exchange <repro.parallel.comm.SimComm.
+exchange>`), so it is modelled as a phase declaration plus one send and
+one receive site under its tag, attributed to the calling function; its
+phase is open for the body of the ``with`` statement it heads.
 
 The extracted schedule is then verified:
 
@@ -19,23 +27,32 @@ COMM006  unmatched message sites: a send with no receive site for the
          can never be delivered, or a receive that must block forever.
          Downgraded to a warning when the tag cannot be statically
          resolved at a site (the schedule is then unverifiable there).
-COMM007  cross-phase tag collision: two distinct exchange phases declare
-         the same tag (e.g. a migration reusing a halo tag) — their
-         in-flight messages would be indistinguishable.
+COMM007  cross-phase tag collision: two distinct exchange phases
+         (``begin_phase`` or ``exchange`` sites) declare the same tag
+         (e.g. a migration reusing a halo tag) — their in-flight
+         messages would be indistinguishable.
 COMM008  recv-before-send: a phase posts its (blocking) receive before
          any send of the same tag — the cyclic wait-for pattern that
          deadlocks a blocking multiprocessing transport outright.
-COMM010  send-buffer mutation: an array payload — sent bare or as a
-         buffer of a ``Message(...)`` — is mutated (directly or through
-         an alias) after the send and before the phase's last receive —
-         the message is corrupted while in flight.
+COMM010  send-buffer mutation: an array payload — sent bare, as a
+         buffer of a ``Message(...)``, or inside the ``{pair: message}``
+         dict handed to ``exchange`` — is mutated (directly or through
+         an alias) after the send and before the phase's last receive
+         (``exchange``: before its ``with`` body ends) — the message is
+         corrupted while in flight, and only on loopback, which hands
+         the receiver the sender's very arrays.
 ======   =================================================================
+
+COMM006 and COMM008 hold inside ``exchange`` by construction (one call
+is both ends of its tag, sends first); they still see every raw
+``send`` / ``recv``.
 
 Approximations (documented, deliberate): matching is function-local
 (this codebase pairs every send with its recv in the same function); a
-parameter with a default resolves to that default (call sites are only
-consulted for parameters *without* defaults); control-flow inside a
-function is summarized lexically for the ordering checks.  Each is the
+parameter resolves to its default *and* to whatever call sites pass for
+it explicitly, unless the function rebinds it; module constants follow
+``from module import NAME`` inside the scanned tree; control-flow inside
+a function is summarized lexically for the ordering checks.  Each is the
 conservative choice for the shipped tree — anything the engine cannot
 prove constant is reported as unverifiable (a warning), never guessed.
 
@@ -48,6 +65,7 @@ against a *recorded* event log — live in
 from __future__ import annotations
 
 import ast
+import os
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -62,6 +80,7 @@ from repro.analysis.linter import iter_python_files
 
 #: communicator methods that constitute schedule structure
 COMM_METHODS = (
+    "exchange",
     "send",
     "recv",
     "begin_phase",
@@ -73,6 +92,7 @@ COMM_METHODS = (
 
 #: positional index of the tag argument per method (None: method has none)
 _TAG_ARG_INDEX = {
+    "exchange": 0,
     "send": 3,
     "recv": 2,
     "begin_phase": 0,
@@ -83,8 +103,8 @@ _TAG_ARG_INDEX = {
 #: positional index of the (src, dst) rank arguments per method
 _RANK_ARG_INDEX = {"send": (0, 1), "recv": (0, 1)}
 
-#: positional index of the payload argument of a send
-_PAYLOAD_ARG_INDEX = 2
+#: keyword and positional index of what a sending call puts in flight
+_PAYLOAD_ARG = {"send": ("payload", 2), "exchange": ("outgoing", 2)}
 
 #: in-place array mutators recognized by the buffer-mutation check
 _MUTATING_METHODS = frozenset({"fill", "sort", "resize", "put", "partition"})
@@ -155,6 +175,19 @@ class _Site:
     def func_name(self) -> str:
         return self.fn.name if self.fn is not None else "<module>"
 
+    # an ``exchange`` call plays all three roles of the phase it runs
+    @property
+    def declares(self) -> bool:
+        return self.kind in ("begin_phase", "exchange")
+
+    @property
+    def sends(self) -> bool:
+        return self.kind in ("send", "exchange")
+
+    @property
+    def recvs(self) -> bool:
+        return self.kind in ("recv", "exchange")
+
 
 class _Module:
     """One parsed source file plus its dataflow analysis and call index."""
@@ -193,15 +226,14 @@ def _positional_params(fn: ast.FunctionDef) -> List[str]:
     return [a.arg for a in list(getattr(args, "posonlyargs", [])) + list(args.args)]
 
 
-def _has_default(fn: ast.FunctionDef, name: str) -> bool:
-    params = _positional_params(fn)
-    if name in params:
-        first_with_default = len(params) - len(fn.args.defaults)
-        return params.index(name) >= first_with_default
-    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
-        if arg.arg == name:
-            return default is not None
-    return False
+def _rebinds(fn: ast.FunctionDef, name: str) -> bool:
+    """Does the body of ``fn`` assign to ``name`` anywhere?"""
+    return any(
+        isinstance(node, ast.Name)
+        and node.id == name
+        and isinstance(node.ctx, ast.Store)
+        for node in ast.walk(fn)
+    )
 
 
 def _arg_for_param(
@@ -251,6 +283,7 @@ class _Workspace:
                 continue  # the linter reports unparseable files (PIC000)
             # anchor findings at the path as scanned, matching the linter
             self.modules.append(_Module(full, tree))
+        self._link_imported_constants()
         for module in self.modules:
             for node in ast.walk(module.tree):
                 if (
@@ -271,6 +304,21 @@ class _Workspace:
         for site in self.sites:
             site.tags = frozenset(self._site_tags(site))
 
+    def _link_imported_constants(self) -> None:
+        """``from pkg.mod import NAME`` of a scanned module's constant
+        binds that constant in the importer (a local binding wins)."""
+        constants_at = {
+            "/" + m.path.replace(os.sep, "/"): m.analysis.env.constants
+            for m in self.modules
+        }
+        for module in self.modules:
+            env = module.analysis.env
+            for dotted, name, alias in env.imports_from:
+                suffix = "/" + dotted.replace(".", "/") + ".py"
+                for path, constants in constants_at.items():
+                    if path.endswith(suffix) and name in constants:
+                        env.constants.setdefault(alias, constants[name])
+
     # -- value resolution ----------------------------------------------------
     def resolve_values(
         self,
@@ -282,9 +330,11 @@ class _Workspace:
     ) -> Set[object]:
         """Possible constant values of ``expr`` at its site.
 
-        Intraprocedural resolution first; a parameter *without a default*
-        is then resolved through every plain-Name call site of its
-        function across the workspace (depth-limited, cycle-guarded).
+        Intraprocedural resolution first (a parameter's default
+        included); a parameter the function never rebinds then also
+        takes every value a plain-Name call site of its function passes
+        for it across the workspace (depth-limited, cycle-guarded) — an
+        explicit argument overrides a default, so both are possible.
         An empty set means "not statically resolvable".
         """
         depth = self.MAX_DEPTH if _depth is None else _depth
@@ -292,21 +342,19 @@ class _Workspace:
             ok, value = fold_expr(expr, module.analysis.env.lookup)
             return {value} if ok else set()
         ok, value = module.analysis.function_analysis(fn).resolve(expr)
-        if ok:
-            return {value}
+        values: Set[object] = {value} if ok else set()
         if depth <= 0 or not isinstance(expr, ast.Name):
-            return set()
+            return values
         name = expr.id
         is_param = name in _positional_params(fn) or name in [
             a.arg for a in fn.args.kwonlyargs
         ]
-        if not is_param or _has_default(fn, name):
-            return set()
+        if not is_param or _rebinds(fn, name):
+            return values
         key = (module.path, fn.name, name)
         if key in _stack:
-            return set()
+            return values
         stack = _stack | {key}
-        values: Set[object] = set()
         for caller_module in self.modules:
             for call, caller_fn in caller_module.calls.get(fn.name, ()):  # noqa: B020
                 arg = _arg_for_param(fn, call, name)
@@ -355,10 +403,10 @@ def _check_matched_pairs(ws: _Workspace) -> List[Finding]:
     """COMM006: every send needs a recv site for its tag (function-local)."""
     findings: List[Finding] = []
     for (path, func), group in sorted(_group_sites(ws.sites).items()):
-        sends = [s for s in group if s.kind == "send"]
-        recvs = [s for s in group if s.kind == "recv"]
-        for site in sends + recvs:
-            if not site.tags:
+        sends = [s for s in group if s.sends]
+        recvs = [s for s in group if s.recvs]
+        for site in group:
+            if (site.sends or site.recvs) and not site.tags:
                 findings.append(
                     Finding(
                         rule="COMM006",
@@ -410,7 +458,7 @@ def _check_tag_disjointness(ws: _Workspace) -> List[Finding]:
     findings: List[Finding] = []
     claims: Dict[str, List[_Site]] = {}
     for site in ws.sites:
-        if site.kind == "begin_phase":
+        if site.declares:
             for tag in site.tags:
                 claims.setdefault(tag, []).append(site)
     for tag, sites in sorted(claims.items()):
@@ -440,14 +488,10 @@ def _check_recv_before_send(ws: _Workspace) -> List[Finding]:
     """COMM008: a blocking recv lexically before any same-tag send."""
     findings: List[Finding] = []
     for (path, func), group in sorted(_group_sites(ws.sites).items()):
-        tags = {t for s in group if s.kind in ("send", "recv") for t in s.tags}
+        tags = {t for s in group if s.sends or s.recvs for t in s.tags}
         for tag in sorted(tags):
-            send_lines = [
-                s.line for s in group if s.kind == "send" and tag in s.tags
-            ]
-            recv_lines = [
-                s.line for s in group if s.kind == "recv" and tag in s.tags
-            ]
+            send_lines = [s.line for s in group if s.sends and tag in s.tags]
+            recv_lines = [s.line for s in group if s.recvs and tag in s.tags]
             if not send_lines or not recv_lines:
                 continue  # COMM006 already covers the unmatched case
             if min(recv_lines) < min(send_lines):
@@ -472,21 +516,27 @@ def _check_buffer_mutation(ws: _Workspace) -> List[Finding]:
     """COMM010 (static): payload arrays mutated while the message flies."""
     findings: List[Finding] = []
     for (path, func), group in sorted(_group_sites(ws.sites).items()):
-        sends = [s for s in group if s.kind == "send" and s.fn is not None]
+        sends = [s for s in group if s.sends and s.fn is not None]
         for site in sends:
-            payload = _call_arg(site.call, "payload", _PAYLOAD_ARG_INDEX)
+            payload = _call_arg(site.call, *_PAYLOAD_ARG[site.kind])
             if payload is None:
                 continue
             analysis = site.module.analysis.function_analysis(site.fn)
             label = (
                 payload.id if isinstance(payload, ast.Name) else "Message(...)"
             )
-            recv_lines = [
-                s.line
-                for s in group
-                if s.kind == "recv" and (s.tags & site.tags or not site.tags)
-            ]
-            in_flight_until = max(recv_lines) if recv_lines else float("inf")
+            if site.kind == "exchange":
+                in_flight_until = _phase_close_line(site)
+            else:
+                recv_lines = [
+                    s.line
+                    for s in group
+                    if s.kind == "recv"
+                    and (s.tags & site.tags or not site.tags)
+                ]
+                in_flight_until = (
+                    max(recv_lines) if recv_lines else float("inf")
+                )
             for value in _buffers_in_flight(analysis.value_of(payload)):
                 mutation = _find_mutation(
                     site.fn, analysis, value, site.line, in_flight_until
@@ -514,9 +564,22 @@ def _check_buffer_mutation(ws: _Workspace) -> List[Finding]:
     return findings
 
 
+def _phase_close_line(site: _Site) -> int:
+    """First line past the ``with`` body an ``exchange`` call heads: the
+    phase (and its outgoing buffers' flight) ends where that body does.
+    A call that heads no ``with`` never opens its phase."""
+    for node in ast.walk(site.fn):
+        if isinstance(node, ast.With) and any(
+            item.context_expr is site.call for item in node.items
+        ):
+            return node.end_lineno + 1
+    return site.line
+
+
 def _buffers_in_flight(value: object) -> Sequence[object]:
     """The abstract arrays a sent value puts on the wire: a bare array is
-    itself, a ``Message(...)`` is every buffer it was built from."""
+    itself, a ``Message(...)`` — or the ``{pair: message}`` dict of an
+    ``exchange`` — is every buffer it was built from."""
     if isinstance(value, ArrayValue):
         return [value]
     if isinstance(value, MessageValue):
@@ -584,7 +647,7 @@ def _schedule_from(ws: _Workspace) -> Schedule:
     schedule = Schedule(n_files=len(ws.modules), n_sites=len(ws.sites))
     groups = _group_sites(ws.sites)
     for site in ws.sites:
-        if site.kind != "begin_phase":
+        if not site.declares:
             continue
         group = groups[(site.module.path, site.func_name)]
         for tag in sorted(site.tags):
@@ -595,28 +658,29 @@ def _schedule_from(ws: _Workspace) -> Schedule:
                     line=site.line,
                     func=site.func_name,
                     n_sends=sum(
-                        1 for s in group if s.kind == "send" and tag in s.tags
+                        1 for s in group if s.sends and tag in s.tags
                     ),
                     n_recvs=sum(
-                        1 for s in group if s.kind == "recv" and tag in s.tags
+                        1 for s in group if s.recvs and tag in s.tags
                     ),
                 )
             )
     for site in ws.sites:
-        if site.kind not in ("send", "recv"):
-            continue
-        for tag in sorted(site.tags) or [""]:
-            schedule.flows.append(
-                MessageFlow(
-                    kind=site.kind,
-                    path=site.module.path,
-                    line=site.line,
-                    func=site.func_name,
-                    tag=tag,
-                    src=ws._site_rank(site, 0),
-                    dst=ws._site_rank(site, 1),
+        for kind, plays in (("send", site.sends), ("recv", site.recvs)):
+            if not plays:
+                continue
+            for tag in sorted(site.tags) or [""]:
+                schedule.flows.append(
+                    MessageFlow(
+                        kind=kind,
+                        path=site.module.path,
+                        line=site.line,
+                        func=site.func_name,
+                        tag=tag,
+                        src=ws._site_rank(site, 0),
+                        dst=ws._site_rank(site, 1),
+                    )
                 )
-            )
     schedule.phases.sort(key=lambda p: (p.path, p.line, p.tag))
     schedule.flows.sort(key=lambda f: (f.path, f.line, f.tag, f.kind))
     return schedule

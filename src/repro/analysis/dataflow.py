@@ -17,9 +17,9 @@ them (and the static communication-schedule verifier,
   its dtype expression; plain-name assignment propagates the *same*
   value, so ``alias = buf`` is visible to checks that care whether two
   names denote one buffer (the send-buffer mutation race, COMM010); a
-  ``Message(header, [buf, ...])`` construction produces a
-  :class:`MessageValue` naming those same values, so the race check sees
-  through the wire-format wrapper.
+  ``Message(header, [buf, ...])`` construction — or a ``{pair: message}``
+  dict literal of them — produces a :class:`MessageValue` naming those
+  same values, so the race check sees through the wire-format wrapper.
 
 The engine is deliberately modest: intraprocedural, immutable values
 only (strings, numbers, tuples, ``None``), and a conservative join —
@@ -474,7 +474,18 @@ class FunctionAnalysis:
         self, expr: ast.expr, state: _State
     ) -> Optional[MessageValue]:
         """A :class:`MessageValue` when ``expr`` is ``Message(header,
-        [a, b, ...])`` with the buffer list spelled as a literal."""
+        [a, b, ...])`` with the buffer list spelled as a literal, or a
+        ``{pair: message, ...}`` dict literal of arrays / messages (what
+        ``comm.exchange`` is handed): every buffer in it, flattened."""
+        if isinstance(expr, ast.Dict):
+            buffers: List[ArrayValue] = []
+            for item in expr.values:
+                value = self._rhs_value(item, state)
+                if isinstance(value, ArrayValue):
+                    buffers.append(value)
+                elif isinstance(value, MessageValue):
+                    buffers.extend(value.buffers)
+            return MessageValue(tuple(buffers)) if buffers else None
         if not (
             isinstance(expr, ast.Call)
             and isinstance(expr.func, ast.Name)

@@ -153,7 +153,6 @@ class Simulation:
         n_absorber: int = 8,
         smoothing_passes: int = 1,
         sort_interval: int = 0,
-        timers: Optional[Timers] = None,
         maxwell_solver: str = "yee",
         tracer=None,
         precision: Optional[str] = None,
@@ -206,7 +205,7 @@ class Simulation:
         self.n_absorber = int(n_absorber)
         self.smoothing_passes = int(smoothing_passes)
         self.sort_interval = int(sort_interval)
-        self.timers = timers if timers is not None else Timers()
+        self.timers = Timers()
         #: span recorder; the shared no-op unless observability is attached
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: metrics registry set by repro.observability.attach_observability

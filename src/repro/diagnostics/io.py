@@ -16,6 +16,7 @@ deck rebuilds the topology and the checkpoint supplies the data.
 from __future__ import annotations
 
 import os
+from dataclasses import astuple
 from typing import Dict, Mapping
 
 import numpy as np
@@ -226,6 +227,10 @@ def pack_distributed_state(sim) -> Dict[str, np.ndarray]:
         "meta/lb_events": np.asarray(sim.lb_events, dtype=np.int64),
         "meta/dead_ranks": np.asarray(sorted(sim.dead_ranks), dtype=np.intp),
         "meta/n_boxes": np.array(len(sim.boxes)),
+        # the exchange accumulators roll back with the counters they
+        # reconcile against (HaloExchangeStats fields, in order)
+        "meta/halo_stats": np.array(astuple(sim.halo_stats), dtype=np.int64),
+        "meta/lb_moved_bytes": np.array(sim.lb_moved_bytes),
         "comm/bytes_sent": sim.comm.bytes_sent,
         "comm/messages_sent": sim.comm.messages_sent,
         "comm/collective_calls": np.array(sim.comm.collective_calls),
@@ -275,6 +280,10 @@ def unpack_distributed_state(sim, data: Mapping[str, np.ndarray]) -> None:
     ).copy()
     sim.lb_events = [int(v) for v in data["meta/lb_events"]]
     sim.dead_ranks = set(int(r) for r in data["meta/dead_ranks"])
+    sim.halo_stats = type(sim.halo_stats)(
+        *(int(v) for v in data["meta/halo_stats"])
+    )
+    sim.lb_moved_bytes = int(data["meta/lb_moved_bytes"])
     sim.comm.bytes_sent[...] = data["comm/bytes_sent"]
     sim.comm.messages_sent[...] = data["comm/messages_sent"]
     sim.comm.collective_calls = int(data["comm/collective_calls"])
@@ -296,6 +305,9 @@ def unpack_distributed_state(sim, data: Mapping[str, np.ndarray]) -> None:
             _unpack_species(
                 f"{_box_prefix(i)}/species/{name}", dsp.per_box[i], data
             )
+    if sim._observer is not None:
+        # the mirrored metrics follow the accounting they mirror
+        sim._observer.rebase()
 
 
 def save_distributed_checkpoint(sim, directory: str) -> None:

@@ -9,10 +9,18 @@ internals into the :class:`~repro.observability.metrics.MetricsRegistry`.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import Tracer
+
+
+#: mirrored counters present from the first observation, moved or not
+#: (the others appear with their first traffic)
+_ALWAYS_PRESENT = frozenset({
+    "comm.messages", "comm.collectives",
+    "halo.guard_cells", "halo.bytes", "halo.messages",
+})
 
 
 class DistributedObserver:
@@ -22,23 +30,15 @@ class DistributedObserver:
     Counters advance by the *delta* since the previous observation, so
     their totals always equal the cumulative :class:`SimComm
     <repro.parallel.comm.SimComm>` accounting — the acceptance contract
-    of the metrics snapshot.
+    of the metrics snapshot — and :meth:`rebase` keeps that true across
+    a checkpoint restore, which rolls the accounting back.
     """
 
     def __init__(self, sim, metrics: MetricsRegistry) -> None:
         self.sim = sim
         self.metrics = metrics
-        self._prev_pair_bytes = dict(sim.comm.pair_bytes)
-        self._prev_messages = int(sim.comm.messages_sent.sum())
-        self._prev_collectives = int(sim.comm.collective_calls)
-        self._prev_lb_events = len(sim.lb_events)
+        self._prev = self._mirrored()
         self._prev_recovery = self._recovery_totals()
-        # halo / LB-migration traffic: mirrored as deltas of the honest
-        # counters the pairwise exchange maintains on the simulation
-        self._prev_halo_samples = int(sim.halo_samples)
-        self._prev_halo_bytes = int(sim.halo_payload_bytes)
-        self._prev_halo_messages = int(sim.halo_messages)
-        self._prev_moved_bytes = int(sim.lb_moved_bytes)
 
     def _recovery_totals(self) -> Tuple[int, int, int]:
         res = self.sim.resilience
@@ -47,10 +47,61 @@ class DistributedObserver:
         stats = res.policy.stats
         return (stats.retries, stats.redeliveries, stats.dedups)
 
+    def _mirrored(self) -> Dict[Tuple[str, Optional[Tuple[int, int]]], int]:
+        """Live totals of the accounting a checkpoint restores, keyed by
+        the counter that mirrors each: ``(name, rank pair or None)``.
+
+        Communication per pair and in total; the halo exchange's guard
+        samples applied (local copies included), aggregated cross-rank
+        payload bytes and message count — measured by the pairwise
+        exchange, not estimated; rebalances and what they moved.
+        """
+        sim, comm = self.sim, self.sim.comm
+        live = {
+            ("comm.pair_bytes", pair): nbytes
+            for pair, nbytes in comm.pair_bytes.items()
+        }
+        live.update({
+            ("comm.messages", None): int(comm.messages_sent.sum()),
+            ("comm.collectives", None): int(comm.collective_calls),
+            ("halo.guard_cells", None): int(sim.halo_samples),
+            ("halo.bytes", None): int(sim.halo_payload_bytes),
+            ("halo.messages", None): int(sim.halo_messages),
+            ("lb.rebalances", None): len(sim.lb_events),
+            ("lb.boxes_moved", None): sum(sim.lb_events),
+            ("lb.moved_bytes", None): int(sim.lb_moved_bytes),
+        })
+        return live
+
+    def _follow(self, restored: bool = False) -> None:
+        """Move every mirror by the change of its live total since the
+        last look.  Only a restore lowers a total, and then the mirror
+        drops with it (a counter reset, as a scrape sees after a process
+        restart); anywhere else a drop is the error it always was."""
+        live = self._mirrored()
+        for key in live.keys() | self._prev.keys():
+            delta = live.get(key, 0) - self._prev.get(key, 0)
+            name, pair = key
+            if delta == 0 and name not in _ALWAYS_PRESENT:
+                continue
+            labels = {} if pair is None else {"src": pair[0], "dst": pair[1]}
+            counter = self.metrics.counter(name, **labels)
+            if restored:
+                counter.value += delta
+            else:
+                counter.add(delta)
+        self._prev = live
+
+    def rebase(self) -> None:
+        """Follow a checkpoint restore (called by
+        :func:`~repro.diagnostics.io.unpack_distributed_state`): the
+        mirrors drop to the restored accounting and the next
+        :meth:`observe` diffs against it."""
+        self._follow(restored=True)
+
     def observe(self) -> None:
         sim = self.sim
         m = self.metrics
-        comm = sim.comm
 
         # particles: pushed this step (counter) and currently live
         # (gauge); owned boxes only, so SPMD per-rank snapshots sum to
@@ -59,36 +110,8 @@ class DistributedObserver:
         m.counter("particles.pushed").add(live)
         m.gauge("particles.live").set(live)
 
-        # communication: per-pair byte counters advance by the step delta
-        for pair, nbytes in comm.pair_bytes.items():
-            delta = nbytes - self._prev_pair_bytes.get(pair, 0)
-            if delta > 0:
-                m.counter("comm.pair_bytes", src=pair[0], dst=pair[1]).add(delta)
-        self._prev_pair_bytes = dict(comm.pair_bytes)
-        messages = int(comm.messages_sent.sum())
-        m.counter("comm.messages").add(messages - self._prev_messages)
-        self._prev_messages = messages
-        m.counter("comm.collectives").add(
-            comm.collective_calls - self._prev_collectives
-        )
-        self._prev_collectives = int(comm.collective_calls)
-        m.gauge("comm.spilled_bytes").set(comm.spilled_bytes)
-
-        # halo exchange: guard samples applied (local copies included),
-        # aggregated cross-rank payload bytes and message count — all
-        # measured by the pairwise exchange, not estimated
-        m.counter("halo.guard_cells").add(
-            int(sim.halo_samples) - self._prev_halo_samples
-        )
-        m.counter("halo.bytes").add(
-            int(sim.halo_payload_bytes) - self._prev_halo_bytes
-        )
-        m.counter("halo.messages").add(
-            int(sim.halo_messages) - self._prev_halo_messages
-        )
-        self._prev_halo_samples = int(sim.halo_samples)
-        self._prev_halo_bytes = int(sim.halo_payload_bytes)
-        self._prev_halo_messages = int(sim.halo_messages)
+        self._follow()
+        m.gauge("comm.spilled_bytes").set(sim.comm.spilled_bytes)
 
         # load balance: the imbalance gauge matches DistributionMapping
         # over the alive ranks (a dead rank's zero load is not imbalance)
@@ -97,15 +120,6 @@ class DistributedObserver:
             imbalance = sim.dm.imbalance(costs, exclude_ranks=sim.dead_ranks)
             m.gauge("lb.imbalance").set(imbalance)
             m.histogram("lb.box_cost").observe(max(costs))
-        new_events = sim.lb_events[self._prev_lb_events:]
-        if new_events:
-            m.counter("lb.rebalances").add(len(new_events))
-            m.counter("lb.boxes_moved").add(sum(new_events))
-        self._prev_lb_events = len(sim.lb_events)
-        moved_delta = int(sim.lb_moved_bytes) - self._prev_moved_bytes
-        if moved_delta > 0:
-            m.counter("lb.moved_bytes").add(moved_delta)
-        self._prev_moved_bytes = int(sim.lb_moved_bytes)
 
         # resilience: mirror the recovery-policy stats as counters
         retries, redeliveries, dedups = self._recovery_totals()

@@ -15,7 +15,10 @@ messages, tag mismatches, self-sends and collective divergence.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from contextlib import contextmanager
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple,
+)
 
 import numpy as np
 
@@ -552,6 +555,35 @@ class SimComm:
         """Mark the end of the exchange phase operating on ``tag``."""
         self._record("phase_end", -1, -1, tag, 0)
 
+    @contextmanager
+    def exchange(
+        self,
+        tag: str,
+        pairs: Iterable[Tuple[int, int]],
+        outgoing: Mapping[Tuple[int, int], Any],
+    ) -> Iterator[List[Message]]:
+        """Run one exchange phase on ``tag``, end to end (a context manager).
+
+        ``pairs``: every ordered cross-rank ``(src, dst)`` pair of the
+        phase, derived identically on every rank; ``outgoing``: the
+        payload of each pair this endpoint sources.  Declares exactly
+        what it posts, posts every send (sorted pairs) before the first
+        receive, and hands the ``with`` body the received
+        :class:`Message` list with the phase still open — apply, and
+        :meth:`record_apply`, there.  A body that raises leaves the phase
+        open; it must not write ``outgoing`` buffers, which loopback
+        hands to the receiver as they are (static COMM010).
+        """
+        pairs = sorted(pairs)
+        # an SPMD endpoint speaks for one rank; loopback for all of them
+        sends = [p for p in pairs if self.local_rank in (None, p[0])]
+        recvs = [p for p in pairs if self.local_rank in (None, p[1])]
+        self.begin_phase(tag, n_messages=len(sends))
+        for src, dst in sends:
+            self.send(src, dst, outgoing[(src, dst)], tag=tag)
+        yield [as_message(self.recv(src, dst, tag=tag)) for src, dst in recvs]
+        self.end_phase(tag)
+
     def record_apply(self, tag: str, order: int, nbytes: int = 0) -> None:
         """Log the application of one overlap entry of an ordered phase.
 
@@ -625,7 +657,10 @@ class SimComm:
         Replays the event log, so in a fault-free run the totals reconcile
         exactly with :attr:`pair_bytes` (which aggregates every tag) —
         this is how tests and the perf model attribute traffic to one
-        exchange phase (e.g. prefix ``"halo"`` or ``"lb:"``).
+        exchange phase (e.g. prefix ``"halo"`` or ``"lb:"``).  A
+        checkpoint restore rolls the counters back but deliberately not
+        the log (it is the audit trail), so after a recovery the replay
+        also counts the traffic of the steps that were rolled back.
         """
         out: Dict[Tuple[int, int], int] = defaultdict(int)
         for e in self.log:
@@ -638,9 +673,6 @@ class SimComm:
 
     def total_messages(self) -> int:
         return int(self.messages_sent.sum())
-
-    def max_pair_bytes(self) -> int:
-        return max(self.pair_bytes.values(), default=0)
 
     def reset_counters(self) -> None:
         """Zero the aggregate counters (the event log is kept: it is the

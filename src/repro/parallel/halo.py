@@ -4,8 +4,8 @@ Exchange is genuinely pairwise: :func:`neighbor_overlaps` enumerates the
 exact index regions where one box's data is needed by another (periodic
 images included), and :func:`exchange_halos` / :func:`fold_sources_pairwise`
 slice those regions out of the source box and route them through
-:class:`SimComm` as real payloads.  All regions travelling between the
-same pair of ranks are coalesced into a single
+:meth:`SimComm.exchange` as real payloads.  All regions travelling
+between the same pair of ranks are coalesced into a single
 :class:`~repro.parallel.wire.Message` per exchange phase — the paper's
 message-aggregation optimization: one header row ``(order, dst_box,
 comp, *dst_lo)`` and one buffer per region — and overlaps between boxes
@@ -286,14 +286,16 @@ def _run_exchange(
     accumulate: bool,
     local_rank: Optional[int] = None,
 ) -> HaloExchangeStats:
-    """Pack, send, receive and apply one exchange phase.
+    """Pack and apply one exchange phase; :meth:`SimComm.exchange` runs
+    the protocol in between (who sends and receives, in which order, what
+    the phase declares, when it closes).
 
     All source regions are sliced (and copied) *before* anything is
     applied, so the exchange has snapshot semantics — a destination
-    update can never leak into a source read.  One ``comm.send`` carries
-    every region travelling between a given (src_rank, dst_rank) pair as
-    one message: a header row and a buffer per region; same-rank regions
-    never touch the communicator.
+    update can never leak into a source read.  One message carries
+    every region travelling between a given (src_rank, dst_rank) pair:
+    a header row and a buffer per region; same-rank regions never touch
+    the communicator.
 
     Rows carry their position in the overlap enumeration and are
     applied in that canonical order after all messages arrive, so the
@@ -308,8 +310,8 @@ def _run_exchange(
     transport) the overlap enumeration still runs in full — every rank
     derives the same canonical order indices and the same cross-rank
     pair set from slice geometry alone — but data is packed only where
-    this rank owns the source box, sent only on pairs it sources,
-    received only on pairs it sinks, and applied only into boxes it
+    this rank owns the source box, so what arrives (the communicator
+    receives only on pairs this rank sinks) lands only in boxes it
     owns.  Per-rank stats sum to the loopback totals: ``samples`` and
     ``local_copies`` are counted by the packer, ``messages`` and
     ``payload_bytes`` by the receiver.
@@ -345,26 +347,17 @@ def _run_exchange(
                 else:
                     outgoing.setdefault((src_rank, dst_rank), []).append(entry)
             order += 1
-    send_pairs = sorted(
-        p for p in cross_pairs if local_rank is None or p[0] == local_rank
-    )
-    recv_pairs = sorted(
-        p for p in cross_pairs if local_rank is None or p[1] == local_rank
-    )
-    comm.begin_phase(tag, n_messages=len(send_pairs))
-    for pair in send_pairs:
-        rows, buffers = zip(*outgoing[pair])
-        comm.send(pair[0], pair[1], Message(rows, buffers), tag=tag)
-    for pair in recv_pairs:
-        msg = comm.recv(pair[0], pair[1], tag=tag)
-        stats.messages += 1
-        stats.payload_bytes += msg.nbytes
-        entries.extend(zip(msg.header, msg.buffers))
-    entries.sort(key=lambda e: e[0][0])
-    for row, data in entries:
-        comm.record_apply(tag, row[0], nbytes=int(data.nbytes))
-    _apply_entries(box_grids, entries, accumulate)
-    comm.end_phase(tag)
+    # unzip each pair's (row, data) entries into one header + buffer list
+    messages = {p: Message(*zip(*batch)) for p, batch in outgoing.items()}
+    with comm.exchange(tag, cross_pairs, messages) as received:
+        for msg in received:
+            stats.messages += 1
+            stats.payload_bytes += msg.nbytes
+            entries.extend(zip(msg.header, msg.buffers))
+        entries.sort(key=lambda e: e[0][0])
+        for row, data in entries:
+            comm.record_apply(tag, row[0], nbytes=int(data.nbytes))
+        _apply_entries(box_grids, entries, accumulate)
     return stats
 
 

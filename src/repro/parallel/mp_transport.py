@@ -14,8 +14,9 @@ detects corruption NACKs the sender's retransmission buffer, and a
 receiver that sees nothing arrive probes the sender, driving the
 delayed-message countdowns and lost-message retransmits that the
 loopback transport services in-process.  Every blocking wait — receive,
-barrier, reduction — services all control traffic, so recovery cannot
-deadlock behind a collective.
+barrier, reduction — is one deadline loop (``_pump_until``) servicing
+all control traffic, so recovery cannot deadlock behind a collective; a
+starved receive probes once per :data:`POLL_INTERVAL`, busy inbox or not.
 
 Quiescence is count-exact: :meth:`MultiprocessingTransport.sync` sends a
 sequence-numbered token to every peer and dispatches the inbox until all
@@ -27,9 +28,9 @@ before the barrier has already been drained into the local queues.
 *same* :class:`~repro.parallel.distributed.DistributedSimulation`
 deterministically, computes only the boxes its rank owns, and ships its
 owned state, counters and event log back to the parent, which folds them
-into the single-view shape a loopback run produces natively
-(:class:`MPRunResult`) — the object the cross-transport differential
-tests compare bit-for-bit.
+into the single-view shape of :class:`MPRunResult` — the object the
+cross-transport differential tests compare bit-for-bit; a loopback run
+(:func:`run_distributed_local`) is the one-state case of the same fold.
 """
 
 from __future__ import annotations
@@ -168,31 +169,40 @@ class MultiprocessingTransport(Transport):
             return 0
         return self._dispatch(msg) + self.drain()
 
+    def _pump_until(
+        self, done: Callable[[], bool], probe_key: Optional[ChannelKey] = None
+    ) -> bool:
+        """:meth:`pump` until ``done()``; False if ``recv_timeout`` elapses
+        first (the caller words the error).  With ``probe_key``
+        that channel's source is probed once per ``POLL_INTERVAL`` of
+        waiting, by the clock: probes drive the *sender-side* recovery
+        (delayed-message countdowns, lost-message retransmits), and an
+        inbox kept busy by a peer's own probes must not starve them.
+        """
+        deadline = now() + self.recv_timeout
+        next_probe = now() + POLL_INTERVAL
+        while not done():
+            t = now()
+            if t >= deadline:
+                return False
+            if probe_key is not None and t >= next_probe:
+                self._inboxes[probe_key[0]].put(("probe", probe_key))
+                next_probe = t + POLL_INTERVAL
+            self.pump()
+        return True
+
     def wait(self, key: ChannelKey) -> bool:
         """Block until data arrives (any channel), probing ``key``'s source.
 
-        The probe cadence is what drives the *sender-side* fault
-        recovery: each probe ticks delayed-message countdowns and
-        triggers lost-message retransmission over there.  Returns False
-        only when ``recv_timeout`` elapses with no data at all — the
-        caller turns that into a :class:`ResilienceError`, never a hang.
+        Returns False only when ``recv_timeout`` elapses with no data at
+        all — the caller turns that into a :class:`ResilienceError`,
+        never a hang.
         """
-        src = key[0]
-        deadline = now() + self.recv_timeout
-        while True:
-            remaining = deadline - now()
-            if remaining <= 0:
-                return False
-            try:
-                msg = self._inbox.get(
-                    timeout=min(POLL_INTERVAL, remaining)
-                )
-            except queue_mod.Empty:
-                if src != self.local_rank:
-                    self._inboxes[src].put(("probe", key))
-                continue
-            if self._dispatch(msg) + self.drain() > 0:
-                return True
+        before = self.comm.pending()
+        return self._pump_until(
+            lambda: self.comm.pending() > before,
+            probe_key=key if key[0] != self.local_rank else None,
+        )
 
     # -- collectives -------------------------------------------------------
     def sync(self) -> None:
@@ -211,28 +221,15 @@ class MultiprocessingTransport(Transport):
         for r in range(self.n_ranks):
             if r != self.local_rank:
                 self._inboxes[r].put(("sync", seq, self.local_rank))
-        deadline = now() + self.recv_timeout
-        while len(self._sync_seen.get(seq, ())) < self.n_ranks - 1:
-            remaining = deadline - now()
-            if remaining <= 0:
-                missing = sorted(
-                    set(range(self.n_ranks))
-                    - {self.local_rank}
-                    - self._sync_seen.get(seq, set())
-                )
-                raise ResilienceError(
-                    f"barrier {seq} timed out after {self.recv_timeout}s "
-                    f"on rank {self.local_rank}: no token from rank(s) "
-                    f"{missing} — worker(s) likely died"
-                )
-            try:
-                msg = self._inbox.get(
-                    timeout=min(POLL_INTERVAL, remaining)
-                )
-            except queue_mod.Empty:
-                continue
-            self._dispatch(msg)
-        self._sync_seen.pop(seq, None)
+        seen = self._sync_seen.setdefault(seq, set())
+        if not self._pump_until(lambda: len(seen) >= self.n_ranks - 1):
+            missing = sorted(set(range(self.n_ranks)) - {self.local_rank} - seen)
+            raise ResilienceError(
+                f"barrier {seq} timed out after {self.recv_timeout}s "
+                f"on rank {self.local_rank}: no token from rank(s) "
+                f"{missing} — worker(s) likely died"
+            )
+        del self._sync_seen[seq]
 
     def allreduce(self, values: np.ndarray) -> np.ndarray:
         """A real sum-reduction: gather to rank 0, broadcast the total.
@@ -247,24 +244,14 @@ class MultiprocessingTransport(Transport):
             return values
         self._reduce_seq += 1
         seq = self._reduce_seq
-        deadline = now() + self.recv_timeout
 
         def pump_until(done: Callable[[], bool], what: str) -> None:
-            while not done():
-                remaining = deadline - now()
-                if remaining <= 0:
-                    raise ResilienceError(
-                        f"allreduce {seq} timed out after "
-                        f"{self.recv_timeout}s on rank {self.local_rank} "
-                        f"waiting for {what}"
-                    )
-                try:
-                    msg = self._inbox.get(
-                        timeout=min(POLL_INTERVAL, remaining)
-                    )
-                except queue_mod.Empty:
-                    continue
-                self._dispatch(msg)
+            if not self._pump_until(done):
+                raise ResilienceError(
+                    f"allreduce {seq} timed out after "
+                    f"{self.recv_timeout}s on rank {self.local_rank} "
+                    f"waiting for {what}"
+                )
 
         if self.local_rank == 0:
             pump_until(
@@ -313,12 +300,6 @@ class MultiprocessingTransport(Transport):
                 wire.decode(msg[2])
         for q in self._inboxes:
             q.cancel_join_thread()
-
-    def describe(self) -> str:
-        return (
-            f"{self.kind}(rank={self.local_rank}/{self.n_ranks}, "
-            f"timeout={self.recv_timeout}s)"
-        )
 
 
 # -- SPMD process runner -------------------------------------------------
@@ -518,88 +499,35 @@ def _collect_worker_state(sim) -> Dict[str, Any]:
     }
 
 
-def run_distributed_local(
-    build: Callable[..., Any],
-    n_steps: int,
-    merge_logs: bool = True,
-) -> MPRunResult:
-    """The loopback twin of :func:`run_distributed_mp`.
-
-    Runs ``build(transport=None)`` in-process (all ranks local) and
-    packs the outcome into the same :class:`MPRunResult` shape, so the
-    differential tests compare the two transports field by field without
-    caring which side is which.
-    """
-    sim = build(transport=None)
+def _run_rank(build: Callable[..., Any], n_steps: int, transport=None):
+    """Build, step and collect one endpoint: a worker's rank, or — with
+    no transport — the loopback simulation that holds every rank."""
+    sim = build(transport=transport)
+    if transport is not None and sim.comm.transport is not transport:
+        raise CommunicationError(
+            "build() must pass the given transport to "
+            "DistributedSimulation(transport=...)"
+        )
     t0 = now()
     sim.step(n_steps)
     wall = now() - t0
+    # rendezvous before collection so late retransmissions and control
+    # traffic are fully settled on every endpoint (loopback: a no-op)
+    sim.comm.transport.sync()
     state = _collect_worker_state(sim)
-    log = state["log"]
-    return MPRunResult(
-        n_ranks=sim.comm.n_ranks,
-        n_steps=n_steps,
-        fields=state["fields"],
-        species=state["species"],
-        assignment=state["assignment"],
-        counters=state["counters"],
-        rank_counters=[state["counters"]],
-        rank_logs=[log],
-        merged_log=list(log) if merge_logs else None,
-        halo=state["halo"],
-        lb_events=state["lb_events"],
-        lb_moved_bytes=state["lb_moved_bytes"],
-        recovery=[state["recovery"]],
-        rank_walls=[wall],
-        wall_time=wall,
-        rank_metrics=[state["metrics"]],
-    )
+    state["wall"] = wall
+    return state
 
 
-def run_distributed_mp(
-    build: Callable[..., Any],
+def _fold_states(
+    states: Sequence[Dict[str, Any]],
     n_steps: int,
-    n_ranks: int,
-    recv_timeout: float = 30.0,
-    run_timeout: float = 300.0,
-    merge_logs: bool = True,
+    wall_time: float,
+    merge_logs: bool,
 ) -> MPRunResult:
-    """Step a DistributedSimulation ``n_steps`` with one process per rank.
-
-    ``build(transport)`` must construct the simulation — species
-    included — as a pure function of its argument: every worker calls it
-    with its own endpoint and must end up with the same boxes,
-    distribution mapping and initial particles (verified cheap proxies:
-    diverging schedules deadlock or fail the merge).  Pass
-    ``merge_logs=False`` for fault-injected runs, whose per-rank logs
-    carry rank-local recovery pairings that do not interleave.
-    """
-
-    def worker(rank: int, transport: MultiprocessingTransport):
-        sim = build(transport=transport)
-        if sim.comm.transport is not transport:
-            raise CommunicationError(
-                "build() must pass the given transport to "
-                "DistributedSimulation(transport=...)"
-            )
-        t0 = now()
-        sim.step(n_steps)
-        wall = now() - t0
-        # rendezvous before collection so late retransmissions and
-        # control traffic are fully settled on every endpoint
-        transport.sync()
-        state = _collect_worker_state(sim)
-        state["wall"] = wall
-        return state
-
-    t0 = now()
-    states = run_spmd(
-        n_ranks,
-        worker,
-        recv_timeout=recv_timeout,
-        run_timeout=run_timeout,
-    )
-    wall_time = now() - t0
+    """Fold per-endpoint states into the single-view :class:`MPRunResult`
+    (one state — a loopback run — folds to itself)."""
+    n_ranks = states[0]["counters"].n_ranks
     fields: Dict[int, Dict[str, np.ndarray]] = {}
     species: Dict[str, Dict[int, Dict[str, np.ndarray]]] = {}
     for state in states:
@@ -625,6 +553,14 @@ def run_distributed_mp(
         for k in halo:
             halo[k] += state["halo"][k]
     lb_events = states[0]["lb_events"]
+    merged_log = None
+    if merge_logs:
+        # a lone endpoint's log already is the global one (and stays
+        # defined under fault injection, where logs do not interleave)
+        merged_log = (
+            list(rank_logs[0]) if len(states) == 1
+            else merge_rank_logs(rank_logs, n_ranks)
+        )
     return MPRunResult(
         n_ranks=n_ranks,
         n_steps=n_steps,
@@ -634,9 +570,7 @@ def run_distributed_mp(
         counters=merge_comm_counters(rank_counters),
         rank_counters=rank_counters,
         rank_logs=rank_logs,
-        merged_log=(
-            merge_rank_logs(rank_logs, n_ranks) if merge_logs else None
-        ),
+        merged_log=merged_log,
         halo=halo,
         lb_events=lb_events,
         lb_moved_bytes=sum(state["lb_moved_bytes"] for state in states),
@@ -645,3 +579,48 @@ def run_distributed_mp(
         wall_time=wall_time,
         rank_metrics=[state["metrics"] for state in states],
     )
+
+
+def run_distributed_local(
+    build: Callable[..., Any],
+    n_steps: int,
+    merge_logs: bool = True,
+) -> MPRunResult:
+    """The loopback twin of :func:`run_distributed_mp`.
+
+    Runs ``build(transport=None)`` in-process (all ranks local) and
+    packs the outcome into the same :class:`MPRunResult` shape — the
+    one-state case of the fold the multi-process run performs — so the
+    differential tests compare the two transports field by field without
+    caring which side is which.
+    """
+    state = _run_rank(build, n_steps)
+    return _fold_states([state], n_steps, state["wall"], merge_logs)
+
+
+def run_distributed_mp(
+    build: Callable[..., Any],
+    n_steps: int,
+    n_ranks: int,
+    recv_timeout: float = 30.0,
+    run_timeout: float = 300.0,
+    merge_logs: bool = True,
+) -> MPRunResult:
+    """Step a DistributedSimulation ``n_steps`` with one process per rank.
+
+    ``build(transport)`` must construct the simulation — species
+    included — as a pure function of its argument: every worker calls it
+    with its own endpoint and must end up with the same boxes,
+    distribution mapping and initial particles (verified cheap proxies:
+    diverging schedules deadlock or fail the merge).  Pass
+    ``merge_logs=False`` for fault-injected runs, whose per-rank logs
+    carry rank-local recovery pairings that do not interleave.
+    """
+    t0 = now()
+    states = run_spmd(
+        n_ranks,
+        lambda rank, transport: _run_rank(build, n_steps, transport),
+        recv_timeout=recv_timeout,
+        run_timeout=run_timeout,
+    )
+    return _fold_states(states, n_steps, now() - t0, merge_logs)

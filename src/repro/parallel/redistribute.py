@@ -3,9 +3,10 @@
 Particles that left their box are routed to the box that now contains
 them (after periodic wrapping), and boxes reassigned by the dynamic load
 balancer ship their full field + particle state to the new owner.
-Messages go through the simulated communicator when source and
-destination live on different ranks, so both kinds of traffic show up in
-the accounting like everything else.  A particle
+Cross-rank traffic is one :meth:`SimComm.exchange
+<repro.parallel.comm.SimComm.exchange>` phase each, so both kinds show
+up in the accounting like everything else; this module decides which
+rank pairs exchange, what a row means and how it is applied.  A particle
 :class:`~repro.parallel.wire.Message` holds a header row ``(src_box,
 dst_box)`` and four buffers (positions, momenta, weights, ids) per
 batch; a migration message a row ``(box,)`` per box, then its field
@@ -143,31 +144,30 @@ def redistribute_particles(
         src, dst = int(rank_of_box[i]), int(rank_of_box[j])
         bound_for = pending if src == dst else per_pair[(src, dst)]
         bound_for.append((i, j, batch))
-    send_pairs = [p for p in pairs if local_rank is None or p[0] == local_rank]
-    recv_pairs = [p for p in pairs if local_rank is None or p[1] == local_rank]
-    comm.begin_phase("particles", n_messages=len(send_pairs))
-    for p in send_pairs:
-        msg = Message(
-            [(i, j) for i, j, _batch in per_pair[p]],
-            [b for _i, _j, batch in per_pair[p]
-             for b in _particle_buffers(batch)],
+    outgoing = {
+        p: Message(
+            [(i, j) for i, j, _batch in moves],
+            [b for _i, _j, batch in moves for b in _particle_buffers(batch)],
         )
-        comm.send(p[0], p[1], msg, tag="particles")
-    for p in recv_pairs:
-        # the received buffers ARE the batch: the comm path is
-        # load-bearing, so injected message faults would alter the
-        # physics unless the resilient transport recovers
-        msg = comm.recv(p[0], p[1], tag="particles")
-        buffers = iter(msg.buffers)
-        for i, j in msg.header:
-            proto = species_per_box[j]
-            batch = Species(
-                proto.name, proto.charge, proto.mass, proto.ndim, proto.dtype
-            )
-            pending.append((i, j, _adopt_buffers(batch, islice(buffers, 4))))
-    for _i, j, batch in sorted(pending, key=lambda b: (b[0], b[1])):
-        species_per_box[j].extend(batch)
-    comm.end_phase("particles")
+        for p, moves in per_pair.items()
+    }
+    with comm.exchange("particles", pairs, outgoing) as received:
+        for msg in received:
+            # the received buffers ARE the batch: the comm path is
+            # load-bearing, so injected message faults would alter the
+            # physics unless the resilient transport recovers
+            buffers = iter(msg.buffers)
+            for i, j in msg.header:
+                proto = species_per_box[j]
+                batch = Species(
+                    proto.name, proto.charge, proto.mass, proto.ndim,
+                    proto.dtype,
+                )
+                pending.append(
+                    (i, j, _adopt_buffers(batch, islice(buffers, 4)))
+                )
+        for _i, j, batch in sorted(pending, key=lambda b: (b[0], b[1])):
+            species_per_box[j].extend(batch)
     return n_moved
 
 
@@ -211,32 +211,26 @@ def migrate_boxes(
         move_pairs.add((old, new))
         if local_rank is None or old == local_rank:
             moving.setdefault((old, new), []).append(i)
-    send_pairs = sorted(
-        p for p in move_pairs if local_rank is None or p[0] == local_rank
-    )
-    recv_pairs = sorted(
-        p for p in move_pairs if local_rank is None or p[1] == local_rank
-    )
-    comm.begin_phase(tag, n_messages=len(send_pairs))
-    for pair in send_pairs:
+    outgoing = {}
+    for pair, box_ids in moving.items():
         buffers = []
-        for i in moving[pair]:
+        for i in box_ids:
             buffers += [box_grids[i].fields[comp] for comp in comps]
             for name in names:
                 buffers += _particle_buffers(species[name].per_box[i])
-        msg = Message(
-            [(i,) for i in moving[pair]], [b.copy() for b in buffers]
+        outgoing[pair] = Message(
+            [(i,) for i in box_ids], [b.copy() for b in buffers]
         )
-        comm.send(pair[0], pair[1], msg, tag=tag)
     moved_bytes = 0
-    for pair in recv_pairs:
-        msg = comm.recv(pair[0], pair[1], tag=tag)
-        moved_bytes += msg.nbytes
-        buffers = iter(msg.buffers)
-        for (i,) in msg.header:
-            for comp in comps:
-                box_grids[i].fields[comp][...] = next(buffers)
-            for name in names:
-                _adopt_buffers(species[name].per_box[i], islice(buffers, 4))
-    comm.end_phase(tag)
-    return len(send_pairs), moved_bytes
+    with comm.exchange(tag, move_pairs, outgoing) as received:
+        for msg in received:
+            moved_bytes += msg.nbytes
+            buffers = iter(msg.buffers)
+            for (i,) in msg.header:
+                for comp in comps:
+                    box_grids[i].fields[comp][...] = next(buffers)
+                for name in names:
+                    _adopt_buffers(
+                        species[name].per_box[i], islice(buffers, 4)
+                    )
+    return len(outgoing), moved_bytes

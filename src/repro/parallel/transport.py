@@ -100,9 +100,6 @@ class Transport:
     def close(self) -> None:
         """Release transport resources (queues, shared memory)."""
 
-    def describe(self) -> str:
-        return self.kind
-
 
 class LoopbackTransport(Transport):
     """All ranks in one process; the queue dictionary IS the wire.

@@ -64,6 +64,83 @@ def test_clean_schedule_has_zero_findings():
     assert findings_for("clean_schedule.py") == []
 
 
+# -- comm.exchange: one call is a phase declaration + a send + a recv site ----
+
+def test_two_exchange_sites_on_one_tag_is_comm007():
+    findings = findings_for("exchange_tag_collision.py")
+    assert rule_ids(findings) == ["COMM007"]
+    assert "ex:fold" in findings[0].message
+    assert "exchange_tag_collision.py" in findings[0].message
+
+
+def test_outgoing_buffer_written_inside_the_open_phase_is_comm010():
+    """Flagged through the alias while the ``with`` body runs; the same
+    write after the body (the fixture has one) is not."""
+    findings = findings_for("exchange_buffer_race.py")
+    assert rule_ids(findings) == ["COMM010"]
+    assert "alias 'staging'" in findings[0].message
+    assert "'outgoing'" in findings[0].message
+    with open(fixture("exchange_buffer_race.py")) as handle:
+        flagged = handle.read().splitlines()[findings[0].line - 1]
+    assert flagged.strip() == "staging[0] = 1.0"
+
+
+def test_tag_passed_explicitly_over_a_default_is_extracted():
+    """The ``halo:sources`` blind spot: a defaulted tag parameter also
+    takes what a call site passes for it."""
+    schedule = extract_schedule([fixture("exchange_explicit_tag.py")])
+    assert schedule.tags() == ["fx:fields", "fx:sources"]
+    for phase in schedule.phases:
+        assert phase.func == "_run"
+        assert phase.n_sends == 1 and phase.n_recvs == 1
+    assert {(f.kind, f.tag) for f in schedule.flows} == {
+        (kind, tag)
+        for kind in ("send", "recv")
+        for tag in ("fx:fields", "fx:sources")
+    }
+    assert findings_for("exchange_explicit_tag.py") == []
+
+
+def test_rebound_parameter_ignores_its_callers(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text(
+        "def f(comm, pairs, out, tag='a'):\n"
+        "    tag = 'b'\n"
+        "    with comm.exchange(tag, pairs, out) as received:\n"
+        "        return received\n"
+        "def g(comm, pairs, out):\n"
+        "    f(comm, pairs, out, tag='c')\n"
+    )
+    assert extract_schedule([str(src)]).tags() == ["b"]
+
+
+def test_tag_constant_follows_a_from_import(tmp_path):
+    """How ``distributed.py`` spells ``halo:sources``: a constant imported
+    from the module that defines the wrapper."""
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "tags.py").write_text("PREFIX = 'im'\n")
+    (pkg / "driver.py").write_text(
+        "from pkg.tags import PREFIX\n"
+        "def f(comm, pairs, out):\n"
+        "    with comm.exchange(PREFIX + ':x', pairs, out) as received:\n"
+        "        return received\n"
+    )
+    assert extract_schedule([str(tmp_path)]).tags() == ["im:x"]
+
+
+def test_unresolvable_exchange_tag_is_one_warning(tmp_path):
+    src = tmp_path / "dynamic.py"
+    src.write_text(
+        "def f(comm, tags, pairs, out):\n"
+        "    with comm.exchange(tags.pop(), pairs, out) as received:\n"
+        "        return received\n"
+    )
+    (finding,) = check_schedule([str(src)])
+    assert finding.rule == "COMM006" and finding.severity == "warning"
+    assert "exchange" in finding.message
+
+
 def test_unresolvable_tag_is_a_warning(tmp_path):
     src = tmp_path / "dynamic.py"
     src.write_text(
@@ -197,7 +274,10 @@ def test_fixture_suite_catches_every_seeded_bug():
     assert by_file.get("tag_collision.py") == {"COMM007"}
     assert by_file.get("deadlock_schedule.py") == {"COMM008"}
     assert by_file.get("buffer_race.py") == {"COMM010"}
+    assert by_file.get("exchange_tag_collision.py") == {"COMM007"}
+    assert by_file.get("exchange_buffer_race.py") == {"COMM010"}
     assert "clean_schedule.py" not in by_file
+    assert "exchange_explicit_tag.py" not in by_file
 
 
 # -- the shipped tree: extraction finds the real schedule and verifies clean -
@@ -209,11 +289,14 @@ def test_shipped_tree_schedule_is_clean():
 
 def test_shipped_tree_extracts_the_four_phases():
     """The extractor must see the real schedule, not vacuously pass:
-    both halo phases (resolved through _run_exchange's bare tag
-    parameter), particle redistribution, and LB migration."""
+    all five phases (the id still says four: until ``comm.exchange`` the
+    extractor never saw ``halo:sources``, which the driver passes
+    explicitly over ``exchange_halos``'s default) — the three halo
+    phases resolved through _run_exchange's bare tag parameter,
+    particle redistribution, and LB migration."""
     schedule = extract_schedule([SRC_REPRO])
     assert schedule.tags() == [
-        "halo:fields", "halo:fold", "lb:migrate", "particles",
+        "halo:fields", "halo:fold", "halo:sources", "lb:migrate", "particles",
     ]
     for phase in schedule.phases:
         assert phase.n_sends >= 1 and phase.n_recvs >= 1

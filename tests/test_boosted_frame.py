@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.constants import c, fs, um
@@ -33,14 +33,26 @@ def test_construction():
     uy=st.floats(-5.0, 5.0),
     uz=st.floats(-5.0, 5.0),
 )
+@example(gamma_boost=48.0, ux=-16.0, uy=0.0, uz=0.0)
 def test_mass_shell_invariance(gamma_boost, ux, uy, uz):
-    """gamma_p^2 - |u|^2 = 1 in every frame."""
+    """gamma_p^2 - |u|^2 = 1 in every frame.
+
+    The subtraction cancels two numbers of size ``gamma_p^2``, each
+    carrying a rounding error of a few ``eps * gamma_p^2``, so that —
+    not ``1e-9`` of the result — is what the difference can be trusted
+    to.  The pinned example (found by Hypothesis) has ``gamma_p =
+    1537.33``: the invariant reads ``1 - 1.397e-9`` while ``eps *
+    gamma_p^2 = 5.2e-10``.  ``BoostedFrame`` is exact to rounding there;
+    the old bound, ``rel=1e-9`` alone, was the defect (400k random draws
+    from these ranges stay below ``5 eps * gamma_p^2``; the bound is 16).
+    """
     bf = BoostedFrame(gamma=gamma_boost)
     u = np.array([[ux, uy, uz]])
     u_prime = bf.transform_momenta(u)
     gamma_prime = bf.transform_gamma(u)
     invariant = gamma_prime[0] ** 2 - np.sum(u_prime[0] ** 2)
-    assert invariant == pytest.approx(1.0, rel=1e-9)
+    cancellation = 16 * np.finfo(np.float64).eps * gamma_prime[0] ** 2
+    assert invariant == pytest.approx(1.0, rel=1e-9, abs=cancellation)
 
 
 def test_comoving_particle_is_at_rest():

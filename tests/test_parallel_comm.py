@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import CommunicationError
 from repro.parallel.comm import SimComm, payload_nbytes
+from repro.parallel.transport import LoopbackTransport
 from repro.parallel.wire import Message
 
 
@@ -92,3 +93,74 @@ def test_unlimited_buffer_never_spills():
     for _ in range(50):
         comm.send(0, 1, np.zeros(1000))
     assert comm.spilled_messages == 0
+
+
+# -- SimComm.exchange: the one post -> receive -> apply routine ---------------
+
+
+def _kinds(comm):
+    return [(e.kind, e.src, e.dst, e.detail) for e in comm.log]
+
+
+def test_exchange_posts_every_send_before_the_first_receive():
+    """Declared = posted, sorted pair order, the body runs inside the
+    open phase, and a bare-array payload still arrives as a Message."""
+    comm = SimComm(3)
+    pairs = {(2, 0), (0, 1), (1, 0)}
+    outgoing = {p: np.full(2, float(p[0])) for p in pairs}
+    with comm.exchange("t", pairs, outgoing) as received:
+        comm.record_apply("t", 7)
+    assert _kinds(comm) == [
+        ("phase_begin", -1, -1, 3),
+        ("send", 0, 1, 0), ("send", 1, 0, 0), ("send", 2, 0, 0),
+        ("recv", 0, 1, 0), ("recv", 1, 0, 0), ("recv", 2, 0, 0),
+        ("apply", -1, -1, 7),
+        ("phase_end", -1, -1, 0),
+    ]
+    assert all(isinstance(msg, Message) for msg in received)
+    assert [msg.buffers[0][0] for msg in received] == [0.0, 1.0, 2.0]
+    assert comm.pending() == 0
+
+
+class _RankZeroEndpoint(LoopbackTransport):
+    """Loopback mechanics that claim to be the SPMD endpoint of rank 0."""
+
+    blocking = True
+    local_rank = 0
+
+
+def test_exchange_speaks_only_for_the_local_rank():
+    """An SPMD endpoint sends on the pairs it sources, declares exactly
+    those, and receives on the pairs it sinks — the pair filter the
+    exchanges used to spell per call site."""
+    comm = SimComm(3, transport=_RankZeroEndpoint())
+    inbound = Message([(4,)], [np.ones(3)])
+    comm.send(1, 0, inbound, tag="t")  # what rank 1's process would post
+    comm.clear_log()
+    pairs = [(0, 1), (1, 0), (1, 2), (2, 1)]
+    with comm.exchange("t", pairs, {(0, 1): np.zeros(2)}) as received:
+        pass
+    assert _kinds(comm) == [
+        ("phase_begin", -1, -1, 1),
+        ("send", 0, 1, 0),
+        ("recv", 1, 0, 0),
+        ("phase_end", -1, -1, 0),
+    ]
+    assert received == [inbound]
+
+
+def test_exchange_needs_a_payload_for_every_pair_it_sources():
+    comm = SimComm(2)
+    with pytest.raises(KeyError):
+        with comm.exchange("t", [(0, 1), (1, 0)], {(0, 1): np.zeros(1)}):
+            pass
+
+
+def test_exchange_body_that_raises_leaves_the_phase_open():
+    """Like the failed receive it usually is: the log shows where the
+    run stopped instead of a phase that looks complete."""
+    comm = SimComm(2)
+    with pytest.raises(RuntimeError):
+        with comm.exchange("t", [(0, 1)], {(0, 1): np.zeros(1)}):
+            raise RuntimeError("apply failed")
+    assert [e.kind for e in comm.log] == ["phase_begin", "send", "recv"]

@@ -169,6 +169,49 @@ def test_distributed_roundtrip_in_memory():
     assert sim_a.total_particles() == sim_b.total_particles()
 
 
+@pytest.mark.parametrize("on_disk", [True, False], ids=["disk", "memory"])
+def test_distributed_checkpoint_restores_exchange_accumulators(
+    tmp_path, on_disk
+):
+    """``halo_stats`` and ``lb_moved_bytes`` roll back with the ``comm/*``
+    counters they reconcile against (they used to keep the pre-restore
+    totals), on both checkpoint paths; a checkpoint without them fails
+    like one missing any other array."""
+    from tests.conftest import make_skewed_lb_build
+
+    build = make_skewed_lb_build()
+    sim_a = build()
+    sim_a.step(4)
+    if on_disk:
+        save_distributed_checkpoint(sim_a, str(tmp_path / "ckpt"))
+    else:
+        state = {
+            k: np.array(v, copy=True)
+            for k, v in pack_distributed_state(sim_a).items()
+        }
+    at_checkpoint = (sim_a.halo_stats, sim_a.lb_moved_bytes)
+    assert at_checkpoint[0].payload_bytes > 0 and at_checkpoint[1] > 0
+    # (the driver merges into the stats object in place: keep a copy)
+    sim_a.halo_stats = type(sim_a.halo_stats)(**vars(sim_a.halo_stats))
+    sim_a.step(4)
+
+    sim_b = build()
+    sim_b.step(6)  # a different past: the restore must overwrite it
+    if on_disk:
+        load_distributed_checkpoint(sim_b, str(tmp_path / "ckpt"))
+    else:
+        unpack_distributed_state(sim_b, state)
+    assert (sim_b.halo_stats, sim_b.lb_moved_bytes) == at_checkpoint
+    sim_b.step(4)
+    assert sim_b.halo_stats == sim_a.halo_stats
+    assert sim_b.lb_moved_bytes == sim_a.lb_moved_bytes
+
+    if not on_disk:
+        del state["meta/halo_stats"]
+        with pytest.raises(KeyError, match="halo_stats"):
+            unpack_distributed_state(build(), state)
+
+
 def test_distributed_checkpoint_restores_measured_costs(tmp_path):
     ckpt_dir = str(tmp_path / "ckpt")
     sim_a = build_distributed()

@@ -126,6 +126,64 @@ def test_rank_failure_in_memory_checkpoint(reference):
     assert_matches_reference(sim, reference)
 
 
+def build_two_rank(schedule=None, policy=None, interval=0):
+    """32 x 32, four boxes on two ranks, cold plasma: all traffic is halo
+    traffic, so ``halo_payload_bytes`` and ``comm.total_bytes()`` agree."""
+    n0 = 1e24
+    length = plasma_wavelength(n0)
+    sim = DistributedSimulation(
+        (32, 32), (0.0, 0.0), (length, length), n_ranks=2, max_grid_size=16,
+        fault_schedule=schedule, recovery=policy, checkpoint_interval=interval,
+    )
+    e = Species("electrons", charge=-q_e, mass=m_e, ndim=2)
+    sim.add_species(e, profile=UniformProfile(n0), ppc=(2, 2))
+    return sim
+
+
+def rollback_run(observed=False):
+    schedule = FaultSchedule([FaultSpec(kind="rank_failure", step=6, rank=1)])
+    sim = build_two_rank(schedule, RecoveryPolicy(), interval=4)
+    metrics = None
+    if observed:
+        from repro.observability import attach_observability
+
+        _tracer, metrics = attach_observability(sim)
+    sim.step(N_STEPS)
+    assert sim.dead_ranks == {1}
+    return sim, metrics
+
+
+def test_rank_failure_rollback_keeps_the_books():
+    """The restore rolls ``halo_stats`` back with the ``comm`` counters:
+    steps 4 and 5 ran twice, and before the accumulators were
+    checkpointed ``halo_payload_bytes`` read 506,640 against
+    ``comm.total_bytes()`` 337,760 and ``halo_samples`` 187,200."""
+    fault_free = build_two_rank()
+    fault_free.step(N_STEPS)
+    sim, _ = rollback_run()
+    assert sim.halo_payload_bytes == sim.comm.total_bytes() == 337_760
+    assert sim.halo_samples == fault_free.halo_samples == 156_000
+    # the event log is the audit trail and is *not* rolled back: it
+    # still shows the traffic of the two steps the restore discarded
+    assert sum(sim.comm.pair_bytes_for_tag("halo").values()) == 506_640
+
+
+def test_observed_run_survives_a_rank_failure_rollback():
+    """Died at the first recovery with ``counters only go up``: the
+    observer diffed the restored accounting against pre-restore totals.
+    Its mirrors now follow the restore, so they still equal the live
+    counters — the contract of the metrics snapshot."""
+    sim, metrics = rollback_run(observed=True)
+    snap = metrics.snapshot()
+    assert snap["comm.messages"] == sim.comm.total_messages() > 0
+    assert snap["halo.bytes"] == sim.halo_payload_bytes == 337_760
+    assert snap["halo.guard_cells"] == sim.halo_samples
+    for (src, dst), nbytes in sim.comm.pair_bytes.items():
+        assert snap[f"comm.pair_bytes{{dst={dst},src={src}}}"] == nbytes
+    assert snap["particles.pushed"] == 12 * sim.total_particles()
+    assert snap["resilience.restores"] == 1
+
+
 # -- unrecoverable faults raise, never silently corrupt ----------------------
 
 @pytest.mark.parametrize("kind", ["drop", "corrupt", "delay"])

@@ -27,6 +27,8 @@ Satellites living here:
 """
 
 import os
+import queue
+import time
 
 import numpy as np
 import pytest
@@ -46,6 +48,7 @@ from repro.observability.metrics import merge_snapshots
 from repro.parallel.comm import SimComm, payload_nbytes
 from repro.parallel.distributed import DistributedSimulation
 from repro.parallel.mp_transport import (
+    POLL_INTERVAL,
     MultiprocessingTransport,
     run_distributed_local,
     run_distributed_mp,
@@ -369,3 +372,44 @@ def test_spmd_endpoint_cannot_send_as_another_rank():
     transport._inboxes = [None, None]
     with pytest.raises(CommunicationError, match="only speaks for itself"):
         transport.deliver((1, 1, "t"), (1, 0, b"", None, None))
+
+
+# -- the one wait loop: probes go out by the clock ----------------------------
+
+
+class _BusyInbox:
+    """An inbox that never runs empty: every blocking ``get`` hands back
+    a peer's probe at once — what two ranks starved on each other do to
+    one another — and ``get_nowait`` (the drain) finds nothing more."""
+
+    def __init__(self, key):
+        self._probe = ("probe", key)
+
+    def get(self, timeout=None):
+        time.sleep(0.001)
+        return self._probe
+
+    def get_nowait(self):
+        raise queue.Empty
+
+
+class _ListInbox(list):
+    put = list.append
+
+
+def test_a_starved_receive_probes_by_the_clock_even_with_a_busy_inbox():
+    """ROADMAP 2(e): the probes of a starved receive drive the sender's
+    delayed-message countdowns, so they must go out once per
+    ``POLL_INTERVAL`` of waiting whatever else arrives — sending one only
+    after an *empty* poll meant two ranks probing each other starved the
+    very probes they were waiting on (0 sent here before the one loop)."""
+    key = (1, 0, "halo:fold")
+    peer_inbox = _ListInbox()
+    transport = MultiprocessingTransport(
+        0, 2, [_BusyInbox((0, 1, "halo:fold")), peer_inbox],
+        recv_timeout=10 * POLL_INTERVAL,
+    )
+    SimComm(2, transport=transport)  # binds: peer probes get serviced
+    assert transport.wait(key) is False  # control traffic is not data
+    assert 1 <= peer_inbox.count(("probe", key)) <= 10
+    assert set(peer_inbox) == {("probe", key)}
