@@ -305,12 +305,15 @@ class Simulation:
 
     # -- hooks overridden by the MR simulation ------------------------------
     def _advance_species(self, species: Species, **level_hooks) -> None:
-        """Gather, push and deposit one species (it times itself);
-        ``level_hooks`` are ``advance_particles``' gather=/deposit=."""
+        """Gather, push, deposit and periodically wrap one species (it
+        times itself); ``level_hooks`` are ``advance_particles``'
+        gather=/deposit=."""
+        g = self.grid
+        axes = tuple(d for d, b in enumerate(self.boundaries) if b == "periodic")
         dispatched = advance_particles(
-            self.grid, species, self.kernel_set, self.pusher, self.dt,
+            g, species, self.kernel_set, self.pusher, self.dt,
             self.shape_order, self.deposition, phase=self._phase,
-            **level_hooks,
+            periodic=(g.lo, g.hi, axes) if axes else None, **level_hooks,
         )
         if self.metrics is not None:
             for name in dispatched:
@@ -446,18 +449,14 @@ class Simulation:
 
     # -- boundaries / window -------------------------------------------------
     def _apply_particle_boundaries(self) -> None:
+        """Remove what left through a non-periodic face (the periodic
+        wrap is part of ``advance_particles``)."""
         g = self.grid
         for entry in self.entries.values():
             sp = entry.species
-            if sp.n == 0:
-                continue
-            for axis in range(g.ndim):
-                length = g.hi[axis] - g.lo[axis]
-                x = sp.positions[:, axis]
-                if self.boundaries[axis] == "periodic":
-                    np.mod(x - g.lo[axis], length, out=x)
-                    x += g.lo[axis]
-                else:
+            for axis, b in enumerate(self.boundaries):
+                if b != "periodic" and sp.n:
+                    x = sp.positions[:, axis]
                     out = (x < g.lo[axis]) | (x >= g.hi[axis])
                     if np.any(out):
                         sp.remove(out)

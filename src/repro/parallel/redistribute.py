@@ -25,6 +25,7 @@ from repro.exceptions import DecompositionError
 from repro.parallel.box import Box
 from repro.parallel.comm import SimComm
 from repro.parallel.wire import Message
+from repro.particles.pusher import wrap_positions_periodic  # noqa: F401  (public here)
 from repro.particles.species import Species
 
 
@@ -53,20 +54,6 @@ def build_box_lookup(boxes: Sequence[Box], domain_cells: Sequence[int]) -> np.nd
     if np.any(lookup < 0):
         raise DecompositionError("boxes do not tile the domain")
     return lookup
-
-
-def wrap_positions_periodic(
-    positions: np.ndarray,
-    domain_lo: Sequence[float],
-    domain_hi: Sequence[float],
-    axes: Sequence[int],
-) -> None:
-    """In-place periodic wrap of positions along ``axes``."""
-    for d in axes:
-        length = domain_hi[d] - domain_lo[d]
-        x = positions[:, d]
-        np.mod(x - domain_lo[d], length, out=x)
-        x += domain_lo[d]
 
 
 def _particle_buffers(sp: Species) -> Tuple[np.ndarray, ...]:

@@ -11,25 +11,36 @@ every driver).
 Two routes, chosen from what the kernel set offers:
 
 * **fused** — the kernel set has an ``advance`` slot (the ``compiled``
-  tier) and the deposition is Esirkepov: one native call does the whole
-  pass, recorded as a single ``particles`` phase.
+  tier), the deposition is Esirkepov and ``c dt < min(dx)``: one native
+  loop per particle does the whole pass *and* the periodic wrap,
+  recorded as a single ``particles`` phase.  The bound makes every move
+  sub-cell (``|v| <= c``), which is what fixes the kernel's deposit
+  window at ``order + 2`` points.
 * **three-phase** — everything else (the NumPy tiers, ``deposition=
-  "direct"``, and callers that substitute their own gather/deposit, which
-  is how active mesh-refinement patches route particles between levels):
-  the classic ``gather`` / ``push`` / ``deposit`` phases.
+  "direct"``, time steps of a cell or more, and callers that substitute
+  their own gather/deposit, which is how active mesh-refinement patches
+  route particles between levels): the classic ``gather`` / ``push`` /
+  ``deposit`` phases with windows sized from the data, then the wrap
+  (:func:`~repro.particles.pusher.wrap_positions_periodic`) under the
+  ``particle_boundaries`` timer.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.constants import c
 from repro.exceptions import ConfigurationError
 from repro.grid.yee import YeeGrid
-from repro.particles.pusher import PUSHERS, lorentz_factor, push_positions
+from repro.particles.pusher import (
+    PUSHERS,
+    lorentz_factor,
+    push_positions,
+    wrap_positions_periodic,
+)
 from repro.particles.species import Species
 
 DEPOSITIONS = ("esirkepov", "direct")
@@ -50,6 +61,7 @@ def advance_particles(
     phase: Optional[Callable[..., object]] = None,
     gather: Optional[Callable[[Species], Tuple[np.ndarray, np.ndarray]]] = None,
     deposit: Optional[Callable[..., None]] = None,
+    periodic: Optional[Tuple[Sequence[float], Sequence[float], Sequence[int]]] = None,
 ) -> Tuple[str, ...]:
     """Advance ``species`` one step on ``grid``, depositing its current.
 
@@ -58,7 +70,9 @@ def advance_particles(
     already sit inside a timed region.  ``gather(species) -> (E, B)`` and
     ``deposit(species, x_old, x_new, velocities)`` replace the kernel
     set's own single-grid gather and deposit; giving either selects the
-    three-phase route.
+    three-phase route.  ``periodic = (lo, hi, axes)`` wraps the new
+    positions into the domain along ``axes`` (None: the caller wraps, or
+    nothing can leave — ``DistributedSimulation``, subcycled MR patches).
 
     Returns the kernel phases dispatched — ``("advance",)`` or
     ``("gather", "deposit")`` — for the driver's ``kernel.dispatch``
@@ -77,11 +91,12 @@ def advance_particles(
         and deposition == "esirkepov"
         and gather is None
         and deposit is None
+        and c * dt < min(grid.dx)
     ):
         with phase("particles", species=sp.name, kernel=kernel):
             sp.positions, sp.momenta = kernel_set.advance(
                 grid, sp.positions, sp.momenta, sp.weights, sp.charge,
-                sp.mass, dt, shape_order, pusher,
+                sp.mass, dt, shape_order, pusher, periodic,
             )
         return ("advance",)
 
@@ -110,4 +125,7 @@ def advance_particles(
                 grid, 0.5 * (x_old + sp.positions), vel, sp.weights,
                 sp.charge, shape_order,
             )
+    if periodic is not None:
+        with phase("particle_boundaries", species=sp.name):
+            wrap_positions_periodic(sp.positions, *periodic)
     return ("gather", "deposit")

@@ -27,7 +27,8 @@ variant  implementation
                 system compiler and driven through ctypes
                 (:mod:`repro.particles.compiled`), plus the fused
                 ``advance`` pass (gather -> push -> position ->
-                Esirkepov in one call).  Registered only when the
+                Esirkepov -> periodic wrap, one loop per particle).
+                Registered only when the
                 library builds; otherwise the registry reports *why*
                 (:func:`kernel_tier_status`) and
                 :func:`resolve_kernel_set` falls back to ``vectorized``
@@ -76,9 +77,11 @@ class KernelSet:
     share the signatures of their :mod:`repro.particles.deposit`
     namesakes.  ``advance`` is the optional fused particle pass,
     ``(grid, positions, momenta, weights, charge, mass, dt, order,
-    pusher) -> (positions_new, momenta_new)`` with the Esirkepov current
-    deposited into ``grid`` on the way; variants without one are driven
-    through gather -> push -> deposit by
+    pusher, periodic=None) -> (positions_new, momenta_new)`` with the
+    Esirkepov current deposited into ``grid`` on the way and the new
+    positions wrapped along ``periodic = (lo, hi, axes)``; it may assume
+    ``c dt < min(dx)``.  Variants without one — and steps that break
+    that bound — are driven through gather -> push -> deposit by
     :func:`repro.particles.advance.advance_particles`.  ``backend`` names
     what executes the inner loops (``numpy`` or ``c``).
     """

@@ -9,10 +9,13 @@ codes in the paper's Table I:
   drift velocity exactly for relativistic particles (important in the
   Lorentz-boosted-frame extension the paper discusses).
 
-Momenta are the dimensionless ``u = gamma * beta``; fields are SI.
+Momenta are the dimensionless ``u = gamma * beta``; fields are SI.  The
+position update and the periodic wrap that follows it live here too.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -96,3 +99,29 @@ def push_positions(
     components (2D3V: particles keep 3 momenta but move in the plane)."""
     gamma = lorentz_factor(u)
     return positions + (u[:, :ndim] / gamma[:, None]) * (c * dt)
+
+
+def wrap_positions_periodic(
+    positions: np.ndarray,
+    domain_lo: Sequence[float],
+    domain_hi: Sequence[float],
+    axes: Sequence[int],
+) -> None:
+    """In-place periodic wrap of positions along ``axes`` into
+    ``[lo, hi)``: ``np.mod(x - lo, L) + lo``, with the ``fmod`` paid only
+    by the coordinates that left the domain (for ``0 <= a < L``,
+    ``fmod(a, L)`` is ``a`` exactly, so the result is bit-identical to
+    wrapping every coordinate).
+
+    The one NumPy spelling of the wrap: the three-phase route of
+    :func:`repro.particles.advance.advance_particles` and
+    ``DistributedSimulation``'s redistribute phase call it, and the
+    compiled ``advance`` kernel does the same arithmetic per particle
+    (``repro_wrap``).  Subcycled-MR holders are advanced without a wrap:
+    they are interior to their patch by construction.
+    """
+    for d in axes:
+        length = domain_hi[d] - domain_lo[d]
+        a = positions[:, d] - domain_lo[d]
+        np.mod(a, length, out=a, where=(a < 0.0) | (a >= length))
+        np.add(a, domain_lo[d], out=positions[:, d])

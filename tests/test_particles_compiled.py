@@ -172,9 +172,8 @@ def test_c_source_emits_both_precisions():
 
 # -- wide windows and guard shortage -----------------------------------------
 
-def test_wide_window_falls_back_to_tiled(c_set):
-    """K > KMAX goes to the NumPy Esirkepov kernel (the ``tiled`` one when
-    this test got its id, ``vectorized`` now)."""
+def test_wide_window_falls_back_to_vectorized(c_set):
+    """K > KMAX goes to the NumPy Esirkepov kernel."""
     grid_a = make_grid(2, n=24, guards=10)
     grid_b = make_grid(2, n=24, guards=10)
     rng = np.random.default_rng(3)
@@ -244,9 +243,8 @@ def test_c_only_choice_without_compiler(monkeypatch):
     assert "compiler" in detail
 
 
-def test_unavailable_tier_resolves_to_tiled(monkeypatch):
-    """The fallback is the one NumPy path, ``vectorized`` (``tiled`` when
-    this test got its id)."""
+def test_unavailable_tier_resolves_to_vectorized(monkeypatch):
+    """The fallback is the one NumPy path, ``vectorized``."""
     monkeypatch.setattr(kernels, "_REGISTRY", {
         name: ks for name, ks in kernels._REGISTRY.items()
         if name != "compiled"

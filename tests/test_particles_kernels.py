@@ -267,9 +267,9 @@ def test_simulation_rejects_retired_tiled_variant():
         Simulation(g, kernels="tiled")
 
 
-def test_simulation_tiled_matches_vectorized_trajectory():
-    """``vectorized`` (which absorbed the ``tiled`` tier; the test id is
-    from then) against the independently scattered ``reference`` tier."""
+def test_simulation_vectorized_matches_reference_trajectory():
+    """``vectorized`` against the independently scattered ``reference``
+    tier."""
     sim_v = build_sim("reference")
     sim_t = build_sim("vectorized")
     sim_v.step(5)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.constants import c, m_e, q_e
-from repro.particles.pusher import lorentz_factor, push_boris, push_positions, push_vay
+from repro.particles.pusher import (
+    lorentz_factor,
+    push_boris,
+    push_positions,
+    push_vay,
+    wrap_positions_periodic,
+)
 
 Q = -q_e  # electron
 M = m_e
@@ -130,3 +136,20 @@ def test_boris_vay_agree_weakly_relativistic():
     ub = push_boris(u, e, b, Q, M, dt)
     uv = push_vay(u, e, b, Q, M, dt)
     np.testing.assert_allclose(ub, uv, atol=1e-9)
+
+
+def test_wrap_positions_periodic_is_bit_identical_to_wrapping_everything():
+    """``fmod`` only where a coordinate left ``[lo, hi)``; the result is
+    the ``np.mod(x - lo, L) + lo`` of every coordinate, bit for bit."""
+    rng = np.random.default_rng(11)
+    lo, hi = (-3.0, 0.0, 2.5e-6), (9.0, 7.0, 9.5e-6)
+    span = np.subtract(hi, lo)
+    pos = lo + span * rng.uniform(-2.5, 3.5, size=(4000, 3))
+    pos[:5] = [lo, hi, np.add(lo, span * 1e-17), np.subtract(lo, span * 1e-17),
+               np.add(lo, 3 * span)]
+    want = pos.copy()
+    for d in (0, 2):
+        want[:, d] = np.mod(pos[:, d] - lo[d], hi[d] - lo[d]) + lo[d]
+    wrap_positions_periodic(pos, lo, hi, axes=(0, 2))
+    assert np.array_equal(pos, want)  # axis 1 untouched
+    assert np.all(pos[:, 0] >= lo[0]) and np.all(pos[:, 0] <= hi[0])
