@@ -105,57 +105,48 @@ class MRSimulation(Simulation):
         )
         super()._advance_species(species, **hooks)
 
-    def _gather(self, species: Species):
-        gather = self.kernel_set.gather
-        e_f, b_f = gather(self.grid, species.positions, self.shape_order)
+    def _route(self, inside):
+        """Send every particle to exactly one grid: yields ``(patch,
+        selector)`` for the first non-subcycled patch whose ``inside(patch)``
+        mask holds it and ``(None, selector)`` for the rest, the parent's.
+        With nobody in a patch that selector is ``slice(None)``: views,
+        not masked copies."""
+        remaining = None
         for patch in self.patches:
             if patch.subcycle:
                 continue  # in-patch particles were extracted for substeps
-            mask = patch.interior_mask(species.positions)
-            if not np.any(mask):
-                continue
-            e_p, b_p = gather(
-                patch.aux, species.positions[mask], self.shape_order
+            mask = inside(patch)
+            if remaining is not None:
+                mask &= remaining
+            if np.any(mask):
+                yield patch, mask
+                remaining = ~mask if remaining is None else remaining & ~mask
+        if remaining is None:
+            yield None, slice(None)
+        elif np.any(remaining):
+            yield None, remaining
+
+    def _gather(self, species: Species):
+        positions = species.positions
+        e_f = np.empty((positions.shape[0], 3), dtype=positions.dtype)
+        b_f = np.empty_like(e_f)
+        for patch, sel in self._route(lambda p: p.interior_mask(positions)):
+            e_f[sel], b_f[sel] = self.kernel_set.gather(
+                self.grid if patch is None else patch.aux,
+                positions[sel], self.shape_order,
             )
-            e_f[mask] = e_p
-            b_f[mask] = b_p
         return e_f, b_f
 
     def _deposit(self, species, x_old, x_new, velocities) -> None:
-        remaining = np.ones(x_old.shape[0], dtype=bool)
-        for patch in self.patches:
-            if patch.subcycle:
-                continue
+        def inside(patch: MRPatch) -> np.ndarray:
             margin = patch.n_transition * patch.fine.dx[0]
-            mask = (
-                patch.contains(x_old, margin)
-                & patch.contains(x_new, margin)
-                & remaining
-            )
-            if np.any(mask):
-                self.kernel_set.deposit_current(
-                    patch.fine,
-                    x_old[mask],
-                    x_new[mask],
-                    velocities[mask],
-                    species.weights[mask],
-                    species.charge,
-                    self.dt,
-                    self.shape_order,
-                )
-                remaining &= ~mask
-        if np.any(remaining):
-            if np.all(remaining):
-                remaining = slice(None)  # views, not masked copies
+            return patch.contains(x_old, margin) & patch.contains(x_new, margin)
+
+        for patch, sel in self._route(inside):
             self.kernel_set.deposit_current(
-                self.grid,
-                x_old[remaining],
-                x_new[remaining],
-                velocities[remaining],
-                species.weights[remaining],
-                species.charge,
-                self.dt,
-                self.shape_order,
+                self.grid if patch is None else patch.fine,
+                x_old[sel], x_new[sel], velocities[sel], species.weights[sel],
+                species.charge, self.dt, self.shape_order,
             )
 
     def _smooth_fine(self, patch: MRPatch) -> None:

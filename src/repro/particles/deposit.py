@@ -12,8 +12,22 @@ the paper relies on for long laser-propagation runs.  A simpler direct
 ``reference`` tier's deposits are provided for benchmarking and validation.
 
 All deposits are *added* into the grid arrays (callers zero the sources at
-the start of the step), and all routines process particles in chunks to
-bound the size of the (n, K, K, K) intermediate weight products.
+the start of the step), and all routines process particles in pieces to
+bound the size of the (K, K, K, n) window tensors.
+
+The Esirkepov body (one for every dimension and window width, shared by
+``vectorized`` and ``reference``) is the factored form of the compiled
+tier's ``esirkepov_scatter``.  Per axis the old shape ``S0`` and
+``DS = S1 - S0`` are the closed-form :func:`shape_weights` *placed* in the
+K-point window, and three K-vectors follow from them: ``cum = k qw
+cumsum(DS)`` (the cumulative sum commutes with every factor that does not
+depend on its axis, so it is never taken over a window tensor),
+``T = S0 + DS/2`` and ``U = S0/2 + DS/3``.  Each component is then one
+broadcast product — 2D ``Jx = cum_0[i] T_1[j]``, ``Jy = T_0[i] cum_1[j]``,
+``Jz = cz (S0_0[i] T_1[j] + DS_0[i] U_1[j])``; 3D ``Jx = cum_0[i]
+(S0_1[j] T_2[l] + DS_1[j] U_2[l])`` and cyclic; 1D ``Jx = cum_0``,
+``Jy,z = k qw v T_0``.  Tables are laid out window-first, ``(K, n)``, so
+every product runs its inner loop over particles.
 
 How the ``vectorized`` deposits scatter (the Python analog of the
 conflict-free tiled scatter the paper credits for its biggest node-level
@@ -27,7 +41,7 @@ win, Sec. V.A.1):
   equal addresses with ``np.add.reduceat`` — runs that
   :func:`~repro.particles.sorting.sort_species_by_bin` ordering makes long;
 * Esirkepov uses the minimal ``order + 2``-point window for sub-cell moves
-  (:func:`esirkepov_window`), shrinking every weight tensor.
+  (:func:`esirkepov_window`), shrinking every window tensor.
 
 The ``reference`` tier keeps the textbook scatter — ``np.add.at`` and the
 standard ``order + 3`` window — so every kernel above has an independently
@@ -35,7 +49,8 @@ scattered twin to be validated against; the additions are reassociated,
 never dropped, and the two agree to machine precision.
 
 Every scatter checks the flat-address span it is about to touch and raises
-``SanitizerError`` (SAN005) when a particle has escaped the padded array.
+``SanitizerError`` (SAN005) when a particle has escaped the padded array;
+so does a shape that does not fit the window it is placed in.
 Under ``REPRO_SANITIZE=1`` every deposit additionally verifies per axis
 that no stencil leaves the array; the flat-address arithmetic would
 otherwise wrap an index on an inner axis into the neighbouring row and
@@ -52,9 +67,9 @@ import numpy as np
 from repro.analysis.sanitize import Sanitizer
 from repro.exceptions import ConfigurationError, SanitizerError
 from repro.grid.yee import STAGGER, YeeGrid
-from repro.particles.shapes import bspline, shape_weights
+from repro.particles.shapes import shape_weights
 
-#: chunk size bounding the intermediate Esirkepov weight arrays
+#: largest Esirkepov piece: bounds the window tensors
 _CHUNK = 4096
 
 #: prefix length sampled to decide whether address runs are worth scanning
@@ -149,12 +164,9 @@ def _scatter_add_histogram(
 ) -> None:
     """Buffered histogram scatter without run detection.
 
-    The Esirkepov kernels scatter whole ``(n, K, ..., K)`` stencil
-    tensors at once; along the last window axis consecutive flat
-    addresses differ by one, so equal-address runs cannot occur and the
-    run scan of :func:`_scatter_add_segmented` would be pure overhead.
-    One ``np.bincount`` pass replaces the per-element read-modify-write
-    of ``np.add.at``.
+    The Esirkepov kernels scatter whole ``(K, ..., K, n)`` window tensors
+    at once: one ``np.bincount`` pass replaces the per-element
+    read-modify-write of ``np.add.at``.
     """
     span += np.bincount(addr.ravel(), weights=vals.ravel(), minlength=span.size)
 
@@ -254,9 +266,9 @@ def esirkepov_window(
     most ``order + 2`` lattice points when the displacement stays under
     one cell, so the extra ``order + 3``-window point only ever carries an
     exactly-zero weight.  The ``vectorized`` and ``compiled`` kernels use
-    it — every window point dropped shrinks the (n, K, .., K) weight
-    tensors, where the kernel spends most of its time.  Displacements of
-    a cell or more fall back to the standard width.
+    it — every window point dropped shrinks the (K, .., K, n) window
+    tensors.  Displacements of a cell or more fall back to the standard
+    width.
     """
     extra = max(int(np.ceil(max_displacement)) - 1, 0)
     if tight and extra == 0:
@@ -265,26 +277,50 @@ def esirkepov_window(
 
 
 def _esirkepov_shapes(
-    x0: np.ndarray, x1: np.ndarray, order: int, window: int, tight: bool = False
+    x0: np.ndarray, x1: np.ndarray, order: int, window: int, kernel: str
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Base index and old/new shape tables over ``window`` lattice points.
+    """One axis of the Esirkepov window for the moves ``x0 -> x1``: its
+    base index, the old shape ``s0`` and ``ds = s1 - s0``, both (window, n).
 
-    The tight odd-order window must be centered on ``round(xm)`` rather
-    than ``floor(xm)``: an odd-order shape reaches ``(order + 1) / 2``
-    cells to each side of the particle, so when the midpoint sits in the
-    upper half of its cell the support extends one lattice point further
-    right than the floor-centered window covers.  Even orders are already
-    symmetric about ``floor(xm)`` and keep the standard base.
+    A shape *is* the closed-form :func:`shape_weights` vector placed at
+    offset ``i0 - base`` of an otherwise zero column, whatever the window
+    width; nothing is evaluated over the window.  A shape that does not
+    fit (a move longer than the window was sized for) is SAN005, never
+    truncated.
+
+    The tight (``order + 2``) odd-order window must be centered on
+    ``round(xm)`` rather than ``floor(xm)``: an odd-order shape reaches
+    ``(order + 1) / 2`` cells to each side of the particle, so when the
+    midpoint sits in the upper half of its cell the support extends one
+    lattice point further right than the floor-centered window covers.
+    Even orders are symmetric about ``floor(xm)`` and keep that base.
     """
     xm = 0.5 * (x0 + x1)
-    if tight and order % 2:
-        base = np.floor(xm + 0.5).astype(np.intp) - (window - 1) // 2
-    else:
-        base = np.floor(xm).astype(np.intp) - (window - 1) // 2
-    pts = base[:, None] + np.arange(window)[None, :]
-    s0 = bspline(order, pts - x0[:, None])
-    s1 = bspline(order, pts - x1[:, None])
-    return base, s0, s1
+    if window == order + 2 and order % 2:
+        xm = xm + 0.5
+    base = np.floor(xm).astype(np.intp) - (window - 1) // 2
+    cols = np.arange(x0.size, dtype=np.intp)
+    placed = []
+    for x in (x0, x1):
+        i0, w = shape_weights(x, order)
+        offset = i0 - base
+        lo, hi = int(offset.min()), int(offset.max()) + order
+        if lo < 0 or hi >= window:
+            raise SanitizerError(
+                f"SAN005: particle shape out of range in {kernel} for J: "
+                f"window points [{lo}, {hi}] vs a {window}-point deposition "
+                f"window; a particle moved further than the window was "
+                f"sized for"
+            )
+        shape = np.zeros((window, x.size), dtype=w.dtype)
+        flat = shape.ravel()
+        offset = offset * x.size + cols
+        for m in range(order + 1):
+            flat[offset + m * x.size] = w[:, m]
+        placed.append(shape)
+    s0, ds = placed
+    ds -= s0
+    return base, s0, ds
 
 
 def _deposit_current_esirkepov_impl(
@@ -304,7 +340,6 @@ def _deposit_current_esirkepov_impl(
     n = positions_old.shape[0]
     if n == 0:
         return
-    dx = grid.dx
     j_arrays = [grid.fields[name] for name in ("Jx", "Jy", "Jz")]
     flats = [a.ravel() for a in j_arrays]
     strides = _flat_strides(j_arrays[0])
@@ -314,7 +349,6 @@ def _deposit_current_esirkepov_impl(
         for d in range(ndim)
     )
     K = esirkepov_window(order, max_disp, tight=tight_window)
-    tight = tight_window and K == order + 2
     if (K + 1) // 2 > grid.guards:
         raise ConfigurationError(
             f"particle displacement of {max_disp:.2f} cells needs a "
@@ -322,97 +356,73 @@ def _deposit_current_esirkepov_impl(
             f"cells are available"
         )
     # flat offset of every window point from a particle's first one
-    stencil = np.zeros((K,) * ndim, dtype=np.intp)
+    stencil = np.zeros((K,) * ndim + (1,), dtype=np.intp)
     for d in range(ndim):
         stencil += (np.arange(K) * strides[d]).reshape(
-            (K,) + (1,) * (ndim - 1 - d)
+            (K,) + (1,) * (ndim - d)
         )
+    # -q / (dt dA) along the axes the continuity equation drives, q / dV
+    # (times the velocity, per particle) along the invariant ones
+    volume = float(np.prod(grid.dx))
+    k = [-charge * grid.dx[d] / (dt * volume) for d in range(ndim)]
+    k += [charge / volume] * (3 - ndim)
     san = Sanitizer.from_env()
 
-    for start in range(0, n, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, n))
-        base = []
-        s0 = []
-        ds = []
+    def along(vec: np.ndarray, d: int) -> np.ndarray:
+        """A (K, n) K-vector laid along window axis ``d``."""
+        return vec.reshape((1,) * d + (K,) + (1,) * (ndim - 1 - d) + (-1,))
+
+    pieces = -(-n // _CHUNK)  # equal pieces: no ragged last round
+    for piece in range(pieces):
+        sl = slice(piece * n // pieces, (piece + 1) * n // pieces)
+        qw = weights[sl]
+        base, s0, ds, cum, t, u = [], [], [], [], [], []
         for d in range(ndim):
-            b, s0d, s1d = _esirkepov_shapes(
+            b, s0d, dsd = _esirkepov_shapes(
                 _nodal_coords(grid, positions_old[sl], d),
                 _nodal_coords(grid, positions_new[sl], d),
-                order,
-                K,
-                tight,
+                order, K, kernel,
             )
             base.append(b)
             s0.append(s0d)
-            ds.append(s1d - s0d)
+            ds.append(dsd)
+            # the cumulative sum along the deposit axis commutes with every
+            # factor that does not depend on that axis: it is taken here,
+            # over the K-vector (row by row: np.cumsum would walk the
+            # strided axis), not over the window tensor
+            cumd = dsd * (k[d] * qw)
+            for i in range(1, K):
+                cumd[i] += cumd[i - 1]
+            cum.append(cumd)
+            t.append(s0d + 0.5 * dsd)
+            u.append(0.5 * s0d + dsd / 3.0)
         if san is not None:
             san.check_stencil_bounds(kernel, "J", base, K, j_arrays[0].shape)
         first, lo, hi = _address_span(
             base, strides, K, flats[0].size, kernel, "J"
         )
-        addr = first.reshape((-1,) + (1,) * ndim) + stencil
-        spans = [flat[lo:hi] for flat in flats]
-        qw = charge * weights[sl]
+        addr = stencil + first
+        jx, jy, jz = (flat[lo:hi] for flat in flats)
+
+        def averaged(sa: np.ndarray, dsa: np.ndarray, a: int, b: int):
+            """Time-averaged shape product of axes ``a`` and ``b``, factored
+            as ``S0a Tb + DSa Ub``."""
+            return along(sa, a) * along(t[b], b) + along(dsa, a) * along(u[b], b)
 
         if ndim == 3:
-            t_yz = (
-                s0[1][:, :, None] * s0[2][:, None, :]
-                + 0.5 * ds[1][:, :, None] * s0[2][:, None, :]
-                + 0.5 * s0[1][:, :, None] * ds[2][:, None, :]
-                + ds[1][:, :, None] * ds[2][:, None, :] / 3.0
-            )
-            t_xz = (
-                s0[0][:, :, None] * s0[2][:, None, :]
-                + 0.5 * ds[0][:, :, None] * s0[2][:, None, :]
-                + 0.5 * s0[0][:, :, None] * ds[2][:, None, :]
-                + ds[0][:, :, None] * ds[2][:, None, :] / 3.0
-            )
-            t_xy = (
-                s0[0][:, :, None] * s0[1][:, None, :]
-                + 0.5 * ds[0][:, :, None] * s0[1][:, None, :]
-                + 0.5 * s0[0][:, :, None] * ds[1][:, None, :]
-                + ds[0][:, :, None] * ds[1][:, None, :] / 3.0
-            )
-            w_x = ds[0][:, :, None, None] * t_yz[:, None, :, :]
-            coeff = -qw / (dt * dx[1] * dx[2])
-            scatter_add(
-                spans[0], addr, coeff[:, None, None, None] * np.cumsum(w_x, axis=1)
-            )
-            w_y = ds[1][:, None, :, None] * t_xz[:, :, None, :]
-            coeff = -qw / (dt * dx[0] * dx[2])
-            scatter_add(
-                spans[1], addr, coeff[:, None, None, None] * np.cumsum(w_y, axis=2)
-            )
-            w_z = ds[2][:, None, None, :] * t_xy[:, :, :, None]
-            coeff = -qw / (dt * dx[0] * dx[1])
-            scatter_add(
-                spans[2], addr, coeff[:, None, None, None] * np.cumsum(w_z, axis=3)
-            )
+            scatter_add(jx, addr, along(cum[0], 0) * averaged(s0[1], ds[1], 1, 2))
+            scatter_add(jy, addr, along(cum[1], 1) * averaged(s0[0], ds[0], 0, 2))
+            scatter_add(jz, addr, averaged(s0[0], ds[0], 0, 1) * along(cum[2], 2))
         elif ndim == 2:
-            t_y = s0[1] + 0.5 * ds[1]
-            w_x = ds[0][:, :, None] * t_y[:, None, :]
-            coeff = -qw / (dt * dx[1])
-            scatter_add(spans[0], addr, coeff[:, None, None] * np.cumsum(w_x, axis=1))
-            t_x = s0[0] + 0.5 * ds[0]
-            w_y = t_x[:, :, None] * ds[1][:, None, :]
-            coeff = -qw / (dt * dx[0])
-            scatter_add(spans[1], addr, coeff[:, None, None] * np.cumsum(w_y, axis=2))
+            scatter_add(jx, addr, along(cum[0], 0) * along(t[1], 1))
+            scatter_add(jy, addr, along(t[0], 0) * along(cum[1], 1))
             # the invariant-axis current: time-averaged shape product
-            w_z = (
-                s0[0][:, :, None] * s0[1][:, None, :]
-                + 0.5 * ds[0][:, :, None] * s0[1][:, None, :]
-                + 0.5 * s0[0][:, :, None] * ds[1][:, None, :]
-                + ds[0][:, :, None] * ds[1][:, None, :] / 3.0
-            )
-            coeff = qw * velocities[sl, 2] / (dx[0] * dx[1])
-            scatter_add(spans[2], addr, coeff[:, None, None] * w_z)
-        else:  # 1D
-            coeff = -qw / dt
-            scatter_add(spans[0], addr, coeff[:, None] * np.cumsum(ds[0], axis=1))
-            t_x = s0[0] + 0.5 * ds[0]
-            for comp in (1, 2):
-                coeff = qw * velocities[sl, comp] / dx[0]
-                scatter_add(spans[comp], addr, coeff[:, None] * t_x)
+            cz = k[2] * qw * velocities[sl, 2]
+            scatter_add(jz, addr, averaged(cz * s0[0], cz * ds[0], 0, 1))
+        else:
+            scatter_add(jx, addr, cum[0])
+            scatter_add(jy, addr, k[1] * qw * velocities[sl, 1] * t[0])
+            scatter_add(jz, addr, k[2] * qw * velocities[sl, 2] * t[0])
 
 
 def deposit_current_esirkepov(

@@ -6,11 +6,17 @@ Two implementations of the same kernel are provided on purpose (see
 * :func:`gather_fields` — vectorized over particles with the stencil point
   fixed, exactly the strategy the paper found optimal on A64FX
   ("vectorizing the computation of the coefficient ijk for multiple
-  particles"); in NumPy this is the only fast formulation.  The per-axis
-  shape weights are computed once per distinct stagger offset (a
-  :class:`~repro.particles.shapes.ShapeWeightCache`) instead of once per
-  component: at most ``2 * ndim`` weight evaluations for the six
-  components, not ``6 * ndim``.
+  particles"); in NumPy this is the only fast formulation.  The six
+  components are grouped by the sample lattice they share (2D: four
+  lattices, ``Ex``/``By`` and ``Ey``/``Bx`` pair up; 1D: two; 3D: six).
+  Per lattice the first-point flat address is built once, per stencil
+  offset the weight product and ``first + shift`` once, and each member
+  component then costs one take and one multiply-add.  The per-axis
+  shape weights come from a
+  :class:`~repro.particles.shapes.ShapeWeightCache`: ``2 * ndim``
+  evaluations for the six components.  Every output element sees the
+  operations of the scalar loop in the same order, so the two gathers
+  are bit-identical.
 * :func:`gather_fields_reference` — a scalar per-particle loop, the
   "reference" baseline of the paper's Sec. V.A.1 tuning table.  It is used
   to cross-validate the vectorized kernel and in the kernel-optimization
@@ -25,7 +31,7 @@ the array and silently read garbage.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -50,35 +56,14 @@ def lattice_coords(
     )
 
 
-def _stencil_accumulate(  # repro: allow(PIC007)
-    flat: np.ndarray,
-    strides: Sequence[int],
-    idx0: Sequence[np.ndarray],
-    wts: Sequence[np.ndarray],
-    order: int,
-) -> np.ndarray:
-    """Sum ``w_i * field[stencil_i]`` over the stencil, one offset at a time."""
-    ndim = len(idx0)
-    out = np.zeros(idx0[0].shape[0], dtype=np.float64)
-    for offsets in itertools.product(range(order + 1), repeat=ndim):
-        wprod = wts[0][:, offsets[0]].copy()
-        addr = (idx0[0] + offsets[0]) * strides[0]
-        for d in range(1, ndim):
-            wprod *= wts[d][:, offsets[d]]
-            addr = addr + (idx0[d] + offsets[d]) * strides[d]
-        out += wprod * flat[addr]
-    return out
-
-
 def gather_fields(  # repro: allow(PIC007)
     grid: YeeGrid, positions: np.ndarray, order: int = 1
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Interpolate (E, B) to particle positions.
 
     Returns two (n, 3) arrays.  Every component is gathered on its own
-    staggered lattice with an order-``order`` B-spline.  The per-axis
-    ``(i0, w)`` tables are memoized per stagger offset: a Yee lattice has
-    only two distinct sample lattices per axis.
+    staggered lattice with an order-``order`` B-spline; components that
+    share a lattice share its address table and weight products.
     """
     ndim = grid.ndim
     n = positions.shape[0]
@@ -86,25 +71,31 @@ def gather_fields(  # repro: allow(PIC007)
     cache = ShapeWeightCache(lattice_coords(grid, positions, "rho"), order)
     sample = grid.fields["Ex"]
     strides = [int(s) for s in np.array(sample.strides) // sample.itemsize]
+    lattices: Dict[Tuple[int, ...], List[str]] = {}
+    for comp in FIELD_COMPONENTS:
+        lattices.setdefault(STAGGER[comp][:ndim], []).append(comp)
+    out = {comp: np.zeros(n, dtype=np.float64) for comp in FIELD_COMPONENTS}
+    for stag, members in lattices.items():
+        idx0, wts = zip(*(cache.get(d, stag[d]) for d in range(ndim)))
+        if san is not None:
+            for comp in members:
+                san.check_stencil_bounds(
+                    "gather_fields", comp, idx0, order + 1,
+                    grid.fields[comp].shape,
+                )
+        flats = [grid.fields[comp].ravel() for comp in members]
+        first = sum(i0 * s for i0, s in zip(idx0, strides))
+        for offsets in itertools.product(range(order + 1), repeat=ndim):
+            wprod = wts[0][:, offsets[0]]
+            for d in range(1, ndim):
+                wprod = wprod * wts[d][:, offsets[d]]
+            addr = first + sum(o * s for o, s in zip(offsets, strides))
+            for comp, flat in zip(members, flats):
+                out[comp] += wprod * flat[addr]
     e_out = np.empty((n, 3), dtype=np.float64)
     b_out = np.empty((n, 3), dtype=np.float64)
     for i, comp in enumerate(FIELD_COMPONENTS):
-        stag = STAGGER[comp]
-        idx0 = []
-        wts = []
-        for d in range(ndim):
-            i0, w = cache.get(d, stag[d])
-            idx0.append(i0)
-            wts.append(w)
-        arr = grid.fields[comp]
-        if san is not None:
-            san.check_stencil_bounds(
-                "gather_fields", comp, idx0, order + 1, arr.shape
-            )
-        out = e_out if i < 3 else b_out
-        out[:, i % 3] = _stencil_accumulate(
-            arr.ravel(), strides, idx0, wts, order
-        )
+        (e_out if i < 3 else b_out)[:, i % 3] = out[comp]
     return e_out, b_out
 
 

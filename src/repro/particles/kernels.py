@@ -15,13 +15,19 @@ variant  implementation
                 Esirkepov loops, and every deposit scattered with the
                 unbuffered ``np.add.at`` on the standard ``order + 3``
                 window — the independently scattered twin the other
-                tiers are validated against
-``vectorized``  the NumPy path, vectorized over particles: buffered
+                tiers are validated against (the Esirkepov *algebra* is
+                the one body all tiers share; its independent check is
+                the textbook evaluation in ``tests/test_particles_deposit``)
+``vectorized``  the NumPy path, vectorized over particles: the Esirkepov
+                currents as broadcast products of per-axis K-vectors
+                (``cum`` / ``T`` / ``U``) over closed-form shapes placed
+                in the minimal ``order + 2`` window, buffered
                 ``np.bincount`` histogram scatters over the touched
                 address span (after ``np.add.reduceat`` over contiguous
-                runs for the nodal deposits), the minimal ``order + 2``
-                Esirkepov window, and a shape-weight cache shared across
-                the six gathers (:mod:`repro.particles.deposit`,
+                runs for the nodal deposits), and a gather that shares
+                the shape weights per axis and the address table and
+                weight products per sample lattice
+                (:mod:`repro.particles.deposit`,
                 :mod:`repro.particles.gather`)
 ``compiled``    native per-particle loops: generated C built with the
                 system compiler and driven through ctypes

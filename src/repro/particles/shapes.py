@@ -9,9 +9,10 @@ resolution.
 Two entry points:
 
 * :func:`bspline` — the centered B-spline ``B_o(s)`` itself (closed form),
-  used by the Esirkepov deposition and by property tests.
+  the definition the tests check every kernel's weights against.
 * :func:`shape_weights` — per-particle stencil base index and weight table
-  for gather/scatter on a sample lattice.
+  for gather/scatter on a sample lattice; also the shapes the Esirkepov
+  deposition places in its window.
 * :class:`ShapeWeightCache` — memoizes :func:`shape_weights` over the two
   distinct stagger offsets per axis, shared across field components.
 """
@@ -104,11 +105,10 @@ class ShapeWeightCache:
     """Per-axis stencil weight tables memoized over the stagger offsets.
 
     A Yee lattice exposes exactly two sample lattices per axis — nodal
-    (stagger 0) and half-cell shifted (stagger 1) — yet the six-component
-    field gather evaluates :func:`shape_weights` once per component per
-    axis (``6 * ndim`` calls).  The cache keys on ``(axis, stagger)``, so
-    at most ``2 * ndim`` weight tables are ever computed per particle
-    population; the remaining lookups are dictionary hits.
+    (stagger 0) and half-cell shifted (stagger 1).  The cache keys on
+    ``(axis, stagger)``, so the six-component field gather computes at
+    most ``2 * ndim`` weight tables per particle population, not
+    ``6 * ndim``; the remaining lookups are dictionary hits.
 
     The staggered coordinate is derived as ``nodal - 0.5`` — the same
     floating point operations :func:`repro.particles.gather.lattice_coords`

@@ -3,8 +3,8 @@
 Each function counts the floating point operations and DRAM traffic of one
 kernel per particle or per cell, parameterized by shape order and
 dimensionality — mirroring how the paper measured per-opcode Flop counts
-with Nsight/ROCm/fapp.  The counts are audited against the actual NumPy
-kernels by the test suite (operation counting on tiny inputs).
+with Nsight/ROCm/fapp.  They model the algorithm (stencil points times
+operations per point), not the operation count of any one implementation.
 
 Conventions: an FMA counts as 2 Flop (as in the paper); ``field_bytes``
 count each stencil value once, divided by a cross-particle cache-reuse

@@ -73,6 +73,34 @@ def test_mr_gather_uses_aux_inside_patch():
     assert np.all(np.abs(e_f[~inner, 2]) < 1.0)
 
 
+def test_mr_gather_evaluates_each_particle_on_one_grid(monkeypatch):
+    """While a patch is active every particle is gathered on exactly one
+    grid (aux or parent): ``shape_weights`` sees it once per lattice and
+    axis, not once on the parent and again on the patch."""
+    from repro.particles import shapes
+
+    sim, e = make_langmuir_mr(with_patch=True)
+    inner = sim.patches[0].interior_mask(e.positions)
+    assert np.any(inner) and not np.all(inner)
+    seen = []
+    real = shapes.shape_weights
+    monkeypatch.setattr(
+        shapes, "shape_weights",
+        lambda x, order: seen.append(x.size) or real(x, order),
+    )
+    e_f, b_f = sim._gather(e)
+    # 1D: one axis, two sample lattices (nodal and half-shifted), two grids
+    assert sorted(seen) == sorted(2 * [int(inner.sum()), int((~inner).sum())])
+    # bit for bit what each grid gathers on its own
+    on_parent = sim.kernel_set.gather(sim.grid, e.positions, sim.shape_order)
+    on_patch = sim.kernel_set.gather(
+        sim.patches[0].aux, e.positions[inner], sim.shape_order
+    )
+    assert np.array_equal(e_f[~inner], on_parent[0][~inner])
+    assert np.array_equal(e_f[inner], on_patch[0])
+    assert np.array_equal(b_f[inner], on_patch[1])
+
+
 def test_patch_removed_at_remove_time():
     g = YeeGrid((32,), (0.0,), (32.0,), guards=4)
     ratio = 2

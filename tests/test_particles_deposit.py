@@ -8,14 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import c, q_e
+from repro.exceptions import SanitizerError
 from repro.grid.stencils import diff_backward
 from repro.grid.yee import YeeGrid
+from repro.particles import deposit as deposit_mod
 from repro.particles.deposit import (
+    _CHUNK,
+    _esirkepov_shapes,
     deposit_charge,
     deposit_current_direct,
     deposit_current_esirkepov,
     deposit_current_reference,
+    esirkepov_window,
 )
+from repro.particles.kernels import FLOAT32_ERROR_BUDGET
+from repro.particles.shapes import bspline
 
 
 def make_grid(ndim, n=10, guards=4):
@@ -218,3 +225,142 @@ def test_continuity_property_1d(order, x0, dxp, w):
     deposit_current_esirkepov(g, pos0, pos1, vel, weights, 1.0, 1e-9, order)
     residual = (rho1.fields["rho"] - rho0.fields["rho"]) / 1e-9 + divergence_j(g)
     assert np.max(np.abs(residual)) < 1e-6 * (abs(w) / 1e-9)
+
+
+# -- the factored kernel against a literal textbook evaluation ---------------
+#
+# ``reference``, ``vectorized`` and ``compiled`` all share the factorisation
+# (K-vectors cum / T / U, closed-form shapes placed in the window), so none
+# of them checks the algebra of the others.  This one does: B-splines
+# evaluated over the standard window, the unfactored four-term products, the
+# cumulative sum over the window tensor, ``np.add.at``.
+
+def textbook_esirkepov(grid, pos0, pos1, vel, weights, charge, dt, order):
+    ndim, dx = grid.ndim, grid.dx
+    move = max(np.max(np.abs(pos1[:, d] - pos0[:, d])) / dx[d] for d in range(ndim))
+    K = order + 3 + 2 * max(int(np.ceil(move)) - 1, 0)
+    jx, jy, jz = (grid.fields[comp] for comp in ("Jx", "Jy", "Jz"))
+    for p in range(pos0.shape[0]):
+        pts, s0, ds = [], [], []
+        for d in range(ndim):
+            a = (pos0[p, d] - grid.lo[d]) / dx[d] + grid.guards
+            b = (pos1[p, d] - grid.lo[d]) / dx[d] + grid.guards
+            lattice = int(np.floor(0.5 * (a + b))) - (K - 1) // 2 + np.arange(K)
+            pts.append(lattice)
+            s0.append(bspline(order, lattice - a))
+            ds.append(bspline(order, lattice - b) - s0[d])
+        qw = charge * weights[p]
+
+        def averaged(a, b):  # time average of S_a S_b over the straight move
+            return (
+                np.multiply.outer(s0[a], s0[b])
+                + 0.5 * np.multiply.outer(ds[a], s0[b])
+                + 0.5 * np.multiply.outer(s0[a], ds[b])
+                + np.multiply.outer(ds[a], ds[b]) / 3.0
+            )
+
+        if ndim == 1:
+            np.add.at(jx, pts[0], -qw / dt * np.cumsum(ds[0]))
+            np.add.at(jy, pts[0], qw * vel[p, 1] / dx[0] * (s0[0] + 0.5 * ds[0]))
+            np.add.at(jz, pts[0], qw * vel[p, 2] / dx[0] * (s0[0] + 0.5 * ds[0]))
+        elif ndim == 2:
+            at = np.ix_(*pts)
+            w_x = ds[0][:, None] * (s0[1] + 0.5 * ds[1])[None, :]
+            w_y = (s0[0] + 0.5 * ds[0])[:, None] * ds[1][None, :]
+            np.add.at(jx, at, -qw / (dt * dx[1]) * np.cumsum(w_x, axis=0))
+            np.add.at(jy, at, -qw / (dt * dx[0]) * np.cumsum(w_y, axis=1))
+            np.add.at(jz, at, qw * vel[p, 2] / (dx[0] * dx[1]) * averaged(0, 1))
+        else:
+            at = np.ix_(*pts)
+            w_x = ds[0][:, None, None] * averaged(1, 2)[None, :, :]
+            w_y = ds[1][None, :, None] * averaged(0, 2)[:, None, :]
+            w_z = ds[2][None, None, :] * averaged(0, 1)[:, :, None]
+            np.add.at(jx, at, -qw / (dt * dx[1] * dx[2]) * np.cumsum(w_x, axis=0))
+            np.add.at(jy, at, -qw / (dt * dx[0] * dx[2]) * np.cumsum(w_y, axis=1))
+            np.add.at(jz, at, -qw / (dt * dx[0] * dx[1]) * np.cumsum(w_z, axis=2))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("move", [0.9, 1.7, 2.6])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_esirkepov_matches_textbook_and_conserves(ndim, order, move, dtype):
+    rng = np.random.default_rng(1000 * ndim + 10 * order + int(10 * move))
+    n = 30
+    pos0 = rng.uniform(4.0, 8.0, size=(n, ndim))
+    disp = rng.uniform(-move, move, size=(n, ndim))
+    disp[0] = move  # the window is as wide as this move makes it
+    pos1 = pos0 + disp
+    w = rng.uniform(0.5, 2.0, size=n)
+    vel = rng.uniform(-0.5, 0.5, size=(n, 3)) * c
+    dt, charge = 1.0e-9, -q_e
+
+    def grid(dtype=np.float64):
+        return YeeGrid(
+            (12,) * ndim, (0.0,) * ndim, (12.0,) * ndim, guards=6, dtype=dtype
+        )
+
+    g, book = grid(dtype), grid()
+    deposit_current_esirkepov(g, pos0, pos1, vel, w, charge, dt, order)
+    textbook_esirkepov(book, pos0, pos1, vel, w, charge, dt, order)
+    for comp in ("Jx", "Jy", "Jz"):
+        ours = g.fields[comp].astype(np.float64)
+        theirs = book.fields[comp]
+        assert np.max(np.abs(theirs)) > 0.0
+        if dtype is np.float64:
+            assert np.max(np.abs(ours - theirs)) <= 1e-12 * np.max(np.abs(theirs))
+        else:
+            rel_l2 = np.linalg.norm(ours - theirs) / np.linalg.norm(theirs)
+            assert rel_l2 < FLOAT32_ERROR_BUDGET["deposit_current"]
+    if dtype is np.float64:
+        rho0, rho1 = grid(), grid()
+        deposit_charge(rho0, pos0, w, charge, order)
+        deposit_charge(rho1, pos1, w, charge, order)
+        drho_dt = (rho1.fields["rho"] - rho0.fields["rho"]) / dt
+        residual = drho_dt + divergence_j(g)
+        assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(drho_dt))
+
+
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 3])
+def test_esirkepov_equal_pieces_match_one_piece(monkeypatch, n):
+    """``n`` just past a multiple of ``_CHUNK`` is cut into equal pieces,
+    not into full chunks plus a few-particle remainder; the cut only
+    reassociates the histogram sums."""
+    rng = np.random.default_rng(n)
+    pos0 = rng.uniform(2.0, 8.0, size=(n, 2))
+    pos1 = pos0 + rng.uniform(-0.9, 0.9, size=(n, 2))
+    w = rng.uniform(0.5, 2.0, size=n)
+    vel = rng.uniform(-0.5, 0.5, size=(n, 3)) * c
+    sizes = []
+    real = deposit_mod._address_span
+
+    def spy(base, *args):
+        sizes.append(base[0].size)
+        return real(base, *args)
+
+    monkeypatch.setattr(deposit_mod, "_address_span", spy)
+    cut = make_grid(2)
+    deposit_current_esirkepov(cut, pos0, pos1, vel, w, -q_e, 1e-9, 2)
+    pieces = -(-n // _CHUNK)
+    assert len(sizes) == pieces and max(sizes) - min(sizes) <= 1
+    monkeypatch.setattr(deposit_mod, "_CHUNK", 10 * _CHUNK)
+    whole = make_grid(2)
+    deposit_current_esirkepov(whole, pos0, pos1, vel, w, -q_e, 1e-9, 2)
+    for comp in ("Jx", "Jy", "Jz"):
+        scale = np.max(np.abs(whole.fields[comp]))
+        assert np.max(np.abs(cut.fields[comp] - whole.fields[comp])) <= 1e-13 * scale
+
+
+def test_shape_that_does_not_fit_its_window_is_san005():
+    """The public deposit sizes its window from the data, so only the
+    placement step itself can be handed a window sized for a 0.9-cell move
+    and a particle that moved 1.6 cells: an error, never a truncation."""
+    x0 = np.array([5.2, 6.4, 7.45])
+    x1 = x0 + np.array([0.9, -0.3, 1.6])
+    for order in (1, 2, 3):
+        window = esirkepov_window(order, 0.9, tight=True)
+        _esirkepov_shapes(x0[:2], x1[:2], order, window, "deposit_current_esirkepov")
+        with pytest.raises(
+            SanitizerError, match="SAN005.*deposit_current_esirkepov for J"
+        ):
+            _esirkepov_shapes(x0, x1, order, window, "deposit_current_esirkepov")
