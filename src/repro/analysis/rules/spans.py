@@ -9,8 +9,8 @@ simulation modules (``_single_step``/``_step_body``/``_finish_step``/
 ``_advance_species``/``_advance_subcycled_patches``) and flags any call
 to a known kernel-phase entry point that is not lexically inside a timed
 ``with`` block.  A call that is handed the driver's phase factory
-(``advance_particles(..., phase=self._phase)``) opens its own phases and
-counts as timed.
+(``self._advance_on(grid, species, phase=self._phase)``) opens its own
+phases and counts as timed; ``phase=None`` does not.
 
 Kernel *hook* methods themselves (``_gather``, ``_deposit``, ...) are
 exempt: the contract is that their call sites in the drivers are timed,
@@ -42,7 +42,7 @@ KERNEL_CALLS = frozenset(
     {
         # simulation hooks
         "_gather", "_deposit", "_finalize_deposits", "_advance_fields",
-        "_push_and_deposit_box", "_run_sanitizers",
+        "_advance_on", "_smooth_sources", "_run_sanitizers",
         # particle kernels
         "advance_particles",
         "gather_fields", "push_boris", "push_vay", "push_positions",
@@ -78,12 +78,22 @@ def _with_is_timed(node: ast.With) -> bool:
     return False
 
 
+def _opens_own_phases(call: ast.Call) -> bool:
+    """Is the call handed a phase factory?  (``phase=None`` is the
+    opposite: the callee runs untimed and relies on its call site.)"""
+    return any(
+        kw.arg == "phase"
+        and not (isinstance(kw.value, ast.Constant) and kw.value.value is None)
+        for kw in call.keywords
+    )
+
+
 def _kernel_calls_in_expr(node: ast.AST) -> Iterator[ast.Call]:
     for sub in ast.walk(node):
         if (
             isinstance(sub, ast.Call)
             and _call_name(sub) in KERNEL_CALLS
-            and not any(kw.arg == "phase" for kw in sub.keywords)
+            and not _opens_own_phases(sub)
         ):
             yield sub
 

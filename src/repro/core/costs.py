@@ -53,17 +53,3 @@ class CostModel:
         return np.array(
             [self._measured.get(b, default) for b in box_ids], dtype=np.float64
         )
-
-    def combined(
-        self,
-        box_ids: Sequence[int],
-        n_cells: Sequence[int],
-        n_particles: Sequence[int],
-    ) -> np.ndarray:
-        """Measured costs where available, heuristic elsewhere."""
-        heur = self.heuristic(n_cells, n_particles)
-        out = heur.copy()
-        for i, b in enumerate(box_ids):
-            if b in self._measured:
-                out[i] = self._measured[b]
-        return out

@@ -266,12 +266,9 @@ class MRPatch:
         parent directly and reach the patch interior as *external* sources
         through the substitution.
         """
-        for comp in ("Jx", "Jy", "Jz"):
-            fine_arr = self.fine.interior_view(comp)
-            coarse_counts = region_sample_counts(self.coarse.n_cells, STAGGER[comp])
-            j_coarse = restrict(fine_arr, self.ratio, STAGGER[comp], coarse_counts)
-            self.coarse.interior_view(comp)[...] = j_coarse
-            self._parent_section(comp)[...] += j_coarse
+        self.begin_step()
+        self.accumulate_restricted_currents(1.0)
+        self.apply_accumulated_currents_to_parent()
 
     def advance_fields(self) -> None:
         """Advance the patch grids one parent step (non-subcycled mode).
@@ -298,17 +295,7 @@ class MRPatch:
 
     def assemble_aux(self) -> None:
         """Build the auxiliary field F(a) = F(f) + I[F(s) - F(c)]."""
-        for comp in FIELD_COMPONENTS:
-            section = self._parent_section(comp)
-            coarse = self.coarse.interior_view(comp)
-            diff = section - coarse
-            fine_counts = region_sample_counts(self.fine.n_cells, STAGGER[comp])
-            interp = prolong(diff, self.ratio, STAGGER[comp], fine_counts)
-            aux = self.aux.fields[comp]
-            aux.fill(0.0)
-            aux[self.aux.valid_slices(comp)] = (
-                self.fine.interior_view(comp) + interp
-            )
+        self.assemble_aux_with_external(self.frozen_external())
 
     def zero_sources(self) -> None:
         self.fine.zero_sources()

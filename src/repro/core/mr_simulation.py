@@ -40,14 +40,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.mr_level import MRPatch
-from repro.core.simulation import Simulation, smooth_binomial
+from repro.core.simulation import Simulation
 from repro.exceptions import ConfigurationError
 from repro.particles.advance import advance_particles
 from repro.particles.species import Species
 
 
 class MRSimulation(Simulation):
-    """A :class:`Simulation` with electromagnetic mesh-refinement patches."""
+    """A :class:`Simulation` (same options) with electromagnetic MR patches."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -149,14 +149,6 @@ class MRSimulation(Simulation):
                 species.charge, self.dt, self.shape_order,
             )
 
-    def _smooth_fine(self, patch: MRPatch) -> None:
-        if self.smoothing_passes > 0:
-            for comp in ("Jx", "Jy", "Jz"):
-                for axis in range(patch.fine.ndim):
-                    smooth_binomial(
-                        patch.fine.fields[comp], axis, self.smoothing_passes
-                    )
-
     def _advance_subcycled_patches(self) -> None:
         """Extract in-patch particles and run the substep loop of every
         subcycled patch (particles + fine/coarse fields at dt/ratio).
@@ -230,7 +222,7 @@ class MRSimulation(Simulation):
                                 self.pusher, dt_sub, self.shape_order,
                                 deposit=deposit_fine,
                             )
-                    self._smooth_fine(patch)
+                    self._smooth_sources(patch.fine)
                     patch.accumulate_restricted_currents(1.0 / patch.ratio)
                     patch.substep_fields()
                 patch._external_prev = ext_now
@@ -249,7 +241,7 @@ class MRSimulation(Simulation):
                 if patch.subcycle:
                     patch.apply_accumulated_currents_to_parent()
                 else:
-                    self._smooth_fine(patch)
+                    self._smooth_sources(patch.fine)
                     patch.restrict_currents_to_parent()
         for patch, holders in self._holders:
             for name, holder in holders.items():

@@ -20,7 +20,7 @@ particle-advance and field-advance hooks.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -86,58 +86,18 @@ class SpeciesEntry:
         self.temperature_uth = temperature_uth
 
 
-class Simulation:
-    """Single-level electromagnetic PIC simulation.
+class StepDriver:
+    """What every step driver owns, written once.
 
-    Parameters
-    ----------
-    grid:
-        The :class:`YeeGrid` to simulate on.
-    dt:
-        Time step [s]; defaults to ``cfl`` times the Courant limit.
-    cfl:
-        Courant fraction used when ``dt`` is not given.
-    shape_order:
-        B-spline order for gather and deposition (1-3).
-    pusher:
-        ``"boris"`` or ``"vay"``.
-    deposition:
-        ``"esirkepov"`` (charge-conserving, default) or ``"direct"``.
-    kernels:
-        Gather/deposit kernel variant from :mod:`repro.particles.kernels`
-        (``"vectorized"``, the NumPy path, is the default;
-        ``"compiled"`` for the native generated-C tier with its fused
-        particle pass, ``"reference"`` for the scalar baseline).  All
-        variants compute identical physics; the active name is recorded
-        on the particle-phase tracer spans.  Requesting a tier whose
-        backend is unavailable on this machine (e.g. ``"compiled"``
-        without a C compiler) falls back to ``"vectorized"``;
-        ``self.kernels`` always names the variant actually running and
-        ``self.kernel_fallback_reason`` says why, if a fallback happened.
-    precision:
-        ``"float64"`` (default) or ``"mixed"`` (alias ``"float32"``):
-        the paper's MP mode — field storage, deposition and the Maxwell
-        solve in single precision, particle quantities, shape weights
-        and geometry in double.  The grid's field arrays are converted
-        in place; the per-kernel error budget is documented and asserted
-        by ``validate_kernel_set(..., precision="float32")``.
-    boundaries:
-        Per-axis boundary family from ``("periodic", "pml", "damped",
-        "open")``; a single string applies to every axis.
-    n_absorber:
-        Thickness (cells) of the PML / damping layers.
-    smoothing_passes:
-        Binomial current-filter passes per step (0 disables).
-    sort_interval:
-        Steps between Morton re-sorts of the particles (0 disables).
-    maxwell_solver:
-        ``"yee"`` (explicit FDTD, the paper's production solver) or
-        ``"psatd"`` (spectral; requires fully periodic boundaries).
-    v_galilean:
-        Galilean velocity [m/s] of the comoving-current PSATD closure
-        (NCI suppression in boosted frames; see
-        :meth:`repro.core.boosted_frame.BoostedFrame.galilean_velocity`).
-        Only valid with ``maxwell_solver="psatd"``.
+    The option set (``dt`` ... ``v_galilean``, documented on
+    :class:`Simulation`), parsed and refused here so every driver takes
+    the same values with the same errors; the clocks (timers, tracer,
+    metrics, sanitizer, ``time`` / ``step_count``, :meth:`step` around a
+    subclass's ``_step_body``); and the physics of one box —
+    :meth:`_advance_on`, :meth:`_smooth_sources`, :meth:`_make_solver` —
+    on whichever grid it is handed: a :class:`Simulation`'s, an MR
+    patch's, one box of a decomposition.  ``grid`` is what the options
+    are checked against and what ``precision`` converts.
     """
 
     def __init__(
@@ -149,10 +109,7 @@ class Simulation:
         pusher: str = "boris",
         deposition: str = "esirkepov",
         kernels: str = "vectorized",
-        boundaries="periodic",
-        n_absorber: int = 8,
         smoothing_passes: int = 1,
-        sort_interval: int = 0,
         maxwell_solver: str = "yee",
         tracer=None,
         precision: Optional[str] = None,
@@ -194,6 +151,166 @@ class Simulation:
             kernels
         )
         self.kernels = self.kernel_set.name
+        self.smoothing_passes = int(smoothing_passes)
+        if maxwell_solver not in ("yee", "psatd"):
+            raise ConfigurationError(f"unknown Maxwell solver {maxwell_solver!r}")
+        self.maxwell_solver = maxwell_solver
+        if maxwell_solver != "psatd" and v_galilean is not None:
+            raise ConfigurationError(
+                "v_galilean is a property of the spectral solver; "
+                "use maxwell_solver='psatd'"
+            )
+        self.v_galilean = v_galilean
+        self.timers = Timers()
+        #: span recorder; the shared no-op unless observability is attached
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: metrics registry set by repro.observability.attach_observability
+        self.metrics = None
+        self.time = 0.0
+        self.step_count = 0
+        #: opt-in runtime invariant checks (None unless REPRO_SANITIZE=1)
+        self.sanitizer: Optional[Sanitizer] = Sanitizer.from_env()
+
+    def _check_new_species(self, species: Species, registered) -> None:
+        """Refuse a species the driver cannot hold, before any injection."""
+        if species.ndim != self.grid.ndim:
+            raise ConfigurationError("species and grid dimensionality differ")
+        if species.name in registered:
+            raise ConfigurationError(f"duplicate species {species.name!r}")
+
+    # -- the physics of one box ----------------------------------------------
+    def _make_solver(self, grid: YeeGrid, pml_axes=(), n_pml: int = 0, **psatd):
+        """The solver the options name, on ``grid``: spectral (``psatd``
+        is its ``region=``), PML along ``pml_axes``, or plain Yee."""
+        if self.maxwell_solver == "psatd":
+            from repro.grid.psatd import PSATDMaxwellSolver
+
+            return PSATDMaxwellSolver(
+                grid, self.dt, v_galilean=self.v_galilean, **psatd
+            )
+        if pml_axes:
+            return PMLMaxwellSolver(grid, self.dt, n_pml=n_pml, axes=pml_axes)
+        return MaxwellSolver(grid, self.dt)
+
+    def _advance_on(self, grid: YeeGrid, species: Species, **route) -> None:
+        """Gather, push and deposit ``species`` on ``grid`` with this
+        driver's kernels, pusher, ``dt``, order and deposition; ``route``
+        is ``advance_particles``' phase= / periodic= / gather= / deposit=."""
+        dispatched = advance_particles(
+            grid, species, self.kernel_set, self.pusher, self.dt,
+            self.shape_order, self.deposition, **route,
+        )
+        if self.metrics is not None:
+            for name in dispatched:
+                self.metrics.counter(
+                    "kernel.dispatch", variant=self.kernels, phase=name
+                ).add(1)
+
+    def _smooth_sources(self, grid: YeeGrid) -> None:
+        """Binomial-filter the current deposited on ``grid``, guards
+        included (so it runs before any fold of guard deposits)."""
+        if self.smoothing_passes > 0:
+            for comp in ("Jx", "Jy", "Jz"):
+                for axis in range(grid.ndim):
+                    smooth_binomial(
+                        grid.fields[comp], axis, self.smoothing_passes
+                    )
+
+    # -- the clocks ------------------------------------------------------------
+    def step(self, n: int = 1) -> None:
+        """Advance ``n`` steps, counted by target step number: a driver
+        rolled back to a checkpoint mid-run (a rank failure) replays
+        until it genuinely reaches ``step_count + n``."""
+        target = self.step_count + n
+        while self.step_count < target:
+            self._single_step()
+
+    def _phase(self, name: str, **attrs):
+        """Timer accumulation for one PIC phase, plus a span when tracing.
+
+        With the tracer disabled this is exactly ``timers.timer(name)``
+        (one attribute check of overhead); enabled, the same interval is
+        also recorded as a span nested under the current step.
+        """
+        if self.tracer.enabled:
+            return phase_span(self.timers, self.tracer, name, **attrs)
+        return self.timers.timer(name)
+
+    def _single_step(self) -> None:
+        with self.tracer.span("step", cat="step", step=self.step_count):
+            self._step_body()
+
+    def _step_body(self) -> None:
+        raise NotImplementedError
+
+
+class Simulation(StepDriver):
+    """Single-level electromagnetic PIC simulation.
+
+    Parameters
+    ----------
+    grid:
+        The :class:`YeeGrid` to simulate on.
+    dt:
+        Time step [s]; defaults to ``cfl`` times the Courant limit.
+    cfl:
+        Courant fraction used when ``dt`` is not given.
+    shape_order:
+        B-spline order for gather and deposition (1-3).
+    pusher:
+        ``"boris"`` or ``"vay"``.
+    deposition:
+        ``"esirkepov"`` (charge-conserving, default) or ``"direct"``.
+    kernels:
+        Gather/deposit kernel variant from :mod:`repro.particles.kernels`
+        (``"vectorized"``, the NumPy path, is the default;
+        ``"compiled"`` for the native generated-C tier with its fused
+        particle pass, ``"reference"`` for the scalar baseline).  All
+        variants compute identical physics; the active name is recorded
+        on the particle-phase tracer spans.  Requesting a tier whose
+        backend is unavailable on this machine (e.g. ``"compiled"``
+        without a C compiler) falls back to ``"vectorized"``;
+        ``self.kernels`` always names the variant actually running and
+        ``self.kernel_fallback_reason`` says why, if a fallback happened.
+    precision:
+        ``"float64"`` (default) or ``"mixed"`` (alias ``"float32"``):
+        the paper's MP mode — field storage, deposition and the Maxwell
+        solve in single precision, particle quantities, shape weights
+        and geometry in double.  The grid's field arrays are converted
+        in place; the per-kernel error budget is documented and asserted
+        by ``validate_kernel_set(..., precision="float32")``.
+    smoothing_passes:
+        Binomial current-filter passes per step (0 disables).
+    maxwell_solver:
+        ``"yee"`` (explicit FDTD, the paper's production solver) or
+        ``"psatd"`` (spectral; requires fully periodic boundaries).
+    v_galilean:
+        Galilean velocity [m/s] of the comoving-current PSATD closure
+        (NCI suppression in boosted frames; see
+        :meth:`repro.core.boosted_frame.BoostedFrame.galilean_velocity`).
+        Only valid with ``maxwell_solver="psatd"``.
+    boundaries:
+        Per-axis boundary family from ``("periodic", "pml", "damped",
+        "open")``; a single string applies to every axis.
+    n_absorber:
+        Thickness (cells) of the PML / damping layers.
+    sort_interval:
+        Steps between Morton re-sorts of the particles (0 disables).
+
+    All but the last three are :class:`StepDriver`'s, shared with
+    ``DistributedSimulation``.
+    """
+
+    def __init__(
+        self,
+        grid: YeeGrid,
+        *,
+        boundaries="periodic",
+        n_absorber: int = 8,
+        sort_interval: int = 0,
+        **options,
+    ) -> None:
+        super().__init__(grid, **options)
         if isinstance(boundaries, str):
             boundaries = (boundaries,) * grid.ndim
         if len(boundaries) != grid.ndim:
@@ -203,39 +320,18 @@ class Simulation:
                 raise ConfigurationError(f"unknown boundary {b!r}")
         self.boundaries = tuple(boundaries)
         self.n_absorber = int(n_absorber)
-        self.smoothing_passes = int(smoothing_passes)
         self.sort_interval = int(sort_interval)
-        self.timers = Timers()
-        #: span recorder; the shared no-op unless observability is attached
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: metrics registry set by repro.observability.attach_observability
-        self.metrics = None
-
-        if maxwell_solver not in ("yee", "psatd"):
-            raise ConfigurationError(f"unknown Maxwell solver {maxwell_solver!r}")
-        self.maxwell_solver = maxwell_solver
-        pml_axes = tuple(
-            d for d, b in enumerate(self.boundaries) if b == "pml"
-        )
-        if maxwell_solver != "psatd" and v_galilean is not None:
+        if self.maxwell_solver == "psatd" and any(
+            b != "periodic" for b in self.boundaries
+        ):
             raise ConfigurationError(
-                "v_galilean is a property of the spectral solver; "
-                "use maxwell_solver='psatd'"
+                "the PSATD solver requires fully periodic boundaries"
             )
-        if maxwell_solver == "psatd":
-            if any(b != "periodic" for b in self.boundaries):
-                raise ConfigurationError(
-                    "the PSATD solver requires fully periodic boundaries"
-                )
-            from repro.grid.psatd import PSATDMaxwellSolver
-
-            self.solver = PSATDMaxwellSolver(grid, self.dt, v_galilean=v_galilean)
-        elif pml_axes:
-            self.solver = PMLMaxwellSolver(
-                grid, self.dt, n_pml=self.n_absorber, axes=pml_axes
-            )
-        else:
-            self.solver = MaxwellSolver(grid, self.dt)
+        self.solver = self._make_solver(
+            grid,
+            tuple(d for d, b in enumerate(self.boundaries) if b == "pml"),
+            self.n_absorber,
+        )
 
         self.entries: Dict[str, SpeciesEntry] = {}
         self.antennas: List[LaserAntenna] = []
@@ -243,10 +339,6 @@ class Simulation:
         #: window (pending, cells_shifted) parked by a checkpoint restore
         #: that ran before the window was attached
         self._deferred_window_state: Optional[Tuple[float, int]] = None
-        self.time = 0.0
-        self.step_count = 0
-        #: opt-in runtime invariant checks (None unless REPRO_SANITIZE=1)
-        self.sanitizer: Optional[Sanitizer] = Sanitizer.from_env()
         #: hooks called as f(sim) after each completed step
         self.callbacks: List[Callable[["Simulation"], None]] = []
 
@@ -267,10 +359,7 @@ class Simulation:
         rng: Optional[np.random.Generator] = None,
     ) -> Species:
         """Register a species; optionally fill the grid from ``profile``."""
-        if species.ndim != self.grid.ndim:
-            raise ConfigurationError("species and grid dimensionality differ")
-        if species.name in self.entries:
-            raise ConfigurationError(f"duplicate species {species.name!r}")
+        self._check_new_species(species, self.entries)
         self.entries[species.name] = SpeciesEntry(
             species, profile, ppc, continuous_injection, temperature_uth
         )
@@ -310,52 +399,20 @@ class Simulation:
         gather=/deposit=."""
         g = self.grid
         axes = tuple(d for d, b in enumerate(self.boundaries) if b == "periodic")
-        dispatched = advance_particles(
-            g, species, self.kernel_set, self.pusher, self.dt,
-            self.shape_order, self.deposition, phase=self._phase,
+        self._advance_on(
+            g, species, phase=self._phase,
             periodic=(g.lo, g.hi, axes) if axes else None, **level_hooks,
         )
-        if self.metrics is not None:
-            for name in dispatched:
-                self.metrics.counter(
-                    "kernel.dispatch", variant=self.kernels, phase=name
-                ).add(1)
 
     def _finalize_deposits(self) -> None:
         """Hook: combine per-level deposits (used by the MR simulation)."""
 
     def _advance_fields(self) -> None:
-        # dispatch on the solver's declared capability, not its config
-        # string: solvers that advance E and B together (PSATD) have no
-        # leapfrog halves to interleave
-        if getattr(self.solver, "advances_together", False):
-            self.solver.step()
-            return
-        self.solver.push_b(0.5)
-        self.solver.push_e(1.0)
-        self.solver.push_b(0.5)
+        # every solver's step() is its own full advance: half B, full E,
+        # half B for the FDTD family, one spectral update for PSATD
+        self.solver.step()
 
     # -- the PIC cycle ------------------------------------------------------
-    def step(self, n: int = 1) -> None:
-        """Advance the simulation ``n`` steps."""
-        for _ in range(n):
-            self._single_step()
-
-    def _phase(self, name: str, **attrs):
-        """Timer accumulation for one PIC phase, plus a span when tracing.
-
-        With the tracer disabled this is exactly ``timers.timer(name)``
-        (one attribute check of overhead); enabled, the same interval is
-        also recorded as a span nested under the current step.
-        """
-        if self.tracer.enabled:
-            return phase_span(self.timers, self.tracer, name, **attrs)
-        return self.timers.timer(name)
-
-    def _single_step(self) -> None:
-        with self.tracer.span("step", cat="step", step=self.step_count):
-            self._step_body()
-
     def _step_body(self) -> None:
         g = self.grid
         self.timers.reset_lap()
@@ -374,12 +431,7 @@ class Simulation:
                 antenna.add_current(g, self.time + 0.5 * self.dt)
 
         with self._phase("source_boundaries"):
-            if self.smoothing_passes > 0:
-                for comp in ("Jx", "Jy", "Jz"):
-                    for axis in range(g.ndim):
-                        smooth_binomial(
-                            g.fields[comp], axis, self.smoothing_passes
-                        )
+            self._smooth_sources(g)
             for axis, b in enumerate(self.boundaries):
                 if b == "periodic":
                     accumulate_periodic_sources(g, axis)

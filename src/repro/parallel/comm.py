@@ -24,7 +24,11 @@ import numpy as np
 
 from repro.diagnostics.timers import now
 from repro.exceptions import CommunicationError, ResilienceError
-from repro.parallel.transport import LoopbackTransport, Transport
+from repro.parallel.transport import (
+    LoopbackTransport,
+    Transport,
+    pair_bytes_for_tag,
+)
 from repro.parallel.wire import Message, as_message
 from repro.parallel.wire import payload_nbytes  # noqa: F401  (re-export)
 
@@ -662,11 +666,7 @@ class SimComm:
         the log (it is the audit trail), so after a recovery the replay
         also counts the traffic of the steps that were rolled back.
         """
-        out: Dict[Tuple[int, int], int] = defaultdict(int)
-        for e in self.log:
-            if e.kind == "send" and e.tag.startswith(prefix):
-                out[(e.src, e.dst)] += e.nbytes
-        return dict(out)
+        return pair_bytes_for_tag(self.log, prefix)
 
     def total_bytes(self) -> int:
         return int(self.bytes_sent.sum())

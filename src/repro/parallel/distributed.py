@@ -12,8 +12,11 @@ An integration test verifies that a decomposed run reproduces the
 monolithic run to machine precision — the correctness contract of the
 whole substrate.
 
-Scope: periodic boundaries on every axis (the uniform-plasma setup of the
-paper's weak/strong scaling benchmarks).
+Scope: every option of the shared :class:`~repro.core.simulation.
+StepDriver` (kernel tier, pusher, deposition, precision, solver) runs
+decomposed; still periodic-only are the boundaries (no absorbing wall or
+PML on domain-edge boxes), and there is no antenna, moving window or MR
+patch on boxes yet.
 """
 
 from __future__ import annotations
@@ -22,15 +25,12 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
-from repro.analysis.sanitize import Sanitizer
 from repro.core.costs import CostModel
-from repro.core.simulation import smooth_binomial
-from repro.diagnostics.timers import Timers
+from repro.core.simulation import StepDriver
 from repro.exceptions import ConfigurationError
-from repro.grid.maxwell import MaxwellSolver, cfl_dt
+from repro.grid.maxwell import MaxwellSolver
 from repro.grid.yee import FIELD_COMPONENTS, YeeGrid
-from repro.observability.tracer import NULL_TRACER, phase_span
-from repro.parallel.box import Box, chop_domain
+from repro.parallel.box import chop_domain
 from repro.parallel.comm import SimComm
 from repro.parallel.distribution import DistributionMapping
 from repro.grid.psatd import PSATDMaxwellSolver
@@ -48,10 +48,7 @@ from repro.parallel.redistribute import (
     redistribute_particles,
     wrap_positions_periodic,
 )
-from repro.particles.advance import advance_particles
 from repro.particles.injection import DensityProfile, inject_plasma
-from repro.particles.kernels import resolve_kernel_set
-from repro.particles.shapes import required_guards
 from repro.particles.species import Species
 
 if TYPE_CHECKING:  # imported lazily: repro.resilience sits above this layer
@@ -88,14 +85,17 @@ class DistributedSpecies:
         return out
 
 
-class DistributedSimulation:
-    """Periodic uniform-plasma PIC on an AMReX-style box decomposition.
+class DistributedSimulation(StepDriver):
+    """The PIC cycle of ``Simulation`` on an AMReX-style box decomposition.
 
-    ``kernels`` names the particle kernel tier every box advances its
-    particles with (:mod:`repro.particles.kernels`; ``"compiled"`` takes
-    the fused native pass), resolved exactly as in ``Simulation``: an
-    unavailable tier falls back to ``"vectorized"`` and
-    ``kernel_fallback_reason`` says why.
+    ``options`` are :class:`~repro.core.simulation.StepDriver`'s — ``dt``,
+    ``shape_order``, ``pusher``, ``deposition``, ``kernels``,
+    ``precision``, ``v_galilean``, ``tracer`` — with the meanings,
+    defaults and errors documented on ``Simulation``; every box advances
+    with them.  ``cfl`` and ``smoothing_passes`` are declared here for
+    their different defaults, ``maxwell_solver`` because it sets the
+    guard depth (``psatd_guards`` overrides the spectral solver's
+    declared halo) before the domain grid exists.
     """
 
     def __init__(
@@ -106,9 +106,7 @@ class DistributedSimulation:
         n_ranks: int,
         max_grid_size: int = 32,
         strategy: str = "sfc",
-        dt: Optional[float] = None,
         cfl: float = 0.9,
-        shape_order: int = 2,
         smoothing_passes: int = 0,
         guards: int = 4,
         dynamic_lb: bool = False,
@@ -119,33 +117,11 @@ class DistributedSimulation:
         recovery: Optional["RecoveryPolicy"] = None,
         checkpoint_interval: int = 0,
         checkpoint_dir: Optional[str] = None,
-        tracer=None,
         transport=None,
         maxwell_solver: str = "yee",
         psatd_guards: Optional[int] = None,
-        v_galilean=None,
-        kernels: str = "vectorized",
+        **options,
     ) -> None:
-        if maxwell_solver not in ("yee", "psatd"):
-            raise ConfigurationError(
-                f"unknown Maxwell solver {maxwell_solver!r}"
-            )
-        self.maxwell_solver = maxwell_solver
-        #: per-box particle kernels, resolved as in ``Simulation``
-        self.kernel_set, self.kernel_fallback_reason = resolve_kernel_set(
-            kernels
-        )
-        self.kernels = self.kernel_set.name
-        if maxwell_solver != "psatd":
-            if psatd_guards is not None:
-                raise ConfigurationError(
-                    "psatd_guards only applies to maxwell_solver='psatd'"
-                )
-            if v_galilean is not None:
-                raise ConfigurationError(
-                    "v_galilean is a property of the spectral solver; "
-                    "use maxwell_solver='psatd'"
-                )
         # guard width is a *solver* property: the spectral local-FFT mode
         # needs a deep halo (accuracy grows with depth; the paper's runs
         # use 11-32 cells), FDTD stencils one cell.  Boxes are built with
@@ -160,12 +136,17 @@ class DistributedSimulation:
             if solver_guards < 1:
                 raise ConfigurationError("psatd_guards must be >= 1")
             guards = max(int(guards), solver_guards)
+        elif psatd_guards is not None:
+            raise ConfigurationError(
+                "psatd_guards only applies to maxwell_solver='psatd'"
+            )
+        #: the global grid: geometry, guard depth and precision of every
+        #: box; its arrays are filled only by diagnostics and sanitizers
         self.domain = YeeGrid(n_cells, lo, hi, guards=guards)
-        self.dt = float(dt) if dt is not None else cfl_dt(self.domain.dx, cfl)
-        self.shape_order = int(shape_order)
-        if guards < required_guards(self.shape_order) + 1:
-            raise ConfigurationError("not enough guard cells for this shape order")
-        self.smoothing_passes = int(smoothing_passes)
+        super().__init__(
+            self.domain, cfl=cfl, smoothing_passes=smoothing_passes,
+            maxwell_solver=maxwell_solver, **options,
+        )
         self.boxes = chop_domain(n_cells, max_grid_size)
         if maxwell_solver == "psatd":
             for b in self.boxes:
@@ -182,34 +163,22 @@ class DistributedSimulation:
         self.comm = SimComm(n_ranks, transport=transport)
         #: SPMD rank of this process (None: all ranks live here)
         self.local_rank = self.comm.local_rank
-        self.timers = Timers()
-        #: span recorder; the shared no-op unless observability is attached
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: metrics registry set by repro.observability.attach_observability
-        self.metrics = None
         self._observer = None
         #: steps between metrics snapshots interleaved into the trace
         self._snapshot_interval = 0
         self.box_grids: List[YeeGrid] = []
         self.box_solvers: List[MaxwellSolver] = []
-        #: spectral solvers read guard J and need a source-halo fill
-        self._spectral_solver = maxwell_solver == "psatd"
         for b in self.boxes:
             b_lo = tuple(lo[d] + b.lo[d] * self.domain.dx[d] for d in range(b.ndim))
             b_hi = tuple(lo[d] + b.hi[d] * self.domain.dx[d] for d in range(b.ndim))
-            bg = YeeGrid(b.shape, b_lo, b_hi, guards=guards)
+            bg = YeeGrid(
+                b.shape, b_lo, b_hi, guards=guards, dtype=self.domain.dtype
+            )
             self.box_grids.append(bg)
-            if self._spectral_solver:
-                # region="full": each box FFTs its guard-padded array;
-                # the per-step guard refresh supplies the true neighbor
-                # data the fake wrap-around would otherwise corrupt
-                self.box_solvers.append(
-                    PSATDMaxwellSolver(
-                        bg, self.dt, v_galilean=v_galilean, region="full"
-                    )
-                )
-            else:
-                self.box_solvers.append(MaxwellSolver(bg, self.dt))
+            # region="full": a spectral box FFTs its guard-padded array;
+            # the per-step guard refresh supplies the true neighbor data
+            # the fake wrap-around would otherwise corrupt
+            self.box_solvers.append(self._make_solver(bg, region="full"))
         self.box_lookup = build_box_lookup(self.boxes, n_cells)
         periodic_axes = range(self.domain.ndim)
         #: deposit-folding overlaps (valid regions receiving guard deposits)
@@ -236,10 +205,6 @@ class DistributedSimulation:
         self.lb_cost_source = lb_cost_source
         self.cost_model = CostModel()
         self.lb_events: List[int] = []
-        #: opt-in runtime invariant checks (None unless REPRO_SANITIZE=1)
-        self.sanitizer: Optional[Sanitizer] = Sanitizer.from_env()
-        self.time = 0.0
-        self.step_count = 0
         #: ranks lost to a hard failure (their boxes were evacuated)
         self.dead_ranks: Set[int] = set()
         #: fault-injection / checkpoint / recovery orchestration (optional)
@@ -296,10 +261,14 @@ class DistributedSimulation:
 
         ``momentum_init`` is called per box container after injection —
         make it a pure function of position so the decomposed and
-        monolithic initializations agree.
+        monolithic initializations agree.  Thermal momenta are drawn per
+        box from ``(rng_seed, box index)``: a pure function of the
+        arguments, so every SPMD worker and any assignment builds the
+        same particles, and no two boxes share a sample.
         """
+        self._check_new_species(species, self.species)
         dsp = DistributedSpecies(species, len(self.boxes))
-        for bg, sp in zip(self.box_grids, dsp.per_box):
+        for i, (bg, sp) in enumerate(zip(self.box_grids, dsp.per_box)):
             if profile is not None and ppc is not None:
                 inject_plasma(
                     sp,
@@ -307,7 +276,7 @@ class DistributedSimulation:
                     profile,
                     ppc,
                     temperature_uth=temperature_uth,
-                    rng=np.random.default_rng(rng_seed),
+                    rng=np.random.default_rng([rng_seed, i]),
                 )
             if momentum_init is not None and sp.n:
                 momentum_init(sp)
@@ -333,59 +302,27 @@ class DistributedSimulation:
         return self.local_rank is None or self.dm.rank_of(i) == self.local_rank
 
     # -- the decomposed PIC cycle ------------------------------------------
-    def step(self, n: int = 1) -> None:
-        """Advance ``n`` steps (counted by target step number).
-
-        Under a fault schedule a rank failure rolls the run back to the
-        last checkpoint, so the loop tracks the *target* step count: the
-        rolled-back steps are replayed until the run genuinely reaches
-        ``step_count + n``.
-        """
-        target = self.step_count + n
-        while self.step_count < target:
-            self._single_step()
-
-    def _phase(self, name: str, **attrs):
-        """Timer accumulation for one phase, plus a span when tracing."""
-        if self.tracer.enabled:
-            return phase_span(self.timers, self.tracer, name, **attrs)
-        return self.timers.timer(name)
-
-    def _single_step(self) -> None:
-        with self.tracer.span("step", cat="step", step=self.step_count):
-            self.timers.reset_lap()
-            if self.resilience is not None:
-                self.resilience.begin_step(self)
-            elif self.comm.fault_injector is not None:
-                self.comm.fault_injector.begin_step(self.step_count)
-            with self._phase("particles"):
-                for i, (box, bg) in enumerate(zip(self.boxes, self.box_grids)):
-                    if not self.owns_box(i):
-                        continue
-                    bg.zero_sources()
-                    with self.tracer.span(
-                        "box", cat="box", rank=self.dm.rank_of(i), box=i
-                    ):
-                        with self.timers.stopwatch() as sw:
-                            self._push_and_deposit_box(i, bg)
-                    self.cost_model.record_measured(i, sw.elapsed)
-            self._finish_step()
-
-    def _push_and_deposit_box(self, i: int, bg: YeeGrid) -> None:
-        """Advance every species' particles of box ``i`` (timed by the
-        caller's ``particles`` phase and ``box`` span)."""
-        for dsp in self.species.values():
-            sp = dsp.per_box[i]
-            if sp.n:
-                dispatched = advance_particles(
-                    bg, sp, self.kernel_set, "boris", self.dt,
-                    self.shape_order,
-                )
-                if self.metrics is not None:
-                    for name in dispatched:
-                        self.metrics.counter(
-                            "kernel.dispatch", variant=self.kernels, phase=name
-                        ).add(1)
+    def _step_body(self) -> None:
+        self.timers.reset_lap()
+        if self.resilience is not None:
+            self.resilience.begin_step(self)
+        elif self.comm.fault_injector is not None:
+            self.comm.fault_injector.begin_step(self.step_count)
+        with self._phase("particles"):
+            for i, bg in enumerate(self.box_grids):
+                if not self.owns_box(i):
+                    continue
+                bg.zero_sources()
+                with self.tracer.span(
+                    "box", cat="box", rank=self.dm.rank_of(i), box=i
+                ), self.timers.stopwatch() as sw:
+                    for dsp in self.species.values():
+                        if dsp.per_box[i].n:
+                            # phase=None: one interval of ``particles`` and
+                            # its ``box`` span, not a phase nested in them
+                            self._advance_on(bg, dsp.per_box[i], phase=None)
+                self.cost_model.record_measured(i, sw.elapsed)
+        self._finish_step()
 
     def _lb_costs(self) -> np.ndarray:
         """Per-box cost vector driving the rebalance decision.
@@ -453,20 +390,13 @@ class DistributedSimulation:
         All field data moves pairwise through the communicator; the
         global grid is touched only by diagnostics (and the sanitizers).
         """
-        ndim = self.domain.ndim
-        periodic_axes = tuple(range(ndim))
+        periodic_axes = tuple(range(self.domain.ndim))
         with self._phase("fold_sources"):
-            if self.smoothing_passes > 0:
-                # smooth each box's raw deposits (guards included) before
-                # folding, mirroring the monolithic smooth-then-fold order
-                for i, bg in enumerate(self.box_grids):
-                    if not self.owns_box(i):
-                        continue
-                    for comp in ("Jx", "Jy", "Jz"):
-                        for axis in range(ndim):
-                            smooth_binomial(
-                                bg.fields[comp], axis, self.smoothing_passes
-                            )
+            # smooth each box's raw deposits (guards included) before
+            # folding, mirroring the monolithic smooth-then-fold order
+            for i, bg in enumerate(self.box_grids):
+                if self.owns_box(i):
+                    self._smooth_sources(bg)
             self.halo_stats.merge(fold_sources_pairwise(
                 self.comm,
                 self.box_grids,
@@ -477,7 +407,7 @@ class DistributedSimulation:
                 local_rank=self.local_rank,
             ))
 
-        if self._spectral_solver:
+        if self.maxwell_solver == "psatd":
             # the local-FFT spectral push reads J in the guards (FDTD
             # only reads valid J), so after folding the deposits to
             # their owners, fill every box's guard J from the owners —
@@ -589,13 +519,7 @@ class DistributedSimulation:
             # it here (diagnostics-only) so the global invariants stay
             # meaningful.  Under SPMD no process holds the global state
             # (unowned grids are stale), so only per-box checks run.
-            assemble_global(
-                self.domain,
-                self.box_grids,
-                self.boxes,
-                FIELD_COMPONENTS,
-                periodic_axes=tuple(range(self.domain.ndim)),
-            )
+            self._assembled(FIELD_COMPONENTS)
             san.check_fields_finite(self.domain, step, label=" (global)")
             for axis in range(self.domain.ndim):
                 san.check_guard_consistency(
@@ -629,17 +553,18 @@ class DistributedSimulation:
                 "instead (repro.parallel.mp_transport.run_distributed_mp)"
             )
 
+    def _assembled(self, components: Sequence[str]) -> YeeGrid:
+        """The global grid with ``components`` refreshed from the boxes."""
+        assemble_global(
+            self.domain, self.box_grids, self.boxes, components,
+            periodic_axes=tuple(range(self.domain.ndim)),
+        )
+        return self.domain
+
     def global_field_view(self, component: str) -> np.ndarray:
         """The assembled global field (valid region)."""
         self._require_global("global_field_view")
-        assemble_global(
-            self.domain,
-            self.box_grids,
-            self.boxes,
-            (component,),
-            periodic_axes=tuple(range(self.domain.ndim)),
-        )
-        return self.domain.interior_view(component)
+        return self._assembled((component,)).interior_view(component)
 
     def total_particles(self) -> int:
         return sum(d.total_n() for d in self.species.values())
@@ -660,11 +585,4 @@ class DistributedSimulation:
 
     def field_energy(self) -> float:
         self._require_global("field_energy")
-        assemble_global(
-            self.domain,
-            self.box_grids,
-            self.boxes,
-            FIELD_COMPONENTS,
-            periodic_axes=tuple(range(self.domain.ndim)),
-        )
-        return self.domain.field_energy()
+        return self._assembled(FIELD_COMPONENTS).field_energy()

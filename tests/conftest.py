@@ -31,6 +31,24 @@ TRANSPORTS = ("loopback", "multiprocessing")
 PARITY_RANKS = 4
 
 
+def langmuir_perturbation(length, u0=1e-3, uy=0.0, uz=0.0):
+    """The parity scenario's momentum init, a pure function of position
+    (so a monolithic twin starts from the same particles): a Langmuir
+    perturbation along x plus optional uniform transverse drifts."""
+    k = 2 * np.pi / length
+
+    def perturb(sp):
+        sp.momenta[:, 0] = u0 * np.sin(k * sp.positions[:, 0])
+        # uy pushes particles across box (and hence rank) boundaries,
+        # forcing redistribution; with uz all three components are live
+        if uy:
+            sp.momenta[:, 1] = uy
+        if uz:
+            sp.momenta[:, 2] = uz
+
+    return perturb
+
+
 def make_langmuir_build(
     n_ranks=PARITY_RANKS,
     n_cells=16,
@@ -38,7 +56,9 @@ def make_langmuir_build(
     ppc=(2, 2),
     u0=1e-3,
     uy=0.0,
+    uz=0.0,
     smoothing_passes=1,
+    shape_order=2,
     **sim_kwargs,
 ):
     """A build callable for the golden parity scenario.
@@ -61,23 +81,15 @@ def make_langmuir_build(
             n_ranks=n_ranks,
             max_grid_size=max_grid_size,
             cfl=0.9,
-            shape_order=2,
+            shape_order=shape_order,
             smoothing_passes=smoothing_passes,
             transport=transport,
             **sim_kwargs,
         )
         e = Species("electrons", charge=-q_e, mass=m_e, ndim=2)
-        k = 2 * np.pi / length
-
-        def perturb(sp):
-            sp.momenta[:, 0] = u0 * np.sin(k * sp.positions[:, 0])
-            # optional uniform transverse drift: pushes particles across
-            # box (and hence rank) boundaries, forcing redistribution
-            if uy:
-                sp.momenta[:, 1] = uy
-
         sim.add_species(
-            e, profile=UniformProfile(n0), ppc=ppc, momentum_init=perturb
+            e, profile=UniformProfile(n0), ppc=ppc,
+            momentum_init=langmuir_perturbation(length, u0, uy, uz),
         )
         return sim
 

@@ -289,7 +289,7 @@ def test_pic006_accepts_timed_call(tmp_path):
         "        with self._phase('redistribute'):\n"
         "            redistribute_particles(self.per_box)\n"
         "        with self.tracer.span('box'), self.timers.stopwatch() as sw:\n"
-        "            self._push_and_deposit_box(0)\n",
+        "            self._advance_on(bg, sp, phase=None)\n",
         select=["PIC006"],
     )
     assert findings == []
@@ -370,6 +370,25 @@ def test_pic006_advance_particles_is_a_kernel_phase_call(tmp_path):
         select=["PIC006"],
     )
     assert self_timed == []
+
+
+def test_pic006_box_advance_and_smoothing_must_be_timed(tmp_path):
+    # the base-class physics: timed by the call site or by a phase factory;
+    # phase=None says "my caller is timed", so outside a context it is not
+    findings = lint_snippet(
+        tmp_path,
+        "distributed.py",
+        "class Sim:\n"
+        "    def _step_body(self):\n"
+        "        self._advance_on(bg, sp)\n"
+        "        self._advance_on(bg, sp, phase=None)\n"
+        "        self._advance_on(bg, sp, phase=self._phase)\n"
+        "        self._smooth_sources(bg)\n",
+        select=["PIC006"],
+    )
+    assert [(f.line, f.message.split("(")[0].split()[-1]) for f in findings] == [
+        (3, "_advance_on"), (4, "_advance_on"), (6, "_smooth_sources"),
+    ]
 
 
 def test_pic006_pragma_suppresses(tmp_path):

@@ -140,14 +140,6 @@ def test_cost_model_measured_ema():
     assert cm.measured([1], default=7.0)[0] == 7.0
 
 
-def test_cost_model_combined():
-    cm = CostModel()
-    cm.record_measured(1, 5.0)
-    out = cm.combined([0, 1], [10, 10], [0, 0])
-    assert out[0] == pytest.approx(1.0)  # heuristic
-    assert out[1] == pytest.approx(5.0)  # measured wins
-
-
 # -- dead-rank exclusion and accounting regressions --------------------------
 
 

@@ -5,19 +5,30 @@ between boxes correctly, and communication/LB accounting is populated."""
 import numpy as np
 import pytest
 
-from repro.analysis.commcheck import check_comm
+from repro.analysis.commcheck import check_all, check_comm
 from repro.constants import m_e, plasma_wavelength, q_e
 from repro.core.simulation import Simulation
+from repro.exceptions import ConfigurationError
 from repro.grid.yee import YeeGrid
+from repro.observability.commlog import CommLogReplay
 from repro.parallel.box import chop_domain
 from repro.parallel.distributed import DistributedSimulation
+from repro.parallel.mp_transport import run_distributed_local
 from repro.parallel.redistribute import (
     build_box_lookup,
     redistribute_particles,
     wrap_positions_periodic,
 )
+from repro.parallel.transport import pair_bytes_for_tag
 from repro.particles.injection import UniformProfile
+from repro.particles.kernels import FLOAT32_ERROR_BUDGET
 from repro.particles.species import Species
+
+from tests.conftest import (
+    assert_runs_equal,
+    langmuir_perturbation,
+    make_langmuir_build,
+)
 
 
 def test_build_box_lookup_tiles():
@@ -56,13 +67,19 @@ def test_redistribute_moves_to_owner():
     assert per_box[owner].n == 1
 
 
-def langmuir_setup_monolithic(n0, n_cells, length, ppc, u0):
+def langmuir_setup_monolithic(
+    n0, n_cells, length, ppc, u0, uy=0.0, uz=0.0, smoothing_passes=0,
+    **options
+):
+    """The monolithic twin of ``conftest.make_langmuir_build``."""
     g = YeeGrid((n_cells,) * 2, (0.0, 0.0), (length, length), guards=4)
-    sim = Simulation(g, cfl=0.9, shape_order=2, smoothing_passes=0)
+    sim = Simulation(
+        g, cfl=0.9, shape_order=2, smoothing_passes=smoothing_passes,
+        **options,
+    )
     e = Species("electrons", charge=-q_e, mass=m_e, ndim=2)
     sim.add_species(e, profile=UniformProfile(n0), ppc=ppc)
-    k = 2 * np.pi / length
-    e.momenta[:, 0] = u0 * np.sin(k * e.positions[:, 0])
+    langmuir_perturbation(length, u0, uy, uz)(e)
     return sim, e
 
 
@@ -260,12 +277,6 @@ def test_lb_migration_ships_real_payloads():
 
 # -- cross-transport parity (see tests/conftest.py) --------------------------
 
-from tests.conftest import (  # noqa: E402
-    assert_runs_equal,
-    make_langmuir_build,
-)
-from repro.parallel.transport import pair_bytes_for_tag  # noqa: E402
-
 
 def test_redistribute_cross_transport(transport_runner, golden_langmuir):
     """Particle redistribution is transport-invariant: cross-rank movers
@@ -280,3 +291,156 @@ def test_redistribute_cross_transport(transport_runner, golden_langmuir):
     assert got_pairs == want_pairs
     # the protocol really moved particle payloads between ranks
     assert sum(got_pairs.values()) > 0
+
+
+# -- one driver base: every shared option runs decomposed ---------------------
+
+#: hot enough that the pushers differ: on the u0 = 1e-3 Langmuir deck Vay
+#: and Boris agree to the last bit, so it cannot catch a hard-coded one
+HOT = dict(u0=0.3, uy=0.2, uz=0.1)
+PARITY_STEPS = 20
+_MONO_EX_KE = {}
+
+
+def _hot_monolithic(**options):
+    """(Ex, kinetic energy) of the hot deck on one grid, once per option set."""
+    key = tuple(sorted(options.items()))
+    if key not in _MONO_EX_KE:
+        length = plasma_wavelength(1e24)
+        sim, e = langmuir_setup_monolithic(
+            1e24, 16, length, (2, 2), **HOT, **options
+        )
+        sim.step(PARITY_STEPS)
+        _MONO_EX_KE[key] = (
+            sim.grid.interior_view("Ex").astype(np.float64),
+            e.kinetic_energy(),
+            sim.kernels,
+            sim.grid.dtype,
+        )
+    return _MONO_EX_KE[key]
+
+
+@pytest.mark.parametrize("smoothing_passes", [0, 1])
+@pytest.mark.parametrize("deposition", ["esirkepov", "direct"])
+@pytest.mark.parametrize("precision", ["float64", "mixed"])
+@pytest.mark.parametrize("pusher", ["boris", "vay"])
+@pytest.mark.parametrize("kernels", ["vectorized", "compiled"])
+def test_decomposed_parity_matrix(
+    kernels, pusher, precision, deposition, smoothing_passes
+):
+    """Every shared option, in every combination, gives the monolithic
+    answer on 2x2 boxes over 4 ranks.  (Without a compiled backend both
+    sides fall back to ``vectorized``: the comparison still holds.)"""
+    options = dict(
+        kernels=kernels, pusher=pusher, precision=precision,
+        deposition=deposition, smoothing_passes=smoothing_passes,
+    )
+    ex_mono, ke_mono, tier, dtype = _hot_monolithic(**options)
+    scale = np.max(np.abs(ex_mono))
+    # the deck tells the pushers apart, so a hard-coded one cannot pass
+    other = dict(options, pusher="vay" if pusher == "boris" else "boris")
+    assert np.max(np.abs(_hot_monolithic(**other)[0] - ex_mono)) > 1e-9 * scale
+
+    dist = make_langmuir_build(**HOT, **options)()
+    assert (dist.kernels, dist.pusher, dist.deposition) == (
+        tier, pusher, deposition
+    )
+    assert {bg.dtype for bg in dist.box_grids} == {dtype}
+    dist.step(PARITY_STEPS)
+    ex_tol, ke_tol = (
+        (1e-10, 1e-9) if precision == "float64"
+        else (FLOAT32_ERROR_BUDGET["advance"],) * 2
+    )
+    ex_dist = dist.global_field_view("Ex").astype(np.float64)
+    assert np.max(np.abs(ex_dist - ex_mono)) <= ex_tol * scale
+    ke_dist = dist.species["electrons"].gather_all().kinetic_energy()
+    assert ke_dist == pytest.approx(ke_mono, rel=ke_tol)
+
+
+@pytest.mark.parametrize(
+    "bad, guards",
+    [
+        (dict(pusher="leap"), 4), (dict(deposition="nearest"), 4),
+        (dict(precision="half"), 4), (dict(kernels="simd"), 4),
+        (dict(maxwell_solver="fdtd"), 4), (dict(v_galilean=(1.0, 0.0)), 4),
+        (dict(shape_order=3), 2),
+    ],
+    ids=lambda v: next(iter(v)) if isinstance(v, dict) else "",
+)
+def test_shared_options_are_refused_identically(bad, guards):
+    """One parser: an unknown value of any shared option (or too few
+    guards for the shape order) raises the same ``ConfigurationError``
+    from either constructor."""
+    with pytest.raises(ConfigurationError) as mono:
+        Simulation(YeeGrid((8, 8), (0.0, 0.0), (8.0, 8.0), guards=guards), **bad)
+    with pytest.raises(ConfigurationError) as dist:
+        DistributedSimulation(
+            (8, 8), (0.0, 0.0), (8.0, 8.0), n_ranks=1, guards=guards, **bad
+        )
+    assert str(dist.value) == str(mono.value)
+
+
+def test_compiled_vay_mixed_cross_transport(transport_runner):
+    """ROADMAP 1(i)'s target configuration — compiled tier, Vay pusher,
+    float32 fields — over 16 boxes on 2 ranks: float32 box fields,
+    particles and counters are bit-identical on both transports, the
+    merged log holds the same events (the merge interleaves the ranks'
+    receives within a phase its own way) and replays clean."""
+    build = make_langmuir_build(
+        n_ranks=2, n_cells=32, max_grid_size=8, shape_order=3, **HOT,
+        kernels="compiled", pusher="vay", precision="mixed",
+    )
+    want = run_distributed_local(build, 12)
+    got = transport_runner(build, 12, n_ranks=2, run_timeout=120.0)
+    assert {a.dtype for comps in got.fields.values() for a in comps.values()} == {
+        np.dtype(np.float32)
+    }
+    assert_runs_equal(got, want)
+    assert sorted(e[1:] for e in got.merged_log) == sorted(
+        e[1:] for e in want.merged_log
+    )
+    report = check_all(CommLogReplay(got.merged_log, 2))
+    assert report.ok, report.format()
+
+
+# -- add_species: per-box samples, and the refusals of Simulation.add_species --
+
+
+def _thermal(rng_seed):
+    dist = DistributedSimulation(
+        (16, 16), (0.0, 0.0), (16.0, 16.0), n_ranks=4, max_grid_size=8,
+    )
+    return dist.add_species(
+        Species("e", ndim=2), profile=UniformProfile(1.0), ppc=2,
+        temperature_uth=0.05, rng_seed=rng_seed,
+    ).per_box
+
+
+def test_thermal_boxes_draw_their_own_sample():
+    """Regression: every box drew from ``default_rng(rng_seed)``, so a
+    thermal plasma was one sample tiled at the box size."""
+    boxes = _thermal(rng_seed=3)
+    assert len({sp.n for sp in boxes}) == 1 and boxes[0].n > 0
+    for sp in boxes[1:]:
+        assert not np.array_equal(sp.momenta, boxes[0].momenta)
+    # still a pure function of the arguments: SPMD workers agree
+    for sp, twin in zip(boxes, _thermal(rng_seed=3)):
+        assert np.array_equal(sp.momenta, twin.momenta)
+    assert not np.array_equal(boxes[0].momenta, _thermal(rng_seed=4)[0].momenta)
+
+
+def test_add_species_refuses_duplicates_and_wrong_ndim():
+    """Same two errors, same wording, as ``Simulation.add_species``."""
+    dist = DistributedSimulation(
+        (8, 8), (0.0, 0.0), (8.0, 8.0), n_ranks=1,
+    )
+    mono = Simulation(YeeGrid((8, 8), (0.0, 0.0), (8.0, 8.0), guards=4))
+    for sim in (mono, dist):
+        sim.add_species(Species("e", ndim=2))
+    for sp in (Species("e", ndim=2), Species("ions", ndim=3)):
+        with pytest.raises(ConfigurationError) as want:
+            mono.add_species(sp)
+        with pytest.raises(ConfigurationError) as got:
+            dist.add_species(sp)
+        assert str(got.value) == str(want.value)
+    assert list(dist.species) == ["e"]

@@ -405,7 +405,10 @@ def test_distributed_surfaces_kernel_fallback_reason(monkeypatch):
 @pytest.mark.parametrize("variant", ["vectorized", "compiled"])
 def test_distributed_counts_kernel_dispatches(variant):
     """One ``kernel.dispatch`` bump per phase, box and step, as in
-    ``Simulation`` (the decomposed driver used to drop them)."""
+    ``Simulation`` (the decomposed driver used to drop them) — and the
+    box advance stays *untimed* inside the one ``particles`` phase: handed
+    the driver's ``_phase`` it would nest gather / push / deposit (or a
+    second ``particles``, counted twice) under it."""
     if variant not in available_kernel_variants():
         pytest.skip(f"{variant} tier unavailable on this machine")
     sim = make_langmuir_build(n_ranks=2, kernels=variant)()
@@ -420,6 +423,10 @@ def test_distributed_counts_kernel_dispatches(variant):
         f"kernel.dispatch{{phase={phase},variant={variant}}}": 3.0 * len(sim.boxes)
         for phase in phases
     }
+    assert set(sim.timers.totals) == {
+        "particles", "fold_sources", "maxwell", "halo_fields", "redistribute",
+    }
+    assert sim.timers.counts["particles"] == 3
 
 
 # -- the single pass: wrap folded in, crossings conserve charge, precondition ----

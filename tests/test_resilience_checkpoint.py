@@ -57,11 +57,12 @@ def build_mr_subcycled():
     return sim, e
 
 
-def build_distributed():
+def build_distributed(**options):
     n0 = 1e24
     length = plasma_wavelength(n0)
     sim = DistributedSimulation(
         (16, 16), (0.0, 0.0), (length, length), n_ranks=4, max_grid_size=8,
+        **options,
     )
     e = Species("electrons", charge=-q_e, mass=m_e, ndim=2)
     k = 2 * np.pi / length
@@ -120,22 +121,23 @@ def test_mr_subcycled_roundtrip_bitwise(tmp_path):
     np.testing.assert_array_equal(e_a.momenta, e_b.momenta)
 
 
-def test_distributed_roundtrip_bitwise(tmp_path):
+def _distributed_roundtrip_bitwise(tmp_path, **options):
     ckpt_dir = str(tmp_path / "ckpt")
-    sim_a = build_distributed()
+    sim_a = build_distributed(**options)
     sim_a.step(6)
     save_distributed_checkpoint(sim_a, ckpt_dir)
     sim_a.step(6)
 
-    sim_b = build_distributed()
+    sim_b = build_distributed(**options)
     load_distributed_checkpoint(sim_b, ckpt_dir)
     assert sim_b.step_count == 6
     sim_b.step(6)
 
-    np.testing.assert_array_equal(
-        sim_a.global_field_view("Ex"), sim_b.global_field_view("Ex")
-    )
     for i in range(len(sim_a.boxes)):
+        for comp, arr in sim_a.box_grids[i].fields.items():
+            restored = sim_b.box_grids[i].fields[comp]
+            assert restored.dtype == arr.dtype
+            np.testing.assert_array_equal(arr, restored)
         sp_a = sim_a.species["electrons"].per_box[i]
         sp_b = sim_b.species["electrons"].per_box[i]
         np.testing.assert_array_equal(sp_a.positions, sp_b.positions)
@@ -148,6 +150,21 @@ def test_distributed_roundtrip_bitwise(tmp_path):
     )
     assert sim_a.comm.pair_bytes == sim_b.comm.pair_bytes
     assert sim_a.time == sim_b.time
+    return sim_b
+
+
+def test_distributed_roundtrip_bitwise(tmp_path):
+    _distributed_roundtrip_bitwise(tmp_path)
+
+
+def test_distributed_roundtrip_bitwise_compiled_vay_mixed(tmp_path):
+    """The same contract in float32 box fields, on the options the
+    decomposed driver inherited from ``StepDriver``."""
+    sim = _distributed_roundtrip_bitwise(
+        tmp_path, kernels="compiled", pusher="vay", precision="mixed",
+        shape_order=3,
+    )
+    assert sim.box_grids[0].dtype == np.float32 and sim.pusher == "vay"
 
 
 def test_distributed_roundtrip_in_memory():
