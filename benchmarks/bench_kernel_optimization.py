@@ -19,6 +19,17 @@ magnitude is larger because the Python interpreter exaggerates per-element
 overheads the way an unvectorized in-order core does.  The
 compiled-over-vectorized margin is the number the CI perf gate
 (``benchmarks/check_kernel_fastpath.py``) enforces.
+
+Below those rungs the table repeats the paper's experiment inside the native
+tier, where it is the same experiment: the fused ``advance`` pass handles
+particles in blocks of vector-length lanes over transposed (SoA) stack
+temporaries, and the library is rebuilt at 1 / 4 / 8 / 16 lanes
+(``-DREPRO_RB=n``) — speed-up vs vector length for the gather + push part
+(``-DREPRO_GATHER_PUSH_ONLY``: stencils, gather, push, momentum store) and
+for the whole pass, orders 1-3 in 2D and order 3 in 3D.  The one-lane build
+is the blocked code at vector length 1, which is what the tier's scalar
+loop (tails, refused blocks) runs.  ``repro.particles.compiled.LANES`` is
+picked from these rows.
 """
 
 import time
@@ -27,6 +38,8 @@ import numpy as np
 import pytest
 
 from repro.constants import q_e
+from repro.exceptions import ConfigurationError
+from repro.particles import compiled
 from repro.particles.kernels import available_kernel_variants, get_kernel_set
 from repro.particles.sorting import sort_species_by_bin
 from repro.scenarios.uniform_plasma import build_uniform_plasma
@@ -56,6 +69,59 @@ def _measure(fn, repeats=5):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+#: (ndim, order, cells, particles per cell) of the vector-length rows: the
+#: repo benchmark's `uniform_compiled` deck at each order, and a 3D one
+LANE_DECKS = (
+    (2, 1, (96, 96), (4, 4)), (2, 2, (96, 96), (4, 4)),
+    (2, 3, (96, 96), (4, 4)), (3, 3, (24, 24, 24), (2, 2, 2)),
+)
+LANE_COUNTS = (1, 4, 8, 16)
+
+
+def _vector_length_rows():
+    """Fused pass per particle at each lane count, interleaved best-of-7."""
+    cc = compiled.find_c_compiler()
+    rows = []
+    for ndim, order, n_cells, ppc in LANE_DECKS:
+        sim, electrons = build_uniform_plasma(
+            n_cells, ppc=ppc, shape_order=order, kernels="compiled"
+        )
+        sim.step(3)  # self-consistent fields and a thermalised cloud
+        grid = sim.grid
+        args = (
+            grid, electrons.positions, electrons.momenta, electrons.weights,
+            electrons.charge, electrons.mass, sim.dt, order, "boris",
+            (grid.lo, grid.hi, tuple(range(ndim))),
+        )
+        for part, define, paper in (
+            ("gather + push", ("-DREPRO_GATHER_PUSH_ONLY",), "2.63x (gather)"),
+            ("whole pass", (), ""),
+        ):
+            backends = {
+                lanes: compiled.CBackend(*compiled.compile_c_library(
+                    cc, compiled.SIMD_FLAGS + (f"-DREPRO_RB={lanes}",) + define
+                ))
+                for lanes in LANE_COUNTS
+            }
+            best = dict.fromkeys(LANE_COUNTS, float("inf"))
+            for _ in range(7):
+                for lanes, backend in backends.items():
+                    grid.zero_sources()
+                    t0 = time.perf_counter()
+                    compiled.run_advance(backend, "advance", *args)
+                    best[lanes] = min(best[lanes], time.perf_counter() - t0)
+            for lanes in LANE_COUNTS:
+                rows.append([
+                    f"Fused {part}, {ndim}D order {order}",
+                    f"compiled, {lanes} lane{'s' if lanes > 1 else ''}",
+                    f"{best[lanes] / electrons.n * 1e6:.3f}",
+                    "1.0x" if lanes == 1
+                    else f"{best[1] / best[lanes]:.2f}x vs 1 lane",
+                    paper if lanes == compiled.LANES else "",
+                ])
+    return rows
 
 
 def _per_particle_times(workload, name):
@@ -95,9 +161,15 @@ def test_kernel_optimization(benchmark, workload, table):
                 else f"{times[prev][col] / t:.1f}x vs {prev}",
                 paper if name == "vectorized" else "",
             ])
+    if "compiled" in times:
+        try:
+            rows += _vector_length_rows()
+        except ConfigurationError as exc:  # a compiler without the SIMD flags
+            print(f"no vector-length rows: {exc}")
     table(
         "Sec. V.A.1: kernel optimization (reference = vector length 1; "
-        "each rung's speed up is over the one above it)",
+        "each rung's speed up is over the one above it; fused rows: speed-up "
+        "vs vector length inside the compiled pass)",
         ["Routine", "Variant", "us/particle", "Speed up", "paper (A64FX)"],
         rows,
     )

@@ -33,8 +33,9 @@ variant  implementation
                 system compiler and driven through ctypes
                 (:mod:`repro.particles.compiled`), plus the fused
                 ``advance`` pass (gather -> push -> position ->
-                Esirkepov -> periodic wrap, one loop per particle).
-                Registered only when the
+                Esirkepov -> periodic wrap, one loop over blocks of
+                eight particles with SIMD across them, bit-identical
+                to the per-particle loop).  Registered only when the
                 library builds; otherwise the registry reports *why*
                 (:func:`kernel_tier_status`) and
                 :func:`resolve_kernel_set` falls back to ``vectorized``
@@ -89,7 +90,7 @@ class KernelSet:
     ``c dt < min(dx)``.  Variants without one — and steps that break
     that bound — are driven through gather -> push -> deposit by
     :func:`repro.particles.advance.advance_particles`.  ``backend`` names
-    what executes the inner loops (``numpy`` or ``c``).
+    what executes the inner loops (``numpy``, or ``c; <what was built>``).
     """
 
     name: str
@@ -201,7 +202,9 @@ def available_kernel_variants() -> Tuple[str, ...]:
 def kernel_tier_status() -> Dict[str, str]:
     """Every known tier and its availability on this machine.
 
-    Registered variants report ``"available (<backend>)"``; tiers whose
+    Registered variants report ``"available (<backend>)"`` — for the
+    compiled tier the backend names what was built, ``"c; 8 lanes,
+    -march=native"`` or ``"c; plain flags: <reason>"``; tiers whose
     backend probe failed report the reason (e.g. ``"no C compiler
     (cc/gcc/clang) on PATH"``).
     """
@@ -258,7 +261,7 @@ def validate_kernel_set(
     name: str,
     ndim: int = 2,
     order: int = 2,
-    n_particles: int = 200,
+    n_particles: int = 203,
     seed: int = 0,
     precision: str = "float64",
 ) -> Dict[str, float]:
@@ -269,7 +272,9 @@ def validate_kernel_set(
     ``advance`` slot additionally gets an ``"advance"`` entry: the fused
     pass against ``vectorized`` gather -> ``push_boris``/``push_vay`` ->
     ``push_positions`` -> ``vectorized`` Esirkepov, worst deviation over
-    new positions, new momenta and ``J`` and over both pushers.  With ``precision="float64"``
+    new positions, new momenta and ``J`` and over both pushers (the default
+    ``n_particles`` is not a multiple of the fused pass's block of lanes,
+    so full blocks and the scalar tail both run).  With ``precision="float64"``
     (the default) both run in double and the returned dict holds the
     worst relative deviation per kernel — the test suite pins every
     entry at machine precision, the contract that lets a run switch

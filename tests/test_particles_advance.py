@@ -25,7 +25,8 @@ from repro.parallel.distributed import DistributedSimulation
 from repro.parallel.mp_transport import run_distributed_local, run_distributed_mp
 from repro.particles import kernels
 from repro.particles.advance import advance_particles
-from repro.particles.compiled import KMAX
+from repro.particles import compiled
+from repro.particles.compiled import KMAX, LANES
 from repro.particles.deposit import esirkepov_window
 from repro.particles.injection import UniformProfile
 from repro.particles.kernels import (
@@ -256,12 +257,64 @@ for name, call in calls.items():
         assert name == "deposit_current" and not np.isfinite(bad), (name, exc)
     else:
         raise SystemExit(f"{name}: no error for x = {bad}")
+
+# the fused pass works on blocks of LANES particles: an offender in the
+# first, a middle and the last lane of the first, a middle and the tail
+# block must be the particle, on the axis, with the partial J, of the
+# per-particle loop (the exported scalar entry), the inputs untouched
+import re
+from repro.particles.compiled import LANES, build_c_backend, run_advance
+
+backend = build_c_backend()[0]
+n = 3 * LANES + 5
+rng = np.random.default_rng(11)
+good = rng.uniform(2.0, 14.0, size=(n, 2))
+mom = 0.3 * rng.normal(size=(n, 3))
+w = 1.0 + rng.random(n)
+for comp in ("Ex", "Ey", "Ez", "Bx", "By", "Bz"):
+    grid.fields[comp][...] = rng.normal(size=grid.shape)
+
+
+def refusal(entry, pos, mom):
+    target = grid.copy()
+    target.zero_sources()  # the calls above left partial deposits
+    try:
+        run_advance(backend, entry, target, pos, mom, w, -1.0, 1.0, 1e-9, 3)
+    except SanitizerError as exc:
+        found = re.search("SAN005: stencil of particle ([0-9]+) .* on axis ([0-9])", str(exc))
+        return (int(found[1]), int(found[2])), [target.fields[c] for c in ("Jx", "Jy", "Jz")]
+    raise SystemExit(f"{entry}: no error")
+
+
+for block in (0, LANES, 3 * LANES):
+    lanes = (0, LANES // 2, LANES - 1) if block < 3 * LANES else (0, 2, 4)
+    for lane in lanes:
+        p = block + lane
+        for kind in ("position", "momentum"):
+            print("trying", kind, "of particle", p, flush=True)
+            pos_p, mom_p = good.copy(), mom.copy()
+            if kind == "position":
+                axis = p % 2
+                pos_p[p, axis] = bad
+            else:
+                axis = 0  # gamma is NaN: no component of the move survives
+                mom_p[p, 1 + p % 2] = np.nan
+            before = pos_p.copy(), mom_p.copy()
+            where, currents = refusal("advance", pos_p, mom_p)
+            assert where == (p, axis), (where, p, axis)
+            where_scalar, currents_scalar = refusal("advance_scalar", pos_p, mom_p)
+            assert where_scalar == where
+            assert np.array_equal(pos_p, before[0], equal_nan=True)
+            assert np.array_equal(mom_p, before[1], equal_nan=True)
+            for mine, ref in zip(currents, currents_scalar):
+                assert np.array_equal(mine, ref)
+            assert (p == 0) == (not any(np.any(j) for j in currents))
 print("all clean")
 """
 
 
 @needs_compiled
-@pytest.mark.parametrize("bad", ["1e9", "-500", "nan", "inf"])
+@pytest.mark.parametrize("bad", ["1e9", "-500", "nan", "inf", "-inf"])
 def test_stray_particle_raises_san005_not_a_signal(bad):
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("REPRO_SANITIZE", None)
@@ -546,3 +599,73 @@ def test_a_move_wider_than_the_fused_window_is_refused_not_truncated():
     with pytest.raises(SanitizerError, match="SAN005.*particle 2 .*axis 1"):
         ks.advance(grid, pos, mom, np.ones(3), -q_e, m_e, 2.6 / c, 3)
     assert not np.any(grid.fields["Jy"])  # the two at rest deposit no Jy
+    # the same in every lane position of the blocked loop: first, middle
+    # and last lane of the first, a middle and the tail block
+    n = 3 * LANES + 5
+    pos = np.full((n, 2), 8.25)
+    for p in (0, LANES // 2, LANES - 1, LANES, 2 * LANES - 1, 3 * LANES, n - 1):
+        mom = np.zeros((n, 3))
+        mom[p, 1] = 50.0
+        grid.zero_sources()
+        with pytest.raises(SanitizerError, match=f"SAN005.*particle {p} .*axis 1"):
+            ks.advance(grid, pos, mom, np.ones(n), -q_e, m_e, 2.6 / c, 3)
+        assert not np.any(grid.fields["Jy"])
+
+
+# -- blocks of lanes: the blocked entry is the per-particle loop -----------------
+
+@pytest.fixture(scope="module")
+def lane_backends():
+    """The library as the tier builds it, and one from the plain flags."""
+    cc = compiled.find_c_compiler()
+    return (
+        compiled.CBackend(*compiled.compile_c_library(cc)),
+        compiled.CBackend(*compiled.compile_c_library(cc, compiled.PLAIN_FLAGS)),
+    )
+
+
+@needs_compiled
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("pusher", ["boris", "vay"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_blocked_advance_is_the_scalar_loop_bit_for_bit(
+    lane_backends, ndim, order, pusher, dtype
+):
+    """`advance` handles LANES particles at a time in vectorised lane
+    loops; every lane must do the IEEE operations of the per-particle loop
+    (exported as `advance_scalar`), with the SIMD flags or without them —
+    `array_equal`, not a tolerance, for every tail length and across the
+    periodic wrap."""
+    built, plain = lane_backends
+    rng = np.random.default_rng(100 * ndim + 10 * order)
+    grid = YeeGrid((12,) * ndim, (-3.0,) * ndim, (9.0,) * ndim, guards=4,
+                   dtype=dtype)
+    for comp in ("Ex", "Ey", "Ez", "Bx", "By", "Bz"):
+        scale = 1e9 if comp[0] == "E" else 3.0  # both bend u ~ 1 electrons
+        grid.fields[comp][...] = scale * rng.standard_normal(grid.shape)
+    dt = 0.9 * grid.dx[0] / c
+    wrap = (grid.lo, grid.hi, tuple(range(ndim)))
+    for n in (0, 1, LANES - 1, LANES, LANES + 1, 3 * LANES + 5, 4099):
+        # up to the faces: the fast ones leave and are wrapped
+        pos = rng.uniform(grid.lo[0], grid.hi[0], size=(n, ndim))
+        mom = 2.0 * rng.normal(size=(n, 3))
+        w = 1.0 + rng.random(n)
+        for periodic in (None, wrap):
+            results = []
+            for backend, entry in (
+                (built, "advance_scalar"), (built, "advance"), (plain, "advance")
+            ):
+                target = grid.copy()
+                x, u = compiled.run_advance(
+                    backend, entry, target, pos, mom, w, -q_e, m_e, dt, order,
+                    pusher, periodic,
+                )
+                results.append(
+                    [x, u] + [target.fields[comp] for comp in ("Jx", "Jy", "Jz")]
+                )
+            for other in results[1:]:
+                for mine, ref in zip(other, results[0]):
+                    assert np.array_equal(mine, ref), (n, periodic is not None)
+            if n > LANES and periodic is not None:
+                assert np.any(results[0][2]) and np.all(results[0][0] >= grid.lo[0])

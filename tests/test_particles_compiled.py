@@ -17,6 +17,7 @@ from repro.particles import kernels
 from repro.particles.compiled import (
     BACKEND_ENV,
     KMAX,
+    LANES,
     build_c_backend,
     build_kernel_tier,
     c_source,
@@ -158,8 +159,12 @@ def test_native_compiled_tier_machine_precision(ndim):
 @pytest.mark.skipif(not _native_available(),
                     reason=kernel_tier_status().get("compiled", ""))
 def test_native_tier_reports_backend():
+    # the backend and what was built for it: a compiler that dropped the
+    # SIMD flags shows in every record that quotes the status
     ks = get_kernel_set("compiled")
-    assert ks.backend == "c"
+    assert ks.backend == f"c; {LANES} lanes, -march=native" or (
+        ks.backend.startswith("c; plain flags: ")
+    )
     assert kernel_tier_status()["compiled"] == f"available ({ks.backend})"
 
 
@@ -168,6 +173,62 @@ def test_c_source_emits_both_precisions():
     for kernel in ("gather", "deposit_nodal", "deposit_esirkepov", "advance"):
         assert f" {kernel}_f64(" in src and f" {kernel}_f32(" in src
     assert "@REAL@" not in src and "@SUF@" not in src
+
+
+# -- the library cache: keyed on what was built, for which CPU -----------------
+
+@pytest.fixture
+def tiny_library(monkeypatch, tmp_path):
+    """`compile_c_library` over a one-line source in an empty cache."""
+    cc = find_c_compiler()
+    if cc is None:
+        pytest.skip("no C compiler (cc/gcc/clang) on PATH")
+    monkeypatch.setattr(compiled, "c_source", lambda: "int one(void) { return 1; }\n")
+    monkeypatch.setattr(compiled, "_cache_dir", lambda: str(tmp_path))
+    return cc, tmp_path
+
+
+def test_library_cache_key_covers_flags_and_resolved_target(tiny_library, monkeypatch):
+    """`-march=native` code found in a shared or image-baked cache must not
+    be loaded on another CPU: the name hashes the driver's own account of
+    the build (version, target, the `cc1` line with `native` resolved)."""
+    cc, _ = tiny_library
+    src = compiled.c_source()
+    here = compiled._library_path(cc, src, compiled.SIMD_FLAGS)
+    assert here == compiled._library_path(cc, src, compiled.SIMD_FLAGS)
+    assert here != compiled._library_path(cc, src, compiled.PLAIN_FLAGS)
+    assert here != compiled._library_path(cc, src + "\n", compiled.SIMD_FLAGS)
+    run = compiled.subprocess.run
+
+    def another_cpu(cmd, **kwargs):
+        done = run(cmd, **kwargs)
+        if "-###" in cmd:
+            done.stderr = done.stderr.replace("-march=", "-march=another-")
+        return done
+
+    monkeypatch.setattr(compiled.subprocess, "run", another_cpu)
+    assert here != compiled._library_path(cc, src, compiled.SIMD_FLAGS)
+
+
+def test_rejected_simd_flags_fall_back_to_plain_and_leave_nothing(
+    tiny_library, monkeypatch
+):
+    cc, cache = tiny_library
+    monkeypatch.setattr(
+        compiled, "SIMD_FLAGS", compiled.PLAIN_FLAGS + ("-mno-such-isa-flag",)
+    )
+    lib, build = compiled.compile_c_library(cc)
+    assert lib.one() == 1
+    assert build.startswith("plain flags: ") and "-mno-such-isa-flag" in build
+    # the failed attempt's .c / .tmp are gone; the good one keeps its source
+    assert sorted(p.suffix for p in cache.iterdir()) == [".c", ".so"]
+    # an explicit flag set is built as given or not at all: no retry
+    with pytest.raises(ConfigurationError, match="-mno-such-isa-flag"):
+        compiled.compile_c_library(cc, compiled.SIMD_FLAGS)
+    assert len(list(cache.iterdir())) == 2
+    _, build = compiled.compile_c_library(cc, compiled.PLAIN_FLAGS)
+    assert build == " ".join(compiled.PLAIN_FLAGS)
+    assert len(list(cache.iterdir())) == 2  # reused, not rebuilt
 
 
 # -- wide windows and guard shortage -----------------------------------------
