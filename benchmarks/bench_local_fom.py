@@ -28,7 +28,10 @@ def run_workload(n_cells=(48, 48), ppc=2, steps=20, **sim_kwargs):
 
 
 def test_local_fom(benchmark, table):
-    n_c, n_p, avg = benchmark.pedantic(run_workload, rounds=1)
+    # the NumPy row names its tier: the default is the native one
+    n_c, n_p, avg = benchmark.pedantic(
+        run_workload, kwargs=dict(kernels="vectorized"), rounds=1
+    )
     fom = figure_of_merit(n_c, n_p, avg, percent_of_system=1.0)
     rows = [
         ["cells", f"{n_c:.0f}"],

@@ -108,7 +108,7 @@ class StepDriver:
         shape_order: int = 2,
         pusher: str = "boris",
         deposition: str = "esirkepov",
-        kernels: str = "vectorized",
+        kernels: str = "compiled",
         smoothing_passes: int = 1,
         maxwell_solver: str = "yee",
         tracer=None,
@@ -263,12 +263,12 @@ class Simulation(StepDriver):
         ``"esirkepov"`` (charge-conserving, default) or ``"direct"``.
     kernels:
         Gather/deposit kernel variant from :mod:`repro.particles.kernels`
-        (``"vectorized"``, the NumPy path, is the default;
-        ``"compiled"`` for the native generated-C tier with its fused
-        particle pass, ``"reference"`` for the scalar baseline).  All
-        variants compute identical physics; the active name is recorded
-        on the particle-phase tracer spans.  Requesting a tier whose
-        backend is unavailable on this machine (e.g. ``"compiled"``
+        (``"compiled"``, the native generated-C tier with its fused
+        particle pass, is the default; ``"vectorized"`` for the NumPy
+        path, ``"reference"`` for the scalar baseline).  All variants
+        compute the same physics, to round-off; the active name is
+        recorded on the particle-phase tracer spans.  Requesting a tier
+        whose backend is unavailable on this machine (e.g. ``"compiled"``
         without a C compiler) falls back to ``"vectorized"``;
         ``self.kernels`` always names the variant actually running and
         ``self.kernel_fallback_reason`` says why, if a fallback happened.

@@ -91,8 +91,11 @@ class DistributedSimulation(StepDriver):
     ``options`` are :class:`~repro.core.simulation.StepDriver`'s — ``dt``,
     ``shape_order``, ``pusher``, ``deposition``, ``kernels``,
     ``precision``, ``v_galilean``, ``tracer`` — with the meanings,
-    defaults and errors documented on ``Simulation``; every box advances
-    with them.  ``cfl`` and ``smoothing_passes`` are declared here for
+    defaults and errors documented on ``Simulation`` (``kernels``
+    defaults to the native ``"compiled"`` tier, whose fused pass each
+    box then runs, falling back to ``"vectorized"`` where it cannot be
+    built); every box advances with them.  ``cfl`` and
+    ``smoothing_passes`` are declared here for
     their different defaults, ``maxwell_solver`` because it sets the
     guard depth (``psatd_guards`` overrides the spectral solver's
     declared halo) before the domain grid exists.

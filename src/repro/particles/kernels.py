@@ -5,8 +5,9 @@ restructuring the gather and deposition kernels around memory locality
 while keeping their mathematics fixed.  This module reproduces that
 experiment as a first-class abstraction: each *kernel variant* bundles a
 gather and the three deposits behind one name, and simulations select a
-variant by name (``Simulation(..., kernels="compiled")``).  The registry
-holds the paper's scalar baseline, one NumPy path and one native path.
+variant by name (``Simulation(..., kernels="vectorized")``; the default,
+spelled once in ``StepDriver``, is ``compiled``).  The registry holds the
+paper's scalar baseline, one NumPy path and one native path.
 
 ======  ==================================================================
 variant  implementation
@@ -28,9 +29,10 @@ variant  implementation
                 the shape weights per axis and the address table and
                 weight products per sample lattice
                 (:mod:`repro.particles.deposit`,
-                :mod:`repro.particles.gather`)
-``compiled``    native per-particle loops: generated C built with the
-                system compiler and driven through ctypes
+                :mod:`repro.particles.gather`); the oracle ``compiled``
+                is validated against and its fallback
+``compiled``    the default: native per-particle loops, generated C
+                built with the system compiler and driven through ctypes
                 (:mod:`repro.particles.compiled`), plus the fused
                 ``advance`` pass (gather -> push -> position ->
                 Esirkepov -> periodic wrap, one loop over blocks of

@@ -21,7 +21,15 @@ from repro.parallel.mp_transport import (
     run_distributed_mp,
 )
 from repro.particles.injection import UniformProfile
+from repro.particles.kernels import available_kernel_variants, kernel_tier_status
 from repro.particles.species import Species
+
+#: skips a test of the native tier itself where it is absent (no C
+#: compiler, or REPRO_COMPILED_BACKEND=none)
+needs_compiled = pytest.mark.skipif(
+    "compiled" not in available_kernel_variants(),
+    reason=kernel_tier_status().get("compiled", ""),
+)
 
 #: every transport the differential matrix runs over
 TRANSPORTS = ("loopback", "multiprocessing")

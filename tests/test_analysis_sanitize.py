@@ -4,6 +4,7 @@ checks, and end-to-end trips inside real simulation runs."""
 import numpy as np
 import pytest
 
+from tests.conftest import needs_compiled
 from repro.analysis.sanitize import Sanitizer
 from repro.constants import m_e, plasma_wavelength, q_e
 from repro.core.mr_simulation import MRSimulation
@@ -104,11 +105,11 @@ def test_san003_catches_guard_scribble():
 
 # -- end-to-end: sanitizers trip inside real runs ----------------------------
 
-def langmuir_sim(n_cells=32, ppc=4):
+def langmuir_sim(n_cells=32, ppc=4, **options):
     n0 = 1e24
     length = plasma_wavelength(n0)
     g = YeeGrid((n_cells,), (0.0,), (length,), guards=4)
-    sim = Simulation(g, shape_order=2, boundaries="periodic")
+    sim = Simulation(g, shape_order=2, boundaries="periodic", **options)
     e = Species("electrons", charge=-q_e, mass=m_e, ndim=1)
     sim.add_species(e, profile=UniformProfile(n0), ppc=ppc)
     return sim
@@ -164,18 +165,38 @@ def test_guard_scribble_midrun_raises(monkeypatch):
 
 
 def test_disabled_sanitizer_lets_nan_through(monkeypatch):
-    """Without REPRO_SANITIZE the checks really are off: the NaN survives
-    the injection step unchallenged and only surfaces later as a raw
-    ValueError deep inside the deposition kernel — exactly the
-    hard-to-diagnose failure the sanitizer exists to front-run."""
+    """Without REPRO_SANITIZE the checks really are off on the NumPy
+    route: the NaN survives the injection step unchallenged and only
+    surfaces later as a raw ValueError deep inside the deposition kernel
+    — exactly the hard-to-diagnose failure the sanitizer exists to
+    front-run."""
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    sim = langmuir_sim()
+    sim = langmuir_sim(kernels="vectorized")
     assert sim.sanitizer is None
     sim.step(2)
     sim.grid.fields["Ex"][10] = np.nan
     with pytest.raises(ValueError) as excinfo:
         sim.step(2)  # gathered NaN poisons the push, deposit blows up
     assert not isinstance(excinfo.value, SanitizerError)
+
+
+@needs_compiled
+def test_default_run_refuses_a_nan_particle_with_san005(monkeypatch):
+    """The default tier is the fused native pass, whose bounds check is
+    always on: the same NaN field is refused as SAN005 naming the
+    particle and axis, before the species is touched."""
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    sim = langmuir_sim()
+    assert sim.sanitizer is None and sim.kernels == "compiled"
+    electrons = sim.entries["electrons"].species
+    sim.step(2)
+    sim.grid.fields["Ex"][10] = np.nan
+    before = electrons.positions.copy(), electrons.momenta.copy()
+    # the gathered NaN poisons a push; its move is refused
+    with pytest.raises(SanitizerError, match=r"SAN005: .*particle \d+ .* axis \d"):
+        sim.step()
+    assert np.array_equal(electrons.positions, before[0])
+    assert np.array_equal(electrons.momenta, before[1])
 
 
 def test_mr_simulation_checks_patch_fields(monkeypatch):

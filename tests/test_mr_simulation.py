@@ -1,6 +1,8 @@
 """Integration tests for the mesh-refined simulation: agreement with
 uniform-resolution runs, patch removal, moving-window coupling, subcycling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ def test_mr_requires_esirkepov():
         sim.add_patch((8,), (24,))
 
 
-def make_langmuir_mr(n_cells=64, with_patch=True, subcycle=False, ppc=16):
+def make_langmuir_mr(n_cells=64, with_patch=True, subcycle=False, ppc=16,
+                     **options):
     n0 = 1e24
     length = plasma_wavelength(n0)
     g = YeeGrid((n_cells,), (0.0,), (length,), guards=4)
@@ -31,7 +34,7 @@ def make_langmuir_mr(n_cells=64, with_patch=True, subcycle=False, ppc=16):
     dt = cfl_dt((length / n_cells / ratio,), 0.9)
     if subcycle:
         dt = cfl_dt((length / n_cells,), 0.9)
-    sim = MRSimulation(g, dt=dt, shape_order=2, smoothing_passes=0)
+    sim = MRSimulation(g, dt=dt, shape_order=2, smoothing_passes=0, **options)
     e = Species("electrons", charge=-q_e, mass=m_e, ndim=1)
     sim.add_species(e, profile=UniformProfile(n0), ppc=ppc)
     k = 2 * np.pi / length
@@ -73,32 +76,33 @@ def test_mr_gather_uses_aux_inside_patch():
     assert np.all(np.abs(e_f[~inner, 2]) < 1.0)
 
 
-def test_mr_gather_evaluates_each_particle_on_one_grid(monkeypatch):
+def test_mr_gather_evaluates_each_particle_on_one_grid():
     """While a patch is active every particle is gathered on exactly one
-    grid (aux or parent): ``shape_weights`` sees it once per lattice and
-    axis, not once on the parent and again on the patch."""
-    from repro.particles import shapes
-
-    sim, e = make_langmuir_mr(with_patch=True)
-    inner = sim.patches[0].interior_mask(e.positions)
-    assert np.any(inner) and not np.all(inner)
-    seen = []
-    real = shapes.shape_weights
-    monkeypatch.setattr(
-        shapes, "shape_weights",
-        lambda x, order: seen.append(x.size) or real(x, order),
-    )
-    e_f, b_f = sim._gather(e)
-    # 1D: one axis, two sample lattices (nodal and half-shifted), two grids
-    assert sorted(seen) == sorted(2 * [int(inner.sum()), int((~inner).sum())])
-    # bit for bit what each grid gathers on its own
-    on_parent = sim.kernel_set.gather(sim.grid, e.positions, sim.shape_order)
-    on_patch = sim.kernel_set.gather(
-        sim.patches[0].aux, e.positions[inner], sim.shape_order
-    )
-    assert np.array_equal(e_f[~inner], on_parent[0][~inner])
-    assert np.array_equal(e_f[inner], on_patch[0])
-    assert np.array_equal(b_f[inner], on_patch[1])
+    grid (aux or parent): the simulation's own gather kernel sees it
+    once, not once on the parent and again on the patch — on the NumPy
+    and on the native tier."""
+    for kernels in ("vectorized", "compiled"):
+        sim, e = make_langmuir_mr(with_patch=True, kernels=kernels)
+        inner = sim.patches[0].interior_mask(e.positions)
+        assert np.any(inner) and not np.all(inner)
+        seen = []
+        real = sim.kernel_set.gather
+        sim.kernel_set = dataclasses.replace(
+            sim.kernel_set,
+            gather=lambda grid, x, order: seen.append((grid, len(x)))
+            or real(grid, x, order),
+        )
+        e_f, b_f = sim._gather(e)
+        aux = sim.patches[0].aux
+        assert seen == [
+            (aux, int(inner.sum())), (sim.grid, int((~inner).sum()))
+        ]
+        # bit for bit what each grid gathers on its own
+        on_parent = real(sim.grid, e.positions, sim.shape_order)
+        on_patch = real(aux, e.positions[inner], sim.shape_order)
+        assert np.array_equal(e_f[~inner], on_parent[0][~inner])
+        assert np.array_equal(e_f[inner], on_patch[0])
+        assert np.array_equal(b_f[inner], on_patch[1])
 
 
 def test_patch_removed_at_remove_time():

@@ -47,26 +47,41 @@ def test_simulations_default_to_null_tracer():
     assert sim.tracer.records == []
 
 
+#: the particle phases of one step on each tier: the NumPy route times
+#: three, the fused native pass one
+PARTICLE_PHASES = {
+    "vectorized": ("gather", "push", "deposit"),
+    "compiled": ("particles",),
+}
+
+
 def test_traced_single_simulation_has_step_phase_hierarchy():
-    sim, _ = build_uniform_plasma((8, 8), ppc=1)
-    tracer, metrics = attach_observability(sim)
-    assert sim.tracer is tracer and sim.metrics is metrics
-    sim.step(3)
+    for kernels in PARTICLE_PHASES:
+        sim, _ = build_uniform_plasma((8, 8), ppc=1, kernels=kernels)
+        tracer, metrics = attach_observability(sim)
+        assert sim.tracer is tracer and sim.metrics is metrics
+        sim.step(3)
 
-    children = build_tree(tracer.records)
-    roots = children[-1]
-    assert [r.name for r in roots] == ["step"] * 3
-    assert [r.attrs["step"] for r in roots] == [0, 1, 2]
-    phases = {c.name for c in children[root.sid]} if (root := roots[0]) else set()
-    assert {"gather", "push", "deposit", "maxwell"} <= phases
-    gather = next(c for c in children[roots[0].sid] if c.name == "gather")
-    assert gather.attrs["species"] == "electrons"
-    # phase spans and the legacy timers see the same intervals
-    assert sim.timers.counts["maxwell"] == 3
+        children = build_tree(tracer.records)
+        roots = children[-1]
+        assert [r.name for r in roots] == ["step"] * 3
+        assert [r.attrs["step"] for r in roots] == [0, 1, 2]
+        step_phases = children[roots[0].sid]
+        names = {c.name for c in step_phases}
+        # the tier that actually ran (compiled falls back where absent)
+        expected = PARTICLE_PHASES[sim.kernels]
+        assert names & {p for ps in PARTICLE_PHASES.values() for p in ps} == (
+            set(expected)
+        )
+        assert "maxwell" in names
+        first = next(c for c in step_phases if c.name == expected[0])
+        assert first.attrs["species"] == "electrons"
+        # phase spans and the legacy timers see the same intervals
+        assert sim.timers.counts["maxwell"] == 3
 
-    snap = metrics.snapshot()
-    assert snap["particles.pushed"] == 3 * sim.total_particles()
-    assert snap["step.seconds"]["count"] == 3
+        snap = metrics.snapshot()
+        assert snap["particles.pushed"] == 3 * sim.total_particles()
+        assert snap["step.seconds"]["count"] == 3
 
 
 def test_traced_mr_simulation_emits_level_spans():

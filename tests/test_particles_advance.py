@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from tests.conftest import assert_runs_equal, make_langmuir_build
+from tests.conftest import assert_runs_equal, make_langmuir_build, needs_compiled
 from repro.constants import c, m_e, plasma_wavelength, q_e
 from repro.core.mr_simulation import MRSimulation
 from repro.diagnostics import gauss_law_residual
@@ -33,7 +33,6 @@ from repro.particles.kernels import (
     FLOAT32_ERROR_BUDGET,
     available_kernel_variants,
     get_kernel_set,
-    kernel_tier_status,
     validate_kernel_set,
 )
 from repro.particles.pusher import wrap_positions_periodic
@@ -41,11 +40,6 @@ from repro.particles.species import Species
 from repro.scenarios import build_uniform_plasma
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-
-needs_compiled = pytest.mark.skipif(
-    "compiled" not in available_kernel_variants(),
-    reason=kernel_tier_status().get("compiled", ""),
-)
 
 
 def unfused(kernel_set):
@@ -416,12 +410,14 @@ def test_fused_step_counts_one_advance_dispatch_per_species():
 
 @needs_compiled
 def test_distributed_compiled_matches_default_and_is_transport_exact():
-    compiled_build = make_langmuir_build(n_ranks=2, kernels="compiled")
+    """The default build runs the native tier; it matches the NumPy
+    route at round-off and is bit-identical over both transports."""
     default_build = make_langmuir_build(n_ranks=2)
-    assert compiled_build().kernels == "compiled"
-    assert default_build().kernels == "vectorized"
-    got = run_distributed_local(compiled_build, 20)
-    want = run_distributed_local(default_build, 20)
+    numpy_build = make_langmuir_build(n_ranks=2, kernels="vectorized")
+    assert default_build().kernels == "compiled"
+    assert numpy_build().kernels == "vectorized"
+    got = run_distributed_local(default_build, 20)
+    want = run_distributed_local(numpy_build, 20)
     # one scale per family: Ey and Bz are round-off of an x-directed wave
     e_scale = max(np.max(np.abs(f["Ex"])) for f in want.fields.values())
     for i, comps in want.fields.items():
@@ -434,7 +430,7 @@ def test_distributed_compiled_matches_default_and_is_transport_exact():
         assert np.array_equal(mine["ids"], arrs["ids"])
         assert rel(mine["positions"], arrs["positions"]) <= 1e-12
         assert np.max(np.abs(mine["momenta"] - arrs["momenta"])) <= 1e-12 * 1e-3
-    over_mp = run_distributed_mp(compiled_build, 20, 2, run_timeout=120.0)
+    over_mp = run_distributed_mp(default_build, 20, 2, run_timeout=120.0)
     assert_runs_equal(over_mp, got)
 
 
@@ -453,6 +449,59 @@ def test_distributed_surfaces_kernel_fallback_reason(monkeypatch):
         DistributedSimulation(
             (8, 8), (0.0, 0.0), (8.0, 8.0), n_ranks=1, kernels="simd"
         )
+
+
+def default_drivers():
+    """The three drivers, each holding a plasma, built without ``kernels=``
+    (the MR one with an active patch)."""
+    n0 = 1e24
+    length = plasma_wavelength(n0)
+    single, _ = build_uniform_plasma((8, 8), density=n0, ppc=1)
+    mr = MRSimulation(
+        YeeGrid((32,), (0.0,), (length,), guards=4),
+        dt=cfl_dt((length / 64,), 0.9),
+    )
+    mr.add_species(
+        Species("electrons", charge=-q_e, mass=m_e, ndim=1),
+        profile=UniformProfile(n0), ppc=4,
+    )
+    mr.add_patch((8,), (24,), ratio=2)
+    decomposed = make_langmuir_build(n_ranks=2, n_cells=8, max_grid_size=4)()
+    return single, mr, decomposed
+
+
+_DEFAULT_DRIVERS_SCRIPT = """
+from tests.test_particles_advance import default_drivers
+for sim in default_drivers():
+    sim.step(2)
+    print(sim.kernels, sim.kernel_fallback_reason, sep="|")
+"""
+
+
+@needs_compiled
+def test_default_kernel_tier_is_native_when_available():
+    """Built without ``kernels=`` every driver runs the native tier;
+    where it is absent, ``resolve_kernel_set`` lands them on the NumPy
+    route with the reason, and they still step."""
+    for sim in default_drivers():
+        assert sim.kernels == "compiled"
+        assert sim.kernel_fallback_reason is None
+        sim.step(2)
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join([root, SRC]),
+        REPRO_COMPILED_BACKEND="none",
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _DEFAULT_DRIVERS_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, (done.stdout, done.stderr)
+    rows = [line.split("|") for line in done.stdout.splitlines()]
+    assert len(rows) == 3
+    for tier, reason in rows:
+        assert tier == "vectorized"
+        assert reason and reason != "None"
 
 
 @pytest.mark.parametrize("variant", ["vectorized", "compiled"])
