@@ -1,18 +1,19 @@
 """CI gate: every kernel tier computes the same physics, and the compiled
 tier earns its keep over the NumPy path.
 
-The dispatch registry (:mod:`repro.particles.kernels`) holds the paper's
-scalar baseline (``reference``), one NumPy path (``vectorized``) and one
-native path (``compiled``); switching between them must be *safe*, and
-the native one must be *profitable*.  This script enforces that contract
-on the Sec. V.A.1 benchmark workload (2D uniform plasma, order-3 shapes,
-Morton-sorted at cell granularity):
+The dispatch registry (:mod:`repro.particles.kernels`) holds one NumPy
+path (``vectorized``) and one native path (``compiled``); switching
+between them must be *safe*, and the native one must be *profitable*.
+This script enforces that contract on the Sec. V.A.1 benchmark workload
+(2D uniform plasma, order-3 shapes, Morton-sorted at cell granularity):
 
-1. cross-validates every registered variant against ``vectorized`` with
+1. cross-validates ``compiled`` against ``vectorized`` with
    :func:`~repro.particles.kernels.validate_kernel_set` across all
-   dimensionalities — any deviation beyond machine precision fails.
-   ``reference`` scatters with ``np.add.at`` on the standard window, so
-   this is also the independent check of the histogram scatter;
+   dimensionalities — any deviation beyond machine precision fails.  The
+   independent check of ``vectorized`` itself (its histogram scatters
+   against ``np.add.at``, its Esirkepov against a textbook evaluation, its
+   gather against a scalar loop) lives in the test suite,
+   ``tests/oracles.py``;
 2. re-validates every variant on float32 field storage against the
    per-kernel :data:`~repro.particles.kernels.FLOAT32_ERROR_BUDGET`
    (``validate_kernel_set`` raises ``PrecisionError`` on a breach);

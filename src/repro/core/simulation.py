@@ -265,8 +265,8 @@ class Simulation(StepDriver):
         Gather/deposit kernel variant from :mod:`repro.particles.kernels`
         (``"compiled"``, the native generated-C tier with its fused
         particle pass, is the default; ``"vectorized"`` for the NumPy
-        path, ``"reference"`` for the scalar baseline).  All variants
-        compute the same physics, to round-off; the active name is
+        path, its fallback and oracle).  Both compute the same physics,
+        to round-off; the active name is
         recorded on the particle-phase tracer spans.  Requesting a tier
         whose backend is unavailable on this machine (e.g. ``"compiled"``
         without a C compiler) falls back to ``"vectorized"``;

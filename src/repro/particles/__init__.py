@@ -1,7 +1,7 @@
 """Particle substrate: structure-of-arrays species containers, relativistic
 pushers, B-spline shape factors, field gather and charge-conserving current
-deposition kernels (vectorized and scalar-reference variants), particle
-sorting and plasma injection."""
+deposition kernels behind a registry of two tiers (NumPy and native),
+particle sorting and plasma injection."""
 
 from repro.particles.species import Species
 from repro.particles.shapes import (
@@ -12,14 +12,11 @@ from repro.particles.shapes import (
 )
 from repro.particles.pusher import push_boris, push_vay, push_positions, lorentz_factor
 from repro.particles.advance import advance_particles
-from repro.particles.gather import gather_fields, gather_fields_reference
+from repro.particles.gather import gather_fields
 from repro.particles.deposit import (
     deposit_current_esirkepov,
     deposit_current_direct,
-    deposit_current_direct_reference,
     deposit_charge,
-    deposit_charge_reference,
-    deposit_current_reference,
 )
 from repro.particles.kernels import (
     FLOAT32_ERROR_BUDGET,
@@ -57,13 +54,9 @@ __all__ = [
     "advance_particles",
     "lorentz_factor",
     "gather_fields",
-    "gather_fields_reference",
     "deposit_current_esirkepov",
     "deposit_current_direct",
-    "deposit_current_direct_reference",
     "deposit_charge",
-    "deposit_charge_reference",
-    "deposit_current_reference",
     "FLOAT32_ERROR_BUDGET",
     "KernelSet",
     "available_kernel_variants",

@@ -16,13 +16,16 @@ Two routes, chosen from what the kernel set offers:
   recorded as a single ``particles`` phase.  The bound makes every move
   sub-cell (``|v| <= c``), which is what fixes the kernel's deposit
   window at ``order + 2`` points.
-* **three-phase** — everything else (the NumPy tiers, ``deposition=
+* **three-phase** — everything else (the NumPy tier, ``deposition=
   "direct"``, time steps of a cell or more, and callers that substitute
   their own gather/deposit, which is how active mesh-refinement patches
   route particles between levels): the classic ``gather`` / ``push`` /
   ``deposit`` phases with windows sized from the data, then the wrap
   (:func:`~repro.particles.pusher.wrap_positions_periodic`) under the
-  ``particle_boundaries`` timer.
+  ``particle_boundaries`` timer.  The kernel set supplies the gather and
+  the Esirkepov deposit; the ``direct`` ablation deposits with the one
+  NumPy :func:`~repro.particles.deposit.deposit_current_direct` on every
+  tier.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import numpy as np
 from repro.constants import c
 from repro.exceptions import ConfigurationError
 from repro.grid.yee import YeeGrid
+from repro.particles.deposit import deposit_current_direct
 from repro.particles.pusher import (
     PUSHERS,
     lorentz_factor,
@@ -121,7 +125,7 @@ def advance_particles(
                 shape_order,
             )
         else:
-            kernel_set.deposit_current_direct(
+            deposit_current_direct(
                 grid, 0.5 * (x_old + sp.positions), vel, sp.weights,
                 sp.charge, shape_order,
             )

@@ -3,9 +3,9 @@
 The paper's headline FOM comes from hand-tuned gather/deposit inner
 loops; the WarpX GPU port (arXiv:2101.12149) showed that the winning
 recipe is *same kernel semantics, new backend behind a dispatch seam,
-cross-validated against the reference* — and that the largest single
-win is one streamed pass that keeps a particle's fields and momentum in
-registers.  This module is that recipe for the Python reproduction: the
+cross-validated against an independent implementation* — and that the
+largest single win is one streamed pass that keeps a particle's fields
+and momentum in registers.  This module is that recipe for the Python reproduction: the
 native registry tier (``kernels="compiled"``) whose per-particle inner
 loops run as native code.
 
@@ -52,10 +52,11 @@ scatter:
     ``n mod LANES`` tail and every block with a refused lane go through
     it.  Exported so the tests can hold ``advance`` against it, bit for
     bit; not a kernel-set slot.
-``gather`` / ``deposit_nodal`` / ``deposit_esirkepov``
+``gather`` / ``deposit_esirkepov``
     the standalone slots at run-time ``(ndim, order, K)``: the
-    three-phase route (mesh-refined runs, ``c dt >= dx``),
-    diagnostics, cross-validation.
+    three-phase route (active mesh-refinement patches, ``c dt >= dx``)
+    and cross-validation.  The nodal deposits (charge, direct current)
+    have no native entry: no driver dispatches them through a kernel set.
 
 Field reads/accumulates happen in the grid dtype; shape weights,
 coordinates and every particle quantity stay double, matching the
@@ -110,7 +111,10 @@ import numpy as np
 from repro.constants import c
 from repro.exceptions import ConfigurationError, SanitizerError
 from repro.grid.yee import FIELD_COMPONENTS, STAGGER, YeeGrid
-from repro.particles.deposit import deposit_current_esirkepov, esirkepov_window
+from repro.particles.deposit import (
+    deposit_current_esirkepov,
+    sized_esirkepov_window,
+)
 from repro.particles.pusher import PUSHERS
 
 #: widest Esirkepov window the compiled kernels handle on-stack; larger
@@ -297,7 +301,7 @@ REPRO_INLINE repro_vec3 repro_push(int vay, repro_vec3 u, repro_vec3 e,
 }
 
 /* One axis of the Esirkepov window for the move a -> b (lattice
-   coordinates): its first point (the tight order+2 window of an odd
+   coordinates): its first point (the minimal order+2 window of an odd
    order is centred on round(xm), see deposit._esirkepov_shapes), the old
    shape s0 and ds = new - old over its K points.  A shape *is* the
    closed-form weight vector placed at (its first point - base), zero
@@ -645,53 +649,6 @@ REPRO_GENERIC i64 gather_@SUF@(const @REAL@ *const *fields, const i64 *strides,
     return -1;
 }
 
-/* `shift`: the component's half-cell stagger per axis (0.0 or 0.5) */
-REPRO_GENERIC i64 deposit_nodal_@SUF@(@REAL@ *const *target, const i64 *strides,
-    const i64 *shape, const double *geom, int ndim, int order, i64 n,
-    const double *pos, const double *shift, const double *vals,
-    int *bad_axis) {
-    @REAL@ *field = target[0];
-    int K = order + 1;
-    for (i64 p = 0; p < n; ++p) {
-        i64 i0[3] = {0, 0, 0};
-        double w[3][4];
-        for (int d = 0; d < ndim; ++d) {
-            double b, x = repro_lattice(pos[p * ndim + d], geom, d) - shift[d];
-            if (repro_shape_weights(x, order, (double)shape[d], &b, w[d], 1)
-                    == 0.0) {
-                *bad_axis = d;
-                return p;
-            }
-            i0[d] = (i64)b;
-        }
-        double v = vals[p];
-        if (ndim == 3) {
-            for (int a = 0; a < K; ++a) {
-                i64 base_a = (i0[0] + a) * strides[0];
-                for (int b = 0; b < K; ++b) {
-                    i64 base_b = base_a + (i0[1] + b) * strides[1];
-                    double vab = v * w[0][a] * w[1][b];
-                    for (int c = 0; c < K; ++c)
-                        field[base_b + (i0[2] + c) * strides[2]]
-                            += (@REAL@)(vab * w[2][c]);
-                }
-            }
-        } else if (ndim == 2) {
-            for (int a = 0; a < K; ++a) {
-                i64 base_a = (i0[0] + a) * strides[0];
-                double va = v * w[0][a];
-                for (int b = 0; b < K; ++b)
-                    field[base_a + (i0[1] + b) * strides[1]]
-                        += (@REAL@)(va * w[1][b]);
-            }
-        } else {
-            for (int a = 0; a < K; ++a)
-                field[(i0[0] + a) * strides[0]] += (@REAL@)(v * w[0][a]);
-        }
-    }
-    return -1;
-}
-
 /* The standalone Esirkepov deposit over a K-point window sized by the
    caller from the actual displacement (three-phase route). */
 REPRO_GENERIC i64 deposit_esirkepov_@SUF@(@REAL@ *const *jxyz, const i64 *strides,
@@ -1008,7 +965,6 @@ class CBackend:
         common = [vp, vp, vp, vp, ci, ci, c64]
         signatures = {
             "gather": [vp, vp, vp],
-            "deposit_nodal": [vp, vp, vp],
             "advance": [ci, vp, vp, vp, cd, cd, cd, cd, cd, vp, vp, vp],
             "deposit_esirkepov": [ci, vp, vp, vp, vp, cd, cd],
         }
@@ -1143,38 +1099,6 @@ def make_compiled_kernel_set(backend: CBackend):
         )
         return e_out, b_out
 
-    def _deposit_nodal(grid, positions, vals, order, target):  # repro: allow(PIC007)
-        pos, vals = _f64(positions), _f64(vals)
-        shift = 0.5 * np.array(STAGGER[target], dtype=np.float64)
-        backend.call(
-            "deposit_nodal", grid, (target,), order, pos.shape[0],
-            _ptr(pos), _ptr(shift), _ptr(vals),
-        )
-
-    def deposit_charge(
-        grid: YeeGrid,
-        positions: np.ndarray,
-        weights: np.ndarray,
-        charge: float,
-        order: int = 1,
-        target: str = "rho",
-    ) -> None:
-        qw = charge * weights / float(np.prod(grid.dx))
-        _deposit_nodal(grid, positions, qw, order, target)
-
-    def deposit_current_direct(
-        grid: YeeGrid,
-        positions_mid: np.ndarray,
-        velocities: np.ndarray,
-        weights: np.ndarray,
-        charge: float,
-        order: int = 1,
-    ) -> None:
-        cell_volume = float(np.prod(grid.dx))
-        for ci, comp in enumerate(("Jx", "Jy", "Jz")):
-            qwv = charge * weights * velocities[:, ci] / cell_volume
-            _deposit_nodal(grid, positions_mid, qwv, order, comp)
-
     def deposit_current(
         grid: YeeGrid,
         positions_old: np.ndarray,
@@ -1188,13 +1112,10 @@ def make_compiled_kernel_set(backend: CBackend):
         """Size the window from the actual displacement [cells], deposit."""
         if positions_old.shape[0] == 0:
             return
-        max_disp = max(
-            float(
-                np.max(np.abs(positions_new[:, d] - positions_old[:, d]))
-            ) / grid.dx[d]
-            for d in range(grid.ndim)
+        K = sized_esirkepov_window(
+            grid, positions_old, positions_new, order,
+            "compiled deposit_esirkepov",
         )
-        K = esirkepov_window(order, max_disp, tight=True)
         if K > KMAX:
             # windows this wide (deep-MR subcycled displacements) are not
             # worth native stack buffers; the vectorized kernel handles
@@ -1204,12 +1125,6 @@ def make_compiled_kernel_set(backend: CBackend):
                 charge, dt, order,
             )
             return
-        if (K + 1) // 2 > grid.guards:
-            raise ConfigurationError(
-                f"particle displacement of {max_disp:.2f} cells needs a "
-                f"{K}-point deposition window but only {grid.guards} guard "
-                f"cells are available"
-            )
         pos_old, pos_new = _f64(positions_old), _f64(positions_new)
         vel, weights = _f64(velocities), _f64(weights)
         backend.call(
@@ -1221,9 +1136,7 @@ def make_compiled_kernel_set(backend: CBackend):
     return KernelSet(
         name="compiled",
         gather=gather,
-        deposit_charge=deposit_charge,
         deposit_current=deposit_current,
-        deposit_current_direct=deposit_current_direct,
         advance=functools.partial(run_advance, backend, "advance"),
         backend=f"{backend.name}; {backend.build}",
     )

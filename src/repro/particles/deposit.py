@@ -8,18 +8,18 @@ discrete continuity equation
 
 to machine precision, so no Poisson clean-up is ever needed — the property
 the paper relies on for long laser-propagation runs.  A simpler direct
-(momentum-conserving, *not* charge-conserving) deposition and the
-``reference`` tier's deposits are provided for benchmarking and validation.
+(momentum-conserving, *not* charge-conserving) deposition is provided for
+the ablation benchmark, and the charge deposit for diagnostics.
 
 All deposits are *added* into the grid arrays (callers zero the sources at
 the start of the step), and all routines process particles in pieces to
 bound the size of the (K, K, K, n) window tensors.
 
-The Esirkepov body (one for every dimension and window width, shared by
-``vectorized`` and ``reference``) is the factored form of the compiled
-tier's ``esirkepov_scatter``.  Per axis the old shape ``S0`` and
-``DS = S1 - S0`` are the closed-form :func:`shape_weights` *placed* in the
-K-point window, and three K-vectors follow from them: ``cum = k qw
+The Esirkepov body (one for every dimension and window width) is the
+factored form of the compiled tier's ``esirkepov_scatter``.  Per axis the
+old shape ``S0`` and ``DS = S1 - S0`` are the closed-form
+:func:`shape_weights` *placed* in the K-point window, and three K-vectors
+follow from them: ``cum = k qw
 cumsum(DS)`` (the cumulative sum commutes with every factor that does not
 depend on its axis, so it is never taken over a window tensor),
 ``T = S0 + DS/2`` and ``U = S0/2 + DS/3``.  Each component is then one
@@ -43,14 +43,15 @@ win, Sec. V.A.1):
 * Esirkepov uses the minimal ``order + 2``-point window for sub-cell moves
   (:func:`esirkepov_window`), shrinking every window tensor.
 
-The ``reference`` tier keeps the textbook scatter — ``np.add.at`` and the
-standard ``order + 3`` window — so every kernel above has an independently
-scattered twin to be validated against; the additions are reassociated,
-never dropped, and the two agree to machine precision.
+The independent twins these are validated against — ``np.add.at``
+scatters and a textbook Esirkepov on the standard ``order + 3`` window —
+live in the test suite (``tests/oracles.py``); the additions here are
+reassociated, never dropped, and the two agree to machine precision.
 
 Every scatter checks the flat-address span it is about to touch and raises
 ``SanitizerError`` (SAN005) when a particle has escaped the padded array;
-so does a shape that does not fit the window it is placed in.
+so does a shape that does not fit the window it is placed in, and a
+non-finite displacement met while sizing that window.
 Under ``REPRO_SANITIZE=1`` every deposit additionally verifies per axis
 that no stencil leaves the array; the flat-address arithmetic would
 otherwise wrap an index on an inner axis into the neighbouring row and
@@ -60,7 +61,8 @@ silently corrupt fields.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Sequence, Tuple
+import math
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -78,9 +80,6 @@ _RUN_PROBE = 1024
 #: chunk size of the nodal deposits, whose temporaries are only n-sized:
 #: fewer scatter calls, and address runs that span the whole sorted species
 _CHUNK_NODAL = 65536
-
-#: scatter_add(span, addr, vals) accumulates vals into span at addr
-ScatterAdd = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
 def _nodal_coords(grid: YeeGrid, positions: np.ndarray, axis: int) -> np.ndarray:
@@ -120,11 +119,6 @@ def _address_span(
             f"{size}; a particle has left the padded field array"
         )
     return first - lo, lo, hi
-
-
-def _scatter_add_at(span: np.ndarray, addr: np.ndarray, vals: np.ndarray) -> None:
-    """The ``reference`` tier's scatter: unbuffered ``np.add.at``."""
-    np.add.at(span, addr, vals)
 
 
 def _run_starts(addr: np.ndarray) -> np.ndarray:
@@ -171,13 +165,12 @@ def _scatter_add_histogram(
     span += np.bincount(addr.ravel(), weights=vals.ravel(), minlength=span.size)
 
 
-def _deposit_nodal(
+def _scatter_nodal(
     grid: YeeGrid,
     positions: np.ndarray,
     values: np.ndarray,
     order: int,
     target: str,
-    scatter_add: ScatterAdd,
     kernel: str,
 ) -> None:
     """Scatter per-particle ``values`` through an order-``order`` stencil.
@@ -216,7 +209,7 @@ def _deposit_nodal(
             for d in range(1, ndim):
                 wprod = wprod * wts[d][:, offsets[d]]
             shift = sum(offsets[d] * strides[d] for d in range(ndim))
-            scatter_add(span, first + shift, wprod)
+            _scatter_add_segmented(span, first + shift, wprod)
 
 
 def deposit_charge(
@@ -229,55 +222,70 @@ def deposit_charge(
 ) -> None:
     """Deposit ``q * w`` onto the nodal charge-density array ``target``."""
     qw = charge * weights / float(np.prod(grid.dx))
-    _deposit_nodal(
-        grid, positions, qw, order, target,
-        _scatter_add_segmented, "deposit_charge",
-    )
+    _scatter_nodal(grid, positions, qw, order, target, "deposit_charge")
 
 
-def deposit_charge_reference(
-    grid: YeeGrid,
-    positions: np.ndarray,
-    weights: np.ndarray,
-    charge: float,
-    order: int = 1,
-    target: str = "rho",
-) -> None:
-    """:func:`deposit_charge` scattered with ``np.add.at``."""
-    qw = charge * weights / float(np.prod(grid.dx))
-    _deposit_nodal(
-        grid, positions, qw, order, target,
-        _scatter_add_at, "deposit_charge_reference",
-    )
-
-
-def esirkepov_window(
-    order: int, max_displacement: float, tight: bool = False
-) -> int:
+def esirkepov_window(order: int, max_displacement: float) -> int:
     """Window width covering both shapes for moves up to ``max_displacement``
-    cells.  ``order + 3`` suffices for the CFL-bounded one-cell move; each
-    extra cell of displacement (particles on a *fine* MR grid pushed with
-    the subcycled coarse time step move up to ``ratio`` fine cells) widens
-    the window by one point on each side.  The Esirkepov decomposition is
-    an algebraic identity, so charge conservation is exact at any width.
+    cells.
 
-    ``tight`` requests the minimal ``order + 2``-point window for sub-cell
-    moves: the union of the supports of the old and new shapes spans at
-    most ``order + 2`` lattice points when the displacement stays under
-    one cell, so the extra ``order + 3``-window point only ever carries an
-    exactly-zero weight.  The ``vectorized`` and ``compiled`` kernels use
-    it — every window point dropped shrinks the (K, .., K, n) window
-    tensors.  Displacements of a cell or more fall back to the standard
-    width.
+    A move of up to one cell needs the minimal ``order + 2`` points: the
+    union of the supports of the old and new shapes spans no more.  Beyond
+    one cell the standard ``order + 3`` window applies, and each further
+    cell of displacement (particles on a *fine* MR grid pushed with the
+    subcycled coarse time step move up to ``ratio`` fine cells) widens it
+    by one point on each side.  The Esirkepov decomposition is an algebraic
+    identity, so charge conservation is exact at any width.
     """
     extra = max(int(np.ceil(max_displacement)) - 1, 0)
-    if tight and extra == 0:
+    if extra == 0:
         return order + 2
     return order + 3 + 2 * extra
 
 
+def sized_esirkepov_window(
+    grid: YeeGrid,
+    positions_old: np.ndarray,
+    positions_new: np.ndarray,
+    order: int,
+    kernel: str,
+) -> int:
+    """The :func:`esirkepov_window` for the moves ``positions_old ->
+    positions_new`` (at least one particle), checked against the guards.
+
+    The longest displacement in cells over all axes sizes the window.  A
+    non-finite one (a NaN or infinite position) is SAN005 naming the first
+    such particle and its axis; a window whose half-width exceeds the guard
+    layer is a :class:`ConfigurationError`.  Every Esirkepov deposit of the
+    three-phase route sizes its window here.
+    """
+    # np.max propagates NaN (inf - inf included): a non-finite move shows
+    # in its axis's maximum, and only then is it looked for
+    moves = [
+        float(np.max(np.abs(positions_new[:, d] - positions_old[:, d])))
+        / grid.dx[d]
+        for d in range(grid.ndim)
+    ]
+    if not all(math.isfinite(m) for m in moves):
+        cells = np.abs(positions_new - positions_old) / np.asarray(grid.dx)
+        p, d = np.argwhere(~np.isfinite(cells))[0]
+        raise SanitizerError(
+            f"SAN005: non-finite displacement of particle {p} on axis {d} "
+            f"in {kernel} for J; a particle position is NaN or infinite"
+        )
+    max_disp = max(moves)
+    K = esirkepov_window(order, max_disp)
+    if (K + 1) // 2 > grid.guards:
+        raise ConfigurationError(
+            f"particle displacement of {max_disp:.2f} cells needs a "
+            f"{K}-point deposition window but only {grid.guards} guard "
+            f"cells are available"
+        )
+    return K
+
+
 def _esirkepov_shapes(
-    x0: np.ndarray, x1: np.ndarray, order: int, window: int, kernel: str
+    x0: np.ndarray, x1: np.ndarray, order: int, window: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One axis of the Esirkepov window for the moves ``x0 -> x1``: its
     base index, the old shape ``s0`` and ``ds = s1 - s0``, both (window, n).
@@ -288,7 +296,7 @@ def _esirkepov_shapes(
     fit (a move longer than the window was sized for) is SAN005, never
     truncated.
 
-    The tight (``order + 2``) odd-order window must be centered on
+    The minimal (``order + 2``) odd-order window must be centered on
     ``round(xm)`` rather than ``floor(xm)``: an odd-order shape reaches
     ``(order + 1) / 2`` cells to each side of the particle, so when the
     midpoint sits in the upper half of its cell the support extends one
@@ -307,7 +315,8 @@ def _esirkepov_shapes(
         lo, hi = int(offset.min()), int(offset.max()) + order
         if lo < 0 or hi >= window:
             raise SanitizerError(
-                f"SAN005: particle shape out of range in {kernel} for J: "
+                f"SAN005: particle shape out of range in "
+                f"deposit_current_esirkepov for J: "
                 f"window points [{lo}, {hi}] vs a {window}-point deposition "
                 f"window; a particle moved further than the window was "
                 f"sized for"
@@ -323,7 +332,7 @@ def _esirkepov_shapes(
     return base, s0, ds
 
 
-def _deposit_current_esirkepov_impl(
+def deposit_current_esirkepov(
     grid: YeeGrid,
     positions_old: np.ndarray,
     positions_new: np.ndarray,
@@ -331,11 +340,17 @@ def _deposit_current_esirkepov_impl(
     weights: np.ndarray,
     charge: float,
     dt: float,
-    order: int,
-    scatter_add: ScatterAdd,
-    kernel: str,
-    tight_window: bool,
+    order: int = 1,
 ) -> None:
+    """Charge-conserving current deposition (Esirkepov 2001, orders 1-3).
+
+    ``velocities`` (n, 3) supplies the components along invariant axes
+    (``vz`` in 2D, ``vy``/``vz`` in 1D), which are not constrained by the
+    in-plane continuity equation.  The stencil window widens automatically
+    for displacements beyond one cell (subcycled MR fine grids); the
+    number of guard cells bounds the displacement that can be handled.
+    """
+    kernel = "deposit_current_esirkepov"
     ndim = grid.ndim
     n = positions_old.shape[0]
     if n == 0:
@@ -343,18 +358,7 @@ def _deposit_current_esirkepov_impl(
     j_arrays = [grid.fields[name] for name in ("Jx", "Jy", "Jz")]
     flats = [a.ravel() for a in j_arrays]
     strides = _flat_strides(j_arrays[0])
-    max_disp = max(
-        float(np.max(np.abs(positions_new[:, d] - positions_old[:, d])))
-        / grid.dx[d]
-        for d in range(ndim)
-    )
-    K = esirkepov_window(order, max_disp, tight=tight_window)
-    if (K + 1) // 2 > grid.guards:
-        raise ConfigurationError(
-            f"particle displacement of {max_disp:.2f} cells needs a "
-            f"{K}-point deposition window but only {grid.guards} guard "
-            f"cells are available"
-        )
+    K = sized_esirkepov_window(grid, positions_old, positions_new, order, kernel)
     # flat offset of every window point from a particle's first one
     stencil = np.zeros((K,) * ndim + (1,), dtype=np.intp)
     for d in range(ndim):
@@ -381,7 +385,7 @@ def _deposit_current_esirkepov_impl(
             b, s0d, dsd = _esirkepov_shapes(
                 _nodal_coords(grid, positions_old[sl], d),
                 _nodal_coords(grid, positions_new[sl], d),
-                order, K, kernel,
+                order, K,
             )
             base.append(b)
             s0.append(s0d)
@@ -409,63 +413,21 @@ def _deposit_current_esirkepov_impl(
             as ``S0a Tb + DSa Ub``."""
             return along(sa, a) * along(t[b], b) + along(dsa, a) * along(u[b], b)
 
+        scatter = _scatter_add_histogram
         if ndim == 3:
-            scatter_add(jx, addr, along(cum[0], 0) * averaged(s0[1], ds[1], 1, 2))
-            scatter_add(jy, addr, along(cum[1], 1) * averaged(s0[0], ds[0], 0, 2))
-            scatter_add(jz, addr, averaged(s0[0], ds[0], 0, 1) * along(cum[2], 2))
+            scatter(jx, addr, along(cum[0], 0) * averaged(s0[1], ds[1], 1, 2))
+            scatter(jy, addr, along(cum[1], 1) * averaged(s0[0], ds[0], 0, 2))
+            scatter(jz, addr, averaged(s0[0], ds[0], 0, 1) * along(cum[2], 2))
         elif ndim == 2:
-            scatter_add(jx, addr, along(cum[0], 0) * along(t[1], 1))
-            scatter_add(jy, addr, along(t[0], 0) * along(cum[1], 1))
+            scatter(jx, addr, along(cum[0], 0) * along(t[1], 1))
+            scatter(jy, addr, along(t[0], 0) * along(cum[1], 1))
             # the invariant-axis current: time-averaged shape product
             cz = k[2] * qw * velocities[sl, 2]
-            scatter_add(jz, addr, averaged(cz * s0[0], cz * ds[0], 0, 1))
+            scatter(jz, addr, averaged(cz * s0[0], cz * ds[0], 0, 1))
         else:
-            scatter_add(jx, addr, cum[0])
-            scatter_add(jy, addr, k[1] * qw * velocities[sl, 1] * t[0])
-            scatter_add(jz, addr, k[2] * qw * velocities[sl, 2] * t[0])
-
-
-def deposit_current_esirkepov(
-    grid: YeeGrid,
-    positions_old: np.ndarray,
-    positions_new: np.ndarray,
-    velocities: np.ndarray,
-    weights: np.ndarray,
-    charge: float,
-    dt: float,
-    order: int = 1,
-) -> None:
-    """Charge-conserving current deposition (Esirkepov 2001, orders 1-3).
-
-    ``velocities`` (n, 3) supplies the components along invariant axes
-    (``vz`` in 2D, ``vy``/``vz`` in 1D), which are not constrained by the
-    in-plane continuity equation.  The stencil window widens automatically
-    for displacements beyond one cell (subcycled MR fine grids); the
-    number of guard cells bounds the displacement that can be handled.
-    """
-    _deposit_current_esirkepov_impl(
-        grid, positions_old, positions_new, velocities, weights,
-        charge, dt, order, _scatter_add_histogram,
-        "deposit_current_esirkepov", tight_window=True,
-    )
-
-
-def _deposit_current_direct_impl(
-    grid: YeeGrid,
-    positions_mid: np.ndarray,
-    velocities: np.ndarray,
-    weights: np.ndarray,
-    charge: float,
-    order: int,
-    scatter_add: ScatterAdd,
-    kernel: str,
-) -> None:
-    cell_volume = float(np.prod(grid.dx))
-    for ci, comp in enumerate(("Jx", "Jy", "Jz")):
-        qwv = charge * weights * velocities[:, ci] / cell_volume
-        _deposit_nodal(
-            grid, positions_mid, qwv, order, comp, scatter_add, kernel
-        )
+            scatter(jx, addr, cum[0])
+            scatter(jy, addr, k[1] * qw * velocities[sl, 1] * t[0])
+            scatter(jz, addr, k[2] * qw * velocities[sl, 2] * t[0])
 
 
 def deposit_current_direct(
@@ -481,57 +443,11 @@ def deposit_current_direct(
     Each J component is scattered on its own staggered lattice with the
     particle's ``q w v / V``.  Cheaper and simpler than Esirkepov but does
     *not* satisfy the discrete continuity equation — kept as the ablation
-    baseline.
+    baseline (``deposition="direct"``).
     """
-    _deposit_current_direct_impl(
-        grid, positions_mid, velocities, weights, charge, order,
-        _scatter_add_segmented, "deposit_current_direct",
-    )
-
-
-def deposit_current_direct_reference(
-    grid: YeeGrid,
-    positions_mid: np.ndarray,
-    velocities: np.ndarray,
-    weights: np.ndarray,
-    charge: float,
-    order: int = 1,
-) -> None:
-    """:func:`deposit_current_direct` scattered with ``np.add.at``."""
-    _deposit_current_direct_impl(
-        grid, positions_mid, velocities, weights, charge, order,
-        _scatter_add_at, "deposit_current_direct_reference",
-    )
-
-
-def deposit_current_reference(  # repro: allow(PIC001)
-    grid: YeeGrid,
-    positions_old: np.ndarray,
-    positions_new: np.ndarray,
-    velocities: np.ndarray,
-    weights: np.ndarray,
-    charge: float,
-    dt: float,
-    order: int = 1,
-) -> None:
-    """Scalar per-particle Esirkepov deposition (Sec. V.A.1 baseline).
-
-    The Esirkepov decomposition of :func:`deposit_current_esirkepov`, one
-    particle at a time on the standard ``order + 3`` window and scattered
-    with ``np.add.at``; used to cross-validate the vectorized kernel and
-    as the reference side of the kernel-optimization benchmark.
-    """
-    for p in range(positions_old.shape[0]):
-        _deposit_current_esirkepov_impl(
-            grid,
-            positions_old[p : p + 1],
-            positions_new[p : p + 1],
-            velocities[p : p + 1],
-            weights[p : p + 1],
-            charge,
-            dt,
-            order,
-            _scatter_add_at,
-            "deposit_current_reference",
-            tight_window=False,
+    cell_volume = float(np.prod(grid.dx))
+    for ci, comp in enumerate(("Jx", "Jy", "Jz")):
+        qwv = charge * weights * velocities[:, ci] / cell_volume
+        _scatter_nodal(
+            grid, positions_mid, qwv, order, comp, "deposit_current_direct"
         )

@@ -1,26 +1,19 @@
 """Field gathering: grid -> particle interpolation.
 
-Two implementations of the same kernel are provided on purpose (see
-:mod:`repro.particles.kernels` for the dispatch registry):
-
-* :func:`gather_fields` — vectorized over particles with the stencil point
-  fixed, exactly the strategy the paper found optimal on A64FX
-  ("vectorizing the computation of the coefficient ijk for multiple
-  particles"); in NumPy this is the only fast formulation.  The six
-  components are grouped by the sample lattice they share (2D: four
-  lattices, ``Ex``/``By`` and ``Ey``/``Bx`` pair up; 1D: two; 3D: six).
-  Per lattice the first-point flat address is built once, per stencil
-  offset the weight product and ``first + shift`` once, and each member
-  component then costs one take and one multiply-add.  The per-axis
-  shape weights come from a
-  :class:`~repro.particles.shapes.ShapeWeightCache`: ``2 * ndim``
-  evaluations for the six components.  Every output element sees the
-  operations of the scalar loop in the same order, so the two gathers
-  are bit-identical.
-* :func:`gather_fields_reference` — a scalar per-particle loop, the
-  "reference" baseline of the paper's Sec. V.A.1 tuning table.  It is used
-  to cross-validate the vectorized kernel and in the kernel-optimization
-  benchmark.
+:func:`gather_fields` is the NumPy tier's gather (see
+:mod:`repro.particles.kernels` for the dispatch registry), vectorized over
+particles with the stencil point fixed — exactly the strategy the paper
+found optimal on A64FX ("vectorizing the computation of the coefficient
+ijk for multiple particles"); in NumPy this is the only fast formulation.
+The six components are grouped by the sample lattice they share (2D: four
+lattices, ``Ex``/``By`` and ``Ey``/``Bx`` pair up; 1D: two; 3D: six).  Per
+lattice the first-point flat address is built once, per stencil offset the
+weight product and ``first + shift`` once, and each member component then
+costs one take and one multiply-add.  The per-axis shape weights come from
+a :class:`~repro.particles.shapes.ShapeWeightCache`: ``2 * ndim``
+evaluations for the six components.  Every output element sees the
+operations of a scalar per-particle loop in the same order, so the gather
+is bit-identical to one (the test suite's oracle, ``tests/oracles.py``).
 
 Under ``REPRO_SANITIZE=1`` the vectorized gather verifies (SAN005) that no
 particle's stencil leaves the padded field array: the flat-address
@@ -37,7 +30,7 @@ import numpy as np
 
 from repro.analysis.sanitize import Sanitizer
 from repro.grid.yee import FIELD_COMPONENTS, STAGGER, YeeGrid
-from repro.particles.shapes import ShapeWeightCache, shape_weights
+from repro.particles.shapes import ShapeWeightCache
 
 
 def lattice_coords(
@@ -96,46 +89,4 @@ def gather_fields(  # repro: allow(PIC007)
     b_out = np.empty((n, 3), dtype=np.float64)
     for i, comp in enumerate(FIELD_COMPONENTS):
         (e_out if i < 3 else b_out)[:, i % 3] = out[comp]
-    return e_out, b_out
-
-
-def gather_fields_reference(  # repro: allow(PIC001, PIC007)
-    grid: YeeGrid, positions: np.ndarray, order: int = 1
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Scalar per-particle gather (baseline of the Sec. V.A.1 experiment).
-
-    Identical mathematics to :func:`gather_fields`, but iterating particles
-    in Python with per-particle stencil evaluation — the analog of the
-    unvectorized per-particle loop the paper started from on A64FX.
-    """
-    n = positions.shape[0]
-    ndim = grid.ndim
-    e_out = np.zeros((n, 3), dtype=np.float64)
-    b_out = np.zeros((n, 3), dtype=np.float64)
-    for i, comp in enumerate(("Ex", "Ey", "Ez", "Bx", "By", "Bz")):
-        arr = grid.fields[comp]
-        out = e_out if i < 3 else b_out
-        col = i % 3
-        stag = STAGGER[comp]
-        for p in range(n):
-            coords = [
-                (positions[p, d] - grid.lo[d]) / grid.dx[d]
-                + grid.guards
-                - 0.5 * stag[d]
-                for d in range(ndim)
-            ]
-            stencil = []
-            for d in range(ndim):
-                i0, w = shape_weights(np.array([coords[d]]), order)
-                stencil.append((int(i0[0]), w[0]))
-            acc = 0.0
-            for offsets in itertools.product(range(order + 1), repeat=ndim):
-                wprod = 1.0
-                idx = []
-                for d in range(ndim):
-                    i0, w = stencil[d]
-                    wprod *= w[offsets[d]]
-                    idx.append(i0 + offsets[d])
-                acc += wprod * arr[tuple(idx)]
-            out[p, col] = acc
     return e_out, b_out

@@ -3,32 +3,24 @@
 The paper's single biggest node-level win (Sec. V.A.1) came from
 restructuring the gather and deposition kernels around memory locality
 while keeping their mathematics fixed.  This module reproduces that
-experiment as a first-class abstraction: each *kernel variant* bundles a
-gather and the three deposits behind one name, and simulations select a
-variant by name (``Simulation(..., kernels="vectorized")``; the default,
-spelled once in ``StepDriver``, is ``compiled``).  The registry holds the
-paper's scalar baseline, one NumPy path and one native path.
+experiment as a first-class abstraction: each *kernel variant* bundles
+the slots a step driver dispatches through — the gather, the Esirkepov
+current deposit and, optionally, the fused particle pass — behind one
+name, and simulations select a variant by name (``Simulation(...,
+kernels="vectorized")``; the default, spelled once in ``StepDriver``, is
+``compiled``).  The registry holds one NumPy path and one native path.
 
 ======  ==================================================================
 variant  implementation
 ======  ==================================================================
-``reference``   the Sec. V.A.1 baseline: scalar per-particle gather and
-                Esirkepov loops, and every deposit scattered with the
-                unbuffered ``np.add.at`` on the standard ``order + 3``
-                window — the independently scattered twin the other
-                tiers are validated against (the Esirkepov *algebra* is
-                the one body all tiers share; its independent check is
-                the textbook evaluation in ``tests/test_particles_deposit``)
 ``vectorized``  the NumPy path, vectorized over particles: the Esirkepov
                 currents as broadcast products of per-axis K-vectors
                 (``cum`` / ``T`` / ``U``) over closed-form shapes placed
                 in the minimal ``order + 2`` window, buffered
                 ``np.bincount`` histogram scatters over the touched
-                address span (after ``np.add.reduceat`` over contiguous
-                runs for the nodal deposits), and a gather that shares
-                the shape weights per axis and the address table and
-                weight products per sample lattice
-                (:mod:`repro.particles.deposit`,
+                address span, and a gather that shares the shape weights
+                per axis and the address table and weight products per
+                sample lattice (:mod:`repro.particles.deposit`,
                 :mod:`repro.particles.gather`); the oracle ``compiled``
                 is validated against and its fallback
 ``compiled``    the default: native per-particle loops, generated C
@@ -43,17 +35,22 @@ variant  implementation
                 :func:`resolve_kernel_set` falls back to ``vectorized``
 ======  ==================================================================
 
-Every variant computes the same physics; :func:`validate_kernel_set`
-cross-checks any variant against ``vectorized`` on a randomized workload
+Both variants compute the same physics; :func:`validate_kernel_set`
+cross-checks a variant against ``vectorized`` on a randomized workload
 and returns the worst relative deviation per kernel (tests pin it at
-machine precision).  All variants are dtype-generic: on a float32 grid
-the field reads and deposition accumulate in single precision while
-particle quantities and shape weights stay double (the paper's "MP
-mode"), and ``validate_kernel_set(..., precision="float32")`` asserts
-the resulting error stays inside :data:`FLOAT32_ERROR_BUDGET`.  The
-active variant name is surfaced as a ``kernel`` attribute on the
-gather/deposit tracer spans, so the observability layer shows which
-implementation ran.
+machine precision).  ``vectorized`` itself is held against independent
+implementations — a scalar per-particle gather, ``np.add.at`` scatters
+and a textbook Esirkepov — that live in the test suite
+(``tests/oracles.py``), not in the registry.  The nodal deposits (charge,
+direct current) are no slot: diagnostics and the ``direct`` ablation call
+:mod:`repro.particles.deposit` directly.  Both variants are
+dtype-generic: on a float32 grid the field reads and deposition
+accumulate in single precision while particle quantities and shape
+weights stay double (the paper's "MP mode"), and
+``validate_kernel_set(..., precision="float32")`` asserts the resulting
+error stays inside :data:`FLOAT32_ERROR_BUDGET`.  The active variant name
+is surfaced as a ``kernel`` attribute on the gather/deposit tracer spans,
+so the observability layer shows which implementation ran.
 """
 
 from __future__ import annotations
@@ -66,15 +63,8 @@ import numpy as np
 from repro.constants import c, m_e, q_e
 from repro.exceptions import ConfigurationError, PrecisionError
 from repro.grid.yee import YeeGrid
-from repro.particles.deposit import (
-    deposit_charge,
-    deposit_charge_reference,
-    deposit_current_direct,
-    deposit_current_direct_reference,
-    deposit_current_esirkepov,
-    deposit_current_reference,
-)
-from repro.particles.gather import gather_fields, gather_fields_reference
+from repro.particles.deposit import deposit_current_esirkepov
+from repro.particles.gather import gather_fields
 from repro.particles.pusher import PUSHERS, lorentz_factor, push_positions
 
 
@@ -82,9 +72,10 @@ from repro.particles.pusher import PUSHERS, lorentz_factor, push_positions
 class KernelSet:
     """One named, interchangeable implementation of the PIC hot path.
 
-    ``gather`` maps ``(grid, positions, order) -> (E, B)``; the deposits
-    share the signatures of their :mod:`repro.particles.deposit`
-    namesakes.  ``advance`` is the optional fused particle pass,
+    ``gather`` maps ``(grid, positions, order) -> (E, B)``;
+    ``deposit_current`` shares the signature of
+    :func:`repro.particles.deposit.deposit_current_esirkepov`.  ``advance``
+    is the optional fused particle pass,
     ``(grid, positions, momenta, weights, charge, mass, dt, order,
     pusher, periodic=None) -> (positions_new, momenta_new)`` with the
     Esirkepov current deposited into ``grid`` on the way and the new
@@ -97,9 +88,7 @@ class KernelSet:
 
     name: str
     gather: Callable[..., Tuple[np.ndarray, np.ndarray]]
-    deposit_charge: Callable[..., None]
     deposit_current: Callable[..., None]
-    deposit_current_direct: Callable[..., None]
     advance: Optional[Callable[..., Tuple[np.ndarray, np.ndarray]]] = None
     backend: str = "numpy"
 
@@ -109,9 +98,7 @@ _REGISTRY: Dict[str, KernelSet] = {}
 #: tiers that probed for a backend and found none: name -> human reason
 _UNAVAILABLE: Dict[str, str] = {}
 
-_KERNEL_FIELDS = (
-    "gather", "deposit_charge", "deposit_current", "deposit_current_direct",
-)
+_KERNEL_FIELDS = ("gather", "deposit_current")
 
 
 def register_kernel_set(*kernel_sets: KernelSet) -> Tuple[KernelSet, ...]:
@@ -219,33 +206,22 @@ def kernel_tier_status() -> Dict[str, str]:
 
 register_kernel_set(
     KernelSet(
-        name="reference",
-        gather=gather_fields_reference,
-        deposit_charge=deposit_charge_reference,
-        deposit_current=deposit_current_reference,
-        deposit_current_direct=deposit_current_direct_reference,
-    ),
-    KernelSet(
         name="vectorized",
         gather=gather_fields,
-        deposit_charge=deposit_charge,
         deposit_current=deposit_current_esirkepov,
-        deposit_current_direct=deposit_current_direct,
     ),
 )
 
 
 #: documented float32 error budget: worst allowed relative L2 deviation
-#: of each kernel on a float32 grid vs the float64 vectorized reference
+#: of each kernel on a float32 grid vs the float64 vectorized baseline
 #: (the :func:`validate_kernel_set` workload).  Values are ~30x the
 #: measured deviation — loose enough to be platform-stable, tight
 #: enough that an accidental single-precision *intermediate* (which
 #: costs several digits, not a fraction of one) trips them.
 FLOAT32_ERROR_BUDGET: Dict[str, float] = {
     "gather": 2.0e-6,
-    "deposit_charge": 2.0e-6,
     "deposit_current": 4.0e-6,
-    "deposit_current_direct": 2.0e-6,
     "advance": 4.0e-6,
 }
 
@@ -269,8 +245,8 @@ def validate_kernel_set(
 ) -> Dict[str, float]:
     """Cross-validate one variant against ``vectorized`` numerically.
 
-    Runs gather, charge, Esirkepov and direct deposits of both variants
-    on an identical randomized workload; a variant with a fused
+    Runs the gather and the Esirkepov deposit of both variants on an
+    identical randomized workload; a variant with a fused
     ``advance`` slot additionally gets an ``"advance"`` entry: the fused
     pass against ``vectorized`` gather -> ``push_boris``/``push_vay`` ->
     ``push_positions`` -> ``vectorized`` Esirkepov, worst deviation over
@@ -332,25 +308,12 @@ def validate_kernel_set(
     e_b, b_b = baseline.gather(grid_b, pos0, order)
     errors["gather"] = max(_rel(e_c, e_b), _rel(b_c, b_b))
 
-    candidate.deposit_charge(grid_c, pos0, w, charge, order)
-    baseline.deposit_charge(grid_b, pos0, w, charge, order)
-    errors["deposit_charge"] = _rel(grid_c.fields["rho"], grid_b.fields["rho"])
-
     candidate.deposit_current(grid_c, pos0, pos1, vel, w, charge, dt, order)
     baseline.deposit_current(grid_b, pos0, pos1, vel, w, charge, dt, order)
     err = 0.0
     for comp in ("Jx", "Jy", "Jz"):
         err = max(err, _rel(grid_c.fields[comp], grid_b.fields[comp]))
     errors["deposit_current"] = err
-
-    grid_c.zero_sources()
-    grid_b.zero_sources()
-    candidate.deposit_current_direct(grid_c, pos0, vel, w, charge, order)
-    baseline.deposit_current_direct(grid_b, pos0, vel, w, charge, order)
-    err = 0.0
-    for comp in ("Jx", "Jy", "Jz"):
-        err = max(err, _rel(grid_c.fields[comp], grid_b.fields[comp]))
-    errors["deposit_current_direct"] = err
 
     if candidate.advance is not None:
         # electrons with u ~ 1 and c dt = 0.3 dx: every move stays sub-cell

@@ -166,18 +166,20 @@ def test_guard_scribble_midrun_raises(monkeypatch):
 
 def test_disabled_sanitizer_lets_nan_through(monkeypatch):
     """Without REPRO_SANITIZE the checks really are off on the NumPy
-    route: the NaN survives the injection step unchallenged and only
-    surfaces later as a raw ValueError deep inside the deposition kernel
-    — exactly the hard-to-diagnose failure the sanitizer exists to
-    front-run."""
+    route: the NaN field is never reported as such (no SAN001).  It only
+    surfaces once a gathered NaN has poisoned a push, as the deposit's
+    always-on SAN005 for the particle's non-finite move — the particle,
+    not the field and step the sanitizer would have named."""
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     sim = langmuir_sim(kernels="vectorized")
     assert sim.sanitizer is None
     sim.step(2)
     sim.grid.fields["Ex"][10] = np.nan
-    with pytest.raises(ValueError) as excinfo:
-        sim.step(2)  # gathered NaN poisons the push, deposit blows up
-    assert not isinstance(excinfo.value, SanitizerError)
+    with pytest.raises(SanitizerError) as excinfo:
+        sim.step(2)  # gathered NaN poisons the push, deposit refuses it
+    msg = str(excinfo.value)
+    assert "SAN005" in msg and "non-finite displacement" in msg
+    assert "SAN001" not in msg
 
 
 @needs_compiled
@@ -253,10 +255,8 @@ def test_san005_trips_on_gather_outside_padding(monkeypatch):
 
 def test_san005_trips_on_deposit_outside_padding(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    from repro.particles.deposit import (
-        deposit_charge,
-        deposit_charge_reference,
-    )
+    from repro.particles.deposit import deposit_charge
+    from tests.oracles import deposit_charge_add_at
 
     # out of range on the inner axis only: the flat addresses stay inside
     # the array (they wrap into the next row), so only the per-axis
@@ -265,8 +265,10 @@ def test_san005_trips_on_deposit_outside_padding(monkeypatch):
     pos = np.array([[4.0, 11.5]])
     with pytest.raises(SanitizerError, match="SAN005.*axis 1"):
         deposit_charge(g, pos, np.ones(1), -q_e, order=3)
-    with pytest.raises(SanitizerError, match="SAN005.*axis 1"):
-        deposit_charge_reference(g, pos, np.ones(1), -q_e, order=3)
+    assert not g.fields["rho"].any()
+    # the per-axis np.add.at oracle agrees that the stencil leaves axis 1
+    with pytest.raises(IndexError, match="on axis 1"):
+        deposit_charge_add_at(g, pos, np.ones(1), -q_e, order=3)
 
 
 def test_san005_silent_without_env(monkeypatch):

@@ -84,7 +84,7 @@ def test_float32_advance_budget_is_enforced(monkeypatch):
 
 
 def test_validate_skips_advance_for_unfused_variants():
-    assert "advance" not in validate_kernel_set("reference")
+    assert "advance" not in validate_kernel_set("vectorized")
 
 
 # -- (b) a physics run on the fused path --------------------------------------
@@ -185,7 +185,7 @@ def test_wide_displacement_takes_the_three_phase_route():
     from the data and, at K > KMAX, lands on the NumPy Esirkepov kernel."""
     grid_f = YeeGrid((24, 24), (0.0, 0.0), (24.0, 24.0), guards=10)
     grid_r = grid_f.copy()
-    assert esirkepov_window(3, 3.2, tight=True) > KMAX
+    assert esirkepov_window(3, 3.2) > KMAX
     sp_f, dt = streaming_species(grid_f, 3.2)
     sp_r, _ = streaming_species(grid_r, 3.2)
     assert advance_particles(
@@ -207,7 +207,7 @@ def test_wide_displacement_takes_the_three_phase_route():
 def test_guard_shortfall_raises_through_advance_particles():
     grid = YeeGrid((16, 16), (0.0, 0.0), (16.0, 16.0), guards=3)
     # 1.5 cells at order 3: an 8-point window, four guard cells needed
-    assert esirkepov_window(3, 1.5, tight=True) == KMAX
+    assert esirkepov_window(3, 1.5) == KMAX
     sp, dt = streaming_species(grid, 1.5)
     with pytest.raises(ConfigurationError, match="guard"):
         advance_particles(grid, sp, get_kernel_set("compiled"), "boris", dt, 3)
@@ -230,10 +230,8 @@ vel = np.zeros((2, 3))
 w = np.ones(2)
 calls = {
     "gather": lambda: ks.gather(grid, pos, 3),
-    "deposit_charge": lambda: ks.deposit_charge(grid, pos, w, -1.0, 3),
-    "deposit_current_direct":
-        lambda: ks.deposit_current_direct(grid, pos, vel, w, -1.0, 3),
-    # a sub-cell move far outside the grid: only the kernel can object
+    # a sub-cell move far outside the grid: only the kernel can object (a
+    # NaN or infinite one is refused while the window is sized)
     "deposit_current":
         lambda: ks.deposit_current(grid, pos, pos + 0.25, vel, w, -1.0, 0.1, 3),
     "advance": lambda: ks.advance(grid, pos, vel, w, -1.0, 1.0, 0.1, 3),
@@ -245,10 +243,6 @@ for name, call in calls.items():
     except SanitizerError as exc:
         assert "SAN005" in str(exc) and "particle 1" in str(exc), exc
         assert "axis 0" in str(exc), exc
-    except ValueError as exc:
-        # a NaN displacement is refused while sizing the window, before
-        # the kernel runs
-        assert name == "deposit_current" and not np.isfinite(bad), (name, exc)
     else:
         raise SystemExit(f"{name}: no error for x = {bad}")
 
@@ -326,13 +320,18 @@ def test_stray_particle_error_names_kernel_component_particle_axis():
     grid = YeeGrid((16, 16), (0.0, 0.0), (16.0, 16.0), guards=4)
     pos = np.array([[8.0, 8.0], [8.0, 8.0], [8.0, -500.0]])
     with pytest.raises(SanitizerError) as err:
-        ks.deposit_charge(grid, pos, np.ones(3), -1.0, 2)
+        ks.gather(grid, pos, 2)
     msg = str(err.value)
-    assert "SAN005" in msg and "deposit_nodal" in msg and "rho" in msg
+    assert "SAN005" in msg and "compiled gather" in msg and "Ex" in msg
+    assert "particle 2" in msg and "axis 1" in msg
+    vel, w = np.zeros((3, 3)), np.ones(3)
+    with pytest.raises(SanitizerError) as err:
+        ks.deposit_current(grid, pos, pos + 0.25, vel, w, -1.0, 0.1, 2)
+    msg = str(err.value)
+    assert "SAN005" in msg and "deposit_esirkepov" in msg and "Jx" in msg
     assert "particle 2" in msg and "axis 1" in msg
     # a stencil that merely touches the last guard point is still legal
     edge = np.array([[-3.0, 19.9]])
-    ks.deposit_charge(grid, edge, np.ones(1), -1.0, 1)
     ks.gather(grid, edge, 1)
 
 

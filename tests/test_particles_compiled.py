@@ -25,10 +25,7 @@ from repro.particles.compiled import (
     install_compiled_tier,
     make_compiled_kernel_set,
 )
-from repro.particles.deposit import (
-    deposit_charge,
-    deposit_current_esirkepov,
-)
+from repro.particles.deposit import deposit_current_esirkepov
 from repro.particles.gather import gather_fields
 from repro.particles.injection import UniformProfile
 from repro.particles.kernels import (
@@ -105,14 +102,6 @@ def test_python_twin_deposits_match_numpy(c_set, ndim, order):
     disp = 0.3 * np.arange(1, grid_a.ndim + 1)
     pos_new = pos + disp
 
-    deposit_charge(grid_a, pos, wts, charge=-2.0, order=order)
-    c_set.deposit_charge(grid_b, pos, wts, charge=-2.0, order=order)
-    np.testing.assert_allclose(
-        grid_b.fields["rho"], grid_a.fields["rho"], rtol=0, atol=1e-12
-    )
-
-    for g in (grid_a, grid_b):
-        g.zero_sources()
     deposit_current_esirkepov(
         grid_a, pos, pos_new, vel, wts, charge=-2.0, dt=dt, order=order
     )
@@ -122,22 +111,6 @@ def test_python_twin_deposits_match_numpy(c_set, ndim, order):
     for comp in ("Jx", "Jy", "Jz"):
         np.testing.assert_allclose(
             grid_b.fields[comp], grid_a.fields[comp], rtol=0, atol=1e-11,
-            err_msg=comp,
-        )
-
-
-def test_python_twin_direct_current_matches_numpy(c_set):
-    from repro.particles.deposit import deposit_current_direct
-
-    grid_a = make_grid(2)
-    grid_b = make_grid(2)
-    pos, vel, wts = particle_cloud(grid_a, n=40)
-    deposit_current_direct(grid_a, pos, vel, wts, charge=1.5, order=2)
-    c_set.deposit_current_direct(grid_b, pos, vel, wts, charge=1.5,
-                                      order=2)
-    for comp in ("Jx", "Jy", "Jz"):
-        np.testing.assert_allclose(
-            grid_b.fields[comp], grid_a.fields[comp], rtol=0, atol=1e-12,
             err_msg=comp,
         )
 
@@ -170,8 +143,9 @@ def test_native_tier_reports_backend():
 
 def test_c_source_emits_both_precisions():
     src = c_source()
-    for kernel in ("gather", "deposit_nodal", "deposit_esirkepov", "advance"):
+    for kernel in ("gather", "deposit_esirkepov", "advance", "advance_scalar"):
         assert f" {kernel}_f64(" in src and f" {kernel}_f32(" in src
+    assert "deposit_nodal" not in src
     assert "@REAL@" not in src and "@SUF@" not in src
 
 
@@ -246,7 +220,7 @@ def test_wide_window_falls_back_to_vectorized(c_set):
     from repro.particles.deposit import esirkepov_window
 
     disp = 3.2
-    assert esirkepov_window(3, disp, tight=True) > KMAX
+    assert esirkepov_window(3, disp) > KMAX
     pos_new = pos + np.array([disp, 0.5])
     c_set.deposit_current(grid_a, pos, pos_new, vel, wts, charge=1.0,
                                dt=0.2, order=3)
@@ -331,8 +305,8 @@ def test_unavailable_tier_simulation_falls_back(monkeypatch):
 
 
 def test_available_variant_has_no_fallback_reason():
-    ks, reason = resolve_kernel_set("reference")
-    assert ks.name == "reference" and reason is None
+    ks, reason = resolve_kernel_set("vectorized")
+    assert ks.name == "vectorized" and reason is None
 
 
 def test_unknown_variant_still_raises_through_resolve():
@@ -371,7 +345,7 @@ def test_backend_none_leaves_two_tiers_and_compiled_lands_on_vectorized(
     })
     monkeypatch.setattr(kernels, "_UNAVAILABLE", {})
     install_compiled_tier()
-    assert available_kernel_variants() == ("reference", "vectorized")
+    assert available_kernel_variants() == ("vectorized",)
     grid = YeeGrid((12, 12), (0.0, 0.0), (12.0e-6, 12.0e-6), guards=4)
     sim = Simulation(grid, dt=2.0e-15, kernels="compiled")
     assert sim.kernels == "vectorized"
@@ -400,9 +374,7 @@ def test_failed_batch_registration_installs_nothing(monkeypatch):
         return KernelSet(
             name=name,
             gather=vec.gather,
-            deposit_charge=vec.deposit_charge,
             deposit_current=vec.deposit_current,
-            deposit_current_direct=vec.deposit_current_direct,
         )
 
     before = available_kernel_variants()
@@ -417,9 +389,7 @@ def test_failed_batch_registration_installs_nothing(monkeypatch):
     bad = KernelSet(
         name="fresh_c",
         gather="not callable",
-        deposit_charge=vec.deposit_charge,
         deposit_current=vec.deposit_current,
-        deposit_current_direct=vec.deposit_current_direct,
     )
     with pytest.raises(ConfigurationError, match="callable"):
         register_kernel_set(clone("fresh_d"), bad)
@@ -433,9 +403,7 @@ def test_successful_batch_registers_all_and_clears_unavailable(monkeypatch):
     register_kernel_set(KernelSet(
         name="fresh_e",
         gather=vec.gather,
-        deposit_charge=vec.deposit_charge,
         deposit_current=vec.deposit_current,
-        deposit_current_direct=vec.deposit_current_direct,
     ))
     assert "fresh_e" in available_kernel_variants()
     assert "fresh_e" not in kernels._UNAVAILABLE
@@ -456,11 +424,11 @@ def test_dispatch_counters_label_actual_variant():
     length = plasma_wavelength(n0)
     grid = YeeGrid((16,), (0.0,), (length,), guards=4)
     sim = Simulation(grid, dt=cfl_dt((length / 16,), 0.9), shape_order=2,
-                     smoothing_passes=0, kernels="reference")
+                     smoothing_passes=0, kernels="vectorized")
     sim.add_species(Species("e", charge=-q_e, mass=m_e, ndim=1),
                     profile=UniformProfile(n0), ppc=2)
     _, metrics = attach_observability(sim)
     sim.step(3)
     snap = metrics.snapshot()
-    assert snap["kernel.dispatch{phase=deposit,variant=reference}"] == 3.0
-    assert snap["kernel.dispatch{phase=gather,variant=reference}"] == 3.0
+    assert snap["kernel.dispatch{phase=deposit,variant=vectorized}"] == 3.0
+    assert snap["kernel.dispatch{phase=gather,variant=vectorized}"] == 3.0

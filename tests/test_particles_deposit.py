@@ -18,11 +18,14 @@ from repro.particles.deposit import (
     deposit_charge,
     deposit_current_direct,
     deposit_current_esirkepov,
-    deposit_current_reference,
     esirkepov_window,
 )
-from repro.particles.kernels import FLOAT32_ERROR_BUDGET
-from repro.particles.shapes import bspline
+from repro.particles.kernels import (
+    FLOAT32_ERROR_BUDGET,
+    available_kernel_variants,
+    get_kernel_set,
+)
+from tests.oracles import textbook_esirkepov
 
 
 def make_grid(ndim, n=10, guards=4):
@@ -127,6 +130,7 @@ def test_esirkepov_static_particle_no_current():
 
 @pytest.mark.parametrize("order", [1, 3])
 def test_reference_matches_vectorized(order):
+    """A handful of particles against the textbook Esirkepov oracle."""
     g1 = make_grid(2)
     g2 = make_grid(2)
     rng = np.random.default_rng(11)
@@ -136,7 +140,7 @@ def test_reference_matches_vectorized(order):
     vel = rng.normal(size=(n, 3)) * 1e7
     w = rng.uniform(0.5, 2.0, size=n)
     deposit_current_esirkepov(g1, pos0, pos1, vel, w, -q_e, 1e-9, order)
-    deposit_current_reference(g2, pos0, pos1, vel, w, -q_e, 1e-9, order)
+    textbook_esirkepov(g2, pos0, pos1, vel, w, -q_e, 1e-9, order)
     for comp in ("Jx", "Jy", "Jz"):
         np.testing.assert_allclose(
             g1.fields[comp], g2.fields[comp], rtol=1e-10, atol=1e-20
@@ -229,56 +233,9 @@ def test_continuity_property_1d(order, x0, dxp, w):
 
 # -- the factored kernel against a literal textbook evaluation ---------------
 #
-# ``reference``, ``vectorized`` and ``compiled`` all share the factorisation
-# (K-vectors cum / T / U, closed-form shapes placed in the window), so none
-# of them checks the algebra of the others.  This one does: B-splines
-# evaluated over the standard window, the unfactored four-term products, the
-# cumulative sum over the window tensor, ``np.add.at``.
-
-def textbook_esirkepov(grid, pos0, pos1, vel, weights, charge, dt, order):
-    ndim, dx = grid.ndim, grid.dx
-    move = max(np.max(np.abs(pos1[:, d] - pos0[:, d])) / dx[d] for d in range(ndim))
-    K = order + 3 + 2 * max(int(np.ceil(move)) - 1, 0)
-    jx, jy, jz = (grid.fields[comp] for comp in ("Jx", "Jy", "Jz"))
-    for p in range(pos0.shape[0]):
-        pts, s0, ds = [], [], []
-        for d in range(ndim):
-            a = (pos0[p, d] - grid.lo[d]) / dx[d] + grid.guards
-            b = (pos1[p, d] - grid.lo[d]) / dx[d] + grid.guards
-            lattice = int(np.floor(0.5 * (a + b))) - (K - 1) // 2 + np.arange(K)
-            pts.append(lattice)
-            s0.append(bspline(order, lattice - a))
-            ds.append(bspline(order, lattice - b) - s0[d])
-        qw = charge * weights[p]
-
-        def averaged(a, b):  # time average of S_a S_b over the straight move
-            return (
-                np.multiply.outer(s0[a], s0[b])
-                + 0.5 * np.multiply.outer(ds[a], s0[b])
-                + 0.5 * np.multiply.outer(s0[a], ds[b])
-                + np.multiply.outer(ds[a], ds[b]) / 3.0
-            )
-
-        if ndim == 1:
-            np.add.at(jx, pts[0], -qw / dt * np.cumsum(ds[0]))
-            np.add.at(jy, pts[0], qw * vel[p, 1] / dx[0] * (s0[0] + 0.5 * ds[0]))
-            np.add.at(jz, pts[0], qw * vel[p, 2] / dx[0] * (s0[0] + 0.5 * ds[0]))
-        elif ndim == 2:
-            at = np.ix_(*pts)
-            w_x = ds[0][:, None] * (s0[1] + 0.5 * ds[1])[None, :]
-            w_y = (s0[0] + 0.5 * ds[0])[:, None] * ds[1][None, :]
-            np.add.at(jx, at, -qw / (dt * dx[1]) * np.cumsum(w_x, axis=0))
-            np.add.at(jy, at, -qw / (dt * dx[0]) * np.cumsum(w_y, axis=1))
-            np.add.at(jz, at, qw * vel[p, 2] / (dx[0] * dx[1]) * averaged(0, 1))
-        else:
-            at = np.ix_(*pts)
-            w_x = ds[0][:, None, None] * averaged(1, 2)[None, :, :]
-            w_y = ds[1][None, :, None] * averaged(0, 2)[:, None, :]
-            w_z = ds[2][None, None, :] * averaged(0, 1)[:, :, None]
-            np.add.at(jx, at, -qw / (dt * dx[1] * dx[2]) * np.cumsum(w_x, axis=0))
-            np.add.at(jy, at, -qw / (dt * dx[0] * dx[2]) * np.cumsum(w_y, axis=1))
-            np.add.at(jz, at, -qw / (dt * dx[0] * dx[1]) * np.cumsum(w_z, axis=2))
-
+# ``vectorized`` and ``compiled`` share the factorisation (K-vectors cum / T /
+# U, closed-form shapes placed in the window), so neither checks the algebra
+# of the other; ``tests.oracles.textbook_esirkepov`` does.
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("move", [0.9, 1.7, 2.6])
@@ -358,9 +315,31 @@ def test_shape_that_does_not_fit_its_window_is_san005():
     x0 = np.array([5.2, 6.4, 7.45])
     x1 = x0 + np.array([0.9, -0.3, 1.6])
     for order in (1, 2, 3):
-        window = esirkepov_window(order, 0.9, tight=True)
-        _esirkepov_shapes(x0[:2], x1[:2], order, window, "deposit_current_esirkepov")
+        window = esirkepov_window(order, 0.9)
+        _esirkepov_shapes(x0[:2], x1[:2], order, window)
         with pytest.raises(
             SanitizerError, match="SAN005.*deposit_current_esirkepov for J"
         ):
-            _esirkepov_shapes(x0, x1, order, window, "deposit_current_esirkepov")
+            _esirkepov_shapes(x0, x1, order, window)
+
+
+@pytest.mark.parametrize("tier", ["vectorized", "compiled"])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_displacement_is_san005_on_every_axis(tier, axis, bad):
+    """Sizing the Esirkepov window meets the NaN / infinite position first;
+    whichever axis holds it, that is SAN005 naming particle and axis, on
+    both tiers, before anything is deposited."""
+    if tier not in available_kernel_variants():
+        pytest.skip(f"{tier} tier unavailable on this machine")
+    g = make_grid(2, n=16)
+    pos = np.full((3, 2), 8.0)
+    pos[1, axis] = bad
+    with pytest.raises(
+        SanitizerError, match=f"SAN005.*particle 1 on axis {axis}"
+    ):
+        get_kernel_set(tier).deposit_current(
+            g, pos, pos + 0.25, np.zeros((3, 3)), np.ones(3), -q_e, 1e-9, 3
+        )
+    for comp in ("Jx", "Jy", "Jz"):
+        assert not g.fields[comp].any()

@@ -1,14 +1,12 @@
-"""Tests for the field gather kernels (vectorized and reference)."""
+"""Tests for the NumPy field gather, including bit-identity with the
+scalar per-particle oracle of ``tests/oracles.py``."""
 
 import numpy as np
 import pytest
 
 from repro.grid.yee import STAGGER, YeeGrid
-from repro.particles.gather import (
-    gather_fields,
-    gather_fields_reference,
-    lattice_coords,
-)
+from repro.particles.gather import gather_fields, lattice_coords
+from tests.oracles import gather_scalar
 
 
 def make_grid(ndim=2, n=12):
@@ -70,7 +68,7 @@ def test_vectorized_matches_reference(order, ndim):
             g.fields[comp][...] = rng.normal(size=g.shape)
         pos = rng.uniform(1.5, 6.5, size=(25, ndim))
         e_v, b_v = gather_fields(g, pos, order)
-        e_r, b_r = gather_fields_reference(g, pos, order)
+        e_r, b_r = gather_scalar(g, pos, order)
         assert np.array_equal(e_v, e_r) and np.array_equal(b_v, b_r), dtype
 
 

@@ -1,10 +1,13 @@
 """Kernel dispatch registry and the NumPy path's scatter techniques:
 registry lookup and registration errors, machine-precision
-cross-validation of the vectorized kernels against the ``reference``
-tier's independent ``np.add.at`` scatter (sorted and unsorted), charge
-conservation of the Esirkepov deposit on the tight window, the
-touched-span histogram and its always-on bounds check, the shape-weight
-cache, and the kernel-variant plumbing through ``Simulation``."""
+cross-validation of the vectorized kernels against the independent
+oracles of ``tests/oracles.py`` (textbook Esirkepov, ``np.add.at`` nodal
+scatters, scalar gather; sorted and unsorted), charge conservation of the
+Esirkepov deposit on the minimal window, the touched-span histogram and
+its always-on bounds check, the shape-weight cache, and the
+kernel-variant plumbing through ``Simulation``."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -18,14 +21,14 @@ from repro.grid.yee import YeeGrid
 from repro.observability import attach_observability
 from repro.observability.tracer import build_tree
 from repro.particles import deposit as deposit_mod
+from repro.particles import kernels
 from repro.particles.deposit import (
     deposit_charge,
     deposit_current_direct,
     deposit_current_esirkepov,
-    deposit_current_reference,
     esirkepov_window,
 )
-from repro.particles.gather import gather_fields, gather_fields_reference
+from repro.particles.gather import gather_fields
 from repro.particles.injection import UniformProfile
 from repro.particles.kernels import (
     KernelSet,
@@ -36,6 +39,13 @@ from repro.particles.kernels import (
 )
 from repro.particles.shapes import ShapeWeightCache, shape_weights
 from repro.particles.species import Species
+from tests.oracles import (
+    deposit_charge_add_at,
+    deposit_current_direct_add_at,
+    gather_scalar,
+    oracle_kernel_set,
+    textbook_esirkepov,
+)
 
 
 def make_grid(ndim, n=10, guards=5):
@@ -53,14 +63,17 @@ def divergence_j(grid):
 
 def test_builtin_variants_registered():
     names = available_kernel_variants()
-    assert names[:2] == ("reference", "vectorized")
-    assert names[2:] in ((), ("compiled",))
+    assert names in (("vectorized", "compiled"), ("vectorized",))
+    assert [f.name for f in dataclasses.fields(KernelSet)] == [
+        "name", "gather", "deposit_current", "advance", "backend",
+    ]
 
 
 def test_retired_tiled_name_is_an_ordinary_unknown_variant():
-    with pytest.raises(ConfigurationError, match="unknown kernel variant") as exc:
-        get_kernel_set("tiled")
-    assert str(available_kernel_variants()) in str(exc.value)
+    for retired in ("tiled", "reference"):
+        with pytest.raises(ConfigurationError, match="unknown kernel variant") as exc:
+            get_kernel_set(retired)
+        assert str(available_kernel_variants()) in str(exc.value)
 
 
 def test_unknown_variant_raises():
@@ -74,13 +87,11 @@ def test_duplicate_registration_raises():
         register_kernel_set(KernelSet(
             name="vectorized",
             gather=vec.gather,
-            deposit_charge=vec.deposit_charge,
             deposit_current=vec.deposit_current,
-            deposit_current_direct=vec.deposit_current_direct,
         ))
 
 
-@pytest.mark.parametrize("name", ["reference", "compiled"])
+@pytest.mark.parametrize("name", ["compiled"])
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 def test_validate_kernel_set_machine_precision(name, ndim):
     if name not in available_kernel_variants():
@@ -89,17 +100,17 @@ def test_validate_kernel_set_machine_precision(name, ndim):
     assert max(errors.values()) < 1e-12, errors
 
 
-# -- Esirkepov on the tight window: conservation + match to the reference ----
+# -- Esirkepov on the minimal window: conservation + match to the oracle ----
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 @pytest.mark.parametrize("sort", [False, True])
 def test_tiled_esirkepov_matches_reference_and_conserves(order, ndim, sort):
-    """The histogram-scattered tight-window kernel (once the ``tiled``
-    tier, whence the test id) must agree with the per-particle
-    ``np.add.at`` kernel on the standard window to machine precision and
-    keep (rho1 - rho0)/dt + div J = 0, whether or not the species was
-    sorted (sorting only changes summation order)."""
+    """The histogram-scattered minimal-window kernel (once the ``tiled``
+    tier, whence the test id) must agree with the textbook Esirkepov —
+    per particle, ``np.add.at``, the standard window — to machine
+    precision and keep (rho1 - rho0)/dt + div J = 0, whether or not the
+    species was sorted (sorting only changes summation order)."""
     rng = np.random.default_rng(100 * ndim + order)
     n = 25
     pos0 = rng.uniform(3.0, 7.0, size=(n, ndim))
@@ -114,7 +125,7 @@ def test_tiled_esirkepov_matches_reference_and_conserves(order, ndim, sort):
     g_tiled = make_grid(ndim)
     g_ref = make_grid(ndim)
     deposit_current_esirkepov(g_tiled, pos0, pos1, vel, w, charge, dt, order)
-    deposit_current_reference(g_ref, pos0, pos1, vel, w, charge, dt, order)
+    textbook_esirkepov(g_ref, pos0, pos1, vel, w, charge, dt, order)
     for comp in ("Jx", "Jy", "Jz"):
         scale = np.max(np.abs(g_ref.fields[comp])) + 1e-300
         assert np.max(np.abs(g_tiled.fields[comp] - g_ref.fields[comp])) / scale < 1e-12
@@ -130,10 +141,37 @@ def test_tiled_esirkepov_matches_reference_and_conserves(order, ndim, sort):
 
 def test_tight_window_is_minimal_for_subcell_moves():
     for order in (1, 2, 3):
-        assert esirkepov_window(order, 0.9, tight=True) == order + 2
-        assert esirkepov_window(order, 0.9) == order + 3
-        # beyond one cell the tight window falls back to the widened one
-        assert esirkepov_window(order, 1.7, tight=True) == order + 5
+        assert esirkepov_window(order, 0.0) == order + 2
+        assert esirkepov_window(order, 0.9) == order + 2
+        # from one cell on: the standard window, widened per extra cell
+        assert esirkepov_window(order, 1.7) == order + 5
+        assert esirkepov_window(order, 2.6) == order + 7
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+@pytest.mark.parametrize("sort", [False, True])
+def test_nodal_deposits_match_the_add_at_oracle(order, ndim, sort):
+    """Charge and direct-current deposits (run-reduced histogram scatters)
+    against per-particle ``np.add.at`` of B-splines evaluated around each
+    particle: at most 1e-12 of max |rho| / |J|, sorted or not."""
+    rng = np.random.default_rng(200 + 10 * ndim + order)
+    n = 60
+    pos = rng.uniform(2.0, 8.0, size=(n, ndim))
+    if sort:
+        pos = pos[np.lexsort(np.floor(pos).T[::-1])]
+    w = rng.uniform(0.5, 2.0, size=n)
+    vel = rng.uniform(-0.5, 0.5, size=(n, 3)) * c
+    ours, oracle = make_grid(ndim), make_grid(ndim)
+    deposit_charge(ours, pos, w, -q_e, order)
+    deposit_charge_add_at(oracle, pos, w, -q_e, order)
+    deposit_current_direct(ours, pos, vel, w, -q_e, order)
+    deposit_current_direct_add_at(oracle, pos, vel, w, -q_e, order)
+    for comp in ("rho", "Jx", "Jy", "Jz"):
+        want = oracle.fields[comp]
+        assert np.max(np.abs(want)) > 0.0, comp
+        err = np.max(np.abs(ours.fields[comp] - want))
+        assert err <= 1e-12 * np.max(np.abs(want)), comp
 
 
 # -- histogram over the touched span + always-on bounds check ----------------
@@ -202,7 +240,8 @@ def test_escaped_particle_is_san005_not_a_giant_histogram(monkeypatch, kernel, x
 
 def test_gather_shares_weights_and_matches_reference(monkeypatch):
     """Six components, two sample lattices per axis: a 2D gather evaluates
-    ``shape_weights`` 4 times, not 12, and still equals the scalar loop."""
+    ``shape_weights`` 4 times, not 12, and still equals the scalar loop
+    bit for bit."""
     from repro.particles import shapes
 
     g = make_grid(2)
@@ -210,7 +249,7 @@ def test_gather_shares_weights_and_matches_reference(monkeypatch):
     for comp in ("Ex", "Ey", "Ez", "Bx", "By", "Bz"):
         g.fields[comp][...] = rng.normal(size=g.shape)
     pos = rng.uniform(1.0, 9.0, size=(40, 2))
-    e_r, b_r = gather_fields_reference(g, pos, order=3)
+    e_r, b_r = gather_scalar(g, pos, order=3)
     calls = []
     real = shapes.shape_weights
     monkeypatch.setattr(
@@ -219,8 +258,7 @@ def test_gather_shares_weights_and_matches_reference(monkeypatch):
     )
     e_v, b_v = gather_fields(g, pos, order=3)
     assert len(calls) == 4
-    np.testing.assert_allclose(e_v, e_r, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(b_v, b_r, rtol=0, atol=1e-13)
+    assert np.array_equal(e_v, e_r) and np.array_equal(b_v, b_r)
 
 
 def test_shape_weight_cache_shares_stagger_lattices():
@@ -263,14 +301,22 @@ def test_simulation_rejects_unknown_variant():
 
 def test_simulation_rejects_retired_tiled_variant():
     g = YeeGrid((8,), (0.0,), (1.0,), guards=4)
-    with pytest.raises(ConfigurationError, match="unknown kernel variant"):
-        Simulation(g, kernels="tiled")
+    for retired in ("tiled", "reference"):
+        with pytest.raises(ConfigurationError, match="unknown kernel variant"):
+            Simulation(g, kernels=retired)
 
 
-def test_simulation_vectorized_matches_reference_trajectory():
-    """``vectorized`` against the independently scattered ``reference``
-    tier."""
-    sim_v = build_sim("reference")
+@pytest.fixture
+def oracle_tier(monkeypatch):
+    """The oracles registered as a kernel variant for one test only."""
+    monkeypatch.setitem(kernels._REGISTRY, "oracle", oracle_kernel_set())
+    return "oracle"
+
+
+def test_simulation_vectorized_matches_reference_trajectory(oracle_tier):
+    """``vectorized`` against the scalar gather and the textbook
+    Esirkepov, through five steps of a plasma oscillation."""
+    sim_v = build_sim(oracle_tier)
     sim_t = build_sim("vectorized")
     sim_v.step(5)
     sim_t.step(5)
@@ -283,12 +329,12 @@ def test_simulation_vectorized_matches_reference_trajectory():
         assert np.max(np.abs(a - b)) / scale < 1e-12
 
 
-def test_gather_and_deposit_spans_carry_kernel_attribute():
-    sim = build_sim("reference")
+def test_gather_and_deposit_spans_carry_kernel_attribute(oracle_tier):
+    sim = build_sim(oracle_tier)
     tracer, _ = attach_observability(sim)
     sim.step(1)
     children = build_tree(tracer.records)
     step = children[-1][0]
     phases = {c.name: c for c in children[step.sid]}
-    assert phases["gather"].attrs["kernel"] == "reference"
-    assert phases["deposit"].attrs["kernel"] == "reference"
+    assert phases["gather"].attrs["kernel"] == "oracle"
+    assert phases["deposit"].attrs["kernel"] == "oracle"
