@@ -1,24 +1,26 @@
 """PIC-aware static analysis and runtime sanitizers.
 
 The paper's production runs lean on strict kernel and communication
-discipline (guard-cell-only halo writes, matched send/recv pairs, no
-silent NaN propagation).  This subpackage machine-checks the same
-contracts for the reproduction:
+discipline (guard-cell-only halo writes, every message of a phase
+posted and received through one routine, no silent NaN propagation).
+This subpackage machine-checks the same contracts for the reproduction:
 
 ``repro.analysis.linter``
     An AST lint pass with PIC-specific rules (no per-particle Python
     loops in hot kernels, explicit dtypes on field allocations,
     ``ReproError``-only exception discipline, timing through
-    :class:`~repro.diagnostics.timers.Timers`, ``__all__`` consistency).
+    :class:`~repro.diagnostics.timers.Timers`, ``__all__`` consistency,
+    no raw ``send``/``recv``/``begin_phase``/``end_phase`` on a
+    communicator outside ``SimComm`` — PIC008).
 ``repro.analysis.dataflow``
     The intraprocedural dataflow engine behind the value-tracking rules:
     a statement-level CFG with constant propagation, module constant
     environments, and array-allocation/alias tracking.
 ``repro.analysis.commstatic``
-    A static communication-schedule extractor and verifier over the
-    sources: matched send/recv site pairs, cross-phase tag disjointness,
-    recv-before-send deadlock patterns and in-flight buffer mutation
-    (COMM006/007/008/010).
+    A static verifier of the ``comm.exchange`` sites of the sources:
+    unresolvable tags (COMM006 warnings), cross-phase tag collisions
+    (COMM007) and outgoing buffers mutated inside the open phase
+    (COMM010).
 ``repro.analysis.commcheck``
     A post-hoc protocol checker over :class:`~repro.parallel.comm.SimComm`'s
     event log: unreceived messages, tag mismatches, self-sends,
@@ -30,42 +32,9 @@ contracts for the reproduction:
     the PIC step: non-finite fields, out-of-domain particles, guard-cell
     consistency.
 
-Run the static passes from the command line::
+Importing the package loads none of them: import the submodule you
+need (the step drivers import only ``sanitize``).  Run the static
+passes from the command line::
 
     python -m repro.analysis src/repro
 """
-
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.linter import LintRule, lint_paths, registered_rules
-from repro.analysis.commcheck import (
-    ProtocolReport,
-    check_all,
-    check_comm,
-    check_happens_before,
-)
-from repro.analysis.commstatic import (
-    MessageFlow,
-    PhaseInfo,
-    Schedule,
-    check_schedule,
-    extract_schedule,
-)
-from repro.analysis.sanitize import Sanitizer
-
-__all__ = [
-    "Finding",
-    "Severity",
-    "LintRule",
-    "lint_paths",
-    "registered_rules",
-    "ProtocolReport",
-    "check_all",
-    "check_comm",
-    "check_happens_before",
-    "MessageFlow",
-    "PhaseInfo",
-    "Schedule",
-    "check_schedule",
-    "extract_schedule",
-    "Sanitizer",
-]

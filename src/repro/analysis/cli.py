@@ -1,6 +1,6 @@
 """Command-line driver: ``python -m repro.analysis [paths...]``.
 
-Runs the registered lint rules *and* the static communication-schedule
+Runs the registered lint rules *and* the static ``comm.exchange``
 verifier (:mod:`repro.analysis.commstatic`) over the given
 files/directories (default: ``src/repro``, falling back to the
 installed package location) and reports findings as
@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="RULE",
         help="run only these rule ids (repeatable or comma-separated, "
-             "e.g. --select PIC002,COMM008)",
+             "e.g. --select PIC002,COMM007)",
     )
     parser.add_argument(
         "--format",
@@ -74,11 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="replay a recorded SimComm event log (JSONL) through the "
              "protocol and happens-before checkers (repeatable)",
-    )
-    parser.add_argument(
-        "--no-commstatic",
-        action="store_true",
-        help="skip the static communication-schedule verifier",
     )
     parser.add_argument(
         "--list-rules",
@@ -269,8 +264,7 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
         findings: List[Finding] = []
         if lint_select is None or lint_select:
             findings += lint_paths(paths, select=lint_select)
-        if not args.no_commstatic:
-            findings += check_schedule(paths)
+        findings += check_schedule(paths)
         if args.comm_log:
             findings += _replay_logs(args.comm_log)
         if keep_ids is not None:

@@ -37,9 +37,9 @@ COMM010  fold-before-arrival race: an entry was applied while messages
          contributing to the same phase were still in flight
 ======   =================================================================
 
-(COMM006 and COMM008 — unmatched send/recv sites and cyclic wait-for
-chains — are *static* rules of :mod:`repro.analysis.commstatic`; they
-need source positions, not a trace.)
+(Unmatched send/recv sites and cyclic wait-for chains are ruled out in
+the source: every phase is one ``comm.exchange``, and lint rule PIC008
+forbids the raw primitives elsewhere.)
 
 Same-rank overlaps are local copies that never touch the communicator:
 the happens-before accounting is driven purely by observed send/recv

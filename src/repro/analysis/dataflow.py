@@ -7,7 +7,7 @@ them (and the static communication-schedule verifier,
 * **constant propagation** over a per-function control-flow graph — a
   flat lattice (undefined → constant → non-constant) joined at branch
   merges and loop heads, so ``tag = PREFIX + ":fold"`` resolves to the
-  string it denotes on every path that reaches a ``comm.send``;
+  string it denotes on every path that reaches a ``comm.exchange``;
 * **module constant environment** — module-level ``NAME = <literal>``
   bindings (and numpy import aliases) visible to every function, which
   is how default parameter values like ``tag=HALO_TAG_PREFIX + ":fold"``

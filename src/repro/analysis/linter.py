@@ -93,6 +93,18 @@ def registered_rules(select: Optional[Sequence[str]] = None) -> List[LintRule]:
     return [_REGISTRY[i]() for i in ids]
 
 
+def receiver_is_comm(func: ast.expr) -> bool:
+    """``X.meth`` where the terminal name of ``X`` contains "comm"."""
+    if not isinstance(func, ast.Attribute):
+        return False
+    base = func.value
+    if isinstance(base, ast.Name):
+        return "comm" in base.id.lower()
+    if isinstance(base, ast.Attribute):
+        return "comm" in base.attr.lower()
+    return False
+
+
 # -- pragma handling -------------------------------------------------------
 
 def collect_pragmas(source: str) -> Dict[int, Set[str]]:

@@ -15,21 +15,26 @@ PIC006  kernel-phase calls in step drivers must run under a timer/span
 PIC007  kernel-phase modules must not hard-code ``float64`` dtypes
         (silent upcasts of float32 mixed-precision pipelines); DP-by-
         design sites carry ``# repro: allow(PIC007)``
+PIC008  no raw ``send``/``recv``/``begin_phase``/``end_phase`` on a
+        communicator: every phase is one ``comm.exchange``
 ======  ==================================================================
 
-The static schedule rules (COMM006-COMM010) live in
+The static schedule rules (COMM006, COMM007, COMM010) live in
 :mod:`repro.analysis.commstatic`, not in this registry: they operate on
-a cross-module workspace rather than one file at a time.
+a cross-module workspace of ``comm.exchange`` sites rather than one
+file at a time.
 """
 
 from repro.analysis.rules import dtype
 from repro.analysis.rules import exports
 from repro.analysis.rules import hotloop
+from repro.analysis.rules import protocol
 from repro.analysis.rules import raises
 from repro.analysis.rules import spans
 from repro.analysis.rules import timing
 from repro.analysis.rules import upcast
 
 __all__ = [
-    "dtype", "exports", "hotloop", "raises", "spans", "timing", "upcast",
+    "dtype", "exports", "hotloop", "protocol", "raises", "spans", "timing",
+    "upcast",
 ]

@@ -45,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
 def summarize_spans(spans: Sequence[SpanRecord]) -> Dict[str, Dict[str, float]]:
     """Aggregate spans by name: total/self time, calls, category."""
     children = build_tree(list(spans))
-    by_id = {rec.sid: rec for rec in spans}
     agg: Dict[str, Dict[str, float]] = defaultdict(
         lambda: {"total": 0.0, "self": 0.0, "calls": 0}
     )
@@ -53,6 +52,7 @@ def summarize_spans(spans: Sequence[SpanRecord]) -> Dict[str, Dict[str, float]]:
     for rec in spans:
         if rec.cat == "instant":
             continue
+        # a child's time is also inside its parent's total; "self" removes it
         child_time = sum(
             c.duration for c in children.get(rec.sid, []) if c.cat != "instant"
         )
@@ -63,8 +63,6 @@ def summarize_spans(spans: Sequence[SpanRecord]) -> Dict[str, Dict[str, float]]:
         cats[rec.name] = rec.cat
     for name, entry in agg.items():
         entry["cat"] = cats[name]
-    # a child's time is also inside its parent's total; "self" removes it
-    _ = by_id
     return dict(agg)
 
 

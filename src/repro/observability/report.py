@@ -96,7 +96,11 @@ class RunReport:
         loads = np.zeros(n, dtype=np.float64)
         for i, cost in enumerate(costs):
             loads[sim.dm.rank_of(i)] += cost
-        imbalance = sim.dm.imbalance(costs) if np.any(loads > 0) else 1.0
+        # over the alive ranks, as the ``lb.imbalance`` gauge reads it
+        imbalance = (
+            sim.dm.imbalance(costs, exclude_ranks=sim.dead_ranks)
+            if np.any(loads > 0) else 1.0
+        )
         snapshot = sim.metrics.snapshot() if sim.metrics is not None else None
         return cls(
             sim.timers,

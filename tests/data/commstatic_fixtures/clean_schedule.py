@@ -1,9 +1,9 @@
 """A correct schedule the verifier must pass with zero findings.
 
 Mirrors the shipped ``_run_exchange`` idiom — tag built from a module
-constant, threaded through a parameter default, all sends posted before
-any receive, payloads never touched while in flight — and exercises
-the same constant-propagation path the real tree needs.
+constant, threaded through a parameter default into one
+``comm.exchange``, payloads never touched while in flight — and
+exercises the same constant-propagation path the real tree needs.
 """
 
 import numpy as np
@@ -12,18 +12,12 @@ TAG_PREFIX = "fx"
 
 
 def exchange(comm, pairs, payloads, tag=TAG_PREFIX + ":halo"):
-    comm.begin_phase(tag, n_messages=len(pairs))
-    for src, dst in pairs:
-        comm.send(src, dst, payloads[(src, dst)], tag=tag)
-    received = []
-    for src, dst in pairs:
-        received.append(comm.recv(src, dst, tag=tag))
-    comm.end_phase(tag)
-    return received
+    with comm.exchange(tag, pairs, payloads) as received:
+        return [msg.buffers[0] for msg in received]
 
 
-def exchange_default_pairs(comm, payloads):
+def exchange_default_pairs(comm):
     staging = np.zeros(8, dtype=np.float64)
-    result = exchange(comm, [(0, 1)], payloads)
+    result = exchange(comm, [(0, 1)], {(0, 1): staging})
     staging[0] = 1.0  # safe: mutated only after the phase completed
     return result, staging

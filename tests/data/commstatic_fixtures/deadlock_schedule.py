@@ -1,9 +1,11 @@
-"""Seeded bug: a ring exchange that posts its recv first (COMM008).
+"""Seeded bug: a ring exchange that posts its recv first (PIC008).
 
 Every rank blocks receiving from its left neighbour before anyone has
 sent anything — the canonical cyclic wait-for chain.  The in-process
 SimComm happens to survive it (queues never block), but the blocking
-multiprocessing transport of ROADMAP item 1 deadlocks on step one.
+multiprocessing transport deadlocks on step one.  ``comm.exchange``
+posts every send first, so only raw primitives can write this, and
+PIC008 rejects them.
 """
 
 

@@ -3,25 +3,18 @@
 The migration phase reuses the halo tag — exactly the cross-phase
 namespace collision the verifier exists to rule out.  With both phases
 in flight their messages are indistinguishable: a migration payload can
-satisfy a halo receive.
+satisfy a halo receive.  The migration reaches the tag through a
+parameter default, so the collision is only visible once that resolves.
 """
 
 SHARED_TAG = "halo:fold"
 
 
 def fold_guards(comm, pairs, payloads):
-    comm.begin_phase(SHARED_TAG, n_messages=len(pairs))
-    for src, dst in pairs:
-        comm.send(src, dst, payloads[(src, dst)], tag=SHARED_TAG)
-    for src, dst in pairs:
-        comm.recv(src, dst, tag=SHARED_TAG)
-    comm.end_phase(SHARED_TAG)
+    with comm.exchange(SHARED_TAG, pairs, payloads) as received:
+        return [msg.buffers[0] for msg in received]
 
 
-def migrate_state(comm, moves, state):
-    comm.begin_phase(SHARED_TAG, n_messages=len(moves))
-    for src, dst in moves:
-        comm.send(src, dst, state[(src, dst)], tag=SHARED_TAG)
-    for src, dst in moves:
-        comm.recv(src, dst, tag=SHARED_TAG)
-    comm.end_phase(SHARED_TAG)
+def migrate_state(comm, moves, state, tag=SHARED_TAG):
+    with comm.exchange(tag, moves, state) as received:
+        return [msg.buffers[0] for msg in received]

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.analysis.commstatic import check_schedule, extract_schedule
+from repro.analysis.linter import lint_paths
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC_REPRO = os.path.join(os.path.dirname(HERE), "src", "repro")
@@ -25,15 +26,19 @@ def rule_ids(findings):
 
 # -- each seeded bug is caught with file:line provenance ---------------------
 
-def test_unmatched_send_is_comm006():
-    findings = findings_for("unmatched_send.py")
-    assert "COMM006" in rule_ids(findings)
-    orphan = [f for f in findings if "orphan" in f.message]
-    assert orphan and orphan[0].path.endswith("unmatched_send.py")
-    assert orphan[0].line > 0
-    assert "never be delivered" in orphan[0].message
-    # the never-satisfied recv is the dual finding
-    assert any("block forever" in f.message for f in findings)
+@pytest.mark.parametrize(
+    "name", ["unmatched_send.py", "deadlock_schedule.py", "buffer_race.py"]
+)
+def test_raw_primitive_plant_is_pic008(name):
+    """An orphaned send, a recv posted first and a buffer scribbled on in
+    flight can only be written with the raw primitives, and every raw
+    call on a communicator is PIC008 — the schedule verifier sees none."""
+    findings = lint_paths([fixture(name)], select=["PIC008"])
+    assert findings and set(rule_ids(findings)) == {"PIC008"}
+    for primitive in ("send", "recv", "begin_phase", "end_phase"):
+        assert any(f"raw {primitive}()" in f.message for f in findings)
+    assert all(f.path.endswith(name) and f.line > 0 for f in findings)
+    assert findings_for(name) == []
 
 
 def test_tag_collision_is_comm007():
@@ -45,26 +50,11 @@ def test_tag_collision_is_comm007():
     assert findings[0].line > 0
 
 
-def test_deadlocking_schedule_is_comm008():
-    findings = findings_for("deadlock_schedule.py")
-    assert rule_ids(findings) == ["COMM008"]
-    assert "deadlock" in findings[0].message
-    assert findings[0].path.endswith("deadlock_schedule.py")
-
-
-def test_buffer_race_is_comm010():
-    findings = findings_for("buffer_race.py")
-    assert rule_ids(findings) == ["COMM010"]
-    assert "alias 'scratch'" in findings[0].message
-    # the finding anchors at the mutation, the message names the send line
-    assert "sent at line" in findings[0].message
-
-
 def test_clean_schedule_has_zero_findings():
     assert findings_for("clean_schedule.py") == []
 
 
-# -- comm.exchange: one call is a phase declaration + a send + a recv site ----
+# -- comm.exchange: one call is one phase of its caller ----------------------
 
 def test_two_exchange_sites_on_one_tag_is_comm007():
     findings = findings_for("exchange_tag_collision.py")
@@ -92,12 +82,6 @@ def test_tag_passed_explicitly_over_a_default_is_extracted():
     assert schedule.tags() == ["fx:fields", "fx:sources"]
     for phase in schedule.phases:
         assert phase.func == "_run"
-        assert phase.n_sends == 1 and phase.n_recvs == 1
-    assert {(f.kind, f.tag) for f in schedule.flows} == {
-        (kind, tag)
-        for kind in ("send", "recv")
-        for tag in ("fx:fields", "fx:sources")
-    }
     assert findings_for("exchange_explicit_tag.py") == []
 
 
@@ -141,34 +125,18 @@ def test_unresolvable_exchange_tag_is_one_warning(tmp_path):
     assert "exchange" in finding.message
 
 
-def test_unresolvable_tag_is_a_warning(tmp_path):
-    src = tmp_path / "dynamic.py"
-    src.write_text(
-        "def f(comm, tags, payload):\n"
-        "    comm.send(0, 1, payload, tag=tags.pop())\n"
-        "    comm.recv(0, 1, tag=tags.pop())\n"
-    )
-    findings = check_schedule([str(src)])
-    assert {f.rule for f in findings} == {"COMM006"}
-    assert all(f.severity == "warning" for f in findings)
-    assert "unverifiable" in findings[0].message
-
-
 # -- value tracking: tags resolved through constants and parameters ----------
 
 def test_tag_propagates_through_module_constant_and_default(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text(
         "PREFIX = 'fx'\n"
-        "def exchange(comm, payload, tag=PREFIX + ':halo'):\n"
-        "    comm.begin_phase(tag, n_messages=1)\n"
-        "    comm.send(0, 1, payload, tag=tag)\n"
-        "    comm.recv(0, 1, tag=tag)\n"
-        "    comm.end_phase(tag)\n"
+        "def exchange(comm, pairs, out, tag=PREFIX + ':halo'):\n"
+        "    with comm.exchange(tag, pairs, out) as received:\n"
+        "        return received\n"
     )
     schedule = extract_schedule([str(src)])
     assert [p.tag for p in schedule.phases] == ["fx:halo"]
-    assert {f.tag for f in schedule.flows} == {"fx:halo"}
     assert check_schedule([str(src)]) == []
 
 
@@ -177,37 +145,26 @@ def test_tag_propagates_through_bare_parameter_from_callers(tmp_path):
     its values from the call sites of its wrappers."""
     src = tmp_path / "mod.py"
     src.write_text(
-        "def _helper(comm, payload, tag):\n"
-        "    comm.send(0, 1, payload, tag=tag)\n"
-        "    comm.recv(0, 1, tag=tag)\n"
-        "def fold(comm, payload, tag='x:fold'):\n"
-        "    _helper(comm, payload, tag)\n"
-        "def fill(comm, payload, tag='x:fill'):\n"
-        "    _helper(comm, payload, tag)\n"
+        "def _helper(comm, pairs, out, tag):\n"
+        "    with comm.exchange(tag, pairs, out) as received:\n"
+        "        return received\n"
+        "def fold(comm, pairs, out, tag='x:fold'):\n"
+        "    _helper(comm, pairs, out, tag)\n"
+        "def fill(comm, pairs, out, tag='x:fill'):\n"
+        "    _helper(comm, pairs, out, tag)\n"
     )
     schedule = extract_schedule([str(src)])
-    send_tags = {f.tag for f in schedule.flows if f.kind == "send"}
-    assert send_tags == {"x:fold", "x:fill"}
+    assert schedule.tags() == ["x:fill", "x:fold"]
+    assert {p.func for p in schedule.phases} == {"_helper"}
     assert check_schedule([str(src)]) == []
-
-
-def test_literal_ranks_are_inferred(tmp_path):
-    src = tmp_path / "mod.py"
-    src.write_text(
-        "def f(comm, payload):\n"
-        "    comm.send(2, 3, payload, tag='t')\n"
-        "    comm.recv(2, 3, tag='t')\n"
-    )
-    schedule = extract_schedule([str(src)])
-    send = [f for f in schedule.flows if f.kind == "send"][0]
-    assert (send.src, send.dst) == (2, 3)
 
 
 def test_non_comm_receivers_are_ignored(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text(
-        "def f(socket, payload):\n"
-        "    socket.send(0, 1, payload, tag='raw')\n"
+        "def f(pool, pairs, out):\n"
+        "    with pool.exchange('raw', pairs, out) as received:\n"
+        "        return received\n"
     )
     schedule = extract_schedule([str(src)])
     assert schedule.n_sites == 0
@@ -215,21 +172,23 @@ def test_non_comm_receivers_are_ignored(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "send, mutation, named",
+    "outgoing, mutation, named",
     [
         # bound to a name first, buffer scribbled on directly
         ("msg = Message([(0,)], [buf, other])\n"
-         "    comm.send(0, 1, msg, tag='t')", "buf[0] = 1.0", "'buf'"),
+         "    outgoing = {(0, 1): msg}", "buf[0] = 1.0", "'buf'"),
         # built inline, scribbled on through an alias, buffers= keyword
-        ("comm.send(0, 1, Message([(0,)], buffers=(other, buf)), tag='t')",
+        ("outgoing = {(0, 1): Message([(0,)], buffers=(other, buf))}",
          "scratch.fill(2.0)", "alias 'scratch'"),
     ],
+    ids=["named-message", "inline-message-via-alias"],
 )
 def test_comm010_sees_through_message_construction(
-    tmp_path, send, mutation, named
+    tmp_path, outgoing, mutation, named
 ):
     """A buffer handed to ``Message(...)`` is in flight once the message
-    is sent: the alias tracking follows it through the wrapper."""
+    is in ``outgoing``: the alias tracking follows it through the
+    wrapper and the dict."""
     src = tmp_path / "wrapped.py"
     src.write_text(
         "import numpy as np\n"
@@ -237,17 +196,18 @@ def test_comm010_sees_through_message_construction(
         "    buf = np.zeros(8, dtype=np.float64)\n"
         "    other = np.ones(8, dtype=np.float64)\n"
         "    scratch = buf\n"
-        f"    {send}\n"
-        f"    {mutation}\n"
-        "    return comm.recv(0, 1, tag='t')\n"
+        f"    {outgoing}\n"
+        "    with comm.exchange('t', [(0, 1)], outgoing) as received:\n"
+        f"        {mutation}\n"
+        "    return received\n"
     )
     findings = check_schedule([str(src)])
     assert rule_ids(findings) == ["COMM010"]
     assert named in findings[0].message
-    # the same code with the mutation after the receive is clean
+    # the same code with the mutation after the phase closed is clean
     src.write_text(src.read_text().replace(
-        f"    {mutation}\n    return comm.recv(0, 1, tag='t')\n",
-        f"    got = comm.recv(0, 1, tag='t')\n    {mutation}\n    return got\n",
+        f"        {mutation}\n    return received\n",
+        f"        got = received\n    {mutation}\n    return got\n",
     ))
     assert check_schedule([str(src)]) == []
 
@@ -255,27 +215,32 @@ def test_comm010_sees_through_message_construction(
 def test_syntax_errors_are_skipped_not_fatal(tmp_path):
     (tmp_path / "broken.py").write_text("def f(:\n")
     (tmp_path / "ok.py").write_text(
-        "def f(comm, p):\n"
-        "    comm.send(0, 1, p, tag='t')\n"
-        "    comm.recv(0, 1, tag='t')\n"
+        "def f(comm, pairs, out):\n"
+        "    with comm.exchange('t', pairs, out) as received:\n"
+        "        return received\n"
     )
     schedule = extract_schedule([str(tmp_path)])
     assert schedule.n_files == 1  # the broken file is the linter's problem
+    assert schedule.tags() == ["t"]
 
 
 # -- the whole fixture directory, as CI runs it ------------------------------
 
 def test_fixture_suite_catches_every_seeded_bug():
-    findings = check_schedule([FIXTURES])
+    findings = check_schedule([FIXTURES]) + lint_paths(
+        [FIXTURES], select=["PIC008"]
+    )
     by_file = {}
     for f in findings:
         by_file.setdefault(os.path.basename(f.path), set()).add(f.rule)
-    assert by_file.get("unmatched_send.py") == {"COMM006"}
-    assert by_file.get("tag_collision.py") == {"COMM007"}
-    assert by_file.get("deadlock_schedule.py") == {"COMM008"}
-    assert by_file.get("buffer_race.py") == {"COMM010"}
-    assert by_file.get("exchange_tag_collision.py") == {"COMM007"}
-    assert by_file.get("exchange_buffer_race.py") == {"COMM010"}
+    assert by_file == {
+        "buffer_race.py": {"PIC008"},
+        "deadlock_schedule.py": {"PIC008"},
+        "unmatched_send.py": {"PIC008"},
+        "tag_collision.py": {"COMM007"},
+        "exchange_tag_collision.py": {"COMM007"},
+        "exchange_buffer_race.py": {"COMM010"},
+    }
     assert "clean_schedule.py" not in by_file
     assert "exchange_explicit_tag.py" not in by_file
 
@@ -298,8 +263,6 @@ def test_shipped_tree_extracts_the_four_phases():
     assert schedule.tags() == [
         "halo:fields", "halo:fold", "halo:sources", "lb:migrate", "particles",
     ]
-    for phase in schedule.phases:
-        assert phase.n_sends >= 1 and phase.n_recvs >= 1
     halo = [p for p in schedule.phases if p.tag.startswith("halo:")]
     assert {p.func for p in halo} == {"_run_exchange"}
     assert all(p.path.endswith("parallel/halo.py") for p in halo)

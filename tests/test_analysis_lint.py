@@ -1,6 +1,8 @@
 """One pass/fail fixture pair per lint rule, plus driver and CLI behavior."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -489,6 +491,59 @@ def test_pic007_clean_on_real_kernel_phase_modules():
                 "grid/pml.py", "grid/maxwell.py", "grid/stencils.py"):
         path = os.path.join(SRC_REPRO, rel)
         assert lint_paths([path], select=["PIC007"]) == [], rel
+
+
+# -- PIC008: raw message primitives on a communicator ------------------------
+
+def test_pic008_flags_raw_primitives_on_a_communicator(tmp_path):
+    findings = lint_snippet(
+        tmp_path,
+        "ping.py",
+        "def ping(comm, sim, p):\n"
+        "    comm.begin_phase('t', n_messages=1)\n"
+        "    sim.comm.send(0, 1, p, tag='t')\n"
+        "    comm.recv(0, 1, tag='t')\n"
+        "    comm.end_phase('t')\n",
+        select=["PIC008"],
+    )
+    assert rule_ids(findings) == ["PIC008"] * 4
+    assert [f.line for f in findings] == [2, 3, 4, 5]
+
+
+def test_pic008_allows_exchange_self_and_other_receivers(tmp_path):
+    """``SimComm`` builds ``exchange`` from the primitives on ``self``."""
+    findings = lint_snippet(
+        tmp_path,
+        "comm.py",
+        "class SimComm:\n"
+        "    def exchange(self, tag, pairs, outgoing):\n"
+        "        self.begin_phase(tag)\n"
+        "        self.send(0, 1, outgoing[(0, 1)], tag=tag)\n"
+        "def step(comm, sock, pairs, out):\n"
+        "    sock.send(b'x')\n"
+        "    comm.record_apply('t', 0)\n"
+        "    with comm.exchange('t', pairs, out) as received:\n"
+        "        return received\n",
+        select=["PIC008"],
+    )
+    assert findings == []
+
+
+def test_import_repro_leaves_the_static_analyzer_unloaded():
+    """The drivers import ``repro.analysis.sanitize``; the package must
+    not drag the linter and the schedule verifiers in with it."""
+    code = (
+        "import sys, repro\n"
+        "import repro.analysis.sanitize\n"
+        "mods = ('linter', 'commcheck', 'commstatic', 'dataflow')\n"
+        "print([m for m in mods if 'repro.analysis.' + m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC_REPRO))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 # -- driver / pragmas / CLI --------------------------------------------------

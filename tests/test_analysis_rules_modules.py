@@ -124,7 +124,9 @@ def test_per_particle_loop_added_to_hot_copy_trips_pic001(tmp_path):
     assert findings[0].line == len(source.splitlines()) + 3
 
 
-def test_orphaned_send_added_to_halo_trips_comm006(tmp_path):
+def test_raw_send_added_to_halo_trips_pic008(tmp_path):
+    """halo.py runs every phase through comm.exchange; one raw send next
+    to them is the message the schedule verifier could not see."""
     source = read_source(HALO)
     path = tmp_path / "halo.py"
     path.write_text(
@@ -132,9 +134,10 @@ def test_orphaned_send_added_to_halo_trips_comm006(tmp_path):
         + "\ndef _leak(comm, payload):\n"
         + "    comm.send(0, 1, payload, tag='halo:orphan')\n"
     )
-    findings = check_schedule([str(path)])
-    assert "COMM006" in rule_ids(findings)
-    assert any("halo:orphan" in f.message for f in findings)
+    findings = lint_paths([str(path)], select=["PIC008"])
+    assert rule_ids(findings) == ["PIC008"]
+    assert findings[0].line == len(source.splitlines()) + 3
+    assert findings[0].severity == "error"
 
 
 # -- the sanitizers, against a real pairwise exchange ------------------------

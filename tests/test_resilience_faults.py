@@ -184,6 +184,17 @@ def test_observed_run_survives_a_rank_failure_rollback():
     assert snap["resilience.restores"] == 1
 
 
+def test_run_report_imbalance_skips_dead_ranks():
+    """The dashboard's imbalance is the gauge's: over the alive ranks.
+    With the dead rank's zero load counted it read 2.0 against 1.0."""
+    from repro.observability import RunReport
+
+    sim, metrics = rollback_run(observed=True)
+    report = RunReport.from_distributed(sim)
+    assert report.imbalance == pytest.approx(metrics.snapshot()["lb.imbalance"])
+    assert report.imbalance < 1.5
+
+
 # -- unrecoverable faults raise, never silently corrupt ----------------------
 
 @pytest.mark.parametrize("kind", ["drop", "corrupt", "delay"])
