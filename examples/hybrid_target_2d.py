@@ -17,6 +17,7 @@ import numpy as np
 from repro.constants import MeV, fs, um
 from repro.diagnostics.beam import BeamHistory
 from repro.diagnostics.spectrum import energy_spectrum, spectral_peak_and_spread
+from repro.observability import RunReport
 from repro.scenarios.hybrid_target import HybridTargetSetup, build_hybrid_target
 
 
@@ -70,7 +71,7 @@ def main() -> None:
         top = dn_de.max() or 1.0
         for c_, v in zip(centers[::2], dn_de[::2]):
             print(f"  {c_ / MeV:7.1f} MeV | {'#' * int(50 * v / top)}")
-    print("\n" + sim.timers.report())
+    print("\n" + RunReport.from_timers(sim.timers).render())
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.constants import MeV, c, fs, um
 from repro.diagnostics.beam import beam_statistics
+from repro.observability import RunReport
 from repro.scenarios.lwfa import build_lwfa
 
 
@@ -68,7 +69,7 @@ def main() -> None:
     if stats["n"]:
         print(f"mean energy        : {stats['mean_energy'] / MeV:.2f} MeV")
         print(f"energy spread      : {stats['energy_spread']:.1%}")
-    print("\n" + sim.timers.report())
+    print("\n" + RunReport.from_timers(sim.timers).render())
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import numpy as np
 from repro.constants import m_e, plasma_frequency, plasma_wavelength, q_e
 from repro.core.simulation import Simulation
 from repro.grid.yee import YeeGrid
+from repro.observability import RunReport
 from repro.particles.injection import UniformProfile
 from repro.particles.species import Species
 
@@ -53,7 +54,7 @@ def main() -> None:
     print(f"\nmeasured omega     : {omega_measured:.4e} rad/s")
     print(f"theoretical omega  : {omega_theory:.4e} rad/s")
     print(f"relative error     : {abs(omega_measured / omega_theory - 1):.2%}")
-    print("\n" + sim.timers.report())
+    print("\n" + RunReport.from_timers(sim.timers).render())
 
 
 if __name__ == "__main__":

@@ -265,7 +265,7 @@ class MRSimulation(Simulation):
     # -- step bookkeeping ------------------------------------------------------
     def _step_body(self) -> None:
         # overriding _step_body (not _single_step) keeps the patch prep,
-        # subcycling and removal inside the step span of the tracer
+        # subcycling and removal inside the step span and the step's lap
         for patch in self.patches:
             patch.zero_sources()
             patch.begin_step()

@@ -92,8 +92,9 @@ class StepDriver:
     The option set (``dt`` ... ``v_galilean``, documented on
     :class:`Simulation`), parsed and refused here so every driver takes
     the same values with the same errors; the clocks (timers, tracer,
-    metrics, sanitizer, ``time`` / ``step_count``, :meth:`step` around a
-    subclass's ``_step_body``); and the physics of one box —
+    metrics, sanitizer, ``time`` / ``step_count``, and :meth:`step`,
+    which times a subclass's whole ``_step_body``); and the physics of
+    one box —
     :meth:`_advance_on`, :meth:`_smooth_sources`, :meth:`_make_solver` —
     on whichever grid it is handed: a :class:`Simulation`'s, an MR
     patch's, one box of a decomposition.  ``grid`` is what the options
@@ -166,6 +167,8 @@ class StepDriver:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: metrics registry set by repro.observability.attach_observability
         self.metrics = None
+        #: steps between metrics snapshots interleaved into the trace
+        self._snapshot_interval = 0
         self.time = 0.0
         self.step_count = 0
         #: opt-in runtime invariant checks (None unless REPRO_SANITIZE=1)
@@ -237,11 +240,36 @@ class StepDriver:
         return self.timers.timer(name)
 
     def _single_step(self) -> None:
+        """One step on the one step clock: the lap spans the subclass's
+        whole ``_step_body`` (MR patch work, resilience, callbacks) and
+        the sanitizers, so every phase timed in a step fits inside it."""
         with self.tracer.span("step", cat="step", step=self.step_count):
+            self.timers.reset_lap()
             self._step_body()
+            # last, so anything the whole step (callbacks included) left
+            # behind is caught before the next gather consumes it
+            if self.sanitizer is not None:
+                with self._phase("sanitize"):
+                    self._run_sanitizers()
+            lap = self.timers.lap()
+            if self.metrics is not None:
+                self.metrics.counter("particles.pushed").add(
+                    self.local_particles()
+                )
+                self.metrics.histogram("step.seconds").observe(lap)
+                interval = self._snapshot_interval
+                if interval > 0 and self.step_count % interval == 0:
+                    self.tracer.add_metrics_snapshot(
+                        self.metrics.snapshot(), step=self.step_count
+                    )
 
     def _step_body(self) -> None:
         raise NotImplementedError
+
+    def local_particles(self) -> int:
+        """Particles this endpoint pushes: all of them unless a
+        decomposition spreads its boxes over processes."""
+        return self.total_particles()
 
 
 class Simulation(StepDriver):
@@ -415,7 +443,6 @@ class Simulation(StepDriver):
     # -- the PIC cycle ------------------------------------------------------
     def _step_body(self) -> None:
         g = self.grid
-        self.timers.reset_lap()
         with self._phase("zero_sources"):
             g.zero_sources()
 
@@ -468,18 +495,8 @@ class Simulation(StepDriver):
 
         self.time += self.dt
         self.step_count += 1
-        lap = self.timers.lap()
-        if self.metrics is not None:
-            self.metrics.counter("particles.pushed").add(self.total_particles())
-            self.metrics.histogram("step.seconds").observe(lap)
         for cb in self.callbacks:
             cb(self)
-
-        # last, so anything the whole step (callbacks included) left behind
-        # is caught before the next gather consumes it
-        if self.sanitizer is not None:
-            with self._phase("sanitize"):
-                self._run_sanitizers()
 
     def _run_sanitizers(self) -> None:
         """Per-step invariant checks (opt-in via ``REPRO_SANITIZE=1``).

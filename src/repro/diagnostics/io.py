@@ -305,9 +305,6 @@ def unpack_distributed_state(sim, data: Mapping[str, np.ndarray]) -> None:
             _unpack_species(
                 f"{_box_prefix(i)}/species/{name}", dsp.per_box[i], data
             )
-    if sim._observer is not None:
-        # the mirrored metrics follow the accounting they mirror
-        sim._observer.rebase()
 
 
 def save_distributed_checkpoint(sim, directory: str) -> None:

@@ -1,9 +1,14 @@
 """Wall-clock timers with per-kernel breakdown.
 
 The paper reports time-to-solution measured with timers around the PIC
-kernels; :class:`Timers` provides the same bookkeeping (plus call counts),
-is cheap enough to stay always-on, and backs both the Fig. 6 benchmark and
-the dynamic load balancer's measured-cost mode.
+kernels; :class:`Timers` provides the same bookkeeping (plus call counts)
+and is cheap enough to stay always-on.  One clock owns the step:
+:class:`~repro.core.simulation.StepDriver` opens the lap before a
+driver's step body and closes it after the sanitizers, so
+``step_times`` holds whole steps (the Fig. 6 curve), and every phase a
+driver times fits inside its step's lap.  The per-box
+:meth:`Timers.stopwatch` feeds the dynamic load balancer's measured-cost
+mode; :class:`~repro.observability.report.RunReport` renders the table.
 """
 
 from __future__ import annotations
@@ -54,20 +59,14 @@ class Timers:
             self.totals[name] = self.totals.get(name, 0.0) + elapsed
             self.counts[name] = self.counts.get(name, 0) + 1
 
-    def add(self, name: str, seconds: float) -> None:
-        """Record an externally measured duration."""
-        self.totals[name] = self.totals.get(name, 0.0) + seconds
-        self.counts[name] = self.counts.get(name, 0) + 1
-
     @contextmanager
-    def stopwatch(self, name: str = "") -> Iterator["Stopwatch"]:
+    def stopwatch(self) -> Iterator["Stopwatch"]:
         """Time a block and hand the caller the measured duration.
 
-        Unlike :meth:`timer`, the elapsed time is also returned (via the
-        yielded :class:`Stopwatch`) so callers that feed measurements
-        onward — e.g. the load balancer's per-box cost model — never
-        touch the clock directly.  With a ``name`` the duration is
-        additionally accumulated like :meth:`add`.
+        Unlike :meth:`timer`, nothing is accumulated: the elapsed time is
+        returned (via the yielded :class:`Stopwatch`) so callers that feed
+        measurements onward — e.g. the load balancer's per-box cost
+        model — never touch the clock directly.
         """
         sw = Stopwatch()
         start = time.perf_counter()
@@ -75,8 +74,6 @@ class Timers:
             yield sw
         finally:
             sw.elapsed = time.perf_counter() - start
-            if name:
-                self.add(name, sw.elapsed)
 
     def lap(self) -> float:
         """Close the current per-step lap and append it to the history."""
@@ -92,37 +89,3 @@ class Timers:
     def total(self) -> float:
         """Sum over all named timers."""
         return sum(self.totals.values())
-
-    def reset(self) -> None:
-        """Drop all accumulated totals, counts and the lap history."""
-        self.totals.clear()
-        self.counts.clear()
-        self.step_times.clear()
-        self._lap_start = time.perf_counter()
-
-    def merge(self, other: "Timers") -> None:
-        """Fold another :class:`Timers` into this one (per-rank aggregation).
-
-        Totals and call counts add; the lap history concatenates (the
-        merged ``step_times`` is the pool over which per-step percentiles
-        are computed when ranks report independently).
-        """
-        for name, total in other.totals.items():
-            self.totals[name] = self.totals.get(name, 0.0) + total
-            self.counts[name] = self.counts.get(name, 0) + other.counts[name]
-        self.step_times.extend(other.step_times)
-
-    def report(self) -> str:
-        """Human-readable breakdown sorted by total time."""
-        lines = ["timer breakdown:"]
-        # column width follows the longest name so nothing breaks alignment
-        width = max([len(n) for n in self.totals], default=0)
-        width = max(width, 24)
-        grand = self.total()
-        for name, total in sorted(self.totals.items(), key=lambda kv: -kv[1]):
-            share = 100.0 * total / grand if grand > 0 else 0.0
-            lines.append(
-                f"  {name:<{width}s} {total:10.4f}s  {share:5.1f}%  "
-                f"({self.counts[name]} calls)"
-            )
-        return "\n".join(lines)

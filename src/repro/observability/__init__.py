@@ -3,9 +3,10 @@
 The measurement substrate behind every performance claim this
 reproduction makes (and behind the paper's Figs. 5-7 / Tables 3-4 in the
 original): hierarchical spans (step → phase → kernel, per rank/box/
-level), a counters/gauges/histograms registry mirroring the
-communicator and load-balancer internals, and text dashboards plus a
-trace-summarizing CLI (``python -m repro.observability``).
+level), a counters/gauges/histograms registry whose communicator and
+load-balancer metrics are views of the run's own accounting, and text
+dashboards plus a trace-summarizing CLI (``python -m
+repro.observability``).
 
 Quick start::
 
@@ -23,7 +24,7 @@ from repro.observability.commlog import (
     read_comm_log,
     write_comm_log,
 )
-from repro.observability.instrument import DistributedObserver, attach_observability
+from repro.observability.instrument import attach_observability
 from repro.observability.metrics import (
     Counter,
     Gauge,
@@ -52,7 +53,6 @@ __all__ = [
     "CommLogReplay",
     "read_comm_log",
     "write_comm_log",
-    "DistributedObserver",
     "attach_observability",
     "Counter",
     "Gauge",

@@ -7,6 +7,14 @@ checkpoint bytes.  The shapes follow the Prometheus data model — a
 metric is a *name* plus a sorted *label set* — but everything lives in
 process and serializes to plain JSON.
 
+Two sources feed it.  *Event* metrics are bumped where the event
+happens (``particles.pushed``, ``step.seconds``).  *Views* are read from
+accounting the program keeps anyway (the communicator's byte counters,
+the halo-exchange totals): :meth:`MetricsRegistry.view` registers a
+reader, and every snapshot reads it afresh, so a view always equals its
+source — attached late, or after a checkpoint restore rolled the source
+back — with no copy to keep in step.
+
 Snapshot/delta semantics: :meth:`MetricsRegistry.snapshot` freezes every
 metric into a JSON-serializable dict; :meth:`MetricsRegistry.delta`
 subtracts a previous snapshot from the current one (counters and
@@ -17,7 +25,7 @@ per-phase accounting needs no manual bookkeeping.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ObservabilityError
 
@@ -96,10 +104,12 @@ class Gauge:
 class Histogram:
     """Streaming distribution summary: count/sum/min/max + mean.
 
-    Deliberately reservoir-free: per-step *percentiles* come from the
-    full ``Timers.step_times`` history in
-    :mod:`repro.observability.report`; the histogram covers quantities
-    where only the aggregate shape matters (message sizes, box costs).
+    Deliberately reservoir-free: ``step.seconds`` summarises the same
+    laps :class:`~repro.core.simulation.StepDriver` appends to
+    ``Timers.step_times``, and per-step *percentiles* come from that full
+    history in :mod:`repro.observability.report`; the histogram covers
+    quantities where only the aggregate shape matters (step and box
+    costs).
     """
 
     kind = "histogram"
@@ -134,6 +144,10 @@ class Histogram:
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
+#: one row of a view: ``(kind, name, labels, value)``, kind "counter" or
+#: "gauge"
+ViewRow = Tuple[str, str, Dict[str, Any], float]
+
 
 class MetricsRegistry:
     """The one place every subsystem registers what it measured.
@@ -146,6 +160,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelKey], Any] = {}
+        self._views: List[Callable[[], Iterable[ViewRow]]] = []
 
     def _get(self, kind: str, name: str, labels: Dict[str, Any]):
         key = (name, _label_key(labels))
@@ -169,15 +184,30 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels) -> Histogram:
         return self._get("histogram", name, labels)
 
+    def view(self, read: Callable[[], Iterable[ViewRow]]) -> None:
+        """Register ``read``, a zero-argument callable yielding
+        ``(kind, name, labels, value)`` rows: counters and gauges derived
+        from state the program already keeps.  Every :meth:`snapshot`,
+        :meth:`delta` and :meth:`metrics` calls it again, so nothing is
+        copied per step and nothing can drift from its source."""
+        self._views.append(read)
+
     def __len__(self) -> int:
-        return len(self._metrics)
+        return sum(1 for _ in self.metrics())
 
     def __contains__(self, name: str) -> bool:
-        return any(n == name for n, _ in self._metrics)
+        return any(n == name for n, _, _ in self.metrics())
 
     def metrics(self) -> Iterable[Tuple[str, Dict[str, str], Any]]:
-        """Iterate (name, labels, metric) in sorted id order."""
-        for (name, lkey), metric in sorted(self._metrics.items()):
+        """Iterate (name, labels, metric) in sorted id order, the rows of
+        every view included (read now)."""
+        items = dict(self._metrics)
+        for read in self._views:
+            for kind, name, labels, value in read():
+                metric = _KINDS[kind]()
+                metric.value = float(value)
+                items[(name, _label_key(labels))] = metric
+        for (name, lkey), metric in sorted(items.items()):
             yield name, dict(lkey), metric
 
     # -- snapshot / delta ---------------------------------------------------

@@ -1,7 +1,7 @@
 """Run/step reports: the text dashboard over timers, metrics and comm.
 
-Upgrades :meth:`Timers.report` from a flat breakdown into the quantities
-the paper actually tabulates: per-step percentiles (the step-time
+Renders a run's :class:`Timers` as the quantities the paper actually
+tabulates: the per-phase breakdown, per-step percentiles (the step-time
 distribution behind Fig. 6), per-rank load and imbalance ratios (the
 Sec. V.C load-balancing metric), and the rank-pair communication matrix
 (SimComm's byte accounting rendered as the heatmap the performance model
@@ -29,6 +29,17 @@ def percentiles(
     arr = np.asarray(samples, dtype=np.float64)
     values = np.percentile(arr, list(qs))
     return {f"p{q:g}": float(v) for q, v in zip(qs, values)}
+
+
+def measured_imbalance(sim) -> Optional[float]:
+    """Max/mean measured load over a ``DistributedSimulation``'s alive
+    ranks (a dead rank's zero load is not imbalance); ``None`` until a
+    box has been timed.  What the ``lb.imbalance`` metric and
+    :meth:`RunReport.from_distributed` both read."""
+    costs = sim.cost_model.measured(range(len(sim.boxes)), default=0.0)
+    if not np.any(costs > 0):
+        return None
+    return float(sim.dm.imbalance(costs, exclude_ranks=sim.dead_ranks))
 
 
 def _human_bytes(n: float) -> str:
@@ -96,17 +107,13 @@ class RunReport:
         loads = np.zeros(n, dtype=np.float64)
         for i, cost in enumerate(costs):
             loads[sim.dm.rank_of(i)] += cost
-        # over the alive ranks, as the ``lb.imbalance`` gauge reads it
-        imbalance = (
-            sim.dm.imbalance(costs, exclude_ranks=sim.dead_ranks)
-            if np.any(loads > 0) else 1.0
-        )
+        imbalance = measured_imbalance(sim)
         snapshot = sim.metrics.snapshot() if sim.metrics is not None else None
         return cls(
             sim.timers,
             comm_matrix=matrix,
             rank_loads=loads,
-            imbalance=float(imbalance),
+            imbalance=1.0 if imbalance is None else imbalance,
             lb_events=list(sim.lb_events),
             metrics_snapshot=snapshot,
         )

@@ -321,9 +321,10 @@ def build_tree(spans: List[SpanRecord]) -> Dict[int, List[SpanRecord]]:
 def phase_span(timers: Timers, tracer, name: str, **attrs) -> Iterator[None]:
     """One PIC phase: a :class:`Timers` accumulation wrapped in a span.
 
-    The bridge between the legacy per-kernel timer bookkeeping and the
-    span hierarchy — both see the same interval, so ``Timers.report()``
-    and the trace agree on where the time went.
+    The always-on timers and the opt-in span hierarchy see the same
+    interval, so the phase table of
+    :class:`~repro.observability.report.RunReport` and the trace agree on
+    where the time went.
     """
     with tracer.span(name, cat="phase", **attrs):
         with timers.timer(name):

@@ -166,9 +166,6 @@ class DistributedSimulation(StepDriver):
         self.comm = SimComm(n_ranks, transport=transport)
         #: SPMD rank of this process (None: all ranks live here)
         self.local_rank = self.comm.local_rank
-        self._observer = None
-        #: steps between metrics snapshots interleaved into the trace
-        self._snapshot_interval = 0
         self.box_grids: List[YeeGrid] = []
         self.box_solvers: List[MaxwellSolver] = []
         for b in self.boxes:
@@ -193,7 +190,7 @@ class DistributedSimulation(StepDriver):
             self.boxes, n_cells, guards, periodic_axes, kind="fill"
         )
         #: cumulative stats of every fold / halo exchange of the run
-        #: (observability mirrors them as per-step deltas)
+        #: (the ``halo.*`` metrics read them)
         self.halo_stats = HaloExchangeStats()
         self.lb_moved_bytes = 0
         self.species: Dict[str, DistributedSpecies] = {}
@@ -306,7 +303,12 @@ class DistributedSimulation(StepDriver):
 
     # -- the decomposed PIC cycle ------------------------------------------
     def _step_body(self) -> None:
-        self.timers.reset_lap()
+        """Per-box particle work, then fold sources, advance fields,
+        exchange halos, redistribute, balance load.
+
+        All field data moves pairwise through the communicator; the
+        global grid is touched only by diagnostics (and the sanitizers).
+        """
         if self.resilience is not None:
             self.resilience.begin_step(self)
         elif self.comm.fault_injector is not None:
@@ -325,74 +327,9 @@ class DistributedSimulation(StepDriver):
                             # its ``box`` span, not a phase nested in them
                             self._advance_on(bg, dsp.per_box[i], phase=None)
                 self.cost_model.record_measured(i, sw.elapsed)
-        self._finish_step()
+                if self.metrics is not None:
+                    self.metrics.histogram("lb.box_cost").observe(sw.elapsed)
 
-    def _lb_costs(self) -> np.ndarray:
-        """Per-box cost vector driving the rebalance decision.
-
-        ``"measured"`` uses the wall-clock EMA of the cost model — the
-        paper's measured-runtime mode, inherently run-dependent.
-        ``"heuristic"`` is a pure function of cell and live particle
-        counts, so every transport produces the same vector — the mode
-        the cross-transport parity tests pin.  Under SPMD each rank only
-        knows its own boxes' entries, so a real allreduce assembles the
-        global vector; the loopback heuristic path makes the matching
-        ``rank=None`` accounting call, keeping counters
-        transport-independent.
-        """
-        n = len(self.boxes)
-        if self.lb_cost_source == "heuristic":
-            cells = np.array(
-                [b.n_cells for b in self.boxes], dtype=np.float64
-            )
-            parts = np.array(
-                [
-                    sum(d.per_box[i].n for d in self.species.values())
-                    for i in range(n)
-                ],
-                dtype=np.float64,
-            )
-            costs = self.cost_model.heuristic(cells, parts)
-            if self.local_rank is not None:
-                owned = np.array(
-                    [self.owns_box(i) for i in range(n)], dtype=bool
-                )
-                costs = np.where(owned, costs, 0.0)
-            return np.asarray(
-                self.comm.allreduce_sum(costs, rank=self.local_rank),
-                dtype=np.float64,
-            )
-        costs = self.cost_model.measured(range(n), default=0.0)
-        if self.local_rank is not None:
-            # each worker measured only its own boxes; sum the pieces
-            costs = np.asarray(
-                self.comm.allreduce_sum(costs, rank=self.local_rank),
-                dtype=np.float64,
-            )
-        return costs
-
-    @property
-    def halo_samples(self) -> int:
-        """Array samples applied by all exchanges, local copies included."""
-        return self.halo_stats.samples
-
-    @property
-    def halo_payload_bytes(self) -> int:
-        """Bytes of all cross-rank fold / halo messages received."""
-        return self.halo_stats.payload_bytes
-
-    @property
-    def halo_messages(self) -> int:
-        """Cross-rank fold / halo messages received."""
-        return self.halo_stats.messages
-
-    def _finish_step(self) -> None:
-        """Everything after the per-box particle work: fold sources,
-        advance fields, exchange halos, redistribute, balance load.
-
-        All field data moves pairwise through the communicator; the
-        global grid is touched only by diagnostics (and the sanitizers).
-        """
         periodic_axes = tuple(range(self.domain.ndim))
         with self._phase("fold_sources"):
             # smooth each box's raw deposits (guards included) before
@@ -492,26 +429,69 @@ class DistributedSimulation(StepDriver):
 
         self.time += self.dt
         self.step_count += 1
-        self.timers.lap()
-
         if self.resilience is not None:
             self.resilience.finish_step(self)
         elif self.comm.fault_injector is not None:
             self.comm.finish_step()
 
-        if self._observer is not None:
-            self._observer.observe()
-            if (
-                self._snapshot_interval > 0
-                and self.step_count % self._snapshot_interval == 0
-            ):
-                self.tracer.add_metrics_snapshot(
-                    self.metrics.snapshot(), step=self.step_count
-                )
+    def _lb_costs(self) -> np.ndarray:
+        """Per-box cost vector driving the rebalance decision.
 
-        if self.sanitizer is not None:
-            with self._phase("sanitize"):
-                self._run_sanitizers()
+        ``"measured"`` uses the wall-clock EMA of the cost model — the
+        paper's measured-runtime mode, inherently run-dependent.
+        ``"heuristic"`` is a pure function of cell and live particle
+        counts, so every transport produces the same vector — the mode
+        the cross-transport parity tests pin.  Under SPMD each rank only
+        knows its own boxes' entries, so a real allreduce assembles the
+        global vector; the loopback heuristic path makes the matching
+        ``rank=None`` accounting call, keeping counters
+        transport-independent.
+        """
+        n = len(self.boxes)
+        if self.lb_cost_source == "heuristic":
+            cells = np.array(
+                [b.n_cells for b in self.boxes], dtype=np.float64
+            )
+            parts = np.array(
+                [
+                    sum(d.per_box[i].n for d in self.species.values())
+                    for i in range(n)
+                ],
+                dtype=np.float64,
+            )
+            costs = self.cost_model.heuristic(cells, parts)
+            if self.local_rank is not None:
+                owned = np.array(
+                    [self.owns_box(i) for i in range(n)], dtype=bool
+                )
+                costs = np.where(owned, costs, 0.0)
+            return np.asarray(
+                self.comm.allreduce_sum(costs, rank=self.local_rank),
+                dtype=np.float64,
+            )
+        costs = self.cost_model.measured(range(n), default=0.0)
+        if self.local_rank is not None:
+            # each worker measured only its own boxes; sum the pieces
+            costs = np.asarray(
+                self.comm.allreduce_sum(costs, rank=self.local_rank),
+                dtype=np.float64,
+            )
+        return costs
+
+    @property
+    def halo_samples(self) -> int:
+        """Array samples applied by all exchanges, local copies included."""
+        return self.halo_stats.samples
+
+    @property
+    def halo_payload_bytes(self) -> int:
+        """Bytes of all cross-rank fold / halo messages received."""
+        return self.halo_stats.payload_bytes
+
+    @property
+    def halo_messages(self) -> int:
+        """Cross-rank fold / halo messages received."""
+        return self.halo_stats.messages
 
     def _run_sanitizers(self) -> None:
         """Per-step invariant checks (opt-in via ``REPRO_SANITIZE=1``)."""

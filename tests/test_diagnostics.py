@@ -136,13 +136,11 @@ def test_timers_accumulate():
         time.sleep(0.01)
     with t.timer("a"):
         pass
-    t.add("b", 1.5)
+    with t.timer("b"):
+        pass
     assert t.counts["a"] == 2
     assert t.totals["a"] >= 0.01
-    assert t.totals["b"] == 1.5
-    assert t.total() >= 1.51
-    report = t.report()
-    assert "a" in report and "b" in report
+    assert t.total() == pytest.approx(t.totals["a"] + t.totals["b"])
 
 
 def test_timers_lap():

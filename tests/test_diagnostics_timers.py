@@ -1,5 +1,5 @@
 """Unit coverage for the timer substrate: accumulation, stopwatches,
-per-step lap history, merge/reset, and report formatting."""
+per-step lap history, and the phase table the run report renders."""
 
 import re
 import time
@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.diagnostics.timers import Stopwatch, Timers, now
+from repro.observability.report import RunReport
 
 
 def test_now_is_monotonic_float():
@@ -25,15 +26,6 @@ def test_timer_accumulates_and_counts():
     assert t.totals["gather"] >= 0.0
 
 
-def test_add_records_external_duration():
-    t = Timers()
-    t.add("maxwell", 0.5)
-    t.add("maxwell", 0.25)
-    assert t.totals["maxwell"] == pytest.approx(0.75)
-    assert t.counts["maxwell"] == 2
-    assert t.total() == pytest.approx(0.75)
-
-
 def test_stopwatch_fills_elapsed():
     t = Timers()
     with t.stopwatch() as sw:
@@ -41,16 +33,8 @@ def test_stopwatch_fills_elapsed():
         assert sw.elapsed == 0.0  # not measured until exit
         time.sleep(0.001)
     assert sw.elapsed > 0.0
-    # unnamed stopwatches do not touch the named accumulators
+    # a stopwatch hands its duration over and accumulates nothing
     assert t.totals == {}
-
-
-def test_stopwatch_with_name_also_accumulates():
-    t = Timers()
-    with t.stopwatch("box") as sw:
-        pass
-    assert t.totals["box"] == pytest.approx(sw.elapsed)
-    assert t.counts["box"] == 1
 
 
 def test_lap_builds_step_history():
@@ -62,61 +46,38 @@ def test_lap_builds_step_history():
     assert first >= 0.0 and second >= 0.0
 
 
-def test_reset_clears_everything():
+def filled(**totals):
     t = Timers()
-    t.add("push", 1.0)
-    t.lap()
-    t.reset()
-    assert t.totals == {}
-    assert t.counts == {}
-    assert t.step_times == []
-    assert t.total() == 0.0
+    t.totals.update(totals)
+    t.counts.update({name: 1 for name in totals})
+    return t
 
 
-def test_merge_adds_totals_and_concatenates_laps():
-    a = Timers()
-    a.add("gather", 1.0)
-    a.add("push", 2.0)
-    a.step_times.extend([0.1, 0.2])
-    b = Timers()
-    b.add("push", 3.0)
-    b.add("deposit", 4.0)
-    b.add("deposit", 1.0)
-    b.step_times.append(0.3)
+def phase_table(t):
+    """The rows of the run report's phase breakdown of ``t``."""
+    text = RunReport.from_timers(t).render()
+    return text.split("phase breakdown (top by total time):", 1)[1].splitlines()[1:]
 
-    a.merge(b)
-    assert a.totals["gather"] == pytest.approx(1.0)
-    assert a.totals["push"] == pytest.approx(5.0)
-    assert a.totals["deposit"] == pytest.approx(5.0)
-    assert a.counts == {"gather": 1, "push": 2, "deposit": 2}
-    assert a.step_times == [0.1, 0.2, 0.3]
-    # the merged-from timers are untouched
-    assert b.totals["push"] == pytest.approx(3.0)
+
+ROW = r"^ +[\d.]+s +[\d.]+% +\d+ calls +[\d.]+us/call$"
 
 
 def test_report_alignment_with_long_names():
-    t = Timers()
     long_name = "a_very_long_phase_name_over_24_characters"
-    t.add(long_name, 2.0)
-    t.add("short", 1.0)
-    lines = t.report().splitlines()
-    assert lines[0] == "timer breakdown:"
+    lines = phase_table(filled(**{long_name: 2.0, "short": 1.0}))
     width = len(long_name)
     # every row pads the name to the longest name's width
-    for line in lines[1:]:
+    for line in lines:
         assert line[2 : 2 + width].rstrip() in (long_name, "short")
-        assert re.match(r"^ +[\d.]+s +[\d.]+% +\(\d+ calls\)$", line[2 + width :])
+        assert re.match(ROW, line[2 + width :])
 
 
 def test_report_sorted_by_total_and_shares_sum():
-    t = Timers()
-    t.add("minor", 1.0)
-    t.add("major", 3.0)
-    lines = t.report().splitlines()[1:]
+    lines = phase_table(filled(minor=1.0, major=3.0))
     assert "major" in lines[0] and "minor" in lines[1]
     shares = [float(re.search(r"([\d.]+)%", l).group(1)) for l in lines]
     assert sum(shares) == pytest.approx(100.0, abs=0.2)
 
 
 def test_report_empty_timers():
-    assert Timers().report() == "timer breakdown:"
+    assert phase_table(Timers()) == []

@@ -295,8 +295,8 @@ def test_step_report_share_of_median():
 
 def make_run_timers():
     t = Timers()
-    t.add("maxwell", 0.5)
-    t.add("gather", 0.3)
+    t.totals.update(maxwell=0.5, gather=0.3)
+    t.counts.update(maxwell=1, gather=1)
     t.step_times.extend([0.01, 0.02, 0.01, 0.05])
     return t
 

@@ -9,8 +9,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.constants import m_e, plasma_wavelength, q_e
+from repro.constants import fs, m_e, plasma_wavelength, q_e, um
 from repro.core.mr_simulation import MRSimulation
+from repro.diagnostics.io import pack_distributed_state, unpack_distributed_state
+from repro.diagnostics.timers import now
 from repro.grid.maxwell import cfl_dt
 from repro.grid.yee import YeeGrid
 from repro.observability import (
@@ -24,6 +26,7 @@ from repro.observability.tracer import NULL_TRACER, build_tree, read_jsonl
 from repro.parallel.distributed import DistributedSimulation
 from repro.particles.injection import UniformProfile
 from repro.particles.species import Species
+from repro.scenarios.hybrid_target import HybridTargetSetup, build_hybrid_target
 from repro.scenarios.uniform_plasma import build_uniform_plasma
 
 
@@ -84,6 +87,45 @@ def test_traced_single_simulation_has_step_phase_hierarchy():
         assert snap["step.seconds"]["count"] == 3
 
 
+def subcycled_hybrid_mr():
+    """The reduced hybrid solid-gas deck with its subcycled MR patch."""
+    setup = HybridTargetSetup(
+        cells_per_wavelength=4, x_max=8 * um, y_half=3 * um,
+        gas_lo=2 * um, gas_hi=4.5 * um, solid_lo=4.5 * um, solid_hi=5.5 * um,
+        solid_nc=20, a0=2.5, duration=3 * fs, waist=1.5 * um,
+    )
+    return build_hybrid_target(setup, mode="mr", subcycle=True)[0]
+
+
+STEP_CLOCK_DECKS = {
+    "simulation": lambda: build_uniform_plasma((16, 16), ppc=2)[0],
+    "mr_subcycled": subcycled_hybrid_mr,
+    "distributed": lambda: make_distributed(n_ranks=2, n_cells=16),
+}
+
+
+@pytest.mark.parametrize("deck", sorted(STEP_CLOCK_DECKS))
+def test_step_clock_covers_the_whole_step(deck):
+    """``step_times`` laps whole steps, and each step's timed phases fit
+    inside its lap.  A subcycled MR step's lap used to leave out the
+    patch substeps: 0.43 of the wall time, with ``mr_subcycle`` alone
+    larger than the lap."""
+    sim = STEP_CLOCK_DECKS[deck]()
+    sim.step(2)
+    timers, walls = sim.timers, []
+    for _ in range(5):
+        before = dict(timers.totals)
+        start = now()
+        sim.step(1)
+        walls.append(now() - start)
+        phases = sum(v - before.get(k, 0.0) for k, v in timers.totals.items())
+        assert phases <= timers.step_times[-1]
+    assert sum(timers.step_times[-5:]) >= 0.9 * sum(walls)
+    assert len(timers.step_times) == 7
+    if deck == "mr_subcycled":
+        assert timers.counts["mr_subcycle"] == 7
+
+
 def test_traced_mr_simulation_emits_level_spans():
     n0 = 1e24
     length = plasma_wavelength(n0)
@@ -140,6 +182,45 @@ def test_distributed_metrics_match_comm_and_lb_internals():
     )
     # snapshot_interval=2 over 6 steps -> 3 interleaved snapshots
     assert [m["step"] for m in tracer.metric_records] == [2, 4, 6]
+
+
+def live_accounting(sim):
+    """The run's own books under their metric ids."""
+    live = {
+        "comm.messages": float(sim.comm.messages_sent.sum()),
+        "halo.bytes": float(sim.halo_payload_bytes),
+    }
+    for (src, dst), nbytes in sim.comm.pair_bytes.items():
+        live[f"comm.pair_bytes{{dst={dst},src={src}}}"] = float(nbytes)
+    return live
+
+
+def read_back(snapshot, live):
+    """The snapshot's values of ``live``'s ids, plus any pair it adds."""
+    ids = set(live) | {m for m in snapshot if m.startswith("comm.pair_bytes")}
+    return {m: snapshot.get(m) for m in ids}
+
+
+def test_metrics_equal_the_accounting_at_any_time():
+    """Metrics attached mid-run, or read right after a restore, equal the
+    live accounting.  Attached after 3 of 5 steps they used to read
+    ``comm.messages`` 12 against 30 and ``halo.bytes`` 102,192 against
+    255,480: only the steps they had watched."""
+    sim = make_distributed(n_ranks=2)
+    sim.step(3)
+    _, metrics = attach_observability(sim)
+    sim.step(2)
+    live = live_accounting(sim)
+    assert read_back(metrics.snapshot(), live) == live
+    assert live["halo.bytes"] > 0 and len(live) > 2
+
+    state = {k: np.array(v, copy=True)
+             for k, v in pack_distributed_state(sim).items()}
+    restored = make_distributed(n_ranks=2)
+    _, metrics = attach_observability(restored)
+    unpack_distributed_state(restored, state)
+    assert read_back(metrics.snapshot(), live) == live
+    assert live_accounting(restored) == live
 
 
 def test_distributed_spans_carry_rank_and_box():
