@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.constants import plasma_wavelength
-from repro.core.mr_simulation import MRSimulation
+from repro.core.simulation import Simulation
 from repro.grid.maxwell import cfl_dt
 from repro.grid.yee import YeeGrid
 from repro.particles.injection import UniformProfile
@@ -22,7 +22,7 @@ def build(subcycle: bool, n_cells=64, n0=1e24, ppc=8):
     g = YeeGrid((n_cells,), (0.0,), (length,), guards=4)
     ratio = 2
     dt = cfl_dt((length / n_cells / (1 if subcycle else ratio),), 0.9)
-    sim = MRSimulation(g, dt=dt, shape_order=2, smoothing_passes=0)
+    sim = Simulation(g, dt=dt, shape_order=2, smoothing_passes=0)
     e = Species("electrons", charge=-q_e, mass=m_e, ndim=1)
     sim.add_species(e, profile=UniformProfile(n0), ppc=ppc)
     k = 2 * np.pi / length

@@ -38,7 +38,6 @@ Subpackages
 
 from repro import constants
 from repro.core.moving_window import MovingWindow
-from repro.core.mr_simulation import MRSimulation
 from repro.core.simulation import Simulation
 from repro.exceptions import ReproError
 from repro.grid.yee import YeeGrid
@@ -51,7 +50,6 @@ __version__ = "1.0.0"
 __all__ = [
     "constants",
     "MovingWindow",
-    "MRSimulation",
     "Simulation",
     "ReproError",
     "YeeGrid",

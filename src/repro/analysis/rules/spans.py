@@ -26,7 +26,7 @@ from repro.analysis.findings import Finding
 from repro.analysis.linter import LintContext, LintRule, register
 
 #: modules holding a step driver (the PIC cycle orchestrators)
-DRIVER_MODULE_BASENAMES = ("simulation.py", "mr_simulation.py", "distributed.py")
+DRIVER_MODULE_BASENAMES = ("simulation.py", "distributed.py")
 
 #: the step-driver methods whose bodies are checked
 DRIVER_METHODS = frozenset(
@@ -41,8 +41,8 @@ DRIVER_METHODS = frozenset(
 KERNEL_CALLS = frozenset(
     {
         # simulation hooks
-        "_gather", "_deposit", "_finalize_deposits", "_advance_fields",
-        "_advance_on", "_smooth_sources", "_run_sanitizers",
+        "_gather", "_deposit", "_advance_on", "_smooth_sources",
+        "_run_sanitizers",
         # particle kernels
         "advance_particles",
         "gather_fields", "push_boris", "push_vay", "push_positions",

@@ -21,8 +21,8 @@ SAN005  gather/deposit stencils stay inside the padded field arrays:
 
 Violations raise :class:`~repro.exceptions.SanitizerError` with the step
 and the offending field/species named.  The hooks are wired into
-:class:`~repro.core.simulation.Simulation`,
-:class:`~repro.core.mr_simulation.MRSimulation` and
+:class:`~repro.core.simulation.Simulation` (every MR patch grid
+included) and
 :class:`~repro.parallel.distributed.DistributedSimulation`; they cost
 one pass over the data per step and are disabled unless the
 ``REPRO_SANITIZE`` environment variable is set to a truthy value.

@@ -1,11 +1,12 @@
 """Core mesh-refined PIC engine: the explicit PIC cycle (Fig. 3 of the
-paper), the electromagnetic mesh-refinement coupling (Sec. V.B), the moving
-window, subcycling, and the multi-level load balancing (Sec. V.C)."""
+paper) whose :class:`Simulation` carries the electromagnetic
+mesh-refinement patches (Sec. V.B, :class:`MRPatch`) and their
+subcycling, the moving window, and the multi-level load balancing
+(Sec. V.C)."""
 
 from repro.core.simulation import Simulation
 from repro.core.moving_window import MovingWindow
 from repro.core.mr_level import MRPatch
-from repro.core.mr_simulation import MRSimulation
 from repro.core.load_balance import (
     distribute_round_robin,
     distribute_sfc,
@@ -19,7 +20,6 @@ __all__ = [
     "Simulation",
     "MovingWindow",
     "MRPatch",
-    "MRSimulation",
     "distribute_round_robin",
     "distribute_sfc",
     "distribute_knapsack",

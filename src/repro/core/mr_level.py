@@ -33,7 +33,7 @@ moment the paper marks with a star in Fig. 6.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from repro.grid.interpolation import prolong, region_sample_counts, restrict
 from repro.grid.maxwell import cfl_dt
 from repro.grid.pml import PMLMaxwellSolver
 from repro.grid.yee import FIELD_COMPONENTS, STAGGER, YeeGrid
+from repro.particles.species import Species
 
 
 class MRPatch:
@@ -148,6 +149,10 @@ class MRPatch:
         self.coarse_solver = PMLMaxwellSolver(self.coarse, self.dt, n_pml=n_pml)
         #: running average of the restricted substep currents (subcycling)
         self._accumulated_j: Dict[str, np.ndarray] = {}
+        #: subcycling state a restart needs: the sorted ids of the resident
+        #: particles per species, and the previous step's external field
+        self._member_ids: Dict[str, np.ndarray] = {}
+        self._external_prev: Optional[Dict[str, np.ndarray]] = None
         self._init_fields_from_parent()
 
     # -- setup -------------------------------------------------------------
@@ -220,14 +225,58 @@ class MRPatch:
 
     def frozen_external(self) -> Dict[str, np.ndarray]:
         """The external contribution I[F(s) - F(c)] at the current time,
-        on the fine lattice — held fixed during the substeps of one parent
-        step (the paper's full algorithm interpolates it in time)."""
+        on the fine lattice."""
         out = {}
         for comp in FIELD_COMPONENTS:
             diff = self._parent_section(comp) - self.coarse.interior_view(comp)
             fine_counts = region_sample_counts(self.fine.n_cells, STAGGER[comp])
             out[comp] = prolong(diff, self.ratio, STAGGER[comp], fine_counts)
         return out
+
+    def substep_externals(self) -> List[Dict[str, np.ndarray]]:
+        """The external field at each of the ``ratio`` substep times of
+        this parent step: linear extrapolation from the last two parent
+        steps (the paper's algorithm interpolates the coarse fields in
+        time)."""
+        now = self.frozen_external()
+        prev = now if self._external_prev is None else self._external_prev
+        self._external_prev = now
+        return [
+            {comp: now[comp] + k / self.ratio * (now[comp] - prev[comp])
+             for comp in now}
+            for k in range(self.ratio)
+        ]
+
+    def extract_members(self, species: Dict[str, Species]) -> Dict[str, Species]:
+        """Remove and return, per species name, the particles that substep
+        with this patch.
+
+        Membership uses hysteresis: a particle *joins* the subcycled
+        population only once it is well inside the patch, but *stays* in
+        it until it crosses the (closer-to-the-edge) deposit-safe margin.
+        Without this, electrons quivering in the laser field at the patch
+        boundary would switch populations every step, and each switch
+        teleports their charge between grids — a noise source that was
+        observed to destabilize the fine grid.
+        """
+        margin_stay = self.extraction_margin()
+        # join threshold: deeper inside by more than a quiver amplitude
+        margin_join = margin_stay + 8 * self.fine.dx[0]
+        holders: Dict[str, Species] = {}
+        for name, sp in species.items():
+            if sp.n == 0:
+                continue
+            mask = self.contains(sp.positions, margin_join)
+            members = self._member_ids.get(name)
+            if members is not None and members.size:
+                was_member = np.isin(sp.ids, members)
+                mask |= was_member & self.contains(sp.positions, margin_stay)
+            if np.any(mask):
+                holders[name] = sp.remove(mask)
+        self._member_ids = {
+            name: np.sort(holder.ids.copy()) for name, holder in holders.items()
+        }
+        return holders
 
     def assemble_aux_with_external(self, external: Dict[str, np.ndarray]) -> None:
         """Rebuild the auxiliary field from the current fine solution plus a
@@ -271,12 +320,14 @@ class MRPatch:
         self.apply_accumulated_currents_to_parent()
 
     def advance_fields(self) -> None:
-        """Advance the patch grids one parent step (non-subcycled mode).
+        """Advance the patch grids one parent step.
 
-        Subcycled patches advance via :meth:`substep_fields` inside the
-        particle substep loop of the MR simulation instead.
+        A subcycled patch's fine grid already took its substeps
+        (:meth:`substep_fields`), so only its coarse companion advances,
+        in lockstep with the parent operator.
         """
-        self.fine_solver.step()
+        if not self.subcycle:
+            self.fine_solver.step()
         self.coarse_solver.step()
 
     def extraction_margin(self) -> float:

@@ -1,7 +1,7 @@
-"""The explicit electromagnetic PIC cycle (paper Fig. 3) on one level.
+"""The explicit electromagnetic PIC cycle (paper Fig. 3).
 
 One :class:`Simulation` owns a Yee grid, a set of species, optional laser
-antennas and an optional moving window, and advances them with the
+antennas, MR patches and a moving window, and advances them with the
 standard leapfrog ordering:
 
 1. gather E, B at particle positions (fields and positions at step n),
@@ -13,14 +13,14 @@ standard leapfrog ordering:
 
 Steps 1-3 are one call to :func:`repro.particles.advance.
 advance_particles` per species (fused into a single native pass on the
-``compiled`` kernel tier).  Mesh refinement is layered on top by
-:class:`repro.core.mr_simulation.MRSimulation`, which overrides the
-particle-advance and field-advance hooks.
+``compiled`` kernel tier).  Mesh refinement (Sec. V.B) is a list of
+patches on the same cycle: each step phase loops over
+``Simulation.patches``, and with none it is the single-level cycle.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from repro.grid.maxwell import MaxwellSolver, cfl_dt
 from repro.grid.pml import PMLMaxwellSolver
 from repro.grid.yee import FIELD_COMPONENTS, SOURCE_COMPONENTS, YeeGrid
 from repro.core.moving_window import MovingWindow
+from repro.core.mr_level import MRPatch
 from repro.observability.tracer import NULL_TRACER, phase_span
 from repro.laser.antenna import LaserAntenna
 from repro.particles.injection import DensityProfile, inject_plasma
@@ -273,7 +274,7 @@ class StepDriver:
 
 
 class Simulation(StepDriver):
-    """Single-level electromagnetic PIC simulation.
+    """Electromagnetic PIC simulation, mesh-refined by a list of patches.
 
     Parameters
     ----------
@@ -327,6 +328,22 @@ class Simulation(StepDriver):
 
     All but the last three are :class:`StepDriver`'s, shared with
     ``DistributedSimulation``.
+
+    Mesh refinement (paper Sec. V.B) is data, not a driver type:
+    :meth:`add_patch` appends an :class:`~repro.core.mr_level.MRPatch`
+    over parent cells ``[region_lo, region_hi)`` (``ratio``, ``subcycle``,
+    ``n_pml``, ``n_transition``, ``remove_time`` as documented there) to
+    ``patches``, and each phase of the step loops over that list; with no
+    patch the step is the single-level cycle.  While a patch is active the
+    particle pass takes the three-phase route with the level-aware
+    :meth:`_gather` / :meth:`_deposit`: particles well inside a patch
+    gather its auxiliary field and deposit on its fine grid, whose current
+    is restricted onto the parent and the coarse companion before the
+    field advance; everyone else uses the parent.  Every grid advances each
+    step, then the auxiliary fields are reassembled.  Patches stay fixed
+    in the lab frame under the moving window and are removed, after the
+    callbacks, once their ``remove_time`` passes or they leave the domain
+    (the Fig. 6 star; ``removal_log`` holds ``(time, patches left)``).
     """
 
     def __init__(
@@ -369,6 +386,8 @@ class Simulation(StepDriver):
         self._deferred_window_state: Optional[Tuple[float, int]] = None
         #: hooks called as f(sim) after each completed step
         self.callbacks: List[Callable[["Simulation"], None]] = []
+        self.patches: List[MRPatch] = []
+        self.removal_log: List[Tuple[float, int]] = []
 
     # -- configuration ----------------------------------------------------
     @property
@@ -420,29 +439,150 @@ class Simulation(StepDriver):
             window.pending, window.cells_shifted = self._deferred_window_state
             self._deferred_window_state = None
 
-    # -- hooks overridden by the MR simulation ------------------------------
-    def _advance_species(self, species: Species, **level_hooks) -> None:
+    def add_patch(
+        self,
+        region_lo: Sequence[int],
+        region_hi: Sequence[int],
+        ratio: int = 2,
+        subcycle: bool = False,
+        n_pml: int = 4,
+        n_transition: Optional[int] = None,
+        remove_time: Optional[float] = None,
+    ) -> MRPatch:
+        """Create and register a refinement patch over parent cells
+        ``[region_lo, region_hi)``."""
+        if self.deposition != "esirkepov":
+            raise ConfigurationError(
+                "mesh refinement requires the charge-conserving "
+                "Esirkepov deposition"
+            )
+        if getattr(self.solver, "advances_together", False):
+            raise ConfigurationError(
+                "mesh refinement requires a split-push (FDTD-family) "
+                "solver, not the spectral PSATD tier: the substitution "
+                "cancels in-patch sources only when the parent and the "
+                "coarse companion apply the identical discrete operator"
+            )
+        patch = MRPatch(
+            self.grid, region_lo, region_hi, ratio=ratio, dt=self.dt,
+            subcycle=subcycle, n_pml=n_pml, n_transition=n_transition,
+            shape_order=self.shape_order, remove_time=remove_time,
+        )
+        # construction order (every removal logs one entry): what a
+        # checkpoint names a surviving patch by
+        patch.position = len(self.patches) + len(self.removal_log)
+        self.patches.append(patch)
+        return patch
+
+    # -- mesh-refinement levels ----------------------------------------------
+    def _advance_species(self, species: Species) -> None:
         """Gather, push, deposit and periodically wrap one species (it
-        times itself); ``level_hooks`` are ``advance_particles``'
-        gather=/deposit=."""
+        times itself), level-aware only while there is a level to route to."""
         g = self.grid
         axes = tuple(d for d, b in enumerate(self.boundaries) if b == "periodic")
+        hooks = (
+            dict(gather=self._gather, deposit=self._deposit)
+            if self.patches else {}
+        )
         self._advance_on(
             g, species, phase=self._phase,
-            periodic=(g.lo, g.hi, axes) if axes else None, **level_hooks,
+            periodic=(g.lo, g.hi, axes) if axes else None, **hooks,
         )
 
-    def _finalize_deposits(self) -> None:
-        """Hook: combine per-level deposits (used by the MR simulation)."""
+    def _route(self, inside):
+        """Send every particle to exactly one grid: yields ``(patch,
+        selector)`` for the first non-subcycled patch whose ``inside(patch)``
+        mask holds it and ``(None, selector)`` for the rest, the parent's.
+        With nobody in a patch that selector is ``slice(None)``: views,
+        not masked copies."""
+        remaining = None
+        for patch in self.patches:
+            if patch.subcycle:
+                continue  # in-patch particles were extracted for substeps
+            mask = inside(patch)
+            if remaining is not None:
+                mask &= remaining
+            if np.any(mask):
+                yield patch, mask
+                remaining = ~mask if remaining is None else remaining & ~mask
+        if remaining is None:
+            yield None, slice(None)
+        elif np.any(remaining):
+            yield None, remaining
 
-    def _advance_fields(self) -> None:
-        # every solver's step() is its own full advance: half B, full E,
-        # half B for the FDTD family, one spectral update for PSATD
-        self.solver.step()
+    def _gather(self, species: Species):
+        positions = species.positions
+        e_f = np.empty((positions.shape[0], 3), dtype=positions.dtype)
+        b_f = np.empty_like(e_f)
+        for patch, sel in self._route(lambda p: p.interior_mask(positions)):
+            e_f[sel], b_f[sel] = self.kernel_set.gather(
+                self.grid if patch is None else patch.aux,
+                positions[sel], self.shape_order,
+            )
+        return e_f, b_f
+
+    def _deposit(self, species, x_old, x_new, velocities) -> None:
+        def inside(patch: MRPatch) -> np.ndarray:
+            margin = patch.n_transition * patch.fine.dx[0]
+            return patch.contains(x_old, margin) & patch.contains(x_new, margin)
+
+        for patch, sel in self._route(inside):
+            self.kernel_set.deposit_current(
+                self.grid if patch is None else patch.fine,
+                x_old[sel], x_new[sel], velocities[sel], species.weights[sel],
+                species.charge, self.dt, self.shape_order,
+            )
+
+    def _advance_subcycled_patches(self) -> List[Dict[str, Species]]:
+        """Advance the fine fields and the resident particles of every
+        subcycled patch ``ratio`` substeps of ``dt/ratio``; returns the
+        extracted particles (per patch, per species) to re-insert.
+
+        Subcycling (Sec. V.B) keeps the refined level on its own Courant
+        and plasma-frequency limits — a dense solid inside the patch would
+        be unstable if pushed with the coarse step — while the parent runs
+        at the coarse CFL, the source of the post-removal speedup in
+        Fig. 6.
+        """
+        extracted = []
+        for k, patch in enumerate(self.patches):
+            if not patch.subcycle:
+                continue
+            dt_sub = self.dt / patch.ratio
+            holders = patch.extract_members(self.species)
+
+            def deposit_fine(sp, x_old, x_new, vel):
+                self.kernel_set.deposit_current(
+                    patch.fine, x_old, x_new, vel, sp.weights, sp.charge,
+                    dt_sub, self.shape_order,
+                )
+
+            with self._phase("mr_subcycle", level=1, patch=k, ratio=patch.ratio):
+                for external in patch.substep_externals():
+                    patch.assemble_aux_with_external(external)
+                    patch.fine.zero_sources()
+                    for holder in holders.values():
+                        if holder.n:
+                            # gather the auxiliary field, deposit on the
+                            # fine grid
+                            advance_particles(
+                                patch.aux, holder, self.kernel_set,
+                                self.pusher, dt_sub, self.shape_order,
+                                deposit=deposit_fine,
+                            )
+                    self._smooth_sources(patch.fine)
+                    patch.accumulate_restricted_currents(1.0 / patch.ratio)
+                    patch.substep_fields()
+            extracted.append(holders)
+        return extracted
 
     # -- the PIC cycle ------------------------------------------------------
     def _step_body(self) -> None:
         g = self.grid
+        for patch in self.patches:
+            patch.zero_sources()
+            patch.begin_step()
+        extracted = self._advance_subcycled_patches()
         with self._phase("zero_sources"):
             g.zero_sources()
 
@@ -451,7 +591,17 @@ class Simulation(StepDriver):
                 self._advance_species(entry.species)
 
         with self._phase("finalize_deposits"):
-            self._finalize_deposits()
+            # combine the level deposits before the parent field advance
+            for k, patch in enumerate(self.patches):
+                with self.tracer.span("mr_restrict", cat="level", level=1, patch=k):
+                    if patch.subcycle:
+                        patch.apply_accumulated_currents_to_parent()
+                    else:
+                        self._smooth_sources(patch.fine)
+                        patch.restrict_currents_to_parent()
+            for holders in extracted:
+                for name, holder in holders.items():
+                    self.entries[name].species.extend(holder)
 
         with self._phase("antenna"):
             for antenna in self.antennas:
@@ -464,7 +614,14 @@ class Simulation(StepDriver):
                     accumulate_periodic_sources(g, axis)
 
         with self._phase("maxwell"):
-            self._advance_fields()
+            # every solver's step() is its own full advance: half B, full E,
+            # half B for the FDTD family, one spectral update for PSATD
+            self.solver.step()
+            for k, patch in enumerate(self.patches):
+                with self.tracer.span("mr_fields", cat="level", level=1, patch=k):
+                    patch.advance_fields()
+                    # reassemble against the advanced parent solution
+                    patch.assemble_aux()
 
         with self._phase("field_boundaries"):
             for axis, b in enumerate(self.boundaries):
@@ -497,14 +654,25 @@ class Simulation(StepDriver):
         self.step_count += 1
         for cb in self.callbacks:
             cb(self)
+        survivors = []
+        for patch in self.patches:
+            if patch.should_remove(self.time):
+                self.removal_log.append((self.time, len(self.patches) - 1))
+                self.tracer.instant(
+                    "mr_patch_removed", t=self.time, remaining=len(self.patches) - 1
+                )
+            else:
+                survivors.append(patch)
+        self.patches = survivors
 
     def _run_sanitizers(self) -> None:
         """Per-step invariant checks (opt-in via ``REPRO_SANITIZE=1``).
 
-        SAN001: fields finite after the solve.  SAN002: particles inside
-        the domain after push + boundaries.  SAN003: guard cells on
-        periodic axes hold the periodic image of the valid data (skipped
-        on the moving-window axis, whose roll legitimately shifts guards).
+        SAN001: fields finite after the solve, on the parent and on every
+        patch grid.  SAN002: particles inside the domain after push +
+        boundaries.  SAN003: guard cells on periodic axes hold the
+        periodic image of the valid data (skipped on the moving-window
+        axis, whose roll legitimately shifts guards).
         """
         g = self.grid
         step = self.step_count
@@ -515,6 +683,11 @@ class Simulation(StepDriver):
         for axis, b in enumerate(self.boundaries):
             if b == "periodic" and axis != window_axis:
                 san.check_guard_consistency(g, axis, step)
+        for k, patch in enumerate(self.patches):
+            for label in ("fine", "coarse", "aux"):
+                san.check_fields_finite(
+                    getattr(patch, label), step, label=f" (patch {k} {label})"
+                )
 
     # -- boundaries / window -------------------------------------------------
     def _apply_particle_boundaries(self) -> None:
@@ -568,6 +741,8 @@ class Simulation(StepDriver):
                     hi=lead_hi,
                     temperature_uth=entry.temperature_uth,
                 )
+        for patch in self.patches:
+            patch.shift_region(sign)
 
     # -- convenience ---------------------------------------------------------
     def run_until(self, t_end: float) -> None:
@@ -576,3 +751,6 @@ class Simulation(StepDriver):
 
     def total_particles(self) -> int:
         return sum(e.species.n for e in self.entries.values())
+
+    def total_fine_cells(self) -> int:
+        return sum(p.n_fine_cells() for p in self.patches)

@@ -98,7 +98,7 @@ def _unpack_pml(prefix: str, solver, data) -> None:
 
 
 def save_checkpoint(sim, path: str) -> None:
-    """Write the full state of a (possibly mesh-refined) simulation."""
+    """Write the full state of a :class:`~repro.core.simulation.Simulation`."""
     out: Dict[str, np.ndarray] = {
         "meta/time": np.array(sim.time),
         "meta/step_count": np.array(sim.step_count),
@@ -111,9 +111,16 @@ def save_checkpoint(sim, path: str) -> None:
         _pack_pml("solver", sim.solver, out)
     for name, entry in sim.entries.items():
         _pack_species(f"species/{name}", entry.species, out)
-    patches = getattr(sim, "patches", [])
-    out["meta/n_patches"] = np.array(len(patches))
-    for i, patch in enumerate(patches):
+    out["meta/n_patches"] = np.array(len(sim.patches))
+    # the surviving patches by construction position, and the removals:
+    # a restore drops the rebuilt deck's patches that are gone
+    out["meta/patch_positions"] = np.array(
+        [patch.position for patch in sim.patches], dtype=np.int64
+    )
+    out["meta/removal_log"] = np.array(
+        sim.removal_log, dtype=np.float64
+    ).reshape(-1, 2)
+    for i, patch in enumerate(sim.patches):
         p = f"patch{i}"
         out[f"{p}/region_lo"] = np.array(patch.region_lo)
         out[f"{p}/region_hi"] = np.array(patch.region_hi)
@@ -122,14 +129,13 @@ def save_checkpoint(sim, path: str) -> None:
         _pack_grid(f"{p}/aux", patch.aux, out)
         _pack_pml(f"{p}/fine_solver", patch.fine_solver, out)
         _pack_pml(f"{p}/coarse_solver", patch.coarse_solver, out)
-        # subcycling state, when present: the frozen external field of
-        # the previous parent step and the hysteresis membership ids —
-        # both needed for a bit-identical subcycled restart
-        ext_prev = getattr(patch, "_external_prev", None)
-        if ext_prev is not None:
-            for comp, arr in ext_prev.items():
+        # subcycling state: the external field of the previous parent step
+        # and the hysteresis membership ids — both needed for a
+        # bit-identical subcycled restart
+        if patch._external_prev is not None:
+            for comp, arr in patch._external_prev.items():
                 out[f"{p}/external_prev/{comp}"] = arr
-        for name, ids in getattr(patch, "_member_ids", {}).items():
+        for name, ids in patch._member_ids.items():
             out[f"{p}/members/{name}"] = ids
     np.savez_compressed(path, **out)
 
@@ -142,7 +148,9 @@ def load_checkpoint(sim, path: str) -> None:
     :class:`ConfigurationError` instead of dying mid-restore.  Moving
     window state is restored into ``sim.moving_window`` when one is
     attached; if the window will only be attached *after* the restore,
-    the state is parked and ``set_moving_window`` applies it.
+    the state is parked and ``set_moving_window`` applies it.  MR patches
+    the run removed before the checkpoint are dropped from the rebuilt
+    deck, and its ``removal_log`` is restored.
     """
     if not os.path.exists(path):
         raise ConfigurationError(f"no checkpoint at {path!r}")
@@ -170,12 +178,24 @@ def load_checkpoint(sim, path: str) -> None:
         if key not in data:
             raise ConfigurationError(f"checkpoint lacks species {name!r}")
         _unpack_species(f"species/{name}", entry.species, data)
-    patches = getattr(sim, "patches", [])
-    n_saved = int(data["meta/n_patches"])
-    if n_saved != len(patches):
+    patches = sim.patches
+    if "meta/patch_positions" in data:
+        built = {patch.position: patch for patch in patches}
+        try:
+            patches = [built[int(i)] for i in data["meta/patch_positions"]]
+        except KeyError as missing:
+            raise ConfigurationError(
+                f"checkpoint holds patch {missing.args[0]}, which the "
+                f"simulation never built ({len(built)} patches)"
+            ) from None
+        sim.removal_log = [(float(t), int(n)) for t, n in data["meta/removal_log"]]
+    elif int(data["meta/n_patches"]) != len(patches):
+        # no positions stored: every patch of the deck survived
         raise ConfigurationError(
-            f"checkpoint has {n_saved} patches, simulation has {len(patches)}"
+            f"checkpoint has {int(data['meta/n_patches'])} patches, "
+            f"simulation has {len(patches)}"
         )
+    sim.patches = patches
     for i, patch in enumerate(patches):
         p = f"patch{i}"
         patch.region_lo = [int(v) for v in data[f"{p}/region_lo"]]

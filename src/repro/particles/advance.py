@@ -2,9 +2,10 @@
 
 One PIC particle pass over one species on one grid: gather E and B,
 advance momenta (``u``: n-1/2 -> n+1/2) and positions (``x``: n -> n+1),
-deposit the current of the motion (``J`` at n+1/2).  ``Simulation``,
-``MRSimulation`` and ``DistributedSimulation`` all advance their
-particles through :func:`advance_particles`, so the loop is spelled once
+deposit the current of the motion (``J`` at n+1/2).  ``Simulation``
+(MR patches and their substeps included) and ``DistributedSimulation``
+advance their particles through :func:`advance_particles`, so the loop
+is spelled once
 (Vay et al., *Warp-X*: a single box-level particle routine shared by
 every driver).
 

@@ -21,6 +21,10 @@ nearly line-for-line:
     sim = picmi.Simulation(solver=solver)
     sim.add_species(plasma, layout=picmi.GriddedLayout(n_macroparticles_per_cell=[2, 2]))
     sim.step(100)
+
+Mesh refinement needs no flag: ``sim.add_mesh_refinement_patch(lo, hi,
+ratio=2)`` adds a patch to any simulation (the fine grid's Courant limit
+applies unless ``subcycle=True``).
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import numpy as np
 
 from repro.constants import m_e, m_p, q_e
 from repro.core.moving_window import MovingWindow
-from repro.core.mr_simulation import MRSimulation
 from repro.core.simulation import Simulation as _CoreSimulation
 from repro.exceptions import ConfigurationError
 from repro.grid.yee import YeeGrid
@@ -216,13 +219,11 @@ class Simulation:
         max_steps: Optional[int] = None,
         particle_shape: int = 2,
         verbose: bool = False,
-        mesh_refinement: bool = False,
     ) -> None:
         self.solver = solver
         self.max_steps = max_steps
         grid = solver.grid.build()
-        cls = MRSimulation if mesh_refinement else _CoreSimulation
-        self.core = cls(
+        self.core = _CoreSimulation(
             grid,
             cfl=solver.cfl,
             shape_order=particle_shape,
@@ -260,10 +261,6 @@ class Simulation:
         self.core.set_moving_window(window)
 
     def add_mesh_refinement_patch(self, lo, hi, ratio=2, **kwargs):
-        if not isinstance(self.core, MRSimulation):
-            raise ConfigurationError(
-                "construct the Simulation with mesh_refinement=True first"
-            )
         return self.core.add_patch(lo, hi, ratio=ratio, **kwargs)
 
     def step(self, nsteps: int = 1) -> None:

@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.constants import c, critical_density, fs, m_e, q_e, um
 from repro.core.moving_window import MovingWindow
-from repro.core.mr_simulation import MRSimulation
 from repro.core.simulation import Simulation
 from repro.exceptions import ConfigurationError
 from repro.grid.maxwell import cfl_dt
@@ -168,8 +167,7 @@ def build_hybrid_target(
     else:
         dt = 0.95 * cfl_dt(grid.dx)
 
-    sim_cls = MRSimulation if mode == "mr" else Simulation
-    sim = sim_cls(
+    sim = Simulation(
         grid,
         dt=dt,
         shape_order=setup.shape_order,

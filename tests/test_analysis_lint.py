@@ -315,11 +315,11 @@ def test_pic006_timed_context_covers_nested_statements(tmp_path):
 def test_pic006_flags_untimed_call_inside_untimed_loop(tmp_path):
     findings = lint_snippet(
         tmp_path,
-        "mr_simulation.py",
+        "simulation.py",
         "class Sim:\n"
         "    def _advance_subcycled_patches(self):\n"
         "        for patch in self.patches:\n"
-        "            self._advance_fields(patch)\n",
+        "            self._smooth_sources(patch.fine)\n",
         select=["PIC006"],
     )
     assert rule_ids(findings) == ["PIC006"]
@@ -406,8 +406,7 @@ def test_pic006_pragma_suppresses(tmp_path):
 
 
 def test_pic006_clean_on_real_drivers():
-    for rel in ("core/simulation.py", "core/mr_simulation.py",
-                "parallel/distributed.py"):
+    for rel in ("core/simulation.py", "parallel/distributed.py"):
         path = os.path.join(SRC_REPRO, rel)
         assert lint_paths([path], select=["PIC006"]) == []
 

@@ -7,7 +7,8 @@ rather than synthetic snippets:
   the shipped module — rule by rule, so a regression names its rule; and
 * the rules are not vacuous there: mutating the actual module source in
   the way each rule forbids (stripping a dtype, demoting a repro error
-  to a builtin, reading the wall clock) produces the expected finding.
+  to a builtin, reading the wall clock; an untimed particle pass in
+  ``core/simulation.py``) produces the expected finding.
 
 The runtime sanitizers get the same treatment: SAN001/SAN003/SAN004 are
 exercised against a real pairwise halo exchange, not a hand-built grid.
@@ -36,6 +37,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SRC_REPRO = os.path.join(os.path.dirname(HERE), "src", "repro")
 HALO = os.path.join(SRC_REPRO, "parallel", "halo.py")
 LOAD_BALANCE = os.path.join(SRC_REPRO, "core", "load_balance.py")
+SIMULATION = os.path.join(SRC_REPRO, "core", "simulation.py")
 
 ALL_RULE_IDS = sorted(rule.rule_id for rule in registered_rules())
 
@@ -138,6 +140,28 @@ def test_raw_send_added_to_halo_trips_pic008(tmp_path):
     assert rule_ids(findings) == ["PIC008"]
     assert findings[0].line == len(source.splitlines()) + 3
     assert findings[0].severity == "error"
+
+
+def test_untimed_advance_in_subcycle_loop_trips_pic006(tmp_path):
+    """The merged driver is still scanned: an untimed particle pass
+    planted in the MR substep loop of simulation.py is reported."""
+    source = read_source(SIMULATION)
+    anchor = "        extracted = []\n"
+    assert source.count(anchor) == 1
+    head = source[: source.index(anchor)]
+    assert head[head.rindex("    def "):].startswith(
+        "    def _advance_subcycled_patches("
+    )
+    line = head.count("\n") + 1
+    path = tmp_path / "simulation.py"
+    path.write_text(source.replace(
+        anchor,
+        "        advance_particles(self.grid, None, self.kernel_set)\n" + anchor,
+    ))
+    findings = lint_paths([str(path)], select=["PIC006"])
+    assert rule_ids(findings) == ["PIC006"]
+    assert findings[0].line == line
+    assert "_advance_subcycled_patches()" in findings[0].message
 
 
 # -- the sanitizers, against a real pairwise exchange ------------------------

@@ -7,7 +7,6 @@ import pytest
 from tests.conftest import needs_compiled
 from repro.analysis.sanitize import Sanitizer
 from repro.constants import m_e, plasma_wavelength, q_e
-from repro.core.mr_simulation import MRSimulation
 from repro.core.simulation import Simulation
 from repro.exceptions import ReproError, SanitizerError
 from repro.grid.boundary import apply_periodic
@@ -208,7 +207,7 @@ def test_mr_simulation_checks_patch_fields(monkeypatch):
     g = YeeGrid((32,), (0.0,), (length,), guards=4)
     from repro.grid.maxwell import cfl_dt
 
-    sim = MRSimulation(g, dt=cfl_dt((length / 64,), 0.9), shape_order=2)
+    sim = Simulation(g, dt=cfl_dt((length / 64,), 0.9), shape_order=2)
     e = Species("electrons", charge=-q_e, mass=m_e, ndim=1)
     sim.add_species(e, profile=UniformProfile(n0), ppc=4)
     sim.add_patch((8,), (24,), ratio=2)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.constants import c, m_e, plasma_wavelength, q_e, um, fs
 from repro.core.moving_window import MovingWindow
-from repro.core.mr_simulation import MRSimulation
 from repro.core.simulation import Simulation
 from repro.diagnostics.io import (
     load_checkpoint,
@@ -26,7 +25,7 @@ def build_langmuir(mr=False):
     g = YeeGrid((48,), (0.0,), (length,), guards=4)
     if mr:
         dt = cfl_dt((length / 48 / 2,), 0.9)
-        sim = MRSimulation(g, dt=dt, shape_order=2, smoothing_passes=0)
+        sim = Simulation(g, dt=dt, shape_order=2, smoothing_passes=0)
     else:
         sim = Simulation(g, shape_order=2, smoothing_passes=0)
     e = Species("e", charge=-q_e, mass=m_e, ndim=1)

@@ -247,14 +247,14 @@ def test_advance_fields_dispatches_on_solver_capability():
     g = YeeGrid((16,), (0.0,), (1.0,), guards=4)
     sim = Simulation(g, smoothing_passes=0, maxwell_solver="psatd")
     sim.maxwell_solver = "not-the-dispatch-key"
-    sim._advance_fields()  # used to raise ConfigurationError via push_b
+    sim.step()  # used to raise ConfigurationError via push_b
 
 
 def test_mr_rejects_psatd_with_clear_error():
-    from repro.core.mr_simulation import MRSimulation
+    from repro.core.simulation import Simulation
 
     g = YeeGrid((16,), (0.0,), (1.0,), guards=4)
-    sim = MRSimulation(g, smoothing_passes=0, maxwell_solver="psatd")
+    sim = Simulation(g, smoothing_passes=0, maxwell_solver="psatd")
     with pytest.raises(ConfigurationError, match="spectral"):
         sim.add_patch((4,), (12,))
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.constants import c, m_e, plasma_frequency, plasma_wavelength, q_e, um, fs
-from repro.core.mr_simulation import MRSimulation
 from repro.core.simulation import Simulation
 from repro.grid.maxwell import cfl_dt
 from repro.grid.yee import YeeGrid
@@ -75,7 +74,7 @@ def test_3d_mr_patch_runs():
     length = plasma_wavelength(n0)
     g = YeeGrid((12, 12, 12), (0.0,) * 3, (length,) * 3, guards=4)
     dt = cfl_dt(tuple(d / 2 for d in g.dx), 0.9)
-    sim = MRSimulation(g, dt=dt, shape_order=2, smoothing_passes=0)
+    sim = Simulation(g, dt=dt, shape_order=2, smoothing_passes=0)
     e = Species("e", ndim=3)
     sim.add_species(e, profile=UniformProfile(n0), ppc=1,
                     temperature_uth=0.005, rng=np.random.default_rng(1))
@@ -99,7 +98,7 @@ def test_3d_mr_matches_no_mr():
         g = YeeGrid((12, 6, 6), (0.0,) * 3, (length, length / 2, length / 2),
                     guards=4)
         dt = cfl_dt(tuple(d / 2 for d in g.dx), 0.9)
-        sim = MRSimulation(g, dt=dt, shape_order=2, smoothing_passes=0)
+        sim = Simulation(g, dt=dt, shape_order=2, smoothing_passes=0)
         e = Species("e", ndim=3)
         sim.add_species(e, profile=UniformProfile(n0), ppc=1)
         k = 2 * np.pi / length

@@ -2,8 +2,8 @@
 grid precision switching, dtype preservation through the gather/deposit
 and solver hot paths, the per-kernel float32 error budget asserted by
 ``validate_kernel_set``, explicit dtype threading through the PSATD
-spectral pipeline, and the ``Simulation``/``MRSimulation`` precision
-policy plumbing."""
+spectral pipeline, and the ``Simulation`` precision policy plumbing,
+MR patches included."""
 
 import numpy as np
 import pytest
@@ -236,7 +236,7 @@ def test_psatd_float32_plane_wave_advects():
     np.testing.assert_allclose(g.interior_view("Ey"), expected, atol=5e-5)
 
 
-# -- Simulation / MRSimulation precision policy ------------------------------
+# -- Simulation precision policy, with and without MR patches ---------------
 
 def build_sim(**kwargs):
     n0 = 1e24
@@ -297,13 +297,11 @@ def test_mixed_vs_double_trajectories_track():
 
 
 def test_mr_simulation_mixed_precision_smoke():
-    from repro.core.mr_simulation import MRSimulation
-
     n0 = 1e24
     length = plasma_wavelength(n0)
     g = YeeGrid((16, 16), (0.0, 0.0), (length, length), guards=4)
     dx = length / 16
-    sim = MRSimulation(
+    sim = Simulation(
         g, dt=cfl_dt((dx, dx), 0.9), shape_order=2, smoothing_passes=0,
         precision="mixed",
     )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.constants import m_e, plasma_wavelength, q_e
-from repro.core.mr_simulation import MRSimulation
+from repro.core.simulation import Simulation
 from repro.grid.maxwell import cfl_dt
 from repro.grid.yee import YeeGrid
 from repro.particles.injection import UniformProfile
@@ -16,7 +16,7 @@ def build(n_cells=96, n0=1e24, patches=((10, 30), (60, 80)), ppc=8):
     length = plasma_wavelength(n0)
     g = YeeGrid((n_cells,), (0.0,), (length,), guards=4)
     dt = cfl_dt((length / n_cells / 2,), 0.9)
-    sim = MRSimulation(g, dt=dt, shape_order=2, smoothing_passes=0)
+    sim = Simulation(g, dt=dt, shape_order=2, smoothing_passes=0)
     e = Species("e", charge=-q_e, mass=m_e, ndim=1)
     sim.add_species(e, profile=UniformProfile(n0), ppc=ppc)
     k = 2 * np.pi / length

@@ -8,7 +8,6 @@ import pytest
 
 from repro.constants import c, m_e, plasma_wavelength, q_e, um
 from repro.core.moving_window import MovingWindow
-from repro.core.mr_simulation import MRSimulation
 from repro.core.simulation import Simulation
 from repro.exceptions import ConfigurationError
 from repro.grid.maxwell import cfl_dt
@@ -19,7 +18,7 @@ from repro.particles.species import Species
 
 def test_mr_requires_esirkepov():
     g = YeeGrid((32,), (0.0,), (32.0,), guards=4)
-    sim = MRSimulation(g, deposition="direct")
+    sim = Simulation(g, deposition="direct")
     with pytest.raises(ConfigurationError):
         sim.add_patch((8,), (24,))
 
@@ -34,7 +33,7 @@ def make_langmuir_mr(n_cells=64, with_patch=True, subcycle=False, ppc=16,
     dt = cfl_dt((length / n_cells / ratio,), 0.9)
     if subcycle:
         dt = cfl_dt((length / n_cells,), 0.9)
-    sim = MRSimulation(g, dt=dt, shape_order=2, smoothing_passes=0, **options)
+    sim = Simulation(g, dt=dt, shape_order=2, smoothing_passes=0, **options)
     e = Species("electrons", charge=-q_e, mass=m_e, ndim=1)
     sim.add_species(e, profile=UniformProfile(n0), ppc=ppc)
     k = 2 * np.pi / length
@@ -109,7 +108,7 @@ def test_patch_removed_at_remove_time():
     g = YeeGrid((32,), (0.0,), (32.0,), guards=4)
     ratio = 2
     dt = cfl_dt((32.0 / 32 / ratio,), 0.9)
-    sim = MRSimulation(g, dt=dt, smoothing_passes=0)
+    sim = Simulation(g, dt=dt, smoothing_passes=0)
     sim.add_patch((8,), (24,), remove_time=3.5 * dt)
     assert len(sim.patches) == 1
     sim.step(3)
@@ -124,7 +123,7 @@ def test_patch_follows_moving_window_and_exits():
     g = YeeGrid((32,), (0.0,), (32.0,), guards=4)
     ratio = 2
     dt = cfl_dt((32.0 / 32 / ratio,), 0.9)
-    sim = MRSimulation(g, dt=dt, boundaries="damped", smoothing_passes=0)
+    sim = Simulation(g, dt=dt, boundaries="damped", smoothing_passes=0)
     patch = sim.add_patch((2,), (10,))
     sim.set_moving_window(MovingWindow(speed=c, start_time=0.0))
     lo_before = patch.region_lo[0]
@@ -170,13 +169,13 @@ def test_subcycling_allows_coarse_dt():
 def test_total_fine_cells():
     g = YeeGrid((32, 32), (0, 0), (32.0, 32.0), guards=4)
     dt = cfl_dt((0.5, 0.5), 0.7)
-    sim = MRSimulation(g, dt=dt, smoothing_passes=0)
+    sim = Simulation(g, dt=dt, smoothing_passes=0)
     sim.add_patch((8, 8), (16, 16), ratio=2)
     assert sim.total_fine_cells() == 16 * 16
 
 
 def test_mr_requires_yee_solver():
     g = YeeGrid((32,), (0.0,), (32.0,), guards=4)
-    sim = MRSimulation(g, maxwell_solver="psatd")
+    sim = Simulation(g, maxwell_solver="psatd")
     with pytest.raises(ConfigurationError):
         sim.add_patch((8,), (24,))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.constants import fs, m_e, plasma_wavelength, q_e, um
-from repro.core.mr_simulation import MRSimulation
+from repro.core.simulation import Simulation
 from repro.diagnostics.io import pack_distributed_state, unpack_distributed_state
 from repro.diagnostics.timers import now
 from repro.grid.maxwell import cfl_dt
@@ -126,12 +126,62 @@ def test_step_clock_covers_the_whole_step(deck):
         assert timers.counts["mr_subcycle"] == 7
 
 
+def mr_across_removal():
+    """A 1D plasma whose patch is removed in step 3: the three-phase route
+    while it is active, the plain particle pass after."""
+    n0 = 1e24
+    length = plasma_wavelength(n0)
+    dt = cfl_dt((length / 64,), 0.9)
+    sim = Simulation(YeeGrid((32,), (0.0,), (length,), guards=4), dt=dt)
+    e = Species("electrons", charge=-q_e, mass=m_e, ndim=1)
+    sim.add_species(e, profile=UniformProfile(n0), ppc=4)
+    sim.add_patch((8,), (24,), ratio=2, remove_time=2.5 * dt)
+    return sim
+
+
+_SINGLE = {
+    "antenna", "field_boundaries", "finalize_deposits", "maxwell",
+    "particle_boundaries", "source_boundaries", "zero_sources",
+}
+_THREE_PHASE = {"gather", "push", "deposit"}
+_DECOMPOSED = {"fold_sources", "halo_fields", "maxwell", "particles", "redistribute"}
+#: ``timers.totals`` keys after five steps, per configuration and kernel
+#: tier: the phase names ``benchmarks/perf/report.py`` splits the step on,
+#: so a driver change must neither rename nor drop one
+PHASE_KEYS = {
+    ("simulation", "compiled"): _SINGLE | {"particles"},
+    ("simulation", "vectorized"): _SINGLE | _THREE_PHASE,
+    ("mr_removal", "compiled"): _SINGLE | _THREE_PHASE | {"particles"},
+    ("mr_removal", "vectorized"): _SINGLE | _THREE_PHASE,
+    ("mr_subcycled", "compiled"): (
+        _SINGLE | _THREE_PHASE | {"moving_window", "mr_subcycle"}
+    ),
+    ("mr_subcycled", "vectorized"): (
+        _SINGLE | _THREE_PHASE | {"moving_window", "mr_subcycle"}
+    ),
+    ("distributed", "compiled"): _DECOMPOSED,
+    ("distributed", "vectorized"): _DECOMPOSED,
+}
+PHASE_DECKS = dict(STEP_CLOCK_DECKS, mr_removal=mr_across_removal)
+
+
+@pytest.mark.parametrize("deck", sorted(PHASE_DECKS))
+def test_phase_names_per_driver_configuration(deck):
+    sim = PHASE_DECKS[deck]()
+    sim.step(5)
+    assert set(sim.timers.totals) == PHASE_KEYS[deck, sim.kernels]
+    if deck == "mr_removal":
+        assert not sim.patches and len(sim.removal_log) == 1
+    if deck == "mr_subcycled":
+        assert len(sim.patches) == 1
+
+
 def test_traced_mr_simulation_emits_level_spans():
     n0 = 1e24
     length = plasma_wavelength(n0)
     n_cells = 32
     g = YeeGrid((n_cells,), (0.0,), (length,), guards=4)
-    sim = MRSimulation(
+    sim = Simulation(
         g, dt=cfl_dt((length / n_cells,), 0.9), shape_order=2,
         smoothing_passes=0,
     )

@@ -2,7 +2,8 @@
 fused vs three-phase agreement, the Esirkepov window contract (NumPy
 fallback, guard shortfall), bounds safety of every native kernel (run in
 subprocesses: a regression here is a segfault, not an exception), routing
-in the three step drivers, phases and dispatch counters."""
+in both step drivers (with and without an MR patch), phases and
+dispatch counters."""
 
 import dataclasses
 import os
@@ -14,7 +15,7 @@ import pytest
 
 from tests.conftest import assert_runs_equal, make_langmuir_build, needs_compiled
 from repro.constants import c, m_e, plasma_wavelength, q_e
-from repro.core.mr_simulation import MRSimulation
+from repro.core.simulation import Simulation
 from repro.diagnostics import gauss_law_residual
 from repro.diagnostics.io import load_checkpoint, save_checkpoint
 from repro.exceptions import ConfigurationError, PrecisionError, SanitizerError
@@ -359,7 +360,7 @@ def test_mr_routes_through_level_hooks_until_patch_removal(monkeypatch):
     length = plasma_wavelength(n0)
     grid = YeeGrid((32,), (0.0,), (length,), guards=4)
     dt = cfl_dt((length / 32 / 2,), 0.9)
-    sim = MRSimulation(grid, dt=dt, shape_order=2, smoothing_passes=0,
+    sim = Simulation(grid, dt=dt, shape_order=2, smoothing_passes=0,
                        kernels="compiled")
     sim.add_species(Species("electrons", charge=-q_e, mass=m_e, ndim=1),
                     profile=UniformProfile(n0), ppc=4)
@@ -451,12 +452,12 @@ def test_distributed_surfaces_kernel_fallback_reason(monkeypatch):
 
 
 def default_drivers():
-    """The three drivers, each holding a plasma, built without ``kernels=``
-    (the MR one with an active patch)."""
+    """A plain, a mesh-refined (active patch) and a decomposed driver,
+    each holding a plasma, built without ``kernels=``."""
     n0 = 1e24
     length = plasma_wavelength(n0)
     single, _ = build_uniform_plasma((8, 8), density=n0, ppc=1)
-    mr = MRSimulation(
+    mr = Simulation(
         YeeGrid((32,), (0.0,), (length,), guards=4),
         dt=cfl_dt((length / 64,), 0.9),
     )

@@ -89,17 +89,19 @@ def test_laser_and_antenna():
     assert np.abs(sim.core.grid.fields["Ey"]).max() > 0
 
 
-def test_mesh_refinement_flag():
+def test_mesh_refinement_patch():
+    """Any simulation takes a patch; there is no mesh-refinement switch."""
     grid = make_grid()
-    sim = picmi.Simulation(
-        solver=picmi.ElectromagneticSolver(grid=grid, cfl=0.45),
-        mesh_refinement=True,
-    )
+    sim = picmi.Simulation(solver=picmi.ElectromagneticSolver(grid=grid, cfl=0.45))
     patch = sim.add_mesh_refinement_patch((4, 4), (12, 12), ratio=2)
     assert patch.fine.n_cells == (16, 16)
-    sim_plain = picmi.Simulation(solver=picmi.ElectromagneticSolver(grid=make_grid()))
-    with pytest.raises(ConfigurationError):
-        sim_plain.add_mesh_refinement_patch((4, 4), (8, 8))
+    assert sim.core.patches == [patch]
+    sim.step(2)
+    with pytest.raises(TypeError):
+        picmi.Simulation(
+            solver=picmi.ElectromagneticSolver(grid=make_grid()),
+            mesh_refinement=True,
+        )
 
 
 def test_analytic_distribution_drift():

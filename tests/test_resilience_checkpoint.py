@@ -1,11 +1,12 @@
-"""Checkpoint/restart round trips for every simulation class.
+"""Checkpoint/restart round trips for both step drivers.
 
 The resilience contract rests on one property: k steps, checkpoint,
 restore into a *fresh* object, continue == uninterrupted run,
 bit-identical.  These tests pin that property for the monolithic,
-mesh-refined (with PML and subcycling state) and distributed
-simulations, plus the validation fixes (shape mismatch is a
-ConfigurationError, window state survives attach-after-restore).
+mesh-refined (with PML and subcycling state, and after a patch
+removal) and distributed simulations, plus the validation fixes (shape
+mismatch is a ConfigurationError, window state survives
+attach-after-restore).
 """
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 
 from repro.constants import c, m_e, plasma_wavelength, q_e, um
 from repro.core.moving_window import MovingWindow
-from repro.core.mr_simulation import MRSimulation
 from repro.core.simulation import Simulation
 from repro.diagnostics.io import (
     load_checkpoint,
@@ -48,7 +48,7 @@ def build_mr_subcycled():
     length = plasma_wavelength(n0)
     g = YeeGrid((48,), (0.0,), (length,), guards=4)
     dt = cfl_dt((length / 48 / 2,), 0.9)
-    sim = MRSimulation(g, dt=dt, shape_order=2, smoothing_passes=0)
+    sim = Simulation(g, dt=dt, shape_order=2, smoothing_passes=0)
     e = Species("e", charge=-q_e, mass=m_e, ndim=1)
     sim.add_species(e, profile=UniformProfile(n0), ppc=8)
     k = 2 * np.pi / length
@@ -119,6 +119,79 @@ def test_mr_subcycled_roundtrip_bitwise(tmp_path):
         )
     np.testing.assert_array_equal(e_a.positions, e_b.positions)
     np.testing.assert_array_equal(e_a.momenta, e_b.momenta)
+
+
+def build_mr_removed_at_step_3(with_patch=True):
+    n0 = 1e24
+    length = plasma_wavelength(n0)
+    g = YeeGrid((32, 32), (0.0, 0.0), (length, length), guards=4)
+    dt = cfl_dt((length / 64, length / 64), 0.9)
+    sim = Simulation(g, dt=dt, shape_order=2, smoothing_passes=0)
+    e = Species("e", charge=-q_e, mass=m_e, ndim=2)
+    sim.add_species(e, profile=UniformProfile(n0), ppc=(1, 1))
+    e.momenta[:, 0] = 1e-3 * np.sin(2 * np.pi * e.positions[:, 0] / length)
+    if with_patch:
+        sim.add_patch((8, 8), (24, 24), ratio=2, remove_time=3 * dt)
+    return sim, e
+
+
+def assert_same_state(sim_a, e_a, sim_b, e_b):
+    for comp in ("Ex", "Ey", "Bz"):
+        np.testing.assert_array_equal(sim_a.grid.fields[comp], sim_b.grid.fields[comp])
+    np.testing.assert_array_equal(e_a.positions, e_b.positions)
+    np.testing.assert_array_equal(e_a.momenta, e_b.momenta)
+
+
+def test_restore_after_patch_removal_bitwise(tmp_path):
+    """A checkpoint written after its patch was removed restores into the
+    deck that wrote it (it used to raise "checkpoint has 0 patches,
+    simulation has 1") and continues bit for bit."""
+    path = str(tmp_path / "ckpt.npz")
+    sim_a, e_a = build_mr_removed_at_step_3()
+    sim_a.step(6)
+    assert not sim_a.patches and len(sim_a.removal_log) == 1
+    save_checkpoint(sim_a, path)
+    sim_a.step(4)
+
+    sim_b, e_b = build_mr_removed_at_step_3()
+    load_checkpoint(sim_b, path)
+    assert sim_b.patches == [] and sim_b.removal_log == sim_a.removal_log
+    sim_b.step(4)
+    assert_same_state(sim_a, e_a, sim_b, e_b)
+
+
+def test_restore_refuses_a_patch_the_deck_never_built(tmp_path):
+    path = str(tmp_path / "ckpt.npz")
+    sim_a, _ = build_mr_removed_at_step_3()
+    sim_a.step(1)
+    save_checkpoint(sim_a, path)
+    sim_b, _ = build_mr_removed_at_step_3(with_patch=False)
+    with pytest.raises(ConfigurationError, match="patch 0, which the simulation never built"):
+        load_checkpoint(sim_b, path)
+
+
+def test_checkpoint_without_patch_positions_loads_every_patch(tmp_path):
+    """No position keys (a checkpoint from before they were stored) means
+    every patch of the deck survived."""
+    path, legacy = str(tmp_path / "ckpt.npz"), str(tmp_path / "legacy.npz")
+    sim_a, e_a = build_mr_removed_at_step_3()
+    sim_a.step(2)
+    save_checkpoint(sim_a, path)
+    with np.load(path) as data:
+        np.savez_compressed(legacy, **{
+            k: data[k] for k in data.files
+            if k not in ("meta/patch_positions", "meta/removal_log")
+        })
+    sim_a.step(3)
+
+    sim_b, e_b = build_mr_removed_at_step_3()
+    load_checkpoint(sim_b, legacy)
+    assert len(sim_b.patches) == 1
+    sim_b.step(3)
+    assert not sim_b.patches
+    assert_same_state(sim_a, e_a, sim_b, e_b)
+    with pytest.raises(ConfigurationError, match="checkpoint has 1 patches"):
+        load_checkpoint(build_mr_removed_at_step_3(with_patch=False)[0], legacy)
 
 
 def _distributed_roundtrip_bitwise(tmp_path, **options):
