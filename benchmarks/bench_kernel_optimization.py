@@ -14,7 +14,7 @@ length 1, which is what the tier's scalar loop (tails, refused blocks)
 runs; the paper's two numbers stand next to the 1 -> 8-lane rows, and
 ``repro.particles.compiled.LANES`` is picked from these rows.
 
-Above them, the kernel dispatch registry's two rungs
+Above them, the kernel table's two rungs
 (:mod:`repro.particles.kernels`), per particle:
 
 * ``vectorized`` — the NumPy path, whole population per stencil point:
@@ -22,8 +22,9 @@ Above them, the kernel dispatch registry's two rungs
 * ``compiled`` — the native tier (generated C via ctypes), when a C
   compiler is present in this environment.
 
-The compiled-over-vectorized margin is the number the CI perf gate
-(``benchmarks/check_kernel_fastpath.py``) enforces.
+The compiled-over-vectorized deposition margin is asserted here (> 3x)
+when the table is built; the CI cross-validation gate
+(``benchmarks/check_kernel_fastpath.py``) checks agreement only.
 """
 
 import time
@@ -118,7 +119,7 @@ def _vector_length_rows():
 
 
 def _per_particle_times(workload, name):
-    """(gather, deposition) seconds per particle of registry rung ``name``."""
+    """(gather, deposition) seconds per particle of kernel-table rung ``name``."""
     sim, electrons = workload
     ks = get_kernel_set(name)
     n = electrons.n
@@ -163,7 +164,7 @@ def test_kernel_optimization(benchmark, workload, table):
         ["Routine", "Variant", "us/particle", "Speed up", "paper (A64FX)"],
         rows,
     )
-    # the native tier, when registered, must clearly beat NumPy
+    # the native tier, when built, must clearly beat NumPy
     if "compiled" in times:
         assert times["vectorized"][1] / times["compiled"][1] > 3.0
 

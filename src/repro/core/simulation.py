@@ -146,7 +146,7 @@ class StepDriver:
         if deposition not in DEPOSITIONS:
             raise ConfigurationError(f"unknown deposition {deposition!r}")
         self.deposition = deposition
-        #: gather/deposit kernel variant, resolved against the registry;
+        #: gather/deposit kernel variant, resolved against the kernel table;
         #: a requested-but-unavailable tier (e.g. "compiled" with no
         #: backend) degrades to the vectorized path and records why
         self.kernel_set, self.kernel_fallback_reason = resolve_kernel_set(

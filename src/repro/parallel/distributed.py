@@ -46,7 +46,6 @@ from repro.parallel.redistribute import (
     build_box_lookup,
     migrate_boxes,
     redistribute_particles,
-    wrap_positions_periodic,
 )
 from repro.particles.injection import DensityProfile, inject_plasma
 from repro.particles.species import Species
@@ -313,6 +312,9 @@ class DistributedSimulation(StepDriver):
             self.resilience.begin_step(self)
         elif self.comm.fault_injector is not None:
             self.comm.fault_injector.begin_step(self.step_count)
+        periodic = (
+            self.domain.lo, self.domain.hi, tuple(range(self.domain.ndim))
+        )
         with self._phase("particles"):
             for i, bg in enumerate(self.box_grids):
                 if not self.owns_box(i):
@@ -325,12 +327,14 @@ class DistributedSimulation(StepDriver):
                         if dsp.per_box[i].n:
                             # phase=None: one interval of ``particles`` and
                             # its ``box`` span, not a phase nested in them
-                            self._advance_on(bg, dsp.per_box[i], phase=None)
+                            self._advance_on(
+                                bg, dsp.per_box[i], phase=None,
+                                periodic=periodic,
+                            )
                 self.cost_model.record_measured(i, sw.elapsed)
                 if self.metrics is not None:
                     self.metrics.histogram("lb.box_cost").observe(sw.elapsed)
 
-        periodic_axes = tuple(range(self.domain.ndim))
         with self._phase("fold_sources"):
             # smooth each box's raw deposits (guards included) before
             # folding, mirroring the monolithic smooth-then-fold order
@@ -385,12 +389,6 @@ class DistributedSimulation(StepDriver):
 
         with self._phase("redistribute"):
             for dsp in self.species.values():
-                for i, sp in enumerate(dsp.per_box):
-                    if sp.n and self.owns_box(i):
-                        wrap_positions_periodic(
-                            sp.positions, self.domain.lo, self.domain.hi,
-                            periodic_axes,
-                        )
                 redistribute_particles(
                     dsp.per_box,
                     self.boxes,
@@ -441,11 +439,11 @@ class DistributedSimulation(StepDriver):
         paper's measured-runtime mode, inherently run-dependent.
         ``"heuristic"`` is a pure function of cell and live particle
         counts, so every transport produces the same vector — the mode
-        the cross-transport parity tests pin.  Under SPMD each rank only
-        knows its own boxes' entries, so a real allreduce assembles the
-        global vector; the loopback heuristic path makes the matching
-        ``rank=None`` accounting call, keeping counters
-        transport-independent.
+        the cross-transport parity tests pin.  Either way, under SPMD a
+        rank contributes only the boxes it owns, and one allreduce
+        assembles the global vector; on loopback the same call, with
+        ``rank=None``, does the matching accounting, so the counters do
+        not depend on the transport.
         """
         n = len(self.boxes)
         if self.lb_cost_source == "heuristic":
@@ -460,23 +458,15 @@ class DistributedSimulation(StepDriver):
                 dtype=np.float64,
             )
             costs = self.cost_model.heuristic(cells, parts)
-            if self.local_rank is not None:
-                owned = np.array(
-                    [self.owns_box(i) for i in range(n)], dtype=bool
-                )
-                costs = np.where(owned, costs, 0.0)
-            return np.asarray(
-                self.comm.allreduce_sum(costs, rank=self.local_rank),
-                dtype=np.float64,
-            )
-        costs = self.cost_model.measured(range(n), default=0.0)
+        else:
+            costs = self.cost_model.measured(range(n), default=0.0)
         if self.local_rank is not None:
-            # each worker measured only its own boxes; sum the pieces
-            costs = np.asarray(
-                self.comm.allreduce_sum(costs, rank=self.local_rank),
-                dtype=np.float64,
-            )
-        return costs
+            owned = np.array([self.owns_box(i) for i in range(n)], dtype=bool)
+            costs = np.where(owned, costs, 0.0)
+        return np.asarray(
+            self.comm.allreduce_sum(costs, rank=self.local_rank),
+            dtype=np.float64,
+        )
 
     @property
     def halo_samples(self) -> int:

@@ -1,7 +1,7 @@
 """Particle substrate: structure-of-arrays species containers, relativistic
 pushers, B-spline shape factors, field gather and charge-conserving current
-deposition kernels behind a registry of two tiers (NumPy and native),
-particle sorting and plasma injection."""
+deposition kernels in a two-entry table of tiers (NumPy and native) built
+at import, particle sorting and plasma injection."""
 
 from repro.particles.species import Species
 from repro.particles.shapes import (
@@ -24,8 +24,6 @@ from repro.particles.kernels import (
     available_kernel_variants,
     get_kernel_set,
     kernel_tier_status,
-    mark_tier_unavailable,
-    register_kernel_set,
     resolve_kernel_set,
     validate_kernel_set,
 )
@@ -62,8 +60,6 @@ __all__ = [
     "available_kernel_variants",
     "get_kernel_set",
     "kernel_tier_status",
-    "mark_tier_unavailable",
-    "register_kernel_set",
     "resolve_kernel_set",
     "validate_kernel_set",
     "morton_bin_particles",

@@ -76,8 +76,9 @@ def advance_particles(
     ``deposit(species, x_old, x_new, velocities)`` replace the kernel
     set's own single-grid gather and deposit; giving either selects the
     three-phase route.  ``periodic = (lo, hi, axes)`` wraps the new
-    positions into the domain along ``axes`` (None: the caller wraps, or
-    nothing can leave — ``DistributedSimulation``, subcycled MR patches).
+    positions into the domain along ``axes`` (None: nothing can leave —
+    subcycled MR patches).  ``DistributedSimulation`` passes its domain's
+    bounds to every box, as ``Simulation`` passes its grid's.
 
     Returns the kernel phases dispatched — ``("advance",)`` or
     ``("gather", "deposit")`` — for the driver's ``kernel.dispatch``

@@ -6,21 +6,23 @@ recipe is *same kernel semantics, new backend behind a dispatch seam,
 cross-validated against an independent implementation* — and that the
 largest single win is one streamed pass that keeps a particle's fields
 and momentum in registers.  This module is that recipe for the Python reproduction: the
-native registry tier (``kernels="compiled"``) whose per-particle inner
-loops run as native code.
+native tier (``kernels="compiled"``) whose per-particle inner loops run
+as native code.
 
-There is one backend.  When a C compiler (``cc``/``gcc``/``clang``) is
-on ``PATH`` the kernels below are compiled into a shared library and
-driven through ctypes; without one (or with
-``REPRO_COMPILED_BACKEND=none``) the tier is *not* registered, the
-registry reports why (:func:`repro.particles.kernels.
-kernel_tier_status`) and dispatch falls through to ``vectorized``.  The
+There is one backend.  :func:`build_kernel_tier` runs once, when
+:mod:`repro.particles.kernels` is imported: with a C compiler
+(``cc``/``gcc``/``clang``) on ``PATH`` the kernels below are compiled
+into a shared library, driven through ctypes and returned as the
+``compiled`` ``KernelSet``; without one (or with
+``REPRO_COMPILED_BACKEND=none``) it returns the reason instead, which
+:func:`repro.particles.kernels.kernel_tier_status` reports, and
+dispatch falls through to ``vectorized``.  The
 library is built with :data:`SIMD_FLAGS` (``-march=native`` among them)
 and cached under a name that hashes the source, the flags and the
 compiler's own account of the build — version, target, ``native``
 resolved to this CPU — so a cache shared between machines never hands
 one CPU's code to another; a compiler that rejects those flags gets
-:data:`PLAIN_FLAGS` and the registry says so
+:data:`PLAIN_FLAGS` and the tier status says so
 (``available (c; plain flags: <reason>)`` instead of ``(c; 8 lanes,
 -march=native)``).
 
@@ -121,7 +123,8 @@ from repro.particles.pusher import PUSHERS
 #: displacements (deep-MR subcycling) fall back to the vectorized kernel
 KMAX = 8
 
-#: environment override: "c", "auto" (default, same as "c") or "none"
+#: environment override: "auto" (the default: build if a compiler exists)
+#: or "none"
 BACKEND_ENV = "REPRO_COMPILED_BACKEND"
 
 #: particles per block of the fused pass, REPRO_RB in the C: 8 lanes of
@@ -955,7 +958,7 @@ class CBackend:
     name = "c"
 
     def __init__(self, lib: ctypes.CDLL, build: str) -> None:
-        #: what `compile_c_library` built (lanes and flags), for the registry
+        #: what `compile_c_library` built (lanes and flags), for the status
         self.build = build
         vp, ci, c64, cd = (
             ctypes.c_void_p, ctypes.c_int, ctypes.c_int64, ctypes.c_double,
@@ -1020,18 +1023,6 @@ class CBackend:
             )
 
 
-def build_c_backend() -> Tuple[Optional[CBackend], str]:
-    """(backend, detail): compile the generated C if a compiler exists."""
-    compiler = find_c_compiler()
-    if compiler is None:
-        return None, "no C compiler (cc/gcc/clang) on PATH"
-    try:
-        backend = CBackend(*compile_c_library(compiler))
-    except Exception as exc:
-        return None, f"C backend build failed: {exc}"
-    return backend, f"generated C via {os.path.basename(compiler)}"
-
-
 # =========================================================================
 # the compiled KernelSet: python wrappers around the backend
 # =========================================================================
@@ -1081,106 +1072,89 @@ def run_advance(  # repro: allow(PIC007)
     return pos_new, mom_new
 
 
-def make_compiled_kernel_set(backend: CBackend):
-    """Bundle ``backend`` into a registry-ready compiled KernelSet."""
+def _gather(backend: CBackend, grid: YeeGrid, positions: np.ndarray,  # repro: allow(PIC007)
+            order: int = 1) -> Tuple[np.ndarray, np.ndarray]:
+    pos = _f64(positions)
+    n = pos.shape[0]
+    # gather output is always double — particle-side quantities stay
+    # DP under the mixed-precision policy even when the field storage
+    # being read is float32
+    e_out = np.empty((n, 3), dtype=np.float64)
+    b_out = np.empty((n, 3), dtype=np.float64)
+    backend.call(
+        "gather", grid, FIELD_COMPONENTS, order, n,
+        _ptr(pos), _ptr(e_out), _ptr(b_out),
+    )
+    return e_out, b_out
+
+
+def _deposit_current(
+    backend: CBackend,
+    grid: YeeGrid,
+    positions_old: np.ndarray,
+    positions_new: np.ndarray,
+    velocities: np.ndarray,
+    weights: np.ndarray,
+    charge: float,
+    dt: float,
+    order: int = 1,
+) -> None:
+    """Size the window from the actual displacement [cells], deposit."""
+    if positions_old.shape[0] == 0:
+        return
+    K = sized_esirkepov_window(
+        grid, positions_old, positions_new, order,
+        "compiled deposit_esirkepov",
+    )
+    if K > KMAX:
+        # windows this wide (deep-MR subcycled displacements) are not
+        # worth native stack buffers; the vectorized kernel handles
+        # them with identical mathematics
+        deposit_current_esirkepov(
+            grid, positions_old, positions_new, velocities, weights,
+            charge, dt, order,
+        )
+        return
+    pos_old, pos_new = _f64(positions_old), _f64(positions_new)
+    vel, weights = _f64(velocities), _f64(weights)
+    backend.call(
+        "deposit_esirkepov", grid, ("Jx", "Jy", "Jz"), order,
+        pos_old.shape[0], K, _ptr(pos_old), _ptr(pos_new), _ptr(vel),
+        _ptr(weights), charge, float(dt),
+    )
+
+
+def build_kernel_tier():
+    """The compiled tier's ``KernelSet``, or the reason there is none.
+
+    Reads ``REPRO_COMPILED_BACKEND`` (``auto``, the default, or ``none``),
+    looks for a compiler and builds the library.
+    :mod:`repro.particles.kernels` stores the result under ``"compiled"``
+    when it is imported: a string is what :func:`~repro.particles.kernels.
+    kernel_tier_status` reports and ``kernels="compiled"`` falls back to
+    ``vectorized`` with.
+    """
     from repro.particles.kernels import KernelSet
 
-    def gather(grid: YeeGrid, positions: np.ndarray, order: int = 1):  # repro: allow(PIC007)
-        pos = _f64(positions)
-        n = pos.shape[0]
-        # gather output is always double — particle-side quantities stay
-        # DP under the mixed-precision policy even when the field storage
-        # being read is float32
-        e_out = np.empty((n, 3), dtype=np.float64)
-        b_out = np.empty((n, 3), dtype=np.float64)
-        backend.call(
-            "gather", grid, FIELD_COMPONENTS, order, n,
-            _ptr(pos), _ptr(e_out), _ptr(b_out),
+    choice = os.environ.get(BACKEND_ENV, "auto").strip().lower() or "auto"
+    if choice not in ("auto", "none"):
+        raise ConfigurationError(
+            f"unknown {BACKEND_ENV} value {choice!r}; expected auto or none "
+            "(generated C is the only backend)"
         )
-        return e_out, b_out
-
-    def deposit_current(
-        grid: YeeGrid,
-        positions_old: np.ndarray,
-        positions_new: np.ndarray,
-        velocities: np.ndarray,
-        weights: np.ndarray,
-        charge: float,
-        dt: float,
-        order: int = 1,
-    ) -> None:
-        """Size the window from the actual displacement [cells], deposit."""
-        if positions_old.shape[0] == 0:
-            return
-        K = sized_esirkepov_window(
-            grid, positions_old, positions_new, order,
-            "compiled deposit_esirkepov",
-        )
-        if K > KMAX:
-            # windows this wide (deep-MR subcycled displacements) are not
-            # worth native stack buffers; the vectorized kernel handles
-            # them with identical mathematics
-            deposit_current_esirkepov(
-                grid, positions_old, positions_new, velocities, weights,
-                charge, dt, order,
-            )
-            return
-        pos_old, pos_new = _f64(positions_old), _f64(positions_new)
-        vel, weights = _f64(velocities), _f64(weights)
-        backend.call(
-            "deposit_esirkepov", grid, ("Jx", "Jy", "Jz"), order,
-            pos_old.shape[0], K, _ptr(pos_old), _ptr(pos_new), _ptr(vel),
-            _ptr(weights), charge, float(dt),
-        )
-
+    if choice == "none":
+        return f"disabled via {BACKEND_ENV}=none"
+    compiler = find_c_compiler()
+    if compiler is None:
+        return "no C compiler (cc/gcc/clang) on PATH"
+    try:
+        backend = CBackend(*compile_c_library(compiler))
+    except Exception as exc:
+        return f"C backend build failed: {exc}"
     return KernelSet(
         name="compiled",
-        gather=gather,
-        deposit_current=deposit_current,
+        gather=functools.partial(_gather, backend),
+        deposit_current=functools.partial(_deposit_current, backend),
         advance=functools.partial(run_advance, backend, "advance"),
         backend=f"{backend.name}; {backend.build}",
     )
-
-
-def build_kernel_tier(choice: Optional[str] = None):
-    """Probe for a compiler and build the compiled tier.
-
-    Returns ``(kernel_set, detail)``; ``kernel_set`` is None when the
-    backend is unusable, with ``detail`` explaining why (the string the
-    registry surfaces for the unavailable tier).  ``choice`` overrides
-    the ``REPRO_COMPILED_BACKEND`` environment selection.
-    """
-    if choice is None:
-        choice = os.environ.get(BACKEND_ENV, "auto").strip().lower() or "auto"
-    if choice not in ("auto", "c", "none"):
-        raise ConfigurationError(
-            f"unknown {BACKEND_ENV} value {choice!r}; "
-            "expected auto, c or none (generated C is the only backend)"
-        )
-    if choice == "none":
-        return None, f"disabled via {BACKEND_ENV}=none"
-    backend, detail = build_c_backend()
-    if backend is None:
-        return None, detail
-    return make_compiled_kernel_set(backend), detail
-
-
-def install_compiled_tier() -> None:
-    """Register the compiled tier, or mark it unavailable with the reason.
-
-    Called from :mod:`repro.particles.kernels` at import; safe to call
-    again (tests re-run it after monkeypatching the probes).
-    """
-    from repro.particles.kernels import (
-        available_kernel_variants,
-        mark_tier_unavailable,
-        register_kernel_set,
-    )
-
-    if "compiled" in available_kernel_variants():
-        return
-    kernel_set, detail = build_kernel_tier()
-    if kernel_set is not None:
-        register_kernel_set(kernel_set)
-    else:
-        mark_tier_unavailable("compiled", detail)

@@ -1,7 +1,7 @@
 """Field gathering: grid -> particle interpolation.
 
 :func:`gather_fields` is the NumPy tier's gather (see
-:mod:`repro.particles.kernels` for the dispatch registry), vectorized over
+:mod:`repro.particles.kernels` for the dispatch table), vectorized over
 particles with the stencil point fixed — exactly the strategy the paper
 found optimal on A64FX ("vectorizing the computation of the coefficient
 ijk for multiple particles"); in NumPy this is the only fast formulation.

@@ -1,4 +1,4 @@
-"""Kernel dispatch registry: the gather/deposit fast-path layer.
+"""Kernel dispatch table: the gather/deposit fast-path layer.
 
 The paper's single biggest node-level win (Sec. V.A.1) came from
 restructuring the gather and deposition kernels around memory locality
@@ -8,7 +8,8 @@ the slots a step driver dispatches through — the gather, the Esirkepov
 current deposit and, optionally, the fused particle pass — behind one
 name, and simulations select a variant by name (``Simulation(...,
 kernels="vectorized")``; the default, spelled once in ``StepDriver``, is
-``compiled``).  The registry holds one NumPy path and one native path.
+``compiled``).  The table has two entries, one NumPy path and one native
+path, filled once when this module is imported.
 
 ======  ==================================================================
 variant  implementation
@@ -29,8 +30,8 @@ variant  implementation
                 ``advance`` pass (gather -> push -> position ->
                 Esirkepov -> periodic wrap, one loop over blocks of
                 eight particles with SIMD across them, bit-identical
-                to the per-particle loop).  Registered only when the
-                library builds; otherwise the registry reports *why*
+                to the per-particle loop).  Available only when the
+                library builds; otherwise its entry is the reason
                 (:func:`kernel_tier_status`) and
                 :func:`resolve_kernel_set` falls back to ``vectorized``
 ======  ==================================================================
@@ -41,7 +42,7 @@ and returns the worst relative deviation per kernel (tests pin it at
 machine precision).  ``vectorized`` itself is held against independent
 implementations — a scalar per-particle gather, ``np.add.at`` scatters
 and a textbook Esirkepov — that live in the test suite
-(``tests/oracles.py``), not in the registry.  The nodal deposits (charge,
+(``tests/oracles.py``), not in the table.  The nodal deposits (charge,
 direct current) are no slot: diagnostics and the ``direct`` ablation call
 :mod:`repro.particles.deposit` directly.  Both variants are
 dtype-generic: on a float32 grid the field reads and deposition
@@ -56,7 +57,7 @@ so the observability layer shows which implementation ran.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -93,124 +94,62 @@ class KernelSet:
     backend: str = "numpy"
 
 
-_REGISTRY: Dict[str, KernelSet] = {}
-
-#: tiers that probed for a backend and found none: name -> human reason
-_UNAVAILABLE: Dict[str, str] = {}
-
-_KERNEL_FIELDS = ("gather", "deposit_current")
-
-
-def register_kernel_set(*kernel_sets: KernelSet) -> Tuple[KernelSet, ...]:
-    """Add variants to the registry, atomically.
-
-    The whole batch is validated first — duplicate names (within the
-    batch or against already-registered variants), empty names, and
-    non-callable kernel slots all raise :class:`ConfigurationError` —
-    and only then installed, so a failed registration leaves the
-    registry and dispatch exactly as they were.  Registering a tier that
-    was previously marked unavailable clears its unavailability record.
-    """
-    staged: Dict[str, KernelSet] = {}
-    for kernel_set in kernel_sets:
-        if not isinstance(kernel_set, KernelSet):
-            raise ConfigurationError(
-                f"register_kernel_set expects KernelSet instances, "
-                f"got {type(kernel_set).__name__}"
-            )
-        name = kernel_set.name
-        if not name or not isinstance(name, str):
-            raise ConfigurationError(
-                f"kernel variant name must be a non-empty string, got {name!r}"
-            )
-        if name in _REGISTRY or name in staged:
-            raise ConfigurationError(f"duplicate kernel variant {name!r}")
-        for field in _KERNEL_FIELDS:
-            if not callable(getattr(kernel_set, field)):
-                raise ConfigurationError(
-                    f"kernel variant {name!r} field {field!r} is not callable"
-                )
-        if kernel_set.advance is not None and not callable(kernel_set.advance):
-            raise ConfigurationError(
-                f"kernel variant {name!r} field 'advance' is not callable"
-            )
-        staged[name] = kernel_set
-    # validation done; installation cannot fail partway
-    _REGISTRY.update(staged)
-    for name in staged:
-        _UNAVAILABLE.pop(name, None)
-    return kernel_sets
-
-
-def mark_tier_unavailable(name: str, reason: str) -> None:
-    """Record that a known tier could not be built on this machine.
-
-    The tier stays out of :func:`available_kernel_variants`, but
-    :func:`kernel_tier_status` surfaces the reason and
-    :func:`resolve_kernel_set` maps the name to ``vectorized`` instead of
-    raising.
-    """
-    if name in _REGISTRY:
-        raise ConfigurationError(
-            f"kernel variant {name!r} is registered; cannot mark unavailable"
-        )
-    _UNAVAILABLE[name] = str(reason)
+#: the tiers, filled once at import: name -> its KernelSet, or the reason
+#: it could not be built here (a plain dict: tests add the oracle set with
+#: ``monkeypatch.setitem``)
+_REGISTRY: Dict[str, Union[KernelSet, str]] = {
+    "vectorized": KernelSet(
+        name="vectorized",
+        gather=gather_fields,
+        deposit_current=deposit_current_esirkepov,
+    ),
+}
 
 
 def get_kernel_set(name: str) -> KernelSet:
-    """Look up a kernel variant by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
+    """Look up an available kernel variant by name."""
+    entry = _REGISTRY.get(name)
+    if not isinstance(entry, KernelSet):
         raise ConfigurationError(
             f"unknown kernel variant {name!r}; "
             f"available: {available_kernel_variants()}"
-        ) from None
+        )
+    return entry
 
 
 def resolve_kernel_set(name: str) -> Tuple[KernelSet, Optional[str]]:
     """Resolve a variant name, falling back when the tier is unavailable.
 
-    Returns ``(kernel_set, fallback_reason)``: ``(set, None)`` for a
-    registered name; ``(vectorized, reason)`` for a tier that probed for
-    a backend and found none (e.g. ``compiled`` without a C compiler).
-    Unknown names still raise :class:`ConfigurationError` — only
-    *known-but-unbuildable* tiers degrade gracefully.
+    Returns ``(kernel_set, fallback_reason)``: ``(set, None)`` for an
+    available name; ``(vectorized, reason)`` for a tier that could not be
+    built here (e.g. ``compiled`` without a C compiler).  Unknown names
+    still raise :class:`ConfigurationError` — only *known-but-unbuildable*
+    tiers degrade gracefully.
     """
-    reason = _UNAVAILABLE.get(name)
-    if reason is not None:
-        return _REGISTRY["vectorized"], reason
+    entry = _REGISTRY.get(name)
+    if isinstance(entry, str):
+        return get_kernel_set("vectorized"), entry
     return get_kernel_set(name), None
 
 
 def available_kernel_variants() -> Tuple[str, ...]:
-    """The registered variant names, registration-ordered."""
-    return tuple(_REGISTRY)
+    """The names of the variants built here, in table order."""
+    return tuple(n for n, e in _REGISTRY.items() if isinstance(e, KernelSet))
 
 
 def kernel_tier_status() -> Dict[str, str]:
     """Every known tier and its availability on this machine.
 
-    Registered variants report ``"available (<backend>)"`` — for the
+    Available variants report ``"available (<backend>)"`` — for the
     compiled tier the backend names what was built, ``"c; 8 lanes,
-    -march=native"`` or ``"c; plain flags: <reason>"``; tiers whose
-    backend probe failed report the reason (e.g. ``"no C compiler
-    (cc/gcc/clang) on PATH"``).
+    -march=native"`` or ``"c; plain flags: <reason>"``; a tier that could
+    not be built reports the reason (e.g. ``"no C compiler (cc/gcc/clang)
+    on PATH"``).
     """
-    status = {
-        name: f"available ({ks.backend})" for name, ks in _REGISTRY.items()
+    return {
+        name: f"available ({e.backend})" if isinstance(e, KernelSet) else e
+        for name, e in _REGISTRY.items()
     }
-    status.update(_UNAVAILABLE)
-    return status
-
-
-register_kernel_set(
-    KernelSet(
-        name="vectorized",
-        gather=gather_fields,
-        deposit_current=deposit_current_esirkepov,
-    ),
-)
 
 
 #: documented float32 error budget: worst allowed relative L2 deviation
@@ -348,8 +287,8 @@ def validate_kernel_set(
     return errors
 
 
-# the compiled tier registers itself (or records why it could not) at
-# import; kept at the tail so the registry above exists first
-from repro.particles.compiled import install_compiled_tier  # noqa: E402
+# the compiled tier, or why there is none; at the tail because
+# build_kernel_tier makes a KernelSet
+from repro.particles.compiled import build_kernel_tier  # noqa: E402
 
-install_compiled_tier()
+_REGISTRY["compiled"] = build_kernel_tier()

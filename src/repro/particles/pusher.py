@@ -114,11 +114,10 @@ def wrap_positions_periodic(
     wrapping every coordinate).
 
     The one NumPy spelling of the wrap: the three-phase route of
-    :func:`repro.particles.advance.advance_particles` and
-    ``DistributedSimulation``'s redistribute phase call it, and the
-    compiled ``advance`` kernel does the same arithmetic per particle
-    (``repro_wrap``).  Subcycled-MR holders are advanced without a wrap:
-    they are interior to their patch by construction.
+    :func:`repro.particles.advance.advance_particles` calls it, for every
+    driver, and the compiled ``advance`` kernel does the same arithmetic
+    per particle (``repro_wrap``).  Subcycled-MR holders are advanced
+    without a wrap: they are interior to their patch by construction.
     """
     for d in axes:
         length = domain_hi[d] - domain_lo[d]

@@ -1,7 +1,7 @@
 """Independent implementations the kernel tiers are validated against.
 
 Nothing but the test suite runs these, so they live here and not in the
-kernel registry.  Each is written for clarity, not speed (one particle at
+kernel table.  Each is written for clarity, not speed (one particle at
 a time):
 
 * :func:`gather_scalar` — a per-particle loop over the stencil, the scalar
@@ -22,7 +22,7 @@ a time):
   the other; this does.
 * :func:`oracle_kernel_set` — the scalar gather and the textbook
   Esirkepov as a :class:`~repro.particles.kernels.KernelSet`, for a test
-  to register for its own duration
+  to put into the kernel table for its own duration
   (``monkeypatch.setitem(kernels._REGISTRY, ...)``).
 """
 
@@ -162,8 +162,8 @@ def textbook_esirkepov(grid, pos0, pos1, vel, weights, charge, dt, order=1):
 
 
 def oracle_kernel_set():
-    """The oracles as a registry-ready kernel set named ``oracle`` (no
-    fused pass)."""
+    """The oracles as a kernel set named ``oracle`` (no fused pass), ready
+    for the kernel table."""
     return KernelSet(
         name="oracle", gather=gather_scalar, deposit_current=textbook_esirkepov
     )

@@ -13,7 +13,10 @@ from repro.grid.yee import YeeGrid
 from repro.observability.commlog import CommLogReplay
 from repro.parallel.box import chop_domain
 from repro.parallel.distributed import DistributedSimulation
-from repro.parallel.mp_transport import run_distributed_local
+from repro.parallel.mp_transport import (
+    run_distributed_local,
+    run_distributed_mp,
+)
 from repro.parallel.redistribute import (
     build_box_lookup,
     redistribute_particles,
@@ -291,6 +294,19 @@ def test_redistribute_cross_transport(transport_runner, golden_langmuir):
     assert got_pairs == want_pairs
     # the protocol really moved particle payloads between ranks
     assert sum(got_pairs.values()) > 0
+
+
+def test_measured_lb_costs_cross_transport_collectives():
+    """Measured LB costs take the same allreduce on both transports: the
+    per-box timings differ between runs, the collective accounting must
+    not (loopback used to skip the call every mp worker makes)."""
+    build = make_langmuir_build(
+        n_ranks=2, dynamic_lb=True, lb_interval=2, lb_cost_source="measured"
+    )
+    local = run_distributed_local(build, 4)
+    over_mp = run_distributed_mp(build, 4, 2, run_timeout=120.0)
+    assert local.counters.collective_calls == 2
+    assert over_mp.counters.collective_calls == local.counters.collective_calls
 
 
 # -- one driver base: every shared option runs decomposed ---------------------

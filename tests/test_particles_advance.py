@@ -62,7 +62,7 @@ def rel(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
-# -- (a) cross-validation through the registry --------------------------------
+# -- (a) cross-validation through the kernel table ----------------------------
 
 @needs_compiled
 @pytest.mark.parametrize("ndim", [1, 2, 3])
@@ -252,9 +252,11 @@ for name, call in calls.items():
 # block must be the particle, on the axis, with the partial J, of the
 # per-particle loop (the exported scalar entry), the inputs untouched
 import re
-from repro.particles.compiled import LANES, build_c_backend, run_advance
+from repro.particles.compiled import (
+    LANES, CBackend, compile_c_library, find_c_compiler, run_advance,
+)
 
-backend = build_c_backend()[0]
+backend = CBackend(*compile_c_library(find_c_compiler()))
 n = 3 * LANES + 5
 rng = np.random.default_rng(11)
 good = rng.uniform(2.0, 14.0, size=(n, 2))
@@ -435,11 +437,7 @@ def test_distributed_compiled_matches_default_and_is_transport_exact():
 
 
 def test_distributed_surfaces_kernel_fallback_reason(monkeypatch):
-    monkeypatch.setattr(kernels, "_REGISTRY", {
-        name: ks for name, ks in kernels._REGISTRY.items()
-        if name != "compiled"
-    })
-    monkeypatch.setattr(kernels, "_UNAVAILABLE", {"compiled": "probe failed"})
+    monkeypatch.setitem(kernels._REGISTRY, "compiled", "probe failed")
     sim = DistributedSimulation(
         (8, 8), (0.0, 0.0), (8.0, 8.0), n_ranks=1, kernels="compiled"
     )

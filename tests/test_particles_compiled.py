@@ -1,9 +1,13 @@
 """Compiled kernel tier: generated-C kernels against the numpy kernels
 (skipped without a C compiler), the environment/backend selection logic,
-graceful registry fallback when no backend is usable, atomicity of batch
-registration, wide-window and guard-shortage handling, and the per-tier
-dispatch counters.  The fused ``advance`` path has its own file,
-``test_particles_advance.py``."""
+the kernel table built at import (checked in fresh interpreters) and its
+graceful fallback when no backend is usable, wide-window and
+guard-shortage handling, and the per-tier dispatch counters.  The fused
+``advance`` path has its own file, ``test_particles_advance.py``."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,12 +22,9 @@ from repro.particles.compiled import (
     BACKEND_ENV,
     KMAX,
     LANES,
-    build_c_backend,
     build_kernel_tier,
     c_source,
     find_c_compiler,
-    install_compiled_tier,
-    make_compiled_kernel_set,
 )
 from repro.particles.deposit import deposit_current_esirkepov
 from repro.particles.gather import gather_fields
@@ -33,8 +34,6 @@ from repro.particles.kernels import (
     available_kernel_variants,
     get_kernel_set,
     kernel_tier_status,
-    mark_tier_unavailable,
-    register_kernel_set,
     resolve_kernel_set,
     validate_kernel_set,
 )
@@ -66,13 +65,17 @@ def particle_cloud(grid, n=60, seed=1, spread=0.25):
     return pos, vel, wts
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+
 @pytest.fixture
-def c_set():
-    """A compiled kernel set built here, straight from the C backend."""
-    backend, detail = build_c_backend()
-    if backend is None:
-        pytest.skip(detail)
-    return make_compiled_kernel_set(backend)
+def c_set(monkeypatch):
+    """A compiled kernel set built here, whatever the environment says."""
+    monkeypatch.setenv(BACKEND_ENV, "auto")
+    kernel_set = build_kernel_tier()
+    if isinstance(kernel_set, str):
+        pytest.skip(kernel_set)
+    return kernel_set
 
 
 # -- C kernels vs the numpy kernels --------------------------------------------
@@ -252,52 +255,35 @@ def test_backend_env_rejects_unknown(monkeypatch):
 
 def test_backend_env_none_disables(monkeypatch):
     monkeypatch.setenv(BACKEND_ENV, "none")
-    ks, detail = build_kernel_tier()
-    assert ks is None
-    assert "disabled" in detail
+    assert build_kernel_tier() == f"disabled via {BACKEND_ENV}=none"
 
 
 def test_no_backend_reports_reason(monkeypatch):
+    monkeypatch.setenv(BACKEND_ENV, "auto")
     monkeypatch.setattr(compiled, "find_c_compiler", lambda: None)
-    ks, detail = build_kernel_tier("auto")
-    assert ks is None
-    assert "no C compiler" in detail
+    assert "no C compiler" in build_kernel_tier()
 
 
-def test_numba_choice_is_rejected():
+def test_numba_choice_is_rejected(monkeypatch):
     # the numba backend was removed; asking for it is a configuration
     # error, not a silent fall-through to C
-    with pytest.raises(ConfigurationError, match="auto, c or none"):
-        build_kernel_tier("numba")
-
-
-def test_c_only_choice_without_compiler(monkeypatch):
-    monkeypatch.setattr(compiled, "find_c_compiler", lambda: None)
-    ks, detail = build_kernel_tier("c")
-    assert ks is None
-    assert "compiler" in detail
+    monkeypatch.setenv(BACKEND_ENV, "numba")
+    with pytest.raises(ConfigurationError, match="auto or none"):
+        build_kernel_tier()
 
 
 def test_unavailable_tier_resolves_to_vectorized(monkeypatch):
     """The fallback is the one NumPy path, ``vectorized``."""
-    monkeypatch.setattr(kernels, "_REGISTRY", {
-        name: ks for name, ks in kernels._REGISTRY.items()
-        if name != "compiled"
-    })
-    monkeypatch.setattr(kernels, "_UNAVAILABLE",
-                        {"compiled": "no C compiler"})
+    monkeypatch.setitem(kernels._REGISTRY, "compiled", "no C compiler")
     ks, reason = resolve_kernel_set("compiled")
     assert ks.name == "vectorized"
     assert "no C compiler" in reason
     assert kernel_tier_status()["compiled"] == "no C compiler"
+    assert available_kernel_variants() == ("vectorized",)
 
 
 def test_unavailable_tier_simulation_falls_back(monkeypatch):
-    monkeypatch.setattr(kernels, "_REGISTRY", {
-        name: ks for name, ks in kernels._REGISTRY.items()
-        if name != "compiled"
-    })
-    monkeypatch.setattr(kernels, "_UNAVAILABLE", {"compiled": "probe failed"})
+    monkeypatch.setitem(kernels._REGISTRY, "compiled", "probe failed")
     grid = YeeGrid((12, 12), (0.0, 0.0), (12.0e-6, 12.0e-6), guards=4)
     sim = Simulation(grid, dt=2.0e-15, kernels="compiled")
     assert sim.kernels == "vectorized"
@@ -314,104 +300,76 @@ def test_unknown_variant_still_raises_through_resolve():
         resolve_kernel_set("simd")
 
 
-def test_install_compiled_tier_idempotent(monkeypatch):
-    # idempotent whether the tier registered or was marked unavailable
-    install_compiled_tier()
-    status_before = kernel_tier_status()
-    install_compiled_tier()
-    assert kernel_tier_status() == status_before
-
-
-def test_install_marks_unavailable_when_probes_fail(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "auto")
-    monkeypatch.setattr(kernels, "_REGISTRY", {
-        name: ks for name, ks in kernels._REGISTRY.items()
-        if name != "compiled"
-    })
-    monkeypatch.setattr(kernels, "_UNAVAILABLE", {})
-    monkeypatch.setattr(compiled, "find_c_compiler", lambda: None)
-    install_compiled_tier()
-    assert "compiled" not in available_kernel_variants()
-    assert "no C compiler" in kernel_tier_status()["compiled"]
-
-
-def test_backend_none_leaves_two_tiers_and_compiled_lands_on_vectorized(
-    monkeypatch,
-):
-    monkeypatch.setenv(BACKEND_ENV, "none")
-    monkeypatch.setattr(kernels, "_REGISTRY", {
-        name: ks for name, ks in kernels._REGISTRY.items()
-        if name != "compiled"
-    })
-    monkeypatch.setattr(kernels, "_UNAVAILABLE", {})
-    install_compiled_tier()
-    assert available_kernel_variants() == ("vectorized",)
-    grid = YeeGrid((12, 12), (0.0, 0.0), (12.0e-6, 12.0e-6), guards=4)
-    sim = Simulation(grid, dt=2.0e-15, kernels="compiled")
-    assert sim.kernels == "vectorized"
-    assert sim.kernel_set is get_kernel_set("vectorized")
-    assert sim.kernel_fallback_reason == f"disabled via {BACKEND_ENV}=none"
-
-
 def test_probe_builders_agree_with_environment():
-    # if the import-time environment selection allowed the probe to run,
-    # the registry state must match its outcome
-    import os
-
-    choice = os.environ.get(BACKEND_ENV, "auto").strip().lower() or "auto"
-    expected = choice != "none" and build_c_backend()[0] is not None
-    assert ("compiled" in available_kernel_variants()) == expected
+    # the table was filled at import from the same probe
+    built = build_kernel_tier()
+    assert ("compiled" in available_kernel_variants()) == isinstance(
+        built, KernelSet
+    )
     assert find_c_compiler() is None or isinstance(find_c_compiler(), str)
 
 
-# -- atomic registration ------------------------------------------------------
+# -- the table, as a fresh interpreter builds it at import ---------------------
 
-def test_failed_batch_registration_installs_nothing(monkeypatch):
-    monkeypatch.setattr(kernels, "_REGISTRY", dict(kernels._REGISTRY))
-    vec = get_kernel_set("vectorized")
-
-    def clone(name):
-        return KernelSet(
-            name=name,
-            gather=vec.gather,
-            deposit_current=vec.deposit_current,
-        )
-
-    before = available_kernel_variants()
-    with pytest.raises(ConfigurationError, match="duplicate"):
-        register_kernel_set(clone("fresh_a"), clone("vectorized"))
-    assert available_kernel_variants() == before  # fresh_a NOT installed
-
-    with pytest.raises(ConfigurationError, match="duplicate"):
-        register_kernel_set(clone("fresh_b"), clone("fresh_b"))
-    assert available_kernel_variants() == before
-
-    bad = KernelSet(
-        name="fresh_c",
-        gather="not callable",
-        deposit_current=vec.deposit_current,
+def run_fresh(code, backend=None):
+    """Run ``code`` in a new interpreter, ``REPRO_COMPILED_BACKEND`` set to
+    ``backend`` (None: as this process has it)."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    if backend is not None:
+        env[BACKEND_ENV] = backend
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=120,
     )
-    with pytest.raises(ConfigurationError, match="callable"):
-        register_kernel_set(clone("fresh_d"), bad)
-    assert available_kernel_variants() == before
 
 
-def test_successful_batch_registers_all_and_clears_unavailable(monkeypatch):
-    monkeypatch.setattr(kernels, "_REGISTRY", dict(kernels._REGISTRY))
-    monkeypatch.setattr(kernels, "_UNAVAILABLE", {"fresh_e": "was broken"})
-    vec = get_kernel_set("vectorized")
-    register_kernel_set(KernelSet(
-        name="fresh_e",
-        gather=vec.gather,
-        deposit_current=vec.deposit_current,
-    ))
-    assert "fresh_e" in available_kernel_variants()
-    assert "fresh_e" not in kernels._UNAVAILABLE
+def test_import_builds_a_table_of_exactly_two_tiers():
+    done = run_fresh(
+        "from repro.particles.kernels import kernel_tier_status as s; "
+        "print(sorted(s()))"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "['compiled', 'vectorized']"
 
 
-def test_mark_tier_unavailable_rejects_registered_name():
-    with pytest.raises(ConfigurationError, match="registered"):
-        mark_tier_unavailable("vectorized", "nope")
+def test_backend_none_leaves_two_tiers_and_compiled_lands_on_vectorized():
+    done = run_fresh("""
+from repro.core.simulation import Simulation
+from repro.grid.yee import YeeGrid
+from repro.particles.kernels import available_kernel_variants, get_kernel_set
+assert available_kernel_variants() == ("vectorized",), available_kernel_variants()
+grid = YeeGrid((12, 12), (0.0, 0.0), (12.0e-6, 12.0e-6), guards=4)
+sim = Simulation(grid, dt=2.0e-15, kernels="compiled")
+assert sim.kernels == "vectorized"
+assert sim.kernel_set is get_kernel_set("vectorized")
+print(sim.kernel_fallback_reason)
+""", backend="none")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"disabled via {BACKEND_ENV}=none"
+
+
+def test_install_marks_unavailable_when_probes_fail(tmp_path):
+    # (the id dates from when a separate install step filled the table;
+    # the import does it now) no compiler on PATH: the table holds why
+    done = run_fresh(
+        "import os; os.environ['PATH'] = " + repr(str(tmp_path)) + "\n"
+        "from repro.particles.kernels import available_kernel_variants, "
+        "kernel_tier_status\n"
+        "print(available_kernel_variants(), kernel_tier_status()['compiled'])",
+        backend="auto",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == (
+        "('vectorized',) no C compiler (cc/gcc/clang) on PATH"
+    )
+
+
+def test_retired_backend_value_c_fails_the_import():
+    done = run_fresh("import repro.particles.kernels", backend="c")
+    assert done.returncode != 0
+    last = done.stderr.strip().splitlines()[-1]
+    assert last.startswith("repro.exceptions.ConfigurationError")
+    assert "'c'" in last and "expected auto or none" in last
 
 
 # -- dispatch counters --------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Kernel dispatch registry and the NumPy path's scatter techniques:
-registry lookup and registration errors, machine-precision
+"""Kernel dispatch table and the NumPy path's scatter techniques:
+table lookup and unknown-variant errors, machine-precision
 cross-validation of the vectorized kernels against the independent
 oracles of ``tests/oracles.py`` (textbook Esirkepov, ``np.add.at`` nodal
 scatters, scalar gather; sorted and unsorted), charge conservation of the
@@ -34,7 +34,6 @@ from repro.particles.kernels import (
     KernelSet,
     available_kernel_variants,
     get_kernel_set,
-    register_kernel_set,
     validate_kernel_set,
 )
 from repro.particles.shapes import ShapeWeightCache, shape_weights
@@ -59,7 +58,7 @@ def divergence_j(grid):
     return div
 
 
-# -- registry ----------------------------------------------------------------
+# -- table -------------------------------------------------------------------
 
 def test_builtin_variants_registered():
     names = available_kernel_variants()
@@ -79,16 +78,6 @@ def test_retired_tiled_name_is_an_ordinary_unknown_variant():
 def test_unknown_variant_raises():
     with pytest.raises(ConfigurationError, match="unknown kernel variant"):
         get_kernel_set("simd")
-
-
-def test_duplicate_registration_raises():
-    vec = get_kernel_set("vectorized")
-    with pytest.raises(ConfigurationError, match="duplicate"):
-        register_kernel_set(KernelSet(
-            name="vectorized",
-            gather=vec.gather,
-            deposit_current=vec.deposit_current,
-        ))
 
 
 @pytest.mark.parametrize("name", ["compiled"])
