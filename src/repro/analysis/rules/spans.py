@@ -49,8 +49,7 @@ KERNEL_CALLS = frozenset(
         "deposit_current_esirkepov", "deposit_current_direct",
         "sort_species_by_bin", "smooth_binomial",
         # parallel substrate
-        "fold_sources_global", "assemble_global", "scatter_local",
-        "fold_sources_pairwise", "exchange_halos",
+        "assemble_global", "fold_sources_pairwise", "exchange_halos",
         "redistribute_particles", "migrate_boxes",
     }
 )

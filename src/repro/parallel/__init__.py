@@ -20,11 +20,8 @@ from repro.parallel.halo import (
     HaloOverlap,
     assemble_global,
     exchange_halos,
-    fold_sources_global,
     fold_sources_pairwise,
-    halo_bytes_per_box,
     neighbor_overlaps,
-    scatter_local,
 )
 from repro.parallel.redistribute import migrate_boxes, redistribute_particles
 from repro.parallel.distributed import DistributedSimulation
@@ -38,10 +35,7 @@ __all__ = [
     "HaloOverlap",
     "assemble_global",
     "exchange_halos",
-    "fold_sources_global",
     "fold_sources_pairwise",
-    "scatter_local",
-    "halo_bytes_per_box",
     "neighbor_overlaps",
     "migrate_boxes",
     "redistribute_particles",

@@ -81,8 +81,9 @@ class CommEvent(NamedTuple):
     :data:`SCHEDULE_EVENT_KINDS`: a ``phase_begin``/``phase_end`` pair
     per exchange (``src = dst = -1``; ``detail`` holds the declared
     cross-rank message count at begin) and, for ordered fold/fill
-    phases, one ``apply`` event per applied overlap entry with
-    ``detail`` carrying the canonical order index.  The happens-before
+    phases, one ``apply`` event per run of consecutive canonical-order
+    entries applied from one buffer, ``detail`` = its first order index
+    (:meth:`record_apply`).  The happens-before
     checker replays these to flag phase overlap on a shared tag
     (COMM007), non-canonical application order (COMM009) and applies
     racing in-flight messages (COMM010).  ``detail`` is 0 for every
@@ -589,12 +590,11 @@ class SimComm:
         self.end_phase(tag)
 
     def record_apply(self, tag: str, order: int, nbytes: int = 0) -> None:
-        """Log the application of one overlap entry of an ordered phase.
-
-        ``order`` is the entry's canonical order index; the checker
-        requires the sequence within a phase to be strictly increasing
-        (COMM009) and every apply to happen after the phase's traffic
-        has fully arrived (COMM010).
+        """Log one run of an ordered phase: a maximal run of consecutive
+        canonical-order entries drawn from one buffer, ``order`` its first
+        entry's index, ``nbytes`` its bytes.  The checker requires the
+        orders within a phase to be strictly increasing (COMM009) and
+        every apply to follow the phase's traffic (COMM010).
         """
         self._record("apply", -1, -1, tag, nbytes, detail=int(order))
 

@@ -3,28 +3,29 @@
 Exchange is genuinely pairwise: :func:`neighbor_overlaps` enumerates the
 exact index regions where one box's data is needed by another (periodic
 images included), and :func:`exchange_halos` / :func:`fold_sources_pairwise`
-slice those regions out of the source box and route them through
-:meth:`SimComm.exchange` as real payloads.  All regions travelling
-between the same pair of ranks are coalesced into a single
-:class:`~repro.parallel.wire.Message` per exchange phase — the paper's
-message-aggregation optimization: one header row ``(order, dst_box,
-comp, *dst_lo)`` and one buffer per region — and overlaps between boxes
-on the same rank short-circuit to local copies, which is why a
-locality-aware distribution (SFC) sends fewer bytes for the same physics.
+route those regions through :meth:`SimComm.exchange` as real payloads.
+The slicing is derived once per assignment (:class:`ExchangePlan`,
+cached on the overlap set); a phase is pack, one exchange, apply.  All
+regions travelling between a pair of ranks ride in **one** message — the
+paper's message aggregation: ``Message(((plan digest,),), (buffer,))``.
+Overlaps between boxes on the same rank never touch the communicator,
+which is why a locality-aware distribution (SFC) sends fewer bytes for
+the same physics.
 
 Two overlap kinds cover the PIC cycle:
 
 * ``"fold"`` — after deposition, guard-cell J/rho contributions are *added*
   into the valid region of the box that owns the samples (every deposit is
-  summed exactly once per destination copy);
+  summed exactly once per destination copy).  The shared nodal planes are
+  read and written in the same phase, so a fold has snapshot semantics:
+  every region, same-rank ones too, is packed before anything is applied;
 * ``"fill"`` — after the field push, every guard sample (and duplicated
   nodal plane) is *overwritten* with the value computed by the sample's
-  unique owner box.
+  unique owner box.  A fill reads only owned samples and writes only
+  non-owned ones, so its same-rank regions are direct slice copies.
 
-The global-assembly helpers (:func:`assemble_global`,
-:func:`fold_sources_global`, :func:`scatter_local`) remain as
-diagnostics/reference paths only — the step loop never touches the global
-grid.
+:func:`assemble_global` remains as a diagnostics path only — the step
+loop never touches the global grid.
 
 Index convention: a box with cell range ``[lo, hi)`` and ``g`` guards maps
 its local array index ``k`` (along an axis) to the *sample* index
@@ -34,56 +35,22 @@ regardless of staggering.  Overlap regions are expressed in sample space.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import DecompositionError
-from repro.grid.boundary import (
-    accumulate_periodic_sources,
-    apply_periodic,
-    periodic_image_shifts,
-)
+from repro.exceptions import CommunicationError, DecompositionError
+from repro.grid.boundary import apply_periodic, periodic_image_shifts
 from repro.grid.yee import FIELD_COMPONENTS, SOURCE_COMPONENTS, STAGGER, YeeGrid
 from repro.parallel.box import Box
-from repro.parallel.comm import SimComm
+from repro.parallel.comm import SimComm, _msg_context
 from repro.parallel.wire import Message
 
 #: tags of the two halo phases; commcheck and the byte-reconciliation
 #: tests filter the event log on this prefix
 HALO_TAG_PREFIX = "halo"
-
-
-def _local_to_global_slices(box: Box, local_shape: Sequence[int]) -> Tuple[slice, ...]:
-    """Global-array slices covered by a box's *full* local array."""
-    return tuple(
-        slice(l, l + s) for l, s in zip(box.lo, local_shape)
-    )
-
-
-def fold_sources_global(
-    global_grid: YeeGrid,
-    box_grids: Sequence[YeeGrid],
-    boxes: Sequence[Box],
-    periodic_axes: Sequence[int] = (),
-    components: Sequence[str] = SOURCE_COMPONENTS,
-) -> None:
-    """Sum all per-box deposits into the global grid (reference path).
-
-    Because every macroparticle deposits on exactly one box and local
-    array indices map affinely to global indices, the summed global array
-    is bit-identical to a monolithic deposition.  Used by diagnostics and
-    as the cross-check oracle for :func:`fold_sources_pairwise`.
-    """
-    for comp in components:
-        g_arr = global_grid.fields[comp]
-        g_arr.fill(0.0)
-        for box, bg in zip(boxes, box_grids):
-            sl = _local_to_global_slices(box, bg.fields[comp].shape)
-            g_arr[sl] += bg.fields[comp]
-    for axis in periodic_axes:
-        accumulate_periodic_sources(global_grid, axis)
 
 
 def assemble_global(
@@ -112,20 +79,6 @@ def assemble_global(
         apply_periodic(global_grid, axis, components=components)
 
 
-def scatter_local(
-    global_grid: YeeGrid,
-    box_grids: Sequence[YeeGrid],
-    boxes: Sequence[Box],
-    components: Sequence[str],
-) -> None:
-    """Copy each box's full local range (valid + guards) from the global grid."""
-    for comp in components:
-        g_arr = global_grid.fields[comp]
-        for box, bg in zip(boxes, box_grids):
-            sl = _local_to_global_slices(box, bg.fields[comp].shape)
-            bg.fields[comp][...] = g_arr[sl]
-
-
 @dataclass(frozen=True)
 class HaloOverlap:
     """One directed data dependency between two boxes.
@@ -145,10 +98,17 @@ class HaloOverlap:
     region: Box
     kind: str
 
-    @property
-    def n_samples(self) -> int:
-        """Samples of one (nodal) component covered by this overlap."""
-        return self.region.n_cells
+
+class OverlapSet(tuple):
+    """What :func:`neighbor_overlaps` returns: its :class:`HaloOverlap`
+    regions (immutable, so no cached plan can go stale) plus ``plans``,
+    one :class:`ExchangePlan` per (kind, components, guards, local rank)
+    for the last assignment it was asked for (:func:`_plan`)."""
+
+    def __new__(cls, overlaps: Iterable[HaloOverlap] = ()) -> "OverlapSet":
+        self = super().__new__(cls, overlaps)
+        self.plans: Dict[Tuple, ExchangePlan] = {}
+        return self
 
 
 def neighbor_overlaps(
@@ -157,7 +117,7 @@ def neighbor_overlaps(
     guards: int,
     periodic_axes: Sequence[int] = (),
     kind: str = "fill",
-) -> List[HaloOverlap]:
+) -> OverlapSet:
     """All :class:`HaloOverlap` regions of a box array.
 
     ``kind="fill"`` produces the field-guard exchange pattern: for every
@@ -171,8 +131,6 @@ def neighbor_overlaps(
     """
     if kind not in ("fill", "fold"):
         raise DecompositionError(f"unknown overlap kind {kind!r}")
-    if not boxes:
-        return []
     shifts = periodic_image_shifts(domain_cells, periodic_axes)
     overlaps: List[HaloOverlap] = []
     for i, bi in enumerate(boxes):
@@ -200,7 +158,7 @@ def neighbor_overlaps(
                 region = target.intersect(source)
                 if region is not None:
                     overlaps.append(HaloOverlap(i, j, shift, region, kind))
-    return overlaps
+    return OverlapSet(overlaps)
 
 
 def _overlap_slices(
@@ -218,20 +176,120 @@ def _overlap_slices(
     """
     dst_sl, src_sl = [], []
     for d in range(dst_box.ndim):
-        lo = ov.region.lo[d]
-        hi = ov.region.hi[d]
+        lo, hi = ov.region.lo[d], ov.region.hi[d]
         if ov.kind == "fold":
             hi = min(hi, dst_box.hi[d] + 1 - stagger[d])
             if hi <= lo:
                 return None
-        dst_sl.append(slice(lo - dst_box.lo[d] + guards, hi - dst_box.lo[d] + guards))
-        src_sl.append(
-            slice(
-                lo - ov.shift[d] - src_box.lo[d] + guards,
-                hi - ov.shift[d] - src_box.lo[d] + guards,
-            )
-        )
+        dst_lo = lo - dst_box.lo[d] + guards
+        src_lo = lo - ov.shift[d] - src_box.lo[d] + guards
+        dst_sl.append(slice(dst_lo, dst_lo + hi - lo))
+        src_sl.append(slice(src_lo, src_lo + hi - lo))
     return tuple(dst_sl), tuple(src_sl)
+
+
+class ExchangePlan:
+    """Everything of one exchange phase that geometry decides.
+
+    ``entries`` — ``(order, src_box, dst_box, comp, src_slice, dst_slice,
+    shape, offset)`` per region and component in the canonical order of
+    the overlap enumeration — and ``pairs`` (the sorted cross-rank
+    pairs), ``counts`` (per buffered pair, the elements of its one
+    buffer; a fill's same-rank copies have none) and ``digest`` depend
+    on the overlaps, boxes and assignment alone, so every SPMD rank
+    derives the same ones.  The fold's summation order therefore depends
+    only on the box array: a rebalanced or evacuated run stays
+    bit-identical to any other assignment.  ``local_rank`` (None: every
+    rank is local) picks what this endpoint packs (``packs``), receives
+    (``recvs``) and applies: ``runs``, ``(first order, pair, elements,
+    direct, items)``, each a maximal run of consecutive entries — in the
+    canonical order of the entries one destination rank applies — drawn
+    from one buffer.  A run touches only its destination rank's boxes,
+    so applying all runs by first order applies every box canonically,
+    and a rank's runs are the same on every transport.
+    """
+
+    def __init__(
+        self, overlaps, kind, boxes, assignment, guards, components, local_rank,
+    ) -> None:
+        self.kind = kind
+        #: a copy: an assignment mutated in place must not match its plan
+        self.assignment = np.array(assignment, dtype=np.int64)
+        if len(self.assignment) != len(boxes):
+            raise DecompositionError(
+                f"{len(self.assignment)} ranks assigned to {len(boxes)} boxes"
+            )
+
+        entries, counts, runs = [], {}, []
+        self.packs: Dict[Tuple[int, int], List[Tuple]] = {}
+        self.samples = self.local_copies = 0
+        open_runs: Dict[int, List] = {}
+        for ov in overlaps:
+            if ov.kind != kind:
+                raise DecompositionError(
+                    f"a {kind} exchange needs kind={kind!r} overlaps, "
+                    f"got {ov.kind!r}"
+                )
+            pair = (int(self.assignment[ov.src]), int(self.assignment[ov.dst]))
+            for comp in components:
+                sls = _overlap_slices(
+                    ov, boxes[ov.dst], boxes[ov.src], guards, STAGGER[comp]
+                )
+                if sls is None:
+                    continue
+                dst_sl, src_sl = sls
+                shape = tuple(int(s.stop - s.start) for s in dst_sl)
+                size = int(np.prod(shape))
+                direct = kind == "fill" and pair[0] == pair[1]
+                start = 0 if direct else counts.get(pair, 0)
+                if not direct:
+                    counts[pair] = start + size
+                order = len(entries)
+                entries.append(
+                    (order, ov.src, ov.dst, comp, src_sl, dst_sl, shape, start)
+                )
+                if local_rank in (None, pair[0]):
+                    self.samples += size
+                    self.local_copies += pair[0] == pair[1]
+                    if not direct:
+                        self.packs.setdefault(pair, []).append(
+                            (ov.src, comp, src_sl, start, start + size, shape)
+                        )
+                if local_rank not in (None, pair[1]):
+                    continue
+                item = (ov.dst, comp, dst_sl) + (
+                    (ov.src, src_sl) if direct else (start, start + size, shape)
+                )
+                run = open_runs.get(pair[1])
+                if run is not None and run[1] == pair:
+                    run[2] += size
+                    run[4].append(item)
+                else:
+                    open_runs[pair[1]] = run = [order, pair, size, direct, [item]]
+                    runs.append(run)
+        self.entries = tuple(entries)
+        self.counts = counts
+        self.pairs = sorted(p for p in counts if p[0] != p[1])
+        self.recvs = [p for p in self.pairs if local_rank in (None, p[1])]
+        # a run is appended at its first entry: already in first-order order
+        self.runs = runs
+        digest = hashlib.blake2b(
+            repr((self.assignment.tolist(), entries)).encode(), digest_size=8
+        )
+        self.digest = int.from_bytes(digest.digest(), "little", signed=True)
+
+    def check(self, msg: Message, pair: Tuple[int, int], tag: str) -> np.ndarray:
+        """The buffer of a received message built from this plan; one built
+        from another plan (the ranks disagree on the assignment or the
+        geometry) is refused, never applied."""
+        sizes = [b.size for b in msg.buffers]
+        if msg.header != ((self.digest,),) or sizes != [self.counts[pair]]:
+            raise CommunicationError(
+                f"exchange plan mismatch ({_msg_context('recv', *pair, tag)}): "
+                f"got header {msg.header} and buffer sizes {sizes}, this "
+                f"plan's are (({self.digest},),) and [{self.counts[pair]}]"
+            )
+        return msg.buffers[0]
 
 
 @dataclass
@@ -258,107 +316,76 @@ class HaloExchangeStats:
         self.local_copies += other.local_copies
 
 
-def _apply_entries(
-    box_grids: Sequence[YeeGrid],
-    entries: Sequence[Tuple[Tuple, np.ndarray]],
-    accumulate: bool,
-) -> None:
-    """Write each ``(row, data)`` entry at ``dst_lo`` of its box component
-    (row: ``(order, dst_box, comp, *dst_lo)``)."""
-    for (_order, dst_box, comp, *dst_lo), data in entries:
-        arr = box_grids[dst_box].fields[comp]
-        sl = tuple(slice(lo, lo + s) for lo, s in zip(dst_lo, data.shape))
-        if accumulate:
-            arr[sl] += data
-        else:
-            arr[sl] = data
-
-
 def _run_exchange(
     comm: SimComm,
     box_grids: Sequence[YeeGrid],
-    boxes: Sequence[Box],
-    overlaps: Sequence[HaloOverlap],
-    rank_of_box: Sequence[int],
-    guards: int,
-    components: Sequence[str],
+    plan: ExchangePlan,
     tag: str,
-    accumulate: bool,
-    local_rank: Optional[int] = None,
 ) -> HaloExchangeStats:
-    """Pack and apply one exchange phase; :meth:`SimComm.exchange` runs
-    the protocol in between (who sends and receives, in which order, what
-    the phase declares, when it closes).
-
-    All source regions are sliced (and copied) *before* anything is
-    applied, so the exchange has snapshot semantics — a destination
-    update can never leak into a source read.  One message carries
-    every region travelling between a given (src_rank, dst_rank) pair:
-    a header row and a buffer per region; same-rank regions never touch
-    the communicator.
-
-    Rows carry their position in the overlap enumeration and are
-    applied in that canonical order after all messages arrive, so the
-    floating-point summation order of the fold depends only on the box
-    array — never on the distribution mapping.  A run whose boxes were
-    rebalanced (or evacuated off a dead rank) therefore stays
-    bit-identical to the same run under any other assignment, which is
-    what the resilience layer's recovered-equals-fault-free contract
-    requires.
-
-    With ``local_rank`` set (SPMD: one process per rank on a blocking
-    transport) the overlap enumeration still runs in full — every rank
-    derives the same canonical order indices and the same cross-rank
-    pair set from slice geometry alone — but data is packed only where
-    this rank owns the source box, so what arrives (the communicator
-    receives only on pairs this rank sinks) lands only in boxes it
-    owns.  Per-rank stats sum to the loopback totals: ``samples`` and
-    ``local_copies`` are counted by the packer, ``messages`` and
-    ``payload_bytes`` by the receiver.
+    """Pack, exchange and apply one phase of ``plan``;
+    :meth:`SimComm.exchange` runs the protocol in between.  Buffers are
+    allocated per phase, so a delayed or duplicated copy of an earlier
+    message can never alias this step's data.  Each run is logged as one
+    ``apply`` event right before it is applied.  Per-rank stats sum to
+    the loopback totals: ``samples`` and ``local_copies`` are counted by
+    the packer, ``messages`` and ``payload_bytes`` by the receiver.
     """
-    stats = HaloExchangeStats()
-    outgoing: Dict[Tuple[int, int], List] = {}
-    cross_pairs: set = set()
-    entries: List[Tuple[Tuple, np.ndarray]] = []
-    order = 0
-    for ov in overlaps:
-        src_rank = int(rank_of_box[ov.src])
-        dst_rank = int(rank_of_box[ov.dst])
-        dst_box = boxes[ov.dst]
-        src_box = boxes[ov.src]
-        src_fields = box_grids[ov.src].fields
-        for comp in components:
-            sls = _overlap_slices(ov, dst_box, src_box, guards, STAGGER[comp])
-            if sls is None:
-                continue
-            dst_sl, src_sl = sls
-            pack = local_rank is None or src_rank == local_rank
-            if src_rank != dst_rank:
-                cross_pairs.add((src_rank, dst_rank))
-            if pack:
-                data = src_fields[comp][src_sl].copy()
-                entry = (
-                    (order, ov.dst, comp, *(s.start for s in dst_sl)), data,
-                )
-                stats.samples += data.size
-                if src_rank == dst_rank:
-                    entries.append(entry)
-                    stats.local_copies += 1
-                else:
-                    outgoing.setdefault((src_rank, dst_rank), []).append(entry)
-            order += 1
-    # unzip each pair's (row, data) entries into one header + buffer list
-    messages = {p: Message(*zip(*batch)) for p, batch in outgoing.items()}
-    with comm.exchange(tag, cross_pairs, messages) as received:
-        for msg in received:
+    fields = [bg.fields for bg in box_grids]
+    buffers: Dict[Tuple[int, int], np.ndarray] = {}
+    for pair, items in plan.packs.items():
+        src_box, comp = items[0][:2]
+        buf = np.empty(plan.counts[pair], dtype=fields[src_box][comp].dtype)
+        for src_box, comp, src_sl, start, stop, shape in items:
+            buf[start:stop].reshape(shape)[...] = fields[src_box][comp][src_sl]
+        buffers[pair] = buf
+    header = ((plan.digest,),)
+    outgoing = {
+        pair: Message(header, (buf,))
+        for pair, buf in buffers.items() if pair[0] != pair[1]
+    }
+    stats = HaloExchangeStats(samples=plan.samples, local_copies=plan.local_copies)
+    fold = plan.kind == "fold"
+    with comm.exchange(tag, plan.pairs, outgoing) as received:
+        for pair, msg in zip(plan.recvs, received):
+            buffers[pair] = plan.check(msg, pair, tag)
             stats.messages += 1
             stats.payload_bytes += msg.nbytes
-            entries.extend(zip(msg.header, msg.buffers))
-        entries.sort(key=lambda e: e[0][0])
-        for row, data in entries:
-            comm.record_apply(tag, row[0], nbytes=int(data.nbytes))
-        _apply_entries(box_grids, entries, accumulate)
+        for first, pair, size, direct, items in plan.runs:
+            if direct:
+                dst_box, comp = items[0][:2]
+                comm.record_apply(
+                    tag, first, nbytes=size * fields[dst_box][comp].itemsize
+                )
+                for dst_box, comp, dst_sl, src_box, src_sl in items:
+                    fields[dst_box][comp][dst_sl] = fields[src_box][comp][src_sl]
+                continue
+            buf = buffers[pair]
+            comm.record_apply(tag, first, nbytes=size * buf.itemsize)
+            for dst_box, comp, dst_sl, start, stop, shape in items:
+                if fold:
+                    view = fields[dst_box][comp][dst_sl]
+                    view += buf[start:stop].reshape(shape)
+                else:
+                    fields[dst_box][comp][dst_sl] = buf[start:stop].reshape(shape)
     return stats
+
+
+def _plan(
+    overlaps, kind, boxes, rank_of_box, guards, components, local_rank
+) -> ExchangePlan:
+    """The plan of ``overlaps`` for this assignment: cached on the
+    overlap set, or built and cached (a plain sequence gets one for this
+    call only)."""
+    if not isinstance(overlaps, OverlapSet):
+        overlaps = OverlapSet(overlaps)
+    assignment = np.asarray(rank_of_box, dtype=np.int64)
+    key = (kind, tuple(components), int(guards), local_rank)
+    plan = overlaps.plans.get(key)
+    if plan is None or not np.array_equal(plan.assignment, assignment):
+        plan = overlaps.plans[key] = ExchangePlan(
+            overlaps, kind, boxes, assignment, guards, components, local_rank
+        )
+    return plan
 
 
 def fold_sources_pairwise(
@@ -380,17 +407,13 @@ def fold_sources_pairwise(
     an assembled global grid, up to floating-point summation order.
     Guard cells keep their raw local deposits; nothing in the cycle reads
     them (E and J are colocated, and guard E/B are overwritten by the
-    field fill).
+    field fill).  With ``local_rank`` set (SPMD) only boxes this rank
+    owns are read and written.
     """
-    for ov in overlaps:
-        if ov.kind != "fold":
-            raise DecompositionError(
-                "fold_sources_pairwise needs kind='fold' overlaps"
-            )
-    return _run_exchange(
-        comm, box_grids, boxes, overlaps, rank_of_box, guards,
-        components, tag, accumulate=True, local_rank=local_rank,
+    plan = _plan(
+        overlaps, "fold", boxes, rank_of_box, guards, components, local_rank
     )
+    return _run_exchange(comm, box_grids, plan, tag)
 
 
 def exchange_halos(
@@ -411,24 +434,7 @@ def exchange_halos(
     after the call the full (guard-padded) array of every box is
     bit-identical to scattering from an assembled, periodic global grid.
     """
-    for ov in overlaps:
-        if ov.kind != "fill":
-            raise DecompositionError(
-                "exchange_halos needs kind='fill' overlaps"
-            )
-    return _run_exchange(
-        comm, box_grids, boxes, overlaps, rank_of_box, guards,
-        components, tag, accumulate=False, local_rank=local_rank,
+    plan = _plan(
+        overlaps, "fill", boxes, rank_of_box, guards, components, local_rank
     )
-
-
-def halo_bytes_per_box(
-    box: Box, guards: int, n_components: int, itemsize: int = 8
-) -> int:
-    """Guard-shell size of one box in bytes (all components).
-
-    The surface-to-volume communication estimate used by the perf model.
-    """
-    outer = np.prod([s + 2 * guards for s in box.shape])
-    inner = np.prod(box.shape)
-    return int((outer - inner) * n_components * itemsize)
+    return _run_exchange(comm, box_grids, plan, tag)

@@ -1,8 +1,8 @@
 """The wire format: a message is a flat header plus a flat list of buffers.
 
-``header`` is a tuple of rows of ``int`` / ``str`` scalars — ``(order,
-dst_box, comp, *dst_lo)`` for a halo region, ``(src_box, dst_box)`` for
-a particle batch, ``(box,)`` for a migrated box — and ``buffers`` the
+``header`` is a tuple of rows of ``int`` / ``str`` scalars — ``(plan
+digest,)`` for the one buffer of a halo phase, ``(src_box, dst_box)``
+for a particle batch, ``(box,)`` for a migrated box — and ``buffers`` the
 flat sequence of arrays those rows describe.  Nothing nests below a row,
 so size and checksum are one loop each, done once: 8 bytes per header
 number, the UTF-8 length per header string, ``nbytes`` per buffer.  A

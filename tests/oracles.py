@@ -24,6 +24,10 @@ a time):
   Esirkepov as a :class:`~repro.particles.kernels.KernelSet`, for a test
   to put into the kernel table for its own duration
   (``monkeypatch.setitem(kernels._REGISTRY, ...)``).
+* :func:`fold_sources_global` / :func:`scatter_local` — the global-grid
+  reference of the pairwise halo phases: sum every box's deposits into
+  one global grid and fold its periodic images, or copy each box's full
+  guard-padded range out of a global grid.
 """
 
 import functools
@@ -31,7 +35,8 @@ import itertools
 
 import numpy as np
 
-from repro.grid.yee import STAGGER
+from repro.grid.boundary import accumulate_periodic_sources
+from repro.grid.yee import SOURCE_COMPONENTS, STAGGER
 from repro.particles.kernels import KernelSet
 from repro.particles.shapes import bspline, shape_weights
 
@@ -167,3 +172,38 @@ def oracle_kernel_set():
     return KernelSet(
         name="oracle", gather=gather_scalar, deposit_current=textbook_esirkepov
     )
+
+
+def _local_to_global_slices(box, local_shape):
+    """Global-array slices covered by a box's *full* local array."""
+    return tuple(slice(l, l + s) for l, s in zip(box.lo, local_shape))
+
+
+def fold_sources_global(
+    global_grid, box_grids, boxes, periodic_axes=(),
+    components=SOURCE_COMPONENTS,
+):
+    """Sum all per-box deposits into the global grid.
+
+    Every macroparticle deposits on exactly one box and local array
+    indices map affinely to global ones, so the summed global array is
+    bit-identical to a monolithic deposition: the oracle of
+    ``fold_sources_pairwise``.
+    """
+    for comp in components:
+        g_arr = global_grid.fields[comp]
+        g_arr.fill(0.0)
+        for box, bg in zip(boxes, box_grids):
+            sl = _local_to_global_slices(box, bg.fields[comp].shape)
+            g_arr[sl] += bg.fields[comp]
+    for axis in periodic_axes:
+        accumulate_periodic_sources(global_grid, axis)
+
+
+def scatter_local(global_grid, box_grids, boxes, components):
+    """Copy each box's full local range (valid + guards) from the global grid."""
+    for comp in components:
+        g_arr = global_grid.fields[comp]
+        for box, bg in zip(boxes, box_grids):
+            sl = _local_to_global_slices(box, bg.fields[comp].shape)
+            bg.fields[comp][...] = g_arr[sl]

@@ -287,7 +287,7 @@ def test_pic006_accepts_timed_call(tmp_path):
         "class Sim:\n"
         "    def _finish_step(self):\n"
         "        with self.timers.timer('fold'):\n"
-        "            fold_sources_global(self)\n"
+        "            fold_sources_pairwise(self)\n"
         "        with self._phase('redistribute'):\n"
         "            redistribute_particles(self.per_box)\n"
         "        with self.tracer.span('box'), self.timers.stopwatch() as sw:\n"

@@ -419,6 +419,85 @@ def test_compiled_vay_mixed_cross_transport(transport_runner):
     assert report.ok, report.format()
 
 
+# -- 3D: a 2 x 2 x 2 box array over two ranks ---------------------------------
+
+#: the deck's momentum init, shared by the monolithic twin
+_PERTURB_3D = langmuir_perturbation(plasma_wavelength(1e24), 1e-3, 0.3, 0.1)
+
+
+def _build_3d(transport=None):
+    """(16, 16, 16) cells, ``max_grid_size=8``: eight 8^3 boxes, four
+    guards each, on two ranks (a pure function of ``transport``)."""
+    length = plasma_wavelength(1e24)
+    sim = DistributedSimulation(
+        (16,) * 3, (0.0,) * 3, (length,) * 3, n_ranks=2, max_grid_size=8,
+        cfl=0.9, shape_order=2, smoothing_passes=0, transport=transport,
+    )
+    sim.add_species(
+        Species("electrons", charge=-q_e, mass=m_e, ndim=3),
+        profile=UniformProfile(1e24), ppc=1, momentum_init=_PERTURB_3D,
+    )
+    return sim
+
+
+def test_3d_decomposed_matches_monolithic():
+    """Twenty steps of the 3D deck equal the monolithic ``Simulation`` to
+    1e-10 of each field's scale, and every exchange phase of a step moves
+    one message per direction between the two ranks."""
+    length = plasma_wavelength(1e24)
+    mono = Simulation(
+        YeeGrid((16,) * 3, (0.0,) * 3, (length,) * 3, guards=4),
+        cfl=0.9, shape_order=2, smoothing_passes=0,
+    )
+    electrons = Species("electrons", charge=-q_e, mass=m_e, ndim=3)
+    mono.add_species(electrons, profile=UniformProfile(1e24), ppc=1)
+    _PERTURB_3D(electrons)
+    dist = _build_3d()
+    # periodic 2 x 2 x 2: each box has exactly 26 (source, image) neighbours
+    assert len(dist.fold_overlaps) == len(dist.fill_overlaps) == 8 * 26
+    dist.step(1)
+    sends = [ev for ev in dist.comm.log if ev.kind == "send"]
+    per_phase = {
+        tag: sorted((ev.src, ev.dst) for ev in sends if ev.tag == tag)
+        for tag in ("halo:fold", "halo:fields", "particles")
+    }
+    assert per_phase == {tag: [(0, 1), (1, 0)] for tag in per_phase}
+    assert len(sends) == dist.comm.total_messages() == 6
+    # one float64 buffer + the 8 B plan digest per halo message
+    assert {ev.tag: ev.nbytes for ev in sends if ev.tag.startswith("halo")} == {
+        "halo:fold": 53_276 * 8 + 8, "halo:fields": 62_424 * 8 + 8,
+    }
+    dist.step(19)
+    mono.step(19 + 1)
+    for group in (("Ex", "Ey", "Ez"), ("Bx", "By", "Bz")):
+        scale = max(
+            np.max(np.abs(mono.grid.interior_view(comp))) for comp in group
+        )
+        assert scale > 0
+        for comp in group:
+            err = np.max(np.abs(
+                dist.global_field_view(comp) - mono.grid.interior_view(comp)
+            ))
+            assert err <= 1e-10 * scale, comp
+    assert dist.total_particles() == electrons.n
+    assert dist.species["electrons"].gather_all().kinetic_energy() == (
+        pytest.approx(electrons.kinetic_energy(), rel=1e-10)
+    )
+
+
+def test_3d_decomposed_cross_transport(transport_runner):
+    """The 3D deck is bit-identical on both transports: fields,
+    particles, counters, and the merged log, which replays clean."""
+    want = run_distributed_local(_build_3d, 20)
+    got = transport_runner(_build_3d, 20, n_ranks=2, run_timeout=120.0)
+    assert_runs_equal(got, want)
+    assert sorted(e[1:] for e in got.merged_log) == sorted(
+        e[1:] for e in want.merged_log
+    )
+    report = check_all(CommLogReplay(got.merged_log, 2))
+    assert report.ok, report.format()
+
+
 # -- add_species: per-box samples, and the refusals of Simulation.add_species --
 
 

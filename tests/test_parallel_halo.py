@@ -9,19 +9,18 @@ import pytest
 from repro.exceptions import DecompositionError
 from repro.grid.boundary import periodic_image_shifts
 from repro.grid.yee import FIELD_COMPONENTS, SOURCE_COMPONENTS, YeeGrid
-from repro.parallel.box import Box, chop_domain
+from repro.parallel.box import chop_domain
 from repro.parallel.comm import SimComm
 from repro.parallel.halo import (
     assemble_global,
     exchange_halos,
-    fold_sources_global,
     fold_sources_pairwise,
-    halo_bytes_per_box,
     neighbor_overlaps,
-    scatter_local,
 )
 from repro.perfmodel.machines import get_machine
 from repro.perfmodel.network import measured_halo_time
+
+from tests.oracles import fold_sources_global, scatter_local
 
 
 def make_setup(n=16, max_grid=8, guards=3):
@@ -132,7 +131,7 @@ def test_neighbor_overlaps_symmetric_counts():
     size = Counter()
     for ov in overlaps:
         partners.setdefault(ov.dst, set()).add(ov.src)
-        size[(ov.dst, ov.src)] += ov.n_samples
+        size[(ov.dst, ov.src)] += ov.region.n_cells
     for i in range(4):
         assert partners[i] == {0, 1, 2, 3} - {i}
     # equal-size boxes: the overlap volumes are symmetric per pair
@@ -282,12 +281,6 @@ def test_measured_halo_time_bottleneck_sender():
     assert measured_halo_time(machine, {}) == 0.0
 
 
-def test_halo_bytes_per_box():
-    b = Box((0, 0), (8, 8))
-    nbytes = halo_bytes_per_box(b, guards=2, n_components=6)
-    assert nbytes == (12 * 12 - 8 * 8) * 6 * 8
-
-
 # -- cross-transport parity (see tests/conftest.py) --------------------------
 
 from tests.conftest import assert_runs_equal, make_langmuir_build  # noqa: E402
@@ -301,3 +294,153 @@ def test_halo_exchange_cross_transport(transport_runner, golden_langmuir):
     got = transport_runner(make_langmuir_build(), 6)
     assert got.halo == want.halo
     assert_runs_equal(got, want)
+
+
+# -- exchange plans: one per assignment, built once, refused on disagreement --
+
+from repro.diagnostics.io import (  # noqa: E402
+    load_distributed_checkpoint,
+    save_distributed_checkpoint,
+)
+from repro.exceptions import CommunicationError  # noqa: E402
+from repro.parallel import halo  # noqa: E402
+from repro.parallel.mp_transport import run_spmd  # noqa: E402
+from repro.parallel.redistribute import migrate_boxes  # noqa: E402
+from repro.parallel.wire import Message  # noqa: E402
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """Every :class:`~repro.parallel.halo.ExchangePlan` built while the
+    test runs, in build order."""
+    built = []
+
+    class Recorded(halo.ExchangePlan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(halo, "ExchangePlan", Recorded)
+    return built
+
+
+def assert_states_equal(sim, twin):
+    """Bit-identical fields (every box, guards included) and particles
+    (per box, by id) of two loopback runs."""
+    for bg, tg in zip(sim.box_grids, twin.box_grids):
+        for comp, arr in bg.fields.items():
+            assert np.array_equal(arr, tg.fields[comp]), comp
+    for name, dsp in sim.species.items():
+        for sp, tp in zip(dsp.per_box, twin.species[name].per_box):
+            order, t_order = np.argsort(sp.ids), np.argsort(tp.ids)
+            for key in ("ids", "positions", "momenta", "weights"):
+                assert np.array_equal(
+                    getattr(sp, key)[order], getattr(tp, key)[t_order]
+                ), key
+
+
+def _reassign(sim, change):
+    """Apply ``change`` to ``sim.dm`` mid-run and ship the moved boxes,
+    as the driver's load-balance phase does."""
+    old = sim.dm.assignment.copy()
+    assert change(sim.dm) > 0
+    migrate_boxes(sim.comm, sim.box_grids, sim.species, old, sim.dm.assignment)
+
+
+def _built_for(plans, assignment):
+    return [np.array_equal(p.assignment, assignment) for p in plans]
+
+
+@pytest.mark.parametrize(
+    "n_ranks, change",
+    [
+        (2, lambda dm: dm.rebalance([4.0, 1.0, 1.0, 1.0], strategy="knapsack")),
+        (4, lambda dm: dm.evacuate(1, alive=[0, 2, 3])),
+    ],
+    ids=["rebalance", "evacuate"],
+)
+def test_plans_follow_a_new_assignment(plan_builds, n_ranks, change):
+    """The exchange after a rebalance (or an evacuation) runs on plans
+    built for the new assignment — once, then reused — and the state is
+    bit-identical to a run built with that assignment from the start."""
+    build = make_langmuir_build(n_ranks=n_ranks, uy=0.3)
+    sim = build()
+    sim.step(2)
+    assert len(plan_builds) == 2  # fold + fill, reused on the second step
+    _reassign(sim, change)
+    sim.step(1)
+    assert len(plan_builds) == 4
+    assert _built_for(plan_builds[2:], sim.dm.assignment) == [True, True]
+    assert set(sim.fold_overlaps.plans.values()) | set(
+        sim.fill_overlaps.plans.values()
+    ) == set(plan_builds[2:])
+    sim.step(3)
+    assert len(plan_builds) == 4
+    twin = build()
+    twin.dm.assignment = sim.dm.assignment.copy()
+    twin.step(6)
+    assert_states_equal(sim, twin)
+
+
+def test_plans_follow_a_checkpoint_restore(plan_builds, tmp_path):
+    """Restoring a checkpoint written under another assignment switches
+    the next exchange to plans for that assignment, and the run goes on
+    bit for bit like the one that wrote it."""
+    build = make_langmuir_build(n_ranks=2, uy=0.3)
+    writer = build()
+    writer.dm.rebalance([4.0, 1.0, 1.0, 1.0], strategy="knapsack")
+    writer.step(3)
+    save_distributed_checkpoint(writer, str(tmp_path / "ckpt"))
+    reader = build()
+    assert not np.array_equal(reader.dm.assignment, writer.dm.assignment)
+    reader.step(1)
+    n_built = len(plan_builds)
+    load_distributed_checkpoint(reader, str(tmp_path / "ckpt"))
+    reader.step(1)
+    assert _built_for(plan_builds[n_built:], writer.dm.assignment) == [
+        True, True,
+    ]
+    reader.step(2)
+    writer.step(3)
+    assert len(plan_builds) == n_built + 2
+    assert_states_equal(reader, writer)
+
+
+def test_a_message_from_another_plan_is_refused():
+    """SPMD, two worker processes: rank 0 sends its fill message under a
+    digest rank 1's plan does not have.  Rank 1 raises a
+    ``CommunicationError`` naming (src, dst, tag) before applying
+    anything; rank 0, which received a genuine message, completes."""
+
+    def worker(rank, transport):
+        comm = SimComm(2, transport=transport)
+        _, boxes, grids = make_setup(guards=3)
+        fill_random(grids, FIELD_COMPONENTS, seed=3)
+        overlaps = neighbor_overlaps(
+            boxes, (16, 16), guards=3, periodic_axes=(0, 1), kind="fill"
+        )
+        if rank == 0:
+            send = comm.send
+
+            def forged(src, dst, msg, tag=""):
+                (digest,), = msg.header
+                send(src, dst, Message([(digest + 1,)], msg.buffers), tag=tag)
+
+            comm.send = forged
+        before = [bg.fields["Ex"].copy() for bg in grids]
+        try:
+            exchange_halos(
+                comm, grids, boxes, overlaps, [0, 1, 0, 1], guards=3,
+                local_rank=rank,
+            )
+        except CommunicationError as err:
+            untouched = all(
+                np.array_equal(b, bg.fields["Ex"]) for b, bg in zip(before, grids)
+            )
+            return str(err), untouched
+        return None, None
+
+    (ok, _), (error, untouched) = run_spmd(2, worker, run_timeout=60.0)
+    assert ok is None
+    assert "src=0 dst=1 tag='halo:fields'" in error and "plan" in error
+    assert untouched

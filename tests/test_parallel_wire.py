@@ -232,8 +232,8 @@ def test_numpy_integers_in_a_header_become_plain_ints():
 
 def test_cross_rank_exchange_with_numpy_int_box_corners():
     """``Box`` validates nothing, so corners may be ``np.int64`` (index
-    arithmetic produces them); the header rows derived from them must
-    still be sendable, and the exchange unchanged."""
+    arithmetic produces them); the plan derived from them must still
+    send, and the exchange be unchanged."""
     boxes = chop_domain((16, 16), 8)
     np_boxes = [
         Box(tuple(np.int64(v) for v in b.lo), tuple(np.int64(v) for v in b.hi))
@@ -313,7 +313,9 @@ def test_ladder_deck_message_sizes_are_pinned():
     four 64 x 64 boxes with 12 guards on 2 ranks, Galilean PSATD): the
     bytes of each of its per-step messages, so the rule — 8 B per header
     number, UTF-8 length per header string, nbytes per buffer — cannot
-    drift.  8 messages and 949,704 B a step."""
+    drift.  A halo message is one float64 buffer plus one header int
+    (the plan digest): 8 messages and 939,120 B a step.  The log holds
+    54 events a step: one ``apply`` per run, not per region."""
     length = plasma_wavelength(1.0e24)
     sim = DistributedSimulation(
         (128, 128), (0.0, 0.0), (length, length), n_ranks=2,
@@ -334,15 +336,34 @@ def test_ladder_deck_message_sizes_are_pinned():
     for ev in sim.comm.log:
         if ev.kind == "send":
             sizes.setdefault(ev.tag, set()).add(ev.nbytes)
+    # the ranks split the boxes along y (assignment [0, 1, 0, 1]), so
+    # each message carries two boxes' worth of planes across the split.
+    # Fill: 12 + 13 planes of 89 guard-padded samples per component.
+    # Fold: 13 + 13 planes of 91 samples along x — 65 valid ones from
+    # the neighbour across the split, 13 + 13 from its diagonal one; a
+    # component staggered in y loses its top valid plane (Jy: 25 planes),
+    # one staggered in x loses it along x (Jx: 64 + 25 = 89 samples)
+    header = 8
+    fold = 2 * (26 * 89 + 25 * 91 + 26 * 91 + 26 * 91) * 8 + header
+    sources = 2 * 3 * 25 * 89 * 8 + header
+    fields = 2 * 6 * 25 * 89 * 8 + header
+    assert (fold, sources, fields) == (149_144, 106_808, 213_608)
     assert sizes == {
-        "halo:fold": {150_780},
-        "halo:sources": {108_024},
-        "halo:fields": {216_048},
+        "halo:fold": {fold},
+        "halo:sources": {sources},
+        "halo:fields": {fields},
         "particles": {0},
     }
+    total = 2 * (fold + sources + fields)
+    assert total == 939_120
     assert sim.comm.total_messages() == 8
-    assert sim.comm.total_bytes() == 949_704
-    assert sim.halo_payload_bytes == 949_704 and sim.halo_messages == 6
+    assert sim.comm.total_bytes() == total
+    assert sim.halo_payload_bytes == total and sim.halo_messages == 6
+    # bounded log volume: per step, four phase brackets, 8 sends, 8
+    # receives and 10 apply runs in each of the three halo phases
+    before = len(sim.comm.log)
+    sim.step(1)
+    assert len(sim.comm.log) - before == 4 * 2 + 8 + 8 + 3 * 10 == 54
     # one accumulator; the three names are read-only views of it
     assert sim.halo_samples == sim.halo_stats.samples > 0
     with pytest.raises(AttributeError):
