@@ -1,21 +1,16 @@
-"""Fig. 5 companion: *measured* multi-process scaling of the local run.
+"""Fig. 5 companion: the *measured* multi-process run of the local deck.
 
 The two ``bench_fig5_*`` modules replay the paper's Frontier/Fugaku
 weak- and strong-scaling curves through the alpha-beta performance
-model — modelled numbers.  This module is the measured counterpart on
-the machine actually running the suite: the Sec. V.A.1-style uniform
-plasma is stepped through the real one-worker-process-per-rank
-multiprocessing transport at 1, 2 and 4 ranks and timed with the clock
-on the wall, loopback as the serial baseline.
+model — modelled numbers.  This module is the measured counterpart's
+correctness half: the Sec. V.A.1-style uniform plasma is stepped through
+the real one-worker-process-per-rank multiprocessing transport at 1, 2
+and 4 ranks, and the wire bytes each run moves are tabulated next to
+the 4-rank loopback run's.
 
-On a single-core container the multi-process runs are *slower* than
-loopback (fork + queue overhead with nothing to parallelize) — the
-table records that honestly; the speedup expectation only arms with at
-least 4 usable cores.
+It keeps no stopwatch: the multi-process speedup over loopback is the
+repo benchmark's ``parallel.mp_speedup_vs_loopback`` (``benchmarks/perf``).
 """
-
-import os
-import time
 
 import numpy as np
 
@@ -30,13 +25,6 @@ from repro.particles.species import Species
 
 N_STEPS = 6
 RANK_COUNTS = (1, 2, 4)
-
-
-def usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def make_build(n_ranks):
@@ -64,12 +52,10 @@ def make_build(n_ranks):
 
 
 def run_all():
-    t0 = time.perf_counter()
     base = run_distributed_local(make_build(4), N_STEPS)
-    t_serial = time.perf_counter() - t0
     records = [{
-        "transport": "loopback", "ranks": 4, "wall": t_serial,
-        "speedup": 1.0, "bytes": base.counters.total_bytes(),
+        "transport": "loopback", "ranks": 4,
+        "bytes": base.counters.total_bytes(),
     }]
     for n_ranks in RANK_COUNTS:
         res = run_distributed_mp(
@@ -77,32 +63,22 @@ def run_all():
         )
         records.append({
             "transport": "multiprocessing", "ranks": n_ranks,
-            "wall": res.wall_time, "speedup": t_serial / res.wall_time,
             "bytes": res.counters.total_bytes(),
         })
     return records
 
 
 def test_fig5_measured_local_scaling(table):
-    cores = usable_cores()
     records = run_all()
     table(
-        f"Fig. 5 companion: measured local scaling "
-        f"({cores} usable core(s), {N_STEPS} steps)",
-        ["Transport", "Ranks", "wall [s]", "speedup vs serial",
-         "wire bytes"],
-        [
-            [r["transport"], r["ranks"], f"{r['wall']:.3f}",
-             f"{r['speedup']:.2f}x", r["bytes"]]
-            for r in records
-        ],
+        f"Fig. 5 companion: measured multi-process runs ({N_STEPS} steps)",
+        ["Transport", "Ranks", "wire bytes"],
+        [[r["transport"], r["ranks"], r["bytes"]] for r in records],
     )
     # measured runs completed on every rank count and moved real traffic
     by_ranks = {r["ranks"]: r for r in records
                 if r["transport"] == "multiprocessing"}
     assert set(by_ranks) == set(RANK_COUNTS)
-    assert by_ranks[4]["bytes"] > 0
     assert by_ranks[1]["bytes"] == 0  # one rank: nothing crosses the wire
-    if cores >= 4:
-        # with real cores the measured 4-rank run must actually scale
-        assert by_ranks[4]["speedup"] >= 2.0
+    # the same decomposition moves the same bytes on either transport
+    assert by_ranks[4]["bytes"] == records[0]["bytes"] > 0

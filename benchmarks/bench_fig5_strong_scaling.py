@@ -4,8 +4,9 @@ A fixed problem is spread over more nodes until there are fewer cells per
 device than one block — the paper's scaling floor.  The expected shape:
 roughly 30 % efficiency loss per decade of nodes.
 
-These curves are *modelled*; for measured wall-clock scaling over real
-worker processes see ``bench_fig5_measured_local.py``."""
+These curves are *modelled*; the same deck run over real worker
+processes is ``bench_fig5_measured_local.py``, and its measured speedup
+is the repo benchmark's ``parallel.mp_speedup_vs_loopback``."""
 
 import pytest
 

@@ -7,8 +7,9 @@ Fugaku 84 % at 152 064, Summit 74 % at 4263 (with the 15 % early drop from
 
 These curves are *modelled* (alpha-beta network model); the measured
 counterpart on the machine running this suite — real worker processes
-over the multiprocessing transport, timed with a wall clock — lives in
-``bench_fig5_measured_local.py``."""
+over the multiprocessing transport — is ``bench_fig5_measured_local.py``
+(completion and wire bytes) plus the repo benchmark's
+``parallel.mp_speedup_vs_loopback`` (time)."""
 
 import pytest
 

@@ -25,7 +25,7 @@ Subpackages
     Machine catalog and the calibrated roofline/network models behind the
     paper's evaluation tables and figures.
 ``repro.diagnostics``
-    Energy budgets, beam statistics, spectra, probes, timers.
+    Energy budgets, beam statistics, spectra, checkpoints, timers.
 ``repro.analysis``
     Correctness tooling: PIC-aware lint rules (``python -m
     repro.analysis``), the SimComm protocol checker, and the opt-in

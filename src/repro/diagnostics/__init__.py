@@ -1,10 +1,10 @@
-"""Diagnostics: energy budgets, beam properties, particle spectra, field
-probes and wall-clock timers with per-kernel breakdowns."""
+"""Diagnostics: energy budgets, beam properties, particle spectra,
+checkpoints, the Gauss-law monitor and wall-clock timers with per-kernel
+breakdowns."""
 
 from repro.diagnostics.energy import EnergyDiagnostic
 from repro.diagnostics.beam import beam_charge, beam_statistics, BeamHistory
 from repro.diagnostics.spectrum import energy_spectrum, spectral_peak_and_spread
-from repro.diagnostics.probes import FieldProbe, DensityProbe
 from repro.diagnostics.timers import Timers
 from repro.diagnostics.io import (
     save_checkpoint,
@@ -21,8 +21,6 @@ __all__ = [
     "BeamHistory",
     "energy_spectrum",
     "spectral_peak_and_spread",
-    "FieldProbe",
-    "DensityProbe",
     "Timers",
     "save_checkpoint",
     "load_checkpoint",

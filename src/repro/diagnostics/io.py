@@ -255,8 +255,6 @@ def pack_distributed_state(sim) -> Dict[str, np.ndarray]:
         "comm/messages_sent": sim.comm.messages_sent,
         "comm/collective_calls": np.array(sim.comm.collective_calls),
         "comm/barrier_calls": np.array(sim.comm.barrier_calls),
-        "comm/spilled_messages": np.array(sim.comm.spilled_messages),
-        "comm/spilled_bytes": np.array(sim.comm.spilled_bytes),
     }
     pairs = sorted(sim.comm.pair_bytes.items())
     out["comm/pair_keys"] = np.array(
@@ -277,7 +275,8 @@ def unpack_distributed_state(sim, data: Mapping[str, np.ndarray]) -> None:
 
     Validates the box count and every grid shape before mutating
     anything, so a checkpoint from a different decomposition fails as a
-    :class:`ConfigurationError`.
+    :class:`ConfigurationError`.  Keys this layout no longer reads (the
+    communicator counters older versions also wrote) are ignored.
     """
     n_boxes = int(data["meta/n_boxes"])
     if n_boxes != len(sim.boxes):
@@ -308,8 +307,6 @@ def unpack_distributed_state(sim, data: Mapping[str, np.ndarray]) -> None:
     sim.comm.messages_sent[...] = data["comm/messages_sent"]
     sim.comm.collective_calls = int(data["comm/collective_calls"])
     sim.comm.barrier_calls = int(data["comm/barrier_calls"])
-    sim.comm.spilled_messages = int(data["comm/spilled_messages"])
-    sim.comm.spilled_bytes = int(data["comm/spilled_bytes"])
     sim.comm.pair_bytes.clear()
     for (src, dst), nbytes in zip(
         data["comm/pair_keys"], data["comm/pair_values"]

@@ -43,7 +43,6 @@ def _accounting(sim) -> Iterator[ViewRow]:
         ("lb.moved_bytes", sim.lb_moved_bytes),
     ):
         yield "counter", name, {}, value
-    yield "gauge", "comm.spilled_bytes", {}, comm.spilled_bytes
     yield "gauge", "particles.live", {}, sim.local_particles()
     imbalance = measured_imbalance(sim)
     if imbalance is not None:

@@ -105,23 +105,11 @@ def _msg_context(op: str, src: int, dst: int, tag: str) -> str:
 
 
 class SimComm:
-    """An in-process stand-in for an MPI communicator over ``n_ranks``.
-
-    ``device_buffer_bytes`` models the finite GPU memory available for
-    communication buffers: messages that do not fit "spill" to pinned host
-    memory, WarpX's fall-back for the buffer spikes of large load
-    balancing or mesh-refinement-removal steps (paper Sec. V.A.2).  Spills
-    are counted (and cost a slowdown factor in the performance model) but
-    never fail — exactly the slower-but-safe trade the paper describes.
-    """
-
-    #: modelled pinned-host vs device bandwidth ratio for spilled traffic
-    SPILL_SLOWDOWN = 4.0
+    """An in-process stand-in for an MPI communicator over ``n_ranks``."""
 
     def __init__(
         self,
         n_ranks: int,
-        device_buffer_bytes: Optional[int] = None,
         transport: Optional[Transport] = None,
     ) -> None:
         if n_ranks < 1:
@@ -134,11 +122,6 @@ class SimComm:
         self.transport.bind(self)
         #: rank this endpoint belongs to (None: every rank is local)
         self.local_rank = self.transport.local_rank
-        if self.transport.blocking and device_buffer_bytes is not None:
-            raise CommunicationError(
-                "device-buffer spill modelling needs the loopback transport "
-                "(the receiver cannot release a remote sender's buffer)"
-            )
         # the local landing store: the loopback wire itself, or the
         # drained inbox of a multi-process endpoint; every entry is
         # (message, msg_id, checksum)
@@ -154,11 +137,6 @@ class SimComm:
         # event log replayed by repro.analysis.commcheck
         self.log: List[CommEvent] = []
         self._seq = 0
-        # pinned-memory fall-back accounting
-        self.device_buffer_bytes = device_buffer_bytes
-        self._buffer_in_use = np.zeros(self.n_ranks, dtype=np.int64)
-        self.spilled_messages = 0
-        self.spilled_bytes = 0
         # -- resilient transport (both None unless attach_resilience) ------
         #: duck-typed fault source: .on_send(src, dst, tag, message)
         self.fault_injector = None
@@ -206,37 +184,20 @@ class SimComm:
         checksum: Optional[int],
         event: str = "send",
     ) -> None:
-        """Put ``msg`` on the wire: the one spelling of buffer accounting,
-        log record and delivery.  ``event`` names a recovery action when
-        this is a retransmission; it is logged ahead of the ``send``."""
+        """Put ``msg`` on the wire: the one spelling of log record and
+        delivery.  ``event`` names a recovery action when this is a
+        retransmission; it is logged ahead of the ``send``."""
         src, dst, tag = key
         if event != "send":
             self._record(event, src, dst, tag, msg.nbytes)
-        if self.device_buffer_bytes is not None:
-            if self._buffer_in_use[src] + msg.nbytes > self.device_buffer_bytes:
-                self.spilled_messages += 1
-                self.spilled_bytes += msg.nbytes
-            else:
-                self._buffer_in_use[src] += msg.nbytes
         self._record("send", src, dst, tag, msg.nbytes)
         self.transport.deliver(key, (msg, msg_id, checksum))
-
-    def _dequeue(self, key: Tuple[int, int, str], queue: List[Any]):
-        """Pop the oldest entry of ``queue`` and release its buffer space."""
-        entry = queue.pop(0)
-        if self.device_buffer_bytes is not None:
-            self._buffer_in_use[key[0]] = max(
-                self._buffer_in_use[key[0]] - entry[0].nbytes, 0
-            )
-        return entry
 
     def send(self, src: int, dst: int, payload: Any, tag: str = "") -> None:
         """Enqueue ``payload`` from ``src`` to ``dst`` and account its size.
 
         ``payload`` is a :class:`~repro.parallel.wire.Message` or one bare
-        ndarray; anything else raises :class:`CommunicationError`.  With
-        a finite device buffer, the payload occupies buffer space on the
-        sender until received; overflow spills to pinned memory.
+        ndarray; anything else raises :class:`CommunicationError`.
 
         When a fault injector is attached (:meth:`attach_resilience`) the
         message may instead be dropped, duplicated, corrupted in transit
@@ -286,7 +247,7 @@ class SimComm:
             )
 
     def recv(self, src: int, dst: int, tag: str = "") -> Any:
-        """Dequeue the oldest matching message (releases its buffer space).
+        """Dequeue the oldest matching message.
 
         Returns what was sent: the :class:`~repro.parallel.wire.Message`,
         or the ndarray of a bare-array send.
@@ -309,7 +270,7 @@ class SimComm:
             if not self.transport.wait(key):
                 self._raise_no_message(src, dst, tag)
             self.transport.drain()
-        msg, _msg_id, checksum = self._dequeue(key, self._queues[key])
+        msg, _msg_id, checksum = self._queues[key].pop(0)
         self._record("recv", src, dst, tag, msg.nbytes)
         if checksum is not None and msg.crc != checksum:
             raise ResilienceError(
@@ -369,7 +330,7 @@ class SimComm:
             self.transport.drain()
             queue = self._queues.get(key)
             while queue:
-                msg, msg_id, checksum = self._dequeue(key, queue)
+                msg, msg_id, checksum = queue.pop(0)
                 if self._is_duplicate(key, msg, msg_id):
                     continue
                 self._record("recv", src, dst, tag, msg.nbytes)

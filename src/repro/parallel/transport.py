@@ -139,8 +139,6 @@ class CommCounters:
     pair_bytes: Dict[Tuple[int, int], int]
     collective_calls: int = 0
     barrier_calls: int = 0
-    spilled_messages: int = 0
-    spilled_bytes: int = 0
 
     @classmethod
     def from_comm(cls, comm) -> "CommCounters":
@@ -151,8 +149,6 @@ class CommCounters:
             pair_bytes=dict(comm.pair_bytes),
             collective_calls=comm.collective_calls,
             barrier_calls=comm.barrier_calls,
-            spilled_messages=comm.spilled_messages,
-            spilled_bytes=comm.spilled_bytes,
         )
 
     def total_bytes(self) -> int:
@@ -193,8 +189,6 @@ def merge_comm_counters(states: Sequence[CommCounters]) -> CommCounters:
             out.pair_bytes[pair] += nbytes
         out.collective_calls = max(out.collective_calls, s.collective_calls)
         out.barrier_calls = max(out.barrier_calls, s.barrier_calls)
-        out.spilled_messages += s.spilled_messages
-        out.spilled_bytes += s.spilled_bytes
     out.pair_bytes = dict(out.pair_bytes)
     return out
 

@@ -28,7 +28,6 @@ from repro.particles.kernels import (
     validate_kernel_set,
 )
 from repro.particles.sorting import morton_bin_particles, sort_species_by_bin
-from repro.particles.splitting import split_particles, merge_particles
 from repro.particles.ionization import ADKIonization, adk_rate, barrier_suppression_field
 from repro.particles.injection import (
     DensityProfile,
@@ -64,11 +63,9 @@ __all__ = [
     "validate_kernel_set",
     "morton_bin_particles",
     "sort_species_by_bin",
-    "split_particles",
     "ADKIonization",
     "adk_rate",
     "barrier_suppression_field",
-    "merge_particles",
     "DensityProfile",
     "UniformProfile",
     "SlabProfile",

@@ -43,10 +43,6 @@ class Machine:
     #: A64FX baseline achieved only a few percent SIMD utilisation
     scalar_efficiency: float = 1.0
 
-    @property
-    def n_devices(self) -> int:
-        return self.n_nodes * self.devices_per_node
-
     def bw_fraction(self, arithmetic_intensity_dp: float) -> float:
         """Achieved fraction of vendor memory bandwidth, from calibration.
 

@@ -176,7 +176,15 @@ class Species:
 
 
 class GaussianLaser:
-    """PICMI-style Gaussian laser description."""
+    """PICMI-style Gaussian laser description.
+
+    PICMI's ``focal_position``, ``centroid_position`` and
+    ``propagation_direction`` are not accepted (a ``TypeError``, not a
+    laser silently focused elsewhere): the pulse leaves its antenna along
+    +x (tilted by ``incidence_angle``) with its waist at the antenna
+    plane.  To focus downstream, use the core
+    :class:`repro.laser.profiles.GaussianLaser` and its ``focal_distance``.
+    """
 
     def __init__(
         self,
@@ -184,9 +192,6 @@ class GaussianLaser:
         waist: float,
         duration: float,
         a0: float,
-        focal_position=None,
-        centroid_position=None,
-        propagation_direction=None,
         polarization_direction="y",
         incidence_angle: float = 0.0,
         t_peak: Optional[float] = None,

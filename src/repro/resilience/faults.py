@@ -108,9 +108,6 @@ class FaultSchedule:
         self.specs.append(spec)
         return self
 
-    def message_specs(self) -> List[FaultSpec]:
-        return [s for s in self.specs if s.kind != "rank_failure"]
-
     def rank_failures(self) -> List[FaultSpec]:
         return [s for s in self.specs if s.kind == "rank_failure"]
 

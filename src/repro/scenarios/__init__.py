@@ -5,7 +5,6 @@ solid-gas target science case."""
 from repro.scenarios.uniform_plasma import build_uniform_plasma
 from repro.scenarios.lwfa import build_lwfa
 from repro.scenarios.hybrid_target import HybridTargetSetup, build_hybrid_target
-from repro.scenarios.pwfa import build_pwfa, wake_amplitude, cold_wavebreaking_field
 from repro.scenarios.boosted_lwfa import (
     BoostedLWFASetup,
     build_monolithic as build_boosted_lwfa,
@@ -18,9 +17,6 @@ __all__ = [
     "build_lwfa",
     "HybridTargetSetup",
     "build_hybrid_target",
-    "build_pwfa",
-    "wake_amplitude",
-    "cold_wavebreaking_field",
     "BoostedLWFASetup",
     "build_boosted_lwfa",
     "make_boosted_lwfa_build",

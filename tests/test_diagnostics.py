@@ -8,7 +8,6 @@ import pytest
 from repro.constants import MeV, c, m_e, q_e
 from repro.diagnostics.beam import BeamHistory, beam_charge, beam_statistics
 from repro.diagnostics.energy import EnergyDiagnostic
-from repro.diagnostics.probes import DensityProbe, FieldProbe
 from repro.diagnostics.spectrum import energy_spectrum, spectral_peak_and_spread
 from repro.diagnostics.timers import Timers
 from repro.exceptions import DiagnosticError
@@ -105,29 +104,6 @@ def test_energy_diagnostic_drift():
     diag.record(1.0, g, [s])
     assert diag.relative_drift() == pytest.approx(0.0)
     assert len(diag.total_energy()) == 2
-
-
-def test_field_probe():
-    g = YeeGrid((8, 8), (0, 0), (8.0, 8.0), guards=2)
-    g.interior_view("Ey")[...] = 2.0
-    probe = FieldProbe(("Ey", "rho"))
-    probe.record(0.5, g)
-    assert probe.last("Ey").max() == 2.0
-    with pytest.raises(DiagnosticError):
-        FieldProbe(("Qx",))
-    with pytest.raises(DiagnosticError):
-        FieldProbe(("Ey",)).last("Ey")
-
-
-def test_density_probe_counts_particles():
-    g = YeeGrid((8, 8), (0, 0), (8.0, 8.0), guards=2)
-    s = Species("e", ndim=2)
-    s.add_particles([[4.0, 4.0]], weights=[10.0])
-    probe = DensityProbe(order=1)
-    snap = probe.record(0.0, g, s)
-    # the particle sits exactly on a node: all density at one point
-    assert snap.sum() * np.prod(g.dx) == pytest.approx(10.0)
-    assert snap.max() == pytest.approx(10.0)
 
 
 def test_timers_accumulate():

@@ -72,29 +72,6 @@ def test_payload_nbytes():
     assert payload_nbytes(Message([("é",)])) == 2
 
 
-def test_pinned_memory_spill_accounting():
-    """Sec. V.A.2: buffer spikes spill to pinned memory instead of failing."""
-    comm = SimComm(2, device_buffer_bytes=100)
-    comm.send(0, 1, np.zeros(10))  # 80 bytes: fits
-    assert comm.spilled_messages == 0
-    comm.send(0, 1, np.zeros(10))  # would exceed the 100-byte buffer
-    assert comm.spilled_messages == 1
-    assert comm.spilled_bytes == 80
-    # delivery still works for spilled messages
-    np.testing.assert_array_equal(comm.recv(0, 1), np.zeros(10))
-    np.testing.assert_array_equal(comm.recv(0, 1), np.zeros(10))
-    # buffer space was released by the first recv
-    comm.send(0, 1, np.zeros(10))
-    assert comm.spilled_messages == 1
-
-
-def test_unlimited_buffer_never_spills():
-    comm = SimComm(2)
-    for _ in range(50):
-        comm.send(0, 1, np.zeros(1000))
-    assert comm.spilled_messages == 0
-
-
 # -- SimComm.exchange: the one post -> receive -> apply routine ---------------
 
 

@@ -89,6 +89,24 @@ def test_laser_and_antenna():
     assert np.abs(sim.core.grid.fields["Ey"]).max() > 0
 
 
+@pytest.mark.parametrize(
+    "argument, value",
+    [
+        ("focal_position", [20e-6, 0.0]),
+        ("centroid_position", [2e-6, 0.0]),
+        ("propagation_direction", [1.0, 0.0, 0.0]),
+    ],
+)
+def test_laser_geometry_arguments_are_refused(argument, value):
+    """A WarpX deck's focus, centroid and direction used to be accepted
+    and never read; passing one is now a TypeError."""
+    with pytest.raises(TypeError, match=argument):
+        picmi.GaussianLaser(
+            wavelength=0.8 * um, waist=4 * um, duration=5e-15, a0=1.0,
+            **{argument: value},
+        )
+
+
 def test_mesh_refinement_patch():
     """Any simulation takes a patch; there is no mesh-refinement switch."""
     grid = make_grid()

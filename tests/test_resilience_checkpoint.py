@@ -9,6 +9,9 @@ mismatch is a ConfigurationError, window state survives
 attach-after-restore).
 """
 
+import os
+import shutil
+
 import numpy as np
 import pytest
 
@@ -205,7 +208,11 @@ def _distributed_roundtrip_bitwise(tmp_path, **options):
     load_distributed_checkpoint(sim_b, ckpt_dir)
     assert sim_b.step_count == 6
     sim_b.step(6)
+    assert_same_distributed_state(sim_a, sim_b)
+    return sim_b
 
+
+def assert_same_distributed_state(sim_a, sim_b):
     for i in range(len(sim_a.boxes)):
         for comp, arr in sim_a.box_grids[i].fields.items():
             restored = sim_b.box_grids[i].fields[comp]
@@ -223,7 +230,6 @@ def _distributed_roundtrip_bitwise(tmp_path, **options):
     )
     assert sim_a.comm.pair_bytes == sim_b.comm.pair_bytes
     assert sim_a.time == sim_b.time
-    return sim_b
 
 
 def test_distributed_roundtrip_bitwise(tmp_path):
@@ -313,6 +319,37 @@ def test_distributed_checkpoint_restores_measured_costs(tmp_path):
     sim_b = build_distributed()
     load_distributed_checkpoint(sim_b, ckpt_dir)
     assert dict(sim_b.cost_model._measured) == costs_a
+
+
+#: counters of a communicator option that no longer exists; every
+#: distributed checkpoint written while it did carries them (as zeros)
+RETIRED_COMM_KEYS = ("comm/spilled_messages", "comm/spilled_bytes")
+
+
+def test_checkpoint_with_retired_comm_keys_loads(tmp_path):
+    """An older checkpoint still holding the retired counters loads and
+    continues bit for bit like the same checkpoint without them; a
+    checkpoint written now holds neither key."""
+    current, legacy = str(tmp_path / "current"), str(tmp_path / "legacy")
+    sim = build_distributed()
+    sim.step(4)
+    save_distributed_checkpoint(sim, current)
+    assert not set(RETIRED_COMM_KEYS) & set(pack_distributed_state(sim))
+    shutil.copytree(current, legacy)
+    meta_path = os.path.join(legacy, "meta.npz")
+    with np.load(meta_path) as meta:
+        assert not set(RETIRED_COMM_KEYS) & set(meta.files)
+        arrays = {k: meta[k] for k in meta.files}
+    arrays.update({k: np.array(0) for k in RETIRED_COMM_KEYS})
+    np.savez_compressed(meta_path, **arrays)
+
+    restored = []
+    for directory in (current, legacy):
+        sim = build_distributed()
+        load_distributed_checkpoint(sim, directory)
+        sim.step(4)
+        restored.append(sim)
+    assert_same_distributed_state(*restored)
 
 
 def test_shape_mismatch_is_configuration_error(tmp_path):

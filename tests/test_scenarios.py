@@ -113,44 +113,3 @@ def test_hybrid_mr_run_reflects_and_accelerates():
 
     assert beam_charge(solid, energy_threshold=0.1 * MeV) > 0.0
 
-
-def test_pwfa_builder_and_wake():
-    """Beam-driven wakefield: the drive bunch rings up a wake at the
-    wavebreaking-field scale and loses energy doing the work."""
-    from repro.constants import plasma_frequency
-    from repro.scenarios.pwfa import (
-        build_pwfa,
-        cold_wavebreaking_field,
-        wake_amplitude,
-    )
-
-    n0 = 1e24
-    sim, beam, plasma = build_pwfa(plasma_density=n0, n_cells=(64, 48))
-    e0 = cold_wavebreaking_field(n0)
-    assert e0 == pytest.approx(9.6e10, rel=0.02)
-    gamma0 = beam.gamma().mean()
-    period = 2 * np.pi / plasma_frequency(n0)
-    sim.run_until(0.6 * period)
-    amp = wake_amplitude(sim)
-    # an overdense driver excites a wake of order the wavebreaking field
-    assert 0.3 * e0 < amp < 5.0 * e0
-    # the driver pays for it
-    assert beam.gamma().mean() < gamma0
-    assert np.all(np.isfinite(sim.grid.fields["Ex"]))
-
-
-def test_pwfa_validation():
-    from repro.scenarios.pwfa import build_pwfa
-    from repro.exceptions import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        build_pwfa(beam_gamma=0.5)
-
-
-def test_pwfa_poisson_initialization_nonzero():
-    """The bunch starts with its self-field, not E = 0."""
-    from repro.scenarios.pwfa import build_pwfa
-
-    sim, beam, plasma = build_pwfa(n_cells=(48, 32))
-    ey = sim.grid.interior_view("Ey")
-    assert np.abs(ey).max() > 1e8  # the bunch's transverse space charge

@@ -353,12 +353,6 @@ def test_rank_failure_faults_rejected_on_blocking_transport():
         _build_sim(fault_schedule=schedule, recovery=RecoveryPolicy())
 
 
-def test_device_buffers_rejected_on_blocking_transport():
-    with pytest.raises(CommunicationError, match="device"):
-        SimComm(2, device_buffer_bytes=1 << 20,
-                transport=_FakeBlockingTransport())
-
-
 def test_global_views_rejected_on_spmd_endpoint():
     sim = _build_sim()
     with pytest.raises(ConfigurationError, match="run_distributed_mp"):
