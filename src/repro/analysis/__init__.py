@@ -13,14 +13,15 @@ This subpackage machine-checks the same contracts for the reproduction:
     no raw ``send``/``recv``/``begin_phase``/``end_phase`` on a
     communicator outside ``SimComm`` — PIC008).
 ``repro.analysis.dataflow``
-    The intraprocedural dataflow engine behind the value-tracking rules:
-    a statement-level CFG with constant propagation, module constant
-    environments, and array-allocation/alias tracking.
+    The constant resolution behind the value-tracking rules: expression
+    folding, module constant environments, and the same one-binding rule
+    inside function bodies (a name bound once to a foldable value is
+    that value; anything else is not a constant).
 ``repro.analysis.commstatic``
     A static verifier of the ``comm.exchange`` sites of the sources:
-    unresolvable tags (COMM006 warnings), cross-phase tag collisions
-    (COMM007) and outgoing buffers mutated inside the open phase
-    (COMM010).
+    unresolvable tags (COMM006 warnings) and cross-phase tag collisions
+    (COMM007).  Writes into the buffers of an open phase are caught at
+    run time instead: ``exchange`` makes them read-only.
 ``repro.analysis.commcheck``
     A post-hoc protocol checker over :class:`~repro.parallel.comm.SimComm`'s
     event log: unreceived messages, tag mismatches, self-sends,

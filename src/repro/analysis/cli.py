@@ -89,16 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: runtime/replay rules that live outside the static passes: the
-#: commcheck protocol + happens-before replay (COMM/RES) and the step
-#: sanitizers (SAN)
+#: commcheck protocol + happens-before replay (COMM/RES; COMM007, checked
+#: by both, is listed with the static rules) and the step sanitizers (SAN)
 RUNTIME_RULES = (
     ("COMM001", "unreceived messages (send without a matching recv)"),
     ("COMM002", "tag mismatch on a failed recv"),
     ("COMM003", "self-send (src == dst)"),
     ("COMM004", "collective-count divergence across ranks"),
     ("COMM005", "barrier-count divergence across ranks"),
-    ("COMM007", "exchange phase begins while same-tag messages are in "
-                "flight (phase overlap)"),
     ("COMM009", "ordered fold applied out of canonical order"),
     ("COMM010", "apply raced in-flight messages of its own phase"),
     ("RES001", "injected message fault without a matching recovery"),
@@ -115,8 +113,8 @@ def _print_rules(stream) -> None:
     for rule in registered_rules():
         print(f"{rule.rule_id}  [{rule.severity}]  {rule.description}",
               file=stream)
-    for rule_id, description in STATIC_RULES:
-        print(f"{rule_id}  [static]  {description}", file=stream)
+    for rule_id, kind, description in STATIC_RULES:
+        print(f"{rule_id}  [{kind}]  {description}", file=stream)
     for rule_id, description in RUNTIME_RULES:
         kind = "replay" if rule_id[:3] in ("COM", "RES") else "runtime"
         print(f"{rule_id}  [{kind}]  {description}", file=stream)
@@ -143,7 +141,7 @@ def _partition_select(
     lint_ids = {rule.rule_id for rule in registered_rules()}
     known = (
         lint_ids
-        | {rule_id for rule_id, _ in STATIC_RULES}
+        | {rule_id for rule_id, _, _ in STATIC_RULES}
         | {rule_id for rule_id, _ in RUNTIME_RULES}
     )
     unknown = sorted(set(select) - known)

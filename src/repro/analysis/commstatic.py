@@ -10,11 +10,11 @@ anywhere in the scanned tree, so this module models only ``exchange``
 sites: any call of it on a receiver whose name contains ``comm``.
 
 Each site is one phase of the calling function under its tag, resolved
-by the constant-propagation engine of :mod:`repro.analysis.dataflow`
-plus a call-graph propagation for tags passed down through parameters
-(how ``_run_exchange``'s bare ``tag`` parameter resolves to
-``"halo:fold"`` and ``"halo:fields"`` from its two wrappers, and to
-``"halo:sources"`` from the driver that passes that tag explicitly over
+by the one-binding constant rule of :mod:`repro.analysis.dataflow` plus
+a call-graph propagation for tags passed down through parameters (how
+``_run_exchange``'s bare ``tag`` parameter resolves to ``"halo:fold"``
+and ``"halo:fields"`` from its two wrappers, and to ``"halo:sources"``
+from the driver that passes that tag explicitly over
 ``exchange_halos``'s default).  The extracted schedule is then verified:
 
 ======   =================================================================
@@ -24,22 +24,18 @@ COMM006  unresolvable tag (a warning): an ``exchange`` site whose tag the
 COMM007  cross-phase tag collision: two distinct ``exchange`` sites
          declare the same tag (e.g. a migration reusing a halo tag) —
          their in-flight messages would be indistinguishable.
-COMM010  send-buffer mutation: an array inside the ``{pair: message}``
-         dict handed to ``exchange`` — sent bare or as a buffer of a
-         ``Message(...)`` — is mutated (directly or through an alias)
-         before the ``with`` body the call heads ends: loopback hands the
-         receiver the sender's very arrays, the process transport a copy
-         made at ``send``, so the two transports diverge.
 ======   =================================================================
 
 Unmatched tags and recv-before-send orderings cannot be written with
-``exchange`` (one call is both ends of its tag, sends first).
+``exchange`` (one call is both ends of its tag, sends first), and a
+write into a buffer of an open phase raises at run time: ``exchange``
+makes every outgoing and received buffer read-only for its ``with``
+body, on every transport.
 
 Approximations (documented, deliberate): a parameter resolves to its
 default *and* to whatever call sites pass for it explicitly, unless the
 function rebinds it; module constants follow ``from module import
-NAME`` inside the scanned tree; the in-flight window of COMM010 is
-lexical.
+NAME`` inside the scanned tree.
 
 The collectives outside ``exchange`` (``allreduce_sum``, ``barrier``)
 are out of this verifier's scope: the COMM004 / COMM005 replay of
@@ -54,26 +50,17 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.dataflow import (
-    ArrayValue,
-    MessageValue,
-    ModuleAnalysis,
-    fold_expr,
-)
+from repro.analysis.dataflow import ModuleAnalysis, fold_expr
 from repro.analysis.findings import Finding, Severity, sort_findings
 from repro.analysis.linter import iter_python_files, receiver_is_comm
 
-#: in-place array mutators recognized by the buffer-mutation check
-_MUTATING_METHODS = frozenset({"fill", "sort", "resize", "put", "partition"})
-
-#: rule id, one-line description (for ``--list-rules``)
+#: rule id, where it is checked, one-line description (``--list-rules``)
 STATIC_RULES = (
-    ("COMM006", "exchange site whose tag cannot be statically resolved "
-                "(a warning: the schedule is unverifiable there)"),
-    ("COMM007", "two exchange phases declare the same tag (cross-phase "
-                "namespace collision)"),
-    ("COMM010", "exchange send buffer mutated (directly or via an alias) "
-                "while the message is in flight"),
+    ("COMM006", "static", "exchange site whose tag cannot be statically "
+                "resolved (a warning: the schedule is unverifiable there)"),
+    ("COMM007", "static, replay", "one tag per exchange phase: two sites "
+                "declare the same tag, or a recorded phase begins while "
+                "same-tag messages are in flight"),
 )
 
 
@@ -133,16 +120,6 @@ class _Module:
 def _positional_params(fn: ast.FunctionDef) -> List[str]:
     args = fn.args
     return [a.arg for a in list(getattr(args, "posonlyargs", [])) + list(args.args)]
-
-
-def _rebinds(fn: ast.FunctionDef, name: str) -> bool:
-    """Does the body of ``fn`` assign to ``name`` anywhere?"""
-    return any(
-        isinstance(node, ast.Name)
-        and node.id == name
-        and isinstance(node.ctx, ast.Store)
-        for node in ast.walk(fn)
-    )
 
 
 def _arg_for_param(
@@ -241,16 +218,16 @@ class _Workspace:
         if fn is None:
             ok, value = fold_expr(expr, module.analysis.env.lookup)
             return {value} if ok else set()
-        ok, value = module.analysis.function_analysis(fn).resolve(expr)
+        analysis = module.analysis.function_analysis(fn)
+        ok, value = analysis.resolve(expr)
         values: Set[object] = {value} if ok else set()
-        if depth <= 0 or not isinstance(expr, ast.Name):
+        if (
+            depth <= 0
+            or not isinstance(expr, ast.Name)
+            or expr.id not in analysis.params
+        ):
             return values
         name = expr.id
-        is_param = name in _positional_params(fn) or name in [
-            a.arg for a in fn.args.kwonlyargs
-        ]
-        if not is_param or _rebinds(fn, name):
-            return values
         key = (module.path, fn.name, name)
         if key in _stack:
             return values
@@ -322,113 +299,6 @@ def _check_tag_disjointness(ws: _Workspace) -> List[Finding]:
     return findings
 
 
-def _check_buffer_mutation(ws: _Workspace) -> List[Finding]:
-    """COMM010 (static): payload arrays mutated while the message flies."""
-    findings: List[Finding] = []
-    for site in ws.sites:
-        if site.fn is None:
-            continue
-        payload = _call_arg(site.call, "outgoing", 2)
-        if payload is None:
-            continue
-        analysis = site.module.analysis.function_analysis(site.fn)
-        label = payload.id if isinstance(payload, ast.Name) else "Message(...)"
-        in_flight_until = _phase_close_line(site)
-        for value in _buffers_in_flight(analysis.value_of(payload)):
-            mutation = _find_mutation(
-                site.fn, analysis, value, site.line, in_flight_until
-            )
-            if mutation is None:
-                continue
-            line, name = mutation
-            via = f"via alias {name!r}" if name != label else f"through {name!r}"
-            findings.append(
-                Finding(
-                    rule="COMM010",
-                    message=(
-                        f"send buffer {label!r} (sent at line {site.line} in "
-                        f"{site.func_name!r}) is mutated {via} while the "
-                        "message is in flight — the payload is corrupted "
-                        "before it is received"
-                    ),
-                    path=site.module.path,
-                    line=line,
-                )
-            )
-    return findings
-
-
-def _phase_close_line(site: _Site) -> int:
-    """First line past the ``with`` body an ``exchange`` call heads: the
-    phase (and its outgoing buffers' flight) ends where that body does.
-    A call that heads no ``with`` never opens its phase."""
-    for node in ast.walk(site.fn):
-        if isinstance(node, ast.With) and any(
-            item.context_expr is site.call for item in node.items
-        ):
-            return node.end_lineno + 1
-    return site.line
-
-
-def _buffers_in_flight(value: object) -> Sequence[object]:
-    """The abstract arrays a sent value puts on the wire: a bare array is
-    itself, a ``Message(...)`` — or the ``{pair: message}`` dict of an
-    ``exchange`` — is every buffer it was built from."""
-    if isinstance(value, ArrayValue):
-        return [value]
-    if isinstance(value, MessageValue):
-        return list(value.buffers)
-    return []
-
-
-def _find_mutation(
-    fn: ast.FunctionDef,
-    analysis,
-    array_value: object,
-    after_line: int,
-    before_line: float,
-) -> Optional[Tuple[int, str]]:
-    """First statement in ``(after_line, before_line)`` mutating the array."""
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.stmt):
-            continue
-        line = getattr(node, "lineno", 0)
-        if not (after_line < line < before_line):
-            continue
-        name = _mutated_name(node)
-        if name is None:
-            continue
-        state = analysis.state_before(node)
-        if state.get(name) == array_value:
-            return line, name
-    return None
-
-
-def _mutated_name(stmt: ast.stmt) -> Optional[str]:
-    """The base name an in-place array mutation targets (None otherwise)."""
-    targets: List[ast.expr] = []
-    if isinstance(stmt, ast.Assign):
-        targets = list(stmt.targets)
-    elif isinstance(stmt, ast.AugAssign):
-        targets = [stmt.target]
-    for target in targets:
-        if isinstance(target, ast.Subscript) and isinstance(
-            target.value, ast.Name
-        ):
-            return target.value.id
-        if isinstance(stmt, ast.AugAssign) and isinstance(target, ast.Name):
-            return target.id
-    if (
-        isinstance(stmt, ast.Expr)
-        and isinstance(stmt.value, ast.Call)
-        and isinstance(stmt.value.func, ast.Attribute)
-        and stmt.value.func.attr in _MUTATING_METHODS
-        and isinstance(stmt.value.func.value, ast.Name)
-    ):
-        return stmt.value.func.value.id
-    return None
-
-
 # -- public API --------------------------------------------------------------
 
 def extract_schedule(paths: Sequence[str]) -> Schedule:
@@ -455,5 +325,4 @@ def check_schedule(paths: Sequence[str]) -> List[Finding]:
     findings: List[Finding] = []
     findings += _check_resolved_tags(ws)
     findings += _check_tag_disjointness(ws)
-    findings += _check_buffer_mutation(ws)
     return sort_findings(findings)

@@ -5,9 +5,9 @@ Rule ids are stable and documented in the README:
 
 ======  ==================================================================
 PIC001  no per-particle Python ``for`` loops in hot-path kernel modules
-PIC002  ``np.zeros``/``np.empty`` must pass an explicit ``dtype`` (the
-        dataflow engine also flags a dtype that provably resolves to
-        ``None``, and discovers numpy import aliases from the module)
+PIC002  ``np.zeros``/``np.empty`` must pass an explicit ``dtype`` (a
+        dtype that provably resolves to ``None`` through a constant is
+        flagged too, and numpy import aliases come from the module)
 PIC003  only ``ReproError`` subclasses may be raised from library code
 PIC004  no direct wall-clock calls outside ``diagnostics.timers``
 PIC005  ``__all__`` must be consistent with the names a package binds
@@ -19,7 +19,7 @@ PIC008  no raw ``send``/``recv``/``begin_phase``/``end_phase`` on a
         communicator: every phase is one ``comm.exchange``
 ======  ==================================================================
 
-The static schedule rules (COMM006, COMM007, COMM010) live in
+The static schedule rules (COMM006, COMM007) live in
 :mod:`repro.analysis.commstatic`, not in this registry: they operate on
 a cross-module workspace of ``comm.exchange`` sites rather than one
 file at a time.

@@ -10,10 +10,11 @@ their prototype's dtype and are exempt by construction.
 The rule is value-tracking, not pattern-matching: numpy import aliases
 are discovered from the module (``import numpy as xp`` is recognized,
 unioned with the conventional ``np``/``numpy`` so snippets without
-imports still lint), and a ``dtype=`` argument that the dataflow engine
-(:mod:`repro.analysis.dataflow`) proves to be ``None`` — directly or
-through a constant/parameter-default chain — is flagged exactly like a
-missing one: ``dtype=None`` *is* the numpy default.
+imports still lint), and a ``dtype=`` argument that
+:mod:`repro.analysis.dataflow` proves to be ``None`` — directly or
+through a chain of single-binding constants and parameter defaults — is
+flagged exactly like a missing one: ``dtype=None`` *is* the numpy
+default.
 """
 
 from __future__ import annotations
@@ -66,9 +67,8 @@ class ExplicitDtypeRule(LintRule):
                     "(pass dtype=... so precision is pinned)",
                 )
                 continue
-            # the dataflow engine resolves constants through assignments
-            # and parameter defaults; a provable None is the numpy
-            # default in disguise
+            # constants resolve through single assignments and parameter
+            # defaults; a provable None is the numpy default in disguise
             if analysis is None:
                 analysis = ModuleAnalysis(ctx.tree, env)
             ok, value = analysis.resolve(dtype_expr)

@@ -104,6 +104,16 @@ def _msg_context(op: str, src: int, dst: int, tag: str) -> str:
     return f"{op}: src={src} dst={dst} tag={tag!r}"
 
 
+def _freeze(payloads: Iterable[Any], frozen: List[np.ndarray]) -> None:
+    """Make every writable buffer of ``payloads`` read-only, appending it
+    to ``frozen`` (a buffer met twice, or read-only already, is skipped)."""
+    for payload in payloads:
+        for buf in as_message(payload).buffers:
+            if buf.flags.writeable:
+                buf.flags.writeable = False
+                frozen.append(buf)
+
+
 class SimComm:
     """An in-process stand-in for an MPI communicator over ``n_ranks``."""
 
@@ -532,22 +542,52 @@ class SimComm:
 
         ``pairs``: every ordered cross-rank ``(src, dst)`` pair of the
         phase, derived identically on every rank; ``outgoing``: the
-        payload of each pair this endpoint sources.  Declares exactly
-        what it posts, posts every send (sorted pairs) before the first
-        receive, and hands the ``with`` body the received
-        :class:`Message` list with the phase still open — apply, and
-        :meth:`record_apply`, there.  A body that raises leaves the phase
-        open; it must not write ``outgoing`` buffers, which loopback
-        hands to the receiver as they are (static COMM010).
+        payload of each pair this endpoint sources (keys of other pairs
+        of the phase are allowed).  A missing payload, or a key outside
+        ``pairs``, raises :class:`CommunicationError` before anything is
+        sent.  Declares exactly what it posts, posts every send (sorted
+        pairs) before the first receive, and hands the ``with`` body the
+        received :class:`Message` list with the phase still open —
+        apply, and :meth:`record_apply`, there.  A body that raises
+        leaves the phase open.
+
+        For the life of the ``with`` block every buffer of ``outgoing``
+        and of the received messages is read-only: loopback hands the
+        receiver the sender's very arrays, the process transport a copy,
+        so a write into one would make the two diverge; instead it
+        raises ``ValueError`` on both.  The flags are restored when the
+        block ends, also when it raises.
         """
         pairs = sorted(pairs)
         # an SPMD endpoint speaks for one rank; loopback for all of them
         sends = [p for p in pairs if self.local_rank in (None, p[0])]
         recvs = [p for p in pairs if self.local_rank in (None, p[1])]
-        self.begin_phase(tag, n_messages=len(sends))
-        for src, dst in sends:
-            self.send(src, dst, outgoing[(src, dst)], tag=tag)
-        yield [as_message(self.recv(src, dst, tag=tag)) for src, dst in recvs]
+        missing = [p for p in sends if p not in outgoing]
+        stray = sorted(set(outgoing).difference(pairs))
+        if missing or stray:
+            pair, what = (
+                (missing[0], "no payload for a pair this endpoint sources")
+                if missing
+                else (stray[0], "a payload for a pair outside the phase")
+            )
+            raise CommunicationError(
+                f"{_msg_context('exchange', *pair, tag)}: outgoing holds {what}"
+            )
+        frozen: List[np.ndarray] = []
+        try:
+            self.begin_phase(tag, n_messages=len(sends))
+            _freeze(outgoing.values(), frozen)
+            for src, dst in sends:
+                self.send(src, dst, outgoing[(src, dst)], tag=tag)
+            received = [
+                as_message(self.recv(src, dst, tag=tag)) for src, dst in recvs
+            ]
+            _freeze(received, frozen)
+            yield received
+        finally:
+            # owners first: a view cannot turn writable over a read-only base
+            for buf in sorted(frozen, key=lambda b: isinstance(b.base, np.ndarray)):
+                buf.flags.writeable = True
         self.end_phase(tag)
 
     def record_apply(self, tag: str, order: int, nbytes: int = 0) -> None:

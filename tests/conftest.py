@@ -11,6 +11,9 @@ parametrized suites and the differential matrix in
 ``tests/test_transport_matrix.py`` apply.
 """
 
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,21 @@ TRANSPORTS = ("loopback", "multiprocessing")
 #: ranks used by the cross-transport scenarios (one process per rank on
 #: the multiprocessing side — keep it small enough for CI machines)
 PARITY_RANKS = 4
+
+#: seeded-bug fixtures of the analyzer (data files, not a package)
+COMMSTATIC_FIXTURES = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "data", "commstatic_fixtures"
+)
+
+
+def load_commstatic_fixture(name):
+    """Import ``COMMSTATIC_FIXTURES/<name>`` as a module, to run a plant."""
+    spec = importlib.util.spec_from_file_location(
+        name[:-3], os.path.join(COMMSTATIC_FIXTURES, name)
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def langmuir_perturbation(length, u0=1e-3, uy=0.0, uz=0.0):

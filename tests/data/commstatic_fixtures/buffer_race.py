@@ -4,7 +4,7 @@ The payload array is handed to ``send`` and then scribbled on through
 an alias before the matching receive — with the zero-copy in-process
 transport (and with real MPI nonblocking sends) the receiver sees the
 corrupted bytes, not the ones that were "sent".  The raw primitives
-are PIC008; the ``comm.exchange`` form of this race is COMM010
+are PIC008; the ``comm.exchange`` form of this race raises at run time
 (``exchange_buffer_race.py``)."""
 
 import numpy as np

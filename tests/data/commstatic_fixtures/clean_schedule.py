@@ -3,7 +3,7 @@
 Mirrors the shipped ``_run_exchange`` idiom — tag built from a module
 constant, threaded through a parameter default into one
 ``comm.exchange``, payloads never touched while in flight — and
-exercises the same constant-propagation path the real tree needs.
+exercises the same constant resolution the real tree needs.
 """
 
 import numpy as np

@@ -1,9 +1,14 @@
-"""Seeded bug: an outgoing buffer written inside the open phase (COMM010).
+"""Seeded bug, caught at run time: an outgoing buffer written inside the
+open phase.
 
 Loopback hands the receiver the sender's very arrays, the process
 transport a copy made at ``send``: scribbling on a buffer of ``outgoing``
-before the ``with`` body ends changes what loopback applies and not what
-the process transport applies — the two transports diverge.
+before the ``with`` body ends would change what loopback applies and not
+what the process transport applies.  ``SimComm.exchange`` makes every
+buffer of the phase read-only for its ``with`` body, so ``staging[0] =
+1.0`` raises ``ValueError`` on both transports (``tests/test_parallel_comm.py``,
+``tests/test_parallel_wire.py``); the static verifier has nothing to say
+about this file.
 """
 
 import numpy as np

@@ -220,3 +220,17 @@ def test_list_rules_names_static_and_replay_rules():
         assert rule_id in out
     assert "COMM008" not in out
     assert "[static]" in out and "[replay]" in out
+
+
+def test_list_rules_names_each_rule_once():
+    """One line per rule id: COMM007 (one tag per phase) is checked both
+    statically and in the replay, COMM010 only in the replay."""
+    code, out = run_cli("--list-rules")
+    assert code == 0
+    lines = {}
+    for line in out.splitlines():
+        rule_id, rest = line.split(None, 1)
+        assert rule_id not in lines, f"{rule_id} listed twice"
+        lines[rule_id] = rest[: rest.index("]") + 1]
+    assert lines["COMM007"] == "[static, replay]"
+    assert lines["COMM010"] == "[replay]"

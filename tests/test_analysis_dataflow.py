@@ -1,18 +1,18 @@
-"""The dataflow engine: constant propagation, CFG joins, array aliasing."""
+"""Constant resolution: folding, module constants, one binding per local."""
 
 import ast
 
 import pytest
 
+from repro.analysis.commstatic import check_schedule, extract_schedule
 from repro.analysis.dataflow import (
     DEFAULT_NUMPY_ALIASES,
     NONCONST,
-    ArrayValue,
-    FunctionAnalysis,
     ModuleAnalysis,
     build_module_env,
     fold_expr,
 )
+from repro.analysis.linter import lint_paths
 
 
 def analyze(source):
@@ -104,18 +104,6 @@ def test_straight_line_propagation():
     assert (ok, value) == (True, "halo:fields")
 
 
-def test_branch_join_equal_constants_survive():
-    ok, value = resolve_at(
-        "def f(c):\n"
-        "    if c:\n"
-        "        x = 7\n"
-        "    else:\n"
-        "        x = 7\n"
-        "    probe(x)\n"
-    )
-    assert (ok, value) == (True, 7)
-
-
 def test_branch_join_different_constants_are_nonconst():
     ok, _ = resolve_at(
         "def f(c):\n"
@@ -171,28 +159,6 @@ def test_tuple_unpacking_binds_elementwise():
     assert (ok, value) == (True, "two")
 
 
-def test_augassign_folds_on_constants():
-    ok, value = resolve_at(
-        "def f():\n"
-        "    x = 'a'\n"
-        "    x += 'b'\n"
-        "    probe(x)\n"
-    )
-    assert (ok, value) == (True, "ab")
-
-
-def test_return_path_does_not_leak_into_join():
-    ok, value = resolve_at(
-        "def f(c):\n"
-        "    x = 1\n"
-        "    if c:\n"
-        "        x = 2\n"
-        "        return x\n"
-        "    probe(x)\n"
-    )
-    assert (ok, value) == (True, 1)
-
-
 def test_try_handler_joins_conservatively():
     ok, _ = resolve_at(
         "def f():\n"
@@ -204,50 +170,6 @@ def test_try_handler_joins_conservatively():
         "    probe(x)\n"
     )
     assert not ok  # handler may run before or after the reassignment
-
-
-# -- array values and aliasing ----------------------------------------------
-
-def test_allocation_produces_array_value_with_dtype():
-    analysis = analyze(
-        "import numpy as np\n"
-        "def f():\n"
-        "    buf = np.zeros(4, dtype=np.float64)\n"
-        "    alias = buf\n"
-        "    probe(alias)\n"
-    )
-    fn = analysis.tree.body[1]
-    fa = analysis.function_analysis(fn)
-    probe_stmt = fn.body[2]
-    state = fa.state_before(probe_stmt)
-    assert isinstance(state["buf"], ArrayValue)
-    assert state["buf"].dtype == "np.float64"
-    assert state["alias"] == state["buf"]  # same allocation: aliased
-
-
-def test_distinct_allocations_do_not_alias():
-    analysis = analyze(
-        "import numpy as np\n"
-        "def f():\n"
-        "    a = np.zeros(4, dtype=float)\n"
-        "    b = np.zeros(4, dtype=float)\n"
-        "    probe(a)\n"
-    )
-    fn = analysis.tree.body[1]
-    state = analysis.function_analysis(fn).state_before(fn.body[2])
-    assert state["a"] != state["b"]
-
-
-def test_custom_numpy_alias_is_recognized():
-    analysis = analyze(
-        "import numpy as xp\n"
-        "def f():\n"
-        "    a = xp.empty(3, dtype=xp.float32)\n"
-        "    probe(a)\n"
-    )
-    fn = analysis.tree.body[1]
-    state = analysis.function_analysis(fn).state_before(fn.body[1])
-    assert isinstance(state["a"], ArrayValue)
 
 
 # -- module façade -----------------------------------------------------------
@@ -286,11 +208,62 @@ def test_analysis_is_deterministic_and_cached():
     assert analysis.function_analysis(fn) is analysis.function_analysis(fn)
 
 
-def test_worklist_terminates_on_nested_loops():
-    source = "def f(n):\n    x = 0\n"
-    for depth in range(4):
-        indent = "    " * (depth + 1)
-        source += f"{indent}for i{depth} in range(n):\n"
-    source += "    " * 5 + "x = x + 1\n"
-    analysis = analyze(source)
-    FunctionAnalysis(analysis.tree.body[0], analysis.env)  # must converge
+# -- soundness net: every other binding of a local is NONCONST ---------------
+
+#: (extra parameters, body lines) of ``f`` per binding form of ``x``; ``V``
+#: is the value a naive reading would give ``x`` (also bound at module
+#: level, so a form the analysis missed would resolve to it)
+BINDING_FORMS = {
+    "second-assignment": ("", ["x = V", "x = V"]),
+    "augmented-assignment": ("", ["x = V", "x += V"]),
+    "for-target": ("", ["for x in (V,):", "    pass"]),
+    "with-target": ("", ["with ctx(V) as x:", "    pass"]),
+    "walrus-target": ("", ["if (x := V):", "    pass"]),
+    "del": ("", ["x = V", "del x"]),
+    "global": ("", ["global x", "x = V"]),
+    "nonlocal": ("", ["nonlocal x", "x = V"]),
+    "import": ("", ["from consts import x"]),
+    "nested-def": ("", ["def x():", "    return V"]),
+    "rebound-parameter": (", x=V", ["x = V"]),
+    "tuple-unpacking-of-a-non-tuple": ("", ["a, x = [V, V]"]),
+    "self-reference": ("", ["x = x + V"]),
+}
+
+
+def binding_source(form, value, use):
+    params, body = BINDING_FORMS[form] if form else ("", ["x = V"])
+    lines = ["import numpy as np", "x = V", f"def f(comm, pairs, out{params}):"]
+    lines += ["    " + line for line in body] + ["    " + use]
+    return "\n".join(lines).replace("V", value) + "\n"
+
+
+@pytest.mark.parametrize("form", sorted(BINDING_FORMS))
+def test_every_other_binding_of_a_local_is_nonconst(tmp_path, form):
+    """Only a local bound exactly once to a foldable value is that value:
+    anything else is NONCONST — one COMM006 warning at an ``exchange``,
+    no PIC002 finding — never the module's constant."""
+    assert not resolve_at(binding_source(form, "'t'", "probe(x)"))[0]
+    src = tmp_path / "mod.py"
+    src.write_text(binding_source(
+        form, "'t'",
+        "with comm.exchange(x, pairs, out) as received:\n        return received",
+    ))
+    assert extract_schedule([str(src)]).tags() == []
+    (finding,) = check_schedule([str(src)])
+    assert finding.rule == "COMM006" and finding.severity == "warning"
+    src.write_text(binding_source(form, "None", "return np.zeros(3, dtype=x)"))
+    assert lint_paths([str(src)], select=["PIC002"]) == []
+
+
+def test_a_single_binding_resolves_where_the_net_does_not(tmp_path):
+    """The control of the net above: ``x = V`` once is ``V``."""
+    assert resolve_at(binding_source(None, "'t'", "probe(x)")) == (True, "t")
+    src = tmp_path / "mod.py"
+    src.write_text(binding_source(
+        None, "'t'",
+        "with comm.exchange(x, pairs, out) as received:\n        return received",
+    ))
+    assert extract_schedule([str(src)]).tags() == ["t"]
+    src.write_text(binding_source(None, "None", "return np.zeros(3, dtype=x)"))
+    (finding,) = lint_paths([str(src)], select=["PIC002"])
+    assert "resolves to None" in finding.message

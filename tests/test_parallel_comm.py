@@ -1,12 +1,15 @@
 """Tests for the simulated communicator and its accounting."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.exceptions import CommunicationError
 from repro.parallel.comm import SimComm, payload_nbytes
 from repro.parallel.transport import LoopbackTransport
-from repro.parallel.wire import Message
+from repro.parallel.wire import Message, as_message
+from tests.conftest import load_commstatic_fixture
 
 
 def test_send_recv_roundtrip():
@@ -127,10 +130,35 @@ def test_exchange_speaks_only_for_the_local_rank():
 
 
 def test_exchange_needs_a_payload_for_every_pair_it_sources():
+    """Refused with the tag and the pair before anything is sent (a bare
+    ``KeyError`` used to surface after the earlier sends were queued)."""
     comm = SimComm(2)
-    with pytest.raises(KeyError):
+    with pytest.raises(CommunicationError, match=r"src=1 dst=0 tag='t'.* no payload"):
         with comm.exchange("t", [(0, 1), (1, 0)], {(0, 1): np.zeros(1)}):
             pass
+    assert comm.log == [] and comm.pending() == 0
+
+
+def test_exchange_refuses_a_payload_for_a_pair_outside_the_phase():
+    """A key that is not one of ``pairs`` would never be sent."""
+    comm = SimComm(3)
+    outgoing = {(0, 1): np.zeros(1), (0, 2): np.zeros(1)}
+    with pytest.raises(CommunicationError, match=r"src=0 dst=2 tag='t'.* outside"):
+        with comm.exchange("t", [(0, 1)], outgoing):
+            pass
+    assert comm.log == [] and comm.pending() == 0
+
+
+def test_spmd_exchange_accepts_keys_for_every_pair_of_the_phase():
+    """``redistribute_particles`` under SPMD hands over a payload for each
+    pair of the phase; only the local rank's go out."""
+    comm = SimComm(3, transport=_RankZeroEndpoint())
+    comm.send(1, 0, np.ones(2), tag="t")  # what rank 1's process would post
+    comm.clear_log()
+    pairs = [(0, 1), (1, 0), (1, 2)]
+    with comm.exchange("t", pairs, {p: np.zeros(2) for p in pairs}):
+        pass
+    assert [e.kind for e in comm.log] == ["phase_begin", "send", "recv", "phase_end"]
 
 
 def test_exchange_body_that_raises_leaves_the_phase_open():
@@ -141,3 +169,54 @@ def test_exchange_body_that_raises_leaves_the_phase_open():
         with comm.exchange("t", [(0, 1)], {(0, 1): np.zeros(1)}):
             raise RuntimeError("apply failed")
     assert [e.kind for e in comm.log] == ["phase_begin", "send", "recv"]
+
+
+# -- buffers are read-only while their phase is open --------------------------
+
+
+def test_writing_an_outgoing_buffer_inside_the_phase_raises_on_loopback():
+    """The seeded plant: loopback used to apply the scribbled 1.0 where a
+    process transport applies the 0.0 that was sent."""
+    grid = np.zeros(16)
+    with pytest.raises(ValueError, match="read-only"):
+        load_commstatic_fixture("exchange_buffer_race.py").leaky_fill(SimComm(2), grid)
+    assert grid[0] == 0.0
+
+
+def _write_a_received_alias(received):
+    alias = received[0].buffers[1]
+    alias[0] = 1.0
+
+
+def _raise_in_the_body(received):
+    raise RuntimeError("apply failed")
+
+
+@pytest.mark.parametrize(
+    "body", [None, _write_a_received_alias, _raise_in_the_body],
+    ids=["clean", "write", "raise"],
+)
+def test_received_buffers_are_read_only_and_every_flag_is_restored(body):
+    """Received buffers are frozen too (on loopback they *are* the sent
+    arrays), through any alias; afterwards every buffer that was writable
+    is writable again, whether or not the body raised — a view listed
+    before its base included.  One that was read-only before stays so."""
+    comm = SimComm(3)
+    base = np.zeros(6)
+    sealed = np.zeros(2)
+    sealed.flags.writeable = False
+    outgoing = {
+        (0, 1): Message([(0,)], [np.zeros(3), base[2:], base]),
+        (1, 2): np.ones(4),
+        (2, 0): sealed,
+    }
+    buffers = [b for p in outgoing.values() for b in as_message(p).buffers]
+    expected = {None: None, _write_a_received_alias: ValueError,
+                _raise_in_the_body: RuntimeError}[body]
+    with pytest.raises(expected) if expected else contextlib.nullcontext():
+        with comm.exchange("t", list(outgoing), outgoing) as received:
+            assert not any(b.flags.writeable for m in received for b in m.buffers)
+            if body is not None:
+                body(received)
+    assert [b.flags.writeable for b in buffers] == [True] * 4 + [False]
+    assert not base.any()

@@ -34,6 +34,7 @@ from repro.parallel.wire import Message, payload_checksum, payload_nbytes
 from repro.particles.injection import UniformProfile
 from repro.particles.species import Species
 from repro.resilience import corrupt_payload
+from tests.conftest import load_commstatic_fixture
 
 SHM_DIR = "/dev/shm"
 needs_shm_listing = pytest.mark.skipif(
@@ -140,6 +141,35 @@ def test_two_process_round_trip(batch):
     for seen, recv_nbytes in run_spmd(2, worker, run_timeout=60.0):
         assert seen == want
         assert recv_nbytes == [w[2] for w in want]
+
+
+def test_buffers_of_an_open_phase_are_read_only_on_the_process_transport():
+    """The seeded plant over real worker processes: each rank writes the
+    buffer it put in ``outgoing`` inside the phase and raises, as it does
+    on loopback (where the receiver used to apply the scribble).  A write
+    into a received buffer raises too, and every flag is back after the
+    phase."""
+
+    def worker(rank, transport):
+        comm = SimComm(2, transport=transport)
+        grid = np.zeros(16)
+        plant = load_commstatic_fixture("exchange_buffer_race.py")
+        with pytest.raises(ValueError, match="read-only"):
+            plant.leaky_fill(comm, grid)
+        sent = np.zeros(4)
+        with comm.exchange("t", [(1, 0)], {(1, 0): sent}) as received:
+            if rank == 0:
+                (got,) = received[0].buffers
+                with pytest.raises(ValueError, match="read-only"):
+                    got[0] = 1.0
+        writable = [sent.flags.writeable] + (
+            [got.flags.writeable] if rank == 0 else []
+        )
+        return float(grid[0]), writable
+
+    assert run_spmd(2, worker, run_timeout=60.0) == [
+        (0.0, [True, True]), (0.0, [True]),
+    ]
 
 
 @given(msg=messages, where=st.integers(0, 2**31), bit=st.integers(0, 7))
