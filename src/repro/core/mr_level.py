@@ -298,11 +298,25 @@ class MRPatch:
             )
         return mask
 
+    def transition_margin(self) -> float:
+        """Width [m] of the transition zone: ``n_transition`` fine cells
+        of axis 0, applied on every axis."""
+        return self.n_transition * self.fine.dx[0]
+
     def interior_mask(self, positions: np.ndarray) -> np.ndarray:
         """Particles that gather from the auxiliary grid (inside the patch,
         outside the transition zone)."""
-        margin = self.n_transition * self.fine.dx[0]
-        return self.contains(positions, margin=margin)
+        return self.contains(positions, margin=self.transition_margin())
+
+    def interior_box(self):
+        """``(lo, hi)`` of the region :meth:`interior_mask` accepts,
+        ``[lo, hi)`` per axis: the bounds it compares against, as the
+        fused particle pass takes its keep box."""
+        margin = self.transition_margin()
+        return (
+            tuple(lo + margin for lo in self.lo),
+            tuple(hi - margin for hi in self.hi),
+        )
 
     # -- the MR coupling -------------------------------------------------------
     def restrict_currents_to_parent(self) -> None:

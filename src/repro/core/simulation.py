@@ -13,7 +13,8 @@ standard leapfrog ordering:
 
 Steps 1-3 are one call to :func:`repro.particles.advance.
 advance_particles` per species (fused into a single native pass on the
-``compiled`` kernel tier).  Mesh refinement (Sec. V.B) is a list of
+``compiled`` kernel tier; one such pass per level while an MR patch is
+active).  Mesh refinement (Sec. V.B) is a list of
 patches on the same cycle: each step phase loops over
 ``Simulation.patches``, and with none it is the single-level cycle.
 """
@@ -25,6 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.sanitize import Sanitizer
+from repro.constants import c
 from repro.diagnostics.timers import Timers
 from repro.exceptions import ConfigurationError
 from repro.grid.boundary import (
@@ -40,9 +42,13 @@ from repro.core.mr_level import MRPatch
 from repro.observability.tracer import NULL_TRACER, phase_span
 from repro.laser.antenna import LaserAntenna
 from repro.particles.injection import DensityProfile, inject_plasma
-from repro.particles.advance import DEPOSITIONS, advance_particles
+from repro.particles.advance import DEPOSITIONS, advance_particles, fuses
 from repro.particles.kernels import resolve_kernel_set
-from repro.particles.pusher import PUSHERS
+from repro.particles.pusher import (
+    PUSHERS,
+    lorentz_factor,
+    wrap_positions_periodic,
+)
 from repro.particles.shapes import required_guards
 from repro.particles.sorting import sort_species_by_bin
 from repro.particles.species import Species
@@ -200,10 +206,13 @@ class StepDriver:
         """Gather, push and deposit ``species`` on ``grid`` with this
         driver's kernels, pusher, ``dt``, order and deposition; ``route``
         is ``advance_particles``' phase= / periodic= / gather= / deposit=."""
-        dispatched = advance_particles(
+        self._count_dispatch(advance_particles(
             grid, species, self.kernel_set, self.pusher, self.dt,
             self.shape_order, self.deposition, **route,
-        )
+        ))
+
+    def _count_dispatch(self, dispatched: Sequence[str]) -> None:
+        """Bump the ``kernel.dispatch`` counter of each kernel phase run."""
         if self.metrics is not None:
             for name in dispatched:
                 self.metrics.counter(
@@ -334,13 +343,17 @@ class Simulation(StepDriver):
     over parent cells ``[region_lo, region_hi)`` (``ratio``, ``subcycle``,
     ``n_pml``, ``n_transition``, ``remove_time`` as documented there) to
     ``patches``, and each phase of the step loops over that list; with no
-    patch the step is the single-level cycle.  While a patch is active the
-    particle pass takes the three-phase route with the level-aware
-    :meth:`_gather` / :meth:`_deposit`: particles well inside a patch
-    gather its auxiliary field and deposit on its fine grid, whose current
-    is restricted onto the parent and the coarse companion before the
-    field advance; everyone else uses the parent.  Every grid advances each
-    step, then the auxiliary fields are reassembled.  Patches stay fixed
+    patch the step is the single-level cycle.  While a non-subcycled patch
+    is active, particles well inside it gather its auxiliary field and
+    deposit on its fine grid, whose current is restricted onto the parent
+    and the coarse companion before the field advance; everyone else uses
+    the parent.  On the compiled tier that is one fused pass per level in
+    one ``particles`` phase (:meth:`_advance_levels`); the NumPy tier,
+    ``deposition="direct"`` and ``c dt >= dx`` take the three-phase route
+    with the level-aware :meth:`_gather` / :meth:`_deposit`.  A subcycled
+    patch takes its members out for its own substeps, so it leaves the
+    parent pass as it is.  Every grid advances each step, then the
+    auxiliary fields are reassembled.  Patches stay fixed
     in the lab frame under the moving window and are removed, after the
     callbacks, once their ``remove_time`` passes or they leave the domain
     (the Fig. 6 star; ``removal_log`` holds ``(time, patches left)``).
@@ -477,17 +490,92 @@ class Simulation(StepDriver):
     # -- mesh-refinement levels ----------------------------------------------
     def _advance_species(self, species: Species) -> None:
         """Gather, push, deposit and periodically wrap one species (it
-        times itself), level-aware only while there is a level to route to."""
+        times itself), level-aware only while there is a level to route to:
+        one fused pass per level where every grid fuses, else the
+        three-phase route through :meth:`_gather` / :meth:`_deposit`."""
         g = self.grid
         axes = tuple(d for d, b in enumerate(self.boundaries) if b == "periodic")
-        hooks = (
-            dict(gather=self._gather, deposit=self._deposit)
-            if self.patches else {}
-        )
-        self._advance_on(
-            g, species, phase=self._phase,
-            periodic=(g.lo, g.hi, axes) if axes else None, **hooks,
-        )
+        periodic = (g.lo, g.hi, axes) if axes else None
+        levels = [p.aux for p in self.patches if not p.subcycle]
+        if not levels:
+            self._advance_on(g, species, phase=self._phase, periodic=periodic)
+        elif all(
+            fuses(self.kernel_set, self.deposition, self.dt, grid)
+            for grid in [g] + levels
+        ):
+            self._advance_levels(species, periodic)
+        else:
+            self._advance_on(
+                g, species, phase=self._phase, periodic=periodic,
+                gather=self._gather, deposit=self._deposit,
+            )
+
+    def _advance_levels(self, species: Species, periodic) -> None:
+        """The fused pass per level, as one ``particles`` phase.
+
+        Each particle is routed by its position at step n, as
+        :meth:`_gather` routes it: the members of a non-subcycled patch
+        gather its auxiliary field and deposit on its fine grid, with the
+        patch interior as the keep box and no wrap (a member cannot leave
+        the domain in one sub-cell move); everyone else runs on the parent
+        with the wrap.  A member whose new position left the interior (a
+        crosser) deposits nothing there; the crossers then deposit
+        through :meth:`_deposit`, which sends each to a later patch that
+        holds both of its positions or to the parent — the grids the
+        three-phase route gives them.
+        """
+        sp, g = species, self.grid
+        advance = self.kernel_set.advance
+        x_old, u_old, w = sp.positions, sp.momenta, sp.weights
+        args = (sp.charge, sp.mass, self.dt, self.shape_order, self.pusher)
+        with self._phase("particles", species=sp.name, kernel=self.kernels):
+            routes = list(self._route(lambda p: p.interior_mask(x_old)))
+            if routes[0][0] is None:  # nobody in a patch
+                sp.positions, sp.momenta, _ = advance(
+                    g, x_old, u_old, w, *args, periodic
+                )
+                calls = 1
+            else:
+                # each level's particles contiguous, in particle order
+                rows = [np.flatnonzero(sel) for _, sel in routes]
+                order = np.concatenate(rows)
+                x, u, wt = (a.take(order, axis=0) for a in (x_old, u_old, w))
+                out, start = [], 0
+                for (patch, _), level in zip(routes, rows):
+                    part = slice(start, start + level.size)
+                    start = part.stop
+                    if patch is None:
+                        out.append(advance(
+                            g, x[part], u[part], wt[part], *args, periodic
+                        ))
+                    else:
+                        out.append(advance(
+                            patch.aux, x[part], u[part], wt[part], *args,
+                            None, patch.fine, patch.interior_box(),
+                        ))
+                calls = len(out)
+                xs, us, flags = zip(*out)
+                back = np.empty_like(order)
+                back[order] = np.arange(order.size)
+                x_new = np.concatenate(xs).take(back, axis=0)
+                u_new = np.concatenate(us).take(back, axis=0)
+                sp.positions, sp.momenta = x_new, u_new
+                crossers = np.sort(np.concatenate([
+                    level[leaving] for level, leaving in zip(rows, flags)
+                    if leaving is not None
+                ]))
+                if crossers.size:
+                    u_out = u_new.take(crossers, axis=0)
+                    vel = u_out * (c / lorentz_factor(u_out))[:, None]
+                    x_out = x_new.take(crossers, axis=0)
+                    self._deposit(
+                        sp.select(crossers), x_old.take(crossers, axis=0),
+                        x_out, vel,
+                    )
+                    if periodic is not None:
+                        wrap_positions_periodic(x_out, *periodic)
+                        x_new[crossers] = x_out
+        self._count_dispatch(("advance",) * calls)
 
     def _route(self, inside):
         """Send every particle to exactly one grid: yields ``(patch,
@@ -523,7 +611,7 @@ class Simulation(StepDriver):
 
     def _deposit(self, species, x_old, x_new, velocities) -> None:
         def inside(patch: MRPatch) -> np.ndarray:
-            margin = patch.n_transition * patch.fine.dx[0]
+            margin = patch.transition_margin()
             return patch.contains(x_old, margin) & patch.contains(x_new, margin)
 
         for patch, sel in self._route(inside):
@@ -550,25 +638,16 @@ class Simulation(StepDriver):
                 continue
             dt_sub = self.dt / patch.ratio
             holders = patch.extract_members(self.species)
-
-            def deposit_fine(sp, x_old, x_new, vel):
-                self.kernel_set.deposit_current(
-                    patch.fine, x_old, x_new, vel, sp.weights, sp.charge,
-                    dt_sub, self.shape_order,
-                )
-
             with self._phase("mr_subcycle", level=1, patch=k, ratio=patch.ratio):
                 for external in patch.substep_externals():
                     patch.assemble_aux_with_external(external)
                     patch.fine.zero_sources()
                     for holder in holders.values():
                         if holder.n:
-                            # gather the auxiliary field, deposit on the
-                            # fine grid
                             advance_particles(
                                 patch.aux, holder, self.kernel_set,
                                 self.pusher, dt_sub, self.shape_order,
-                                deposit=deposit_fine,
+                                deposit_grid=patch.fine,
                             )
                     self._smooth_sources(patch.fine)
                     patch.accumulate_restricted_currents(1.0 / patch.ratio)

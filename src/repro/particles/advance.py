@@ -3,25 +3,36 @@
 One PIC particle pass over one species on one grid: gather E and B,
 advance momenta (``u``: n-1/2 -> n+1/2) and positions (``x``: n -> n+1),
 deposit the current of the motion (``J`` at n+1/2).  ``Simulation``
-(MR patches and their substeps included) and ``DistributedSimulation``
-advance their particles through :func:`advance_particles`, so the loop
-is spelled once
-(Vay et al., *Warp-X*: a single box-level particle routine shared by
-every driver).
+and ``DistributedSimulation`` advance their particles through
+:func:`advance_particles` or, for the levels of an active MR patch, the
+kernel set's fused slot it wraps, so the loop is spelled once (Vay et
+al., *Warp-X*: a single box-level particle routine shared by every
+driver and every level).
 
 Two routes, chosen from what the kernel set offers:
 
 * **fused** — the kernel set has an ``advance`` slot (the ``compiled``
-  tier), the deposition is Esirkepov and ``c dt < min(dx)``: one native
-  loop per particle does the whole pass *and* the periodic wrap,
-  recorded as a single ``particles`` phase.  The bound makes every move
-  sub-cell (``|v| <= c``), which is what fixes the kernel's deposit
-  window at ``order + 2`` points.
+  tier), the deposition is Esirkepov and ``c dt < min(dx)`` (see
+  :func:`fuses`): one native loop per particle does the whole pass *and*
+  the periodic wrap, recorded as a single ``particles`` phase.  The
+  bound makes every move sub-cell (``|v| <= c``), which is what fixes
+  the kernel's deposit window at ``order + 2`` points.  The slot gathers
+  from one grid and may deposit on a second of the same layout, and may
+  leave out (and flag) the particles whose new position left a keep
+  box: that is how mesh refinement runs on it.  While a patch is
+  active, ``Simulation`` splits each species by level at step n and
+  makes one fused call per level — a patch's members gather its
+  auxiliary grid and deposit on its fine grid, keeping the patch
+  interior; everyone else runs on the parent — and deposits the few
+  flagged crossers through its level-aware deposit hook, all inside one
+  ``particles`` phase.  Subcycled patch substeps call
+  :func:`advance_particles` with ``deposit_grid=`` the fine grid.
 * **three-phase** — everything else (the NumPy tier, ``deposition=
   "direct"``, time steps of a cell or more, and callers that substitute
-  their own gather/deposit, which is how active mesh-refinement patches
-  route particles between levels): the classic ``gather`` / ``push`` /
-  ``deposit`` phases with windows sized from the data, then the wrap
+  their own gather/deposit, which is how an active mesh-refinement
+  patch routes particles between levels on those configurations): the
+  classic ``gather`` / ``push`` / ``deposit`` phases with windows sized
+  from the data, then the wrap
   (:func:`~repro.particles.pusher.wrap_positions_periodic`) under the
   ``particle_boundaries`` timer.  The kernel set supplies the gather and
   the Esirkepov deposit; the ``direct`` ablation deposits with the one
@@ -55,6 +66,17 @@ def _untimed(name: str, **attrs):
     return nullcontext()
 
 
+def fuses(kernel_set, deposition: str, dt: float, grid: YeeGrid) -> bool:
+    """Whether a pass on ``grid`` can take the fused route: the kernel
+    set has an ``advance`` slot, the deposition is Esirkepov and every
+    move is sub-cell (``c dt < min(dx)``)."""
+    return (
+        kernel_set.advance is not None
+        and deposition == "esirkepov"
+        and c * dt < min(grid.dx)
+    )
+
+
 def advance_particles(
     grid: YeeGrid,
     species: Species,
@@ -67,6 +89,7 @@ def advance_particles(
     gather: Optional[Callable[[Species], Tuple[np.ndarray, np.ndarray]]] = None,
     deposit: Optional[Callable[..., None]] = None,
     periodic: Optional[Tuple[Sequence[float], Sequence[float], Sequence[int]]] = None,
+    deposit_grid: Optional[YeeGrid] = None,
 ) -> Tuple[str, ...]:
     """Advance ``species`` one step on ``grid``, depositing its current.
 
@@ -75,10 +98,13 @@ def advance_particles(
     already sit inside a timed region.  ``gather(species) -> (E, B)`` and
     ``deposit(species, x_old, x_new, velocities)`` replace the kernel
     set's own single-grid gather and deposit; giving either selects the
-    three-phase route.  ``periodic = (lo, hi, axes)`` wraps the new
-    positions into the domain along ``axes`` (None: nothing can leave —
-    subcycled MR patches).  ``DistributedSimulation`` passes its domain's
-    bounds to every box, as ``Simulation`` passes its grid's.
+    three-phase route.  ``deposit_grid`` (default ``grid``), a grid laid
+    out like ``grid``, receives the current: a subcycled MR patch gathers
+    from its auxiliary grid and deposits on its fine one.  ``periodic =
+    (lo, hi, axes)`` wraps the new positions into the domain along
+    ``axes`` (None: nothing can leave — subcycled MR patches).
+    ``DistributedSimulation`` passes its domain's bounds to every box, as
+    ``Simulation`` passes its grid's.
 
     Returns the kernel phases dispatched — ``("advance",)`` or
     ``("gather", "deposit")`` — for the driver's ``kernel.dispatch``
@@ -92,17 +118,15 @@ def advance_particles(
         phase = _untimed
     sp = species
     kernel = kernel_set.name
-    if (
-        kernel_set.advance is not None
-        and deposition == "esirkepov"
-        and gather is None
-        and deposit is None
-        and c * dt < min(grid.dx)
+    if deposit_grid is None:
+        deposit_grid = grid
+    if gather is None and deposit is None and fuses(
+        kernel_set, deposition, dt, grid
     ):
         with phase("particles", species=sp.name, kernel=kernel):
-            sp.positions, sp.momenta = kernel_set.advance(
+            sp.positions, sp.momenta, _ = kernel_set.advance(
                 grid, sp.positions, sp.momenta, sp.weights, sp.charge,
-                sp.mass, dt, shape_order, pusher, periodic,
+                sp.mass, dt, shape_order, pusher, periodic, deposit_grid,
             )
         return ("advance",)
 
@@ -123,12 +147,12 @@ def advance_particles(
             deposit(sp, x_old, sp.positions, vel)
         elif deposition == "esirkepov":
             kernel_set.deposit_current(
-                grid, x_old, sp.positions, vel, sp.weights, sp.charge, dt,
-                shape_order,
+                deposit_grid, x_old, sp.positions, vel, sp.weights,
+                sp.charge, dt, shape_order,
             )
         else:
             deposit_current_direct(
-                grid, 0.5 * (x_old + sp.positions), vel, sp.weights,
+                deposit_grid, 0.5 * (x_old + sp.positions), vel, sp.weights,
                 sp.charge, shape_order,
             )
     if periodic is not None:

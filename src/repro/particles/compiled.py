@@ -45,20 +45,30 @@ scatter:
     layout); what addresses the grid — the gather, the scatter, lane by
     lane in particle order — and the wrap + stores stay per particle.
     Needs ``c dt < min(dx)`` (every move sub-cell), which
-    :func:`repro.particles.advance.advance_particles` checks before
-    taking this route.  A ``switch`` instantiates the block loop with
-    literal ``(ndim, order)``; the lane loops are out-of-line functions
-    shared by all of them, and nothing else is specialised.
+    :func:`repro.particles.advance.fuses` checks before any driver takes
+    this route.  The current may land on a second grid of the gather
+    grid's layout, and a keep box leaves out (and flags) the particles
+    whose new position left it: an MR patch's members gather its
+    auxiliary grid, deposit on its fine grid and hand the crossers of its
+    interior back to the driver.  The box test runs once per block, after
+    the range masks; a block with a leaver goes to the scalar loop, which
+    flags it, so a pass without a box pays one pointer test per block.
+    A ``switch`` instantiates the block loop with literal ``(ndim,
+    order)``; the lane loops are out-of-line functions shared by all of
+    them, and nothing else is specialised.
 ``advance_scalar``
     the same pass one lane at a time at run-time ``(ndim, order)``: the
     ``n mod LANES`` tail and every block with a refused lane go through
     it.  Exported so the tests can hold ``advance`` against it, bit for
     bit; not a kernel-set slot.
 ``gather`` / ``deposit_esirkepov``
-    the standalone slots at run-time ``(ndim, order, K)``: the
-    three-phase route (active mesh-refinement patches, ``c dt >= dx``)
-    and cross-validation.  The nodal deposits (charge, direct current)
-    have no native entry: no driver dispatches them through a kernel set.
+    the standalone slots at run-time ``(ndim, order, K)``, for what the
+    fused pass leaves to the three-phase route on this tier: the
+    crossers of an MR patch interior (``Simulation._deposit``, a few
+    particles a step), ``c dt >= dx`` (either slot; the gather also with
+    ``deposition="direct"``), the benchmark's per-kernel probes and
+    cross-validation.  The nodal deposits (charge, direct current) have
+    no native entry: no driver dispatches them through a kernel set.
 
 Field reads/accumulates happen in the grid dtype; shape weights,
 coordinates and every particle quantity stay double, matching the
@@ -144,6 +154,9 @@ _C_HEADER = r"""
 typedef int64_t i64;
 
 #define REPRO_KMAX 8
+/* What a block of the fused pass returns when a lane left the keep box:
+   not an axis, never a refusal; the scalar loop takes the block over. */
+#define REPRO_LEAVES 3
 /* Particles per block ("lanes") of the fused pass: every per-particle
    quantity of a block lives in a [..][REPRO_RB] stack array whose last
    index is the lane.  (-DREPRO_RB=n: the vector-length table of
@@ -406,6 +419,20 @@ REPRO_INLINE void repro_kvectors(int ndim, int K, int nl, int st,
             }
         }
     }
+}
+
+/* 1.0 when the new position of every lane, xn[d * REPRO_RB + l], lies in
+   the keep box {lo[3], hi[3]}: x >= lo && x < hi on each axis, the
+   comparisons MRPatch.contains makes against the same bounds. */
+REPRO_INLINE double repro_in_box(int ndim, int nl, const double *xn,
+                                 const double *box) {
+    double in = 1.0;
+    for (int d = 0; d < ndim; ++d)
+        for (int l = 0; l < nl; ++l) {
+            double x = xn[d * REPRO_RB + l];
+            in *= (x >= box[d] && x < box[3 + d]) ? 1.0 : 0.0;
+        }
+    return in;
 }
 
 /* The periodic wrap of wrap_positions_periodic (repro.particles.pusher),
@@ -698,13 +725,22 @@ REPRO_GENERIC i64 deposit_esirkepov_@SUF@(@REAL@ *const *jxyz, const i64 *stride
    gather stencil at offset 0 or 1 in the window and no shape function is
    evaluated twice; a move that breaks it is refused like a stray
    particle, never truncated.  wrap = {lo[3], length[3]}, length 0 on a
-   non-periodic axis; k: repro_current_factors; cdt = c dt. */
+   non-periodic axis; k: repro_current_factors; cdt = c dt.  jxyz may
+   belong to another grid of the same geometry (an MR patch deposits on
+   its fine grid and gathers from its auxiliary one).  keep = {lo[3],
+   hi[3]} or NULL: a lane whose new position left that box deposits
+   nothing and is flagged in leaving[lane].  The test runs once the
+   masks are 1.0; a block of several lanes in which one left returns
+   REPRO_LEAVES, writing nothing, and the scalar loop flags the lane — so
+   the unboxed pass pays one pointer test per block, and the scatter loop
+   has no per-lane branch. */
 REPRO_INLINE int advance_lanes_@SUF@(const @REAL@ *const *fields,
     @REAL@ *const *jxyz, const i64 *strides, const i64 *shape,
     const double *geom, int ndim, int order, int nl, int vay,
     const double *pos, const double *mom, const double *weights,
     const double *k, double kq, double hq, double clight, double cdt,
-    const double *wrap, double *pos_new, double *mom_new) {
+    const double *wrap, const double *keep, unsigned char *leaving,
+    double *pos_new, double *mom_new) {
     enum { RB = REPRO_RB, KM = REPRO_KMAX };
     const int K = order + 2;
     double x[3][RB], xl[3][RB], b[2][3][RB], w[2][3][4][RB], f[6][RB];
@@ -731,15 +767,21 @@ REPRO_INLINE int advance_lanes_@SUF@(const @REAL@ *const *fields,
                                b[0][d], geom, d, (double)shape[d], xn[d],
                                first[d], s0[d][0], ds[d][0]) == 0.0)
             return d;
-    repro_kvector_lanes(ndim, K, nl, k, weights, s0[0][0], ds[0][0],
-                        cum[0][0], t[0][0], u[0][0]);
-    for (int l = 0; l < nl; ++l) {
-        i64 base[3] = {0, 0, 0};
-        double v[3] = {vel[0][l], vel[1][l], vel[2][l]};
-        for (int d = 0; d < ndim; ++d) base[d] = (i64)first[d][l];
-        esirkepov_scatter_@SUF@(jxyz, strides, ndim, K, base, RB,
-                                &s0[0][0][l], &ds[0][0][l], &cum[0][0][l],
-                                &t[0][0][l], &u[0][0][l], k, weights[l], v);
+    if (keep && repro_in_box(ndim, nl, xn[0], keep) == 0.0) {
+        if (nl > 1) return REPRO_LEAVES;
+        *leaving = 1;
+    } else {
+        repro_kvector_lanes(ndim, K, nl, k, weights, s0[0][0], ds[0][0],
+                            cum[0][0], t[0][0], u[0][0]);
+        for (int l = 0; l < nl; ++l) {
+            i64 base[3] = {0, 0, 0};
+            double v[3] = {vel[0][l], vel[1][l], vel[2][l]};
+            for (int d = 0; d < ndim; ++d) base[d] = (i64)first[d][l];
+            esirkepov_scatter_@SUF@(jxyz, strides, ndim, K, base, RB,
+                                    &s0[0][0][l], &ds[0][0][l],
+                                    &cum[0][0][l], &t[0][0][l],
+                                    &u[0][0][l], k, weights[l], v);
+        }
     }
     for (int l = 0; l < nl; ++l)
         for (int d = 0; d < ndim; ++d)
@@ -762,14 +804,16 @@ REPRO_GENERIC __attribute__((noinline)) i64 advance_scalar_@SUF@(
     const double *geom, int ndim, int order, i64 n, int vay,
     const double *pos, const double *mom, const double *weights,
     double charge, double dt, double kq, double hq, double clight,
-    const double *wrap, double *pos_new, double *mom_new, int *bad_axis) {
+    const double *wrap, const double *keep, unsigned char *leaving,
+    double *pos_new, double *mom_new, int *bad_axis) {
     double k[3];
     repro_current_factors(ndim, charge, dt, geom + 3, k);
     for (i64 p = 0; p < n; ++p) {
         *bad_axis = advance_lanes_@SUF@((const @REAL@ *const *)arrays,
             arrays + 6, strides, shape, geom, ndim, order, 1, vay,
             pos + p * ndim, mom + 3 * p, weights + p, k, kq, hq, clight,
-            clight * dt, wrap, pos_new + p * ndim, mom_new + 3 * p);
+            clight * dt, wrap, keep, keep ? leaving + p : 0,
+            pos_new + p * ndim, mom_new + 3 * p);
         if (*bad_axis >= 0) return p;
     }
     return -1;
@@ -781,21 +825,23 @@ REPRO_INLINE i64 advance_body_@SUF@(@REAL@ *const *arrays,
     const i64 *strides, const i64 *shape, const double *geom, int ndim,
     int order, i64 n, int vay, const double *pos, const double *mom,
     const double *weights, double charge, double dt, double kq, double hq,
-    double clight, const double *wrap, double *pos_new, double *mom_new,
+    double clight, const double *wrap, const double *keep,
+    unsigned char *leaving, double *pos_new, double *mom_new,
     int *bad_axis) {
     double k[3];
     i64 p = 0;
     repro_current_factors(ndim, charge, dt, geom + 3, k);
     while (p < n) {
         i64 todo = n - p < REPRO_RB ? n - p : REPRO_RB;
+        unsigned char *flags = keep ? leaving + p : 0;
         if (todo < REPRO_RB || advance_lanes_@SUF@(
                 (const @REAL@ *const *)arrays, arrays + 6, strides, shape,
                 geom, ndim, order, REPRO_RB, vay, pos + p * ndim,
                 mom + 3 * p, weights + p, k, kq, hq, clight, clight * dt,
-                wrap, pos_new + p * ndim, mom_new + 3 * p) >= 0) {
+                wrap, keep, flags, pos_new + p * ndim, mom_new + 3 * p) >= 0) {
             i64 bad = advance_scalar_@SUF@(arrays, strides, shape, geom,
                 ndim, order, todo, vay, pos + p * ndim, mom + 3 * p,
-                weights + p, charge, dt, kq, hq, clight, wrap,
+                weights + p, charge, dt, kq, hq, clight, wrap, keep, flags,
                 pos_new + p * ndim, mom_new + 3 * p, bad_axis);
             if (bad >= 0) return p + bad;
         }
@@ -813,11 +859,13 @@ i64 advance_@SUF@(@REAL@ *const *arrays, const i64 *strides,
     const i64 *shape, const double *geom, int ndim, int order, i64 n,
     int vay, const double *pos, const double *mom, const double *weights,
     double charge, double dt, double kq, double hq, double clight,
-    const double *wrap, double *pos_new, double *mom_new, int *bad_axis) {
+    const double *wrap, const double *keep, unsigned char *leaving,
+    double *pos_new, double *mom_new, int *bad_axis) {
     /* arrays = {Ex, Ey, Ez, Bx, By, Bz, Jx, Jy, Jz} */
 #define REPRO_CASE(D, O) case 4 * D + O: return advance_body_@SUF@( \
         arrays, strides, shape, geom, D, O, n, vay, pos, mom, weights, \
-        charge, dt, kq, hq, clight, wrap, pos_new, mom_new, bad_axis)
+        charge, dt, kq, hq, clight, wrap, keep, leaving, pos_new, mom_new, \
+        bad_axis)
     switch (4 * ndim + order) {
         REPRO_CASE(1, 1); REPRO_CASE(1, 2); REPRO_CASE(1, 3);
         REPRO_CASE(2, 1); REPRO_CASE(2, 2); REPRO_CASE(2, 3);
@@ -943,8 +991,15 @@ def compile_c_library(
         return _build(compiler, src, PLAIN_FLAGS), f"plain flags: {reason}"
 
 
-def _ptr(arr: np.ndarray) -> ctypes.c_void_p:
-    return arr.ctypes.data_as(ctypes.c_void_p)
+def _ptr(arr: np.ndarray) -> int:
+    """Address of ``arr``'s first element.  A ctypes view of the buffer
+    costs a quarter of ``arr.ctypes`` — per call, a dozen of these are a
+    tenth of a small patch's pass — but needs a writable, non-empty,
+    contiguous array."""
+    flags = arr.flags
+    if flags.writeable and flags.c_contiguous and arr.size:
+        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    return arr.ctypes.data
 
 
 def _f64(arr: np.ndarray) -> np.ndarray:  # repro: allow(PIC007)
@@ -968,7 +1023,8 @@ class CBackend:
         common = [vp, vp, vp, vp, ci, ci, c64]
         signatures = {
             "gather": [vp, vp, vp],
-            "advance": [ci, vp, vp, vp, cd, cd, cd, cd, cd, vp, vp, vp],
+            "advance": [ci, vp, vp, vp, cd, cd, cd, cd, cd, vp, vp, vp, vp,
+                        vp],
             "deposit_esirkepov": [ci, vp, vp, vp, vp, cd, cd],
         }
         # the per-particle loop `advance` hands refused blocks and its tail
@@ -982,42 +1038,42 @@ class CBackend:
                 fn.restype = c64
                 self._fn[kernel, itemsize] = fn
 
-    def call(self, kernel: str, grid: YeeGrid, components, order: int,  # repro: allow(PIC007)
+    def call(self, kernel: str, grid: YeeGrid, fields, order: int,  # repro: allow(PIC007)
              n: int, *args) -> None:
-        """Run ``kernel`` over ``n`` particles on ``grid``'s ``components``.
+        """Run ``kernel`` over ``n`` particles on ``fields``, a dict
+        ``{component: array}`` of arrays of ``grid``'s geometry.
 
         The kernels index the arrays through element strides (rows, the
         last axis, contiguous) and check every stencil against the
         extents; an out-of-range one comes back as a particle index and
         is raised as SAN005.
         """
-        arrays = [grid.fields[comp] for comp in components]
+        arrays = list(fields.values())
         sample = arrays[0]
-        strides = np.array(
-            [s // sample.itemsize for s in sample.strides], dtype=np.int64
-        )
+        ndim = grid.ndim
+        strides = [s // sample.itemsize for s in sample.strides]
         if order not in (1, 2, 3) or strides[-1] != 1:
             raise ConfigurationError(
                 f"compiled {kernel} needs shape order 1-3 and C-contiguous "
                 f"field rows (order {order}, strides {sample.strides})"
             )
-        extents = np.array(sample.shape, dtype=np.int64)
         # {lo[3], dx[3], guards}: particle position -> lattice coordinate
-        geom = np.ones(7, dtype=np.float64)
-        geom[: grid.ndim] = grid.lo
-        geom[3 : 3 + grid.ndim] = grid.dx
-        geom[6] = grid.guards
+        pad = (1.0,) * (3 - ndim)
+        geom = (ctypes.c_double * 7)(
+            *grid.lo, *pad, *grid.dx, *pad, grid.guards
+        )
         bad_axis = ctypes.c_int(-1)
-        table = (ctypes.c_void_p * len(arrays))(*(a.ctypes.data for a in arrays))
+        table = (ctypes.c_void_p * len(arrays))(*map(_ptr, arrays))
         p = self._fn[kernel, sample.dtype.itemsize](
-            table, _ptr(strides), _ptr(extents), _ptr(geom),
-            grid.ndim, order, n, *args, ctypes.byref(bad_axis),
+            table, (ctypes.c_int64 * ndim)(*strides),
+            (ctypes.c_int64 * ndim)(*sample.shape), geom,
+            ndim, order, n, *args, ctypes.byref(bad_axis),
         )
         if p >= 0:
             axis = bad_axis.value
             raise SanitizerError(
                 f"SAN005: stencil of particle {p} out of range in compiled "
-                f"{kernel} for {'/'.join(components)} on axis {axis} (array "
+                f"{kernel} for {'/'.join(fields)} on axis {axis} (array "
                 f"extent {sample.shape[axis]}); the kernel stopped before "
                 "addressing memory outside the padded field array"
             )
@@ -1040,20 +1096,40 @@ def run_advance(  # repro: allow(PIC007)
     order: int = 1,
     pusher: str = "boris",
     periodic=None,
-) -> Tuple[np.ndarray, np.ndarray]:
+    deposit_grid: Optional[YeeGrid] = None,
+    keep=None,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """The fused pass (module docstring); needs ``c dt < min(dx)``.
 
     ``entry`` is ``"advance"`` (blocks of :data:`LANES` particles; the
     kernel set's slot) or ``"advance_scalar"`` (one particle at a time; the
     loop the blocked entry falls back to and is tested against).
 
-    ``periodic`` is ``(lo, hi, axes)`` as ``wrap_positions_periodic``
-    takes them.  Returns the new ``(positions, momenta)`` in fresh
-    arrays — the inputs are not modified, so on an error the species
-    stands; the current lands in ``grid``'s ``J``.
+    The fields are gathered from ``grid`` and the current lands in the
+    ``J`` of ``deposit_grid`` (default ``grid``), which must have
+    ``grid``'s shape, dtype and placement: an MR patch gathers from its
+    auxiliary grid and deposits on its fine one.  ``periodic`` is ``(lo,
+    hi, axes)`` as ``wrap_positions_periodic`` takes them.  ``keep =
+    (lo, hi)`` is a box: a particle whose new position is not in
+    ``[lo, hi)`` on every axis (the comparisons of
+    :meth:`~repro.core.mr_level.MRPatch.contains`) deposits nothing.
+
+    Returns ``(positions, momenta, leaving)`` in fresh arrays, ``leaving``
+    the boolean mask of the particles that left the keep box (None
+    without one) — the inputs are not modified, so on an error the
+    species stands.
     """
     if pusher not in PUSHERS:
         raise ConfigurationError(f"unknown pusher {pusher!r}")
+    target = grid if deposit_grid is None else deposit_grid
+    if target is not grid and (target.shape, target.dtype, target.lo,
+                               target.dx) != (grid.shape, grid.dtype,
+                                              grid.lo, grid.dx):
+        raise ConfigurationError(
+            f"the deposit grid ({target.shape}, {target.dtype}, lo "
+            f"{target.lo}) is not laid out like the gather grid "
+            f"({grid.shape}, {grid.dtype}, lo {grid.lo})"
+        )
     pos, mom, weights = _f64(positions), _f64(momenta), _f64(weights)
     pos_new, mom_new = np.empty_like(pos), np.empty_like(mom)
     # {lo[3], length[3]}; length 0: the axis is not periodic
@@ -1062,14 +1138,23 @@ def run_advance(  # repro: allow(PIC007)
         lo, hi, axes = periodic
         for d in axes:
             wrap[d], wrap[3 + d] = lo[d], hi[d] - lo[d]
+    box = leaving = None
+    if keep is not None:
+        box = np.zeros(6, dtype=np.float64)
+        box[: grid.ndim], box[3 : 3 + grid.ndim] = keep
+        leaving = np.zeros(pos.shape[0], dtype=np.bool_)
+    fields = {comp: grid.fields[comp] for comp in FIELD_COMPONENTS}
+    fields.update((comp, target.fields[comp]) for comp in ("Jx", "Jy", "Jz"))
     backend.call(
-        entry, grid, FIELD_COMPONENTS + ("Jx", "Jy", "Jz"), order,
+        entry, grid, fields, order,
         pos.shape[0], int(pusher == "vay"), _ptr(pos), _ptr(mom),
         _ptr(weights), charge, float(dt),
         charge * dt / (2.0 * mass * c), charge * dt / (2.0 * mass), c,
-        _ptr(wrap), _ptr(pos_new), _ptr(mom_new),
+        _ptr(wrap), None if box is None else _ptr(box),
+        None if leaving is None else _ptr(leaving), _ptr(pos_new),
+        _ptr(mom_new),
     )
-    return pos_new, mom_new
+    return pos_new, mom_new, leaving
 
 
 def _gather(backend: CBackend, grid: YeeGrid, positions: np.ndarray,  # repro: allow(PIC007)
@@ -1082,7 +1167,8 @@ def _gather(backend: CBackend, grid: YeeGrid, positions: np.ndarray,  # repro: a
     e_out = np.empty((n, 3), dtype=np.float64)
     b_out = np.empty((n, 3), dtype=np.float64)
     backend.call(
-        "gather", grid, FIELD_COMPONENTS, order, n,
+        "gather", grid, {comp: grid.fields[comp] for comp in FIELD_COMPONENTS},
+        order, n,
         _ptr(pos), _ptr(e_out), _ptr(b_out),
     )
     return e_out, b_out
@@ -1118,7 +1204,8 @@ def _deposit_current(
     pos_old, pos_new = _f64(positions_old), _f64(positions_new)
     vel, weights = _f64(velocities), _f64(weights)
     backend.call(
-        "deposit_esirkepov", grid, ("Jx", "Jy", "Jz"), order,
+        "deposit_esirkepov", grid,
+        {comp: grid.fields[comp] for comp in ("Jx", "Jy", "Jz")}, order,
         pos_old.shape[0], K, _ptr(pos_old), _ptr(pos_new), _ptr(vel),
         _ptr(weights), charge, float(dt),
     )

@@ -78,10 +78,13 @@ class KernelSet:
     :func:`repro.particles.deposit.deposit_current_esirkepov`.  ``advance``
     is the optional fused particle pass,
     ``(grid, positions, momenta, weights, charge, mass, dt, order,
-    pusher, periodic=None) -> (positions_new, momenta_new)`` with the
-    Esirkepov current deposited into ``grid`` on the way and the new
-    positions wrapped along ``periodic = (lo, hi, axes)``; it may assume
-    ``c dt < min(dx)``.  Variants without one — and steps that break
+    pusher, periodic=None, deposit_grid=None, keep=None) ->
+    (positions_new, momenta_new, leaving)`` with the Esirkepov current
+    deposited into ``deposit_grid`` (default ``grid``) on the way, the new
+    positions wrapped along ``periodic = (lo, hi, axes)`` and, given a
+    ``keep = (lo, hi)`` box, the particles whose new position left it
+    undeposited and flagged in ``leaving`` (None without a box); it may
+    assume ``c dt < min(dx)``.  Variants without one — and steps that break
     that bound — are driven through gather -> push -> deposit by
     :func:`repro.particles.advance.advance_particles`.  ``backend`` names
     what executes the inner loops (``numpy``, or ``c; <what was built>``).
@@ -90,7 +93,9 @@ class KernelSet:
     name: str
     gather: Callable[..., Tuple[np.ndarray, np.ndarray]]
     deposit_current: Callable[..., None]
-    advance: Optional[Callable[..., Tuple[np.ndarray, np.ndarray]]] = None
+    advance: Optional[
+        Callable[..., Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]
+    ] = None
     backend: str = "numpy"
 
 
@@ -261,7 +266,7 @@ def validate_kernel_set(
         for pusher, push_momenta in PUSHERS.items():
             grid_c.zero_sources()
             grid_b.zero_sources()
-            x_c, u_c = candidate.advance(
+            x_c, u_c, _ = candidate.advance(
                 grid_c, pos0, mom, w, -q_e, m_e, dt, order, pusher
             )
             e_b, b_b = baseline.gather(grid_b, pos0, order)

@@ -112,7 +112,8 @@ class Species:
         return removed
 
     def select(self, mask: np.ndarray) -> "Species":
-        """A new species holding copies of the particles where ``mask``.
+        """A new species holding copies of the particles ``mask`` selects
+        (a boolean mask or an index array).
 
         The selection inherits the source's id counter, so particles
         added to it later can never collide with the copied ids.

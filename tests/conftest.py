@@ -11,6 +11,7 @@ parametrized suites and the differential matrix in
 ``tests/test_transport_matrix.py`` apply.
 """
 
+import dataclasses
 import importlib.util
 import os
 
@@ -33,6 +34,11 @@ needs_compiled = pytest.mark.skipif(
     "compiled" not in available_kernel_variants(),
     reason=kernel_tier_status().get("compiled", ""),
 )
+
+def unfused(kernel_set):
+    """The same kernels without the fused slot: the three-phase route."""
+    return dataclasses.replace(kernel_set, advance=None)
+
 
 #: every transport the differential matrix runs over
 TRANSPORTS = ("loopback", "multiprocessing")

@@ -10,6 +10,7 @@ from repro.grid.maxwell import cfl_dt
 from repro.grid.yee import YeeGrid
 from repro.particles.injection import UniformProfile
 from repro.particles.species import Species
+from tests.conftest import needs_compiled, unfused
 
 
 def build(n_cells=96, n0=1e24, patches=((10, 30), (60, 80)), ppc=8):
@@ -81,3 +82,49 @@ def test_mixed_subcycling():
     assert np.all(np.isfinite(sim.grid.fields["Ex"]))
     for p in sim.patches:
         assert np.all(np.isfinite(p.fine.fields["Ex"]))
+
+
+def one_crosser(fused):
+    """Patches A = [8, 20) and B = [14, 28) overlap; one fast particle
+    starts inside both interiors (so in A: the first patch wins) and
+    moves out of A's interior, still inside B's."""
+    dx = 1e-6
+    sim = Simulation(YeeGrid((32,), (0.0,), (32 * dx,), guards=4),
+                     dt=cfl_dt((dx / 2,), 0.9), shape_order=2,
+                     smoothing_passes=0, kernels="compiled")
+    sp = Species("e", charge=-q_e, mass=m_e, ndim=1)
+    sp.add_particles(np.array([[18.3 * dx]]), momenta=np.array([[20.0, 0, 0]]),
+                     weights=np.array([1e10]))
+    sim.add_species(sp)
+    sim.add_patch((8,), (20,))
+    sim.add_patch((14,), (28,))
+    if not fused:
+        sim.kernel_set = unfused(sim.kernel_set)
+    return sim, sp
+
+
+@needs_compiled
+def test_a_crosser_leaving_one_patch_inside_another_deposits_on_its_fine_grid():
+    sim, sp = one_crosser(fused=True)
+    split, _ = one_crosser(fused=False)
+    a, b = sim.patches
+    x_old = sp.positions.copy()
+    sim.step()
+    split.step()
+    assert a.interior_mask(x_old)[0] and b.interior_mask(x_old)[0]
+    assert not a.interior_mask(sp.positions)[0]
+    assert b.interior_mask(sp.positions)[0]
+    assert "particles" in sim.timers.totals
+    currents = ("Jx", "Jy", "Jz")
+    assert not any(np.any(a.fine.fields[j]) for j in currents)
+    assert np.any(b.fine.fields["Jx"])
+    # the grids the level hooks of the three-phase route give it
+    for patch, ref in zip(sim.patches, split.patches):
+        for label in ("fine", "coarse", "aux"):
+            for comp, want in getattr(ref, label).fields.items():
+                got = getattr(patch, label).fields[comp]
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 1e-13 * scale, (label, comp)
+    for comp, want in split.grid.fields.items():
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(sim.grid.fields[comp] - want)) <= 1e-13 * scale

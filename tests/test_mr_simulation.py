@@ -9,11 +9,14 @@ import pytest
 from repro.constants import c, m_e, plasma_wavelength, q_e, um
 from repro.core.moving_window import MovingWindow
 from repro.core.simulation import Simulation
+from repro.diagnostics.io import load_checkpoint, save_checkpoint
 from repro.exceptions import ConfigurationError
 from repro.grid.maxwell import cfl_dt
 from repro.grid.yee import YeeGrid
 from repro.particles.injection import UniformProfile
+from repro.particles.kernels import FLOAT32_ERROR_BUDGET
 from repro.particles.species import Species
+from tests.conftest import needs_compiled, unfused
 
 
 def test_mr_requires_esirkepov():
@@ -179,3 +182,132 @@ def test_mr_requires_yee_solver():
     sim = Simulation(g, maxwell_solver="psatd")
     with pytest.raises(ConfigurationError):
         sim.add_patch((8,), (24,))
+
+
+# -- the particle route while a patch is active ---------------------------------
+
+def make_mr_2d(fused=True, precision=None):
+    """A warm 2D plasma under one patch: some members leave the patch
+    interior every step."""
+    n0 = 1e24
+    length = plasma_wavelength(n0)
+    g = YeeGrid((32, 16), (0.0, 0.0), (length, length / 2), guards=4)
+    dt = cfl_dt((g.dx[0] / 2, g.dx[1] / 2), 0.9)
+    sim = Simulation(g, dt=dt, shape_order=2, kernels="compiled",
+                     precision=precision)
+    e = Species("electrons", charge=-q_e, mass=m_e, ndim=2)
+    sim.add_species(e, profile=UniformProfile(n0), ppc=(2, 2),
+                    temperature_uth=0.05, rng=np.random.default_rng(3))
+    e.momenta[:, 0] += 1e-2 * np.sin(2 * np.pi / length * e.positions[:, 0])
+    sim.add_patch((8, 4), (24, 12), ratio=2)
+    if not fused:
+        sim.kernel_set = unfused(sim.kernel_set)
+    return sim, e
+
+
+def patch_grids(sim):
+    return [("parent", sim.grid)] + [
+        (f"patch {k} {label}", getattr(patch, label))
+        for k, patch in enumerate(sim.patches)
+        for label in ("fine", "coarse", "aux")
+    ]
+
+
+def worst_field_deviation(got, want):
+    """Largest deviation over every grid of the two runs, relative to the
+    largest magnitude of its field family (E, B, J; the auxiliary grid
+    holds no current) on that grid."""
+    worst = 0.0
+    for (name, mine), (_, ref) in zip(patch_grids(got), patch_grids(want)):
+        for family in ("E", "B") if name.endswith("aux") else ("E", "B", "J"):
+            comps = [family + axis for axis in "xyz"]
+            scale = max(np.max(np.abs(ref.fields[comp])) for comp in comps)
+            assert scale > 0, (name, family)
+            diff = max(
+                np.max(np.abs(mine.fields[comp].astype(np.float64)
+                              - ref.fields[comp]))
+                for comp in comps
+            )
+            worst = max(worst, diff / scale)
+    return worst
+
+
+def count_crossers(sim):
+    seen = []
+    deposit = sim._deposit
+
+    def spy(species, x_old, x_new, velocities):
+        seen.append(len(x_old))
+        return deposit(species, x_old, x_new, velocities)
+
+    sim._deposit = spy
+    return seen
+
+
+@needs_compiled
+@pytest.mark.parametrize("precision, bound", [
+    (None, 1e-13),
+    ("mixed", FLOAT32_ERROR_BUDGET["advance"]),
+])
+def test_fused_mr_route_matches_the_three_phase_route(precision, bound):
+    """One fused pass per level reproduces the level hooks on every grid
+    of the deck: parent, fine, coarse and auxiliary fields and the
+    particles, crossers included."""
+    fused, e_f = make_mr_2d(precision=precision)
+    split, e_s = make_mr_2d(fused=False, precision=precision)
+    crossers = count_crossers(fused)
+    fused.step(20)
+    split.step(20)
+    assert sum(crossers) >= 1
+    assert "particles" in fused.timers.totals
+    assert "gather" not in fused.timers.totals
+    assert {"gather", "push", "deposit"} <= set(split.timers.totals)
+    assert worst_field_deviation(fused, split) <= bound
+    scale = np.max(np.abs(e_s.positions))
+    assert np.max(np.abs(e_f.positions - e_s.positions)) <= bound * scale
+    scale = np.max(np.abs(e_s.momenta))
+    assert np.max(np.abs(e_f.momenta - e_s.momenta)) <= bound * scale
+
+
+@needs_compiled
+def test_fused_mr_checkpoint_restart_is_bit_identical(tmp_path):
+    straight, e_s = make_mr_2d()
+    straight.step(20)
+    first, _ = make_mr_2d()
+    first.step(10)
+    path = str(tmp_path / "mid_patch.npz")
+    save_checkpoint(first, path)
+    resumed, e_r = make_mr_2d()
+    load_checkpoint(resumed, path)
+    crossers = count_crossers(resumed)
+    resumed.step(10)
+    assert sum(crossers) >= 1 and resumed.patches
+    assert "gather" not in resumed.timers.totals
+    for (name, mine), (_, ref) in zip(patch_grids(resumed), patch_grids(straight)):
+        for comp, arr in ref.fields.items():
+            assert np.array_equal(mine.fields[comp], arr), (name, comp)
+    assert np.array_equal(e_r.positions, e_s.positions)
+    assert np.array_equal(e_r.momenta, e_s.momenta)
+
+
+@needs_compiled
+def test_only_subcycled_patches_leave_the_parent_on_the_fused_pass():
+    """A subcycled patch takes its members out for its substeps, so it
+    routes nobody in the parent pass: the parent's particles run the
+    fused pass, and the substeps run it too (aux -> fine), so no
+    standalone gather or deposit runs anywhere."""
+    sim, e = make_langmuir_mr(with_patch=True, subcycle=True,
+                              kernels="compiled")
+    calls = []
+    sim.kernel_set = dataclasses.replace(
+        sim.kernel_set,
+        gather=lambda *args: calls.append("gather"),
+        deposit_current=lambda *args: calls.append("deposit"),
+    )
+    sim.step(5)
+    assert not calls
+    assert sim.timers.counts["particles"] == 5
+    assert sim.timers.counts["mr_subcycle"] == 5
+    assert not {"gather", "push", "deposit"} & set(sim.timers.counts)
+    assert np.all(np.isfinite(sim.patches[0].fine.fields["Jx"]))
+    assert np.any(sim.patches[0].fine.fields["Jx"])

@@ -127,8 +127,9 @@ def test_step_clock_covers_the_whole_step(deck):
 
 
 def mr_across_removal():
-    """A 1D plasma whose patch is removed in step 3: the three-phase route
-    while it is active, the plain particle pass after."""
+    """A 1D plasma whose patch is removed in step 3: one pass per level
+    while it is active (three-phase on the NumPy tier), the plain
+    particle pass after."""
     n0 = 1e24
     length = plasma_wavelength(n0)
     dt = cfl_dt((length / 64,), 0.9)
@@ -151,10 +152,10 @@ _DECOMPOSED = {"fold_sources", "halo_fields", "maxwell", "particles", "redistrib
 PHASE_KEYS = {
     ("simulation", "compiled"): _SINGLE | {"particles"},
     ("simulation", "vectorized"): _SINGLE | _THREE_PHASE,
-    ("mr_removal", "compiled"): _SINGLE | _THREE_PHASE | {"particles"},
+    ("mr_removal", "compiled"): _SINGLE | {"particles"},
     ("mr_removal", "vectorized"): _SINGLE | _THREE_PHASE,
     ("mr_subcycled", "compiled"): (
-        _SINGLE | _THREE_PHASE | {"moving_window", "mr_subcycle"}
+        _SINGLE | {"particles", "moving_window", "mr_subcycle"}
     ),
     ("mr_subcycled", "vectorized"): (
         _SINGLE | _THREE_PHASE | {"moving_window", "mr_subcycle"}

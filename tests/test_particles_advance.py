@@ -5,7 +5,6 @@ subprocesses: a regression here is a segfault, not an exception), routing
 in both step drivers (with and without an MR patch), phases and
 dispatch counters."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -13,7 +12,12 @@ import sys
 import numpy as np
 import pytest
 
-from tests.conftest import assert_runs_equal, make_langmuir_build, needs_compiled
+from tests.conftest import (
+    assert_runs_equal,
+    make_langmuir_build,
+    needs_compiled,
+    unfused,
+)
 from repro.constants import c, m_e, plasma_wavelength, q_e
 from repro.core.simulation import Simulation
 from repro.diagnostics import gauss_law_residual
@@ -41,11 +45,6 @@ from repro.particles.species import Species
 from repro.scenarios import build_uniform_plasma
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-
-
-def unfused(kernel_set):
-    """The same kernels without the fused slot: the three-phase route."""
-    return dataclasses.replace(kernel_set, advance=None)
 
 
 def langmuir(kernels="compiled", n=24, **kwargs):
@@ -354,19 +353,31 @@ def test_sanitized_fused_step_reports_san005(monkeypatch):
     assert np.array_equal(electrons.momenta, before)
 
 
-# -- (e) mesh refinement routes by level, then fuses ---------------------------
+# -- (e) mesh refinement: hooks on the NumPy tier, one pass per level natively --
 
-@needs_compiled
-def test_mr_routes_through_level_hooks_until_patch_removal(monkeypatch):
+def mr_1d(kernels, remove_after=None, uth=0.0):
+    """A 1D plasma under one patch, removed after ``remove_after`` steps
+    if given."""
     n0 = 1e24
     length = plasma_wavelength(n0)
     grid = YeeGrid((32,), (0.0,), (length,), guards=4)
     dt = cfl_dt((length / 32 / 2,), 0.9)
     sim = Simulation(grid, dt=dt, shape_order=2, smoothing_passes=0,
-                       kernels="compiled")
+                     kernels=kernels)
     sim.add_species(Species("electrons", charge=-q_e, mass=m_e, ndim=1),
-                    profile=UniformProfile(n0), ppc=4)
-    sim.add_patch((8,), (24,), ratio=2, remove_time=2.5 * dt)
+                    profile=UniformProfile(n0), ppc=4, temperature_uth=uth,
+                    rng=np.random.default_rng(4))
+    sim.add_patch((8,), (24,), ratio=2, remove_time=(
+        None if remove_after is None else remove_after * dt
+    ))
+    return sim
+
+
+def test_mr_routes_through_level_hooks_until_patch_removal(monkeypatch):
+    """On the NumPy tier an active patch routes every particle through
+    the level-aware gather and deposit; once it is removed the plain
+    (here three-phase) pass runs without them."""
+    sim = mr_1d("vectorized", remove_after=2.5)
     calls = {"gather": 0, "deposit": 0}
     gather, deposit = sim._gather, sim._deposit
 
@@ -384,11 +395,45 @@ def test_mr_routes_through_level_hooks_until_patch_removal(monkeypatch):
     assert not sim.patches and len(sim.removal_log) == 1
     assert calls == {"gather": 3, "deposit": 3}
     assert sim.timers.counts["gather"] == 3
-    assert "particles" not in sim.timers.counts
-    sim.step(2)  # no patch left: the plain fused pass
+    sim.step(2)  # no patch left: no hook
     assert calls == {"gather": 3, "deposit": 3}
-    assert sim.timers.counts["particles"] == 2
-    assert sim.timers.counts["gather"] == 3
+    assert sim.timers.counts["gather"] == 5
+    assert "particles" not in sim.timers.counts
+
+
+@needs_compiled
+def test_mr_fused_route_hands_only_crossers_to_the_deposit_hook(monkeypatch):
+    """On the native tier an active patch runs one fused pass per level
+    in one ``particles`` phase: nobody calls the level gather, and the
+    level deposit sees only the patch members whose move left the
+    patch interior."""
+    sim = mr_1d("compiled", uth=0.3)
+    patch = sim.patches[0]
+    tracer, metrics = attach_observability(sim)
+    seen = []
+    deposit = sim._deposit
+
+    def no_gather(sp):
+        raise AssertionError("the fused route gathered through the hook")
+
+    def spy_deposit(sp, x_old, x_new, vel):
+        seen.append((x_old.copy(), x_new.copy()))
+        return deposit(sp, x_old, x_new, vel)
+
+    monkeypatch.setattr(sim, "_gather", no_gather)
+    monkeypatch.setattr(sim, "_deposit", spy_deposit)
+    sim.step(10)
+    assert sim.patches
+    assert sim.timers.counts["particles"] == 10
+    assert not {"gather", "push", "deposit"} & set(sim.timers.counts)
+    assert sum(len(x) for x, _ in seen) >= 3
+    for x_old, x_new in seen:
+        assert np.all(patch.interior_mask(x_old))
+        assert not np.any(patch.interior_mask(x_new))
+    # one advance per level per step, no standalone kernel
+    snap = metrics.snapshot()
+    assert snap["kernel.dispatch{phase=advance,variant=compiled}"] == 20.0
+    assert not any("phase=gather" in key for key in snap)
 
 
 # -- (f) phases and dispatch counters ------------------------------------------
@@ -503,7 +548,7 @@ def test_default_kernel_tier_is_native_when_available():
 
 
 @pytest.mark.parametrize("variant", ["vectorized", "compiled"])
-def test_distributed_counts_kernel_dispatches(variant):
+def test_distributed_counts_kernel_dispatches(variant, monkeypatch):
     """One ``kernel.dispatch`` bump per phase, box and step, as in
     ``Simulation`` (the decomposed driver used to drop them) — and the
     box advance stays *untimed* inside the one ``particles`` phase: handed
@@ -511,6 +556,9 @@ def test_distributed_counts_kernel_dispatches(variant):
     second ``particles``, counted twice) under it."""
     if variant not in available_kernel_variants():
         pytest.skip(f"{variant} tier unavailable on this machine")
+    # the phase set below is an unsanitized step's (a sanitized one adds
+    # its own `sanitize` phase), also in the CI leg that sets the variable
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     sim = make_langmuir_build(n_ranks=2, kernels=variant)()
     _, metrics = attach_observability(sim)
     sim.step(3)
@@ -555,8 +603,10 @@ def test_fused_wrap_is_the_numpy_wrap(ndim, order):
     dt = 0.9 * grid.dx[0] / c
     axes = tuple(range(ndim))
     args = (pos, mom, w, -q_e, m_e, dt, order, "boris")
-    x_open, u_open = ks.advance(open_grid, *args)
-    x_wrapped, u_wrapped = ks.advance(grid, *args, (grid.lo, grid.hi, axes))
+    x_open, u_open, _ = ks.advance(open_grid, *args)
+    x_wrapped, u_wrapped, _ = ks.advance(
+        grid, *args, (grid.lo, grid.hi, axes)
+    )
     outside = (x_open < grid.lo[0]) | (x_open >= grid.hi[0])
     assert outside[:, 0].sum() > 5 and (~outside[:, 0]).sum() > 5
     assert np.any(x_open < grid.lo[0]) and np.any(x_open >= grid.hi[0])
@@ -567,7 +617,7 @@ def test_fused_wrap_is_the_numpy_wrap(ndim, order):
     # the wrap touches nothing else, and only the axes it is given
     assert np.array_equal(u_wrapped, u_open)
     assert np.array_equal(grid.fields["Jx"], open_grid.fields["Jx"])
-    x_last, _ = ks.advance(grid, *args, (grid.lo, grid.hi, axes[-1:]))
+    x_last, _, _ = ks.advance(grid, *args, (grid.lo, grid.hi, axes[-1:]))
     assert np.array_equal(x_last[:, -1], x_wrapped[:, -1])
     if ndim > 1:
         assert np.any(x_last[:, 0] != x_wrapped[:, 0])
@@ -682,8 +732,9 @@ def test_blocked_advance_is_the_scalar_loop_bit_for_bit(
     """`advance` handles LANES particles at a time in vectorised lane
     loops; every lane must do the IEEE operations of the per-particle loop
     (exported as `advance_scalar`), with the SIMD flags or without them —
-    `array_equal`, not a tolerance, for every tail length and across the
-    periodic wrap."""
+    `array_equal`, not a tolerance, for every tail length, across the
+    periodic wrap, and for the MR patch pass: the current on a second
+    grid, a keep box, and the flags of the particles that left it."""
     built, plain = lane_backends
     rng = np.random.default_rng(100 * ndim + 10 * order)
     grid = YeeGrid((12,) * ndim, (-3.0,) * ndim, (9.0,) * ndim, guards=4,
@@ -693,26 +744,82 @@ def test_blocked_advance_is_the_scalar_loop_bit_for_bit(
         grid.fields[comp][...] = scale * rng.standard_normal(grid.shape)
     dt = 0.9 * grid.dx[0] / c
     wrap = (grid.lo, grid.hi, tuple(range(ndim)))
+    currents = ("Jx", "Jy", "Jz")
+    # half a cell inside the faces: some blocks keep every lane, some not
+    box = (tuple(lo + 0.5 for lo in grid.lo), tuple(hi - 0.5 for hi in grid.hi))
     for n in (0, 1, LANES - 1, LANES, LANES + 1, 3 * LANES + 5, 4099):
-        # up to the faces: the fast ones leave and are wrapped
+        # up to the faces: the fast ones leave and are wrapped, or flagged
         pos = rng.uniform(grid.lo[0], grid.hi[0], size=(n, ndim))
         mom = 2.0 * rng.normal(size=(n, 3))
         w = 1.0 + rng.random(n)
-        for periodic in (None, wrap):
+        for periodic, keep in ((None, None), (wrap, None), (None, "box")):
             results = []
             for backend, entry in (
                 (built, "advance_scalar"), (built, "advance"), (plain, "advance")
             ):
-                target = grid.copy()
-                x, u = compiled.run_advance(
-                    backend, entry, target, pos, mom, w, -q_e, m_e, dt, order,
-                    pusher, periodic,
+                source = grid.copy()
+                # the fields live on `source` only: the patch pass gathers
+                # there and deposits here
+                target = source if keep is None else YeeGrid(
+                    grid.n_cells, grid.lo, grid.hi, guards=4, dtype=dtype
+                )
+                x, u, leaving = compiled.run_advance(
+                    backend, entry, source, pos, mom, w, -q_e, m_e, dt, order,
+                    pusher, periodic, target,
+                    None if keep is None else box,
                 )
                 results.append(
-                    [x, u] + [target.fields[comp] for comp in ("Jx", "Jy", "Jz")]
+                    [x, u] + [target.fields[comp] for comp in currents]
+                    + ([] if leaving is None else [leaving])
                 )
+                if keep is not None:
+                    assert not any(np.any(source.fields[j]) for j in currents)
             for other in results[1:]:
+                assert len(other) == len(results[0])
                 for mine, ref in zip(other, results[0]):
-                    assert np.array_equal(mine, ref), (n, periodic is not None)
+                    assert np.array_equal(mine, ref), (n, periodic, keep)
             if n > LANES and periodic is not None:
                 assert np.any(results[0][2]) and np.all(results[0][0] >= grid.lo[0])
+            if keep is not None:
+                x, leaving = results[0][0], results[0][5]
+                # the box test is MRPatch.contains on the new positions
+                inside = np.all((x >= box[0][0]) & (x < box[1][0]), axis=1)
+                assert np.array_equal(leaving, ~inside)
+                if n == 4099:
+                    per_block = leaving[: n - n % LANES].reshape(-1, LANES)
+                    left = per_block.sum(axis=1)
+                    assert np.any(left == 0)  # blocks that stay vector code
+                    assert np.any((left > 0) & (left < LANES))  # mixed ones
+                    # a flagged particle deposited nothing: the same pass
+                    # over the stayers alone gives the same current
+                    alone = YeeGrid(grid.n_cells, grid.lo, grid.hi, guards=4,
+                                    dtype=dtype)
+                    compiled.run_advance(
+                        built, "advance", grid.copy(), pos[inside],
+                        mom[inside], w[inside], -q_e, m_e, dt, order, pusher,
+                        None, alone,
+                    )
+                    for j, comp in enumerate(currents):
+                        assert np.array_equal(
+                            results[0][2 + j], alone.fields[comp]
+                        )
+
+
+@needs_compiled
+def test_fused_pass_refuses_a_deposit_grid_laid_out_differently():
+    ks = get_kernel_set("compiled")
+    grid = YeeGrid((8, 8), (0.0, 0.0), (8.0, 8.0), guards=4)
+    pos, mom, w = np.full((3, 2), 4.25), np.zeros((3, 3)), np.ones(3)
+    args = (pos, mom, w, -q_e, m_e, 0.5 / c, 2, "boris", None)
+    others = {
+        "shape": YeeGrid((8, 9), (0.0, 0.0), (8.0, 9.0), guards=4),
+        "dtype": YeeGrid((8, 8), (0.0, 0.0), (8.0, 8.0), guards=4,
+                         dtype=np.float32),
+        "placement": YeeGrid((8, 8), (1.0, 0.0), (9.0, 8.0), guards=4),
+    }
+    for what, other in others.items():
+        with pytest.raises(ConfigurationError, match="deposit grid"):
+            ks.advance(grid, *args, other)
+        assert not any(np.any(other.fields[j]) for j in ("Jx", "Jy", "Jz"))
+    same = YeeGrid((8, 8), (0.0, 0.0), (8.0, 8.0), guards=4)
+    ks.advance(grid, *args, same)  # a twin is accepted
