@@ -34,6 +34,7 @@ import pytest
 
 from repro.constants import q_e
 from repro.exceptions import ConfigurationError
+from repro import native
 from repro.particles import compiled
 from repro.particles.kernels import available_kernel_variants, get_kernel_set
 from repro.particles.sorting import sort_species_by_bin
@@ -76,7 +77,7 @@ LANE_COUNTS = (1, 4, 8, 16)
 
 def _vector_length_rows():
     """Fused pass per particle at each lane count, interleaved best-of-7."""
-    cc = compiled.find_c_compiler()
+    cc = native.find_c_compiler()
     rows = []
     for ndim, order, n_cells, ppc in LANE_DECKS:
         sim, electrons = build_uniform_plasma(
@@ -94,8 +95,8 @@ def _vector_length_rows():
             ("whole pass", (), "4.60x (deposition)"),
         ):
             backends = {
-                lanes: compiled.CBackend(*compiled.compile_c_library(
-                    cc, compiled.SIMD_FLAGS + (f"-DREPRO_RB={lanes}",) + define
+                lanes: compiled.CBackend(*native.compile_library(
+                    cc, native.SIMD_FLAGS + (f"-DREPRO_RB={lanes}",) + define
                 ))
                 for lanes in LANE_COUNTS
             }

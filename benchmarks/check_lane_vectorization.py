@@ -24,7 +24,7 @@ import subprocess
 import sys
 import tempfile
 
-from repro.particles.compiled import SIMD_FLAGS, c_source, find_c_compiler
+from repro.native import SIMD_FLAGS, c_source, find_c_compiler
 
 LANE_FUNCTIONS = (
     "repro_stencil_lanes", "repro_push_lanes", "repro_window_lanes",

@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError, StabilityError
+from repro.grid import compiled as native_fields
 from repro.grid.interpolation import prolong, region_sample_counts, restrict
 from repro.grid.maxwell import cfl_dt
 from repro.grid.pml import PMLMaxwellSolver
@@ -153,6 +154,8 @@ class MRPatch:
         #: particles per species, and the previous step's external field
         self._member_ids: Dict[str, np.ndarray] = {}
         self._external_prev: Optional[Dict[str, np.ndarray]] = None
+        #: transfer maps of the native aux assembly, for one region_lo
+        self._aux_plan: Optional[native_fields.AuxPlan] = None
         self._init_fields_from_parent()
 
     # -- setup -------------------------------------------------------------
@@ -359,8 +362,23 @@ class MRPatch:
         return (self.n_pml + self.ratio + window_half) * self.fine.dx[0]
 
     def assemble_aux(self) -> None:
-        """Build the auxiliary field F(a) = F(f) + I[F(s) - F(c)]."""
-        self.assemble_aux_with_external(self.frozen_external())
+        """Build the auxiliary field F(a) = F(f) + I[F(s) - F(c)].
+
+        With the native library all six components are one call of the C
+        entry ``assemble_aux`` (:mod:`repro.grid.compiled`) over the
+        patch's transfer maps, built once per ``region_lo`` (so again
+        after a window shift or a checkpoint restore), bit for bit what
+        :meth:`frozen_external` + :meth:`assemble_aux_with_external`
+        compute; those stay the fallback and the oracle.
+        """
+        native = native_fields.backend(self.parent.dtype)
+        if native is None:
+            self.assemble_aux_with_external(self.frozen_external())
+            return
+        plan = self._aux_plan
+        if plan is None or plan.region_lo != tuple(self.region_lo):
+            plan = self._aux_plan = native_fields.AuxPlan(self)
+        native.assemble_aux(self, plan)
 
     def zero_sources(self) -> None:
         self.fine.zero_sources()

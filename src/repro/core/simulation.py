@@ -33,6 +33,7 @@ from repro.grid.boundary import (
     accumulate_periodic_sources,
     apply_damping,
     apply_periodic,
+    check_damping_layer,
 )
 from repro.grid.maxwell import MaxwellSolver, cfl_dt
 from repro.grid.pml import PMLMaxwellSolver
@@ -378,6 +379,9 @@ class Simulation(StepDriver):
                 raise ConfigurationError(f"unknown boundary {b!r}")
         self.boundaries = tuple(boundaries)
         self.n_absorber = int(n_absorber)
+        for axis, b in enumerate(self.boundaries):
+            if b == "damped":
+                check_damping_layer(grid, axis, self.n_absorber)
         self.sort_interval = int(sort_interval)
         if self.maxwell_solver == "psatd" and any(
             b != "periodic" for b in self.boundaries

@@ -19,7 +19,12 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.exceptions import ConfigurationError
+from repro.grid import compiled as native_fields
 from repro.grid.yee import STAGGER, FIELD_COMPONENTS, YeeGrid
+
+#: which ends of an axis an absorber covers: sides -> (low, high)
+ABSORBER_SIDES = {"both": (True, True), "low": (True, False), "high": (False, True)}
 
 
 def _axis_slice(ndim: int, axis: int, sl: slice):
@@ -162,6 +167,32 @@ def damping_profile(n_layer: int, strength: float = 0.02, power: int = 2) -> np.
     return 1.0 - strength * depth**power
 
 
+def absorber_sides(sides: str) -> Tuple[bool, bool]:
+    """``(low, high)`` of an absorber's ``sides`` value (``"both"``,
+    ``"low"`` or ``"high"``); anything else is refused, never read as
+    "no absorber"."""
+    try:
+        return ABSORBER_SIDES[sides]
+    except (KeyError, TypeError):
+        raise ConfigurationError(
+            f"unknown absorber sides {sides!r}; expected one of "
+            f"{tuple(ABSORBER_SIDES)}"
+        ) from None
+
+
+def check_damping_layer(grid: YeeGrid, axis: int, n_layer: int) -> None:
+    """Refuse a damping layer that does not fit in ``axis``: planes
+    ``[0, n_layer)`` and ``[size - n_layer, size)`` must be planes of the
+    array (a wider layer used to reach further planes through negative
+    indices)."""
+    size = grid.shape[axis]
+    if not 0 <= n_layer <= size:
+        raise ConfigurationError(
+            f"damping layer of {n_layer} planes does not fit axis {axis} "
+            f"({size} planes, guards included)"
+        )
+
+
 def apply_damping(
     grid: YeeGrid,
     axis: int,
@@ -170,15 +201,32 @@ def apply_damping(
     power: int = 2,
     sides: str = "both",
 ) -> None:
-    """Multiply E and B by a graded profile inside layers at the axis ends."""
+    """Multiply E and B by a graded profile inside layers at the axis ends.
+
+    Plane ``k`` from either end takes ``damping_profile(...)[k]``, the low
+    side first: where the two layers overlap a plane is damped twice.  With
+    the native library this is the C entry ``damp``
+    (:mod:`repro.grid.compiled`); otherwise, and as its oracle, NumPy
+    multiplies each component once per side by the broadcast profile.
+    Either way the product runs in double (the factors are float64) and
+    is rounded once per side to the grid dtype.
+    """
+    low, high = absorber_sides(sides)
+    check_damping_layer(grid, axis, n_layer)
     factors = damping_profile(n_layer, strength, power)
-    nd = grid.fields["Ex"].ndim
+    native = native_fields.backend(grid.dtype)
+    if native is not None:
+        native.damp(grid, axis, factors, low, high)
+        return
+    nd = grid.ndim
     size = grid.shape[axis]
+    shape = [1] * nd
+    shape[axis] = n_layer
+    low_profile = factors.reshape(shape)
+    high_profile = factors[::-1].reshape(shape)
     for name in FIELD_COMPONENTS:
         arr = grid.fields[name]
-        if sides in ("both", "low"):
-            for k in range(n_layer):
-                arr[_axis_slice(nd, axis, slice(k, k + 1))] *= factors[k]
-        if sides in ("both", "high"):
-            for k in range(n_layer):
-                arr[_axis_slice(nd, axis, slice(size - 1 - k, size - k))] *= factors[k]
+        if low:
+            arr[_axis_slice(nd, axis, slice(0, n_layer))] *= low_profile
+        if high:
+            arr[_axis_slice(nd, axis, slice(size - n_layer, size))] *= high_profile

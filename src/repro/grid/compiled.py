@@ -1,0 +1,721 @@
+"""The compiled field entries: generated C for the MR level's field work.
+
+On small grids — an MR patch's fine and coarse companions, the parent of
+a 2D deck — every NumPy statement of a field update is a call of a few
+microseconds over a few thousand cells, and a step makes hundreds of
+them.  Following the recipe of the WarpX GPU port (Myers et al.,
+arXiv:2101.12149: same kernel semantics, new backend behind the dispatch
+seam, cross-validated against the old code), four entries run those
+updates as one C loop nest each:
+
+``yee_step``
+    :meth:`repro.grid.maxwell.MaxwellSolver.step`: half B, full E, half B.
+``pml_step``
+    :meth:`repro.grid.pml.PMLMaxwellSolver.step`: the same on the
+    Berenger split parts, with the solver's decay / weight tables.
+``damp``
+    :func:`repro.grid.boundary.apply_damping`: the low-side layer, then
+    the high-side one.
+``assemble_aux``
+    :meth:`repro.core.mr_level.MRPatch.assemble_aux`: ``aux = fine +
+    prolong(parent section - coarse)`` for all six components, from the
+    patch's transfer maps (:func:`aux_plan`).
+
+They are part of the one library :mod:`repro.native` builds (the particle
+kernels of :mod:`repro.particles.compiled` are the other part), emitted
+over a ``real`` type for float64 and float32 grids and for 1D, 2D and 3D
+at run time.  The curl wiring is generated from
+:data:`repro.grid.stencils.CURL_TERMS` and the staggering from
+:data:`repro.grid.yee.STAGGER`, so the C cannot drift from the NumPy
+stencils.  :func:`backend` hands a site its entries, or None when there
+is no library (``REPRO_COMPILED_BACKEND=none``, no compiler) or the grid
+dtype is neither: the site then runs its NumPy body, which is also the
+oracle the tests hold every entry against with ``array_equal``.
+
+Numerics contract: each entry performs the IEEE operations of its NumPy
+body, in the same order — ``(a - b) / dx`` as a division; a curl summed
+from ``0.0`` term by term; ``F + dt * (c2 * curl - J / eps0)``; the PML's
+``(coeff * sign) * r``, then ``P * decay``, then ``+ weight * r``, then
+the parts summed from ``0.0``.  On float32 grids it follows NumPy 2's
+promotion: a Python-float scalar (``dt``, ``dx``, ``c2``, ``eps0``) is
+rounded to float32 and the operation runs in float32, while a product
+with a float64 table (PML decay / weight, the damping factors, the
+prolongation weights) runs in double and is rounded once, on the store.
+Every ladder deck is therefore bit-identical with and without the
+library.
+
+Memory safety: the entries index through the shapes they are given and
+trust them, so the wrappers check first — every array C-contiguous, of
+its grid's shape and dtype, writable where written; the damping layer
+inside the axis; the parent section of a patch inside the parent — and
+raise :class:`~repro.exceptions.ConfigurationError` before anything is
+written.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+from typing import Dict, Optional, Tuple
+
+import numpy as np
+
+from repro import native
+from repro.exceptions import ConfigurationError
+from repro.grid.interpolation import prolong_map
+from repro.grid.stencils import CURL_TERMS
+from repro.grid.yee import FIELD_COMPONENTS, STAGGER
+
+_C_FIELDS_HEADER = r"""
+/* ================= field entries (repro.grid.compiled) ================= */
+#include <stdint.h>
+
+/* CURL_TERMS of repro.grid.stencils per component (Ex Ey Ez Bx By Bz):
+   {source component, derivative axis, sign}; terms along an axis the grid
+   does not have are skipped */
+typedef struct { int src, axis, sign; } repro_curl_term;
+static const repro_curl_term repro_curl[6][2] = {@CURL@};
+/* STAGGER of repro.grid.yee, same component order */
+static const int repro_field_stagger[6][3] = {@STAGGER@};
+
+/* Rows (the contiguous last axis) are processed this many points at a
+   time: no run is longer than the zero row of repro_zeros. */
+#define REPRO_FCHUNK 256
+
+/* Every array of one entry has the shape n[3]: the grid's shape padded
+   with leading 1s, so a grid axis d is padded axis d + 3 - ndim.  A loop
+   over the rows visits (i, j) = padded indices of axes 0 and 1. */
+#define REPRO_ROWS(n) \
+    for (int64_t i = 0; i < (n)[0]; ++i) \
+        for (int64_t j = 0; j < (n)[1]; ++j) \
+            for (int64_t k0 = 0, p = (i * (n)[1] + j) * (n)[2]; \
+                 k0 < (n)[2]; k0 += REPRO_FCHUNK)
+#define REPRO_CHUNK_END(n) (k0 + REPRO_FCHUNK < (n)[2] ? k0 + REPRO_FCHUNK : (n)[2])
+
+/* Split [k0, k1) of a row into runs, at most three: the plane where a
+   last-axis term of component comp vanishes (the row's last point for B,
+   its first for E) is a run of its own, flagged in zero[].  Returns the
+   number of runs. */
+static int repro_runs(int comp, int e, const int64_t *n, int ndim,
+    int64_t k0, int64_t k1, int64_t *ka, int64_t *kb, int *zero) {
+    int64_t edge = -1;
+    int nr = 0;
+    for (int t = 0; t < 2; ++t)
+        if (repro_curl[comp][t].axis == ndim - 1) edge = e ? 0 : n[2] - 1;
+    if (edge < k0 || edge >= k1) {
+        ka[0] = k0; kb[0] = k1; zero[0] = 0;
+        return 1;
+    }
+    if (edge > k0) { ka[nr] = k0; kb[nr] = edge; zero[nr++] = 0; }
+    ka[nr] = edge; kb[nr] = edge + 1; zero[nr++] = 1;
+    if (edge + 1 < k1) { ka[nr] = edge + 1; kb[nr] = k1; zero[nr++] = 0; }
+    return nr;
+}
+
+"""
+
+_C_FIELDS = r"""
+/* A run of a row on which every curl term of a component is a plain
+   difference: (h[t][k] - l[t][k]) / dx[t] for k < len.  A term whose
+   stencil the NumPy code leaves zero at this point (repro.grid.stencils:
+   the last plane along its axis for a forward difference, the first for a
+   backward one) reads h = l = repro_zeros: (0 - 0) / dx is the +0 it
+   stores there. */
+static const @REAL@ repro_zeros_@SUF@[REPRO_FCHUNK];
+
+typedef struct {
+    int nt;                 /* terms along axes the grid has: 0, 1, 2 */
+    int last;               /* the term along the last axis, or -1 */
+    const @REAL@ *h[2], *l[2];
+    @REAL@ dx[2];
+    int sign[2];
+    int slot[2];            /* its index in repro_curl[comp] */
+} repro_run_@SUF@;
+
+/* The terms of component comp on the run [ka, kb) of row p (padded
+   indices i, j of axes 0, 1): forward differences for B (e = 0),
+   backward for E; zero_last: the point is the plane where the
+   last-axis term vanishes. */
+static void repro_run_setup_@SUF@(repro_run_@SUF@ *run, @REAL@ *const *f,
+    int comp, int e, const int64_t *n, int ndim, const @REAL@ *dx,
+    int64_t p, int64_t ka, int64_t i, int64_t j, int zero_last) {
+    const int64_t stride[3] = {n[1] * n[2], n[2], 1};
+    run->nt = 0;
+    run->last = -1;
+    for (int t = 0; t < 2; ++t) {
+        const repro_curl_term term = repro_curl[comp][t];
+        if (term.axis >= ndim) continue;
+        const int pa = term.axis + 3 - ndim, u = run->nt++;
+        const int64_t at = pa == 0 ? i : pa == 1 ? j : -1;
+        int zero = pa == 2 ? zero_last : e ? at == 0 : at == n[pa] - 1;
+        const @REAL@ *src = f[term.src] + p + ka;
+        if (pa == 2) run->last = u;
+        if (zero) {
+            run->h[u] = run->l[u] = repro_zeros_@SUF@;
+        } else {
+            run->h[u] = e ? src : src + stride[pa];
+            run->l[u] = e ? src - stride[pa] : src;
+        }
+        run->dx[u] = dx[pa];
+        run->sign[u] = term.sign;
+        run->slot[u] = t;
+    }
+}
+
+/* The curl of a run at k: 0 plus or minus each term in CURL_TERMS order,
+   as curl_term sums it.  Inlined with a literal nt. */
+static inline __attribute__((always_inline)) @REAL@ repro_curl_at_@SUF@(
+    const repro_run_@SUF@ *run, int nt, int64_t k) {
+    @REAL@ tot = 0;
+    for (int u = 0; u < nt; ++u) {
+        const @REAL@ d = (run->h[u][k] - run->l[u][k]) / run->dx[u];
+        tot = run->sign[u] > 0 ? tot + d : tot - d;
+    }
+    return tot;
+}
+
+static inline __attribute__((always_inline)) void repro_yee_apply_@SUF@(
+    const repro_run_@SUF@ *run, int nt, int e, int64_t len,
+    @REAL@ *restrict F, const @REAL@ *restrict J, @REAL@ dt, @REAL@ c2,
+    @REAL@ eps0) {
+    if (e)
+        for (int64_t k = 0; k < len; ++k)
+            F[k] = F[k] + dt * (c2 * repro_curl_at_@SUF@(run, nt, k)
+                                - J[k] / eps0);
+    else
+        for (int64_t k = 0; k < len; ++k)
+            F[k] = F[k] + dt * repro_curl_at_@SUF@(run, nt, k);
+}
+
+/* One family of the Yee update over every row: B += dt * curl E (e = 0)
+   or E += dt * (c2 * curl B - J / eps0) (e = 1). */
+static void repro_yee_family_@SUF@(@REAL@ *const *f, const int64_t *n,
+    int ndim, int e, @REAL@ dt, @REAL@ c2, @REAL@ eps0, const @REAL@ *dx) {
+    REPRO_ROWS(n) {
+        const int64_t k1 = REPRO_CHUNK_END(n);
+        for (int c = 0; c < 3; ++c) {
+            const int comp = e ? c : 3 + c;
+            int64_t ka_[3], kb_[3];
+            int zero[3];
+            const int nr = repro_runs(comp, e, n, ndim, k0, k1, ka_, kb_, zero);
+            for (int r = 0; r < nr; ++r) {
+                const int64_t ka = ka_[r], kb = kb_[r];
+                repro_run_@SUF@ run;
+                repro_run_setup_@SUF@(&run, f, comp, e, n, ndim, dx, p, ka, i,
+                                      j, zero[r]);
+                @REAL@ *F = f[comp] + p + ka;
+                const @REAL@ *J = f[6 + c] + p + ka;
+                const int64_t len = kb - ka;
+                if (run.nt == 2)
+                    repro_yee_apply_@SUF@(&run, 2, e, len, F, J, dt, c2, eps0);
+                else if (run.nt == 1)
+                    repro_yee_apply_@SUF@(&run, 1, e, len, F, J, dt, c2, eps0);
+                else
+                    repro_yee_apply_@SUF@(&run, 0, e, len, F, J, dt, c2, eps0);
+            }
+        }
+    }
+}
+
+/* f = {Ex, Ey, Ez, Bx, By, Bz, Jx, Jy, Jz}; dt_half, dt_full, c2, eps0
+   and dx (per grid axis) as NumPy has them before it rounds them to the
+   grid's precision. */
+void yee_step_@SUF@(@REAL@ *const *f, const int64_t *n, int ndim,
+    double dt_half, double dt_full, double c2, double eps0,
+    const double *dx) {
+    @REAL@ dxr[3] = {1, 1, 1};
+    for (int d = 0; d < ndim; ++d) dxr[d + 3 - ndim] = (@REAL@)dx[d];
+    repro_yee_family_@SUF@(f, n, ndim, 0, (@REAL@)dt_half, (@REAL@)c2,
+                           (@REAL@)eps0, dxr);
+    repro_yee_family_@SUF@(f, n, ndim, 1, (@REAL@)dt_full, (@REAL@)c2,
+                           (@REAL@)eps0, dxr);
+    repro_yee_family_@SUF@(f, n, ndim, 0, (@REAL@)dt_half, (@REAL@)c2,
+                           (@REAL@)eps0, dxr);
+}
+
+/* One split part: P * decay, then + weight * r, each product with a
+   double table in double and rounded on the store. */
+static inline __attribute__((always_inline)) @REAL@ repro_pml_part_@SUF@(
+    @REAL@ part, @REAL@ r, double decay, double weight) {
+    part = (@REAL@)((double)part * decay);
+    return (@REAL@)((double)part + weight * (double)r);
+}
+
+/* A run of the split-field update of component comp (present terms u <
+   nt, 1 or 2; the one along the last axis u = last, or none): per term
+   r = cs * diff (minus J / eps0 on the first E term) and the part's
+   update, the tables read per point along the last axis and once per row
+   along the others; then F = 0 + P0 (+ P1).  Inlined with literal nt,
+   last and e. */
+static inline __attribute__((always_inline)) void repro_pml_apply_@SUF@(
+    const repro_run_@SUF@ *run, int nt, int last, int e, int64_t len,
+    @REAL@ *const *P, const double *const *decay, const double *const *weight,
+    const @REAL@ *cs, @REAL@ *restrict F, const @REAL@ *restrict J,
+    @REAL@ eps0) {
+    /* every table in a local: a pointer loaded inside the loop keeps it
+       scalar */
+    const @REAL@ *h0 = run->h[0], *l0 = run->l[0];
+    const @REAL@ *h1 = nt > 1 ? run->h[1] : 0, *l1 = nt > 1 ? run->l[1] : 0;
+    @REAL@ *restrict P0 = P[0];
+    @REAL@ *restrict P1 = nt > 1 ? P[1] : 0;
+    const double *d0 = decay[0], *w0 = weight[0];
+    const double *d1 = nt > 1 ? decay[1] : 0, *w1 = nt > 1 ? weight[1] : 0;
+    const @REAL@ dx0 = run->dx[0], dx1 = nt > 1 ? run->dx[1] : 1;
+    const @REAL@ cs0 = cs[0], cs1 = nt > 1 ? cs[1] : 0;
+    /* the values of a table along an axis other than the last */
+    const double dr0 = d0[0], wr0 = w0[0];
+    const double dr1 = nt > 1 ? d1[0] : 0, wr1 = nt > 1 ? w1[0] : 0;
+    for (int64_t k = 0; k < len; ++k) {
+        @REAL@ r = cs0 * ((h0[k] - l0[k]) / dx0);
+        if (e) r = r - J[k] / eps0;
+        @REAL@ part = repro_pml_part_@SUF@(P0[k], r, last == 0 ? d0[k] : dr0,
+                                           last == 0 ? w0[k] : wr0);
+        @REAL@ tot = 0;
+        P0[k] = part;
+        tot = tot + part;
+        if (nt > 1) {
+            r = cs1 * ((h1[k] - l1[k]) / dx1);
+            part = repro_pml_part_@SUF@(P1[k], r, last == 1 ? d1[k] : dr1,
+                                        last == 1 ? w1[k] : wr1);
+            P1[k] = part;
+            tot = tot + part;
+        }
+        F[k] = tot;
+    }
+}
+
+/* One family of the split-field update (PMLMaxwellSolver._push_family)
+   over every row; a component without a term keeps F (B) or takes F - dt
+   * J / eps0 (E). */
+static void repro_pml_family_@SUF@(@REAL@ *const *f, @REAL@ *const *parts,
+    const double *const *coef, const int64_t *n, int ndim, int e,
+    double coeff, @REAL@ dt, @REAL@ eps0, const @REAL@ *dx) {
+    REPRO_ROWS(n) {
+        const int64_t k1 = REPRO_CHUNK_END(n);
+        for (int c = 0; c < 3; ++c) {
+            const int comp = e ? c : 3 + c;
+            int64_t ka_[3], kb_[3];
+            int zero[3];
+            const int nr = repro_runs(comp, e, n, ndim, k0, k1, ka_, kb_, zero);
+            for (int r = 0; r < nr; ++r) {
+                const int64_t ka = ka_[r], kb = kb_[r];
+                repro_run_@SUF@ run;
+                repro_run_setup_@SUF@(&run, f, comp, e, n, ndim, dx, p, ka, i,
+                                      j, zero[r]);
+                @REAL@ *F = f[comp] + p + ka;
+                const @REAL@ *J = f[6 + c] + p + ka;
+                const int64_t len = kb - ka;
+                @REAL@ *P[2];
+                const double *decay[2], *weight[2];
+                @REAL@ cs[2];
+                for (int u = 0; u < run.nt; ++u) {
+                    const int slot = 2 * comp + run.slot[u];
+                    const int pa = repro_curl[comp][run.slot[u]].axis + 3 - ndim;
+                    const int64_t at = pa == 2 ? ka : pa == 1 ? j : i;
+                    P[u] = parts[slot] + p + ka;
+                    decay[u] = coef[2 * slot] + at;
+                    weight[u] = coef[2 * slot + 1] + at;
+                    cs[u] = (@REAL@)(coeff * (double)run.sign[u]);
+                }
+                if (run.nt == 0) {
+                    if (e)
+                        for (int64_t k = 0; k < len; ++k)
+                            F[k] = F[k] - dt * J[k] / eps0;
+                } else if (run.nt == 1) {
+                    if (run.last == 0)
+                        repro_pml_apply_@SUF@(&run, 1, 0, e, len, P, decay,
+                                              weight, cs, F, J, eps0);
+                    else
+                        repro_pml_apply_@SUF@(&run, 1, -1, e, len, P, decay,
+                                              weight, cs, F, J, eps0);
+                } else if (run.last == 0) {
+                    repro_pml_apply_@SUF@(&run, 2, 0, e, len, P, decay, weight,
+                                          cs, F, J, eps0);
+                } else if (run.last == 1) {
+                    repro_pml_apply_@SUF@(&run, 2, 1, e, len, P, decay, weight,
+                                          cs, F, J, eps0);
+                } else {
+                    repro_pml_apply_@SUF@(&run, 2, -1, e, len, P, decay, weight,
+                                          cs, F, J, eps0);
+                }
+            }
+        }
+    }
+}
+
+/* parts[2 * comp + t]: the split part of term t of component comp (NULL
+   where the term is absent); coef[(2 * comp + t) * 2 + {0, 1}]: its decay
+   and weight tables, at dt_full for E and dt_half for B. */
+void pml_step_@SUF@(@REAL@ *const *f, @REAL@ *const *parts,
+    const double *const *coef, const int64_t *n, int ndim, double dt_half,
+    double dt_full, double c2, double eps0, const double *dx) {
+    @REAL@ dxr[3] = {1, 1, 1};
+    for (int d = 0; d < ndim; ++d) dxr[d + 3 - ndim] = (@REAL@)dx[d];
+    repro_pml_family_@SUF@(f, parts, coef, n, ndim, 0, 1.0,
+                           (@REAL@)dt_half, (@REAL@)eps0, dxr);
+    repro_pml_family_@SUF@(f, parts, coef, n, ndim, 1, c2,
+                           (@REAL@)dt_full, (@REAL@)eps0, dxr);
+    repro_pml_family_@SUF@(f, parts, coef, n, ndim, 0, 1.0,
+                           (@REAL@)dt_half, (@REAL@)eps0, dxr);
+}
+
+/* f = the six field components; the planes [0, n_layer) along padded
+   axis pa (low) and then [n[pa] - n_layer, n[pa]) (high), plane k from
+   its outer edge times factors[k], in double, rounded on the store. */
+void damp_@SUF@(@REAL@ *const *f, const int64_t *n, int pa,
+    const double *factors, int64_t n_layer, int low, int high) {
+    for (int c = 0; c < 6; ++c)
+        for (int side = 0; side < 2; ++side) {
+            if (!(side ? high : low)) continue;
+            int64_t lo[3] = {0, 0, 0}, hi[3] = {n[0], n[1], n[2]};
+            if (side) lo[pa] = n[pa] - n_layer; else hi[pa] = n_layer;
+            for (int64_t i = lo[0]; i < hi[0]; ++i)
+                for (int64_t j = lo[1]; j < hi[1]; ++j) {
+                    @REAL@ *row = f[c] + (i * n[1] + j) * n[2];
+                    if (pa == 2) {
+                        for (int64_t k = lo[2]; k < hi[2]; ++k)
+                            row[k] = (@REAL@)((double)row[k]
+                                * factors[side ? n[2] - 1 - k : k]);
+                    } else {
+                        const int64_t at = pa == 0 ? i : j;
+                        const double fk = factors[side ? n[pa] - 1 - at : at];
+                        for (int64_t k = 0; k < n[2]; ++k)
+                            row[k] = (@REAL@)((double)row[k] * fk);
+                    }
+                }
+        }
+}
+
+/* The patch's auxiliary field, per component: aux = 0 outside the valid
+   region, inside it aux = fine + I[parent section - coarse], I the
+   separable linear prolongation of repro.grid.interpolation (grid axis 0
+   first): along each axis lo * (1 - w) + hi * w over the samples
+   imap[.., 0 / 1, jf], weight wmap[.., jf], in double — so a float32
+   difference is widened, exactly, before the first product — and the sum
+   with fine rounded once on the store.  Per fine row the axes before the
+   last are interpolated first, into row[] over the coarse samples of the
+   last axis; the last axis then reads row[].  Shapes pn (parent), cn
+   (coarse), fn (fine and aux), all padded; origin: the parent index of the
+   section's first sample per padded axis; g: the patch grids' guards;
+   maps: imap[((pa * 2 + s) * 2 + {0, 1}) * m + jf], wmap[(pa * 2 + s) * m
+   + jf] for stagger s; row: cn[2] doubles of scratch. */
+void assemble_aux_@SUF@(const @REAL@ *const *par, const @REAL@ *const *crs,
+    const @REAL@ *const *fin, @REAL@ *const *aux, const int64_t *pn,
+    const int64_t *cn, const int64_t *fn, int ndim, const int64_t *origin,
+    int64_t g, const int64_t *imap, const double *wmap, int64_t m,
+    double *row) {
+    const int64_t size = fn[0] * fn[1] * fn[2];
+    const int off = 3 - ndim;
+    for (int c = 0; c < 6; ++c) {
+        const @REAL@ *P = par[c], *C = crs[c], *Fn = fin[c];
+        @REAL@ *A = aux[c];
+        const int64_t *i0[3] = {0, 0, 0}, *i1[3] = {0, 0, 0};
+        const double *w[3] = {0, 0, 0};
+        int64_t nf[3] = {1, 1, 1}, lo[3] = {0, 0, 0}, nc = 0;
+        /* a parent / coarse sample (a, b, e) of the section; padded axes
+           before the grid's have extent 1 */
+        int64_t po = 0, co = 0;
+        const int64_t ps[3] = {pn[1] * pn[2], pn[2], 1};
+        const int64_t cs[3] = {cn[1] * cn[2], cn[2], 1};
+        for (int pa = off; pa < 3; ++pa) {
+            const int s = repro_field_stagger[c][pa - off];
+            const int64_t *maps = imap + (pa * 2 + s) * 2 * m;
+            i0[pa] = maps; i1[pa] = maps + m;
+            w[pa] = wmap + (pa * 2 + s) * m;
+            nf[pa] = fn[pa] - 2 * g - s;
+            nc = cn[2] - 2 * g - s;  /* coarse samples of the last axis */
+            lo[pa] = g;
+            po += origin[pa] * ps[pa];
+            co += g * cs[pa];
+        }
+        for (int64_t q = 0; q < size; ++q) A[q] = 0;
+#define D(a, b, e) ((double)(@REAL@)(P[po + (a) * ps[0] + (b) * ps[1] + (e)] \
+                                    - C[co + (a) * cs[0] + (b) * cs[1] + (e)]))
+#define LERP(x, y, wt) ((x) * (1.0 - (wt)) + (y) * (wt))
+#define AX(bb, ee) LERP(D(a0, bb, ee), D(a1, bb, ee), wa)
+        for (int64_t a = 0; a < nf[0]; ++a)
+            for (int64_t b = 0; b < nf[1]; ++b) {
+                const int64_t q = ((lo[0] + a) * fn[1] + lo[1] + b) * fn[2] + lo[2];
+                if (ndim == 1) {
+                    for (int64_t e = 0; e < nc; ++e) row[e] = D(0, 0, e);
+                } else if (ndim == 2) {
+                    const int64_t b0 = i0[1][b], b1 = i1[1][b];
+                    const double wb = w[1][b];
+                    for (int64_t e = 0; e < nc; ++e)
+                        row[e] = LERP(D(0, b0, e), D(0, b1, e), wb);
+                } else {
+                    const int64_t a0 = i0[0][a], a1 = i1[0][a];
+                    const int64_t b0 = i0[1][b], b1 = i1[1][b];
+                    const double wa = w[0][a], wb = w[1][b];
+                    for (int64_t e = 0; e < nc; ++e)
+                        row[e] = LERP(AX(b0, e), AX(b1, e), wb);
+                }
+                for (int64_t e = 0; e < nf[2]; ++e)
+                    A[q + e] = (@REAL@)((double)Fn[q + e]
+                        + LERP(row[i0[2][e]], row[i1[2][e]], w[2][e]));
+            }
+#undef AX
+#undef LERP
+#undef D
+    }
+}
+"""
+
+#: grid dtype -> suffix of its entries
+_SUFFIX = {np.dtype(np.float64): "f64", np.dtype(np.float32): "f32"}
+
+
+def c_source() -> str:
+    """The field entries' part of the library source (double + float
+    variants); :func:`repro.native.c_source` puts it after the particle
+    kernels."""
+    curl = ", ".join(
+        "{%s}" % ", ".join(
+            "{%d, %d, %d}" % (FIELD_COMPONENTS.index(src), axis, int(sign))
+            for src, axis, sign in CURL_TERMS[comp]
+        )
+        for comp in FIELD_COMPONENTS
+    )
+    stagger = ", ".join("{%d, %d, %d}" % STAGGER[comp] for comp in FIELD_COMPONENTS)
+    parts = [_C_FIELDS_HEADER.replace("@CURL@", curl).replace("@STAGGER@", stagger)]
+    for real, suf in (("double", "f64"), ("float", "f32")):
+        parts.append(_C_FIELDS.replace("@REAL@", real).replace("@SUF@", suf))
+    return "".join(parts)
+
+
+@functools.lru_cache(maxsize=None)
+def _padded(shape: Tuple[int, ...]):
+    """``shape`` with leading 1s to three axes, as the C takes it."""
+    return (ctypes.c_int64 * 3)(*(1,) * (3 - len(shape)), *shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _spacing(dx: Tuple[float, ...]):
+    """A grid's cell sizes as the C takes them (three doubles)."""
+    return (ctypes.c_double * 3)(*dx)
+
+
+_addressof = ctypes.addressof
+_from_buffer = ctypes.c_char.from_buffer
+
+
+def _refuse(what: str, arr: np.ndarray, shape, dtype, written: bool):
+    raise ConfigurationError(
+        f"native {what} needs C-contiguous{' writable' if written else ''} "
+        f"{dtype} arrays of shape {shape}; got {arr.dtype} {arr.shape} "
+        f"(contiguous: {arr.flags.c_contiguous}, writable: "
+        f"{arr.flags.writeable})"
+    )
+
+
+def _table(arrays, shape, dtype, what: str, written: bool = True):
+    """Pointer table of ``arrays`` (None: a null entry) once each is
+    C-contiguous, of ``shape`` and ``dtype`` and, if ``written``,
+    writable; ConfigurationError first otherwise, so a bad layout never
+    reaches the C.  Built per call from the live arrays."""
+    ptrs = []
+    for arr in arrays:
+        if arr is None:
+            ptrs.append(None)
+            continue
+        if (arr.shape != shape or arr.dtype != dtype
+                or not arr.flags.c_contiguous):
+            _refuse(what, arr, shape, dtype, written)
+        try:  # a ctypes view of the buffer: writable arrays only
+            ptrs.append(_addressof(_from_buffer(arr)))
+        except TypeError:
+            if written:
+                _refuse(what, arr, shape, dtype, written)
+            ptrs.append(arr.ctypes.data)
+    return (ctypes.c_void_p * len(ptrs))(*ptrs)
+
+
+class AuxPlan:
+    """A patch's transfer maps for :func:`FieldBackend.assemble_aux`: per
+    grid axis and stagger the prolongation's sample indices and weights,
+    plus the parent index of the section's first sample.  Built for one
+    ``region_lo`` (:meth:`MRPatch.assemble_aux` rebuilds it when that
+    changes: a window shift, a checkpoint restore)."""
+
+    def __init__(self, patch) -> None:
+        parent, fine, coarse = patch.parent, patch.fine, patch.coarse
+        ndim, off = parent.ndim, 3 - parent.ndim
+        if coarse.guards != fine.guards:
+            raise ConfigurationError(
+                "native assemble_aux needs the fine and coarse grids of a "
+                f"patch to share their guards ({fine.guards} vs {coarse.guards})"
+            )
+        self.region_lo = tuple(patch.region_lo)
+        #: the grid shapes the maps and the scratch row are sized for
+        self.shapes = (parent.shape, coarse.shape, fine.shape)
+        m = max(fine.n_cells) + 1
+        self.imap = np.zeros((3, 2, 2, m), dtype=np.int64)
+        self.wmap = np.zeros((3, 2, m), dtype=np.float64)  # repro: allow(PIC007)
+        origin = [0, 0, 0]
+        for d in range(ndim):
+            origin[d + off] = parent.guards + patch.region_lo[d]
+            # the section must lie inside the parent array
+            if origin[d + off] < 0 or (
+                origin[d + off] + coarse.n_cells[d] + 1 > parent.shape[d]
+            ):
+                raise ConfigurationError(
+                    f"patch region {patch.region_lo}..{patch.region_hi} "
+                    f"reaches outside the parent array on axis {d}"
+                )
+            for s in (0, 1):
+                n_fine = fine.n_cells[d] + 1 - s
+                i0, i1, w = prolong_map(
+                    patch.ratio, s, n_fine, coarse.n_cells[d] + 1 - s
+                )
+                self.imap[d + off, s, 0, :n_fine] = i0
+                self.imap[d + off, s, 1, :n_fine] = i1
+                self.wmap[d + off, s, :n_fine] = w
+        self.m = m
+        self.origin = (ctypes.c_int64 * 3)(*origin)
+        #: the entry's scratch: one coarse row of the last axis
+        self.row = np.empty(coarse.shape[-1], dtype=np.float64)  # repro: allow(PIC007)
+        self.imap_ptr, self.wmap_ptr, self.row_ptr = (
+            arr.ctypes.data for arr in (self.imap, self.wmap, self.row)
+        )
+
+
+class FieldBackend:
+    """ctypes driver of the four field entries (f64 + f32 symbols)."""
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        vp, ci, c64, cd = (
+            ctypes.c_void_p, ctypes.c_int, ctypes.c_int64, ctypes.c_double,
+        )
+        signatures = {
+            "yee_step": [vp, vp, ci, cd, cd, cd, cd, vp],
+            "pml_step": [vp, vp, vp, vp, ci, cd, cd, cd, cd, vp],
+            "damp": [vp, vp, ci, vp, c64, ci, ci],
+            "assemble_aux": [vp, vp, vp, vp, vp, vp, vp, ci, vp, c64, vp, vp,
+                             c64, vp],
+        }
+        self._fn: Dict[tuple, object] = {}
+        for entry, argtypes in signatures.items():
+            for dtype, suf in _SUFFIX.items():
+                fn = getattr(lib, f"{entry}_{suf}")
+                fn.argtypes = argtypes
+                fn.restype = None
+                self._fn[entry, dtype] = fn
+
+    def yee_step(self, grid, dt: float, c2: float, eps0: float) -> None:
+        """Half B, full E, half B on ``grid`` (``MaxwellSolver.step``)."""
+        arrays = [grid.fields[name] for name in _YEE_ARRAYS]
+        table = _table(arrays, grid.shape, grid.dtype, "yee_step")
+        self._fn["yee_step", grid.dtype](
+            table, _padded(grid.shape), grid.ndim, dt * 0.5, dt * 1.0, c2,
+            eps0, _spacing(grid.dx),
+        )
+
+    def pml_step(self, solver, c2: float, eps0: float) -> None:
+        """``PMLMaxwellSolver.step`` of ``solver``: its split parts, and
+        its decay / weight tables as a pointer table cached per ``dt``
+        (those arrays are the solver's own, whatever the field layout)."""
+        grid = solver.grid
+        coef = solver._native_coeffs.get(solver.dt)
+        if coef is None:
+            coef = solver._native_coeffs[solver.dt] = _coeff_table(solver)
+        fields = _table([grid.fields[name] for name in _YEE_ARRAYS],
+                        grid.shape, grid.dtype, "pml_step")
+        parts = _table(_split_parts(solver), grid.shape, grid.dtype,
+                       "pml_step")
+        self._fn["pml_step", grid.dtype](
+            fields, parts, coef[0], _padded(grid.shape), grid.ndim,
+            solver.dt * 0.5, solver.dt * 1.0, c2, eps0, _spacing(grid.dx),
+        )
+
+    def damp(self, grid, axis: int, factors: np.ndarray, low: bool,
+             high: bool) -> None:
+        """``apply_damping``'s layers along ``axis``: ``factors`` (float64,
+        contiguous) from the outer plane inward, at most the axis long."""
+        if (factors.dtype != np.float64 or not factors.flags.c_contiguous
+                or not 0 <= len(factors) <= grid.shape[axis]):
+            raise ConfigurationError(
+                f"native damp needs at most {grid.shape[axis]} contiguous "
+                f"float64 factors; got {len(factors)} {factors.dtype}"
+            )
+        arrays = [grid.fields[name] for name in FIELD_COMPONENTS]
+        table = _table(arrays, grid.shape, grid.dtype, "damp")
+        self._fn["damp", grid.dtype](
+            table, _padded(grid.shape), axis + 3 - grid.ndim,
+            native._ptr(factors), len(factors), int(low), int(high),
+        )
+
+    def assemble_aux(self, patch, plan: AuxPlan) -> None:
+        """``aux = fine + prolong(parent section - coarse)`` of ``patch``,
+        all six components, from ``plan`` (the maps of its region)."""
+        parent, coarse, fine = patch.parent, patch.coarse, patch.fine
+        dtype = parent.dtype
+        if plan.shapes != (parent.shape, coarse.shape, fine.shape):
+            raise ConfigurationError(
+                f"native assemble_aux: maps built for grids of shapes "
+                f"{plan.shapes}, the patch has {parent.shape}, "
+                f"{coarse.shape}, {fine.shape}"
+            )
+
+        def table(grid, shape, written):
+            return _table([grid.fields[c] for c in FIELD_COMPONENTS], shape,
+                          dtype, "assemble_aux", written)
+
+        self._fn["assemble_aux", dtype](
+            table(parent, parent.shape, False),
+            table(coarse, coarse.shape, False),
+            table(fine, fine.shape, False),
+            table(patch.aux, fine.shape, True),  # indexed like the fine grid
+            _padded(parent.shape), _padded(coarse.shape), _padded(fine.shape),
+            parent.ndim, plan.origin, fine.guards, plan.imap_ptr,
+            plan.wmap_ptr, plan.m, plan.row_ptr,
+        )
+
+
+#: the arrays of the Yee and PML entries, in the order the C indexes them
+_YEE_ARRAYS = FIELD_COMPONENTS + ("Jx", "Jy", "Jz")
+#: the split parts of the PML entry, (component, curl-term axis) in the
+#: order the C indexes them (absent ones are null)
+_PART_KEYS = tuple(
+    (comp, axis) for comp in FIELD_COMPONENTS for _, axis, _ in CURL_TERMS[comp]
+)
+
+
+def _split_parts(solver):
+    """``solver``'s split parts in ``_PART_KEYS`` order, None for a term
+    along an axis the grid lacks; a missing one is refused, never a null
+    the C would read."""
+    ndim = solver.grid.ndim
+    try:
+        return [solver.split[key] if key[1] < ndim else None
+                for key in _PART_KEYS]
+    except KeyError as exc:
+        raise ConfigurationError(
+            f"native pml_step: the solver has no split part {exc}"
+        ) from None
+
+
+def _coeff_table(solver):
+    """(pointer table, the arrays it points into) of ``solver``'s decay /
+    weight tables per component and curl term: ``dt`` for E, ``dt / 2``
+    for B — the two fractions its ``step`` pushes."""
+    arrays = []
+    for key, part in zip(_PART_KEYS, _split_parts(solver)):
+        dt = solver.dt * (1.0 if key[0].startswith("E") else 0.5)
+        arrays.extend((None, None) if part is None else solver._coeffs(key, dt))
+    table = (ctypes.c_void_p * len(arrays))(
+        *(None if arr is None else arr.ctypes.data for arr in arrays)
+    )
+    return table, arrays
+
+
+@functools.lru_cache(maxsize=None)
+def _loaded() -> Optional[FieldBackend]:
+    built = native.library()
+    return None if isinstance(built, str) else FieldBackend(built[0])
+
+
+def backend(dtype) -> Optional[FieldBackend]:
+    """The field entries for grids of ``dtype``, or None: no library here,
+    or a dtype other than float64 / float32 — the site runs NumPy."""
+    fields = _loaded()
+    return fields if fields is not None and dtype in _SUFFIX else None

@@ -21,22 +21,22 @@ from typing import Sequence, Tuple
 import numpy as np
 
 
-def _interp_axis(arr: np.ndarray, axis: int, pos: np.ndarray) -> np.ndarray:
-    """Linear interpolation of ``arr`` along ``axis`` at fractional ``pos``.
+def prolong_map(
+    ratio: int, stagger: int, n_fine: int, n_coarse: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(i0, i1, w)`` of the prolongation along one axis: fine sample
+    ``k`` is ``coarse[i0[k]] * (1 - w[k]) + coarse[i1[k]] * w[k]``.
 
-    Positions outside the sample range are linearly extrapolated from the
-    edge pair (callers keep such points inside guard/PML zones).
+    Fine positions outside the coarse sample range are linearly
+    extrapolated from the edge pair (callers keep such points inside
+    guard/PML zones).  The native auxiliary-field assembly
+    (:mod:`repro.grid.compiled`) runs on these same maps.
     """
-    n = arr.shape[axis]
+    k = np.arange(n_fine, dtype=np.float64)  # repro: allow(PIC007)
+    pos = (k + 0.5 * stagger) / ratio - 0.5 * stagger
     i0 = np.floor(pos).astype(np.intp)
-    np.clip(i0, 0, max(n - 2, 0), out=i0)
-    w = pos - i0
-    lo = np.take(arr, i0, axis=axis)
-    hi = np.take(arr, np.minimum(i0 + 1, n - 1), axis=axis)
-    shape = [1] * arr.ndim
-    shape[axis] = len(pos)
-    w = w.reshape(shape)
-    return lo * (1.0 - w) + hi * w
+    np.clip(i0, 0, max(n_coarse - 2, 0), out=i0)
+    return i0, np.minimum(i0 + 1, n_coarse - 1), pos - i0
 
 
 def prolong(
@@ -45,13 +45,15 @@ def prolong(
     stagger: Sequence[int],
     fine_shape: Sequence[int],
 ) -> np.ndarray:
-    """Interpolate a coarse sample array onto ``fine_shape`` fine samples."""
+    """Interpolate a coarse sample array onto ``fine_shape`` fine samples,
+    axis by axis: ``lo * (1 - w) + hi * w`` over :func:`prolong_map`."""
     out = arr
     for d in range(arr.ndim):
-        s = stagger[d]
-        k = np.arange(fine_shape[d], dtype=np.float64)  # repro: allow(PIC007)
-        pos = (k + 0.5 * s) / ratio - 0.5 * s
-        out = _interp_axis(out, d, pos)
+        i0, i1, w = prolong_map(ratio, stagger[d], fine_shape[d], out.shape[d])
+        shape = [1] * arr.ndim
+        shape[d] = len(w)
+        w = w.reshape(shape)
+        out = np.take(out, i0, axis=d) * (1.0 - w) + np.take(out, i1, axis=d) * w
     return out
 
 

@@ -23,6 +23,8 @@ import numpy as np
 
 from repro.constants import c, eps0
 from repro.exceptions import StabilityError
+from repro.grid import compiled as native_fields
+from repro.grid.boundary import absorber_sides
 from repro.grid.maxwell import cfl_dt
 from repro.grid.stencils import CURL_TERMS, diff_backward, diff_forward
 from repro.grid.yee import STAGGER, YeeGrid
@@ -42,8 +44,9 @@ def pml_sigma_profile(
     Polynomial grading ``sigma = sigma_max (depth/n_pml)^order`` inside the
     outermost ``n_pml`` valid cells (and growing through the guards), with
     ``sigma_max`` set from the theoretical normal-incidence reflection
-    coefficient ``r0``.
+    coefficient ``r0``.  ``sides`` is ``"both"``, ``"low"`` or ``"high"``.
     """
+    low, high = absorber_sides(sides)
     g = grid.guards
     n = grid.n_cells[axis]
     dx = grid.dx[axis]
@@ -51,9 +54,9 @@ def pml_sigma_profile(
     idx = np.arange(grid.shape[axis], dtype=np.float64)  # repro: allow(PIC007)
     pos = idx - g + 0.5 * stagger  # in cell units; valid region is [0, n]
     depth = np.zeros_like(pos)
-    if sides in ("both", "low"):
+    if low:
         depth = np.maximum(depth, n_pml - pos)
-    if sides in ("both", "high"):
+    if high:
         depth = np.maximum(depth, pos - (n - n_pml))
     sigma_max = -(order + 1) * math.log(r0) * c / (2.0 * n_pml * dx)
     return sigma_max * (np.maximum(depth, 0.0) / n_pml) ** order
@@ -115,6 +118,7 @@ class PMLMaxwellSolver:
             raise StabilityError(
                 f"dt={self.dt:.3e}s exceeds the CFL limit {limit:.3e}s"
             )
+        absorber_sides(sides)
         self.n_pml = int(n_pml)
         self.axes = tuple(axes) if axes is not None else tuple(range(grid.ndim))
         # split sub-fields, keyed by (component, derivative axis)
@@ -141,6 +145,9 @@ class PMLMaxwellSolver:
                 self._sigma[key] = sig1d.reshape(shape)
         self._scratch = np.zeros(grid.shape, dtype=grid.dtype)
         self._coeff_cache: Dict[Tuple[str, int, float], Tuple[np.ndarray, np.ndarray]] = {}
+        #: dt -> the native entry's pointer table into ``_coeff_cache``
+        #: (filled by :mod:`repro.grid.compiled`)
+        self._native_coeffs: Dict[float, tuple] = {}
 
     def _coeffs(self, key: Tuple[str, int], dt: float) -> Tuple[np.ndarray, np.ndarray]:
         cache_key = (key[0], key[1], dt)
@@ -186,7 +193,18 @@ class PMLMaxwellSolver:
         self._push_family(("Ex", "Ey", "Ez"), c * c, fraction, with_current=True)
 
     def step(self) -> None:
-        """One full leapfrog step (half B, full E, half B)."""
+        """One full leapfrog step (half B, full E, half B).
+
+        With the native library this is the one C entry ``pml_step``
+        (:mod:`repro.grid.compiled`) over the fields, the split parts and
+        the decay / weight tables of :meth:`_coeffs`, bit for bit what
+        :meth:`push_b` / :meth:`push_e` compute; those stay the fallback
+        (``REPRO_COMPILED_BACKEND=none``, no compiler) and the oracle.
+        """
+        native = native_fields.backend(self.grid.dtype)
+        if native is not None:
+            native.pml_step(self, c * c, eps0)
+            return
         self.push_b(0.5)
         self.push_e(1.0)
         self.push_b(0.5)

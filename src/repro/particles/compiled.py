@@ -10,21 +10,16 @@ native tier (``kernels="compiled"``) whose per-particle inner loops run
 as native code.
 
 There is one backend.  :func:`build_kernel_tier` runs once, when
-:mod:`repro.particles.kernels` is imported: with a C compiler
-(``cc``/``gcc``/``clang``) on ``PATH`` the kernels below are compiled
-into a shared library, driven through ctypes and returned as the
-``compiled`` ``KernelSet``; without one (or with
+:mod:`repro.particles.kernels` is imported, and wraps the library of
+:func:`repro.native.library` — the particle kernels below and the field
+entries of :mod:`repro.grid.compiled`, compiled together once with the
+system C compiler — as the ``compiled`` ``KernelSet``, driven through
+ctypes.  Without a library (no compiler, or
 ``REPRO_COMPILED_BACKEND=none``) it returns the reason instead, which
-:func:`repro.particles.kernels.kernel_tier_status` reports, and
-dispatch falls through to ``vectorized``.  The
-library is built with :data:`SIMD_FLAGS` (``-march=native`` among them)
-and cached under a name that hashes the source, the flags and the
-compiler's own account of the build — version, target, ``native``
-resolved to this CPU — so a cache shared between machines never hands
-one CPU's code to another; a compiler that rejects those flags gets
-:data:`PLAIN_FLAGS` and the tier status says so
-(``available (c; plain flags: <reason>)`` instead of ``(c; 8 lanes,
--march=native)``).
+:func:`repro.particles.kernels.kernel_tier_status` reports, and dispatch
+falls through to ``vectorized``.  How the library is built, flagged and
+cached is :mod:`repro.native`'s business; this module holds only the
+particle part of its source (:func:`c_source`) and the wrappers.
 
 Entry points (each emitted twice over a ``real`` typedef, for float64
 and float32 field storage), all built from the same routines, each
@@ -111,15 +106,12 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
-import os
-import shutil
-import subprocess
-import tempfile
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from repro import native
+from repro.native import _ptr
 from repro.constants import c
 from repro.exceptions import ConfigurationError, SanitizerError
 from repro.grid.yee import FIELD_COMPONENTS, STAGGER, YeeGrid
@@ -132,10 +124,6 @@ from repro.particles.pusher import PUSHERS
 #: widest Esirkepov window the compiled kernels handle on-stack; larger
 #: displacements (deep-MR subcycling) fall back to the vectorized kernel
 KMAX = 8
-
-#: environment override: "auto" (the default: build if a compiler exists)
-#: or "none"
-BACKEND_ENV = "REPRO_COMPILED_BACKEND"
 
 #: particles per block of the fused pass, REPRO_RB in the C: 8 lanes of
 #: 256-bit vectors are two vector iterations per lane loop; 16 measure the
@@ -878,7 +866,8 @@ i64 advance_@SUF@(@REAL@ *const *arrays, const i64 *strides,
 
 
 def c_source() -> str:
-    """The full generated C translation unit (double + float variants)."""
+    """The particle kernels' part of the library source (double + float
+    variants); :func:`repro.native.c_source` appends the field entries."""
     stagger = ", ".join(
         "{%d, %d, %d}" % STAGGER[comp] for comp in FIELD_COMPONENTS
     )
@@ -888,118 +877,6 @@ def c_source() -> str:
     for real, suf in (("double", "f64"), ("float", "f32")):
         parts.append(_C_KERNELS.replace("@REAL@", real).replace("@SUF@", suf))
     return "".join(parts)
-
-
-def find_c_compiler() -> Optional[str]:
-    """Path of the first of cc/gcc/clang on PATH, or None."""
-    for name in ("cc", "gcc", "clang"):
-        path = shutil.which(name)
-        if path:
-            return path
-    return None
-
-
-def _cache_dir() -> str:
-    uid = getattr(os, "getuid", lambda: 0)()
-    return os.path.join(tempfile.gettempdir(), f"repro-kernels-{uid}")
-
-
-#: -ffp-contract=off: on targets with FMA in the baseline ISA the compiler
-#: would otherwise fuse a*b+c and break the same-rounding-as-NumPy contract
-PLAIN_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
-
-#: what gcc needs before it vectorises the lane loops of `advance`; none
-#: changes a computed value.  -fopenmp-simd honours the `omp simd` pragmas
-#: (no runtime library); `sqrt` may then skip setting errno and a
-#: conditional FP operation may run in every lane (nothing reads errno or
-#: the FP exception flags); -march=native supplies the vector ISA and a
-#: packed `trunc`.  256-bit vectors: 512-bit ones measure slower on the
-#: AVX-512 host this was sized on (EXPERIMENTS.md, "Native pass, round
-#: three").  No reassociation flag: a lane does the scalar IEEE operations.
-SIMD_FLAGS = PLAIN_FLAGS + (
-    "-fopenmp-simd", "-fno-math-errno", "-fno-trapping-math",
-    "-march=native", "-mprefer-vector-width=256",
-)
-
-
-def _library_path(compiler: str, src: str, flags: Sequence[str]) -> str:
-    """Where the build of ``src`` with ``flags`` is cached.  The name covers
-    the source, the flags and what the driver would run for them — its
-    version, its target and the ``cc1`` line with ``-march=native`` resolved
-    to this CPU (``-###`` runs nothing; ``-E`` keeps temporary file names
-    out of it) — so a cache directory shared between machines, or baked into
-    an image, never hands one CPU's code to another."""
-    probe = subprocess.run(
-        [compiler, "-###", *flags, "-E", "-x", "c", os.devnull],
-        capture_output=True, text=True, timeout=60,
-    )
-    digest = hashlib.sha256(
-        "\0".join((src, *flags, probe.stdout, probe.stderr)).encode("utf8")
-    ).hexdigest()[:16]
-    return os.path.join(_cache_dir(), f"kernels-{digest}.so")
-
-
-def _build(compiler: str, src: str, flags: Sequence[str]) -> ctypes.CDLL:
-    """Compile ``src`` with ``flags``, or reuse the cached build of that."""
-    lib_path = _library_path(compiler, src, flags)
-    os.makedirs(os.path.dirname(lib_path), exist_ok=True)
-    if not os.path.exists(lib_path):
-        src_path = f"{lib_path[:-3]}.c"
-        tmp_path = f"{lib_path}.{os.getpid()}.tmp"
-        try:
-            with open(src_path, "w", encoding="utf8") as fh:
-                fh.write(src)
-            cmd = [compiler, *flags, "-o", tmp_path, src_path]
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, timeout=120
-            )
-            if proc.returncode != 0:
-                raise ConfigurationError(
-                    f"C kernel build failed ({' '.join(cmd)}): "
-                    f"{proc.stderr.strip()[:500]}"
-                )
-            os.replace(tmp_path, lib_path)  # atomic vs concurrent builders
-        except BaseException:
-            # a failed attempt leaves nothing behind (the source of a
-            # successful one stays next to its library, for debuggers)
-            for leftover in (src_path, tmp_path):
-                if os.path.exists(leftover):
-                    os.remove(leftover)
-            raise
-    return ctypes.CDLL(lib_path)
-
-
-def compile_c_library(
-    compiler: str, flags: Optional[Sequence[str]] = None
-) -> Tuple[ctypes.CDLL, str]:
-    """Compile (or reuse a cached build of) the generated kernels.
-
-    Returns ``(library, build)``, ``build`` naming what was built.  By
-    default that is :data:`SIMD_FLAGS`; a compiler that rejects them gets
-    :data:`PLAIN_FLAGS` (the pragmas are inert there and the results
-    identical) and ``build`` says so and why.  ``flags`` (tests and the
-    vector-length table of ``bench_kernel_optimization.py``; not a user
-    option) builds with exactly those, no retry.
-    """
-    src = c_source()
-    if flags is not None:
-        return _build(compiler, src, flags), " ".join(flags)
-    try:
-        return _build(compiler, src, SIMD_FLAGS), f"{LANES} lanes, -march=native"
-    except ConfigurationError as exc:
-        reason = str(exc).split("): ", 1)[-1].splitlines()[0]
-        return _build(compiler, src, PLAIN_FLAGS), f"plain flags: {reason}"
-
-
-def _ptr(arr: np.ndarray) -> int:
-    """Address of ``arr``'s first element.  A ctypes view of the buffer
-    costs a quarter of ``arr.ctypes`` — per call, a dozen of these are a
-    tenth of a small patch's pass — but needs a writable, non-empty,
-    contiguous array."""
-    flags = arr.flags
-    if flags.writeable and flags.c_contiguous and arr.size:
-        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
-    return arr.ctypes.data
 
 
 def _f64(arr: np.ndarray) -> np.ndarray:  # repro: allow(PIC007)
@@ -1013,7 +890,7 @@ class CBackend:
     name = "c"
 
     def __init__(self, lib: ctypes.CDLL, build: str) -> None:
-        #: what `compile_c_library` built (lanes and flags), for the status
+        #: what `native.compile_library` built (lanes and flags), for the status
         self.build = build
         vp, ci, c64, cd = (
             ctypes.c_void_p, ctypes.c_int, ctypes.c_int64, ctypes.c_double,
@@ -1211,11 +1088,11 @@ def _deposit_current(
     )
 
 
-def build_kernel_tier():
+def build_kernel_tier(built=None):
     """The compiled tier's ``KernelSet``, or the reason there is none.
 
-    Reads ``REPRO_COMPILED_BACKEND`` (``auto``, the default, or ``none``),
-    looks for a compiler and builds the library.
+    ``built`` is what :func:`repro.native.load` returns, by default this
+    process's :func:`repro.native.library`.
     :mod:`repro.particles.kernels` stores the result under ``"compiled"``
     when it is imported: a string is what :func:`~repro.particles.kernels.
     kernel_tier_status` reports and ``kernels="compiled"`` falls back to
@@ -1223,21 +1100,10 @@ def build_kernel_tier():
     """
     from repro.particles.kernels import KernelSet
 
-    choice = os.environ.get(BACKEND_ENV, "auto").strip().lower() or "auto"
-    if choice not in ("auto", "none"):
-        raise ConfigurationError(
-            f"unknown {BACKEND_ENV} value {choice!r}; expected auto or none "
-            "(generated C is the only backend)"
-        )
-    if choice == "none":
-        return f"disabled via {BACKEND_ENV}=none"
-    compiler = find_c_compiler()
-    if compiler is None:
-        return "no C compiler (cc/gcc/clang) on PATH"
-    try:
-        backend = CBackend(*compile_c_library(compiler))
-    except Exception as exc:
-        return f"C backend build failed: {exc}"
+    built = native.library() if built is None else built
+    if isinstance(built, str):
+        return built
+    backend = CBackend(*built)
     return KernelSet(
         name="compiled",
         gather=functools.partial(_gather, backend),

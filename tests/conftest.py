@@ -11,6 +11,7 @@ parametrized suites and the differential matrix in
 ``tests/test_transport_matrix.py`` apply.
 """
 
+import contextlib
 import dataclasses
 import importlib.util
 import os
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.constants import m_e, plasma_wavelength, q_e
+from repro.grid import compiled as native_fields
 from repro.parallel.distributed import DistributedSimulation
 from repro.parallel.mp_transport import (
     run_distributed_local,
@@ -34,6 +36,34 @@ needs_compiled = pytest.mark.skipif(
     "compiled" not in available_kernel_variants(),
     reason=kernel_tier_status().get("compiled", ""),
 )
+
+#: skips a test of the native field entries where there is no library
+needs_native_fields = pytest.mark.skipif(
+    native_fields.backend(np.dtype(np.float64)) is None,
+    reason=kernel_tier_status().get("compiled", ""),
+)
+
+
+@contextlib.contextmanager
+def numpy_fields():
+    """Inside the block every field site runs its NumPy body (the oracle
+    of the native entries), whatever library is built."""
+    native = native_fields.backend
+    native_fields.backend = lambda dtype: None
+    try:
+        yield
+    finally:
+        native_fields.backend = native
+
+
+def same_bits(a, b):
+    """``a`` and ``b`` hold the same bytes (NaN payloads and the sign of
+    zero included): what bit-identical means here."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and (
+        a.tobytes() == b.tobytes()
+    )
+
 
 def unfused(kernel_set):
     """The same kernels without the fused slot: the three-phase route."""
@@ -263,3 +293,35 @@ def golden_langmuir():
         return _GOLDEN_CACHE[key]
 
     return get
+
+
+def random_grid(n_cells, dtype=np.float64, guards=2, seed=0):
+    """A :class:`YeeGrid` of ``n_cells`` (cells of 1-1.6 um, one size per
+    axis) whose arrays hold :func:`random_fields`."""
+    from repro.grid.yee import YeeGrid
+
+    ndim = len(n_cells)
+    hi = tuple(1e-6 * (1 + 0.3 * d) * n_cells[d] for d in range(ndim))
+    return random_fields(
+        YeeGrid(n_cells, (0.0,) * ndim, hi, guards=guards, dtype=dtype), seed
+    )
+
+
+def random_fields(grid, seed=0):
+    """Fill every array of ``grid`` with normal values at field-like scales
+    (E ~ 1e11 V/m, B ~ 1e3 T, J ~ 1e16 A/m^2), every seventh one a
+    negative zero so that the sign of zero is exercised too."""
+    rng = np.random.default_rng(seed)
+    scale = {"E": 1e11, "B": 1e3, "J": 1e16, "r": 1e3}
+    for name, arr in grid.fields.items():
+        arr[...] = (scale[name[0]] * rng.standard_normal(arr.shape)).astype(arr.dtype)
+        arr.reshape(-1)[::7] = -0.0
+    return grid
+
+
+def assert_same_arrays(mine, theirs, what=""):
+    """Two ``{name: array}`` maps hold the same arrays, bit for bit."""
+    assert list(mine) == list(theirs), what
+    for name in mine:
+        assert np.array_equal(mine[name], theirs[name]), f"{what} {name}"
+        assert same_bits(mine[name], theirs[name]), f"{what} {name}: signed zero"

@@ -1,5 +1,7 @@
 """Tests for periodic / conductor / damping boundary handling."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,113 @@ def test_damping_layer_absorbs_energy():
     # graded damping is the cheap absorber: much weaker than the PML but
     # still removes the bulk of the outgoing energy
     assert g.field_energy() < 0.1 * e0
+
+
+# -- the damped walls: native entry, NumPy body and the per-plane reference ----
+
+from repro.core.simulation import Simulation  # noqa: E402
+from repro.exceptions import ConfigurationError  # noqa: E402
+from repro.grid.boundary import _axis_slice  # noqa: E402
+from repro.grid.yee import FIELD_COMPONENTS  # noqa: E402
+from tests.conftest import (  # noqa: E402
+    assert_same_arrays,
+    needs_native_fields,
+    numpy_fields,
+    random_fields,
+    random_grid,
+)
+
+
+def per_plane_damping(grid, axis, n_layer, strength, power, low, high):
+    """The damping as it was written first: one in-place product per plane
+    and component, low side first, with the NumPy scalar factor."""
+    factors = damping_profile(n_layer, strength, power)
+    size = grid.shape[axis]
+    for name in FIELD_COMPONENTS:
+        arr = grid.fields[name]
+        if low:
+            for k in range(n_layer):
+                arr[_axis_slice(grid.ndim, axis, slice(k, k + 1))] *= factors[k]
+        if high:
+            for k in range(n_layer):
+                plane = slice(size - 1 - k, size - k)
+                arr[_axis_slice(grid.ndim, axis, plane)] *= factors[k]
+
+
+def seeded_grid(ndim, dtype):
+    return random_grid((9, 7, 6)[:ndim], dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_damping_routes_match_the_per_plane_reference(ndim, dtype):
+    """Every axis and side; layers from none through thin and past the
+    middle of the axis (the two sides overlap) to the whole axis."""
+    for axis in range(ndim):
+        size = seeded_grid(ndim, dtype).shape[axis]
+        for n_layer in (0, 1, 3, size // 2 + 2, size):
+            for sides, low, high in (("both", 1, 1), ("low", 1, 0),
+                                     ("high", 0, 1)):
+                ref = seeded_grid(ndim, dtype)
+                per_plane_damping(ref, axis, n_layer, 0.3, 2, low, high)
+                with numpy_fields():
+                    numpy_grid = seeded_grid(ndim, dtype)
+                    apply_damping(numpy_grid, axis, n_layer, 0.3, sides=sides)
+                what = f"{ndim}D {dtype.__name__} axis {axis} n={n_layer} {sides}"
+                assert_same_arrays(numpy_grid.fields, ref.fields, what)
+                native = seeded_grid(ndim, dtype)
+                apply_damping(native, axis, n_layer, 0.3, sides=sides)
+                assert_same_arrays(native.fields, ref.fields, what)
+
+
+@needs_native_fields
+def test_native_damping_refuses_a_bad_layout_and_writes_nothing():
+    grid = seeded_grid(2, np.float64)
+    before = {name: arr.copy() for name, arr in grid.fields.items()}
+    grid.fields["Bz"] = before["Bz"][:, :-1].copy()
+    with pytest.raises(ConfigurationError, match="damp"):
+        apply_damping(grid, 1, 3)
+    grid.fields["Bz"] = before["Bz"]
+    assert_same_arrays(grid.fields, before)
+
+
+def test_damping_layer_wider_than_the_axis_is_refused():
+    """Planes past the far end used to be reached through negative
+    indices: 8 cells + 2 guards per side is 13 planes, and a 20-plane
+    layer damped planes 6-11 a second time."""
+    for route in (numpy_fields, contextlib.nullcontext):
+        grid = YeeGrid((8,), (0.0,), (1.0,), guards=2)
+        random_fields(grid)
+        before = {name: arr.copy() for name, arr in grid.fields.items()}
+        with route():
+            with pytest.raises(ConfigurationError, match="20 planes"):
+                apply_damping(grid, 0, 20)
+            with pytest.raises(ConfigurationError, match="-1 planes"):
+                apply_damping(grid, 0, -1)
+        assert_same_arrays(grid.fields, before)
+        # the whole axis is the widest layer there is; the profile is then
+        # symmetric about the middle plane
+        grid.fields["Ey"][...] = 1.0
+        with route():
+            apply_damping(grid, 0, 13, strength=0.5)
+        ey = grid.fields["Ey"]
+        np.testing.assert_array_equal(ey, ey[::-1])
+
+
+def test_simulation_refuses_a_damping_layer_wider_than_an_axis():
+    grid = YeeGrid((8, 32), (0.0, 0.0), (8e-6, 32e-6), guards=3)
+    with pytest.raises(ConfigurationError, match="axis 0"):
+        Simulation(grid, boundaries=("damped", "periodic"), n_absorber=20)
+    # the same width on an axis that holds it, or without a damped axis
+    Simulation(grid, boundaries=("periodic", "damped"), n_absorber=20)
+    Simulation(grid, boundaries="periodic", n_absorber=20)
+
+
+@pytest.mark.parametrize("sides", ["Low", "HIGH", "", "none", None])
+def test_unknown_damping_sides_are_refused(sides):
+    grid = seeded_grid(1, np.float64)
+    before = {name: arr.copy() for name, arr in grid.fields.items()}
+    for route in (numpy_fields, contextlib.nullcontext):
+        with route(), pytest.raises(ConfigurationError, match=repr(sides)):
+            apply_damping(grid, 0, 3, sides=sides)
+    assert_same_arrays(grid.fields, before)

@@ -111,3 +111,60 @@ def test_2d_pulse_expands_isotropically():
     # 90-degree rotational symmetry of the expanding ring
     np.testing.assert_allclose(ez, ez[::-1, :], atol=1e-9)
     np.testing.assert_allclose(ez, ez.T, atol=1e-9)
+
+
+# -- the native entry against the NumPy pushes --------------------------------
+
+from repro.exceptions import ConfigurationError  # noqa: E402
+from tests.conftest import (  # noqa: E402
+    assert_same_arrays,
+    needs_native_fields,
+    numpy_fields,
+    random_grid,
+)
+
+
+def seeded_grid(ndim, dtype):
+    return random_grid((9, 7, 6)[:ndim], dtype)
+
+
+@needs_native_fields
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_native_yee_step_is_the_numpy_step_bit_for_bit(ndim, dtype):
+    native, oracle = seeded_grid(ndim, dtype), seeded_grid(ndim, dtype)
+    dt = cfl_dt(native.dx, 0.7)
+    solver = MaxwellSolver(native, dt)
+    for _ in range(3):
+        solver.step()
+    # the oracle: the NumPy pushes, called directly and through step()
+    solver = MaxwellSolver(oracle, dt)
+    solver.push_b(0.5)
+    solver.push_e(1.0)
+    solver.push_b(0.5)
+    with numpy_fields():
+        for _ in range(2):
+            solver.step()
+    assert_same_arrays(native.fields, oracle.fields, f"{ndim}D {dtype.__name__}")
+
+
+@needs_native_fields
+def test_native_yee_refuses_a_bad_layout_and_writes_nothing():
+    grid = seeded_grid(2, np.float64)
+    solver = MaxwellSolver(grid, cfl_dt(grid.dx, 0.7))
+    before = {name: arr.copy() for name, arr in grid.fields.items()}
+    for bad in (
+        np.asfortranarray(grid.fields["By"]),  # same values, column-major
+        np.ascontiguousarray(grid.fields["By"][:, :-1]),  # one row short
+        grid.fields["By"].astype(np.float32),  # not the grid dtype
+    ):
+        grid.fields["By"] = bad
+        with pytest.raises(ConfigurationError, match="yee_step"):
+            solver.step()
+        assert_same_arrays(
+            {n: np.asarray(a, dtype=np.float64) for n, a in grid.fields.items()
+             if n != "By"},
+            {n: a for n, a in before.items() if n != "By"},
+        )
+    grid.fields["By"] = before["By"].copy()
+    solver.step()  # a good layout runs again

@@ -109,3 +109,78 @@ def test_pml_cfl_check():
     g = YeeGrid((32,), (0.0,), (1.0,), guards=2)
     with pytest.raises(StabilityError):
         PMLMaxwellSolver(g, dt=10 * cfl_dt(g.dx), n_pml=4)
+
+
+# -- the native entry against the NumPy split-field pushes ---------------------
+
+from repro.exceptions import ConfigurationError  # noqa: E402
+from tests.conftest import (  # noqa: E402
+    assert_same_arrays,
+    needs_native_fields,
+    numpy_fields,
+    random_grid,
+)
+
+
+def seeded_grid(ndim, dtype):
+    return random_grid((10, 8, 7)[:ndim], dtype)
+
+
+def layer_cases(ndim):
+    """Axis subsets x sides: all axes, the first, the last, none."""
+    for axes in (None, (0,), (ndim - 1,), ()):
+        for sides in ("both", "low", "high"):
+            yield axes, sides
+
+
+@needs_native_fields
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_native_pml_step_is_the_numpy_step_bit_for_bit(ndim, dtype):
+    for axes, sides in layer_cases(ndim):
+        native, oracle = seeded_grid(ndim, dtype), seeded_grid(ndim, dtype)
+        dt = cfl_dt(native.dx, 0.7)
+        mine = PMLMaxwellSolver(native, dt, n_pml=3, axes=axes, sides=sides)
+        ref = PMLMaxwellSolver(oracle, dt, n_pml=3, axes=axes, sides=sides)
+        for _ in range(3):
+            mine.step()
+        ref.push_b(0.5)
+        ref.push_e(1.0)
+        ref.push_b(0.5)
+        with numpy_fields():
+            for _ in range(2):
+                ref.step()
+        what = f"{ndim}D {dtype.__name__} axes={axes} sides={sides}"
+        assert_same_arrays(native.fields, oracle.fields, what)
+        assert_same_arrays(
+            {str(k): v for k, v in mine.split.items()},
+            {str(k): v for k, v in ref.split.items()}, what + " split",
+        )
+
+
+@needs_native_fields
+def test_native_pml_refuses_a_bad_split_part_and_writes_nothing():
+    grid = seeded_grid(2, np.float64)
+    solver = PMLMaxwellSolver(grid, cfl_dt(grid.dx, 0.7), n_pml=3)
+    fields = {name: arr.copy() for name, arr in grid.fields.items()}
+    key = ("Ez", 0)
+    good = solver.split[key]
+    solver.split[key] = np.asfortranarray(good)
+    with pytest.raises(ConfigurationError, match="pml_step"):
+        solver.step()
+    assert_same_arrays(grid.fields, fields)
+    assert np.array_equal(solver.split[key], good)
+    solver.split[key] = good
+    solver.step()
+
+
+@pytest.mark.parametrize("sides", ["Low", "", "left", None])
+def test_unknown_pml_sides_are_refused(sides):
+    g = YeeGrid((16,), (0.0,), (1.0,), guards=3)
+    with pytest.raises(ConfigurationError, match="sides"):
+        pml_sigma_profile(g, 0, 0, n_pml=4, sides=sides)
+    with pytest.raises(ConfigurationError, match="sides"):
+        PMLMaxwellSolver(g, cfl_dt(g.dx, 0.5), n_pml=4, sides=sides)
+    # no axis carries a layer, and the value is still checked
+    with pytest.raises(ConfigurationError, match="sides"):
+        PMLMaxwellSolver(g, cfl_dt(g.dx, 0.5), n_pml=4, axes=(), sides=sides)

@@ -198,3 +198,115 @@ def test_shift_region_and_removal():
     p.shift_region(3)
     assert p.is_outside_parent()
     assert p.should_remove(0.0)
+
+
+# -- the native aux assembly against the NumPy substitution ----------------------
+
+from repro.core.simulation import Simulation  # noqa: E402
+from repro.diagnostics.io import load_checkpoint, save_checkpoint  # noqa: E402
+from repro.grid.yee import FIELD_COMPONENTS  # noqa: E402
+from tests.conftest import (  # noqa: E402
+    assert_same_arrays,
+    needs_native_fields,
+    numpy_fields,
+    random_fields,
+)
+
+
+def aux_both_routes(patch):
+    """The auxiliary field the native entry assembles and the one the
+    NumPy substitution does, from the same fine / coarse / parent state."""
+    patch.assemble_aux()
+    native = {c: patch.aux.fields[c].copy() for c in FIELD_COMPONENTS}
+    for c in FIELD_COMPONENTS:
+        patch.aux.fields[c][...] = 123.0  # every point must be rewritten
+    with numpy_fields():
+        patch.assemble_aux()
+    return native, {c: patch.aux.fields[c] for c in FIELD_COMPONENTS}
+
+
+def randomized_patch(ndim, ratio, dtype, seed=0):
+    n = 12
+    parent = YeeGrid((n,) * ndim, (0.0,) * ndim, (float(n),) * ndim,
+                     guards=3, dtype=dtype)
+    lo, hi = (3, 2, 4)[:ndim], (9, 7, 8)[:ndim]
+    patch = MRPatch(parent, lo, hi, ratio=ratio,
+                    dt=fine_dt(parent, ratio), n_pml=2)
+    for k, grid in enumerate((parent, patch.coarse, patch.fine)):
+        random_fields(grid, seed + k)
+    return patch
+
+
+@needs_native_fields
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("ratio", [2, 4])
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_native_aux_is_the_numpy_substitution_bit_for_bit(ndim, ratio, dtype):
+    patch = randomized_patch(ndim, ratio, dtype)
+    native, oracle = aux_both_routes(patch)
+    assert_same_arrays(native, oracle, f"{ndim}D r{ratio} {dtype.__name__}")
+    # the lab-fixed patch after a window shift: new parent section, maps
+    # rebuilt for the new region
+    plan = patch._aux_plan
+    patch.shift_region(1)
+    random_fields(patch.parent, 9)
+    native, oracle = aux_both_routes(patch)
+    assert patch._aux_plan is not plan
+    assert patch._aux_plan.region_lo == tuple(patch.region_lo)
+    assert_same_arrays(native, oracle, "after shift_region")
+
+
+@needs_native_fields
+def test_native_aux_after_a_checkpoint_restore(tmp_path):
+    """The restored region differs from the one the fresh deck built its
+    maps for: the restore must not leave those maps in use."""
+
+    def build():
+        grid = YeeGrid((32, 16), (0.0, 0.0), (32e-6, 16e-6), guards=4)
+        sim = Simulation(grid, dt=fine_dt(grid), shape_order=2)
+        sim.add_patch((8, 4), (20, 12), ratio=2, n_pml=2)
+        return sim
+
+    sim_a = build()
+    patch = sim_a.patches[0]
+    patch.shift_region(3)  # as a moving window would have
+    for grid in (sim_a.grid, patch.coarse, patch.fine):
+        random_fields(grid, 4)
+    sim_a.step()
+    path = str(tmp_path / "mr.npz")
+    save_checkpoint(sim_a, path)
+    sim_b = build()
+    stale = sim_b.patches[0]._aux_plan
+    load_checkpoint(sim_b, path)
+    restored = sim_b.patches[0]
+    assert restored.region_lo == patch.region_lo
+    native, oracle = aux_both_routes(restored)
+    assert restored._aux_plan is not stale
+    assert_same_arrays(native, oracle, "after restore")
+    assert_same_arrays(
+        native, {c: patch.aux.fields[c] for c in FIELD_COMPONENTS},
+        "restored vs written",
+    )
+
+
+@needs_native_fields
+def test_native_aux_refuses_a_bad_layout_and_writes_nothing():
+    patch = randomized_patch(2, 2, np.float64)
+    aux = {c: patch.aux.fields[c].copy() for c in FIELD_COMPONENTS}
+    good = patch.coarse.fields["Bx"]
+    for bad in (np.asfortranarray(good), good[:, :-1].copy(),
+                good.astype(np.float32)):
+        patch.coarse.fields["Bx"] = bad
+        with pytest.raises(ConfigurationError, match="assemble_aux"):
+            patch.assemble_aux()
+        assert_same_arrays(
+            {c: patch.aux.fields[c] for c in FIELD_COMPONENTS}, aux
+        )
+    patch.coarse.fields["Bx"] = good
+    patch.aux.fields["Ey"] = np.asfortranarray(patch.aux.fields["Ey"])
+    with pytest.raises(ConfigurationError, match="assemble_aux"):
+        patch.assemble_aux()
+    assert_same_arrays(
+        {c: np.ascontiguousarray(patch.aux.fields[c]) for c in FIELD_COMPONENTS},
+        aux,
+    )

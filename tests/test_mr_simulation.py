@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.constants import c, m_e, plasma_wavelength, q_e, um
+from repro.constants import c, fs, m_e, plasma_wavelength, q_e, um
 from repro.core.moving_window import MovingWindow
 from repro.core.simulation import Simulation
 from repro.diagnostics.io import load_checkpoint, save_checkpoint
@@ -311,3 +311,58 @@ def test_only_subcycled_patches_leave_the_parent_on_the_fused_pass():
     assert not {"gather", "push", "deposit"} & set(sim.timers.counts)
     assert np.all(np.isfinite(sim.patches[0].fine.fields["Jx"]))
     assert np.any(sim.patches[0].fine.fields["Jx"])
+
+
+# -- the hybrid target deck: native field entries against the NumPy bodies -----
+
+from repro.scenarios import HybridTargetSetup, build_hybrid_target  # noqa: E402
+from tests.conftest import (  # noqa: E402
+    assert_same_arrays,
+    needs_native_fields,
+    numpy_fields,
+)
+
+
+def hybrid_state(sim):
+    """Every array of the run: parent and patch grids, PML split parts,
+    particles (the sort keeps ids and order identical across routes)."""
+    state = {f"grid/{k}": v for k, v in sim.grid.fields.items()}
+    for i, patch in enumerate(sim.patches):
+        for level in ("fine", "coarse", "aux"):
+            grid = getattr(patch, level)
+            state.update((f"p{i}/{level}/{k}", v) for k, v in grid.fields.items())
+        for level in ("fine_solver", "coarse_solver"):
+            split = getattr(patch, level).split
+            state.update((f"p{i}/{level}/{k}", v) for k, v in split.items())
+    for name, sp in sim.species.items():
+        for attr in ("positions", "momenta", "weights", "ids"):
+            state[f"{name}/{attr}"] = getattr(sp, attr)
+    return state
+
+
+@needs_native_fields
+def test_hybrid_deck_native_fields_are_the_numpy_route_through_removal():
+    """The MR deck of Fig. 6 (damped walls, antenna, a PML-terminated
+    patch, the moving window), scaled down, run past its patch removal
+    with the native field entries and with their NumPy bodies — the
+    particle kernels the same on both sides — must agree in every array
+    at every fifth step, while the patch is active and after."""
+    setup = HybridTargetSetup(
+        cells_per_wavelength=4, x_max=8 * um, y_half=3 * um,
+        gas_lo=2 * um, gas_hi=4.5 * um, solid_lo=4.5 * um, solid_hi=5.5 * um,
+        solid_nc=20, a0=2.5, duration=3 * fs, waist=1.5 * um, seed=7,
+    )
+    native, _, _ = build_hybrid_target(setup, mode="mr", subcycle=False)
+    with numpy_fields():
+        oracle, _, _ = build_hybrid_target(setup, mode="mr", subcycle=False)
+    active = 0
+    for step in range(1, 121):
+        native.step()
+        with numpy_fields():
+            oracle.step()
+        active += bool(native.patches)
+        if step % 5 == 0:
+            assert_same_arrays(hybrid_state(native), hybrid_state(oracle),
+                               f"step {step}")
+    assert 80 <= active < 120 and not oracle.patches
+    assert native.removal_log == oracle.removal_log

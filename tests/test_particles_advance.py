@@ -30,6 +30,7 @@ from repro.parallel.distributed import DistributedSimulation
 from repro.parallel.mp_transport import run_distributed_local, run_distributed_mp
 from repro.particles import kernels
 from repro.particles.advance import advance_particles
+from repro import native
 from repro.particles import compiled
 from repro.particles.compiled import KMAX, LANES
 from repro.particles.deposit import esirkepov_window
@@ -251,11 +252,10 @@ for name, call in calls.items():
 # block must be the particle, on the axis, with the partial J, of the
 # per-particle loop (the exported scalar entry), the inputs untouched
 import re
-from repro.particles.compiled import (
-    LANES, CBackend, compile_c_library, find_c_compiler, run_advance,
-)
+from repro.native import compile_library, find_c_compiler
+from repro.particles.compiled import LANES, CBackend, run_advance
 
-backend = CBackend(*compile_c_library(find_c_compiler()))
+backend = CBackend(*compile_library(find_c_compiler()))
 n = 3 * LANES + 5
 rng = np.random.default_rng(11)
 good = rng.uniform(2.0, 14.0, size=(n, 2))
@@ -714,10 +714,10 @@ def test_a_move_wider_than_the_fused_window_is_refused_not_truncated():
 @pytest.fixture(scope="module")
 def lane_backends():
     """The library as the tier builds it, and one from the plain flags."""
-    cc = compiled.find_c_compiler()
+    cc = native.find_c_compiler()
     return (
-        compiled.CBackend(*compiled.compile_c_library(cc)),
-        compiled.CBackend(*compiled.compile_c_library(cc, compiled.PLAIN_FLAGS)),
+        compiled.CBackend(*native.compile_library(cc)),
+        compiled.CBackend(*native.compile_library(cc, native.PLAIN_FLAGS)),
     )
 
 

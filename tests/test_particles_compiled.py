@@ -16,16 +16,10 @@ from repro.core.simulation import Simulation
 from repro.exceptions import ConfigurationError
 from repro.grid.yee import YeeGrid
 from repro.observability import attach_observability
-from repro.particles import compiled
+from repro import native
+from repro.native import BACKEND_ENV, find_c_compiler
 from repro.particles import kernels
-from repro.particles.compiled import (
-    BACKEND_ENV,
-    KMAX,
-    LANES,
-    build_kernel_tier,
-    c_source,
-    find_c_compiler,
-)
+from repro.particles.compiled import KMAX, LANES, build_kernel_tier, c_source
 from repro.particles.deposit import deposit_current_esirkepov
 from repro.particles.gather import gather_fields
 from repro.particles.injection import UniformProfile
@@ -72,7 +66,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 def c_set(monkeypatch):
     """A compiled kernel set built here, whatever the environment says."""
     monkeypatch.setenv(BACKEND_ENV, "auto")
-    kernel_set = build_kernel_tier()
+    kernel_set = build_kernel_tier(native.load())
     if isinstance(kernel_set, str):
         pytest.skip(kernel_set)
     return kernel_set
@@ -156,12 +150,12 @@ def test_c_source_emits_both_precisions():
 
 @pytest.fixture
 def tiny_library(monkeypatch, tmp_path):
-    """`compile_c_library` over a one-line source in an empty cache."""
+    """`native.compile_library` over a one-line source in an empty cache."""
     cc = find_c_compiler()
     if cc is None:
         pytest.skip("no C compiler (cc/gcc/clang) on PATH")
-    monkeypatch.setattr(compiled, "c_source", lambda: "int one(void) { return 1; }\n")
-    monkeypatch.setattr(compiled, "_cache_dir", lambda: str(tmp_path))
+    monkeypatch.setattr(native, "c_source", lambda: "int one(void) { return 1; }\n")
+    monkeypatch.setattr(native, "_cache_dir", lambda: str(tmp_path))
     return cc, tmp_path
 
 
@@ -170,12 +164,12 @@ def test_library_cache_key_covers_flags_and_resolved_target(tiny_library, monkey
     be loaded on another CPU: the name hashes the driver's own account of
     the build (version, target, the `cc1` line with `native` resolved)."""
     cc, _ = tiny_library
-    src = compiled.c_source()
-    here = compiled._library_path(cc, src, compiled.SIMD_FLAGS)
-    assert here == compiled._library_path(cc, src, compiled.SIMD_FLAGS)
-    assert here != compiled._library_path(cc, src, compiled.PLAIN_FLAGS)
-    assert here != compiled._library_path(cc, src + "\n", compiled.SIMD_FLAGS)
-    run = compiled.subprocess.run
+    src = native.c_source()
+    here = native._library_path(cc, src, native.SIMD_FLAGS)
+    assert here == native._library_path(cc, src, native.SIMD_FLAGS)
+    assert here != native._library_path(cc, src, native.PLAIN_FLAGS)
+    assert here != native._library_path(cc, src + "\n", native.SIMD_FLAGS)
+    run = native.subprocess.run
 
     def another_cpu(cmd, **kwargs):
         done = run(cmd, **kwargs)
@@ -183,8 +177,8 @@ def test_library_cache_key_covers_flags_and_resolved_target(tiny_library, monkey
             done.stderr = done.stderr.replace("-march=", "-march=another-")
         return done
 
-    monkeypatch.setattr(compiled.subprocess, "run", another_cpu)
-    assert here != compiled._library_path(cc, src, compiled.SIMD_FLAGS)
+    monkeypatch.setattr(native.subprocess, "run", another_cpu)
+    assert here != native._library_path(cc, src, native.SIMD_FLAGS)
 
 
 def test_rejected_simd_flags_fall_back_to_plain_and_leave_nothing(
@@ -192,19 +186,19 @@ def test_rejected_simd_flags_fall_back_to_plain_and_leave_nothing(
 ):
     cc, cache = tiny_library
     monkeypatch.setattr(
-        compiled, "SIMD_FLAGS", compiled.PLAIN_FLAGS + ("-mno-such-isa-flag",)
+        native, "SIMD_FLAGS", native.PLAIN_FLAGS + ("-mno-such-isa-flag",)
     )
-    lib, build = compiled.compile_c_library(cc)
+    lib, build = native.compile_library(cc)
     assert lib.one() == 1
     assert build.startswith("plain flags: ") and "-mno-such-isa-flag" in build
     # the failed attempt's .c / .tmp are gone; the good one keeps its source
     assert sorted(p.suffix for p in cache.iterdir()) == [".c", ".so"]
     # an explicit flag set is built as given or not at all: no retry
     with pytest.raises(ConfigurationError, match="-mno-such-isa-flag"):
-        compiled.compile_c_library(cc, compiled.SIMD_FLAGS)
+        native.compile_library(cc, native.SIMD_FLAGS)
     assert len(list(cache.iterdir())) == 2
-    _, build = compiled.compile_c_library(cc, compiled.PLAIN_FLAGS)
-    assert build == " ".join(compiled.PLAIN_FLAGS)
+    _, build = native.compile_library(cc, native.PLAIN_FLAGS)
+    assert build == " ".join(native.PLAIN_FLAGS)
     assert len(list(cache.iterdir())) == 2  # reused, not rebuilt
 
 
@@ -250,18 +244,19 @@ def test_guard_shortage_raises(c_set):
 def test_backend_env_rejects_unknown(monkeypatch):
     monkeypatch.setenv(BACKEND_ENV, "simd")
     with pytest.raises(ConfigurationError, match=BACKEND_ENV):
-        build_kernel_tier()
+        native.load()
 
 
 def test_backend_env_none_disables(monkeypatch):
     monkeypatch.setenv(BACKEND_ENV, "none")
-    assert build_kernel_tier() == f"disabled via {BACKEND_ENV}=none"
+    assert native.load() == f"disabled via {BACKEND_ENV}=none"
+    assert build_kernel_tier(native.load()) == f"disabled via {BACKEND_ENV}=none"
 
 
 def test_no_backend_reports_reason(monkeypatch):
     monkeypatch.setenv(BACKEND_ENV, "auto")
-    monkeypatch.setattr(compiled, "find_c_compiler", lambda: None)
-    assert "no C compiler" in build_kernel_tier()
+    monkeypatch.setattr(native, "find_c_compiler", lambda: None)
+    assert "no C compiler" in native.load()
 
 
 def test_numba_choice_is_rejected(monkeypatch):
@@ -269,7 +264,7 @@ def test_numba_choice_is_rejected(monkeypatch):
     # error, not a silent fall-through to C
     monkeypatch.setenv(BACKEND_ENV, "numba")
     with pytest.raises(ConfigurationError, match="auto or none"):
-        build_kernel_tier()
+        native.load()
 
 
 def test_unavailable_tier_resolves_to_vectorized(monkeypatch):
@@ -370,6 +365,35 @@ def test_retired_backend_value_c_fails_the_import():
     last = done.stderr.strip().splitlines()[-1]
     assert last.startswith("repro.exceptions.ConfigurationError")
     assert "'c'" in last and "expected auto or none" in last
+
+
+def test_one_library_serves_both_tiers_and_is_built_once():
+    """The particle table's import builds the one library; importing
+    `repro.grid` and stepping a field solver reuse it."""
+    done = run_fresh("""
+import repro.grid
+from repro import native
+from repro.grid import compiled as fields
+from repro.grid.maxwell import MaxwellSolver, cfl_dt
+from repro.grid.yee import YeeGrid
+from repro.particles.kernels import kernel_tier_status
+grid = YeeGrid((8, 8), (0.0, 0.0), (8e-6, 8e-6))
+MaxwellSolver(grid, cfl_dt(grid.dx, 0.5)).step()
+info = native.library.cache_info()
+assert (info.misses, info.currsize) == (1, 1), info
+assert (fields.backend(grid.dtype) is None) == isinstance(native.library(), str)
+print(kernel_tier_status()["compiled"])
+""")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == kernel_tier_status()["compiled"]
+
+
+def test_library_source_holds_the_field_entries_in_both_precisions():
+    src = native.c_source()
+    assert src.startswith(c_source())
+    for entry in ("yee_step", "pml_step", "damp", "assemble_aux"):
+        assert f" {entry}_f64(" in src and f" {entry}_f32(" in src
+    assert "@REAL@" not in src and "@SUF@" not in src
 
 
 # -- dispatch counters --------------------------------------------------------
