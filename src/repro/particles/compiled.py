@@ -1088,11 +1088,10 @@ def _deposit_current(
     )
 
 
-def build_kernel_tier(built=None):
-    """The compiled tier's ``KernelSet``, or the reason there is none.
+def build_kernel_tier():
+    """The compiled tier's ``KernelSet`` on this process's
+    :func:`repro.native.library`, or the reason there is none.
 
-    ``built`` is what :func:`repro.native.load` returns, by default this
-    process's :func:`repro.native.library`.
     :mod:`repro.particles.kernels` stores the result under ``"compiled"``
     when it is imported: a string is what :func:`~repro.particles.kernels.
     kernel_tier_status` reports and ``kernels="compiled"`` falls back to
@@ -1100,7 +1099,7 @@ def build_kernel_tier(built=None):
     """
     from repro.particles.kernels import KernelSet
 
-    built = native.library() if built is None else built
+    built = native.library()
     if isinstance(built, str):
         return built
     backend = CBackend(*built)

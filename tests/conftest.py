@@ -37,13 +37,6 @@ needs_compiled = pytest.mark.skipif(
     reason=kernel_tier_status().get("compiled", ""),
 )
 
-#: skips a test of the native field entries where there is no library
-needs_native_fields = pytest.mark.skipif(
-    native_fields.backend(np.dtype(np.float64)) is None,
-    reason=kernel_tier_status().get("compiled", ""),
-)
-
-
 @contextlib.contextmanager
 def numpy_fields():
     """Inside the block every field site runs its NumPy body (the oracle
@@ -323,5 +316,4 @@ def assert_same_arrays(mine, theirs, what=""):
     """Two ``{name: array}`` maps hold the same arrays, bit for bit."""
     assert list(mine) == list(theirs), what
     for name in mine:
-        assert np.array_equal(mine[name], theirs[name]), f"{what} {name}"
-        assert same_bits(mine[name], theirs[name]), f"{what} {name}: signed zero"
+        assert same_bits(mine[name], theirs[name]), f"{what} {name}"

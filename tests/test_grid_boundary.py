@@ -110,7 +110,7 @@ from repro.grid.boundary import _axis_slice  # noqa: E402
 from repro.grid.yee import FIELD_COMPONENTS  # noqa: E402
 from tests.conftest import (  # noqa: E402
     assert_same_arrays,
-    needs_native_fields,
+    needs_compiled,
     numpy_fields,
     random_fields,
     random_grid,
@@ -159,7 +159,7 @@ def test_damping_routes_match_the_per_plane_reference(ndim, dtype):
                 assert_same_arrays(native.fields, ref.fields, what)
 
 
-@needs_native_fields
+@needs_compiled
 def test_native_damping_refuses_a_bad_layout_and_writes_nothing():
     grid = seeded_grid(2, np.float64)
     before = {name: arr.copy() for name, arr in grid.fields.items()}

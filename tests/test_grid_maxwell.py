@@ -118,7 +118,7 @@ def test_2d_pulse_expands_isotropically():
 from repro.exceptions import ConfigurationError  # noqa: E402
 from tests.conftest import (  # noqa: E402
     assert_same_arrays,
-    needs_native_fields,
+    needs_compiled,
     numpy_fields,
     random_grid,
 )
@@ -128,7 +128,7 @@ def seeded_grid(ndim, dtype):
     return random_grid((9, 7, 6)[:ndim], dtype)
 
 
-@needs_native_fields
+@needs_compiled
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 def test_native_yee_step_is_the_numpy_step_bit_for_bit(ndim, dtype):
@@ -148,7 +148,7 @@ def test_native_yee_step_is_the_numpy_step_bit_for_bit(ndim, dtype):
     assert_same_arrays(native.fields, oracle.fields, f"{ndim}D {dtype.__name__}")
 
 
-@needs_native_fields
+@needs_compiled
 def test_native_yee_refuses_a_bad_layout_and_writes_nothing():
     grid = seeded_grid(2, np.float64)
     solver = MaxwellSolver(grid, cfl_dt(grid.dx, 0.7))

@@ -116,7 +116,7 @@ def test_pml_cfl_check():
 from repro.exceptions import ConfigurationError  # noqa: E402
 from tests.conftest import (  # noqa: E402
     assert_same_arrays,
-    needs_native_fields,
+    needs_compiled,
     numpy_fields,
     random_grid,
 )
@@ -133,7 +133,7 @@ def layer_cases(ndim):
             yield axes, sides
 
 
-@needs_native_fields
+@needs_compiled
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 def test_native_pml_step_is_the_numpy_step_bit_for_bit(ndim, dtype):
@@ -158,7 +158,7 @@ def test_native_pml_step_is_the_numpy_step_bit_for_bit(ndim, dtype):
         )
 
 
-@needs_native_fields
+@needs_compiled
 def test_native_pml_refuses_a_bad_split_part_and_writes_nothing():
     grid = seeded_grid(2, np.float64)
     solver = PMLMaxwellSolver(grid, cfl_dt(grid.dx, 0.7), n_pml=3)

@@ -207,7 +207,7 @@ from repro.diagnostics.io import load_checkpoint, save_checkpoint  # noqa: E402
 from repro.grid.yee import FIELD_COMPONENTS  # noqa: E402
 from tests.conftest import (  # noqa: E402
     assert_same_arrays,
-    needs_native_fields,
+    needs_compiled,
     numpy_fields,
     random_fields,
 )
@@ -237,7 +237,7 @@ def randomized_patch(ndim, ratio, dtype, seed=0):
     return patch
 
 
-@needs_native_fields
+@needs_compiled
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("ratio", [2, 4])
 @pytest.mark.parametrize("ndim", [1, 2, 3])
@@ -256,7 +256,7 @@ def test_native_aux_is_the_numpy_substitution_bit_for_bit(ndim, ratio, dtype):
     assert_same_arrays(native, oracle, "after shift_region")
 
 
-@needs_native_fields
+@needs_compiled
 def test_native_aux_after_a_checkpoint_restore(tmp_path):
     """The restored region differs from the one the fresh deck built its
     maps for: the restore must not leave those maps in use."""
@@ -289,7 +289,7 @@ def test_native_aux_after_a_checkpoint_restore(tmp_path):
     )
 
 
-@needs_native_fields
+@needs_compiled
 def test_native_aux_refuses_a_bad_layout_and_writes_nothing():
     patch = randomized_patch(2, 2, np.float64)
     aux = {c: patch.aux.fields[c].copy() for c in FIELD_COMPONENTS}

@@ -316,11 +316,7 @@ def test_only_subcycled_patches_leave_the_parent_on_the_fused_pass():
 # -- the hybrid target deck: native field entries against the NumPy bodies -----
 
 from repro.scenarios import HybridTargetSetup, build_hybrid_target  # noqa: E402
-from tests.conftest import (  # noqa: E402
-    assert_same_arrays,
-    needs_native_fields,
-    numpy_fields,
-)
+from tests.conftest import assert_same_arrays, numpy_fields  # noqa: E402
 
 
 def hybrid_state(sim):
@@ -340,7 +336,7 @@ def hybrid_state(sim):
     return state
 
 
-@needs_native_fields
+@needs_compiled
 def test_hybrid_deck_native_fields_are_the_numpy_route_through_removal():
     """The MR deck of Fig. 6 (damped walls, antenna, a PML-terminated
     patch, the moving window), scaled down, run past its patch removal

@@ -66,7 +66,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 def c_set(monkeypatch):
     """A compiled kernel set built here, whatever the environment says."""
     monkeypatch.setenv(BACKEND_ENV, "auto")
-    kernel_set = build_kernel_tier(native.load())
+    monkeypatch.setattr(native, "library", native.load)
+    kernel_set = build_kernel_tier()
     if isinstance(kernel_set, str):
         pytest.skip(kernel_set)
     return kernel_set
@@ -249,8 +250,9 @@ def test_backend_env_rejects_unknown(monkeypatch):
 
 def test_backend_env_none_disables(monkeypatch):
     monkeypatch.setenv(BACKEND_ENV, "none")
+    monkeypatch.setattr(native, "library", native.load)
     assert native.load() == f"disabled via {BACKEND_ENV}=none"
-    assert build_kernel_tier(native.load()) == f"disabled via {BACKEND_ENV}=none"
+    assert build_kernel_tier() == f"disabled via {BACKEND_ENV}=none"
 
 
 def test_no_backend_reports_reason(monkeypatch):
