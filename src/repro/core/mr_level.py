@@ -20,10 +20,10 @@ A patch owns three grids over the same physical region:
   the construction that avoids the spurious reflections plain
   interpolation MR suffers from in electromagnetic PIC.
 
-Particles inside the patch (outside a transition zone of a few fine cells
-at the patch edge) gather from ``a``; their current is deposited on ``f``,
-restricted to the parent resolution, and added both to the parent grid and
-to ``c``.
+Particles inside the patch (outside a transition zone at the patch edge,
+``n_transition`` fine cells of axis 0 wide on every axis) gather from
+``a``; their current is deposited on ``f``, restricted to the parent
+resolution into ``c``'s current, and added from there to the parent grid.
 
 The patch is *fixed in the lab frame*: when the parent's moving window
 shifts, only the patch's parent-index region is updated, and the patch is
@@ -66,8 +66,11 @@ class MRPatch:
     n_pml:
         PML thickness of the patch grids [cells of each grid].
     n_transition:
-        Width of the transition zone in *fine* cells: particles closer
-        than this to the patch edge gather the parent field only.
+        Width of the transition zone, counted in cells of the fine grid's
+        axis 0: the margin is ``n_transition * fine.dx[0]`` on *every*
+        axis (so on an axis with a finer or coarser fine spacing it is a
+        fractional number of that axis's cells).  Particles closer than
+        this to the patch edge gather the parent field only.
     remove_time:
         Simulation time [s] after which the patch reports itself removable.
     """
@@ -148,14 +151,15 @@ class MRPatch:
         # if both grids apply the *identical* discrete operator (same
         # resolution, same dt) to the identical restricted sources
         self.coarse_solver = PMLMaxwellSolver(self.coarse, self.dt, n_pml=n_pml)
-        #: running average of the restricted substep currents (subcycling)
-        self._accumulated_j: Dict[str, np.ndarray] = {}
+        #: whether this parent step's restricted fine J is in the coarse
+        #: companion's J yet: the first restriction assigns, later ones add
+        self._restricted = False
         #: subcycling state a restart needs: the sorted ids of the resident
         #: particles per species, and the previous step's external field
         self._member_ids: Dict[str, np.ndarray] = {}
         self._external_prev: Optional[Dict[str, np.ndarray]] = None
-        #: transfer maps of the native aux assembly, for one region_lo
-        self._aux_plan: Optional[native_fields.AuxPlan] = None
+        #: transfer maps of the native entries, for one region_lo
+        self._transfer_plan: Optional[native_fields.TransferPlan] = None
         self._init_fields_from_parent()
 
     # -- setup -------------------------------------------------------------
@@ -192,30 +196,50 @@ class MRPatch:
 
     # -- subcycling support ---------------------------------------------------
     def begin_step(self) -> None:
-        """Reset the per-step accumulator of restricted substep currents."""
-        self._accumulated_j = {}
+        """Start a parent step: the next restriction assigns the coarse
+        companion's J instead of adding to it."""
+        self._restricted = False
 
     def accumulate_restricted_currents(self, weight: float) -> None:
         """Fold ``weight`` times the restriction of the current fine J into
-        the running average that will drive the parent and the coarse
-        companion for this parent step."""
-        for comp in ("Jx", "Jy", "Jz"):
-            coarse_counts = region_sample_counts(self.coarse.n_cells, STAGGER[comp])
-            j_coarse = restrict(
-                self.fine.interior_view(comp), self.ratio, STAGGER[comp], coarse_counts
-            )
-            if comp in self._accumulated_j:
-                self._accumulated_j[comp] += weight * j_coarse
-            else:
-                self._accumulated_j[comp] = weight * j_coarse
+        the coarse companion's J interior — the running (substep-averaged)
+        current that drives it and the parent for this parent step.
+
+        The first call of a step assigns and later ones add: adding to the
+        zeroed array would turn a -0.0 into +0.0.  With the native library
+        the three components are one call of the C entry
+        ``restrict_currents`` over the patch's :meth:`transfer_plan`, bit
+        for bit what :func:`~repro.grid.interpolation.restrict` computes
+        here without it; that stays the fallback and the oracle.
+        """
+        first = not self._restricted
+        native = native_fields.backend(self.parent.dtype)
+        if native is not None:
+            native.restrict_currents(self, self.transfer_plan(), weight, first)
+        else:
+            for comp in ("Jx", "Jy", "Jz"):
+                coarse_counts = region_sample_counts(
+                    self.coarse.n_cells, STAGGER[comp]
+                )
+                j_coarse = weight * restrict(
+                    self.fine.interior_view(comp), self.ratio, STAGGER[comp],
+                    coarse_counts,
+                )
+                target = self.coarse.interior_view(comp)
+                if first:
+                    target[...] = j_coarse
+                else:
+                    target += j_coarse
+        self._restricted = True
 
     def apply_accumulated_currents_to_parent(self) -> None:
-        """Feed the substep-averaged restricted current to the parent grid
-        *and* to the coarse companion, so both advance from exactly the
-        same in-patch sources."""
-        for comp, j in self._accumulated_j.items():
-            self._parent_section(comp)[...] += j
-            self.coarse.interior_view(comp)[...] = j
+        """Add the step's restricted current, held in the coarse
+        companion's J interior, to the parent grid, so both advance from
+        exactly the same in-patch sources."""
+        if self._restricted:
+            for comp in ("Jx", "Jy", "Jz"):
+                section = self._parent_section(comp)
+                section += self.coarse.interior_view(comp)
 
     def substep_fields(self) -> None:
         """One fine-grid field substep (subcycling mode).
@@ -302,8 +326,10 @@ class MRPatch:
         return mask
 
     def transition_margin(self) -> float:
-        """Width [m] of the transition zone: ``n_transition`` fine cells
-        of axis 0, applied on every axis."""
+        """Width [m] of the transition zone: ``n_transition * fine.dx[0]``,
+        the same length on every axis — ``n_transition`` fine cells only
+        along axis 0 (1.47 fine y-cells on the hybrid deck, where
+        ``n_transition`` is 3)."""
         return self.n_transition * self.fine.dx[0]
 
     def interior_mask(self, positions: np.ndarray) -> np.ndarray:
@@ -366,8 +392,7 @@ class MRPatch:
 
         With the native library all six components are one call of the C
         entry ``assemble_aux`` (:mod:`repro.grid.compiled`) over the
-        patch's transfer maps, built once per ``region_lo`` (so again
-        after a window shift or a checkpoint restore), bit for bit what
+        patch's :meth:`transfer_plan`, bit for bit what
         :meth:`frozen_external` + :meth:`assemble_aux_with_external`
         compute; those stay the fallback and the oracle.
         """
@@ -375,10 +400,16 @@ class MRPatch:
         if native is None:
             self.assemble_aux_with_external(self.frozen_external())
             return
-        plan = self._aux_plan
+        native.assemble_aux(self, self.transfer_plan())
+
+    def transfer_plan(self) -> "native_fields.TransferPlan":
+        """The maps of the native prolongation and restriction, built once
+        per ``region_lo`` (so again after a window shift or a checkpoint
+        restore)."""
+        plan = self._transfer_plan
         if plan is None or plan.region_lo != tuple(self.region_lo):
-            plan = self._aux_plan = native_fields.AuxPlan(self)
-        native.assemble_aux(self, plan)
+            plan = self._transfer_plan = native_fields.TransferPlan(self)
+        return plan
 
     def zero_sources(self) -> None:
         self.fine.zero_sources()

@@ -29,6 +29,7 @@ from repro.analysis.sanitize import Sanitizer
 from repro.constants import c
 from repro.diagnostics.timers import Timers
 from repro.exceptions import ConfigurationError
+from repro.grid import compiled as native_fields
 from repro.grid.boundary import (
     accumulate_periodic_sources,
     apply_damping,
@@ -74,6 +75,16 @@ def smooth_binomial(arr: np.ndarray, axis: int, passes: int = 1) -> None:
         arr[tuple(mid)] = (
             0.25 * arr[tuple(lo)] + 0.5 * arr[tuple(mid)] + 0.25 * arr[tuple(hi)]
         )
+
+
+def _count_option(name: str, value) -> int:
+    """``value`` if it is an integer >= 0 (a count of passes or steps);
+    ConfigurationError naming it otherwise — a float or a string is not
+    truncated, a negative count does not mean "never"."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or value < 0:
+        raise ConfigurationError(f"{name} must be an integer >= 0; got {value!r}")
+    return int(value)
 
 
 class SpeciesEntry:
@@ -160,7 +171,7 @@ class StepDriver:
             kernels
         )
         self.kernels = self.kernel_set.name
-        self.smoothing_passes = int(smoothing_passes)
+        self.smoothing_passes = _count_option("smoothing_passes", smoothing_passes)
         if maxwell_solver not in ("yee", "psatd"):
             raise ConfigurationError(f"unknown Maxwell solver {maxwell_solver!r}")
         self.maxwell_solver = maxwell_solver
@@ -222,8 +233,17 @@ class StepDriver:
 
     def _smooth_sources(self, grid: YeeGrid) -> None:
         """Binomial-filter the current deposited on ``grid``, guards
-        included (so it runs before any fold of guard deposits)."""
+        included (so it runs before any fold of guard deposits).
+
+        With the native library this is one call of the C entry
+        ``smooth`` (:mod:`repro.grid.compiled`) for Jx, Jy and Jz, bit for
+        bit the :func:`smooth_binomial` loop below, which stays the
+        fallback and the oracle."""
         if self.smoothing_passes > 0:
+            native = native_fields.backend(grid.dtype)
+            if native is not None:
+                native.smooth(grid, self.smoothing_passes)
+                return
             for comp in ("Jx", "Jy", "Jz"):
                 for axis in range(grid.ndim):
                     smooth_binomial(
@@ -382,7 +402,7 @@ class Simulation(StepDriver):
         for axis, b in enumerate(self.boundaries):
             if b == "damped":
                 check_damping_layer(grid, axis, self.n_absorber)
-        self.sort_interval = int(sort_interval)
+        self.sort_interval = _count_option("sort_interval", sort_interval)
         if self.maxwell_solver == "psatd" and any(
             b != "periodic" for b in self.boundaries
         ):

@@ -5,7 +5,7 @@ a 2D deck — every NumPy statement of a field update is a call of a few
 microseconds over a few thousand cells, and a step makes hundreds of
 them.  Following the recipe of the WarpX GPU port (Myers et al.,
 arXiv:2101.12149: same kernel semantics, new backend behind the dispatch
-seam, cross-validated against the old code), four entries run those
+seam, cross-validated against the old code), six entries run those
 updates as one C loop nest each:
 
 ``yee_step``
@@ -18,37 +18,53 @@ updates as one C loop nest each:
     the high-side one.
 ``assemble_aux``
     :meth:`repro.core.mr_level.MRPatch.assemble_aux`: ``aux = fine +
-    prolong(parent section - coarse)`` for all six components, from the
-    patch's transfer maps (:func:`aux_plan`).
+    prolong(parent section - coarse)`` for all six components.
+``smooth``
+    :meth:`repro.core.simulation.StepDriver._smooth_sources`: the
+    binomial J filter, ``smooth_binomial`` per component, axis and pass.
+``restrict_currents``
+    :meth:`repro.core.mr_level.MRPatch.accumulate_restricted_currents`:
+    the restriction of a patch's fine J onto its coarse companion's J,
+    stored (the step's first call) or added, times a weight.
 
-They are part of the one library :mod:`repro.native` builds (the particle
-kernels of :mod:`repro.particles.compiled` are the other part), emitted
-over a ``real`` type for float64 and float32 grids and for 1D, 2D and 3D
-at run time.  The curl wiring is generated from
+The two patch transfers run on the patch's one :class:`TransferPlan`: the
+per-axis maps of :func:`~repro.grid.interpolation.prolong_map` and
+:func:`~repro.grid.interpolation.restrict_map`, built once per
+``region_lo``.  The entries are part of the one library :mod:`repro.native`
+builds (the particle kernels of :mod:`repro.particles.compiled` are the
+other part), emitted over a ``real`` type for float64 and float32 grids
+and for 1D, 2D and 3D at run time.  The curl wiring is generated from
 :data:`repro.grid.stencils.CURL_TERMS` and the staggering from
 :data:`repro.grid.yee.STAGGER`, so the C cannot drift from the NumPy
 stencils.  :func:`backend` hands a site its entries, or None when there
 is no library (``REPRO_COMPILED_BACKEND=none``, no compiler) or the grid
 dtype is neither: the site then runs its NumPy body, which is also the
-oracle the tests hold every entry against with ``array_equal``.
+oracle the tests hold every entry against, byte for byte.
 
 Numerics contract: each entry performs the IEEE operations of its NumPy
 body, in the same order — ``(a - b) / dx`` as a division; a curl summed
 from ``0.0`` term by term; ``F + dt * (c2 * curl - J / eps0)``; the PML's
 ``(coeff * sign) * r``, then ``P * decay``, then ``+ weight * r``, then
-the parts summed from ``0.0``.  On float32 grids it follows NumPy 2's
-promotion: a Python-float scalar (``dt``, ``dx``, ``c2``, ``eps0``) is
-rounded to float32 and the operation runs in float32, while a product
-with a float64 table (PML decay / weight, the damping factors, the
-prolongation weights) runs in double and is rounded once, on the store.
-Every ladder deck is therefore bit-identical with and without the
-library.
+the parts summed from ``0.0``; the filter's ``(0.25 * lo + 0.5 * mid) +
+0.25 * hi`` from the old values; the restriction's terms summed from the
+first, ``w * x`` on a nodal axis and ``x / ratio`` on a staggered one,
+each axis's result rounded to the grid's precision.  On float32 grids it
+follows NumPy 2's promotion: a Python-float scalar (``dt``, ``dx``,
+``c2``, ``eps0``, the filter's 0.25 / 0.5, the restriction's weights,
+divisor and ``weight``) is rounded to float32 and the operation runs in
+float32, while a product with a float64 table (PML decay / weight, the
+damping factors, the prolongation weights) runs in double and is rounded
+once, on the store.  The library is built with ``-ffp-contract=off`` and
+no reassociation.  Every ladder deck is therefore bit-identical with and
+without the library.
 
 Memory safety: the entries index through the shapes they are given and
 trust them, so the wrappers check first — every array C-contiguous, of
-its grid's shape and dtype, writable where written; the damping layer
-inside the axis; the parent section of a patch inside the parent — and
-raise :class:`~repro.exceptions.ConfigurationError` before anything is
+its grid's shape and dtype, writable where written (pointer tables are
+built per call from the live arrays); the damping layer inside the axis;
+a transfer plan built for the patch's grid shapes; the parent section of
+a patch inside the parent — and raise
+:class:`~repro.exceptions.ConfigurationError` before anything is
 written.
 """
 
@@ -62,7 +78,7 @@ import numpy as np
 
 from repro import native
 from repro.exceptions import ConfigurationError
-from repro.grid.interpolation import prolong_map
+from repro.grid.interpolation import prolong_map, restrict_map
 from repro.grid.stencils import CURL_TERMS
 from repro.grid.yee import FIELD_COMPONENTS, STAGGER
 
@@ -75,8 +91,8 @@ _C_FIELDS_HEADER = r"""
    does not have are skipped */
 typedef struct { int src, axis, sign; } repro_curl_term;
 static const repro_curl_term repro_curl[6][2] = {@CURL@};
-/* STAGGER of repro.grid.yee, same component order */
-static const int repro_field_stagger[6][3] = {@STAGGER@};
+/* STAGGER of repro.grid.yee, same component order, then Jx Jy Jz */
+static const int repro_field_stagger[9][3] = {@STAGGER@};
 
 /* Rows (the contiguous last axis) are processed this many points at a
    time: no run is longer than the zero row of repro_zeros. */
@@ -459,6 +475,146 @@ void assemble_aux_@SUF@(const @REAL@ *const *par, const @REAL@ *const *crs,
 #undef D
     }
 }
+/* The binomial current filter (repro.core.simulation.smooth_binomial) on
+   j = {Jx, Jy, Jz}: per component, per grid axis in order, per pass,
+   planes 1 .. m - 2 along the axis become (0.25 * lo + 0.5 * mid) + 0.25
+   * hi, each from the old values — NumPy evaluates the right-hand side
+   before it stores — so the old plane below the one written is kept in
+   save, one plane of scratch (n[1] * n[2] values; a row along the last
+   axis).  An axis shorter than 3 is left alone. */
+void smooth_@SUF@(@REAL@ *const *j, const int64_t *n, int ndim,
+    int64_t passes, @REAL@ *save) {
+    const @REAL@ q = (@REAL@)0.25, h = (@REAL@)0.5;
+    for (int c = 0; c < 3; ++c)
+        for (int pa = 3 - ndim; pa < 3; ++pa) {
+            const int64_t m = n[pa];
+            if (m < 3) continue;
+            int64_t outer = 1, inner = 1;
+            for (int d = 0; d < pa; ++d) outer *= n[d];
+            for (int d = pa + 1; d < 3; ++d) inner *= n[d];
+            for (int64_t it = 0; it < passes; ++it)
+                for (int64_t o = 0; o < outer; ++o) {
+                    @REAL@ *L = j[c] + o * m * inner;
+                    if (inner == 1) {
+                        for (int64_t k = 0; k < m; ++k) save[k] = L[k];
+                        for (int64_t k = 1; k < m - 1; ++k)
+                            L[k] = (q * save[k - 1] + h * save[k])
+                                + q * save[k + 1];
+                        continue;
+                    }
+                    for (int64_t e = 0; e < inner; ++e) save[e] = L[e];
+                    for (int64_t k = 1; k < m - 1; ++k) {
+                        @REAL@ *mid = L + k * inner;
+                        const @REAL@ *hi = mid + inner;
+                        for (int64_t e = 0; e < inner; ++e) {
+                            const @REAL@ old = mid[e];
+                            mid[e] = (q * save[e] + h * old) + q * hi[e];
+                            save[e] = old;
+                        }
+                    }
+                }
+        }
+}
+
+/* One term of a restricted row: o[e] (= or +=) w * v on a nodal axis, v
+   / w on a staggered one (div), v = row[ix[e]] (ix: the samples along the
+   last axis) or row[e].  Inlined with literal div, first and ix. */
+static inline __attribute__((always_inline)) void repro_restrict_term_@SUF@(
+    @REAL@ *restrict o, const @REAL@ *restrict row, const int64_t *ix,
+    int64_t len, @REAL@ w, int div, int first) {
+    for (int64_t e = 0; e < len; ++e) {
+        const @REAL@ v = ix ? row[ix[e]] : row[e];
+        const @REAL@ term = div ? v / w : w * v;
+        o[e] = first ? term : o[e] + term;
+    }
+}
+
+/* One axis of the restriction (repro.grid.interpolation.restrict) along
+   padded axis pa: out (dense, shape on) from in (strides is, unit along
+   the last axis; the other axes indexed as out's).  Coarse sample x sums
+   the terms t < nt over the fine samples idx[t * m + x], from the first
+   term: w[t] * v on a nodal axis, v / w[t] on a staggered one (div), each
+   operation rounded to the grid's precision. */
+static void repro_restrict_axis_@SUF@(const @REAL@ *in, const int64_t *is,
+    @REAL@ *out, const int64_t *on, int pa, const int64_t *idx, int64_t m,
+    const double *w, int64_t nt, int div) {
+    for (int64_t a = 0; a < on[0]; ++a)
+        for (int64_t b = 0; b < on[1]; ++b) {
+            @REAL@ *o = out + (a * on[1] + b) * on[2];
+            for (int64_t t = 0; t < nt; ++t) {
+                const @REAL@ wt = (@REAL@)w[t];
+                const @REAL@ *row;
+                const int64_t *ix = 0;
+                if (pa == 2) {
+                    row = in + a * is[0] + b * is[1];
+                    ix = idx + t * m;
+                } else {
+                    const int64_t src = idx[t * m + (pa == 0 ? a : b)];
+                    row = in + (pa == 0 ? src * is[0] + b * is[1]
+                                        : a * is[0] + src * is[1]);
+                }
+#define TERM(d, f) (ix ? repro_restrict_term_@SUF@(o, row, ix, on[2], wt, d, f) \
+                       : repro_restrict_term_@SUF@(o, row, 0, on[2], wt, d, f))
+                if (div) { if (t) TERM(1, 0); else TERM(1, 1); }
+                else { if (t) TERM(0, 0); else TERM(0, 1); }
+#undef TERM
+            }
+        }
+}
+
+/* A patch's fine J restricted onto its coarse companion
+   (MRPatch.accumulate_restricted_currents), per component: R = the
+   restriction of the fine grid's valid samples, grid axis 0 first, each
+   axis's result in scratch; then, over the coarse grid's valid samples, C
+   = weight * R if first, else C + weight * R.  fn, cn: the padded shapes
+   of fine and coarse; g: their guards; maps per padded axis pa and
+   stagger s: ridx[((pa * 2 + s) * tmax + t) * m + x], rw[(pa * 2 + s) *
+   tmax + t], nterms[pa * 2 + s]; scratch: two buffers of fn[0] * fn[1] *
+   fn[2] values. */
+void restrict_currents_@SUF@(const @REAL@ *const *fin, @REAL@ *const *crs,
+    const int64_t *fn, const int64_t *cn, int ndim, int64_t g,
+    const int64_t *ridx, const double *rw, const int64_t *nterms,
+    int64_t tmax, int64_t m, double weight, int first, @REAL@ *scratch) {
+    const int off = 3 - ndim;
+    const int64_t size = fn[0] * fn[1] * fn[2];
+    const @REAL@ wt = (@REAL@)weight;
+    for (int c = 0; c < 3; ++c) {
+        int64_t shape[3] = {1, 1, 1}, is[3] = {fn[1] * fn[2], fn[2], 1};
+        int64_t cshape[3] = {1, 1, 1}, fo = 0, co = 0;
+        int s[3] = {0, 0, 0};
+        for (int pa = off; pa < 3; ++pa) {
+            s[pa] = repro_field_stagger[6 + c][pa - off];
+            shape[pa] = fn[pa] - 2 * g - s[pa];
+            cshape[pa] = cn[pa] - 2 * g - s[pa];
+            fo += g * is[pa];
+        }
+        const @REAL@ *in = fin[c] + fo;
+        for (int pa = off; pa < 3; ++pa) {
+            @REAL@ *out = scratch + (pa - off) % 2 * size;
+            const int64_t slot = pa * 2 + s[pa];
+            shape[pa] = cshape[pa];
+            repro_restrict_axis_@SUF@(in, is, out, shape, pa,
+                ridx + slot * tmax * m, m, rw + slot * tmax, nterms[slot],
+                s[pa]);
+            in = out;
+            is[0] = shape[1] * shape[2];
+            is[1] = shape[2];
+        }
+        const int64_t cs[3] = {cn[1] * cn[2], cn[2], 1};
+        for (int pa = off; pa < 3; ++pa) co += g * cs[pa];
+        @REAL@ *C = crs[c] + co;
+        for (int64_t a = 0; a < cshape[0]; ++a)
+            for (int64_t b = 0; b < cshape[1]; ++b) {
+                const @REAL@ *R = in + (a * cshape[1] + b) * cshape[2];
+                @REAL@ *row = C + a * cs[0] + b * cs[1];
+                if (first)
+                    for (int64_t e = 0; e < cshape[2]; ++e) row[e] = wt * R[e];
+                else
+                    for (int64_t e = 0; e < cshape[2]; ++e)
+                        row[e] = row[e] + wt * R[e];
+            }
+    }
+}
 """
 
 #: grid dtype -> suffix of its entries
@@ -476,7 +632,7 @@ def c_source() -> str:
         )
         for comp in FIELD_COMPONENTS
     )
-    stagger = ", ".join("{%d, %d, %d}" % STAGGER[comp] for comp in FIELD_COMPONENTS)
+    stagger = ", ".join("{%d, %d, %d}" % STAGGER[comp] for comp in _YEE_ARRAYS)
     parts = [_C_FIELDS_HEADER.replace("@CURL@", curl).replace("@STAGGER@", stagger)]
     for real, suf in (("double", "f64"), ("float", "f32")):
         parts.append(_C_FIELDS.replace("@REAL@", real).replace("@SUF@", suf))
@@ -530,27 +686,38 @@ def _table(arrays, shape, dtype, what: str, written: bool = True):
     return (ctypes.c_void_p * len(ptrs))(*ptrs)
 
 
-class AuxPlan:
-    """A patch's transfer maps for :func:`FieldBackend.assemble_aux`: per
-    grid axis and stagger the prolongation's sample indices and weights,
-    plus the parent index of the section's first sample.  Built for one
-    ``region_lo`` (:meth:`MRPatch.assemble_aux` rebuilds it when that
-    changes: a window shift, a checkpoint restore)."""
+class TransferPlan:
+    """A patch's transfer maps, built once for one ``region_lo``
+    (:meth:`MRPatch.transfer_plan` rebuilds it when that changes: a window
+    shift, a checkpoint restore).
+
+    For :meth:`FieldBackend.assemble_aux`, per grid axis and stagger the
+    prolongation's sample indices and weights (:func:`prolong_map`) plus
+    the parent index of the section's first sample; for
+    :meth:`FieldBackend.restrict_currents`, per grid axis and stagger the
+    restriction's clipped sample indices and per-term weights
+    (:func:`restrict_map`), which depend only on the ratio and the grid
+    shapes.  Also the scratch both entries write."""
 
     def __init__(self, patch) -> None:
         parent, fine, coarse = patch.parent, patch.fine, patch.coarse
         ndim, off = parent.ndim, 3 - parent.ndim
         if coarse.guards != fine.guards:
             raise ConfigurationError(
-                "native assemble_aux needs the fine and coarse grids of a "
+                "native patch transfers need the fine and coarse grids of a "
                 f"patch to share their guards ({fine.guards} vs {coarse.guards})"
             )
         self.region_lo = tuple(patch.region_lo)
-        #: the grid shapes the maps and the scratch row are sized for
+        #: the grid shapes the maps and the scratch are sized for
         self.shapes = (parent.shape, coarse.shape, fine.shape)
         m = max(fine.n_cells) + 1
         self.imap = np.zeros((3, 2, 2, m), dtype=np.int64)
         self.wmap = np.zeros((3, 2, m), dtype=np.float64)  # repro: allow(PIC007)
+        #: the restriction's maps: up to 2 r - 1 terms over the coarse samples
+        self.tmax, self.mc = 2 * patch.ratio - 1, max(coarse.n_cells) + 1
+        self.ridx = np.zeros((3, 2, self.tmax, self.mc), dtype=np.int64)
+        self.rw = np.zeros((3, 2, self.tmax), dtype=np.float64)  # repro: allow(PIC007)
+        self.nterms = np.zeros((3, 2), dtype=np.int64)
         origin = [0, 0, 0]
         for d in range(ndim):
             origin[d + off] = parent.guards + patch.region_lo[d]
@@ -564,23 +731,40 @@ class AuxPlan:
                 )
             for s in (0, 1):
                 n_fine = fine.n_cells[d] + 1 - s
-                i0, i1, w = prolong_map(
-                    patch.ratio, s, n_fine, coarse.n_cells[d] + 1 - s
-                )
+                n_coarse = coarse.n_cells[d] + 1 - s
+                i0, i1, w = prolong_map(patch.ratio, s, n_fine, n_coarse)
                 self.imap[d + off, s, 0, :n_fine] = i0
                 self.imap[d + off, s, 1, :n_fine] = i1
                 self.wmap[d + off, s, :n_fine] = w
+                idx, rw = restrict_map(patch.ratio, s, n_fine, n_coarse)
+                self.ridx[d + off, s, :len(rw), :n_coarse] = idx
+                self.rw[d + off, s, :len(rw)] = rw
+                self.nterms[d + off, s] = len(rw)
         self.m = m
         self.origin = (ctypes.c_int64 * 3)(*origin)
-        #: the entry's scratch: one coarse row of the last axis
+        #: assemble_aux's scratch: one coarse row of the last axis
         self.row = np.empty(coarse.shape[-1], dtype=np.float64)  # repro: allow(PIC007)
-        self.imap_ptr, self.wmap_ptr, self.row_ptr = (
-            arr.ctypes.data for arr in (self.imap, self.wmap, self.row)
-        )
+        #: restrict_currents' scratch: two fine-sized arrays of either dtype
+        self.scratch = np.empty(2 * int(np.prod(fine.shape)), dtype=np.float64)  # repro: allow(PIC007)
+        self.ptrs = {
+            name: getattr(self, name).ctypes.data
+            for name in ("imap", "wmap", "row", "ridx", "rw", "nterms",
+                         "scratch")
+        }
+
+    def check(self, what: str, patch) -> None:
+        """Refuse ``patch`` unless its grids have the shapes the maps and
+        the scratch were built for."""
+        shapes = (patch.parent.shape, patch.coarse.shape, patch.fine.shape)
+        if shapes != self.shapes:
+            raise ConfigurationError(
+                f"native {what}: maps built for grids of shapes "
+                f"{self.shapes}, the patch has {shapes}"
+            )
 
 
 class FieldBackend:
-    """ctypes driver of the four field entries (f64 + f32 symbols)."""
+    """ctypes driver of the six field entries (f64 + f32 symbols)."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         vp, ci, c64, cd = (
@@ -592,6 +776,9 @@ class FieldBackend:
             "damp": [vp, vp, ci, vp, c64, ci, ci],
             "assemble_aux": [vp, vp, vp, vp, vp, vp, vp, ci, vp, c64, vp, vp,
                              c64, vp],
+            "smooth": [vp, vp, ci, c64, vp],
+            "restrict_currents": [vp, vp, vp, vp, ci, c64, vp, vp, vp, c64,
+                                  c64, cd, ci, vp],
         }
         self._fn: Dict[tuple, object] = {}
         for entry, argtypes in signatures.items():
@@ -644,35 +831,62 @@ class FieldBackend:
             native._ptr(factors), len(factors), int(low), int(high),
         )
 
-    def assemble_aux(self, patch, plan: AuxPlan) -> None:
+    def assemble_aux(self, patch, plan: TransferPlan) -> None:
         """``aux = fine + prolong(parent section - coarse)`` of ``patch``,
         all six components, from ``plan`` (the maps of its region)."""
         parent, coarse, fine = patch.parent, patch.coarse, patch.fine
         dtype = parent.dtype
-        if plan.shapes != (parent.shape, coarse.shape, fine.shape):
-            raise ConfigurationError(
-                f"native assemble_aux: maps built for grids of shapes "
-                f"{plan.shapes}, the patch has {parent.shape}, "
-                f"{coarse.shape}, {fine.shape}"
-            )
+        plan.check("assemble_aux", patch)
 
         def table(grid, shape, written):
             return _table([grid.fields[c] for c in FIELD_COMPONENTS], shape,
                           dtype, "assemble_aux", written)
 
+        ptrs = plan.ptrs
         self._fn["assemble_aux", dtype](
             table(parent, parent.shape, False),
             table(coarse, coarse.shape, False),
             table(fine, fine.shape, False),
             table(patch.aux, fine.shape, True),  # indexed like the fine grid
             _padded(parent.shape), _padded(coarse.shape), _padded(fine.shape),
-            parent.ndim, plan.origin, fine.guards, plan.imap_ptr,
-            plan.wmap_ptr, plan.m, plan.row_ptr,
+            parent.ndim, plan.origin, fine.guards, ptrs["imap"],
+            ptrs["wmap"], plan.m, ptrs["row"],
+        )
+
+    def smooth(self, grid, passes: int) -> None:
+        """``passes`` binomial passes along every axis of ``grid``'s Jx,
+        Jy, Jz (``smooth_binomial`` per component and axis)."""
+        table = _table([grid.fields[c] for c in _J], grid.shape, grid.dtype,
+                       "smooth")
+        n = _padded(grid.shape)
+        save = np.empty(n[1] * n[2], dtype=grid.dtype)  # one plane
+        self._fn["smooth", grid.dtype](
+            table, n, grid.ndim, passes, _addressof(_from_buffer(save))
+        )
+
+    def restrict_currents(self, patch, plan: TransferPlan, weight: float,
+                          first: bool) -> None:
+        """The coarse companion's J interior of ``patch`` becomes ``weight``
+        times the restriction of its fine J (``first``), or adds it."""
+        coarse, fine = patch.coarse, patch.fine
+        dtype = patch.parent.dtype
+        plan.check("restrict_currents", patch)
+        fin = _table([fine.fields[c] for c in _J], fine.shape, dtype,
+                     "restrict_currents", False)
+        crs = _table([coarse.fields[c] for c in _J], coarse.shape, dtype,
+                     "restrict_currents")
+        ptrs = plan.ptrs
+        self._fn["restrict_currents", dtype](
+            fin, crs, _padded(fine.shape), _padded(coarse.shape), fine.ndim,
+            fine.guards, ptrs["ridx"], ptrs["rw"], ptrs["nterms"], plan.tmax,
+            plan.mc, weight, int(first), ptrs["scratch"],
         )
 
 
+#: the currents of the smoothing and restriction entries
+_J = ("Jx", "Jy", "Jz")
 #: the arrays of the Yee and PML entries, in the order the C indexes them
-_YEE_ARRAYS = FIELD_COMPONENTS + ("Jx", "Jy", "Jz")
+_YEE_ARRAYS = FIELD_COMPONENTS + _J
 #: the split parts of the PML entry, (component, curl-term axis) in the
 #: order the C indexes them (absent ones are null)
 _PART_KEYS = tuple(

@@ -9,6 +9,14 @@ Both operators are separable per axis and aware of the Yee staggering:
   axes) of a fine array onto coarse sample points (used to transfer the
   fine-patch current density onto the parent grid).
 
+Each is built on a per-axis map (:func:`prolong_map`,
+:func:`restrict_map`) that depends only on the ratio and the sample
+counts.  An MR patch keeps those maps in its transfer plan
+(:class:`repro.grid.compiled.TransferPlan`) and, with the native library,
+runs them as the C entries ``assemble_aux`` and ``restrict_currents``;
+the NumPy functions here stay the fallback and the oracle those entries
+are tested against bit for bit.
+
 Arrays passed in are *sample arrays*: index 0 along each axis is the first
 sample of the region, at coordinate ``0.5 * stagger`` in units of that
 array's own cell size.  Both arrays describe the same physical region.
@@ -57,29 +65,31 @@ def prolong(
     return out
 
 
-def _restrict_axis_nodal(arr: np.ndarray, axis: int, ratio: int, n_coarse: int) -> np.ndarray:
-    """Triangular full-weighting onto nodal coarse samples."""
-    n_f = arr.shape[axis]
-    centers = np.arange(n_coarse, dtype=np.intp) * ratio
-    out = None
-    for m in range(-(ratio - 1), ratio):
-        w = (ratio - abs(m)) / float(ratio * ratio)
-        idx = np.clip(centers + m, 0, n_f - 1)
-        term = w * np.take(arr, idx, axis=axis)
-        out = term if out is None else out + term
-    return out
+def restrict_map(
+    ratio: int, stagger: int, n_fine: int, n_coarse: int
+) -> Tuple[np.ndarray, Tuple[float, ...]]:
+    """``(idx, w)`` of the restriction along one axis: coarse sample ``k``
+    sums the terms ``t`` (from the first, not from 0) over the fine
+    samples ``idx[t, k]``, clipped to the fine range.
 
-
-def _restrict_axis_staggered(arr: np.ndarray, axis: int, ratio: int, n_coarse: int) -> np.ndarray:
-    """Box average of the ``ratio`` fine faces inside each coarse face."""
-    n_f = arr.shape[axis]
+    A nodal axis is a triangular full weighting, term ``t`` being
+    ``w[t] * fine``, ``w = (r - |m|) / r**2`` for ``m = -(r-1) .. r-1``;
+    a staggered axis is the box average of the ``r`` fine faces inside
+    each coarse face, term ``t`` being ``fine / w[t]`` with ``w[t] = r``
+    (a division, not a product with ``1/r``).  ``w`` holds Python floats,
+    so a float32 array keeps its precision (NumPy 2 rounds the scalar).
+    The native restriction (:mod:`repro.grid.compiled`) runs on these
+    same maps.
+    """
+    if stagger:
+        offsets = range(ratio)
+        w = (float(ratio),) * ratio
+    else:
+        offsets = range(-(ratio - 1), ratio)
+        w = tuple((ratio - abs(m)) / float(ratio * ratio) for m in offsets)
     base = np.arange(n_coarse, dtype=np.intp) * ratio
-    out = None
-    for t in range(ratio):
-        idx = np.clip(base + t, 0, n_f - 1)
-        term = np.take(arr, idx, axis=axis) / float(ratio)
-        out = term if out is None else out + term
-    return out
+    idx = np.clip(base + np.array(offsets, dtype=np.intp)[:, None], 0, n_fine - 1)
+    return idx, w
 
 
 def restrict(
@@ -88,13 +98,17 @@ def restrict(
     stagger: Sequence[int],
     coarse_shape: Sequence[int],
 ) -> np.ndarray:
-    """Average a fine sample array onto ``coarse_shape`` coarse samples."""
+    """Average a fine sample array onto ``coarse_shape`` coarse samples,
+    axis by axis (axis 0 first) over :func:`restrict_map`."""
     out = arr
     for d in range(arr.ndim):
-        if stagger[d]:
-            out = _restrict_axis_staggered(out, d, ratio, coarse_shape[d])
-        else:
-            out = _restrict_axis_nodal(out, d, ratio, coarse_shape[d])
+        idx, w = restrict_map(ratio, stagger[d], out.shape[d], coarse_shape[d])
+        total = None
+        for samples, wt in zip(idx, w):
+            x = np.take(out, samples, axis=d)
+            term = x / wt if stagger[d] else wt * x
+            total = term if total is None else total + term
+        out = total
     return out
 
 

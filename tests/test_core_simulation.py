@@ -1,6 +1,8 @@
 """Integration tests of the single-level PIC cycle: Langmuir oscillation,
 energy conservation, laser injection, moving window, boundaries."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,19 @@ from repro.constants import c, m_e, plasma_frequency, q_e, um, fs
 from repro.core.moving_window import MovingWindow
 from repro.core.simulation import Simulation, smooth_binomial
 from repro.exceptions import ConfigurationError
+from repro.grid import compiled as native_fields
 from repro.grid.yee import YeeGrid
 from repro.laser.antenna import LaserAntenna
 from repro.laser.profiles import GaussianLaser
 from repro.particles.injection import UniformProfile
 from repro.particles.species import Species
+from tests.conftest import (
+    assert_same_arrays,
+    needs_compiled,
+    numpy_fields,
+    random_fields,
+    same_bits,
+)
 
 
 def test_construction_validation():
@@ -36,6 +46,80 @@ def test_smooth_binomial_flattens_spike():
     smooth_binomial(arr, 0, passes=1)
     np.testing.assert_allclose(arr[3:6], [0.25, 0.5, 0.25])
     assert arr.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("name", ["smoothing_passes", "sort_interval"])
+@pytest.mark.parametrize("bad", [-1, -3, 1.7, 2.5, "2", None, True])
+def test_step_counts_must_be_integers_at_least_zero(name, bad):
+    """A negative count is not "never", a float is not truncated and a
+    string is not parsed: each is refused, naming the value."""
+    g = YeeGrid((16,), (0.0,), (1.0,), guards=4)
+    with pytest.raises(ConfigurationError, match=f"{name}.*{bad!r}"):
+        Simulation(g, **{name: bad})
+    sim = Simulation(g, **{name: np.int64(2)})
+    assert getattr(sim, name) == 2 and type(getattr(sim, name)) is int
+
+
+# -- the native J filter against smooth_binomial ---------------------------------
+
+def j_grid(shape, dtype, seed=0):
+    """A stand-in grid of ``shape`` (any extent, 1 and 2 included) whose
+    Jx, Jy, Jz hold normal values, negative zeros and NaNs."""
+    rng = np.random.default_rng(seed)
+    fields = {}
+    for k, name in enumerate(("Jx", "Jy", "Jz")):
+        arr = (1e16 * rng.standard_normal(shape)).astype(dtype)
+        flat = arr.reshape(-1)
+        flat[k::5] = -0.0
+        flat[3 + k::11] = np.nan
+        fields[name] = arr
+    return SimpleNamespace(fields=fields, shape=tuple(shape), ndim=len(shape),
+                           dtype=np.dtype(dtype))
+
+
+@needs_compiled
+@pytest.mark.parametrize("passes", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "shape", [(9,), (2,), (7, 5), (6, 1), (2, 9), (5, 4, 6), (4, 2, 5), (3, 6, 1)],
+)
+def test_native_smooth_is_smooth_binomial_bit_for_bit(shape, dtype, passes):
+    grid = j_grid(shape, dtype)
+    oracle = {k: v.copy() for k, v in grid.fields.items()}
+    for arr in oracle.values():
+        for axis in range(len(shape)):
+            smooth_binomial(arr, axis, passes)
+    native_fields.backend(grid.dtype).smooth(grid, passes)
+    assert_same_arrays(grid.fields, oracle, f"{shape} {dtype.__name__}")
+
+
+@needs_compiled
+def test_smooth_sources_runs_the_native_filter_on_a_grid():
+    g = random_fields(YeeGrid((12, 10), (0.0, 0.0), (1.0, 1.0), guards=3), 2)
+    sim = Simulation(g, smoothing_passes=2)
+    oracle = {k: v.copy() for k, v in g.fields.items()}
+    sim._smooth_sources(g)
+    native = {k: v.copy() for k, v in g.fields.items()}
+    g.fields.update((k, v.copy()) for k, v in oracle.items())
+    with numpy_fields():
+        sim._smooth_sources(g)
+    assert_same_arrays(native, g.fields)
+    assert not same_bits(native["Jx"], oracle["Jx"])
+    assert_same_arrays({"Ex": native["Ex"], "rho": native["rho"]},
+                       {"Ex": oracle["Ex"], "rho": oracle["rho"]})
+
+
+@needs_compiled
+def test_native_smooth_refuses_a_bad_layout_and_writes_nothing():
+    grid = j_grid((6, 5), np.float64)
+    good = grid.fields["Jy"]
+    for bad in (np.asfortranarray(good), good[:, :-1].copy(),
+                good.astype(np.float32)):
+        grid.fields["Jy"] = bad
+        before = {k: v.copy() for k, v in grid.fields.items()}
+        with pytest.raises(ConfigurationError, match="smooth"):
+            native_fields.backend(grid.dtype).smooth(grid, 1)
+        assert_same_arrays(grid.fields, before)
 
 
 def test_duplicate_species_rejected():

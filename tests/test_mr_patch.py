@@ -1,6 +1,8 @@
 """Tests for the mesh-refinement patch: construction, substitution,
 current restriction and wave transmission."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -205,11 +207,13 @@ def test_shift_region_and_removal():
 from repro.core.simulation import Simulation  # noqa: E402
 from repro.diagnostics.io import load_checkpoint, save_checkpoint  # noqa: E402
 from repro.grid.yee import FIELD_COMPONENTS  # noqa: E402
+from repro.grid import compiled as native_fields  # noqa: E402
 from tests.conftest import (  # noqa: E402
     assert_same_arrays,
     needs_compiled,
     numpy_fields,
     random_fields,
+    same_bits,
 )
 
 
@@ -247,12 +251,12 @@ def test_native_aux_is_the_numpy_substitution_bit_for_bit(ndim, ratio, dtype):
     assert_same_arrays(native, oracle, f"{ndim}D r{ratio} {dtype.__name__}")
     # the lab-fixed patch after a window shift: new parent section, maps
     # rebuilt for the new region
-    plan = patch._aux_plan
+    plan = patch._transfer_plan
     patch.shift_region(1)
     random_fields(patch.parent, 9)
     native, oracle = aux_both_routes(patch)
-    assert patch._aux_plan is not plan
-    assert patch._aux_plan.region_lo == tuple(patch.region_lo)
+    assert patch._transfer_plan is not plan
+    assert patch._transfer_plan.region_lo == tuple(patch.region_lo)
     assert_same_arrays(native, oracle, "after shift_region")
 
 
@@ -276,12 +280,12 @@ def test_native_aux_after_a_checkpoint_restore(tmp_path):
     path = str(tmp_path / "mr.npz")
     save_checkpoint(sim_a, path)
     sim_b = build()
-    stale = sim_b.patches[0]._aux_plan
+    stale = sim_b.patches[0]._transfer_plan
     load_checkpoint(sim_b, path)
     restored = sim_b.patches[0]
     assert restored.region_lo == patch.region_lo
     native, oracle = aux_both_routes(restored)
-    assert restored._aux_plan is not stale
+    assert restored._transfer_plan is not stale
     assert_same_arrays(native, oracle, "after restore")
     assert_same_arrays(
         native, {c: patch.aux.fields[c] for c in FIELD_COMPONENTS},
@@ -310,3 +314,105 @@ def test_native_aux_refuses_a_bad_layout_and_writes_nothing():
         {c: np.ascontiguousarray(patch.aux.fields[c]) for c in FIELD_COMPONENTS},
         aux,
     )
+
+
+# -- the native restriction against the NumPy one --------------------------------
+
+J = ("Jx", "Jy", "Jz")
+
+
+def fill_fine_j(patch, seed):
+    """A fresh fine J, as a substep's deposit leaves it (negative zeros
+    included)."""
+    rng = np.random.default_rng(seed)
+    for c in J:
+        arr = patch.fine.fields[c]
+        arr[...] = (1e16 * rng.standard_normal(arr.shape)).astype(arr.dtype)
+        arr.reshape(-1)[::7] = -0.0
+
+
+def j_state(patch):
+    return {f"{level}/{c}": getattr(patch, level).fields[c].copy()
+            for level in ("parent", "coarse") for c in J}
+
+
+def restricted_both_routes(patch, weights):
+    """Parent and coarse J after one parent step's restrictions —
+    ``begin_step``, a fresh fine J and ``accumulate_restricted_currents``
+    per weight, then the add to the parent — on the native route and on
+    the NumPy one, from the same state."""
+    start = j_state(patch)
+
+    def run():
+        for key, arr in start.items():
+            level, c = key.split("/")
+            getattr(patch, level).fields[c][...] = arr
+        patch.begin_step()
+        for k, weight in enumerate(weights):
+            fill_fine_j(patch, 10 + k)
+            patch.accumulate_restricted_currents(weight)
+        patch.apply_accumulated_currents_to_parent()
+        return j_state(patch)
+
+    native = run()
+    with numpy_fields():
+        oracle = run()
+    return native, oracle, start
+
+
+@needs_compiled
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("ratio", [2, 3, 4])
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_native_restriction_is_the_numpy_one_bit_for_bit(ndim, ratio, dtype):
+    patch = randomized_patch(ndim, ratio, dtype)
+    what = f"{ndim}D r{ratio} {dtype.__name__}"
+    # the synchronous step: one restriction of weight 1 ...
+    native, oracle, start = restricted_both_routes(patch, [1.0])
+    assert_same_arrays(native, oracle, what)
+    assert not same_bits(native["parent/Jx"], start["parent/Jx"])
+    # ... and the subcycled one: r substeps of weight 1 / r
+    native, oracle, _ = restricted_both_routes(patch, [1.0 / ratio] * ratio)
+    assert_same_arrays(native, oracle, what + " subcycled")
+
+
+@needs_compiled
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_the_first_restriction_of_a_step_assigns(dtype):
+    """A fine J of negative zeros restricts to negative zeros in the
+    coarse companion: the first call stores, it does not add to the
+    zeroed array (which would make them +0.0)."""
+    patch = randomized_patch(2, 2, dtype)
+    for route in (contextlib.nullcontext, numpy_fields):
+        patch.zero_sources()
+        for c in J:
+            patch.fine.fields[c][...] = -0.0
+        with route():
+            patch.begin_step()
+            patch.accumulate_restricted_currents(1.0)
+        for c in J:
+            assert np.all(np.signbit(patch.coarse.interior_view(c))), (route, c)
+
+
+@needs_compiled
+def test_native_restriction_refuses_a_bad_layout_and_writes_nothing():
+    patch = randomized_patch(2, 2, np.float64)
+    native = native_fields.backend(patch.parent.dtype)
+    before = j_state(patch)
+    for grid, c, bad in (
+        (patch.fine, "Jx", patch.fine.fields["Jx"][:, :-1].copy()),
+        (patch.coarse, "Jz", np.asfortranarray(patch.coarse.fields["Jz"])),
+        (patch.fine, "Jy", patch.fine.fields["Jy"].astype(np.float32)),
+    ):
+        good = grid.fields[c]
+        grid.fields[c] = bad
+        patch.begin_step()
+        with pytest.raises(ConfigurationError, match="restrict_currents"):
+            patch.accumulate_restricted_currents(1.0)
+        grid.fields[c] = good
+        assert_same_arrays(j_state(patch), before)
+    # a plan built for another patch's grids
+    stale = randomized_patch(2, 3, np.float64).transfer_plan()
+    with pytest.raises(ConfigurationError, match="restrict_currents"):
+        native.restrict_currents(patch, stale, 1.0, True)
+    assert_same_arrays(j_state(patch), before)

@@ -337,20 +337,25 @@ def hybrid_state(sim):
 
 
 @needs_compiled
-def test_hybrid_deck_native_fields_are_the_numpy_route_through_removal():
+@pytest.mark.parametrize("subcycle", [False, True],
+                         ids=["synchronous", "subcycled"])
+def test_hybrid_deck_native_fields_are_the_numpy_route_through_removal(subcycle):
     """The MR deck of Fig. 6 (damped walls, antenna, a PML-terminated
     patch, the moving window), scaled down, run past its patch removal
     with the native field entries and with their NumPy bodies — the
     particle kernels the same on both sides — must agree in every array
-    at every fifth step, while the patch is active and after."""
+    at every fifth step, while the patch is active and after; for the
+    synchronous patch and for the subcycled one, whose substeps
+    accumulate the restricted current (and run at twice the ``dt``, so
+    half as many steps have the patch)."""
     setup = HybridTargetSetup(
         cells_per_wavelength=4, x_max=8 * um, y_half=3 * um,
         gas_lo=2 * um, gas_hi=4.5 * um, solid_lo=4.5 * um, solid_hi=5.5 * um,
         solid_nc=20, a0=2.5, duration=3 * fs, waist=1.5 * um, seed=7,
     )
-    native, _, _ = build_hybrid_target(setup, mode="mr", subcycle=False)
+    native, _, _ = build_hybrid_target(setup, mode="mr", subcycle=subcycle)
     with numpy_fields():
-        oracle, _, _ = build_hybrid_target(setup, mode="mr", subcycle=False)
+        oracle, _, _ = build_hybrid_target(setup, mode="mr", subcycle=subcycle)
     active = 0
     for step in range(1, 121):
         native.step()
@@ -360,5 +365,5 @@ def test_hybrid_deck_native_fields_are_the_numpy_route_through_removal():
         if step % 5 == 0:
             assert_same_arrays(hybrid_state(native), hybrid_state(oracle),
                                f"step {step}")
-    assert 80 <= active < 120 and not oracle.patches
+    assert (40 if subcycle else 80) <= active < 120 and not oracle.patches
     assert native.removal_log == oracle.removal_log

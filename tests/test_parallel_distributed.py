@@ -396,6 +396,19 @@ def test_shared_options_are_refused_identically(bad, guards):
     assert str(dist.value) == str(mono.value)
 
 
+@pytest.mark.parametrize("bad", [-1, 1.7, "2"], ids=["negative", "float", "str"])
+def test_smoothing_passes_are_refused_identically(bad):
+    """``smoothing_passes`` takes integers >= 0 only, on both drivers,
+    with the same error naming the value."""
+    with pytest.raises(ConfigurationError, match=repr(bad)) as mono:
+        Simulation(YeeGrid((8, 8), (0.0, 0.0), (8.0, 8.0), guards=4),
+                   smoothing_passes=bad)
+    with pytest.raises(ConfigurationError) as dist:
+        DistributedSimulation((8, 8), (0.0, 0.0), (8.0, 8.0), n_ranks=1,
+                              smoothing_passes=bad)
+    assert str(dist.value) == str(mono.value)
+
+
 def test_compiled_vay_mixed_cross_transport(transport_runner):
     """ROADMAP 1(i)'s target configuration — compiled tier, Vay pusher,
     float32 fields — over 16 boxes on 2 ranks: float32 box fields,
