@@ -6,15 +6,13 @@ call that runs outside a ``timers.timer(...)``/``stopwatch()``/
 breakdown, the load balancer's measured-cost mode *and* the trace — an
 untimed hot path.  This rule walks the step-driver methods of the
 simulation modules (``_single_step``/``_step_body``/``_finish_step``/
-``_advance_species``/``_advance_subcycled_patches``) and flags any call
+``_advance_levels``/``_advance_subcycled_patches``) and flags any call
 to a known kernel-phase entry point that is not lexically inside a timed
-``with`` block.  A call that is handed the driver's phase factory
-(``self._advance_on(grid, species, phase=self._phase)``) opens its own
-phases and counts as timed; ``phase=None`` does not.
+``with`` block.
 
-Kernel *hook* methods themselves (``_gather``, ``_deposit``, ...) are
-exempt: the contract is that their call sites in the drivers are timed,
-which is exactly what this rule checks.
+Kernel *hook* methods themselves (``_deposit``, ...) are exempt: the
+contract is that their call sites in the drivers are timed, which is
+exactly what this rule checks.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ DRIVER_MODULE_BASENAMES = ("simulation.py", "distributed.py")
 #: the step-driver methods whose bodies are checked
 DRIVER_METHODS = frozenset(
     {
-        "_single_step", "_step_body", "_finish_step", "_advance_species",
+        "_single_step", "_step_body", "_finish_step", "_advance_levels",
         "_advance_subcycled_patches",
     }
 )
@@ -41,8 +39,7 @@ DRIVER_METHODS = frozenset(
 KERNEL_CALLS = frozenset(
     {
         # simulation hooks
-        "_gather", "_deposit", "_advance_on", "_smooth_sources",
-        "_run_sanitizers",
+        "_deposit", "_smooth_sources", "_run_sanitizers",
         # particle kernels
         "advance_particles",
         "gather_fields", "push_boris", "push_vay", "push_positions",
@@ -77,23 +74,9 @@ def _with_is_timed(node: ast.With) -> bool:
     return False
 
 
-def _opens_own_phases(call: ast.Call) -> bool:
-    """Is the call handed a phase factory?  (``phase=None`` is the
-    opposite: the callee runs untimed and relies on its call site.)"""
-    return any(
-        kw.arg == "phase"
-        and not (isinstance(kw.value, ast.Constant) and kw.value.value is None)
-        for kw in call.keywords
-    )
-
-
 def _kernel_calls_in_expr(node: ast.AST) -> Iterator[ast.Call]:
     for sub in ast.walk(node):
-        if (
-            isinstance(sub, ast.Call)
-            and _call_name(sub) in KERNEL_CALLS
-            and not _opens_own_phases(sub)
-        ):
+        if isinstance(sub, ast.Call) and _call_name(sub) in KERNEL_CALLS:
             yield sub
 
 

@@ -12,15 +12,17 @@ standard leapfrog ordering:
 6. field and particle boundaries, moving window shift.
 
 Steps 1-3 are one call to :func:`repro.particles.advance.
-advance_particles` per species (fused into a single native pass on the
-``compiled`` kernel tier; one such pass per level while an MR patch is
-active).  Mesh refinement (Sec. V.B) is a list of
+advance_particles` per species (a single native pass on the ``compiled``
+kernel tier; one call per level while an MR patch is active).  Mesh
+refinement (Sec. V.B) is a list of
 patches on the same cycle: each step phase loops over
 ``Simulation.patches``, and with none it is the single-level cycle.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +46,7 @@ from repro.core.mr_level import MRPatch
 from repro.observability.tracer import NULL_TRACER, phase_span
 from repro.laser.antenna import LaserAntenna
 from repro.particles.injection import DensityProfile, inject_plasma
-from repro.particles.advance import DEPOSITIONS, advance_particles, fuses
+from repro.particles.advance import DEPOSITIONS, advance_particles
 from repro.particles.kernels import resolve_kernel_set
 from repro.particles.pusher import (
     PUSHERS,
@@ -77,14 +79,27 @@ def smooth_binomial(arr: np.ndarray, axis: int, passes: int = 1) -> None:
         )
 
 
-def _count_option(name: str, value) -> int:
-    """``value`` if it is an integer >= 0 (a count of passes or steps);
-    ConfigurationError naming it otherwise — a float or a string is not
-    truncated, a negative count does not mean "never"."""
+def _integer_option(name: str, value, lo: int = 0, hi: Optional[int] = None) -> int:
+    """``value`` if it is an integer in ``[lo, hi]`` (a count of passes
+    or steps, a shape order); ConfigurationError naming it otherwise — a
+    float or a string is not truncated, a negative count does not mean
+    "never"."""
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not integer or value < 0:
-        raise ConfigurationError(f"{name} must be an integer >= 0; got {value!r}")
+    if not integer or value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in {lo}-{hi}"
+        raise ConfigurationError(f"{name} must be an integer {bound}; got {value!r}")
     return int(value)
+
+
+def _positive_option(name: str, value) -> float:
+    """``value`` as a float if it is a finite number > 0 (a time step, a
+    Courant fraction); ConfigurationError naming it otherwise."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not number or not 0.0 < value < math.inf:
+        raise ConfigurationError(
+            f"{name} must be a finite number > 0; got {value!r}"
+        )
+    return float(value)
 
 
 class SpeciesEntry:
@@ -114,7 +129,7 @@ class StepDriver:
     metrics, sanitizer, ``time`` / ``step_count``, and :meth:`step`,
     which times a subclass's whole ``_step_body``); and the physics of
     one box —
-    :meth:`_advance_on`, :meth:`_smooth_sources`, :meth:`_make_solver` —
+    :meth:`_smooth_sources`, :meth:`_make_solver` —
     on whichever grid it is handed: a :class:`Simulation`'s, an MR
     patch's, one box of a decomposition.  ``grid`` is what the options
     are checked against and what ``precision`` converts.
@@ -151,8 +166,11 @@ class StepDriver:
         #: float64 particle ops); None in the constructor inherits the
         #: grid's dtype as built
         self.precision = "mixed" if grid.dtype == np.float32 else "float64"
-        self.dt = float(dt) if dt is not None else cfl_dt(grid.dx, cfl)
-        self.shape_order = int(shape_order)
+        cfl = _positive_option("cfl", cfl)
+        self.dt = (
+            _positive_option("dt", dt) if dt is not None else cfl_dt(grid.dx, cfl)
+        )
+        self.shape_order = _integer_option("shape_order", shape_order, 1, 3)
         if grid.guards < required_guards(self.shape_order) + 1:
             raise ConfigurationError(
                 f"shape order {shape_order} needs at least "
@@ -171,7 +189,7 @@ class StepDriver:
             kernels
         )
         self.kernels = self.kernel_set.name
-        self.smoothing_passes = _count_option("smoothing_passes", smoothing_passes)
+        self.smoothing_passes = _integer_option("smoothing_passes", smoothing_passes)
         if maxwell_solver not in ("yee", "psatd"):
             raise ConfigurationError(f"unknown Maxwell solver {maxwell_solver!r}")
         self.maxwell_solver = maxwell_solver
@@ -214,22 +232,13 @@ class StepDriver:
             return PMLMaxwellSolver(grid, self.dt, n_pml=n_pml, axes=pml_axes)
         return MaxwellSolver(grid, self.dt)
 
-    def _advance_on(self, grid: YeeGrid, species: Species, **route) -> None:
-        """Gather, push and deposit ``species`` on ``grid`` with this
-        driver's kernels, pusher, ``dt``, order and deposition; ``route``
-        is ``advance_particles``' phase= / periodic= / gather= / deposit=."""
-        self._count_dispatch(advance_particles(
-            grid, species, self.kernel_set, self.pusher, self.dt,
-            self.shape_order, self.deposition, **route,
-        ))
-
-    def _count_dispatch(self, dispatched: Sequence[str]) -> None:
-        """Bump the ``kernel.dispatch`` counter of each kernel phase run."""
+    def _count_dispatch(self, calls: int = 1) -> None:
+        """Bump the ``kernel.dispatch`` counter by ``calls`` particle
+        advances."""
         if self.metrics is not None:
-            for name in dispatched:
-                self.metrics.counter(
-                    "kernel.dispatch", variant=self.kernels, phase=name
-                ).add(1)
+            self.metrics.counter(
+                "kernel.dispatch", variant=self.kernels, phase="advance"
+            ).add(calls)
 
     def _smooth_sources(self, grid: YeeGrid) -> None:
         """Binomial-filter the current deposited on ``grid``, guards
@@ -368,10 +377,10 @@ class Simulation(StepDriver):
     is active, particles well inside it gather its auxiliary field and
     deposit on its fine grid, whose current is restricted onto the parent
     and the coarse companion before the field advance; everyone else uses
-    the parent.  On the compiled tier that is one fused pass per level in
-    one ``particles`` phase (:meth:`_advance_levels`); the NumPy tier,
-    ``deposition="direct"`` and ``c dt >= dx`` take the three-phase route
-    with the level-aware :meth:`_gather` / :meth:`_deposit`.  A subcycled
+    the parent.  That is one particle pass per level in one ``particles``
+    phase (:meth:`_advance_levels`), on every kernel tier; the few
+    particles whose move leaves a patch interior deposit afterwards
+    through the level-aware :meth:`_deposit`.  A subcycled
     patch takes its members out for its own substeps, so it leaves the
     parent pass as it is.  Every grid advances each step, then the
     auxiliary fields are reassembled.  Patches stay fixed
@@ -402,7 +411,7 @@ class Simulation(StepDriver):
         for axis, b in enumerate(self.boundaries):
             if b == "damped":
                 check_damping_layer(grid, axis, self.n_absorber)
-        self.sort_interval = _count_option("sort_interval", sort_interval)
+        self.sort_interval = _integer_option("sort_interval", sort_interval)
         if self.maxwell_solver == "psatd" and any(
             b != "periodic" for b in self.boundaries
         ):
@@ -512,51 +521,34 @@ class Simulation(StepDriver):
         return patch
 
     # -- mesh-refinement levels ----------------------------------------------
-    def _advance_species(self, species: Species) -> None:
-        """Gather, push, deposit and periodically wrap one species (it
-        times itself), level-aware only while there is a level to route to:
-        one fused pass per level where every grid fuses, else the
-        three-phase route through :meth:`_gather` / :meth:`_deposit`."""
-        g = self.grid
-        axes = tuple(d for d, b in enumerate(self.boundaries) if b == "periodic")
-        periodic = (g.lo, g.hi, axes) if axes else None
-        levels = [p.aux for p in self.patches if not p.subcycle]
-        if not levels:
-            self._advance_on(g, species, phase=self._phase, periodic=periodic)
-        elif all(
-            fuses(self.kernel_set, self.deposition, self.dt, grid)
-            for grid in [g] + levels
-        ):
-            self._advance_levels(species, periodic)
-        else:
-            self._advance_on(
-                g, species, phase=self._phase, periodic=periodic,
-                gather=self._gather, deposit=self._deposit,
-            )
-
     def _advance_levels(self, species: Species, periodic) -> None:
-        """The fused pass per level, as one ``particles`` phase.
+        """Gather, push, deposit and periodically wrap one species: one
+        :func:`advance_particles` call per level, as one ``particles``
+        phase; each call takes the fused or the composed kernel for its
+        own grid.
 
-        Each particle is routed by its position at step n, as
-        :meth:`_gather` routes it: the members of a non-subcycled patch
-        gather its auxiliary field and deposit on its fine grid, with the
-        patch interior as the keep box and no wrap (a member cannot leave
-        the domain in one sub-cell move); everyone else runs on the parent
-        with the wrap.  A member whose new position left the interior (a
-        crosser) deposits nothing there; the crossers then deposit
-        through :meth:`_deposit`, which sends each to a later patch that
-        holds both of its positions or to the parent — the grids the
-        three-phase route gives them.
+        Each particle is routed by its position at step n: the members of
+        a non-subcycled patch (inside its interior) gather its auxiliary
+        field and deposit on its fine grid, with the patch interior as the
+        keep box and no wrap (a member cannot leave the domain in one
+        move); everyone else runs on the parent with the wrap.  With no
+        patch, or nobody in one, that is a single call on the species'
+        own arrays.  A member whose new position left the interior (a
+        crosser) deposits nothing there; the crossers then deposit through
+        :meth:`_deposit`, which sends each to a later patch that holds
+        both of its positions or to the parent.
         """
         sp, g = species, self.grid
-        advance = self.kernel_set.advance
         x_old, u_old, w = sp.positions, sp.momenta, sp.weights
-        args = (sp.charge, sp.mass, self.dt, self.shape_order, self.pusher)
+        args = (
+            sp.charge, sp.mass, self.dt, self.shape_order, self.pusher,
+            self.deposition,
+        )
         with self._phase("particles", species=sp.name, kernel=self.kernels):
             routes = list(self._route(lambda p: p.interior_mask(x_old)))
             if routes[0][0] is None:  # nobody in a patch
-                sp.positions, sp.momenta, _ = advance(
-                    g, x_old, u_old, w, *args, periodic
+                sp.positions, sp.momenta, _ = advance_particles(
+                    self.kernel_set, g, x_old, u_old, w, *args, periodic
                 )
                 calls = 1
             else:
@@ -569,13 +561,15 @@ class Simulation(StepDriver):
                     part = slice(start, start + level.size)
                     start = part.stop
                     if patch is None:
-                        out.append(advance(
-                            g, x[part], u[part], wt[part], *args, periodic
+                        out.append(advance_particles(
+                            self.kernel_set, g, x[part], u[part], wt[part],
+                            *args, periodic,
                         ))
                     else:
-                        out.append(advance(
-                            patch.aux, x[part], u[part], wt[part], *args,
-                            None, patch.fine, patch.interior_box(),
+                        out.append(advance_particles(
+                            self.kernel_set, patch.aux, x[part], u[part],
+                            wt[part], *args, None, patch.fine,
+                            patch.interior_box(),
                         ))
                 calls = len(out)
                 xs, us, flags = zip(*out)
@@ -599,7 +593,7 @@ class Simulation(StepDriver):
                     if periodic is not None:
                         wrap_positions_periodic(x_out, *periodic)
                         x_new[crossers] = x_out
-        self._count_dispatch(("advance",) * calls)
+        self._count_dispatch(calls)
 
     def _route(self, inside):
         """Send every particle to exactly one grid: yields ``(patch,
@@ -622,18 +616,11 @@ class Simulation(StepDriver):
         elif np.any(remaining):
             yield None, remaining
 
-    def _gather(self, species: Species):
-        positions = species.positions
-        e_f = np.empty((positions.shape[0], 3), dtype=positions.dtype)
-        b_f = np.empty_like(e_f)
-        for patch, sel in self._route(lambda p: p.interior_mask(positions)):
-            e_f[sel], b_f[sel] = self.kernel_set.gather(
-                self.grid if patch is None else patch.aux,
-                positions[sel], self.shape_order,
-            )
-        return e_f, b_f
-
     def _deposit(self, species, x_old, x_new, velocities) -> None:
+        """Deposit the crossers of :meth:`_advance_levels`: each on the
+        fine grid of the first patch whose deposit-safe region holds both
+        of its positions, else on the parent."""
+
         def inside(patch: MRPatch) -> np.ndarray:
             margin = patch.transition_margin()
             return patch.contains(x_old, margin) & patch.contains(x_new, margin)
@@ -666,13 +653,15 @@ class Simulation(StepDriver):
                 for external in patch.substep_externals():
                     patch.assemble_aux_with_external(external)
                     patch.fine.zero_sources()
-                    for holder in holders.values():
-                        if holder.n:
-                            advance_particles(
-                                patch.aux, holder, self.kernel_set,
-                                self.pusher, dt_sub, self.shape_order,
-                                deposit_grid=patch.fine,
+                    for sp in holders.values():
+                        if sp.n:
+                            sp.positions, sp.momenta, _ = advance_particles(
+                                self.kernel_set, patch.aux, sp.positions,
+                                sp.momenta, sp.weights, sp.charge, sp.mass,
+                                dt_sub, self.shape_order, self.pusher,
+                                self.deposition, deposit_grid=patch.fine,
                             )
+                            self._count_dispatch()
                     self._smooth_sources(patch.fine)
                     patch.accumulate_restricted_currents(1.0 / patch.ratio)
                     patch.substep_fields()
@@ -689,9 +678,11 @@ class Simulation(StepDriver):
         with self._phase("zero_sources"):
             g.zero_sources()
 
+        axes = tuple(d for d, b in enumerate(self.boundaries) if b == "periodic")
+        periodic = (g.lo, g.hi, axes) if axes else None
         for entry in self.entries.values():
             if entry.species.n:
-                self._advance_species(entry.species)
+                self._advance_levels(entry.species, periodic)
 
         with self._phase("finalize_deposits"):
             # combine the level deposits before the parent field advance

@@ -47,6 +47,7 @@ from repro.parallel.redistribute import (
     migrate_boxes,
     redistribute_particles,
 )
+from repro.particles.advance import advance_particles
 from repro.particles.injection import DensityProfile, inject_plasma
 from repro.particles.species import Species
 
@@ -324,13 +325,15 @@ class DistributedSimulation(StepDriver):
                     "box", cat="box", rank=self.dm.rank_of(i), box=i
                 ), self.timers.stopwatch() as sw:
                     for dsp in self.species.values():
-                        if dsp.per_box[i].n:
-                            # phase=None: one interval of ``particles`` and
-                            # its ``box`` span, not a phase nested in them
-                            self._advance_on(
-                                bg, dsp.per_box[i], phase=None,
-                                periodic=periodic,
+                        sp = dsp.per_box[i]
+                        if sp.n:
+                            sp.positions, sp.momenta, _ = advance_particles(
+                                self.kernel_set, bg, sp.positions, sp.momenta,
+                                sp.weights, sp.charge, sp.mass, self.dt,
+                                self.shape_order, self.pusher, self.deposition,
+                                periodic,
                             )
+                            self._count_dispatch()
                 self.cost_model.record_measured(i, sw.elapsed)
                 if self.metrics is not None:
                     self.metrics.histogram("lb.box_cost").observe(sw.elapsed)

@@ -40,8 +40,8 @@ scatter:
     layout); what addresses the grid — the gather, the scatter, lane by
     lane in particle order — and the wrap + stores stay per particle.
     Needs ``c dt < min(dx)`` (every move sub-cell), which
-    :func:`repro.particles.advance.fuses` checks before any driver takes
-    this route.  The current may land on a second grid of the gather
+    :func:`repro.particles.advance.advance_particles` checks before it
+    calls this slot.  The current may land on a second grid of the gather
     grid's layout, and a keep box leaves out (and flags) the particles
     whose new position left it: an MR patch's members gather its
     auxiliary grid, deposit on its fine grid and hand the crossers of its
@@ -58,7 +58,7 @@ scatter:
     bit; not a kernel-set slot.
 ``gather`` / ``deposit_esirkepov``
     the standalone slots at run-time ``(ndim, order, K)``, for what the
-    fused pass leaves to the three-phase route on this tier: the
+    fused pass leaves to the composed route on this tier: the
     crossers of an MR patch interior (``Simulation._deposit``, a few
     particles a step), ``c dt >= dx`` (either slot; the gather also with
     ``deposition="direct"``), the benchmark's per-kernel probes and

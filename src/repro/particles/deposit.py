@@ -257,7 +257,7 @@ def sized_esirkepov_window(
     non-finite one (a NaN or infinite position) is SAN005 naming the first
     such particle and its axis; a window whose half-width exceeds the guard
     layer is a :class:`ConfigurationError`.  Every Esirkepov deposit of the
-    three-phase route sizes its window here.
+    composed route sizes its window here.
     """
     # np.max propagates NaN (inf - inf included): a non-finite move shows
     # in its axis's maximum, and only then is it looked for

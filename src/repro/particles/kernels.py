@@ -50,7 +50,7 @@ accumulate in single precision while particle quantities and shape
 weights stay double (the paper's "MP mode"), and
 ``validate_kernel_set(..., precision="float32")`` asserts the resulting
 error stays inside :data:`FLOAT32_ERROR_BUDGET`.  The active variant name
-is surfaced as a ``kernel`` attribute on the gather/deposit tracer spans,
+is surfaced as a ``kernel`` attribute on the ``particles`` tracer span,
 so the observability layer shows which implementation ran.
 """
 
@@ -61,12 +61,13 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.constants import c, m_e, q_e
+from repro.constants import m_e, q_e
 from repro.exceptions import ConfigurationError, PrecisionError
 from repro.grid.yee import YeeGrid
+from repro.particles.advance import advance_particles
 from repro.particles.deposit import deposit_current_esirkepov
 from repro.particles.gather import gather_fields
-from repro.particles.pusher import PUSHERS, lorentz_factor, push_positions
+from repro.particles.pusher import PUSHERS
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,11 @@ class KernelSet:
     positions wrapped along ``periodic = (lo, hi, axes)`` and, given a
     ``keep = (lo, hi)`` box, the particles whose new position left it
     undeposited and flagged in ``leaving`` (None without a box); it may
-    assume ``c dt < min(dx)``.  Variants without one — and steps that break
-    that bound — are driven through gather -> push -> deposit by
-    :func:`repro.particles.advance.advance_particles`.  ``backend`` names
+    assume ``c dt < min(dx)``.  None means "no fused loop".
+    :func:`repro.particles.advance.advance_particles`, the one call every
+    driver makes, runs the slot where it applies and otherwise composes
+    ``gather``, the pusher and ``deposit_current`` (or the direct deposit)
+    under the same contract.  ``backend`` names
     what executes the inner loops (``numpy``, or ``c; <what was built>``).
     """
 
@@ -192,8 +195,9 @@ def validate_kernel_set(
     Runs the gather and the Esirkepov deposit of both variants on an
     identical randomized workload; a variant with a fused
     ``advance`` slot additionally gets an ``"advance"`` entry: the fused
-    pass against ``vectorized`` gather -> ``push_boris``/``push_vay`` ->
-    ``push_positions`` -> ``vectorized`` Esirkepov, worst deviation over
+    pass against ``vectorized``'s composed route (gather ->
+    ``push_boris``/``push_vay`` -> ``push_positions`` -> Esirkepov, through
+    :func:`~repro.particles.advance.advance_particles`), worst deviation over
     new positions, new momenta and ``J`` and over both pushers (the default
     ``n_particles`` is not a multiple of the fused pass's block of lanes,
     so full blocks and the scalar tail both run).  With ``precision="float64"``
@@ -263,18 +267,16 @@ def validate_kernel_set(
         # electrons with u ~ 1 and c dt = 0.3 dx: every move stays sub-cell
         mom = rng.normal(size=(n_particles, 3))
         err = 0.0
-        for pusher, push_momenta in PUSHERS.items():
+        for pusher in PUSHERS:
             grid_c.zero_sources()
             grid_b.zero_sources()
             x_c, u_c, _ = candidate.advance(
                 grid_c, pos0, mom, w, -q_e, m_e, dt, order, pusher
             )
-            e_b, b_b = baseline.gather(grid_b, pos0, order)
-            u_b = push_momenta(mom, e_b, b_b, -q_e, m_e, dt)
-            x_b = push_positions(pos0, u_b, dt, ndim)
-            vel_b = u_b * (c / lorentz_factor(u_b))[:, None]
-            baseline.deposit_current(
-                grid_b, pos0, x_b, vel_b, w, -q_e, dt, order
+            # the baseline has no fused slot: the composed route
+            x_b, u_b, _ = advance_particles(
+                baseline, grid_b, pos0, mom, w, -q_e, m_e, dt, order, pusher,
+                "esirkepov",
             )
             err = max(err, _rel(x_c, x_b), _rel(u_c, u_b))
             for comp in ("Jx", "Jy", "Jz"):

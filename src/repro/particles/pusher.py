@@ -113,7 +113,7 @@ def wrap_positions_periodic(
     ``fmod(a, L)`` is ``a`` exactly, so the result is bit-identical to
     wrapping every coordinate).
 
-    The one NumPy spelling of the wrap: the three-phase route of
+    The one NumPy spelling of the wrap: the composed route of
     :func:`repro.particles.advance.advance_particles` calls it, for every
     driver, and the compiled ``advance`` kernel does the same arithmetic
     per particle (``repro_wrap``).  Subcycled-MR holders are advanced

@@ -59,8 +59,28 @@ def same_bits(a, b):
 
 
 def unfused(kernel_set):
-    """The same kernels without the fused slot: the three-phase route."""
+    """The same kernels without the fused slot: every ``advance_particles``
+    call takes the composed route (gather, push, deposit)."""
     return dataclasses.replace(kernel_set, advance=None)
+
+
+def record_calls(kernel_set, slot):
+    """``kernel_set`` with its ``slot`` (``"gather"`` or ``"advance"``)
+    swapped for a spy that runs it and records ``(grid, positions,
+    result)`` per call; returns the new set and the list it fills.  A set
+    without the slot comes back as it is (nothing can call it)."""
+    seen = []
+    real = getattr(kernel_set, slot)
+    if real is None:
+        return kernel_set, seen
+
+    def spy(grid, positions, *args):
+        x = positions.copy()
+        out = real(grid, positions, *args)
+        seen.append((grid, x, out))
+        return out
+
+    return dataclasses.replace(kernel_set, **{slot: spy}), seen
 
 
 #: every transport the differential matrix runs over

@@ -272,11 +272,11 @@ def test_pic006_flags_untimed_kernel_call_in_driver(tmp_path):
         "simulation.py",
         "class Sim:\n"
         "    def _step_body(self):\n"
-        "        fields = self._gather(self.sp)\n",
+        "        self._deposit(self.sp, x_old, x_new, vel)\n",
         select=["PIC006"],
     )
     assert rule_ids(findings) == ["PIC006"]
-    assert "_gather()" in findings[0].message
+    assert "_deposit()" in findings[0].message
     assert findings[0].line == 3
 
 
@@ -291,7 +291,7 @@ def test_pic006_accepts_timed_call(tmp_path):
         "        with self._phase('redistribute'):\n"
         "            redistribute_particles(self.per_box)\n"
         "        with self.tracer.span('box'), self.timers.stopwatch() as sw:\n"
-        "            self._advance_on(bg, sp, phase=None)\n",
+        "            advance_particles(self.kernel_set, bg, x, u, w)\n",
         select=["PIC006"],
     )
     assert findings == []
@@ -331,8 +331,8 @@ def test_pic006_ignores_hook_bodies_and_other_modules(tmp_path):
         tmp_path,
         "simulation.py",
         "class Sim:\n"
-        "    def _gather(self, sp):\n"
-        "        return gather_fields(self.grid, sp)\n",
+        "    def _deposit(self, sp, x_old, x_new, vel):\n"
+        "        deposit_current_esirkepov(self.grid, x_old, x_new, vel)\n",
         select=["PIC006"],
     )
     assert findings == []
@@ -341,55 +341,57 @@ def test_pic006_ignores_hook_bodies_and_other_modules(tmp_path):
         tmp_path,
         "helpers.py",
         "def _step_body(self):\n"
-        "    self._gather(self.sp)\n",
+        "    self._deposit(self.sp)\n",
         select=["PIC006"],
     )
     assert findings == []
 
 
 def test_pic006_advance_particles_is_a_kernel_phase_call(tmp_path):
-    # the box-level particle pass must be timed: by an enclosing context ...
+    # the box-level particle pass must be timed by an enclosing context,
+    # in every driver method, the per-level one included
     untimed = lint_snippet(
         tmp_path,
         "distributed.py",
         "class Sim:\n"
-        "    def _advance_species(self, sp):\n"
-        "        advance_particles(self.grid, sp, self.kernel_set)\n",
+        "    def _advance_levels(self, sp, periodic):\n"
+        "        advance_particles(self.kernel_set, self.grid, x, u, w)\n",
         select=["PIC006"],
     )
     assert rule_ids(untimed) == ["PIC006"]
     assert "advance_particles()" in untimed[0].message
-    # ... or by itself, when it is handed the driver's phase factory
-    self_timed = lint_snippet(
+    assert "_advance_levels()" in untimed[0].message
+    timed = lint_snippet(
         tmp_path,
         "simulation.py",
         "class Sim:\n"
-        "    def _advance_species(self, sp):\n"
-        "        advance_particles(self.grid, sp, phase=self._phase)\n"
-        "    def _finish_step(self):\n"
+        "    def _advance_levels(self, sp, periodic):\n"
         "        with self._phase('particles'):\n"
-        "            advance_particles(self.grid, self.sp)\n",
+        "            advance_particles(self.kernel_set, self.grid, x, u, w)\n"
+        "            self._deposit(sp, x_old, x_new, vel)\n",
         select=["PIC006"],
     )
-    assert self_timed == []
+    assert timed == []
 
 
 def test_pic006_box_advance_and_smoothing_must_be_timed(tmp_path):
-    # the base-class physics: timed by the call site or by a phase factory;
-    # phase=None says "my caller is timed", so outside a context it is not
+    # the per-box physics: timed by the call site only; no argument makes
+    # a call time itself
     findings = lint_snippet(
         tmp_path,
         "distributed.py",
         "class Sim:\n"
         "    def _step_body(self):\n"
-        "        self._advance_on(bg, sp)\n"
-        "        self._advance_on(bg, sp, phase=None)\n"
-        "        self._advance_on(bg, sp, phase=self._phase)\n"
+        "        advance_particles(self.kernel_set, bg, x, u, w)\n"
+        "        advance_particles(self.kernel_set, bg, x, u, w, phase=None)\n"
+        "        advance_particles(\n"
+        "            self.kernel_set, bg, x, u, w, phase=self._phase)\n"
         "        self._smooth_sources(bg)\n",
         select=["PIC006"],
     )
     assert [(f.line, f.message.split("(")[0].split()[-1]) for f in findings] == [
-        (3, "_advance_on"), (4, "_advance_on"), (6, "_smooth_sources"),
+        (3, "advance_particles"), (4, "advance_particles"),
+        (5, "advance_particles"), (7, "_smooth_sources"),
     ]
 
 
@@ -399,7 +401,7 @@ def test_pic006_pragma_suppresses(tmp_path):
         "simulation.py",
         "class Sim:\n"
         "    def _step_body(self):\n"
-        "        self._gather(self.sp)  # repro: allow(PIC006)\n",
+        "        self._deposit(self.sp)  # repro: allow(PIC006)\n",
         select=["PIC006"],
     )
     assert findings == []

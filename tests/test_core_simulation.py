@@ -60,6 +60,31 @@ def test_step_counts_must_be_integers_at_least_zero(name, bad):
     assert getattr(sim, name) == 2 and type(getattr(sim, name)) is int
 
 
+@pytest.mark.parametrize("bad", [0, 4, -1, 2.7, 2.0, "2", None, True])
+def test_shape_order_must_be_an_integer_from_1_to_3(bad):
+    """Refused at construction, naming the value: not truncated (2.7
+    used to run order 2) and not left to the first step's kernel."""
+    g = YeeGrid((16,), (0.0,), (1.0,), guards=4)
+    with pytest.raises(ConfigurationError, match=f"shape_order.*{bad!r}"):
+        Simulation(g, shape_order=bad)
+    for order in (1, 2, np.int64(3)):
+        sim = Simulation(g, shape_order=order)
+        assert sim.shape_order == order and type(sim.shape_order) is int
+
+
+@pytest.mark.parametrize("name", ["dt", "cfl"])
+@pytest.mark.parametrize("bad", [0.0, -0.5, np.nan, np.inf, "1e-17", True])
+def test_dt_and_cfl_must_be_finite_and_positive(name, bad):
+    """A zero, negative or non-finite time step (or Courant fraction)
+    is refused at construction: it used to divide by zero or run time
+    backwards."""
+    g = YeeGrid((16,), (0.0,), (1.0,), guards=4)
+    with pytest.raises(ConfigurationError, match=f"{name} must be .*{bad!r}"):
+        Simulation(g, **{name: bad})
+    sim = Simulation(g, dt=np.float64(1e-18), cfl=np.float32(0.5))
+    assert sim.dt == 1e-18 and type(sim.dt) is float
+
+
 # -- the native J filter against smooth_binomial ---------------------------------
 
 def j_grid(shape, dtype, seed=0):

@@ -10,7 +10,7 @@ from repro.grid.maxwell import cfl_dt
 from repro.grid.yee import YeeGrid
 from repro.particles.injection import UniformProfile
 from repro.particles.species import Species
-from tests.conftest import needs_compiled, unfused
+from tests.conftest import needs_compiled, record_calls, unfused
 
 
 def build(n_cells=96, n0=1e24, patches=((10, 30), (60, 80)), ppc=8):
@@ -47,11 +47,17 @@ def test_two_patches_run_and_match_reference():
 def test_patches_route_particles_independently():
     sim, e = build(patches=((10, 30), (60, 80)))
     p0, p1 = sim.patches
-    e_f, _ = sim._gather(e)
     m0 = p0.interior_mask(e.positions)
     m1 = p1.interior_mask(e.positions)
     assert np.any(m0) and np.any(m1)
     assert not np.any(m0 & m1)  # disjoint regions
+    # each patch gathers its own members, the parent everyone else
+    sim.kernel_set = unfused(sim.kernel_set)
+    sim.kernel_set, gathers = record_calls(sim.kernel_set, "gather")
+    sim.step()
+    assert [(grid, len(x)) for grid, x, _ in gathers] == [
+        (p0.aux, m0.sum()), (p1.aux, m1.sum()), (sim.grid, (~(m0 | m1)).sum())
+    ]
 
 
 def test_staggered_removal_times():
@@ -118,7 +124,7 @@ def test_a_crosser_leaving_one_patch_inside_another_deposits_on_its_fine_grid():
     currents = ("Jx", "Jy", "Jz")
     assert not any(np.any(a.fine.fields[j]) for j in currents)
     assert np.any(b.fine.fields["Jx"])
-    # the grids the level hooks of the three-phase route give it
+    # the grids the composed route gives it
     for patch, ref in zip(sim.patches, split.patches):
         for label in ("fine", "coarse", "aux"):
             for comp, want in getattr(ref, label).fields.items():

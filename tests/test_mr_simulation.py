@@ -16,7 +16,7 @@ from repro.grid.yee import YeeGrid
 from repro.particles.injection import UniformProfile
 from repro.particles.kernels import FLOAT32_ERROR_BUDGET
 from repro.particles.species import Species
-from tests.conftest import needs_compiled, unfused
+from tests.conftest import needs_compiled, record_calls, unfused
 
 
 def test_mr_requires_esirkepov():
@@ -67,44 +67,56 @@ def test_mr_langmuir_matches_single_level():
 
 
 def test_mr_gather_uses_aux_inside_patch():
-    sim, e = make_langmuir_mr(with_patch=True)
+    sim, e = make_langmuir_mr(with_patch=True, kernels="vectorized")
     patch = sim.patches[0]
     # poison the aux field; interior particles must see it
     patch.aux.fields["Ez"][...] = 123.0
-    e_f, _ = sim._gather(e)
     inner = patch.interior_mask(e.positions)
     assert np.any(inner)
-    np.testing.assert_allclose(e_f[inner, 2], 123.0, rtol=1e-12)
-    assert np.all(np.abs(e_f[~inner, 2]) < 1.0)
+    sim.kernel_set, gathers = record_calls(sim.kernel_set, "gather")
+    sim.step()
+    (on_aux, x_aux, (e_aux, _)), (on_parent, x_parent, (e_parent, _)) = gathers
+    assert on_aux is patch.aux and on_parent is sim.grid
+    assert len(x_aux) == inner.sum() and len(x_parent) == (~inner).sum()
+    np.testing.assert_allclose(e_aux[:, 2], 123.0, rtol=1e-12)
+    assert np.all(np.abs(e_parent[:, 2]) < 1.0)
 
 
 def test_mr_gather_evaluates_each_particle_on_one_grid():
     """While a patch is active every particle is gathered on exactly one
     grid (aux or parent): the simulation's own gather kernel sees it
     once, not once on the parent and again on the patch — on the NumPy
-    and on the native tier."""
+    and on the native tier's gather, and in the native tier's fused
+    slot."""
     for kernels in ("vectorized", "compiled"):
         sim, e = make_langmuir_mr(with_patch=True, kernels=kernels)
+        aux = sim.patches[0].aux
         inner = sim.patches[0].interior_mask(e.positions)
         assert np.any(inner) and not np.all(inner)
-        seen = []
+        if sim.kernel_set.advance is not None:
+            fused, _ = make_langmuir_mr(with_patch=True, kernels=kernels)
+            fused.kernel_set, advances = record_calls(
+                fused.kernel_set, "advance"
+            )
+            fused.step()
+            assert [(grid, len(x)) for grid, x, _ in advances] == [
+                (fused.patches[0].aux, int(inner.sum())),
+                (fused.grid, int((~inner).sum())),
+            ]
+            sim.kernel_set = unfused(sim.kernel_set)
+        # bit for bit what each grid gathers on its own, at step n
         real = sim.kernel_set.gather
-        sim.kernel_set = dataclasses.replace(
-            sim.kernel_set,
-            gather=lambda grid, x, order: seen.append((grid, len(x)))
-            or real(grid, x, order),
-        )
-        e_f, b_f = sim._gather(e)
-        aux = sim.patches[0].aux
-        assert seen == [
-            (aux, int(inner.sum())), (sim.grid, int((~inner).sum()))
-        ]
-        # bit for bit what each grid gathers on its own
         on_parent = real(sim.grid, e.positions, sim.shape_order)
         on_patch = real(aux, e.positions[inner], sim.shape_order)
-        assert np.array_equal(e_f[~inner], on_parent[0][~inner])
-        assert np.array_equal(e_f[inner], on_patch[0])
-        assert np.array_equal(b_f[inner], on_patch[1])
+        sim.kernel_set, gathers = record_calls(sim.kernel_set, "gather")
+        sim.step()
+        assert [(grid, len(x)) for grid, x, _ in gathers] == [
+            (aux, int(inner.sum())), (sim.grid, int((~inner).sum()))
+        ]
+        (_, _, (e_in, b_in)), (_, _, (e_out, _)) = gathers
+        assert np.array_equal(e_out, on_parent[0][~inner])
+        assert np.array_equal(e_in, on_patch[0])
+        assert np.array_equal(b_in, on_patch[1])
 
 
 def test_patch_removed_at_remove_time():
@@ -186,14 +198,14 @@ def test_mr_requires_yee_solver():
 
 # -- the particle route while a patch is active ---------------------------------
 
-def make_mr_2d(fused=True, precision=None):
+def make_mr_2d(fused=True, precision=None, kernels="compiled"):
     """A warm 2D plasma under one patch: some members leave the patch
     interior every step."""
     n0 = 1e24
     length = plasma_wavelength(n0)
     g = YeeGrid((32, 16), (0.0, 0.0), (length, length / 2), guards=4)
     dt = cfl_dt((g.dx[0] / 2, g.dx[1] / 2), 0.9)
-    sim = Simulation(g, dt=dt, shape_order=2, kernels="compiled",
+    sim = Simulation(g, dt=dt, shape_order=2, kernels=kernels,
                      precision=precision)
     e = Species("electrons", charge=-q_e, mass=m_e, ndim=2)
     sim.add_species(e, profile=UniformProfile(n0), ppc=(2, 2),
@@ -244,29 +256,84 @@ def count_crossers(sim):
     return seen
 
 
+def assert_runs_agree(got, want, e_got, e_want, bound):
+    """Every grid of the two runs and their particles agree to ``bound``,
+    relative to the largest magnitude of each family."""
+    assert worst_field_deviation(got, want) <= bound
+    scale = np.max(np.abs(e_want.positions))
+    assert np.max(np.abs(e_got.positions - e_want.positions)) <= bound * scale
+    scale = np.max(np.abs(e_want.momenta))
+    assert np.max(np.abs(e_got.momenta - e_want.momenta)) <= bound * scale
+
+
 @needs_compiled
-@pytest.mark.parametrize("precision, bound", [
-    (None, 1e-13),
-    ("mixed", FLOAT32_ERROR_BUDGET["advance"]),
+@pytest.mark.parametrize("reference, precision, bound", [
+    ("unfused", None, 1e-13),
+    ("unfused", "mixed", FLOAT32_ERROR_BUDGET["advance"]),
+    ("vectorized", None, 1e-13),
 ])
-def test_fused_mr_route_matches_the_three_phase_route(precision, bound):
-    """One fused pass per level reproduces the level hooks on every grid
-    of the deck: parent, fine, coarse and auxiliary fields and the
-    particles, crossers included."""
+def test_fused_mr_route_matches_the_composed_route(reference, precision, bound):
+    """One fused pass per level reproduces the composed route on every
+    grid of the deck — parent, fine, coarse and auxiliary fields — and on
+    the particles, crossers included: against the same C gather and
+    deposit without the fused slot, and against the NumPy tier."""
     fused, e_f = make_mr_2d(precision=precision)
-    split, e_s = make_mr_2d(fused=False, precision=precision)
+    if reference == "unfused":
+        composed, e_c = make_mr_2d(fused=False, precision=precision)
+    else:
+        composed, e_c = make_mr_2d(precision=precision, kernels=reference)
+        assert composed.kernels == reference
     crossers = count_crossers(fused)
+    composed_crossers = count_crossers(composed)
     fused.step(20)
-    split.step(20)
-    assert sum(crossers) >= 1
-    assert "particles" in fused.timers.totals
-    assert "gather" not in fused.timers.totals
-    assert {"gather", "push", "deposit"} <= set(split.timers.totals)
-    assert worst_field_deviation(fused, split) <= bound
-    scale = np.max(np.abs(e_s.positions))
-    assert np.max(np.abs(e_f.positions - e_s.positions)) <= bound * scale
-    scale = np.max(np.abs(e_s.momenta))
-    assert np.max(np.abs(e_f.momenta - e_s.momenta)) <= bound * scale
+    composed.step(20)
+    assert sum(crossers) >= 1 and sum(composed_crossers) >= 1
+    # one phase per species and step, whichever kernel each level took
+    assert fused.timers.counts["particles"] == 20
+    assert composed.timers.counts["particles"] == 20
+    assert not {"gather", "push", "deposit"} & set(composed.timers.totals)
+    assert_runs_agree(fused, composed, e_f, e_c, bound)
+
+
+def make_mr_1d_at_the_fine_courant_limit(fused=True):
+    """A warm 1D plasma under one ratio-2 patch, stepped at the fine
+    grid's Courant limit: every move may span a fine cell, so the patch
+    level takes the composed route while the parent (half a parent cell
+    a step) keeps the fused pass."""
+    n0 = 1e24
+    length = plasma_wavelength(n0)
+    g = YeeGrid((32,), (0.0,), (length,), guards=4)
+    sim = Simulation(g, dt=cfl_dt((g.dx[0] / 2,), 1.0), shape_order=2,
+                     smoothing_passes=0, kernels="compiled")
+    e = Species("electrons", charge=-q_e, mass=m_e, ndim=1)
+    sim.add_species(e, profile=UniformProfile(n0), ppc=4,
+                    temperature_uth=0.3, rng=np.random.default_rng(4))
+    sim.add_patch((8,), (24,), ratio=2)
+    if not fused:
+        sim.kernel_set = unfused(sim.kernel_set)
+    return sim, e
+
+
+@needs_compiled
+def test_one_step_mixes_a_fused_and_a_composed_level():
+    """Each level picks its kernel for its own grid: on this deck the
+    parent's particles run the fused slot and the patch members the
+    composed route (C gather, NumPy push, C deposit), in one step, and the
+    run matches the all-composed one."""
+    mixed, e_m = make_mr_1d_at_the_fine_courant_limit()
+    composed, e_c = make_mr_1d_at_the_fine_courant_limit(fused=False)
+    aux = mixed.patches[0].aux
+    assert min(mixed.grid.dx) > c * mixed.dt >= min(aux.dx)
+    mixed.kernel_set, advances = record_calls(mixed.kernel_set, "advance")
+    mixed.kernel_set, gathers = record_calls(mixed.kernel_set, "gather")
+    crossers = count_crossers(mixed)
+    mixed.step(20)
+    composed.step(20)
+    assert mixed.patches and sum(crossers) >= 1
+    assert [grid for grid, _, _ in advances] == [mixed.grid] * 20
+    # the crossers' deposit runs no gather: every gather is the patch's
+    assert [grid for grid, _, _ in gathers] == [aux] * 20
+    assert_runs_agree(mixed, composed, e_m, e_c, 1e-13)
 
 
 @needs_compiled

@@ -50,10 +50,10 @@ def test_simulations_default_to_null_tracer():
     assert sim.tracer.records == []
 
 
-#: the particle phases of one step on each tier: the NumPy route times
-#: three, the fused native pass one
+#: the particle phases of one step on each tier: one ``particles`` phase
+#: per species, whichever kernel ran in it
 PARTICLE_PHASES = {
-    "vectorized": ("gather", "push", "deposit"),
+    "vectorized": ("particles",),
     "compiled": ("particles",),
 }
 
@@ -73,12 +73,13 @@ def test_traced_single_simulation_has_step_phase_hierarchy():
         names = {c.name for c in step_phases}
         # the tier that actually ran (compiled falls back where absent)
         expected = PARTICLE_PHASES[sim.kernels]
-        assert names & {p for ps in PARTICLE_PHASES.values() for p in ps} == (
+        assert names & {"particles", "gather", "push", "deposit"} == (
             set(expected)
         )
         assert "maxwell" in names
         first = next(c for c in step_phases if c.name == expected[0])
         assert first.attrs["species"] == "electrons"
+        assert first.attrs["kernel"] == sim.kernels
         # phase spans and the legacy timers see the same intervals
         assert sim.timers.counts["maxwell"] == 3
 
@@ -144,21 +145,20 @@ _SINGLE = {
     "antenna", "field_boundaries", "finalize_deposits", "maxwell",
     "particle_boundaries", "source_boundaries", "zero_sources",
 }
-_THREE_PHASE = {"gather", "push", "deposit"}
 _DECOMPOSED = {"fold_sources", "halo_fields", "maxwell", "particles", "redistribute"}
 #: ``timers.totals`` keys after five steps, per configuration and kernel
 #: tier: the phase names ``benchmarks/perf/report.py`` splits the step on,
 #: so a driver change must neither rename nor drop one
 PHASE_KEYS = {
     ("simulation", "compiled"): _SINGLE | {"particles"},
-    ("simulation", "vectorized"): _SINGLE | _THREE_PHASE,
+    ("simulation", "vectorized"): _SINGLE | {"particles"},
     ("mr_removal", "compiled"): _SINGLE | {"particles"},
-    ("mr_removal", "vectorized"): _SINGLE | _THREE_PHASE,
+    ("mr_removal", "vectorized"): _SINGLE | {"particles"},
     ("mr_subcycled", "compiled"): (
         _SINGLE | {"particles", "moving_window", "mr_subcycle"}
     ),
     ("mr_subcycled", "vectorized"): (
-        _SINGLE | _THREE_PHASE | {"moving_window", "mr_subcycle"}
+        _SINGLE | {"particles", "moving_window", "mr_subcycle"}
     ),
     ("distributed", "compiled"): _DECOMPOSED,
     ("distributed", "vectorized"): _DECOMPOSED,

@@ -396,6 +396,25 @@ def test_shared_options_are_refused_identically(bad, guards):
     assert str(dist.value) == str(mono.value)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [dict(shape_order=0), dict(shape_order=4), dict(shape_order=2.7),
+     dict(dt=0.0), dict(dt=-1e-17), dict(dt=float("nan")), dict(cfl=-0.5),
+     dict(cfl=float("inf"))],
+    ids=lambda v: "-".join(f"{k}={val}" for k, val in v.items()),
+)
+def test_shape_order_dt_and_cfl_are_refused_identically(bad):
+    """A shape order outside 1-3 (or not an integer), a time step or a
+    Courant fraction that is not finite and > 0: the same
+    ``ConfigurationError`` naming the value from either constructor."""
+    (name, value), = bad.items()
+    with pytest.raises(ConfigurationError, match=f"{name}.*{value!r}") as mono:
+        Simulation(YeeGrid((8, 8), (0.0, 0.0), (8.0, 8.0), guards=4), **bad)
+    with pytest.raises(ConfigurationError) as dist:
+        DistributedSimulation((8, 8), (0.0, 0.0), (8.0, 8.0), n_ranks=1, **bad)
+    assert str(dist.value) == str(mono.value)
+
+
 @pytest.mark.parametrize("bad", [-1, 1.7, "2"], ids=["negative", "float", "str"])
 def test_smoothing_passes_are_refused_identically(bad):
     """``smoothing_passes`` takes integers >= 0 only, on both drivers,

@@ -1,5 +1,5 @@
 """The box-level particle advance and the fused compiled pass behind it:
-fused vs three-phase agreement, the Esirkepov window contract (NumPy
+fused vs composed agreement, the Esirkepov window contract (NumPy
 fallback, guard shortfall), bounds safety of every native kernel (run in
 subprocesses: a regression here is a segfault, not an exception), routing
 in both step drivers (with and without an MR patch), phases and
@@ -16,6 +16,7 @@ from tests.conftest import (
     assert_runs_equal,
     make_langmuir_build,
     needs_compiled,
+    record_calls,
     unfused,
 )
 from repro.constants import c, m_e, plasma_wavelength, q_e
@@ -60,6 +61,16 @@ def langmuir(kernels="compiled", n=24, **kwargs):
 
 def rel(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def advance_species(kernel_set, grid, sp, dt, order, deposition="esirkepov",
+                    pusher="boris", **where):
+    """``advance_particles`` on a species' arrays, written back."""
+    sp.positions, sp.momenta, leaving = advance_particles(
+        kernel_set, grid, sp.positions, sp.momenta, sp.weights, sp.charge,
+        sp.mass, dt, order, pusher, deposition, **where,
+    )
+    return leaving
 
 
 # -- (a) cross-validation through the kernel table ----------------------------
@@ -132,25 +143,34 @@ def test_fused_checkpoint_restart_is_bit_identical(tmp_path):
 
 @needs_compiled
 def test_fused_and_three_phase_routes_agree():
+    """The fused slot against the composed route on the same C gather
+    and deposit; both time one ``particles`` phase."""
     fused, e_f = langmuir()
     split, e_s = langmuir()
     split.kernel_set = unfused(split.kernel_set)
+    split.kernel_set, gathers = record_calls(split.kernel_set, "gather")
     fused.step(5)
     split.step(5)
-    # same C gather and deposit either way; only NumPy's einsum rounding
-    # in the pushers separates the two
+    # only NumPy's einsum rounding in the pushers separates the two
     assert rel(e_f.momenta, e_s.momenta) < 1e-13
     assert rel(fused.grid.fields["Jx"], split.grid.fields["Jx"]) < 1e-13
-    assert {"gather", "push", "deposit"} <= set(split.timers.totals)
-    assert "particles" not in split.timers.totals
+    assert len(gathers) == 5
+    for sim in (fused, split):
+        assert sim.timers.counts["particles"] == 5
+        assert not {"gather", "push", "deposit"} & set(sim.timers.totals)
 
 
 @needs_compiled
 def test_direct_deposition_takes_the_three_phase_route():
+    """``deposition="direct"`` on the native tier: the composed route
+    (C gather, NumPy direct deposit), never the fused slot."""
     sim, _ = langmuir(deposition="direct")
+    sim.kernel_set, advances = record_calls(sim.kernel_set, "advance")
+    sim.kernel_set, gathers = record_calls(sim.kernel_set, "gather")
     sim.step(2)
-    assert {"gather", "push", "deposit"} <= set(sim.timers.totals)
-    assert "particles" not in sim.timers.totals
+    assert advances == [] and len(gathers) == 2
+    assert sim.timers.counts["particles"] == 2
+    assert "gather" not in sim.timers.totals
 
 
 def test_advance_particles_rejects_unknown_names():
@@ -158,9 +178,9 @@ def test_advance_particles_rejects_unknown_names():
     sp = Species("e", ndim=1)
     ks = get_kernel_set("vectorized")
     with pytest.raises(ConfigurationError, match="pusher"):
-        advance_particles(grid, sp, ks, "euler", 0.1, 1)
+        advance_species(ks, grid, sp, 0.1, 1, pusher="euler")
     with pytest.raises(ConfigurationError, match="deposition"):
-        advance_particles(grid, sp, ks, "boris", 0.1, 1, deposition="cic")
+        advance_species(ks, grid, sp, 0.1, 1, deposition="cic")
 
 
 # -- (c) the Esirkepov window contract through advance_particles ---------------
@@ -182,19 +202,17 @@ def streaming_species(grid, displacement_cells, n=20, seed=3):
 @needs_compiled
 def test_wide_displacement_takes_the_three_phase_route():
     """``c dt >= min(dx)``: the fused pass (window ``order + 2`` by
-    construction) is not taken; the three-phase route sizes the window
-    from the data and, at K > KMAX, lands on the NumPy Esirkepov kernel."""
+    construction) is not taken; the composed route sizes the window from
+    the data and, at K > KMAX, lands on the NumPy Esirkepov kernel."""
     grid_f = YeeGrid((24, 24), (0.0, 0.0), (24.0, 24.0), guards=10)
     grid_r = grid_f.copy()
     assert esirkepov_window(3, 3.2) > KMAX
     sp_f, dt = streaming_species(grid_f, 3.2)
     sp_r, _ = streaming_species(grid_r, 3.2)
-    assert advance_particles(
-        grid_f, sp_f, get_kernel_set("compiled"), "boris", dt, 3
-    ) == ("gather", "deposit")
-    assert advance_particles(
-        grid_r, sp_r, get_kernel_set("vectorized"), "boris", dt, 3
-    ) == ("gather", "deposit")
+    ks, advances = record_calls(get_kernel_set("compiled"), "advance")
+    advance_species(ks, grid_f, sp_f, dt, 3)
+    advance_species(get_kernel_set("vectorized"), grid_r, sp_r, dt, 3)
+    assert advances == []
     assert np.max(np.abs(grid_r.fields["Jx"])) > 0
     for comp in ("Jx", "Jy", "Jz"):
         np.testing.assert_allclose(
@@ -211,7 +229,7 @@ def test_guard_shortfall_raises_through_advance_particles():
     assert esirkepov_window(3, 1.5) == KMAX
     sp, dt = streaming_species(grid, 1.5)
     with pytest.raises(ConfigurationError, match="guard"):
-        advance_particles(grid, sp, get_kernel_set("compiled"), "boris", dt, 3)
+        advance_species(get_kernel_set("compiled"), grid, sp, dt, 3)
 
 
 # -- bounds safety of the native kernels (satellite bugfix) -------------------
@@ -353,7 +371,7 @@ def test_sanitized_fused_step_reports_san005(monkeypatch):
     assert np.array_equal(electrons.momenta, before)
 
 
-# -- (e) mesh refinement: hooks on the NumPy tier, one pass per level natively --
+# -- (e) mesh refinement: one call per level, crossers to the deposit hook ----
 
 def mr_1d(kernels, remove_after=None, uth=0.0):
     """A 1D plasma under one patch, removed after ``remove_after`` steps
@@ -373,55 +391,41 @@ def mr_1d(kernels, remove_after=None, uth=0.0):
     return sim
 
 
-def test_mr_routes_through_level_hooks_until_patch_removal(monkeypatch):
-    """On the NumPy tier an active patch routes every particle through
-    the level-aware gather and deposit; once it is removed the plain
-    (here three-phase) pass runs without them."""
+def test_mr_routes_through_level_hooks_until_patch_removal():
+    """On the NumPy tier an active patch splits every step's pass into
+    one call per level — the patch members gather its auxiliary grid,
+    everyone else the parent — inside one ``particles`` phase; once it is
+    removed a single call runs on the parent."""
     sim = mr_1d("vectorized", remove_after=2.5)
-    calls = {"gather": 0, "deposit": 0}
-    gather, deposit = sim._gather, sim._deposit
-
-    def spy_gather(sp):
-        calls["gather"] += 1
-        return gather(sp)
-
-    def spy_deposit(*args):
-        calls["deposit"] += 1
-        return deposit(*args)
-
-    monkeypatch.setattr(sim, "_gather", spy_gather)
-    monkeypatch.setattr(sim, "_deposit", spy_deposit)
+    aux = sim.patches[0].aux
+    sim.kernel_set, gathers = record_calls(sim.kernel_set, "gather")
     sim.step(3)
     assert not sim.patches and len(sim.removal_log) == 1
-    assert calls == {"gather": 3, "deposit": 3}
-    assert sim.timers.counts["gather"] == 3
-    sim.step(2)  # no patch left: no hook
-    assert calls == {"gather": 3, "deposit": 3}
-    assert sim.timers.counts["gather"] == 5
-    assert "particles" not in sim.timers.counts
+    assert [grid for grid, _, _ in gathers] == [aux, sim.grid] * 3
+    sim.step(2)  # no patch left: the parent alone
+    assert [grid for grid, _, _ in gathers[6:]] == [sim.grid] * 2
+    assert sim.timers.counts["particles"] == 5
+    assert "gather" not in sim.timers.counts
 
 
 @needs_compiled
 def test_mr_fused_route_hands_only_crossers_to_the_deposit_hook(monkeypatch):
     """On the native tier an active patch runs one fused pass per level
-    in one ``particles`` phase: nobody calls the level gather, and the
-    level deposit sees only the patch members whose move left the
-    patch interior."""
+    in one ``particles`` phase: no standalone gather runs, and the level
+    deposit sees only the patch members whose move left the patch
+    interior."""
     sim = mr_1d("compiled", uth=0.3)
     patch = sim.patches[0]
     tracer, metrics = attach_observability(sim)
     seen = []
     deposit = sim._deposit
 
-    def no_gather(sp):
-        raise AssertionError("the fused route gathered through the hook")
-
     def spy_deposit(sp, x_old, x_new, vel):
         seen.append((x_old.copy(), x_new.copy()))
         return deposit(sp, x_old, x_new, vel)
 
-    monkeypatch.setattr(sim, "_gather", no_gather)
     monkeypatch.setattr(sim, "_deposit", spy_deposit)
+    sim.kernel_set, gathers = record_calls(sim.kernel_set, "gather")
     sim.step(10)
     assert sim.patches
     assert sim.timers.counts["particles"] == 10
@@ -434,6 +438,7 @@ def test_mr_fused_route_hands_only_crossers_to_the_deposit_hook(monkeypatch):
     snap = metrics.snapshot()
     assert snap["kernel.dispatch{phase=advance,variant=compiled}"] == 20.0
     assert not any("phase=gather" in key for key in snap)
+    assert gathers == []
 
 
 # -- (f) phases and dispatch counters ------------------------------------------
@@ -549,11 +554,11 @@ def test_default_kernel_tier_is_native_when_available():
 
 @pytest.mark.parametrize("variant", ["vectorized", "compiled"])
 def test_distributed_counts_kernel_dispatches(variant, monkeypatch):
-    """One ``kernel.dispatch`` bump per phase, box and step, as in
-    ``Simulation`` (the decomposed driver used to drop them) — and the
-    box advance stays *untimed* inside the one ``particles`` phase: handed
-    the driver's ``_phase`` it would nest gather / push / deposit (or a
-    second ``particles``, counted twice) under it."""
+    """One ``kernel.dispatch`` bump per advance, box and step on either
+    tier, as in ``Simulation`` (the decomposed driver used to drop them)
+    — and the box advance stays *untimed* inside the one ``particles``
+    phase: no gather / push / deposit (or a second ``particles``,
+    counted twice) nests under it."""
     if variant not in available_kernel_variants():
         pytest.skip(f"{variant} tier unavailable on this machine")
     # the phase set below is an unsanitized step's (a sanitized one adds
@@ -563,13 +568,11 @@ def test_distributed_counts_kernel_dispatches(variant, monkeypatch):
     _, metrics = attach_observability(sim)
     sim.step(3)
     snap = metrics.snapshot()
-    phases = ("advance",) if variant == "compiled" else ("gather", "deposit")
     dispatched = {
         key: val for key, val in snap.items() if key.startswith("kernel.dispatch")
     }
     assert dispatched == {
-        f"kernel.dispatch{{phase={phase},variant={variant}}}": 3.0 * len(sim.boxes)
-        for phase in phases
+        f"kernel.dispatch{{phase=advance,variant={variant}}}": 3.0 * len(sim.boxes)
     }
     assert set(sim.timers.totals) == {
         "particles", "fold_sources", "maxwell", "halo_fields", "redistribute",
@@ -657,30 +660,31 @@ def test_fused_pass_conserves_charge_through_cell_and_edge_crossings(
 def test_a_time_step_of_a_cell_or_more_takes_the_three_phase_route(ndim):
     """``c dt >= min(dx)``: a move may span a cell, the ``order + 2``
     window of the fused pass no longer holds, so ``advance_particles``
-    sizes windows from the data (three-phase) — and wraps afterwards."""
+    sizes windows from the data (the composed route) — and wraps
+    afterwards."""
     def run(name, dt_over_cell):
         grid, pos, mom, w = edge_cloud(ndim)
         sp = Species("e", charge=-q_e, mass=m_e, ndim=ndim)
         sp.add_particles(pos, momenta=mom, weights=w)
-        route = advance_particles(
-            grid, sp, get_kernel_set(name), "boris",
-            dt_over_cell * grid.dx[0] / c, 3,
+        ks, advances = record_calls(get_kernel_set(name), "advance")
+        advance_species(
+            ks, grid, sp, dt_over_cell * grid.dx[0] / c, 3,
             periodic=(grid.lo, grid.hi, tuple(range(ndim))),
         )
         assert np.all(sp.positions >= grid.lo[0])
         assert np.all(sp.positions < grid.hi[0])
-        return route, grid, sp
+        return advances, grid, sp
 
     # exactly one cell per step at |v| -> c
-    route_c, grid_c, sp_c = run("compiled", 1.0)
-    route_v, grid_v, sp_v = run("vectorized", 1.0)
-    assert route_c == route_v == ("gather", "deposit")
+    fused_c, grid_c, sp_c = run("compiled", 1.0)
+    fused_v, grid_v, sp_v = run("vectorized", 1.0)
+    assert fused_c == fused_v == []
     assert rel(sp_c.positions, sp_v.positions) < 1e-12
     assert rel(sp_c.momenta, sp_v.momenta) < 1e-12
     for comp in ("Jx", "Jy", "Jz"):
         assert rel(grid_c.fields[comp], grid_v.fields[comp]) < 1e-12, comp
     # just under the bound the same call fuses
-    assert run("compiled", 0.999)[0] == ("advance",)
+    assert len(run("compiled", 0.999)[0]) == 1
 
 
 @needs_compiled

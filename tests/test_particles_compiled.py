@@ -414,5 +414,6 @@ def test_dispatch_counters_label_actual_variant():
     _, metrics = attach_observability(sim)
     sim.step(3)
     snap = metrics.snapshot()
-    assert snap["kernel.dispatch{phase=deposit,variant=vectorized}"] == 3.0
-    assert snap["kernel.dispatch{phase=gather,variant=vectorized}"] == 3.0
+    assert snap["kernel.dispatch{phase=advance,variant=vectorized}"] == 3.0
+    assert not any("phase=gather" in key or "phase=deposit" in key
+                   for key in snap)
