@@ -20,10 +20,10 @@ A patch owns three grids over the same physical region:
   the construction that avoids the spurious reflections plain
   interpolation MR suffers from in electromagnetic PIC.
 
-Particles inside the patch (outside a transition zone at the patch edge,
-``n_transition`` fine cells of axis 0 wide on every axis) gather from
-``a``; their current is deposited on ``f``, restricted to the parent
-resolution into ``c``'s current, and added from there to the parent grid.
+The patch's members (:meth:`MRPatch.members`, a mask over a species)
+gather from ``a``; their current is deposited on ``f``, restricted to the
+parent resolution into ``c``'s current, and added from there to the
+parent grid.
 
 The patch is *fixed in the lab frame*: when the parent's moving window
 shifts, only the patch's parent-index region is updated, and the patch is
@@ -33,7 +33,7 @@ moment the paper marks with a star in Fig. 6.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +44,13 @@ from repro.grid.maxwell import cfl_dt
 from repro.grid.pml import PMLMaxwellSolver
 from repro.grid.yee import FIELD_COMPONENTS, STAGGER, YeeGrid
 from repro.particles.species import Species
+
+#: How much deeper than its stay margin a particle joins a subcycled
+#: patch, in fine cells of axis 0: more than the quiver amplitude of an
+#: electron in the laser field at the patch edge.  Without it such
+#: electrons switch levels every step, and each switch teleports their
+#: charge between grids: a noise source that destabilized the fine grid.
+JOIN_DEPTH_CELLS = 8
 
 
 class MRPatch:
@@ -154,8 +161,8 @@ class MRPatch:
         #: whether this parent step's restricted fine J is in the coarse
         #: companion's J yet: the first restriction assigns, later ones add
         self._restricted = False
-        #: subcycling state a restart needs: the sorted ids of the resident
-        #: particles per species, and the previous step's external field
+        #: subcycling state a restart needs: the sorted ids of the members
+        #: per species (:meth:`members`), and the last external field
         self._member_ids: Dict[str, np.ndarray] = {}
         self._external_prev: Optional[Dict[str, np.ndarray]] = None
         #: transfer maps of the native entries, for one region_lo
@@ -274,36 +281,40 @@ class MRPatch:
             for k in range(self.ratio)
         ]
 
-    def extract_members(self, species: Dict[str, Species]) -> Dict[str, Species]:
-        """Remove and return, per species name, the particles that substep
-        with this patch.
+    def margins(self) -> Tuple[float, float]:
+        """``(join, stay)`` [m] of :meth:`members`: the transition margin
+        twice on a synchronous patch; on a subcycled one the extraction
+        margin to stay, :data:`JOIN_DEPTH_CELLS` fine cells more to join."""
+        if not self.subcycle:
+            return (self.transition_margin(),) * 2
+        stay = self.extraction_margin()
+        return stay + JOIN_DEPTH_CELLS * self.fine.dx[0], stay
 
-        Membership uses hysteresis: a particle *joins* the subcycled
-        population only once it is well inside the patch, but *stays* in
-        it until it crosses the (closer-to-the-edge) deposit-safe margin.
-        Without this, electrons quivering in the laser field at the patch
-        boundary would switch populations every step, and each switch
-        teleports their charge between grids — a noise source that was
-        observed to destabilize the fine grid.
+    def members(self, species: Species, free: np.ndarray) -> np.ndarray:
+        """Mask of the particles of ``species``, of those the mask ``free``
+        holds, that advance on this patch this step; removes nothing.
+
+        One rule for both patch kinds: a particle joins the join margin
+        inside the patch and stays while it is the stay margin inside
+        (:meth:`margins`).  A synchronous patch's margins coincide (its
+        members are :meth:`interior_mask`); a subcycled patch remembers
+        its members' ids for the next step.
         """
-        margin_stay = self.extraction_margin()
-        # join threshold: deeper inside by more than a quiver amplitude
-        margin_join = margin_stay + 8 * self.fine.dx[0]
-        holders: Dict[str, Species] = {}
-        for name, sp in species.items():
-            if sp.n == 0:
-                continue
-            mask = self.contains(sp.positions, margin_join)
-            members = self._member_ids.get(name)
-            if members is not None and members.size:
-                was_member = np.isin(sp.ids, members)
-                mask |= was_member & self.contains(sp.positions, margin_stay)
-            if np.any(mask):
-                holders[name] = sp.remove(mask)
-        self._member_ids = {
-            name: np.sort(holder.ids.copy()) for name, holder in holders.items()
-        }
-        return holders
+        join, stay = self.margins()
+        x = species.positions
+        mask = self.contains(x, join) & free
+        if join == stay:  # one margin: no hysteresis to remember
+            return mask
+        was = self._member_ids.get(species.name)
+        if was is not None:  # sorted, non-empty: a binary search
+            band = np.flatnonzero(~mask & free & self.contains(x, stay))
+            ids = species.ids[band]
+            mask[band] = was[np.searchsorted(was[:-1], ids)] == ids
+        if np.any(mask):
+            self._member_ids[species.name] = np.sort(species.ids[mask])
+        else:
+            self._member_ids.pop(species.name, None)
+        return mask
 
     def assemble_aux_with_external(self, external: Dict[str, np.ndarray]) -> None:
         """Rebuild the auxiliary field from the current fine solution plus a
@@ -374,9 +385,9 @@ class MRPatch:
         self.coarse_solver.step()
 
     def extraction_margin(self) -> float:
-        """Margin [m] inside which particles join the subcycled loop.
+        """Margin [m] inside which a subcycled patch's members stay.
 
-        Wide enough that an extracted particle moving at c for one parent
+        Wide enough that a member moving at c for one parent
         step (``ratio`` fine cells) still deposits its whole stencil
         outside the patch PML — plasma currents inside an absorbing layer
         violate Gauss's law and destabilize dense plasmas.  Subcycled

@@ -373,18 +373,17 @@ class Simulation(StepDriver):
     over parent cells ``[region_lo, region_hi)`` (``ratio``, ``subcycle``,
     ``n_pml``, ``n_transition``, ``remove_time`` as documented there) to
     ``patches``, and each phase of the step loops over that list; with no
-    patch the step is the single-level cycle.  While a non-subcycled patch
-    is active, particles well inside it gather its auxiliary field and
-    deposit on its fine grid, whose current is restricted onto the parent
-    and the coarse companion before the field advance; everyone else uses
-    the parent.  That is one particle pass per level in one ``particles``
-    phase (:meth:`_advance_levels`), on every kernel tier; the few
-    particles whose move leaves a patch interior deposit afterwards
-    through the level-aware :meth:`_deposit`.  A subcycled
-    patch takes its members out for its own substeps, so it leaves the
-    parent pass as it is.  Every grid advances each step, then the
-    auxiliary fields are reassembled.  Patches stay fixed
-    in the lab frame under the moving window and are removed, after the
+    patch the step is the single-level cycle.  A step starts by giving
+    each particle a level (:meth:`_level_rows`); it stays in its species
+    and its level advances its row.  A patch's members gather its
+    auxiliary field and deposit on its fine grid, whose current is
+    restricted onto the parent and the coarse companion before the field
+    advance: a subcycled patch's in its own substeps, the synchronous
+    levels' in one call per level in one ``particles`` phase
+    (:meth:`_advance_levels`; interior crossers deposit via
+    :meth:`_deposit`).  Every grid advances each step, then the auxiliary
+    fields are reassembled.  Patches stay fixed in the lab frame under
+    the moving window and are removed, after the
     callbacks, once their ``remove_time`` passes or they leave the domain
     (the Fig. 6 star; ``removal_log`` holds ``(time, patches left)``).
     """
@@ -496,7 +495,12 @@ class Simulation(StepDriver):
         remove_time: Optional[float] = None,
     ) -> MRPatch:
         """Create and register a refinement patch over parent cells
-        ``[region_lo, region_hi)``."""
+        ``[region_lo, region_hi)``; ``ratio`` (>= 2), ``n_pml`` (>= 1)
+        and ``n_transition`` (>= 0) must be integers."""
+        ratio = _integer_option("ratio", ratio, 2)
+        n_pml = _integer_option("n_pml", n_pml, 1)
+        if n_transition is not None:
+            n_transition = _integer_option("n_transition", n_transition)
         if self.deposition != "esirkepov":
             raise ConfigurationError(
                 "mesh refinement requires the charge-conserving "
@@ -521,22 +525,40 @@ class Simulation(StepDriver):
         return patch
 
     # -- mesh-refinement levels ----------------------------------------------
-    def _advance_levels(self, species: Species, periodic) -> None:
-        """Gather, push, deposit and periodically wrap one species: one
-        :func:`advance_particles` call per level, as one ``particles``
-        phase; each call takes the fused or the composed kernel for its
-        own grid.
+    def _level_rows(self) -> Dict[str, Dict[Optional[MRPatch], np.ndarray]]:
+        """Each species' rows per level at step n, ``{patch: rows}`` with
+        the parent (``None``) last: a particle advances on the first patch
+        whose :meth:`~repro.core.mr_level.MRPatch.members` holds it —
+        subcycled patches claim first, then synchronous ones, each in list
+        order — or on the parent, whose rows are ``None`` (the species'
+        own arrays) with nobody in a patch."""
+        levels = {}
+        for name, sp in self.species.items():
+            free = np.ones(sp.n, dtype=bool)
+            rows = {}
+            for patch in sorted(self.patches, key=lambda p: not p.subcycle):
+                mask = patch.members(sp, free)
+                if np.any(mask):
+                    rows[patch] = np.flatnonzero(mask)
+                    free &= ~mask
+            if np.any(free):
+                rows[None] = np.flatnonzero(free) if rows else None
+            levels[name] = rows
+        return levels
 
-        Each particle is routed by its position at step n: the members of
-        a non-subcycled patch (inside its interior) gather its auxiliary
-        field and deposit on its fine grid, with the patch interior as the
-        keep box and no wrap (a member cannot leave the domain in one
-        move); everyone else runs on the parent with the wrap.  With no
-        patch, or nobody in one, that is a single call on the species'
-        own arrays.  A member whose new position left the interior (a
-        crosser) deposits nothing there; the crossers then deposit through
-        :meth:`_deposit`, which sends each to a later patch that holds
-        both of its positions or to the parent.
+    def _advance_levels(self, species: Species, levels, periodic) -> None:
+        """Gather, push, deposit and periodically wrap one species' rows of
+        the synchronous levels (``levels``: :meth:`_level_rows` less the
+        subcycled patches): one :func:`advance_particles` call per level,
+        fused or composed for its grid, as one ``particles`` phase.
+
+        A patch's rows gather its auxiliary field and deposit on its fine
+        grid, with the patch interior as the keep box and no wrap (a
+        member cannot leave the domain in one move); the parent's run on
+        the parent with the wrap.  Results go to the same rows of fresh
+        arrays, so the particle order never changes.  A member whose move
+        left the interior (a crosser) deposits nothing there, but through
+        :meth:`_deposit` afterwards.
         """
         sp, g = species, self.grid
         x_old, u_old, w = sp.positions, sp.momenta, sp.weights
@@ -545,43 +567,28 @@ class Simulation(StepDriver):
             self.deposition,
         )
         with self._phase("particles", species=sp.name, kernel=self.kernels):
-            routes = list(self._route(lambda p: p.interior_mask(x_old)))
-            if routes[0][0] is None:  # nobody in a patch
+            if levels.get(None, ()) is None:  # nobody in a patch
                 sp.positions, sp.momenta, _ = advance_particles(
                     self.kernel_set, g, x_old, u_old, w, *args, periodic
                 )
-                calls = 1
             else:
-                # each level's particles contiguous, in particle order
-                rows = [np.flatnonzero(sel) for _, sel in routes]
-                order = np.concatenate(rows)
-                x, u, wt = (a.take(order, axis=0) for a in (x_old, u_old, w))
-                out, start = [], 0
-                for (patch, _), level in zip(routes, rows):
-                    part = slice(start, start + level.size)
-                    start = part.stop
+                x_new, u_new = x_old.copy(), u_old.copy()
+                left = np.zeros(sp.n, dtype=bool)
+                for patch, rows in levels.items():
+                    x, u, wt = (a.take(rows, axis=0) for a in (x_old, u_old, w))
                     if patch is None:
-                        out.append(advance_particles(
-                            self.kernel_set, g, x[part], u[part], wt[part],
-                            *args, periodic,
-                        ))
+                        x, u, _ = advance_particles(
+                            self.kernel_set, g, x, u, wt, *args, periodic
+                        )
                     else:
-                        out.append(advance_particles(
-                            self.kernel_set, patch.aux, x[part], u[part],
-                            wt[part], *args, None, patch.fine,
-                            patch.interior_box(),
-                        ))
-                calls = len(out)
-                xs, us, flags = zip(*out)
-                back = np.empty_like(order)
-                back[order] = np.arange(order.size)
-                x_new = np.concatenate(xs).take(back, axis=0)
-                u_new = np.concatenate(us).take(back, axis=0)
+                        x, u, leaving = advance_particles(
+                            self.kernel_set, patch.aux, x, u, wt, *args,
+                            None, patch.fine, patch.interior_box(),
+                        )
+                        left[rows[leaving]] = True
+                    x_new[rows], u_new[rows] = x, u
                 sp.positions, sp.momenta = x_new, u_new
-                crossers = np.sort(np.concatenate([
-                    level[leaving] for level, leaving in zip(rows, flags)
-                    if leaving is not None
-                ]))
+                crossers = np.flatnonzero(left)
                 if crossers.size:
                     u_out = u_new.take(crossers, axis=0)
                     vel = u_out * (c / lorentz_factor(u_out))[:, None]
@@ -593,49 +600,31 @@ class Simulation(StepDriver):
                     if periodic is not None:
                         wrap_positions_periodic(x_out, *periodic)
                         x_new[crossers] = x_out
-        self._count_dispatch(calls)
-
-    def _route(self, inside):
-        """Send every particle to exactly one grid: yields ``(patch,
-        selector)`` for the first non-subcycled patch whose ``inside(patch)``
-        mask holds it and ``(None, selector)`` for the rest, the parent's.
-        With nobody in a patch that selector is ``slice(None)``: views,
-        not masked copies."""
-        remaining = None
-        for patch in self.patches:
-            if patch.subcycle:
-                continue  # in-patch particles were extracted for substeps
-            mask = inside(patch)
-            if remaining is not None:
-                mask &= remaining
-            if np.any(mask):
-                yield patch, mask
-                remaining = ~mask if remaining is None else remaining & ~mask
-        if remaining is None:
-            yield None, slice(None)
-        elif np.any(remaining):
-            yield None, remaining
+        self._count_dispatch(len(levels))
 
     def _deposit(self, species, x_old, x_new, velocities) -> None:
         """Deposit the crossers of :meth:`_advance_levels`: each on the
-        fine grid of the first patch whose deposit-safe region holds both
-        of its positions, else on the parent."""
+        fine grid of the first synchronous patch whose deposit-safe region
+        holds both of its positions, else on the parent."""
+        rest = np.ones(len(x_old), dtype=bool)
+        for patch in [p for p in self.patches if not p.subcycle] + [None]:
+            sel, grid = rest, self.grid
+            if patch is not None:
+                margin, grid = patch.transition_margin(), patch.fine
+                sel = rest & patch.contains(x_old, margin)
+                sel &= patch.contains(x_new, margin)
+            if np.any(sel):
+                self.kernel_set.deposit_current(
+                    grid, x_old[sel], x_new[sel], velocities[sel],
+                    species.weights[sel], species.charge, self.dt, self.shape_order,
+                )
+                rest &= ~sel
 
-        def inside(patch: MRPatch) -> np.ndarray:
-            margin = patch.transition_margin()
-            return patch.contains(x_old, margin) & patch.contains(x_new, margin)
-
-        for patch, sel in self._route(inside):
-            self.kernel_set.deposit_current(
-                self.grid if patch is None else patch.fine,
-                x_old[sel], x_new[sel], velocities[sel], species.weights[sel],
-                species.charge, self.dt, self.shape_order,
-            )
-
-    def _advance_subcycled_patches(self) -> List[Dict[str, Species]]:
-        """Advance the fine fields and the resident particles of every
-        subcycled patch ``ratio`` substeps of ``dt/ratio``; returns the
-        extracted particles (per patch, per species) to re-insert.
+    def _advance_subcycled_patches(self, levels) -> None:
+        """Advance every subcycled patch's fine fields and members
+        ``ratio`` substeps of ``dt/ratio``: the patch takes its rows out of
+        ``levels`` (:meth:`_level_rows`) and writes their results to the
+        same rows of fresh species arrays.
 
         Subcycling (Sec. V.B) keeps the refined level on its own Courant
         and plasma-frequency limits — a dense solid inside the patch would
@@ -643,30 +632,31 @@ class Simulation(StepDriver):
         at the coarse CFL, the source of the post-removal speedup in
         Fig. 6.
         """
-        extracted = []
-        for k, patch in enumerate(self.patches):
-            if not patch.subcycle:
-                continue
-            dt_sub = self.dt / patch.ratio
-            holders = patch.extract_members(self.species)
+        subcycled = [(k, p) for k, p in enumerate(self.patches) if p.subcycle]
+        for k, patch in subcycled:
+            runs = []
+            for name, sp in self.species.items():
+                rows = levels[name].pop(patch, None)
+                if rows is not None:
+                    xuw = (sp.positions, sp.momenta, sp.weights)
+                    runs.append((sp, rows, [a.take(rows, axis=0) for a in xuw]))
             with self._phase("mr_subcycle", level=1, patch=k, ratio=patch.ratio):
                 for external in patch.substep_externals():
                     patch.assemble_aux_with_external(external)
                     patch.fine.zero_sources()
-                    for sp in holders.values():
-                        if sp.n:
-                            sp.positions, sp.momenta, _ = advance_particles(
-                                self.kernel_set, patch.aux, sp.positions,
-                                sp.momenta, sp.weights, sp.charge, sp.mass,
-                                dt_sub, self.shape_order, self.pusher,
-                                self.deposition, deposit_grid=patch.fine,
-                            )
-                            self._count_dispatch()
+                    for sp, _, xuw in runs:
+                        xuw[:2] = advance_particles(
+                            self.kernel_set, patch.aux, *xuw, sp.charge,
+                            sp.mass, patch.fine_dt, self.shape_order, self.pusher,
+                            self.deposition, deposit_grid=patch.fine,
+                        )[:2]
+                        self._count_dispatch()
                     self._smooth_sources(patch.fine)
                     patch.accumulate_restricted_currents(1.0 / patch.ratio)
                     patch.substep_fields()
-            extracted.append(holders)
-        return extracted
+            for sp, rows, (x, u, _) in runs:
+                sp.positions, sp.momenta = sp.positions.copy(), sp.momenta.copy()
+                sp.positions[rows], sp.momenta[rows] = x, u
 
     # -- the PIC cycle ------------------------------------------------------
     def _step_body(self) -> None:
@@ -674,15 +664,16 @@ class Simulation(StepDriver):
         for patch in self.patches:
             patch.zero_sources()
             patch.begin_step()
-        extracted = self._advance_subcycled_patches()
+        levels = self._level_rows()
+        self._advance_subcycled_patches(levels)
         with self._phase("zero_sources"):
             g.zero_sources()
 
         axes = tuple(d for d, b in enumerate(self.boundaries) if b == "periodic")
         periodic = (g.lo, g.hi, axes) if axes else None
-        for entry in self.entries.values():
-            if entry.species.n:
-                self._advance_levels(entry.species, periodic)
+        for name, entry in self.entries.items():
+            if levels[name]:
+                self._advance_levels(entry.species, levels[name], periodic)
 
         with self._phase("finalize_deposits"):
             # combine the level deposits before the parent field advance
@@ -693,9 +684,6 @@ class Simulation(StepDriver):
                     else:
                         self._smooth_sources(patch.fine)
                         patch.restrict_currents_to_parent()
-            for holders in extracted:
-                for name, holder in holders.items():
-                    self.entries[name].species.extend(holder)
 
         with self._phase("antenna"):
             for antenna in self.antennas:

@@ -205,18 +205,18 @@ def load_checkpoint(sim, path: str) -> None:
         _unpack_grid(f"{p}/aux", patch.aux, data)
         _unpack_pml(f"{p}/fine_solver", patch.fine_solver, data)
         _unpack_pml(f"{p}/coarse_solver", patch.coarse_solver, data)
+        # exactly what the checkpoint holds, none included: a restore into
+        # a stepped simulation must not keep its live subcycling state
         ext_keys = [
             k for k in data.files if k.startswith(f"{p}/external_prev/")
         ]
-        if ext_keys:
-            patch._external_prev = {
-                k.rsplit("/", 1)[1]: data[k].copy() for k in ext_keys
-            }
-        member_keys = [k for k in data.files if k.startswith(f"{p}/members/")]
-        if member_keys:
-            patch._member_ids = {
-                k.rsplit("/", 1)[1]: data[k].copy() for k in member_keys
-            }
+        patch._external_prev = {
+            k.rsplit("/", 1)[1]: data[k].copy() for k in ext_keys
+        } or None
+        patch._member_ids = {
+            k.rsplit("/", 1)[1]: data[k].copy()
+            for k in data.files if k.startswith(f"{p}/members/")
+        }
 
 
 # -- distributed checkpoint/restart -----------------------------------------

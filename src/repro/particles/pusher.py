@@ -116,7 +116,7 @@ def wrap_positions_periodic(
     The one NumPy spelling of the wrap: the composed route of
     :func:`repro.particles.advance.advance_particles` calls it, for every
     driver, and the compiled ``advance`` kernel does the same arithmetic
-    per particle (``repro_wrap``).  Subcycled-MR holders are advanced
+    per particle (``repro_wrap``).  A subcycled MR patch's members advance
     without a wrap: they are interior to their patch by construction.
     """
     for d in axes:

@@ -146,7 +146,7 @@ def test_untimed_advance_in_subcycle_loop_trips_pic006(tmp_path):
     """The merged driver is still scanned: an untimed particle pass
     planted in the MR substep loop of simulation.py is reported."""
     source = read_source(SIMULATION)
-    anchor = "        extracted = []\n"
+    anchor = "        for k, patch in subcycled:\n"
     assert source.count(anchor) == 1
     head = source[: source.index(anchor)]
     assert head[head.rindex("    def "):].startswith(

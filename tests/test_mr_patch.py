@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from repro.constants import c, q_e
-from repro.core.mr_level import MRPatch
+from repro.core.mr_level import JOIN_DEPTH_CELLS, MRPatch
 from repro.exceptions import ConfigurationError, StabilityError
 from repro.grid.boundary import apply_periodic
 from repro.grid.maxwell import MaxwellSolver, cfl_dt
 from repro.grid.yee import YeeGrid
+from repro.particles.species import Species
 
 
 def make_parent(n=64, ndim=2, guards=4):
@@ -86,6 +87,59 @@ def test_contains_and_interior_mask():
     np.testing.assert_array_equal(p.contains(pos), [True, True, False, True])
     # transition zone: 4 fine cells = 2 m here
     np.testing.assert_array_equal(p.interior_mask(pos), [True, False, False, False])
+
+
+def species_at(xs, ids=None):
+    """A 2D species with one particle at ``(x, 32)`` per ``x``."""
+    sp = Species("e", ndim=2)
+    sp.add_particles(np.array([[x, 32.0] for x in xs]))
+    if ids is not None:
+        sp.ids = np.asarray(ids, dtype=np.int64)
+    return sp
+
+
+def test_synchronous_membership_is_the_interior_mask():
+    parent = make_parent()
+    p = MRPatch(parent, (16, 16), (48, 48), ratio=2, dt=fine_dt(parent))
+    assert p.margins() == (p.transition_margin(), p.transition_margin())
+    rng = np.random.default_rng(3)
+    sp = Species("e", ndim=2)
+    sp.add_particles(rng.uniform(0.0, 64.0, size=(500, 2)))
+    free = np.ones(sp.n, dtype=bool)
+    mask = p.members(sp, free)
+    np.testing.assert_array_equal(mask, p.interior_mask(sp.positions))
+    assert 0 < mask.sum() < sp.n
+    # a synchronous patch keeps no memory, and claimed particles stay out
+    assert p._member_ids == {}
+    free[::2] = False
+    np.testing.assert_array_equal(
+        p.members(sp, free), p.interior_mask(sp.positions) & free
+    )
+
+
+def test_subcycled_membership_joins_deep_and_stays_until_the_stay_margin():
+    parent = make_parent()
+    p = MRPatch(parent, (16, 16), (48, 48), ratio=2,
+                dt=cfl_dt(parent.dx, 0.9), subcycle=True)
+    join, stay = p.margins()
+    assert stay == p.extraction_margin()
+    assert join == pytest.approx(stay + JOIN_DEPTH_CELLS * p.fine.dx[0])
+    deep, band, out = p.lo[0] + join + 0.5, p.lo[0] + 0.5 * (join + stay), 8.0
+    free = np.ones(2, dtype=bool)
+    # step n: one particle deep inside joins, one in the band does not
+    sp = species_at([deep, band])
+    np.testing.assert_array_equal(p.members(sp, free), [True, False])
+    # step n+1: both in the band; only the one that was a member stays
+    sp = species_at([band, band], ids=sp.ids)
+    np.testing.assert_array_equal(p.members(sp, free), [True, False])
+    np.testing.assert_array_equal(p._member_ids["e"], [0])
+    # step n+2: it leaves the stay margin and drops out, memory with it
+    sp = species_at([p.lo[0] + 0.5 * stay, band], ids=sp.ids)
+    np.testing.assert_array_equal(p.members(sp, free), [False, False])
+    assert "e" not in p._member_ids
+    # step n+3: back in the band it is no member, as it was not one
+    sp = species_at([band, out], ids=sp.ids)
+    np.testing.assert_array_equal(p.members(sp, free), [False, False])
 
 
 def test_external_wave_enters_patch_through_substitution():

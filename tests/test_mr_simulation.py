@@ -17,6 +17,7 @@ from repro.particles.injection import UniformProfile
 from repro.particles.kernels import FLOAT32_ERROR_BUDGET
 from repro.particles.species import Species
 from tests.conftest import needs_compiled, record_calls, unfused
+from tests.test_resilience_checkpoint import build_mr_subcycled
 
 
 def test_mr_requires_esirkepov():
@@ -179,6 +180,28 @@ def test_subcycling_allows_coarse_dt():
     sim.step(30)
     assert np.all(np.isfinite(sim.grid.fields["Ex"]))
     assert np.all(np.isfinite(sim.patches[0].fine.fields["Ex"]))
+
+
+def test_subcycled_members_keep_their_place_in_the_species():
+    """Membership is a mask over the species, not a removal: with periodic
+    walls and nothing removed, a subcycled MR run keeps its particle
+    order."""
+    sim, e = build_mr_subcycled()
+    ids = e.ids.copy()
+    sim.step(3)
+    assert sim.patches[0]._member_ids["e"].size
+    np.testing.assert_array_equal(e.ids, ids)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("ratio", 2.5), ("ratio", 1), ("n_transition", 1.7),
+    ("n_transition", -3), ("n_pml", 2.9), ("n_pml", 0),
+])
+def test_add_patch_refuses_what_it_would_truncate(option, value):
+    sim, _ = make_langmuir_mr(with_patch=False)
+    with pytest.raises(ConfigurationError, match=option):
+        sim.add_patch((16,), (48,), **{option: value})
+    assert not sim.patches
 
 
 def test_total_fine_cells():
@@ -359,10 +382,10 @@ def test_fused_mr_checkpoint_restart_is_bit_identical(tmp_path):
 
 @needs_compiled
 def test_only_subcycled_patches_leave_the_parent_on_the_fused_pass():
-    """A subcycled patch takes its members out for its substeps, so it
-    routes nobody in the parent pass: the parent's particles run the
-    fused pass, and the substeps run it too (aux -> fine), so no
-    standalone gather or deposit runs anywhere."""
+    """A subcycled patch claims its members' rows for its substeps, so
+    the parent pass runs the rest: the parent's rows run the fused pass,
+    and the substeps run it too (aux -> fine), so no standalone gather or
+    deposit runs anywhere."""
     sim, e = make_langmuir_mr(with_patch=True, subcycle=True,
                               kernels="compiled")
     calls = []

@@ -124,6 +124,22 @@ def test_mr_subcycled_roundtrip_bitwise(tmp_path):
     np.testing.assert_array_equal(e_a.momenta, e_b.momenta)
 
 
+def test_restore_into_a_stepped_simulation_replays_bitwise(tmp_path):
+    """A restore sets each patch's subcycling state to exactly what the
+    checkpoint holds: one written at step 0 holds none, so the live
+    external field and membership of the steps since must not survive."""
+    path = str(tmp_path / "ckpt.npz")
+    sim, e = build_mr_subcycled()
+    save_checkpoint(sim, path)
+    sim.step(6)
+    ex, x = sim.grid.fields["Ex"].copy(), e.positions.copy()
+    assert sim.patches[0]._member_ids and sim.patches[0]._external_prev
+    load_checkpoint(sim, path)
+    sim.step(6)
+    np.testing.assert_array_equal(sim.grid.fields["Ex"], ex)
+    np.testing.assert_array_equal(e.positions, x)
+
+
 def build_mr_removed_at_step_3(with_patch=True):
     n0 = 1e24
     length = plasma_wavelength(n0)
