@@ -1,4 +1,5 @@
-"""CI gate: the lane loops of the fused particle pass are really vector code.
+"""CI gate: the lane loops of the fused particle pass are really vector
+code, and the library contains no fused multiply-add.
 
 ``advance`` (:mod:`repro.particles.compiled`) walks the particles in blocks
 of ``LANES`` and does the per-particle arithmetic in ``#pragma omp simd``
@@ -15,6 +16,13 @@ assembly rather than ``-fopt-info-vec-optimized`` because that report was
 seen claiming "loop vectorized" for a lane loop whose emitted copies were
 all scalar (gcc 12, range checks spelled as an ``&&`` chain).
 
+The PSATD update (:mod:`repro.grid.compiled`, ``psatd_update``) is held to
+the same test: its blocks are vector code.  And no function may contain a
+fused multiply-add (``vfmadd``, ``vfmaddsub``, ...): the numerics contract
+rounds every product, and gcc 12's vectoriser was seen emitting
+``vfmaddsub`` for an interleaved complex product under
+``-ffp-contract=off``, a change no test on an FMA-less build would see.
+
 Run:  PYTHONPATH=src python benchmarks/check_lane_vectorization.py
 """
 
@@ -30,12 +38,16 @@ LANE_FUNCTIONS = (
     "repro_stencil_lanes", "repro_push_lanes", "repro_window_lanes",
     "repro_kvector_lanes",
 )
+#: the functions whose loops must be vector code
+VECTOR_FUNCTIONS = LANE_FUNCTIONS + ("psatd_update_f64",)
 ARITHMETIC = r"^\s+v?(?:add|sub|mul|div|sqrt)(p|s)d\s"
+FUSED = r"^\s+vf(?:n?m(?:add|sub)|maddsub|msubadd)\d*[ps][sd]\s"
 
 
 def arithmetic_per_function(asm: str):
-    """{emitted function name: [packed, scalar]} double-precision op counts."""
-    counts, current = {}, None
+    """({emitted function name: [packed, scalar]} double-precision op
+    counts, {emitted function name: fused multiply-adds})."""
+    counts, fused, current = {}, {}, None
     for line in asm.splitlines():
         label = re.match(r"^([A-Za-z_][\w.]*):", line)
         if label:
@@ -43,7 +55,9 @@ def arithmetic_per_function(asm: str):
         op = re.match(ARITHMETIC, line)
         if op and current:
             counts.setdefault(current, [0, 0])[op[1] == "s"] += 1
-    return counts
+        if current and re.match(FUSED, line):
+            fused[current] = fused.get(current, 0) + 1
+    return counts, fused
 
 
 def main() -> int:
@@ -64,13 +78,13 @@ def main() -> int:
             print(f"build with {' '.join(flags)} failed:\n{done.stderr[:2000]}")
             return 1
         with open(os.path.join(tmp, "kernels.s"), encoding="utf8") as fh:
-            counts = arithmetic_per_function(fh.read())
+            counts, fused = arithmetic_per_function(fh.read())
     print(f"{os.path.basename(compiler)} {' '.join(flags)} -S")
     if not counts:
         print("no x86 double-precision arithmetic in the assembly: cannot tell")
         return 0
     scalar_code = []
-    for name in LANE_FUNCTIONS:
+    for name in VECTOR_FUNCTIONS:
         # gcc emits one copy per order and lane count it can see
         # (`.constprop.N`); the one-lane copy is rightly scalar, so the
         # function passes on its best copy
@@ -84,10 +98,16 @@ def main() -> int:
             scalar_code.append(name)
         print(f"  {name:22s} {len(copies)} copies, best: {best[0]:4d} packed /"
               f" {best[1]:3d} scalar  {'vector code' if ok else 'SCALAR CODE'}")
+    for name, n in sorted(fused.items()):
+        print(f"  {name:22s} {n} fused multiply-adds  FUSED")
     if scalar_code:
         print(f"FAIL: no vector copy of {', '.join(scalar_code)}")
+    if fused:
+        print(f"FAIL: fused multiply-adds in {', '.join(sorted(fused))}")
+    if scalar_code or fused:
         return 1
-    print(f"OK: all {len(LANE_FUNCTIONS)} lane functions are vector code")
+    print(f"OK: all {len(VECTOR_FUNCTIONS)} functions are vector code, "
+          "no fused multiply-add")
     return 0
 
 

@@ -1,12 +1,12 @@
-"""The compiled field entries: generated C for the MR level's field work.
+"""The compiled field entries: generated C for the field solvers' work.
 
 On small grids — an MR patch's fine and coarse companions, the parent of
-a 2D deck — every NumPy statement of a field update is a call of a few
-microseconds over a few thousand cells, and a step makes hundreds of
-them.  Following the recipe of the WarpX GPU port (Myers et al.,
-arXiv:2101.12149: same kernel semantics, new backend behind the dispatch
-seam, cross-validated against the old code), six entries run those
-updates as one C loop nest each:
+a 2D deck, a decomposed spectral box — every NumPy statement of a field
+update is a call of a few microseconds over a few thousand cells, and a
+step makes hundreds of them.  Following the recipe of the WarpX GPU port
+(Myers et al., arXiv:2101.12149: same kernel semantics, new backend
+behind the dispatch seam, cross-validated against the old code), seven
+entries run those updates as one C loop nest each:
 
 ``yee_step``
     :meth:`repro.grid.maxwell.MaxwellSolver.step`: half B, full E, half B.
@@ -26,6 +26,12 @@ updates as one C loop nest each:
     :meth:`repro.core.mr_level.MRPatch.accumulate_restricted_currents`:
     the restriction of a patch's fine J onto its coarse companion's J,
     stored (the step's first call) or added, times a weight.
+``psatd_update``
+    :meth:`repro.grid.psatd.PSATDMaxwellSolver.step` between its
+    transforms, which stay ``np.fft``: the nine raw half spectra times
+    their staggering phases, the analytic update, the six results times
+    their unphase tables, written in place over the E and B spectra
+    (every point is read in full before it is written).
 
 The two patch transfers run on the patch's one :class:`TransferPlan`: the
 per-axis maps of :func:`~repro.grid.interpolation.prolong_map` and
@@ -55,13 +61,31 @@ divisor and ``weight``) is rounded to float32 and the operation runs in
 float32, while a product with a float64 table (PML decay / weight, the
 damping factors, the prolongation weights) runs in double and is rounded
 once, on the store.  The library is built with ``-ffp-contract=off`` and
-no reassociation.  Every ladder deck is therefore bit-identical with and
-without the library.
+no reassociation.  Every ladder deck without a spectral solver is
+therefore bit-identical with and without the library.
+
+The one exception is ``psatd_update``.  It keeps the NumPy body's
+operations and their order, but a complex product is the textbook ``(ac
+- bd, ad + bc)``, each product rounded, and a real table times a complex
+value is ``(xa, xb)``.  NumPy's SIMD complex multiply uses fused
+multiply-adds on hosts that have them, so its rounding depends on the
+host.  The two agree to about 1e-15 of a field's largest value in float64
+and a few ulp in float32; with ``REPRO_COMPILED_BACKEND=none`` a spectral
+deck runs the NumPy body, bit for bit as before.  GCC's vectoriser fuses
+an interleaved complex product into ``vfmaddsub`` even under
+``-ffp-contract=off``, so the entry works on blocks of points in planar
+(re, im) scratch on the stack and stores no interleaved pair it
+computes: its loops are vector code, and its result is the same with
+the SIMD and the plain flags (``benchmarks/check_lane_vectorization.py``
+fails on any fused multiply-add in the library).
 
 Memory safety: the entries index through the shapes they are given and
 trust them, so the wrappers check first — every array C-contiguous, of
 its grid's shape and dtype, writable where written (pointer tables are
-built per call from the live arrays); the damping layer inside the axis;
+built per call from the live arrays); a spectrum or k-space table of the
+half-spectrum shape and the solver's complex (or real) dtype (the tables
+checked once, on the solver's first native step, and cached with it);
+the damping layer inside the axis;
 a transfer plan built for the patch's grid shapes; the parent section of
 a patch inside the parent — and raise
 :class:`~repro.exceptions.ConfigurationError` before anything is
@@ -107,6 +131,9 @@ static const int repro_field_stagger[9][3] = {@STAGGER@};
             for (int64_t k0 = 0, p = (i * (n)[1] + j) * (n)[2]; \
                  k0 < (n)[2]; k0 += REPRO_FCHUNK)
 #define REPRO_CHUNK_END(n) (k0 + REPRO_FCHUNK < (n)[2] ? k0 + REPRO_FCHUNK : (n)[2])
+
+/* Points of the half spectrum per block of the PSATD update. */
+#define REPRO_PBLOCK 64
 
 /* Split [k0, k1) of a row into runs, at most three: the plane where a
    last-axis term of component comp vanishes (the row's last point for B,
@@ -617,6 +644,197 @@ void restrict_currents_@SUF@(const @REAL@ *const *fin, @REAL@ *const *crs,
 }
 """
 
+#: the PSATD entry, emitted after both precisions of the other entries so
+#: that its code sits at the end of the library, away from theirs
+_C_PSATD = r"""
+/* PSATD's k-space update: one complex sample, as NumPy lays it out. */
+typedef struct { @REAL@ re, im; } repro_cx_@SUF@;
+
+static inline __attribute__((always_inline)) repro_cx_@SUF@ repro_cmul_@SUF@(
+    repro_cx_@SUF@ a, repro_cx_@SUF@ b) {
+    const repro_cx_@SUF@ r = {a.re * b.re - a.im * b.im,
+                              a.re * b.im + a.im * b.re};
+    return r;
+}
+
+/* a real table times a complex value: NumPy promotes x to x + 0i, and
+   for finite values (x a - 0 b, x b + 0 a) is (x a, x b) but for the
+   sign of a zero */
+static inline __attribute__((always_inline)) repro_cx_@SUF@ repro_rmul_@SUF@(
+    @REAL@ x, repro_cx_@SUF@ b) {
+    const repro_cx_@SUF@ r = {x * b.re, x * b.im};
+    return r;
+}
+
+static inline __attribute__((always_inline)) repro_cx_@SUF@ repro_cadd_@SUF@(
+    repro_cx_@SUF@ a, repro_cx_@SUF@ b) {
+    const repro_cx_@SUF@ r = {a.re + b.re, a.im + b.im};
+    return r;
+}
+
+static inline __attribute__((always_inline)) repro_cx_@SUF@ repro_csub_@SUF@(
+    repro_cx_@SUF@ a, repro_cx_@SUF@ b) {
+    const repro_cx_@SUF@ r = {a.re - b.re, a.im - b.im};
+    return r;
+}
+
+/* a source coefficient (xe_t, xe_lmt) times z: a complex table on the
+   Galilean closure, a real one on the standard closure */
+static inline __attribute__((always_inline)) repro_cx_@SUF@ repro_coef_@SUF@(
+    const @REAL@ *tab, int gal, int64_t p, repro_cx_@SUF@ z) {
+    if (gal) {
+        const repro_cx_@SUF@ a = {tab[2 * p], tab[2 * p + 1]};
+        return repro_cmul_@SUF@(a, z);
+    }
+    return repro_rmul_@SUF@(tab[p], z);
+}
+
+/* k_hat x a at point p, as PSATDMaxwellSolver._k_cross builds it: a term
+   along an axis the grid lacks is absent, 0 - the other where only one
+   is, and a component with none is the 0 the NumPy body adds. */
+static inline __attribute__((always_inline)) void repro_kcross_@SUF@(
+    repro_cx_@SUF@ *out, const @REAL@ *const *kh, int nd, int64_t p,
+    const repro_cx_@SUF@ *a) {
+    const repro_cx_@SUF@ zero = {0, 0};
+    for (int i = 0; i < 3; ++i) {
+        const int j = (i + 1) % 3, l = (i + 2) % 3;
+        repro_cx_@SUF@ t = zero;
+        if (j < nd) t = repro_rmul_@SUF@(kh[j][p], a[l]);
+        if (l < nd) t = repro_csub_@SUF@(t, repro_rmul_@SUF@(kh[l][p], a[j]));
+        out[i] = t;
+    }
+}
+
+/* k_hat . a at point p over the grid axes, from the first term */
+static inline __attribute__((always_inline)) repro_cx_@SUF@ repro_kdot_@SUF@(
+    const @REAL@ *const *kh, int nd, int64_t p, const repro_cx_@SUF@ *a) {
+    repro_cx_@SUF@ t = repro_rmul_@SUF@(kh[0][p], a[0]);
+    for (int d = 1; d < nd; ++d)
+        t = repro_cadd_@SUF@(t, repro_rmul_@SUF@(kh[d][p], a[d]));
+    return t;
+}
+
+/* Blocks of the PSATD update work on planar scratch, re[c][k] and
+   im[c][k] for the k < n points from p0: no loop stores an interleaved
+   (a c - b d, a d + b c) pair, the pattern GCC's vectoriser fuses into
+   vfmaddsub even under -ffp-contract=off. */
+typedef @REAL@ repro_prow_@SUF@[REPRO_PBLOCK];
+
+/* nc raw spectra times their staggering phases, into planar rows */
+static __attribute__((noinline)) void repro_psatd_phase_@SUF@(
+    const repro_cx_@SUF@ *const *spec, const repro_cx_@SUF@ *const *ph,
+    int nc, int64_t p0, int64_t n, repro_prow_@SUF@ *restrict re,
+    repro_prow_@SUF@ *restrict im) {
+    for (int c = 0; c < nc; ++c) {
+        const repro_cx_@SUF@ *s = spec[c] + p0, *f = ph[c] + p0;
+        for (int64_t k = 0; k < n; ++k) {
+            const repro_cx_@SUF@ r = repro_cmul_@SUF@(s[k], f[k]);
+            re[c][k] = r.re;
+            im[c][k] = r.im;
+        }
+    }
+}
+
+/* the six new planar rows times their unphase tables, stored over the E
+   and B spectra */
+static __attribute__((noinline)) void repro_psatd_unphase_@SUF@(
+    repro_cx_@SUF@ *const *out, const repro_cx_@SUF@ *const *un, int64_t p0,
+    int64_t n, repro_prow_@SUF@ *restrict re, repro_prow_@SUF@ *restrict im) {
+    for (int c = 0; c < 6; ++c) {
+        const repro_cx_@SUF@ *u = un[c] + p0;
+        repro_cx_@SUF@ *o = out[c] + p0;
+        for (int64_t k = 0; k < n; ++k) {
+            const repro_cx_@SUF@ a = {re[c][k], im[c][k]};
+            const repro_cx_@SUF@ r = repro_cmul_@SUF@(a, u[k]);
+            re[c][k] = r.re;
+            im[c][k] = r.im;
+        }
+        for (int64_t k = 0; k < n; ++k) {
+            o[k].re = re[c][k];
+            o[k].im = im[c][k];
+        }
+    }
+}
+
+/* The update of one block, inlined with literal nd and gal: the phased
+   E, cB, J rows in, the new E and cB rows out. */
+static inline __attribute__((always_inline)) void repro_psatd_block_@SUF@(
+    repro_cx_@SUF@ *const *eb, const repro_cx_@SUF@ *const *jh,
+    const void *const *tab, int64_t p0, int64_t n, int nd, int gal) {
+    const repro_cx_@SUF@ *const *ph = (const repro_cx_@SUF@ *const *)tab;
+    const @REAL@ *const *kh = (const @REAL@ *const *)tab + 15;
+    const @REAL@ *cosw = tab[18], *omc = tab[19];
+    const repro_cx_@SUF@ *isin = tab[20], *xb = tab[21];
+    const @REAL@ *xe_t = tab[22], *xe_lmt = tab[23];
+    repro_prow_@SUF@ in_re[9], in_im[9], out_re[6], out_im[6];
+    repro_psatd_phase_@SUF@((const repro_cx_@SUF@ *const *)eb, ph, 6, p0, n,
+                            in_re, in_im);
+    repro_psatd_phase_@SUF@(jh, ph + 6, 3, p0, n, in_re + 6, in_im + 6);
+    for (int64_t k = 0; k < n; ++k) {
+        const int64_t p = p0 + k;
+        repro_cx_@SUF@ v[9], kxcb[3], src[3], kxs[3];
+        for (int c = 0; c < 9; ++c) {
+            v[c].re = in_re[c][k];
+            v[c].im = in_im[c][k];
+        }
+        const repro_cx_@SUF@ *E = v, *CB = v + 3, *J = v + 6;
+        const repro_cx_@SUF@ is = isin[p];
+        const @REAL@ cs = cosw[p];
+        repro_kcross_@SUF@(kxcb, kh, nd, p, CB);
+        /* (1 - C) k_hat . E + xe_lmt k_hat . J */
+        const repro_cx_@SUF@ lng = repro_cadd_@SUF@(
+            repro_rmul_@SUF@(omc[p], repro_kdot_@SUF@(kh, nd, p, E)),
+            repro_coef_@SUF@(xe_lmt, gal, p, repro_kdot_@SUF@(kh, nd, p, J)));
+        /* k_hat x (xb J - i S E) */
+        for (int i = 0; i < 3; ++i)
+            src[i] = repro_csub_@SUF@(repro_cmul_@SUF@(xb[p], J[i]),
+                                      repro_cmul_@SUF@(is, E[i]));
+        repro_kcross_@SUF@(kxs, kh, nd, p, src);
+        for (int i = 0; i < 3; ++i) {
+            repro_cx_@SUF@ ne = repro_cadd_@SUF@(
+                repro_cadd_@SUF@(repro_rmul_@SUF@(cs, E[i]),
+                                 repro_cmul_@SUF@(is, kxcb[i])),
+                repro_coef_@SUF@(xe_t, gal, p, J[i]));
+            if (i < nd) ne = repro_cadd_@SUF@(ne, repro_rmul_@SUF@(kh[i][p], lng));
+            const repro_cx_@SUF@ nb = repro_cadd_@SUF@(repro_rmul_@SUF@(cs, CB[i]),
+                                                       kxs[i]);
+            out_re[i][k] = ne.re;
+            out_im[i][k] = ne.im;
+            out_re[3 + i][k] = nb.re;
+            out_im[3 + i][k] = nb.im;
+        }
+    }
+    repro_psatd_unphase_@SUF@(eb, ph + 9, p0, n, out_re, out_im);
+}
+
+static inline __attribute__((always_inline)) void repro_psatd_run_@SUF@(
+    repro_cx_@SUF@ *const *eb, const repro_cx_@SUF@ *const *jh,
+    const void *const *tab, int64_t size, int nd, int gal) {
+    for (int64_t p0 = 0; p0 < size; p0 += REPRO_PBLOCK)
+        repro_psatd_block_@SUF@(eb, jh, tab, p0,
+            size - p0 < REPRO_PBLOCK ? size - p0 : REPRO_PBLOCK, nd, gal);
+}
+
+/* PSATDMaxwellSolver.step between its transforms, over the size points
+   of the half spectrum a block at a time: eb = the raw spectra of Ex Ey Ez Bx
+   By Bz, overwritten with the new E and cB times their unphase tables; jh
+   = those of Jx Jy Jz, read only.  tab: the phases of the nine (E, B, J;
+   B's carry c), the unphases of the six, k_hat per axis (null past ndim),
+   cos, 1 - cos, i sin, xb, xe_t, xe_lmt — the last two complex on the
+   Galilean closure (gal), real on the standard one. */
+void psatd_update_@SUF@(void *const *eb, const void *const *jh,
+    const void *const *tab, int64_t size, int ndim, int gal) {
+    repro_cx_@SUF@ *const *e = (repro_cx_@SUF@ *const *)eb;
+    const repro_cx_@SUF@ *const *j = (const repro_cx_@SUF@ *const *)jh;
+#define RUN(nd) (gal ? repro_psatd_run_@SUF@(e, j, tab, size, nd, 1) \
+                     : repro_psatd_run_@SUF@(e, j, tab, size, nd, 0))
+    if (ndim == 1) RUN(1);
+    else if (ndim == 2) RUN(2);
+    else RUN(3);
+#undef RUN
+}
+"""
+
 #: grid dtype -> suffix of its entries
 _SUFFIX = {np.dtype(np.float64): "f64", np.dtype(np.float32): "f32"}
 
@@ -634,8 +852,9 @@ def c_source() -> str:
     )
     stagger = ", ".join("{%d, %d, %d}" % STAGGER[comp] for comp in _YEE_ARRAYS)
     parts = [_C_FIELDS_HEADER.replace("@CURL@", curl).replace("@STAGGER@", stagger)]
-    for real, suf in (("double", "f64"), ("float", "f32")):
-        parts.append(_C_FIELDS.replace("@REAL@", real).replace("@SUF@", suf))
+    for template in (_C_FIELDS, _C_PSATD):
+        for real, suf in (("double", "f64"), ("float", "f32")):
+            parts.append(template.replace("@REAL@", real).replace("@SUF@", suf))
     return "".join(parts)
 
 
@@ -764,7 +983,7 @@ class TransferPlan:
 
 
 class FieldBackend:
-    """ctypes driver of the six field entries (f64 + f32 symbols)."""
+    """ctypes driver of the seven field entries (f64 + f32 symbols)."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         vp, ci, c64, cd = (
@@ -779,6 +998,7 @@ class FieldBackend:
             "smooth": [vp, vp, ci, c64, vp],
             "restrict_currents": [vp, vp, vp, vp, ci, c64, vp, vp, vp, c64,
                                   c64, cd, ci, vp],
+            "psatd_update": [vp, vp, vp, c64, ci, ci],
         }
         self._fn: Dict[tuple, object] = {}
         for entry, argtypes in signatures.items():
@@ -882,6 +1102,24 @@ class FieldBackend:
             plan.mc, weight, int(first), ptrs["scratch"],
         )
 
+    def psatd_update(self, solver, spectra) -> None:
+        """``PSATDMaxwellSolver.step`` of ``solver`` between its transforms:
+        ``spectra`` are the raw half spectra of Ex Ey Ez Bx By Bz Jx Jy Jz;
+        the first six become the new E and cB, unphased, in place."""
+        if len(spectra) != 9:
+            raise ConfigurationError(
+                f"native psatd_update needs 9 spectra; got {len(spectra)}"
+            )
+        if solver._native_tables is None:
+            solver._native_tables = _psatd_tables(solver)
+        shape, dtype = solver.cos.shape, solver.cdtype
+        eb = _table(spectra[:6], shape, dtype, "psatd_update")
+        jh = _table(spectra[6:], shape, dtype, "psatd_update", False)
+        self._fn["psatd_update", solver.rdtype](
+            eb, jh, solver._native_tables[0], solver.cos.size,
+            solver.grid.ndim, int(solver.galilean),
+        )
+
 
 #: the currents of the smoothing and restriction entries
 _J = ("Jx", "Jy", "Jz")
@@ -920,6 +1158,28 @@ def _coeff_table(solver):
         *(None if arr is None else arr.ctypes.data for arr in arrays)
     )
     return table, arrays
+
+
+def _psatd_tables(solver):
+    """(pointer table, the arrays it points into) of ``solver``'s k-space
+    tables in the order ``psatd_update`` reads them, each checked like a
+    spectrum: of the half-spectrum shape, C-contiguous, complex or real
+    in the solver's precision."""
+    shape, real, cplx = solver.cos.shape, solver.rdtype, solver.cdtype
+    source = cplx if solver.galilean else real
+    k_hat = list(solver.k_hat) + [None] * (3 - len(solver.k_hat))
+    groups = (
+        ([solver._phase[c] for c in _YEE_ARRAYS], cplx),
+        ([solver._unphase[c] for c in FIELD_COMPONENTS], cplx),
+        (k_hat + [solver.cos, solver._one_minus_cos], real),
+        ([solver._isin, solver.xb], cplx),
+        ([solver.xe_t, solver.xe_lmt], source),
+    )
+    arrays, ptrs = [], []
+    for group, dtype in groups:
+        ptrs.extend(_table(group, shape, dtype, "psatd_update", False))
+        arrays.extend(group)
+    return (ctypes.c_void_p * len(ptrs))(*ptrs), arrays
 
 
 @functools.lru_cache(maxsize=None)

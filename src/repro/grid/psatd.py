@@ -52,6 +52,18 @@ that half spectrum.  For an even transform length the last-axis Nyquist
 wavenumber carries the sign ``fftfreq`` gives it (negative), which is
 what fixes the staggering phase of that one self-conjugate mode.
 
+Where the update runs
+---------------------
+A step is nine ``np.fft.rfftn`` (E, B, J), the pointwise k-space update
+and six ``np.fft.irfftn``.  With the native library built, the update is
+one C call, :meth:`repro.grid.compiled.FieldBackend.psatd_update`, which
+writes the new E and cB over the E and B spectra.  Without it
+(``REPRO_COMPILED_BACKEND=none``, no compiler) :meth:`step` runs
+:meth:`PSATDMaxwellSolver._step_numpy`, the NumPy body that is also the
+entry's oracle.  The two agree to rounding, not bit for bit: NumPy's
+complex products may use fused multiply-adds (see the numerics contract
+of :mod:`repro.grid.compiled`).
+
 Distributed operation (``region="full"``)
 -----------------------------------------
 The analytic propagator kernel in real space is quasi-local: it has
@@ -80,8 +92,13 @@ import numpy as np
 
 from repro.constants import c, eps0
 from repro.exceptions import ConfigurationError
+from repro.grid import compiled as native_fields
 from repro.grid.boundary import apply_periodic
 from repro.grid.yee import FIELD_COMPONENTS, STAGGER, YeeGrid
+
+
+#: the transformed arrays in the order the native update takes them
+_SPECTRA = FIELD_COMPONENTS + ("Jx", "Jy", "Jz")
 
 
 def galilean_coefficients(
@@ -163,7 +180,7 @@ class PSATDMaxwellSolver:
     v_galilean:
         Galilean velocity [m/s] of the comoving-current closure (scalar =
         x-velocity, or a per-axis sequence).  ``None``/zero selects the
-        standard J-constant closure.  Must satisfy ``|v| < c``.
+        standard J-constant closure.  Must be finite, with ``|v| < c``.
     region:
         ``"valid"`` (default) FFTs the n unique periodic samples of the
         valid region and wraps the guards periodically afterwards — the
@@ -205,7 +222,10 @@ class PSATDMaxwellSolver:
         # promoting every full-grid product to complex128
         self.rdtype = grid.dtype
         self.cdtype = np.result_type(self.rdtype, np.complex64)
-        g0 = 0 if region == "full" else grid.guards
+        g0, pad = (0, 2 * grid.guards) if region == "full" else (grid.guards, 0)
+        #: samples per axis the transform covers: n (``valid``) or the
+        #: cell-centred n + 2g of the guard-padded box (``full``)
+        self.fft_shape = tuple(n + pad for n in grid.n_cells)
         #: the window of the field arrays the transform covers
         self._window = tuple(slice(g0, g0 + n) for n in self.fft_shape)
         self._axes = tuple(range(grid.ndim))
@@ -271,7 +291,7 @@ class PSATDMaxwellSolver:
         # undoing it is a multiplication by the conjugate
         self._phase: Dict[str, np.ndarray] = {}
         self._unphase: Dict[str, np.ndarray] = {}
-        for comp in FIELD_COMPONENTS + ("Jx", "Jy", "Jz"):
+        for comp in _SPECTRA:
             arg = np.zeros_like(self.k_mag)
             for d, s in enumerate(STAGGER[comp][: grid.ndim]):
                 arg = arg + kvec[d] * (0.5 * s * grid.dx[d])
@@ -290,13 +310,9 @@ class PSATDMaxwellSolver:
         self.j_coeff = self.j_coeff.astype(self.rdtype)
         self.long_corr = self.long_corr.astype(self.rdtype)
         self.b_j_coeff = self.b_j_coeff.astype(self.rdtype)
-
-    @property
-    def fft_shape(self) -> Tuple[int, ...]:
-        """Samples per axis the transform covers: n (``valid``) or the
-        cell-centred n + 2g of the guard-padded box (``full``)."""
-        pad = 2 * self.grid.guards if self.region == "full" else 0
-        return tuple(n + pad for n in self.grid.n_cells)
+        #: the native update's pointer table over these tables, built on
+        #: its first call (:func:`repro.grid.compiled._psatd_tables`)
+        self._native_tables: Optional[tuple] = None
 
     @staticmethod
     def _normalize_velocity(
@@ -313,6 +329,12 @@ class PSATDMaxwellSolver:
                 f"v_galilean takes at most 3 components, got {len(v)}"
             )
         v = tuple(v + [0.0] * (3 - len(v)))
+        if not all(math.isfinite(x) for x in v):
+            # sqrt(nan) >= c is False: the speed check alone lets a NaN
+            # through into every source table
+            raise ConfigurationError(
+                f"v_galilean components must be finite, got {v} m/s"
+            )
         if math.sqrt(sum(x * x for x in v)) >= c:
             raise ConfigurationError(
                 f"|v_galilean| must be < c, got {v} m/s"
@@ -326,16 +348,25 @@ class PSATDMaxwellSolver:
         return v
 
     # -- real <-> spectral ---------------------------------------------------
-    def _to_spectral(self, component: str) -> np.ndarray:
+    def _raw_spectrum(self, component: str) -> np.ndarray:
         arr = self.grid.fields[component][self._window]
         # NumPy >= 2 transforms float32 in single precision; NumPy 1.x
-        # returns complex128 whatever the input, hence the cast
-        spec = np.fft.rfftn(arr, axes=self._axes).astype(self.cdtype, copy=False)
-        return spec * self._phase[component]
+        # returns complex128 whatever the input, hence the cast.  ``s`` is
+        # the window's own shape: the same transform, without the
+        # per-call shape lookup rfftn makes when it is not given
+        return np.fft.rfftn(arr, s=self.fft_shape, axes=self._axes).astype(
+            self.cdtype, copy=False
+        )
+
+    def _to_spectral(self, component: str) -> np.ndarray:
+        return self._raw_spectrum(component) * self._phase[component]
 
     def _from_spectral(self, component: str, spec: np.ndarray) -> None:
+        self._store(component, spec * self._unphase[component])
+
+    def _store(self, component: str, unphased: np.ndarray) -> None:
         self.grid.fields[component][self._window] = np.fft.irfftn(
-            spec * self._unphase[component], s=self.fft_shape, axes=self._axes
+            unphased, s=self.fft_shape, axes=self._axes
         )
         if self.region == "valid":
             # the n-sample window skips the duplicated nodal plane
@@ -368,7 +399,22 @@ class PSATDMaxwellSolver:
         return out
 
     def step(self) -> None:
-        """Advance E and B by dt (J constant — or advected, if Galilean)."""
+        """Advance E and B by dt (J constant — or advected, if Galilean):
+        nine forward transforms, the k-space update, six inverse ones.
+        The update is one native call where the library is built, else
+        :meth:`_step_numpy`, its oracle."""
+        native = native_fields.backend(self.rdtype)
+        if native is None:
+            self._step_numpy()
+            return
+        spectra = [self._raw_spectrum(comp) for comp in _SPECTRA]
+        native.psatd_update(self, spectra)
+        for comp, spec in zip(FIELD_COMPONENTS, spectra):
+            self._store(comp, spec)
+
+    def _step_numpy(self) -> None:
+        """The update in NumPy: the fallback of :meth:`step` and the
+        oracle of the native entry."""
         e_hat = [self._to_spectral(comp) for comp in ("Ex", "Ey", "Ez")]
         cb_hat = [self._to_spectral(comp) for comp in ("Bx", "By", "Bz")]
         j_hat = [self._to_spectral(comp) for comp in ("Jx", "Jy", "Jz")]

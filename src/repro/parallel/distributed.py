@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set
 import numpy as np
 
 from repro.core.costs import CostModel
-from repro.core.simulation import StepDriver
+from repro.core.simulation import StepDriver, _integer_option
 from repro.exceptions import ConfigurationError
 from repro.grid.maxwell import MaxwellSolver
 from repro.grid.yee import FIELD_COMPONENTS, YeeGrid
@@ -130,15 +130,14 @@ class DistributedSimulation(StepDriver):
         # use 11-32 cells), FDTD stencils one cell.  Boxes are built with
         # the larger of the user's particle-shape guards and the solver's
         # declared requirement.
+        guards = _integer_option("guards", guards, 1)
         if maxwell_solver == "psatd":
             solver_guards = (
-                int(psatd_guards)
+                _integer_option("psatd_guards", psatd_guards, 1)
                 if psatd_guards is not None
                 else PSATDMaxwellSolver.guard_cells
             )
-            if solver_guards < 1:
-                raise ConfigurationError("psatd_guards must be >= 1")
-            guards = max(int(guards), solver_guards)
+            guards = max(guards, solver_guards)
         elif psatd_guards is not None:
             raise ConfigurationError(
                 "psatd_guards only applies to maxwell_solver='psatd'"
@@ -195,7 +194,7 @@ class DistributedSimulation(StepDriver):
         self.lb_moved_bytes = 0
         self.species: Dict[str, DistributedSpecies] = {}
         self.dynamic_lb = bool(dynamic_lb)
-        self.lb_interval = int(lb_interval)
+        self.lb_interval = _integer_option("lb_interval", lb_interval, 1)
         self.lb_threshold = float(lb_threshold)
         if lb_cost_source not in ("measured", "heuristic"):
             raise ConfigurationError(

@@ -10,6 +10,8 @@ from repro.grid.maxwell import MaxwellSolver, cfl_dt
 from repro.grid.psatd import PSATDMaxwellSolver, galilean_coefficients
 from repro.grid.yee import FIELD_COMPONENTS, STAGGER, YeeGrid
 
+from tests.conftest import needs_compiled, numpy_fields
+
 
 def plane_wave_grid(n=32, wavelengths=4):
     length = 1.0
@@ -554,3 +556,105 @@ def test_field_solve_leaves_sources_untouched(region):
     PSATDMaxwellSolver(g, dt=2e-6 / c, region=region).step()
     for name, before in sources.items():
         np.testing.assert_array_equal(g.fields[name], before, err_msg=name)
+
+
+# -- the native k-space update vs its NumPy body -----------------------------
+
+
+def noise_solver(n_cells, dtype, galilean, region):
+    """A solver on a white-noise grid (E, B, J and rho; guards included)
+    and a super-CFL step, as :func:`oracle_mismatch` builds them."""
+    rng = np.random.default_rng(11)
+    nd = len(n_cells)
+    grid = YeeGrid(n_cells, (0.0,) * nd, tuple(1e-6 * n for n in n_cells),
+                   guards=3, dtype=dtype)
+    scales = {"E": 1e9, "B": 1e9 / c, "J": 1e9 * eps0 * c / 1e-6, "r": 1.0}
+    for name, arr in grid.fields.items():
+        arr[...] = scales[name[0]] * rng.standard_normal(arr.shape)
+    v_gal = (-0.6 * c, 0.3 * c, 0.2 * c)[:nd] if galilean else None
+    return PSATDMaxwellSolver(grid, 2.3e-6 / c, v_galilean=v_gal, region=region)
+
+
+@needs_compiled
+@pytest.mark.parametrize("region", ["valid", "full"])
+@pytest.mark.parametrize("galilean", [False, True], ids=["standard", "galilean"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("n_cells", ORACLE_SHAPES, ids=str)
+def test_native_update_matches_the_numpy_body(n_cells, dtype, galilean, region):
+    """One step through ``psatd_update`` agrees with the NumPy body to
+    1e-15 of each field's largest value in float64 and to 8 float32 ulp of
+    it in float32: the same operations in the same order, only NumPy's
+    fused complex products round differently.  The sources stay as they
+    were, bit for bit."""
+    native = noise_solver(n_cells, dtype, galilean, region)
+    numpy = noise_solver(n_cells, dtype, galilean, region)
+    native.step()
+    with numpy_fields():
+        numpy.step()
+    for name, want in numpy.grid.fields.items():
+        got = native.grid.fields[name]
+        assert got.dtype == want.dtype == dtype
+        if name not in FIELD_COMPONENTS:
+            np.testing.assert_array_equal(got, want, err_msg=name)
+            continue
+        scale = np.max(np.abs(want))
+        tol = (1e-15 * scale if dtype == np.float64
+               else 8 * np.spacing(np.float32(scale)))
+        assert np.max(np.abs(got - want)) <= tol, name
+
+
+@needs_compiled
+def test_native_update_refuses_a_bad_layout_and_writes_nothing():
+    """A spectrum or table that is not C-contiguous, of the half-spectrum
+    shape and of the solver's complex (or real) dtype is refused before
+    the C writes anything."""
+    from repro.grid import compiled as native_fields
+
+    solver = noise_solver((12, 10), np.float64, True, "full")
+    native = native_fields.backend(solver.rdtype)
+    good = [solver._raw_spectrum(comp)
+            for comp in FIELD_COMPONENTS + ("Jx", "Jy", "Jz")]
+    snapshot = [spec.copy() for spec in good]
+    for slot, bad in (
+        (0, np.asfortranarray(good[0])),  # same values, column-major
+        (4, good[4].astype(np.complex64)),  # not the solver's precision
+        (7, np.ascontiguousarray(good[7][:, :-1])),  # one column short
+        (8, np.repeat(good[8], 2, axis=1)[:, ::2]),  # strided view
+        (8, None),  # a spectrum short
+    ):
+        spectra = list(good)
+        spectra[slot] = bad
+        if bad is None:
+            del spectra[slot]
+        with pytest.raises(ConfigurationError, match="psatd_update"):
+            native.psatd_update(solver, spectra)
+        for spec, before in zip(good, snapshot):
+            np.testing.assert_array_equal(spec, before)
+    # a table of the wrong precision is refused when the pointer table is
+    # built, on the solver's first native step
+    fresh = noise_solver((12, 10), np.float64, True, "full")
+    fresh.xb = fresh.xb.astype(np.complex64)
+    with pytest.raises(ConfigurationError, match="psatd_update"):
+        native.psatd_update(fresh, good)
+    for spec, before in zip(good, snapshot):
+        np.testing.assert_array_equal(spec, before)
+    native.psatd_update(solver, good)  # a good layout runs
+
+
+def test_step_runs_the_numpy_body_without_the_library(monkeypatch):
+    """With no field backend — ``REPRO_COMPILED_BACKEND=none``, no
+    compiler, which :func:`numpy_fields` stands in for — ``step`` runs
+    ``_step_numpy``; with the library it does not."""
+    from repro.grid import compiled as native_fields
+
+    calls = []
+    body = PSATDMaxwellSolver._step_numpy
+    monkeypatch.setattr(PSATDMaxwellSolver, "_step_numpy",
+                        lambda self: calls.append(self) or body(self))
+    solver = noise_solver((8,), np.float64, False, "valid")
+    with numpy_fields():
+        solver.step()
+    assert calls == [solver]
+    solver.step()
+    native = native_fields.backend(solver.rdtype) is not None
+    assert calls == [solver] * (1 if native else 2)

@@ -173,3 +173,44 @@ def test_two_rank_psatd_run_is_sanitizer_clean(monkeypatch):
     sim = make_distributed_build(SETUP, n_ranks=2, max_grid_size=16)()
     assert sim.sanitizer is not None
     sim.step(5)
+
+
+#: the smallest decomposed PSATD deck the option checks construct
+TINY = dict(n_cells=(32,), lo=(0.0,), hi=(SETUP.length,), n_ranks=2,
+            max_grid_size=16)
+
+
+@pytest.mark.parametrize(
+    "v_gal", [float("nan"), (float("nan"),), (0.1 * c, float("nan"))],
+    ids=["scalar", "sequence", "one_component"],
+)
+def test_non_finite_galilean_velocity_refused(v_gal):
+    """sqrt(nan) >= c is False, so a NaN velocity used to pass the speed
+    check and fill every source table with NaN; both drivers refuse it
+    when they build their solvers."""
+    from repro.core.simulation import Simulation
+    from repro.grid.yee import YeeGrid
+
+    grid = YeeGrid((16, 8), (0.0, 0.0), (1.0, 1.0), guards=4)
+    with pytest.raises(ConfigurationError, match="finite"):
+        Simulation(grid, maxwell_solver="psatd", v_galilean=v_gal)
+    dist = dict(TINY, n_cells=(32, 32), lo=(0.0, 0.0),
+                hi=(SETUP.length, SETUP.length))
+    with pytest.raises(ConfigurationError, match="finite"):
+        DistributedSimulation(**dist, maxwell_solver="psatd", psatd_guards=4,
+                              v_galilean=v_gal)
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("guards", 3.7), ("guards", 0), ("psatd_guards", 12.9),
+     ("psatd_guards", 0), ("lb_interval", 2.5), ("lb_interval", 0),
+     ("lb_interval", True)],
+)
+def test_decomposed_integer_options_refused_at_construction(option, value):
+    """A fractional guard depth or load-balance interval is refused, not
+    truncated (12.9 guards ran 12), and a zero interval is refused before
+    the first rebalance divides by it."""
+    with pytest.raises(ConfigurationError, match=option):
+        DistributedSimulation(**TINY, maxwell_solver="psatd", dynamic_lb=True,
+                              **{"psatd_guards": 4, option: value})
