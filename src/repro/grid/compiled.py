@@ -67,7 +67,8 @@ therefore bit-identical with and without the library.
 The one exception is ``psatd_update``.  It keeps the NumPy body's
 operations and their order, but a complex product is the textbook ``(ac
 - bd, ad + bc)``, each product rounded, and a real table times a complex
-value is ``(xa, xb)``.  NumPy's SIMD complex multiply uses fused
+value is ``(xa, xb)`` (the standard closure's real source coefficients
+are taken as ``x + 0i``, as NumPy promotes them).  NumPy's SIMD complex multiply uses fused
 multiply-adds on hosts that have them, so its rounding depends on the
 host.  The two agree to about 1e-15 of a field's largest value in float64
 and a few ulp in float32; with ``REPRO_COMPILED_BACKEND=none`` a spectral
@@ -678,17 +679,6 @@ static inline __attribute__((always_inline)) repro_cx_@SUF@ repro_csub_@SUF@(
     return r;
 }
 
-/* a source coefficient (xe_t, xe_lmt) times z: a complex table on the
-   Galilean closure, a real one on the standard closure */
-static inline __attribute__((always_inline)) repro_cx_@SUF@ repro_coef_@SUF@(
-    const @REAL@ *tab, int gal, int64_t p, repro_cx_@SUF@ z) {
-    if (gal) {
-        const repro_cx_@SUF@ a = {tab[2 * p], tab[2 * p + 1]};
-        return repro_cmul_@SUF@(a, z);
-    }
-    return repro_rmul_@SUF@(tab[p], z);
-}
-
 /* k_hat x a at point p, as PSATDMaxwellSolver._k_cross builds it: a term
    along an axis the grid lacks is absent, 0 - the other where only one
    is, and a component with none is the 0 the NumPy body adds. */
@@ -756,8 +746,29 @@ static __attribute__((noinline)) void repro_psatd_unphase_@SUF@(
     }
 }
 
-/* The update of one block, inlined with literal nd and gal: the phased
-   E, cB, J rows in, the new E and cB rows out. */
+/* the source coefficients xe_t and xe_lmt of the block, planar: complex
+   tables on the Galilean closure (gal), real ones on the standard
+   closure, taken as x + 0i as NumPy promotes them */
+static __attribute__((noinline)) void repro_psatd_coefs_@SUF@(
+    const @REAL@ *const *xe, int gal, int64_t p0, int64_t n,
+    repro_prow_@SUF@ *restrict re, repro_prow_@SUF@ *restrict im) {
+    for (int t = 0; t < 2; ++t) {
+        const @REAL@ *x = xe[t];
+        if (gal)
+            for (int64_t k = 0; k < n; ++k) {
+                re[t][k] = x[2 * (p0 + k)];
+                im[t][k] = x[2 * (p0 + k) + 1];
+            }
+        else
+            for (int64_t k = 0; k < n; ++k) {
+                re[t][k] = x[p0 + k];
+                im[t][k] = 0;
+            }
+    }
+}
+
+/* The update of one block, inlined with a literal nd: the phased E, cB,
+   J rows in, the new E and cB rows out. */
 static inline __attribute__((always_inline)) void repro_psatd_block_@SUF@(
     repro_cx_@SUF@ *const *eb, const repro_cx_@SUF@ *const *jh,
     const void *const *tab, int64_t p0, int64_t n, int nd, int gal) {
@@ -765,11 +776,13 @@ static inline __attribute__((always_inline)) void repro_psatd_block_@SUF@(
     const @REAL@ *const *kh = (const @REAL@ *const *)tab + 15;
     const @REAL@ *cosw = tab[18], *omc = tab[19];
     const repro_cx_@SUF@ *isin = tab[20], *xb = tab[21];
-    const @REAL@ *xe_t = tab[22], *xe_lmt = tab[23];
-    repro_prow_@SUF@ in_re[9], in_im[9], out_re[6], out_im[6];
+    repro_prow_@SUF@ in_re[9], in_im[9], xe_re[2], xe_im[2];
+    repro_prow_@SUF@ out_re[6], out_im[6];
     repro_psatd_phase_@SUF@((const repro_cx_@SUF@ *const *)eb, ph, 6, p0, n,
                             in_re, in_im);
     repro_psatd_phase_@SUF@(jh, ph + 6, 3, p0, n, in_re + 6, in_im + 6);
+    repro_psatd_coefs_@SUF@((const @REAL@ *const *)tab + 22, gal, p0, n,
+                            xe_re, xe_im);
     for (int64_t k = 0; k < n; ++k) {
         const int64_t p = p0 + k;
         repro_cx_@SUF@ v[9], kxcb[3], src[3], kxs[3];
@@ -778,13 +791,15 @@ static inline __attribute__((always_inline)) void repro_psatd_block_@SUF@(
             v[c].im = in_im[c][k];
         }
         const repro_cx_@SUF@ *E = v, *CB = v + 3, *J = v + 6;
+        const repro_cx_@SUF@ xe_t = {xe_re[0][k], xe_im[0][k]};
+        const repro_cx_@SUF@ xe_lmt = {xe_re[1][k], xe_im[1][k]};
         const repro_cx_@SUF@ is = isin[p];
         const @REAL@ cs = cosw[p];
         repro_kcross_@SUF@(kxcb, kh, nd, p, CB);
         /* (1 - C) k_hat . E + xe_lmt k_hat . J */
         const repro_cx_@SUF@ lng = repro_cadd_@SUF@(
             repro_rmul_@SUF@(omc[p], repro_kdot_@SUF@(kh, nd, p, E)),
-            repro_coef_@SUF@(xe_lmt, gal, p, repro_kdot_@SUF@(kh, nd, p, J)));
+            repro_cmul_@SUF@(xe_lmt, repro_kdot_@SUF@(kh, nd, p, J)));
         /* k_hat x (xb J - i S E) */
         for (int i = 0; i < 3; ++i)
             src[i] = repro_csub_@SUF@(repro_cmul_@SUF@(xb[p], J[i]),
@@ -794,7 +809,7 @@ static inline __attribute__((always_inline)) void repro_psatd_block_@SUF@(
             repro_cx_@SUF@ ne = repro_cadd_@SUF@(
                 repro_cadd_@SUF@(repro_rmul_@SUF@(cs, E[i]),
                                  repro_cmul_@SUF@(is, kxcb[i])),
-                repro_coef_@SUF@(xe_t, gal, p, J[i]));
+                repro_cmul_@SUF@(xe_t, J[i]));
             if (i < nd) ne = repro_cadd_@SUF@(ne, repro_rmul_@SUF@(kh[i][p], lng));
             const repro_cx_@SUF@ nb = repro_cadd_@SUF@(repro_rmul_@SUF@(cs, CB[i]),
                                                        kxs[i]);
@@ -826,12 +841,9 @@ void psatd_update_@SUF@(void *const *eb, const void *const *jh,
     const void *const *tab, int64_t size, int ndim, int gal) {
     repro_cx_@SUF@ *const *e = (repro_cx_@SUF@ *const *)eb;
     const repro_cx_@SUF@ *const *j = (const repro_cx_@SUF@ *const *)jh;
-#define RUN(nd) (gal ? repro_psatd_run_@SUF@(e, j, tab, size, nd, 1) \
-                     : repro_psatd_run_@SUF@(e, j, tab, size, nd, 0))
-    if (ndim == 1) RUN(1);
-    else if (ndim == 2) RUN(2);
-    else RUN(3);
-#undef RUN
+    if (ndim == 1) repro_psatd_run_@SUF@(e, j, tab, size, 1, gal);
+    else if (ndim == 2) repro_psatd_run_@SUF@(e, j, tab, size, 2, gal);
+    else repro_psatd_run_@SUF@(e, j, tab, size, 3, gal);
 }
 """
 
