@@ -831,9 +831,9 @@ static inline __attribute__((always_inline)) void repro_psatd_run_@SUF@(
 }
 
 /* PSATDMaxwellSolver.step between its transforms, over the size points
-   of the half spectrum a block at a time: eb = the raw spectra of Ex Ey Ez Bx
-   By Bz, overwritten with the new E and cB times their unphase tables; jh
-   = those of Jx Jy Jz, read only.  tab: the phases of the nine (E, B, J;
+   of the half spectrum a block at a time: eb = the raw spectra of Ex Ey
+   Ez Bx By Bz, overwritten with the new E and cB times their unphase
+   tables; jh = those of Jx Jy Jz, read only.  tab: the phases of the nine (E, B, J;
    B's carry c), the unphases of the six, k_hat per axis (null past ndim),
    cos, 1 - cos, i sin, xb, xe_t, xe_lmt — the last two complex on the
    Galilean closure (gal), real on the standard one. */
