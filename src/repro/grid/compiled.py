@@ -66,11 +66,10 @@ therefore bit-identical with and without the library.
 
 The one exception is ``psatd_update``.  It keeps the NumPy body's
 operations and their order, but a complex product is the textbook ``(ac
-- bd, ad + bc)``, each product rounded, and a real table times a complex
-value is ``(xa, xb)`` (the standard closure's real source coefficients
-are taken as ``x + 0i``, as NumPy promotes them).  NumPy's SIMD complex multiply uses fused
-multiply-adds on hosts that have them, so its rounding depends on the
-host.  The two agree to about 1e-15 of a field's largest value in float64
+- bd, ad + bc)``, each product rounded, and a real table (cos, 1 - cos,
+k_hat) times a complex value is ``(xa, xb)``.  NumPy's SIMD complex
+multiply uses fused multiply-adds on hosts that have them, so its
+rounding depends on the host.  The two agree to about 1e-15 of a field's largest value in float64
 and a few ulp in float32; with ``REPRO_COMPILED_BACKEND=none`` a spectral
 deck runs the NumPy body, bit for bit as before.  GCC's vectoriser fuses
 an interleaved complex product into ``vfmaddsub`` even under
@@ -651,8 +650,8 @@ _C_PSATD = r"""
 /* PSATD's k-space update: one complex sample, as NumPy lays it out. */
 typedef struct { @REAL@ re, im; } repro_cx_@SUF@;
 
-static inline __attribute__((always_inline)) repro_cx_@SUF@ repro_cmul_@SUF@(
-    repro_cx_@SUF@ a, repro_cx_@SUF@ b) {
+static inline repro_cx_@SUF@ repro_cmul_@SUF@(repro_cx_@SUF@ a,
+                                              repro_cx_@SUF@ b) {
     const repro_cx_@SUF@ r = {a.re * b.re - a.im * b.im,
                               a.re * b.im + a.im * b.re};
     return r;
@@ -661,47 +660,43 @@ static inline __attribute__((always_inline)) repro_cx_@SUF@ repro_cmul_@SUF@(
 /* a real table times a complex value: NumPy promotes x to x + 0i, and
    for finite values (x a - 0 b, x b + 0 a) is (x a, x b) but for the
    sign of a zero */
-static inline __attribute__((always_inline)) repro_cx_@SUF@ repro_rmul_@SUF@(
-    @REAL@ x, repro_cx_@SUF@ b) {
+static inline repro_cx_@SUF@ repro_rmul_@SUF@(@REAL@ x, repro_cx_@SUF@ b) {
     const repro_cx_@SUF@ r = {x * b.re, x * b.im};
     return r;
 }
 
-static inline __attribute__((always_inline)) repro_cx_@SUF@ repro_cadd_@SUF@(
-    repro_cx_@SUF@ a, repro_cx_@SUF@ b) {
+static inline repro_cx_@SUF@ repro_cadd_@SUF@(repro_cx_@SUF@ a,
+                                              repro_cx_@SUF@ b) {
     const repro_cx_@SUF@ r = {a.re + b.re, a.im + b.im};
     return r;
 }
 
-static inline __attribute__((always_inline)) repro_cx_@SUF@ repro_csub_@SUF@(
-    repro_cx_@SUF@ a, repro_cx_@SUF@ b) {
+static inline repro_cx_@SUF@ repro_csub_@SUF@(repro_cx_@SUF@ a,
+                                              repro_cx_@SUF@ b) {
     const repro_cx_@SUF@ r = {a.re - b.re, a.im - b.im};
     return r;
 }
 
-/* k_hat x a at point p, as PSATDMaxwellSolver._k_cross builds it: a term
-   along an axis the grid lacks is absent, 0 - the other where only one
-   is, and a component with none is the 0 the NumPy body adds. */
-static inline __attribute__((always_inline)) void repro_kcross_@SUF@(
-    repro_cx_@SUF@ *out, const @REAL@ *const *kh, int nd, int64_t p,
-    const repro_cx_@SUF@ *a) {
-    const repro_cx_@SUF@ zero = {0, 0};
+/* k_hat x a at point k of a block, k_hat's rows from the block's first
+   point.  An axis the grid lacks has a row of zeros: its terms add a
+   signed zero to what PSATDMaxwellSolver._k_cross and _k_dot compute
+   without them, which leaves every nonzero value as it is. */
+static inline void repro_kcross_@SUF@(repro_cx_@SUF@ *out,
+    const @REAL@ *const *kh, int64_t k, const repro_cx_@SUF@ *a) {
     for (int i = 0; i < 3; ++i) {
         const int j = (i + 1) % 3, l = (i + 2) % 3;
-        repro_cx_@SUF@ t = zero;
-        if (j < nd) t = repro_rmul_@SUF@(kh[j][p], a[l]);
-        if (l < nd) t = repro_csub_@SUF@(t, repro_rmul_@SUF@(kh[l][p], a[j]));
-        out[i] = t;
+        out[i] = repro_csub_@SUF@(repro_rmul_@SUF@(kh[j][k], a[l]),
+                                  repro_rmul_@SUF@(kh[l][k], a[j]));
     }
 }
 
-/* k_hat . a at point p over the grid axes, from the first term */
-static inline __attribute__((always_inline)) repro_cx_@SUF@ repro_kdot_@SUF@(
-    const @REAL@ *const *kh, int nd, int64_t p, const repro_cx_@SUF@ *a) {
-    repro_cx_@SUF@ t = repro_rmul_@SUF@(kh[0][p], a[0]);
-    for (int d = 1; d < nd; ++d)
-        t = repro_cadd_@SUF@(t, repro_rmul_@SUF@(kh[d][p], a[d]));
-    return t;
+/* k_hat . a at point k of a block */
+static inline repro_cx_@SUF@ repro_kdot_@SUF@(const @REAL@ *const *kh,
+    int64_t k, const repro_cx_@SUF@ *a) {
+    return repro_cadd_@SUF@(
+        repro_cadd_@SUF@(repro_rmul_@SUF@(kh[0][k], a[0]),
+                         repro_rmul_@SUF@(kh[1][k], a[1])),
+        repro_rmul_@SUF@(kh[2][k], a[2]));
 }
 
 /* Blocks of the PSATD update work on planar scratch, re[c][k] and
@@ -709,6 +704,9 @@ static inline __attribute__((always_inline)) repro_cx_@SUF@ repro_kdot_@SUF@(
    (a c - b d, a d + b c) pair, the pattern GCC's vectoriser fuses into
    vfmaddsub even under -ffp-contract=off. */
 typedef @REAL@ repro_prow_@SUF@[REPRO_PBLOCK];
+
+/* the k_hat row of an axis the grid lacks */
+static const repro_prow_@SUF@ repro_pzero_@SUF@;
 
 /* nc raw spectra times their staggering phases, into planar rows */
 static __attribute__((noinline)) void repro_psatd_phase_@SUF@(
@@ -746,104 +744,68 @@ static __attribute__((noinline)) void repro_psatd_unphase_@SUF@(
     }
 }
 
-/* the source coefficients xe_t and xe_lmt of the block, planar: complex
-   tables on the Galilean closure (gal), real ones on the standard
-   closure, taken as x + 0i as NumPy promotes them */
-static __attribute__((noinline)) void repro_psatd_coefs_@SUF@(
-    const @REAL@ *const *xe, int gal, int64_t p0, int64_t n,
-    repro_prow_@SUF@ *restrict re, repro_prow_@SUF@ *restrict im) {
-    for (int t = 0; t < 2; ++t) {
-        const @REAL@ *x = xe[t];
-        if (gal)
-            for (int64_t k = 0; k < n; ++k) {
-                re[t][k] = x[2 * (p0 + k)];
-                im[t][k] = x[2 * (p0 + k) + 1];
-            }
-        else
-            for (int64_t k = 0; k < n; ++k) {
-                re[t][k] = x[p0 + k];
-                im[t][k] = 0;
-            }
-    }
-}
-
-/* The update of one block, inlined with a literal nd: the phased E, cB,
-   J rows in, the new E and cB rows out. */
-static inline __attribute__((always_inline)) void repro_psatd_block_@SUF@(
-    repro_cx_@SUF@ *const *eb, const repro_cx_@SUF@ *const *jh,
-    const void *const *tab, int64_t p0, int64_t n, int nd, int gal) {
-    const repro_cx_@SUF@ *const *ph = (const repro_cx_@SUF@ *const *)tab;
-    const @REAL@ *const *kh = (const @REAL@ *const *)tab + 15;
-    const @REAL@ *cosw = tab[18], *omc = tab[19];
-    const repro_cx_@SUF@ *isin = tab[20], *xb = tab[21];
-    repro_prow_@SUF@ in_re[9], in_im[9], xe_re[2], xe_im[2];
-    repro_prow_@SUF@ out_re[6], out_im[6];
-    repro_psatd_phase_@SUF@((const repro_cx_@SUF@ *const *)eb, ph, 6, p0, n,
-                            in_re, in_im);
-    repro_psatd_phase_@SUF@(jh, ph + 6, 3, p0, n, in_re + 6, in_im + 6);
-    repro_psatd_coefs_@SUF@((const @REAL@ *const *)tab + 22, gal, p0, n,
-                            xe_re, xe_im);
-    for (int64_t k = 0; k < n; ++k) {
-        const int64_t p = p0 + k;
-        repro_cx_@SUF@ v[9], kxcb[3], src[3], kxs[3];
-        for (int c = 0; c < 9; ++c) {
-            v[c].re = in_re[c][k];
-            v[c].im = in_im[c][k];
-        }
-        const repro_cx_@SUF@ *E = v, *CB = v + 3, *J = v + 6;
-        const repro_cx_@SUF@ xe_t = {xe_re[0][k], xe_im[0][k]};
-        const repro_cx_@SUF@ xe_lmt = {xe_re[1][k], xe_im[1][k]};
-        const repro_cx_@SUF@ is = isin[p];
-        const @REAL@ cs = cosw[p];
-        repro_kcross_@SUF@(kxcb, kh, nd, p, CB);
-        /* (1 - C) k_hat . E + xe_lmt k_hat . J */
-        const repro_cx_@SUF@ lng = repro_cadd_@SUF@(
-            repro_rmul_@SUF@(omc[p], repro_kdot_@SUF@(kh, nd, p, E)),
-            repro_cmul_@SUF@(xe_lmt, repro_kdot_@SUF@(kh, nd, p, J)));
-        /* k_hat x (xb J - i S E) */
-        for (int i = 0; i < 3; ++i)
-            src[i] = repro_csub_@SUF@(repro_cmul_@SUF@(xb[p], J[i]),
-                                      repro_cmul_@SUF@(is, E[i]));
-        repro_kcross_@SUF@(kxs, kh, nd, p, src);
-        for (int i = 0; i < 3; ++i) {
-            repro_cx_@SUF@ ne = repro_cadd_@SUF@(
-                repro_cadd_@SUF@(repro_rmul_@SUF@(cs, E[i]),
-                                 repro_cmul_@SUF@(is, kxcb[i])),
-                repro_cmul_@SUF@(xe_t, J[i]));
-            if (i < nd) ne = repro_cadd_@SUF@(ne, repro_rmul_@SUF@(kh[i][p], lng));
-            const repro_cx_@SUF@ nb = repro_cadd_@SUF@(repro_rmul_@SUF@(cs, CB[i]),
-                                                       kxs[i]);
-            out_re[i][k] = ne.re;
-            out_im[i][k] = ne.im;
-            out_re[3 + i][k] = nb.re;
-            out_im[3 + i][k] = nb.im;
-        }
-    }
-    repro_psatd_unphase_@SUF@(eb, ph + 9, p0, n, out_re, out_im);
-}
-
-static inline __attribute__((always_inline)) void repro_psatd_run_@SUF@(
-    repro_cx_@SUF@ *const *eb, const repro_cx_@SUF@ *const *jh,
-    const void *const *tab, int64_t size, int nd, int gal) {
-    for (int64_t p0 = 0; p0 < size; p0 += REPRO_PBLOCK)
-        repro_psatd_block_@SUF@(eb, jh, tab, p0,
-            size - p0 < REPRO_PBLOCK ? size - p0 : REPRO_PBLOCK, nd, gal);
-}
-
 /* PSATDMaxwellSolver.step between its transforms, over the size points
    of the half spectrum a block at a time: eb = the raw spectra of Ex Ey
    Ez Bx By Bz, overwritten with the new E and cB times their unphase
-   tables; jh = those of Jx Jy Jz, read only.  tab: the phases of the nine (E, B, J;
-   B's carry c), the unphases of the six, k_hat per axis (null past ndim),
-   cos, 1 - cos, i sin, xb, xe_t, xe_lmt — the last two complex on the
-   Galilean closure (gal), real on the standard one. */
+   tables; jh = those of Jx Jy Jz, read only.  tab: the phases of the
+   nine (E, B, J; B's carry c), the unphases of the six, k_hat per axis
+   (null past ndim), cos, 1 - cos, then i sin, xb, xe_t, xe_lmt (complex
+   on both closures). */
 void psatd_update_@SUF@(void *const *eb, const void *const *jh,
-    const void *const *tab, int64_t size, int ndim, int gal) {
-    repro_cx_@SUF@ *const *e = (repro_cx_@SUF@ *const *)eb;
-    const repro_cx_@SUF@ *const *j = (const repro_cx_@SUF@ *const *)jh;
-    if (ndim == 1) repro_psatd_run_@SUF@(e, j, tab, size, 1, gal);
-    else if (ndim == 2) repro_psatd_run_@SUF@(e, j, tab, size, 2, gal);
-    else repro_psatd_run_@SUF@(e, j, tab, size, 3, gal);
+    const void *const *tab, int64_t size, int nd) {
+    repro_cx_@SUF@ *const *out = (repro_cx_@SUF@ *const *)eb;
+    const repro_cx_@SUF@ *const *ph = (const repro_cx_@SUF@ *const *)tab;
+    const @REAL@ *const *kh = (const @REAL@ *const *)tab + 15;
+    const @REAL@ *cosw = tab[18], *omc = tab[19];
+    const repro_cx_@SUF@ *isin = tab[20], *xb = tab[21], *xe_t = tab[22],
+                         *xe_lmt = tab[23];
+    repro_prow_@SUF@ in_re[9], in_im[9], out_re[6], out_im[6];
+    for (int64_t p0 = 0; p0 < size; p0 += REPRO_PBLOCK) {
+        const int64_t n = size - p0 < REPRO_PBLOCK ? size - p0 : REPRO_PBLOCK;
+        const @REAL@ *kb[3];
+        for (int d = 0; d < 3; ++d)
+            kb[d] = d < nd ? kh[d] + p0 : repro_pzero_@SUF@;
+        repro_psatd_phase_@SUF@((const repro_cx_@SUF@ *const *)eb, ph, 6, p0,
+                                n, in_re, in_im);
+        repro_psatd_phase_@SUF@((const repro_cx_@SUF@ *const *)jh, ph + 6, 3,
+                                p0, n, in_re + 6, in_im + 6);
+        for (int64_t k = 0; k < n; ++k) {
+            const int64_t p = p0 + k;
+            repro_cx_@SUF@ v[9], kxcb[3], src[3], kxs[3];
+            for (int c = 0; c < 9; ++c) {
+                v[c].re = in_re[c][k];
+                v[c].im = in_im[c][k];
+            }
+            const repro_cx_@SUF@ *E = v, *CB = v + 3, *J = v + 6;
+            const repro_cx_@SUF@ is = isin[p];
+            const @REAL@ cs = cosw[p];
+            repro_kcross_@SUF@(kxcb, kb, k, CB);
+            /* (1 - C) k_hat . E + xe_lmt k_hat . J */
+            const repro_cx_@SUF@ lng = repro_cadd_@SUF@(
+                repro_rmul_@SUF@(omc[p], repro_kdot_@SUF@(kb, k, E)),
+                repro_cmul_@SUF@(xe_lmt[p], repro_kdot_@SUF@(kb, k, J)));
+            /* k_hat x (xb J - i S E) */
+            for (int i = 0; i < 3; ++i)
+                src[i] = repro_csub_@SUF@(repro_cmul_@SUF@(xb[p], J[i]),
+                                          repro_cmul_@SUF@(is, E[i]));
+            repro_kcross_@SUF@(kxs, kb, k, src);
+            for (int i = 0; i < 3; ++i) {
+                const repro_cx_@SUF@ ne = repro_cadd_@SUF@(
+                    repro_cadd_@SUF@(
+                        repro_cadd_@SUF@(repro_rmul_@SUF@(cs, E[i]),
+                                         repro_cmul_@SUF@(is, kxcb[i])),
+                        repro_cmul_@SUF@(xe_t[p], J[i])),
+                    repro_rmul_@SUF@(kb[i][k], lng));
+                const repro_cx_@SUF@ nb = repro_cadd_@SUF@(
+                    repro_rmul_@SUF@(cs, CB[i]), kxs[i]);
+                out_re[i][k] = ne.re;
+                out_im[i][k] = ne.im;
+                out_re[3 + i][k] = nb.re;
+                out_im[3 + i][k] = nb.im;
+            }
+        }
+        repro_psatd_unphase_@SUF@(out, ph + 9, p0, n, out_re, out_im);
+    }
 }
 """
 
@@ -1010,7 +972,7 @@ class FieldBackend:
             "smooth": [vp, vp, ci, c64, vp],
             "restrict_currents": [vp, vp, vp, vp, ci, c64, vp, vp, vp, c64,
                                   c64, cd, ci, vp],
-            "psatd_update": [vp, vp, vp, c64, ci, ci],
+            "psatd_update": [vp, vp, vp, c64, ci],
         }
         self._fn: Dict[tuple, object] = {}
         for entry, argtypes in signatures.items():
@@ -1129,7 +1091,7 @@ class FieldBackend:
         jh = _table(spectra[6:], shape, dtype, "psatd_update", False)
         self._fn["psatd_update", solver.rdtype](
             eb, jh, solver._native_tables[0], solver.cos.size,
-            solver.grid.ndim, int(solver.galilean),
+            solver.grid.ndim,
         )
 
 
@@ -1178,14 +1140,12 @@ def _psatd_tables(solver):
     spectrum: of the half-spectrum shape, C-contiguous, complex or real
     in the solver's precision."""
     shape, real, cplx = solver.cos.shape, solver.rdtype, solver.cdtype
-    source = cplx if solver.galilean else real
     k_hat = list(solver.k_hat) + [None] * (3 - len(solver.k_hat))
     groups = (
         ([solver._phase[c] for c in _YEE_ARRAYS], cplx),
         ([solver._unphase[c] for c in FIELD_COMPONENTS], cplx),
         (k_hat + [solver.cos, solver._one_minus_cos], real),
-        ([solver._isin, solver.xb], cplx),
-        ([solver.xe_t, solver.xe_lmt], source),
+        ([solver._isin, solver.xb, solver.xe_t, solver.xe_lmt], cplx),
     )
     arrays, ptrs = [], []
     for group, dtype in groups:

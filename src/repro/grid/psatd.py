@@ -80,17 +80,12 @@ solve, that plane included.  Dropping it keeps the transform length
 even for even ``n`` (``n + 1 + 2g`` is odd, and prime for common box
 sizes — 89 for a 64-cell box at 12 guards, 3-4x the FFT cost of 88).  The solver skips the periodic wrap in this mode.  This is how
 WarpX runs PSATD under domain decomposition (11-32 guard cells in the
-paper's runs vs. the 1-cell FDTD stencil halo).  The k-space tables
-depend only on the transform shape, the cell size, dt, the Galilean
-velocity and the precision, so the solvers of equal boxes share one
-read-only set (:data:`_TABLES`) instead of building one per box.
+paper's runs vs. the 1-cell FDTD stencil halo).
 """
 
 from __future__ import annotations
 
 import math
-import weakref
-from types import MappingProxyType
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -104,24 +99,6 @@ from repro.grid.yee import FIELD_COMPONENTS, STAGGER, YeeGrid
 
 #: the transformed arrays in the order the native update takes them
 _SPECTRA = FIELD_COMPONENTS + ("Jx", "Jy", "Jz")
-
-#: the solver attributes that hold its k-space tables
-_TABLE_NAMES = (
-    "k_mag", "k_hat", "cos", "sin", "j_coeff", "long_corr", "b_j_coeff",
-    "xe_t", "xe_lmt", "xb", "_phase", "_unphase", "_isin", "_one_minus_cos",
-)
-
-
-class _Tables(dict):
-    """One solver's k-space tables by attribute name (a dict subclass, so
-    that :data:`_TABLES` can hold it weakly)."""
-
-
-#: the table sets of the live solvers, by everything the tables depend
-#: on: (transform shape, spacing, dt, Galilean velocity, precision)
-_TABLES: "weakref.WeakValueDictionary[tuple, _Tables]" = (
-    weakref.WeakValueDictionary()
-)
 
 
 def galilean_coefficients(
@@ -252,24 +229,9 @@ class PSATDMaxwellSolver:
         #: the window of the field arrays the transform covers
         self._window = tuple(slice(g0, g0 + n) for n in self.fft_shape)
         self._axes = tuple(range(grid.ndim))
-        key = (self.fft_shape, grid.dx, self.dt, self.v_galilean, self.rdtype)
-        tables = _TABLES.get(key)
-        if tables is None:
-            tables = _TABLES[key] = self._build_tables()
-        #: the k-space tables, shared read-only with every solver of the
-        #: same key (the boxes of a decomposed run); holding them keeps
-        #: them in ``_TABLES``
-        self._tables = tables
-        self.__dict__.update(tables)
-        #: the native update's pointer table over these tables, built on
-        #: its first call (:func:`repro.grid.compiled._psatd_tables`)
+        #: the native update's pointer table over the k-space tables,
+        #: built on its first call (:func:`repro.grid.compiled._psatd_tables`)
         self._native_tables: Optional[tuple] = None
-
-    def _build_tables(self) -> "_Tables":
-        """The k-space tables of this solver's transform shape, spacing,
-        dt, closure and precision, built in double and stored in the
-        working precision, read-only."""
-        grid = self.grid
         # angular wavenumbers of the FFT samples, one open-mesh vector
         # per axis; the last axis keeps the rfft half spectrum, with the
         # Nyquist sign of fftfreq (not rfftfreq)
@@ -323,8 +285,11 @@ class PSATDMaxwellSolver:
             self.xe_t = xe_t.astype(self.cdtype)
             self.xe_lmt = xe_lmt.astype(self.cdtype)
         else:
-            self.xe_t = (-self.j_coeff).astype(self.rdtype)
-            self.xe_lmt = self.long_corr.astype(self.rdtype)
+            # real, stored as x + 0i: NumPy promotes a real table to that
+            # in its product with a spectrum, and the native update reads
+            # both closures' tables alike
+            self.xe_t = (-self.j_coeff).astype(self.cdtype)
+            self.xe_lmt = self.long_corr.astype(self.cdtype)
             xb = 1j * self.b_j_coeff
         self.xb = xb.astype(self.cdtype)
         # per-component staggering phases exp(-i k . s dx / 2); B carries
@@ -351,14 +316,6 @@ class PSATDMaxwellSolver:
         self.j_coeff = self.j_coeff.astype(self.rdtype)
         self.long_corr = self.long_corr.astype(self.rdtype)
         self.b_j_coeff = self.b_j_coeff.astype(self.rdtype)
-        tables = _Tables((name, getattr(self, name)) for name in _TABLE_NAMES)
-        tables.update(k_hat=tuple(self.k_hat),
-                      _phase=MappingProxyType(self._phase),
-                      _unphase=MappingProxyType(self._unphase))
-        for arr in (*self.k_hat, *self._phase.values(), *self._unphase.values(),
-                    *(t for t in tables.values() if isinstance(t, np.ndarray))):
-            arr.flags.writeable = False
-        return tables
 
     @staticmethod
     def _normalize_velocity(

@@ -659,28 +659,3 @@ def test_step_runs_the_numpy_body_without_the_library(monkeypatch):
     native = native_fields.backend(solver.rdtype) is not None
     assert calls == [solver] * (1 if native else 2)
 
-
-def test_solvers_of_one_key_share_read_only_tables():
-    """The boxes of a decomposed run have one transform shape, spacing,
-    dt, closure and precision: their solvers share one read-only set of
-    k-space tables, which lives as long as a solver holds it."""
-    import gc
-
-    from repro.grid import psatd
-
-    def solver(dt=2e-6 / c, v_gal=0.3 * c):
-        grid = YeeGrid((12, 10), (0.0, 0.0), (1.2e-5, 1e-5), guards=3)
-        return PSATDMaxwellSolver(grid, dt, v_galilean=v_gal, region="full")
-
-    a, b = solver(), solver()
-    assert a._tables is b._tables and a.xb is b.xb and a._phase is b._phase
-    for other in (solver(dt=1e-6 / c), solver(v_gal=None)):
-        assert other._tables is not a._tables
-    with pytest.raises(ValueError, match="read-only"):
-        a.cos[0, 0] = 0.0
-    with pytest.raises(TypeError):
-        a._phase["Ex"] = a._phase["Ey"]
-    key = next(k for k, t in psatd._TABLES.items() if t is a._tables)
-    del a, b
-    gc.collect()
-    assert key not in psatd._TABLES
