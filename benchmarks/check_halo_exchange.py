@@ -8,11 +8,13 @@ two properties that justify the replacement:
    the monolithic single-grid run to machine precision (1e-9 of the
    field scale after 40 steps, the same bar as the tier-1 substrate
    test);
-2. **surface scaling** — halo traffic per box per step is a *surface*
-   term: growing the domain at fixed ``max_grid_size`` must leave the
-   per-box guard-sample count exactly constant (the global-assembly
-   path it replaced moved the whole volume, growing linearly with the
-   domain).
+2. **surface scaling** — halo traffic is a *surface* term (the
+   global-assembly path it replaced moved the whole volume).  A rank's
+   fields are one tile, so each step's field fill writes, per rank and
+   component, exactly the tile's guard-padded samples minus those it
+   owns, never more than per-box field grids wrote (equal when a rank
+   holds one box); every applied sample is accounted for by the fold,
+   source and field plans.
 
 It also prints the alpha-beta wire time of the measured per-pair bytes
 on a reference machine (informational).
@@ -85,24 +87,41 @@ def main() -> int:
     if worst >= CORRECTNESS_TOL:
         failures += 1
 
-    # 2. surface scaling: per-box-per-step guard samples constant as the
-    #    domain grows at fixed box size (pure surface, not volume)
-    per_box = {}
+    # 2. surface scaling.  Every rank's fields are one tile, so the field
+    #    fill is the tile's surface, not a sum over its boxes: the old
+    #    "samples per box constant" no longer holds (a bigger tile moves
+    #    fewer samples per box).  Asserted instead: the exact per-rank
+    #    field-fill count from the tile's shape, that it does not exceed
+    #    the per-box layout's, and that the fold (per box), source and
+    #    field plans account for every applied sample.
+    def surface(shape, guards):
+        return int(np.prod([n + 1 + 2 * guards for n in shape])
+                   - np.prod(shape))
+
+    steps = 5
     for n_cells in (16, 32):
-        run = build_distributed(n_cells, n0, ppc, u0, steps=5)
-        n_boxes = len(run.boxes)
-        per_box[n_cells] = run.halo_samples / (n_boxes * 5)
-        print(f"  n_cells={n_cells:3d}: {n_boxes:3d} boxes of {MAX_GRID}^2, "
-              f"{per_box[n_cells]:.1f} guard samples/box/step, "
-              f"{run.halo_payload_bytes} payload bytes total")
-    if per_box[16] != per_box[32]:
-        print(f"FAIL: halo samples per box changed with domain size "
-              f"({per_box[16]:.1f} -> {per_box[32]:.1f}); "
-              "the exchange is not a pure surface term")
-        failures += 1
-    else:
-        print(f"OK: halo traffic per box is domain-size independent "
-              f"({per_box[16]:.1f} samples/box/step)")
+        run = build_distributed(n_cells, n0, ppc, u0, steps=steps)
+        tiling, g = run.tiling, run.domain.guards
+        (fill,) = tiling.fill_overlaps.plans.values()
+        plans = [*run.fold_overlaps.plans.values(),
+                 *tiling.source_overlaps.plans.values(), fill]
+        n_ranks = len(tiling.tiles)
+        tile = tiling.tiles[0].shape
+        per_rank = fill.samples / n_ranks
+        exact = 6 * surface(tile, g)
+        per_box = len(run.boxes) // n_ranks * 6 * surface((MAX_GRID,) * 2, g)
+        accounted = run.halo_samples == steps * sum(p.samples for p in plans)
+        ok = per_rank == exact and per_rank <= per_box and accounted
+        print(f"  n_cells={n_cells:3d}: {len(run.boxes):3d} boxes of "
+              f"{MAX_GRID}^2 in {n_ranks} tiles of {tile}: field fill "
+              f"{per_rank:.0f} samples/rank/step (tile surface {exact}, "
+              f"per-box grids {per_box}), {run.halo_payload_bytes} payload "
+              f"bytes total  {'ok' if ok else 'FAIL'}")
+        if not ok:
+            failures += 1
+    if not failures:
+        print("OK: the field fill per rank is its tile's surface, at most "
+              "the per-box layout's")
 
     # 3. informational: alpha-beta wire time of the measured traffic
     machine = get_machine("frontier")

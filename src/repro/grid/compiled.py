@@ -77,7 +77,10 @@ an interleaved complex product into ``vfmaddsub`` even under
 (re, im) scratch on the stack and stores no interleaved pair it
 computes: its loops are vector code, and its result is the same with
 the SIMD and the plain flags (``benchmarks/check_lane_vectorization.py``
-fails on any fused multiply-add in the library).
+fails on any fused multiply-add in the library).  A decomposed spectral
+run also depends on its field tiling, whose windows the transforms
+follow: a run re-tiled mid-run (rebalance, evacuation) stays within the
+guard tolerance of ``boosted_lwfa.GUARD_TOLERANCES``, not bit for bit.
 
 Memory safety: the entries index through the shapes they are given and
 trust them, so the wrappers check first — every array C-contiguous, of

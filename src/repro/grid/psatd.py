@@ -45,12 +45,13 @@ coefficients as ``v_gal -> 0``.
 Transform layout
 ----------------
 The fields are real, so the transforms are real-to-complex (``rfftn`` /
-``irfftn``): along the last grid axis only the ``n // 2 + 1`` non-negative
-wavenumbers are stored, and every coefficient table (``k_hat``, ``cos``,
-``sin``, the source coefficients, the staggering phases) is built on
-that half spectrum.  For an even transform length the last-axis Nyquist
-wavenumber carries the sign ``fftfreq`` gives it (negative), which is
-what fixes the staggering phase of that one self-conjugate mode.
+``irfftn``): along one axis — the longest transform, the last on a tie —
+only the ``n // 2 + 1`` non-negative wavenumbers are stored, and every
+coefficient table (``k_hat``, ``cos``, ``sin``, the source coefficients,
+the staggering phases) is built on that half spectrum.  For an even
+transform length that axis's Nyquist wavenumber carries the sign
+``fftfreq`` gives it (negative), which is what fixes the staggering
+phase of that one self-conjugate mode.
 
 Where the update runs
 ---------------------
@@ -67,20 +68,24 @@ of :mod:`repro.grid.compiled`).
 Distributed operation (``region="full"``)
 -----------------------------------------
 The analytic propagator kernel in real space is quasi-local: it has
-support ~``c dt`` plus tails decaying with distance.  A box with wide
-guard regions can therefore FFT its guard-padded array as if it were
-periodic and still produce a correct interior update — errors enter
-only through the fake wrap-around at the box edge and decay with guard
-depth.  ``region="full"`` enables this mode.  The window is WarpX's
-local-FFT layout: the cell-centred box of ``n + 2g`` samples per axis,
-i.e. the first ``n + 2g`` of the ``n + 1 + 2g`` array planes.  The last
-plane is a guard the solver neither reads nor writes; the caller (the
-distributed driver) refreshes all guards from neighbors right after the
-solve, that plane included.  Dropping it keeps the transform length
-even for even ``n`` (``n + 1 + 2g`` is odd, and prime for common box
-sizes — 89 for a 64-cell box at 12 guards, 3-4x the FFT cost of 88).  The solver skips the periodic wrap in this mode.  This is how
-WarpX runs PSATD under domain decomposition (11-32 guard cells in the
-paper's runs vs. the 1-cell FDTD stencil halo).
+support ~``c dt`` plus tails decaying with distance.  A tile (the
+rectangle of one rank's boxes) with wide guard regions can therefore FFT
+its guard-padded array as if it were periodic and still produce a
+correct interior update — errors enter only through the fake wrap-around
+at the tile edge and decay with guard depth.  ``region="full"`` enables
+this mode, with a window per axis.  Along an axis the tile spans for the
+whole period (``period_axes``) there is no edge: the transform covers
+the ``n`` periodic samples, as ``"valid"`` does.  Along any other it is
+WarpX's local-FFT layout, the cell-centred ``n + 2g`` samples: the first
+``n + 2g`` of the ``n + 1 + 2g`` array planes.  The last plane is a
+guard the solver neither reads nor writes; dropping it keeps the
+transform length even for even ``n`` (``n + 1 + 2g`` is odd, and prime
+for common box sizes — 89 for a 64-cell box at 12 guards, 3-4x the FFT
+cost of 88).  The solver skips the periodic wrap in this mode: the
+caller (the distributed driver) refreshes every guard right after the
+solve, from neighbours or from the tile's own periodic image.  This is
+how WarpX runs PSATD under domain decomposition (11-32 guard cells in
+the paper's runs vs. the 1-cell FDTD stencil halo).
 """
 
 from __future__ import annotations
@@ -186,8 +191,10 @@ class PSATDMaxwellSolver:
         valid region and wraps the guards periodically afterwards — the
         monolithic mode.  ``"full"`` FFTs the ``n + 2g`` cell-centred
         window of the guard-padded array and leaves guard filling to the
-        caller — the per-box mode of the distributed driver (see module
+        caller — the per-tile mode of the distributed driver (see module
         docstring).
+    period_axes:
+        With ``"full"``: the axes the grid spans for the whole period.
     """
 
     #: PSATD advances E and B together; the leapfrog half-pushes collapse.
@@ -202,6 +209,7 @@ class PSATDMaxwellSolver:
         dt: float,
         v_galilean: Optional[Union[float, Sequence[float]]] = None,
         region: str = "valid",
+        period_axes: Sequence[int] = (),
     ) -> None:
         if grid.ndim < 1:
             raise ConfigurationError("PSATD needs at least one axis")
@@ -222,23 +230,34 @@ class PSATDMaxwellSolver:
         # promoting every full-grid product to complex128
         self.rdtype = grid.dtype
         self.cdtype = np.result_type(self.rdtype, np.complex64)
-        g0, pad = (0, 2 * grid.guards) if region == "full" else (grid.guards, 0)
-        #: samples per axis the transform covers: n (``valid``) or the
-        #: cell-centred n + 2g of the guard-padded box (``full``)
-        self.fft_shape = tuple(n + pad for n in grid.n_cells)
+        g = grid.guards
+        local = set() if region == "valid" else set(range(grid.ndim))
+        local -= set(period_axes)
+        #: samples per axis the transform covers: n (``valid``, or a
+        #: ``period_axes`` axis) or the cell-centred n + 2g (``full``)
+        self.fft_shape = tuple(
+            n + 2 * g if d in local else n for d, n in enumerate(grid.n_cells)
+        )
         #: the window of the field arrays the transform covers
-        self._window = tuple(slice(g0, g0 + n) for n in self.fft_shape)
-        self._axes = tuple(range(grid.ndim))
+        self._window = tuple(
+            slice(0, n) if d in local else slice(g, g + n)
+            for d, n in enumerate(self.fft_shape)
+        )
+        # the real-to-complex transform runs along the longest axis (the
+        # last on a tie), and goes last in the transforms' axis order
+        half = max(range(grid.ndim), key=lambda d: (self.fft_shape[d], d))
+        self._axes = tuple(d for d in range(grid.ndim) if d != half) + (half,)
+        self._s = tuple(self.fft_shape[d] for d in self._axes)
         #: the native update's pointer table over the k-space tables,
         #: built on its first call (:func:`repro.grid.compiled._psatd_tables`)
         self._native_tables: Optional[tuple] = None
         # angular wavenumbers of the FFT samples, one open-mesh vector
-        # per axis; the last axis keeps the rfft half spectrum, with the
-        # Nyquist sign of fftfreq (not rfftfreq)
+        # per axis; the real-transform axis keeps the half spectrum, with
+        # the Nyquist sign of fftfreq (not rfftfreq)
         kvec = []
         for d, n in enumerate(self.fft_shape):
             k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx[d])
-            if d == grid.ndim - 1:
+            if d == half:
                 k = k[: n // 2 + 1]
             shape = [1] * grid.ndim
             shape[d] = k.size
@@ -357,7 +376,7 @@ class PSATDMaxwellSolver:
         # returns complex128 whatever the input, hence the cast.  ``s`` is
         # the window's own shape: the same transform, without the
         # per-call shape lookup rfftn makes when it is not given
-        return np.fft.rfftn(arr, s=self.fft_shape, axes=self._axes).astype(
+        return np.fft.rfftn(arr, s=self._s, axes=self._axes).astype(
             self.cdtype, copy=False
         )
 
@@ -369,14 +388,14 @@ class PSATDMaxwellSolver:
 
     def _store(self, component: str, unphased: np.ndarray) -> None:
         self.grid.fields[component][self._window] = np.fft.irfftn(
-            unphased, s=self.fft_shape, axes=self._axes
+            unphased, s=self._s, axes=self._axes
         )
         if self.region == "valid":
             # the n-sample window skips the duplicated nodal plane
             # (arr[g+n] is the same physical point as arr[g] on a
             # periodic axis): the periodic wrap restores it per the
             # component's staggering, then fills the guards
-            for axis in self._axes:
+            for axis in range(self.grid.ndim):
                 apply_periodic(self.grid, axis, components=(component,))
 
     # -- the update ------------------------------------------------------------

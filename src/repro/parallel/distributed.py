@@ -1,12 +1,13 @@
 """A domain-decomposed PIC simulation over simulated ranks.
 
 Runs the *same* PIC cycle as :class:`repro.core.simulation.Simulation`,
-but on a box decomposition: every box owns a guard-padded grid and the
-particles inside it; deposits are folded across box boundaries, fields are
-halo-exchanged after the Maxwell push, and particles are redistributed
-after the position push.  All communication is accounted through a
-:class:`SimComm` so a run yields both physics *and* the per-step message
-volumes the performance model consumes.
+but on a box decomposition: every box owns the particles inside it and
+its deposits, which are folded across box boundaries; a rank's E and B
+live in one guard-padded tile (:class:`FieldTiles`) that one Maxwell
+solver advances and a halo exchange refreshes, and particles are
+redistributed after the position push.  All communication is accounted
+through a :class:`SimComm` so a run yields both physics *and* the
+per-step message volumes the performance model consumes.
 
 An integration test verifies that a decomposed run reproduces the
 monolithic run to machine precision — the correctness contract of the
@@ -21,16 +22,16 @@ patch on boxes yet.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
 from repro.core.costs import CostModel
-from repro.core.simulation import StepDriver, _integer_option
+from repro.core.simulation import StepDriver, _integer_option, _positive_option
 from repro.exceptions import ConfigurationError
-from repro.grid.maxwell import MaxwellSolver
 from repro.grid.yee import FIELD_COMPONENTS, YeeGrid
-from repro.parallel.box import chop_domain
+from repro.parallel.box import Box, chop_domain
 from repro.parallel.comm import SimComm
 from repro.parallel.distribution import DistributionMapping
 from repro.grid.psatd import PSATDMaxwellSolver
@@ -83,6 +84,90 @@ class DistributedSpecies:
         for sp in self.per_box:
             out.extend(sp)
         return out
+
+
+class FieldTiles:
+    """Where the fields of one box assignment live: per rank one tile,
+    the rectangle its boxes cover (``tiles[t]``, ``grids[t]``,
+    ``ranks[t]``, one Maxwell solver ``solvers[t]``).  ``box_grids[i]``
+    holds E and B as views into its tile ``tile_of_box[i]`` and its own J
+    and rho, so deposits, smoothing and the fold stay per box.  Where a
+    rank's boxes do not fill their bounding rectangle — or, for PSATD,
+    fill one wider than a period minus its guards without spanning it —
+    each box is its own tile.  ``fill_overlaps`` fill tile guards (a tile
+    spanning a period from its own periodic image); ``source_overlaps``
+    the J a solve reads that no box of the tile owns: every guard
+    (PSATD) or the top faces of the valid region (Yee)."""
+
+    def __init__(self, sim: "DistributedSimulation") -> None:
+        domain, boxes, g = sim.domain, sim.boxes, sim.domain.guards
+        axes = range(domain.ndim)
+        self.assignment = np.array(sim.dm.assignment, dtype=np.int64)
+        self.box_grids = [sim._grid_over(b) for b in boxes]
+        self.tiles: List[Box] = []
+        self.grids: List[YeeGrid] = []
+        self.tile_of_box = [0] * len(boxes)
+        ranks: List[int] = []
+        #: (box, tile J, box J, tile slices, box slices) of the samples
+        #: [lo, hi) a box sharing its tile owns, per current
+        self._owned: List[tuple] = []
+        for rank in np.unique(self.assignment).tolist():
+            members = np.flatnonzero(self.assignment == rank).tolist()
+            tile = Box(
+                tuple(min(boxes[i].lo[d] for i in members) for d in axes),
+                tuple(max(boxes[i].hi[d] for i in members) for d in axes),
+            )
+            whole = (
+                len(members) > 1
+                and sum(boxes[i].n_cells for i in members) == tile.n_cells
+                and (sim.maxwell_solver != "psatd" or all(
+                    s == n or s + 2 * g <= n
+                    for s, n in zip(tile.shape, domain.n_cells)
+                ))
+            )
+            for group in [members] if whole else [[i] for i in members]:
+                grid = sim._grid_over(tile) if whole else self.box_grids[group[0]]
+                for i in group:
+                    self.tile_of_box[i] = len(self.tiles)
+                    if whole:
+                        self._share(i, boxes[i], tile, grid, g)
+                self.tiles.append(tile if whole else boxes[group[0]])
+                self.grids.append(grid)
+                ranks.append(rank)
+        self.ranks = np.array(ranks, dtype=np.int64)
+        # region="full": a spectral tile FFTs its guard-padded array; the
+        # guard refresh supplies the neighbour data the wrap would corrupt
+        self.solvers = [
+            sim._make_solver(grid, region="full", period_axes=[
+                d for d, (s, n) in enumerate(zip(tile.shape, domain.n_cells))
+                if s == n
+            ])
+            for tile, grid in zip(self.tiles, self.grids)
+        ]
+        self.fill_overlaps = neighbor_overlaps(
+            self.tiles, domain.n_cells, g, axes, kind="fill"
+        )
+        self.source_overlaps = (
+            self.fill_overlaps if sim.maxwell_solver == "psatd"
+            else neighbor_overlaps(self.tiles, domain.n_cells, 0, axes)
+        )
+
+    def _share(self, i: int, box: Box, tile: Box, grid: YeeGrid, g: int) -> None:
+        """Make box ``i``'s E and B views into its tile's ``grid``."""
+        at = [b - t for b, t in zip(box.lo, tile.lo)]
+        view = tuple(slice(o, o + n + 1 + 2 * g) for o, n in zip(at, box.shape))
+        fields = self.box_grids[i].fields
+        fields.update((c, grid.fields[c][view]) for c in FIELD_COMPONENTS)
+        in_tile = tuple(slice(g + o, g + o + n) for o, n in zip(at, box.shape))
+        in_box = tuple(slice(g, g + n) for n in box.shape)
+        self._owned += [(i, grid.fields[c], fields[c], in_tile, in_box)
+                        for c in ("Jx", "Jy", "Jz")]
+
+    def gather_sources(self, owns_box: Callable[[int], bool]) -> None:
+        """Write each box's folded J of the samples it owns into its tile."""
+        for i, tile_j, box_j, in_tile, in_box in self._owned:
+            if owns_box(i):
+                tile_j[in_tile] = box_j[in_box]
 
 
 class DistributedSimulation(StepDriver):
@@ -149,7 +234,9 @@ class DistributedSimulation(StepDriver):
             self.domain, cfl=cfl, smoothing_passes=smoothing_passes,
             maxwell_solver=maxwell_solver, **options,
         )
-        self.boxes = chop_domain(n_cells, max_grid_size)
+        self.boxes = chop_domain(
+            n_cells, _integer_option("max_grid_size", max_grid_size, 1)
+        )
         if maxwell_solver == "psatd":
             for b in self.boxes:
                 for d in range(b.ndim):
@@ -165,28 +252,11 @@ class DistributedSimulation(StepDriver):
         self.comm = SimComm(n_ranks, transport=transport)
         #: SPMD rank of this process (None: all ranks live here)
         self.local_rank = self.comm.local_rank
-        self.box_grids: List[YeeGrid] = []
-        self.box_solvers: List[MaxwellSolver] = []
-        for b in self.boxes:
-            b_lo = tuple(lo[d] + b.lo[d] * self.domain.dx[d] for d in range(b.ndim))
-            b_hi = tuple(lo[d] + b.hi[d] * self.domain.dx[d] for d in range(b.ndim))
-            bg = YeeGrid(
-                b.shape, b_lo, b_hi, guards=guards, dtype=self.domain.dtype
-            )
-            self.box_grids.append(bg)
-            # region="full": a spectral box FFTs its guard-padded array;
-            # the per-step guard refresh supplies the true neighbor data
-            # the fake wrap-around would otherwise corrupt
-            self.box_solvers.append(self._make_solver(bg, region="full"))
+        self._tiling = FieldTiles(self)
         self.box_lookup = build_box_lookup(self.boxes, n_cells)
-        periodic_axes = range(self.domain.ndim)
         #: deposit-folding overlaps (valid regions receiving guard deposits)
         self.fold_overlaps = neighbor_overlaps(
-            self.boxes, n_cells, guards, periodic_axes, kind="fold"
-        )
-        #: field-guard fill overlaps (the canonical-owner partition)
-        self.fill_overlaps = neighbor_overlaps(
-            self.boxes, n_cells, guards, periodic_axes, kind="fill"
+            self.boxes, n_cells, guards, range(self.domain.ndim), kind="fold"
         )
         #: cumulative stats of every fold / halo exchange of the run
         #: (the ``halo.*`` metrics read them)
@@ -195,7 +265,8 @@ class DistributedSimulation(StepDriver):
         self.species: Dict[str, DistributedSpecies] = {}
         self.dynamic_lb = bool(dynamic_lb)
         self.lb_interval = _integer_option("lb_interval", lb_interval, 1)
-        self.lb_threshold = float(lb_threshold)
+        # imbalance > nan never holds: a NaN would switch LB off silently
+        self.lb_threshold = _positive_option("lb_threshold", lb_threshold)
         if lb_cost_source not in ("measured", "heuristic"):
             raise ConfigurationError(
                 f"lb_cost_source must be 'measured' or 'heuristic', "
@@ -246,6 +317,61 @@ class DistributedSimulation(StepDriver):
             )
             self.resilience.attach(self)
 
+    # -- the field layout ----------------------------------------------------
+    def _grid_over(self, box: Box) -> YeeGrid:
+        """A guard-padded grid over ``box`` with the domain's cell size
+        ((hi - lo) / n would round differently per box and tile)."""
+        d = self.domain
+        grid = YeeGrid(
+            box.shape,
+            tuple(d.lo[a] + box.lo[a] * d.dx[a] for a in range(box.ndim)),
+            tuple(d.lo[a] + box.hi[a] * d.dx[a] for a in range(box.ndim)),
+            guards=d.guards, dtype=d.dtype,
+        )
+        grid.dx = d.dx
+        return grid
+
+    @property
+    def tiling(self) -> FieldTiles:
+        """The field layout of the current assignment: rebuilt when the
+        assignment changed (a rebalance, an evacuation, a restore or a
+        checkpoint load), carrying over every box this endpoint owned or
+        owns — one it gives away still has to be shipped from here."""
+        old = self._tiling
+        if not np.array_equal(old.assignment, self.dm.assignment):
+            self._tiling = FieldTiles(self)
+            owners = zip(old.assignment, self.dm.assignment)
+            for was, now, ranks in zip(
+                old.box_grids, self._tiling.box_grids, owners
+            ):
+                if self.local_rank is None or self.local_rank in ranks:
+                    for comp, arr in was.fields.items():
+                        now.fields[comp][...] = arr
+        return self._tiling
+
+    @property
+    def box_grids(self) -> List[YeeGrid]:
+        """Per box: E and B as views into its tile, its own J and rho."""
+        return self.tiling.box_grids
+
+    @property
+    def box_solvers(self) -> list:
+        """Per box: the solver that advances it (its tile's)."""
+        tiling = self.tiling
+        return [tiling.solvers[t] for t in tiling.tile_of_box]
+
+    @functools.cached_property
+    def fill_overlaps(self):
+        """The field fill at box granularity, which the benchmark's halo
+        probe times (the step fills tiles: ``tiling.fill_overlaps``)."""
+        return neighbor_overlaps(
+            self.boxes, self.domain.n_cells, self.domain.guards,
+            range(self.domain.ndim), kind="fill",
+        )
+
+    def _owns_tile(self, t: int) -> bool:
+        return self.local_rank is None or self.tiling.ranks[t] == self.local_rank
+
     # -- setup -----------------------------------------------------------
     def add_species(
         self,
@@ -283,17 +409,17 @@ class DistributedSimulation(StepDriver):
         return dsp
 
     def init_fields(self, fn: Callable[[YeeGrid], None]) -> None:
-        """Apply an initial-field fill ``fn(grid)`` to every box grid.
+        """Apply an initial-field fill ``fn(grid)`` to every tile grid.
 
         ``fn`` must be a pure, periodic function of physical position
         writing the *entire* guard-padded arrays (use the grid's
-        ``lo``/``dx``/``guards`` to compute coordinates): every box —
+        ``lo``/``dx``/``guards`` to compute coordinates): every tile —
         and a monolithic grid filled with the same ``fn`` — then starts
-        from identical data, guards included, with no communication.
+        from the same data, guards included, with no communication.
         """
-        for i, bg in enumerate(self.box_grids):
-            if self.owns_box(i):
-                fn(bg)
+        for t, grid in enumerate(self.tiling.grids):
+            if self._owns_tile(t):
+                fn(grid)
 
     def owns_box(self, i: int) -> bool:
         """Does this endpoint compute box ``i``?  (Always true when every
@@ -312,11 +438,12 @@ class DistributedSimulation(StepDriver):
             self.resilience.begin_step(self)
         elif self.comm.fault_injector is not None:
             self.comm.fault_injector.begin_step(self.step_count)
+        tiling = self.tiling
         periodic = (
             self.domain.lo, self.domain.hi, tuple(range(self.domain.ndim))
         )
         with self._phase("particles"):
-            for i, bg in enumerate(self.box_grids):
+            for i, bg in enumerate(tiling.box_grids):
                 if not self.owns_box(i):
                     continue
                 bg.zero_sources()
@@ -340,53 +467,46 @@ class DistributedSimulation(StepDriver):
         with self._phase("fold_sources"):
             # smooth each box's raw deposits (guards included) before
             # folding, mirroring the monolithic smooth-then-fold order
-            for i, bg in enumerate(self.box_grids):
+            for i, bg in enumerate(tiling.box_grids):
                 if self.owns_box(i):
                     self._smooth_sources(bg)
             self.halo_stats.merge(fold_sources_pairwise(
                 self.comm,
-                self.box_grids,
+                tiling.box_grids,
                 self.boxes,
                 self.fold_overlaps,
                 self.dm.assignment,
                 guards=self.domain.guards,
                 local_rank=self.local_rank,
             ))
+            tiling.gather_sources(self.owns_box)
 
-        if self.maxwell_solver == "psatd":
-            # the local-FFT spectral push reads J in the guards (FDTD
-            # only reads valid J), so after folding the deposits to
-            # their owners, fill every box's guard J from the owners —
-            # a distinct phase tag keeps the schedule verifier's
-            # per-phase accounting exact
-            with self._phase("halo_sources"):
-                self.halo_stats.merge(exchange_halos(
-                    self.comm,
-                    self.box_grids,
-                    self.boxes,
-                    self.fill_overlaps,
-                    self.dm.assignment,
-                    guards=self.domain.guards,
-                    components=("Jx", "Jy", "Jz"),
-                    tag=HALO_TAG_PREFIX + ":sources",
-                    local_rank=self.local_rank,
-                ))
+        tiles = dict(
+            box_grids=tiling.grids, boxes=tiling.tiles,
+            rank_of_box=tiling.ranks, guards=self.domain.guards,
+            local_rank=self.local_rank,
+        )
+        with self._phase("halo_sources"):
+            # a tile's solve reads J no box of it owns (PSATD: every
+            # guard; Yee: the valid top faces).  Filled from the owners,
+            # every copy of a sample holds its owner's sum, so no tiling
+            # changes a bit; a distinct phase tag keeps the schedule
+            # verifier's per-phase accounting exact
+            self.halo_stats.merge(exchange_halos(
+                self.comm, overlaps=tiling.source_overlaps,
+                components=("Jx", "Jy", "Jz"),
+                tag=HALO_TAG_PREFIX + ":sources", **tiles,
+            ))
 
         with self._phase("maxwell"):
-            for i, solver in enumerate(self.box_solvers):
-                if self.owns_box(i):
+            for t, solver in enumerate(tiling.solvers):
+                if self._owns_tile(t):
                     solver.step()
 
         with self._phase("halo_fields"):
             self.halo_stats.merge(exchange_halos(
-                self.comm,
-                self.box_grids,
-                self.boxes,
-                self.fill_overlaps,
-                self.dm.assignment,
-                guards=self.domain.guards,
-                components=FIELD_COMPONENTS,
-                local_rank=self.local_rank,
+                self.comm, overlaps=tiling.fill_overlaps,
+                components=FIELD_COMPONENTS, **tiles,
             ))
 
         with self._phase("redistribute"):

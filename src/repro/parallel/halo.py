@@ -10,7 +10,10 @@ regions travelling between a pair of ranks ride in **one** message — the
 paper's message aggregation: ``Message(((plan digest,),), (buffer,))``.
 Overlaps between boxes on the same rank never touch the communicator,
 which is why a locality-aware distribution (SFC) sends fewer bytes for
-the same physics.
+the same physics.  The regions can be any rectangles: the distributed
+driver folds deposits between its boxes but fills guards between its
+per-rank field tiles, where a fill between boxes of one rank vanishes
+and a tile spanning a period reads its own periodic image.
 
 Two overlap kinds cover the PIC cycle:
 

@@ -714,8 +714,9 @@ REPRO_GENERIC i64 deposit_esirkepov_@SUF@(@REAL@ *const *jxyz, const i64 *stride
    evaluated twice; a move that breaks it is refused like a stray
    particle, never truncated.  wrap = {lo[3], length[3]}, length 0 on a
    non-periodic axis; k: repro_current_factors; cdt = c dt.  jxyz may
-   belong to another grid of the same geometry (an MR patch deposits on
-   its fine grid and gathers from its auxiliary one).  keep = {lo[3],
+   belong to another grid of the same shape, indexed through strides + 3
+   (an MR patch deposits on its fine grid and gathers from its auxiliary
+   one; a decomposed box gathers from its view into its rank's tile).  keep = {lo[3],
    hi[3]} or NULL: a lane whose new position left that box deposits
    nothing and is flagged in leaving[lane].  The test runs once the
    masks are 1.0; a block of several lanes in which one left returns
@@ -765,7 +766,7 @@ REPRO_INLINE int advance_lanes_@SUF@(const @REAL@ *const *fields,
             i64 base[3] = {0, 0, 0};
             double v[3] = {vel[0][l], vel[1][l], vel[2][l]};
             for (int d = 0; d < ndim; ++d) base[d] = (i64)first[d][l];
-            esirkepov_scatter_@SUF@(jxyz, strides, ndim, K, base, RB,
+            esirkepov_scatter_@SUF@(jxyz, strides + 3, ndim, K, base, RB,
                                     &s0[0][0][l], &ds[0][0][l],
                                     &cum[0][0][l], &t[0][0][l],
                                     &u[0][0][l], k, weights[l], v);
@@ -849,7 +850,8 @@ i64 advance_@SUF@(@REAL@ *const *arrays, const i64 *strides,
     double charge, double dt, double kq, double hq, double clight,
     const double *wrap, const double *keep, unsigned char *leaving,
     double *pos_new, double *mom_new, int *bad_axis) {
-    /* arrays = {Ex, Ey, Ez, Bx, By, Bz, Jx, Jy, Jz} */
+    /* arrays = {Ex, Ey, Ez, Bx, By, Bz, Jx, Jy, Jz}, strides = {the
+       fields' [3], the currents' [3]} */
 #define REPRO_CASE(D, O) case 4 * D + O: return advance_body_@SUF@( \
         arrays, strides, shape, geom, D, O, n, vay, pos, mom, weights, \
         charge, dt, kq, hq, clight, wrap, keep, leaving, pos_new, mom_new, \
@@ -923,17 +925,33 @@ class CBackend:
         The kernels index the arrays through element strides (rows, the
         last axis, contiguous) and check every stencil against the
         extents; an out-of-range one comes back as a particle index and
-        is raised as SAN005.
+        is raised as SAN005.  The strides come per group of arrays, three
+        entries each: the fused pass's six fields, then its three
+        currents; a standalone entry's one group.  Every array must have
+        its group's strides and the first array's shape and dtype, else
+        ConfigurationError names it.
         """
-        arrays = list(fields.values())
+        names, arrays = list(fields), list(fields.values())
         sample = arrays[0]
         ndim = grid.ndim
-        strides = [s // sample.itemsize for s in sample.strides]
-        if order not in (1, 2, 3) or strides[-1] != 1:
+        cuts = (0, 6, 9) if kernel.startswith("advance") else (0, len(arrays))
+        strides = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            head = (sample.shape, sample.dtype, arrays[lo].strides)
+            for name, arr in zip(names[lo:hi], arrays[lo:hi]):
+                if (arr.shape, arr.dtype, arr.strides) != head:
+                    raise ConfigurationError(
+                        f"compiled {kernel}: {name} (shape, dtype, strides "
+                        f"{(arr.shape, arr.dtype, arr.strides)}) is not laid "
+                        f"out like {names[lo]} {head}"
+                    )
+            strides.append([s // sample.itemsize for s in head[2]])
+        if order not in (1, 2, 3) or any(st[-1] != 1 for st in strides):
             raise ConfigurationError(
                 f"compiled {kernel} needs shape order 1-3 and C-contiguous "
-                f"field rows (order {order}, strides {sample.strides})"
+                f"field rows (order {order}, strides {strides})"
             )
+        flat = [s for st in strides for s in st + [0] * (3 - ndim)]
         # {lo[3], dx[3], guards}: particle position -> lattice coordinate
         pad = (1.0,) * (3 - ndim)
         geom = (ctypes.c_double * 7)(
@@ -942,7 +960,7 @@ class CBackend:
         bad_axis = ctypes.c_int(-1)
         table = (ctypes.c_void_p * len(arrays))(*map(_ptr, arrays))
         p = self._fn[kernel, sample.dtype.itemsize](
-            table, (ctypes.c_int64 * ndim)(*strides),
+            table, (ctypes.c_int64 * len(flat))(*flat),
             (ctypes.c_int64 * ndim)(*sample.shape), geom,
             ndim, order, n, *args, ctypes.byref(bad_axis),
         )

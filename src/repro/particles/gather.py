@@ -62,8 +62,10 @@ def gather_fields(  # repro: allow(PIC007)
     n = positions.shape[0]
     san = Sanitizer.from_env()
     cache = ShapeWeightCache(lattice_coords(grid, positions, "rho"), order)
-    sample = grid.fields["Ex"]
-    strides = [int(s) for s in np.array(sample.strides) // sample.itemsize]
+    # element strides of the C-order flattening ``ravel`` addresses (a
+    # copy for a view into a larger array, such as a decomposed box's)
+    shape = grid.fields["Ex"].shape
+    strides = [int(np.prod(shape[d + 1:])) for d in range(ndim)]
     lattices: Dict[Tuple[int, ...], List[str]] = {}
     for comp in FIELD_COMPONENTS:
         lattices.setdefault(STAGGER[comp][:ndim], []).append(comp)

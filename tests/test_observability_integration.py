@@ -145,7 +145,10 @@ _SINGLE = {
     "antenna", "field_boundaries", "finalize_deposits", "maxwell",
     "particle_boundaries", "source_boundaries", "zero_sources",
 }
-_DECOMPOSED = {"fold_sources", "halo_fields", "maxwell", "particles", "redistribute"}
+_DECOMPOSED = {
+    "fold_sources", "halo_sources", "halo_fields", "maxwell", "particles",
+    "redistribute",
+}
 #: ``timers.totals`` keys after five steps, per configuration and kernel
 #: tier: the phase names ``benchmarks/perf/report.py`` splits the step on,
 #: so a driver change must neither rename nor drop one

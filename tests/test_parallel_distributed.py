@@ -415,6 +415,25 @@ def test_shape_order_dt_and_cfl_are_refused_identically(bad):
     assert str(dist.value) == str(mono.value)
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("max_grid_size", 2.5), ("max_grid_size", True), ("max_grid_size", 0),
+     ("max_grid_size", "8"), ("lb_threshold", float("nan")),
+     ("lb_threshold", float("inf")), ("lb_threshold", True),
+     ("lb_threshold", "1.1")],
+)
+def test_decomposition_options_refused_at_construction(option, value):
+    """``max_grid_size=2.5`` died in a TypeError and ``True`` chopped
+    one-cell boxes; ``lb_threshold=nan`` was kept, and ``imbalance > nan``
+    never fires, so the balancer was silently off.  Each is a
+    ``ConfigurationError`` naming the option."""
+    with pytest.raises(ConfigurationError, match=f"{option}.*{value!r}"):
+        DistributedSimulation(
+            (8, 8), (0.0, 0.0), (8.0, 8.0), n_ranks=2, dynamic_lb=True,
+            **{option: value},
+        )
+
+
 @pytest.mark.parametrize("bad", [-1, 1.7, "2"], ids=["negative", "float", "str"])
 def test_smoothing_passes_are_refused_identically(bad):
     """``smoothing_passes`` takes integers >= 0 only, on both drivers,
@@ -475,7 +494,14 @@ def _build_3d(transport=None):
 def test_3d_decomposed_matches_monolithic():
     """Twenty steps of the 3D deck equal the monolithic ``Simulation`` to
     1e-10 of each field's scale, and every exchange phase of a step moves
-    one message per direction between the two ranks."""
+    one message per direction between the two ranks.
+
+    Each rank's fields are one 16 x 16 x 8 tile (4 guards): the field
+    fill receives the 4 guard planes below it and the top valid plane
+    plus 4 guard planes above it, each 25 x 25 samples — 9 * 625 * 6 =
+    33,750 samples (62,424 when each box was its own field grid) — and
+    the source fill the top valid plane of J, 17 * 17 * 3 = 867; the
+    fold stays per box (53,276)."""
     length = plasma_wavelength(1e24)
     mono = Simulation(
         YeeGrid((16,) * 3, (0.0,) * 3, (length,) * 3, guards=4),
@@ -491,13 +517,14 @@ def test_3d_decomposed_matches_monolithic():
     sends = [ev for ev in dist.comm.log if ev.kind == "send"]
     per_phase = {
         tag: sorted((ev.src, ev.dst) for ev in sends if ev.tag == tag)
-        for tag in ("halo:fold", "halo:fields", "particles")
+        for tag in ("halo:fold", "halo:sources", "halo:fields", "particles")
     }
     assert per_phase == {tag: [(0, 1), (1, 0)] for tag in per_phase}
-    assert len(sends) == dist.comm.total_messages() == 6
+    assert len(sends) == dist.comm.total_messages() == 8
     # one float64 buffer + the 8 B plan digest per halo message
     assert {ev.tag: ev.nbytes for ev in sends if ev.tag.startswith("halo")} == {
-        "halo:fold": 53_276 * 8 + 8, "halo:fields": 62_424 * 8 + 8,
+        "halo:fold": 53_276 * 8 + 8, "halo:sources": 867 * 8 + 8,
+        "halo:fields": 33_750 * 8 + 8,
     }
     dist.step(19)
     mono.step(19 + 1)

@@ -362,20 +362,24 @@ def _built_for(plans, assignment):
 def test_plans_follow_a_new_assignment(plan_builds, n_ranks, change):
     """The exchange after a rebalance (or an evacuation) runs on plans
     built for the new assignment — once, then reused — and the state is
-    bit-identical to a run built with that assignment from the start."""
+    bit-identical to a run built with that assignment from the start.
+    Three plans a step: the per-box fold and the two tile fills (J,
+    then E/B), whose plans live on the new tiling's overlap sets."""
     build = make_langmuir_build(n_ranks=n_ranks, uy=0.3)
     sim = build()
     sim.step(2)
-    assert len(plan_builds) == 2  # fold + fill, reused on the second step
+    assert len(plan_builds) == 3  # reused on the second step
     _reassign(sim, change)
     sim.step(1)
-    assert len(plan_builds) == 4
-    assert _built_for(plan_builds[2:], sim.dm.assignment) == [True, True]
+    assert len(plan_builds) == 6
+    tiling = sim.tiling
+    assert _built_for(plan_builds[3:4], sim.dm.assignment) == [True]
+    assert _built_for(plan_builds[4:6], tiling.ranks) == [True, True]
     assert set(sim.fold_overlaps.plans.values()) | set(
-        sim.fill_overlaps.plans.values()
-    ) == set(plan_builds[2:])
+        tiling.source_overlaps.plans.values()
+    ) | set(tiling.fill_overlaps.plans.values()) == set(plan_builds[3:])
     sim.step(3)
-    assert len(plan_builds) == 4
+    assert len(plan_builds) == 6
     twin = build()
     twin.dm.assignment = sim.dm.assignment.copy()
     twin.step(6)
@@ -384,8 +388,9 @@ def test_plans_follow_a_new_assignment(plan_builds, n_ranks, change):
 
 def test_plans_follow_a_checkpoint_restore(plan_builds, tmp_path):
     """Restoring a checkpoint written under another assignment switches
-    the next exchange to plans for that assignment, and the run goes on
-    bit for bit like the one that wrote it."""
+    the next exchange to plans for that assignment (the fold's, and the
+    two tile fills' of its tiling), and the run goes on bit for bit like
+    the one that wrote it."""
     build = make_langmuir_build(n_ranks=2, uy=0.3)
     writer = build()
     writer.dm.rebalance([4.0, 1.0, 1.0, 1.0], strategy="knapsack")
@@ -397,12 +402,13 @@ def test_plans_follow_a_checkpoint_restore(plan_builds, tmp_path):
     n_built = len(plan_builds)
     load_distributed_checkpoint(reader, str(tmp_path / "ckpt"))
     reader.step(1)
-    assert _built_for(plan_builds[n_built:], writer.dm.assignment) == [
+    assert _built_for(plan_builds[n_built:n_built + 1], writer.dm.assignment)
+    assert _built_for(plan_builds[n_built + 1:], reader.tiling.ranks) == [
         True, True,
     ]
     reader.step(2)
     writer.step(3)
-    assert len(plan_builds) == n_built + 2
+    assert len(plan_builds) == n_built + 3
     assert_states_equal(reader, writer)
 
 

@@ -344,8 +344,9 @@ def test_ladder_deck_message_sizes_are_pinned():
     bytes of each of its per-step messages, so the rule — 8 B per header
     number, UTF-8 length per header string, nbytes per buffer — cannot
     drift.  A halo message is one float64 buffer plus one header int
-    (the plan digest): 8 messages and 939,120 B a step.  The log holds
-    54 events a step: one ``apply`` per run, not per region."""
+    (the plan digest): 8 messages and 849,120 B a step (939,120 B when
+    every box was its own field grid).  The log holds 42 events a step:
+    one ``apply`` per run, not per region."""
     length = plasma_wavelength(1.0e24)
     sim = DistributedSimulation(
         (128, 128), (0.0, 0.0), (length, length), n_ranks=2,
@@ -367,17 +368,21 @@ def test_ladder_deck_message_sizes_are_pinned():
         if ev.kind == "send":
             sizes.setdefault(ev.tag, set()).add(ev.nbytes)
     # the ranks split the boxes along y (assignment [0, 1, 0, 1]), so
-    # each message carries two boxes' worth of planes across the split.
-    # Fill: 12 + 13 planes of 89 guard-padded samples per component.
-    # Fold: 13 + 13 planes of 91 samples along x — 65 valid ones from
-    # the neighbour across the split, 13 + 13 from its diagonal one; a
-    # component staggered in y loses its top valid plane (Jy: 25 planes),
-    # one staggered in x loses it along x (Jx: 64 + 25 = 89 samples)
+    # each rank's fields are one 128 x 64 tile spanning the period along
+    # x, and each message crosses the split once.
+    # Fill: 12 + 13 planes of the tile's 128 + 1 + 24 = 153 guard-padded
+    # samples per component (the x guards come from the tile's own
+    # periodic image, never the communicator).
+    # Fold (per box, as before): 13 + 13 planes of 91 samples along x —
+    # 65 valid ones from the neighbour across the split, 13 + 13 from its
+    # diagonal one; a component staggered in y loses its top valid plane
+    # (Jy: 25 planes), one staggered in x loses it along x (Jx: 64 + 25
+    # = 89 samples); two boxes a message
     header = 8
     fold = 2 * (26 * 89 + 25 * 91 + 26 * 91 + 26 * 91) * 8 + header
-    sources = 2 * 3 * 25 * 89 * 8 + header
-    fields = 2 * 6 * 25 * 89 * 8 + header
-    assert (fold, sources, fields) == (149_144, 106_808, 213_608)
+    sources = 3 * 25 * 153 * 8 + header
+    fields = 6 * 25 * 153 * 8 + header
+    assert (fold, sources, fields) == (149_144, 91_808, 183_608)
     assert sizes == {
         "halo:fold": {fold},
         "halo:sources": {sources},
@@ -385,15 +390,16 @@ def test_ladder_deck_message_sizes_are_pinned():
         "particles": {0},
     }
     total = 2 * (fold + sources + fields)
-    assert total == 939_120
+    assert total == 849_120
     assert sim.comm.total_messages() == 8
     assert sim.comm.total_bytes() == total
     assert sim.halo_payload_bytes == total and sim.halo_messages == 6
     # bounded log volume: per step, four phase brackets, 8 sends, 8
-    # receives and 10 apply runs in each of the three halo phases
+    # receives, 10 apply runs of the (per box) fold and 4 of each tile
+    # fill (per rank: the periodic self-image, then the message)
     before = len(sim.comm.log)
     sim.step(1)
-    assert len(sim.comm.log) - before == 4 * 2 + 8 + 8 + 3 * 10 == 54
+    assert len(sim.comm.log) - before == 4 * 2 + 8 + 8 + 10 + 2 * 4 == 42
     # one accumulator; the three names are read-only views of it
     assert sim.halo_samples == sim.halo_stats.samples > 0
     with pytest.raises(AttributeError):

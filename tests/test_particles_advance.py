@@ -575,7 +575,8 @@ def test_distributed_counts_kernel_dispatches(variant, monkeypatch):
         f"kernel.dispatch{{phase=advance,variant={variant}}}": 3.0 * len(sim.boxes)
     }
     assert set(sim.timers.totals) == {
-        "particles", "fold_sources", "maxwell", "halo_fields", "redistribute",
+        "particles", "fold_sources", "halo_sources", "maxwell", "halo_fields",
+        "redistribute",
     }
     assert sim.timers.counts["particles"] == 3
 

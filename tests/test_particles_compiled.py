@@ -240,6 +240,68 @@ def test_guard_shortage_raises(c_set):
                                    charge=1.0, dt=0.1, order=3)
 
 
+# -- array layouts the backend is handed ---------------------------------------
+
+def _view_in_larger(arr):
+    """``arr``'s values in a view of a larger array: same shape and
+    dtype, contiguous rows, other strides (a box's view into its tile)."""
+    big = np.zeros(tuple(n + 3 for n in arr.shape), dtype=arr.dtype)
+    view = big[tuple(slice(2, 2 + n) for n in arr.shape)]
+    view[...] = arr
+    return view
+
+
+def _advance(c_set, grid, deposit_grid, pos, mom, wts):
+    return c_set.advance(grid, pos, mom, wts, -1.6e-19, 9.1e-31, 1e-9, 2,
+                         deposit_grid=deposit_grid)
+
+
+def test_fused_pass_gathers_and_deposits_through_their_own_strides(c_set):
+    """E and B as views into a larger array (a decomposed box's tile), J
+    contiguous: the fused pass indexes each group with its own strides,
+    bit for bit the run on contiguous copies."""
+    grid = make_grid(2, n=8, guards=5)
+    seed_fields(grid)
+    pos, _vel, wts = particle_cloud(grid)
+    mom = 1e-3 * np.random.default_rng(4).standard_normal((pos.shape[0], 3))
+    viewed = make_grid(2, n=8, guards=5)
+    for comp in ("Ex", "Ey", "Ez", "Bx", "By", "Bz"):
+        viewed.fields[comp] = _view_in_larger(grid.fields[comp])
+    want = _advance(c_set, grid, None, pos, mom, wts)
+    got = _advance(c_set, viewed, viewed, pos, mom, wts)
+    for a, b in zip(want[:2], got[:2]):
+        np.testing.assert_array_equal(a, b)
+    for comp in ("Jx", "Jy", "Jz"):
+        np.testing.assert_array_equal(viewed.fields[comp], grid.fields[comp])
+
+
+@pytest.mark.parametrize(
+    "entry, comp",
+    [("advance", "By"), ("advance", "Jz"), ("gather", "Bz"),
+     ("deposit", "Jy")],
+)
+def test_an_array_off_its_group_layout_is_refused(c_set, entry, comp):
+    """Every array is checked against the strides passed for its group
+    (the fused pass: fields, then currents; a standalone entry: its one
+    group), so one laid out otherwise is refused by name instead of
+    being read or written at the first array's offsets."""
+    grid = make_grid(2, n=8, guards=5)
+    seed_fields(grid)
+    pos, vel, wts = particle_cloud(grid)
+    grid.fields[comp] = _view_in_larger(grid.fields[comp])
+    with pytest.raises(ConfigurationError, match=f"compiled .*{comp}.*strides"):
+        if entry == "advance":
+            _advance(c_set, grid, None, pos, 1e-3 * vel, wts)
+        elif entry == "gather":
+            c_set.gather(grid, pos, 2)
+        else:
+            c_set.deposit_current(grid, pos, pos + 0.1, vel, wts, charge=1.0,
+                                  dt=0.1, order=2)
+    for name in ("Jx", "Jy", "Jz"):
+        if name != comp:
+            assert not grid.fields[name].any(), name
+
+
 # -- backend selection and graceful fallback ---------------------------------
 
 def test_backend_env_rejects_unknown(monkeypatch):

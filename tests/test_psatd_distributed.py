@@ -91,7 +91,7 @@ def test_guard_width_is_a_solver_property():
     assert all(
         bg.guards == PSATDMaxwellSolver.guard_cells for bg in sim.box_grids
     )
-    # and every per-box solver runs the full-array local-FFT mode
+    # and every tile's solver runs the full-array local-FFT mode
     assert all(s.region == "full" for s in sim.box_solvers)
     # an explicit psatd_guards override wins over the class default
     sim = make_distributed_build(
@@ -125,7 +125,9 @@ def test_psatd_params_rejected_for_fdtd():
 
 def test_source_halo_phase_runs_for_spectral_solver():
     """The spectral push reads guard J, so a dedicated ``halo:sources``
-    fill phase must run each step (and stay absent for FDTD)."""
+    fill phase runs each step over every guard plane; FDTD runs it too,
+    but reads J only on the tile's valid top faces, so its fill carries
+    those planes alone."""
     sim = make_distributed_build(
         SETUP, n_ranks=2, max_grid_size=16, psatd_guards=6
     )()
@@ -138,27 +140,33 @@ def test_source_halo_phase_runs_for_spectral_solver():
         max_grid_size=8,
     )
     fdtd.step(2)
-    assert "halo:sources" not in {e.tag for e in fdtd.comm.log}
+    sends = {
+        e.nbytes for e in fdtd.comm.log
+        if e.kind == "send" and e.tag == "halo:sources"
+    }
+    # a 16 x 8 tile: its top valid y plane, 17 samples of Jx, Jy, Jz
+    assert sends == {3 * 17 * 8 + 8}
 
 
 def test_plane_outside_the_fft_window_is_a_guard_the_exchange_rewrites():
-    """The local transform covers n + 2g of a box's n + 1 + 2g planes.
-    The plane it leaves out is an ordinary guard: nothing in the step
-    reads it before ``halo:fields`` overwrites it, so poisoning it
-    changes no bit of the run."""
+    """The local transform covers n + 2g of a tile's n + 1 + 2g planes
+    (each rank's two 16-cell boxes share one 32-cell tile).  The plane
+    it leaves out is an ordinary guard: nothing in the step reads it
+    before ``halo:fields`` overwrites it, so poisoning it changes no
+    bit of the run."""
     build = make_distributed_build(
         SETUP, n_ranks=2, max_grid_size=16, psatd_guards=6
     )
     clean, poisoned = build(), build()
     assert all(
-        s.fft_shape == (16 + 2 * 6,) and bg.shape == (16 + 1 + 2 * 6,)
-        for s, bg in zip(clean.box_solvers, clean.box_grids)
+        s.fft_shape == (32 + 2 * 6,) and grid.shape == (32 + 1 + 2 * 6,)
+        for s, grid in zip(clean.tiling.solvers, clean.tiling.grids)
     )
     clean.step(2)
     poisoned.step(2)
-    for bg in poisoned.box_grids:
+    for grid in poisoned.tiling.grids:
         for comp in FIELD_COMPONENTS:
-            bg.fields[comp][-1] = 1e30
+            grid.fields[comp][-1] = 1e30
     clean.step(2)
     poisoned.step(2)
     for want, got in zip(clean.box_grids, poisoned.box_grids):

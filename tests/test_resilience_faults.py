@@ -156,16 +156,25 @@ def rollback_run(observed=False):
 def test_rank_failure_rollback_keeps_the_books():
     """The restore rolls ``halo_stats`` back with the ``comm`` counters:
     steps 4 and 5 ran twice, and before the accumulators were
-    checkpointed ``halo_payload_bytes`` read the log's total, 457,728,
-    against ``comm.total_bytes()`` 305,152 and ``halo_samples`` 187,200."""
+    checkpointed ``halo_payload_bytes`` read the log's total, 420,672,
+    against ``comm.total_bytes()`` 280,448.  ``halo_samples`` counts
+    what the steps applied: 4 steps on two ranks' tiles and, after rank
+    1's boxes move to rank 0, 6 on the one tile that covers the domain
+    (305,152 / 457,728 / 156,000 when every box was its own field grid
+    and the count did not depend on the assignment)."""
     fault_free = build_two_rank()
     fault_free.step(N_STEPS)
+    one_tile = build_two_rank()
+    one_tile.dm.assignment[:] = 0
+    one_tile.step(1)
     sim, _ = rollback_run()
-    assert sim.halo_payload_bytes == sim.comm.total_bytes() == 305_152
-    assert sim.halo_samples == fault_free.halo_samples == 156_000
+    assert sim.halo_payload_bytes == sim.comm.total_bytes() == 280_448
+    assert fault_free.halo_samples == N_STEPS * 13_194
+    assert one_tile.halo_samples == 10_881
+    assert sim.halo_samples == 4 * 13_194 + 6 * 10_881 == 118_062
     # the event log is the audit trail and is *not* rolled back: it
     # still shows the traffic of the two steps the restore discarded
-    assert sum(sim.comm.pair_bytes_for_tag("halo").values()) == 457_728
+    assert sum(sim.comm.pair_bytes_for_tag("halo").values()) == 420_672
 
 
 def test_observed_run_survives_a_rank_failure_rollback():
@@ -176,7 +185,7 @@ def test_observed_run_survives_a_rank_failure_rollback():
     sim, metrics = rollback_run(observed=True)
     snap = metrics.snapshot()
     assert snap["comm.messages"] == sim.comm.total_messages() > 0
-    assert snap["halo.bytes"] == sim.halo_payload_bytes == 305_152
+    assert snap["halo.bytes"] == sim.halo_payload_bytes == 280_448
     assert snap["halo.guard_cells"] == sim.halo_samples
     for (src, dst), nbytes in sim.comm.pair_bytes.items():
         assert snap[f"comm.pair_bytes{{dst={dst},src={src}}}"] == nbytes
