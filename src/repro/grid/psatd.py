@@ -45,13 +45,12 @@ coefficients as ``v_gal -> 0``.
 Transform layout
 ----------------
 The fields are real, so the transforms are real-to-complex (``rfftn`` /
-``irfftn``): along one axis — the longest transform, the last on a tie —
-only the ``n // 2 + 1`` non-negative wavenumbers are stored, and every
-coefficient table (``k_hat``, ``cos``, ``sin``, the source coefficients,
-the staggering phases) is built on that half spectrum.  For an even
-transform length that axis's Nyquist wavenumber carries the sign
-``fftfreq`` gives it (negative), which is what fixes the staggering
-phase of that one self-conjugate mode.
+``irfftn``): along the last grid axis only the ``n // 2 + 1`` non-negative
+wavenumbers are stored, and every coefficient table (``k_hat``, ``cos``,
+``sin``, the source coefficients, the staggering phases) is built on
+that half spectrum.  For an even transform length the last-axis Nyquist
+wavenumber carries the sign ``fftfreq`` gives it (negative), which is
+what fixes the staggering phase of that one self-conjugate mode.
 
 Where the update runs
 ---------------------
@@ -243,21 +242,17 @@ class PSATDMaxwellSolver:
             slice(0, n) if d in local else slice(g, g + n)
             for d, n in enumerate(self.fft_shape)
         )
-        # the real-to-complex transform runs along the longest axis (the
-        # last on a tie), and goes last in the transforms' axis order
-        half = max(range(grid.ndim), key=lambda d: (self.fft_shape[d], d))
-        self._axes = tuple(d for d in range(grid.ndim) if d != half) + (half,)
-        self._s = tuple(self.fft_shape[d] for d in self._axes)
+        self._axes = tuple(range(grid.ndim))
         #: the native update's pointer table over the k-space tables,
         #: built on its first call (:func:`repro.grid.compiled._psatd_tables`)
         self._native_tables: Optional[tuple] = None
         # angular wavenumbers of the FFT samples, one open-mesh vector
-        # per axis; the real-transform axis keeps the half spectrum, with
-        # the Nyquist sign of fftfreq (not rfftfreq)
+        # per axis; the last axis keeps the rfft half spectrum, with the
+        # Nyquist sign of fftfreq (not rfftfreq)
         kvec = []
         for d, n in enumerate(self.fft_shape):
             k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dx[d])
-            if d == half:
+            if d == grid.ndim - 1:
                 k = k[: n // 2 + 1]
             shape = [1] * grid.ndim
             shape[d] = k.size
@@ -376,7 +371,7 @@ class PSATDMaxwellSolver:
         # returns complex128 whatever the input, hence the cast.  ``s`` is
         # the window's own shape: the same transform, without the
         # per-call shape lookup rfftn makes when it is not given
-        return np.fft.rfftn(arr, s=self._s, axes=self._axes).astype(
+        return np.fft.rfftn(arr, s=self.fft_shape, axes=self._axes).astype(
             self.cdtype, copy=False
         )
 
@@ -388,14 +383,14 @@ class PSATDMaxwellSolver:
 
     def _store(self, component: str, unphased: np.ndarray) -> None:
         self.grid.fields[component][self._window] = np.fft.irfftn(
-            unphased, s=self._s, axes=self._axes
+            unphased, s=self.fft_shape, axes=self._axes
         )
         if self.region == "valid":
             # the n-sample window skips the duplicated nodal plane
             # (arr[g+n] is the same physical point as arr[g] on a
             # periodic axis): the periodic wrap restores it per the
             # component's staggering, then fills the guards
-            for axis in range(self.grid.ndim):
+            for axis in self._axes:
                 apply_periodic(self.grid, axis, components=(component,))
 
     # -- the update ------------------------------------------------------------

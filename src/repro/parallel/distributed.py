@@ -364,6 +364,8 @@ class DistributedSimulation(StepDriver):
     def fill_overlaps(self):
         """The field fill at box granularity, which the benchmark's halo
         probe times (the step fills tiles: ``tiling.fill_overlaps``)."""
+        # TODO(ROADMAP 13): once the probes time ``tiling.fill_overlaps``
+        # and step ``tiling.solvers``, delete this and the functools import
         return neighbor_overlaps(
             self.boxes, self.domain.n_cells, self.domain.guards,
             range(self.domain.ndim), kind="fill",

@@ -402,7 +402,10 @@ def test_plans_follow_a_checkpoint_restore(plan_builds, tmp_path):
     n_built = len(plan_builds)
     load_distributed_checkpoint(reader, str(tmp_path / "ckpt"))
     reader.step(1)
-    assert _built_for(plan_builds[n_built:n_built + 1], writer.dm.assignment)
+    assert _built_for(plan_builds[n_built:n_built + 1], writer.dm.assignment) == [
+        True,
+    ]
+    assert np.array_equal(reader.tiling.ranks, writer.tiling.ranks)
     assert _built_for(plan_builds[n_built + 1:], reader.tiling.ranks) == [
         True, True,
     ]
