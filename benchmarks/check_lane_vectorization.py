@@ -3,15 +3,19 @@ code, and the library contains no fused multiply-add.
 
 ``advance`` (:mod:`repro.particles.compiled`) walks the particles in blocks
 of ``LANES`` and does the per-particle arithmetic in ``#pragma omp simd``
-loops over the lanes, kept in four out-of-line functions
-(``repro_*_lanes``).  Whether the compiler turned a loop into vector code
+loops over the lanes, kept in out-of-line functions (``repro_*_lanes``):
+four shared by both precisions, and the field gather once per precision
+(``repro_gather_lanes_f64`` / ``_f32``), whose lane loops read each lane's
+own samples with hardware gathers.  Whether the compiler turned a loop into vector code
 changes no result — every test passes on a scalar build, bit for bit — so a
 silent fall-back (a flag lost, an ``&&`` chain or a local array whose
 address is taken inside the loop) shows nowhere but in the step time.
 
 This script compiles the generated C to assembly with the tier's own flags
 and counts, in every emitted copy of each lane function, the packed and
-the scalar double-precision arithmetic (x86 mnemonics).  It reads the
+the scalar double-precision arithmetic (x86 mnemonics); a gather function
+must in addition contain vector gathers (``vgather*``), which its scalar
+fall-back — one lane at a time, plain loads — has none of.  It reads the
 assembly rather than ``-fopt-info-vec-optimized`` because that report was
 seen claiming "loop vectorized" for a lane loop whose emitted copies were
 all scalar (gcc 12, range checks spelled as an ``&&`` chain).
@@ -38,24 +42,32 @@ LANE_FUNCTIONS = (
     "repro_stencil_lanes", "repro_push_lanes", "repro_window_lanes",
     "repro_kvector_lanes",
 )
+#: the field gathers of the fused pass: vector code with vector gathers
+GATHER_FUNCTIONS = ("repro_gather_lanes_f64", "repro_gather_lanes_f32")
 #: the functions whose loops must be vector code
-VECTOR_FUNCTIONS = LANE_FUNCTIONS + ("psatd_update_f64",)
+VECTOR_FUNCTIONS = LANE_FUNCTIONS + GATHER_FUNCTIONS + ("psatd_update_f64",)
 ARITHMETIC = r"^\s+v?(?:add|sub|mul|div|sqrt)(p|s)d\s"
+GATHER = r"^\s+vp?gather\w+\s"
 FUSED = r"^\s+vf(?:n?m(?:add|sub)|maddsub|msubadd)\d*[ps][sd]\s"
 
 
 def arithmetic_per_function(asm: str):
-    """({emitted function name: [packed, scalar]} double-precision op
-    counts, {emitted function name: fused multiply-adds})."""
+    """({emitted function name: [packed, scalar, gathers]} double-precision
+    op and vector-gather counts, {emitted function name: fused
+    multiply-adds})."""
     counts, fused, current = {}, {}, None
     for line in asm.splitlines():
         label = re.match(r"^([A-Za-z_][\w.]*):", line)
         if label:
             current = label[1]
+        if not current:
+            continue
         op = re.match(ARITHMETIC, line)
-        if op and current:
-            counts.setdefault(current, [0, 0])[op[1] == "s"] += 1
-        if current and re.match(FUSED, line):
+        if op:
+            counts.setdefault(current, [0, 0, 0])[op[1] == "s"] += 1
+        if re.match(GATHER, line):
+            counts.setdefault(current, [0, 0, 0])[2] += 1
+        if re.match(FUSED, line):
             fused[current] = fused.get(current, 0) + 1
     return counts, fused
 
@@ -92,12 +104,16 @@ def main() -> int:
             emitted: ops for emitted, ops in counts.items()
             if emitted == name or emitted.startswith(name + ".")
         }
-        best = max(copies.values(), key=lambda ops: ops[0] - ops[1], default=[0, 0])
+        best = max(copies.values(), key=lambda ops: ops[0] - ops[1],
+                   default=[0, 0, 0])
         ok = best[0] > 0 and 2 * best[0] >= best[1]
+        if name in GATHER_FUNCTIONS:
+            ok = ok and best[2] > 0
         if not ok:
             scalar_code.append(name)
         print(f"  {name:22s} {len(copies)} copies, best: {best[0]:4d} packed /"
-              f" {best[1]:3d} scalar  {'vector code' if ok else 'SCALAR CODE'}")
+              f" {best[1]:3d} scalar / {best[2]:3d} gathers"
+              f"  {'vector code' if ok else 'SCALAR CODE'}")
     for name, n in sorted(fused.items()):
         print(f"  {name:22s} {n} fused multiply-adds  FUSED")
     if scalar_code:

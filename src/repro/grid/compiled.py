@@ -879,7 +879,7 @@ def _table(arrays, shape, dtype, what: str, written: bool = True):
             if written:
                 _refuse(what, arr, shape, dtype, written)
             ptrs.append(arr.ctypes.data)
-    return (ctypes.c_void_p * len(ptrs))(*ptrs)
+    return native.c_array(ctypes.c_void_p, ptrs)
 
 
 class TransferPlan:

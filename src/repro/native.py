@@ -188,6 +188,25 @@ def library() -> Union[Tuple[ctypes.CDLL, str], str]:
     return load()
 
 
+@functools.lru_cache(maxsize=None)
+def _array_type(ctype, length: int):
+    return ctype * length
+
+
+def c_array(ctype, values) -> ctypes.Array:
+    """A ctypes array of ``values``, of a ``ctype * len(values)`` type held
+    for the life of the process.
+
+    ctypes keeps its array types through weak references only, and a type
+    sits in a reference cycle: every pass of the cyclic collector frees
+    the ones no live array holds, and building one again costs 20-30 us
+    (0.3 us from the cache).  Argument arrays made from fresh types cost a
+    call ~100 us after each collection — in a decomposed step, the first
+    box's particle pass read 3x the others' for it."""
+    values = tuple(values)
+    return _array_type(ctype, len(values))(*values)
+
+
 def _ptr(arr: np.ndarray) -> int:
     """Address of ``arr``'s first element.  A ctypes view of the buffer
     costs a quarter of ``arr.ctypes`` — per call, a dozen of these are a

@@ -23,8 +23,8 @@ particle part of its source (:func:`c_source`) and the wrappers.
 
 Entry points (each emitted twice over a ``real`` typedef, for float64
 and float32 field storage), all built from the same routines, each
-written once — shape weights, ``gather6``, push, Esirkepov K-vectors and
-scatter:
+written once — shape weights, the field gather, push, Esirkepov
+K-vectors and scatter:
 
 ``advance``
     the fused particle pass, :data:`LANES` particles at a time: the nodal
@@ -32,13 +32,15 @@ scatter:
     components gathered as row sums, the Boris or Vay momentum update,
     the position advance, the Esirkepov deposit on the ``order + 2``
     window *reusing the nodal weights* as the old shape, and the
-    periodic wrap.  What is the same arithmetic for every particle —
-    lattice coordinates and weights, the push, the new shape and its
-    placement in the window (offset 0 or 1: a select), the ``cum`` /
-    ``T`` / ``U`` K-vectors — runs in ``#pragma omp simd`` loops over the
-    lanes of SoA stack tables (the paper's Sec. V.A.1 transposed
-    layout); what addresses the grid — the gather, the scatter, lane by
-    lane in particle order — and the wrap + stores stay per particle.
+    periodic wrap.  The per-particle arithmetic — lattice coordinates
+    and weights, the gather, the push, the new shape and its placement
+    in the window (offset 0 or 1: a select), the ``cum`` / ``T`` / ``U``
+    K-vectors — runs in ``#pragma omp simd`` loops over the lanes of SoA
+    stack tables (the paper's Sec. V.A.1 transposed layout); the gather
+    reads each lane's own samples with hardware gathers, one stencil
+    point of the whole block per loop.  The scatter stays lane by lane
+    in particle order (lanes may hit the same ``J`` cell), and so do the
+    wrap + stores.
     Needs ``c dt < min(dx)`` (every move sub-cell), which
     :func:`repro.particles.advance.advance_particles` checks before it
     calls this slot.  The current may land on a second grid of the gather
@@ -50,14 +52,16 @@ scatter:
     flags it, so a pass without a box pays one pointer test per block.
     A ``switch`` instantiates the block loop with literal ``(ndim,
     order)``; the lane loops are out-of-line functions shared by all of
-    them, and nothing else is specialised.
+    them (the gather one per precision), and nothing else is
+    specialised.
 ``advance_scalar``
     the same pass one lane at a time at run-time ``(ndim, order)``: the
     ``n mod LANES`` tail and every block with a refused lane go through
     it.  Exported so the tests can hold ``advance`` against it, bit for
     bit; not a kernel-set slot.
 ``gather`` / ``deposit_esirkepov``
-    the standalone slots at run-time ``(ndim, order, K)``, for what the
+    the standalone slots at run-time ``(ndim, order, K)``, one particle
+    at a time through the pass's gather and scatter routines, for what the
     fused pass leaves to the composed route on this tier: the
     crossers of an MR patch interior (``Simulation._deposit``, a few
     particles a step), ``c dt >= dx`` (either slot; the gather also with
@@ -88,7 +92,9 @@ reassociation, the pushers term by term as in NumPy — so a lane of a
 vector loop performs the IEEE operations of the scalar loop, on any ISA,
 and ``advance`` is ``array_equal`` to ``advance_scalar`` and to a build
 with the plain flags (``test_blocked_advance_is_the_scalar_loop_bit_for_
-bit``).  The deposit shares its factorisation
+bit``); as both run the one gather routine, ``tests/test_fused_pass_
+golden.py`` holds the pass and the standalone gather to committed sha256
+digests of their outputs as well.  The deposit shares its factorisation
 (``cum`` / ``T`` / ``U`` K-vectors over placed closed-form shapes) with
 ``vectorized``: the standalone ``deposit_esirkepov`` agrees with it to
 8e-16 of max |J| (ndim 1-3 x order 1-3, five seeds), the residue being
@@ -111,7 +117,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro import native
-from repro.native import _ptr
+from repro.native import _ptr, c_array
 from repro.constants import c
 from repro.exceptions import ConfigurationError, SanitizerError
 from repro.grid.yee import FIELD_COMPONENTS, STAGGER, YeeGrid
@@ -539,48 +545,108 @@ REPRO_LANES void repro_kvector_lanes(int ndim, int K, int nl,
 # stencil leaves the array with the offending axis in *bad_axis.  Rows
 # (the last axis) are contiguous: CBackend.call checks it.
 _C_KERNELS = r"""
-/* All six field components at one particle, f = {Ex, Ey, Ez, Bx, By, Bz}:
-   each picks per axis the nodal or the shifted stencil (i0, w: layout of
-   repro_stencil_axis, lane stride st) by its stagger and is summed row by
-   row along the contiguous last axis. */
-REPRO_INLINE void gather6_@SUF@(const @REAL@ *const *fields,
-    const i64 *strides, int ndim, int order, const i64 *i0, const double *w,
-    int st, double *f) {
+/* All six field components at nl particles, f[c * st + l] = {Ex, Ey, Ez,
+   Bx, By, Bz}[c] of lane l: each picks per axis the nodal or the shifted
+   stencil (i0, w: layout of repro_stencil_axis, lane stride st) by its
+   stagger and is summed row by row along the contiguous last axis.  The
+   lanes are the inner loop: per stencil point one `omp simd` loop reads
+   every lane's own sample (a hardware gather), multiplies it by that
+   lane's weight and adds it to that lane's row sum; row, plane and
+   component sums follow in the same order, so each lane performs the
+   IEEE operations of a one-particle loop. */
+REPRO_INLINE void repro_gather_loop_@SUF@(int order,
+    const @REAL@ *const *fields, const i64 *strides, int ndim, int nl,
+    int st, const i64 *restrict i0, const double *restrict w,
+    double *restrict f) {
     const int K = order + 1;
     for (int c = 0; c < 6; ++c) {
         const int *sg = repro_stagger[c];
         const double *w0 = w + 4 * 3 * sg[0] * st,
                      *w1 = w + 4 * (3 * sg[1] + 1) * st,
                      *w2 = w + 4 * (3 * sg[2] + 2) * st;
-        const @REAL@ *first = fields[c] + i0[3 * sg[0] * st] * strides[0];
-        double acc = 0.0;
+        const i64 *b0 = i0 + 3 * sg[0] * st, *b1 = i0 + (3 * sg[1] + 1) * st,
+                  *b2 = i0 + (3 * sg[2] + 2) * st;
+        const @REAL@ *restrict field = fields[c];
+        i64 first[REPRO_RB];
+        double acc[REPRO_RB];
+        for (int l = 0; l < nl; ++l) {
+            first[l] = b0[l] * strides[0];
+            acc[l] = 0.0;
+        }
         if (ndim == 3) {
-            first += i0[(3 * sg[1] + 1) * st] * strides[1]
-                   + i0[(3 * sg[2] + 2) * st];
+            for (int l = 0; l < nl; ++l)
+                first[l] += b1[l] * strides[1] + b2[l];
             for (int i = 0; i < K; ++i) {
-                double plane = 0.0;
+                double plane[REPRO_RB];
+                for (int l = 0; l < nl; ++l) plane[l] = 0.0;
                 for (int j = 0; j < K; ++j) {
-                    const @REAL@ *row = first + i * strides[0] + j * strides[1];
-                    double sum = 0.0;
-                    for (int k = 0; k < K; ++k)
-                        sum += w2[k * st] * (double)row[k];
-                    plane += w1[j * st] * sum;
+                    const i64 row = i * strides[0] + j * strides[1];
+                    double sum[REPRO_RB];
+                    for (int l = 0; l < nl; ++l) sum[l] = 0.0;
+                    for (int k = 0; k < K; ++k) {
+#pragma omp simd
+                        for (int l = 0; l < nl; ++l)
+                            sum[l] += w2[k * st + l]
+                                * (double)field[first[l] + row + k];
+                    }
+#pragma omp simd
+                    for (int l = 0; l < nl; ++l)
+                        plane[l] += w1[j * st + l] * sum[l];
                 }
-                acc += w0[i * st] * plane;
+#pragma omp simd
+                for (int l = 0; l < nl; ++l) acc[l] += w0[i * st + l] * plane[l];
             }
         } else if (ndim == 2) {
-            first += i0[(3 * sg[1] + 1) * st];
+            for (int l = 0; l < nl; ++l) first[l] += b1[l];
             for (int i = 0; i < K; ++i) {
-                const @REAL@ *row = first + i * strides[0];
-                double sum = 0.0;
-                for (int j = 0; j < K; ++j) sum += w1[j * st] * (double)row[j];
-                acc += w0[i * st] * sum;
+                const i64 row = i * strides[0];
+                double sum[REPRO_RB];
+                for (int l = 0; l < nl; ++l) sum[l] = 0.0;
+                for (int j = 0; j < K; ++j) {
+#pragma omp simd
+                    for (int l = 0; l < nl; ++l)
+                        sum[l] += w1[j * st + l]
+                            * (double)field[first[l] + row + j];
+                }
+#pragma omp simd
+                for (int l = 0; l < nl; ++l) acc[l] += w0[i * st + l] * sum[l];
             }
         } else {
-            for (int i = 0; i < K; ++i) acc += w0[i * st] * (double)first[i];
+            for (int i = 0; i < K; ++i) {
+#pragma omp simd
+                for (int l = 0; l < nl; ++l)
+                    acc[l] += w0[i * st + l] * (double)field[first[l] + i];
+            }
         }
-        f[c] = acc;
+        for (int l = 0; l < nl; ++l) f[c * st + l] = acc[l];
     }
+}
+
+/* The gather of the fused pass, of its scalar loop and of the standalone
+   entry: out of line, with the order as a literal, and the lane count too —
+   a full block (nl = st = REPRO_RB) in vector loops, anything else one lane
+   at a time. */
+REPRO_LANES void repro_gather_lanes_@SUF@(int order,
+    const @REAL@ *const *fields, const i64 *strides, int ndim, int nl,
+    int st, const i64 *restrict i0, const double *restrict w,
+    double *restrict f) {
+#define REPRO_GATHER(O, NL, L) repro_gather_loop_@SUF@(O, fields, strides, \
+        ndim, NL, st, i0 + (L), w + (L), f + (L)); break
+    if (nl == REPRO_RB && st == REPRO_RB) {
+        switch (order) {
+        case 1: REPRO_GATHER(1, REPRO_RB, 0);
+        case 2: REPRO_GATHER(2, REPRO_RB, 0);
+        default: REPRO_GATHER(3, REPRO_RB, 0);
+        }
+    } else {
+        for (int l = 0; l < nl; ++l)
+            switch (order) {
+            case 1: REPRO_GATHER(1, 1, l);
+            case 2: REPRO_GATHER(2, 1, l);
+            default: REPRO_GATHER(3, 1, l);
+            }
+    }
+#undef REPRO_GATHER
 }
 
 /* Esirkepov currents of one particle of charge weight qw over its
@@ -658,7 +724,7 @@ REPRO_GENERIC i64 gather_@SUF@(const @REAL@ *const *fields, const i64 *strides,
                 return p;
             }
         repro_stencil_first(b, ndim, 1, 1, i0);
-        gather6_@SUF@(fields, strides, ndim, order, i0, w, 1, f);
+        repro_gather_lanes_@SUF@(order, fields, strides, ndim, 1, 1, i0, w, f);
         for (int j = 0; j < 3; ++j) {
             e_out[3 * p + j] = f[j];
             b_out[3 * p + j] = f[3 + j];
@@ -700,11 +766,11 @@ REPRO_GENERIC i64 deposit_esirkepov_@SUF@(@REAL@ *const *jxyz, const i64 *stride
 }
 
 /* The fused particle pass over nl <= REPRO_RB particles ("lanes"):
-   stencils -> gather6 -> Boris/Vay -> position -> Esirkepov deposit on
-   the order+2 window -> periodic wrap.  The arithmetic that is the same
-   for every particle runs in the lane loops above, over SoA stack tables;
-   what addresses the grid — the gather, the scatter (lane 0 .. nl-1, i.e.
-   particle order) — and the wrap + stores stay one lane at a time.
+   stencils -> gather -> Boris/Vay -> position -> Esirkepov deposit on
+   the order+2 window -> periodic wrap.  The per-particle arithmetic and
+   the gather run in the lane loops above, over SoA stack tables; the
+   scatter (lane 0 .. nl-1, i.e. particle order) and the wrap + stores
+   stay one lane at a time.
    Every range check is a per-lane mask, and *nothing is written* until
    all of them are 1.0: returns -1, or the first axis on which some lane's
    stencil (checked first, all axes) or window leaves the array.  The
@@ -742,12 +808,8 @@ REPRO_INLINE int advance_lanes_@SUF@(const @REAL@ *const *fields,
                                 xl[0], b[0][0], w[0][0][0]) == 0.0)
             return d;
     repro_stencil_first(b[0][0], ndim, RB, nl, i0[0][0]);
-    for (int l = 0; l < nl; ++l) {
-        double fl[6];
-        gather6_@SUF@(fields, strides, ndim, order, &i0[0][0][l],
-                      &w[0][0][0][l], RB, fl);
-        for (int c = 0; c < 6; ++c) f[c][l] = fl[c];
-    }
+    repro_gather_lanes_@SUF@(order, fields, strides, ndim, nl, RB, i0[0][0],
+                             w[0][0][0], f[0]);
     repro_push_lanes(vay, nl, mom, f[0], kq, hq, clight, cdt, un[0], vel[0],
                      step[0]);
 #ifndef REPRO_GATHER_PUSH_ONLY  /* the "gather + push part" bench rows */
@@ -954,14 +1016,14 @@ class CBackend:
         flat = [s for st in strides for s in st + [0] * (3 - ndim)]
         # {lo[3], dx[3], guards}: particle position -> lattice coordinate
         pad = (1.0,) * (3 - ndim)
-        geom = (ctypes.c_double * 7)(
-            *grid.lo, *pad, *grid.dx, *pad, grid.guards
+        geom = c_array(
+            ctypes.c_double, (*grid.lo, *pad, *grid.dx, *pad, grid.guards)
         )
         bad_axis = ctypes.c_int(-1)
-        table = (ctypes.c_void_p * len(arrays))(*map(_ptr, arrays))
         p = self._fn[kernel, sample.dtype.itemsize](
-            table, (ctypes.c_int64 * len(flat))(*flat),
-            (ctypes.c_int64 * ndim)(*sample.shape), geom,
+            c_array(ctypes.c_void_p, map(_ptr, arrays)),
+            c_array(ctypes.c_int64, flat),
+            c_array(ctypes.c_int64, sample.shape), geom,
             ndim, order, n, *args, ctypes.byref(bad_axis),
         )
         if p >= 0:

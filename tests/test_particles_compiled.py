@@ -479,3 +479,21 @@ def test_dispatch_counters_label_actual_variant():
     assert snap["kernel.dispatch{phase=advance,variant=vectorized}"] == 3.0
     assert not any("phase=gather" in key or "phase=deposit" in key
                    for key in snap)
+
+
+def test_argument_arrays_keep_their_ctypes_type_across_collections():
+    """ctypes holds its array types weakly and a type is freed by the
+    cyclic collector; rebuilding one cost a native call ~100 us after each
+    collection.  ``c_array`` keeps the types alive: the same type object
+    before and after a full collection."""
+    import ctypes
+    import gc
+    import weakref
+
+    first = native.c_array(ctypes.c_int64, (1, 2, 3))
+    kind = weakref.ref(type(first))
+    del first
+    gc.collect()
+    again = native.c_array(ctypes.c_int64, [4, 5, 6])
+    assert kind() is type(again) and list(again) == [4, 5, 6]
+    assert native.c_array(ctypes.c_double, iter((0.5,)))[0] == 0.5

@@ -131,3 +131,45 @@ def test_select_inherits_id_counter():
     new_ids = sub.add_particles([[2.0]])
     assert new_ids[0] == 2
     assert len(set(sub.ids)) == sub.n
+
+
+def _arrays(sp):
+    return [sp.positions, sp.momenta, sp.weights, sp.ids]
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_select_and_remove_compact_like_boolean_indexing(ndim):
+    """``select`` / ``remove`` compact through an index array and ``take``;
+    the result is byte for byte what boolean-mask indexing gives — values,
+    dtype, shape, C order — for a mask, an index array and an empty
+    selection, and the id counter is unchanged."""
+    rng = np.random.default_rng(ndim)
+    s = Species("e", ndim=ndim)
+    s.add_particles(rng.random((37, ndim)), momenta=rng.normal(size=(37, 3)),
+                    weights=rng.random(37))
+    s.remove(np.arange(37) % 5 == 0)  # ids with holes, counter at 37
+    mask = rng.random(s.n) < 0.4
+    index = np.flatnonzero(mask)[::-1]
+    for selector, want in (
+        (mask, [a[mask] for a in _arrays(s)]),
+        (index, [a[index] for a in _arrays(s)]),
+        (np.zeros(s.n, dtype=bool), [a[:0] for a in _arrays(s)]),
+        (np.array([], dtype=np.int64), [a[:0] for a in _arrays(s)]),
+        ([], [a[:0] for a in _arrays(s)]),
+    ):
+        sub = s.select(selector)
+        assert sub._next_id == s._next_id == 37
+        for got, ref in zip(_arrays(sub), want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.flags.c_contiguous and got.tobytes() == ref.tobytes()
+    for removing in (mask, np.zeros(s.n, dtype=bool), np.ones(s.n, dtype=bool)):
+        kept = s.copy()
+        want_kept = [a[~removing] for a in _arrays(s)]
+        want_gone = [a[removing] for a in _arrays(s)]
+        gone = kept.remove(removing)
+        assert kept._next_id == gone._next_id == 37
+        for got, ref in zip(_arrays(kept) + _arrays(gone), want_kept + want_gone):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+    with pytest.raises(ConfigurationError, match="mask of shape"):
+        s.select(np.ones(s.n + 1, dtype=bool))

@@ -67,6 +67,7 @@ from tests.conftest import (
     assert_runs_equal,
     make_langmuir_build,
     make_skewed_lb_build,
+    migrated_boxes_carry_fields,
 )
 
 STEPS = 10
@@ -104,6 +105,7 @@ def test_dynamic_lb_golden_bit_identical():
     build = make_skewed_lb_build()
     want = run_distributed_local(build, 6)
     assert any(m > 0 for m in want.lb_events)
+    assert migrated_boxes_carry_fields(build, want)
     got = run_distributed_mp(build, 6, PARITY_RANKS)
     assert_runs_equal(got, want)
 
