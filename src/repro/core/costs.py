@@ -25,22 +25,13 @@ class CostModel:
         uses 0.1 / 0.9).
     smoothing:
         Exponential-moving-average factor applied to measured samples.
-    warmup:
-        Samples per box dropped before the first one seeds its EMA.  A
-        process's first pass over a box pays one-time work — the first
-        calls into the native library, caches filled — that says nothing
-        about the box's cost, and with ``smoothing = 0.5`` it would weigh
-        in the EMA for several balancing intervals.
     """
 
-    def __init__(self, alpha: float = 0.1, beta: float = 0.9,
-                 smoothing: float = 0.5, warmup: int = 0) -> None:
+    def __init__(self, alpha: float = 0.1, beta: float = 0.9, smoothing: float = 0.5) -> None:
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.smoothing = float(smoothing)
-        self.warmup = int(warmup)
         self._measured: Dict[int, float] = {}
-        self._dropped: Dict[int, int] = {}
 
     def heuristic(self, n_cells: Sequence[int], n_particles: Sequence[int]) -> np.ndarray:
         """Cost per box from cell and particle counts."""
@@ -49,14 +40,9 @@ class CostModel:
         return self.alpha * cells + self.beta * particles
 
     def record_measured(self, box_id: int, seconds: float) -> None:
-        """Fold one measured runtime sample into the EMA for ``box_id``
-        (past the box's ``warmup`` samples)."""
+        """Fold one measured runtime sample into the EMA for ``box_id``."""
         prev = self._measured.get(box_id)
         if prev is None:
-            dropped = self._dropped.get(box_id, 0)
-            if dropped < self.warmup:
-                self._dropped[box_id] = dropped + 1
-                return
             self._measured[box_id] = float(seconds)
         else:
             s = self.smoothing

@@ -13,6 +13,7 @@ mode; :class:`~repro.observability.report.RunReport` renders the table.
 
 from __future__ import annotations
 
+import gc
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List
@@ -67,13 +68,24 @@ class Timers:
         returned (via the yielded :class:`Stopwatch`) so callers that feed
         measurements onward — e.g. the load balancer's per-box cost
         model — never touch the clock directly.
+
+        The cyclic garbage collector is paused while the block runs (as
+        :mod:`timeit` does): a collection is the process's work, not the
+        block's.  A full collection of a test process takes ~15 ms, 250x
+        a small box's particle pass, and one that lands in a box's
+        measurement would misinform the balancer for several intervals.
+        The collector is resumed on exit, if it was running.
         """
         sw = Stopwatch()
+        collecting = gc.isenabled()
+        gc.disable()
         start = time.perf_counter()
         try:
             yield sw
         finally:
             sw.elapsed = time.perf_counter() - start
+            if collecting:
+                gc.enable()
 
     def lap(self) -> float:
         """Close the current per-step lap and append it to the history."""

@@ -273,7 +273,7 @@ class DistributedSimulation(StepDriver):
                 f"got {lb_cost_source!r}"
             )
         self.lb_cost_source = lb_cost_source
-        self.cost_model = CostModel(warmup=1)
+        self.cost_model = CostModel()
         self.lb_events: List[int] = []
         #: ranks lost to a hard failure (their boxes were evacuated)
         self.dead_ranks: Set[int] = set()

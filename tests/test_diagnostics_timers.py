@@ -1,6 +1,7 @@
 """Unit coverage for the timer substrate: accumulation, stopwatches,
 per-step lap history, and the phase table the run report renders."""
 
+import gc
 import re
 import time
 
@@ -35,6 +36,28 @@ def test_stopwatch_fills_elapsed():
     assert sw.elapsed > 0.0
     # a stopwatch hands its duration over and accumulates nothing
     assert t.totals == {}
+
+
+def test_stopwatch_pauses_the_collector():
+    """A collection inside a stopwatch would be booked to the timed block
+    (a box's measured cost): the collector is off inside and back in its
+    previous state after, an exception included."""
+    t = Timers()
+    assert gc.isenabled()
+    with t.stopwatch():
+        assert not gc.isenabled()
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError):
+        with t.stopwatch():
+            raise RuntimeError
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        with t.stopwatch():
+            pass
+        assert not gc.isenabled()  # a caller's pause is left alone
+    finally:
+        gc.enable()
 
 
 def test_lap_builds_step_history():

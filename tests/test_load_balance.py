@@ -140,27 +140,6 @@ def test_cost_model_measured_ema():
     assert cm.measured([1], default=7.0)[0] == 7.0
 
 
-def test_cost_model_warmup_keeps_a_cold_first_sample_out():
-    """A box's first pass in a process pays one-time work (500 us against
-    60 us): with ``warmup=1`` that sample never reaches the EMA, which is
-    seeded by the second and smoothed from there; the other boxes and
-    the defaults are untouched, and a restored EMA (a checkpoint sets
-    ``_measured``) is smoothed on, not warmed up again."""
-    cm = CostModel(smoothing=0.5, warmup=1)
-    cm.record_measured(0, 5e-4)
-    assert cm.measured([0], default=-1.0)[0] == -1.0
-    cm.record_measured(0, 6e-5)
-    cm.record_measured(0, 8e-5)
-    assert cm.measured([0])[0] == pytest.approx(7e-5)
-    cm.record_measured(1, 1.0)
-    cm.record_measured(1, 3.0)
-    assert list(cm.measured([0, 1, 2], default=0.0)) == pytest.approx([7e-5, 3.0, 0.0])
-    restored = CostModel(smoothing=0.5, warmup=1)
-    restored._measured = {0: 2.0}
-    restored.record_measured(0, 4.0)
-    assert restored.measured([0])[0] == pytest.approx(3.0)
-
-
 # -- dead-rank exclusion and accounting regressions --------------------------
 
 

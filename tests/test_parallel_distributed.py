@@ -2,6 +2,8 @@
 reproduces the monolithic run to machine precision, particles migrate
 between boxes correctly, and communication/LB accounting is populated."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,34 @@ def test_dynamic_lb_triggers_on_imbalance():
     assert len(dist.lb_events) >= 1
     costs = dist.cost_model.measured(range(len(dist.boxes)))
     assert dist.dm.imbalance(costs) < 2.0
+
+
+def test_box_costs_are_timed_without_the_collector(monkeypatch):
+    """Regression: a full cyclic collection (~15 ms in a test process)
+    landed in one box's measured cost about one run in seven, and the
+    balancer chasing it left ``imbalance`` at 3.75 in the test above.
+    Every box's particle pass runs with the collector paused, and the
+    collector runs again after the step."""
+    import repro.parallel.distributed as distributed
+
+    seen = []
+    real = distributed.advance_particles
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(distributed, "advance_particles", spy)
+    n0 = 1e24
+    length = plasma_wavelength(n0)
+    dist = DistributedSimulation(
+        (16, 16), (0.0, 0.0), (length, length), n_ranks=2, max_grid_size=8,
+        dynamic_lb=True, lb_interval=1,
+    )
+    dist.add_species(Species("e", ndim=2), profile=UniformProfile(n0), ppc=1)
+    dist.step(2)
+    assert len(seen) == 2 * len(dist.boxes) and not any(seen)
+    assert gc.isenabled()
 
 
 # -- halo accounting, dead-rank LB, and migration payload regressions --------
