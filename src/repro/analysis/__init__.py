@@ -13,15 +13,10 @@ This subpackage machine-checks the same contracts for the reproduction:
     no raw ``send``/``recv``/``begin_phase``/``end_phase`` on a
     communicator outside ``SimComm`` — PIC008).
 ``repro.analysis.dataflow``
-    The constant resolution behind the value-tracking rules: expression
-    folding, module constant environments, and the same one-binding rule
-    inside function bodies (a name bound once to a foldable value is
-    that value; anything else is not a constant).
-``repro.analysis.commstatic``
-    A static verifier of the ``comm.exchange`` sites of the sources:
-    unresolvable tags (COMM006 warnings) and cross-phase tag collisions
-    (COMM007).  Writes into the buffers of an open phase are caught at
-    run time instead: ``exchange`` makes them read-only.
+    The constant resolution behind the value-tracking rule PIC002:
+    expression folding, module constant environments, and the same
+    one-binding rule inside function bodies (a name bound once to a
+    foldable value is that value; anything else is not a constant).
 ``repro.analysis.commcheck``
     A post-hoc protocol checker over :class:`~repro.parallel.comm.SimComm`'s
     event log: unreceived messages, tag mismatches, self-sends,
@@ -33,9 +28,13 @@ This subpackage machine-checks the same contracts for the reproduction:
     the PIC step: non-finite fields, out-of-domain particles, guard-cell
     consistency.
 
+The exchange phases need no static pass: ``SimComm.exchange`` itself
+refuses a tag outside :data:`~repro.parallel.comm.PHASE_TAGS` or one
+whose phase is open already, and makes the phase's buffers read-only.
+
 Importing the package loads none of them: import the submodule you
-need (the step drivers import only ``sanitize``).  Run the static
-passes from the command line::
+need (the step drivers import only ``sanitize``).  Run the lint pass
+from the command line::
 
     python -m repro.analysis src/repro
 """

@@ -1,9 +1,8 @@
 """Command-line driver: ``python -m repro.analysis [paths...]``.
 
-Runs the registered lint rules *and* the static ``comm.exchange``
-verifier (:mod:`repro.analysis.commstatic`) over the given
-files/directories (default: ``src/repro``, falling back to the
-installed package location) and reports findings as
+Runs the registered lint rules over the given files/directories
+(default: ``src/repro``, falling back to the installed package
+location) and reports findings as
 ``path:line: [severity] RULE-ID message`` — or as one JSON object with
 ``--format json`` so CI can annotate PRs.  Recorded SimComm event logs
 (see :mod:`repro.observability.commlog`) can be replayed through the
@@ -23,7 +22,6 @@ import os
 import sys
 from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.commstatic import STATIC_RULES, check_schedule
 from repro.analysis.findings import Finding, Severity, sort_findings
 from repro.analysis.linter import lint_paths, registered_rules
 from repro.exceptions import AnalysisError
@@ -88,15 +86,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: runtime/replay rules that live outside the static passes: the
-#: commcheck protocol + happens-before replay (COMM/RES; COMM007, checked
-#: by both, is listed with the static rules) and the step sanitizers (SAN)
+#: runtime/replay rules that live outside the lint registry: the
+#: commcheck protocol + happens-before replay (COMM/RES) and the step
+#: sanitizers (SAN)
 RUNTIME_RULES = (
     ("COMM001", "unreceived messages (send without a matching recv)"),
     ("COMM002", "tag mismatch on a failed recv"),
     ("COMM003", "self-send (src == dst)"),
     ("COMM004", "collective-count divergence across ranks"),
     ("COMM005", "barrier-count divergence across ranks"),
+    ("COMM007", "phase begins while same-tag messages are in flight"),
     ("COMM009", "ordered fold applied out of canonical order"),
     ("COMM010", "apply raced in-flight messages of its own phase"),
     ("RES001", "injected message fault without a matching recovery"),
@@ -113,8 +112,6 @@ def _print_rules(stream) -> None:
     for rule in registered_rules():
         print(f"{rule.rule_id}  [{rule.severity}]  {rule.description}",
               file=stream)
-    for rule_id, kind, description in STATIC_RULES:
-        print(f"{rule_id}  [{kind}]  {description}", file=stream)
     for rule_id, description in RUNTIME_RULES:
         kind = "replay" if rule_id[:3] in ("COM", "RES") else "runtime"
         print(f"{rule_id}  [{kind}]  {description}", file=stream)
@@ -127,8 +124,8 @@ def _partition_select(
 
     Returns ``(lint_select, keep_ids)``: ``lint_select`` is passed to
     the lint registry (None = all; empty list = skip linting); the
-    ``keep_ids`` set filters commstatic/replay findings (None = keep
-    all).  Unknown ids raise :class:`AnalysisError`.
+    ``keep_ids`` set filters replay findings (None = keep all).  Unknown
+    ids raise :class:`AnalysisError`.
     """
     if not select:
         return None, None
@@ -139,11 +136,7 @@ def _partition_select(
         if rule_id.strip()
     ]
     lint_ids = {rule.rule_id for rule in registered_rules()}
-    known = (
-        lint_ids
-        | {rule_id for rule_id, _, _ in STATIC_RULES}
-        | {rule_id for rule_id, _ in RUNTIME_RULES}
-    )
+    known = lint_ids | {rule_id for rule_id, _ in RUNTIME_RULES}
     unknown = sorted(set(select) - known)
     if unknown:
         raise AnalysisError(f"unknown rule id(s) in --select: {unknown}")
@@ -262,7 +255,6 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
         findings: List[Finding] = []
         if lint_select is None or lint_select:
             findings += lint_paths(paths, select=lint_select)
-        findings += check_schedule(paths)
         if args.comm_log:
             findings += _replay_logs(args.comm_log)
         if keep_ids is not None:

@@ -1,18 +1,14 @@
 """Constant resolution for the value-tracking rules: one binding, one value.
 
 The AST lint rules started as pure pattern matchers; this module lets
-them (and the static communication-schedule verifier,
-:mod:`repro.analysis.commstatic`) read a name as the constant it
-denotes:
+PIC002 read a name as the constant it denotes, so a ``dtype=`` that is
+``None`` in disguise is caught:
 
-* **expression folding** (:func:`fold_expr`) — literals, tuples, unary
-  and binary arithmetic, string concatenation and ``%`` formatting, and
-  f-strings of constants, so ``tag = PREFIX + ":fold"`` folds to the
-  string a ``comm.exchange`` receives;
+* **expression folding** (:func:`fold_expr`) — literals, tuples, and
+  unary and binary arithmetic on numbers;
 * **module constant environment** (:func:`build_module_env`) —
-  module-level names assigned exactly once to a foldable expression
-  (and numpy import aliases), which is how default parameter values
-  like ``tag=HALO_TAG_PREFIX + ":fold"`` fold to concrete tags;
+  module-level names assigned exactly once to a foldable expression,
+  and the module's numpy import aliases (PIC007 reads those too);
 * **function bodies** (:class:`FunctionAnalysis`) — the same rule inside
   a function: a local bound exactly once to a foldable expression is
   that value, and a parameter the body never binds is its folded
@@ -21,15 +17,15 @@ denotes:
 There is no control-flow graph: a name bound twice, by a loop, a
 ``with``, a walrus, ``del``, ``global`` / ``nonlocal``, an import or a
 nested ``def``, is :data:`NONCONST` everywhere in the body.  Every
-approximation errs that way, so a less precise answer is a COMM006
-warning or a missing PIC002 finding, never a wrong constant.
+approximation errs that way, so a less precise answer is a missing
+PIC002 finding, never a wrong constant.
 """
 
 from __future__ import annotations
 
 import ast
 from collections import Counter
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 
 class _NonConst:
@@ -99,18 +95,6 @@ def _fold(node: ast.AST, lookup: Callable[[str], Any]) -> Any:
         left = _fold(node.left, lookup)
         right = _fold(node.right, lookup)
         return _fold_binop(node.op, left, right)
-    if isinstance(node, ast.JoinedStr):
-        parts: List[str] = []
-        for piece in node.values:
-            if isinstance(piece, ast.Constant):
-                parts.append(str(piece.value))
-            elif isinstance(piece, ast.FormattedValue):
-                if piece.format_spec is not None or piece.conversion not in (-1, 115):
-                    raise _FoldFailure
-                parts.append(str(_fold(piece.value, lookup)))
-            else:
-                raise _FoldFailure
-        return "".join(parts)
     raise _FoldFailure
 
 
@@ -122,19 +106,11 @@ def _require_scalar(value: Any) -> None:
 def _fold_binop(op: ast.operator, left: Any, right: Any) -> Any:
     _require_scalar(left)
     _require_scalar(right)
-    str_like = isinstance(left, (str, bytes))
-    if isinstance(op, ast.Add):
-        if str_like != isinstance(right, (str, bytes)):
-            raise _FoldFailure
-        return left + right
-    if isinstance(op, ast.Mod) and str_like:
-        try:
-            return left % right
-        except (TypeError, ValueError, KeyError):
-            raise _FoldFailure from None
-    if str_like or isinstance(right, (str, bytes)):
+    if isinstance(left, (str, bytes)) or isinstance(right, (str, bytes)):
         raise _FoldFailure
     try:
+        if isinstance(op, ast.Add):
+            return left + right
         if isinstance(op, ast.Sub):
             return left - right
         if isinstance(op, ast.Mult):
@@ -151,7 +127,7 @@ def _fold_binop(op: ast.operator, left: Any, right: Any) -> Any:
 # -- module environment ------------------------------------------------------
 
 class ModuleEnv:
-    """Module-level constants, numpy aliases and ``from``-imports.
+    """Module-level constants and numpy aliases.
 
     ``constants`` keeps only names assigned exactly once at module level
     to an expression that folds; a reassignment evicts the name (the
@@ -161,8 +137,6 @@ class ModuleEnv:
     def __init__(self) -> None:
         self.constants: Dict[str, Any] = {}
         self.numpy_aliases: Set[str] = set(DEFAULT_NUMPY_ALIASES)
-        #: (module, name, local alias) triples of ``from m import n [as a]``
-        self.imports_from: List[Tuple[str, str, str]] = []
 
     def lookup(self, name: str) -> Any:
         return self.constants[name]
@@ -177,13 +151,6 @@ def build_module_env(tree: ast.Module) -> ModuleEnv:
             for alias in node.names:
                 if alias.name == "numpy":
                     env.numpy_aliases.add(alias.asname or "numpy")
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and not node.level:
-                for alias in node.names:
-                    if alias.name != "*":
-                        env.imports_from.append(
-                            (node.module, alias.name, alias.asname or alias.name)
-                        )
         elif isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
             if not isinstance(target, ast.Name):
@@ -251,8 +218,7 @@ class FunctionAnalysis:
     A local bound exactly once — a name, or an element of a tuple
     target, of an assignment whose value folds — is that value; a
     parameter the body never binds is its default folded against the
-    module (call-site values are layered on by
-    :mod:`repro.analysis.commstatic`).  Every other name the body binds
+    module.  Every other name the body binds
     is :data:`NONCONST`, and so is every name of ``enclosing`` (those
     an enclosing function binds); the rest resolve in the module.
     """
@@ -283,16 +249,12 @@ class FunctionAnalysis:
                         assigned[name] = (node.value, path)
         #: every name this body or an enclosing function binds
         self.bound: FrozenSet[str] = frozenset(counts) | enclosing
-        #: the named parameters the body never binds
-        self.params: FrozenSet[str] = frozenset(
-            a.arg for a in named if counts[a.arg] == 1
-        )
         self._assigned = {n: a for n, a in assigned.items() if counts[n] == 1}
         self._values: Dict[str, Any] = {
             name: NONCONST for name in self.bound if name not in self._assigned
         }
         for arg, default in zip(named, defaults):
-            if arg.arg in self.params and default is not None:
+            if counts[arg.arg] == 1 and default is not None:
                 ok, value = fold_expr(default, env.lookup)
                 self._values[arg.arg] = value if ok else NONCONST
 

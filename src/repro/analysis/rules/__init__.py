@@ -18,11 +18,6 @@ PIC007  kernel-phase modules must not hard-code ``float64`` dtypes
 PIC008  no raw ``send``/``recv``/``begin_phase``/``end_phase`` on a
         communicator: every phase is one ``comm.exchange``
 ======  ==================================================================
-
-The static schedule rules (COMM006, COMM007) live in
-:mod:`repro.analysis.commstatic`, not in this registry: they operate on
-a cross-module workspace of ``comm.exchange`` sites rather than one
-file at a time.
 """
 
 from repro.analysis.rules import dtype

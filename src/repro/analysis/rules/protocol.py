@@ -1,12 +1,12 @@
 """PIC008: the raw message primitives stay inside ``SimComm``.
 
 Every exchange phase is one ``comm.exchange(tag, pairs, outgoing)``:
-it declares what it posts, sends before it receives and closes the
-phase after its ``with`` body, and the static schedule verifier
-(:mod:`repro.analysis.commstatic`) models exactly those sites.  A raw
-``send`` / ``recv`` / ``begin_phase`` / ``end_phase`` on a
-communicator-named receiver would be a message the verifier cannot see,
-so it is an error anywhere in the scanned tree.  ``SimComm`` itself
+it declares what it posts, sends before it receives, closes the phase
+after its ``with`` body and refuses a tag that is not in
+:data:`~repro.parallel.comm.PHASE_TAGS` or whose phase is open already.
+A raw ``send`` / ``recv`` / ``begin_phase`` / ``end_phase`` on a
+communicator-named receiver would skip those checks, so it is an error
+anywhere in the scanned tree.  ``SimComm`` itself
 calls them on ``self``, which no communicator name matches; the methods
 stay public for tests and the benchmark's ping-pong probe.
 """
@@ -44,5 +44,5 @@ class RawProtocolRule(LintRule):
                     node,
                     f"raw {node.func.attr}() on a communicator; run the "
                     "phase through comm.exchange(tag, pairs, outgoing) so "
-                    "the schedule verifier sees it",
+                    "its tag is checked",
                 )

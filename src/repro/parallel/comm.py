@@ -50,6 +50,16 @@ RECOVERY_EVENT_KINDS = (
     "recover_restore",
 )
 
+#: the tag of each exchange phase of a decomposed step — the only tags
+#: :meth:`SimComm.exchange` accepts, and the only ones a fault can name
+PHASE_TAGS = {
+    "fold": "halo:fold",  # guard-cell J/rho summed into their owners
+    "sources": "halo:sources",  # owners' J copied into the tiles' guards
+    "fields": "halo:fields",  # guard E/B filled from their owners
+    "particles": "particles",  # particles that left their box, per species
+    "migrate": "lb:migrate",  # box state moved by a rebalance
+}
+
 #: schedule-structure events emitted by the exchange phases themselves
 #: (``begin_phase``/``end_phase``/``record_apply``); replayed by the
 #: happens-before checker in :mod:`repro.analysis.commcheck`
@@ -134,7 +144,7 @@ class SimComm:
         self.local_rank = self.transport.local_rank
         # the local landing store: the loopback wire itself, or the
         # drained inbox of a multi-process endpoint; every entry is
-        # (message, msg_id, checksum)
+        # (message, seq, checksum), seq numbering its channel's sends
         self._queues: Dict[Tuple[int, int, str], List[Any]] = (
             self.transport.queues
         )
@@ -152,18 +162,21 @@ class SimComm:
         self.fault_injector = None
         #: duck-typed recovery policy: .max_retries, .note_retry(), ...
         self.recovery = None
-        self._msg_id = 0
-        # sender-side retransmission buffer: (msg_id, original message) of
+        # each channel delivers in send order: the number of the next
+        # message to send, and to deliver, per (src, dst, tag)
+        self._send_seq: Dict[Tuple[int, int, str], int] = defaultdict(int)
+        self._recv_seq: Dict[Tuple[int, int, str], int] = defaultdict(int)
+        #: tags of the exchange phases open on this endpoint
+        self._open_phases: set = set()
+        # sender-side retransmission buffer: (seq, original message) of
         # dropped/corrupted messages, keyed like the queues
         self._lost: Dict[Tuple[int, int, str], List[Tuple[int, Message]]] = (
             defaultdict(list)
         )
-        # in-flight delayed messages: [countdown, msg_id, message]
+        # in-flight delayed messages: [countdown, seq, message]
         self._delayed: Dict[Tuple[int, int, str], List[List[Any]]] = (
             defaultdict(list)
         )
-        # receiver-side sequence filter (delivered msg ids per queue key)
-        self._delivered: Dict[Tuple[int, int, str], set] = defaultdict(set)
 
     def _check_rank(self, rank: int, role: str, op: str) -> None:
         if not (0 <= rank < self.n_ranks):
@@ -181,16 +194,11 @@ class SimComm:
         )
         self._seq += 1
 
-    def _next_msg_id(self) -> int:
-        msg_id = self._msg_id
-        self._msg_id += 1
-        return msg_id
-
     def _enqueue(
         self,
         key: Tuple[int, int, str],
         msg: Message,
-        msg_id: int,
+        seq: int,
         checksum: Optional[int],
         event: str = "send",
     ) -> None:
@@ -201,13 +209,15 @@ class SimComm:
         if event != "send":
             self._record(event, src, dst, tag, msg.nbytes)
         self._record("send", src, dst, tag, msg.nbytes)
-        self.transport.deliver(key, (msg, msg_id, checksum))
+        self.transport.deliver(key, (msg, seq, checksum))
 
     def send(self, src: int, dst: int, payload: Any, tag: str = "") -> None:
         """Enqueue ``payload`` from ``src`` to ``dst`` and account its size.
 
         ``payload`` is a :class:`~repro.parallel.wire.Message` or one bare
-        ndarray; anything else raises :class:`CommunicationError`.
+        ndarray; anything else raises :class:`CommunicationError`.  It
+        travels numbered: the n-th send of a ``(src, dst, tag)`` channel
+        is delivered n-th, whatever order the wire brings it in.
 
         When a fault injector is attached (:meth:`attach_resilience`) the
         message may instead be dropped, duplicated, corrupted in transit
@@ -221,7 +231,8 @@ class SimComm:
         self.messages_sent[src] += 1
         self.pair_bytes[(src, dst)] += msg.nbytes
         key = (src, dst, tag)
-        msg_id = self._next_msg_id()
+        seq = self._send_seq[key]
+        self._send_seq[key] = seq + 1
         kind = extra = checksum = None
         # remote endpoints always checksum: the wire is a real process
         # boundary there, so integrity must not depend on fault injection
@@ -235,40 +246,42 @@ class SimComm:
             # lost on the wire; original kept in the sender-side
             # retransmission buffer for a recovery retry
             self._record("fault_drop", src, dst, tag, msg.nbytes)
-            self._lost[key].append((msg_id, msg))
+            self._lost[key].append((seq, msg))
         elif kind == "delay":
             self._record("fault_delay", src, dst, tag, msg.nbytes)
-            self._delayed[key].append([int(extra), msg_id, msg])
+            self._delayed[key].append([int(extra), seq, msg])
         elif kind == "corrupt":
             # checksum of the *original* travels with the mangled copy
             # (the sender computed it before the bit flip)
-            self._enqueue(key, extra, msg_id, checksum)
+            self._enqueue(key, extra, seq, checksum)
             self._record("fault_corrupt", src, dst, tag, msg.nbytes)
-            self._lost[key].append((msg_id, msg))
+            self._lost[key].append((seq, msg))
         elif kind == "duplicate":
-            self._enqueue(key, msg, msg_id, checksum)
+            self._enqueue(key, msg, seq, checksum)
             self._record("fault_duplicate", src, dst, tag, msg.nbytes)
-            self.transport.deliver(key, (msg, msg_id, checksum))
+            self.transport.deliver(key, (msg, seq, checksum))
         elif kind is None:
-            self._enqueue(key, msg, msg_id, checksum)
+            self._enqueue(key, msg, seq, checksum)
         else:
             raise CommunicationError(
                 f"fault injector returned unknown action {kind!r}"
             )
 
     def recv(self, src: int, dst: int, tag: str = "") -> Any:
-        """Dequeue the oldest matching message.
+        """Dequeue the channel's next message in send order.
 
         Returns what was sent: the :class:`~repro.parallel.wire.Message`,
         or the ndarray of a bare-array send.
 
         Under an attached fault injector this is the resilient receive:
-        duplicate copies are filtered by message id, corrupted payloads
-        are detected by checksum and retransmitted from the sender-side
-        buffer, and dropped/delayed messages are recovered by the retry
-        loop of the attached policy.  A fault that cannot be recovered
-        raises :class:`~repro.exceptions.ResilienceError` — never a
-        silent wrong payload.
+        a copy numbered below the channel's next message is a duplicate
+        and is discarded, corrupted payloads are detected by checksum and
+        retransmitted from the sender-side buffer under their number,
+        and a gap (the next message dropped or delayed while later ones
+        arrived) waits for the retry loop of the attached policy.  A
+        fault that cannot be recovered raises
+        :class:`~repro.exceptions.ResilienceError` — never a silent wrong
+        payload.
         """
         self._check_rank(src, "src", "recv")
         self._check_rank(dst, "dst", "recv")
@@ -280,7 +293,8 @@ class SimComm:
             if not self.transport.wait(key):
                 self._raise_no_message(src, dst, tag)
             self.transport.drain()
-        msg, _msg_id, checksum = self._queues[key].pop(0)
+        msg, seq, checksum = self._queues[key].pop(0)
+        self._recv_seq[key] = seq + 1
         self._record("recv", src, dst, tag, msg.nbytes)
         if checksum is not None and msg.crc != checksum:
             raise ResilienceError(
@@ -319,16 +333,29 @@ class SimComm:
         )
 
     def _is_duplicate(
-        self, key: Tuple[int, int, str], msg: Message, msg_id: int
+        self, key: Tuple[int, int, str], msg: Message, seq: int
     ) -> bool:
         """The receiver-side sequence filter: a copy of an already
         delivered message is discarded (and logged as ``recover_dedup``)."""
-        if msg_id not in self._delivered[key]:
+        if seq >= self._recv_seq[key]:
             return False
         self._record("recover_dedup", key[0], key[1], key[2], msg.nbytes)
         if self.recovery is not None:
             self.recovery.note_dedup()
         return True
+
+    def _next_entry(self, key: Tuple[int, int, str]) -> Optional[Tuple]:
+        """Pop ``key``'s entry numbered next in send order (None: it has
+        not arrived; later ones stay queued), discarding duplicates."""
+        queue = self._queues.get(key)
+        if not queue:
+            return None
+        queue[:] = [e for e in queue if not self._is_duplicate(key, e[0], e[1])]
+        seq = self._recv_seq[key]
+        for i, entry in enumerate(queue):
+            if entry[1] == seq:
+                return queue.pop(i)
+        return None
 
     def _recv_resilient(self, key: Tuple[int, int, str]) -> Message:
         """The receive loop of the resilient transport (injector attached)."""
@@ -338,14 +365,12 @@ class SimComm:
         attempts = 0
         while True:
             self.transport.drain()
-            queue = self._queues.get(key)
-            while queue:
-                msg, msg_id, checksum = queue.pop(0)
-                if self._is_duplicate(key, msg, msg_id):
-                    continue
+            entry = self._next_entry(key)
+            while entry is not None:
+                msg, seq, checksum = entry
                 self._record("recv", src, dst, tag, msg.nbytes)
                 if checksum is None or msg.crc == checksum:
-                    self._delivered[key].add(msg_id)
+                    self._recv_seq[key] = seq + 1
                     return msg
                 # corrupted in transit.  On a blocking transport the
                 # original lives in the *sender's* process: NACK it and
@@ -355,17 +380,17 @@ class SimComm:
                 if policy is None:
                     resent = False
                 elif self.transport.blocking:
-                    self.transport.request_retransmit(key, msg_id)
+                    self.transport.request_retransmit(key, seq)
                     resent = True
                 else:
-                    resent = self.service_nack(key, msg_id, attempts)
+                    resent = self.service_nack(key, seq, attempts)
                 if not resent:
                     raise ResilienceError(
                         "corrupted message detected "
                         f"({_msg_context('recv', src, dst, tag)}) and no "
                         "recovery policy is attached to retransmit it"
                     )
-                queue = self._queues.get(key)
+                entry = self._next_entry(key)
             # nothing deliverable: service delayed messages (one backoff
             # tick per attempt) and retransmit anything known lost
             if self.service_probe(key, attempts, strict=True):
@@ -392,25 +417,23 @@ class SimComm:
     # -- retransmission servicing (receiver-side on loopback, sender-side
     # -- for the probe/NACK control messages of a blocking transport) ------
     def service_nack(
-        self, key: Tuple[int, int, str], msg_id: int, attempt: int = 0
+        self, key: Tuple[int, int, str], seq: int, attempt: int = 0
     ) -> bool:
         """Retransmit the buffered original of a corrupted message.
 
-        A receiver detected a checksum mismatch on ``msg_id``; the
-        original sits in the sender's retransmission buffer.  It goes
-        out again under a new message id with its own checksum, and the
-        ``recover_retry`` is recorded on the *sender's* log (where the
-        ``fault_corrupt`` it pairs with also lives).  False when the
-        buffer no longer holds that message.
+        A receiver detected a checksum mismatch on message ``seq`` of
+        ``key``; the original sits in the sender's retransmission buffer.
+        It goes out again under the same number with its own checksum,
+        and the ``recover_retry`` is recorded on the *sender's* log
+        (where the ``fault_corrupt`` it pairs with also lives).  False
+        when the buffer no longer holds that message.
         """
-        for i, (lost_id, msg) in enumerate(self._lost.get(key, ())):
-            if lost_id == msg_id:
+        for i, (lost_seq, msg) in enumerate(self._lost.get(key, ())):
+            if lost_seq == seq:
                 del self._lost[key][i]
                 if self.recovery is not None:
                     self.recovery.note_retry(attempt)
-                self._enqueue(
-                    key, msg, self._next_msg_id(), msg.crc, "recover_retry"
-                )
+                self._enqueue(key, msg, seq, msg.crc, "recover_retry")
                 return True
         return False
 
@@ -441,17 +464,17 @@ class SimComm:
                 f"{what} ({_msg_context('recv', *key)}) and no recovery "
                 "policy is attached to recover it"
             )
-        for _countdown, msg_id, msg in ready:
+        for _countdown, seq, msg in ready:
             if policy is not None:
                 policy.note_redeliver()
-            self._enqueue(key, msg, msg_id, msg.crc, "recover_redeliver")
+            self._enqueue(key, msg, seq, msg.crc, "recover_redeliver")
         if ready:
             self._delayed[key] = [e for e in delayed if e[0] > 0]
         else:
-            msg_id, msg = lost.pop(0)
+            seq, msg = lost.pop(0)
             if policy is not None:
                 policy.note_retry(attempt)
-            self._enqueue(key, msg, msg_id, msg.crc, "recover_retry")
+            self._enqueue(key, msg, seq, msg.crc, "recover_retry")
         return True
 
     # -- resilience hooks --------------------------------------------------
@@ -540,6 +563,12 @@ class SimComm:
     ) -> Iterator[List[Message]]:
         """Run one exchange phase on ``tag``, end to end (a context manager).
 
+        ``tag`` is one of :data:`PHASE_TAGS` whose phase is not open on
+        this endpoint already; anything else raises
+        :class:`CommunicationError` before the first send.  Phases that
+        share a tag one after the other are fine: each channel delivers
+        in send order.
+
         ``pairs``: every ordered cross-rank ``(src, dst)`` pair of the
         phase, derived identically on every rank; ``outgoing``: the
         payload of each pair this endpoint sources (keys of other pairs
@@ -549,7 +578,8 @@ class SimComm:
         pairs) before the first receive, and hands the ``with`` body the
         received :class:`Message` list with the phase still open —
         apply, and :meth:`record_apply`, there.  A body that raises
-        leaves the phase open.
+        leaves no ``phase_end`` in the log, but the tag free for the
+        next phase.
 
         For the life of the ``with`` block every buffer of ``outgoing``
         and of the received messages is read-only: loopback hands the
@@ -558,6 +588,15 @@ class SimComm:
         raises ``ValueError`` on both.  The flags are restored when the
         block ends, also when it raises.
         """
+        if tag not in PHASE_TAGS.values() or tag in self._open_phases:
+            what = (
+                "a phase already open on this endpoint"
+                if tag in self._open_phases
+                else f"no declared phase ({sorted(PHASE_TAGS.values())})"
+            )
+            raise CommunicationError(
+                f"{_msg_context('exchange', -1, -1, tag)}: the tag names {what}"
+            )
         pairs = sorted(pairs)
         # an SPMD endpoint speaks for one rank; loopback for all of them
         sends = [p for p in pairs if self.local_rank in (None, p[0])]
@@ -575,6 +614,7 @@ class SimComm:
             )
         frozen: List[np.ndarray] = []
         try:
+            self._open_phases.add(tag)
             self.begin_phase(tag, n_messages=len(sends))
             _freeze(outgoing.values(), frozen)
             for src, dst in sends:
@@ -585,6 +625,7 @@ class SimComm:
             _freeze(received, frozen)
             yield received
         finally:
+            self._open_phases.discard(tag)
             # owners first: a view cannot turn writable over a read-only base
             for buf in sorted(frozen, key=lambda b: isinstance(b.base, np.ndarray)):
                 buf.flags.writeable = True

@@ -32,11 +32,10 @@ from repro.core.simulation import StepDriver, _integer_option, _positive_option
 from repro.exceptions import ConfigurationError
 from repro.grid.yee import FIELD_COMPONENTS, YeeGrid
 from repro.parallel.box import Box, chop_domain
-from repro.parallel.comm import SimComm
+from repro.parallel.comm import PHASE_TAGS, SimComm
 from repro.parallel.distribution import DistributionMapping
 from repro.grid.psatd import PSATDMaxwellSolver
 from repro.parallel.halo import (
-    HALO_TAG_PREFIX,
     HaloExchangeStats,
     assemble_global,
     exchange_halos,
@@ -492,12 +491,12 @@ class DistributedSimulation(StepDriver):
             # a tile's solve reads J no box of it owns (PSATD: every
             # guard; Yee: the valid top faces).  Filled from the owners,
             # every copy of a sample holds its owner's sum, so no tiling
-            # changes a bit; a distinct phase tag keeps the schedule
-            # verifier's per-phase accounting exact
+            # changes a bit; a distinct phase tag keeps the replay's
+            # per-phase accounting exact
             self.halo_stats.merge(exchange_halos(
                 self.comm, overlaps=tiling.source_overlaps,
                 components=("Jx", "Jy", "Jz"),
-                tag=HALO_TAG_PREFIX + ":sources", **tiles,
+                tag=PHASE_TAGS["sources"], **tiles,
             ))
 
         with self._phase("maxwell"):

@@ -48,12 +48,8 @@ from repro.exceptions import CommunicationError, DecompositionError
 from repro.grid.boundary import apply_periodic, periodic_image_shifts
 from repro.grid.yee import FIELD_COMPONENTS, SOURCE_COMPONENTS, STAGGER, YeeGrid
 from repro.parallel.box import Box
-from repro.parallel.comm import SimComm, _msg_context
+from repro.parallel.comm import PHASE_TAGS, SimComm, _msg_context
 from repro.parallel.wire import Message
-
-#: tags of the two halo phases; commcheck and the byte-reconciliation
-#: tests filter the event log on this prefix
-HALO_TAG_PREFIX = "halo"
 
 
 def assemble_global(
@@ -399,7 +395,6 @@ def fold_sources_pairwise(
     rank_of_box: Sequence[int],
     guards: int,
     components: Sequence[str] = SOURCE_COMPONENTS,
-    tag: str = HALO_TAG_PREFIX + ":fold",
     local_rank: Optional[int] = None,
 ) -> HaloExchangeStats:
     """Accumulate guard-cell J/rho deposits into their owning boxes.
@@ -416,7 +411,7 @@ def fold_sources_pairwise(
     plan = _plan(
         overlaps, "fold", boxes, rank_of_box, guards, components, local_rank
     )
-    return _run_exchange(comm, box_grids, plan, tag)
+    return _run_exchange(comm, box_grids, plan, PHASE_TAGS["fold"])
 
 
 def exchange_halos(
@@ -427,7 +422,7 @@ def exchange_halos(
     rank_of_box: Sequence[int],
     guards: int,
     components: Sequence[str] = FIELD_COMPONENTS,
-    tag: str = HALO_TAG_PREFIX + ":fields",
+    tag: str = PHASE_TAGS["fields"],
     local_rank: Optional[int] = None,
 ) -> HaloExchangeStats:
     """Overwrite every guard sample with its canonical owner's value.

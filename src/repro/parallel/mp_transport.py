@@ -3,7 +3,7 @@
 :class:`MultiprocessingTransport` is the blocking counterpart of the
 in-process loopback: every rank runs in its own forked worker, each with
 one ``multiprocessing.Queue`` inbox, and messages — the same
-``(message, msg_id, checksum)`` entries the loopback queues hold — cross
+``(message, seq, checksum)`` entries the loopback queues hold — cross
 a real process boundary, laid out by :mod:`repro.parallel.wire` (one
 block per message: in the pipe when small, in one run-scoped
 shared-memory segment when large, swept here when the workers are gone).
@@ -119,19 +119,19 @@ class MultiprocessingTransport(Transport):
                 f"SPMD endpoint of rank {self.local_rank} cannot send as "
                 f"rank {src}: each worker only speaks for itself"
             )
-        msg, msg_id, checksum = entry
+        msg, seq, checksum = entry
         encoded = wire.encode(msg, next(self._segment_names))
-        self._inboxes[dst].put(("data", key, encoded, msg_id, checksum))
+        self._inboxes[dst].put(("data", key, encoded, seq, checksum))
 
-    def request_retransmit(self, key: ChannelKey, msg_id: Optional[int]) -> None:
-        self._inboxes[key[0]].put(("nack", key, msg_id))
+    def request_retransmit(self, key: ChannelKey, seq: Optional[int]) -> None:
+        self._inboxes[key[0]].put(("nack", key, seq))
 
     # -- inbound -----------------------------------------------------------
     def _dispatch(self, msg: Tuple) -> int:
         kind = msg[0]
         if kind == "data":
-            _, key, encoded, msg_id, checksum = msg
-            self.queues[key].append((wire.decode(encoded), msg_id, checksum))
+            _, key, encoded, seq, checksum = msg
+            self.queues[key].append((wire.decode(encoded), seq, checksum))
             return 1
         if kind == "nack":
             self.comm.service_nack(msg[1], msg[2])

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.exceptions import DecompositionError
 from repro.parallel.box import Box
-from repro.parallel.comm import SimComm
+from repro.parallel.comm import PHASE_TAGS, SimComm
 from repro.parallel.wire import Message
 from repro.particles.pusher import wrap_positions_periodic  # noqa: F401  (public here)
 from repro.particles.species import Species
@@ -138,7 +138,7 @@ def redistribute_particles(
         )
         for p, moves in per_pair.items()
     }
-    with comm.exchange("particles", pairs, outgoing) as received:
+    with comm.exchange(PHASE_TAGS["particles"], pairs, outgoing) as received:
         for msg in received:
             # the received buffers ARE the batch: the comm path is
             # load-bearing, so injected message faults would alter the
@@ -164,7 +164,6 @@ def migrate_boxes(
     species: Mapping[str, object],
     old_assignment: Sequence[int],
     new_assignment: Sequence[int],
-    tag: str = "lb:migrate",
     local_rank: Optional[int] = None,
 ) -> Tuple[int, int]:
     """Ship the state of every box that changed rank to its new owner.
@@ -209,7 +208,7 @@ def migrate_boxes(
             [(i,) for i in box_ids], [b.copy() for b in buffers]
         )
     moved_bytes = 0
-    with comm.exchange(tag, move_pairs, outgoing) as received:
+    with comm.exchange(PHASE_TAGS["migrate"], move_pairs, outgoing) as received:
         for msg in received:
             moved_bytes += msg.nbytes
             buffers = iter(msg.buffers)

@@ -59,7 +59,7 @@ class Transport:
         self.comm = comm
 
     def deliver(self, key: ChannelKey, entry: Tuple) -> None:
-        """Move one ``(message, msg_id, checksum)`` entry toward its
+        """Move one ``(message, seq, checksum)`` entry toward its
         destination rank."""
         raise NotImplementedError
 
@@ -80,7 +80,7 @@ class Transport:
         """
         return False
 
-    def request_retransmit(self, key: ChannelKey, msg_id: Optional[int]) -> None:
+    def request_retransmit(self, key: ChannelKey, seq: Optional[int]) -> None:
         """Ask ``key``'s source rank to retransmit (no-op on loopback —
         the sender-side buffers are directly reachable)."""
 

@@ -36,6 +36,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.parallel.comm import PHASE_TAGS
 from repro.parallel.wire import Message, as_message, payload_nbytes
 
 #: every fault kind a schedule may contain
@@ -55,6 +56,8 @@ class FaultSpec:
     additionally waits for a payload with actual bytes (there is nothing
     to mangle in a zero-byte marker message).  ``rank_failure`` ignores
     the message filters and kills ``rank`` at the start of ``step``.
+    A ``tag`` must be one of :data:`~repro.parallel.comm.PHASE_TAGS`:
+    faults act on sends, and only exchange phases send.
     """
 
     kind: str
@@ -76,6 +79,11 @@ class FaultSpec:
             raise ConfigurationError("rank_failure needs a target rank")
         if self.kind == "delay" and self.delay < 1:
             raise ConfigurationError("delay must be at least one attempt")
+        if self.tag is not None and self.tag not in PHASE_TAGS.values():
+            raise ConfigurationError(
+                f"fault tag {self.tag!r} names no exchange phase; pick "
+                f"from {sorted(PHASE_TAGS.values())}"
+            )
 
     def matches_send(
         self, step: int, src: int, dst: int, tag: str

@@ -90,16 +90,16 @@ TRANSPORTS = ("loopback", "multiprocessing")
 #: the multiprocessing side — keep it small enough for CI machines)
 PARITY_RANKS = 4
 
-#: seeded-bug fixtures of the analyzer (data files, not a package)
-COMMSTATIC_FIXTURES = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "data", "commstatic_fixtures"
+#: seeded communication bugs and clean schedules (data files, not a package)
+COMM_FIXTURES = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "data", "comm_fixtures"
 )
 
 
-def load_commstatic_fixture(name):
-    """Import ``COMMSTATIC_FIXTURES/<name>`` as a module, to run a plant."""
+def load_comm_fixture(name):
+    """Import ``COMM_FIXTURES/<name>`` as a module, to run a plant."""
     spec = importlib.util.spec_from_file_location(
-        name[:-3], os.path.join(COMMSTATIC_FIXTURES, name)
+        name[:-3], os.path.join(COMM_FIXTURES, name)
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -134,6 +134,7 @@ def make_langmuir_build(
     uz=0.0,
     smoothing_passes=1,
     shape_order=2,
+    positrons=False,
     **sim_kwargs,
 ):
     """A build callable for the golden parity scenario.
@@ -142,8 +143,10 @@ def make_langmuir_build(
     plasma (one plasma wavelength per side, periodic), decomposed into
     one box per rank — every communication phase of a production step
     (fold, guard fill, particle redistribution, optionally dynamic LB)
-    is exercised.  Pure function of its arguments: every SPMD worker
-    calling it builds the identical simulation.
+    is exercised.  With ``positrons`` a second species drifts at
+    ``-uy``, so each step runs one ``particles`` phase per species.  Pure
+    function of its arguments: every SPMD worker calling it builds the
+    identical simulation.
     """
     n0 = 1e24
     length = plasma_wavelength(n0)
@@ -166,6 +169,12 @@ def make_langmuir_build(
             e, profile=UniformProfile(n0), ppc=ppc,
             momentum_init=langmuir_perturbation(length, u0, uy, uz),
         )
+        if positrons:
+            p = Species("positrons", charge=q_e, mass=m_e, ndim=2)
+            sim.add_species(
+                p, profile=UniformProfile(n0), ppc=ppc,
+                momentum_init=langmuir_perturbation(length, u0, -uy, uz),
+            )
         return sim
 
     return build

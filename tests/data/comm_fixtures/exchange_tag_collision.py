@@ -1,9 +1,9 @@
-"""Seeded bug: two ``exchange`` sites claiming one tag (COMM007).
+"""Seeded bug: two ``exchange`` sites on a tag no phase declares.
 
-``comm.exchange`` declares its phase itself, so the collision the
-verifier rules out for ``begin_phase`` sites exists here too: the
-migration reuses the fold's tag, and a migration payload still in
-flight can satisfy a fold receive.
+``ex:fold`` is in no row of ``repro.parallel.comm.PHASE_TAGS``: a tag
+made up at a call site is how a migration ends up sharing the fold's
+channel by accident.  ``SimComm.exchange`` refuses it before its first
+send, on every transport (``tests/test_comm_plants.py``).
 """
 
 SHARED_TAG = "ex:fold"

@@ -11,7 +11,7 @@ from repro.analysis.cli import main
 from repro.parallel.comm import SimComm
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-FIXTURES = os.path.join(HERE, "data", "commstatic_fixtures")
+FIXTURES = os.path.join(HERE, "data", "comm_fixtures")
 BASELINE = os.path.join(HERE, "data", "analysis_baseline.json")
 
 
@@ -158,48 +158,36 @@ def test_missing_comm_log_is_an_analysis_error(tmp_path):
 
 # -- --select partitioning ---------------------------------------------------
 
-#: a PIC002 violation next to an exchange whose tag never resolves (COMM006)
-UNRESOLVED_EXCHANGE = (
-    "import numpy as np\n"
-    "a = np.zeros(3)\n"
-    "def f(comm, tags, pairs, out):\n"
-    "    with comm.exchange(tags.pop(), pairs, out) as received:\n"
-    "        return received\n"
-)
+#: a recorded run whose phase begins while same-tag messages are in
+#: flight (a replay COMM007), to put next to BAD_SNIPPET's PIC002
+OVERLAP_LOG = os.path.join(FIXTURES, "phase_overlap.commlog.jsonl")
 
 
-def test_select_static_rule_skips_linting(tmp_path):
+def test_select_replay_rule_skips_linting(tmp_path):
     # PIC002 violation present, but only COMM007 selected
     src = tmp_path / "mod.py"
-    src.write_text(
-        "import numpy as np\n"
-        "a = np.zeros(3)\n"
-        "def f(comm, pairs, out):\n"
-        "    with comm.exchange('t', pairs, out) as received:\n"
-        "        return received\n"
-        "def g(comm, pairs, out):\n"
-        "    with comm.exchange('t', pairs, out) as received:\n"
-        "        return received\n"
-    )
-    code, out = run_cli(str(src), "--select", "COMM007")
+    src.write_text(BAD_SNIPPET)
+    code, out = run_cli(str(src), "--comm-log", OVERLAP_LOG, "--select", "COMM007")
     assert code == 1
     assert "COMM007" in out and "PIC002" not in out
 
 
-def test_select_lint_rule_skips_commstatic(tmp_path):
+def test_select_lint_rule_skips_replay(tmp_path):
     src = tmp_path / "mod.py"
-    src.write_text(UNRESOLVED_EXCHANGE)
-    code, out = run_cli(str(src), "--select", "PIC002")
+    src.write_text(BAD_SNIPPET)
+    code, out = run_cli(str(src), "--comm-log", OVERLAP_LOG, "--select", "PIC002")
     assert code == 1
-    assert "PIC002" in out and "COMM006" not in out
+    assert "PIC002" in out and "COMM007" not in out
 
 
 def test_select_accepts_comma_lists(tmp_path):
     src = tmp_path / "mod.py"
-    src.write_text(UNRESOLVED_EXCHANGE)
-    code, out = run_cli(str(src), "--select", "PIC002,COMM006")
+    src.write_text(BAD_SNIPPET)
+    code, out = run_cli(
+        str(src), "--comm-log", OVERLAP_LOG, "--select", "PIC002,COMM007"
+    )
     assert code == 1
-    assert "PIC002" in out and "COMM006" in out
+    assert "PIC002" in out and "COMM007" in out
 
 
 def test_select_unknown_rule_exits_2(tmp_path):
@@ -208,23 +196,29 @@ def test_select_unknown_rule_exits_2(tmp_path):
     code, out = run_cli(str(src), "--select", "NOPE999")
     assert code == 2
     assert "NOPE999" in out
+    # retired with the static exchange verifier
+    code, out = run_cli(str(src), "--select", "COMM006")
+    assert code == 2
+    assert "COMM006" in out
 
 
 # -- --list-rules covers every tier ------------------------------------------
 
 def test_list_rules_names_static_and_replay_rules():
+    """The static rules are the lint registry's; the exchange tags are
+    checked at run time, so no COMM rule is static any more."""
     code, out = run_cli("--list-rules")
     assert code == 0
-    for rule_id in ("PIC002", "PIC008", "COMM006", "COMM007", "COMM009",
+    for rule_id in ("PIC002", "PIC008", "COMM007", "COMM009",
                     "COMM010", "RES001", "SAN004"):
         assert rule_id in out
-    assert "COMM008" not in out
-    assert "[static]" in out and "[replay]" in out
+    assert "COMM006" not in out and "COMM008" not in out
+    assert "[static" not in out and "[replay]" in out
 
 
 def test_list_rules_names_each_rule_once():
-    """One line per rule id: COMM007 (one tag per phase) is checked both
-    statically and in the replay, COMM010 only in the replay."""
+    """One line per rule id: COMM007 (a recorded phase begins while
+    same-tag messages are in flight) and COMM010 are replay rules."""
     code, out = run_cli("--list-rules")
     assert code == 0
     lines = {}
@@ -232,5 +226,5 @@ def test_list_rules_names_each_rule_once():
         rule_id, rest = line.split(None, 1)
         assert rule_id not in lines, f"{rule_id} listed twice"
         lines[rule_id] = rest[: rest.index("]") + 1]
-    assert lines["COMM007"] == "[static, replay]"
+    assert lines["COMM007"] == "[replay]"
     assert lines["COMM010"] == "[replay]"

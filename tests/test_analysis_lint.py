@@ -530,13 +530,43 @@ def test_pic008_allows_exchange_self_and_other_receivers(tmp_path):
     assert findings == []
 
 
+#: the seeded communication bugs (raw plants and run-time plants)
+COMM_FIXTURES = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "data", "comm_fixtures"
+)
+
+#: the plants only raw primitives can write: PIC008 is their one check
+RAW_PLANTS = ["unmatched_send.py", "deadlock_schedule.py", "buffer_race.py"]
+
+
+@pytest.mark.parametrize("name", RAW_PLANTS)
+def test_raw_primitive_plant_is_pic008(name):
+    """An orphaned send, a recv posted first and a buffer scribbled on in
+    flight can only be written with the raw primitives, and every raw
+    call on a communicator is PIC008."""
+    findings = lint_paths([os.path.join(COMM_FIXTURES, name)], select=["PIC008"])
+    assert findings and set(rule_ids(findings)) == {"PIC008"}
+    for primitive in ("send", "recv", "begin_phase", "end_phase"):
+        assert any(f"raw {primitive}()" in f.message for f in findings)
+    assert all(f.path.endswith(name) and f.line > 0 for f in findings)
+
+
+def test_fixture_suite_catches_every_seeded_bug():
+    """The CI fixture step: PIC008 over the whole directory flags the
+    three raw plants (4 raw calls each) and nothing else — the tag and
+    buffer plants fail at run time (``tests/test_comm_plants.py``)."""
+    findings = lint_paths([COMM_FIXTURES], select=["PIC008"])
+    assert sorted({os.path.basename(f.path) for f in findings}) == sorted(RAW_PLANTS)
+    assert len(findings) == 12
+
+
 def test_import_repro_leaves_the_static_analyzer_unloaded():
     """The drivers import ``repro.analysis.sanitize``; the package must
-    not drag the linter and the schedule verifiers in with it."""
+    not drag the linter and the replay checker in with it."""
     code = (
         "import sys, repro\n"
         "import repro.analysis.sanitize\n"
-        "mods = ('linter', 'commcheck', 'commstatic', 'dataflow')\n"
+        "mods = ('linter', 'commcheck', 'dataflow')\n"
         "print([m for m in mods if 'repro.analysis.' + m in sys.modules])\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC_REPRO))

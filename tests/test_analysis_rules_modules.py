@@ -3,8 +3,9 @@
 Two claims, both against ``parallel/halo.py`` and ``core/load_balance.py``
 rather than synthetic snippets:
 
-* every registered lint rule (and the static schedule verifier) passes
-  the shipped module — rule by rule, so a regression names its rule; and
+* every registered lint rule passes the shipped module — rule by rule,
+  so a regression names its rule — and its exchange phases run on
+  declared tags and replay clean; and
 * the rules are not vacuous there: mutating the actual module source in
   the way each rule forbids (stripping a dtype, demoting a repro error
   to a builtin, reading the wall clock; an untimed particle pass in
@@ -20,16 +21,17 @@ import re
 import numpy as np
 import pytest
 
-from repro.analysis.commstatic import check_schedule
+from repro.analysis.commcheck import check_all
 from repro.analysis.linter import lint_paths, registered_rules
 from repro.analysis.sanitize import Sanitizer
 from repro.exceptions import SanitizerError
 from repro.grid.yee import FIELD_COMPONENTS, YeeGrid
 from repro.parallel.box import chop_domain
-from repro.parallel.comm import SimComm
+from repro.parallel.comm import PHASE_TAGS, SimComm
 from repro.parallel.halo import (
     assemble_global,
     exchange_halos,
+    fold_sources_pairwise,
     neighbor_overlaps,
 )
 
@@ -64,9 +66,19 @@ def test_load_balance_module_passes_rule(rule_id):
 
 
 def test_halo_module_schedule_verifies_standalone():
-    """Both halo phases resolve and match with only halo.py in scope:
-    the wrappers' tag defaults reach _run_exchange's bare parameter."""
-    assert check_schedule([HALO]) == []
+    """Both halo phases run on their declared tags with only halo.py's
+    own defaults, and the recorded schedule replays clean."""
+    _, boxes, grids, comm, _ = exchanged_setup()
+    fold = neighbor_overlaps(
+        boxes, (16, 16), guards=3, periodic_axes=(0, 1), kind="fold"
+    )
+    fold_sources_pairwise(
+        comm, grids, boxes, fold, [i % 2 for i in range(len(boxes))], guards=3
+    )
+    tags = {e.tag for e in comm.log if e.kind == "phase_begin"}
+    assert tags == {PHASE_TAGS["fields"], PHASE_TAGS["fold"]}
+    report = check_all(comm)
+    assert report.ok, report.format()
 
 
 # -- and the rules are not vacuous on them: mutate the real source -----------
@@ -128,7 +140,7 @@ def test_per_particle_loop_added_to_hot_copy_trips_pic001(tmp_path):
 
 def test_raw_send_added_to_halo_trips_pic008(tmp_path):
     """halo.py runs every phase through comm.exchange; one raw send next
-    to them is the message the schedule verifier could not see."""
+    to them would skip the tag check."""
     source = read_source(HALO)
     path = tmp_path / "halo.py"
     path.write_text(

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import CommunicationError
-from repro.parallel.comm import SimComm, payload_nbytes
+from repro.parallel.comm import PHASE_TAGS, SimComm, payload_nbytes
 from repro.parallel.transport import LoopbackTransport
 from repro.parallel.wire import Message, as_message
-from tests.conftest import load_commstatic_fixture
+from repro.resilience import FaultInjector, FaultSchedule, RecoveryPolicy
+from tests.conftest import load_comm_fixture
 
 
 def test_send_recv_roundtrip():
@@ -88,8 +89,8 @@ def test_exchange_posts_every_send_before_the_first_receive():
     comm = SimComm(3)
     pairs = {(2, 0), (0, 1), (1, 0)}
     outgoing = {p: np.full(2, float(p[0])) for p in pairs}
-    with comm.exchange("t", pairs, outgoing) as received:
-        comm.record_apply("t", 7)
+    with comm.exchange("particles", pairs, outgoing) as received:
+        comm.record_apply("particles", 7)
     assert _kinds(comm) == [
         ("phase_begin", -1, -1, 3),
         ("send", 0, 1, 0), ("send", 1, 0, 0), ("send", 2, 0, 0),
@@ -115,10 +116,10 @@ def test_exchange_speaks_only_for_the_local_rank():
     exchanges used to spell per call site."""
     comm = SimComm(3, transport=_RankZeroEndpoint())
     inbound = Message([(4,)], [np.ones(3)])
-    comm.send(1, 0, inbound, tag="t")  # what rank 1's process would post
+    comm.send(1, 0, inbound, tag="particles")  # what rank 1's process would post
     comm.clear_log()
     pairs = [(0, 1), (1, 0), (1, 2), (2, 1)]
-    with comm.exchange("t", pairs, {(0, 1): np.zeros(2)}) as received:
+    with comm.exchange("particles", pairs, {(0, 1): np.zeros(2)}) as received:
         pass
     assert _kinds(comm) == [
         ("phase_begin", -1, -1, 1),
@@ -133,8 +134,9 @@ def test_exchange_needs_a_payload_for_every_pair_it_sources():
     """Refused with the tag and the pair before anything is sent (a bare
     ``KeyError`` used to surface after the earlier sends were queued)."""
     comm = SimComm(2)
-    with pytest.raises(CommunicationError, match=r"src=1 dst=0 tag='t'.* no payload"):
-        with comm.exchange("t", [(0, 1), (1, 0)], {(0, 1): np.zeros(1)}):
+    no_payload = r"src=1 dst=0 tag='particles'.* no payload"
+    with pytest.raises(CommunicationError, match=no_payload):
+        with comm.exchange("particles", [(0, 1), (1, 0)], {(0, 1): np.zeros(1)}):
             pass
     assert comm.log == [] and comm.pending() == 0
 
@@ -143,8 +145,9 @@ def test_exchange_refuses_a_payload_for_a_pair_outside_the_phase():
     """A key that is not one of ``pairs`` would never be sent."""
     comm = SimComm(3)
     outgoing = {(0, 1): np.zeros(1), (0, 2): np.zeros(1)}
-    with pytest.raises(CommunicationError, match=r"src=0 dst=2 tag='t'.* outside"):
-        with comm.exchange("t", [(0, 1)], outgoing):
+    outside = r"src=0 dst=2 tag='particles'.* outside"
+    with pytest.raises(CommunicationError, match=outside):
+        with comm.exchange("particles", [(0, 1)], outgoing):
             pass
     assert comm.log == [] and comm.pending() == 0
 
@@ -153,22 +156,70 @@ def test_spmd_exchange_accepts_keys_for_every_pair_of_the_phase():
     """``redistribute_particles`` under SPMD hands over a payload for each
     pair of the phase; only the local rank's go out."""
     comm = SimComm(3, transport=_RankZeroEndpoint())
-    comm.send(1, 0, np.ones(2), tag="t")  # what rank 1's process would post
+    comm.send(1, 0, np.ones(2), tag="particles")  # what rank 1's process would post
     comm.clear_log()
     pairs = [(0, 1), (1, 0), (1, 2)]
-    with comm.exchange("t", pairs, {p: np.zeros(2) for p in pairs}):
+    with comm.exchange("particles", pairs, {p: np.zeros(2) for p in pairs}):
         pass
     assert [e.kind for e in comm.log] == ["phase_begin", "send", "recv", "phase_end"]
 
 
 def test_exchange_body_that_raises_leaves_the_phase_open():
     """Like the failed receive it usually is: the log shows where the
-    run stopped instead of a phase that looks complete."""
+    run stopped instead of a phase that looks complete.  The tag itself
+    is free again for the next phase."""
     comm = SimComm(2)
     with pytest.raises(RuntimeError):
-        with comm.exchange("t", [(0, 1)], {(0, 1): np.zeros(1)}):
+        with comm.exchange("particles", [(0, 1)], {(0, 1): np.zeros(1)}):
             raise RuntimeError("apply failed")
     assert [e.kind for e in comm.log] == ["phase_begin", "send", "recv"]
+    with comm.exchange("particles", [(0, 1)], {(0, 1): np.zeros(1)}):
+        pass
+    assert comm.log[-1].kind == "phase_end"
+
+
+@pytest.mark.parametrize("tag", ["t", "halo", "halo:fold "])
+def test_exchange_refuses_an_undeclared_tag(tag):
+    comm = SimComm(2)
+    with pytest.raises(CommunicationError, match="no declared phase"):
+        with comm.exchange(tag, [(0, 1)], {(0, 1): np.zeros(1)}):
+            pass
+    assert comm.log == [] and comm.pending() == 0
+
+
+def test_exchange_refuses_a_tag_whose_phase_is_open():
+    """A second phase on an open tag would share its channels; phases of
+    other tags may nest, and the same tag runs again once closed."""
+    comm = SimComm(2)
+    out = {(0, 1): np.zeros(1)}
+    with comm.exchange(PHASE_TAGS["fold"], [(0, 1)], out):
+        with comm.exchange(PHASE_TAGS["fields"], [(0, 1)], out):
+            pass
+        n_events = len(comm.log)
+        with pytest.raises(CommunicationError, match=r"tag='halo:fold'.*already open"):
+            with comm.exchange(PHASE_TAGS["fold"], [(0, 1)], out):
+                pass
+        assert len(comm.log) == n_events
+    with comm.exchange(PHASE_TAGS["fold"], [(0, 1)], out):
+        pass
+    assert comm.pending() == 0
+
+
+def test_a_channel_delivers_in_send_order_whatever_the_wire_does():
+    """Messages of one channel land reversed, one twice: the resilient
+    receive still hands them over in send order, and the stray copy is a
+    duplicate."""
+    comm = SimComm(2)
+    comm.attach_resilience(FaultInjector(FaultSchedule()), RecoveryPolicy())
+    for k in range(3):
+        comm.send(0, 1, np.full(2, float(k)), tag="particles")
+    queue = comm._queues[(0, 1, "particles")]
+    queue.reverse()
+    queue.append(queue[0])
+    assert [comm.recv(0, 1, tag="particles")[0] for _ in range(3)] == [0.0, 1.0, 2.0]
+    comm.finish_step()
+    assert comm.pending() == 0
+    assert [e.kind for e in comm.log].count("recover_dedup") == 1
 
 
 # -- buffers are read-only while their phase is open --------------------------
@@ -179,7 +230,7 @@ def test_writing_an_outgoing_buffer_inside_the_phase_raises_on_loopback():
     process transport applies the 0.0 that was sent."""
     grid = np.zeros(16)
     with pytest.raises(ValueError, match="read-only"):
-        load_commstatic_fixture("exchange_buffer_race.py").leaky_fill(SimComm(2), grid)
+        load_comm_fixture("exchange_buffer_race.py").leaky_fill(SimComm(2), grid)
     assert grid[0] == 0.0
 
 
@@ -214,7 +265,7 @@ def test_received_buffers_are_read_only_and_every_flag_is_restored(body):
     expected = {None: None, _write_a_received_alias: ValueError,
                 _raise_in_the_body: RuntimeError}[body]
     with pytest.raises(expected) if expected else contextlib.nullcontext():
-        with comm.exchange("t", list(outgoing), outgoing) as received:
+        with comm.exchange("particles", list(outgoing), outgoing) as received:
             assert not any(b.flags.writeable for m in received for b in m.buffers)
             if body is not None:
                 body(received)

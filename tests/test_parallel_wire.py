@@ -34,7 +34,7 @@ from repro.parallel.wire import Message, payload_checksum, payload_nbytes
 from repro.particles.injection import UniformProfile
 from repro.particles.species import Species
 from repro.resilience import corrupt_payload
-from tests.conftest import load_commstatic_fixture
+from tests.conftest import load_comm_fixture
 
 SHM_DIR = "/dev/shm"
 needs_shm_listing = pytest.mark.skipif(
@@ -153,11 +153,11 @@ def test_buffers_of_an_open_phase_are_read_only_on_the_process_transport():
     def worker(rank, transport):
         comm = SimComm(2, transport=transport)
         grid = np.zeros(16)
-        plant = load_commstatic_fixture("exchange_buffer_race.py")
+        plant = load_comm_fixture("exchange_buffer_race.py")
         with pytest.raises(ValueError, match="read-only"):
             plant.leaky_fill(comm, grid)
         sent = np.zeros(4)
-        with comm.exchange("t", [(1, 0)], {(1, 0): sent}) as received:
+        with comm.exchange("halo:fields", [(1, 0)], {(1, 0): sent}) as received:
             if rank == 0:
                 (got,) = received[0].buffers
                 with pytest.raises(ValueError, match="read-only"):

@@ -363,6 +363,16 @@ def test_fault_spec_validation():
         FaultSpec(kind="delay", step=1, delay=0)
 
 
+def test_fault_spec_must_name_a_declared_tag():
+    """A tag no exchange phase sends on would never fire, silently: it is
+    refused when the spec is built, naming the tags it may be."""
+    with pytest.raises(ConfigurationError, match=r"'halo:fild'.*halo:fields"):
+        FaultSpec(kind="drop", step=1, tag="halo:fild")
+    with pytest.raises(ConfigurationError, match="'halo'"):
+        FaultSchedule.random(seed=1, n_faults=2, max_step=4, tag="halo")
+    assert FaultSpec(kind="drop", step=1, tag="lb:migrate").tag == "lb:migrate"
+
+
 def test_injector_skips_corrupt_on_empty_payload():
     schedule = FaultSchedule([FaultSpec(kind="corrupt", step=0)], seed=1)
     injector = FaultInjector(schedule)

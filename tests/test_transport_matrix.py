@@ -197,6 +197,33 @@ def test_each_fault_kind_recovers_on_the_wire(kind):
     assert recovered > 0
 
 
+@pytest.mark.parametrize(
+    "kind, src", [("drop", 2), ("delay", 2), ("corrupt", 3)]
+)
+def test_a_fault_on_one_species_phase_never_feeds_the_next(kind, src):
+    """Two species run two ``particles`` phases a step on one channel.
+    A sender races into the second phase while the receiver still waits
+    for the first phase's lost, late or mangled message; the second
+    message must wait its turn, not be delivered as the first (box 0's
+    electron and positron ids used to come out swapped)."""
+    schedule = FaultSchedule(
+        [FaultSpec(kind=kind, step=1, src=src, tag="particles", delay=2)],
+        seed=3,
+    )
+    clean = run_distributed_local(make_langmuir_build(uy=0.3, positrons=True), 6)
+    got = run_distributed_mp(
+        make_langmuir_build(
+            uy=0.3, positrons=True, fault_schedule=schedule,
+            recovery=RecoveryPolicy(),
+        ),
+        6,
+        PARITY_RANKS,
+        merge_logs=False,
+    )
+    assert_runs_equal(got, clean)
+    assert sum(sum(r.values()) for r in got.recovery if r) > 0
+
+
 # -- satellite: stress / ordering under real interleaving --------------------
 
 
