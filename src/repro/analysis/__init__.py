@@ -10,8 +10,8 @@ This subpackage machine-checks the same contracts for the reproduction:
     loops in hot kernels, explicit dtypes on field allocations,
     ``ReproError``-only exception discipline, timing through
     :class:`~repro.diagnostics.timers.Timers`, ``__all__`` consistency,
-    no raw ``send``/``recv``/``begin_phase``/``end_phase`` on a
-    communicator outside ``SimComm`` — PIC008).
+    no raw ``send``/``recv`` on a communicator outside ``SimComm`` —
+    PIC008).
 ``repro.analysis.dataflow``
     The constant resolution behind the value-tracking rule PIC002:
     expression folding, module constant environments, and the same
@@ -19,18 +19,20 @@ This subpackage machine-checks the same contracts for the reproduction:
     foldable value is that value; anything else is not a constant).
 ``repro.analysis.commcheck``
     A post-hoc protocol checker over :class:`~repro.parallel.comm.SimComm`'s
-    event log: unreceived messages, tag mismatches, self-sends,
-    collective/barrier divergence across ranks, and — over the
-    schedule-structure events — the happens-before replay (phase
-    overlap, non-canonical fold order, fold-before-arrival races).
+    event log — traffic, faults and recoveries: unreceived messages, tag
+    mismatches, self-sends, collective/barrier divergence across ranks,
+    unrecovered faults and rank failures.
 ``repro.analysis.sanitize``
     Opt-in runtime invariant sanitizers (``REPRO_SANITIZE=1``) wired into
     the PIC step: non-finite fields, out-of-domain particles, guard-cell
     consistency.
 
-The exchange phases need no static pass: ``SimComm.exchange`` itself
-refuses a tag outside :data:`~repro.parallel.comm.PHASE_TAGS` or one
-whose phase is open already, and makes the phase's buffers read-only.
+The exchange phases need no static pass and no replay:
+``SimComm.exchange`` itself refuses a tag outside
+:data:`~repro.parallel.comm.PHASE_TAGS` or one whose phase is open
+already, delivers each channel in send order, hands its body the
+messages only after all of them arrived, and makes the phase's buffers
+read-only; ``ExchangePlan`` builds its runs in canonical entry order.
 
 Importing the package loads none of them: import the submodule you
 need (the step drivers import only ``sanitize``).  Run the lint pass

@@ -6,7 +6,7 @@ location) and reports findings as
 ``path:line: [severity] RULE-ID message`` — or as one JSON object with
 ``--format json`` so CI can annotate PRs.  Recorded SimComm event logs
 (see :mod:`repro.observability.commlog`) can be replayed through the
-protocol and happens-before checkers with ``--comm-log``.
+protocol checker with ``--comm-log``.
 
 A ``--baseline`` file (JSON: ``{"findings": [{"rule": ..., "path":
 ...}]}``) suppresses known findings by (rule id, path suffix), which is
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="RULE",
         help="run only these rule ids (repeatable or comma-separated, "
-             "e.g. --select PIC002,COMM007)",
+             "e.g. --select PIC002,COMM001)",
     )
     parser.add_argument(
         "--format",
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="FILE",
         help="replay a recorded SimComm event log (JSONL) through the "
-             "protocol and happens-before checkers (repeatable)",
+             "protocol checker (repeatable)",
     )
     parser.add_argument(
         "--list-rules",
@@ -87,17 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: runtime/replay rules that live outside the lint registry: the
-#: commcheck protocol + happens-before replay (COMM/RES) and the step
-#: sanitizers (SAN)
+#: commcheck protocol replay (COMM/RES) and the step sanitizers (SAN)
 RUNTIME_RULES = (
     ("COMM001", "unreceived messages (send without a matching recv)"),
     ("COMM002", "tag mismatch on a failed recv"),
     ("COMM003", "self-send (src == dst)"),
     ("COMM004", "collective-count divergence across ranks"),
     ("COMM005", "barrier-count divergence across ranks"),
-    ("COMM007", "phase begins while same-tag messages are in flight"),
-    ("COMM009", "ordered fold applied out of canonical order"),
-    ("COMM010", "apply raced in-flight messages of its own phase"),
     ("RES001", "injected message fault without a matching recovery"),
     ("RES002", "rank failure without a checkpoint restore"),
     ("SAN001", "non-finite field values after the solve"),
@@ -187,13 +183,13 @@ def _apply_baseline(
 
 
 def _replay_logs(paths: Sequence[str]) -> List[Finding]:
-    from repro.analysis.commcheck import check_all
+    from repro.analysis.commcheck import check_comm
     from repro.observability.commlog import read_comm_log
 
     findings: List[Finding] = []
     for path in paths:
         replay = read_comm_log(path)
-        report = check_all(replay)
+        report = check_comm(replay)
         for finding in report.findings:
             # re-anchor provenance to the log file (line = event index)
             findings.append(

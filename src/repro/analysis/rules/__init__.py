@@ -15,8 +15,8 @@ PIC006  kernel-phase calls in step drivers must run under a timer/span
 PIC007  kernel-phase modules must not hard-code ``float64`` dtypes
         (silent upcasts of float32 mixed-precision pipelines); DP-by-
         design sites carry ``# repro: allow(PIC007)``
-PIC008  no raw ``send``/``recv``/``begin_phase``/``end_phase`` on a
-        communicator: every phase is one ``comm.exchange``
+PIC008  no raw ``send``/``recv`` on a communicator: every phase is
+        one ``comm.exchange``
 ======  ==================================================================
 """
 

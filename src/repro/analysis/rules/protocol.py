@@ -1,10 +1,10 @@
 """PIC008: the raw message primitives stay inside ``SimComm``.
 
 Every exchange phase is one ``comm.exchange(tag, pairs, outgoing)``:
-it declares what it posts, sends before it receives, closes the phase
-after its ``with`` body and refuses a tag that is not in
-:data:`~repro.parallel.comm.PHASE_TAGS` or whose phase is open already.
-A raw ``send`` / ``recv`` / ``begin_phase`` / ``end_phase`` on a
+it sends before it receives, hands its body the messages only after all
+of them arrived, closes the phase after its ``with`` body and refuses a
+tag that is not in :data:`~repro.parallel.comm.PHASE_TAGS` or whose
+phase is open already.  A raw ``send`` / ``recv`` on a
 communicator-named receiver would skip those checks, so it is an error
 anywhere in the scanned tree.  ``SimComm`` itself
 calls them on ``self``, which no communicator name matches; the methods
@@ -20,14 +20,14 @@ from repro.analysis.findings import Finding
 from repro.analysis.linter import LintContext, LintRule, receiver_is_comm, register
 
 #: the primitives ``SimComm.exchange`` is built from
-RAW_PRIMITIVES = frozenset({"send", "recv", "begin_phase", "end_phase"})
+RAW_PRIMITIVES = frozenset({"send", "recv"})
 
 
 @register
 class RawProtocolRule(LintRule):
     rule_id = "PIC008"
     description = (
-        "no raw comm.send/recv/begin_phase/end_phase; every phase is one "
+        "no raw comm.send/recv; every phase is one "
         "comm.exchange(tag, pairs, outgoing)"
     )
 

@@ -3,19 +3,22 @@
 One header line identifies the format and rank count; every following
 line is one :class:`~repro.parallel.comm.CommEvent` as a flat JSON
 object.  The reader hands back a :class:`CommLogReplay`, which quacks
-like a communicator as far as the replay checkers are concerned
+like a communicator as far as the replay checker is concerned
 (``.log`` and ``.n_ranks``), so a recorded run can be audited offline::
 
     from repro.observability.commlog import read_comm_log, write_comm_log
-    from repro.analysis.commcheck import check_all
+    from repro.analysis.commcheck import check_comm
 
     write_comm_log(sim.comm, "run.commlog.jsonl")
     ...
-    check_all(read_comm_log("run.commlog.jsonl")).raise_if_failed()
+    check_comm(read_comm_log("run.commlog.jsonl")).raise_if_failed()
 
 This is also how the CI fixture suite feeds seeded-bug event logs
-(``--comm-log`` on ``python -m repro.analysis``) to the happens-before
-checker without re-running the simulation that produced them.
+(``--comm-log`` on ``python -m repro.analysis``) to the protocol
+checker without re-running the simulation that produced them.  A log
+holds traffic, faults and recoveries only; version 1 also carried the
+``phase_begin`` / ``phase_end`` / ``apply`` schedule events and a
+``detail`` field, and is refused.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from repro.exceptions import AnalysisError
 LOG_FORMAT_KIND = "comm_log"
 
 #: current format version (bump on incompatible field changes)
-LOG_FORMAT_VERSION = 1
+LOG_FORMAT_VERSION = 2
 
-_EVENT_FIELDS = ("seq", "kind", "src", "dst", "tag", "nbytes", "detail")
+_EVENT_FIELDS = ("seq", "kind", "src", "dst", "tag", "nbytes")
 
 
 class CommLogReplay:
@@ -116,7 +119,6 @@ def read_comm_log(path: str) -> CommLogReplay:
                         dst=int(record["dst"]),
                         tag=str(record["tag"]),
                         nbytes=int(record["nbytes"]),
-                        detail=int(record.get("detail", 0)),
                     )
                 )
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

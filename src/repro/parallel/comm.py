@@ -60,19 +60,11 @@ PHASE_TAGS = {
     "migrate": "lb:migrate",  # box state moved by a rebalance
 }
 
-#: schedule-structure events emitted by the exchange phases themselves
-#: (``begin_phase``/``end_phase``/``record_apply``); replayed by the
-#: happens-before checker in :mod:`repro.analysis.commcheck`
-SCHEDULE_EVENT_KINDS = (
-    "phase_begin",
-    "phase_end",
-    "apply",
-)
-
 
 class CommEvent(NamedTuple):
-    """One recorded communicator operation (a tuple: the log holds
-    hundreds of these per step, so no per-instance ``__dict__``).
+    """One recorded communicator operation (a tuple: the log holds two
+    of these per message for the whole run, so no per-instance
+    ``__dict__``).
 
     ``kind`` is one of ``"send"``, ``"recv"``, ``"recv_missing"`` (a recv
     that found no matching message, recorded before the error is raised),
@@ -87,17 +79,8 @@ class CommEvent(NamedTuple):
     restore).  The protocol checker pairs the two streams to verify no
     fault went unrecovered (RES001/RES002).
 
-    Exchange phases additionally bracket their traffic with
-    :data:`SCHEDULE_EVENT_KINDS`: a ``phase_begin``/``phase_end`` pair
-    per exchange (``src = dst = -1``; ``detail`` holds the declared
-    cross-rank message count at begin) and, for ordered fold/fill
-    phases, one ``apply`` event per run of consecutive canonical-order
-    entries applied from one buffer, ``detail`` = its first order index
-    (:meth:`record_apply`).  The happens-before
-    checker replays these to flag phase overlap on a shared tag
-    (COMM007), non-canonical application order (COMM009) and applies
-    racing in-flight messages (COMM010).  ``detail`` is 0 for every
-    other event kind.
+    Nothing else is logged: the order of an exchange phase is enforced
+    by :meth:`SimComm.exchange` itself, not recorded for a replay.
     """
 
     seq: int
@@ -106,7 +89,6 @@ class CommEvent(NamedTuple):
     dst: int
     tag: str
     nbytes: int
-    detail: int = 0
 
 
 def _msg_context(op: str, src: int, dst: int, tag: str) -> str:
@@ -186,12 +168,9 @@ class SimComm:
             )
 
     def _record(
-        self, kind: str, src: int, dst: int, tag: str, nbytes: int,
-        detail: int = 0,
+        self, kind: str, src: int, dst: int, tag: str, nbytes: int
     ) -> None:
-        self.log.append(
-            CommEvent(self._seq, kind, src, dst, tag, nbytes, detail)
-        )
+        self.log.append(CommEvent(self._seq, kind, src, dst, tag, nbytes))
         self._seq += 1
 
     def _enqueue(
@@ -273,36 +252,20 @@ class SimComm:
         Returns what was sent: the :class:`~repro.parallel.wire.Message`,
         or the ndarray of a bare-array send.
 
-        Under an attached fault injector this is the resilient receive:
-        a copy numbered below the channel's next message is a duplicate
-        and is discarded, corrupted payloads are detected by checksum and
-        retransmitted from the sender-side buffer under their number,
-        and a gap (the next message dropped or delayed while later ones
-        arrived) waits for the retry loop of the attached policy.  A
-        fault that cannot be recovered raises
-        :class:`~repro.exceptions.ResilienceError` — never a silent wrong
-        payload.
+        One loop serves every receive.  A copy numbered below the
+        channel's next message is a duplicate and is discarded, a
+        payload whose checksum does not match is retransmitted from the
+        sender-side buffer under its number, and a gap (the next message
+        dropped or delayed while later ones arrived) waits for the retry
+        loop of the attached policy.  Without an injector none of that
+        happens: the loop drains, takes the next number and checks its
+        checksum where one travels.  A fault that cannot be recovered
+        raises :class:`~repro.exceptions.ResilienceError` — never a
+        silent wrong payload.
         """
         self._check_rank(src, "src", "recv")
         self._check_rank(dst, "dst", "recv")
-        key = (src, dst, tag)
-        if self.fault_injector is not None:
-            return self._recv_resilient(key).unwrap()
-        self.transport.drain()
-        while not self._queues.get(key):
-            if not self.transport.wait(key):
-                self._raise_no_message(src, dst, tag)
-            self.transport.drain()
-        msg, seq, checksum = self._queues[key].pop(0)
-        self._recv_seq[key] = seq + 1
-        self._record("recv", src, dst, tag, msg.nbytes)
-        if checksum is not None and msg.crc != checksum:
-            raise ResilienceError(
-                "corrupted message detected "
-                f"({_msg_context('recv', src, dst, tag)}) with no fault "
-                "injector attached: the transport itself mangled the payload"
-            )
-        return msg.unwrap()
+        return self._recv_next((src, dst, tag)).unwrap()
 
     def _raise_no_message(self, src: int, dst: int, tag: str) -> None:
         """Nothing to receive: recorded as ``recv_missing`` (the audit
@@ -357,8 +320,8 @@ class SimComm:
                 return queue.pop(i)
         return None
 
-    def _recv_resilient(self, key: Tuple[int, int, str]) -> Message:
-        """The receive loop of the resilient transport (injector attached)."""
+    def _recv_next(self, key: Tuple[int, int, str]) -> Message:
+        """The receive loop: the channel's next message in send order."""
         src, dst, tag = key
         policy = self.recovery
         max_retries = policy.max_retries if policy is not None else 0
@@ -538,22 +501,6 @@ class SimComm:
         self._check_rank(rank, "", "recover_restore")
         self._record("recover_restore", rank, -1, "rank", nbytes)
 
-    # -- schedule structure (replayed by the happens-before checker) --------
-    def begin_phase(self, tag: str, n_messages: int = 0) -> None:
-        """Mark the start of an exchange phase operating on ``tag``.
-
-        ``n_messages`` is the number of *cross-rank* messages the phase
-        intends to move (same-rank overlaps are local copies and never
-        touch the communicator — declaring only cross-rank traffic is
-        what keeps single-rank decompositions clean under the pair
-        accounting of the happens-before checker).
-        """
-        self._record("phase_begin", -1, -1, tag, 0, detail=int(n_messages))
-
-    def end_phase(self, tag: str) -> None:
-        """Mark the end of the exchange phase operating on ``tag``."""
-        self._record("phase_end", -1, -1, tag, 0)
-
     @contextmanager
     def exchange(
         self,
@@ -574,12 +521,10 @@ class SimComm:
         payload of each pair this endpoint sources (keys of other pairs
         of the phase are allowed).  A missing payload, or a key outside
         ``pairs``, raises :class:`CommunicationError` before anything is
-        sent.  Declares exactly what it posts, posts every send (sorted
-        pairs) before the first receive, and hands the ``with`` body the
-        received :class:`Message` list with the phase still open —
-        apply, and :meth:`record_apply`, there.  A body that raises
-        leaves no ``phase_end`` in the log, but the tag free for the
-        next phase.
+        sent.  Posts every send (sorted pairs) before the first receive,
+        and hands the ``with`` body the received :class:`Message` list,
+        every message arrived, with the phase still open: apply there.
+        The tag is free again when the block ends, also when it raises.
 
         For the life of the ``with`` block every buffer of ``outgoing``
         and of the received messages is read-only: loopback hands the
@@ -615,7 +560,6 @@ class SimComm:
         frozen: List[np.ndarray] = []
         try:
             self._open_phases.add(tag)
-            self.begin_phase(tag, n_messages=len(sends))
             _freeze(outgoing.values(), frozen)
             for src, dst in sends:
                 self.send(src, dst, outgoing[(src, dst)], tag=tag)
@@ -629,16 +573,6 @@ class SimComm:
             # owners first: a view cannot turn writable over a read-only base
             for buf in sorted(frozen, key=lambda b: isinstance(b.base, np.ndarray)):
                 buf.flags.writeable = True
-        self.end_phase(tag)
-
-    def record_apply(self, tag: str, order: int, nbytes: int = 0) -> None:
-        """Log one run of an ordered phase: a maximal run of consecutive
-        canonical-order entries drawn from one buffer, ``order`` its first
-        entry's index, ``nbytes`` its bytes.  The checker requires the
-        orders within a phase to be strictly increasing (COMM009) and
-        every apply to follow the phase's traffic (COMM010).
-        """
-        self._record("apply", -1, -1, tag, nbytes, detail=int(order))
 
     def pending(self) -> int:
         """Number of undelivered messages (should be 0 between phases)."""

@@ -200,12 +200,12 @@ class ExchangePlan:
     only on the box array: a rebalanced or evacuated run stays
     bit-identical to any other assignment.  ``local_rank`` (None: every
     rank is local) picks what this endpoint packs (``packs``), receives
-    (``recvs``) and applies: ``runs``, ``(first order, pair, elements,
-    direct, items)``, each a maximal run of consecutive entries — in the
-    canonical order of the entries one destination rank applies — drawn
-    from one buffer.  A run touches only its destination rank's boxes,
-    so applying all runs by first order applies every box canonically,
-    and a rank's runs are the same on every transport.
+    (``recvs``) and applies: ``runs``, ``(pair, direct, items)``, each a
+    maximal run of consecutive entries — in the canonical order of the
+    entries one destination rank applies — drawn from one buffer.  A run
+    touches only its destination rank's boxes, so applying the runs in
+    list order applies every box canonically, and a rank's runs are the
+    same on every transport.
     """
 
     def __init__(
@@ -260,17 +260,16 @@ class ExchangePlan:
                     (ov.src, src_sl) if direct else (start, start + size, shape)
                 )
                 run = open_runs.get(pair[1])
-                if run is not None and run[1] == pair:
-                    run[2] += size
-                    run[4].append(item)
+                if run is not None and run[0] == pair:
+                    run[2].append(item)
                 else:
-                    open_runs[pair[1]] = run = [order, pair, size, direct, [item]]
+                    open_runs[pair[1]] = run = (pair, direct, [item])
                     runs.append(run)
         self.entries = tuple(entries)
         self.counts = counts
         self.pairs = sorted(p for p in counts if p[0] != p[1])
         self.recvs = [p for p in self.pairs if local_rank in (None, p[1])]
-        # a run is appended at its first entry: already in first-order order
+        # a run is appended at its first entry: already in canonical order
         self.runs = runs
         digest = hashlib.blake2b(
             repr((self.assignment.tolist(), entries)).encode(), digest_size=8
@@ -324,8 +323,7 @@ def _run_exchange(
     """Pack, exchange and apply one phase of ``plan``;
     :meth:`SimComm.exchange` runs the protocol in between.  Buffers are
     allocated per phase, so a delayed or duplicated copy of an earlier
-    message can never alias this step's data.  Each run is logged as one
-    ``apply`` event right before it is applied.  Per-rank stats sum to
+    message can never alias this step's data.  Per-rank stats sum to
     the loopback totals: ``samples`` and ``local_copies`` are counted by
     the packer, ``messages`` and ``payload_bytes`` by the receiver.
     """
@@ -349,17 +347,12 @@ def _run_exchange(
             buffers[pair] = plan.check(msg, pair, tag)
             stats.messages += 1
             stats.payload_bytes += msg.nbytes
-        for first, pair, size, direct, items in plan.runs:
+        for pair, direct, items in plan.runs:
             if direct:
-                dst_box, comp = items[0][:2]
-                comm.record_apply(
-                    tag, first, nbytes=size * fields[dst_box][comp].itemsize
-                )
                 for dst_box, comp, dst_sl, src_box, src_sl in items:
                     fields[dst_box][comp][dst_sl] = fields[src_box][comp][src_sl]
                 continue
             buf = buffers[pair]
-            comm.record_apply(tag, first, nbytes=size * buf.itemsize)
             for dst_box, comp, dst_sl, start, stop, shape in items:
                 if fold:
                     view = fields[dst_box][comp][dst_sl]

@@ -422,9 +422,8 @@ class MPRunResult:
     ``fields``/``species`` hold each box's state from the rank that
     owned it at the end of the run; ``counters`` is the
     :func:`merge_comm_counters` fold of the per-rank counter snapshots
-    and ``merged_log`` the :func:`merge_rank_logs` interleaving of the
-    per-rank event logs (fault-free runs only — ``rank_logs`` keeps the
-    raw per-rank streams either way).
+    and ``merged_log`` the :func:`merge_rank_logs` concatenation of the
+    per-rank event logs (``rank_logs`` keeps the raw per-rank streams).
     """
 
     n_ranks: int
@@ -435,7 +434,7 @@ class MPRunResult:
     counters: CommCounters
     rank_counters: List[CommCounters]
     rank_logs: List[List[Any]]
-    merged_log: Optional[List[Any]]
+    merged_log: List[Any]
     halo: Dict[str, int]
     lb_events: List[int]
     lb_moved_bytes: int
@@ -523,7 +522,6 @@ def _fold_states(
     states: Sequence[Dict[str, Any]],
     n_steps: int,
     wall_time: float,
-    merge_logs: bool,
 ) -> MPRunResult:
     """Fold per-endpoint states into the single-view :class:`MPRunResult`
     (one state — a loopback run — folds to itself)."""
@@ -553,14 +551,6 @@ def _fold_states(
         for k in halo:
             halo[k] += state["halo"][k]
     lb_events = states[0]["lb_events"]
-    merged_log = None
-    if merge_logs:
-        # a lone endpoint's log already is the global one (and stays
-        # defined under fault injection, where logs do not interleave)
-        merged_log = (
-            list(rank_logs[0]) if len(states) == 1
-            else merge_rank_logs(rank_logs, n_ranks)
-        )
     return MPRunResult(
         n_ranks=n_ranks,
         n_steps=n_steps,
@@ -570,7 +560,7 @@ def _fold_states(
         counters=merge_comm_counters(rank_counters),
         rank_counters=rank_counters,
         rank_logs=rank_logs,
-        merged_log=merged_log,
+        merged_log=merge_rank_logs(rank_logs),
         halo=halo,
         lb_events=lb_events,
         lb_moved_bytes=sum(state["lb_moved_bytes"] for state in states),
@@ -584,7 +574,6 @@ def _fold_states(
 def run_distributed_local(
     build: Callable[..., Any],
     n_steps: int,
-    merge_logs: bool = True,
 ) -> MPRunResult:
     """The loopback twin of :func:`run_distributed_mp`.
 
@@ -595,7 +584,7 @@ def run_distributed_local(
     caring which side is which.
     """
     state = _run_rank(build, n_steps)
-    return _fold_states([state], n_steps, state["wall"], merge_logs)
+    return _fold_states([state], n_steps, state["wall"])
 
 
 def run_distributed_mp(
@@ -604,7 +593,6 @@ def run_distributed_mp(
     n_ranks: int,
     recv_timeout: float = 30.0,
     run_timeout: float = 300.0,
-    merge_logs: bool = True,
 ) -> MPRunResult:
     """Step a DistributedSimulation ``n_steps`` with one process per rank.
 
@@ -612,9 +600,7 @@ def run_distributed_mp(
     included — as a pure function of its argument: every worker calls it
     with its own endpoint and must end up with the same boxes,
     distribution mapping and initial particles (verified cheap proxies:
-    diverging schedules deadlock or fail the merge).  Pass
-    ``merge_logs=False`` for fault-injected runs, whose per-rank logs
-    carry rank-local recovery pairings that do not interleave.
+    diverging schedules deadlock or fail the merge).
     """
     t0 = now()
     states = run_spmd(
@@ -623,4 +609,4 @@ def run_distributed_mp(
         recv_timeout=recv_timeout,
         run_timeout=run_timeout,
     )
-    return _fold_states(states, n_steps, now() - t0, merge_logs)
+    return _fold_states(states, n_steps, now() - t0)

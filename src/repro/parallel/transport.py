@@ -26,7 +26,7 @@ the loopback transport produces natively.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -206,112 +206,15 @@ def pair_bytes_for_tag(log, prefix: str = "") -> Dict[Tuple[int, int], int]:
     return dict(out)
 
 
-@dataclass
-class _PhaseSegment:
-    """One phase occurrence sliced out of a per-rank event log."""
+def merge_rank_logs(logs: Sequence[Sequence]) -> List:
+    """The per-rank event logs of an SPMD run as one replayable log: the
+    ranks' logs one after another, renumbered.
 
-    tag: str
-    declared: int = 0
-    sends: List = field(default_factory=list)
-    recvs: List = field(default_factory=list)
-    applies: List = field(default_factory=list)
-    others: List = field(default_factory=list)
-
-
-def _segment_rank_log(log) -> Tuple[List, List[_PhaseSegment]]:
-    """Split one rank's log into (pre/interphase events, phase segments).
-
-    Events outside any phase are returned per segment position: element
-    ``k`` of the first list holds the loose events that preceded phase
-    segment ``k`` (the final element holds the trailing events).
-    """
-    loose: List[List] = [[]]
-    segments: List[_PhaseSegment] = []
-    current: Optional[_PhaseSegment] = None
-    for ev in log:
-        if ev.kind == "phase_begin":
-            current = _PhaseSegment(tag=ev.tag, declared=ev.detail)
-        elif ev.kind == "phase_end":
-            if current is not None:
-                segments.append(current)
-                loose.append([])
-            current = None
-        elif current is None:
-            loose[-1].append(ev)
-        elif ev.kind == "send":
-            current.sends.append(ev)
-        elif ev.kind == "recv":
-            current.recvs.append(ev)
-        elif ev.kind == "apply":
-            current.applies.append(ev)
-        else:
-            current.others.append(ev)
-    return loose, segments
-
-
-def merge_rank_logs(logs: Sequence[Sequence], n_ranks: int) -> List:
-    """Interleave per-rank event logs into one replayable global log.
-
-    Ranks of a fault-free SPMD run traverse the *same* sequence of
-    exchange phases, so the merge is structural: for each phase
-    occurrence, emit one ``phase_begin`` (declared counts summed), every
-    rank's sends, then every rank's recvs, then all applies in canonical
-    order, then one ``phase_end``.  The result satisfies the FIFO
-    send-before-recv discipline of the protocol checker, so
-    ``check_all`` replays a clean multi-process run clean — the same
-    audit the loopback transport gets natively.
-
-    Only fault-free logs merge faithfully; logs carrying fault events
-    are audited per rank instead (their recovery pairing is rank-local).
+    The replay pairs sends with receives, and faults with recoveries,
+    per channel by count, not by position, so the order of the ranks'
+    logs does not matter — fault-injected runs merge like any other.
     """
     from repro.parallel.comm import CommEvent
 
-    split = [_segment_rank_log(log) for log in logs]
-    n_phases = {len(segments) for _loose, segments in split}
-    if len(n_phases) != 1:
-        raise CommunicationError(
-            f"cannot merge rank logs with diverging phase counts "
-            f"{sorted(n_phases)}: the ranks did not run the same schedule"
-        )
-    merged: List = []
-    seq = 0
-
-    def emit(kind, src, dst, tag, nbytes, detail=0):
-        nonlocal seq
-        merged.append(CommEvent(seq, kind, src, dst, tag, nbytes, detail))
-        seq += 1
-
-    for k in range(n_phases.pop() + 1):
-        for loose, _segments in split:
-            if k < len(loose):
-                for ev in loose[k]:
-                    emit(ev.kind, ev.src, ev.dst, ev.tag, ev.nbytes, ev.detail)
-        segments = [s[1][k] for s in split if k < len(s[1])]
-        if not segments:
-            continue
-        tags = {s.tag for s in segments}
-        if len(tags) != 1:
-            raise CommunicationError(
-                f"cannot merge rank logs: phase {k} tags diverge "
-                f"({sorted(tags)})"
-            )
-        tag = tags.pop()
-        emit("phase_begin", -1, -1, tag, 0,
-             detail=sum(s.declared for s in segments))
-        for s in segments:
-            for ev in s.sends:
-                emit(ev.kind, ev.src, ev.dst, ev.tag, ev.nbytes, ev.detail)
-        for s in segments:
-            for ev in s.others:
-                emit(ev.kind, ev.src, ev.dst, ev.tag, ev.nbytes, ev.detail)
-        for s in segments:
-            for ev in s.recvs:
-                emit(ev.kind, ev.src, ev.dst, ev.tag, ev.nbytes, ev.detail)
-        applies = sorted(
-            (ev for s in segments for ev in s.applies),
-            key=lambda ev: ev.detail,
-        )
-        for ev in applies:
-            emit(ev.kind, ev.src, ev.dst, ev.tag, ev.nbytes, ev.detail)
-        emit("phase_end", -1, -1, tag, 0)
-    return merged
+    events = [ev for log in logs for ev in log]
+    return [CommEvent(seq, *ev[1:]) for seq, ev in enumerate(events)]

@@ -10,10 +10,8 @@ PIC008 rejects them.
 
 
 def ring_shift(comm, n_ranks, payloads):
-    comm.begin_phase("ring", n_messages=n_ranks)
     for rank in range(n_ranks):
         left = (rank - 1) % n_ranks
         received = comm.recv(left, rank, tag="ring")
         comm.send(rank, (rank + 1) % n_ranks, payloads[rank], tag="ring")
         payloads[rank] = received
-    comm.end_phase("ring")

@@ -9,9 +9,7 @@ every raw primitive on a communicator.
 
 
 def broadcast_state(comm, n_ranks, payload):
-    comm.begin_phase("orphan", n_messages=n_ranks - 1)
     for dst in range(1, n_ranks):
         comm.send(0, dst, payload, tag="orphan")
     for dst in range(1, n_ranks):
         comm.recv(dst, 0, tag="replies")
-    comm.end_phase("orphan")

@@ -13,6 +13,8 @@ from repro.parallel.comm import SimComm
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "data", "comm_fixtures")
 BASELINE = os.path.join(HERE, "data", "analysis_baseline.json")
+#: a recorded run with a send nobody receives (a replay COMM001)
+UNRECEIVED_LOG = os.path.join(FIXTURES, "unreceived_send.commlog.jsonl")
 
 
 def run_cli(*argv):
@@ -111,19 +113,19 @@ def test_shipped_baseline_is_empty():
 # -- --comm-log replay -------------------------------------------------------
 
 def test_comm_log_replay_flags_seeded_races(tmp_path):
+    """The CI plants: a send nobody receives, a drop nobody recovers."""
     good = tmp_path / "good.py"
     good.write_text("x = 1\n")
     code, out = run_cli(
         str(good),
-        "--comm-log", os.path.join(FIXTURES, "nondet_fold.commlog.jsonl"),
-        "--comm-log", os.path.join(FIXTURES, "fold_race.commlog.jsonl"),
-        "--comm-log", os.path.join(FIXTURES, "phase_overlap.commlog.jsonl"),
+        "--comm-log", UNRECEIVED_LOG,
+        "--comm-log", os.path.join(FIXTURES, "unrecovered_drop.commlog.jsonl"),
         "--format", "json",
     )
     assert code == 1
     payload = json.loads(out)
-    rules = {f["rule"] for f in payload["findings"]}
-    assert {"COMM007", "COMM009", "COMM010"} <= rules
+    rules = sorted(f["rule"] for f in payload["findings"])
+    assert rules == ["COMM001", "RES001"]
     # event-index provenance: path is the log file, line the event seq
     for finding in payload["findings"]:
         assert finding["path"].endswith(".commlog.jsonl")
@@ -134,12 +136,9 @@ def test_comm_log_replay_of_a_recorded_clean_run(tmp_path):
     from repro.observability.commlog import write_comm_log
 
     comm = SimComm(2)
-    comm.begin_phase("halo:fold", n_messages=1)
-    comm.send(0, 1, np.zeros(4, dtype=np.float64), tag="halo:fold")
-    comm.recv(0, 1, tag="halo:fold")
-    comm.record_apply("halo:fold", 0)
-    comm.record_apply("halo:fold", 1)
-    comm.end_phase("halo:fold")
+    outgoing = {(0, 1): np.zeros(4, dtype=np.float64)}
+    with comm.exchange("halo:fold", [(0, 1)], outgoing):
+        pass
     log_path = tmp_path / "run.commlog.jsonl"
     write_comm_log(comm, str(log_path))
     good = tmp_path / "good.py"
@@ -158,36 +157,35 @@ def test_missing_comm_log_is_an_analysis_error(tmp_path):
 
 # -- --select partitioning ---------------------------------------------------
 
-#: a recorded run whose phase begins while same-tag messages are in
-#: flight (a replay COMM007), to put next to BAD_SNIPPET's PIC002
-OVERLAP_LOG = os.path.join(FIXTURES, "phase_overlap.commlog.jsonl")
-
-
 def test_select_replay_rule_skips_linting(tmp_path):
-    # PIC002 violation present, but only COMM007 selected
+    # PIC002 violation present, but only COMM001 selected
     src = tmp_path / "mod.py"
     src.write_text(BAD_SNIPPET)
-    code, out = run_cli(str(src), "--comm-log", OVERLAP_LOG, "--select", "COMM007")
+    code, out = run_cli(
+        str(src), "--comm-log", UNRECEIVED_LOG, "--select", "COMM001"
+    )
     assert code == 1
-    assert "COMM007" in out and "PIC002" not in out
+    assert "COMM001" in out and "PIC002" not in out
 
 
 def test_select_lint_rule_skips_replay(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text(BAD_SNIPPET)
-    code, out = run_cli(str(src), "--comm-log", OVERLAP_LOG, "--select", "PIC002")
+    code, out = run_cli(
+        str(src), "--comm-log", UNRECEIVED_LOG, "--select", "PIC002"
+    )
     assert code == 1
-    assert "PIC002" in out and "COMM007" not in out
+    assert "PIC002" in out and "COMM001" not in out
 
 
 def test_select_accepts_comma_lists(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text(BAD_SNIPPET)
     code, out = run_cli(
-        str(src), "--comm-log", OVERLAP_LOG, "--select", "PIC002,COMM007"
+        str(src), "--comm-log", UNRECEIVED_LOG, "--select", "PIC002,COMM001"
     )
     assert code == 1
-    assert "PIC002" in out and "COMM007" in out
+    assert "PIC002" in out and "COMM001" in out
 
 
 def test_select_unknown_rule_exits_2(tmp_path):
@@ -196,10 +194,12 @@ def test_select_unknown_rule_exits_2(tmp_path):
     code, out = run_cli(str(src), "--select", "NOPE999")
     assert code == 2
     assert "NOPE999" in out
-    # retired with the static exchange verifier
-    code, out = run_cli(str(src), "--select", "COMM006")
-    assert code == 2
-    assert "COMM006" in out
+    # retired with the static exchange verifier and the happens-before
+    # replay
+    for retired in ("COMM006", "COMM007", "COMM009", "COMM010"):
+        code, out = run_cli(str(src), "--select", retired)
+        assert code == 2
+        assert retired in out
 
 
 # -- --list-rules covers every tier ------------------------------------------
@@ -209,16 +209,16 @@ def test_list_rules_names_static_and_replay_rules():
     checked at run time, so no COMM rule is static any more."""
     code, out = run_cli("--list-rules")
     assert code == 0
-    for rule_id in ("PIC002", "PIC008", "COMM007", "COMM009",
-                    "COMM010", "RES001", "SAN004"):
+    for rule_id in ("PIC002", "PIC008", "COMM001", "COMM005", "RES001",
+                    "RES002", "SAN004"):
         assert rule_id in out
-    assert "COMM006" not in out and "COMM008" not in out
+    for retired in ("COMM006", "COMM007", "COMM008", "COMM009", "COMM010"):
+        assert retired not in out
     assert "[static" not in out and "[replay]" in out
 
 
 def test_list_rules_names_each_rule_once():
-    """One line per rule id: COMM007 (a recorded phase begins while
-    same-tag messages are in flight) and COMM010 are replay rules."""
+    """One line per rule id: the COMM and RES rules are replay rules."""
     code, out = run_cli("--list-rules")
     assert code == 0
     lines = {}
@@ -226,5 +226,5 @@ def test_list_rules_names_each_rule_once():
         rule_id, rest = line.split(None, 1)
         assert rule_id not in lines, f"{rule_id} listed twice"
         lines[rule_id] = rest[: rest.index("]") + 1]
-    assert lines["COMM007"] == "[replay]"
-    assert lines["COMM010"] == "[replay]"
+    assert lines["COMM001"] == "[replay]"
+    assert lines["RES001"] == "[replay]"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.commcheck import check_all, check_comm, check_happens_before
+from repro.analysis.commcheck import check_comm
 from repro.exceptions import CommunicationError, ProtocolError
 from repro.parallel.comm import SimComm
 
@@ -107,120 +107,55 @@ def test_clear_log_resets_the_audit_trail():
     assert check_comm(comm).n_events == 0
 
 
-# -- the happens-before replay (COMM007/COMM009/COMM010) --------------------
+# -- pairing is by count per channel, not by position in the log -----------
 
-def clean_phase(comm, tag="halo:fold"):
-    comm.begin_phase(tag, n_messages=1)
-    comm.send(0, 1, np.zeros(4, dtype=np.float64), tag=tag)
-    comm.recv(0, 1, tag=tag)
-    comm.record_apply(tag, 0)
-    comm.record_apply(tag, 1)
-    comm.end_phase(tag)
-
-
-def test_happens_before_clean_phase():
-    comm = SimComm(4)
-    clean_phase(comm)
-    report = check_happens_before(comm)
-    assert report.ok, report.format()
-    assert check_all(comm).ok
-
-
-def test_happens_before_trivially_clean_without_phase_events():
-    comm = SimComm(4)
-    comm.send(0, 1, np.zeros(2), tag="x")
-    comm.recv(0, 1, tag="x")
-    assert check_happens_before(comm).ok
-
-
-def test_comm007_phase_begins_over_in_flight_messages():
-    comm = SimComm(4)
-    comm.begin_phase("halo:fields", n_messages=1)
-    comm.send(0, 1, np.zeros(4), tag="halo:fields")
-    comm.end_phase("halo:fields")  # ended with the message still flying
-    comm.begin_phase("halo:fields", n_messages=1)  # overlaps the leftover
-    comm.send(1, 0, np.zeros(4), tag="halo:fields")
-    comm.recv(0, 1, tag="halo:fields")
-    comm.recv(1, 0, tag="halo:fields")
-    comm.end_phase("halo:fields")
-    report = check_happens_before(comm)
-    assert rule_ids(report) == ["COMM007"]
-    assert "in flight" in report.findings[0].message
-
-
-def test_comm007_nested_phase_on_same_tag():
-    comm = SimComm(4)
-    comm.begin_phase("t", n_messages=0)
-    comm.begin_phase("t", n_messages=0)
-    report = check_happens_before(comm)
-    assert rule_ids(report) == ["COMM007"]
-    assert "still open" in report.findings[0].message
-
-
-def test_comm009_out_of_order_apply():
-    comm = SimComm(4)
-    comm.begin_phase("halo:fold", n_messages=1)
-    comm.send(0, 1, np.zeros(4), tag="halo:fold")
-    comm.recv(0, 1, tag="halo:fold")
-    comm.record_apply("halo:fold", 1)
-    comm.record_apply("halo:fold", 0)  # canonical order violated
-    comm.end_phase("halo:fold")
-    report = check_happens_before(comm)
-    assert rule_ids(report) == ["COMM009"]
-    assert "canonical order" in report.findings[0].message
-    # provenance: the event index of the offending apply
-    assert report.findings[0].line == comm.log[-2].seq
-
-
-def test_comm010_apply_races_inflight_message():
-    comm = SimComm(4)
-    comm.begin_phase("halo:fold", n_messages=1)
-    comm.send(0, 1, np.zeros(4), tag="halo:fold")
-    comm.record_apply("halo:fold", 0)  # the send has not been received
-    comm.recv(0, 1, tag="halo:fold")
-    comm.end_phase("halo:fold")
-    report = check_happens_before(comm)
-    assert rule_ids(report) == ["COMM010"]
-    assert "in flight" in report.findings[0].message
-
-
-def test_comm010_reported_once_per_phase():
-    comm = SimComm(4)
-    comm.begin_phase("t", n_messages=1)
-    comm.send(0, 1, np.zeros(4), tag="t")
-    comm.record_apply("t", 0)
-    comm.record_apply("t", 1)  # second racy apply: same phase, no new finding
-    comm.recv(0, 1, tag="t")
-    comm.end_phase("t")
-    assert rule_ids(check_happens_before(comm)) == ["COMM010"]
-
-
-def test_apply_outside_any_phase_is_tolerated():
+def test_a_receive_logged_before_its_send_pairs_by_count():
+    """The per-rank logs of a multi-process run, one after another: rank
+    0's log holds the receive of a message whose send is in rank 1's."""
     comm = SimComm(2)
-    comm.record_apply("loose", 0)
-    assert check_happens_before(comm).ok
+    comm._record("recv", 1, 0, "halo:fold", 64)
+    comm._record("send", 0, 1, "halo:fold", 64)
+    comm._record("send", 1, 0, "halo:fold", 64)
+    comm._record("recv", 0, 1, "halo:fold", 64)
+    assert check_comm(comm).ok
+    comm._record("send", 1, 0, "halo:fold", 64)
+    report = check_comm(comm)
+    assert rule_ids(report) == ["COMM001"]
+    assert "1 unreceived message(s)" in report.findings[0].message
+    assert report.findings[0].line == comm.log[-1].seq
+
+
+def test_a_recovery_logged_before_its_fault_pairs_by_count():
+    """A duplicate is logged by its sender, the dedup by its receiver:
+    concatenated, the receiver's log can come first."""
+    comm = SimComm(2)
+    comm._record("recover_dedup", 1, 0, "particles", 8)
+    comm._record("fault_duplicate", 1, 0, "particles", 8)
+    assert check_comm(comm).ok
+    comm._record("fault_duplicate", 1, 0, "particles", 8)
+    report = check_comm(comm)
+    assert rule_ids(report) == ["RES001"]
+    assert report.findings[0].line == comm.log[-1].seq
 
 
 def test_distinct_tags_do_not_interfere():
+    """A phase may open inside one of another tag: each delivers its own
+    messages and the log replays clean."""
     comm = SimComm(4)
-    comm.begin_phase("halo:fold", n_messages=1)
-    comm.send(0, 1, np.zeros(4), tag="halo:fold")
-    comm.begin_phase("lb:migrate", n_messages=1)  # different tag: fine
-    comm.send(2, 3, np.zeros(4), tag="lb:migrate")
-    comm.recv(2, 3, tag="lb:migrate")
-    comm.end_phase("lb:migrate")
-    comm.recv(0, 1, tag="halo:fold")
-    comm.record_apply("halo:fold", 0)
-    comm.end_phase("halo:fold")
-    assert check_happens_before(comm).ok
+    with comm.exchange("halo:fold", [(0, 1)], {(0, 1): np.zeros(4)}) as fold:
+        with comm.exchange("lb:migrate", [(2, 3)], {(2, 3): np.ones(4)}) as lb:
+            pass
+    assert [m.nbytes for m in fold + lb] == [32, 32]
+    assert lb[0].buffers[0].sum() == 4.0 and not fold[0].buffers[0].any()
+    assert check_comm(comm).ok
 
 
 # -- same-rank decompositions: local copies must not trip pair accounting ----
 
 def test_single_rank_halo_exchange_replays_clean():
     """Regression: a single-rank decomposition short-circuits every
-    overlap to a local copy — no send/recv events exist, and neither the
-    protocol rules nor the happens-before accounting may expect one."""
+    overlap to a local copy — no send/recv events exist, and the
+    protocol rules may not expect one."""
     from repro.grid.yee import SOURCE_COMPONENTS, YeeGrid
     from repro.parallel.box import chop_domain
     from repro.parallel.halo import fold_sources_pairwise, neighbor_overlaps
@@ -240,13 +175,8 @@ def test_single_rank_halo_exchange_replays_clean():
         comm, grids, boxes, overlaps, [0] * len(boxes), guards=guards
     )
     assert stats.local_copies > 0 and stats.messages == 0
-    kinds = [ev.kind for ev in comm.log]
-    assert "send" not in kinds and "recv" not in kinds
-    assert "phase_begin" in kinds and "apply" in kinds
-    # the phase declared zero cross-rank messages
-    begin = next(ev for ev in comm.log if ev.kind == "phase_begin")
-    assert begin.detail == 0
-    report = check_all(comm)
+    assert comm.log == []
+    report = check_comm(comm)
     assert report.ok, report.format()
 
 
@@ -266,11 +196,11 @@ def test_single_rank_distributed_simulation_audits_clean():
         profile=UniformProfile(n0), ppc=(1, 1), rng_seed=9,
     )
     sim.step(2)
-    report = check_all(sim.comm)
+    report = check_comm(sim.comm)
     assert report.ok, report.format()
 
 
-def test_four_rank_distributed_run_passes_happens_before():
+def test_four_rank_distributed_run_audits_clean():
     from repro.constants import m_e, plasma_wavelength, q_e
     from repro.parallel.distributed import DistributedSimulation
     from repro.particles.injection import UniformProfile
@@ -286,8 +216,8 @@ def test_four_rank_distributed_run_passes_happens_before():
         profile=UniformProfile(n0), ppc=(2, 2), rng_seed=3,
     )
     sim.step(3)
-    assert any(ev.kind == "apply" for ev in sim.comm.log)
-    report = check_all(sim.comm)
+    assert {ev.kind for ev in sim.comm.log} == {"send", "recv"}
+    report = check_comm(sim.comm)
     assert report.ok, report.format()
 
 

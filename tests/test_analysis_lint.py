@@ -501,14 +501,12 @@ def test_pic008_flags_raw_primitives_on_a_communicator(tmp_path):
         tmp_path,
         "ping.py",
         "def ping(comm, sim, p):\n"
-        "    comm.begin_phase('t', n_messages=1)\n"
         "    sim.comm.send(0, 1, p, tag='t')\n"
-        "    comm.recv(0, 1, tag='t')\n"
-        "    comm.end_phase('t')\n",
+        "    comm.recv(0, 1, tag='t')\n",
         select=["PIC008"],
     )
-    assert rule_ids(findings) == ["PIC008"] * 4
-    assert [f.line for f in findings] == [2, 3, 4, 5]
+    assert rule_ids(findings) == ["PIC008"] * 2
+    assert [f.line for f in findings] == [2, 3]
 
 
 def test_pic008_allows_exchange_self_and_other_receivers(tmp_path):
@@ -518,11 +516,10 @@ def test_pic008_allows_exchange_self_and_other_receivers(tmp_path):
         "comm.py",
         "class SimComm:\n"
         "    def exchange(self, tag, pairs, outgoing):\n"
-        "        self.begin_phase(tag)\n"
         "        self.send(0, 1, outgoing[(0, 1)], tag=tag)\n"
         "def step(comm, sock, pairs, out):\n"
         "    sock.send(b'x')\n"
-        "    comm.record_apply('t', 0)\n"
+        "    comm.pending()\n"
         "    with comm.exchange('t', pairs, out) as received:\n"
         "        return received\n",
         select=["PIC008"],
@@ -546,18 +543,18 @@ def test_raw_primitive_plant_is_pic008(name):
     call on a communicator is PIC008."""
     findings = lint_paths([os.path.join(COMM_FIXTURES, name)], select=["PIC008"])
     assert findings and set(rule_ids(findings)) == {"PIC008"}
-    for primitive in ("send", "recv", "begin_phase", "end_phase"):
+    for primitive in ("send", "recv"):
         assert any(f"raw {primitive}()" in f.message for f in findings)
     assert all(f.path.endswith(name) and f.line > 0 for f in findings)
 
 
 def test_fixture_suite_catches_every_seeded_bug():
     """The CI fixture step: PIC008 over the whole directory flags the
-    three raw plants (4 raw calls each) and nothing else — the tag and
+    three raw plants (2 raw calls each) and nothing else — the tag and
     buffer plants fail at run time (``tests/test_comm_plants.py``)."""
     findings = lint_paths([COMM_FIXTURES], select=["PIC008"])
     assert sorted({os.path.basename(f.path) for f in findings}) == sorted(RAW_PLANTS)
-    assert len(findings) == 12
+    assert len(findings) == 6
 
 
 def test_import_repro_leaves_the_static_analyzer_unloaded():

@@ -21,7 +21,7 @@ import re
 import numpy as np
 import pytest
 
-from repro.analysis.commcheck import check_all
+from repro.analysis.commcheck import check_comm
 from repro.analysis.linter import lint_paths, registered_rules
 from repro.analysis.sanitize import Sanitizer
 from repro.exceptions import SanitizerError
@@ -67,7 +67,7 @@ def test_load_balance_module_passes_rule(rule_id):
 
 def test_halo_module_schedule_verifies_standalone():
     """Both halo phases run on their declared tags with only halo.py's
-    own defaults, and the recorded schedule replays clean."""
+    own defaults, and the recorded traffic replays clean."""
     _, boxes, grids, comm, _ = exchanged_setup()
     fold = neighbor_overlaps(
         boxes, (16, 16), guards=3, periodic_axes=(0, 1), kind="fold"
@@ -75,9 +75,9 @@ def test_halo_module_schedule_verifies_standalone():
     fold_sources_pairwise(
         comm, grids, boxes, fold, [i % 2 for i in range(len(boxes))], guards=3
     )
-    tags = {e.tag for e in comm.log if e.kind == "phase_begin"}
+    tags = {e.tag for e in comm.log if e.kind == "send"}
     assert tags == {PHASE_TAGS["fields"], PHASE_TAGS["fold"]}
-    report = check_all(comm)
+    report = check_comm(comm)
     assert report.ok, report.format()
 
 

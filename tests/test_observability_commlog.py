@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.commcheck import check_all
+from repro.analysis.commcheck import check_comm
 from repro.exceptions import AnalysisError
 from repro.observability.commlog import (
     LOG_FORMAT_VERSION,
@@ -16,14 +16,12 @@ from repro.parallel.comm import CommEvent, SimComm
 
 def sample_comm():
     comm = SimComm(3)
-    comm.begin_phase("halo:fold", n_messages=2)
-    comm.send(0, 1, np.zeros(4, dtype=np.float64), tag="halo:fold")
-    comm.send(1, 2, np.zeros(8, dtype=np.float64), tag="halo:fold")
-    comm.recv(0, 1, tag="halo:fold")
-    comm.recv(1, 2, tag="halo:fold")
-    comm.record_apply("halo:fold", 0, nbytes=32)
-    comm.record_apply("halo:fold", 1, nbytes=64)
-    comm.end_phase("halo:fold")
+    outgoing = {
+        (0, 1): np.zeros(4, dtype=np.float64),
+        (1, 2): np.zeros(8, dtype=np.float64),
+    }
+    with comm.exchange("halo:fold", list(outgoing), outgoing):
+        pass
     comm.allreduce_sum(np.ones(2))
     comm.barrier()
     return comm
@@ -45,7 +43,7 @@ def test_replay_feeds_the_checkers(tmp_path):
     comm = sample_comm()
     path = str(tmp_path / "run.commlog.jsonl")
     write_comm_log(comm, path)
-    report = check_all(read_comm_log(path))
+    report = check_comm(read_comm_log(path))
     assert report.ok, report.format()
     assert report.n_ranks == 3
 
@@ -59,23 +57,22 @@ def test_replay_object_is_writable_again(tmp_path):
     assert read_comm_log(second).log == comm.log
 
 
-def test_detail_field_survives_and_defaults(tmp_path):
-    comm = sample_comm()
-    path = str(tmp_path / "run.commlog.jsonl")
-    write_comm_log(comm, path)
-    replay = read_comm_log(path)
-    applies = [ev for ev in replay.log if ev.kind == "apply"]
-    assert [ev.detail for ev in applies] == [0, 1]
-    begin = [ev for ev in replay.log if ev.kind == "phase_begin"][0]
-    assert begin.detail == 2  # declared message count
-    sends = [ev for ev in replay.log if ev.kind == "send"]
-    assert all(ev.detail == 0 for ev in sends)
-
-
 def test_rejects_non_comm_logs(tmp_path):
     path = tmp_path / "trace.jsonl"
     path.write_text('{"kind": "span", "version": 1}\n')
     with pytest.raises(AnalysisError, match="not a comm log"):
+        read_comm_log(str(path))
+
+
+def test_rejects_a_version_1_log(tmp_path):
+    """Version 1 carried the schedule events and a ``detail`` field."""
+    path = tmp_path / "old.jsonl"
+    path.write_text(
+        '{"kind": "comm_log", "version": 1, "n_ranks": 2}\n'
+        '{"seq": 0, "kind": "phase_begin", "src": -1, "dst": -1, '
+        '"tag": "halo:fold", "nbytes": 0, "detail": 1}\n'
+    )
+    with pytest.raises(AnalysisError, match="version 1"):
         read_comm_log(str(path))
 
 
@@ -92,8 +89,8 @@ def test_rejects_future_versions(tmp_path):
 def test_rejects_malformed_events(tmp_path):
     path = tmp_path / "mangled.jsonl"
     path.write_text(
-        '{"kind": "comm_log", "version": 1, "n_ranks": 2}\n'
-        '{"seq": 0, "kind": "send"}\n'
+        '{"kind": "comm_log", "version": %d, "n_ranks": 2}\n'
+        '{"seq": 0, "kind": "send"}\n' % LOG_FORMAT_VERSION
     )
     with pytest.raises(AnalysisError, match="malformed comm-log event"):
         read_comm_log(str(path))
@@ -119,7 +116,6 @@ def test_distributed_run_log_replays_clean(tmp_path):
     path = str(tmp_path / "dist.commlog.jsonl")
     write_comm_log(sim.comm, path)
     replay = read_comm_log(path)
-    kinds = {ev.kind for ev in replay.log}
-    assert {"phase_begin", "phase_end", "apply", "send", "recv"} <= kinds
-    report = check_all(replay)
+    assert {ev.kind for ev in replay.log} == {"send", "recv"}
+    report = check_comm(replay)
     assert report.ok, report.format()

@@ -80,23 +80,20 @@ def test_payload_nbytes():
 
 
 def _kinds(comm):
-    return [(e.kind, e.src, e.dst, e.detail) for e in comm.log]
+    return [(e.kind, e.src, e.dst) for e in comm.log]
 
 
 def test_exchange_posts_every_send_before_the_first_receive():
-    """Declared = posted, sorted pair order, the body runs inside the
-    open phase, and a bare-array payload still arrives as a Message."""
+    """Sorted pair order, every message received before the body runs,
+    and a bare-array payload still arrives as a Message."""
     comm = SimComm(3)
     pairs = {(2, 0), (0, 1), (1, 0)}
     outgoing = {p: np.full(2, float(p[0])) for p in pairs}
     with comm.exchange("particles", pairs, outgoing) as received:
-        comm.record_apply("particles", 7)
+        assert comm.pending() == 0
     assert _kinds(comm) == [
-        ("phase_begin", -1, -1, 3),
-        ("send", 0, 1, 0), ("send", 1, 0, 0), ("send", 2, 0, 0),
-        ("recv", 0, 1, 0), ("recv", 1, 0, 0), ("recv", 2, 0, 0),
-        ("apply", -1, -1, 7),
-        ("phase_end", -1, -1, 0),
+        ("send", 0, 1), ("send", 1, 0), ("send", 2, 0),
+        ("recv", 0, 1), ("recv", 1, 0), ("recv", 2, 0),
     ]
     assert all(isinstance(msg, Message) for msg in received)
     assert [msg.buffers[0][0] for msg in received] == [0.0, 1.0, 2.0]
@@ -111,9 +108,9 @@ class _RankZeroEndpoint(LoopbackTransport):
 
 
 def test_exchange_speaks_only_for_the_local_rank():
-    """An SPMD endpoint sends on the pairs it sources, declares exactly
-    those, and receives on the pairs it sinks — the pair filter the
-    exchanges used to spell per call site."""
+    """An SPMD endpoint sends on the pairs it sources and receives on the
+    pairs it sinks — the pair filter the exchanges used to spell per call
+    site."""
     comm = SimComm(3, transport=_RankZeroEndpoint())
     inbound = Message([(4,)], [np.ones(3)])
     comm.send(1, 0, inbound, tag="particles")  # what rank 1's process would post
@@ -121,12 +118,7 @@ def test_exchange_speaks_only_for_the_local_rank():
     pairs = [(0, 1), (1, 0), (1, 2), (2, 1)]
     with comm.exchange("particles", pairs, {(0, 1): np.zeros(2)}) as received:
         pass
-    assert _kinds(comm) == [
-        ("phase_begin", -1, -1, 1),
-        ("send", 0, 1, 0),
-        ("recv", 1, 0, 0),
-        ("phase_end", -1, -1, 0),
-    ]
+    assert _kinds(comm) == [("send", 0, 1), ("recv", 1, 0)]
     assert received == [inbound]
 
 
@@ -161,21 +153,20 @@ def test_spmd_exchange_accepts_keys_for_every_pair_of_the_phase():
     pairs = [(0, 1), (1, 0), (1, 2)]
     with comm.exchange("particles", pairs, {p: np.zeros(2) for p in pairs}):
         pass
-    assert [e.kind for e in comm.log] == ["phase_begin", "send", "recv", "phase_end"]
+    assert [e.kind for e in comm.log] == ["send", "recv"]
 
 
-def test_exchange_body_that_raises_leaves_the_phase_open():
-    """Like the failed receive it usually is: the log shows where the
-    run stopped instead of a phase that looks complete.  The tag itself
-    is free again for the next phase."""
+def test_exchange_body_that_raises_frees_the_tag():
+    """The tag of a phase whose body raised is free again for the next
+    phase, which runs on it as usual."""
     comm = SimComm(2)
     with pytest.raises(RuntimeError):
         with comm.exchange("particles", [(0, 1)], {(0, 1): np.zeros(1)}):
             raise RuntimeError("apply failed")
-    assert [e.kind for e in comm.log] == ["phase_begin", "send", "recv"]
-    with comm.exchange("particles", [(0, 1)], {(0, 1): np.zeros(1)}):
-        pass
-    assert comm.log[-1].kind == "phase_end"
+    assert [e.kind for e in comm.log] == ["send", "recv"]
+    with comm.exchange("particles", [(0, 1)], {(0, 1): np.zeros(1)}) as got:
+        assert len(got) == 1
+    assert [e.kind for e in comm.log] == ["send", "recv"] * 2
 
 
 @pytest.mark.parametrize("tag", ["t", "halo", "halo:fold "])

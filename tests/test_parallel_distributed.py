@@ -7,7 +7,7 @@ import gc
 import numpy as np
 import pytest
 
-from repro.analysis.commcheck import check_all, check_comm
+from repro.analysis.commcheck import check_comm
 from repro.constants import m_e, plasma_wavelength, q_e
 from repro.core.simulation import Simulation
 from repro.exceptions import ConfigurationError
@@ -496,7 +496,7 @@ def test_compiled_vay_mixed_cross_transport(transport_runner):
     assert sorted(e[1:] for e in got.merged_log) == sorted(
         e[1:] for e in want.merged_log
     )
-    report = check_all(CommLogReplay(got.merged_log, 2))
+    report = check_comm(CommLogReplay(got.merged_log, 2))
     assert report.ok, report.format()
 
 
@@ -583,7 +583,7 @@ def test_3d_decomposed_cross_transport(transport_runner):
     assert sorted(e[1:] for e in got.merged_log) == sorted(
         e[1:] for e in want.merged_log
     )
-    report = check_all(CommLogReplay(got.merged_log, 2))
+    report = check_comm(CommLogReplay(got.merged_log, 2))
     assert report.ok, report.format()
 
 

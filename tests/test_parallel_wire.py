@@ -327,41 +327,48 @@ def test_one_block_per_message_in_pipe_or_segment():
 def test_comm_event_is_a_dict_free_tuple():
     ev = CommEvent(3, "send", 0, 1, "halo:fold", 80)
     assert not hasattr(ev, "__dict__")
-    assert ev.detail == 0
-    assert ev == CommEvent(3, "send", 0, 1, "halo:fold", 80, detail=0)
-    assert ev._fields == (
-        "seq", "kind", "src", "dst", "tag", "nbytes", "detail"
-    )
+    assert ev._fields == ("seq", "kind", "src", "dst", "tag", "nbytes")
     with pytest.raises(AttributeError):
         ev.nbytes = 1
 
 
 # -- the accounting rule, pinned on the ladder deck ------------------------------
 
-def test_ladder_deck_message_sizes_are_pinned():
-    """``decomp_psatd_loopback`` of the repo benchmark (128 x 128 cells,
-    four 64 x 64 boxes with 12 guards on 2 ranks, Galilean PSATD): the
-    bytes of each of its per-step messages, so the rule — 8 B per header
-    number, UTF-8 length per header string, nbytes per buffer — cannot
-    drift.  A halo message is one float64 buffer plus one header int
-    (the plan digest): 8 messages and 849,120 B a step (939,120 B when
-    every box was its own field grid).  The log holds 42 events a step:
-    one ``apply`` per run, not per region."""
+def ladder_deck(max_grid_size=64, psatd=True):
+    """The benchmark's decomposed decks, 128 x 128 cells on 2 ranks:
+    ``decomp_psatd_loopback`` (four 64 x 64 boxes with 12 guards,
+    Galilean PSATD, a streaming beam) by default; ``max_grid_size=16,
+    psatd=False`` is the 64-box Yee deck (``decomp_yee``)."""
     length = plasma_wavelength(1.0e24)
+    solver = (
+        {"maxwell_solver": "psatd", "v_galilean": (-0.866 * c, 0.0, 0.0)}
+        if psatd else {}
+    )
     sim = DistributedSimulation(
         (128, 128), (0.0, 0.0), (length, length), n_ranks=2,
-        max_grid_size=64, cfl=0.9, shape_order=2, smoothing_passes=0,
-        maxwell_solver="psatd", v_galilean=(-0.866 * c, 0.0, 0.0),
+        max_grid_size=max_grid_size, cfl=0.9, shape_order=2,
+        smoothing_passes=0, **solver,
     )
     electrons = Species("electrons", charge=-q_e, mass=m_e, ndim=2)
 
     def stream(sp):
-        sp.momenta[:, 0] = -1.732
+        sp.momenta[:, 0] = -1.732 if psatd else 0.0
 
     sim.add_species(
         electrons, profile=UniformProfile(1.0e24), ppc=(1, 1),
         momentum_init=stream, rng_seed=21,
     )
+    return sim
+
+
+def test_ladder_deck_message_sizes_are_pinned():
+    """``decomp_psatd_loopback`` of the repo benchmark: the bytes of each
+    of its per-step messages, so the rule — 8 B per header number, UTF-8
+    length per header string, nbytes per buffer — cannot drift.  A halo
+    message is one float64 buffer plus one header int (the plan digest):
+    8 messages and 849,120 B a step (939,120 B when every box was its
+    own field grid)."""
+    sim = ladder_deck()
     sim.step(1)
     sizes = {}
     for ev in sim.comm.log:
@@ -394,16 +401,30 @@ def test_ladder_deck_message_sizes_are_pinned():
     assert sim.comm.total_messages() == 8
     assert sim.comm.total_bytes() == total
     assert sim.halo_payload_bytes == total and sim.halo_messages == 6
-    # bounded log volume: per step, four phase brackets, 8 sends, 8
-    # receives, 10 apply runs of the (per box) fold and 4 of each tile
-    # fill (per rank: the periodic self-image, then the message)
-    before = len(sim.comm.log)
-    sim.step(1)
-    assert len(sim.comm.log) - before == 4 * 2 + 8 + 8 + 10 + 2 * 4 == 42
     # one accumulator; the three names are read-only views of it
     assert sim.halo_samples == sim.halo_stats.samples > 0
     with pytest.raises(AttributeError):
         sim.halo_payload_bytes = 0
+
+
+@pytest.mark.parametrize(
+    "max_grid_size, psatd, messages",
+    [(64, True, 8), (16, False, 8)],
+    ids=["decomp_psatd_loopback", "decomp_yee"],
+)
+def test_a_decomposed_step_logs_only_its_traffic(max_grid_size, psatd, messages):
+    """One ``send`` and one ``recv`` per message and no other event: the
+    order of a phase is enforced by ``SimComm.exchange``, not logged
+    (a step of the PSATD deck logged 42 events, the 64-box Yee deck
+    224, while the schedule was logged for a replay)."""
+    sim = ladder_deck(max_grid_size, psatd)
+    sim.step(1)
+    before, sent = len(sim.comm.log), sim.comm.total_messages()
+    sim.step(1)
+    kinds = [ev.kind for ev in sim.comm.log[before:]]
+    assert sim.comm.total_messages() - sent == messages
+    assert kinds.count("send") == kinds.count("recv") == messages
+    assert len(kinds) == 2 * messages
 
 
 # -- no segment outlives its run -------------------------------------------------

@@ -33,7 +33,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis.commcheck import check_all
+from repro.analysis.commcheck import check_comm
 from repro.exceptions import (
     CommunicationError,
     ConfigurationError,
@@ -45,7 +45,9 @@ from repro.observability.commlog import (
     write_comm_log,
 )
 from repro.observability.metrics import merge_snapshots
-from repro.parallel.comm import SimComm, payload_nbytes
+from repro.parallel.comm import (
+    FAULT_EVENT_KINDS, RECOVERY_EVENT_KINDS, SimComm, payload_nbytes,
+)
 from repro.parallel.distributed import DistributedSimulation
 from repro.parallel.mp_transport import (
     POLL_INTERVAL,
@@ -91,10 +93,10 @@ def test_golden_langmuir_bit_identical():
         c.total_messages() < got.counters.total_messages()
         for c in got.rank_counters
     )
-    report = check_all(CommLogReplay(got.merged_log, PARITY_RANKS))
+    report = check_comm(CommLogReplay(got.merged_log, PARITY_RANKS))
     assert report.ok, report.format()
     # the loopback log replays clean too — same audit, same verdict
-    report = check_all(CommLogReplay(want.merged_log, PARITY_RANKS))
+    report = check_comm(CommLogReplay(want.merged_log, PARITY_RANKS))
     assert report.ok, report.format()
 
 
@@ -149,6 +151,16 @@ def test_merged_metrics_snapshot_matches_loopback():
 # -- satellite: seeded fault-injection fuzz ----------------------------------
 
 
+def assert_faults_audited_clean(run):
+    """The merged per-rank logs of a fault-injected run replay clean:
+    every fault is in the log, and so is its recovery."""
+    kinds = {ev.kind for ev in run.merged_log}
+    assert kinds & set(FAULT_EVENT_KINDS) and kinds & set(RECOVERY_EVENT_KINDS)
+    report = check_comm(CommLogReplay(run.merged_log, PARITY_RANKS))
+    assert report.ok, report.format()
+
+
+
 @pytest.mark.parametrize("seed", [1, 2, 7])
 def test_fuzz_faults_recover_to_fault_free_loopback(seed):
     """Seeded drop/duplicate/corrupt/delay scenarios replayed through
@@ -166,12 +178,12 @@ def test_fuzz_faults_recover_to_fault_free_loopback(seed):
         ),
         STEPS,
         PARITY_RANKS,
-        merge_logs=False,  # fault events pair up rank-locally only
     )
     assert_runs_equal(got, clean)
     # the faults really fired and really were recovered on the wire
     recovered = sum(sum(r.values()) for r in got.recovery if r)
     assert recovered > 0
+    assert_faults_audited_clean(got)
 
 
 @pytest.mark.parametrize(
@@ -190,11 +202,11 @@ def test_each_fault_kind_recovers_on_the_wire(kind):
         ),
         5,
         PARITY_RANKS,
-        merge_logs=False,
     )
     assert_runs_equal(got, clean)
     recovered = sum(sum(r.values()) for r in got.recovery if r)
     assert recovered > 0
+    assert_faults_audited_clean(got)
 
 
 @pytest.mark.parametrize(
@@ -218,10 +230,10 @@ def test_a_fault_on_one_species_phase_never_feeds_the_next(kind, src):
         ),
         6,
         PARITY_RANKS,
-        merge_logs=False,
     )
     assert_runs_equal(got, clean)
     assert sum(sum(r.values()) for r in got.recovery if r) > 0
+    assert_faults_audited_clean(got)
 
 
 # -- satellite: stress / ordering under real interleaving --------------------
@@ -287,12 +299,12 @@ def test_stress_many_tags_reconcile_with_commlog(tmp_path):
     assert merged.pair_bytes == expect_pair
     assert merged.total_messages() == n_ranks * (n_ranks - 1) * n_tags
     # per-tag wire traffic: in-memory log == JSONL replay == expectation
-    merged_log = merge_rank_logs([r["log"] for r in results], n_ranks)
+    merged_log = merge_rank_logs([r["log"] for r in results])
     replays = [
         read_comm_log(str(tmp_path / f"rank{r}.commlog"))
         for r in range(n_ranks)
     ]
-    replay_log = merge_rank_logs([rep.log for rep in replays], n_ranks)
+    replay_log = merge_rank_logs([rep.log for rep in replays])
     for k in range(n_tags):
         tag_bytes = payload_nbytes(np.arange(10 * (k + 1), dtype=np.float64))
         expect_tag = {
