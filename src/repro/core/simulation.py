@@ -555,10 +555,12 @@ class Simulation(StepDriver):
         A patch's rows gather its auxiliary field and deposit on its fine
         grid, with the patch interior as the keep box and no wrap (a
         member cannot leave the domain in one move); the parent's run on
-        the parent with the wrap.  Results go to the same rows of fresh
-        arrays, so the particle order never changes.  A member whose move
-        left the interior (a crosser) deposits nothing there, but through
-        :meth:`_deposit` afterwards.
+        the parent with the wrap.  Each level reads its rows of the
+        species arrays and writes them to the same rows of the new ones,
+        allocated once (the rows of subcycled members, advanced already,
+        carry over), so the particle order never changes.  A member whose
+        move left the interior (a crosser) deposits nothing there, but
+        through :meth:`_deposit` afterwards.
         """
         sp, g = species, self.grid
         x_old, u_old, w = sp.positions, sp.momenta, sp.weights
@@ -572,21 +574,22 @@ class Simulation(StepDriver):
                     self.kernel_set, g, x_old, u_old, w, *args, periodic
                 )
             else:
-                x_new, u_new = x_old.copy(), u_old.copy()
-                left = np.zeros(sp.n, dtype=bool)
+                every = sum(map(len, levels.values())) == sp.n
+                new = np.empty_like if every else np.copy
+                out = (new(x_old), new(u_old), np.zeros(sp.n, dtype=bool))
                 for patch, rows in levels.items():
-                    x, u, wt = (a.take(rows, axis=0) for a in (x_old, u_old, w))
                     if patch is None:
-                        x, u, _ = advance_particles(
-                            self.kernel_set, g, x, u, wt, *args, periodic
+                        advance_particles(
+                            self.kernel_set, g, x_old, u_old, w, *args,
+                            periodic, rows=rows, out=out[:2] + (None,),
                         )
                     else:
-                        x, u, leaving = advance_particles(
-                            self.kernel_set, patch.aux, x, u, wt, *args,
-                            None, patch.fine, patch.interior_box(),
+                        advance_particles(
+                            self.kernel_set, patch.aux, x_old, u_old, w,
+                            *args, None, patch.fine, patch.interior_box(),
+                            rows, out,
                         )
-                        left[rows[leaving]] = True
-                    x_new[rows], u_new[rows] = x, u
+                x_new, u_new, left = out
                 sp.positions, sp.momenta = x_new, u_new
                 crossers = np.flatnonzero(left)
                 if crossers.size:
@@ -594,18 +597,19 @@ class Simulation(StepDriver):
                     vel = u_out * (c / lorentz_factor(u_out))[:, None]
                     x_out = x_new.take(crossers, axis=0)
                     self._deposit(
-                        sp.select(crossers), x_old.take(crossers, axis=0),
-                        x_out, vel,
+                        w.take(crossers), sp.charge,
+                        x_old.take(crossers, axis=0), x_out, vel,
                     )
                     if periodic is not None:
                         wrap_positions_periodic(x_out, *periodic)
                         x_new[crossers] = x_out
         self._count_dispatch(len(levels))
 
-    def _deposit(self, species, x_old, x_new, velocities) -> None:
-        """Deposit the crossers of :meth:`_advance_levels`: each on the
-        fine grid of the first synchronous patch whose deposit-safe region
-        holds both of its positions, else on the parent."""
+    def _deposit(self, weights, charge, x_old, x_new, velocities) -> None:
+        """Deposit the crossers of :meth:`_advance_levels` (``weights``,
+        ``charge``): each on the fine grid of the first synchronous patch
+        whose deposit-safe region holds both of its positions, else on the
+        parent."""
         rest = np.ones(len(x_old), dtype=bool)
         for patch in [p for p in self.patches if not p.subcycle] + [None]:
             sel, grid = rest, self.grid
@@ -616,7 +620,7 @@ class Simulation(StepDriver):
             if np.any(sel):
                 self.kernel_set.deposit_current(
                     grid, x_old[sel], x_new[sel], velocities[sel],
-                    species.weights[sel], species.charge, self.dt, self.shape_order,
+                    weights[sel], charge, self.dt, self.shape_order,
                 )
                 rest &= ~sel
 

@@ -84,11 +84,12 @@ guard tolerance of ``boosted_lwfa.GUARD_TOLERANCES``, not bit for bit.
 
 Memory safety: the entries index through the shapes they are given and
 trust them, so the wrappers check first — every array C-contiguous, of
-its grid's shape and dtype, writable where written (pointer tables are
-built per call from the live arrays); a spectrum or k-space table of the
-half-spectrum shape and the solver's complex (or real) dtype (the tables
-checked once, on the solver's first native step, and cached with it);
-the damping layer inside the axis;
+its grid's shape and dtype, writable where written (checked when bound,
+:func:`repro.native.bind`, and bound again whenever a call finds an
+array replaced, its layout changed or a written one read-only); a
+spectrum or k-space table of the half-spectrum shape and the solver's
+complex (or real) dtype (the tables checked once, on the solver's first
+native step, and cached with it); the damping layer inside the axis;
 a transfer plan built for the patch's grid shapes; the parent section of
 a patch inside the parent — and raise
 :class:`~repro.exceptions.ConfigurationError` before anything is
@@ -836,12 +837,6 @@ def c_source() -> str:
 
 
 @functools.lru_cache(maxsize=None)
-def _padded(shape: Tuple[int, ...]):
-    """``shape`` with leading 1s to three axes, as the C takes it."""
-    return (ctypes.c_int64 * 3)(*(1,) * (3 - len(shape)), *shape)
-
-
-@functools.lru_cache(maxsize=None)
 def _spacing(dx: Tuple[float, ...]):
     """A grid's cell sizes as the C takes them (three doubles)."""
     return (ctypes.c_double * 3)(*dx)
@@ -880,6 +875,21 @@ def _table(arrays, shape, dtype, what: str, written: bool = True):
                 _refuse(what, arr, shape, dtype, written)
             ptrs.append(arr.ctypes.data)
     return native.c_array(ctypes.c_void_p, ptrs)
+
+
+def _check(bound, what: str, shape, dtype) -> None:
+    """:func:`_table`'s check of a new binding's arrays (one ``written``
+    flag for all of them), then ``dims``: the shape padded with leading
+    1s to three axes, as the C takes it."""
+    _table(bound.arrays, shape, dtype, what, bound.written[0])
+    bound.dims = native.c_array(ctypes.c_int64, (1,) * (3 - len(shape)) + shape)
+
+
+def _bind(owner, key: str, arrays, shape, dtype, what: str,
+          written=True) -> native.Binding:
+    """``arrays`` of ``owner`` bound under ``key`` (:func:`repro.native.
+    bind`), checked by :func:`_check`."""
+    return native.bind(owner, key, arrays, written, _check, what, shape, dtype)
 
 
 class TransferPlan:
@@ -987,27 +997,28 @@ class FieldBackend:
 
     def yee_step(self, grid, dt: float, c2: float, eps0: float) -> None:
         """Half B, full E, half B on ``grid`` (``MaxwellSolver.step``)."""
-        arrays = [grid.fields[name] for name in _YEE_ARRAYS]
-        table = _table(arrays, grid.shape, grid.dtype, "yee_step")
+        f = grid.fields
+        bound = _bind(grid, "EBJ", [f[name] for name in _YEE_ARRAYS],
+                      grid.shape, grid.dtype, "yee_step")
         self._fn["yee_step", grid.dtype](
-            table, _padded(grid.shape), grid.ndim, dt * 0.5, dt * 1.0, c2,
-            eps0, _spacing(grid.dx),
+            bound.table, bound.dims, grid.ndim, dt * 0.5, dt * 1.0, c2, eps0,
+            _spacing(grid.dx),
         )
 
     def pml_step(self, solver, c2: float, eps0: float) -> None:
         """``PMLMaxwellSolver.step`` of ``solver``: its split parts, and
         its decay / weight tables as a pointer table cached per ``dt``
         (those arrays are the solver's own, whatever the field layout)."""
-        grid = solver.grid
+        grid, f = solver.grid, solver.grid.fields
         coef = solver._native_coeffs.get(solver.dt)
         if coef is None:
             coef = solver._native_coeffs[solver.dt] = _coeff_table(solver)
-        fields = _table([grid.fields[name] for name in _YEE_ARRAYS],
-                        grid.shape, grid.dtype, "pml_step")
-        parts = _table(_split_parts(solver), grid.shape, grid.dtype,
-                       "pml_step")
+        fields = _bind(grid, "EBJ", [f[name] for name in _YEE_ARRAYS],
+                       grid.shape, grid.dtype, "pml_step")
+        parts = _bind(solver, "parts", _split_parts(solver), grid.shape,
+                      grid.dtype, "pml_step")
         self._fn["pml_step", grid.dtype](
-            fields, parts, coef[0], _padded(grid.shape), grid.ndim,
+            fields.table, parts.table, coef[0], fields.dims, grid.ndim,
             solver.dt * 0.5, solver.dt * 1.0, c2, eps0, _spacing(grid.dx),
         )
 
@@ -1021,10 +1032,11 @@ class FieldBackend:
                 f"native damp needs at most {grid.shape[axis]} contiguous "
                 f"float64 factors; got {len(factors)} {factors.dtype}"
             )
-        arrays = [grid.fields[name] for name in FIELD_COMPONENTS]
-        table = _table(arrays, grid.shape, grid.dtype, "damp")
+        f = grid.fields
+        bound = _bind(grid, "EB", [f[name] for name in FIELD_COMPONENTS],
+                      grid.shape, grid.dtype, "damp")
         self._fn["damp", grid.dtype](
-            table, _padded(grid.shape), axis + 3 - grid.ndim,
+            bound.table, bound.dims, axis + 3 - grid.ndim,
             native._ptr(factors), len(factors), int(low), int(high),
         )
 
@@ -1035,30 +1047,37 @@ class FieldBackend:
         dtype = parent.dtype
         plan.check("assemble_aux", patch)
 
-        def table(grid, shape, written):
-            return _table([grid.fields[c] for c in FIELD_COMPONENTS], shape,
-                          dtype, "assemble_aux", written)
+        def group(grid, shape, written):
+            f = grid.fields
+            return _bind(grid, "EB" if written else "EB:r",
+                         [f[c] for c in FIELD_COMPONENTS], shape, dtype,
+                         "assemble_aux", written)
 
+        par = group(parent, parent.shape, False)
+        crs = group(coarse, coarse.shape, False)
+        fin = group(fine, fine.shape, False)
+        aux = group(patch.aux, fine.shape, True)  # indexed like the fine grid
         ptrs = plan.ptrs
         self._fn["assemble_aux", dtype](
-            table(parent, parent.shape, False),
-            table(coarse, coarse.shape, False),
-            table(fine, fine.shape, False),
-            table(patch.aux, fine.shape, True),  # indexed like the fine grid
-            _padded(parent.shape), _padded(coarse.shape), _padded(fine.shape),
-            parent.ndim, plan.origin, fine.guards, ptrs["imap"],
+            par.table, crs.table, fin.table, aux.table, par.dims, crs.dims,
+            fin.dims, parent.ndim, plan.origin, fine.guards, ptrs["imap"],
             ptrs["wmap"], plan.m, ptrs["row"],
         )
 
     def smooth(self, grid, passes: int) -> None:
         """``passes`` binomial passes along every axis of ``grid``'s Jx,
-        Jy, Jz (``smooth_binomial`` per component and axis)."""
-        table = _table([grid.fields[c] for c in _J], grid.shape, grid.dtype,
-                       "smooth")
-        n = _padded(grid.shape)
-        save = np.empty(n[1] * n[2], dtype=grid.dtype)  # one plane
+        Jy, Jz (``smooth_binomial`` per component and axis); the one
+        plane of scratch the C keeps old values in is held with the
+        binding."""
+        f = grid.fields
+        bound = _bind(grid, "J", [f[c] for c in _J], grid.shape, grid.dtype,
+                      "smooth")
+        if not hasattr(bound, "save"):
+            n = bound.dims
+            bound.save = np.empty(n[1] * n[2], dtype=grid.dtype)
+            bound.save_ptr = bound.save.ctypes.data
         self._fn["smooth", grid.dtype](
-            table, n, grid.ndim, passes, _addressof(_from_buffer(save))
+            bound.table, bound.dims, grid.ndim, passes, bound.save_ptr
         )
 
     def restrict_currents(self, patch, plan: TransferPlan, weight: float,
@@ -1068,13 +1087,13 @@ class FieldBackend:
         coarse, fine = patch.coarse, patch.fine
         dtype = patch.parent.dtype
         plan.check("restrict_currents", patch)
-        fin = _table([fine.fields[c] for c in _J], fine.shape, dtype,
-                     "restrict_currents", False)
-        crs = _table([coarse.fields[c] for c in _J], coarse.shape, dtype,
-                     "restrict_currents")
+        fin = _bind(fine, "J:r", [fine.fields[c] for c in _J], fine.shape,
+                    dtype, "restrict_currents", False)
+        crs = _bind(coarse, "J", [coarse.fields[c] for c in _J],
+                    coarse.shape, dtype, "restrict_currents")
         ptrs = plan.ptrs
         self._fn["restrict_currents", dtype](
-            fin, crs, _padded(fine.shape), _padded(coarse.shape), fine.ndim,
+            fin.table, crs.table, fin.dims, crs.dims, fine.ndim,
             fine.guards, ptrs["ridx"], ptrs["rw"], ptrs["nterms"], plan.tmax,
             plan.mc, weight, int(first), ptrs["scratch"],
         )

@@ -28,6 +28,11 @@ and ``build`` says so (``plain flags: <reason>`` instead of ``8 lanes,
 -march=native``).  Neither flag set lets the compiler contract,
 reassociate or replace a division by a reciprocal: every kernel performs
 the IEEE operations its NumPy twin performs.
+
+A call site hands its arrays to :func:`bind`, which checks their layout
+once, keeps their addresses in a pointer table on the object that owns
+them and on later calls rechecks only what can change under the same
+arrays.
 """
 
 from __future__ import annotations
@@ -207,12 +212,73 @@ def c_array(ctype, values) -> ctypes.Array:
     return _array_type(ctype, len(values))(*values)
 
 
+class Binding:
+    """Arrays checked once for a native entry: their addresses (``table``;
+    None: a null entry), the layout the check saw and which are written.
+    A site hangs on it what else its entry takes (strides, scratch)."""
+
+    def __init__(self, arrays, written) -> None:
+        self.arrays = tuple(arrays)
+        self.written = ((written,) * len(self.arrays)
+                        if isinstance(written, bool) else tuple(written))
+        self.layout = [None if a is None else (a.shape, a.strides, a.dtype)
+                       for a in self.arrays]
+        self.table = c_array(ctypes.c_void_p, (
+            None if a is None else _ptr(a) for a in self.arrays))
+
+
+def bind(owner, key: str, arrays, written, check, *args) -> Binding:
+    """The :class:`Binding` of ``arrays`` cached on ``owner`` (the grid,
+    solver or patch whose arrays they are) under ``key``, if each is still
+    the bound object with the bound shape, strides and dtype, and writable
+    where ``written`` (one flag per array, or one for all): only that can
+    change under the same objects.  Otherwise ``check(binding, *args)``
+    refuses the new arrays with a ConfigurationError, or completes their
+    binding, before it is cached."""
+    cache = owner.__dict__.setdefault("_native_bindings", {})
+    bound = cache.get(key)
+    if bound is not None and len(arrays) == len(bound.arrays):
+        for a, b, layout, w in zip(arrays, bound.arrays, bound.layout,
+                                   bound.written):
+            if a is not b or a is not None and (
+                (a.shape, a.strides, a.dtype) != layout
+                or w and not a.flags.writeable
+            ):
+                break
+        else:
+            return bound
+    bound = Binding(arrays, written)
+    check(bound, *args)
+    cache[key] = bound
+    return bound
+
+
+_addressof = ctypes.addressof
+_from_buffer = ctypes.c_char.from_buffer
+
+
 def _ptr(arr: np.ndarray) -> int:
     """Address of ``arr``'s first element.  A ctypes view of the buffer
     costs a quarter of ``arr.ctypes`` — per call, a dozen of these are a
     tenth of a small patch's pass — but needs a writable, non-empty,
-    contiguous array."""
-    flags = arr.flags
-    if flags.writeable and flags.c_contiguous and arr.size:
-        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
-    return arr.ctypes.data
+    contiguous array (asked of the view itself: its refusal is cheaper
+    than reading the flags first)."""
+    try:
+        return _addressof(_from_buffer(arr))
+    except (TypeError, ValueError):
+        return arr.ctypes.data
+
+
+def _written_ptr(arr: np.ndarray, shape, dtype, what: str) -> int:
+    """The address of an array a kernel writes: of ``shape`` and
+    ``dtype``, C-contiguous and writable, else ConfigurationError."""
+    try:
+        if arr.shape == shape and arr.dtype == dtype:
+            return _addressof(_from_buffer(arr)) if arr.size else 0
+    except (TypeError, AttributeError):  # read-only, strided; not an array
+        pass
+    raise ConfigurationError(
+        f"{what} must be a writable C-contiguous {np.dtype(dtype)} array of "
+        f"shape {shape}; got {getattr(arr, 'dtype', arr)} "
+        f"{getattr(arr, 'shape', '')}"
+    )

@@ -76,6 +76,8 @@ def advance_particles(
     periodic: Optional[Tuple[Sequence[float], Sequence[float], Sequence[int]]] = None,
     deposit_grid: Optional[YeeGrid] = None,
     keep: Optional[Tuple[Sequence[float], Sequence[float]]] = None,
+    rows: Optional[np.ndarray] = None,
+    out: Optional[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Advance positions ``x`` and momenta ``u`` (weights ``w``, charge
     ``q``, mass ``m``) one step on ``grid``, depositing their current.
@@ -85,7 +87,11 @@ def advance_particles(
     ``deposit_grid`` (default ``grid``) receives the current; ``keep``
     leaves out and flags the particles whose new position left that box
     (module docstring).  Returns ``(x_new, u_new, leaving)`` in fresh
-    arrays, ``leaving`` None without a keep box.
+    arrays, ``leaving`` None without a keep box.  Given ``rows``, an
+    index into ``x`` / ``u`` / ``w``, only those particles advance and
+    their results go to the same rows of ``out = (x_new, u_new,
+    leaving)`` (``leaving`` zeroed, None without a keep box), which is
+    returned: an MR level advances its particles where they live.
     """
     if pusher not in PUSHERS:
         raise ConfigurationError(f"unknown pusher {pusher!r}")
@@ -94,8 +100,17 @@ def advance_particles(
     if _fuses(kernel_set, deposition, dt, grid):
         return kernel_set.advance(
             grid, x, u, w, q, m, dt, order, pusher, periodic, deposit_grid,
-            keep,
+            keep, rows, out,
         )
+    if rows is not None:
+        x_new, u_new, leaving = advance_particles(
+            kernel_set, grid, *(a.take(rows, axis=0) for a in (x, u, w)), q,
+            m, dt, order, pusher, deposition, periodic, deposit_grid, keep,
+        )
+        out[0][rows], out[1][rows] = x_new, u_new
+        if leaving is not None:
+            out[2][rows] = leaving
+        return out
     if deposit_grid is None:
         deposit_grid = grid
     e_f, b_f = kernel_set.gather(grid, x, order)

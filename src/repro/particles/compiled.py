@@ -53,7 +53,10 @@ K-vectors and scatter:
     A ``switch`` instantiates the block loop with literal ``(ndim,
     order)``; the lane loops are out-of-line functions shared by all of
     them (the gather one per precision), and nothing else is
-    specialised.
+    specialised.  Given a ``rows`` index (an MR level's particles in
+    their species) the entry copies 64 rows at a time onto its stack,
+    runs them through that same loop and puts the results back through
+    the rows: bit for bit the pass on the taken rows.
 ``advance_scalar``
     the same pass one lane at a time at run-time ``(ndim, order)``: the
     ``n mod LANES`` tail and every block with a refused lane go through
@@ -117,7 +120,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro import native
-from repro.native import _ptr, c_array
+from repro.native import _ptr, _written_ptr, c_array
 from repro.constants import c
 from repro.exceptions import ConfigurationError, SanitizerError
 from repro.grid.yee import FIELD_COMPONENTS, STAGGER, YeeGrid
@@ -151,6 +154,8 @@ typedef int64_t i64;
 /* What a block of the fused pass returns when a lane left the keep box:
    not an axis, never a refusal; the scalar loop takes the block over. */
 #define REPRO_LEAVES 3
+/* The bad_axis of a rows index outside the species arrays. */
+#define REPRO_BAD_ROW 4
 /* Particles per block ("lanes") of the fused pass: every per-particle
    quantity of a block lives in a [..][REPRO_RB] stack array whose last
    index is the lane.  (-DREPRO_RB=n: the vector-length table of
@@ -533,6 +538,40 @@ REPRO_LANES double repro_window_lanes(int order, int nl,
                    extent, xn, first, s0, ds)
 }
 
+/* The first p < n whose rows[p] is outside [0, n_all), flagged as
+   REPRO_BAD_ROW, or -1: a rows index is refused before anything moves. */
+static i64 repro_bad_row(const i64 *rows, i64 n, i64 n_all, int *bad_axis) {
+    for (i64 p = 0; p < n; ++p)
+        if (rows[p] < 0 || rows[p] >= n_all) return *bad_axis = REPRO_BAD_ROW, p;
+    return -1;
+}
+
+/* The rows r = rows[l < nl] of pos (ndim per particle), mom (3) and w
+   into the stack tables bp, bm, bw. */
+REPRO_LANES void repro_take_rows(const i64 *rows, int nl, int ndim,
+    const double *pos, const double *mom, const double *w, double *bp,
+    double *bm, double *bw) {
+    for (int l = 0; l < nl; ++l) {
+        const i64 r = rows[l];
+        for (int d = 0; d < ndim; ++d) bp[l * ndim + d] = pos[r * ndim + d];
+        for (int j = 0; j < 3; ++j) bm[3 * l + j] = mom[3 * r + j];
+        bw[l] = w[r];
+    }
+}
+
+/* New positions, momenta and (bl, then cleared) leaving flags from the
+   stack tables back to the rows. */
+REPRO_LANES void repro_put_rows(const i64 *rows, int nl, int ndim,
+    const double *bp, const double *bm, unsigned char *bl, double *pos,
+    double *mom, unsigned char *leaving) {
+    for (int l = 0; l < nl; ++l) {
+        const i64 r = rows[l];
+        for (int d = 0; d < ndim; ++d) pos[r * ndim + d] = bp[l * ndim + d];
+        for (int j = 0; j < 3; ++j) mom[3 * r + j] = bm[3 * l + j];
+        if (bl) leaving[r] = bl[l], bl[l] = 0;
+    }
+}
+
 REPRO_LANES void repro_kvector_lanes(int ndim, int K, int nl,
     const double *k, const double *restrict qw, const double *restrict s0,
     const double *restrict ds, double *restrict cum, double *restrict t,
@@ -543,7 +582,7 @@ REPRO_LANES void repro_kvector_lanes(int ndim, int K, int nl,
 
 # Every kernel returns -1, or the index of the first particle whose
 # stencil leaves the array with the offending axis in *bad_axis.  Rows
-# (the last axis) are contiguous: CBackend.call checks it.
+# (the last axis) are contiguous: the binding (_check_groups) checks it.
 _C_KERNELS = r"""
 /* All six field components at nl particles, f[c * st + l] = {Ex, Ey, Ez,
    Bx, By, Bz}[c] of lane l: each picks per axis the nodal or the shifted
@@ -849,22 +888,29 @@ REPRO_INLINE int advance_lanes_@SUF@(const @REAL@ *const *fields,
    tail and every block in which a lane was refused, so the first
    offender, its axis and the partial J are those of a per-particle
    loop — and it is exported: the blocked entry below must reproduce it
-   bit for bit (test_blocked_advance_is_the_scalar_loop_bit_for_bit). */
+   bit for bit (test_blocked_advance_is_the_scalar_loop_bit_for_bit).
+   rows: particle p is row rows[p] of every particle array (leaving
+   included), all refused as REPRO_BAD_ROW if one is outside [0, n_all);
+   NULL: row p. */
 REPRO_GENERIC __attribute__((noinline)) i64 advance_scalar_@SUF@(
     @REAL@ *const *arrays, const i64 *strides, const i64 *shape,
     const double *geom, int ndim, int order, i64 n, int vay,
     const double *pos, const double *mom, const double *weights,
     double charge, double dt, double kq, double hq, double clight,
     const double *wrap, const double *keep, unsigned char *leaving,
-    double *pos_new, double *mom_new, int *bad_axis) {
+    double *pos_new, double *mom_new, const i64 *rows, i64 n_all,
+    int *bad_axis) {
     double k[3];
+    const i64 bad = rows ? repro_bad_row(rows, n, n_all, bad_axis) : -1;
+    if (bad >= 0) return bad;
     repro_current_factors(ndim, charge, dt, geom + 3, k);
     for (i64 p = 0; p < n; ++p) {
+        const i64 r = rows ? rows[p] : p;
         *bad_axis = advance_lanes_@SUF@((const @REAL@ *const *)arrays,
             arrays + 6, strides, shape, geom, ndim, order, 1, vay,
-            pos + p * ndim, mom + 3 * p, weights + p, k, kq, hq, clight,
-            clight * dt, wrap, keep, keep ? leaving + p : 0,
-            pos_new + p * ndim, mom_new + 3 * p);
+            pos + r * ndim, mom + 3 * r, weights + r, k, kq, hq, clight,
+            clight * dt, wrap, keep, keep ? leaving + r : 0,
+            pos_new + r * ndim, mom_new + 3 * r);
         if (*bad_axis >= 0) return p;
     }
     return -1;
@@ -893,7 +939,7 @@ REPRO_INLINE i64 advance_body_@SUF@(@REAL@ *const *arrays,
             i64 bad = advance_scalar_@SUF@(arrays, strides, shape, geom,
                 ndim, order, todo, vay, pos + p * ndim, mom + 3 * p,
                 weights + p, charge, dt, kq, hq, clight, wrap, keep, flags,
-                pos_new + p * ndim, mom_new + 3 * p, bad_axis);
+                pos_new + p * ndim, mom_new + 3 * p, 0, 0, bad_axis);
             if (bad >= 0) return p + bad;
         }
         p += todo;
@@ -911,9 +957,31 @@ i64 advance_@SUF@(@REAL@ *const *arrays, const i64 *strides,
     int vay, const double *pos, const double *mom, const double *weights,
     double charge, double dt, double kq, double hq, double clight,
     const double *wrap, const double *keep, unsigned char *leaving,
-    double *pos_new, double *mom_new, int *bad_axis) {
+    double *pos_new, double *mom_new, const i64 *rows, i64 n_all,
+    int *bad_axis) {
     /* arrays = {Ex, Ey, Ez, Bx, By, Bz, Jx, Jy, Jz}, strides = {the
-       fields' [3], the currents' [3]} */
+       fields' [3], the currents' [3]}; rows: as advance_scalar's, run
+       REPRO_TAKE rows (whole blocks) at a time through this entry on
+       stack copies */
+    enum { REPRO_TAKE = 8 * REPRO_RB };
+    if (rows) {
+        double bp[3 * REPRO_TAKE], bm[3 * REPRO_TAKE], bw[REPRO_TAKE];
+        double bpn[3 * REPRO_TAKE], bmn[3 * REPRO_TAKE];
+        unsigned char bl[REPRO_TAKE] = {0};
+        const i64 bad = repro_bad_row(rows, n, n_all, bad_axis);
+        if (bad >= 0) return bad;
+        for (i64 p = 0; p < n; p += REPRO_TAKE) {
+            const int nl = n - p < REPRO_TAKE ? n - p : REPRO_TAKE;
+            repro_take_rows(rows + p, nl, ndim, pos, mom, weights, bp, bm, bw);
+            const i64 b = advance_@SUF@(arrays, strides, shape, geom, ndim,
+                order, nl, vay, bp, bm, bw, charge, dt, kq, hq, clight, wrap,
+                keep, bl, bpn, bmn, 0, 0, bad_axis);
+            if (b >= 0) return p + b;
+            repro_put_rows(rows + p, nl, ndim, bpn, bmn, keep ? bl : 0,
+                           pos_new, mom_new, leaving);
+        }
+        return -1;
+    }
 #define REPRO_CASE(D, O) case 4 * D + O: return advance_body_@SUF@( \
         arrays, strides, shape, geom, D, O, n, vay, pos, mom, weights, \
         charge, dt, kq, hq, clight, wrap, keep, leaving, pos_new, mom_new, \
@@ -943,11 +1011,6 @@ def c_source() -> str:
     return "".join(parts)
 
 
-def _f64(arr: np.ndarray) -> np.ndarray:  # repro: allow(PIC007)
-    """Particle-side arrays cross the ctypes boundary as contiguous DP."""
-    return np.ascontiguousarray(arr, dtype=np.float64)
-
-
 class CBackend:
     """ctypes driver of the generated-C kernels (f64 + f32 symbols)."""
 
@@ -965,7 +1028,7 @@ class CBackend:
         signatures = {
             "gather": [vp, vp, vp],
             "advance": [ci, vp, vp, vp, cd, cd, cd, cd, cd, vp, vp, vp, vp,
-                        vp],
+                        vp, vp, c64],
             "deposit_esirkepov": [ci, vp, vp, vp, vp, cd, cd],
         }
         # the per-particle loop `advance` hands refused blocks and its tail
@@ -978,62 +1041,127 @@ class CBackend:
                 fn.argtypes = common + argtypes + [vp]
                 fn.restype = c64
                 self._fn[kernel, itemsize] = fn
+        self._bad_axis = ctypes.c_int(-1)
+        self._bad_ref = ctypes.byref(self._bad_axis)
 
-    def call(self, kernel: str, grid: YeeGrid, fields, order: int,  # repro: allow(PIC007)
-             n: int, *args) -> None:
-        """Run ``kernel`` over ``n`` particles on ``fields``, a dict
-        ``{component: array}`` of arrays of ``grid``'s geometry.
+    def call(self, kernel: str, grid: YeeGrid, bound: native.Binding,
+             order: int, n: int, *args) -> None:
+        """Run ``kernel`` over ``n`` particles on the arrays of ``bound``
+        (:func:`_bind`) in ``grid``'s geometry, which ``bound`` holds and
+        rebuilds when ``grid.lo`` moves (the moving window shifts it).
 
         The kernels index the arrays through element strides (rows, the
         last axis, contiguous) and check every stencil against the
         extents; an out-of-range one comes back as a particle index and
-        is raised as SAN005.  The strides come per group of arrays, three
-        entries each: the fused pass's six fields, then its three
-        currents; a standalone entry's one group.  Every array must have
-        its group's strides and the first array's shape and dtype, else
-        ConfigurationError names it.
+        is raised as SAN005.
         """
-        names, arrays = list(fields), list(fields.values())
-        sample = arrays[0]
-        ndim = grid.ndim
-        cuts = (0, 6, 9) if kernel.startswith("advance") else (0, len(arrays))
-        strides = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            head = (sample.shape, sample.dtype, arrays[lo].strides)
-            for name, arr in zip(names[lo:hi], arrays[lo:hi]):
-                if (arr.shape, arr.dtype, arr.strides) != head:
-                    raise ConfigurationError(
-                        f"compiled {kernel}: {name} (shape, dtype, strides "
-                        f"{(arr.shape, arr.dtype, arr.strides)}) is not laid "
-                        f"out like {names[lo]} {head}"
-                    )
-            strides.append([s // sample.itemsize for s in head[2]])
-        if order not in (1, 2, 3) or any(st[-1] != 1 for st in strides):
+        if order not in (1, 2, 3):
             raise ConfigurationError(
-                f"compiled {kernel} needs shape order 1-3 and C-contiguous "
-                f"field rows (order {order}, strides {strides})"
+                f"compiled {kernel} needs shape order 1-3 (order {order})"
             )
-        flat = [s for st in strides for s in st + [0] * (3 - ndim)]
-        # {lo[3], dx[3], guards}: particle position -> lattice coordinate
-        pad = (1.0,) * (3 - ndim)
-        geom = c_array(
-            ctypes.c_double, (*grid.lo, *pad, *grid.dx, *pad, grid.guards)
-        )
-        bad_axis = ctypes.c_int(-1)
-        p = self._fn[kernel, sample.dtype.itemsize](
-            c_array(ctypes.c_void_p, map(_ptr, arrays)),
-            c_array(ctypes.c_int64, flat),
-            c_array(ctypes.c_int64, sample.shape), geom,
-            ndim, order, n, *args, ctypes.byref(bad_axis),
+        if bound.lo != grid.lo:
+            # {lo[3], dx[3], guards}: particle position -> lattice coordinate
+            pad = (1.0,) * (3 - grid.ndim)
+            bound.geom = c_array(
+                ctypes.c_double, (*grid.lo, *pad, *grid.dx, *pad, grid.guards)
+            )
+            bound.lo = grid.lo
+        p = self._fn[kernel, bound.itemsize](
+            bound.table, bound.strides, bound.shape, bound.geom, grid.ndim,
+            order, n, *args, self._bad_ref,
         )
         if p >= 0:
-            axis = bad_axis.value
+            axis = self._bad_axis.value
+            if axis == _BAD_ROW:
+                raise ConfigurationError(
+                    f"compiled {kernel}: row {p} of the rows index is outside "
+                    "the particle arrays"
+                )
             raise SanitizerError(
                 f"SAN005: stencil of particle {p} out of range in compiled "
-                f"{kernel} for {'/'.join(fields)} on axis {axis} (array "
-                f"extent {sample.shape[axis]}); the kernel stopped before "
-                "addressing memory outside the padded field array"
+                f"{kernel} for {'/'.join(bound.names)} on axis {axis} (array "
+                f"extent {bound.arrays[0].shape[axis]}); the kernel stopped "
+                "before addressing memory outside the padded field array"
             )
+
+
+#: REPRO_BAD_ROW of the C: the bad_axis of a rows index out of range
+_BAD_ROW = 4
+_J = ("Jx", "Jy", "Jz")
+#: the fused pass's arrays and what it writes
+_ADVANCE = FIELD_COMPONENTS + _J
+_ADVANCE_WRITTEN = (False,) * 6 + (True,) * 3
+
+
+def _check_groups(bound, kernel: str, names, cuts) -> None:
+    """Refuse ``bound``'s arrays unless each has its group's strides (the
+    fused pass's six fields, then its three currents; a standalone
+    entry's one group) and the first array's shape and dtype, rows
+    contiguous, and is writable where written; then hang on ``bound`` the
+    strides and shape the kernels take."""
+    arrays, sample = bound.arrays, bound.arrays[0]
+    strides = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        head = (sample.shape, sample.dtype, arrays[lo].strides)
+        for name, arr in zip(names[lo:hi], arrays[lo:hi]):
+            if (arr.shape, arr.dtype, arr.strides) != head:
+                raise ConfigurationError(
+                    f"compiled {kernel}: {name} (shape, dtype, strides "
+                    f"{(arr.shape, arr.dtype, arr.strides)}) is not laid "
+                    f"out like {names[lo]} {head}"
+                )
+        strides += [s // sample.itemsize for s in head[2]]
+        strides += [0] * (3 - sample.ndim)
+    rows = all(strides[3 * g + sample.ndim - 1] == 1 for g in range(len(cuts) - 1))
+    for name, arr, written in zip(names, arrays, bound.written):
+        if not rows or written and not arr.flags.writeable:
+            raise ConfigurationError(
+                f"compiled {kernel} needs C-contiguous field rows, writable "
+                f"where written ({name}: strides {strides}, writable "
+                f"{arr.flags.writeable})"
+            )
+    bound.names, bound.itemsize = names, sample.dtype.itemsize
+    bound.strides = c_array(ctypes.c_int64, strides)
+    bound.shape = c_array(ctypes.c_int64, sample.shape)
+    bound.lo, bound.boxes = None, {}
+
+
+def _bind(owner: YeeGrid, key: str, kernel: str, names, arrays, written,
+          cuts) -> native.Binding:
+    return native.bind(owner, key, arrays, written, _check_groups, kernel,
+                       names, cuts)
+
+
+def _f64(arr: np.ndarray) -> np.ndarray:  # repro: allow(PIC007)
+    """Particle-side arrays cross the ctypes boundary as contiguous DP."""
+    return np.ascontiguousarray(arr, dtype=np.float64)
+
+
+def _box(bound, value, make):
+    """The six doubles ``make(*value)`` as a ctypes array held on
+    ``bound``, made again only when ``value`` changes (the moving window
+    shifts the wrap); None for None."""
+    if value is None:
+        return None
+    key = tuple(map(tuple, value))
+    held = bound.boxes.get(make)
+    if held is None or held[0] != key:
+        held = bound.boxes[make] = (key, c_array(ctypes.c_double, make(*key)))
+    return held[1]
+
+
+def _wrap_box(lo=(), hi=(), axes=()):
+    """{lo[3], length[3]}; length 0: the axis is not periodic."""
+    box = [0.0] * 6
+    for d in axes:
+        box[d], box[3 + d] = lo[d], hi[d] - lo[d]
+    return box
+
+
+def _keep_box(lo, hi):
+    """{lo[3], hi[3]}."""
+    pad = (0.0,) * (3 - len(lo))
+    return (*lo, *pad, *hi, *pad)
 
 
 # =========================================================================
@@ -1055,6 +1183,8 @@ def run_advance(  # repro: allow(PIC007)
     periodic=None,
     deposit_grid: Optional[YeeGrid] = None,
     keep=None,
+    rows: Optional[np.ndarray] = None,
+    out=None,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """The fused pass (module docstring); needs ``c dt < min(dx)``.
 
@@ -1074,7 +1204,11 @@ def run_advance(  # repro: allow(PIC007)
     Returns ``(positions, momenta, leaving)`` in fresh arrays, ``leaving``
     the boolean mask of the particles that left the keep box (None
     without one) — the inputs are not modified, so on an error the
-    species stands.
+    species stands.  Given ``rows`` (an index into the particle arrays)
+    only those particles advance, and their results go to the same rows
+    of ``out = (positions, momenta, leaving)``, arrays shaped like the
+    inputs (``leaving``, zeroed, only with a keep box), which are
+    returned.
     """
     if pusher not in PUSHERS:
         raise ConfigurationError(f"unknown pusher {pusher!r}")
@@ -1088,28 +1222,41 @@ def run_advance(  # repro: allow(PIC007)
             f"({grid.shape}, {grid.dtype}, lo {grid.lo})"
         )
     pos, mom, weights = _f64(positions), _f64(momenta), _f64(weights)
-    pos_new, mom_new = np.empty_like(pos), np.empty_like(mom)
-    # {lo[3], length[3]}; length 0: the axis is not periodic
-    wrap = np.zeros(6, dtype=np.float64)
-    if periodic is not None:
-        lo, hi, axes = periodic
-        for d in axes:
-            wrap[d], wrap[3 + d] = lo[d], hi[d] - lo[d]
-    box = leaving = None
-    if keep is not None:
-        box = np.zeros(6, dtype=np.float64)
-        box[: grid.ndim], box[3 : 3 + grid.ndim] = keep
-        leaving = np.zeros(pos.shape[0], dtype=np.bool_)
-    fields = {comp: grid.fields[comp] for comp in FIELD_COMPONENTS}
-    fields.update((comp, target.fields[comp]) for comp in ("Jx", "Jy", "Jz"))
+    n_all = pos.shape[0]
+    if pos.shape != (n_all, grid.ndim) or mom.shape != (n_all, 3) or (
+            weights.shape != (n_all,)):
+        raise ConfigurationError(
+            f"compiled {entry}: positions {pos.shape}, momenta {mom.shape} "
+            f"and weights {weights.shape} are not {n_all} {grid.ndim}D "
+            "particles"
+        )
+    if rows is None:
+        pos_new, mom_new = np.empty_like(pos), np.empty_like(mom)
+        leaving = None if keep is None else np.zeros(n_all, dtype=np.bool_)
+        # the addresses the kernel writes: leaving, positions, momenta
+        written = (None if leaving is None else _ptr(leaving), _ptr(pos_new),
+                   _ptr(mom_new))
+    else:
+        rows = np.ascontiguousarray(rows, dtype=np.int64)
+        pos_new, mom_new, leaving = out
+        what = f"compiled {entry}: out"
+        written = (
+            None if keep is None
+            else _written_ptr(leaving, (n_all,), np.bool_, what),
+            _written_ptr(pos_new, pos.shape, pos.dtype, what),
+            _written_ptr(mom_new, mom.shape, mom.dtype, what),
+        )
+    f, j = grid.fields, target.fields
+    bound = _bind(grid, "advance", entry, _ADVANCE,
+                  [f["Ex"], f["Ey"], f["Ez"], f["Bx"], f["By"], f["Bz"],
+                   j["Jx"], j["Jy"], j["Jz"]], _ADVANCE_WRITTEN, (0, 6, 9))
     backend.call(
-        entry, grid, fields, order,
-        pos.shape[0], int(pusher == "vay"), _ptr(pos), _ptr(mom),
-        _ptr(weights), charge, float(dt),
+        entry, grid, bound, order,
+        n_all if rows is None else rows.shape[0], int(pusher == "vay"),
+        _ptr(pos), _ptr(mom), _ptr(weights), charge, float(dt),
         charge * dt / (2.0 * mass * c), charge * dt / (2.0 * mass), c,
-        _ptr(wrap), None if box is None else _ptr(box),
-        None if leaving is None else _ptr(leaving), _ptr(pos_new),
-        _ptr(mom_new),
+        _box(bound, periodic or (), _wrap_box), _box(bound, keep, _keep_box),
+        *written, None if rows is None else _ptr(rows), n_all,
     )
     return pos_new, mom_new, leaving
 
@@ -1123,11 +1270,11 @@ def _gather(backend: CBackend, grid: YeeGrid, positions: np.ndarray,  # repro: a
     # being read is float32
     e_out = np.empty((n, 3), dtype=np.float64)
     b_out = np.empty((n, 3), dtype=np.float64)
-    backend.call(
-        "gather", grid, {comp: grid.fields[comp] for comp in FIELD_COMPONENTS},
-        order, n,
-        _ptr(pos), _ptr(e_out), _ptr(b_out),
-    )
+    f = grid.fields
+    bound = _bind(grid, "gather", "gather", FIELD_COMPONENTS,
+                  [f[comp] for comp in FIELD_COMPONENTS], False, (0, 6))
+    backend.call("gather", grid, bound, order, n, _ptr(pos), _ptr(e_out),
+                 _ptr(b_out))
     return e_out, b_out
 
 
@@ -1160,11 +1307,13 @@ def _deposit_current(
         return
     pos_old, pos_new = _f64(positions_old), _f64(positions_new)
     vel, weights = _f64(velocities), _f64(weights)
+    f = grid.fields
+    bound = _bind(grid, "deposit", "deposit_esirkepov", _J,
+                  [f[comp] for comp in _J], True, (0, 3))
     backend.call(
-        "deposit_esirkepov", grid,
-        {comp: grid.fields[comp] for comp in ("Jx", "Jy", "Jz")}, order,
-        pos_old.shape[0], K, _ptr(pos_old), _ptr(pos_new), _ptr(vel),
-        _ptr(weights), charge, float(dt),
+        "deposit_esirkepov", grid, bound, order, pos_old.shape[0], K,
+        _ptr(pos_old), _ptr(pos_new), _ptr(vel), _ptr(weights), charge,
+        float(dt),
     )
 
 

@@ -79,13 +79,14 @@ class KernelSet:
     :func:`repro.particles.deposit.deposit_current_esirkepov`.  ``advance``
     is the optional fused particle pass,
     ``(grid, positions, momenta, weights, charge, mass, dt, order,
-    pusher, periodic=None, deposit_grid=None, keep=None) ->
-    (positions_new, momenta_new, leaving)`` with the Esirkepov current
-    deposited into ``deposit_grid`` (default ``grid``) on the way, the new
-    positions wrapped along ``periodic = (lo, hi, axes)`` and, given a
-    ``keep = (lo, hi)`` box, the particles whose new position left it
-    undeposited and flagged in ``leaving`` (None without a box); it may
-    assume ``c dt < min(dx)``.  None means "no fused loop".
+    pusher, periodic=None, deposit_grid=None, keep=None, rows=None,
+    out=None) -> (positions_new, momenta_new, leaving)`` with the
+    Esirkepov current deposited into ``deposit_grid`` (default ``grid``)
+    on the way, the new positions wrapped along ``periodic = (lo, hi,
+    axes)`` and, given a ``keep = (lo, hi)`` box, the particles whose new
+    position left it undeposited and flagged in ``leaving`` (None without
+    a box); given ``rows``, only those rows advance, into the same rows of
+    ``out``; it may assume ``c dt < min(dx)``.  None means "no fused loop".
     :func:`repro.particles.advance.advance_particles`, the one call every
     driver makes, runs the slot where it applies and otherwise composes
     ``gather``, the pusher and ``deposit_current`` (or the direct deposit)

@@ -67,15 +67,18 @@ def unfused(kernel_set):
 def record_calls(kernel_set, slot):
     """``kernel_set`` with its ``slot`` (``"gather"`` or ``"advance"``)
     swapped for a spy that runs it and records ``(grid, positions,
-    result)`` per call; returns the new set and the list it fills.  A set
-    without the slot comes back as it is (nothing can call it)."""
+    result)`` per call — the positions of the rows it advances, given an
+    ``advance`` a ``rows`` index; returns the new set and the list it
+    fills.  A set without the slot comes back as it is (nothing can call
+    it)."""
     seen = []
     real = getattr(kernel_set, slot)
     if real is None:
         return kernel_set, seen
 
     def spy(grid, positions, *args):
-        x = positions.copy()
+        rows = args[10] if len(args) > 10 else None
+        x = positions.copy() if rows is None else positions[rows]
         out = real(grid, positions, *args)
         seen.append((grid, x, out))
         return out

@@ -271,9 +271,9 @@ def count_crossers(sim):
     seen = []
     deposit = sim._deposit
 
-    def spy(species, x_old, x_new, velocities):
+    def spy(weights, charge, x_old, x_new, velocities):
         seen.append(len(x_old))
-        return deposit(species, x_old, x_new, velocities)
+        return deposit(weights, charge, x_old, x_new, velocities)
 
     sim._deposit = spy
     return seen

@@ -420,9 +420,9 @@ def test_mr_fused_route_hands_only_crossers_to_the_deposit_hook(monkeypatch):
     seen = []
     deposit = sim._deposit
 
-    def spy_deposit(sp, x_old, x_new, vel):
+    def spy_deposit(weights, charge, x_old, x_new, vel):
         seen.append((x_old.copy(), x_new.copy()))
-        return deposit(sp, x_old, x_new, vel)
+        return deposit(weights, charge, x_old, x_new, vel)
 
     monkeypatch.setattr(sim, "_deposit", spy_deposit)
     sim.kernel_set, gathers = record_calls(sim.kernel_set, "gather")
