@@ -11,14 +11,15 @@ changes no result — every test passes on a scalar build, bit for bit — so a
 silent fall-back (a flag lost, an ``&&`` chain or a local array whose
 address is taken inside the loop) shows nowhere but in the step time.
 
-This script compiles the generated C to assembly with the tier's own flags
-and counts, in every emitted copy of each lane function, the packed and
-the scalar double-precision arithmetic (x86 mnemonics); a gather function
-must in addition contain vector gathers (``vgather*``), which its scalar
-fall-back — one lane at a time, plain loads — has none of.  It reads the
-assembly rather than ``-fopt-info-vec-optimized`` because that report was
-seen claiming "loop vectorized" for a lane loop whose emitted copies were
-all scalar (gcc 12, range checks spelled as an ``&&`` chain).
+This script compiles the generated C to assembly with the tier's own flags,
+except that ``-march=native`` becomes :data:`PROBE_MARCH`, and counts, in
+every emitted copy of each lane function, the packed and the scalar
+double-precision arithmetic (x86 mnemonics); a gather function must in
+addition contain vector gathers (``vgather*``), which its scalar fall-back —
+one lane at a time, plain loads — has none of.  It reads the assembly rather
+than ``-fopt-info-vec-optimized`` because that report was seen claiming
+"loop vectorized" for a lane loop whose emitted copies were all scalar (gcc
+12, range checks spelled as an ``&&`` chain).
 
 The PSATD update (:mod:`repro.grid.compiled`, ``psatd_update``) is held to
 the same test: its blocks are vector code.  And no function may contain a
@@ -26,6 +27,13 @@ fused multiply-add (``vfmadd``, ``vfmaddsub``, ...): the numerics contract
 rounds every product, and gcc 12's vectoriser was seen emitting
 ``vfmaddsub`` for an interleaved complex product under
 ``-ffp-contract=off``, a change no test on an FMA-less build would see.
+
+The gate checks the code, not the runner's compiler tuning: which loops gcc
+vectorises depends on the CPU model ``-march=native`` resolves to, not only
+on its ISA.  gcc 12 on a ``cooperlake`` host leaves both gathers scalar
+(0 ``vgather*``), while the same source for ``icelake-server`` gets 94 / 86
+gathers; so the probe compiles for one fixed AVX-512 target and prints what
+``native`` resolves to on the runner next to it.
 
 Run:  PYTHONPATH=src python benchmarks/check_lane_vectorization.py
 """
@@ -49,6 +57,22 @@ VECTOR_FUNCTIONS = LANE_FUNCTIONS + GATHER_FUNCTIONS + ("psatd_update_f64",)
 ARITHMETIC = r"^\s+v?(?:add|sub|mul|div|sqrt)(p|s)d\s"
 GATHER = r"^\s+vp?gather\w+\s"
 FUSED = r"^\s+vf(?:n?m(?:add|sub)|maddsub|msubadd)\d*[ps][sd]\s"
+#: the target the probe compiles for in place of the tier's -march=native
+PROBE_MARCH = "-march=icelake-server"
+
+
+def native_march(compiler: str) -> str:
+    """What ``-march=native`` resolves to here (gcc's ``cc1`` line, or
+    clang's ``-target-cpu``) as the compiler would run it; ``-###`` runs
+    nothing."""
+    probe = subprocess.run(
+        [compiler, "-###", "-march=native", "-E", "-x", "c", os.devnull],
+        capture_output=True, text=True, timeout=60,
+    )
+    found = re.findall(
+        r'"-march=(?!native)([\w-]+)"|"-target-cpu" "([\w-]+)"', probe.stderr
+    )
+    return next((a or b for a, b in found), "unknown")
 
 
 def arithmetic_per_function(asm: str):
@@ -77,7 +101,10 @@ def main() -> int:
     if compiler is None:
         print("no C compiler: nothing to check")
         return 0
-    flags = [flag for flag in SIMD_FLAGS if flag != "-shared"]
+    flags = [
+        PROBE_MARCH if flag == "-march=native" else flag
+        for flag in SIMD_FLAGS if flag != "-shared"
+    ]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "kernels.c")
         with open(path, "w", encoding="utf8") as fh:
@@ -91,7 +118,8 @@ def main() -> int:
             return 1
         with open(os.path.join(tmp, "kernels.s"), encoding="utf8") as fh:
             counts, fused = arithmetic_per_function(fh.read())
-    print(f"{os.path.basename(compiler)} {' '.join(flags)} -S")
+    print(f"{os.path.basename(compiler)} {' '.join(flags)} -S"
+          f"  (the tier builds with -march=native = {native_march(compiler)})")
     if not counts:
         print("no x86 double-precision arithmetic in the assembly: cannot tell")
         return 0

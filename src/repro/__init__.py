@@ -28,7 +28,7 @@ Subpackages
     Energy budgets, beam statistics, spectra, checkpoints, timers.
 ``repro.analysis``
     Correctness tooling: PIC-aware lint rules (``python -m
-    repro.analysis``), the SimComm protocol checker, and the opt-in
+    repro.analysis``), the SimComm fault/recovery checker, and the opt-in
     runtime sanitizers (``REPRO_SANITIZE=1``).
 ``repro.scenarios``
     Uniform plasma, LWFA gas jet, and the hybrid solid-gas target.

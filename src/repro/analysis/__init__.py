@@ -18,10 +18,10 @@ This subpackage machine-checks the same contracts for the reproduction:
     one-binding rule inside function bodies (a name bound once to a
     foldable value is that value; anything else is not a constant).
 ``repro.analysis.commcheck``
-    A post-hoc protocol checker over :class:`~repro.parallel.comm.SimComm`'s
-    event log — traffic, faults and recoveries: unreceived messages, tag
-    mismatches, self-sends, collective/barrier divergence across ranks,
-    unrecovered faults and rank failures.
+    A post-hoc checker over :class:`~repro.parallel.comm.SimComm`'s event
+    log that pairs every injected fault with its recovery: unrecovered
+    message faults (RES001) and rank failures (RES002), the two rules
+    only a whole-run view can check.
 ``repro.analysis.sanitize``
     Opt-in runtime invariant sanitizers (``REPRO_SANITIZE=1``) wired into
     the PIC step: non-finite fields, out-of-domain particles, guard-cell
@@ -30,9 +30,12 @@ This subpackage machine-checks the same contracts for the reproduction:
 The exchange phases need no static pass and no replay:
 ``SimComm.exchange`` itself refuses a tag outside
 :data:`~repro.parallel.comm.PHASE_TAGS` or one whose phase is open
-already, delivers each channel in send order, hands its body the
-messages only after all of them arrived, and makes the phase's buffers
-read-only; ``ExchangePlan`` builds its runs in canonical entry order.
+already, a missing or stray payload and a self pair, delivers each
+channel in send order, receives every pair it sends before its body
+runs, and makes the phase's buffers read-only; ``ExchangePlan`` builds
+its runs in canonical entry order.  A receive that finds nothing raises
+naming the pair and the tags pending for it, and a collective a peer
+never joins times out on the process transport.
 
 Importing the package loads none of them: import the submodule you
 need (the step drivers import only ``sanitize``).  Run the lint pass

@@ -6,7 +6,7 @@ location) and reports findings as
 ``path:line: [severity] RULE-ID message`` — or as one JSON object with
 ``--format json`` so CI can annotate PRs.  Recorded SimComm event logs
 (see :mod:`repro.observability.commlog`) can be replayed through the
-protocol checker with ``--comm-log``.
+fault/recovery checker (RES001/RES002) with ``--comm-log``.
 
 A ``--baseline`` file (JSON: ``{"findings": [{"rule": ..., "path":
 ...}]}``) suppresses known findings by (rule id, path suffix), which is
@@ -52,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="RULE",
         help="run only these rule ids (repeatable or comma-separated, "
-             "e.g. --select PIC002,COMM001)",
+             "e.g. --select PIC002,RES001); the replay rules are RES001 "
+             "and RES002, the only protocol rules left to a recorded log",
     )
     parser.add_argument(
         "--format",
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="FILE",
         help="replay a recorded SimComm event log (JSONL) through the "
-             "protocol checker (repeatable)",
+             "fault/recovery checker (repeatable)",
     )
     parser.add_argument(
         "--list-rules",
@@ -87,13 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: runtime/replay rules that live outside the lint registry: the
-#: commcheck protocol replay (COMM/RES) and the step sanitizers (SAN)
+#: commcheck fault/recovery replay (RES) and the step sanitizers (SAN);
+#: every other protocol bug is refused at run time by SimComm.exchange
 RUNTIME_RULES = (
-    ("COMM001", "unreceived messages (send without a matching recv)"),
-    ("COMM002", "tag mismatch on a failed recv"),
-    ("COMM003", "self-send (src == dst)"),
-    ("COMM004", "collective-count divergence across ranks"),
-    ("COMM005", "barrier-count divergence across ranks"),
     ("RES001", "injected message fault without a matching recovery"),
     ("RES002", "rank failure without a checkpoint restore"),
     ("SAN001", "non-finite field values after the solve"),
@@ -109,7 +106,7 @@ def _print_rules(stream) -> None:
         print(f"{rule.rule_id}  [{rule.severity}]  {rule.description}",
               file=stream)
     for rule_id, description in RUNTIME_RULES:
-        kind = "replay" if rule_id[:3] in ("COM", "RES") else "runtime"
+        kind = "replay" if rule_id.startswith("RES") else "runtime"
         print(f"{rule_id}  [{kind}]  {description}", file=stream)
 
 

@@ -254,7 +254,6 @@ def pack_distributed_state(sim) -> Dict[str, np.ndarray]:
         "comm/bytes_sent": sim.comm.bytes_sent,
         "comm/messages_sent": sim.comm.messages_sent,
         "comm/collective_calls": np.array(sim.comm.collective_calls),
-        "comm/barrier_calls": np.array(sim.comm.barrier_calls),
     }
     pairs = sorted(sim.comm.pair_bytes.items())
     out["comm/pair_keys"] = np.array(
@@ -276,7 +275,8 @@ def unpack_distributed_state(sim, data: Mapping[str, np.ndarray]) -> None:
     Validates the box count and every grid shape before mutating
     anything, so a checkpoint from a different decomposition fails as a
     :class:`ConfigurationError`.  Keys this layout no longer reads (the
-    communicator counters older versions also wrote) are ignored.
+    communicator counters older versions also wrote, such as
+    ``comm/barrier_calls``) are ignored.
     """
     n_boxes = int(data["meta/n_boxes"])
     if n_boxes != len(sim.boxes):
@@ -306,7 +306,6 @@ def unpack_distributed_state(sim, data: Mapping[str, np.ndarray]) -> None:
     sim.comm.bytes_sent[...] = data["comm/bytes_sent"]
     sim.comm.messages_sent[...] = data["comm/messages_sent"]
     sim.comm.collective_calls = int(data["comm/collective_calls"])
-    sim.comm.barrier_calls = int(data["comm/barrier_calls"])
     sim.comm.pair_bytes.clear()
     for (src, dst), nbytes in zip(
         data["comm/pair_keys"], data["comm/pair_values"]

@@ -33,10 +33,10 @@ class DiagnosticError(ReproError):
 
 
 class ProtocolError(CommunicationError):
-    """The post-hoc communication-protocol checker found violations.
+    """The post-hoc comm-log checker found violations.
 
-    Raised by :mod:`repro.analysis.commcheck` when a finished run left
-    unreceived messages, mismatched tags, or diverging collective counts.
+    Raised by :mod:`repro.analysis.commcheck` when a finished run left an
+    injected fault or a rank failure unrecovered (RES001/RES002).
     """
 
 

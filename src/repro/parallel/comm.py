@@ -6,10 +6,14 @@ tag — so the performance model can run on the code's true communication
 volumes rather than estimates.  The interface deliberately mirrors the
 mpi4py buffer idiom (send counted in bytes, collectives as explicit calls).
 
-Beyond the aggregate counters, every operation appends a
-:class:`CommEvent` to :attr:`SimComm.log`; the post-hoc protocol checker
-(:mod:`repro.analysis.commcheck`) replays that log to detect unreceived
-messages, tag mismatches, self-sends and collective divergence.
+Beyond the aggregate counters, every message appends a
+:class:`CommEvent` to :attr:`SimComm.log`, and so do injected faults and
+their recoveries; the post-hoc checker (:mod:`repro.analysis.commcheck`)
+replays that log to find faults nobody recovered (RES001/RES002).  The
+protocol itself is enforced where it runs: :meth:`SimComm.exchange`
+refuses a bad phase before its first send, a receive that finds nothing
+raises, and a collective a peer never joins times out on the process
+transport.
 """
 
 from __future__ import annotations
@@ -66,18 +70,18 @@ class CommEvent(NamedTuple):
     of these per message for the whole run, so no per-instance
     ``__dict__``).
 
-    ``kind`` is one of ``"send"``, ``"recv"``, ``"recv_missing"`` (a recv
-    that found no matching message, recorded before the error is raised),
-    ``"collective"`` or ``"barrier"``.  For collectives and barriers
-    ``src`` is the participating rank and ``dst`` is ``-1``.
+    ``kind`` is ``"send"`` or ``"recv"`` for traffic.  A receive that
+    finds nothing raises instead of logging, and collectives are counted
+    (:attr:`SimComm.collective_calls`), not logged.
 
     Under fault injection (:mod:`repro.resilience`) the log additionally
     carries fault events (:data:`FAULT_EVENT_KINDS`: an injected drop,
     duplicate, corruption, delay, or rank failure) and the recovery
     actions that repaired them (:data:`RECOVERY_EVENT_KINDS`: a
     retransmit, a late delivery, a receiver-side dedup, a checkpoint
-    restore).  The protocol checker pairs the two streams to verify no
-    fault went unrecovered (RES001/RES002).
+    restore).  The checker pairs the two streams to verify no fault
+    went unrecovered (RES001/RES002); for the rank events ``src`` is the
+    rank and ``dst`` is ``-1``.
 
     Nothing else is logged: the order of an exchange phase is enforced
     by :meth:`SimComm.exchange` itself, not recorded for a replay.
@@ -135,7 +139,6 @@ class SimComm:
         self.messages_sent = np.zeros(self.n_ranks, dtype=np.int64)
         self.pair_bytes: Dict[Tuple[int, int], int] = defaultdict(int)
         self.collective_calls = 0
-        self.barrier_calls = 0
         # event log replayed by repro.analysis.commcheck
         self.log: List[CommEvent] = []
         self._seq = 0
@@ -268,13 +271,11 @@ class SimComm:
         return self._recv_next((src, dst, tag)).unwrap()
 
     def _raise_no_message(self, src: int, dst: int, tag: str) -> None:
-        """Nothing to receive: recorded as ``recv_missing`` (the audit
-        trail shows where the run stalled) and raised with full message
-        context, never a silent hang.  On a blocking transport the recv
-        ran out of patience, so the peer is likely dead
-        (:class:`ResilienceError`); on loopback the message was never
-        sent (:class:`CommunicationError`)."""
-        self._record("recv_missing", src, dst, tag, 0)
+        """Nothing to receive: raised with full message context, never a
+        silent hang.  On a blocking transport the recv ran out of
+        patience, so the peer is likely dead (:class:`ResilienceError`);
+        on loopback the message was never sent (:class:`CommunicationError`,
+        naming the tags pending for the same pair)."""
         if self.transport.blocking:
             timeout = getattr(self.transport, "recv_timeout", None)
             raise ResilienceError(
@@ -519,11 +520,13 @@ class SimComm:
         ``pairs``: every ordered cross-rank ``(src, dst)`` pair of the
         phase, derived identically on every rank; ``outgoing``: the
         payload of each pair this endpoint sources (keys of other pairs
-        of the phase are allowed).  A missing payload, or a key outside
-        ``pairs``, raises :class:`CommunicationError` before anything is
-        sent.  Posts every send (sorted pairs) before the first receive,
-        and hands the ``with`` body the received :class:`Message` list,
-        every message arrived, with the phase still open: apply there.
+        of the phase are allowed).  A self pair ``(r, r)`` (a local copy,
+        which a blocking-send MPI would deadlock on), a missing payload,
+        or a key outside ``pairs``, raises :class:`CommunicationError`
+        before anything is sent.  Posts every send (sorted pairs) before
+        the first receive, and hands the ``with`` body the received
+        :class:`Message` list, every message arrived, with the phase
+        still open: apply there.
         The tag is free again when the block ends, also when it raises.
 
         For the life of the ``with`` block every buffer of ``outgoing``
@@ -543,6 +546,12 @@ class SimComm:
                 f"{_msg_context('exchange', -1, -1, tag)}: the tag names {what}"
             )
         pairs = sorted(pairs)
+        for src, dst in pairs:
+            if src == dst:
+                raise CommunicationError(
+                    f"{_msg_context('exchange', src, dst, tag)}: a self "
+                    "pair; a rank's own data is a local copy, not a message"
+                )
         # an SPMD endpoint speaks for one rank; loopback for all of them
         sends = [p for p in pairs if self.local_rank in (None, p[0])]
         recvs = [p for p in pairs if self.local_rank in (None, p[1])]
@@ -578,57 +587,28 @@ class SimComm:
         """Number of undelivered messages (should be 0 between phases)."""
         return sum(len(q) for q in self._queues.values())
 
-    def allreduce_sum(
-        self, values: np.ndarray, rank: Optional[int] = None
-    ) -> np.ndarray:
+    def allreduce_sum(self, values: np.ndarray) -> np.ndarray:
         """Model an allreduce: account ~2 log2(P) message rounds per rank.
 
-        ``rank=None`` models the whole collective at once (every rank
-        participates); passing a rank records that rank's participation
-        only, letting tests and the protocol checker model divergence
-        (some ranks reaching the collective, others not).
+        A loopback communicator speaks for every rank, so the call is the
+        whole collective and every rank's counters move.  An SPMD
+        endpoint (a blocking transport) runs a real reduction across the
+        worker processes and accounts its own rank only; a peer that
+        never joins makes ``transport.allreduce`` time out with a
+        :class:`~repro.exceptions.ResilienceError`.  Counted in
+        :attr:`collective_calls`, not logged.
         """
-        if rank is not None:
-            self._check_rank(rank, "", "allreduce_sum")
         if self.transport.blocking:
-            # a real reduction across worker processes; the modelled
-            # accounting below is unchanged so counters stay transport-
-            # independent
-            if rank is None:
-                raise CommunicationError(
-                    "allreduce_sum on a blocking transport needs the "
-                    "calling rank (every worker participates explicitly)"
-                )
+            # the modelled accounting below is unchanged, so the counters
+            # stay transport-independent
             values = self.transport.allreduce(values)
         self.collective_calls += 1
         nbytes = int(np.asarray(values).nbytes)
         rounds = max(int(np.ceil(np.log2(max(self.n_ranks, 2)))), 1)
-        if rank is None:
-            self.bytes_sent += nbytes * rounds
-            self.messages_sent += rounds
-            for r in range(self.n_ranks):
-                self._record("collective", r, -1, "allreduce_sum", nbytes)
-        else:
-            self.bytes_sent[rank] += nbytes * rounds
-            self.messages_sent[rank] += rounds
-            self._record("collective", rank, -1, "allreduce_sum", nbytes)
+        ranks = slice(None) if self.local_rank is None else self.local_rank
+        self.bytes_sent[ranks] += nbytes * rounds
+        self.messages_sent[ranks] += rounds
         return values
-
-    def barrier(self, rank: Optional[int] = None) -> None:
-        """Record a barrier; per-rank participation mirrors allreduce_sum.
-
-        On a blocking transport this is additionally a *real* rendezvous:
-        no worker proceeds until every rank has arrived.
-        """
-        if self.transport.blocking:
-            self.transport.sync()
-        self.barrier_calls += 1
-        if rank is None:
-            for r in range(self.n_ranks):
-                self._record("barrier", r, -1, "barrier", 0)
-        else:
-            self._check_rank(rank, "", "barrier")
-            self._record("barrier", rank, -1, "barrier", 0)
 
     # -- reporting ---------------------------------------------------------
     def pair_bytes_for_tag(self, prefix: str = "") -> Dict[Tuple[int, int], int]:
@@ -652,12 +632,11 @@ class SimComm:
 
     def reset_counters(self) -> None:
         """Zero the aggregate counters (the event log is kept: it is the
-        audit trail the protocol checker replays)."""
+        audit trail whose faults and recoveries RES001/RES002 pair)."""
         self.bytes_sent[:] = 0
         self.messages_sent[:] = 0
         self.pair_bytes.clear()
         self.collective_calls = 0
-        self.barrier_calls = 0
 
     def clear_log(self) -> None:
         """Drop the recorded event history (e.g. between benchmark phases)."""

@@ -564,8 +564,8 @@ class DistributedSimulation(StepDriver):
         counts, so every transport produces the same vector — the mode
         the cross-transport parity tests pin.  Either way, under SPMD a
         rank contributes only the boxes it owns, and one allreduce
-        assembles the global vector; on loopback the same call, with
-        ``rank=None``, does the matching accounting, so the counters do
+        assembles the global vector; on loopback the same call speaks for
+        every rank and does the matching accounting, so the counters do
         not depend on the transport.
         """
         n = len(self.boxes)
@@ -586,10 +586,7 @@ class DistributedSimulation(StepDriver):
         if self.local_rank is not None:
             owned = np.array([self.owns_box(i) for i in range(n)], dtype=bool)
             costs = np.where(owned, costs, 0.0)
-        return np.asarray(
-            self.comm.allreduce_sum(costs, rank=self.local_rank),
-            dtype=np.float64,
-        )
+        return np.asarray(self.comm.allreduce_sum(costs), dtype=np.float64)
 
     @property
     def halo_samples(self) -> int:

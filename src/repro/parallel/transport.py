@@ -94,8 +94,8 @@ class Transport:
         return 0
 
     def sync(self) -> None:
-        """Infrastructure rendezvous between ranks (NOT an accounted
-        barrier: the modelled ``SimComm.barrier`` is separate)."""
+        """Infrastructure rendezvous between ranks (not accounted, not
+        logged; a no-op on loopback, where every rank is local)."""
 
     def close(self) -> None:
         """Release transport resources (queues, shared memory)."""
@@ -138,7 +138,6 @@ class CommCounters:
     messages_sent: np.ndarray
     pair_bytes: Dict[Tuple[int, int], int]
     collective_calls: int = 0
-    barrier_calls: int = 0
 
     @classmethod
     def from_comm(cls, comm) -> "CommCounters":
@@ -148,7 +147,6 @@ class CommCounters:
             messages_sent=np.array(comm.messages_sent, dtype=np.int64),
             pair_bytes=dict(comm.pair_bytes),
             collective_calls=comm.collective_calls,
-            barrier_calls=comm.barrier_calls,
         )
 
     def total_bytes(self) -> int:
@@ -163,9 +161,9 @@ def merge_comm_counters(states: Sequence[CommCounters]) -> CommCounters:
 
     Send-side counters (bytes/messages/pair_bytes) are disjoint across
     ranks — rank ``r`` only ever increments its own row — so the merge
-    is an elementwise sum.  Collective/barrier call counts are per-rank
-    views of the *same* collective operations, so the merge takes the
-    maximum (every rank that participated counted each operation once).
+    is an elementwise sum.  Collective call counts are per-rank views of
+    the *same* collective operations, so the merge takes the maximum
+    (every rank that participated counted each operation once).
     """
     if not states:
         raise CommunicationError("nothing to merge: no counter states given")
@@ -188,7 +186,6 @@ def merge_comm_counters(states: Sequence[CommCounters]) -> CommCounters:
         for pair, nbytes in s.pair_bytes.items():
             out.pair_bytes[pair] += nbytes
         out.collective_calls = max(out.collective_calls, s.collective_calls)
-        out.barrier_calls = max(out.barrier_calls, s.barrier_calls)
     out.pair_bytes = dict(out.pair_bytes)
     return out
 

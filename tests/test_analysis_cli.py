@@ -13,8 +13,8 @@ from repro.parallel.comm import SimComm
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "data", "comm_fixtures")
 BASELINE = os.path.join(HERE, "data", "analysis_baseline.json")
-#: a recorded run with a send nobody receives (a replay COMM001)
-UNRECEIVED_LOG = os.path.join(FIXTURES, "unreceived_send.commlog.jsonl")
+#: a recorded run with a drop nobody recovers (a replay RES001)
+UNRECOVERED_LOG = os.path.join(FIXTURES, "unrecovered_drop.commlog.jsonl")
 
 
 def run_cli(*argv):
@@ -24,6 +24,11 @@ def run_cli(*argv):
 
 
 BAD_SNIPPET = "import numpy as np\na = np.zeros(3)\n"
+
+#: COMM001-005 went once exchange refused their bug classes at run time;
+#: COMM006-010 with the static exchange verifier and the happens-before
+#: replay before them
+RETIRED_COMM_RULES = tuple(f"COMM{n:03d}" for n in range(1, 11))
 
 
 # -- --format json -----------------------------------------------------------
@@ -113,19 +118,16 @@ def test_shipped_baseline_is_empty():
 # -- --comm-log replay -------------------------------------------------------
 
 def test_comm_log_replay_flags_seeded_races(tmp_path):
-    """The CI plants: a send nobody receives, a drop nobody recovers."""
+    """The CI plant: a drop nobody recovers."""
     good = tmp_path / "good.py"
     good.write_text("x = 1\n")
     code, out = run_cli(
-        str(good),
-        "--comm-log", UNRECEIVED_LOG,
-        "--comm-log", os.path.join(FIXTURES, "unrecovered_drop.commlog.jsonl"),
-        "--format", "json",
+        str(good), "--comm-log", UNRECOVERED_LOG, "--format", "json",
     )
     assert code == 1
     payload = json.loads(out)
     rules = sorted(f["rule"] for f in payload["findings"])
-    assert rules == ["COMM001", "RES001"]
+    assert rules == ["RES001"]
     # event-index provenance: path is the log file, line the event seq
     for finding in payload["findings"]:
         assert finding["path"].endswith(".commlog.jsonl")
@@ -158,34 +160,34 @@ def test_missing_comm_log_is_an_analysis_error(tmp_path):
 # -- --select partitioning ---------------------------------------------------
 
 def test_select_replay_rule_skips_linting(tmp_path):
-    # PIC002 violation present, but only COMM001 selected
+    # PIC002 violation present, but only RES001 selected
     src = tmp_path / "mod.py"
     src.write_text(BAD_SNIPPET)
     code, out = run_cli(
-        str(src), "--comm-log", UNRECEIVED_LOG, "--select", "COMM001"
+        str(src), "--comm-log", UNRECOVERED_LOG, "--select", "RES001"
     )
     assert code == 1
-    assert "COMM001" in out and "PIC002" not in out
+    assert "RES001" in out and "PIC002" not in out
 
 
 def test_select_lint_rule_skips_replay(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text(BAD_SNIPPET)
     code, out = run_cli(
-        str(src), "--comm-log", UNRECEIVED_LOG, "--select", "PIC002"
+        str(src), "--comm-log", UNRECOVERED_LOG, "--select", "PIC002"
     )
     assert code == 1
-    assert "PIC002" in out and "COMM001" not in out
+    assert "PIC002" in out and "RES001" not in out
 
 
 def test_select_accepts_comma_lists(tmp_path):
     src = tmp_path / "mod.py"
     src.write_text(BAD_SNIPPET)
     code, out = run_cli(
-        str(src), "--comm-log", UNRECEIVED_LOG, "--select", "PIC002,COMM001"
+        str(src), "--comm-log", UNRECOVERED_LOG, "--select", "PIC002,RES001"
     )
     assert code == 1
-    assert "PIC002" in out and "COMM001" in out
+    assert "PIC002" in out and "RES001" in out
 
 
 def test_select_unknown_rule_exits_2(tmp_path):
@@ -194,9 +196,9 @@ def test_select_unknown_rule_exits_2(tmp_path):
     code, out = run_cli(str(src), "--select", "NOPE999")
     assert code == 2
     assert "NOPE999" in out
-    # retired with the static exchange verifier and the happens-before
-    # replay
-    for retired in ("COMM006", "COMM007", "COMM009", "COMM010"):
+    # retired with the static exchange verifier, the happens-before
+    # replay and the point-to-point / collective replay
+    for retired in RETIRED_COMM_RULES:
         code, out = run_cli(str(src), "--select", retired)
         assert code == 2
         assert retired in out
@@ -205,20 +207,19 @@ def test_select_unknown_rule_exits_2(tmp_path):
 # -- --list-rules covers every tier ------------------------------------------
 
 def test_list_rules_names_static_and_replay_rules():
-    """The static rules are the lint registry's; the exchange tags are
-    checked at run time, so no COMM rule is static any more."""
+    """The static rules are the lint registry's; the exchange protocol is
+    checked at run time, so no COMM rule is left, static or replayed."""
     code, out = run_cli("--list-rules")
     assert code == 0
-    for rule_id in ("PIC002", "PIC008", "COMM001", "COMM005", "RES001",
-                    "RES002", "SAN004"):
+    for rule_id in ("PIC002", "PIC008", "RES001", "RES002", "SAN004"):
         assert rule_id in out
-    for retired in ("COMM006", "COMM007", "COMM008", "COMM009", "COMM010"):
+    for retired in RETIRED_COMM_RULES:
         assert retired not in out
     assert "[static" not in out and "[replay]" in out
 
 
 def test_list_rules_names_each_rule_once():
-    """One line per rule id: the COMM and RES rules are replay rules."""
+    """One line per rule id: the RES rules are the replay rules."""
     code, out = run_cli("--list-rules")
     assert code == 0
     lines = {}
@@ -226,5 +227,7 @@ def test_list_rules_names_each_rule_once():
         rule_id, rest = line.split(None, 1)
         assert rule_id not in lines, f"{rule_id} listed twice"
         lines[rule_id] = rest[: rest.index("]") + 1]
-    assert lines["COMM001"] == "[replay]"
-    assert lines["RES001"] == "[replay]"
+    assert lines["RES001"] == lines["RES002"] == "[replay]"
+    assert [r for r, kind in lines.items() if kind == "[replay]"] == [
+        "RES001", "RES002",
+    ]

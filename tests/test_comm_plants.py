@@ -1,9 +1,9 @@
 """Communication plants, run on both transports.
 
 Each seeded tag bug of ``tests/data/comm_fixtures`` fails at run time —
-``SimComm.exchange`` refuses a tag outside ``PHASE_TAGS`` and a tag whose
-phase is already open on the endpoint — on the in-process loopback and
-on one worker process per rank alike; the clean schedules run clean on
+``SimComm.exchange`` refuses a tag outside ``PHASE_TAGS``, a tag whose
+phase is already open on the endpoint, and a self pair — on the
+in-process loopback and on one worker process per rank alike; the clean schedules run clean on
 both, and phases that reuse a tag one after the other recover from a
 lost or late message in send order.  (The raw ``send`` / ``recv`` plants
 are lint rule PIC008, ``tests/test_analysis_lint.py``; the buffer plant
@@ -79,6 +79,25 @@ def test_a_migration_inside_the_fold_phase_is_refused(transport):
     results = run_on(transport, worker)
     assert all("tag='halo:fold'" in error for error, _ in results)
     assert [m for _, moved in results for m in moved] == [[2.0, 2.0]]
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_a_self_pair_is_refused_before_the_first_send(transport):
+    """A rank's own data is a local copy: a phase whose pairs hold
+    ``(r, r)`` raises on every endpoint, naming the tag and the pair,
+    before its cross-rank pair goes out."""
+
+    def worker(comm):
+        out = {(0, 1): np.zeros(2), (1, 1): np.zeros(2)}
+        with pytest.raises(CommunicationError) as err:
+            with comm.exchange(PHASE_TAGS["fields"], list(out), out):
+                pass
+        return str(err.value), len(comm.log), comm.pending()
+
+    for error, n_events, pending in run_on(transport, worker):
+        assert "src=1 dst=1 tag='halo:fields'" in error
+        assert "self pair" in error
+        assert (n_events, pending) == (0, 0)
 
 
 @pytest.mark.parametrize("kind", ["drop", "delay"])

@@ -360,6 +360,23 @@ def test_sync_timeout_names_missing_ranks():
     assert "exited with code 3" in str(err.value)
 
 
+def test_a_collective_one_rank_skips_times_out_naming_it():
+    """Rank 0 reaches the allreduce, rank 1 returns without it: rank 0
+    fails within the receive timeout, naming the collective, instead of
+    waiting forever for the missing contribution."""
+
+    def worker(rank, transport):
+        if rank == 0:
+            SimComm(2, transport=transport).allreduce_sum(np.ones(3))
+        return rank
+
+    with pytest.raises(ResilienceError) as err:
+        run_spmd(2, worker, recv_timeout=1.0, run_timeout=60.0)
+    msg = str(err.value)
+    assert "allreduce 1 timed out after 1.0s on rank 0" in msg
+    assert "waiting for contributions" in msg
+
+
 # -- unsupported-feature contract on per-process transports ------------------
 
 
