@@ -219,11 +219,6 @@ def end_to_end_advantage(fig6_runs):
     )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP 14: while the patch is active MR costs ~2x case b, "
-    "so the MR run loses end to end",
-)
 def test_fig6_end_to_end_advantage(fig6_runs):
     """The paper's headline: the MR run reaches the end sooner than case
     b, in the median of the per-round ratios."""

@@ -5,8 +5,8 @@ call that runs outside a ``timers.timer(...)``/``stopwatch()``/
 ``tracer.span(...)``/``_phase(...)`` context is invisible to the Fig. 6
 breakdown, the load balancer's measured-cost mode *and* the trace — an
 untimed hot path.  This rule walks the step-driver methods of the
-simulation modules (``_single_step``/``_step_body``/``_finish_step``/
-``_advance_levels``/``_advance_subcycled_patches``) and flags any call
+simulation modules (``_single_step``/``_step_body``/``_advance_levels``/
+``_advance_subcycled_patches``) and flags any call
 to a known kernel-phase entry point that is not lexically inside a timed
 ``with`` block.
 
@@ -29,7 +29,7 @@ DRIVER_MODULE_BASENAMES = ("simulation.py", "distributed.py")
 #: the step-driver methods whose bodies are checked
 DRIVER_METHODS = frozenset(
     {
-        "_single_step", "_step_body", "_finish_step", "_advance_levels",
+        "_single_step", "_step_body", "_advance_levels",
         "_advance_subcycled_patches",
     }
 )

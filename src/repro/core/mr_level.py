@@ -23,7 +23,9 @@ A patch owns three grids over the same physical region:
 The patch's members (:meth:`MRPatch.members`, a mask over a species)
 gather from ``a``; their current is deposited on ``f``, restricted to the
 parent resolution into ``c``'s current, and added from there to the
-parent grid.
+parent grid: once a step on a synchronous patch, once per substep (with
+weight ``1/r``) on a subcycled one, which also assembles ``a`` at each
+substep, its external term extrapolated in time.
 
 The patch is *fixed in the lab frame*: when the parent's moving window
 shifts, only the patch's parent-index region is updated, and the patch is
@@ -33,7 +35,7 @@ moment the paper marks with a star in Fig. 6.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,6 +154,17 @@ class MRPatch:
                 f"patch fine grid needs dt <= {limit:.3e}s "
                 f"(got {fine_dt:.3e}s); enable subcycling or reduce dt"
             )
+        # start from the parent solution: the coarse companion is its
+        # section, the fine grid its prolongation, so the first substitution
+        # returns exactly the interpolated parent
+        for comp in FIELD_COMPONENTS:
+            section = self._parent_section(comp)
+            self.coarse.interior_view(comp)[...] = section
+            fine_counts = region_sample_counts(self.fine.n_cells, STAGGER[comp])
+            self.fine.interior_view(comp)[...] = prolong(
+                section, self.ratio, STAGGER[comp], fine_counts
+            )
+        # the PML split state carries the initial field in its first part
         self.fine_solver = PMLMaxwellSolver(self.fine, fine_dt, n_pml=n_pml)
         # the coarse companion always advances with the PARENT time step:
         # the substitution cancels in-patch sources out of F(s) - F(c) only
@@ -162,12 +175,13 @@ class MRPatch:
         #: companion's J yet: the first restriction assigns, later ones add
         self._restricted = False
         #: subcycling state a restart needs: the sorted ids of the members
-        #: per species (:meth:`members`), and the last external field
+        #: per species (:meth:`members`), and the external term of the last
+        #: parent step (:meth:`assemble_aux`)
         self._member_ids: Dict[str, np.ndarray] = {}
         self._external_prev: Optional[Dict[str, np.ndarray]] = None
         #: transfer maps of the native entries, for one region_lo
         self._transfer_plan: Optional[native_fields.TransferPlan] = None
-        self._init_fields_from_parent()
+        self.assemble_aux()
 
     # -- setup -------------------------------------------------------------
     def _parent_section(self, component: str) -> np.ndarray:
@@ -179,27 +193,6 @@ class MRPatch:
             for d in range(self.parent.ndim)
         )
         return self.parent.fields[component][slices]
-
-    def _init_fields_from_parent(self) -> None:
-        """Start the patch from the parent solution: fine fields are the
-        prolongation, the coarse companion is the parent section, so the
-        initial substitution returns exactly the interpolated parent."""
-        for comp in FIELD_COMPONENTS:
-            section = self._parent_section(comp)
-            self.coarse.interior_view(comp)[...] = section
-            fine_counts = region_sample_counts(self.fine.n_cells, STAGGER[comp])
-            self.fine.interior_view(comp)[...] = prolong(
-                section, self.ratio, STAGGER[comp], fine_counts
-            )
-        # the PML split state carries the initial field in its first part;
-        # re-seed the solvers so their splits match the injected fields
-        self.fine_solver = PMLMaxwellSolver(
-            self.fine, self.fine_solver.dt, n_pml=self.fine_solver.n_pml
-        )
-        self.coarse_solver = PMLMaxwellSolver(
-            self.coarse, self.coarse_solver.dt, n_pml=self.coarse_solver.n_pml
-        )
-        self.assemble_aux()
 
     # -- subcycling support ---------------------------------------------------
     def begin_step(self) -> None:
@@ -248,39 +241,6 @@ class MRPatch:
                 section = self._parent_section(comp)
                 section += self.coarse.interior_view(comp)
 
-    def substep_fields(self) -> None:
-        """One fine-grid field substep (subcycling mode).
-
-        Only the fine grid advances inside the substep loop; the coarse
-        companion advances once per parent step, in lockstep with the
-        parent operator.
-        """
-        self.fine_solver.step()
-
-    def frozen_external(self) -> Dict[str, np.ndarray]:
-        """The external contribution I[F(s) - F(c)] at the current time,
-        on the fine lattice."""
-        out = {}
-        for comp in FIELD_COMPONENTS:
-            diff = self._parent_section(comp) - self.coarse.interior_view(comp)
-            fine_counts = region_sample_counts(self.fine.n_cells, STAGGER[comp])
-            out[comp] = prolong(diff, self.ratio, STAGGER[comp], fine_counts)
-        return out
-
-    def substep_externals(self) -> List[Dict[str, np.ndarray]]:
-        """The external field at each of the ``ratio`` substep times of
-        this parent step: linear extrapolation from the last two parent
-        steps (the paper's algorithm interpolates the coarse fields in
-        time)."""
-        now = self.frozen_external()
-        prev = now if self._external_prev is None else self._external_prev
-        self._external_prev = now
-        return [
-            {comp: now[comp] + k / self.ratio * (now[comp] - prev[comp])
-             for comp in now}
-            for k in range(self.ratio)
-        ]
-
     def margins(self) -> Tuple[float, float]:
         """``(join, stay)`` [m] of :meth:`members`: the transition margin
         twice on a synchronous patch; on a subcycled one the extraction
@@ -316,16 +276,6 @@ class MRPatch:
             self._member_ids.pop(species.name, None)
         return mask
 
-    def assemble_aux_with_external(self, external: Dict[str, np.ndarray]) -> None:
-        """Rebuild the auxiliary field from the current fine solution plus a
-        precomputed (frozen) external contribution."""
-        for comp in FIELD_COMPONENTS:
-            aux = self.aux.fields[comp]
-            aux.fill(0.0)
-            aux[self.aux.valid_slices(comp)] = (
-                self.fine.interior_view(comp) + external[comp]
-            )
-
     # -- geometry helpers ----------------------------------------------------
     def contains(self, positions: np.ndarray, margin: float = 0.0) -> np.ndarray:
         """Mask of particles inside the patch, shrunk by ``margin`` [m]."""
@@ -359,26 +309,12 @@ class MRPatch:
         )
 
     # -- the MR coupling -------------------------------------------------------
-    def restrict_currents_to_parent(self) -> None:
-        """Restrict the fine-grid J to the parent and the coarse companion.
-
-        Must run after all species have deposited and before the field
-        advance.  Only particles a transition-zone margin inside the patch
-        deposit on the fine grid (margin >= stencil reach, so nothing
-        lands in the fine guards); particles in the margin deposit on the
-        parent directly and reach the patch interior as *external* sources
-        through the substitution.
-        """
-        self.begin_step()
-        self.accumulate_restricted_currents(1.0)
-        self.apply_accumulated_currents_to_parent()
-
     def advance_fields(self) -> None:
         """Advance the patch grids one parent step.
 
-        A subcycled patch's fine grid already took its substeps
-        (:meth:`substep_fields`), so only its coarse companion advances,
-        in lockstep with the parent operator.
+        A subcycled patch's fine grid already took its substeps (its
+        ``fine_solver`` steps once per substep), so only its coarse
+        companion advances, in lockstep with the parent operator.
         """
         if not self.subcycle:
             self.fine_solver.step()
@@ -398,20 +334,53 @@ class MRPatch:
         window_half = (self.shape_order + 2) // 2 + 1
         return (self.n_pml + self.ratio + window_half) * self.fine.dx[0]
 
-    def assemble_aux(self) -> None:
-        """Build the auxiliary field F(a) = F(f) + I[F(s) - F(c)].
+    def assemble_aux(self, substep: Optional[int] = None) -> None:
+        """Build the auxiliary field F(a) = F(f) + e, e = I[F(s) - F(c)].
+
+        At ``substep`` k of a subcycled parent step e is extrapolated in
+        time, ``e + k / ratio * (e - prev)`` (the paper interpolates the
+        coarse fields in time), ``prev`` being the e the patch held at its
+        last parent step (:meth:`held_external`; e itself on its first);
+        the last substep holds this step's e.
 
         With the native library all six components are one call of the C
         entry ``assemble_aux`` (:mod:`repro.grid.compiled`) over the
-        patch's :meth:`transfer_plan`, bit for bit what
-        :meth:`frozen_external` + :meth:`assemble_aux_with_external`
-        compute; those stay the fallback and the oracle.
+        patch's :meth:`transfer_plan`, bit for bit the NumPy body below,
+        which stays the fallback and the oracle.
         """
+        prev, t, seed, hold = None, 0.0, False, False
+        if substep is not None:
+            seed = self._external_prev is None
+            prev, t = self.held_external(), substep / self.ratio
+            hold = substep == self.ratio - 1
         native = native_fields.backend(self.parent.dtype)
-        if native is None:
-            self.assemble_aux_with_external(self.frozen_external())
+        if native is not None:
+            native.assemble_aux(self, self.transfer_plan(), prev, t, seed, hold)
             return
-        native.assemble_aux(self, self.transfer_plan())
+        for comp in FIELD_COMPONENTS:
+            diff = self._parent_section(comp) - self.coarse.interior_view(comp)
+            fine_counts = region_sample_counts(self.fine.n_cells, STAGGER[comp])
+            ext = prolong(diff, self.ratio, STAGGER[comp], fine_counts)
+            if prev is not None:
+                held = prev[comp][self.fine.valid_slices(comp)]
+                if seed:
+                    held[...] = ext
+                now, ext = ext, ext + t * (ext - held)
+                if hold:
+                    held[...] = now
+            aux = self.aux.fields[comp]
+            aux.fill(0.0)
+            aux[self.aux.valid_slices(comp)] = self.fine.interior_view(comp) + ext
+
+    def held_external(self) -> Dict[str, np.ndarray]:
+        """The external term held per component: float64 at the fine
+        grid's shape (valid samples used), made on first use."""
+        if self._external_prev is None:
+            self._external_prev = {
+                comp: np.zeros(self.fine.shape, dtype=np.float64)
+                for comp in FIELD_COMPONENTS
+            }
+        return self._external_prev
 
     def transfer_plan(self) -> "native_fields.TransferPlan":
         """The maps of the native prolongation and restriction, built once

@@ -546,7 +546,7 @@ class Simulation(StepDriver):
             levels[name] = rows
         return levels
 
-    def _advance_levels(self, species: Species, levels, periodic) -> None:
+    def _advance_levels(self, species: Species, levels, periodic, new) -> None:
         """Gather, push, deposit and periodically wrap one species' rows of
         the synchronous levels (``levels``: :meth:`_level_rows` less the
         subcycled patches): one :func:`advance_particles` call per level,
@@ -556,11 +556,11 @@ class Simulation(StepDriver):
         grid, with the patch interior as the keep box and no wrap (a
         member cannot leave the domain in one move); the parent's run on
         the parent with the wrap.  Each level reads its rows of the
-        species arrays and writes them to the same rows of the new ones,
-        allocated once (the rows of subcycled members, advanced already,
-        carry over), so the particle order never changes.  A member whose
-        move left the interior (a crosser) deposits nothing there, but
-        through :meth:`_deposit` afterwards.
+        species arrays and writes them to the same rows of ``new``, the
+        step-n+1 ``(positions, momenta)`` (None: nobody in a patch), so the
+        particle order never changes.  A member whose move left the
+        interior (a crosser) deposits nothing there, but through
+        :meth:`_deposit` afterwards.
         """
         sp, g = species, self.grid
         x_old, u_old, w = sp.positions, sp.momenta, sp.weights
@@ -569,28 +569,25 @@ class Simulation(StepDriver):
             self.deposition,
         )
         with self._phase("particles", species=sp.name, kernel=self.kernels):
-            if levels.get(None, ()) is None:  # nobody in a patch
+            if new is None:  # nobody in a patch
                 sp.positions, sp.momenta, _ = advance_particles(
                     self.kernel_set, g, x_old, u_old, w, *args, periodic
                 )
             else:
-                every = sum(map(len, levels.values())) == sp.n
-                new = np.empty_like if every else np.copy
-                out = (new(x_old), new(u_old), np.zeros(sp.n, dtype=bool))
+                x_new, u_new = new
+                left = np.zeros(sp.n, dtype=bool)
                 for patch, rows in levels.items():
                     if patch is None:
                         advance_particles(
                             self.kernel_set, g, x_old, u_old, w, *args,
-                            periodic, rows=rows, out=out[:2] + (None,),
+                            periodic, rows=rows, out=(x_new, u_new, None),
                         )
                     else:
                         advance_particles(
                             self.kernel_set, patch.aux, x_old, u_old, w,
                             *args, None, patch.fine, patch.interior_box(),
-                            rows, out,
+                            rows, (x_new, u_new, left),
                         )
-                x_new, u_new, left = out
-                sp.positions, sp.momenta = x_new, u_new
                 crossers = np.flatnonzero(left)
                 if crossers.size:
                     u_out = u_new.take(crossers, axis=0)
@@ -624,11 +621,13 @@ class Simulation(StepDriver):
                 )
                 rest &= ~sel
 
-    def _advance_subcycled_patches(self, levels) -> None:
+    def _advance_subcycled_patches(self, levels, new) -> None:
         """Advance every subcycled patch's fine fields and members
-        ``ratio`` substeps of ``dt/ratio``: the patch takes its rows out of
-        ``levels`` (:meth:`_level_rows`) and writes their results to the
-        same rows of fresh species arrays.
+        ``ratio`` substeps of ``dt/ratio``: the patch pops its rows from
+        ``levels`` (:meth:`_level_rows`); the first substep reads them from
+        the species arrays and writes the same rows of ``new`` (the
+        step-n+1 ``(positions, momenta)``), the later ones advance ``new``
+        in place.
 
         Subcycling (Sec. V.B) keeps the refined level on its own Courant
         and plasma-frequency limits — a dense solid inside the patch would
@@ -638,29 +637,24 @@ class Simulation(StepDriver):
         """
         subcycled = [(k, p) for k, p in enumerate(self.patches) if p.subcycle]
         for k, patch in subcycled:
-            runs = []
-            for name, sp in self.species.items():
-                rows = levels[name].pop(patch, None)
-                if rows is not None:
-                    xuw = (sp.positions, sp.momenta, sp.weights)
-                    runs.append((sp, rows, [a.take(rows, axis=0) for a in xuw]))
+            runs = [(sp, levels[name].pop(patch), new[name])
+                    for name, sp in self.species.items() if patch in levels[name]]
             with self._phase("mr_subcycle", level=1, patch=k, ratio=patch.ratio):
-                for external in patch.substep_externals():
-                    patch.assemble_aux_with_external(external)
+                for substep in range(patch.ratio):
+                    patch.assemble_aux(substep)
                     patch.fine.zero_sources()
-                    for sp, _, xuw in runs:
-                        xuw[:2] = advance_particles(
-                            self.kernel_set, patch.aux, *xuw, sp.charge,
-                            sp.mass, patch.fine_dt, self.shape_order, self.pusher,
-                            self.deposition, deposit_grid=patch.fine,
-                        )[:2]
+                    for sp, rows, (x_new, u_new) in runs:
+                        x, u = (x_new, u_new) if substep else (sp.positions, sp.momenta)
+                        advance_particles(
+                            self.kernel_set, patch.aux, x, u, sp.weights,
+                            sp.charge, sp.mass, patch.fine_dt, self.shape_order,
+                            self.pusher, self.deposition, None, patch.fine,
+                            None, rows, (x_new, u_new, None),
+                        )
                         self._count_dispatch()
                     self._smooth_sources(patch.fine)
                     patch.accumulate_restricted_currents(1.0 / patch.ratio)
-                    patch.substep_fields()
-            for sp, rows, (x, u, _) in runs:
-                sp.positions, sp.momenta = sp.positions.copy(), sp.momenta.copy()
-                sp.positions[rows], sp.momenta[rows] = x, u
+                    patch.fine_solver.step()
 
     # -- the PIC cycle ------------------------------------------------------
     def _step_body(self) -> None:
@@ -669,25 +663,35 @@ class Simulation(StepDriver):
             patch.zero_sources()
             patch.begin_step()
         levels = self._level_rows()
-        self._advance_subcycled_patches(levels)
+        # the step-n+1 arrays of each species with patch members: every
+        # level fills its rows
+        new = {
+            name: (np.empty_like(sp.positions), np.empty_like(sp.momenta))
+            for name, sp in self.species.items()
+            if any(patch is not None for patch in levels[name])
+        }
+        self._advance_subcycled_patches(levels, new)
         with self._phase("zero_sources"):
             g.zero_sources()
 
         axes = tuple(d for d, b in enumerate(self.boundaries) if b == "periodic")
         periodic = (g.lo, g.hi, axes) if axes else None
         for name, entry in self.entries.items():
+            sp = entry.species
             if levels[name]:
-                self._advance_levels(entry.species, levels[name], periodic)
+                self._advance_levels(sp, levels[name], periodic, new.get(name))
+            if name in new:
+                sp.positions, sp.momenta = new[name]
 
         with self._phase("finalize_deposits"):
-            # combine the level deposits before the parent field advance
+            # combine the level deposits before the parent field advance (a
+            # subcycled patch restricted its J in its substeps)
             for k, patch in enumerate(self.patches):
                 with self.tracer.span("mr_restrict", cat="level", level=1, patch=k):
-                    if patch.subcycle:
-                        patch.apply_accumulated_currents_to_parent()
-                    else:
+                    if not patch.subcycle:
                         self._smooth_sources(patch.fine)
-                        patch.restrict_currents_to_parent()
+                        patch.accumulate_restricted_currents(1.0)
+                    patch.apply_accumulated_currents_to_parent()
 
         with self._phase("antenna"):
             for antenna in self.antennas:

@@ -130,11 +130,11 @@ def save_checkpoint(sim, path: str) -> None:
         _pack_pml(f"{p}/fine_solver", patch.fine_solver, out)
         _pack_pml(f"{p}/coarse_solver", patch.coarse_solver, out)
         # subcycling state: the external field of the previous parent step
-        # and the hysteresis membership ids — both needed for a
-        # bit-identical subcycled restart
+        # (its valid samples) and the hysteresis membership ids — both
+        # needed for a bit-identical subcycled restart
         if patch._external_prev is not None:
             for comp, arr in patch._external_prev.items():
-                out[f"{p}/external_prev/{comp}"] = arr
+                out[f"{p}/external_prev/{comp}"] = arr[patch.fine.valid_slices(comp)]
         for name, ids in patch._member_ids.items():
             out[f"{p}/members/{name}"] = ids
     np.savez_compressed(path, **out)
@@ -207,12 +207,12 @@ def load_checkpoint(sim, path: str) -> None:
         _unpack_pml(f"{p}/coarse_solver", patch.coarse_solver, data)
         # exactly what the checkpoint holds, none included: a restore into
         # a stepped simulation must not keep its live subcycling state
-        ext_keys = [
-            k for k in data.files if k.startswith(f"{p}/external_prev/")
-        ]
-        patch._external_prev = {
-            k.rsplit("/", 1)[1]: data[k].copy() for k in ext_keys
-        } or None
+        patch._external_prev = None
+        for key in data.files:
+            if key.startswith(f"{p}/external_prev/"):
+                comp = key.rsplit("/", 1)[1]
+                held = patch.held_external()[comp][patch.fine.valid_slices(comp)]
+                held[...] = _require_shape(key, data[key], held.shape)
         patch._member_ids = {
             k.rsplit("/", 1)[1]: data[k].copy()
             for k in data.files if k.startswith(f"{p}/members/")

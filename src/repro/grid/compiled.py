@@ -18,7 +18,8 @@ entries run those updates as one C loop nest each:
     the high-side one.
 ``assemble_aux``
     :meth:`repro.core.mr_level.MRPatch.assemble_aux`: ``aux = fine +
-    prolong(parent section - coarse)`` for all six components.
+    prolong(parent section - coarse)`` for all six components, that term
+    extrapolated in time in a subcycled substep.
 ``smooth``
     :meth:`repro.core.simulation.StepDriver._smooth_sources`: the
     binomial J filter, ``smooth_binomial`` per component, axis and pass.
@@ -445,17 +446,20 @@ void damp_@SUF@(@REAL@ *const *f, const int64_t *n, int pa,
    (coarse), fn (fine and aux), all padded; origin: the parent index of the
    section's first sample per padded axis; g: the patch grids' guards;
    maps: imap[((pa * 2 + s) * 2 + {0, 1}) * m + jf], wmap[(pa * 2 + s) * m
-   + jf] for stagger s; row: cn[2] doubles of scratch. */
+   + jf] for stagger s; row: cn[2] doubles of scratch.  Given prev (a
+   subcycled substep: doubles indexed like aux), the prolonged term e
+   becomes e + t * (e - prev); seed / hold store e in prev before / after. */
 void assemble_aux_@SUF@(const @REAL@ *const *par, const @REAL@ *const *crs,
     const @REAL@ *const *fin, @REAL@ *const *aux, const int64_t *pn,
     const int64_t *cn, const int64_t *fn, int ndim, const int64_t *origin,
     int64_t g, const int64_t *imap, const double *wmap, int64_t m,
-    double *row) {
+    double *row, double *const *prev, double t, int seed, int hold) {
     const int64_t size = fn[0] * fn[1] * fn[2];
     const int off = 3 - ndim;
     for (int c = 0; c < 6; ++c) {
         const @REAL@ *P = par[c], *C = crs[c], *Fn = fin[c];
         @REAL@ *A = aux[c];
+        double *H = prev ? prev[c] : 0;
         const int64_t *i0[3] = {0, 0, 0}, *i1[3] = {0, 0, 0};
         const double *w[3] = {0, 0, 0};
         int64_t nf[3] = {1, 1, 1}, lo[3] = {0, 0, 0}, nc = 0;
@@ -497,9 +501,13 @@ void assemble_aux_@SUF@(const @REAL@ *const *par, const @REAL@ *const *crs,
                     for (int64_t e = 0; e < nc; ++e)
                         row[e] = LERP(AX(b0, e), AX(b1, e), wb);
                 }
-                for (int64_t e = 0; e < nf[2]; ++e)
-                    A[q + e] = (@REAL@)((double)Fn[q + e]
-                        + LERP(row[i0[2][e]], row[i1[2][e]], w[2][e]));
+                for (int64_t e = 0; e < nf[2]; ++e) {
+                    const double x = LERP(row[i0[2][e]], row[i1[2][e]], w[2][e]);
+                    if (H && seed) H[q + e] = x;
+                    const double ext = H ? x + t * (x - H[q + e]) : x;
+                    if (H && hold) H[q + e] = x;
+                    A[q + e] = (@REAL@)((double)Fn[q + e] + ext);
+                }
             }
 #undef AX
 #undef LERP
@@ -981,7 +989,7 @@ class FieldBackend:
             "pml_step": [vp, vp, vp, vp, ci, cd, cd, cd, cd, vp],
             "damp": [vp, vp, ci, vp, c64, ci, ci],
             "assemble_aux": [vp, vp, vp, vp, vp, vp, vp, ci, vp, c64, vp, vp,
-                             c64, vp],
+                             c64, vp, vp, cd, ci, ci],
             "smooth": [vp, vp, ci, c64, vp],
             "restrict_currents": [vp, vp, vp, vp, ci, c64, vp, vp, vp, c64,
                                   c64, cd, ci, vp],
@@ -1040,9 +1048,12 @@ class FieldBackend:
             native._ptr(factors), len(factors), int(low), int(high),
         )
 
-    def assemble_aux(self, patch, plan: TransferPlan) -> None:
-        """``aux = fine + prolong(parent section - coarse)`` of ``patch``,
-        all six components, from ``plan`` (the maps of its region)."""
+    def assemble_aux(self, patch, plan: TransferPlan, prev=None, t=0.0,
+                     seed=False, hold=False) -> None:
+        """``aux = fine + e`` of ``patch``, ``e = prolong(parent section -
+        coarse)``, all six components, from ``plan`` (the maps of its
+        region); given ``prev`` (its held external term) ``e + t * (e -
+        prev)``, ``seed`` / ``hold`` storing ``e`` in it before / after."""
         parent, coarse, fine = patch.parent, patch.coarse, patch.fine
         dtype = parent.dtype
         plan.check("assemble_aux", patch)
@@ -1057,11 +1068,14 @@ class FieldBackend:
         crs = group(coarse, coarse.shape, False)
         fin = group(fine, fine.shape, False)
         aux = group(patch.aux, fine.shape, True)  # indexed like the fine grid
+        held = None if prev is None else _bind(
+            patch, "prev", [prev[c] for c in FIELD_COMPONENTS], fine.shape,
+            np.dtype(np.float64), "assemble_aux").table
         ptrs = plan.ptrs
         self._fn["assemble_aux", dtype](
             par.table, crs.table, fin.table, aux.table, par.dims, crs.dims,
             fin.dims, parent.ndim, plan.origin, fine.guards, ptrs["imap"],
-            ptrs["wmap"], plan.m, ptrs["row"],
+            ptrs["wmap"], plan.m, ptrs["row"], held, t, int(seed), int(hold),
         )
 
     def smooth(self, grid, passes: int) -> None:

@@ -13,9 +13,10 @@ Each is built on a per-axis map (:func:`prolong_map`,
 :func:`restrict_map`) that depends only on the ratio and the sample
 counts.  An MR patch keeps those maps in its transfer plan
 (:class:`repro.grid.compiled.TransferPlan`) and, with the native library,
-runs them as the C entries ``assemble_aux`` and ``restrict_currents``;
-the NumPy functions here stay the fallback and the oracle those entries
-are tested against bit for bit.
+runs them as the C entries ``assemble_aux`` (both patch kinds, the
+subcycled substeps included) and ``restrict_currents``; the NumPy
+functions here stay the fallback and the oracle those entries are tested
+against bit for bit, and initialize a patch's fine fields.
 
 Arrays passed in are *sample arrays*: index 0 along each axis is the first
 sample of the region, at coordinate ``0.5 * stagger`` in units of that

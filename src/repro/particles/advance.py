@@ -4,11 +4,12 @@ One PIC particle pass over the arrays of one species on one grid: gather
 E and B, advance momenta (``u``: n-1/2 -> n+1/2) and positions (``x``: n
 -> n+1), deposit the current of the motion (``J`` at n+1/2), wrap the new
 positions into a periodic domain.  Every particle of ``Simulation`` (one
-call per level while an MR patch is active, and in a subcycled patch's
-substeps) and of ``DistributedSimulation`` (one call per box) advances
-through :func:`advance_particles`, so the loop is spelled once (Vay et
-al., *Warp-X*: a single box-level particle routine shared by every driver
-and every level).
+call per level while an MR patch is active, each level on its rows of
+the species arrays, and one per substep of a subcycled patch, in place
+from the second on) and of ``DistributedSimulation`` (one call per box)
+advances through :func:`advance_particles`, so the loop is spelled once
+(Vay et al., *Warp-X*: a single box-level particle routine shared by
+every driver and every level).
 
 The call picks the kernel for its grid:
 
@@ -92,6 +93,8 @@ def advance_particles(
     their results go to the same rows of ``out = (x_new, u_new,
     leaving)`` (``leaving`` zeroed, None without a keep box), which is
     returned: an MR level advances its particles where they live.
+    ``out`` may hold ``x`` and ``u`` themselves (a subcycled patch's later
+    substeps): each row is read before it is written.
     """
     if pusher not in PUSHERS:
         raise ConfigurationError(f"unknown pusher {pusher!r}")

@@ -1208,7 +1208,8 @@ def run_advance(  # repro: allow(PIC007)
     only those particles advance, and their results go to the same rows
     of ``out = (positions, momenta, leaving)``, arrays shaped like the
     inputs (``leaving``, zeroed, only with a keep box), which are
-    returned.
+    returned; ``out`` may be the ``positions`` / ``momenta`` read (64 rows
+    are copied onto the stack before any is written).
     """
     if pusher not in PUSHERS:
         raise ConfigurationError(f"unknown pusher {pusher!r}")

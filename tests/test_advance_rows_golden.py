@@ -9,7 +9,10 @@ keep box}) that must be bit for bit what the pass computes on the taken
 rows, stored back — the current included, the rows unsorted.  So must a
 block that is refused (a lane that left the keep box, a stray particle)
 and goes through the scalar loop; a row outside the arrays is refused
-before anything moves.
+before anything moves.  ``out`` may be the arrays the call reads (a
+subcycled MR patch advances its members in place from its second
+substep on): aliased or not, the call computes the same bits, on the
+fused route and on the composed one.
 """
 
 import numpy as np
@@ -158,3 +161,60 @@ def test_advance_particles_takes_rows_on_both_routes(kernels):
             out[0][rows], out[1][rows], out[2][rows] = x, u, leaving
         results.append((out, dict(target.fields)))
     assert_same(*results)
+
+
+@pytest.mark.parametrize("kernels", ["compiled", "vectorized"])
+@pytest.mark.parametrize("dtype_name", list(DTYPES))
+@pytest.mark.parametrize("ndim", NDIMS)
+def test_out_may_be_the_arrays_the_call_reads(ndim, dtype_name, kernels):
+    """``out`` may be the ``x`` / ``u`` the call reads, as in a subcycled
+    patch's later substeps: on the fused route (``compiled``) and on the
+    composed one (``vectorized``) the aliased call is the call into
+    separate arrays, bit for bit, in whole blocks and with a tail (``n``
+    of 7, 8, 9 and 1003; no boundary, periodic wrap, keep box)."""
+    ks = get_kernel_set(kernels)
+    for n in SIZES:
+        for mode in MODES:
+            grid, pos, mom, w, rows, args, keep = setup(
+                ndim, 2, "vay", dtype_name, n, mode
+            )
+            q, m, dt, order, pusher, periodic = args
+            results = []
+            for aliased in (True, False):
+                target = YeeGrid(grid.n_cells, grid.lo, grid.hi,
+                                 guards=grid.guards, dtype=grid.dtype)
+                x, u = pos.copy(), mom.copy()
+                out = (x, u) if aliased else (x.copy(), u.copy())
+                out += (None if keep is None else np.zeros(len(pos), dtype=bool),)
+                advance_particles(ks, grid, x, u, w, q, m, dt, order, pusher,
+                                  "esirkepov", periodic, target, keep, rows, out)
+                results.append((out, dict(target.fields)))
+            assert_same(*results)
+
+
+@pytest.mark.parametrize("kernels", ["compiled", "vectorized"])
+@pytest.mark.parametrize("dtype_name", list(DTYPES))
+def test_an_aliased_call_refused_for_a_stray_particle_writes_no_row(
+        dtype_name, kernels):
+    """A stray particle in the first block of an aliased call: the call
+    raises what the call into separate arrays raises, with the same
+    partial J, and no row of the arrays it reads has moved."""
+    grid, pos, mom, w, rows, args, keep = setup(2, 2, "boris", dtype_name, 41,
+                                                "open")
+    pos[rows[19]] = (1e9, 0.0)
+    q, m, dt, order, pusher, periodic = args
+    ks = get_kernel_set(kernels)
+    raised = []
+    for aliased in (True, False):
+        source = grid.copy()
+        x, u = pos.copy(), mom.copy()
+        out = (x, u, None) if aliased else (x.copy(), u.copy(), None)
+        with pytest.raises((SanitizerError, IndexError)) as err:
+            advance_particles(ks, source, x, u, w, q, m, dt, order, pusher,
+                              "esirkepov", periodic, None, None, rows, out)
+        raised.append((type(err.value), str(err.value),
+                       source.fields["Jx"].tobytes()))
+        assert x.tobytes() == pos.tobytes() and u.tobytes() == mom.tobytes()
+    assert raised[0] == raised[1]
+    if kernels == "compiled":
+        assert "particle 19" in raised[0][1]

@@ -285,7 +285,7 @@ def test_pic006_accepts_timed_call(tmp_path):
         tmp_path,
         "distributed.py",
         "class Sim:\n"
-        "    def _finish_step(self):\n"
+        "    def _step_body(self):\n"
         "        with self.timers.timer('fold'):\n"
         "            fold_sources_pairwise(self)\n"
         "        with self._phase('redistribute'):\n"

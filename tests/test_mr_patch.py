@@ -190,7 +190,8 @@ def test_internal_current_restricted_to_parent_conserves_total():
     w = np.array([2.0])
     deposit_current_esirkepov(p.fine, pos0, pos1, vel, w, q_e, 1e-9, order=2)
     fine_total = p.fine.fields["Jx"].sum() * float(np.prod(p.fine.dx))
-    p.restrict_currents_to_parent()
+    p.accumulate_restricted_currents(1.0)
+    p.apply_accumulated_currents_to_parent()
     parent_total = parent.fields["Jx"].sum() * float(np.prod(parent.dx))
     coarse_total = p.coarse.fields["Jx"].sum() * float(np.prod(p.coarse.dx))
     assert fine_total == pytest.approx(q_e * 2.0 * 0.3 / 1e-9, rel=1e-12)
@@ -271,16 +272,32 @@ from tests.conftest import (  # noqa: E402
 )
 
 
-def aux_both_routes(patch):
+def held_copy(patch):
+    held = patch._external_prev
+    return None if held is None else {c: a.copy() for c, a in held.items()}
+
+
+def aux_both_routes(patch, substep=None):
     """The auxiliary field the native entry assembles and the one the
-    NumPy substitution does, from the same fine / coarse / parent state."""
-    patch.assemble_aux()
-    native = {c: patch.aux.fields[c].copy() for c in FIELD_COMPONENTS}
+    NumPy substitution does, from the same fine / coarse / parent state
+    and, for a subcycled ``substep``, the same held external term (which
+    each route leaves under ``prev/<component>``)."""
+
+    def run():
+        patch.assemble_aux(substep)
+        got = {c: patch.aux.fields[c].copy() for c in FIELD_COMPONENTS}
+        if substep is not None:
+            got.update((f"prev/{c}", a) for c, a in held_copy(patch).items())
+        return got
+
+    start = held_copy(patch)
+    native = run()
+    patch._external_prev = start
     for c in FIELD_COMPONENTS:
         patch.aux.fields[c][...] = 123.0  # every point must be rewritten
     with numpy_fields():
-        patch.assemble_aux()
-    return native, {c: patch.aux.fields[c] for c in FIELD_COMPONENTS}
+        oracle = run()
+    return native, oracle
 
 
 def randomized_patch(ndim, ratio, dtype, seed=0):
@@ -312,6 +329,57 @@ def test_native_aux_is_the_numpy_substitution_bit_for_bit(ndim, ratio, dtype):
     assert patch._transfer_plan is not plan
     assert patch._transfer_plan.region_lo == tuple(patch.region_lo)
     assert_same_arrays(native, oracle, "after shift_region")
+
+
+def external_term(patch, comp):
+    """``I[F(s) - F(c)]`` of ``comp`` on the fine samples, by
+    :func:`prolong` (float64 on both precisions)."""
+    from repro.grid.interpolation import prolong, region_sample_counts
+    from repro.grid.yee import STAGGER
+
+    diff = patch._parent_section(comp) - patch.coarse.interior_view(comp)
+    counts = region_sample_counts(patch.fine.n_cells, STAGGER[comp])
+    return prolong(diff, patch.ratio, STAGGER[comp], counts)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("ratio", [2, 4])
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_extrapolated_aux_of_a_subcycled_step(ndim, ratio, dtype):
+    """Substep ``k`` of a subcycled parent step assembles ``fine + (e + k
+    / ratio * (e - prev))``: on the patch's first step ``prev`` is ``e``
+    itself, on a later one the ``e`` its last substep held.  The native
+    entry is the NumPy body bit for bit (NaN-free here, with negative
+    zeros), and the NumPy body is that formula."""
+    native_lib = native_fields.backend(np.dtype(dtype)) is not None
+    patch = randomized_patch(ndim, ratio, dtype)
+    assert patch._external_prev is None
+    for step in ("first", "later"):
+        held = held_copy(patch)
+        for k in range(ratio):
+            what = f"{ndim}D r{ratio} {dtype.__name__} {step} step, substep {k}"
+            if native_lib:
+                native, oracle = aux_both_routes(patch, k)
+                assert_same_arrays(native, oracle, what)
+            else:
+                with numpy_fields():
+                    patch.assemble_aux(k)
+            for c in FIELD_COMPONENTS:
+                e = external_term(patch, c)
+                prev = e if held is None else held[c][patch.fine.valid_slices(c)]
+                want = np.zeros_like(patch.aux.fields[c])
+                want[patch.aux.valid_slices(c)] = patch.fine.interior_view(c) + (
+                    e + k / ratio * (e - prev)
+                )
+                assert same_bits(patch.aux.fields[c], want), f"{what} {c}"
+                # the last substep holds e for the next parent step
+                now = patch._external_prev[c][patch.fine.valid_slices(c)]
+                assert same_bits(now, e if k == ratio - 1 else prev), what
+        if step == "later":
+            assert not same_bits(patch._external_prev["Ey"], held["Ey"])
+        # the next parent step starts from another parent and coarse state
+        random_fields(patch.parent, 20)
+        random_fields(patch.coarse, 21)
 
 
 @needs_compiled

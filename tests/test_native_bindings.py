@@ -4,10 +4,11 @@ Every native entry keeps a pointer table of the arrays it was handed,
 checked once, on the object that owns them, and on each later call
 rechecks only what can change under the same objects: identity, shape,
 strides, dtype and, where the entry writes, writability (the PSATD
-update's spectra, fresh every step, are checked on every call).  For each entry
-a good call binds first; then (a) a replaced array, (b) a written array
-made read-only and (c) an in-place reshape must each raise the entry's
-``ConfigurationError`` and write nothing.  Also: a binding follows the
+update's spectra, fresh every step, are checked on every call).  For
+each entry (and for the subcycled aux assembly, on the external term its
+patch holds) a good call binds first; then (a) a replaced array, (b) a
+written array made read-only and (c) an in-place reshape must each raise
+the entry's ``ConfigurationError`` and write nothing.  Also: a binding follows the
 moving window's ``lo``, a precision change and a re-tiling rebind, and a
 run builds each binding once.
 """
@@ -97,6 +98,17 @@ def case_assemble_aux():
             "assemble_aux")
 
 
+def case_assemble_aux_subcycled():
+    """The last substep of a subcycled step: it reads and writes the
+    external term the patch holds (float64, the fine grid's shape)."""
+    patch = mr_patch()
+    patch.assemble_aux(0)  # the first substep of its first step holds one
+    held = patch._external_prev
+    state = {**patch_state(patch), **{f"prev/{k}": v for k, v in held.items()}}
+    return (lambda: patch.assemble_aux(patch.ratio - 1), held, "Ey", state,
+            "assemble_aux")
+
+
 def case_restrict_currents():
     patch = mr_patch()
 
@@ -139,6 +151,7 @@ def particle_case(entry):
 CASES = {
     "yee": case_yee, "pml": case_pml, "damp": case_damp,
     "smooth": case_smooth, "assemble_aux": case_assemble_aux,
+    "assemble_aux_subcycled": case_assemble_aux_subcycled,
     "restrict_currents": case_restrict_currents,
     "psatd_update": case_psatd_update,
     "advance": lambda: particle_case("advance"),
@@ -282,10 +295,12 @@ def test_a_tiling_rebuild_rebinds_the_box_grids(monkeypatch):
             np.testing.assert_array_equal(bg.fields[comp], tg.fields[comp])
 
 
-def test_the_hybrid_deck_builds_each_binding_once(monkeypatch):
+@pytest.mark.parametrize("subcycle", [False, True],
+                         ids=["synchronous", "subcycled"])
+def test_the_hybrid_deck_builds_each_binding_once(monkeypatch, subcycle):
     """20 steps of the Fig. 6(a) deck, scaled down, with its patch active:
     every (owner, key) binding is built on its first call and never
-    again."""
+    again — a subcycled patch's held external term included."""
     from repro.constants import fs, um
     from repro.scenarios import HybridTargetSetup, build_hybrid_target
 
@@ -295,9 +310,10 @@ def test_the_hybrid_deck_builds_each_binding_once(monkeypatch):
         gas_lo=2 * um, gas_hi=4.5 * um, solid_lo=4.5 * um, solid_hi=5.5 * um,
         solid_nc=20, a0=2.5, duration=3 * fs, waist=1.5 * um, seed=7,
     )
-    sim, _, _ = build_hybrid_target(setup, mode="mr", subcycle=False)
+    sim, _, _ = build_hybrid_target(setup, mode="mr", subcycle=subcycle)
     sim.step(20)
     assert sim.patches
     keys = {key for _, key in builds}
-    assert {"EBJ", "EB", "EB:r", "J", "J:r", "parts", "advance"} <= keys
+    expected = {"EBJ", "EB", "EB:r", "J", "J:r", "parts", "advance"}
+    assert expected | ({"prev"} if subcycle else set()) <= keys
     assert set(builds.values()) == {1}
