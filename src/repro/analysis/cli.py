@@ -8,10 +8,8 @@ location) and reports findings as
 (see :mod:`repro.observability.commlog`) can be replayed through the
 fault/recovery checker (RES001/RES002) with ``--comm-log``.
 
-A ``--baseline`` file (JSON: ``{"findings": [{"rule": ..., "path":
-...}]}``) suppresses known findings by (rule id, path suffix), which is
-how the CI gate fails only on *new* findings.  Exits 1 when any
-error-severity finding survives, 2 on an analysis failure.
+Exits 1 when any error-severity finding is reported, 2 on an analysis
+failure.
 """
 
 from __future__ import annotations
@@ -60,12 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="JSON baseline of known findings to suppress (CI gates on "
-             "new findings only)",
     )
     parser.add_argument(
         "--comm-log",
@@ -134,49 +126,6 @@ def _partition_select(
     if unknown:
         raise AnalysisError(f"unknown rule id(s) in --select: {unknown}")
     return [s for s in select if s in lint_ids], set(select)
-
-
-def _load_baseline(path: str) -> List[Tuple[str, str]]:
-    """(rule id, path suffix) pairs of findings the baseline accepts."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise AnalysisError(f"cannot read baseline {path!r}: {exc}")
-    entries = data.get("findings") if isinstance(data, dict) else None
-    if entries is None:
-        raise AnalysisError(
-            f"baseline {path!r} must be a JSON object with a 'findings' list"
-        )
-    pairs: List[Tuple[str, str]] = []
-    for entry in entries:
-        try:
-            pairs.append((str(entry["rule"]), str(entry["path"])))
-        except (TypeError, KeyError):
-            raise AnalysisError(
-                f"baseline {path!r}: each finding needs 'rule' and 'path'"
-            )
-    return pairs
-
-
-def _apply_baseline(
-    findings: Sequence[Finding], baseline: Sequence[Tuple[str, str]]
-) -> List[Finding]:
-    """Drop findings the baseline accepts (matched by rule + path suffix).
-
-    Line numbers are deliberately ignored: a baseline must keep
-    suppressing a known finding when unrelated edits shift it.
-    """
-    kept = []
-    for finding in findings:
-        suppressed = any(
-            finding.rule == rule
-            and (finding.path == path or finding.path.endswith(path))
-            for rule, path in baseline
-        )
-        if not suppressed:
-            kept.append(finding)
-    return kept
 
 
 def _replay_logs(paths: Sequence[str]) -> List[Finding]:
@@ -252,8 +201,6 @@ def main(argv: Optional[Sequence[str]] = None, stream=None) -> int:
             findings += _replay_logs(args.comm_log)
         if keep_ids is not None:
             findings = [f for f in findings if f.rule in keep_ids]
-        if args.baseline:
-            findings = _apply_baseline(findings, _load_baseline(args.baseline))
         findings = sort_findings(findings)
     except AnalysisError as exc:
         print(f"repro.analysis: error: {exc}", file=stream)

@@ -167,13 +167,6 @@ def rank_loads(costs: Sequence[float], assignment: np.ndarray, n_ranks: int) -> 
     return loads
 
 
-def should_rebalance(
-    current_imbalance: float, threshold: float = 1.1
-) -> bool:
-    """The dynamic-LB trigger: rebalance when max/mean exceeds ``threshold``."""
-    return current_imbalance > threshold
-
-
 def evacuate_boxes(
     costs: Sequence[float],
     assignment: np.ndarray,

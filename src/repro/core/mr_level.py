@@ -24,8 +24,9 @@ The patch's members (:meth:`MRPatch.members`, a mask over a species)
 gather from ``a``; their current is deposited on ``f``, restricted to the
 parent resolution into ``c``'s current, and added from there to the
 parent grid: once a step on a synchronous patch, once per substep (with
-weight ``1/r``) on a subcycled one, which also assembles ``a`` at each
-substep, its external term extrapolated in time.
+weight ``1/r``) on a subcycled one, which assembles ``a`` only at each
+substep, its external term extrapolated in time (between steps its ``a``
+holds the last substep's field).
 
 The patch is *fixed in the lab frame*: when the parent's moving window
 shifts, only the patch's parent-index region is updated, and the patch is

@@ -208,6 +208,9 @@ class StepDriver:
         self._snapshot_interval = 0
         self.time = 0.0
         self.step_count = 0
+        #: particles advanced over every step run; not checkpointed, so the
+        #: steps a rollback replays count again (``particles.pushed``)
+        self.particles_pushed = 0
         #: opt-in runtime invariant checks (None unless REPRO_SANITIZE=1)
         self.sanitizer: Optional[Sanitizer] = Sanitizer.from_env()
 
@@ -231,14 +234,6 @@ class StepDriver:
         if pml_axes:
             return PMLMaxwellSolver(grid, self.dt, n_pml=n_pml, axes=pml_axes)
         return MaxwellSolver(grid, self.dt)
-
-    def _count_dispatch(self, calls: int = 1) -> None:
-        """Bump the ``kernel.dispatch`` counter by ``calls`` particle
-        advances."""
-        if self.metrics is not None:
-            self.metrics.counter(
-                "kernel.dispatch", variant=self.kernels, phase="advance"
-            ).add(calls)
 
     def _smooth_sources(self, grid: YeeGrid) -> None:
         """Binomial-filter the current deposited on ``grid``, guards
@@ -291,17 +286,13 @@ class StepDriver:
             if self.sanitizer is not None:
                 with self._phase("sanitize"):
                     self._run_sanitizers()
-            lap = self.timers.lap()
-            if self.metrics is not None:
-                self.metrics.counter("particles.pushed").add(
-                    self.local_particles()
+            self.timers.lap()
+            self.particles_pushed += self.local_particles()
+            interval = self._snapshot_interval
+            if interval > 0 and self.step_count % interval == 0:
+                self.tracer.add_metrics_snapshot(
+                    self.metrics.snapshot(), step=self.step_count
                 )
-                self.metrics.histogram("step.seconds").observe(lap)
-                interval = self._snapshot_interval
-                if interval > 0 and self.step_count % interval == 0:
-                    self.tracer.add_metrics_snapshot(
-                        self.metrics.snapshot(), step=self.step_count
-                    )
 
     def _step_body(self) -> None:
         raise NotImplementedError
@@ -600,7 +591,6 @@ class Simulation(StepDriver):
                     if periodic is not None:
                         wrap_positions_periodic(x_out, *periodic)
                         x_new[crossers] = x_out
-        self._count_dispatch(len(levels))
 
     def _deposit(self, weights, charge, x_old, x_new, velocities) -> None:
         """Deposit the crossers of :meth:`_advance_levels` (``weights``,
@@ -651,7 +641,6 @@ class Simulation(StepDriver):
                             self.pusher, self.deposition, None, patch.fine,
                             None, rows, (x_new, u_new, None),
                         )
-                        self._count_dispatch()
                     self._smooth_sources(patch.fine)
                     patch.accumulate_restricted_currents(1.0 / patch.ratio)
                     patch.fine_solver.step()
@@ -710,8 +699,10 @@ class Simulation(StepDriver):
             for k, patch in enumerate(self.patches):
                 with self.tracer.span("mr_fields", cat="level", level=1, patch=k):
                     patch.advance_fields()
-                    # reassemble against the advanced parent solution
-                    patch.assemble_aux()
+                    # reassemble against the advanced parent solution; a
+                    # subcycled patch's next substep 0 rebuilds all of aux
+                    if not patch.subcycle:
+                        patch.assemble_aux()
 
         with self._phase("field_boundaries"):
             for axis, b in enumerate(self.boundaries):

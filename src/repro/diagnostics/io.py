@@ -1,4 +1,4 @@
-"""Checkpoint / restart and snapshot I/O.
+"""Checkpoint / restart I/O.
 
 The paper's reported timings are "whole application including I/O"; long
 production runs live and die by checkpointing.  State is written as a
@@ -323,8 +323,9 @@ def unpack_distributed_state(sim, data: Mapping[str, np.ndarray]) -> None:
             )
 
 
-def save_distributed_checkpoint(sim, directory: str) -> None:
-    """Write a per-box checkpoint directory for a distributed run."""
+def save_distributed_checkpoint(sim, directory: str) -> int:
+    """Write a per-box checkpoint directory for a distributed run;
+    returns the bytes of the state it packed."""
     os.makedirs(directory, exist_ok=True)
     state = pack_distributed_state(sim)
     per_file: Dict[str, Dict[str, np.ndarray]] = {"meta": {}}
@@ -334,10 +335,12 @@ def save_distributed_checkpoint(sim, directory: str) -> None:
         per_file.setdefault(fname, {})[key] = arr
     for fname, chunk in per_file.items():
         np.savez_compressed(os.path.join(directory, f"{fname}.npz"), **chunk)
+    return sum(arr.nbytes for arr in state.values())
 
 
-def load_distributed_checkpoint(sim, directory: str) -> None:
-    """Restore a per-box checkpoint directory into a configured run."""
+def load_distributed_checkpoint(sim, directory: str) -> int:
+    """Restore a per-box checkpoint directory into a configured run;
+    returns the bytes of the arrays it read."""
     meta_path = os.path.join(directory, "meta.npz")
     if not os.path.isdir(directory) or not os.path.exists(meta_path):
         raise ConfigurationError(f"no distributed checkpoint at {directory!r}")
@@ -349,26 +352,4 @@ def load_distributed_checkpoint(sim, directory: str) -> None:
             for key in chunk.files:
                 data[key] = chunk[key]
     unpack_distributed_state(sim, data)
-
-
-def save_snapshot(grid, species: Dict[str, object], path: str) -> None:
-    """Lightweight diagnostic dump: valid-region fields + particle arrays."""
-    out: Dict[str, np.ndarray] = {
-        "lo": np.array(grid.lo),
-        "hi": np.array(grid.hi),
-    }
-    for name in grid.fields:
-        out[f"field/{name}"] = grid.interior_view(name)
-    for name, sp in species.items():
-        out[f"species/{name}/positions"] = sp.positions
-        out[f"species/{name}/momenta"] = sp.momenta
-        out[f"species/{name}/weights"] = sp.weights
-    np.savez_compressed(path, **out)
-
-
-def load_snapshot(path: str) -> Dict[str, np.ndarray]:
-    """Read a snapshot back as a flat dict of arrays."""
-    if not os.path.exists(path):
-        raise ConfigurationError(f"no snapshot at {path!r}")
-    with np.load(path) as data:
-        return {k: data[k].copy() for k in data.files}
+    return sum(arr.nbytes for arr in data.values())

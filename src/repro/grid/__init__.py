@@ -6,7 +6,7 @@ from repro.grid.yee import YeeGrid, STAGGER, FIELD_COMPONENTS
 from repro.grid.maxwell import MaxwellSolver, cfl_dt
 from repro.grid.pml import PMLMaxwellSolver, pml_sigma_profile
 from repro.grid.psatd import PSATDMaxwellSolver
-from repro.grid.boundary import apply_periodic, apply_conductor, apply_damping
+from repro.grid.boundary import apply_periodic, apply_damping
 from repro.grid.interpolation import prolong, restrict
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "PSATDMaxwellSolver",
     "pml_sigma_profile",
     "apply_periodic",
-    "apply_conductor",
     "apply_damping",
     "prolong",
     "restrict",

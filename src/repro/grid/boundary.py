@@ -1,10 +1,8 @@
 """Domain boundary conditions for single-patch grids.
 
-Three families are provided:
+Two families are provided:
 
 * periodic — guard cells wrap around the valid region,
-* conductor — perfect electric conductor (tangential E and normal B zeroed
-  on the wall, fields mirrored into the guards),
 * damping — graded exponential absorber (the cheap alternative to the PML,
   used by several production PIC codes for large outer boundaries).
 
@@ -115,44 +113,6 @@ def accumulate_periodic_sources(grid: YeeGrid, axis: int) -> None:
             ]
         arr[_axis_slice(nd, axis, slice(0, g))] = 0.0
         arr[_axis_slice(nd, axis, slice(hi0, None))] = 0.0
-
-
-def apply_conductor(grid: YeeGrid, axis: int) -> None:
-    """Perfect-electric-conductor walls on both ends of ``axis``.
-
-    Tangential E (components nodal along ``axis``) vanish on the wall plane
-    and are odd-mirrored into the guards; normal E and tangential B are
-    even-mirrored, which makes the wall a perfect reflector.
-    """
-    g = grid.guards
-    n = grid.n_cells[axis]
-    for name in FIELD_COMPONENTS:
-        arr = grid.fields[name]
-        stag = STAGGER[name][axis]
-        nd = arr.ndim
-        is_e = name.startswith("E")
-        tangential_e = is_e and stag == 0
-        normal_b = (not is_e) and stag == 0
-        odd = tangential_e or normal_b
-        if odd and stag == 0:
-            arr[_axis_slice(nd, axis, slice(g, g + 1))] = 0.0
-            arr[_axis_slice(nd, axis, slice(g + n, g + n + 1))] = 0.0
-        sign = -1.0 if odd else 1.0
-        for k in range(1, g + 1):
-            if stag == 0:
-                lo_src, lo_dst = g + k, g - k
-                hi_src, hi_dst = g + n - k, g + n + k
-            else:
-                lo_src, lo_dst = g + k - 1, g - k
-                hi_src, hi_dst = g + n - k, g + n + k - 1
-            if hi_dst >= arr.shape[axis]:
-                continue
-            arr[_axis_slice(nd, axis, slice(lo_dst, lo_dst + 1))] = sign * arr[
-                _axis_slice(nd, axis, slice(lo_src, lo_src + 1))
-            ]
-            arr[_axis_slice(nd, axis, slice(hi_dst, hi_dst + 1))] = sign * arr[
-                _axis_slice(nd, axis, slice(hi_src, hi_src + 1))
-            ]
 
 
 def damping_profile(n_layer: int, strength: float = 0.02, power: int = 2) -> np.ndarray:

@@ -3,8 +3,8 @@
 The measurement substrate behind every performance claim this
 reproduction makes (and behind the paper's Figs. 5-7 / Tables 3-4 in the
 original): hierarchical spans (step → phase → kernel, per rank/box/
-level), a counters/gauges/histograms registry whose communicator and
-load-balancer metrics are views of the run's own accounting, and text
+level), a metrics registry whose every metric is a view of the run's
+own books (step clock, communicator, load balancer, resilience), and text
 dashboards plus a trace-summarizing CLI (``python -m
 repro.observability``).
 
@@ -26,9 +26,6 @@ from repro.observability.commlog import (
 )
 from repro.observability.instrument import attach_observability
 from repro.observability.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     comm_matrix_from_snapshot,
     metric_id,
@@ -54,9 +51,6 @@ __all__ = [
     "read_comm_log",
     "write_comm_log",
     "attach_observability",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "comm_matrix_from_snapshot",
     "metric_id",

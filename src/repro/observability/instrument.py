@@ -2,21 +2,27 @@
 
 The step code is permanently instrumented: span calls against a
 :data:`~repro.observability.tracer.NULL_TRACER` by default, and the step
-clock and event counters in :class:`~repro.core.simulation.StepDriver`.
-This module swaps the real recorders in.  On a distributed run it also
-registers one metrics *view* over the accounting the run already keeps:
-communicator, halo exchanges, load balancer and resilience.  Those
-metrics are read from their source at every snapshot, not copied into
-counters every step.
+clock and particle count in :class:`~repro.core.simulation.StepDriver`.
+This module swaps the real tracer in and registers the metrics *views*
+over the books every run keeps — and, on a distributed run, over its
+communicator, halo exchanges, load balancer and resilience layer.  A
+metric is read from its book at every snapshot, never copied per step.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional, Tuple
 
-from repro.observability.metrics import MetricsRegistry, ViewRow
+from repro.observability.metrics import MetricsRegistry, ViewRow, summary
 from repro.observability.report import measured_imbalance
 from repro.observability.tracer import Tracer
+
+
+def _step_books(sim) -> Iterator[ViewRow]:
+    """Any driver's step books: the step clock's laps and the particles
+    pushed over every step (replayed steps included)."""
+    yield "histogram", "step.seconds", {}, summary(sim.timers.step_times)
+    yield "counter", "particles.pushed", {}, sim.particles_pushed
 
 
 def _accounting(sim) -> Iterator[ViewRow]:
@@ -27,7 +33,7 @@ def _accounting(sim) -> Iterator[ViewRow]:
     payload bytes and messages, as measured by the pairwise exchange.
     Then rebalances and what they moved, and this endpoint's live
     particles (per-rank values sum to the global count).  Last, the
-    recovery policy's totals.
+    checkpoints taken and the recovery policy's totals.
     """
     comm = sim.comm
     for (src, dst), nbytes in comm.pair_bytes.items():
@@ -48,11 +54,16 @@ def _accounting(sim) -> Iterator[ViewRow]:
     if imbalance is not None:
         yield "gauge", "lb.imbalance", {}, imbalance
     res = sim.resilience
-    if res is not None and res.policy is not None:
-        stats = res.policy.stats
-        yield "counter", "resilience.retransmissions", {}, stats.retries
-        yield "counter", "resilience.redeliveries", {}, stats.redeliveries
-        yield "counter", "resilience.dedups", {}, stats.dedups
+    if res is not None:
+        yield "counter", "checkpoint.saves", {}, res.checkpoint_saves
+        yield "counter", "checkpoint.bytes", {}, res.checkpoint_bytes
+        if res.policy is not None:
+            stats = res.policy.stats
+            yield "counter", "resilience.retransmissions", {}, stats.retries
+            yield "counter", "resilience.redeliveries", {}, stats.redeliveries
+            yield "counter", "resilience.dedups", {}, stats.dedups
+            yield "counter", "resilience.restores", {}, stats.restores
+            yield "counter", "resilience.restored_bytes", {}, stats.restored_bytes
     if sim.dead_ranks:
         yield "gauge", "resilience.dead_ranks", {}, len(sim.dead_ranks)
 
@@ -68,9 +79,11 @@ def attach_observability(
     Works on any of the simulation classes.  With a positive
     ``snapshot_interval``, metrics snapshots are interleaved into the
     trace stream every that many steps (the imbalance *timeline* the CLI
-    renders).  The distributed simulation additionally gets the view
-    over its accounting (comm heatmap, halo and load-balance totals,
-    imbalance gauge, resilience counters).
+    renders).  Every driver gets the view over its step books
+    (``step.seconds``, ``particles.pushed``); the distributed simulation
+    also the one over its accounting (comm heatmap, halo and
+    load-balance totals, imbalance gauge, checkpoint and resilience
+    counters).
     """
     if tracer is None:
         tracer = Tracer(enabled=True)
@@ -79,8 +92,7 @@ def attach_observability(
     sim.tracer = tracer
     sim.metrics = metrics
     sim._snapshot_interval = int(snapshot_interval)
+    metrics.view(lambda: _step_books(sim))
     if hasattr(sim, "comm"):  # a DistributedSimulation
         metrics.view(lambda: _accounting(sim))
-        if sim.resilience is not None:
-            sim.resilience.metrics = metrics
     return tracer, metrics

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges and histograms for the PIC stack.
+"""Metrics registry: the run's own books, read as metrics.
 
 Where the tracer answers "where did the time go", the registry answers
 "how much work moved": particles pushed, bytes and messages per rank
@@ -7,24 +7,17 @@ checkpoint bytes.  The shapes follow the Prometheus data model — a
 metric is a *name* plus a sorted *label set* — but everything lives in
 process and serializes to plain JSON.
 
-Two sources feed it.  *Event* metrics are bumped where the event
-happens (``particles.pushed``, ``step.seconds``).  *Views* are read from
-accounting the program keeps anyway (the communicator's byte counters,
-the halo-exchange totals): :meth:`MetricsRegistry.view` registers a
-reader, and every snapshot reads it afresh, so a view always equals its
-source — attached late, or after a checkpoint restore rolled the source
-back — with no copy to keep in step.
-
-Snapshot/delta semantics: :meth:`MetricsRegistry.snapshot` freezes every
-metric into a JSON-serializable dict; :meth:`MetricsRegistry.delta`
-subtracts a previous snapshot from the current one (counters and
-histogram counts diff; gauges report their current value) so per-step or
-per-phase accounting needs no manual bookkeeping.
+Every metric is a *view*: :meth:`MetricsRegistry.view` registers a reader
+of accounting the program keeps anyway (the step clock's laps, the
+communicator's byte counters, the recovery policy's totals), and every
+snapshot reads it afresh.  Nothing is bumped or copied per step, so a
+metric always equals its book — attached late, or after a checkpoint
+restore rolled the book back.  A per-interval figure is the difference
+of two snapshots.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ObservabilityError
@@ -62,196 +55,66 @@ def parse_metric_id(mid: str) -> Tuple[str, Dict[str, str]]:
     return name, labels
 
 
-class Counter:
-    """Monotonically increasing count (events, bytes, particles)."""
-
-    kind = "counter"
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: float = 0.0
-
-    def add(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ObservabilityError("counters only go up; use a gauge")
-        self.value += amount
-
-    inc = add
-
-    def to_value(self) -> float:
-        return self.value
+#: one row of a view: ``(kind, name, labels, value)``; kind "counter" or
+#: "gauge" with a number, "histogram" with a :func:`summary` dict
+ViewRow = Tuple[str, str, Dict[str, Any], Any]
 
 
-class Gauge:
-    """A value that goes up and down (imbalance factor, live particles)."""
-
-    kind = "gauge"
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def add(self, amount: float) -> None:
-        self.value += amount
-
-    def to_value(self) -> float:
-        return self.value
-
-
-class Histogram:
-    """Streaming distribution summary: count/sum/min/max + mean.
-
-    Deliberately reservoir-free: ``step.seconds`` summarises the same
-    laps :class:`~repro.core.simulation.StepDriver` appends to
-    ``Timers.step_times``, and per-step *percentiles* come from that full
-    history in :mod:`repro.observability.report`; the histogram covers
-    quantities where only the aggregate shape matters (step and box
-    costs).
-    """
-
-    kind = "histogram"
-    __slots__ = ("count", "sum", "min", "max")
-
-    def __init__(self) -> None:
-        self.count: int = 0
-        self.sum: float = 0.0
-        self.min: float = float("inf")
-        self.max: float = float("-inf")
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.sum += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    def to_value(self) -> Dict[str, float]:
-        if self.count == 0:
-            return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0}
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.sum / self.count,
-        }
-
-
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-#: one row of a view: ``(kind, name, labels, value)``, kind "counter" or
-#: "gauge"
-ViewRow = Tuple[str, str, Dict[str, Any], float]
+def summary(values: Sequence[float]) -> Dict[str, float]:
+    """The value of a ``"histogram"`` row: count / sum / min / max / mean
+    of ``values`` (all zeros when there are none)."""
+    if not values:
+        return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0}
+    total = float(sum(values))
+    return {
+        "count": len(values),
+        "sum": total,
+        "min": float(min(values)),
+        "max": float(max(values)),
+        "mean": total / len(values),
+    }
 
 
 class MetricsRegistry:
-    """The one place every subsystem registers what it measured.
+    """The views a run's metrics are read from.
 
-    Metrics are created on first access (``registry.counter("comm.bytes",
-    src=0, dst=1).add(n)``); re-requesting an existing name with a
-    different kind is an :class:`~repro.exceptions.ObservabilityError` —
-    a metric cannot silently change meaning mid-run.
+    A view is a zero-argument callable yielding :data:`ViewRow` rows;
+    :meth:`metrics` and :meth:`snapshot` call every view again, so a
+    metric always equals its book.  Two rows under one metric id are an
+    :class:`~repro.exceptions.ObservabilityError`: a metric has one
+    source.
     """
 
     def __init__(self) -> None:
-        self._metrics: Dict[Tuple[str, LabelKey], Any] = {}
         self._views: List[Callable[[], Iterable[ViewRow]]] = []
 
-    def _get(self, kind: str, name: str, labels: Dict[str, Any]):
-        key = (name, _label_key(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = _KINDS[kind]()
-            self._metrics[key] = metric
-        elif metric.kind != kind:
-            raise ObservabilityError(
-                f"metric {metric_id(name, labels)!r} already registered as "
-                f"{metric.kind}, requested as {kind}"
-            )
-        return metric
-
-    def counter(self, name: str, **labels) -> Counter:
-        return self._get("counter", name, labels)
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        return self._get("gauge", name, labels)
-
-    def histogram(self, name: str, **labels) -> Histogram:
-        return self._get("histogram", name, labels)
-
     def view(self, read: Callable[[], Iterable[ViewRow]]) -> None:
-        """Register ``read``, a zero-argument callable yielding
-        ``(kind, name, labels, value)`` rows: counters and gauges derived
-        from state the program already keeps.  Every :meth:`snapshot`,
-        :meth:`delta` and :meth:`metrics` calls it again, so nothing is
-        copied per step and nothing can drift from its source."""
+        """Register ``read``, a view over state the program already keeps."""
         self._views.append(read)
 
-    def __len__(self) -> int:
-        return sum(1 for _ in self.metrics())
-
-    def __contains__(self, name: str) -> bool:
-        return any(n == name for n, _, _ in self.metrics())
-
-    def metrics(self) -> Iterable[Tuple[str, Dict[str, str], Any]]:
-        """Iterate (name, labels, metric) in sorted id order, the rows of
-        every view included (read now)."""
-        items = dict(self._metrics)
+    def metrics(self) -> List[ViewRow]:
+        """Every view's rows, read now, in sorted id order."""
+        rows: Dict[Tuple[str, LabelKey], ViewRow] = {}
         for read in self._views:
             for kind, name, labels, value in read():
-                metric = _KINDS[kind]()
-                metric.value = float(value)
-                items[(name, _label_key(labels))] = metric
-        for (name, lkey), metric in sorted(items.items()):
-            yield name, dict(lkey), metric
+                key = (name, _label_key(labels))
+                if key in rows:
+                    raise ObservabilityError(
+                        f"metric {metric_id(name, labels)!r} is read by two "
+                        f"views (as {rows[key][0]} and as {kind})"
+                    )
+                rows[key] = (kind, name, labels, value)
+        return [rows[key] for key in sorted(rows)]
 
-    # -- snapshot / delta ---------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """Freeze every metric into ``{metric_id: value}``.
-
-        Counters and gauges flatten to numbers; histograms to their
-        summary dict.  The result is JSON-serializable as-is.
-        """
-        out: Dict[str, Any] = {}
-        for name, labels, metric in self.metrics():
-            out[metric_id(name, labels)] = metric.to_value()
-        return out
-
-    def delta(self, previous: Dict[str, Any]) -> Dict[str, Any]:
-        """Current snapshot minus ``previous`` (a prior :meth:`snapshot`).
-
-        Counter values and histogram count/sum subtract; gauges keep
-        their current value (a gauge *is* its latest reading).  Metrics
-        absent from ``previous`` diff against zero.
-        """
-        out: Dict[str, Any] = {}
-        for name, labels, metric in self.metrics():
-            mid = metric_id(name, labels)
-            prev = previous.get(mid)
-            if metric.kind == "counter":
-                out[mid] = metric.value - (float(prev) if prev is not None else 0.0)
-            elif metric.kind == "gauge":
-                out[mid] = metric.value
-            else:
-                cur = metric.to_value()
-                if isinstance(prev, dict):
-                    out[mid] = {
-                        "count": cur["count"] - prev.get("count", 0),
-                        "sum": cur["sum"] - prev.get("sum", 0.0),
-                    }
-                else:
-                    out[mid] = {"count": cur["count"], "sum": cur["sum"]}
-        return out
-
-    # -- persistence --------------------------------------------------------
-    def dump_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf8") as fh:
-            json.dump(self.snapshot(), fh, indent=2, sort_keys=True)
+        """Freeze every metric into ``{metric_id: value}``: counters and
+        gauges as floats, histograms as their summary dict.  The result
+        is JSON-serializable as-is."""
+        return {
+            metric_id(name, labels):
+                value if kind == "histogram" else float(value)
+            for kind, name, labels, value in self.metrics()
+        }
 
 
 #: metrics that are per-rank views of one global quantity: merge by max,

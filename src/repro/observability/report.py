@@ -10,7 +10,7 @@ consumes).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -81,14 +81,12 @@ class RunReport:
         rank_loads: Optional[np.ndarray] = None,
         imbalance: Optional[float] = None,
         lb_events: Optional[List[int]] = None,
-        metrics_snapshot: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.timers = timers
         self.comm_matrix = comm_matrix
         self.rank_loads = rank_loads
         self.imbalance = imbalance
         self.lb_events = lb_events
-        self.metrics_snapshot = metrics_snapshot
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -108,14 +106,12 @@ class RunReport:
         for i, cost in enumerate(costs):
             loads[sim.dm.rank_of(i)] += cost
         imbalance = measured_imbalance(sim)
-        snapshot = sim.metrics.snapshot() if sim.metrics is not None else None
         return cls(
             sim.timers,
             comm_matrix=matrix,
             rank_loads=loads,
             imbalance=1.0 if imbalance is None else imbalance,
             lb_events=list(sim.lb_events),
-            metrics_snapshot=snapshot,
         )
 
     # -- derived quantities --------------------------------------------------

@@ -460,10 +460,7 @@ class DistributedSimulation(StepDriver):
                                 self.shape_order, self.pusher, self.deposition,
                                 periodic,
                             )
-                            self._count_dispatch()
                 self.cost_model.record_measured(i, sw.elapsed)
-                if self.metrics is not None:
-                    self.metrics.histogram("lb.box_cost").observe(sw.elapsed)
 
         with self._phase("fold_sources"):
             # smooth each box's raw deposits (guards included) before

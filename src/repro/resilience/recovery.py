@@ -17,7 +17,10 @@ loss is routine):
 
 Every recovery action is recorded in the communicator event log, so the
 :mod:`repro.analysis.commcheck` replay can audit that no injected fault
-went unrecovered (rules RES001/RES002).
+went unrecovered (rules RES001/RES002).  The policy's
+:class:`RecoveryStats` and the manager's checkpoint counts are the books
+the ``resilience.*`` and ``checkpoint.*`` metrics read
+(:mod:`repro.observability.instrument`); nothing here touches a registry.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from repro.resilience.faults import FaultInjector, FaultSchedule, FaultSpec
 
 @dataclass
 class RecoveryStats:
-    """What the recovery layer did during a run (for tests and reports)."""
+    """What the recovery layer did during a run (read by tests, reports
+    and the ``resilience.*`` metrics)."""
 
     retries: int = 0
     redeliveries: int = 0
@@ -112,8 +116,10 @@ class ResilienceManager:
         self.policy = policy
         self.checkpoint_interval = int(checkpoint_interval)
         self.checkpoint_dir = checkpoint_dir
-        #: metrics registry set by repro.observability.attach_observability
-        self.metrics = None
+        #: checkpoints taken and the bytes of state they packed (the
+        #: ``checkpoint.*`` metrics read them)
+        self.checkpoint_saves = 0
+        self.checkpoint_bytes = 0
         self._memory_checkpoint: Optional[Dict[str, np.ndarray]] = None
         self._checkpoint_step: Optional[int] = None
         # ranks that died this run: the checkpoint may predate a failure,
@@ -153,33 +159,22 @@ class ResilienceManager:
 
     def save_checkpoint(self, sim) -> None:
         if self.checkpoint_dir is not None:
-            save_distributed_checkpoint(sim, self.checkpoint_dir)
-            if self.metrics is not None:
-                nbytes = sum(
-                    arr.nbytes for arr in pack_distributed_state(sim).values()
-                )
+            nbytes = save_distributed_checkpoint(sim, self.checkpoint_dir)
         else:
             state = pack_distributed_state(sim)
             self._memory_checkpoint = {
                 k: np.array(v, copy=True) for k, v in state.items()
             }
-            if self.metrics is not None:
-                nbytes = sum(
-                    arr.nbytes for arr in self._memory_checkpoint.values()
-                )
-        if self.metrics is not None:
-            self.metrics.counter("checkpoint.saves").add(1)
-            self.metrics.counter("checkpoint.bytes").add(nbytes)
+            nbytes = sum(arr.nbytes for arr in state.values())
+        self.checkpoint_saves += 1
+        self.checkpoint_bytes += nbytes
         sim.tracer.instant("checkpoint", step=sim.step_count)
         self._checkpoint_step = sim.step_count
 
     def _restore_checkpoint(self, sim) -> int:
         """Restore the last checkpoint into ``sim``; returns bytes read."""
         if self.checkpoint_dir is not None:
-            load_distributed_checkpoint(sim, self.checkpoint_dir)
-            return sum(
-                arr.nbytes for arr in pack_distributed_state(sim).values()
-            )
+            return load_distributed_checkpoint(sim, self.checkpoint_dir)
         unpack_distributed_state(sim, self._memory_checkpoint)
         return sum(arr.nbytes for arr in self._memory_checkpoint.values())
 
@@ -232,9 +227,6 @@ class ResilienceManager:
                 sim.dm.evacuate(dead, alive=alive, costs=costs)
         sim.comm.record_restore(rank, nbytes)
         self.policy.note_restore(nbytes)
-        if self.metrics is not None:
-            self.metrics.counter("resilience.restores").add(1)
-            self.metrics.counter("resilience.restored_bytes").add(nbytes)
         sim.tracer.instant(
             "rank_restore", rank=rank, step=sim.step_count, nbytes=nbytes
         )

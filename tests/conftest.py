@@ -65,8 +65,8 @@ def unfused(kernel_set):
 
 
 def record_calls(kernel_set, slot):
-    """``kernel_set`` with its ``slot`` (``"gather"`` or ``"advance"``)
-    swapped for a spy that runs it and records ``(grid, positions,
+    """``kernel_set`` with its ``slot`` (``"gather"``, ``"advance"`` or
+    ``"deposit_current"``) swapped for a spy that runs it and records ``(grid, positions,
     result)`` per call — the positions of the rows it advances, given an
     ``advance`` a ``rows`` index; returns the new set and the list it
     fills.  A set without the slot comes back as it is (nothing can call

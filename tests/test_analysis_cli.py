@@ -1,4 +1,4 @@
-"""CLI behavior: JSON output, baselines, comm-log replay, rule selection."""
+"""CLI behavior: JSON output, comm-log replay, rule selection."""
 
 import io
 import json
@@ -12,7 +12,6 @@ from repro.parallel.comm import SimComm
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "data", "comm_fixtures")
-BASELINE = os.path.join(HERE, "data", "analysis_baseline.json")
 #: a recorded run with a drop nobody recovers (a replay RES001)
 UNRECOVERED_LOG = os.path.join(FIXTURES, "unrecovered_drop.commlog.jsonl")
 
@@ -67,52 +66,6 @@ def test_text_format_stays_the_default(tmp_path):
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
     assert "PIC002" in out
-
-
-# -- --baseline --------------------------------------------------------------
-
-def test_baseline_suppresses_known_findings(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text(BAD_SNIPPET)
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps(
-        {"findings": [{"rule": "PIC002", "path": "bad.py"}]}
-    ))
-    code, out = run_cli(str(bad), "--baseline", str(baseline))
-    assert code == 0
-    assert "clean" in out
-
-
-def test_baseline_does_not_hide_new_rules(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text(
-        "import numpy as np\n"
-        "import time\n"
-        "a = np.zeros(3)\n"
-        "t = time.time()\n"
-    )
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps(
-        {"findings": [{"rule": "PIC002", "path": "bad.py"}]}
-    ))
-    code, out = run_cli(str(bad), "--baseline", str(baseline))
-    assert code == 1
-    assert "PIC004" in out and "PIC002" not in out
-
-
-def test_malformed_baseline_is_an_analysis_error(tmp_path):
-    good = tmp_path / "good.py"
-    good.write_text("x = 1\n")
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text("[1, 2, 3]")
-    code, out = run_cli(str(good), "--baseline", str(baseline))
-    assert code == 2
-    assert "baseline" in out
-
-
-def test_shipped_baseline_is_empty():
-    with open(BASELINE, encoding="utf-8") as handle:
-        assert json.load(handle) == {"findings": []}
 
 
 # -- --comm-log replay -------------------------------------------------------

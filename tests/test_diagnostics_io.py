@@ -6,12 +6,7 @@ import pytest
 from repro.constants import c, m_e, plasma_wavelength, q_e, um, fs
 from repro.core.moving_window import MovingWindow
 from repro.core.simulation import Simulation
-from repro.diagnostics.io import (
-    load_checkpoint,
-    load_snapshot,
-    save_checkpoint,
-    save_snapshot,
-)
+from repro.diagnostics.io import load_checkpoint, save_checkpoint
 from repro.exceptions import ConfigurationError
 from repro.grid.maxwell import cfl_dt
 from repro.grid.yee import YeeGrid
@@ -108,14 +103,3 @@ def test_checkpoint_missing_species_raises(tmp_path):
     other.add_species(Species("ions", ndim=1))
     with pytest.raises(ConfigurationError):
         load_checkpoint(other, path)
-
-
-def test_snapshot_roundtrip(tmp_path):
-    path = str(tmp_path / "snap.npz")
-    sim, e = build_langmuir()
-    sim.step(5)
-    save_snapshot(sim.grid, {"e": e}, path)
-    data = load_snapshot(path)
-    np.testing.assert_array_equal(data["field/Ex"], sim.grid.interior_view("Ex"))
-    np.testing.assert_array_equal(data["species/e/positions"], e.positions)
-    assert data["lo"][0] == 0.0

@@ -1,4 +1,4 @@
-"""Tests for periodic / conductor / damping boundary handling."""
+"""Tests for periodic / damping boundary handling."""
 
 import contextlib
 
@@ -8,7 +8,6 @@ import pytest
 from repro.constants import c
 from repro.grid.boundary import (
     accumulate_periodic_sources,
-    apply_conductor,
     apply_damping,
     apply_periodic,
     damping_profile,
@@ -52,27 +51,6 @@ def test_accumulate_periodic_sources_conserves_total():
     # first and last valid nodes are the same physical point
     assert valid[0] == pytest.approx(valid[-1])
     assert valid[:-1].sum() == pytest.approx(total_before)
-
-
-def test_conductor_reflects_pulse():
-    """A pulse reflects from a PEC wall and comes back inverted."""
-    n = 256
-    g = YeeGrid((n,), (0.0,), (1.0,), guards=3)
-    x = g.axis_coords(0, "Ey")
-    x_b = g.axis_coords(0, "Bz")
-    pulse = lambda s: np.exp(-((s - 0.7) ** 2) / (2 * 0.02**2))
-    g.interior_view("Ey")[...] = pulse(x)
-    g.interior_view("Bz")[...] = pulse(x_b) / c  # right-going
-    dt = cfl_dt(g.dx, 0.9)
-    solver = MaxwellSolver(g, dt)
-    steps = int(0.55 / (c * dt))  # hits the x=1 wall and returns
-    for _ in range(steps):
-        apply_conductor(g, 0)
-        solver.step()
-    ey = g.interior_view("Ey")
-    peak = np.argmax(np.abs(ey))
-    assert ey[peak] < 0  # inverted on reflection from PEC
-    assert abs(np.abs(ey).max() - 1.0) < 0.1  # amplitude preserved
 
 
 def test_damping_profile_monotone():

@@ -10,7 +10,6 @@ from repro.core.load_balance import (
     distribute_sfc,
     load_imbalance,
     rank_loads,
-    should_rebalance,
 )
 from repro.exceptions import DecompositionError
 from repro.parallel.box import chop_domain
@@ -90,11 +89,6 @@ def test_load_imbalance_bounds():
     all_on_one = np.zeros(8, dtype=np.intp)
     assert load_imbalance(costs, all_on_one, 4) == pytest.approx(4.0)
     assert load_imbalance(np.zeros(4), perfect[:4], 4) == 1.0
-
-
-def test_should_rebalance_threshold():
-    assert should_rebalance(1.2, threshold=1.1)
-    assert not should_rebalance(1.05, threshold=1.1)
 
 
 def test_distribution_mapping_rebalance_counts_moves():

@@ -427,6 +427,33 @@ def hybrid_state(sim):
 
 
 @needs_compiled
+def test_a_subcycled_patch_assembles_aux_once_per_substep(monkeypatch):
+    """Over N patch-active coarse steps of the subcycled Fig. 6 deck the
+    native ``assemble_aux`` runs ``ratio * N`` times, once per substep.
+    It used to run once more per step after the parent's field advance
+    (120 calls in 40 steps): dead work, since the next step's substep 0
+    rebuilds all of ``aux`` before any gather reads it."""
+    from benchmarks.bench_fig6_mr_time_to_solution import make_setup
+    from repro.grid.compiled import FieldBackend
+
+    calls = []
+    real = FieldBackend.assemble_aux
+
+    def spy(self, patch, *args, **kwargs):
+        calls.append(patch)
+        return real(self, patch, *args, **kwargs)
+
+    sim, _, _ = build_hybrid_target(make_setup(), mode="mr")
+    (patch,) = sim.patches
+    assert patch.subcycle
+    monkeypatch.setattr(FieldBackend, "assemble_aux", spy)
+    n_steps = 40
+    sim.step(n_steps)
+    assert sim.patches == [patch]
+    assert len(calls) == patch.ratio * n_steps == 80
+
+
+@needs_compiled
 @pytest.mark.parametrize("subcycle", [False, True],
                          ids=["synchronous", "subcycled"])
 def test_hybrid_deck_native_fields_are_the_numpy_route_through_removal(subcycle):

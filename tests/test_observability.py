@@ -1,5 +1,5 @@
 """Unit coverage for repro.observability: tracer spans + export formats,
-the metrics registry's snapshot/delta semantics, report rendering, and
+the metrics registry's views and snapshots, report rendering, and
 the trace-summarizing CLI."""
 
 import io
@@ -17,6 +17,7 @@ from repro.observability.metrics import (
     comm_matrix_from_snapshot,
     metric_id,
     parse_metric_id,
+    summary,
 )
 from repro.observability.report import (
     RunReport,
@@ -177,51 +178,51 @@ def test_build_tree_orphans_become_roots():
 
 # -- metrics -----------------------------------------------------------------
 
-def test_counter_rejects_negative_and_inc_aliases_add():
-    m = MetricsRegistry()
-    c = m.counter("events")
-    c.inc()
-    c.add(2.0)
-    assert c.value == 3.0
-    with pytest.raises(ObservabilityError, match="only go up"):
-        c.add(-1)
+def rows_of(*rows):
+    """A view yielding ``rows`` as they are when it is read."""
+    return lambda: iter(rows)
 
 
 def test_gauge_set_and_add():
-    g = MetricsRegistry().gauge("imbalance")
-    g.set(1.5)
-    g.add(-0.25)
-    assert g.value == 1.25
+    """A gauge reads its book's current value, whichever way it moved."""
+    book = {"imbalance": 1.5}
+    m = MetricsRegistry()
+    m.view(lambda: iter([("gauge", "imbalance", {}, book["imbalance"])]))
+    assert m.snapshot() == {"imbalance": 1.5}
+    book["imbalance"] += -0.25
+    assert m.snapshot() == {"imbalance": 1.25}
 
 
 def test_histogram_summary():
-    h = MetricsRegistry().histogram("msg_size")
-    for v in (4.0, 2.0, 6.0):
-        h.observe(v)
-    assert h.to_value() == {
+    assert summary([4.0, 2.0, 6.0]) == {
         "count": 3, "sum": 12.0, "min": 2.0, "max": 6.0, "mean": 4.0
     }
 
 
 def test_empty_histogram_is_all_zeros():
-    assert MetricsRegistry().histogram("empty").to_value()["count"] == 0
+    assert summary([]) == {
+        "count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0
+    }
 
 
 def test_registry_identity_ignores_label_order():
     m = MetricsRegistry()
-    a = m.counter("comm.bytes", src=0, dst=1)
-    b = m.counter("comm.bytes", dst=1, src=0)
-    assert a is b
-    assert m.counter("comm.bytes", src=1, dst=0) is not a
-    assert len(m) == 2
-    assert "comm.bytes" in m and "other" not in m
+    m.view(rows_of(("counter", "comm.bytes", {"src": 0, "dst": 1}, 4)))
+    m.view(rows_of(("counter", "comm.bytes", {"dst": 0, "src": 1}, 2)))
+    assert m.snapshot() == {
+        "comm.bytes{dst=0,src=1}": 2.0, "comm.bytes{dst=1,src=0}": 4.0,
+    }
+    m.view(rows_of(("counter", "comm.bytes", {"dst": 1, "src": 0}, 4)))
+    with pytest.raises(ObservabilityError, match="read by two views"):
+        m.snapshot()
 
 
 def test_registry_kind_conflict_raises():
     m = MetricsRegistry()
-    m.counter("x")
-    with pytest.raises(ObservabilityError, match="already registered as counter"):
-        m.gauge("x")
+    m.view(rows_of(("counter", "x", {}, 1)))
+    m.view(rows_of(("gauge", "x", {}, 1)))
+    with pytest.raises(ObservabilityError, match="as counter and as gauge"):
+        m.snapshot()
 
 
 def test_metric_id_round_trip():
@@ -236,40 +237,43 @@ def test_metric_id_round_trip():
 
 
 def test_snapshot_and_delta_semantics():
+    """Every snapshot reads the books afresh; a per-interval figure is the
+    difference of two snapshots."""
+    books = {"pushed": 100, "live": 50, "cost": [2.0]}
     m = MetricsRegistry()
-    m.counter("pushed").add(100)
-    m.gauge("live").set(50)
-    m.histogram("cost").observe(2.0)
+    m.view(lambda: iter([
+        ("counter", "pushed", {}, books["pushed"]),
+        ("gauge", "live", {}, books["live"]),
+        ("histogram", "cost", {}, summary(books["cost"])),
+    ]))
     snap = m.snapshot()
-    assert snap["pushed"] == 100.0
-    assert snap["live"] == 50.0
-    assert snap["cost"]["count"] == 1
+    assert snap == {"cost": summary([2.0]), "live": 50.0, "pushed": 100.0}
+    assert [kind for kind, *_ in m.metrics()] == ["histogram", "gauge", "counter"]
 
-    m.counter("pushed").add(25)
-    m.gauge("live").set(40)
-    m.histogram("cost").observe(4.0)
-    m.counter("fresh").add(7)
-    d = m.delta(snap)
-    assert d["pushed"] == 25.0          # counters diff
-    assert d["live"] == 40.0            # gauges report current
-    assert d["cost"] == {"count": 1, "sum": 4.0}
-    assert d["fresh"] == 7.0            # absent from previous -> full value
+    books.update(pushed=125, live=40, cost=[2.0, 4.0])
+    later = m.snapshot()
+    assert later["pushed"] - snap["pushed"] == 25.0
+    assert later["live"] == 40.0
+    assert later["cost"]["count"] - snap["cost"]["count"] == 1
+    assert later["cost"]["sum"] - snap["cost"]["sum"] == 4.0
 
 
 def test_dump_json_is_loadable(tmp_path):
     m = MetricsRegistry()
-    m.counter("a", k="v").add(1)
-    path = str(tmp_path / "metrics.json")
-    m.dump_json(path)
-    with open(path) as fh:
-        assert json.load(fh) == {"a{k=v}": 1.0}
+    m.view(rows_of(("counter", "a", {"k": "v"}, 1),
+                   ("histogram", "h", {}, summary([0.5]))))
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps(m.snapshot(), sort_keys=True))
+    assert json.loads(path.read_text()) == {"a{k=v}": 1.0, "h": summary([0.5])}
 
 
 def test_comm_matrix_from_snapshot():
     m = MetricsRegistry()
-    m.counter("comm.pair_bytes", src=0, dst=1).add(1024)
-    m.counter("comm.pair_bytes", src=1, dst=0).add(512)
-    m.counter("unrelated").add(9)
+    m.view(rows_of(
+        ("counter", "comm.pair_bytes", {"src": 0, "dst": 1}, 1024),
+        ("counter", "comm.pair_bytes", {"src": 1, "dst": 0}, 512),
+        ("counter", "unrelated", {}, 9),
+    ))
     matrix = comm_matrix_from_snapshot(m.snapshot())
     assert matrix == [[0.0, 1024.0], [512.0, 0.0]]
     padded = comm_matrix_from_snapshot(m.snapshot(), n_ranks=3)

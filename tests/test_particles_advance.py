@@ -3,7 +3,7 @@ fused vs composed agreement, the Esirkepov window contract (NumPy
 fallback, guard shortfall), bounds safety of every native kernel (run in
 subprocesses: a regression here is a segfault, not an exception), routing
 in both step drivers (with and without an MR patch), phases and
-dispatch counters."""
+kernel dispatch."""
 
 import os
 import subprocess
@@ -416,7 +416,6 @@ def test_mr_fused_route_hands_only_crossers_to_the_deposit_hook(monkeypatch):
     interior."""
     sim = mr_1d("compiled", uth=0.3)
     patch = sim.patches[0]
-    tracer, metrics = attach_observability(sim)
     seen = []
     deposit = sim._deposit
 
@@ -426,6 +425,7 @@ def test_mr_fused_route_hands_only_crossers_to_the_deposit_hook(monkeypatch):
 
     monkeypatch.setattr(sim, "_deposit", spy_deposit)
     sim.kernel_set, gathers = record_calls(sim.kernel_set, "gather")
+    sim.kernel_set, advances = record_calls(sim.kernel_set, "advance")
     sim.step(10)
     assert sim.patches
     assert sim.timers.counts["particles"] == 10
@@ -434,24 +434,24 @@ def test_mr_fused_route_hands_only_crossers_to_the_deposit_hook(monkeypatch):
     for x_old, x_new in seen:
         assert np.all(patch.interior_mask(x_old))
         assert not np.any(patch.interior_mask(x_new))
-    # one advance per level per step, no standalone kernel
-    snap = metrics.snapshot()
-    assert snap["kernel.dispatch{phase=advance,variant=compiled}"] == 20.0
-    assert not any("phase=gather" in key for key in snap)
+    # one compiled advance per level per step, no standalone kernel
+    assert sim.kernel_set.name == "compiled"
+    assert [grid for grid, _, _ in advances] == [patch.aux, sim.grid] * 10
     assert gathers == []
 
 
-# -- (f) phases and dispatch counters ------------------------------------------
+# -- (f) phases and dispatch ------------------------------------------
 
 @needs_compiled
 def test_fused_step_counts_one_advance_dispatch_per_species():
     sim, _ = langmuir(n=8)
-    tracer, metrics = attach_observability(sim)
+    tracer, _ = attach_observability(sim)
+    sim.kernel_set, gathers = record_calls(sim.kernel_set, "gather")
+    sim.kernel_set, deposits = record_calls(sim.kernel_set, "deposit_current")
+    sim.kernel_set, advances = record_calls(sim.kernel_set, "advance")
     sim.step(3)
-    snap = metrics.snapshot()
-    assert snap["kernel.dispatch{phase=advance,variant=compiled}"] == 3.0
-    assert not any("phase=gather" in key or "phase=deposit" in key
-                   for key in snap)
+    assert sim.kernel_set.name == "compiled"
+    assert len(advances) == 3 and gathers == deposits == []
     spans = [r for r in tracer.records if r.name == "particles"]
     assert len(spans) == 3
     assert spans[0].attrs["kernel"] == "compiled"
@@ -554,8 +554,9 @@ def test_default_kernel_tier_is_native_when_available():
 
 @pytest.mark.parametrize("variant", ["vectorized", "compiled"])
 def test_distributed_counts_kernel_dispatches(variant, monkeypatch):
-    """One ``kernel.dispatch`` bump per advance, box and step on either
-    tier, as in ``Simulation`` (the decomposed driver used to drop them)
+    """One advance per species, box and step on either tier, as in
+    ``Simulation``, through the tier's own kernel (the fused ``advance``
+    on ``compiled``, the composed route's ``gather`` on ``vectorized``)
     — and the box advance stays *untimed* inside the one ``particles``
     phase: no gather / push / deposit (or a second ``particles``,
     counted twice) nests under it."""
@@ -565,15 +566,11 @@ def test_distributed_counts_kernel_dispatches(variant, monkeypatch):
     # its own `sanitize` phase), also in the CI leg that sets the variable
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     sim = make_langmuir_build(n_ranks=2, kernels=variant)()
-    _, metrics = attach_observability(sim)
+    slot = "advance" if variant == "compiled" else "gather"
+    sim.kernel_set, calls = record_calls(sim.kernel_set, slot)
     sim.step(3)
-    snap = metrics.snapshot()
-    dispatched = {
-        key: val for key, val in snap.items() if key.startswith("kernel.dispatch")
-    }
-    assert dispatched == {
-        f"kernel.dispatch{{phase=advance,variant={variant}}}": 3.0 * len(sim.boxes)
-    }
+    assert sim.kernel_set.name == variant
+    assert len(calls) == 3 * len(sim.boxes)
     assert set(sim.timers.totals) == {
         "particles", "fold_sources", "halo_sources", "maxwell", "halo_fields",
         "redistribute",

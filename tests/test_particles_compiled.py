@@ -2,7 +2,7 @@
 (skipped without a C compiler), the environment/backend selection logic,
 the kernel table built at import (checked in fresh interpreters) and its
 graceful fallback when no backend is usable, wide-window and
-guard-shortage handling, and the per-tier dispatch counters.  The fused
+guard-shortage handling, and which tier's kernels a step runs.  The fused
 ``advance`` path has its own file, ``test_particles_advance.py``."""
 
 import os
@@ -12,10 +12,10 @@ import sys
 import numpy as np
 import pytest
 
+from tests.conftest import record_calls
 from repro.core.simulation import Simulation
 from repro.exceptions import ConfigurationError
 from repro.grid.yee import YeeGrid
-from repro.observability import attach_observability
 from repro import native
 from repro.native import BACKEND_ENV, find_c_compiler
 from repro.particles import kernels
@@ -460,7 +460,7 @@ def test_library_source_holds_the_field_entries_in_both_precisions():
     assert "@REAL@" not in src and "@SUF@" not in src
 
 
-# -- dispatch counters --------------------------------------------------------
+# -- dispatch --------------------------------------------------------
 
 def test_dispatch_counters_label_actual_variant():
     from repro.constants import m_e, plasma_wavelength, q_e
@@ -473,12 +473,14 @@ def test_dispatch_counters_label_actual_variant():
                      smoothing_passes=0, kernels="vectorized")
     sim.add_species(Species("e", charge=-q_e, mass=m_e, ndim=1),
                     profile=UniformProfile(n0), ppc=2)
-    _, metrics = attach_observability(sim)
+    sim.kernel_set, gathers = record_calls(sim.kernel_set, "gather")
+    sim.kernel_set, deposits = record_calls(sim.kernel_set, "deposit_current")
     sim.step(3)
-    snap = metrics.snapshot()
-    assert snap["kernel.dispatch{phase=advance,variant=vectorized}"] == 3.0
-    assert not any("phase=gather" in key or "phase=deposit" in key
-                   for key in snap)
+    # the named tier ran: the vectorized set, one composed advance (one
+    # gather, one deposit) per step and nothing besides
+    assert sim.kernels == sim.kernel_set.name == "vectorized"
+    assert sim.kernel_set.advance is None
+    assert len(gathers) == len(deposits) == 3
 
 
 def test_argument_arrays_keep_their_ctypes_type_across_collections():
